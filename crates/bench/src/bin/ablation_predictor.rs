@@ -11,6 +11,7 @@ use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
 use lx_model::{CaptureConfig, ModelConfig};
+use lx_tensor::gemm::{matmul, Epilogue, Layout};
 use lx_tensor::Tensor;
 use std::time::Instant;
 
@@ -48,9 +49,9 @@ fn main() {
         for sample in &pooled {
             for h in 0..cfg.n_heads {
                 let (wq, wk) = &pred.heads[h];
-                let q = lx_tensor::gemm::matmul(sample, wq);
-                let k = lx_tensor::gemm::matmul(sample, wk);
-                let s_hat = lx_tensor::gemm::matmul_nt(&q, &k);
+                let q = matmul(sample, wq, Layout::Normal, Epilogue::None);
+                let k = matmul(sample, wk, Layout::Normal, Epilogue::None);
+                let s_hat = matmul(&q, &k, Layout::Transposed, Epilogue::None);
                 std::hint::black_box(&s_hat);
             }
         }

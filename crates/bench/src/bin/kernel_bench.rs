@@ -33,41 +33,43 @@
 //!   stopped being faster", not ±5% jitter).
 
 use lx_bench::{header, load_bench_json, row, BenchCli};
-use lx_kernels::{Epilogue, Isa, KernelBackend, AUTO, PACKED, REFERENCE};
+use lx_kernels::{Epilogue, GemmOp, Isa, KernelBackend, Layout, NmView, AUTO, PACKED, REFERENCE};
 use lx_tensor::rng::randn_vec;
+use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 use std::time::Instant;
 
-#[derive(Clone, Copy)]
-enum Variant {
-    Nn,
-    Nt,
-    Tn,
-    /// `Nn` with B stored as f16 bits: both backends run their fused
-    /// f16-input path (mixed-precision storage, f32 accumulate).
-    NnF16,
-    /// `Nn` with B stored as per-block-scaled int8 codes: the fused
-    /// dequant-in-pack path (`gemm_q8`).
-    NnQ8,
-    /// `Nn` with B stored as NF4 nibbles (`gemm_q4`).
-    NnQ4,
-    /// `Nt` with B stored 2:4-compacted (`gemm_nt_nm`): the pruned frozen-
-    /// backbone forward shape, expanded group-by-group inside `pack_b` with
-    /// fully-zero K-groups skipped.
-    NtNm,
-}
+const NN: (Layout, Layout) = (Layout::Normal, Layout::Normal);
+const NT: (Layout, Layout) = (Layout::Normal, Layout::Transposed);
+const TN: (Layout, Layout) = (Layout::Transposed, Layout::Normal);
 
 struct Shape {
     label: &'static str,
-    variant: Variant,
+    /// (A layout, B layout).
+    layouts: (Layout, Layout),
+    /// Storage of the B operand. Every non-f32 dtype runs both backends'
+    /// fused decode path (mixed-precision storage, f32 accumulate): f16 bits,
+    /// int8/NF4 dequant-in-pack, and the 2:4-compacted arm that expands
+    /// group-by-group inside `pack_b` with fully-zero K-groups skipped
+    /// (benched in the `nt` layout — the pruned frozen-backbone forward
+    /// shape).
+    store: Dtype,
     m: usize,
     k: usize,
     n: usize,
 }
 
-const fn shape(label: &'static str, variant: Variant, m: usize, k: usize, n: usize) -> Shape {
+const fn shape(
+    label: &'static str,
+    layouts: (Layout, Layout),
+    store: Dtype,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Shape {
     Shape {
         label,
-        variant,
+        layouts,
+        store,
         m,
         k,
         n,
@@ -75,83 +77,51 @@ const fn shape(label: &'static str, variant: Variant, m: usize, k: usize, n: usi
 }
 
 fn shapes(smoke: bool) -> Vec<Shape> {
+    use Dtype::{I8Block as Q8, Nf4Block as Q4, Nm24 as Nm, F16, F32};
     if smoke {
         vec![
-            shape("square", Variant::Nn, 192, 192, 192),
-            shape("attn scores", Variant::Nt, 128, 64, 128),
-            shape("mlp fc1", Variant::Nn, 128, 128, 256),
-            shape("mlp fc1 f16-w", Variant::NnF16, 128, 128, 256),
-            shape("mlp fc1 int8-w", Variant::NnQ8, 128, 128, 256),
-            shape("mlp fc1 nf4-w", Variant::NnQ4, 128, 128, 256),
-            shape("mlp fc1 nm24-w", Variant::NtNm, 128, 128, 256),
-            shape("grad dW", Variant::Tn, 128, 128, 128),
+            shape("square", NN, F32, 192, 192, 192),
+            shape("attn scores", NT, F32, 128, 64, 128),
+            shape("mlp fc1", NN, F32, 128, 128, 256),
+            shape("mlp fc1 f16-w", NN, F16, 128, 128, 256),
+            shape("mlp fc1 int8-w", NN, Q8, 128, 128, 256),
+            shape("mlp fc1 nf4-w", NN, Q4, 128, 128, 256),
+            shape("mlp fc1 nm24-w", NT, Nm, 128, 128, 256),
+            shape("grad dW", TN, F32, 128, 128, 128),
         ]
     } else {
         vec![
-            shape("square 256", Variant::Nn, 256, 256, 256),
-            shape("square 512", Variant::Nn, 512, 512, 512),
-            shape("square 1024", Variant::Nn, 1024, 1024, 1024),
-            shape("square 512 f16-w", Variant::NnF16, 512, 512, 512),
-            shape("attn scores s=512", Variant::Nt, 512, 64, 512),
-            shape("attn context s=512", Variant::Nn, 512, 512, 64),
-            shape("mlp fc1 512x256x1024", Variant::Nn, 512, 256, 1024),
-            shape("mlp fc1 f16-w 512x256x1024", Variant::NnF16, 512, 256, 1024),
-            shape("mlp fc1 int8-w 512x256x1024", Variant::NnQ8, 512, 256, 1024),
-            shape("mlp fc1 nf4-w 512x256x1024", Variant::NnQ4, 512, 256, 1024),
-            shape("mlp fc1 nm24-w 512x256x1024", Variant::NtNm, 512, 256, 1024),
-            shape("mlp fc2 512x1024x256", Variant::Nn, 512, 1024, 256),
-            shape("grad dW 256x512x1024", Variant::Tn, 256, 512, 1024),
+            shape("square 256", NN, F32, 256, 256, 256),
+            shape("square 512", NN, F32, 512, 512, 512),
+            shape("square 1024", NN, F32, 1024, 1024, 1024),
+            shape("square 512 f16-w", NN, F16, 512, 512, 512),
+            shape("attn scores s=512", NT, F32, 512, 64, 512),
+            shape("attn context s=512", NN, F32, 512, 512, 64),
+            shape("mlp fc1 512x256x1024", NN, F32, 512, 256, 1024),
+            shape("mlp fc1 f16-w 512x256x1024", NN, F16, 512, 256, 1024),
+            shape("mlp fc1 int8-w 512x256x1024", NN, Q8, 512, 256, 1024),
+            shape("mlp fc1 nf4-w 512x256x1024", NN, Q4, 512, 256, 1024),
+            shape("mlp fc1 nm24-w 512x256x1024", NT, Nm, 512, 256, 1024),
+            shape("mlp fc2 512x1024x256", NN, F32, 512, 1024, 256),
+            shape("grad dW 256x512x1024", TN, F32, 256, 512, 1024),
         ]
     }
 }
 
-struct Operands {
-    a: Vec<f32>,
-    b: Vec<f32>,
-    /// f16 encoding of `b`, used by the `NnF16` variant.
-    bits: Vec<u16>,
-    /// Int8 block encoding of `b` (codes, scales), used by `NnQ8`.
-    q8: (Vec<i8>, Vec<f32>),
-    /// NF4 block encoding of `b` (packed nibbles, scales), used by `NnQ4`.
-    q4: (Vec<u8>, Vec<f32>),
-    /// 2:4 compacted encoding of `b` (kept values, group masks), used by
-    /// `NtNm` (B is n×k there).
-    nm: (Vec<f32>, Vec<u8>),
-}
-
-fn run(be: &dyn KernelBackend, s: &Shape, ops: &Operands, c: &mut [f32]) {
-    let (m, k, n) = (s.m, s.k, s.n);
-    let (a, b) = (&ops.a[..], &ops.b[..]);
-    match s.variant {
-        Variant::Nn => be.gemm(m, k, n, a, k, b, n, c, n, 0.0),
-        Variant::Nt => be.gemm_nt(m, k, n, a, k, b, k, c, n, 0.0),
-        Variant::Tn => be.gemm_tn(m, k, n, a, m, b, n, c, n, 0.0),
-        Variant::NnF16 => be.gemm_f16(m, k, n, a, k, &ops.bits, n, c, n, 0.0),
-        Variant::NnQ8 => {
-            let view = lx_kernels::Q8View::new(&ops.q8.0, &ops.q8.1);
-            be.gemm_q8(m, k, n, a, k, view, n, c, n, 0.0)
-        }
-        Variant::NnQ4 => {
-            let view = lx_kernels::Q4View::new(&ops.q4.0, &ops.q4.1, s.k * s.n);
-            be.gemm_q4(m, k, n, a, k, view, n, c, n, 0.0)
-        }
-        Variant::NtNm => {
-            let view = lx_kernels::NmView::new(&ops.nm.0, &ops.nm.1, s.n, s.k, 2, 4);
-            be.gemm_nt_nm(m, k, n, a, k, view, k, c, n, 0.0)
-        }
-    }
+fn run(be: &dyn KernelBackend, op: &GemmOp<'_>, c: &mut [f32]) {
+    be.gemm(op, c, op.n, 0.0, Epilogue::None);
 }
 
 /// Best-of-`reps` timing: the minimum is the standard noise-robust
 /// microbenchmark statistic — one scheduler hiccup on a shared CI box
 /// inflates the mean but cannot shrink the min, which is what keeps the
 /// `--compare` speedup gate from flaking.
-fn time(be: &dyn KernelBackend, s: &Shape, ops: &Operands, c: &mut [f32], reps: usize) -> f64 {
-    run(be, s, ops, c); // warm-up
+fn time(be: &dyn KernelBackend, op: &GemmOp<'_>, c: &mut [f32], reps: usize) -> f64 {
+    run(be, op, c); // warm-up
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        run(be, s, ops, c);
+        run(be, op, c);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
@@ -221,37 +191,19 @@ fn main() {
     let mut failures = 0usize;
     let mut best_speedup = 0.0f64;
     for s in shapes(smoke) {
-        let (asz, bsz) = match s.variant {
-            Variant::Nn | Variant::NnF16 | Variant::NnQ8 | Variant::NnQ4 => (s.m * s.k, s.k * s.n),
-            Variant::Nt | Variant::NtNm => (s.m * s.k, s.n * s.k),
-            Variant::Tn => (s.k * s.m, s.k * s.n),
+        let (a_layout, b_layout) = s.layouts;
+        let (b_rows, b_cols) = match b_layout {
+            Layout::Normal => (s.k, s.n),
+            Layout::Transposed => (s.n, s.k),
         };
-        let a = randn_vec(asz, 1.0, 1);
-        let b = randn_vec(bsz, 1.0, 2);
-        let bits = match s.variant {
-            Variant::NnF16 => lx_kernels::half::encode_slice(&b),
-            _ => Vec::new(),
+        let a = randn_vec(s.m * s.k, 1.0, 1);
+        let dense = Tensor::from_vec(randn_vec(b_rows * b_cols, 1.0, 2), &[b_rows, b_cols]);
+        let reduced = (s.store != Dtype::F32).then(|| Reduced::from_tensor(&dense, s.store));
+        let b: BRef<'_> = match &reduced {
+            Some(r) => r.into(),
+            None => (&dense).into(),
         };
-        let q8 = match s.variant {
-            Variant::NnQ8 => lx_quant::q8::quantize(&b),
-            _ => (Vec::new(), Vec::new()),
-        };
-        let q4 = match s.variant {
-            Variant::NnQ4 => lx_quant::nf4::quantize(&b),
-            _ => (Vec::new(), Vec::new()),
-        };
-        let nm = match s.variant {
-            Variant::NtNm => lx_quant::nm::encode(&b, s.n, s.k, 2, 4),
-            _ => (Vec::new(), Vec::new()),
-        };
-        let ops = Operands {
-            a,
-            b,
-            bits,
-            q8,
-            q4,
-            nm,
-        };
+        let op = GemmOp::contiguous(s.m, s.k, s.n, &a, a_layout, b.operand(), b_layout);
         let mut c_ref = vec![0.0f32; s.m * s.n];
         let mut c_packed = vec![0.0f32; s.m * s.n];
         let flops = 2.0 * (s.m * s.k * s.n) as f64;
@@ -262,8 +214,8 @@ fn main() {
         } else {
             ((2e9 / flops) as usize).clamp(2, 20)
         };
-        let t_ref = time(&REFERENCE, &s, &ops, &mut c_ref, reps);
-        let t_packed = time(&PACKED, &s, &ops, &mut c_packed, reps);
+        let t_ref = time(&REFERENCE, &op, &mut c_ref, reps);
+        let t_packed = time(&PACKED, &op, &mut c_packed, reps);
         let diff = max_rel_diff(&c_packed, &c_ref);
         if diff > 1e-4 {
             failures += 1;
@@ -273,7 +225,7 @@ fn main() {
         // What the dispatcher actually does for this shape.
         let auto_picks = lx_kernels::auto_choice(s.m, s.k, s.n);
         let mut c_auto = vec![0.0f32; s.m * s.n];
-        run(&AUTO, &s, &ops, &mut c_auto);
+        run(&AUTO, &op, &mut c_auto);
         if max_rel_diff(&c_auto, &c_ref) > 1e-4 {
             failures += 1;
         }
@@ -316,23 +268,9 @@ fn main() {
         let b = randn_vec(k * n, 1.0, 12);
         let mut c_seq = vec![0.0f32; m * n];
         let mut c_par = vec![0.0f32; m * n];
-        let t_seq = lx_kernels::with_sequential(|| {
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.0);
-            let mut best = f64::INFINITY;
-            for _ in 0..gate_reps {
-                let t0 = Instant::now();
-                PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.0);
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
-            best
-        });
-        PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_par, n, 0.0);
-        let mut t_par = f64::INFINITY;
-        for _ in 0..gate_reps {
-            let t0 = Instant::now();
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_par, n, 0.0);
-            t_par = t_par.min(t0.elapsed().as_secs_f64());
-        }
+        let op = GemmOp::nn(m, k, n, &a, k, &b[..], n);
+        let t_seq = lx_kernels::with_sequential(|| time(&PACKED, &op, &mut c_seq, gate_reps));
+        let t_par = time(&PACKED, &op, &mut c_par, gate_reps);
         let identical = c_seq
             .iter()
             .zip(&c_par)
@@ -372,7 +310,7 @@ fn main() {
     }
 
     // Fused epilogues: gemm + serial epilogue passes (what the model paths
-    // did before fusion) vs one `gemm_ep` call. The fused write-back applies
+    // did before fusion) vs one call carrying the `Epilogue`. The fused write-back applies
     // the identical scalar ops per element after full accumulation, so the
     // outputs must match bit-for-bit — asserted unconditionally for both
     // rows. The perf floor enforces on the bias+GELU row: the tanh sweep
@@ -394,8 +332,9 @@ fn main() {
         let mut fusion_gate = |label: &str, gelu_after: bool, floor: Option<f64>, reps: usize| {
             let mut c_unfused = vec![0.0f32; m * n];
             let mut c_fused = vec![0.0f32; m * n];
+            let op = GemmOp::nn(m, k, n, &a, k, &b[..], n);
             let unfused = |c: &mut [f32]| {
-                PACKED.gemm(m, k, n, &a, k, &b, n, c, n, 0.0);
+                run(&PACKED, &op, c);
                 for r in 0..m {
                     for (v, bj) in c[r * n..(r + 1) * n].iter_mut().zip(&bias) {
                         *v += bj;
@@ -413,7 +352,7 @@ fn main() {
                 Epilogue::Bias(&bias)
             };
             let fused = |c: &mut [f32]| {
-                PACKED.gemm_ep(m, k, n, &a, k, &b, n, c, n, 0.0, ep);
+                PACKED.gemm(&op, c, n, 0.0, ep);
             };
             unfused(&mut c_unfused);
             let mut t_unfused = f64::INFINITY;
@@ -489,13 +428,13 @@ fn main() {
         let a = randn_vec(m * k, 1.0, 16);
         let w = randn_vec(n * k, 1.0, 17);
         let (vals, masks) = lx_quant::nm::encode(&w, n, k, 2, 4);
-        let view = || lx_kernels::NmView::new(&vals, &masks, n, k, 2, 4);
+        let fused_op = GemmOp::nt(m, k, n, &a, k, NmView::new(&vals, &masks, n, k, 2, 4), k);
         let mut c_dense = vec![0.0f32; m * n];
         let mut c_fused = vec![0.0f32; m * n];
         let mut scratch = vec![0.0f32; n * k];
         let dense_leg = |c: &mut [f32], scratch: &mut [f32]| {
             lx_quant::nm::decode(&vals, &masks, n, k, 2, 4, scratch);
-            PACKED.gemm_nt(m, k, n, &a, k, scratch, k, c, n, 0.0);
+            run(&PACKED, &GemmOp::nt(m, k, n, &a, k, &*scratch, k), c);
         };
         dense_leg(&mut c_dense, &mut scratch);
         let mut t_dense = f64::INFINITY;
@@ -504,13 +443,7 @@ fn main() {
             dense_leg(&mut c_dense, &mut scratch);
             t_dense = t_dense.min(t0.elapsed().as_secs_f64());
         }
-        PACKED.gemm_nt_nm(m, k, n, &a, k, view(), k, &mut c_fused, n, 0.0);
-        let mut t_fused = f64::INFINITY;
-        for _ in 0..gate_reps {
-            let t0 = Instant::now();
-            PACKED.gemm_nt_nm(m, k, n, &a, k, view(), k, &mut c_fused, n, 0.0);
-            t_fused = t_fused.min(t0.elapsed().as_secs_f64());
-        }
+        let t_fused = time(&PACKED, &fused_op, &mut c_fused, gate_reps);
         let identical = c_dense
             .iter()
             .zip(&c_fused)

@@ -15,7 +15,7 @@
 //! computation harms accuracy while extra computation only costs time.
 
 use lx_sparse::{BlockMask, NeuronBlockSet};
-use lx_tensor::gemm::{matmul, matmul_nt, matmul_tn};
+use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
 use lx_tensor::rng;
 use lx_tensor::Tensor;
 
@@ -106,9 +106,9 @@ impl AttnPredictor {
     /// Raw block logits for one pooled sample and one head (`n×n`).
     fn head_logits(&self, pooled: &Tensor, head: usize) -> Tensor {
         let (wq, wk) = &self.heads[head];
-        let q = matmul(pooled, wq);
-        let k = matmul(pooled, wk);
-        let mut logits = matmul_nt(&q, &k);
+        let q = matmul(pooled, wq, Layout::Normal, Epilogue::None);
+        let k = matmul(pooled, wk, Layout::Normal, Epilogue::None);
+        let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None);
         let slope = self.distance_slopes[head] * self.block_size as f32;
         let bias = self.bias[head];
         let n = logits.rows();
@@ -179,9 +179,9 @@ impl AttnPredictor {
             let n = noisy.rows();
             for h in 0..self.heads.len() {
                 let (wq, wk) = &self.heads[h];
-                let q = matmul(&noisy, wq); // [n, r]
-                let k = matmul(&noisy, wk);
-                let mut logits = matmul_nt(&q, &k); // [n, n]
+                let q = matmul(&noisy, wq, Layout::Normal, Epilogue::None); // [n, r]
+                let k = matmul(&noisy, wk, Layout::Normal, Epilogue::None);
+                let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None); // [n, n]
                 let slope = self.distance_slopes[h] * self.block_size as f32;
                 let head_bias = self.bias[h];
                 for i in 0..n {
@@ -227,7 +227,7 @@ impl AttnPredictor {
                     }
                 }
                 // dWq = X̂ᵀ·(dL·K̂); dWk = X̂ᵀ·(dLᵀ·Q̂); dbias = Σ dL.
-                let dq = matmul(&dlogits, &k); // [n, r]
+                let dq = matmul(&dlogits, &k, Layout::Normal, Epilogue::None); // [n, r]
                 let dk = matmul_tn(&dlogits, &q); // [n, r]
                 let dwq = matmul_tn(&noisy, &dq); // [d, r]
                 let dwk = matmul_tn(&noisy, &dk);
@@ -337,7 +337,7 @@ impl MlpPredictor {
     /// Predict the active neuron-block set for a batch of rows (stage two:
     /// soft-max reduction over rows, then threshold at logit 0).
     pub fn predict(&self, x: &Tensor) -> NeuronBlockSet {
-        let scores = matmul(x, &self.wa); // [rows, n_blk]
+        let scores = matmul(x, &self.wa, Layout::Normal, Epilogue::None); // [rows, n_blk]
         let best = self.reduce_logits(&scores);
         let mut active: Vec<u32> = best
             .iter()
@@ -376,9 +376,10 @@ impl MlpPredictor {
                 }
             }
             let rows = noisy.rows();
-            let logits = matmul(&noisy, &self.wa); // [rows, n_blk]
-                                                   // Stage-two reduction first: the trained statistic is the
-                                                   // soft-max-reduced logit per block, matching `predict`.
+            // [rows, n_blk]
+            let logits = matmul(&noisy, &self.wa, Layout::Normal, Epilogue::None);
+            // Stage-two reduction first: the trained statistic is the
+            // soft-max-reduced logit per block, matching `predict`.
             let reduced = self.reduce_logits(&logits);
             let target: Vec<bool> = {
                 let mut t = vec![false; self.n_blocks];

@@ -21,6 +21,7 @@ use crate::backend::{KernelBackend, Reference};
 use crate::epilogue::Epilogue;
 use crate::isa::Isa;
 use crate::observe::Observed;
+use crate::op::GemmOp;
 use crate::packed::{Packed, NR};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -149,350 +150,8 @@ impl KernelBackend for Auto {
         "auto"
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_tn(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        pick(m, k, n).gemm_nt_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-    }
-
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-    }
-
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        pick(m, k, n).gemm_nt_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+        pick(op.m, op.k, op.n).gemm(op, c, ldc, beta, ep)
     }
 }
 
@@ -606,12 +265,8 @@ pub fn autotune() -> KernelPolicy {
             let (nm_vals, nm_masks) = lx_quant::nm::encode(&b, s, s, 2, 4);
             let nm = lx_quant::NmView::new(&nm_vals, &nm_masks, s, s, 2, 4);
             let mut c = vec![0.0f32; s * s];
-            let time = |backend: &dyn KernelBackend, c: &mut [f32], variant: u8| {
-                let run = |c: &mut [f32]| match variant {
-                    0 => backend.gemm(s, s, s, &a, s, &b, s, c, s, 0.0),
-                    1 => backend.gemm_nt(s, s, s, &a, s, &b, s, c, s, 0.0),
-                    _ => backend.gemm_nt_nm(s, s, s, &a, s, nm, s, c, s, 0.0),
-                };
+            let time = |backend: &dyn KernelBackend, c: &mut [f32], op: &GemmOp<'_>| {
+                let run = |c: &mut [f32]| backend.gemm(op, c, s, 0.0, Epilogue::None);
                 run(c); // warm
                 let t0 = std::time::Instant::now();
                 for _ in 0..3 {
@@ -623,10 +278,15 @@ pub fn autotune() -> KernelPolicy {
             // nn, nt, and nt-nm crossovers differ (the nt reference is a
             // dot-product loop with no packing to amortise; the nm reference
             // decodes rows on load), and dispatch has one threshold.
-            let wins_nn = time(&PACKED, &mut c, 0) <= time(&REFERENCE, &mut c, 0);
-            let wins_nt = time(&PACKED, &mut c, 1) <= time(&REFERENCE, &mut c, 1);
-            let wins_nm = time(&PACKED, &mut c, 2) <= time(&REFERENCE, &mut c, 2);
-            if wins_nn && wins_nt && wins_nm {
+            let probes = [
+                GemmOp::nn(s, s, s, &a, s, &b[..], s),
+                GemmOp::nt(s, s, s, &a, s, &b[..], s),
+                GemmOp::nt(s, s, s, &a, s, nm, s),
+            ];
+            if probes
+                .iter()
+                .all(|op| time(&PACKED, &mut c, op) <= time(&REFERENCE, &mut c, op))
+            {
                 crossover = Some(s);
                 break;
             }

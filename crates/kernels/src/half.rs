@@ -2,14 +2,12 @@
 //!
 //! These are the canonical software f16 routines for the whole workspace:
 //! `lx-tensor::f16` delegates here so the storage layer and the fused
-//! f16-input GEMM paths (see [`KernelBackend::gemm_f16`] and the packed
-//! backend's pack-time decode) can never disagree on rounding semantics.
+//! f16-input GEMM paths (the [`BOperand::F16`](crate::BOperand::F16) arm of
+//! every backend: on-load decode in `Reference`, pack-time decode in `Packed`) can never disagree on rounding semantics.
 //!
 //! Conversion policy: f32→f16 rounds to nearest, ties to even; overflow
 //! saturates to ±inf; NaN stays NaN with the quiet bit forced so a payload
 //! that truncates to zero cannot turn into an infinity. f16→f32 is exact.
-//!
-//! [`KernelBackend::gemm_f16`]: crate::KernelBackend::gemm_f16
 
 /// Convert an `f32` to IEEE binary16 bits (round-to-nearest-even).
 pub fn f32_to_f16_bits(value: f32) -> u16 {

@@ -1,9 +1,14 @@
 //! # lx-kernels — runtime-dispatched GEMM microkernel backends
 //!
 //! Every dense and block-sparse hot path in this workspace bottoms out in one
-//! of three GEMM variants (`C = A·B`, `C = A·Bᵀ`, `C = Aᵀ·B`, all row-major,
-//! all with leading dimensions). This crate owns those kernels behind the
-//! [`KernelBackend`] trait:
+//! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
+//! described by a [`GemmOp`] — the f32 `A` view, a [`BOperand`] in whatever
+//! storage the weights live in (f32, f16 bits, block int8/NF4, N:M
+//! structured-sparse), a [`Layout`] per side — plus an [`Epilogue`] (bias
+//! add, optionally followed by GELU) applied inside the write-back while
+//! output tiles are cache-hot, bit-identically to the unfused sequence (see
+//! the `epilogue` module). This crate owns the kernels behind the
+//! one-method [`KernelBackend`] trait:
 //!
 //! * [`Reference`] — the original scalar `i-k-j` loops, kept as the
 //!   correctness oracle and the zero-setup-cost arm for small shapes;
@@ -18,17 +23,12 @@
 //!   cache-model-derived tile shapes, and [`autotune`] for the one-time
 //!   measured probe, persisted across restarts via `LX_KERNEL_POLICY`).
 //!
-//! GEMM entry points come in plain and `_ep` (epilogue-fused) forms: the
-//! `_ep` twins take an [`Epilogue`] (bias add, optionally followed by GELU)
-//! that is applied inside the write-back while output tiles are cache-hot,
-//! eliminating the separate bias/activation passes — bit-identically to the
-//! unfused sequence (see the `epilogue` module).
-//!
-//! Callers outside benchmarks should use the free functions below, which
-//! route through the process-wide backend (`LX_KERNEL_BACKEND` ∈
-//! `reference | packed | auto`, default `auto`). `lx-tensor::gemm` re-exports
-//! the contiguous forms; the sparse operators in `lx-sparse` call the strided
-//! forms directly so block and neuron-slab GEMMs hit the same microkernels.
+//! Callers outside benchmarks route through the process-wide [`backend`]
+//! (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`, default `auto`):
+//! `lx-tensor::gemm` builds contiguous ops from tensors, the sparse operators
+//! in `lx-sparse` build strided ones so block and neuron-slab GEMMs hit the
+//! same microkernels. The contiguous free functions below are conveniences
+//! over that single entry point.
 
 mod backend;
 mod dispatch;
@@ -36,6 +36,7 @@ mod epilogue;
 pub mod half;
 mod isa;
 mod observe;
+mod op;
 mod packed;
 
 pub use backend::{KernelBackend, Reference};
@@ -47,6 +48,7 @@ pub use dispatch::{
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
+pub use op::{BOperand, GemmOp, Layout};
 pub use packed::{simd_active, Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
@@ -78,91 +80,48 @@ pub fn with_sequential<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
+/// Contiguous `A·op(B)` into a contiguous `C` on the process-wide backend.
+#[allow(clippy::too_many_arguments)]
+fn contiguous<'a>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &'a [f32],
+    b: impl Into<BOperand<'a>>,
+    b_layout: Layout,
+    c: &mut [f32],
+    beta: f32,
+) {
+    let op = GemmOp::contiguous(m, k, n, a, Layout::Normal, b, b_layout);
+    backend().gemm(&op, c, n.max(1), beta, Epilogue::None)
+}
+
 /// `C[m,n] = A[m,k]·B[k,n] + beta·C`, contiguous rows.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// [`gemm`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_ep(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta, ep)
-}
-
-/// [`gemm_nt`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_nt_ep(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta, ep)
+    contiguous(m, k, n, a, b, Layout::Normal, c, beta)
 }
 
 /// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C`, contiguous rows.
 pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm_nt(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
+    contiguous(m, k, n, a, b, Layout::Transposed, c, beta)
 }
 
-/// `C[m,n] = A[k,m]ᵀ·B[k,n] + beta·C`, contiguous rows.
-pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
-    backend().gemm_tn(m, k, n, a, m.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored as f16 bits, contiguous
-/// rows. B is decoded to f32 on load/pack; all accumulation stays f32.
+/// [`gemm`] with B stored as f16 bits.
 pub fn gemm_f16(m: usize, k: usize, n: usize, a: &[f32], b: &[u16], c: &mut [f32], beta: f32) {
-    backend().gemm_f16(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
+    contiguous(m, k, n, a, b, Layout::Normal, c, beta)
 }
 
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored as f16 bits, contiguous
-/// rows. Same mixed-precision contract as [`gemm_f16`].
+/// [`gemm_nt`] with B stored as f16 bits.
 pub fn gemm_nt_f16(m: usize, k: usize, n: usize, a: &[f32], b: &[u16], c: &mut [f32], beta: f32) {
-    backend().gemm_nt_f16(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
+    contiguous(m, k, n, a, b, Layout::Transposed, c, beta)
 }
 
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored block-quantized int8,
-/// contiguous rows. B dequantizes to f32 on load/pack; all accumulation
-/// stays f32.
-pub fn gemm_q8(m: usize, k: usize, n: usize, a: &[f32], b: Q8View<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_q8(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored block-quantized int8,
-/// contiguous rows.
-pub fn gemm_nt_q8(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: Q8View<'_>,
-    c: &mut [f32],
-    beta: f32,
-) {
-    backend().gemm_nt_q8(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored NF4, contiguous rows.
-/// Same mixed-precision contract as [`gemm_q8`].
+/// [`gemm`] with B stored NF4.
 pub fn gemm_q4(m: usize, k: usize, n: usize, a: &[f32], b: Q4View<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_q4(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
+    contiguous(m, k, n, a, b, Layout::Normal, c, beta)
 }
 
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored NF4, contiguous rows.
+/// [`gemm_nt`] with B stored NF4.
 pub fn gemm_nt_q4(
     m: usize,
     k: usize,
@@ -172,98 +131,7 @@ pub fn gemm_nt_q4(
     c: &mut [f32],
     beta: f32,
 ) {
-    backend().gemm_nt_q4(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[k,n] + beta·C` with B stored N:M structured-sparse
-/// (2:4), contiguous rows. The codec is lossless (kept values are exact f32),
-/// so every backend must agree bit for bit with decoding B up front and
-/// running its own f32 path; the packed backend exploits the structure by
-/// skipping all-zero groups at pack time.
-pub fn gemm_nm(m: usize, k: usize, n: usize, a: &[f32], b: NmView<'_>, c: &mut [f32], beta: f32) {
-    backend().gemm_nm(m, k, n, a, k.max(1), b, n.max(1), c, n.max(1), beta)
-}
-
-/// `C[m,n] = A[m,k]·B[n,k]ᵀ + beta·C` with B stored N:M structured-sparse
-/// (2:4), contiguous rows. This is the frozen-backbone forward shape: B's
-/// sparse axis is the reduction axis, so zero-group skipping removes whole
-/// K-group strips from the pack.
-pub fn gemm_nt_nm(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: NmView<'_>,
-    c: &mut [f32],
-    beta: f32,
-) {
-    backend().gemm_nt_nm(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta)
-}
-
-/// [`gemm_nt_nm`] with a fused [`Epilogue`], contiguous rows.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_nm_ep(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: NmView<'_>,
-    c: &mut [f32],
-    beta: f32,
-    ep: Epilogue<'_>,
-) {
-    backend().gemm_nt_nm_ep(m, k, n, a, k.max(1), b, k.max(1), c, n.max(1), beta, ep)
-}
-
-/// Strided [`gemm`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-}
-
-/// Strided [`gemm_nt`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta)
-}
-
-/// Strided [`gemm_tn`] on the process-wide backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_strided(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    ldb: usize,
-    c: &mut [f32],
-    ldc: usize,
-    beta: f32,
-) {
-    backend().gemm_tn(m, k, n, a, lda, b, ldb, c, ldc, beta)
+    contiguous(m, k, n, a, b, Layout::Transposed, c, beta)
 }
 
 #[cfg(test)]
@@ -305,6 +173,22 @@ mod tests {
         }
     }
 
+    fn assert_bits(a: &[f32], b: &[f32], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+    }
+
+    const BACKENDS: [&dyn KernelBackend; 3] = [&REFERENCE, &PACKED, &AUTO];
+
+    /// `op` into a fresh zeroed contiguous C.
+    fn product(be: &dyn KernelBackend, op: &GemmOp<'_>) -> Vec<f32> {
+        let mut c = vec![0.0; op.m * op.n];
+        be.gemm(op, &mut c, op.n.max(1), 0.0, Epilogue::None);
+        c
+    }
+
     #[test]
     fn packed_matches_naive_across_edge_shapes() {
         // Shapes straddling the MR/NR register tiles and the KC block.
@@ -318,10 +202,8 @@ mod tests {
         ] {
             let a = pseudo(m * k, 1 + m as u32);
             let b = pseudo(k * n, 2 + n as u32);
-            let expect = naive(m, k, n, &a, &b);
-            let mut c = vec![0.0; m * n];
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 0.0);
-            assert_close(&c, &expect, 1e-4);
+            let c = product(&PACKED, &GemmOp::nn(m, k, n, &a, k, &b[..], n));
+            assert_close(&c, &naive(m, k, n, &a, &b), 1e-4);
         }
     }
 
@@ -331,7 +213,8 @@ mod tests {
         let a = pseudo(m * k, 3);
         let b = pseudo(k * n, 4);
         let mut c = vec![1.0; m * n];
-        PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 2.0);
+        let op = GemmOp::nn(m, k, n, &a, k, &b[..], n);
+        PACKED.gemm(&op, &mut c, n, 2.0, Epilogue::None);
         let mut expect = naive(m, k, n, &a, &b);
         for v in expect.iter_mut() {
             *v += 2.0;
@@ -346,15 +229,12 @@ mod tests {
         let bt = pseudo(n * k, 6);
         let at = pseudo(k * m, 7);
         let bn = pseudo(k * n, 8);
-        let (mut c1, mut c2) = (vec![0.0; m * n], vec![0.0; m * n]);
-        PACKED.gemm_nt(m, k, n, &a, k, &bt, k, &mut c1, n, 0.0);
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bt, k, &mut c2, n, 0.0);
-        assert_close(&c1, &c2, 1e-4);
-        c1.fill(0.0);
-        c2.fill(0.0);
-        PACKED.gemm_tn(m, k, n, &at, m, &bn, n, &mut c1, n, 0.0);
-        REFERENCE.gemm_tn(m, k, n, &at, m, &bn, n, &mut c2, n, 0.0);
-        assert_close(&c1, &c2, 1e-4);
+        for op in [
+            GemmOp::nt(m, k, n, &a, k, &bt[..], k),
+            GemmOp::tn(m, k, n, &at, m, &bn[..], n),
+        ] {
+            assert_close(&product(&PACKED, &op), &product(&REFERENCE, &op), 1e-4);
+        }
     }
 
     #[test]
@@ -375,7 +255,8 @@ mod tests {
         let expect = naive(m, k, n, &a_tight, &b_tight);
         for be in [&PACKED as &dyn KernelBackend, &REFERENCE] {
             let mut c = vec![0.0; (m - 1) * ldc + n];
-            be.gemm(m, k, n, &a, lda, &b, ldb, &mut c, ldc, 0.0);
+            let op = GemmOp::nn(m, k, n, &a, lda, &b[..], ldb);
+            be.gemm(&op, &mut c, ldc, 0.0, Epilogue::None);
             for i in 0..m {
                 assert_close(&c[i * ldc..i * ldc + n], &expect[i * n..(i + 1) * n], 1e-4);
             }
@@ -385,13 +266,25 @@ mod tests {
     #[test]
     fn degenerate_dims_are_noops_or_scales() {
         let mut c = vec![3.0; 4];
+        let empty: &[f32] = &[];
         // k == 0: C just gets scaled by beta.
-        for be in [&PACKED as &dyn KernelBackend, &REFERENCE, &AUTO] {
+        for be in BACKENDS {
             c.fill(3.0);
-            be.gemm(2, 0, 2, &[], 1, &[], 2, &mut c, 2, 0.5);
+            let op = GemmOp::nn(2, 0, 2, empty, 1, empty, 2);
+            be.gemm(&op, &mut c, 2, 0.5, Epilogue::None);
             assert_eq!(c, vec![1.5; 4], "{}", be.name());
-            be.gemm(0, 3, 0, &[], 3, &[], 1, &mut [], 1, 0.0);
+            let op = GemmOp::nn(0, 3, 0, empty, 3, empty, 1);
+            be.gemm(&op, &mut [], 1, 0.0, Epilogue::None);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "transposed A requires an f32")]
+    fn transposed_a_rejects_non_f32_b() {
+        let a = pseudo(4 * 4, 13);
+        let bits = half::encode_slice(&a);
+        let op = GemmOp::tn(4, 4, 4, &a, 4, &bits[..], 4);
+        REFERENCE.gemm(&op, &mut [0.0; 16], 4, 0.0, Epilogue::None);
     }
 
     #[test]
@@ -402,6 +295,21 @@ mod tests {
         let mut c = vec![0.0; m * n];
         gemm(m, k, n, &a, &b, &mut c, 0.0);
         assert_close(&c, &naive(m, k, n, &a, &b), 1e-4);
+        // The nt / f16 / nf4 wrappers land on the same entry point with the
+        // operand and layout they name.
+        let bt = pseudo(n * k, 14);
+        let nt = GemmOp::nt(m, k, n, &a, k, &bt[..], k);
+        gemm_nt(m, k, n, &a, &bt, &mut c, 0.0);
+        assert_bits(&c, &product(backend(), &nt), "gemm_nt");
+        let bits = half::encode_slice(&b);
+        gemm_f16(m, k, n, &a, &bits, &mut c, 0.0);
+        let f16 = GemmOp::nn(m, k, n, &a, k, &bits[..], n);
+        assert_bits(&c, &product(backend(), &f16), "gemm_f16");
+        let (codes, scales) = lx_quant::nf4::quantize(&bt);
+        let view = Q4View::new(&codes, &scales, n * k);
+        gemm_nt_q4(m, k, n, &a, view, &mut c, 0.0);
+        let q4 = GemmOp::nt(m, k, n, &a, k, view, k);
+        assert_bits(&c, &product(backend(), &q4), "gemm_nt_q4");
     }
 
     #[test]
@@ -411,77 +319,48 @@ mod tests {
     }
 
     #[test]
-    fn q8_gemm_matches_dequant_up_front_on_every_backend() {
-        // Shapes straddling block boundaries (k·n % 64 != 0) and register
-        // tiles.
-        for &(m, k, n) in &[(5usize, 7usize, 15usize), (13, 65, 33), (32, 64, 48)] {
+    fn quantized_gemm_matches_dequant_up_front_on_every_backend() {
+        // Shapes straddling block boundaries (k·n % 64 != 0, incl. a tail
+        // block) and register tiles, both layouts, both codecs.
+        for &(m, k, n) in &[
+            (5usize, 7usize, 15usize),
+            (13, 65, 33),
+            (32, 64, 48),
+            (9, 70, 11),
+        ] {
             let a = pseudo(m * k, 20 + m as u32);
             let bf = pseudo(k * n, 21 + n as u32);
-            let (codes, scales) = lx_quant::q8::quantize(&bf);
-            let view = Q8View::new(&codes, &scales);
-            // Oracle: dequantize B up front, run the f32 kernel.
-            let mut bdq = vec![0.0f32; k * n];
-            lx_quant::q8::dequantize(&codes, &scales, &mut bdq);
-            let expect = naive(m, k, n, &a, &bdq);
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-                let mut c = vec![0.0; m * n];
-                be.gemm_q8(m, k, n, &a, k, view, n, &mut c, n, 0.0);
-                assert_close(&c, &expect, 1e-4);
+            let (c8, s8) = lx_quant::q8::quantize(&bf);
+            let (c4, s4) = lx_quant::nf4::quantize(&bf);
+            let mut dq8 = vec![0.0f32; k * n];
+            let mut dq4 = vec![0.0f32; k * n];
+            lx_quant::q8::dequantize(&c8, &s8, &mut dq8);
+            lx_quant::nf4::dequantize(&c4, &s4, &mut dq4);
+            let q8: BOperand<'_> = Q8View::new(&c8, &s8).into();
+            let q4: BOperand<'_> = Q4View::new(&c4, &s4, k * n).into();
+            for (quant, dense) in [(q8, &dq8), (q4, &dq4)] {
+                // The same buffer read as k×n (Normal) and as n×k
+                // (Transposed).
+                for (fused, oracle) in [
+                    (
+                        GemmOp::nn(m, k, n, &a, k, quant, n),
+                        GemmOp::nn(m, k, n, &a, k, &dense[..], n),
+                    ),
+                    (
+                        GemmOp::nt(m, k, n, &a, k, quant, k),
+                        GemmOp::nt(m, k, n, &a, k, &dense[..], k),
+                    ),
+                ] {
+                    let expect = product(&REFERENCE, &oracle);
+                    for be in BACKENDS {
+                        assert_close(&product(be, &fused), &expect, 1e-4);
+                    }
+                    // Reference must match its own f32 path bit for bit
+                    // (identical accumulation order — the slab-decode
+                    // equivalence rests on it).
+                    assert_bits(&product(&REFERENCE, &fused), &expect, "reference");
+                }
             }
-            // Reference must match its own f32 path bit for bit (identical
-            // accumulation order — the slab-decode equivalence rests on it).
-            let mut c_ref = vec![0.0; m * n];
-            let mut c_f32 = vec![0.0; m * n];
-            REFERENCE.gemm_q8(m, k, n, &a, k, view, n, &mut c_ref, n, 0.0);
-            REFERENCE.gemm(m, k, n, &a, k, &bdq, n, &mut c_f32, n, 0.0);
-            for (x, y) in c_ref.iter().zip(&c_f32) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn q4_gemm_matches_dequant_up_front_on_every_backend() {
-        for &(m, k, n) in &[(5usize, 7usize, 15usize), (13, 65, 33), (32, 64, 48)] {
-            let a = pseudo(m * k, 22 + m as u32);
-            let bf = pseudo(k * n, 23 + n as u32);
-            let (codes, scales) = lx_quant::nf4::quantize(&bf);
-            let view = Q4View::new(&codes, &scales, k * n);
-            let mut bdq = vec![0.0f32; k * n];
-            lx_quant::nf4::dequantize(&codes, &scales, &mut bdq);
-            let expect = naive(m, k, n, &a, &bdq);
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-                let mut c = vec![0.0; m * n];
-                be.gemm_q4(m, k, n, &a, k, view, n, &mut c, n, 0.0);
-                assert_close(&c, &expect, 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn quant_nt_variants_match_dequant_up_front() {
-        let (m, k, n) = (9, 70, 11); // B is n×k = 770 elements: tail block
-        let a = pseudo(m * k, 24);
-        let bf = pseudo(n * k, 25);
-        let (c8, s8) = lx_quant::q8::quantize(&bf);
-        let (c4, s4) = lx_quant::nf4::quantize(&bf);
-        let mut bdq = vec![0.0f32; n * k];
-        lx_quant::q8::dequantize(&c8, &s8, &mut bdq);
-        let mut expect = vec![0.0; m * n];
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
-        for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-            let mut c = vec![0.0; m * n];
-            be.gemm_nt_q8(m, k, n, &a, k, Q8View::new(&c8, &s8), k, &mut c, n, 0.0);
-            assert_close(&c, &expect, 1e-4);
-        }
-        lx_quant::nf4::dequantize(&c4, &s4, &mut bdq);
-        expect.fill(0.0);
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
-        for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-            let mut c = vec![0.0; m * n];
-            let view = Q4View::new(&c4, &s4, n * k);
-            be.gemm_nt_q4(m, k, n, &a, k, view, k, &mut c, n, 0.0);
-            assert_close(&c, &expect, 1e-4);
         }
     }
 
@@ -495,21 +374,36 @@ mod tests {
     #[test]
     fn nm_gemm_matches_decode_up_front_on_every_backend() {
         // Shapes straddling the 4-wide groups, register tiles, and KC: the
-        // tail group cases (n % 4 != 0, k % 4 != 0) are load-bearing.
-        for &(m, k, n) in &[(5usize, 7usize, 15usize), (13, 65, 33), (32, 64, 48)] {
+        // tail group cases (n % 4 != 0, k % 4 != 0) are load-bearing. In the
+        // Transposed layout B is n×k — the sparse axis is the reduction axis
+        // (the frozen backbone forward shape, where pack-time group skipping
+        // pays).
+        for &(layout, m, k, n) in &[
+            (Layout::Normal, 5usize, 7usize, 15usize),
+            (Layout::Normal, 13, 65, 33),
+            (Layout::Normal, 32, 64, 48),
+            (Layout::Transposed, 5, 15, 7),
+            (Layout::Transposed, 13, 33, 65),
+            (Layout::Transposed, 8, 1024, 16),
+        ] {
+            let (rows, cols) = match layout {
+                Layout::Normal => (k, n),
+                Layout::Transposed => (n, k),
+            };
             let a = pseudo(m * k, 30 + m as u32);
-            let bf = round24(pseudo(k * n, 31 + n as u32), k, n);
-            let (vals, masks) = lx_quant::nm::encode(&bf, k, n, 2, 4);
-            let view = NmView::new(&vals, &masks, k, n, 2, 4);
+            let bf = round24(pseudo(rows * cols, 31 + n as u32), rows, cols);
+            let (vals, masks) = lx_quant::nm::encode(&bf, rows, cols, 2, 4);
+            let view = NmView::new(&vals, &masks, rows, cols, 2, 4);
             // The codec is lossless on a 2:4-conformant matrix: the decoded
             // oracle B is the original bit for bit.
-            let mut bdq = vec![0.0f32; k * n];
-            lx_quant::nm::decode(&vals, &masks, k, n, 2, 4, &mut bdq);
+            let mut bdq = vec![0.0f32; rows * cols];
+            lx_quant::nm::decode(&vals, &masks, rows, cols, 2, 4, &mut bdq);
             assert_eq!(bdq, bf);
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-                let mut c = vec![0.0; m * n];
-                be.gemm_nm(m, k, n, &a, k, view, n, &mut c, n, 0.0);
-                assert_close(&c, &naive(m, k, n, &a, &bdq), 1e-4);
+            let fused = GemmOp::contiguous(m, k, n, &a, Layout::Normal, view, layout);
+            let dense = GemmOp::contiguous(m, k, n, &a, Layout::Normal, &bdq[..], layout);
+            let expect = product(&REFERENCE, &dense);
+            for be in BACKENDS {
+                assert_close(&product(be, &fused), &expect, 1e-4);
             }
             // Unlike q8/nf4 there is no quantization error, so each backend
             // must match ITS OWN f32 path bit for bit — Reference because the
@@ -517,77 +411,8 @@ mod tests {
             // because the group-skipping pack fills panels identically to the
             // dense pack of the decoded matrix.
             for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
-                let mut c_nm = vec![0.0; m * n];
-                let mut c_f32 = vec![0.0; m * n];
-                be.gemm_nm(m, k, n, &a, k, view, n, &mut c_nm, n, 0.0);
-                be.gemm(m, k, n, &a, k, &bdq, n, &mut c_f32, n, 0.0);
-                for (x, y) in c_nm.iter().zip(&c_f32) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{}", be.name());
-                }
+                assert_bits(&product(be, &fused), &product(be, &dense), be.name());
             }
         }
-    }
-
-    #[test]
-    fn nm_nt_gemm_matches_decode_up_front_on_every_backend() {
-        // B is n×k: the sparse axis is the reduction axis (the frozen
-        // backbone forward shape, where pack-time group skipping pays).
-        for &(m, k, n) in &[(5usize, 15usize, 7usize), (13, 33, 65), (8, 1024, 16)] {
-            let a = pseudo(m * k, 32 + k as u32);
-            let bf = round24(pseudo(n * k, 33 + k as u32), n, k);
-            let (vals, masks) = lx_quant::nm::encode(&bf, n, k, 2, 4);
-            let view = NmView::new(&vals, &masks, n, k, 2, 4);
-            let mut bdq = vec![0.0f32; n * k];
-            lx_quant::nm::decode(&vals, &masks, n, k, 2, 4, &mut bdq);
-            assert_eq!(bdq, bf);
-            let mut expect = vec![0.0; m * n];
-            REFERENCE.gemm_nt(m, k, n, &a, k, &bdq, k, &mut expect, n, 0.0);
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
-                let mut c = vec![0.0; m * n];
-                be.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c, n, 0.0);
-                assert_close(&c, &expect, 1e-4);
-            }
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
-                let mut c_nm = vec![0.0; m * n];
-                let mut c_f32 = vec![0.0; m * n];
-                be.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_nm, n, 0.0);
-                be.gemm_nt(m, k, n, &a, k, &bdq, k, &mut c_f32, n, 0.0);
-                for (x, y) in c_nm.iter().zip(&c_f32) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{}", be.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn nm_free_functions_dispatch() {
-        let (m, k, n) = (16, 64, 64);
-        let a = pseudo(m * k, 34);
-        let bf = round24(pseudo(n * k, 35), n, k);
-        let (vals, masks) = lx_quant::nm::encode(&bf, n, k, 2, 4);
-        let view = NmView::new(&vals, &masks, n, k, 2, 4);
-        let mut expect = vec![0.0; m * n];
-        REFERENCE.gemm_nt(m, k, n, &a, k, &bf, k, &mut expect, n, 0.0);
-        let mut c = vec![0.0; m * n];
-        gemm_nt_nm(m, k, n, &a, view, &mut c, 0.0);
-        assert_close(&c, &expect, 1e-4);
-        let bn = round24(pseudo(k * n, 36), k, n);
-        let (vn, mn) = lx_quant::nm::encode(&bn, k, n, 2, 4);
-        c.fill(0.0);
-        gemm_nm(m, k, n, &a, NmView::new(&vn, &mn, k, n, 2, 4), &mut c, 0.0);
-        assert_close(&c, &naive(m, k, n, &a, &bn), 1e-4);
-    }
-
-    #[test]
-    fn quant_free_functions_dispatch() {
-        let (m, k, n) = (64, 64, 64);
-        let a = pseudo(m * k, 26);
-        let bf = pseudo(k * n, 27);
-        let (codes, scales) = lx_quant::q8::quantize(&bf);
-        let mut bdq = vec![0.0f32; k * n];
-        lx_quant::q8::dequantize(&codes, &scales, &mut bdq);
-        let mut c = vec![0.0; m * n];
-        gemm_q8(m, k, n, &a, Q8View::new(&codes, &scales), &mut c, 0.0);
-        assert_close(&c, &naive(m, k, n, &a, &bdq), 1e-4);
     }
 }

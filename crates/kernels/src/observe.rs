@@ -17,6 +17,7 @@
 use crate::backend::KernelBackend;
 use crate::dispatch::auto_choice;
 use crate::epilogue::Epilogue;
+use crate::op::{BOperand, GemmOp};
 use lx_obs::{registry, timing_enabled, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -27,11 +28,16 @@ const CLASSES: [&str; 4] = ["tiny", "small", "medium", "large"];
 /// Storage dtypes of the B operand (A and all accumulation are always f32).
 const DTYPES: [&str; 5] = ["f32", "f16", "i8-block", "nf4-block", "nm-2:4"];
 
-const DT_F32: usize = 0;
-const DT_F16: usize = 1;
-const DT_Q8: usize = 2;
-const DT_Q4: usize = 3;
-const DT_NM: usize = 4;
+/// Index into [`DTYPES`] of the operand's storage kind.
+fn dtype(b: &BOperand<'_>) -> usize {
+    match b {
+        BOperand::F32(_) => 0,
+        BOperand::F16(_) => 1,
+        BOperand::Q8(_) => 2,
+        BOperand::Q4(_) => 3,
+        BOperand::Nm(_) => 4,
+    }
+}
 
 /// Class index by `2·m·k·n` FLOPs: tiny < 2^17 ≤ small < 2^21 ≤ medium
 /// < 2^25 ≤ large.
@@ -105,424 +111,24 @@ impl Observed {
             name
         }
     }
-
-    #[inline]
-    fn observe(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        dtype: usize,
-        call: impl FnOnce(&'static dyn KernelBackend),
-    ) {
-        let s = stats(self.attribute(m, k, n), class(m, k, n), dtype);
-        if timing_enabled() {
-            let t0 = Instant::now();
-            call(self.inner);
-            s.time_ns.record_duration(t0.elapsed());
-        } else {
-            call(self.inner);
-        }
-        s.calls.inc();
-    }
 }
 
-#[allow(clippy::too_many_arguments)]
 impl KernelBackend for Observed {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_F32, |be| {
-            be.gemm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_F32, |be| {
-            be.gemm_nt(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_F32, |be| {
-            be.gemm_tn(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_F16, |be| {
-            be.gemm_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_F16, |be| {
-            be.gemm_nt_f16(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_Q8, |be| {
-            be.gemm_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_Q8, |be| {
-            be.gemm_nt_q8(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_Q4, |be| {
-            be.gemm_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_Q4, |be| {
-            be.gemm_nt_q4(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_NM, |be| {
-            be.gemm_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.observe(m, k, n, DT_NM, |be| {
-            be.gemm_nt_nm(m, k, n, a, lda, b, ldb, c, ldc, beta)
-        });
-    }
-
-    // Epilogue-fused entry points must forward to the inner backend's fused
-    // implementations — falling back to the trait defaults here would both
-    // skip the metrics and silently unfuse every routed call.
-
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_F32, |be| {
-            be.gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_F32, |be| {
-            be.gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_F16, |be| {
-            be.gemm_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_F16, |be| {
-            be.gemm_nt_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_Q8, |be| {
-            be.gemm_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_Q8, |be| {
-            be.gemm_nt_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_Q4, |be| {
-            be.gemm_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_Q4, |be| {
-            be.gemm_nt_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_NM, |be| {
-            be.gemm_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
-    }
-
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        self.observe(m, k, n, DT_NM, |be| {
-            be.gemm_nt_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, ep)
-        });
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+        let (m, k, n) = (op.m, op.k, op.n);
+        let s = stats(self.attribute(m, k, n), class(m, k, n), dtype(&op.b));
+        if timing_enabled() {
+            let t0 = Instant::now();
+            self.inner.gemm(op, c, ldc, beta, ep);
+            s.time_ns.record_duration(t0.elapsed());
+        } else {
+            self.inner.gemm(op, c, ldc, beta, ep);
+        }
+        s.calls.inc();
     }
 }
 
@@ -559,12 +165,13 @@ mod tests {
     fn observed_counts_calls_and_delegates() {
         let observed = Observed::new(&REFERENCE);
         assert_eq!(observed.name(), "reference");
-        let before = stats("reference", 0, DT_F32).calls.get();
+        let before = stats("reference", 0, 0).calls.get();
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut c = [0.0f32; 4];
-        observed.gemm(2, 2, 2, &a, 2, &b, 2, &mut c, 2, 0.0);
-        assert_eq!(stats("reference", 0, DT_F32).calls.get(), before + 1);
+        let op = GemmOp::nn(2, 2, 2, &a, 2, &b[..], 2);
+        observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
+        assert_eq!(stats("reference", 0, 0).calls.get(), before + 1);
         // 2x2 result actually computed by the inner backend.
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
@@ -574,15 +181,17 @@ mod tests {
         let observed = Observed::new(&REFERENCE);
         let vals: Vec<f32> = (0..4).map(|i| i as f32 - 1.5).collect();
         let (codes, scales) = lx_quant::q8::quantize(&vals);
-        let view = lx_quant::Q8View::new(&codes, &scales);
-        let before_q8 = stats("reference", 0, DT_Q8).calls.get();
-        let before_f32 = stats("reference", 0, DT_F32).calls.get();
+        let b = BOperand::Q8(lx_quant::Q8View::new(&codes, &scales));
+        assert_eq!(DTYPES[dtype(&b)], "i8-block");
+        let before_q8 = stats("reference", 0, dtype(&b)).calls.get();
+        let before_f32 = stats("reference", 0, 0).calls.get();
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let mut c = [0.0f32; 4];
-        observed.gemm_q8(2, 2, 2, &a, 2, view, 2, &mut c, 2, 0.0);
-        assert_eq!(stats("reference", 0, DT_Q8).calls.get(), before_q8 + 1);
+        let op = GemmOp::nn(2, 2, 2, &a, 2, b, 2);
+        observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
+        assert_eq!(stats("reference", 0, dtype(&b)).calls.get(), before_q8 + 1);
         assert_eq!(
-            stats("reference", 0, DT_F32).calls.get(),
+            stats("reference", 0, 0).calls.get(),
             before_f32,
             "the f32 bucket must not double-count a quantized call"
         );

@@ -20,7 +20,7 @@
 //!   explicit FMA-friendly inner loops. The register-tile shape follows the
 //!   active [`Isa`] arm (6×16 scalar/AVX2/NEON, 14×32 AVX-512), and packing
 //!   geometry follows the arm so each kernel sees panels of its own width.
-//! * Packing absorbs the `_nt`/`_tn` transposes: all three variants feed the
+//! * Packing absorbs both operands' [`Layout`]s: every combination feeds the
 //!   *same* microkernel, only the pack routines index differently. Edge tiles
 //!   are zero-padded in the packed buffers, so the microkernel never branches
 //!   on shape; write-back clamps to the valid region.
@@ -44,10 +44,11 @@
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{check_view, row_grain, scale_only, KernelBackend};
+use crate::backend::{row_grain, scale_only, KernelBackend};
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
+use crate::op::{BOperand, GemmOp, Layout};
 use lx_parallel::par_rows;
 use std::cell::RefCell;
 use std::ops::Range;
@@ -61,14 +62,6 @@ pub const NR: usize = 16;
 /// Largest register tile any arm uses — sizes fixed spill buffers.
 const MR_MAX: usize = 14;
 const NR_MAX: usize = 32;
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Layout {
-    /// Operand stored as it is multiplied (`rows × cols` row-major).
-    Normal,
-    /// Operand stored transposed (`cols × rows` row-major).
-    Transposed,
-}
 
 /// Element type a B operand may be stored in. Packing converts to f32, so
 /// the microkernel and all accumulation stay f32 regardless of storage —
@@ -273,7 +266,7 @@ impl PackSrc for lx_quant::NmView<'_> {
     }
 
     /// Transposed layout: panel columns are storage rows and the k-steps run
-    /// along each row's groups — the frozen-backbone `gemm_nt_nm` shape,
+    /// along each row's groups — the frozen-backbone forward shape,
     /// where every output neuron's weight row is N:M sparse along k.
     fn fill_panel_transposed(
         &self,
@@ -673,23 +666,28 @@ pub fn simd_active() -> bool {
 pub struct Packed;
 
 impl Packed {
-    #[allow(clippy::too_many_arguments)]
+    /// The macro-kernel, generic over the B source so the storage dispatch
+    /// happens once per call and the pack loops stay statically typed.
     fn driver<S: PackSrc + ?Sized>(
         &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        a_layout: Layout,
+        op: &GemmOp<'_>,
         b: &S,
-        ldb: usize,
-        b_layout: Layout,
         c: &mut [f32],
         ldc: usize,
         beta: f32,
         ep: Epilogue<'_>,
     ) {
+        let GemmOp {
+            m,
+            k,
+            n,
+            a,
+            lda,
+            a_layout,
+            ldb,
+            b_layout,
+            ..
+        } = *op;
         if m == 0 || n == 0 {
             return;
         }
@@ -783,547 +781,18 @@ impl KernelBackend for Packed {
         "packed"
     }
 
-    fn gemm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        check_view(a.len(), k, m, lda, "gemm_tn: A");
-        check_view(b.len(), k, n, ldb, "gemm_tn: B");
-        check_view(c.len(), m, n, ldc, "gemm_tn: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Transposed,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            Epilogue::None,
-        );
-    }
-
-    /// Fused pack-time decode: B's f16 bits are expanded to f32 while the
-    /// B̃ panels are packed, so the decode costs one pass over `k×n` elements
-    /// and the microkernel runs unchanged on f32 panels.
-    fn gemm_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_f16(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_f16_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    /// Fused pack-time dequant: each packed B element is `code · scale`,
-    /// resolved from the view's flat index space, so the int8 storage never
-    /// materialises as an f32 matrix and the microkernel runs unchanged.
-    fn gemm_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_q8(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_q8_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_q4(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_q4_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    /// Fused pack-time expansion with zero-group skipping: compacted N:M
-    /// groups scatter their kept nonzeros straight into the pre-zeroed B̃
-    /// panels (see the [`PackSrc`] impl on the view), so the dense f32 B is
-    /// never materialised, pack traffic scales with nnz, and the microkernel
-    /// runs unchanged.
-    fn gemm_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_nt_nm(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-    ) {
-        self.gemm_nt_nm_ep(m, k, n, a, lda, b, ldb, c, ldc, beta, Epilogue::None);
-    }
-
-    fn gemm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm: A");
-        check_view(b.len(), k, n, ldb, "gemm: B");
-        check_view(c.len(), m, n, ldc, "gemm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[f32],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_f16: A");
-        check_view(b.len(), k, n, ldb, "gemm_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_f16: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_f16_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: &[u16],
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_f16: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_f16: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_f16: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q8: A");
-        check_view(b.len(), k, n, ldb, "gemm_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_q8: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_q8_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q8View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q8: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q8: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q8: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_q4: A");
-        check_view(b.len(), k, n, ldb, "gemm_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_q4: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_q4_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::Q4View<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_q4: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_q4: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_q4: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nm: A");
-        check_view(b.len(), k, n, ldb, "gemm_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Normal,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
-    }
-
-    fn gemm_nt_nm_ep(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        b: lx_quant::NmView<'_>,
-        ldb: usize,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        check_view(a.len(), m, k, lda, "gemm_nt_nm: A");
-        check_view(b.len(), n, k, ldb, "gemm_nt_nm: B");
-        check_view(c.len(), m, n, ldc, "gemm_nt_nm: C");
-        self.driver(
-            m,
-            k,
-            n,
-            a,
-            lda,
-            Layout::Normal,
-            &b,
-            ldb,
-            Layout::Transposed,
-            c,
-            ldc,
-            beta,
-            ep,
-        );
+    /// Every storage kind feeds the same macro-kernel: the decode (f16 bits,
+    /// int8/NF4 dequant, N:M group expansion with zero-group skipping — see
+    /// the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
+    /// never materialised and the microkernel runs unchanged on f32 panels.
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+        op.check(c.len(), ldc);
+        match &op.b {
+            BOperand::F32(b) => self.driver(op, *b, c, ldc, beta, ep),
+            BOperand::F16(b) => self.driver(op, *b, c, ldc, beta, ep),
+            BOperand::Q8(b) => self.driver(op, b, c, ldc, beta, ep),
+            BOperand::Q4(b) => self.driver(op, b, c, ldc, beta, ep),
+            BOperand::Nm(b) => self.driver(op, b, c, ldc, beta, ep),
+        }
     }
 }

@@ -82,10 +82,10 @@ impl Embedding {
                 // load; the trainable prompt is always f32.
                 let row = out.row_mut(b * eff + s);
                 if s < p {
-                    self.prompt.as_ref().unwrap().copy_row_into(s, row);
+                    self.prompt.as_ref().unwrap().decode_rows(s, 1, row);
                 } else {
                     let tok = ids[b * seq + (s - p)] as usize;
-                    self.tokens.copy_row_into(tok, row);
+                    self.tokens.decode_rows(tok, 1, row);
                 }
                 self.positions.add_row_into(s, row);
             }

@@ -6,7 +6,7 @@
 //! gradient that the frozen path propagates to earlier layers.
 
 use crate::param::Param;
-use lx_tensor::gemm::{matmul, matmul_nt, matmul_tn, Epilogue};
+use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
@@ -103,10 +103,10 @@ impl Linear {
             Some(bias) => Epilogue::Bias(bias.value.as_slice()),
             None => Epilogue::None,
         };
-        let mut y = self.weight.matmul_ep(x, ep);
+        let mut y = self.weight.matmul(x, Layout::Normal, ep);
         if let Some(lora) = &mut self.lora {
-            let ax = matmul_nt(x, &lora.a.value); // [rows, r]
-            let delta = matmul_nt(&ax, &lora.b.value); // [rows, d_out]
+            let ax = matmul(x, &lora.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
+            let delta = matmul(&ax, &lora.b.value, Layout::Transposed, Epilogue::None); // [rows, d_out]
             y.axpy(lora.scale, &delta);
             lora.cache_ax = Some(ax);
         }
@@ -120,7 +120,7 @@ impl Linear {
             .cache_x
             .take()
             .expect("Linear::backward without forward");
-        let mut dx = self.weight.matmul_nt(dy); // dy · Wᵀ
+        let mut dx = self.weight.matmul(dy, Layout::Transposed, Epilogue::None); // dy · Wᵀ
         if self.weight.trainable {
             let dw = matmul_tn(&x, dy); // xᵀ · dy
             self.weight.accumulate_grad(&dw);
@@ -133,7 +133,7 @@ impl Linear {
         if let Some(lora) = &mut self.lora {
             let ax = lora.cache_ax.take().expect("LoRA cache missing");
             // d(ax) = (α/r) · dy · B
-            let mut dax = matmul(dy, &lora.b.value);
+            let mut dax = matmul(dy, &lora.b.value, Layout::Normal, Epilogue::None);
             dax.scale(lora.scale);
             if lora.b.trainable {
                 // dB = (α/r) · dyᵀ · ax
@@ -147,7 +147,7 @@ impl Linear {
                 lora.a.accumulate_grad(&da);
             }
             // dx += d(ax) · A
-            let dx_lora = matmul(&dax, &lora.a.value);
+            let dx_lora = matmul(&dax, &lora.a.value, Layout::Normal, Epilogue::None);
             dx.add_assign(&dx_lora);
         }
         dx

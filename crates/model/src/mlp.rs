@@ -18,7 +18,7 @@ use lx_sparse::neuron::{
     fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{matmul, matmul_nt, matmul_tn, Epilogue};
+use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu_backward, relu_inplace};
 use lx_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
@@ -313,13 +313,15 @@ impl MlpBlock {
         // z = x·W1ᵀ(stored) + b1  (+ LoRA1). The bias rides the GEMM
         // write-back as a fused epilogue; the activation stays unfused
         // because backward needs the pre-activation z.
-        let mut z = self
-            .w1
-            .matmul_nt_ep(x, Epilogue::Bias(self.b1.value.as_slice()));
+        let mut z = self.w1.matmul(
+            x,
+            Layout::Transposed,
+            Epilogue::Bias(self.b1.value.as_slice()),
+        );
         let mut ax1 = None;
         if let Some(l) = &mut self.lora1 {
-            let ax = matmul_nt(x, &l.a.value); // [rows, r]
-            let delta = matmul_nt(&ax, &l.b.value); // [rows, d_ff]
+            let ax = matmul(x, &l.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
+            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d_ff]
             z.axpy(l.scale, &delta);
             ax1 = Some(ax.clone());
             l.cache_ax = Some(ax);
@@ -328,11 +330,11 @@ impl MlpBlock {
         // y = a·W2 + b2  (+ LoRA2), bias again fused into the write-back.
         let mut y = self
             .w2
-            .matmul_ep(&a, Epilogue::Bias(self.b2.value.as_slice()));
+            .matmul(&a, Layout::Normal, Epilogue::Bias(self.b2.value.as_slice()));
         let mut ax2 = None;
         if let Some(l) = &mut self.lora2 {
-            let ax = matmul(&a, &l.a.value); // [rows, r]
-            let delta = matmul_nt(&ax, &l.b.value); // [rows, d]
+            let ax = matmul(&a, &l.a.value, Layout::Normal, Epilogue::None); // [rows, r]
+            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d]
             y.axpy(l.scale, &delta);
             ax2 = Some(ax.clone());
             l.cache_ax = Some(ax);
@@ -398,7 +400,7 @@ impl MlpBlock {
         );
         let mut ax1 = None;
         if let Some(l) = &mut self.lora1 {
-            let ax = matmul_nt(x, &l.a.value); // [rows, r]
+            let ax = matmul(x, &l.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
             let r = ax.cols();
             // z[row, compact(n)] += scale · ⟨ax_row, B1_row(n)⟩, active only.
             for row in 0..rows {
@@ -449,7 +451,7 @@ impl MlpBlock {
                     }
                 }
             }
-            let delta = matmul_nt(&ax, &l.b.value); // [rows, d]
+            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d]
             y.axpy(l.scale, &delta);
             ax2 = Some(ax.clone());
             l.cache_ax = Some(ax);
@@ -477,10 +479,10 @@ impl MlpBlock {
     fn backward_dense(&mut self, dy: &Tensor, cache: &MlpCache) -> Tensor {
         // FC2 (+ LoRA2): da = dy·W2ᵀ with W2 stored `[d_ff, d]` row-major —
         // the `nt` kernel shape, fused-decoding when half-stored.
-        let mut da = self.w2.matmul_nt(dy);
+        let mut da = self.w2.matmul(dy, Layout::Transposed, Epilogue::None);
         if let Some(l) = &mut self.lora2 {
             let ax = cache.ax2.as_ref().expect("lora2 cache");
-            let mut dax = matmul(dy, &l.b.value); // [rows, r]
+            let mut dax = matmul(dy, &l.b.value, Layout::Normal, Epilogue::None); // [rows, r]
             dax.scale(l.scale);
             if l.b.trainable {
                 let mut db = matmul_tn(dy, ax);
@@ -491,7 +493,12 @@ impl MlpBlock {
                 let dat = matmul_tn(&cache.a, &dax); // [d_ff, r]
                 l.a.accumulate_grad(&dat);
             }
-            da.add_assign(&matmul_nt(&dax, &l.a.value));
+            da.add_assign(&matmul(
+                &dax,
+                &l.a.value,
+                Layout::Transposed,
+                Epilogue::None,
+            ));
         }
         if self.b2.trainable {
             bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
@@ -510,10 +517,10 @@ impl MlpBlock {
             let dw1 = matmul_tn(&dz, &cache.x); // [d_ff, d]
             self.w1.accumulate_grad(&dw1);
         }
-        let mut dx = self.w1.matmul(&dz); // dz · W1(stored [d_ff,d])
+        let mut dx = self.w1.matmul(&dz, Layout::Normal, Epilogue::None); // dz · W1(stored [d_ff,d])
         if let Some(l) = &mut self.lora1 {
             let ax = cache.ax1.as_ref().expect("lora1 cache");
-            let mut dax = matmul(&dz, &l.b.value); // [rows, r]
+            let mut dax = matmul(&dz, &l.b.value, Layout::Normal, Epilogue::None); // [rows, r]
             dax.scale(l.scale);
             if l.b.trainable {
                 let mut db = matmul_tn(&dz, ax); // [d_ff, r]
@@ -524,7 +531,7 @@ impl MlpBlock {
                 let da1 = matmul_tn(&dax, &cache.x); // [r, d]
                 l.a.accumulate_grad(&da1);
             }
-            dx.add_assign(&matmul(&dax, &l.a.value));
+            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
         }
         dx
     }
@@ -560,7 +567,7 @@ impl MlpBlock {
         if let Some(l) = &mut self.lora2 {
             let ax = cache.ax2.as_ref().expect("lora2 cache");
             let r = l.b.value.shape()[1];
-            let mut dax = matmul(dy, &l.b.value);
+            let mut dax = matmul(dy, &l.b.value, Layout::Normal, Epilogue::None);
             dax.scale(l.scale);
             if l.b.trainable {
                 let mut db = matmul_tn(dy, ax);
@@ -701,7 +708,7 @@ impl MlpBlock {
                 let da1 = matmul_tn(&dax, &cache.x);
                 l.a.accumulate_grad(&da1);
             }
-            dx.add_assign(&matmul(&dax, &l.a.value));
+            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
         }
         dx
     }
@@ -881,28 +888,11 @@ mod tests {
         }
     }
 
-    /// Demote both FC weights to each reduced storage in turn.
-    fn demotions() -> [fn(&mut MlpBlock); 4] {
+    /// Every reduced storage dtype, for the demote-both-FC-weights sweeps.
+    const REDUCED: [lx_tensor::Dtype; 4] = {
         use lx_tensor::Dtype;
-        [
-            |m: &mut MlpBlock| {
-                m.w1.to_half();
-                m.w2.to_half();
-            },
-            |m: &mut MlpBlock| {
-                m.w1.to_quant(Dtype::I8Block);
-                m.w2.to_quant(Dtype::I8Block);
-            },
-            |m: &mut MlpBlock| {
-                m.w1.to_quant(Dtype::Nf4Block);
-                m.w2.to_quant(Dtype::Nf4Block);
-            },
-            |m: &mut MlpBlock| {
-                m.w1.to_nm();
-                m.w2.to_nm();
-            },
-        ]
-    }
+        [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24]
+    };
 
     #[test]
     fn incremental_slab_decode_equals_full_decode_under_drift() {
@@ -911,10 +901,11 @@ mod tests {
         // forced to re-gather from scratch every step. Outputs must stay
         // bit-identical across a randomized plan-drift sequence including
         // empty→full and full→empty transitions.
-        for demote in demotions() {
+        for dtype in REDUCED {
             let mk = || {
                 let mut m = mlp();
-                demote(&mut m);
+                m.w1.demote(dtype);
+                m.w2.demote(dtype);
                 m
             };
             let mut inc = mk();
@@ -953,9 +944,10 @@ mod tests {
 
     #[test]
     fn unchanged_plan_reuses_the_slab_cache_wholesale() {
-        for demote in demotions() {
+        for dtype in REDUCED {
             let mut m = mlp();
-            demote(&mut m);
+            m.w1.demote(dtype);
+            m.w2.demote(dtype);
             let x = Tensor::randn(&[ROWS, D], 1.0, 31);
             let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
             let _ = m.forward(&x, Some(&set));
@@ -971,19 +963,19 @@ mod tests {
     }
 
     #[test]
-    fn quant_slab_sparse_path_matches_prerounded_dense() {
-        // The exactness contract behind the quantized sparse path: running
-        // the neuron kernels over slab-decoded quantized weights must equal
-        // running them over a *pre-rounded* f32 model (quantize → dequantize
-        // up front) bit-for-bit, because the slab decode is elementwise.
-        use lx_tensor::Dtype;
-        for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
+    fn reduced_slab_sparse_path_matches_prerounded_dense() {
+        // The exactness contract behind the reduced-storage sparse path:
+        // running the neuron kernels over slab-decoded weights must equal
+        // running them over a *pre-rounded* f32 model (demote → promote up
+        // front: rounded for f16, dequantized for int8/NF4, pruned for 2:4)
+        // bit-for-bit, because the slab decode is elementwise.
+        for dtype in REDUCED {
             let mut q = mlp();
-            q.w1.to_quant(dtype);
-            q.w2.to_quant(dtype);
             let mut pre = mlp();
+            for w in [&mut q.w1, &mut q.w2, &mut pre.w1, &mut pre.w2] {
+                w.demote(dtype);
+            }
             for w in [&mut pre.w1, &mut pre.w2] {
-                w.to_quant(dtype);
                 w.to_f32(); // pre-rounded dense f32
             }
             let x = Tensor::randn(&[ROWS, D], 1.0, 35);
@@ -995,34 +987,14 @@ mod tests {
     }
 
     #[test]
-    fn nm_slab_sparse_path_matches_prepruned_dense() {
-        // Same exactness contract for the 2:4 structured-sparse storage:
-        // slab-decoding the pruned weights must equal running the neuron
-        // kernels over a pre-pruned dense f32 model bit-for-bit.
-        let mut q = mlp();
-        q.w1.to_nm();
-        q.w2.to_nm();
-        let mut pre = mlp();
-        for w in [&mut pre.w1, &mut pre.w2] {
-            w.to_nm();
-            w.to_f32(); // pre-pruned dense f32
-        }
-        let x = Tensor::randn(&[ROWS, D], 1.0, 36);
-        let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2, 3], FF / BLK, BLK));
-        let yq = q.forward(&x, Some(&set));
-        let yp = pre.forward(&x, Some(&set));
-        assert_eq!(yq.as_slice(), yp.as_slice());
-    }
-
-    #[test]
     fn cached_slabs_track_a_trainable_bias() {
         // BitFit on the reduced-precision sparse path: the weight bits are
         // frozen, but b1 is trainable and moves between steps. The
         // unchanged-plan fast path must still serve the *current* bias, not
         // the one gathered when the cache was built.
         let mut m = mlp();
-        m.w1.to_quant(lx_tensor::Dtype::Nf4Block);
-        m.w2.to_quant(lx_tensor::Dtype::Nf4Block);
+        m.w1.demote(lx_tensor::Dtype::Nf4Block);
+        m.w2.demote(lx_tensor::Dtype::Nf4Block);
         m.b1.trainable = true;
         let x = Tensor::randn(&[ROWS, D], 1.0, 32);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));

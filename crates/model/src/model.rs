@@ -15,7 +15,7 @@ use crate::param::Param;
 use crate::plan::SparsePlan;
 use crate::precision::Precision;
 use lx_obs::TimedSpan;
-use lx_tensor::gemm::matmul_tn;
+use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
 use lx_tensor::{Dtype, Tensor, Workspace, WorkspaceStats};
 use std::time::Duration;
 
@@ -153,25 +153,14 @@ impl TransformerModel {
     /// Apply *after* any weight surgery that edits f32 buffers in place
     /// (e.g. [`Self::induce_activation_sparsity`]) and before training.
     pub fn set_precision(&mut self, precision: Precision) {
-        let demote: Option<&mut dyn FnMut(&mut Param)> = match precision {
-            Precision::F32 => None,
-            Precision::F16Frozen => Some(&mut |p: &mut Param| p.to_half()),
-            Precision::Int8Frozen => Some(&mut |p: &mut Param| p.to_quant(Dtype::I8Block)),
-            Precision::Nf4Frozen => Some(&mut |p: &mut Param| p.to_quant(Dtype::Nf4Block)),
-            Precision::Nm24Frozen => Some(&mut |p: &mut Param| p.to_nm()),
-        };
-        match demote {
-            None => self.for_each_param(&mut |p| p.to_f32()),
-            Some(demote) => self.for_each_param(&mut |p| {
-                if !p.trainable && p.shape().len() >= 2 {
-                    demote(p);
-                } else {
-                    // A precision *switch* (e.g. f16 → int8) must not leave
-                    // sub-matrix parameters in the previous reduced storage.
-                    p.to_f32();
-                }
-            }),
-        }
+        let dtype = precision.dtype();
+        self.for_each_param(&mut |p| {
+            // Everything that is not a frozen matrix goes (back) to f32, so
+            // a precision *switch* (e.g. f16 → int8) cannot leave
+            // sub-matrix parameters in the previous reduced storage.
+            let frozen_matrix = !p.trainable && p.shape().len() >= 2;
+            p.demote(if frozen_matrix { dtype } else { Dtype::F32 });
+        });
         // The cross-step slab caches gather from the (old) storage; a
         // storage change invalidates them.
         for b in &mut self.blocks {
@@ -180,16 +169,8 @@ impl TransformerModel {
         // A persisted autotune policy probed under the old storage family is
         // stale when re-demoting to a dtype it never measured (a pre-nm
         // version-1 file, say): drop it so the next autotune re-probes.
-        if precision != self.precision {
-            if let Some(dtype) = match precision {
-                Precision::F32 => None,
-                Precision::F16Frozen => Some(Dtype::F16),
-                Precision::Int8Frozen => Some(Dtype::I8Block),
-                Precision::Nf4Frozen => Some(Dtype::Nf4Block),
-                Precision::Nm24Frozen => Some(Dtype::Nm24),
-            } {
-                lx_kernels::invalidate_stale_policy(dtype.name());
-            }
+        if precision != self.precision && dtype != Dtype::F32 {
+            lx_kernels::invalidate_stale_policy(dtype.name());
         }
         self.precision = precision;
     }
@@ -250,7 +231,10 @@ impl TransformerModel {
             }
         }
         let h = self.ln_f.forward(&x);
-        let logits = self.embedding.tokens.matmul_nt(&h);
+        let logits = self
+            .embedding
+            .tokens
+            .matmul(&h, Layout::Transposed, Epilogue::None);
         self.cache_h = Some(h);
         (logits, used, predict)
     }
@@ -259,7 +243,10 @@ impl TransformerModel {
     pub(crate) fn backward(&mut self, dlogits: &Tensor) {
         let h = self.cache_h.take().expect("model backward without forward");
         // Tied head: dH = dLogits · E ; dE += dLogitsᵀ · H.
-        let dh = self.embedding.tokens.matmul(dlogits);
+        let dh = self
+            .embedding
+            .tokens
+            .matmul(dlogits, Layout::Normal, Epilogue::None);
         if self.embedding.tokens.trainable {
             let demb = matmul_tn(dlogits, &h);
             self.embedding.tokens.accumulate_grad(&demb);

@@ -6,17 +6,17 @@
 //! tables) are demoted to half storage, while everything numerically
 //! sensitive — biases, LayerNorm affine parameters, trainable PEFT adapters,
 //! gradients and optimizer state — stays f32. Compute is f32 throughout;
-//! the f16 bits are decoded inside the GEMM pack routines (see
-//! `lx_kernels::KernelBackend::gemm_f16`), so storage is halved without a
-//! half-arithmetic path.
+//! the f16 bits are decoded inside the GEMM pack routines (the
+//! `lx_kernels::BOperand::F16` arm of `KernelBackend::gemm`), so storage is
+//! halved without a half-arithmetic path.
 //!
 //! [`Precision::Int8Frozen`] and [`Precision::Nf4Frozen`] push the same
 //! recipe past f16 with the `lx-quant` block codecs (QLoRA lineage): frozen
 //! matrices store int8 or NF4 codes plus one f32 absmax scale per 64-element
 //! block, ~0.27x and ~0.14x of the f32 bytes respectively. The demotion
 //! rule, the fused dequant-in-pack GEMMs, and the sparse-path slab decode
-//! all mirror the f16 plan — one `Precision` dispatch covers the whole
-//! storage family.
+//! all mirror the f16 plan — a plan is just the [`Dtype`] its frozen
+//! matrices are stored at ([`Precision::dtype`]).
 //!
 //! Pair with [`LossScaler`](crate::optim::LossScaler) when training: the
 //! rounded backbone shifts activation magnitudes slightly, and scaling keeps
@@ -25,6 +25,8 @@
 //! f16 does (see the precision-differential loss envelopes in
 //! `tests/tests/precision_differential.rs`), but the adapters still train
 //! because they — and all gradients — stay f32.
+
+use lx_tensor::Dtype;
 
 /// Storage plan for a model's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,6 +56,17 @@ pub enum Precision {
 }
 
 impl Precision {
+    /// The storage dtype this plan demotes frozen backbone matrices to.
+    pub const fn dtype(self) -> Dtype {
+        match self {
+            Precision::F32 => Dtype::F32,
+            Precision::F16Frozen => Dtype::F16,
+            Precision::Int8Frozen => Dtype::I8Block,
+            Precision::Nf4Frozen => Dtype::Nf4Block,
+            Precision::Nm24Frozen => Dtype::Nm24,
+        }
+    }
+
     pub const fn name(self) -> &'static str {
         match self {
             Precision::F32 => "f32",

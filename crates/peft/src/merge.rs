@@ -24,7 +24,7 @@ fn mask_violations() -> &'static Arc<Counter> {
     C.get_or_init(|| registry().counter("peft.merge.mask_violations"))
 }
 
-/// Process-wide total of [`mask_violations`] — how many pruned weight
+/// Process-wide total of `peft.merge.mask_violations` — how many pruned weight
 /// positions merges have projected back to zero. Exposed for tests and
 /// benches; the same value ships through the `lx-obs` registry.
 pub fn mask_violation_total() -> u64 {
@@ -34,18 +34,14 @@ pub fn mask_violation_total() -> u64 {
 /// The N:M group mask of a structured-sparse-stored weight, captured before
 /// the merge promotes it to f32 (which discards the stored mask).
 fn captured_nm_mask(p: &Param) -> Option<Vec<u8>> {
-    p.nm.as_ref().map(|s| s.masks().to_vec())
+    p.nm_masks().map(<[u8]>::to_vec)
 }
 
 /// Project a merged (dense f32) weight back onto its pre-merge N:M mask and
 /// re-demote it to compacted storage. Every pruned position the dense delta
 /// repopulated is zeroed and counted.
 fn reapply_nm_mask(p: &mut Param, masks: &[u8]) {
-    let shape = p.shape();
-    let (rows, cols) = (
-        shape[..shape.len() - 1].iter().product::<usize>(),
-        *shape.last().unwrap_or(&0),
-    );
+    let (rows, cols) = (p.b_ref().rows(), p.b_ref().cols());
     let violations = lx_tensor::nm::apply_mask(
         p.value.as_mut_slice(),
         masks,
@@ -272,8 +268,8 @@ mod tests {
         // Capture every nm weight's mask before the merge.
         let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
         m.for_each_param(&mut |p| {
-            if let Some(s) = &p.nm {
-                masks_before.push((p.name.clone(), s.masks().to_vec()));
+            if let Some(masks) = p.nm_masks() {
+                masks_before.push((p.name.clone(), masks.to_vec()));
             }
         });
         assert!(!masks_before.is_empty(), "backbone must be nm-stored");
@@ -297,18 +293,19 @@ mod tests {
         let mut checked = 0;
         m.for_each_param(&mut |p| {
             if let Some(expect) = before.get(&p.name) {
-                let s =
-                    p.nm.as_ref()
-                        .unwrap_or_else(|| panic!("{}: merged weight must stay nm-stored", p.name));
-                assert_eq!(s.masks(), &expect[..], "{}: mask changed", p.name);
-                let mut dense = s.to_f32_vec();
-                let shape = p.shape();
-                let (rows, cols) = (
-                    shape[..shape.len() - 1].iter().product::<usize>(),
-                    *shape.last().unwrap(),
+                let masks = p
+                    .nm_masks()
+                    .unwrap_or_else(|| panic!("{}: merged weight must stay nm-stored", p.name));
+                assert_eq!(masks, &expect[..], "{}: mask changed", p.name);
+                let b = p.b_ref();
+                let mut dense = b.to_tensor();
+                let v = lx_tensor::nm::apply_mask(
+                    dense.as_mut_slice(),
+                    expect,
+                    b.rows(),
+                    b.cols(),
+                    lx_tensor::nm::NM_M,
                 );
-                let v =
-                    lx_tensor::nm::apply_mask(&mut dense, expect, rows, cols, lx_tensor::nm::NM_M);
                 assert_eq!(v, 0, "{}: merged weight violates its 2:4 mask", p.name);
                 checked += 1;
             }

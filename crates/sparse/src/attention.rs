@@ -19,6 +19,7 @@
 //! `lx_parallel::{par_rows, par_disjoint}` helpers.
 
 use crate::layout::BlockCsr;
+use lx_kernels::{Epilogue, GemmOp};
 use lx_parallel::{par_disjoint, par_rows};
 use std::ops::Range;
 
@@ -99,7 +100,13 @@ pub fn sdd_nt(
                 let bc = layout.col_idx[e] as usize;
                 let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
                 let b_rows = &b_mat[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm_nt(b, dh, b, a_rows, dh, b_rows, dh, blk, b, 0.0);
+                be.gemm(
+                    &GemmOp::nt(b, dh, b, a_rows, dh, b_rows, dh),
+                    blk,
+                    b,
+                    0.0,
+                    Epilogue::None,
+                );
                 if scale != 1.0 {
                     for v in blk.iter_mut() {
                         *v *= scale;
@@ -142,7 +149,13 @@ pub fn dsd(p: &[f32], v: &[f32], s: usize, dh: usize, layout: &BlockCsr, out: &m
                 let bc = layout.col_idx[e] as usize;
                 let p_blk = &p[e * bb..(e + 1) * bb];
                 let v_rows = &v[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm(b, b, dh, p_blk, b, v_rows, dh, out_rows, dh, 1.0);
+                be.gemm(
+                    &GemmOp::nn(b, b, dh, p_blk, b, v_rows, dh),
+                    out_rows,
+                    dh,
+                    1.0,
+                    Epilogue::None,
+                );
             }
         }
     });
@@ -172,7 +185,13 @@ pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out:
                 // GEMM it is read transposed, exactly what `Pᵀ` needs.
                 let p_blk = &p[e * bb..(e + 1) * bb];
                 let x_rows = &x[br * b * dh..(br + 1) * b * dh];
-                be.gemm_tn(b, b, dh, p_blk, b, x_rows, dh, out_rows, dh, 1.0);
+                be.gemm(
+                    &GemmOp::tn(b, b, dh, p_blk, b, x_rows, dh),
+                    out_rows,
+                    dh,
+                    1.0,
+                    Epilogue::None,
+                );
             }
         }
     });

@@ -18,6 +18,7 @@
 //! `lda = active_width` and the slab with its natural leading dimension, so
 //! sparse MLP work runs on the same packed microkernels as the dense path.
 
+use lx_kernels::{Epilogue, GemmOp};
 use lx_parallel::{par_disjoint, par_rows};
 use std::ops::Range;
 
@@ -307,19 +308,11 @@ pub fn fc1_forward(
             // rides the GEMM write-back as a fused epilogue (per-block bias
             // slab) instead of a second pass over the whole compact z.
             let ep = match bias {
-                Some(bias) => {
-                    lx_kernels::Epilogue::Bias(&bias[blk as usize * b..(blk as usize + 1) * b])
-                }
-                None => lx_kernels::Epilogue::None,
+                Some(bias) => Epilogue::Bias(&bias[blk as usize * b..(blk as usize + 1) * b]),
+                None => Epilogue::None,
             };
-            be.gemm_nt_ep(
-                m,
-                d_in,
-                b,
-                x_win,
-                d_in,
-                w_blk,
-                d_in,
+            be.gemm(
+                &GemmOp::nt(m, d_in, b, x_win, d_in, w_blk, d_in),
                 &mut chunk[a * b..],
                 width,
                 0.0,
@@ -367,7 +360,13 @@ pub fn fc2_forward(
             for (ai, &blk) in set.active.iter().enumerate() {
                 let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
                 let a_win = &a[rr.start * width + ai * b..];
-                be.gemm(m, b, d_out, a_win, width, w_blk, d_out, chunk, d_out, 1.0);
+                be.gemm(
+                    &GemmOp::nn(m, b, d_out, a_win, width, w_blk, d_out),
+                    chunk,
+                    d_out,
+                    1.0,
+                    Epilogue::None,
+                );
             }
         },
     );
@@ -396,17 +395,12 @@ pub fn fc2_backward_input(
         let dy_win = &dy[rr.start * d_out..rr.end * d_out];
         for (ai, &blk) in set.active.iter().enumerate() {
             let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
-            be.gemm_nt(
-                m,
-                d_out,
-                b,
-                dy_win,
-                d_out,
-                w_blk,
-                d_out,
+            be.gemm(
+                &GemmOp::nt(m, d_out, b, dy_win, d_out, w_blk, d_out),
                 &mut chunk[ai * b..],
                 width,
                 0.0,
+                Epilogue::None,
             );
         }
     });
@@ -439,7 +433,13 @@ pub fn fc1_backward_input(
             for (ai, &blk) in set.active.iter().enumerate() {
                 let w_blk = &w1t[blk as usize * b * d_in..(blk as usize + 1) * b * d_in];
                 let dz_win = &dz[rr.start * width + ai * b..];
-                be.gemm(m, b, d_in, dz_win, width, w_blk, d_in, chunk, d_in, 1.0);
+                be.gemm(
+                    &GemmOp::nn(m, b, d_in, dz_win, width, w_blk, d_in),
+                    chunk,
+                    d_in,
+                    1.0,
+                    Epilogue::None,
+                );
             }
         },
     );
@@ -470,7 +470,13 @@ pub fn fc1_grad_weights(
         for ai in ais {
             let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
             let dz_win = &dz[ai * b..];
-            be.gemm_tn(b, rows, d_in, dz_win, width, x, d_in, dst, d_in, 1.0);
+            be.gemm(
+                &GemmOp::tn(b, rows, d_in, dz_win, width, x, d_in),
+                dst,
+                d_in,
+                1.0,
+                Epilogue::None,
+            );
         }
     });
     if let Some(dbias) = dbias {
@@ -510,7 +516,13 @@ pub fn fc2_grad_weights(
         for ai in ais {
             let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
             let a_win = &a[ai * b..];
-            be.gemm_tn(b, rows, d_out, a_win, width, dy, d_out, dst, d_out, 1.0);
+            be.gemm(
+                &GemmOp::tn(b, rows, d_out, a_win, width, dy, d_out),
+                dst,
+                d_out,
+                1.0,
+                Epilogue::None,
+            );
         }
     });
 }

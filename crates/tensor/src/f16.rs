@@ -15,6 +15,7 @@
 
 use crate::memtrack;
 use crate::Tensor;
+use lx_kernels::BOperand;
 
 pub use lx_kernels::half::{f16_bits_to_f32, f32_to_f16_bits, round_f16};
 
@@ -54,61 +55,14 @@ impl HalfTensor {
         Self::from_f32(t.as_slice(), t.shape())
     }
 
-    /// Decode the whole buffer into a fresh f32 tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let mut out = Tensor::zeros(&self.shape);
-        lx_kernels::half::decode_slice(&self.bits, out.as_mut_slice());
-        out
-    }
-
-    /// Decode the whole buffer into a plain `Vec<f32>`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        self.bits.iter().map(|&b| f16_bits_to_f32(b)).collect()
-    }
-
-    /// Raw f16 bits (row-major) — what the fused f16 GEMMs consume.
-    pub fn bits(&self) -> &[u16] {
-        &self.bits
+    /// The raw f16 bits (row-major) as a kernel operand — what the fused
+    /// f16-input GEMMs consume.
+    pub fn operand(&self) -> BOperand<'_> {
+        BOperand::F16(&self.bits)
     }
 
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Number of rows when viewed as 2-D (product of all but the last dim).
-    pub fn rows(&self) -> usize {
-        if self.shape.is_empty() {
-            0
-        } else {
-            self.len() / self.cols()
-        }
-    }
-
-    /// Size of the last dimension.
-    pub fn cols(&self) -> usize {
-        *self.shape.last().unwrap_or(&0)
-    }
-
-    /// Raw bits of row `r` of the 2-D view.
-    pub fn row_bits(&self, r: usize) -> &[u16] {
-        let c = self.cols();
-        &self.bits[r * c..(r + 1) * c]
-    }
-
-    /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
-    /// (`n_rows × cols`, contiguous). This is the load path for embedding
-    /// lookups and active-neuron-slab gathers.
-    pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {
-        let c = self.cols();
-        lx_kernels::half::decode_slice(&self.bits[r0 * c..(r0 + n_rows) * c], out);
     }
 
     /// Bytes occupied by the half-precision storage.
@@ -257,41 +211,27 @@ mod tests {
     #[test]
     fn half_tensor_accounting_and_roundtrip() {
         let vals = vec![1.0f32, 2.5, -3.25, 0.0];
-        let before = crate::memtrack::current_bytes();
+        let before = crate::memtrack::thread_live_bytes();
         let buf = HalfTensor::from_f32(&vals, &[2, 2]);
         assert_eq!(buf.bytes(), 8);
-        assert_eq!(crate::memtrack::current_bytes() - before, 8);
-        assert_eq!(buf.to_f32_vec(), vals);
-        assert_eq!(buf.rows(), 2);
-        assert_eq!(buf.cols(), 2);
-        let t = buf.to_tensor();
+        assert_eq!(crate::memtrack::thread_live_bytes() - before, 8);
+        let t = crate::BRef::from(&buf).to_tensor();
         assert_eq!(t.shape(), &[2, 2]);
         assert_eq!(t.as_slice(), &vals[..]);
         drop(t);
         drop(buf);
-        assert_eq!(crate::memtrack::current_bytes(), before);
-    }
-
-    #[test]
-    fn decode_rows_matches_full_decode() {
-        let t = Tensor::randn(&[6, 5], 1.0, 7);
-        let h = HalfTensor::from_tensor(&t);
-        let full = h.to_f32_vec();
-        let mut window = vec![0.0f32; 2 * 5];
-        h.decode_rows(3, 2, &mut window);
-        assert_eq!(window, &full[15..25]);
-        assert_eq!(h.row_bits(1).len(), 5);
+        assert_eq!(crate::memtrack::thread_live_bytes(), before);
     }
 
     #[test]
     fn clone_registers_its_own_buffer() {
-        let before = crate::memtrack::current_bytes();
+        let before = crate::memtrack::thread_live_bytes();
         let a = HalfTensor::from_f32(&[1.0; 10], &[10]);
         let b = a.clone();
-        assert_eq!(crate::memtrack::current_bytes() - before, 2 * 10 * 2);
+        assert_eq!(crate::memtrack::thread_live_bytes() - before, 2 * 10 * 2);
         assert_eq!(a, b);
         drop(a);
         drop(b);
-        assert_eq!(crate::memtrack::current_bytes(), before);
+        assert_eq!(crate::memtrack::thread_live_bytes(), before);
     }
 }

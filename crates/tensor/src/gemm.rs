@@ -2,19 +2,19 @@
 //!
 //! These used to be hand-written `i-k-j` loop kernels; they now live in
 //! `lx-kernels` as the [`Reference`](lx_kernels::Reference) backend, and the
-//! functions here are thin dispatching wrappers (plus the `Tensor`-level
-//! `matmul*` convenience forms). Layout conventions are unchanged: row-major
-//! everywhere, with `_nt`/`_tn` variants so callers never materialise
-//! transposes in the hot path. Which kernel actually runs — the reference
-//! loops or the packed/tiled microkernels — is decided per call by the
-//! dispatcher (see `lx_kernels::dispatch`).
+//! functions here are thin dispatching wrappers: `gemm`/`gemm_nt`/`gemm_tn`
+//! on contiguous f32 slices, and one `Tensor`-level [`matmul`] that takes its
+//! `B` in any storage (see [`BRef`]). Row-major everywhere; transposition is
+//! a [`Layout`] argument, so callers never materialise transposes in the hot
+//! path. Which kernel actually runs — the reference loops or the
+//! packed/tiled microkernels — is decided per call by the dispatcher (see
+//! `lx_kernels::dispatch`).
 
-use crate::f16::HalfTensor;
-use crate::quant::{QuantTensor, QuantView};
-use crate::Tensor;
-// Fused post-GEMM epilogue (bias / bias+GELU at write-back); re-exported so
-// model-layer callers can request fusion without a direct lx-kernels dep.
-pub use lx_kernels::Epilogue;
+use crate::{BRef, Tensor};
+use lx_kernels::GemmOp;
+// Fused post-GEMM epilogue (bias / bias+GELU at write-back) and operand
+// layout; re-exported so model-layer callers need no direct lx-kernels dep.
+pub use lx_kernels::{Epilogue, Layout};
 
 /// `C[m,n] = A[m,k] · B[k,n] + beta·C`.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
@@ -40,388 +40,47 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), k * m, "gemm_tn: A size");
     assert_eq!(b.len(), k * n, "gemm_tn: B size");
     assert_eq!(c.len(), m * n, "gemm_tn: C size");
-    lx_kernels::gemm_tn(m, k, n, a, b, c, beta);
+    let op = GemmOp::contiguous(m, k, n, a, Layout::Transposed, b, Layout::Normal);
+    lx_kernels::backend().gemm(&op, c, n.max(1), beta, Epilogue::None);
 }
 
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` on the trailing-2-D views.
-pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+/// `A[m,k] · B` on the trailing-2-D views, with `B` in **any storage** — a
+/// `&Tensor`, `&HalfTensor`, `&QuantTensor`, `&NmTensor` or `&Reduced` —
+/// stored `k×n` ([`Layout::Normal`]) or `n×k` ([`Layout::Transposed`]).
+///
+/// A reduced-stored B decodes to f32 inside the kernel (pack-time for the
+/// packed backend) and all accumulation stays f32, so the result matches
+/// decoding B up front — bit for bit for the lossless N:M storage. `ep` is
+/// applied at kernel write-back, bit-identical to the plain product followed
+/// by the equivalent bias/activation passes, minus those passes' memory
+/// traffic.
+pub fn matmul<'b>(
+    a: &Tensor,
+    b: impl Into<BRef<'b>>,
+    b_layout: Layout,
+    ep: Epilogue<'_>,
+) -> Tensor {
+    let b = b.into();
     let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
+    let (kb, n) = match b_layout {
+        Layout::Normal => (b.rows(), b.cols()),
+        Layout::Transposed => (b.cols(), b.rows()),
+    };
     assert_eq!(
         k,
         kb,
-        "matmul inner dims: {:?} x {:?}",
+        "matmul inner dims: {:?} x {:?} ({b_layout:?})",
         a.shape(),
         b.shape()
     );
     let mut c = Tensor::zeros(&[m, n]);
-    gemm(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0.0);
+    let op = GemmOp::contiguous(m, k, n, a.as_slice(), Layout::Normal, b.operand(), b_layout);
+    lx_kernels::backend().gemm(&op, c.as_mut_slice(), n.max(1), 0.0, ep);
     c
 }
 
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ`.
-pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    gemm_nt(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// [`matmul`] with a fused [`Epilogue`] applied at kernel write-back —
-/// bit-identical to `matmul` followed by the equivalent bias/activation
-/// passes, minus those passes' memory traffic.
-pub fn matmul_ep(a: &Tensor, b: &Tensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_nt_ep(a: &Tensor, b: &Tensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        b.as_slice(),
-        c.as_mut_slice(),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored at half
-/// precision**. B's f16 bits are decoded to f32 inside the kernel (pack-time
-/// for the packed backend); all accumulation stays f32.
-pub fn matmul_f16(a: &Tensor, b: &HalfTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_f16 inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_f16(m, k, n, a.as_slice(), b.bits(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored at half
-/// precision**. Same mixed-precision contract as [`matmul_f16`].
-pub fn matmul_nt_f16(a: &Tensor, b: &HalfTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_f16 inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_f16(m, k, n, a.as_slice(), b.bits(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// [`matmul_f16`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_f16_ep(a: &Tensor, b: &HalfTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_f16_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let ld = n.max(1);
-    lx_kernels::backend().gemm_f16_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.bits(),
-        ld,
-        c.as_mut_slice(),
-        ld,
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt_f16`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_f16_ep(a: &Tensor, b: &HalfTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_f16_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::backend().gemm_nt_f16_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.bits(),
-        k.max(1),
-        c.as_mut_slice(),
-        n.max(1),
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored block-quantized**
-/// (int8 or NF4). B dequantizes to f32 inside the kernel (pack-time for the
-/// packed backend); all accumulation stays f32, so the result matches
-/// dequantizing B up front and calling [`matmul`].
-pub fn matmul_quant(a: &Tensor, b: &QuantTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_quant inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::gemm_q8(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-        QuantView::Nf4(v) => lx_kernels::gemm_q4(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-    }
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored
-/// block-quantized**. Same mixed-precision contract as [`matmul_quant`].
-pub fn matmul_nt_quant(a: &Tensor, b: &QuantTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_quant inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::gemm_nt_q8(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0),
-        QuantView::Nf4(v) => {
-            lx_kernels::gemm_nt_q4(m, k, n, a.as_slice(), v, c.as_mut_slice(), 0.0)
-        }
-    }
-    c
-}
-
-/// [`matmul_quant`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_quant_ep(a: &Tensor, b: &QuantTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_quant_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let (lda, ld) = (k.max(1), n.max(1));
-    let cs = c.as_mut_slice();
-    match b.view() {
-        QuantView::I8(v) => {
-            lx_kernels::backend().gemm_q8_ep(m, k, n, a.as_slice(), lda, v, ld, cs, ld, 0.0, ep)
-        }
-        QuantView::Nf4(v) => {
-            lx_kernels::backend().gemm_q4_ep(m, k, n, a.as_slice(), lda, v, ld, cs, ld, 0.0, ep)
-        }
-    }
-    c
-}
-
-/// [`matmul_nt_quant`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_quant_ep(a: &Tensor, b: &QuantTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_quant_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let (lda, ldc) = (k.max(1), n.max(1));
-    let cs = c.as_mut_slice();
-    match b.view() {
-        QuantView::I8(v) => lx_kernels::backend().gemm_nt_q8_ep(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            lda,
-            v,
-            lda,
-            cs,
-            ldc,
-            0.0,
-            ep,
-        ),
-        QuantView::Nf4(v) => lx_kernels::backend().gemm_nt_q4_ep(
-            m,
-            k,
-            n,
-            a.as_slice(),
-            lda,
-            v,
-            lda,
-            cs,
-            ldc,
-            0.0,
-            ep,
-        ),
-    }
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[k,n]` with **B stored N:M
-/// structured-sparse** (2:4). The codec keeps surviving values bit-exactly,
-/// so — unlike the quantized forms — the result is bit-identical to decoding
-/// B up front and calling [`matmul`]; the packed backend additionally skips
-/// all-zero groups at pack time.
-pub fn matmul_nm(a: &Tensor, b: &crate::NmTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nm inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nm(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// Tensor-level wrapper: `A[m,k] · B[n,k]ᵀ` with **B stored N:M
-/// structured-sparse** (2:4) — the pruned-backbone forward shape, where the
-/// sparse axis is the reduction axis. Same bit-exactness contract as
-/// [`matmul_nm`].
-pub fn matmul_nt_nm(a: &Tensor, b: &crate::NmTensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_nm inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_nm(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0);
-    c
-}
-
-/// [`matmul_nm`] with a fused [`Epilogue`]. Same contract as [`matmul_ep`].
-pub fn matmul_nm_ep(a: &Tensor, b: &crate::NmTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nm_ep inner dims: {:?} x {:?}",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    let ld = n.max(1);
-    lx_kernels::backend().gemm_nm_ep(
-        m,
-        k,
-        n,
-        a.as_slice(),
-        k.max(1),
-        b.view(),
-        ld,
-        c.as_mut_slice(),
-        ld,
-        0.0,
-        ep,
-    );
-    c
-}
-
-/// [`matmul_nt_nm`] with a fused [`Epilogue`]. Same contract as
-/// [`matmul_ep`].
-pub fn matmul_nt_nm_ep(a: &Tensor, b: &crate::NmTensor, ep: Epilogue<'_>) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(
-        k,
-        kb,
-        "matmul_nt_nm_ep inner dims: {:?} x {:?}ᵀ",
-        a.shape(),
-        b.shape()
-    );
-    let mut c = Tensor::zeros(&[m, n]);
-    lx_kernels::gemm_nt_nm_ep(m, k, n, a.as_slice(), b.view(), c.as_mut_slice(), 0.0, ep);
-    c
-}
-
-/// Tensor-level wrapper: `A[k,m]ᵀ · B[k,n]`.
+/// Tensor-level wrapper: `A[k,m]ᵀ · B[k,n]` (f32 only — the
+/// gradient-of-weights shape).
 pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k, m) = (a.rows(), a.cols());
     let (kb, n) = (b.rows(), b.cols());
@@ -531,14 +190,24 @@ mod tests {
         assert_close(&c, &naive(m, k, n, &a, &b), 1e-3);
     }
 
+    const NN: Layout = Layout::Normal;
+    const NT: Layout = Layout::Transposed;
+
+    fn assert_bits(a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape());
+        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
     #[test]
     fn tensor_wrappers_shapes() {
         let a = Tensor::randn(&[6, 4], 1.0, 11);
         let b = Tensor::randn(&[4, 5], 1.0, 12);
-        let c = matmul(&a, &b);
+        let c = matmul(&a, &b, NN, Epilogue::None);
         assert_eq!(c.shape(), &[6, 5]);
         let bt = b.transposed_2d();
-        let c2 = matmul_nt(&a, &bt);
+        let c2 = matmul(&a, &bt, NT, Epilogue::None);
         assert_close(c.as_slice(), c2.as_slice(), 1e-4);
         let at = a.transposed_2d();
         let c3 = matmul_tn(&at, &b);
@@ -546,46 +215,29 @@ mod tests {
     }
 
     #[test]
-    fn quant_matmuls_match_dequant_up_front() {
-        use crate::Dtype;
-        let a = Tensor::randn(&[7, 33], 1.0, 15);
-        let b = Tensor::randn(&[33, 9], 1.0, 16);
-        for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
-            let q = QuantTensor::from_tensor(&b, dtype);
-            let oracle = matmul(&a, &q.to_tensor());
-            let c = matmul_quant(&a, &q);
-            assert_close(c.as_slice(), oracle.as_slice(), 1e-4);
-            let qt = QuantTensor::from_tensor(&b.transposed_2d(), dtype);
-            let oracle_nt = matmul_nt(&a, &qt.to_tensor());
-            let c_nt = matmul_nt_quant(&a, &qt);
-            assert_close(c_nt.as_slice(), oracle_nt.as_slice(), 1e-4);
-        }
-    }
-
-    #[test]
-    fn nm_matmuls_are_bit_identical_to_decode_up_front() {
-        use crate::{Dtype, NmTensor};
-        let a = Tensor::randn(&[7, 36], 1.0, 40);
-        let b = Tensor::randn(&[36, 9], 1.0, 41);
-        let nm = NmTensor::from_tensor(&b, Dtype::Nm24);
-        let oracle = matmul(&a, &nm.to_tensor());
-        let c = matmul_nm(&a, &nm);
-        for (x, y) in c.as_slice().iter().zip(oracle.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        let nmt = NmTensor::from_tensor(&b.transposed_2d(), Dtype::Nm24);
-        let oracle_nt = matmul_nt(&a, &nmt.to_tensor());
-        let c_nt = matmul_nt_nm(&a, &nmt);
-        for (x, y) in c_nt.as_slice().iter().zip(oracle_nt.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // Fused epilogue form against its own unfused twin.
+    fn reduced_matmuls_match_decode_up_front() {
+        use crate::{Dtype, Reduced};
+        let a = Tensor::randn(&[7, 36], 1.0, 15);
+        let b = Tensor::randn(&[36, 9], 1.0, 16);
         let bias = crate::rng::randn_vec(9, 1.0, 42);
-        let fused = matmul_nt_nm_ep(&a, &nmt, Epilogue::Bias(&bias));
-        let mut unfused = matmul_nt_nm(&a, &nmt);
-        crate::ops::add_bias_rows(&mut unfused, &bias);
-        for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
-            assert_eq!(f.to_bits(), u.to_bits());
+        for dtype in [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24] {
+            for (stored, layout) in [(b.clone(), NN), (b.transposed_2d(), NT)] {
+                let r = Reduced::from_tensor(&stored, dtype);
+                let decoded = BRef::from(&r).to_tensor();
+                let oracle = matmul(&a, &decoded, layout, Epilogue::None);
+                let c = matmul(&a, &r, layout, Epilogue::None);
+                assert_close(c.as_slice(), oracle.as_slice(), 1e-4);
+                // The N:M codec is lossless on survivors, so there the fused
+                // path must match the decoded oracle bit for bit.
+                if dtype == Dtype::Nm24 {
+                    assert_bits(&c, &oracle);
+                }
+                // Fused epilogue form against its own unfused twin.
+                let fused = matmul(&a, &r, layout, Epilogue::Bias(&bias));
+                let mut unfused = c;
+                crate::ops::add_bias_rows(&mut unfused, &bias);
+                assert_bits(&fused, &unfused);
+            }
         }
     }
 
@@ -596,33 +248,27 @@ mod tests {
         let b = Tensor::randn(&[33, 12], 1.0, 18);
         let bias = crate::rng::randn_vec(12, 1.0, 19);
         // Bias-only fusion.
-        let fused = matmul_ep(&a, &b, Epilogue::Bias(&bias));
-        let mut unfused = matmul(&a, &b);
+        let fused = matmul(&a, &b, NN, Epilogue::Bias(&bias));
+        let mut unfused = matmul(&a, &b, NN, Epilogue::None);
         add_bias_rows(&mut unfused, &bias);
-        for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
-            assert_eq!(f.to_bits(), u.to_bits());
-        }
+        assert_bits(&fused, &unfused);
         // Bias+GELU fusion.
-        let fused = matmul_ep(&a, &b, Epilogue::BiasGelu(&bias));
+        let fused = matmul(&a, &b, NN, Epilogue::BiasGelu(&bias));
         gelu_inplace(unfused.as_mut_slice());
-        for (f, u) in fused.as_slice().iter().zip(unfused.as_slice()) {
-            assert_eq!(f.to_bits(), u.to_bits());
-        }
+        assert_bits(&fused, &unfused);
         // nt form against its own unfused twin.
         let bt = b.transposed_2d();
-        let fused_nt = matmul_nt_ep(&a, &bt, Epilogue::Bias(&bias));
-        let mut unfused_nt = matmul_nt(&a, &bt);
+        let fused_nt = matmul(&a, &bt, NT, Epilogue::Bias(&bias));
+        let mut unfused_nt = matmul(&a, &bt, NT, Epilogue::None);
         add_bias_rows(&mut unfused_nt, &bias);
-        for (f, u) in fused_nt.as_slice().iter().zip(unfused_nt.as_slice()) {
-            assert_eq!(f.to_bits(), u.to_bits());
-        }
+        assert_bits(&fused_nt, &unfused_nt);
     }
 
     #[test]
     fn degenerate_dims() {
         let a = Tensor::randn(&[1, 8], 1.0, 13);
         let b = Tensor::randn(&[8, 1], 1.0, 14);
-        let c = matmul(&a, &b);
+        let c = matmul(&a, &b, NN, Epilogue::None);
         assert_eq!(c.shape(), &[1, 1]);
         let expect: f32 = a
             .as_slice()

@@ -12,6 +12,7 @@ pub mod memtrack;
 pub mod nm;
 pub mod ops;
 pub mod quant;
+mod reduced;
 pub mod rng;
 mod tensor;
 pub mod workspace;
@@ -19,6 +20,7 @@ pub mod workspace;
 pub use dtype::Dtype;
 pub use f16::HalfTensor;
 pub use nm::NmTensor;
-pub use quant::{QuantTensor, QuantView};
+pub use quant::QuantTensor;
+pub use reduced::{BRef, Reduced};
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};

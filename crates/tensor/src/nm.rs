@@ -15,6 +15,7 @@
 
 use crate::memtrack;
 use crate::{Dtype, Tensor};
+use lx_kernels::BOperand;
 use lx_quant::nm;
 use lx_quant::NmView;
 
@@ -36,7 +37,6 @@ pub struct NmTensor {
     vals: Vec<f32>,
     masks: Vec<u8>,
     shape: Vec<usize>,
-    len: usize,
 }
 
 impl NmTensor {
@@ -83,21 +83,16 @@ impl NmTensor {
             vals,
             masks,
             shape: shape.to_vec(),
-            len: shape.iter().product(),
         };
         memtrack::register(t.storage_capacity_bytes());
         t
     }
 
-    /// The storage dtype (always [`Dtype::Nm24`]).
-    pub fn dtype(&self) -> Dtype {
-        Dtype::Nm24
-    }
-
-    /// Borrowed decoding view — what the fused GEMMs consume.
-    pub fn view(&self) -> NmView<'_> {
+    /// Borrowed decoding view as a kernel operand — what the fused N:M
+    /// GEMMs consume.
+    pub fn operand(&self) -> BOperand<'_> {
         let (rows, cols) = rows_cols(&self.shape);
-        NmView::new(&self.vals, &self.masks, rows, cols, NM_N, NM_M)
+        BOperand::Nm(NmView::new(&self.vals, &self.masks, rows, cols, NM_N, NM_M))
     }
 
     /// The per-group index bitmasks (one byte per row-group of 4) — the
@@ -107,63 +102,8 @@ impl NmTensor {
         &self.masks
     }
 
-    /// Decode the whole buffer into a fresh f32 tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let mut out = Tensor::zeros(&self.shape);
-        let (rows, cols) = rows_cols(&self.shape);
-        nm::decode(
-            &self.vals,
-            &self.masks,
-            rows,
-            cols,
-            NM_N,
-            NM_M,
-            out.as_mut_slice(),
-        );
-        out
-    }
-
-    /// Decode the whole buffer into a plain `Vec<f32>`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        let mut out = vec![0.0f32; self.len];
-        let (rows, cols) = rows_cols(&self.shape);
-        nm::decode(&self.vals, &self.masks, rows, cols, NM_N, NM_M, &mut out);
-        out
-    }
-
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of rows when viewed as 2-D (product of all but the last dim).
-    pub fn rows(&self) -> usize {
-        rows_cols(&self.shape).0
-    }
-
-    /// Size of the last dimension — the pruning axis.
-    pub fn cols(&self) -> usize {
-        rows_cols(&self.shape).1
-    }
-
-    /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
-    /// (`n_rows × cols`, contiguous). Groups never straddle rows, so any row
-    /// window is bit-identical to the same rows of a full decode — the
-    /// active-neuron-slab gather path.
-    pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {
-        let c = self.cols();
-        assert_eq!(out.len(), n_rows * c, "decode_rows: output length");
-        let view = self.view();
-        for (i, row) in out.chunks_mut(c.max(1)).enumerate() {
-            view.decode_row_into(r0 + i, row);
-        }
     }
 
     /// Exact storage bytes (compacted values plus mask bytes). Equals
@@ -194,7 +134,6 @@ impl Clone for NmTensor {
             vals: self.vals.clone(),
             masks: self.masks.clone(),
             shape: self.shape.clone(),
-            len: self.len,
         };
         memtrack::register(t.storage_capacity_bytes());
         t
@@ -216,17 +155,19 @@ impl PartialEq for NmTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtrack::thread_live_bytes;
+    use crate::BRef;
 
     #[test]
     fn accounting_matches_bytes_for_when_rows_are_group_aligned() {
         let t = Tensor::randn(&[16, 20], 1.0, 41);
-        let before = crate::memtrack::current_bytes();
+        let before = thread_live_bytes();
         let q = NmTensor::from_tensor(&t, Dtype::Nm24);
-        let delta = crate::memtrack::current_bytes() - before;
-        assert_eq!(delta, Dtype::Nm24.bytes_for(t.len()), "measured");
+        let delta = thread_live_bytes() - before;
+        assert_eq!(delta as usize, Dtype::Nm24.bytes_for(t.len()), "measured");
         assert_eq!(q.bytes(), Dtype::Nm24.bytes_for(t.len()), "reported");
         drop(q);
-        assert_eq!(crate::memtrack::current_bytes(), before);
+        assert_eq!(thread_live_bytes(), before);
     }
 
     #[test]
@@ -234,23 +175,19 @@ mod tests {
         // cols = 7: per row 1 full group (2 slots) + tail of 3 (2 slots) =
         // 4 slots + 2 mask bytes = 18 bytes/row.
         let t = Tensor::randn(&[5, 7], 1.0, 42);
-        let before = crate::memtrack::current_bytes();
+        let before = thread_live_bytes();
         let q = NmTensor::from_tensor(&t, Dtype::Nm24);
         assert_eq!(q.bytes(), 5 * 18);
-        assert_eq!(crate::memtrack::current_bytes() - before, 5 * 18);
+        assert_eq!(thread_live_bytes() - before, 5 * 18);
         drop(q);
-        assert_eq!(crate::memtrack::current_bytes(), before);
+        assert_eq!(thread_live_bytes(), before);
     }
 
     #[test]
     fn roundtrip_keeps_survivors_bit_exactly() {
         let t = Tensor::randn(&[9, 12], 1.0, 43);
         let q = NmTensor::from_tensor(&t, Dtype::Nm24);
-        assert_eq!(q.dtype(), Dtype::Nm24);
-        assert_eq!(q.shape(), &[9, 12]);
-        assert_eq!(q.rows(), 9);
-        assert_eq!(q.cols(), 12);
-        let back = q.to_tensor();
+        let back = BRef::from(&q).to_tensor();
         let mut kept = 0usize;
         for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
             if b.to_bits() == a.to_bits() && *b != 0.0 {
@@ -260,7 +197,6 @@ mod tests {
             }
         }
         assert_eq!(kept, 9 * 12 / 2, "exactly half survive at 2:4");
-        assert_eq!(back.as_slice(), &q.to_f32_vec()[..]);
     }
 
     #[test]
@@ -270,10 +206,10 @@ mod tests {
         let masks = vec![0b0011u8; 4];
         let q = NmTensor::from_f32_with_mask(t.as_slice(), &[2, 8], &masks);
         assert_eq!(q.masks(), &masks[..]);
-        let back = q.to_f32_vec();
+        let back = BRef::from(&q).to_tensor();
         for r in 0..2 {
             for c in 0..8 {
-                let v = back[r * 8 + c];
+                let v = back.as_slice()[r * 8 + c];
                 if c % 4 < 2 {
                     assert_eq!(v.to_bits(), t.as_slice()[r * 8 + c].to_bits());
                 } else {
@@ -284,33 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn decode_rows_is_bit_identical_to_full_decode() {
-        let t = Tensor::randn(&[12, 13], 1.0, 45); // tail groups in every row
-        let q = NmTensor::from_tensor(&t, Dtype::Nm24);
-        let full = q.to_f32_vec();
-        for (r0, n_rows) in [(0usize, 1usize), (3, 2), (7, 5), (11, 1)] {
-            let mut window = vec![0.0f32; n_rows * 13];
-            q.decode_rows(r0, n_rows, &mut window);
-            for (i, v) in window.iter().enumerate() {
-                assert_eq!(v.to_bits(), full[r0 * 13 + i].to_bits(), "row {r0}+{i}");
-            }
-        }
-    }
-
-    #[test]
     fn clone_registers_its_own_buffer() {
         let t = Tensor::randn(&[8, 8], 1.0, 46);
-        let before = crate::memtrack::current_bytes();
+        let before = thread_live_bytes();
         let a = NmTensor::from_tensor(&t, Dtype::Nm24);
         let b = a.clone();
         assert_eq!(
-            crate::memtrack::current_bytes() - before,
+            (thread_live_bytes() - before) as usize,
             2 * Dtype::Nm24.bytes_for(64)
         );
         assert_eq!(a, b);
         drop(a);
         drop(b);
-        assert_eq!(crate::memtrack::current_bytes(), before);
+        assert_eq!(thread_live_bytes(), before);
     }
 
     #[test]

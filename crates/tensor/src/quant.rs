@@ -11,6 +11,7 @@
 
 use crate::memtrack;
 use crate::{Dtype, Tensor};
+use lx_kernels::BOperand;
 use lx_quant::{Q4View, Q8View};
 
 /// The code buffer of a [`QuantTensor`] — which codec the bytes belong to.
@@ -20,25 +21,6 @@ enum QuantCodes {
     I8(Vec<i8>),
     /// Two NF4 codebook indices per byte.
     Nf4(Vec<u8>),
-}
-
-/// A borrowed, dequantizing view over a [`QuantTensor`]'s storage — what the
-/// fused GEMM entry points consume.
-#[derive(Clone, Copy, Debug)]
-pub enum QuantView<'a> {
-    I8(Q8View<'a>),
-    Nf4(Q4View<'a>),
-}
-
-impl QuantView<'_> {
-    /// Dequantize the element at flat row-major index `idx`.
-    #[inline(always)]
-    pub fn get(&self, idx: usize) -> f32 {
-        match self {
-            QuantView::I8(v) => v.get(idx),
-            QuantView::Nf4(v) => v.get(idx),
-        }
-    }
 }
 
 /// A tensor stored block-quantized: codes plus per-block scales and a shape.
@@ -102,69 +84,17 @@ impl QuantTensor {
         }
     }
 
-    /// Borrowed dequantizing view — what the fused GEMMs consume.
-    pub fn view(&self) -> QuantView<'_> {
+    /// Borrowed dequantizing view as a kernel operand — what the fused
+    /// quantized-B GEMMs consume.
+    pub fn operand(&self) -> BOperand<'_> {
         match &self.codes {
-            QuantCodes::I8(codes) => QuantView::I8(Q8View::new(codes, &self.scales)),
-            QuantCodes::Nf4(codes) => QuantView::Nf4(Q4View::new(codes, &self.scales, self.len)),
+            QuantCodes::I8(codes) => BOperand::Q8(Q8View::new(codes, &self.scales)),
+            QuantCodes::Nf4(codes) => BOperand::Q4(Q4View::new(codes, &self.scales, self.len)),
         }
-    }
-
-    /// Dequantize the whole buffer into a fresh f32 tensor.
-    pub fn to_tensor(&self) -> Tensor {
-        let mut out = Tensor::zeros(&self.shape);
-        let view = self.view();
-        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
-            *o = view.get(i);
-        }
-        out
-    }
-
-    /// Dequantize the whole buffer into a plain `Vec<f32>`.
-    pub fn to_f32_vec(&self) -> Vec<f32> {
-        let view = self.view();
-        (0..self.len).map(|i| view.get(i)).collect()
     }
 
     pub fn shape(&self) -> &[usize] {
         &self.shape
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of rows when viewed as 2-D (product of all but the last dim).
-    pub fn rows(&self) -> usize {
-        if self.shape.is_empty() {
-            0
-        } else {
-            self.len / self.cols().max(1)
-        }
-    }
-
-    /// Size of the last dimension.
-    pub fn cols(&self) -> usize {
-        *self.shape.last().unwrap_or(&0)
-    }
-
-    /// Dequantize rows `[r0, r0 + n_rows)` of the 2-D view into `out`
-    /// (`n_rows × cols`, contiguous). This is the load path for embedding
-    /// lookups and active-neuron-slab gathers; being elementwise over flat
-    /// indices, it is bit-identical to the same rows of a full decode even
-    /// when the window straddles quantization-block boundaries.
-    pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {
-        let c = self.cols();
-        assert_eq!(out.len(), n_rows * c, "decode_rows: output length");
-        let base = r0 * c;
-        let view = self.view();
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = view.get(base + i);
-        }
     }
 
     /// Bytes occupied by the quantized storage (code bytes plus per-block
@@ -213,6 +143,7 @@ impl PartialEq for QuantTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtrack::thread_live_bytes;
 
     #[test]
     fn accounting_matches_bytes_for_exactly() {
@@ -224,51 +155,27 @@ mod tests {
         ] {
             let t = Tensor::randn(&shape, 1.0, 31);
             let numel = t.len();
-            let before = crate::memtrack::current_bytes();
+            let before = thread_live_bytes();
             let q = QuantTensor::from_tensor(&t, dtype);
-            let delta = crate::memtrack::current_bytes() - before;
-            assert_eq!(delta, dtype.bytes_for(numel), "{dtype} measured");
+            let delta = thread_live_bytes() - before;
+            assert_eq!(delta as usize, dtype.bytes_for(numel), "{dtype} measured");
             assert_eq!(q.bytes(), dtype.bytes_for(numel), "{dtype} reported");
             drop(q);
-            assert_eq!(crate::memtrack::current_bytes(), before);
+            assert_eq!(thread_live_bytes(), before);
         }
     }
 
     #[test]
-    fn roundtrip_preserves_shape_and_bounds_error() {
+    fn roundtrip_bounds_error() {
         let t = Tensor::randn(&[9, 33], 1.0, 32);
         for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
             let q = QuantTensor::from_tensor(&t, dtype);
             assert_eq!(q.dtype(), dtype);
-            assert_eq!(q.shape(), &[9, 33]);
-            assert_eq!(q.rows(), 9);
-            assert_eq!(q.cols(), 33);
-            let back = q.to_tensor();
-            assert_eq!(back.shape(), t.shape());
+            let back = crate::BRef::from(&q).to_tensor();
             // Loose sanity bound (exact bounds are tested in lx-quant): the
             // worst NF4 gap is ~0.18·absmax, absmax ≲ 5σ here.
             for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
                 assert!((a - b).abs() < 1.0, "{a} vs {b}");
-            }
-            assert_eq!(back.as_slice(), &q.to_f32_vec()[..]);
-        }
-    }
-
-    #[test]
-    fn decode_rows_is_bit_identical_to_full_decode() {
-        // 33 cols: every row boundary lands mid-block, the case the sparse
-        // slab gathers depend on.
-        let t = Tensor::randn(&[12, 33], 1.0, 33);
-        for dtype in [Dtype::I8Block, Dtype::Nf4Block] {
-            let q = QuantTensor::from_tensor(&t, dtype);
-            let full = q.to_f32_vec();
-            for (r0, n_rows) in [(0usize, 1usize), (3, 2), (7, 5), (11, 1)] {
-                let mut window = vec![0.0f32; n_rows * 33];
-                q.decode_rows(r0, n_rows, &mut window);
-                for (i, v) in window.iter().enumerate() {
-                    let f = full[r0 * 33 + i];
-                    assert_eq!(v.to_bits(), f.to_bits(), "{dtype} row {r0}+{i}");
-                }
             }
         }
     }
@@ -276,17 +183,17 @@ mod tests {
     #[test]
     fn clone_registers_its_own_buffer() {
         let t = Tensor::randn(&[8, 8], 1.0, 34);
-        let before = crate::memtrack::current_bytes();
+        let before = thread_live_bytes();
         let a = QuantTensor::from_tensor(&t, Dtype::I8Block);
         let b = a.clone();
         assert_eq!(
-            crate::memtrack::current_bytes() - before,
+            (thread_live_bytes() - before) as usize,
             2 * Dtype::I8Block.bytes_for(64)
         );
         assert_eq!(a, b);
         drop(a);
         drop(b);
-        assert_eq!(crate::memtrack::current_bytes(), before);
+        assert_eq!(thread_live_bytes(), before);
     }
 
     #[test]

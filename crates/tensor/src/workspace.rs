@@ -258,7 +258,7 @@ pub(crate) fn pool_recycle(buf: Vec<f32>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memtrack::alloc_stats;
+    use crate::memtrack::thread_alloc_stats as alloc_stats;
     use crate::Tensor;
 
     #[test]

@@ -1,6 +1,6 @@
 //! Hand-rolled public-API snapshot: the `pub fn` / `pub struct` / `pub enum`
-//! / `pub trait` / `pub use` surface of `lx-model`, `lx-core` and `lx-serve`
-//! is extracted from the sources and compared against a committed baseline
+//! / `pub trait` / `pub use` surface of the crates in [`CRATES`] is
+//! extracted from the sources and compared against a committed baseline
 //! (`tests/api/public_api.txt`). Unreviewed drift — a forgotten `pub`, a
 //! resurrected legacy entry point, a renamed builder — fails CI.
 //!
@@ -18,6 +18,8 @@ use std::path::{Path, PathBuf};
 const CRATES: &[(&str, &str)] = &[
     ("lx-obs", "crates/obs/src"),
     ("lx-quant", "crates/quant/src"),
+    ("lx-kernels", "crates/kernels/src"),
+    ("lx-tensor", "crates/tensor/src"),
     ("lx-model", "crates/model/src"),
     ("lx-core", "crates/core/src"),
     ("lx-serve", "crates/serve/src"),
@@ -220,4 +222,79 @@ fn legacy_model_entry_points_stay_retired() {
     assert!(exec_section.contains("pub fn execute"));
     assert!(exec_section.contains("pub struct StepRequest"));
     assert!(exec_section.contains("pub struct StepOutcome"));
+}
+
+/// Source of `rel` (repo-relative) up to its `#[cfg(test)]` module.
+fn non_test_source(rel: &str) -> String {
+    let src = std::fs::read_to_string(repo_root().join(rel)).expect("read source");
+    let end = src.find("#[cfg(test)]").unwrap_or(src.len());
+    src[..end].to_string()
+}
+
+#[test]
+fn per_dtype_gemm_fan_out_stays_retired() {
+    // The one-GEMM-entry-point contract: storage format, layout and epilogue
+    // are *data* (`BOperand`, `Layout`, `Epilogue`), never method names. The
+    // per-(dtype, layout, ±epilogue) families must not drift back at any
+    // layer of the stack.
+    let current = current_surface();
+    for retired in [
+        // lx-kernels free functions beyond the benchmark-frozen six (the
+        // exact survivor list is asserted below).
+        "pub fn gemm_q8",
+        "pub fn gemm_nt_q8",
+        "pub fn gemm_nm",
+        "pub fn gemm_nt_nm",
+        "_ep(",
+        "_strided(",
+        // lx-tensor: one `matmul` (plus the f32-only `matmul_tn`).
+        "pub fn matmul_nt",
+        "pub fn matmul_f16",
+        "pub fn matmul_quant",
+        "pub fn matmul_nm",
+        "pub enum QuantView",
+        // lx-model: `Param::demote(dtype)` + `dtype()` cover these.
+        "pub fn to_half",
+        "pub fn to_quant",
+        "pub fn to_nm(",
+        "pub fn is_half",
+        "pub fn is_quant",
+        "pub fn is_nm",
+        "pub fn copy_row_into",
+    ] {
+        assert!(
+            !current.contains(retired),
+            "retired per-dtype entry point resurfaced: {retired}"
+        );
+    }
+    // Exactly the frozen contiguous conveniences survive in lx-kernels.
+    let lib_section = current
+        .split("## ")
+        .find(|s| s.starts_with("lx-kernels crates/kernels/src/lib.rs"))
+        .expect("lx-kernels lib.rs section in surface");
+    let gemm_fns: Vec<&str> = lib_section
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub fn gemm"))
+        .map(|rest| &rest[..rest.find('(').expect("fn signature")])
+        .collect();
+    assert_eq!(gemm_fns, ["", "_f16", "_nt", "_nt_f16", "_nt_q4", "_q4"]);
+    // Every backend implements exactly one GEMM method (trait methods carry
+    // no `pub`, so they are checked in the sources directly).
+    for file in ["backend", "packed", "dispatch", "observe"] {
+        let src = non_test_source(&format!("crates/kernels/src/{file}.rs"));
+        let methods = src
+            .lines()
+            .filter(|l| l.trim_start().starts_with("fn gemm"))
+            .count();
+        assert!(
+            (1..=2).contains(&methods),
+            "{file}.rs: {methods} `fn gemm*` methods"
+        );
+    }
+    // `Param` holds one `reduced: Option<Reduced>`, not a field per family.
+    let param = non_test_source("crates/model/src/param.rs");
+    for field in ["pub half:", "pub quant:", "pub nm:"] {
+        assert!(!param.contains(field), "Param field resurfaced: {field}");
+    }
+    assert!(param.contains("pub reduced: Option<Reduced>"));
 }

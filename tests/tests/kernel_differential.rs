@@ -1,18 +1,25 @@
-//! Differential property tests: the `Packed` backend (including its
-//! runtime-detected SIMD microkernel, when the host has one) must match the
-//! `Reference` scalar oracle bit-tolerantly (≤1e-4 relative) on every GEMM
-//! variant, across odd and degenerate shapes, strided views, and the
-//! block-sparse / neuron-sparse operator shapes the sparse crate issues.
+//! Differential property tests, table-driven through the single
+//! [`KernelBackend::gemm`] entry point: one grid over B-operand storage kind
+//! × B layout × epilogue × backend × (contiguous | strided) C. The `Packed`
+//! backend (including its runtime-detected SIMD microkernel, when the host
+//! has one) must match the `Reference` scalar oracle bit-tolerantly (≤1e-4
+//! relative) on every cell, across odd and degenerate shapes; the lossless
+//! N:M cells, fused-vs-unfused epilogues and parallel-vs-sequential runs
+//! must match **bitwise**. The block-sparse / neuron-sparse operator shapes
+//! the sparse crate issues ride along at the bottom.
 //!
 //! Shape axes are seeded sweeps, not proptest: the workspace is offline, and
 //! deterministic sweeps reproduce exactly in CI.
 
-use lx_kernels::{Epilogue, KernelBackend, MR, NR, PACKED, REFERENCE};
+use lx_kernels::{
+    BOperand, Epilogue, GemmOp, KernelBackend, Layout, Observed, AUTO, MR, NR, PACKED, REFERENCE,
+};
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
 use lx_sparse::patterns::PatternSpec;
 use lx_sparse::BlockCsr;
 use lx_tensor::rng::randn_vec;
+use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 
 const TOL: f32 = 1e-4;
 
@@ -23,322 +30,6 @@ fn assert_close(what: &str, got: &[f32], want: &[f32]) {
             (x - y).abs() <= TOL * (1.0 + y.abs()),
             "{what}: idx {i}: {x} vs {y}"
         );
-    }
-}
-
-/// The sweep axis: degenerate, around both register tiles, around the KC
-/// cache block, and a larger-than-one-block size.
-fn interesting_sizes() -> Vec<usize> {
-    let mut v = vec![0, 1, 3, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 40];
-    v.sort_unstable();
-    v.dedup();
-    v
-}
-
-#[test]
-fn packed_matches_reference_on_gemm_shape_sweep() {
-    let sizes = interesting_sizes();
-    let mut seed = 0u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(k * n, 1.0, seed + 1000);
-                let mut c_ref = randn_vec(m * n, 1.0, seed + 2000);
-                let mut c_packed = c_ref.clone();
-                // beta = 0.5 checks both the product and the C pre-scaling.
-                REFERENCE.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &b,
-                    n.max(1),
-                    &mut c_ref,
-                    n.max(1),
-                    0.5,
-                );
-                PACKED.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &b,
-                    n.max(1),
-                    &mut c_packed,
-                    n.max(1),
-                    0.5,
-                );
-                assert_close(&format!("gemm {m}x{k}x{n}"), &c_packed, &c_ref);
-            }
-        }
-    }
-}
-
-#[test]
-fn packed_matches_reference_on_nt_tn_sweep() {
-    let sizes = interesting_sizes();
-    let mut seed = 50_000u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a_nt = randn_vec(m * k, 1.0, seed);
-                let b_nt = randn_vec(n * k, 1.0, seed + 1000);
-                let mut c_ref = vec![0.0; m * n];
-                let mut c_packed = vec![0.0; m * n];
-                REFERENCE.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a_nt,
-                    k.max(1),
-                    &b_nt,
-                    k.max(1),
-                    &mut c_ref,
-                    n.max(1),
-                    0.0,
-                );
-                PACKED.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a_nt,
-                    k.max(1),
-                    &b_nt,
-                    k.max(1),
-                    &mut c_packed,
-                    n.max(1),
-                    0.0,
-                );
-                assert_close(&format!("gemm_nt {m}x{k}x{n}"), &c_packed, &c_ref);
-
-                let a_tn = randn_vec(k * m, 1.0, seed + 2000);
-                let b_tn = randn_vec(k * n, 1.0, seed + 3000);
-                let mut c_ref = randn_vec(m * n, 1.0, seed + 4000);
-                let mut c_packed = c_ref.clone();
-                REFERENCE.gemm_tn(
-                    m,
-                    k,
-                    n,
-                    &a_tn,
-                    m.max(1),
-                    &b_tn,
-                    n.max(1),
-                    &mut c_ref,
-                    n.max(1),
-                    1.0,
-                );
-                PACKED.gemm_tn(
-                    m,
-                    k,
-                    n,
-                    &a_tn,
-                    m.max(1),
-                    &b_tn,
-                    n.max(1),
-                    &mut c_packed,
-                    n.max(1),
-                    1.0,
-                );
-                assert_close(&format!("gemm_tn {m}x{k}x{n}"), &c_packed, &c_ref);
-            }
-        }
-    }
-}
-
-#[test]
-fn packed_matches_reference_on_strided_views() {
-    // The exact window shapes the sparse operators issue: compact activation
-    // matrices addressed with lda = width, C written into a strided slab.
-    let (rows, width, b, d) = (23, 3 * NR, NR, 37);
-    let act = randn_vec(rows * width, 1.0, 7);
-    let w = randn_vec(b * d, 1.0, 8);
-    for block in 0..width / b {
-        let a_win = &act[block * b..];
-        let mut c_ref = vec![0.0; rows * d];
-        let mut c_packed = vec![0.0; rows * d];
-        REFERENCE.gemm(rows, b, d, a_win, width, &w, d, &mut c_ref, d, 0.0);
-        PACKED.gemm(rows, b, d, a_win, width, &w, d, &mut c_packed, d, 0.0);
-        assert_close(&format!("strided block {block}"), &c_packed, &c_ref);
-
-        // Strided C: write one block column of a wide output.
-        let mut y_ref = vec![0.0; rows * width];
-        let mut y_packed = vec![0.0; rows * width];
-        let wt = randn_vec(b * d, 1.0, 9);
-        REFERENCE.gemm_nt(
-            rows,
-            d,
-            b,
-            &c_ref,
-            d,
-            &wt,
-            d,
-            &mut y_ref[block * b..],
-            width,
-            0.0,
-        );
-        PACKED.gemm_nt(
-            rows,
-            d,
-            b,
-            &c_packed,
-            d,
-            &wt,
-            d,
-            &mut y_packed[block * b..],
-            width,
-            0.0,
-        );
-        assert_close(&format!("strided C block {block}"), &y_packed, &y_ref);
-    }
-}
-
-#[test]
-fn large_shape_stays_within_tolerance() {
-    // One shape big enough to traverse several KC blocks and NC panels, where
-    // f32 summation-order differences accumulate the most.
-    let (m, k, n) = (70, 600, 70);
-    let a = randn_vec(m * k, 1.0, 11);
-    let b = randn_vec(k * n, 1.0, 12);
-    let mut c_ref = vec![0.0; m * n];
-    let mut c_packed = vec![0.0; m * n];
-    REFERENCE.gemm(m, k, n, &a, k, &b, n, &mut c_ref, n, 0.0);
-    PACKED.gemm(m, k, n, &a, k, &b, n, &mut c_packed, n, 0.0);
-    assert_close("large gemm", &c_packed, &c_ref);
-}
-
-/// Mixed-precision differential: the f16-B variants (fused pack-time decode
-/// in `Packed`, on-load decode in `Reference`) must match the oracle of
-/// "decode all of B to f32, then run the f32 kernel" within the usual
-/// backend tolerance — across the same shape grid as the f32 sweeps.
-#[test]
-fn f16_b_gemm_matches_decoded_oracle_on_shape_sweep() {
-    let sizes = interesting_sizes();
-    let mut seed = 100_000u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b32 = randn_vec(k * n, 1.0, seed + 1000);
-                let bits = lx_kernels::half::encode_slice(&b32);
-                // Oracle B: the exact f32 values the f16 storage holds.
-                let decoded: Vec<f32> = bits
-                    .iter()
-                    .map(|&x| lx_kernels::half::f16_bits_to_f32(x))
-                    .collect();
-                let mut want = randn_vec(m * n, 1.0, seed + 2000);
-                let mut got_ref = want.clone();
-                let mut got_packed = want.clone();
-                REFERENCE.gemm(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &decoded,
-                    n.max(1),
-                    &mut want,
-                    n.max(1),
-                    0.5,
-                );
-                REFERENCE.gemm_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    n.max(1),
-                    &mut got_ref,
-                    n.max(1),
-                    0.5,
-                );
-                PACKED.gemm_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    n.max(1),
-                    &mut got_packed,
-                    n.max(1),
-                    0.5,
-                );
-                assert_close(&format!("ref gemm_f16 {m}x{k}x{n}"), &got_ref, &want);
-                assert_close(&format!("packed gemm_f16 {m}x{k}x{n}"), &got_packed, &want);
-            }
-        }
-    }
-}
-
-#[test]
-fn f16_b_gemm_nt_matches_decoded_oracle_on_shape_sweep() {
-    let sizes = interesting_sizes();
-    let mut seed = 150_000u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b32 = randn_vec(n * k, 1.0, seed + 1000);
-                let bits = lx_kernels::half::encode_slice(&b32);
-                let decoded: Vec<f32> = bits
-                    .iter()
-                    .map(|&x| lx_kernels::half::f16_bits_to_f32(x))
-                    .collect();
-                let mut want = vec![0.0; m * n];
-                let mut got_ref = vec![0.0; m * n];
-                let mut got_packed = vec![0.0; m * n];
-                REFERENCE.gemm_nt(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &decoded,
-                    k.max(1),
-                    &mut want,
-                    n.max(1),
-                    0.0,
-                );
-                REFERENCE.gemm_nt_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    k.max(1),
-                    &mut got_ref,
-                    n.max(1),
-                    0.0,
-                );
-                PACKED.gemm_nt_f16(
-                    m,
-                    k,
-                    n,
-                    &a,
-                    k.max(1),
-                    &bits,
-                    k.max(1),
-                    &mut got_packed,
-                    n.max(1),
-                    0.0,
-                );
-                assert_close(&format!("ref gemm_nt_f16 {m}x{k}x{n}"), &got_ref, &want);
-                assert_close(
-                    &format!("packed gemm_nt_f16 {m}x{k}x{n}"),
-                    &got_packed,
-                    &want,
-                );
-            }
-        }
     }
 }
 
@@ -353,284 +44,274 @@ fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
     }
 }
 
-/// Apply `ep` to `c` the way the pre-fusion model code did: a full bias pass,
-/// then a full activation pass. The fused write-back must reproduce this
-/// bit-for-bit — per element the same scalar ops in the same order.
-fn manual_epilogue(c: &mut [f32], n: usize, ep: Epilogue<'_>) {
-    match ep {
-        Epilogue::None => {}
-        Epilogue::Bias(bias) => {
-            for (i, v) in c.iter_mut().enumerate() {
-                *v += bias[i % n.max(1)];
-            }
+/// The sweep axis: degenerate, around both register tiles, around the KC
+/// cache block, and a larger-than-one-block size.
+fn interesting_sizes() -> Vec<usize> {
+    let mut v = vec![0, 1, 3, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 40];
+    v.sort_unstable();
+    v.dedup();
+    v
+}
+
+/// The reduced grid the non-f32 storage kinds sweep where the f32 kind takes
+/// the full [`interesting_sizes`] cube.
+const REDUCED_SIZES: [usize; 5] = [0, 1, MR, NR + 1, 40];
+
+const BACKENDS: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
+const LAYOUTS: [Layout; 2] = [Layout::Normal, Layout::Transposed];
+
+/// Storage kinds of the B operand — one per [`BOperand`] variant.
+const KINDS: [Dtype; 5] = [
+    Dtype::F32,
+    Dtype::F16,
+    Dtype::I8Block,
+    Dtype::Nf4Block,
+    Dtype::Nm24,
+];
+
+/// An owned `rows × cols` B matrix stored at one [`Dtype`].
+struct BMat {
+    dense: Tensor,
+    /// `None` for f32: the operand is `dense` itself.
+    reduced: Option<Reduced>,
+}
+
+impl BMat {
+    fn encode(kind: Dtype, dense: &[f32], rows: usize, cols: usize) -> Self {
+        let dense = Tensor::from_vec(dense.to_vec(), &[rows, cols]);
+        let reduced = (kind != Dtype::F32).then(|| Reduced::from_tensor(&dense, kind));
+        BMat { dense, reduced }
+    }
+
+    /// Random B for a `k×n` product stored in `layout`.
+    fn random(kind: Dtype, layout: Layout, k: usize, n: usize, seed: u64) -> Self {
+        let (rows, cols) = match layout {
+            Layout::Normal => (k, n),
+            Layout::Transposed => (n, k),
+        };
+        Self::encode(kind, &randn_vec(rows * cols, 1.0, seed), rows, cols)
+    }
+
+    fn operand(&self) -> BOperand<'_> {
+        match &self.reduced {
+            Some(r) => BRef::from(r).operand(),
+            None => BRef::from(&self.dense).operand(),
         }
-        Epilogue::BiasGelu(bias) => {
-            for (i, v) in c.iter_mut().enumerate() {
-                *v += bias[i % n.max(1)];
-            }
-            for v in c.iter_mut() {
+    }
+
+    /// The exact f32 values the storage holds — the decode-up-front oracle B
+    /// (read through the elementwise accessor, independent of the row
+    /// decoders under test).
+    fn decoded(&self) -> Vec<f32> {
+        let operand = self.operand();
+        (0..operand.len()).map(|i| operand.get(i)).collect()
+    }
+}
+
+/// Contiguous `A·op(B)` with `beta`/`ep` into a copy of `c0`.
+#[allow(clippy::too_many_arguments)]
+fn product<'a>(
+    be: &dyn KernelBackend,
+    (m, k, n): (usize, usize, usize),
+    a: &'a [f32],
+    b: impl Into<BOperand<'a>>,
+    b_layout: Layout,
+    c0: &[f32],
+    beta: f32,
+    ep: Epilogue<'_>,
+) -> Vec<f32> {
+    let mut c = c0.to_vec();
+    let op = GemmOp::contiguous(m, k, n, a, Layout::Normal, b, b_layout);
+    be.gemm(&op, &mut c, n.max(1), beta, ep);
+    c
+}
+
+/// Apply `ep` to an `m×n` window of `c` (row stride `ldc`) the way the
+/// pre-fusion model code did: a full bias pass, then a full activation pass.
+/// The fused write-back must reproduce this bit-for-bit — per element the
+/// same scalar ops in the same order.
+fn manual_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, ep: Epilogue<'_>) {
+    let (Epilogue::Bias(bias) | Epilogue::BiasGelu(bias)) = ep else {
+        return;
+    };
+    for r in 0..m {
+        for (v, b) in c[r * ldc..r * ldc + n].iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+    if matches!(ep, Epilogue::BiasGelu(_)) {
+        for r in 0..m {
+            for v in &mut c[r * ldc..r * ldc + n] {
                 *v = lx_kernels::gelu(*v);
             }
         }
     }
 }
 
-/// Fused epilogue oracle sweep over the f32 entry points: for every backend,
-/// shape, and epilogue kind, `gemm_ep` must equal "same backend's plain gemm,
-/// then the unfused bias/GELU passes" — bitwise, nn and nt forms.
+/// Every storage kind × B layout over the shape cube: both backends' fused
+/// path (pack-time decode in `Packed`, on-load decode in `Reference`) must
+/// match the oracle of "decode all of B to f32, then run the reference f32
+/// kernel". The N:M codec is lossless (kept bits verbatim, pruned positions
+/// exact zero), so there each backend must additionally be **bit-identical**
+/// to its own f32 kernel on the decoded B — `Reference` via its on-load row
+/// decode, `Packed` via the pack-time group expansion with the
+/// all-zero-group skip. The f32 rows also cover the `Aᵀ·B` shape.
 #[test]
-fn fused_epilogues_match_unfused_composition_bitwise() {
+fn packed_matches_reference_on_operand_grid() {
     let sizes = interesting_sizes();
-    let backends: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
-    let mut seed = 200_000u64;
+    let mut seed = 0u64;
     for &m in &sizes {
         for &k in &sizes {
             for &n in &sizes {
                 seed += 1;
+                let dims = (m, k, n);
                 let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(k * n, 1.0, seed + 1000);
-                let b_t = randn_vec(n * k, 1.0, seed + 2000);
-                let bias = randn_vec(n, 1.0, seed + 3000);
-                let c0 = randn_vec(m * n, 1.0, seed + 4000);
-                for be in backends {
-                    for fused_ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
-                        // beta = 0.5: the epilogue must apply after the
-                        // pre-scale *and* the accumulation, never between.
-                        let mut want = c0.clone();
-                        be.gemm(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.5,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = c0.clone();
-                        be.gemm_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.5,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_ep {m}x{k}x{n} {fused_ep:?}", be.name()),
-                            &got,
-                            &want,
-                        );
-
-                        let mut want_nt = c0.clone();
-                        be.gemm_nt(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b_t,
-                            k.max(1),
-                            &mut want_nt,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want_nt, n, fused_ep);
-                        let mut got_nt = c0.clone();
-                        be.gemm_nt_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &b_t,
-                            k.max(1),
-                            &mut got_nt,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_nt_ep {m}x{k}x{n} {fused_ep:?}", be.name()),
-                            &got_nt,
-                            &want_nt,
-                        );
+                let c0 = randn_vec(m * n, 1.0, seed + 2000);
+                for kind in KINDS {
+                    for layout in LAYOUTS {
+                        // Normal runs with beta = 0.5 to check both the
+                        // product and the C pre-scaling; Transposed
+                        // overwrites.
+                        let beta = if layout == Layout::Normal { 0.5 } else { 0.0 };
+                        let b = BMat::random(kind, layout, k, n, seed + 1000);
+                        let dec = b.decoded();
+                        let what = format!("{kind:?} {layout:?} {m}x{k}x{n}");
+                        let run = |be: &dyn KernelBackend, b: BOperand<'_>| {
+                            product(be, dims, &a, b, layout, &c0, beta, Epilogue::None)
+                        };
+                        let want = run(&REFERENCE, BOperand::F32(&dec));
+                        for be in BACKENDS {
+                            let got = run(be, b.operand());
+                            assert_close(&format!("{} {what}", be.name()), &got, &want);
+                            if kind == Dtype::Nm24 {
+                                let own = run(be, BOperand::F32(&dec));
+                                assert_bits(&format!("{} {what}", be.name()), &got, &own);
+                            }
+                        }
                     }
                 }
+                let a_tn = randn_vec(k * m, 1.0, seed + 3000);
+                let b_tn = randn_vec(k * n, 1.0, seed + 4000);
+                let op = GemmOp::tn(m, k, n, &a_tn, m.max(1), &b_tn[..], n.max(1));
+                let (mut c_ref, mut c_packed) = (c0.clone(), c0.clone());
+                REFERENCE.gemm(&op, &mut c_ref, n.max(1), 1.0, Epilogue::None);
+                PACKED.gemm(&op, &mut c_packed, n.max(1), 1.0, Epilogue::None);
+                assert_close(&format!("tn {m}x{k}x{n}"), &c_packed, &c_ref);
             }
         }
     }
 }
 
-/// The same fused-vs-unfused oracle for the mixed-precision entry points
-/// (f16, int8-block, NF4-block, N:M-sparse B), on a reduced grid: each
-/// dtype's `_ep` variant must equal its own plain variant plus the manual
-/// passes, bitwise, on both backends (`Reference` exercises the defaulted
-/// trait methods).
 #[test]
-fn fused_epilogues_match_on_quantized_dtypes() {
-    let sizes = [0usize, 1, MR, NR + 1, 40];
-    let backends: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
-    let mut seed = 300_000u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(k * n, 1.0, seed + 1000);
-                let bias = randn_vec(n, 1.0, seed + 2000);
-                let bits = lx_kernels::half::encode_slice(&b);
-                let (q8c, q8s) = lx_quant::q8::quantize(&b);
-                let (q4c, q4s) = lx_quant::nf4::quantize(&b);
-                let (nmv, nmm) = lx_quant::nm::encode(&b, k, n, 2, 4);
-                for be in backends {
-                    for fused_ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_f16(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &bits,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_f16_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            &bits,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_f16_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
+fn packed_matches_reference_on_strided_views() {
+    // The exact window shapes the sparse operators issue: compact activation
+    // matrices addressed with lda = width, C written into a strided slab.
+    let (rows, width, b, d) = (23, 3 * NR, NR, 37);
+    let act = randn_vec(rows * width, 1.0, 7);
+    let w = randn_vec(b * d, 1.0, 8);
+    let wt = randn_vec(b * d, 1.0, 9);
+    for block in 0..width / b {
+        // Strided A: one block column of the compact activations.
+        let strided_a = GemmOp::nn(rows, b, d, &act[block * b..], width, &w[..], d);
+        let mut c_ref = vec![0.0; rows * d];
+        let mut c_packed = vec![0.0; rows * d];
+        REFERENCE.gemm(&strided_a, &mut c_ref, d, 0.0, Epilogue::None);
+        PACKED.gemm(&strided_a, &mut c_packed, d, 0.0, Epilogue::None);
+        assert_close(&format!("strided block {block}"), &c_packed, &c_ref);
 
-                        let q8 = lx_kernels::Q8View::new(&q8c, &q8s);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_q8(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q8,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_q8_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q8,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_q8_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
+        // Strided C: write one block column of a wide output.
+        let mut y_ref = vec![0.0; rows * width];
+        let mut y_packed = vec![0.0; rows * width];
+        let op_ref = GemmOp::nt(rows, d, b, &c_ref, d, &wt[..], d);
+        let op_packed = GemmOp::nt(rows, d, b, &c_packed, d, &wt[..], d);
+        REFERENCE.gemm(&op_ref, &mut y_ref[block * b..], width, 0.0, Epilogue::None);
+        PACKED.gemm(
+            &op_packed,
+            &mut y_packed[block * b..],
+            width,
+            0.0,
+            Epilogue::None,
+        );
+        assert_close(&format!("strided C block {block}"), &y_packed, &y_ref);
+    }
+}
 
-                        let q4 = lx_kernels::Q4View::new(&q4c, &q4s, k * n);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_q4(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q4,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_q4_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            q4,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_q4_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
+#[test]
+fn large_shape_stays_within_tolerance() {
+    // One shape big enough to traverse several KC blocks and NC panels, where
+    // f32 summation-order differences accumulate the most.
+    let dims = (70, 600, 70);
+    let a = randn_vec(70 * 600, 1.0, 11);
+    let b = randn_vec(600 * 70, 1.0, 12);
+    let c0 = vec![0.0; 70 * 70];
+    let run = |be| {
+        product(
+            be,
+            dims,
+            &a,
+            &b[..],
+            Layout::Normal,
+            &c0,
+            0.0,
+            Epilogue::None,
+        )
+    };
+    assert_close("large gemm", &run(&PACKED), &run(&REFERENCE));
+}
 
-                        let nm = lx_kernels::NmView::new(&nmv, &nmm, k, n, 2, 4);
-                        let mut want = vec![0.0; m * n];
-                        be.gemm_nm(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            nm,
-                            n.max(1),
-                            &mut want,
-                            n.max(1),
-                            0.0,
-                        );
-                        manual_epilogue(&mut want, n, fused_ep);
-                        let mut got = vec![0.0; m * n];
-                        be.gemm_nm_ep(
-                            m,
-                            k,
-                            n,
-                            &a,
-                            k.max(1),
-                            nm,
-                            n.max(1),
-                            &mut got,
-                            n.max(1),
-                            0.0,
-                            fused_ep,
-                        );
-                        assert_bits(
-                            &format!("{} gemm_nm_ep {m}x{k}x{n}", be.name()),
-                            &got,
-                            &want,
-                        );
+/// Fused epilogue oracle over the whole operand grid: for every backend,
+/// storage kind, B layout, shape and epilogue kind, the fused call must equal
+/// "same backend, same operand, no epilogue, then the unfused bias/GELU
+/// passes" — bitwise. The f32 kind sweeps the full shape cube, the
+/// mixed-precision kinds a reduced one.
+#[test]
+fn fused_epilogues_match_unfused_composition_bitwise() {
+    let full = interesting_sizes();
+    let mut seed = 200_000u64;
+    for kind in KINDS {
+        let sizes: &[usize] = if kind == Dtype::F32 {
+            &full
+        } else {
+            &REDUCED_SIZES
+        };
+        for &m in sizes {
+            for &k in sizes {
+                for &n in sizes {
+                    seed += 1;
+                    let dims = (m, k, n);
+                    let a = randn_vec(m * k, 1.0, seed);
+                    let bias = randn_vec(n, 1.0, seed + 3000);
+                    let c0 = randn_vec(m * n, 1.0, seed + 4000);
+                    for layout in LAYOUTS {
+                        // beta = 0.5 on the Normal layout: the epilogue must
+                        // apply after the pre-scale *and* the accumulation,
+                        // never between.
+                        let beta = if layout == Layout::Normal { 0.5 } else { 0.0 };
+                        let b = BMat::random(kind, layout, k, n, seed + 1000);
+                        for be in BACKENDS {
+                            for ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
+                                let mut want = product(
+                                    be,
+                                    dims,
+                                    &a,
+                                    b.operand(),
+                                    layout,
+                                    &c0,
+                                    beta,
+                                    Epilogue::None,
+                                );
+                                manual_epilogue(&mut want, m, n, n, ep);
+                                let got = product(be, dims, &a, b.operand(), layout, &c0, beta, ep);
+                                assert_bits(
+                                    &format!(
+                                        "{} {kind:?} {layout:?} {m}x{k}x{n} {ep:?}",
+                                        be.name()
+                                    ),
+                                    &got,
+                                    &want,
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -690,263 +371,57 @@ fn nm_codec_round_trip_covers_tail_zero_and_absent_groups() {
     assert_bits("nm zero/absent groups", &got, &want);
 }
 
-/// N:M B variants against the decode-up-front oracle. Unlike the quantized
-/// dtypes this codec is lossless (kept bits verbatim, pruned positions exact
-/// zero), so each backend's `gemm_nm`/`gemm_nt_nm` must be **bit-identical**
-/// to decoding B and running that same backend's f32 kernel — `Reference`
-/// via its on-load row decode, `Packed` via the pack-time group expansion
-/// with the all-zero-group skip.
+/// Every storage kind into a strided C window (one block column of a wide
+/// slab, the layout the sparse FC1 writes), with and without a fused
+/// epilogue, through both the parallel and the forced-sequential driver: the
+/// write — and the epilogue — must stay inside the window, index the bias by
+/// the GEMM's own columns (not the slab's), and match the unfused
+/// composition on the decoded-dense B bit for bit.
 #[test]
-fn nm_gemm_matches_decoded_oracle_bitwise_on_shape_sweep() {
-    let sizes = interesting_sizes();
-    let backends: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
-    let mut seed = 600_000u64;
-    for &m in &sizes {
-        for &k in &sizes {
-            for &n in &sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b_nn = randn_vec(k * n, 1.0, seed + 1000);
-                let b_nt = randn_vec(n * k, 1.0, seed + 2000);
-                let (vals_nn, masks_nn) = lx_quant::nm::encode(&b_nn, k, n, 2, 4);
-                let (vals_nt, masks_nt) = lx_quant::nm::encode(&b_nt, n, k, 2, 4);
-                let mut dec_nn = vec![0.0; k * n];
-                let mut dec_nt = vec![0.0; n * k];
-                lx_quant::nm::decode(&vals_nn, &masks_nn, k, n, 2, 4, &mut dec_nn);
-                lx_quant::nm::decode(&vals_nt, &masks_nt, n, k, 2, 4, &mut dec_nt);
-                let c0 = randn_vec(m * n, 1.0, seed + 3000);
-                for be in backends {
-                    // beta = 0.5 checks the product and the C pre-scaling.
-                    let view = lx_kernels::NmView::new(&vals_nn, &masks_nn, k, n, 2, 4);
-                    let mut want = c0.clone();
-                    be.gemm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        &dec_nn,
-                        n.max(1),
-                        &mut want,
-                        n.max(1),
-                        0.5,
-                    );
-                    let mut got = c0.clone();
-                    be.gemm_nm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        view,
-                        n.max(1),
-                        &mut got,
-                        n.max(1),
-                        0.5,
-                    );
-                    assert_bits(&format!("{} gemm_nm {m}x{k}x{n}", be.name()), &got, &want);
-
-                    let view = lx_kernels::NmView::new(&vals_nt, &masks_nt, n, k, 2, 4);
-                    let mut want = vec![0.0; m * n];
-                    be.gemm_nt(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        &dec_nt,
-                        k.max(1),
-                        &mut want,
-                        n.max(1),
-                        0.0,
-                    );
-                    let mut got = vec![0.0; m * n];
-                    be.gemm_nt_nm(
-                        m,
-                        k,
-                        n,
-                        &a,
-                        k.max(1),
-                        view,
-                        k.max(1),
-                        &mut got,
-                        n.max(1),
-                        0.0,
-                    );
-                    assert_bits(
-                        &format!("{} gemm_nt_nm {m}x{k}x{n}", be.name()),
-                        &got,
-                        &want,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// N:M GEMM into a strided C window (one block column of a wide slab, the
-/// layout the sparse FC1 writes): the write must stay inside the window and
-/// match the decoded-dense run bit for bit on both backends, through both
-/// the parallel and the forced-sequential driver.
-#[test]
-fn nm_gemm_respects_strided_c_views_bitwise_on_both_paths() {
-    let (rows, width, b, d) = (13, 3 * NR, NR, 24);
-    let act = randn_vec(rows * d, 1.0, 71);
-    let w = randn_vec(b * d, 1.0, 72);
-    let (vals, masks) = lx_quant::nm::encode(&w, b, d, 2, 4);
-    let mut dec = vec![0.0; b * d];
-    lx_quant::nm::decode(&vals, &masks, b, d, 2, 4, &mut dec);
-    for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
-        for block in 0..width / b {
-            let mut want = vec![1.0f32; rows * width];
-            be.gemm_nt(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &dec,
-                d,
-                &mut want[block * b..],
-                width,
-                0.0,
-            );
-            let view = lx_kernels::NmView::new(&vals, &masks, b, d, 2, 4);
-            let mut got_seq = vec![1.0f32; rows * width];
-            lx_kernels::with_sequential(|| {
-                be.gemm_nt_nm(
-                    rows,
-                    d,
-                    b,
-                    &act,
-                    d,
-                    view,
-                    d,
-                    &mut got_seq[block * b..],
-                    width,
-                    0.0,
-                );
-            });
-            assert_bits(
-                &format!("{} nm strided seq block {block}", be.name()),
-                &got_seq,
-                &want,
-            );
-            let mut got_par = vec![1.0f32; rows * width];
-            be.gemm_nt_nm(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                view,
-                d,
-                &mut got_par[block * b..],
-                width,
-                0.0,
-            );
-            assert_bits(
-                &format!("{} nm strided par block {block}", be.name()),
-                &got_par,
-                &want,
-            );
-        }
-    }
-}
-
-/// The parallel N:M macro-kernel must be bit-identical to the sequential
-/// driver, same as the f32 path: workers own disjoint row panels of C and
-/// per-panel summation order is unchanged. The grid includes shapes small
-/// enough to stay on one worker and big enough to actually split.
-#[test]
-fn parallel_nm_is_bit_identical_to_sequential() {
-    let m_sizes = [1usize, MR, 40, 97];
-    let k_sizes = [7usize, 40, 96];
-    let n_sizes = [NR - 1, 40, 97];
-    let mut seed = 700_000u64;
-    for &m in &m_sizes {
-        for &k in &k_sizes {
-            for &n in &n_sizes {
-                seed += 1;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(n * k, 1.0, seed + 1000);
-                let (vals, masks) = lx_quant::nm::encode(&b, n, k, 2, 4);
-                let view = lx_kernels::NmView::new(&vals, &masks, n, k, 2, 4);
-                let mut c_seq = vec![0.25f32; m * n];
-                lx_kernels::with_sequential(|| {
-                    PACKED.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_seq, n, 0.5);
-                });
-                let mut c_par = vec![0.25f32; m * n];
-                PACKED.gemm_nt_nm(m, k, n, &a, k, view, k, &mut c_par, n, 0.5);
-                assert_bits(&format!("nm par vs seq {m}x{k}x{n}"), &c_par, &c_seq);
-            }
-        }
-    }
-}
-
-/// Fused epilogue on a strided C window (one block column of a wide slab,
-/// the layout the sparse FC1 writes): the epilogue must touch only the
-/// window and index the bias by the GEMM's own columns, not the slab's.
-#[test]
-fn fused_epilogue_respects_strided_c_views() {
+fn strided_c_views_are_respected_bitwise_on_both_paths() {
     let (rows, width, b, d) = (13, 3 * NR, NR, 24);
     let act = randn_vec(rows * d, 1.0, 61);
-    let wt = randn_vec(b * d, 1.0, 62);
     let bias = randn_vec(b, 1.0, 63);
-    for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
-        for block in 0..width / b {
-            let mut want = vec![1.0f32; rows * width];
-            be.gemm_nt(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &wt,
-                d,
-                &mut want[block * b..],
-                width,
-                0.0,
-            );
-            for r in 0..rows {
-                for j in 0..b {
-                    let v = &mut want[r * width + block * b + j];
-                    *v = lx_kernels::gelu(*v + bias[j]);
+    for kind in KINDS {
+        let w = BMat::encode(kind, &randn_vec(b * d, 1.0, 62), b, d);
+        let dec = w.decoded();
+        for be in BACKENDS {
+            for block in 0..width / b {
+                let window = |operand: BOperand<'_>, ep: Epilogue<'_>| {
+                    let mut slab = vec![1.0f32; rows * width];
+                    let op = GemmOp::nt(rows, d, b, &act, d, operand, d);
+                    be.gemm(&op, &mut slab[block * b..], width, 0.0, ep);
+                    slab
+                };
+                for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
+                    let what = format!("{} {kind:?} block {block} {ep:?}", be.name());
+                    // Oracle: the same backend's f32 kernel on the decoded
+                    // B, then the unfused passes. The fused decode hands the
+                    // kernel the very same f32 operand values, so this is
+                    // bitwise for every kind, not only the lossless N:M.
+                    let mut want = window(BOperand::F32(&dec), Epilogue::None);
+                    manual_epilogue(&mut want[block * b..], rows, b, width, ep);
+                    let got_seq = lx_kernels::with_sequential(|| window(w.operand(), ep));
+                    assert_bits(&format!("{what} seq"), &got_seq, &want);
+                    let got_par = window(w.operand(), ep);
+                    assert_bits(&format!("{what} par"), &got_par, &want);
                 }
             }
-            let mut got = vec![1.0f32; rows * width];
-            be.gemm_nt_ep(
-                rows,
-                d,
-                b,
-                &act,
-                d,
-                &wt,
-                d,
-                &mut got[block * b..],
-                width,
-                0.0,
-                Epilogue::BiasGelu(&bias),
-            );
-            assert_bits(
-                &format!("{} strided ep block {block}", be.name()),
-                &got,
-                &want,
-            );
         }
     }
 }
 
 /// The parallel macro-kernel must be bit-identical to the single-threaded
-/// driver: workers own disjoint row panels of C and each panel's summation
-/// order is unchanged, so this is exact equality, not a tolerance. The grid
-/// includes shapes smaller than one worker panel (a single register tile of
-/// rows) and a shape big enough to actually split.
+/// driver for every storage kind, B layout and epilogue: workers own disjoint
+/// row panels of C and each panel's summation order is unchanged, so this is
+/// exact equality, not a tolerance. The grid includes shapes smaller than one
+/// worker panel (a single register tile of rows) and shapes big enough to
+/// actually split.
 #[test]
 fn parallel_packed_is_bit_identical_to_sequential() {
     let mut m_sizes = interesting_sizes();
     m_sizes.push(97); // several MR panels: splits across workers when pooled
-    let k_sizes = [1usize, 7, NR, 40];
+    let k_sizes = [1usize, 7, NR, 40, 96];
     let n_sizes = [1usize, NR - 1, 40, 97];
     let mut seed = 400_000u64;
     for &m in &m_sizes {
@@ -954,16 +429,24 @@ fn parallel_packed_is_bit_identical_to_sequential() {
             for &n in &n_sizes {
                 seed += 1;
                 let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(k * n, 1.0, seed + 1000);
                 let bias = randn_vec(n, 1.0, seed + 2000);
-                for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
-                    let mut c_seq = vec![0.25f32; m * n];
-                    lx_kernels::with_sequential(|| {
-                        PACKED.gemm_ep(m, k, n, &a, k, &b, n, &mut c_seq, n, 0.5, ep);
-                    });
-                    let mut c_par = vec![0.25f32; m * n];
-                    PACKED.gemm_ep(m, k, n, &a, k, &b, n, &mut c_par, n, 0.5, ep);
-                    assert_bits(&format!("par vs seq {m}x{k}x{n} {ep:?}"), &c_par, &c_seq);
+                let c0 = vec![0.25f32; m * n];
+                for kind in KINDS {
+                    for layout in LAYOUTS {
+                        let b = BMat::random(kind, layout, k, n, seed + 1000);
+                        for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
+                            let run = || {
+                                product(&PACKED, (m, k, n), &a, b.operand(), layout, &c0, 0.5, ep)
+                            };
+                            let c_seq = lx_kernels::with_sequential(run);
+                            let c_par = run();
+                            assert_bits(
+                                &format!("par vs seq {kind:?} {layout:?} {m}x{k}x{n} {ep:?}"),
+                                &c_par,
+                                &c_seq,
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -977,29 +460,117 @@ fn parallel_packed_is_bit_identical_to_sequential() {
 #[test]
 fn gemm_inside_every_worker_takes_the_sequential_path() {
     let tasks = (lx_parallel::pool().threads() * 2).max(4);
-    let (m, k, n) = (MR + 3, 33, NR + 5);
-    // grain 1 → one chunk per task index, so every worker gets GEMM work.
-    let results = lx_parallel::parallel_map(0..tasks, 1, |chunk| {
-        chunk
-            .map(|i| {
-                let seed = 500_000 + i as u64;
-                let a = randn_vec(m * k, 1.0, seed);
-                let b = randn_vec(k * n, 1.0, seed + 1);
-                let mut c = vec![0.0f32; m * n];
-                PACKED.gemm(m, k, n, &a, k, &b, n, &mut c, n, 0.0);
-                c
-            })
-            .collect::<Vec<_>>()
-    });
-    for (i, got) in results.into_iter().flatten().enumerate() {
+    let dims = (MR + 3, 33, NR + 5);
+    let inputs = |i: usize| {
         let seed = 500_000 + i as u64;
-        let a = randn_vec(m * k, 1.0, seed);
-        let b = randn_vec(k * n, 1.0, seed + 1);
-        let mut want = vec![0.0f32; m * n];
-        lx_kernels::with_sequential(|| {
-            PACKED.gemm(m, k, n, &a, k, &b, n, &mut want, n, 0.0);
-        });
+        (
+            randn_vec(dims.0 * dims.1, 1.0, seed),
+            randn_vec(dims.1 * dims.2, 1.0, seed + 1),
+        )
+    };
+    let gemm = |i: usize| {
+        let (a, b) = inputs(i);
+        let c0 = vec![0.0f32; dims.0 * dims.2];
+        product(
+            &PACKED,
+            dims,
+            &a,
+            &b[..],
+            Layout::Normal,
+            &c0,
+            0.0,
+            Epilogue::None,
+        )
+    };
+    // grain 1 → one chunk per task index, so every worker gets GEMM work.
+    let results =
+        lx_parallel::parallel_map(0..tasks, 1, |chunk| chunk.map(gemm).collect::<Vec<_>>());
+    for (i, got) in results.into_iter().flatten().enumerate() {
+        let want = lx_kernels::with_sequential(|| gemm(i));
         assert_bits(&format!("worker gemm {i}"), &got, &want);
+    }
+}
+
+/// A transposed `A` is the gradient-of-weights shape and only ever meets a
+/// plain f32, non-transposed `B`: every other combination is rejected up
+/// front, by every backend, rather than silently computing something.
+#[test]
+fn transposed_a_with_non_f32_or_transposed_b_is_rejected() {
+    let (m, k, n) = (8, 8, 8);
+    let a = randn_vec(k * m, 1.0, 801);
+    let backends: [&dyn KernelBackend; 4] = [&REFERENCE, &PACKED, &AUTO, lx_kernels::backend()];
+    for kind in KINDS {
+        for layout in LAYOUTS {
+            if kind == Dtype::F32 && layout == Layout::Normal {
+                continue; // the one supported combination
+            }
+            let b = BMat::random(kind, layout, k, n, 802);
+            for be in backends {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let op =
+                        GemmOp::contiguous(m, k, n, &a, Layout::Transposed, b.operand(), layout);
+                    be.gemm(&op, &mut vec![0.0; m * n], n, 0.0, Epilogue::None);
+                }));
+                let payload = result.expect_err("unsupported combination must panic");
+                let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(
+                    msg.contains("transposed A requires an f32, non-transposed B"),
+                    "{} {kind:?} {layout:?}: {msg}",
+                    be.name()
+                );
+            }
+        }
+    }
+}
+
+/// The `Observed` wrapper derives the `dtype` label from the operand: one
+/// call per storage kind must bump exactly its own
+/// `kernel.gemm.calls{backend,class,dtype,isa,threads}` counter and none of
+/// the other four. The shape is large-class on the reference backend — a
+/// bucket no concurrently running test dispatches into — so the deltas are
+/// exact.
+#[test]
+fn observed_attributes_all_five_dtype_labels_from_the_operand() {
+    static OBSERVED: Observed = Observed::new(&REFERENCE);
+    const LABELS: [&str; 5] = ["f32", "f16", "i8-block", "nf4-block", "nm-2:4"];
+    let (m, k, n) = (256, 256, 256); // 2·256³ = 2^25 FLOPs: first large shape
+    let isa = lx_kernels::active_isa().name();
+    let threads = lx_parallel::pool().threads().to_string();
+    let counters = LABELS.map(|dtype| {
+        lx_obs::registry().counter_labeled(
+            "kernel.gemm.calls",
+            &[
+                ("backend", "reference"),
+                ("class", "large"),
+                ("dtype", dtype),
+                ("isa", isa),
+                ("threads", &threads),
+            ],
+        )
+    });
+    let a = randn_vec(m * k, 1.0, 901);
+    let c0 = vec![0.0; m * n];
+    for (i, kind) in KINDS.into_iter().enumerate() {
+        let b = BMat::random(kind, Layout::Normal, k, n, 902);
+        let before = counters.each_ref().map(|c| c.get());
+        let _ = product(
+            &OBSERVED,
+            (m, k, n),
+            &a,
+            b.operand(),
+            Layout::Normal,
+            &c0,
+            0.0,
+            Epilogue::None,
+        );
+        for (j, counter) in counters.iter().enumerate() {
+            assert_eq!(
+                counter.get() - before[j],
+                u64::from(i == j),
+                "{kind:?} call vs dtype={} counter",
+                LABELS[j]
+            );
+        }
     }
 }
 
@@ -1010,25 +581,24 @@ fn attention_block_shapes_match() {
     for (b, dh) in [(4usize, 8usize), (16, 32), (32, 64), (32, 80)] {
         let q = randn_vec(b * dh, 1.0, 21);
         let k = randn_vec(b * dh, 1.0, 22);
-        let mut s_ref = vec![0.0; b * b];
-        let mut s_packed = vec![0.0; b * b];
-        REFERENCE.gemm_nt(b, dh, b, &q, dh, &k, dh, &mut s_ref, b, 0.0);
-        PACKED.gemm_nt(b, dh, b, &q, dh, &k, dh, &mut s_packed, b, 0.0);
-        assert_close(&format!("scores block b={b} dh={dh}"), &s_packed, &s_ref);
-
         let p = randn_vec(b * b, 1.0, 23);
         let v = randn_vec(b * dh, 1.0, 24);
-        let mut o_ref = vec![0.0; b * dh];
-        let mut o_packed = vec![0.0; b * dh];
-        REFERENCE.gemm(b, b, dh, &p, b, &v, dh, &mut o_ref, dh, 1.0);
-        PACKED.gemm(b, b, dh, &p, b, &v, dh, &mut o_packed, dh, 1.0);
-        assert_close(&format!("context block b={b}"), &o_packed, &o_ref);
-
-        let mut t_ref = vec![0.0; b * dh];
-        let mut t_packed = vec![0.0; b * dh];
-        REFERENCE.gemm_tn(b, b, dh, &p, b, &v, dh, &mut t_ref, dh, 1.0);
-        PACKED.gemm_tn(b, b, dh, &p, b, &v, dh, &mut t_packed, dh, 1.0);
-        assert_close(&format!("transposed block b={b}"), &t_packed, &t_ref);
+        for (what, op, ldc, beta) in [
+            ("scores", GemmOp::nt(b, dh, b, &q, dh, &k[..], dh), b, 0.0),
+            ("context", GemmOp::nn(b, b, dh, &p, b, &v[..], dh), dh, 1.0),
+            (
+                "transposed",
+                GemmOp::tn(b, b, dh, &p, b, &v[..], dh),
+                dh,
+                1.0,
+            ),
+        ] {
+            let mut c_ref = vec![0.0; b * ldc];
+            let mut c_packed = vec![0.0; b * ldc];
+            REFERENCE.gemm(&op, &mut c_ref, ldc, beta, Epilogue::None);
+            PACKED.gemm(&op, &mut c_packed, ldc, beta, Epilogue::None);
+            assert_close(&format!("{what} block b={b} dh={dh}"), &c_packed, &c_ref);
+        }
     }
 }
 

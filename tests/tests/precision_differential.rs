@@ -30,14 +30,21 @@ fn batch(model: &TransformerModel, n: usize, seq: usize, seed: u64) -> Vec<u32> 
         .collect()
 }
 
+/// Tensor bytes this thread has allocated and still holds since `before`
+/// (a [`memtrack::thread_live_bytes`] reading). Thread-scoped, so sibling
+/// tests allocating concurrently cannot perturb the exact-delta assertions.
+fn live_bytes_since(before: isize) -> usize {
+    usize::try_from(memtrack::thread_live_bytes() - before).expect("net allocation")
+}
+
 #[test]
 fn measured_backbone_footprint_is_at_most_055x() {
     let build = |precision: Precision| {
-        let before = memtrack::current_bytes();
+        let before = memtrack::thread_live_bytes();
         let mut model = TransformerModel::new(ModelConfig::opt_sim_small(), 42);
         model.freeze_all();
         model.set_precision(precision);
-        (model, memtrack::current_bytes() - before)
+        (model, live_bytes_since(before))
     };
     let (_m32, f32_bytes) = build(Precision::F32);
     let (mut m16, f16_bytes) = build(Precision::F16Frozen);
@@ -173,11 +180,11 @@ fn sparse_path_on_f16_storage_matches_rounded_f32_model() {
 #[test]
 fn measured_backbone_footprint_hits_quantized_gates() {
     let build = |precision: Precision| {
-        let before = memtrack::current_bytes();
+        let before = memtrack::thread_live_bytes();
         let mut model = TransformerModel::new(ModelConfig::opt_sim_small(), 42);
         model.freeze_all();
         model.set_precision(precision);
-        let measured = memtrack::current_bytes() - before;
+        let measured = live_bytes_since(before);
         // The dtype-accounted sum agrees with the allocator-tracked delta.
         assert_eq!(model.param_storage_bytes(), measured, "{precision}");
         (model, measured)
@@ -454,8 +461,8 @@ fn merge_on_nm24_backbone_preserves_masks_bit_exactly() {
     PeftMethod::lora_default().apply(&mut m, 41);
     let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
     m.for_each_param(&mut |p| {
-        if let Some(s) = &p.nm {
-            masks_before.push((p.name.clone(), s.masks().to_vec()));
+        if let Some(masks) = p.nm_masks() {
+            masks_before.push((p.name.clone(), masks.to_vec()));
         }
     });
     assert!(!masks_before.is_empty(), "no N:M-stored backbone weights");
@@ -473,16 +480,23 @@ fn merge_on_nm24_backbone_preserves_masks_bit_exactly() {
         let Some((_, expect)) = masks_before.iter().find(|(n, _)| n == &p.name) else {
             return;
         };
-        let s =
-            p.nm.as_ref()
-                .unwrap_or_else(|| panic!("{}: merge must keep N:M storage", p.name));
-        assert_eq!(s.masks(), &expect[..], "{}: mask bytes changed", p.name);
+        let masks = p
+            .nm_masks()
+            .unwrap_or_else(|| panic!("{}: merge must keep N:M storage", p.name));
+        assert_eq!(masks, &expect[..], "{}: mask bytes changed", p.name);
         // The decoded merged matrix obeys its own mask exactly: re-applying
         // it finds nothing left to zero.
-        let mut dense = s.to_f32_vec();
-        let (rows, cols) = (s.rows(), s.cols());
+        let b = p.b_ref();
+        let mut dense = b.to_tensor();
+        let (rows, cols) = (b.rows(), b.cols());
         assert_eq!(
-            lx_tensor::nm::apply_mask(&mut dense, expect, rows, cols, lx_tensor::nm::NM_M),
+            lx_tensor::nm::apply_mask(
+                dense.as_mut_slice(),
+                expect,
+                rows,
+                cols,
+                lx_tensor::nm::NM_M
+            ),
             0,
             "{}: merged weights violate the 2:4 pattern",
             p.name
