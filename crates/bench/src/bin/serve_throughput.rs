@@ -1,53 +1,45 @@
-//! Multi-tenant serving throughput: N=4 concurrent tenant fine-tuning jobs
-//! sharing ONE backbone and ONE calibrated predictor set, scheduled in
-//! fair-share time-slices. Reports per-tenant and aggregate throughput, the
-//! adapter swap overhead, and the dense-execution baseline for comparison.
+//! Multi-tenant serving throughput: `--tenants M` concurrent jobs (default 8
+//! on `--smoke`, 128 full — every 2nd tenant an Interactive fusable eval job,
+//! the rest Batch LoRA training) over ONE calibrated predictor set, drained
+//! by the `lx-cluster` scheduler at each replica count in `--replicas`
+//! (default `1`: the single shared backbone). Reports an aggregate
+//! steps/s-vs-replicas table with p50/p99 step latency from the
+//! `serve.step.ns` histogram, fused-step and steal counters.
 //!
 //! ```sh
 //! cargo run --release -p lx-bench --bin serve_throughput
+//! cargo run --release -p lx-bench --bin serve_throughput -- --smoke --replicas 1,2,4
 //! ```
 //!
-//! `--smoke` shrinks the workload (2 tenants × 4 steps of 2 accumulated
-//! micro-batches each, seq 32) and turns the run into a CI gate: every
-//! tenant must complete with finite losses on both arms, non-zero
-//! utilisation, and a per-step progress event stream that mirrors the final
-//! report, else the exit code is non-zero.
+//! `--smoke` shrinks the workload (4 steps of 2 accumulated micro-batches
+//! each, seq 32) and turns the run into a CI gate: every tenant must
+//! complete with finite losses and a per-step progress event stream that
+//! mirrors its final report, fusion must engage when enough eval tenants
+//! co-queue, and — only when the host exposes enough cores — replica-scaling
+//! floors must hold, else the exit code is non-zero.
 //!
-//! `--precision f32|f16` picks the shared-backbone storage plan for both
-//! arms (default f16, the production configuration). Pass `f32` to keep the
-//! JSON trajectory comparable with pre-precision-plan runs or to measure
-//! the storage plan's own serving cost.
+//! `--precision f32|f16|int8|nf4|nm24` picks the backbone storage plan
+//! (default f16, the production configuration).
 //!
-//! `--trace <path>` records both arms in an `lx-obs` trace session and
-//! writes a Chrome trace-event JSON: tenant slices, adapter swaps and step
-//! phases on one Perfetto timeline.
+//! `--trace <path>` records the run in an `lx-obs` trace session and writes
+//! a Chrome trace-event JSON: tenant slices, adapter swaps and step phases
+//! on one Perfetto timeline.
 //!
-//! `--replicas 1,2,4` switches to the **cluster scaling sweep**: each listed
-//! replica count drives an `lx-cluster` ClusterScheduler over `--tenants M`
-//! tenants (default 8 on `--smoke`, 128 full — every 2nd tenant an
-//! Interactive fusable eval job, the rest Batch LoRA training), reporting an
-//! aggregate steps/s-vs-replicas table with p50/p99 step latency from the
-//! `serve.step.ns` histogram, fused-step and steal counters. On `--smoke`
-//! the sweep gates completion, fusion (when enough eval tenants co-queue)
-//! and — only when the host exposes enough cores — replica-scaling floors.
 //! `--compare <baseline.json> [--tolerance <frac>]` additionally gates the
-//! sweep's `speedup` column against a committed baseline
+//! `speedup` column against a committed baseline
 //! (`ci/baselines/serve_throughput.json`); improvements never fail.
 
 use long_exposure::engine::{EngineConfig, StepMode};
 use lx_bench::{fmt_ms, header, load_bench_json, row, sim_model, BenchCli, SIM_BLOCK};
 use lx_cluster::{ClusterConfig, ClusterScheduler, QosClass, QosQuotas};
 use lx_model::{ModelConfig, Precision};
-use lx_obs::{Histogram, TraceSession};
-use lx_serve::{
-    AdapterRegistry, DatasetSpec, JobSpec, SchedPolicy, Scheduler, ServeConfig, StepEvent,
-};
+use lx_obs::TraceSession;
+use lx_serve::{AdapterRegistry, DatasetSpec, JobSpec, StepEvent};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 struct Workload {
-    n_tenants: usize,
     steps_per_tenant: u64,
     batch: usize,
     seq: usize,
@@ -56,7 +48,6 @@ struct Workload {
 }
 
 const FULL: Workload = Workload {
-    n_tenants: 4,
     steps_per_tenant: 8,
     batch: 1,
     seq: 64,
@@ -64,7 +55,6 @@ const FULL: Workload = Workload {
 };
 
 const SMOKE: Workload = Workload {
-    n_tenants: 2,
     steps_per_tenant: 4,
     batch: 1,
     seq: 32,          // still a multiple of SIM_BLOCK
@@ -84,192 +74,6 @@ fn engine_cfg(w: &Workload) -> EngineConfig {
         calib_epochs: 80,
         ..EngineConfig::default()
     }
-}
-
-fn tenant_specs(w: &Workload) -> Vec<JobSpec> {
-    (0..w.n_tenants)
-        .map(|i| {
-            let mut spec = JobSpec::lora(format!("tenant-{i}"), w.steps_per_tenant, w.batch, w.seq);
-            spec.dataset = DatasetSpec::E2e {
-                world_seed: 0x5eed,
-                salt: 1000 + i as u64,
-            };
-            spec.stream_len = 50_000;
-            spec.micro_batches = w.micro_batches;
-            spec
-        })
-        .collect()
-}
-
-/// Run one arm; returns gate violations (empty = healthy).
-fn run(
-    w: &Workload,
-    mode: StepMode,
-    precision: Precision,
-    registry: Arc<AdapterRegistry>,
-    label: &str,
-) -> Vec<String> {
-    let mut scheduler = Scheduler::new(
-        backbone(42),
-        engine_cfg(w),
-        ServeConfig {
-            slice_steps: 2,
-            policy: SchedPolicy::FairShare,
-            mode,
-            prefetch: true,
-            precision,
-        },
-        registry.clone(),
-    );
-    if mode == StepMode::Sparse && !scheduler.calibrated() {
-        // One calibration, shared by every tenant and persisted for later
-        // processes via the registry.
-        let spec = DatasetSpec::E2e {
-            world_seed: 0x5eed,
-            salt: 0,
-        };
-        let mut batcher = spec.build_batcher(1024, 50_000);
-        let calib: Vec<(Vec<u32>, usize, usize)> = (0..3)
-            .map(|_| (batcher.next_batch(w.batch, w.seq), w.batch, w.seq))
-            .collect();
-        let t0 = Instant::now();
-        let report = scheduler.calibrate_shared(&calib);
-        println!(
-            "calibrated shared predictors once in {} ms (attn recall {:.1}%, mlp recall {:.1}%) — amortised over {} tenants",
-            fmt_ms(t0.elapsed()),
-            100.0 * report.mean_attn_recall(),
-            100.0 * report.mean_mlp_recall(),
-            w.n_tenants,
-        );
-    }
-    // Every tenant streams per-step progress events; the smoke gate checks
-    // the stream mirrors the terminal report.
-    let events: Arc<Mutex<Vec<StepEvent>>> = Arc::new(Mutex::new(Vec::new()));
-    for spec in tenant_specs(w) {
-        let sink_events = events.clone();
-        scheduler
-            .submit_with_progress(
-                spec,
-                Some(Box::new(move |e| sink_events.lock().unwrap().push(e))),
-            )
-            .expect("submit");
-    }
-    println!(
-        "\n== {label}: {} tenants × {} steps (batch {}, seq {}) on one shared {precision} backbone ==",
-        w.n_tenants, w.steps_per_tenant, w.batch, w.seq
-    );
-    let t0 = Instant::now();
-    let reports = scheduler.run_to_completion();
-    let wall = t0.elapsed();
-    let snap = scheduler.metrics();
-
-    header(&[
-        "tenant",
-        "steps",
-        "steps/s",
-        "tok/s",
-        "final loss",
-        "swap ms/slice",
-    ]);
-    for (tenant, m) in &snap.per_tenant {
-        let final_loss = reports
-            .iter()
-            .find(|r| &r.tenant == tenant)
-            .map_or(f32::NAN, |r| r.final_loss());
-        row(&[
-            tenant.clone(),
-            m.steps.to_string(),
-            format!("{:.2}", m.steps_per_sec()),
-            format!("{:.0}", m.tokens_per_sec()),
-            format!("{final_loss:.4}"),
-            format!("{:.2}", m.swap.as_secs_f64() * 1e3 / m.slices.max(1) as f64),
-        ]);
-    }
-    let adapter_params: usize = reports.iter().map(|r| r.adapter_params).sum();
-    println!(
-        "aggregate: {} steps in {} ms → {:.2} steps/s, {:.0} tok/s, utilisation {:.0}%",
-        snap.total_steps,
-        fmt_ms(wall),
-        snap.total_steps as f64 / wall.as_secs_f64(),
-        snap.total_tokens as f64 / wall.as_secs_f64(),
-        100.0 * snap.utilisation(),
-    );
-    println!(
-        "marginal per-tenant state: {} params total across {} adapters ({:.2}% of one backbone)",
-        adapter_params,
-        w.n_tenants,
-        100.0 * adapter_params as f64 / ModelConfig::opt_sim_small().param_count() as f64,
-    );
-
-    // Smoke-gate checks: completion, finite losses, the scheduler actually
-    // did work. Collected regardless; main() only enforces them on --smoke.
-    let mut violations = Vec::new();
-    if reports.len() != w.n_tenants {
-        violations.push(format!(
-            "{label}: {} of {} tenants completed",
-            reports.len(),
-            w.n_tenants
-        ));
-    }
-    for r in &reports {
-        if r.steps != w.steps_per_tenant {
-            violations.push(format!(
-                "{label}/{}: {} of {} steps",
-                r.tenant, r.steps, w.steps_per_tenant
-            ));
-        }
-        if !r.losses.iter().all(|l| l.is_finite()) {
-            violations.push(format!("{label}/{}: non-finite loss", r.tenant));
-        }
-    }
-    if snap.utilisation() <= 0.0 {
-        violations.push(format!("{label}: zero utilisation"));
-    }
-    // Serve-progress checks: one event per step per tenant, mirroring the
-    // report's losses, with the configured accumulation factor.
-    let events = events.lock().unwrap();
-    // Step-latency percentiles across all tenants of this arm — the tail
-    // matters under interleaving, and a mean hides it.
-    let lat = Histogram::new();
-    for e in events.iter() {
-        lat.record_duration(e.step_time);
-    }
-    println!();
-    header(&["arm", "steps", "step p50 ms", "step p99 ms"]);
-    row(&[
-        label.to_string(),
-        lat.count().to_string(),
-        format!("{:.2}", lat.p50() as f64 / 1e6),
-        format!("{:.2}", lat.p99() as f64 / 1e6),
-    ]);
-    for r in &reports {
-        let tenant_events: Vec<&StepEvent> =
-            events.iter().filter(|e| e.tenant == r.tenant).collect();
-        if tenant_events.len() != r.losses.len() {
-            violations.push(format!(
-                "{label}/{}: {} progress events for {} steps",
-                r.tenant,
-                tenant_events.len(),
-                r.losses.len()
-            ));
-            continue;
-        }
-        for (i, e) in tenant_events.iter().enumerate() {
-            if e.loss != r.losses[i] || !e.loss.is_finite() {
-                violations.push(format!(
-                    "{label}/{}: event {} loss {} != report {}",
-                    r.tenant, i, e.loss, r.losses[i]
-                ));
-            }
-            if e.micro_batches != w.micro_batches {
-                violations.push(format!(
-                    "{label}/{}: event {} accumulated {} micro-batches, expected {}",
-                    r.tenant, i, e.micro_batches, w.micro_batches
-                ));
-            }
-        }
-    }
-    violations
 }
 
 fn calib_batches(w: &Workload) -> Vec<(Vec<u32>, usize, usize)> {
@@ -317,7 +121,7 @@ fn scaling_floor(replicas: usize) -> Option<f64> {
     }
 }
 
-/// The `--replicas` scaling sweep. Emits exactly one collected table (the
+/// The replica sweep. Emits exactly one collected table (the
 /// baseline/compare unit) and returns gate violations (enforced on --smoke).
 fn cluster_sweep(
     w: &Workload,
@@ -387,9 +191,17 @@ fn cluster_sweep(
             "replicas {replicas}: calibrated once on replica 0, broadcast in {} ms",
             fmt_ms(t0.elapsed())
         );
+        // Every tenant streams per-step progress events; the gate below
+        // checks the stream mirrors the terminal report.
+        let events: Arc<Mutex<Vec<StepEvent>>> = Arc::new(Mutex::new(Vec::new()));
         for (spec, class) in cluster_specs(w, tenants) {
             let tenant = spec.tenant.clone();
-            if !cluster.submit(spec, class).is_admitted() {
+            let sink_events = events.clone();
+            let sink = Box::new(move |e| sink_events.lock().unwrap().push(e));
+            if !cluster
+                .submit_with_progress(spec, class, Some(sink))
+                .is_admitted()
+            {
                 violations.push(format!("replicas {replicas}: {tenant} not admitted"));
             }
         }
@@ -416,6 +228,7 @@ fn cluster_sweep(
                 report.quarantined
             ));
         }
+        let events = events.lock().unwrap();
         for r in &report.reports {
             if r.steps != w.steps_per_tenant {
                 violations.push(format!(
@@ -426,6 +239,21 @@ fn cluster_sweep(
             if !r.losses.iter().all(|l| l.is_finite()) {
                 violations.push(format!("replicas {replicas}/{}: non-finite loss", r.tenant));
             }
+            // One event per step, in order, carrying the report's losses.
+            let streamed: Vec<f32> = events
+                .iter()
+                .filter(|e| e.tenant == r.tenant)
+                .map(|e| e.loss)
+                .collect();
+            if streamed != r.losses {
+                violations.push(format!(
+                    "replicas {replicas}/{}: progress events do not mirror the report",
+                    r.tenant
+                ));
+            }
+        }
+        if snap.utilisation() <= 0.0 {
+            violations.push(format!("replicas {replicas}: zero utilisation"));
         }
         // Fusion must engage once ≥2 fusable eval tenants share each
         // replica's queue on average; below that, placement may legitimately
@@ -520,52 +348,25 @@ fn main() {
     let trace_session = trace_path
         .as_ref()
         .map(|_| TraceSession::start().expect("serve_throughput --trace: session already active"));
-    let replica_list: Option<Vec<usize>> = cli.value("--replicas").map(|arg| {
-        arg.split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<usize>()
-                    .expect("--replicas takes a comma list of counts, e.g. 1,2,4")
-            })
-            .collect()
-    });
-    let violations = if let Some(replica_list) = replica_list {
-        // Cluster mode replaces the single-backbone arms: the sweep is its
-        // own baseline unit (one collected table), and mixing the two would
-        // shift table indices under `--compare`.
-        let tenants = cli
-            .value("--tenants")
-            .map(|t| t.parse::<usize>().expect("--tenants takes a count"))
-            .unwrap_or(if smoke { 8 } else { 128 });
-        assert!(
-            !replica_list.is_empty() && replica_list.iter().all(|&r| r >= 1),
-            "--replicas needs at least one count >= 1"
-        );
-        cluster_sweep(w, precision, &replica_list, tenants)
-    } else {
-        let registry = Arc::new(AdapterRegistry::in_memory());
-        let mut violations = run(
-            w,
-            StepMode::Sparse,
-            precision,
-            registry.clone(),
-            "long-exposure (sparse)",
-        );
-        // Fresh registry for the dense arm so tenants cold-start identically.
-        violations.extend(run(
-            w,
-            StepMode::Dense,
-            precision,
-            Arc::new(AdapterRegistry::in_memory()),
-            "dense baseline",
-        ));
-        println!(
-            "\nregistry now holds {} adapters; predictors shared: {}",
-            registry.len(),
-            registry.predictors().is_some(),
-        );
-        violations
-    };
+    let replica_list: Vec<usize> = cli
+        .value("--replicas")
+        .unwrap_or("1")
+        .split(',')
+        .map(|s| {
+            s.trim()
+                .parse::<usize>()
+                .expect("--replicas takes a comma list of counts, e.g. 1,2,4")
+        })
+        .collect();
+    assert!(
+        replica_list.iter().all(|&r| r >= 1),
+        "--replicas needs at least one count >= 1"
+    );
+    let tenants = cli
+        .value("--tenants")
+        .map(|t| t.parse::<usize>().expect("--tenants takes a count"))
+        .unwrap_or(if smoke { 8 } else { 128 });
+    let violations = cluster_sweep(w, precision, &replica_list, tenants);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_ref()) {
         let trace = session.finish();
         match trace.write_chrome(path) {

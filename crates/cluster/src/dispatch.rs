@@ -17,9 +17,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// Lock with poison recovery: a replica worker panicking is an expected,
-/// contained event (quarantine), so a poisoned queue mutex must not cascade
-/// into every other worker.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// contained event (quarantine), so a poisoned mutex must not cascade into
+/// every other worker.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 

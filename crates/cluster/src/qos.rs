@@ -27,8 +27,7 @@ impl QosClass {
         }
     }
 
-    /// Base retry hint for quota rejections of this class; scaled by how
-    /// oversubscribed the class is when the rejection happens.
+    /// Retry hint carried by quota rejections of this class.
     pub fn base_retry(self) -> Duration {
         match self {
             QosClass::Interactive => Duration::from_millis(5),
@@ -48,7 +47,8 @@ impl QosClass {
 
 /// Per-class admission quotas: the maximum number of jobs of each class the
 /// cluster holds (queued + running) before new submissions bounce with
-/// [`Submit::Rejected`] instead of growing the queues without bound.
+/// [`Submit::Rejected`] instead of growing the queues without bound. A quota
+/// of 0 closes the class.
 #[derive(Debug, Clone)]
 pub struct QosQuotas {
     pub interactive: usize,
@@ -82,9 +82,10 @@ pub enum Submit {
     /// The job is queued; it will run when a replica picks it up.
     Admitted,
     /// The job was not admitted. `retry_after` is the backpressure hint:
-    /// `Some(d)` for transient quota rejections (resubmit after `d`),
-    /// `None` for permanent errors (invalid spec, duplicate tenant, method
-    /// mismatch) that resubmission cannot fix.
+    /// `Some(class.base_retry())` for transient quota rejections (a slot
+    /// frees when a job of the class completes), `None` for permanent
+    /// errors (invalid spec, duplicate tenant, method mismatch, no healthy
+    /// replica) that resubmission cannot fix.
     Rejected {
         reason: String,
         retry_after: Option<Duration>,
@@ -97,8 +98,9 @@ impl Submit {
     }
 }
 
-/// A job the cluster could not finish (its replica panicked and no healthy
-/// replica remained to requeue onto).
+/// A job the cluster could not finish: its replica panicked and no healthy
+/// replica remained to requeue onto, or the registry could not store its
+/// finished adapter.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     pub tenant: String,

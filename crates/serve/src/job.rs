@@ -49,7 +49,8 @@ pub struct JobSpec {
     pub lr: f32,
     /// Seed for adapter initialisation (module injection).
     pub adapter_seed: u64,
-    /// Token stream length to materialise for the dataset.
+    /// Token stream length to materialise for the dataset
+    /// (`1..=`[`MAX_STREAM_LEN`]).
     pub stream_len: usize,
     /// Micro-batches accumulated per optimizer step (gradient accumulation):
     /// each step draws this many `(batch, seq)` batches from the stream and
@@ -61,6 +62,11 @@ pub struct JobSpec {
     /// adapter's loss trajectory on a dataset.
     pub eval_only: bool,
 }
+
+/// Upper bound on [`JobSpec::stream_len`] and on the tokens one step draws
+/// (`batch * seq * micro_batches`): a job spec arrives from outside the
+/// process, and both sizes are allocated for at admission.
+pub const MAX_STREAM_LEN: usize = 1 << 24;
 
 impl JobSpec {
     /// A reasonable default job: LoRA over E2E-style data.
@@ -117,6 +123,25 @@ impl JobSpec {
         }
         if self.steps == 0 || self.batch == 0 || self.seq == 0 {
             return Err("steps, batch and seq must all be positive".into());
+        }
+        if self.stream_len == 0 || self.stream_len > MAX_STREAM_LEN {
+            return Err(format!(
+                "stream_len {} must be in 1..={MAX_STREAM_LEN}",
+                self.stream_len
+            ));
+        }
+        let step_tokens = self
+            .batch
+            .checked_mul(self.seq)
+            .and_then(|t| t.checked_mul(self.micro_batches));
+        if step_tokens.is_none_or(|t| t > MAX_STREAM_LEN) {
+            return Err(format!(
+                "batch {} x seq {} x micro_batches {} exceeds {MAX_STREAM_LEN} tokens per step",
+                self.batch, self.seq, self.micro_batches
+            ));
+        }
+        if !(self.lr.is_finite() && self.lr > 0.0) {
+            return Err(format!("lr {} must be finite and positive", self.lr));
         }
         Ok(())
     }
@@ -228,6 +253,40 @@ mod tests {
         assert!(JobSpec::lora("", 1, 1, 8).validate().is_err());
         assert!(JobSpec::lora("a/b", 1, 1, 8).validate().is_err());
         assert!(JobSpec::lora("..", 1, 1, 8).validate().is_err());
+    }
+
+    #[test]
+    fn hostile_sizes_and_learning_rates_rejected() {
+        let base = JobSpec::lora("t", 4, 1, 16);
+        for stream_len in [0, MAX_STREAM_LEN + 1, usize::MAX] {
+            let err = JobSpec {
+                stream_len,
+                ..base.clone()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("stream_len"), "{err}");
+        }
+        for (batch, seq) in [(usize::MAX, 16), (2, usize::MAX), (1 << 20, 1 << 20)] {
+            let err = JobSpec {
+                batch,
+                seq,
+                ..base.clone()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(err.contains("tokens per step"), "{err}");
+        }
+        for lr in [f32::NAN, f32::INFINITY, 0.0, -1e-3] {
+            let err = JobSpec { lr, ..base.clone() }.validate().unwrap_err();
+            assert!(err.contains("lr"), "{err}");
+        }
+        assert!(JobSpec {
+            stream_len: MAX_STREAM_LEN,
+            ..base
+        }
+        .validate()
+        .is_ok());
     }
 
     #[test]

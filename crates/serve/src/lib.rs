@@ -1,70 +1,52 @@
-//! `lx-serve` — multi-tenant PEFT fine-tuning over one shared backbone.
+//! `lx-serve` — the per-tenant half of multi-tenant PEFT fine-tuning.
 //!
-//! The ROADMAP's north star is a production system serving heavy traffic
-//! from many users. For fine-tuning, that means many *concurrent* jobs over
-//! the same frozen base model — the regime where Long Exposure's economics
-//! shine: the expensive state (backbone weights, calibrated sparsity
-//! predictors) is shared across every tenant, while the per-tenant marginal
-//! state is a LoRA/adapter delta a few thousand parameters large.
+//! Many *concurrent* fine-tuning jobs over the same frozen base model is the
+//! regime where Long Exposure's economics shine: the expensive state
+//! (backbone weights, calibrated sparsity predictors) is shared across every
+//! tenant, while the per-tenant marginal state is a LoRA/adapter delta a few
+//! thousand parameters large. This crate holds everything that belongs to
+//! *one tenant's job*; scheduling those jobs onto backbones — at one replica
+//! or many — and the asynchronous front door live in `lx-cluster`.
 //!
-//! The subsystem has four layers:
-//!
-//! * [`job`] — tenant job descriptions ([`JobSpec`]: dataset + `PeftMethod`
-//!   + step budget) and completion reports;
+//! * [`job`] — tenant job descriptions ([`JobSpec`]: dataset, `PeftMethod`
+//!   and step budget, validated at admission), lifecycle states, per-step
+//!   [`StepEvent`]s and completion reports;
 //! * [`registry`] — the durable [`AdapterRegistry`]: per-tenant
 //!   [`lx_peft::TenantAdapter`] blobs plus the *shared* calibrated
 //!   predictor checkpoint (`long_exposure::checkpoint` format), so both
 //!   adapters and the one-time calibration survive restarts;
-//! * [`tenant`] — the per-tenant execution unit ([`TenantTask`]): all of a
-//!   job's mutable state (adapter, optimizer, data cursor, warm workspace)
-//!   plus the slice-execution logic, reusable by both the single-backbone
-//!   scheduler below and `lx-cluster`'s replicated dispatcher — including
-//!   cross-tenant fused eval slices ([`run_fused_eval_slice`]);
-//! * [`scheduler`] — the deterministic core: round-robin / fair-share
-//!   time-slices that attach a tenant's adapter to the shared frozen
-//!   backbone, train with the tenant's own optimizer, and detach. Because
-//!   all mutable per-tenant state swaps with the tenant, interleaved
-//!   execution is **bit-identical** to sequential per-tenant training (the
-//!   integration suite proves it);
-//! * [`service`] — the asynchronous shell: submissions from any thread,
-//!   training on a dedicated scheduler thread, [`JobTicket`]s to wait on or
-//!   stream per-step [`StepEvent`]s from ([`JobTicket::progress`]).
+//! * [`tenant`] — the execution unit ([`TenantTask`]): all of a job's
+//!   mutable state (adapter, optimizer, data cursor, warm workspace) plus
+//!   the slice-execution logic — attach the adapter to a frozen backbone,
+//!   train `slice_steps` with the tenant's own optimizer, extract, detach —
+//!   and cross-tenant fused eval slices ([`run_fused_eval_slice`]). Because
+//!   all mutable state swaps with the tenant, interleaved execution is
+//!   **bit-identical** to sequential per-tenant training on any replica
+//!   (the integration suite proves it);
+//! * [`metrics`] — [`ServeMetrics`]: queue depth, per-tenant rates,
+//!   aggregate throughput, Prometheus exposition.
 //!
 //! Jobs can also accumulate gradients over several micro-batches per
 //! optimizer step (`JobSpec::micro_batches` — the large-effective-batch
 //! scenario) or run evaluation-only passes (`JobSpec::eval_only`).
 //!
-//! ```no_run
-//! use lx_model::{ModelConfig, TransformerModel};
-//! use lx_serve::{AdapterRegistry, FinetuneService, JobSpec, Scheduler, ServeConfig};
-//! use long_exposure::engine::EngineConfig;
-//! use std::sync::Arc;
+//! ```
+//! use lx_serve::{JobSpec, MAX_STREAM_LEN};
 //!
-//! let mut backbone = TransformerModel::new(ModelConfig::opt_sim_small(), 42);
-//! backbone.freeze_all();
-//! let registry = Arc::new(AdapterRegistry::open("adapters.d").unwrap());
-//! let scheduler = Scheduler::new(
-//!     backbone,
-//!     EngineConfig::default(),
-//!     ServeConfig::default(),
-//!     registry,
-//! );
-//! let service = FinetuneService::spawn(scheduler);
-//! let ticket = service.submit(JobSpec::lora("tenant-a", 100, 2, 64));
-//! let report = ticket.wait().unwrap();
-//! println!("tenant-a: {} steps, final loss {:.3}", report.steps, report.final_loss());
+//! let mut job = JobSpec::lora("tenant-a", 100, 2, 64);
+//! job.micro_batches = 4; // gradient accumulation: 4 batches per update
+//! assert!(job.validate().is_ok());
+//! // Hostile sizes are refused at admission, before anything is allocated.
+//! job.stream_len = MAX_STREAM_LEN + 1;
+//! assert!(job.validate().is_err());
 //! ```
 
 pub mod job;
 pub mod metrics;
 pub mod registry;
-pub mod scheduler;
-pub mod service;
 pub mod tenant;
 
-pub use job::{DatasetSpec, JobReport, JobSpec, JobState, StepEvent};
+pub use job::{DatasetSpec, JobReport, JobSpec, JobState, StepEvent, MAX_STREAM_LEN};
 pub use metrics::{MetricsSnapshot, ServeMetrics, TenantMetrics};
 pub use registry::AdapterRegistry;
-pub use scheduler::{SchedPolicy, Scheduler, ServeConfig};
-pub use service::{FinetuneService, JobTicket, ProgressStream};
 pub use tenant::{run_fused_eval_slice, ProgressSink, SliceOutcome, TenantTask};

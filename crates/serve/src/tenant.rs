@@ -1,13 +1,12 @@
-//! The per-tenant execution unit shared by the single-backbone [`Scheduler`]
-//! and the replicated `lx-cluster` dispatcher.
+//! The per-tenant execution unit the `lx-cluster` scheduler dispatches.
 //!
 //! A [`TenantTask`] owns *all* mutable state of one tenant's job — adapter,
-//! optimizer moments, data cursor, pending prefetched batches, per-tenant
-//! step workspace — and knows how to run one scheduler slice against any
-//! engine wrapping the shared frozen backbone. Because every mutable byte
-//! rides inside the task, a task can migrate between backbone replicas
-//! (work-stealing) without changing its numerics: the loss stream depends
-//! only on the task's own state and the frozen weights.
+//! optimizer moments, data cursor, per-tenant step workspace — and knows how
+//! to run one scheduler slice against any engine wrapping the shared frozen
+//! backbone. Because every mutable byte rides inside the task, a task can
+//! migrate between backbone replicas (work-stealing) without changing its
+//! numerics: the loss stream depends only on the task's own state and the
+//! frozen weights.
 //!
 //! [`run_fused_eval_slice`] is the cross-tenant batch-fusion path: several
 //! compatible eval jobs coalesce into one fused [`StepRequest`] via the
@@ -15,7 +14,6 @@
 //! adapter in before its shard — and the de-fused per-tenant losses are
 //! bit-identical to unfused execution ([`StepOutcome::micro_losses`]).
 //!
-//! [`Scheduler`]: crate::scheduler::Scheduler
 //! [`StepRequest`]: lx_model::StepRequest
 //! [`StepOutcome::micro_losses`]: lx_model::StepOutcome
 //! [`on_micro_batch`]: lx_model::StepRequest::on_micro_batch
@@ -28,7 +26,6 @@ use lx_model::{prompt_aware_targets, AdamW, MicroBatch, TransformerModel};
 use lx_obs::{registry, Histogram, Span};
 use lx_peft::TenantAdapter;
 use lx_tensor::Workspace;
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -60,14 +57,13 @@ pub struct SliceOutcome {
     pub last_loss: f32,
 }
 
-/// One tenant's job: spec, adapter, optimizer, data cursor, prefetch queue
-/// and warm per-tenant workspace, plus the slice-execution logic itself.
+/// One tenant's job: spec, adapter, optimizer, data cursor and warm
+/// per-tenant workspace, plus the slice-execution logic itself.
 pub struct TenantTask {
     pub spec: JobSpec,
     adapter: TenantAdapter,
     opt: AdamW,
     batcher: Batcher,
-    pending: VecDeque<Vec<u32>>,
     pub steps_done: u64,
     pub losses: Vec<f32>,
     pub busy: Duration,
@@ -81,6 +77,10 @@ pub struct TenantTask {
     /// When this task last became runnable (admission, or the end of its
     /// previous slice) — the scheduling queue-wait clock.
     pub ready_since: Instant,
+    /// `serve.slice.wait_ns{tenant}`: runnable → scheduled, per slice.
+    wait_hist: Arc<Histogram>,
+    /// `serve.slice.run_ns{tenant}`: busy time per scheduled slice.
+    run_hist: Arc<Histogram>,
 }
 
 impl TenantTask {
@@ -96,6 +96,19 @@ impl TenantTask {
         registry: &AdapterRegistry,
     ) -> Result<Self, String> {
         spec.validate()?;
+        // The effective sequence (seq + any soft-prompt prefix) must fit the
+        // backbone's position table, or the embedding asserts mid-slice.
+        let prompt_len = spec_prompt_len(&spec);
+        let max_seq = engine.model.config.max_seq;
+        let eff = match spec.seq.checked_add(prompt_len) {
+            Some(eff) if eff <= max_seq => eff,
+            _ => {
+                return Err(format!(
+                    "seq {} + prompt {} exceeds the backbone's {} positions",
+                    spec.seq, prompt_len, max_seq
+                ))
+            }
+        };
         if mode == StepMode::Sparse {
             if !engine.calibrated {
                 return Err(
@@ -104,10 +117,7 @@ impl TenantTask {
                 );
             }
             // Reject misaligned jobs here rather than panicking mid-slice:
-            // the effective sequence (seq + any prompt prefix) must tile
-            // into score blocks.
-            let prompt_len = spec_prompt_len(&spec);
-            let eff = spec.seq + prompt_len;
+            // the effective sequence must tile into score blocks.
             let block = engine.config.block_size;
             if !eff.is_multiple_of(block) {
                 return Err(format!(
@@ -133,18 +143,22 @@ impl TenantTask {
         let vocab = engine.model.config.vocab_size as u32;
         let batcher = spec.dataset.build_batcher(vocab, spec.stream_len);
         let opt = AdamW::new(spec.lr, 0.01);
+        let labels = [("tenant", spec.tenant.as_str())];
+        let wait_hist = lx_obs::registry().histogram_labeled("serve.slice.wait_ns", &labels);
+        let run_hist = lx_obs::registry().histogram_labeled("serve.slice.run_ns", &labels);
         Ok(TenantTask {
             spec,
             adapter,
             opt,
             batcher,
-            pending: VecDeque::new(),
             steps_done: 0,
             losses: Vec::new(),
             busy: Duration::ZERO,
             progress,
             workspace: Workspace::from_env(),
             ready_since: Instant::now(),
+            wait_hist,
+            run_hist,
         })
     }
 
@@ -157,26 +171,8 @@ impl TenantTask {
         self.spec.micro_batches
     }
 
-    /// Fill the pending-batch queue up to `depth` *steps* worth of batches.
-    pub fn prefetch(&mut self, depth: usize) {
-        let want = (depth * self.batches_per_step())
-            .min(self.remaining() as usize * self.batches_per_step());
-        while self.pending.len() < want {
-            let ids = self.batcher.next_batch(self.spec.batch, self.spec.seq);
-            self.pending.push_back(ids);
-        }
-    }
-
-    /// Whether the pending queue is below `depth` steps' worth of batches
-    /// (the prefetcher's "needs work" predicate).
-    pub fn wants_prefetch(&self, depth: usize) -> bool {
-        self.pending.len() < (depth * self.batches_per_step()).min(self.remaining() as usize)
-    }
-
     fn next_ids(&mut self) -> Vec<u32> {
-        self.pending
-            .pop_front()
-            .unwrap_or_else(|| self.batcher.next_batch(self.spec.batch, self.spec.seq))
+        self.batcher.next_batch(self.spec.batch, self.spec.seq)
     }
 
     /// The tenant's current adapter (persist with
@@ -221,6 +217,7 @@ impl TenantTask {
         let _slice_span = Span::enter("serve.slice")
             .cat("serve")
             .tenant(&self.spec.tenant);
+        self.wait_hist.record_duration(self.ready_since.elapsed());
         let attach_span = Span::enter("serve.attach").cat("serve");
         let t_attach = Instant::now();
         // The tenant's step workspace rides along with its adapter: pooled
@@ -290,6 +287,7 @@ impl TenantTask {
         swap += t_detach.elapsed();
         drop(detach_span);
         self.busy += slice_busy;
+        self.run_hist.record_duration(slice_busy);
         self.ready_since = Instant::now();
         let tokens = n_steps * (self.spec.batch * self.spec.seq * self.spec.micro_batches) as u64;
         SliceOutcome {
@@ -362,6 +360,9 @@ pub fn run_fused_eval_slice(
         k
     ];
     let _slice_span = Span::enter("serve.slice.fused").cat("serve");
+    for t in tasks.iter() {
+        t.wait_hist.record_duration(t.ready_since.elapsed());
+    }
     for _ in 0..n_steps {
         let micro_ids: Vec<Vec<u32>> = tasks.iter_mut().map(|t| t.next_ids()).collect();
         let micro_targets: Vec<Vec<i32>> = micro_ids
@@ -423,6 +424,7 @@ pub fn run_fused_eval_slice(
     }
     for (i, task) in tasks.iter_mut().enumerate() {
         task.busy += outcomes[i].busy;
+        task.run_hist.record_duration(outcomes[i].busy);
         task.ready_since = Instant::now();
     }
     outcomes

@@ -1,18 +1,18 @@
 //! Multi-tenant fine-tuning service walkthrough: three tenants with
 //! different PEFT methods share one frozen backbone and one calibrated
-//! predictor set, scheduled in time-slices by the async service; adapters
-//! persist to a registry directory and survive a "restart".
+//! predictor set, scheduled in time-slices by the async service (the cluster
+//! scheduler at one replica); adapters persist to a registry directory and
+//! survive a "restart".
 //!
 //! ```sh
 //! cargo run --release -p lx-examples --example multi_tenant
 //! ```
 
 use long_exposure::engine::{EngineConfig, StepMode};
+use lx_cluster::{ClusterConfig, ClusterScheduler, FinetuneService, QosClass};
 use lx_model::{ModelConfig, Precision, TransformerModel};
 use lx_peft::PeftMethod;
-use lx_serve::{
-    AdapterRegistry, DatasetSpec, FinetuneService, JobSpec, SchedPolicy, Scheduler, ServeConfig,
-};
+use lx_serve::{AdapterRegistry, DatasetSpec, JobSpec};
 use std::sync::Arc;
 
 const BATCH: usize = 1;
@@ -29,23 +29,23 @@ fn backbone() -> TransformerModel {
     model
 }
 
-fn scheduler(registry: Arc<AdapterRegistry>) -> Scheduler {
-    Scheduler::new(
-        backbone(),
+fn scheduler(registry: Arc<AdapterRegistry>) -> ClusterScheduler {
+    ClusterScheduler::new(
+        |_| backbone(),
         EngineConfig {
             block_size: BLOCK,
             attn_prob_threshold: 8.0 / SEQ as f32,
             calib_epochs: 80,
             ..EngineConfig::default()
         },
-        ServeConfig {
+        ClusterConfig {
+            replicas: 1,
             slice_steps: 2,
-            policy: SchedPolicy::RoundRobin,
             mode: StepMode::Sparse,
-            prefetch: true,
             // Half-stored shared backbone: the scaling axis for tenants per
             // box. Each tenant's adapter and optimizer state stay f32.
             precision: Precision::F16Frozen,
+            ..ClusterConfig::default()
         },
         registry,
     )
@@ -107,7 +107,7 @@ fn main() {
         .into_iter()
         .map(|job| {
             println!("submitting {} ({})", job.tenant, job.method.name());
-            (job.tenant.clone(), service.submit(job))
+            (job.tenant.clone(), service.submit(job, QosClass::Batch))
         })
         .collect();
     for event in tickets[0].1.progress() {
@@ -150,8 +150,8 @@ fn main() {
         world_seed: 0x5eed,
         salt: 1,
     };
-    sched2.submit(resume).expect("resume");
-    let resumed = sched2.run_to_completion().remove(0);
+    assert!(sched2.submit(resume, QosClass::Batch).is_admitted());
+    let resumed = sched2.run_to_completion().reports.remove(0);
     println!(
         "acme-corp resumed from its stored adapter: first loss {:.4} (a cold tenant starts near ln(vocab) = {:.2})",
         resumed.losses[0],

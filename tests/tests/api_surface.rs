@@ -298,3 +298,39 @@ fn per_dtype_gemm_fan_out_stays_retired() {
     }
     assert!(param.contains("pub reduced: Option<Reduced>"));
 }
+
+#[test]
+fn second_scheduler_stays_retired() {
+    // The one-slice-loop contract: `lx-serve` describes a tenant's job,
+    // `lx-cluster` schedules it — at one replica or many. The single-backbone
+    // scheduler, its config and policy enum, and the prefetch path must not
+    // drift back under any crate, nor may a second caller of the slice
+    // functions appear.
+    let current = current_surface();
+    for retired in [
+        "pub struct Scheduler",
+        "pub struct ServeConfig",
+        "pub enum SchedPolicy",
+        "Scheduler, ServeConfig",
+        "pub fn prefetch(",
+        "pub fn wants_prefetch(",
+    ] {
+        assert!(
+            !current.contains(retired),
+            "retired single-backbone scheduler item resurfaced: {retired}"
+        );
+    }
+    assert!(!repo_root().join("crates/serve/src/scheduler.rs").exists());
+    let scheduler = non_test_source("crates/cluster/src/scheduler.rs");
+    for slice_fn in [".run_slice(", "run_fused_eval_slice("] {
+        assert_eq!(
+            scheduler.matches(slice_fn).count(),
+            1,
+            "{slice_fn} must have exactly one call site in the scheduler"
+        );
+        assert!(
+            !non_test_source("crates/cluster/src/service.rs").contains(slice_fn),
+            "the service drives rounds, it never runs a slice itself"
+        );
+    }
+}

@@ -1,6 +1,5 @@
-//! Cluster-serving integration: the replicated-backbone scheduler must be a
-//! *numerically invisible* scale-out of the single-backbone `lx_serve`
-//! scheduler. A tenant's loss stream is a function of its own state (data
+//! Cluster-serving integration: N replicas must be a *numerically
+//! invisible* scale-out of the same scheduler on a single backbone. A tenant's loss stream is a function of its own state (data
 //! cursor, adapter, optimizer moments), all of which travels inside the
 //! `TenantTask` — so replica count, placement, interleaving, work stealing
 //! and fusion may change *when and where* a slice runs but never *what it
@@ -9,7 +8,7 @@
 use long_exposure::engine::{EngineConfig, StepMode};
 use lx_cluster::{ClusterConfig, ClusterScheduler, QosClass, QosQuotas, Submit};
 use lx_model::{ModelConfig, Precision, TransformerModel};
-use lx_serve::{AdapterRegistry, DatasetSpec, JobSpec, SchedPolicy, Scheduler, ServeConfig};
+use lx_serve::{AdapterRegistry, DatasetSpec, JobReport, JobSpec};
 use std::sync::Arc;
 
 fn backbone() -> TransformerModel {
@@ -41,30 +40,37 @@ fn spec(tenant: &str, steps: u64) -> JobSpec {
     }
 }
 
+/// The single-backbone reference arm: one replica, slices at least as long
+/// as any budget, one tenant submitted and drained at a time — plain
+/// sequential per-tenant training.
+fn sequential_reference(
+    config: ClusterConfig,
+    specs: &[JobSpec],
+    calib: Option<&[(Vec<u32>, usize, usize)]>,
+) -> Vec<JobReport> {
+    let mut reference = cluster(ClusterConfig {
+        replicas: 1,
+        slice_steps: 64,
+        ..config
+    });
+    if let Some(calib) = calib {
+        reference.calibrate_shared(calib);
+    }
+    let mut reports = Vec::new();
+    for s in specs {
+        assert!(reference.submit(s.clone(), QosClass::Batch).is_admitted());
+        reports.extend(reference.run_to_completion().reports);
+    }
+    reports
+}
+
 /// Per-tenant losses from an N-replica interleaved drive are bit-identical
-/// to the single-backbone `lx_serve::Scheduler` running the same specs —
-/// the scale-out is invisible to every tenant's numerics.
+/// to the single backbone training the same specs one after another — the
+/// scale-out is invisible to every tenant's numerics.
 #[test]
 fn replicated_drive_matches_single_backbone_scheduler_bitwise() {
     let specs: Vec<JobSpec> = (0..4).map(|i| spec(&format!("t{i}"), 6)).collect();
-
-    // Reference: the plain single-backbone fair-share scheduler.
-    let mut reference = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
-            slice_steps: 2,
-            policy: SchedPolicy::FairShare,
-            mode: StepMode::Dense,
-            prefetch: false,
-            precision: Precision::F32,
-        },
-        Arc::new(AdapterRegistry::in_memory()),
-    );
-    for s in &specs {
-        reference.submit(s.clone()).expect("submit");
-    }
-    let reference_reports = reference.run_to_completion();
+    let reference_reports = sequential_reference(ClusterConfig::default(), &specs, None);
 
     // Candidate: three replicas, work stealing, mixed QoS classes — maximal
     // interleaving freedom.
@@ -101,8 +107,8 @@ fn replicated_drive_matches_single_backbone_scheduler_bitwise() {
 /// the other frozen-storage modes: each replica's backbone is 2:4-pruned at
 /// construction, `calibrate_shared` still broadcasts one predictor blob to
 /// all replicas, and an interleaved multi-replica sparse drive stays
-/// bit-identical to the single-backbone scheduler draining the same jobs
-/// sequentially on an identically pruned backbone.
+/// bit-identical to a single identically pruned backbone draining the same
+/// jobs sequentially.
 #[test]
 fn pruned_backbone_cluster_matches_sequential_single_backbone_bitwise() {
     let specs: Vec<JobSpec> = (0..3).map(|i| spec(&format!("p{i}"), 6)).collect();
@@ -116,24 +122,15 @@ fn pruned_backbone_cluster_matches_sequential_single_backbone_bitwise() {
     };
 
     // Reference: single backbone, pruned, one tenant at a time.
-    let mut reference = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
-            slice_steps: 64,
-            policy: SchedPolicy::RoundRobin,
+    let reference_reports = sequential_reference(
+        ClusterConfig {
             mode: StepMode::Sparse,
-            prefetch: false,
             precision: Precision::Nm24Frozen,
+            ..ClusterConfig::default()
         },
-        Arc::new(AdapterRegistry::in_memory()),
+        &specs,
+        Some(&calib),
     );
-    reference.calibrate_shared(&calib);
-    let mut reference_reports = Vec::new();
-    for s in &specs {
-        reference.submit(s.clone()).expect("submit");
-        reference_reports.extend(reference.run_to_completion());
-    }
 
     // Candidate: two pruned replicas, small slices, maximal interleaving.
     let mut c = cluster(ClusterConfig {

@@ -1,16 +1,15 @@
-//! Scheduler equivalence: tenants trained concurrently (interleaved
-//! time-slices on the shared backbone) must produce **exactly** the same
-//! per-step losses as tenants trained sequentially, because the backbone is
-//! frozen and all mutable per-tenant state swaps with the tenant.
+//! Scheduler equivalence on the single shared backbone (the cluster
+//! scheduler at one replica): tenants trained concurrently (interleaved
+//! time-slices) must produce **exactly** the same per-step losses as tenants
+//! trained sequentially, because the backbone is frozen and all mutable
+//! per-tenant state swaps with the tenant.
 
 use long_exposure::engine::{EngineConfig, StepMode};
+use lx_cluster::{ClusterConfig, ClusterScheduler, FinetuneService, QosClass};
 use lx_integration::tiny_model;
 use lx_model::TransformerModel;
 use lx_peft::PeftMethod;
-use lx_serve::{
-    AdapterRegistry, DatasetSpec, FinetuneService, JobReport, JobSpec, SchedPolicy, Scheduler,
-    ServeConfig,
-};
+use lx_serve::{AdapterRegistry, DatasetSpec, JobReport, JobSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -49,56 +48,60 @@ fn by_tenant(reports: Vec<JobReport>) -> BTreeMap<String, JobReport> {
     reports.into_iter().map(|r| (r.tenant.clone(), r)).collect()
 }
 
-fn run_concurrent(config: ServeConfig) -> BTreeMap<String, JobReport> {
-    let mut s = Scheduler::new(
-        backbone(),
+/// The single shared backbone: the cluster scheduler at one replica.
+fn scheduler(config: ClusterConfig, registry: Arc<AdapterRegistry>) -> ClusterScheduler {
+    ClusterScheduler::new(
+        |_| backbone(),
         engine_cfg(),
-        config,
-        Arc::new(AdapterRegistry::in_memory()),
-    );
-    for spec in specs() {
-        s.submit(spec).unwrap();
-    }
-    by_tenant(s.run_to_completion())
+        ClusterConfig {
+            replicas: 1,
+            ..config
+        },
+        registry,
+    )
 }
 
-fn run_sequential(config: ServeConfig) -> BTreeMap<String, JobReport> {
-    let mut s = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        config,
-        Arc::new(AdapterRegistry::in_memory()),
-    );
+fn submit(s: &mut ClusterScheduler, spec: JobSpec) {
+    let verdict = s.submit(spec, QosClass::Batch);
+    assert!(verdict.is_admitted(), "{verdict:?}");
+}
+
+fn run_concurrent(config: ClusterConfig) -> BTreeMap<String, JobReport> {
+    let mut s = scheduler(config, Arc::new(AdapterRegistry::in_memory()));
+    for spec in specs() {
+        submit(&mut s, spec);
+    }
+    by_tenant(s.run_to_completion().reports)
+}
+
+fn run_sequential(config: ClusterConfig) -> BTreeMap<String, JobReport> {
+    let mut s = scheduler(config, Arc::new(AdapterRegistry::in_memory()));
     let mut reports = Vec::new();
     for spec in specs() {
-        s.submit(spec).unwrap();
-        reports.extend(s.run_to_completion());
+        submit(&mut s, spec);
+        reports.extend(s.run_to_completion().reports);
     }
     by_tenant(reports)
 }
 
 #[test]
 fn concurrent_and_sequential_losses_match_exactly() {
-    for policy in [SchedPolicy::RoundRobin, SchedPolicy::FairShare] {
-        let interleaved = run_concurrent(ServeConfig {
-            slice_steps: 2,
-            policy,
-            ..ServeConfig::default()
-        });
-        let sequential = run_sequential(ServeConfig {
-            slice_steps: 64, // big slices: effectively one tenant at a time
-            policy,
-            ..ServeConfig::default()
-        });
-        assert_eq!(interleaved.len(), 2);
-        for (tenant, seq_report) in &sequential {
-            let con_report = &interleaved[tenant];
-            assert_eq!(con_report.steps, seq_report.steps, "{policy:?}/{tenant}");
-            assert_eq!(
-                con_report.losses, seq_report.losses,
-                "{policy:?}/{tenant}: interleaved training must be bit-identical to sequential"
-            );
-        }
+    let interleaved = run_concurrent(ClusterConfig {
+        slice_steps: 2,
+        ..ClusterConfig::default()
+    });
+    let sequential = run_sequential(ClusterConfig {
+        slice_steps: 64, // one slice per job, one job submitted and drained at a time
+        ..ClusterConfig::default()
+    });
+    assert_eq!(interleaved.len(), 2);
+    for (tenant, seq_report) in &sequential {
+        let con_report = &interleaved[tenant];
+        assert_eq!(con_report.steps, seq_report.steps, "{tenant}");
+        assert_eq!(
+            con_report.losses, seq_report.losses,
+            "{tenant}: interleaved training must be bit-identical to sequential"
+        );
     }
 }
 
@@ -114,22 +117,18 @@ fn sparse_mode_shares_one_predictor_set_across_tenants() {
         (0..2).map(|_| (batcher.next_batch(1, 16), 1, 16)).collect()
     };
     // Calibrate once; the blob lands in the registry.
-    let mut first = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
-            slice_steps: 3,
-            mode: StepMode::Sparse,
-            ..ServeConfig::default()
-        },
-        registry.clone(),
-    );
+    let sparse = || ClusterConfig {
+        slice_steps: 3,
+        mode: StepMode::Sparse,
+        ..ClusterConfig::default()
+    };
+    let mut first = scheduler(sparse(), registry.clone());
     first.calibrate_shared(&calib);
     assert!(registry.predictors().is_some());
     for spec in specs() {
-        first.submit(spec).unwrap();
+        submit(&mut first, spec);
     }
-    let from_calibrated = by_tenant(first.run_to_completion());
+    let from_calibrated = by_tenant(first.run_to_completion().reports);
 
     // A second scheduler (a "restarted process") imports the shared
     // predictors from the registry at construction instead of recalibrating,
@@ -140,21 +139,12 @@ fn sparse_mode_shares_one_predictor_set_across_tenants() {
     fresh_registry
         .set_predictors(registry.predictors().unwrap())
         .unwrap();
-    let mut second = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
-            slice_steps: 3,
-            mode: StepMode::Sparse,
-            ..ServeConfig::default()
-        },
-        fresh_registry,
-    );
+    let mut second = scheduler(sparse(), fresh_registry);
     assert!(second.calibrated(), "predictors imported from registry");
     for spec in specs() {
-        second.submit(spec).unwrap();
+        submit(&mut second, spec);
     }
-    let from_imported = by_tenant(second.run_to_completion());
+    let from_imported = by_tenant(second.run_to_completion().reports);
     for (tenant, a) in &from_calibrated {
         assert_eq!(
             a.losses, from_imported[tenant].losses,
@@ -169,19 +159,19 @@ fn tenants_stream_per_step_progress_through_the_service() {
     // consumes its own per-step StepEvent stream concurrently; the streams
     // must be complete (one event per step, in order), carry the same losses
     // as the terminal reports, and end when the job does.
-    let scheduler = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
+    let service = FinetuneService::spawn(scheduler(
+        ClusterConfig {
             slice_steps: 2,
-            ..ServeConfig::default()
+            ..ClusterConfig::default()
         },
         Arc::new(AdapterRegistry::in_memory()),
-    );
-    let service = FinetuneService::spawn(scheduler);
+    ));
     let tickets: Vec<_> = specs()
         .into_iter()
-        .map(|spec| (spec.tenant.clone(), spec.steps, service.submit(spec)))
+        .map(|spec| {
+            let (tenant, steps) = (spec.tenant.clone(), spec.steps);
+            (tenant, steps, service.submit(spec, QosClass::Batch))
+        })
         .collect();
     // Drain every stream on its own thread while training proceeds.
     let collectors: Vec<_> = tickets
@@ -220,13 +210,10 @@ fn tenants_stream_per_step_progress_through_the_service() {
 
 #[test]
 fn four_tenants_share_backbone_and_all_converge() {
-    let mut s = Scheduler::new(
-        backbone(),
-        engine_cfg(),
-        ServeConfig {
+    let mut s = scheduler(
+        ClusterConfig {
             slice_steps: 3,
-            policy: SchedPolicy::FairShare,
-            ..ServeConfig::default()
+            ..ClusterConfig::default()
         },
         Arc::new(AdapterRegistry::in_memory()),
     );
@@ -236,9 +223,9 @@ fn four_tenants_share_backbone_and_all_converge() {
         // so each tenant overfits and the loss trend is unambiguous.
         spec.stream_len = 16;
         spec.lr = 1e-2;
-        s.submit(spec).unwrap();
+        submit(&mut s, spec);
     }
-    let reports = s.run_to_completion();
+    let reports = s.run_to_completion().reports;
     assert_eq!(reports.len(), 4);
     for r in &reports {
         assert_eq!(r.steps, 12);

@@ -232,26 +232,31 @@ fn serve_shutdown_dumps_a_valid_chrome_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("serve_trace.json");
 
-    let mut model = TransformerModel::new(ModelConfig::test_tiny(), 21);
-    model.freeze_all();
-    let scheduler = lx_serve::Scheduler::new(
-        model,
+    let scheduler = lx_cluster::ClusterScheduler::new(
+        |_| {
+            let mut model = TransformerModel::new(ModelConfig::test_tiny(), 21);
+            model.freeze_all();
+            model
+        },
         long_exposure::engine::EngineConfig {
             block_size: BLOCK,
             ..Default::default()
         },
-        lx_serve::ServeConfig {
+        lx_cluster::ClusterConfig {
+            replicas: 1,
             slice_steps: 2,
             ..Default::default()
         },
         Arc::new(lx_serve::AdapterRegistry::in_memory()),
     );
-    let svc = lx_serve::FinetuneService::spawn_traced(scheduler, path.clone());
+    let svc = lx_cluster::FinetuneService::spawn_traced(scheduler, path.clone());
     let spec = lx_serve::JobSpec {
         stream_len: 2_000,
         ..lx_serve::JobSpec::lora("traced", 4, 1, 16)
     };
-    svc.submit(spec).wait().expect("job completes");
+    svc.submit(spec, lx_cluster::QosClass::Batch)
+        .wait()
+        .expect("job completes");
 
     // Scrape-style exposition reflects the run: service series plus the
     // global registry (GEMM counters, workspace pool, slice histograms).
