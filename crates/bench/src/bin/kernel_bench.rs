@@ -15,6 +15,12 @@
 //! host exposes ≥2 cores — on a single-core box the ratios are meaningless,
 //! so the gate prints an explicit SKIP line instead of silently passing.
 //! Bit-identity between the compared variants is asserted unconditionally.
+//! Two more rows gate the grouped entry point the block-sparse operators
+//! launch through: one `gemm_grouped` over the operator's offset table vs the
+//! per-task `gemm` loop it replaced, both single-threaded (`with_sequential`),
+//! so the ratio is packing reuse and microkernel efficiency and enforces on
+//! any runner — floor ≥3.0x for the SDD score blocks, ≥1.3x for the FC1
+//! neuron slabs.
 //!
 //! Flags:
 //! * `--smoke` — small shapes, few reps; asserts numerical equivalence and a
@@ -33,7 +39,10 @@
 //!   stopped being faster", not ±5% jitter).
 
 use lx_bench::{header, load_bench_json, row, BenchCli};
-use lx_kernels::{Epilogue, GemmOp, Isa, KernelBackend, Layout, NmView, AUTO, PACKED, REFERENCE};
+use lx_kernels::{
+    Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, NmView, Windows, AUTO,
+    PACKED, REFERENCE,
+};
 use lx_tensor::rng::randn_vec;
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 use std::time::Instant;
@@ -105,6 +114,21 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             shape("mlp fc2 512x1024x256", NN, F32, 512, 1024, 256),
             shape("grad dW 256x512x1024", TN, F32, 256, 512, 1024),
         ]
+    }
+}
+
+/// What the block-sparse operators did before the grouped entry point: one
+/// dispatched GEMM per block. Implementing only `gemm` leaves `gemm_grouped`
+/// at the trait's default — the per-task loop.
+struct PerTask;
+
+impl KernelBackend for PerTask {
+    fn name(&self) -> &'static str {
+        "per-task"
+    }
+
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+        AUTO.gemm(op, c, ldc, beta, ep)
     }
 }
 
@@ -471,6 +495,110 @@ fn main() {
             "1.30x".to_string(),
             status.to_string(),
         ]);
+    }
+
+    // Grouped launch vs the per-task loop it replaced, at the operator shapes
+    // of the `ft-sparse-s512` benchmark workload. Single-threaded on both
+    // legs, so the floors enforce on any runner.
+    {
+        const B: usize = 16;
+        let mut grouped_gate = |label: &str, dims: String, g: &GemmGroup<'_>, c_len, floor: f64| {
+            let mut c_loop = vec![0.0f32; c_len];
+            let mut c_grouped = vec![0.0f32; c_len];
+            let best = |f: &mut dyn FnMut()| {
+                lx_kernels::with_sequential(|| {
+                    f();
+                    let mut best = f64::INFINITY;
+                    for _ in 0..gate_reps {
+                        let t0 = Instant::now();
+                        f();
+                        best = best.min(t0.elapsed().as_secs_f64());
+                    }
+                    best
+                })
+            };
+            let t_loop = best(&mut || PerTask.gemm_grouped(g, &mut c_loop));
+            let t_grouped = best(&mut || PACKED.gemm_grouped(g, &mut c_grouped));
+            let close = max_rel_diff(&c_grouped, &c_loop) <= 1e-4;
+            if !close {
+                eprintln!("kernel_bench: {label} differs from the per-task loop");
+                failures += 1;
+            }
+            let speedup = t_loop / t_grouped;
+            let status = if !close {
+                "FAIL (diff)"
+            } else if speedup >= floor {
+                "ok"
+            } else {
+                eprintln!("kernel_bench: {label} {speedup:.2}x below the {floor:.2}x floor");
+                gate_failed = true;
+                "FAIL"
+            };
+            row(&[
+                label.to_string(),
+                dims,
+                format!("{:.2}", t_loop * 1e3),
+                format!("{:.2}", t_grouped * 1e3),
+                format!("{speedup:.2}x"),
+                format!("{floor:.2}x"),
+                status.to_string(),
+            ]);
+        };
+
+        // SDD scores: the causal blocks nearest the diagonal, 23% of each row.
+        let (s, dh) = (512usize, 32usize);
+        let q = randn_vec(s * dh, 1.0, 18);
+        let k = randn_vec(s * dh, 1.0, 19);
+        let blocks = (0..(s / B) as u32).flat_map(|br| {
+            let keep = ((0.23 * (br + 1) as f64).round() as u32).clamp(1, br + 1);
+            (br + 1 - keep..=br).map(move |bc| (br, bc))
+        });
+        let table = GemmTable::each((0u32..).zip(blocks).map(|(e, (br, bc))| (br, bc, e)));
+        let group = GemmGroup {
+            m: B,
+            k: dh,
+            n: B,
+            a: Windows::normal(&q, dh, B * dh),
+            b: Windows::transposed(&k, dh, B * dh),
+            ldc: B,
+            c_stride: B * B,
+            beta: 0.0,
+            table: &table,
+        };
+        let c_len = table.tasks().len() * B * B;
+        let dims = format!("{}x{B}x{dh}x{B}", table.tasks().len());
+        grouped_gate(
+            "grouped sdd s=512 dh=32 b=16 d=0.23",
+            dims,
+            &group,
+            c_len,
+            3.0,
+        );
+
+        // FC1 forward: 41% of 64 neuron slabs, spread over the hidden width.
+        let (rows, d, n_blocks, active) = (512usize, 256usize, 64u32, 26u32);
+        let x = randn_vec(rows * d, 1.0, 20);
+        let w1t = randn_vec(n_blocks as usize * B * d, 1.0, 21);
+        let table = GemmTable::each((0..active).map(|ai| (0, ai * n_blocks / active, ai)));
+        let group = GemmGroup {
+            m: rows,
+            k: d,
+            n: B,
+            a: Windows::normal(&x, d, 0),
+            b: Windows::transposed(&w1t, d, B * d),
+            ldc: active as usize * B,
+            c_stride: B,
+            beta: 0.0,
+            table: &table,
+        };
+        let dims = format!("{active}x{rows}x{d}x{B}");
+        grouped_gate(
+            "grouped fc1 512x256 d=0.41",
+            dims,
+            &group,
+            rows * active as usize * B,
+            1.3,
+        );
     }
 
     cli.finish();

@@ -1,7 +1,7 @@
 //! The [`KernelBackend`] trait and the [`Reference`] scalar backend.
 
 use crate::epilogue::{apply_epilogue, Epilogue};
-use crate::op::{BOperand, GemmOp, Layout};
+use crate::op::{BOperand, GemmGroup, GemmOp, Layout};
 use lx_parallel::par_rows;
 
 /// Don't fan a GEMM out across the pool unless a task has at least this many
@@ -31,6 +31,32 @@ pub trait KernelBackend: Sync {
     /// and running the f32 product on the same backend — bit for bit for the
     /// lossless N:M operand.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>);
+
+    /// Every task of `group` in table order, each `C[c] = op(A[a])·op(B[b]) +
+    /// β·C[c]` with `β = group.beta` for the first task of a run and 1 for
+    /// the rest. The default is the per-task [`gemm`](Self::gemm) loop — the
+    /// oracle a backend that packs shared windows once and splits the runs
+    /// across the pool is checked against.
+    fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
+        per_task(self, group, c)
+    }
+}
+
+/// The per-task loop behind [`KernelBackend::gemm_grouped`]'s default.
+pub(crate) fn per_task<B: KernelBackend + ?Sized>(be: &B, group: &GemmGroup<'_>, c: &mut [f32]) {
+    let table = group.table;
+    if table.tasks().is_empty() || group.m == 0 || group.n == 0 {
+        return;
+    }
+    group.check(c.len());
+    for run in table.runs().windows(2) {
+        let tasks = &table.tasks()[run[0] as usize..run[1] as usize];
+        for (i, task) in tasks.iter().enumerate() {
+            let beta = if i == 0 { group.beta } else { 1.0 };
+            let c_win = &mut c[group.c_offset(task)..][..group.c_span()];
+            be.gemm(&group.task_op(task), c_win, group.ldc, beta, Epilogue::None);
+        }
+    }
 }
 
 /// `C *= beta` sweep (the whole op when `k == 0`; the up-front beta pass of

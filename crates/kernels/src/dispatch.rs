@@ -5,23 +5,27 @@
 //! The packed backend pays for its speed up front: packing traffic of
 //! `O(m·k + k·n)` writes per k-block plus the beta pass over C. For the
 //! Fig. 12 operator shapes (hundreds × hundreds and up) that cost is noise;
-//! for the many small per-block GEMMs the sparse operators issue (e.g.
-//! `32×64×32` score blocks) it is not. The [`Auto`] dispatcher therefore
-//! routes a call to [`Packed`] only when its FLOP count clears
-//! [`KernelPolicy::min_flops_packed`] *and* the inner/output dimensions are
-//! wide enough (`k ≥ 8`, `n ≥ NR/2`) for panels to amortise; everything else
-//! takes the [`Reference`] loops, which have zero setup cost.
+//! for a lone small product (a `32×64×32` score block) it is not. The
+//! [`Auto`] dispatcher therefore routes a call to [`Packed`] only when its
+//! FLOP count clears [`KernelPolicy::min_flops_packed`] *and* the
+//! inner/output dimensions are wide enough (`k ≥ 8`, `n ≥ NR/2`) for panels
+//! to amortise; everything else takes the [`Reference`] loops, which have
+//! zero setup cost. A *group* of small products is a different trade: the
+//! block-sparse operators launch all their blocks as one
+//! [`GemmGroup`], which packs each shared window once and pays the fixed
+//! costs once per launch, so [`Auto`] sends every group with panel-wide tasks
+//! to [`Packed`] (see `group_packs`).
 //!
 //! The policy lives in process-wide atomics so `lx-runtime` can install a
 //! cache-model-derived [`TileConfig`] (see `lx_runtime::kernel_policy`) and
 //! [`autotune`] can refine the crossover threshold from a one-time measured
 //! probe — both without synchronisation on the hot path.
 
-use crate::backend::{KernelBackend, Reference};
+use crate::backend::{per_task, KernelBackend, Reference};
 use crate::epilogue::Epilogue;
 use crate::isa::Isa;
 use crate::observe::Observed;
-use crate::op::GemmOp;
+use crate::op::{GemmGroup, GemmOp};
 use crate::packed::{Packed, NR};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -153,6 +157,22 @@ impl KernelBackend for Auto {
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
         pick(op.m, op.k, op.n).gemm(op, c, ldc, beta, ep)
     }
+
+    fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
+        if group_packs(group) {
+            PACKED.gemm_grouped(group, c)
+        } else {
+            per_task(self, group, c)
+        }
+    }
+}
+
+/// Whether [`Auto`] runs a group on [`Packed`]. A group amortises packing
+/// over every task that shares a window and pays none of a single call's
+/// fixed costs per task, so there is no FLOP floor — only the panel-width
+/// conditions of [`pick`]; narrower tasks take the per-task loop.
+pub(crate) fn group_packs(group: &GemmGroup<'_>) -> bool {
+    group.k >= 8 && group.n >= NR / 2
 }
 
 /// Resolve the process-wide backend once: `LX_KERNEL_BACKEND` ∈

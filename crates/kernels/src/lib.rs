@@ -7,8 +7,16 @@
 //! structured-sparse), a [`Layout`] per side — plus an [`Epilogue`] (bias
 //! add, optionally followed by GELU) applied inside the write-back while
 //! output tiles are cache-hot, bit-identically to the unfused sequence (see
-//! the `epilogue` module). This crate owns the kernels behind the
-//! one-method [`KernelBackend`] trait:
+//! the `epilogue` module). The block-sparse operators launch the *grouped*
+//! form of the same operator: a [`GemmGroup`] is many equally-shaped products
+//! over windows of three shared buffers, addressed through a [`GemmTable`] —
+//! the offset table a sparse layout builds once and every forward and
+//! backward launch reuses (the paper's Dynamic-aware Operator). This crate
+//! owns the kernels behind the [`KernelBackend`] trait ([`gemm`] and
+//! [`gemm_grouped`], the latter defaulting to the per-task loop):
+//!
+//! [`gemm`]: KernelBackend::gemm
+//! [`gemm_grouped`]: KernelBackend::gemm_grouped
 //!
 //! * [`Reference`] — the original scalar `i-k-j` loops, kept as the
 //!   correctness oracle and the zero-setup-cost arm for small shapes;
@@ -16,7 +24,11 @@
 //!   tiles, B-panel reuse across A row blocks, runtime-selected
 //!   scalar/AVX2/AVX-512/NEON `std::arch` inner loops — see [`Isa`] and
 //!   [`active_isa`]) with the macro-kernel parallelised over the
-//!   `lx-parallel` pool (worker-disjoint C row panels, shared packed B);
+//!   `lx-parallel` pool (worker-disjoint C row panels, shared packed B). A
+//!   grouped launch packs each distinct window once, runs the same
+//!   microkernel off the shared panels for every task in table order, and
+//!   splits the table's runs across the pool by task count — bitwise
+//!   independent of thread count and partition;
 //! * [`Auto`] — the size-aware dispatcher that picks between them per call
 //!   using the installed [`KernelPolicy`] (see the `dispatch` module source
 //!   for the policy rationale, `lx_runtime::kernel_policy` for the
@@ -26,9 +38,9 @@
 //! Callers outside benchmarks route through the process-wide [`backend`]
 //! (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`, default `auto`):
 //! `lx-tensor::gemm` builds contiguous ops from tensors, the sparse operators
-//! in `lx-sparse` build strided ones so block and neuron-slab GEMMs hit the
-//! same microkernels. The contiguous free functions below are conveniences
-//! over that single entry point.
+//! in `lx-sparse` launch one group each over their layout's table so block
+//! and neuron-slab products hit the same microkernels. The contiguous free
+//! functions below are conveniences over the single-product entry point.
 
 mod backend;
 mod dispatch;
@@ -48,7 +60,7 @@ pub use dispatch::{
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
-pub use op::{BOperand, GemmOp, Layout};
+pub use op::{BOperand, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 pub use packed::{simd_active, Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.

@@ -11,13 +11,17 @@
 //! Call counting is one relaxed atomic add; per-call *latency*
 //! (`kernel.gemm.ns{…}`) is only measured while
 //! [`lx_obs::timing_enabled`] — two `Instant` reads per GEMM are noise for
-//! Fig. 12 shapes but not for the thousands of tiny per-block sparse GEMMs,
-//! and the disabled path must stay under the 1% `step_bench` overhead gate.
+//! Fig. 12 shapes but not for small serving-shape products, and the disabled
+//! path must stay under the 1% `step_bench` overhead gate. A grouped launch
+//! ([`KernelBackend::gemm_grouped`]) is booked as **one** call — class from
+//! the group's total FLOPs, latency the launch's wall time — and adds its
+//! task count to `kernel.gemm.tasks`, so blocks-per-step stays visible after
+//! calls-per-step collapsed.
 
 use crate::backend::KernelBackend;
-use crate::dispatch::auto_choice;
+use crate::dispatch::{auto_choice, group_packs};
 use crate::epilogue::Epilogue;
-use crate::op::{BOperand, GemmOp};
+use crate::op::{BOperand, GemmGroup, GemmOp};
 use lx_obs::{registry, timing_enabled, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -42,7 +46,10 @@ fn dtype(b: &BOperand<'_>) -> usize {
 /// Class index by `2·m·k·n` FLOPs: tiny < 2^17 ≤ small < 2^21 ≤ medium
 /// < 2^25 ≤ large.
 fn class(m: usize, k: usize, n: usize) -> usize {
-    let flops = 2 * (m as u64) * (k as u64) * (n as u64);
+    flop_class(2 * (m as u64) * (k as u64) * (n as u64))
+}
+
+fn flop_class(flops: u64) -> usize {
     match flops {
         f if f < 1 << 17 => 0,
         f if f < 1 << 21 => 1,
@@ -130,6 +137,37 @@ impl KernelBackend for Observed {
         }
         s.calls.inc();
     }
+
+    /// One call, whatever the table holds: the class comes from the group's
+    /// total FLOPs and `kernel.gemm.ns` books the launch's wall time (not the
+    /// sum of its blocks); `kernel.gemm.tasks` keeps blocks-per-step visible.
+    fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
+        let name = match self.inner.name() {
+            "auto" if group_packs(group) => "packed",
+            // Narrow tasks go through `Auto::gemm` one by one; all share a
+            // shape, so they all route the same way.
+            "auto" => auto_choice(group.m, group.k, group.n),
+            name => name,
+        };
+        let tasks = group.table.tasks().len() as u64;
+        let flops = 2 * tasks * (group.m as u64) * (group.k as u64) * (group.n as u64);
+        let s = stats(name, flop_class(flops), 0);
+        if timing_enabled() {
+            let t0 = Instant::now();
+            self.inner.gemm_grouped(group, c);
+            s.time_ns.record_duration(t0.elapsed());
+        } else {
+            self.inner.gemm_grouped(group, c);
+        }
+        s.calls.inc();
+        group_tasks().add(tasks);
+    }
+}
+
+/// `kernel.gemm.tasks`: block tasks issued through grouped launches.
+fn group_tasks() -> &'static Counter {
+    static TASKS: OnceLock<Arc<Counter>> = OnceLock::new();
+    TASKS.get_or_init(|| registry().counter("kernel.gemm.tasks"))
 }
 
 /// Total observed GEMM calls across all backends, shape classes, and dtypes

@@ -28,6 +28,16 @@ pub enum Layout {
     Transposed,
 }
 
+impl Layout {
+    /// Stored `(rows, cols)` of an operand multiplied as `rows × cols`.
+    fn stored(self, rows: usize, cols: usize) -> (usize, usize) {
+        match self {
+            Layout::Normal => (rows, cols),
+            Layout::Transposed => (cols, rows),
+        }
+    }
+}
+
 /// The B operand of a GEMM, in whatever storage it lives in. `A`, `C` and
 /// all accumulation are always f32; every non-f32 variant decodes to f32
 /// inside the backend's load/pack stage (an exact conversion), so the result
@@ -249,14 +259,8 @@ impl<'a> GemmOp<'a> {
                 || (matches!(self.b, BOperand::F32(_)) && self.b_layout == Layout::Normal),
             "gemm: a transposed A requires an f32, non-transposed B"
         );
-        let (a_rows, a_cols) = match self.a_layout {
-            Layout::Normal => (self.m, self.k),
-            Layout::Transposed => (self.k, self.m),
-        };
-        let (b_rows, b_cols) = match self.b_layout {
-            Layout::Normal => (self.k, self.n),
-            Layout::Transposed => (self.n, self.k),
-        };
+        let (a_rows, a_cols) = self.a_layout.stored(self.m, self.k);
+        let (b_rows, b_cols) = self.b_layout.stored(self.k, self.n);
         check_view(self.a.len(), a_rows, a_cols, self.lda, "gemm: A");
         check_view(self.b.len(), b_rows, b_cols, self.ldb, "gemm: B");
         check_view(c_len, self.m, self.n, ldc, "gemm: C");
@@ -275,4 +279,266 @@ fn check_view(len: usize, rows: usize, cols: usize, ld: usize, what: &str) {
         len >= need,
         "{what}: {len} elements < {need} needed for {rows}x{cols} (ld {ld})"
     );
+}
+
+/// One task of a [`GemmTable`]: `C[c] (+)= op(A[a]) · op(B[b])`. `a` and `b`
+/// are *slots* — positions in the table's distinct-window lists — and `c` is
+/// a window index; a window index times the operand's
+/// [`stride`](Windows::stride) is an element offset.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct GemmTask {
+    pub a: u32,
+    pub b: u32,
+    pub c: u32,
+}
+
+/// The offset table of a grouped GEMM — the paper's Dynamic-aware Operator
+/// lookup table: which `(A, B, C)` windows each block task multiplies, built
+/// **once** per sparse layout and reused by every forward and backward launch
+/// over it.
+///
+/// Tasks are listed in *runs*: the tasks of one run accumulate into the same
+/// C window in table order, and different runs write different windows, so
+/// runs are the unit work is split by. Distinct A and B windows are numbered
+/// in first-use order, which lets a backend pack each of them exactly once
+/// and makes "these two tasks read adjacent packed panels" a property of the
+/// table alone — never of how a launch was partitioned.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct GemmTable {
+    a_windows: Vec<u32>,
+    b_windows: Vec<u32>,
+    tasks: Vec<GemmTask>,
+    runs: Vec<u32>,
+    /// Largest A, B and C window index (0 for an empty table).
+    max: [u32; 3],
+    /// C window indices strictly ascend over the non-empty runs, so the runs'
+    /// C regions are sorted in memory whenever they are disjoint.
+    c_ascending: bool,
+}
+
+impl GemmTable {
+    /// Build from `(a, b, c)` window-index triples and the run boundaries
+    /// (`runs[r]..runs[r + 1]` are the tasks of run `r`; empty runs are
+    /// allowed, so CSR row pointers can be passed as they are). Panics unless
+    /// the runs tile the task list and every run shares one C window.
+    pub fn new(triples: impl IntoIterator<Item = (u32, u32, u32)>, runs: Vec<u32>) -> Self {
+        /// Slot of `window`, appending it to `windows` on first use.
+        fn slot(window: u32, slots: &mut Vec<u32>, windows: &mut Vec<u32>) -> u32 {
+            let w = window as usize;
+            if slots.len() <= w {
+                slots.resize(w + 1, u32::MAX);
+            }
+            if slots[w] == u32::MAX {
+                slots[w] = windows.len() as u32;
+                windows.push(window);
+            }
+            slots[w]
+        }
+        let (mut a_slots, mut b_slots) = (Vec::new(), Vec::new());
+        let (mut a_windows, mut b_windows) = (Vec::new(), Vec::new());
+        let tasks: Vec<GemmTask> = triples
+            .into_iter()
+            .map(|(a, b, c)| GemmTask {
+                a: slot(a, &mut a_slots, &mut a_windows),
+                b: slot(b, &mut b_slots, &mut b_windows),
+                c,
+            })
+            .collect();
+        assert!(
+            runs.first() == Some(&0) && runs.last().map(|&e| e as usize) == Some(tasks.len()),
+            "gemm table: runs must tile the {} tasks",
+            tasks.len()
+        );
+        let (mut c_ascending, mut prev) = (true, None);
+        for r in runs.windows(2) {
+            assert!(r[0] <= r[1], "gemm table: runs must not decrease");
+            let run = &tasks[r[0] as usize..r[1] as usize];
+            let Some(first) = run.first() else { continue };
+            assert!(
+                run.iter().all(|t| t.c == first.c),
+                "gemm table: a run must share one C window"
+            );
+            c_ascending &= prev.is_none_or(|p| p < first.c);
+            prev = Some(first.c);
+        }
+        let max = |windows: &[u32]| windows.iter().copied().max().unwrap_or(0);
+        GemmTable {
+            max: [
+                max(&a_windows),
+                max(&b_windows),
+                tasks.iter().map(|t| t.c).max().unwrap_or(0),
+            ],
+            a_windows,
+            b_windows,
+            tasks,
+            runs,
+            c_ascending,
+        }
+    }
+
+    /// Every task its own run: each `(a, b, c)` triple overwrites (or
+    /// accumulates into) a C window no other task touches.
+    pub fn each(triples: impl IntoIterator<Item = (u32, u32, u32)>) -> Self {
+        let triples: Vec<_> = triples.into_iter().collect();
+        let runs = (0..=triples.len() as u32).collect();
+        Self::new(triples, runs)
+    }
+
+    pub fn tasks(&self) -> &[GemmTask] {
+        &self.tasks
+    }
+
+    /// Run boundaries: a prefix-sum table over task counts.
+    pub fn runs(&self) -> &[u32] {
+        &self.runs
+    }
+
+    /// Window index of each distinct A window, in slot order.
+    pub fn a_windows(&self) -> &[u32] {
+        &self.a_windows
+    }
+
+    /// Window index of each distinct B window, in slot order.
+    pub fn b_windows(&self) -> &[u32] {
+        &self.b_windows
+    }
+}
+
+/// A family of equally-shaped windows into one f32 buffer: window `i` starts
+/// at element `i · stride` and is read with leading dimension `ld`.
+#[derive(Clone, Copy, Debug)]
+pub struct Windows<'a> {
+    pub data: &'a [f32],
+    pub ld: usize,
+    pub stride: usize,
+    pub layout: Layout,
+}
+
+impl<'a> Windows<'a> {
+    /// Windows stored as they are multiplied.
+    pub fn normal(data: &'a [f32], ld: usize, stride: usize) -> Self {
+        Windows {
+            data,
+            ld,
+            stride,
+            layout: Layout::Normal,
+        }
+    }
+
+    /// Windows stored transposed.
+    pub fn transposed(data: &'a [f32], ld: usize, stride: usize) -> Self {
+        Windows {
+            layout: Layout::Transposed,
+            ..Self::normal(data, ld, stride)
+        }
+    }
+}
+
+/// A grouped GEMM: every task of `table` is one `m×k×n` product
+/// `C[c] = op(A[a]) · op(B[b]) + β·C[c]` over windows of three shared
+/// buffers, where `β` is `beta` for the first task of a run and 1 for the
+/// rest (a run accumulates). One launch covers a whole block-sparse operator;
+/// an empty table is a no-op.
+#[derive(Clone, Copy, Debug)]
+pub struct GemmGroup<'a> {
+    pub m: usize,
+    pub k: usize,
+    pub n: usize,
+    pub a: Windows<'a>,
+    pub b: Windows<'a>,
+    /// Leading dimension of every C window.
+    pub ldc: usize,
+    /// C window `i` starts at element `i · c_stride` of the output buffer.
+    pub c_stride: usize,
+    pub beta: f32,
+    pub table: &'a GemmTable,
+}
+
+/// How the C windows of a group lie in the output buffer — what decides how
+/// a launch may be split across threads without two of them sharing memory.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum CShape {
+    /// Column windows of one `m`-row matrix: split by rows.
+    Columns,
+    /// Sorted, non-overlapping regions, one per run: split by runs.
+    Regions,
+    /// Anything else: not split.
+    Other,
+}
+
+impl GemmGroup<'_> {
+    /// The operand views of one task as a plain [`GemmOp`].
+    pub(crate) fn task_op(&self, t: &GemmTask) -> GemmOp<'_> {
+        fn window<'w>(w: &Windows<'w>, windows: &[u32], slot: u32) -> &'w [f32] {
+            // A degenerate shape may come with empty buffers.
+            let off = windows[slot as usize] as usize * w.stride;
+            w.data.get(off..).unwrap_or(&[])
+        }
+        GemmOp {
+            m: self.m,
+            k: self.k,
+            n: self.n,
+            a: window(&self.a, self.table.a_windows(), t.a),
+            lda: self.a.ld,
+            a_layout: self.a.layout,
+            b: BOperand::F32(window(&self.b, self.table.b_windows(), t.b)),
+            ldb: self.b.ld,
+            b_layout: self.b.layout,
+        }
+    }
+
+    /// Element offset of a task's C window.
+    pub(crate) fn c_offset(&self, t: &GemmTask) -> usize {
+        t.c as usize * self.c_stride
+    }
+
+    /// Elements from the start of a C window to one past its last element.
+    pub(crate) fn c_span(&self) -> usize {
+        match (self.m, self.n) {
+            (0, _) | (_, 0) => 0,
+            (m, n) => (m - 1) * self.ldc + n,
+        }
+    }
+
+    /// Validate every window of a non-empty table against the slice-length
+    /// contract — O(1): the table knows its largest window index per operand
+    /// — and classify the C windows.
+    #[track_caller]
+    pub(crate) fn check(&self, c_len: usize) -> CShape {
+        let (a_rows, a_cols) = self.a.layout.stored(self.m, self.k);
+        let (b_rows, b_cols) = self.b.layout.stored(self.k, self.n);
+        let t = self.table;
+        let a_off = t.max[0] as usize * self.a.stride;
+        let b_off = t.max[1] as usize * self.b.stride;
+        let c_off = t.max[2] as usize * self.c_stride;
+        let tail = |len: usize, off: usize| len.saturating_sub(off);
+        check_view(
+            tail(self.a.data.len(), a_off),
+            a_rows,
+            a_cols,
+            self.a.ld,
+            "gemm group: A",
+        );
+        check_view(
+            tail(self.b.data.len(), b_off),
+            b_rows,
+            b_cols,
+            self.b.ld,
+            "gemm group: B",
+        );
+        check_view(
+            tail(c_len, c_off),
+            self.m,
+            self.n,
+            self.ldc,
+            "gemm group: C",
+        );
+        if c_off + self.n <= self.ldc && c_len <= self.m * self.ldc {
+            CShape::Columns
+        } else if t.c_ascending && self.c_span() <= self.c_stride {
+            CShape::Regions
+        } else {
+            CShape::Other
+        }
+    }
 }

@@ -30,8 +30,7 @@
 //!   bandwidth-friendly. C row chunks are worker-disjoint (`par_rows`
 //!   split_at_mut carving), so one big GEMM saturates all `LX_THREADS`
 //!   workers.
-//! * Nested calls (a GEMM issued from inside a pool worker, e.g. the
-//!   per-block GEMMs of the sparse slab kernels) detect
+//! * Nested calls (a GEMM issued from inside a pool worker) detect
 //!   [`lx_parallel::in_worker`] via [`crate::sequential_mode`] and run the
 //!   whole macro-kernel on the calling thread instead of oversubscribing the
 //!   pool.
@@ -41,15 +40,21 @@
 //!   GELU pass — so fused results are bit-identical to unfused ones while
 //!   the separate read-modify-write passes over C disappear.
 //!
+//! * A grouped launch ([`Packed::gemm_grouped_on`]) reuses all of the above
+//!   across the tasks of an offset table: each distinct A and B window is
+//!   packed once, the microkernel runs off those panels per task, and the
+//!   table's runs (or the rows of its column windows) are what the pool
+//!   splits.
+//!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{row_grain, scale_only, KernelBackend};
+use crate::backend::{row_grain, scale_only, scale_row, KernelBackend, GRAIN_FLOPS};
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
-use crate::op::{BOperand, GemmOp, Layout};
-use lx_parallel::par_rows;
+use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTask, Layout};
+use lx_parallel::{par_rows, ThreadPool};
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -313,6 +318,8 @@ impl PackSrc for lx_quant::NmView<'_> {
 thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Which A slots of a grouped launch this thread has packed so far.
+    static PACKED_SLOTS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Pack `kc` k-steps × `nc` columns of B into `nr`-wide column panels:
@@ -378,26 +385,40 @@ fn pack_a(
     let panels = mc.div_ceil(mr);
     out.clear();
     out.resize(panels * kc * mr, 0.0);
-    for panel in 0..panels {
+    for (panel, dst) in out.chunks_exact_mut((kc * mr).max(1)).enumerate() {
         let i0 = panel * mr;
-        let height = mr.min(mc - i0);
-        let dst = &mut out[panel * kc * mr..(panel + 1) * kc * mr];
-        match layout {
-            Layout::Normal => {
-                for i in 0..height {
-                    let src = &a[(ic + i0 + i) * lda + pc..];
-                    for p in 0..kc {
-                        dst[p * mr + i] = src[p];
-                    }
+        pack_a_panel(dst, a, lda, layout, ic + i0, mr.min(mc - i0), pc, kc, mr);
+    }
+}
+
+/// One `mr`-tall Ã panel: `dst[p·mr + i]` = A(i0 + i, pc + p) for
+/// `i < height`; rows past `height` are left as they are (the caller zeroes
+/// them).
+#[allow(clippy::too_many_arguments)]
+fn pack_a_panel(
+    dst: &mut [f32],
+    a: &[f32],
+    lda: usize,
+    layout: Layout,
+    i0: usize,
+    height: usize,
+    pc: usize,
+    kc: usize,
+    mr: usize,
+) {
+    match layout {
+        Layout::Normal => {
+            for i in 0..height {
+                let src = &a[(i0 + i) * lda + pc..];
+                for p in 0..kc {
+                    dst[p * mr + i] = src[p];
                 }
             }
-            Layout::Transposed => {
-                for p in 0..kc {
-                    let src = &a[(pc + p) * lda + ic + i0..];
-                    for i in 0..height {
-                        dst[p * mr + i] = src[i];
-                    }
-                }
+        }
+        Layout::Transposed => {
+            for p in 0..kc {
+                let src = &a[(pc + p) * lda + i0..];
+                dst[p * mr..p * mr + height].copy_from_slice(&src[..height]);
             }
         }
     }
@@ -468,15 +489,18 @@ mod avx2 {
                 lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
             }
         }
-        if mr == MR && nr == NR {
-            for (i, lanes) in acc.iter().enumerate() {
+        if nr == NR {
+            // Full-width tile (any height): vector write-back of the valid
+            // rows.
+            for (i, lanes) in acc.iter().enumerate().take(mr) {
                 let cp = c.add(i * ldc);
                 _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), lanes[0]));
                 let cp8 = cp.add(8);
                 _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), lanes[1]));
             }
         } else {
-            // Edge tile: spill the register tile and clamp the write-back.
+            // Narrow edge tile: spill the register tile and clamp the
+            // write-back.
             let mut tmp = [0.0f32; MR * NR];
             for (i, lanes) in acc.iter().enumerate() {
                 _mm256_storeu_ps(tmp.as_mut_ptr().add(i * NR), lanes[0]);
@@ -525,15 +549,18 @@ mod avx512 {
                 lanes[1] = _mm512_fmadd_ps(av, b1, lanes[1]);
             }
         }
-        if mr == MR && nr == NR {
-            for (i, lanes) in acc.iter().enumerate() {
+        if nr == NR {
+            // Full-width tile (any height): vector write-back of the valid
+            // rows.
+            for (i, lanes) in acc.iter().enumerate().take(mr) {
                 let cp = c.add(i * ldc);
                 _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), lanes[0]));
                 let cp16 = cp.add(16);
                 _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), lanes[1]));
             }
         } else {
-            // Edge tile: spill the register tile and clamp the write-back.
+            // Narrow edge tile: spill the register tile and clamp the
+            // write-back.
             let mut tmp = [0.0f32; MR * NR];
             for (i, lanes) in acc.iter().enumerate() {
                 _mm512_storeu_ps(tmp.as_mut_ptr().add(i * NR), lanes[0]);
@@ -776,6 +803,299 @@ impl Packed {
     }
 }
 
+/// The microkernel arm a grouped launch of `m×n` tasks runs: the one that
+/// issues the fewest vector instructions per k-step over the task padded to
+/// its register tile. A 16×16 score block fills 3 of the 6×16 AVX2 tiles but
+/// wastes two thirds of the 14×32 AVX-512 tiles it would need, so on an
+/// AVX-512 host the narrower arm can win; never an arm wider than
+/// [`active_isa`] allows. The FMA arms agree bit for bit (every C element is
+/// one fused multiply-add chain over `k` in either), so the choice never
+/// shows in the result.
+fn group_isa(m: usize, n: usize) -> Isa {
+    let active = active_isa();
+    let instructions = |isa: Isa, lanes: usize| {
+        let (mr, nr) = isa.tile();
+        m.div_ceil(mr) * mr * n.div_ceil(nr) * nr / lanes
+    };
+    if active == Isa::Avx512
+        && Isa::Avx2.supported()
+        && instructions(Isa::Avx2, 8) < instructions(Isa::Avx512, 16)
+    {
+        Isa::Avx2
+    } else {
+        active
+    }
+}
+
+/// A launch whose tasks are the adjacent column windows of one product:
+/// one shared A window, a fresh B window and its own run per task, C windows
+/// side by side (`fc1_forward`'s `Z = X · [W_a]ᵀ`). Such a launch is a single
+/// `m × k × (tasks·n)` GEMM whose B columns are gathered from the windows,
+/// so slabs narrower than the register tile share its panels.
+fn is_wide(g: &GemmGroup<'_>, shape: CShape) -> bool {
+    let (table, tasks) = (g.table, g.table.tasks());
+    shape == CShape::Columns
+        && g.c_stride == g.n
+        && table.a_windows().len() == 1
+        && table.b_windows().len() == tasks.len()
+        && table.runs().len() == tasks.len() + 1
+        && (0u32..).zip(tasks).all(|(i, t)| t.c == tasks[0].c + i)
+}
+
+/// One k-block of a grouped launch: everything its chunks share.
+struct GroupPass<'a> {
+    g: &'a GemmGroup<'a>,
+    isa: Isa,
+    /// First k-step and depth of the block.
+    pc: usize,
+    kc: usize,
+    /// Width of a C window: `g.n`, or all of them side by side when the
+    /// launch [`is_wide`] (then `runs`/`tasks` hold the one widened task).
+    cols: usize,
+    runs: &'a [u32],
+    tasks: &'a [GemmTask],
+    /// Slots of B̃, which is laid out `[column panel][slot][kc][nr]`: the
+    /// panels of consecutive slots are contiguous along k, so a run of tasks
+    /// over consecutive slots reads one long panel.
+    b_slots: usize,
+}
+
+impl GroupPass<'_> {
+    /// Pack B̃ for this block: every distinct B window once (or, widened,
+    /// their columns gathered into shared panels).
+    fn pack_b(&self, out: &mut Vec<f32>, pool: Option<&ThreadPool>) {
+        let (g, kc, pc) = (self.g, self.kc, self.pc);
+        let (_, nr) = self.isa.tile();
+        let panel_len = kc * nr;
+        if panel_len == 0 {
+            return;
+        }
+        let windows = g.table.b_windows();
+        let panels = self.cols.div_ceil(nr) * self.b_slots;
+        out.resize(panels * panel_len, 0.0);
+        let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
+            for (dst, p) in dst_all.chunks_exact_mut(panel_len).zip(prange) {
+                let (jp, slot) = (p / self.b_slots, p % self.b_slots);
+                let cols = jp * nr..self.cols.min((jp + 1) * nr);
+                if cols.len() < nr {
+                    dst.fill(0.0);
+                }
+                // Column `v` of slot `s` is column `v % n` of window
+                // `s + v / n` (`v < n` unless widened).
+                let mut v = cols.start;
+                while v < cols.end {
+                    let (window, j) = (windows[slot + v / g.n] as usize, v % g.n);
+                    let width = (g.n - j).min(cols.end - v);
+                    let b = &g.b.data[window * g.b.stride..];
+                    let dst = &mut dst[v - cols.start..];
+                    match g.b.layout {
+                        Layout::Normal => b.fill_panel_normal(dst, g.b.ld, pc, kc, j, width, nr),
+                        Layout::Transposed => {
+                            b.fill_panel_transposed(dst, g.b.ld, pc, kc, j, width, nr)
+                        }
+                    }
+                    v += width;
+                }
+            }
+        };
+        let grain = ((1 << 15) / panel_len).max(1);
+        match pool {
+            Some(pool) if panels > grain => pool.par_rows(out, panels, panel_len, grain, fill),
+            _ => fill(0..panels, out),
+        }
+    }
+
+    /// Runs `rs`, rows `rows` of every C window, off the packed `bpack` into
+    /// `chunk`, which starts at element `base` of C. Packs the A windows it
+    /// meets into this thread's panels, laid out `[row panel][slot][kc][mr]`
+    /// like B̃.
+    fn work(
+        &self,
+        bpack: &[f32],
+        rs: Range<usize>,
+        rows: Range<usize>,
+        chunk: &mut [f32],
+        base: usize,
+    ) {
+        let (g, kc, pc, isa) = (self.g, self.kc, self.pc, self.isa);
+        let (mr, nr) = isa.tile();
+        let a_windows = g.table.a_windows();
+        let m_panels = rows.len().div_ceil(mr);
+        let height = |ip: usize| mr.min(rows.len() - ip * mr);
+        let a_panel = |ip: usize, slot: usize| (ip * a_windows.len() + slot) * kc * mr;
+        PACK_A.with(|apack| {
+            PACKED_SLOTS.with(|packed| {
+                let apack = &mut *apack.borrow_mut();
+                let packed = &mut *packed.borrow_mut();
+                apack.resize(m_panels * a_windows.len() * kc * mr, 0.0);
+                packed.clear();
+                packed.resize(a_windows.len(), false);
+                for run in rs {
+                    let run = &self.tasks[self.runs[run] as usize..self.runs[run + 1] as usize];
+                    let Some(first) = run.first() else { continue };
+                    let c_off = g.c_offset(first) + rows.start * g.ldc - base;
+                    if pc == 0 && g.beta != 1.0 {
+                        for i in 0..rows.len() {
+                            let row = c_off + i * g.ldc;
+                            scale_row(&mut chunk[row..row + self.cols], g.beta);
+                        }
+                    }
+                    let mut t = 0;
+                    while t < run.len() && kc > 0 {
+                        let (a0, b0) = (run[t].a as usize, run[t].b as usize);
+                        // Tasks over consecutive slots: one deeper call.
+                        let mut depth = 1;
+                        while run.get(t + depth).is_some_and(|next| {
+                            next.a as usize == a0 + depth && next.b as usize == b0 + depth
+                        }) {
+                            depth += 1;
+                        }
+                        for slot in a0..a0 + depth {
+                            if std::mem::replace(&mut packed[slot], true) {
+                                continue;
+                            }
+                            let a = &g.a.data[a_windows[slot] as usize * g.a.stride..];
+                            for ip in 0..m_panels {
+                                let dst = &mut apack[a_panel(ip, slot)..][..kc * mr];
+                                if height(ip) < mr {
+                                    dst.fill(0.0);
+                                }
+                                let i0 = rows.start + ip * mr;
+                                pack_a_panel(
+                                    dst,
+                                    a,
+                                    g.a.ld,
+                                    g.a.layout,
+                                    i0,
+                                    height(ip),
+                                    pc,
+                                    kc,
+                                    mr,
+                                );
+                            }
+                        }
+                        for jp in 0..self.cols.div_ceil(nr) {
+                            let bp = &bpack[(jp * self.b_slots + b0) * kc * nr..];
+                            let width = nr.min(self.cols - jp * nr);
+                            for ip in 0..m_panels {
+                                let ap = &apack[a_panel(ip, a0)..];
+                                let tile = &mut chunk[c_off + ip * mr * g.ldc + jp * nr..];
+                                microkernel(
+                                    isa,
+                                    depth * kc,
+                                    ap,
+                                    bp,
+                                    tile,
+                                    g.ldc,
+                                    height(ip),
+                                    width,
+                                );
+                            }
+                        }
+                        t += depth;
+                    }
+                }
+            })
+        });
+    }
+}
+
+impl Packed {
+    /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
+    /// given, an explicit microkernel arm (tests and benches; `None` picks
+    /// the arm from the task shape).
+    ///
+    /// Every distinct B window is packed once per launch and shared
+    /// read-only; every distinct A window is packed once per thread that
+    /// needs it, into thread-local panels; the register-tile microkernel then
+    /// runs straight off those panels for each task in table order. Tasks of
+    /// a run whose A *and* B slots are consecutive read contiguous panels and
+    /// collapse into one deeper microkernel call, and a launch of adjacent
+    /// column windows runs as one wide product (see `is_wide`) — properties
+    /// of the table, so every C element sees the same accumulation order
+    /// however the launch is split: by rows when the C windows are column
+    /// windows of one matrix (neuron slabs), by task count per run when they
+    /// are separate regions (score blocks, block rows), inline when
+    /// [`sequential_mode`] is set.
+    ///
+    /// [`sequential_mode`]: crate::sequential_mode
+    pub fn gemm_grouped_on(
+        &self,
+        pool: &ThreadPool,
+        isa: Option<Isa>,
+        g: &GemmGroup<'_>,
+        c: &mut [f32],
+    ) {
+        let table = g.table;
+        if table.tasks().is_empty() || g.m == 0 || g.n == 0 {
+            return;
+        }
+        let shape = g.check(c.len());
+        let (cols, runs, tasks, b_slots) = if is_wide(g, shape) {
+            let tasks = table.tasks();
+            (tasks.len() * g.n, &[0, 1][..], &tasks[..1], 1)
+        } else {
+            (g.n, table.runs(), table.tasks(), table.b_windows().len())
+        };
+        let isa = isa.unwrap_or_else(|| group_isa(g.m, cols));
+        assert!(isa.supported(), "gemm group: {} not supported", isa.name());
+        let seq = crate::sequential_mode();
+        let kc_max = tiles().kc.max(1);
+        // As in `driver`: taken, not borrowed, across the parallel section.
+        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
+        let mut pc = 0;
+        loop {
+            let kc = kc_max.min(g.k - pc);
+            let pass = GroupPass {
+                g,
+                isa,
+                pc,
+                kc,
+                cols,
+                runs,
+                tasks,
+                b_slots,
+            };
+            pass.pack_b(&mut bpack, (!seq).then_some(pool));
+            let bpack = &bpack;
+            let all_runs = 0..runs.len() - 1;
+            // Multiply-adds behind one row of every C window.
+            let row_macs = g.k * g.n * table.tasks().len();
+            match shape {
+                _ if seq => pass.work(bpack, all_runs, 0..g.m, c, 0),
+                CShape::Columns => {
+                    let grain = (GRAIN_FLOPS / row_macs.max(1)).max(isa.tile().0);
+                    pool.par_rows(c, g.m, g.ldc, grain, |rows, chunk| {
+                        let base = rows.start * g.ldc;
+                        pass.work(bpack, all_runs.clone(), rows, chunk, base)
+                    });
+                }
+                CShape::Regions => {
+                    // The C region covering the non-empty runs of `rs`.
+                    let cover = |rs: Range<usize>| {
+                        let span = &tasks[runs[rs.start] as usize..runs[rs.end] as usize];
+                        match (span.first(), span.last()) {
+                            (Some(lo), Some(hi)) => g.c_offset(lo)..g.c_offset(hi) + g.c_span(),
+                            _ => 0..0,
+                        }
+                    };
+                    let min_tasks = GRAIN_FLOPS / (g.m * g.k * g.n).max(1);
+                    pool.par_weighted(c, runs, min_tasks, cover, |rs, chunk| {
+                        let base = cover(rs.clone()).start;
+                        pass.work(bpack, rs, 0..g.m, chunk, base)
+                    });
+                }
+                CShape::Other => pass.work(bpack, all_runs, 0..g.m, c, 0),
+            }
+            pc += kc;
+            if pc >= g.k {
+                break;
+            }
+        }
+        PACK_B.with(|b| *b.borrow_mut() = bpack);
+    }
+}
+
 impl KernelBackend for Packed {
     fn name(&self) -> &'static str {
         "packed"
@@ -794,5 +1114,9 @@ impl KernelBackend for Packed {
             BOperand::Q4(b) => self.driver(op, b, c, ldc, beta, ep),
             BOperand::Nm(b) => self.driver(op, b, c, ldc, beta, ep),
         }
+    }
+
+    fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
+        self.gemm_grouped_on(lx_parallel::pool(), None, group, c)
     }
 }

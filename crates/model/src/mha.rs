@@ -9,7 +9,8 @@
 use crate::linear::Linear;
 use crate::param::Param;
 use lx_sparse::attention::{
-    block_row_softmax, block_row_softmax_backward, dsd, dsd_tn, sdd_nt, CausalFill,
+    apply_alibi_blocks, block_row_softmax, block_row_softmax_backward, dsd, dsd_tn, sdd_nt,
+    CausalFill,
 };
 use lx_sparse::MultiHeadLayout;
 use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
@@ -130,41 +131,30 @@ impl MultiHeadAttention {
             }
             Some(layout) => {
                 assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
-                let total = layout.total_data_len;
-                let mut probs = Tensor::zeros(&[batch, total]);
-                let mut ctx = Tensor::zeros(&[batch * self.n_heads * seq, self.head_dim]);
+                // One launch per operator covers every head of the layer:
+                // the stacked layout addresses the head-major projections
+                // and the shared block-data buffer directly.
+                let stacked = stacked_layout(layout, seq);
+                let (total, span) = (layout.total_data_len, self.n_heads * seq);
+                // Every active block is overwritten by the SDD.
+                let mut probs = Tensor::scratch(&[batch, total]);
+                let mut ctx = Tensor::zeros(&[batch * span, self.head_dim]);
                 for b in 0..batch {
-                    for h in 0..self.n_heads {
-                        let head_layout = &layout.heads[h];
-                        assert_eq!(
-                            head_layout.n_brows * head_layout.block_size,
-                            seq,
-                            "layout grid must match seq"
-                        );
-                        let off = (b * self.n_heads + h) * seq;
-                        let qs = rows(&q, off, seq, self.head_dim);
-                        let ks = rows(&k, off, seq, self.head_dim);
-                        let vs = rows(&v, off, seq, self.head_dim);
-                        let dr = layout.head_data_range(h);
-                        let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total][dr];
-                        sdd_nt(
-                            qs,
-                            ks,
-                            seq,
-                            self.head_dim,
-                            scale,
-                            head_layout,
-                            CausalFill::NegInf,
-                            p,
-                        );
-                        if let Some(slopes) = &self.alibi_slopes {
-                            apply_alibi_blocks(p, head_layout, slopes[h]);
+                    let qs = rows(&q, b * span, span, self.head_dim);
+                    let ks = rows(&k, b * span, span, self.head_dim);
+                    let vs = rows(&v, b * span, span, self.head_dim);
+                    let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total];
+                    let fill = CausalFill::NegInf;
+                    sdd_nt(qs, ks, span, self.head_dim, scale, stacked, fill, p);
+                    if let Some(slopes) = &self.alibi_slopes {
+                        for (h, &slope) in slopes.iter().enumerate() {
+                            let p_head = &mut p[layout.head_data_range(h)];
+                            apply_alibi_blocks(p_head, &layout.heads[h], slope);
                         }
-                        block_row_softmax(p, head_layout);
-                        let c = &mut ctx.as_mut_slice()
-                            [off * self.head_dim..(off + seq) * self.head_dim];
-                        dsd(p, vs, seq, self.head_dim, head_layout, c);
                     }
+                    block_row_softmax(p, stacked);
+                    let c = rows_mut(&mut ctx, b * span, span, self.head_dim);
+                    dsd(p, vs, span, self.head_dim, stacked, c);
                 }
                 (
                     ctx,
@@ -241,47 +231,51 @@ impl MultiHeadAttention {
                 }
             }
             CacheMode::Sparse { layout, probs } => {
-                let total = layout.total_data_len;
+                let stacked = stacked_layout(layout, seq);
+                let (total, span) = (layout.total_data_len, heads * seq);
+                // Block-data scratch, fully overwritten per batch item: dP
+                // by the SDD, dS by the softmax backward.
+                let mut dp_t = Tensor::scratch(&[total]);
+                let mut ds_t = Tensor::scratch(&[total]);
                 for b in 0..batch {
-                    for h in 0..heads {
-                        let head_layout = &layout.heads[h];
-                        let off = (b * heads + h) * seq;
-                        let qs = rows(&cache.q, off, seq, dh);
-                        let ks = rows(&cache.k, off, seq, dh);
-                        let vs = rows(&cache.v, off, seq, dh);
-                        let dc = rows(&dctx, off, seq, dh);
-                        let dr = layout.head_data_range(h);
-                        let p = &probs.as_slice()[b * total..(b + 1) * total][dr];
-                        // dP on active blocks only (SDD with zero fill);
-                        // pooled scratch sized per head layout.
-                        let mut dp_t = Tensor::zeros(&[head_layout.data_len()]);
-                        let dp = dp_t.as_mut_slice();
-                        sdd_nt(dc, vs, seq, dh, 1.0, head_layout, CausalFill::Zero, dp);
-                        let mut ds_t = Tensor::zeros(&[head_layout.data_len()]);
-                        let ds = ds_t.as_mut_slice();
-                        block_row_softmax_backward(p, dp, head_layout, ds);
-                        for v in ds.iter_mut() {
-                            *v *= scale;
-                        }
-                        let ds: &[f32] = ds;
-                        dsd(
-                            ds,
-                            ks,
-                            seq,
-                            dh,
-                            head_layout,
-                            rows_mut(&mut dq, off, seq, dh),
-                        );
-                        dsd_tn(
-                            ds,
-                            qs,
-                            seq,
-                            dh,
-                            head_layout,
-                            rows_mut(&mut dk, off, seq, dh),
-                        );
-                        dsd_tn(p, dc, seq, dh, head_layout, rows_mut(&mut dv, off, seq, dh));
+                    let qs = rows(&cache.q, b * span, span, dh);
+                    let ks = rows(&cache.k, b * span, span, dh);
+                    let vs = rows(&cache.v, b * span, span, dh);
+                    let dc = rows(&dctx, b * span, span, dh);
+                    let p = &probs.as_slice()[b * total..(b + 1) * total];
+                    // dP on active blocks only (SDD with zero fill).
+                    let dp = dp_t.as_mut_slice();
+                    sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::Zero, dp);
+                    let ds = ds_t.as_mut_slice();
+                    block_row_softmax_backward(p, dp, stacked, ds);
+                    for v in ds.iter_mut() {
+                        *v *= scale;
                     }
+                    let ds: &[f32] = ds;
+                    dsd(
+                        ds,
+                        ks,
+                        span,
+                        dh,
+                        stacked,
+                        rows_mut(&mut dq, b * span, span, dh),
+                    );
+                    dsd_tn(
+                        ds,
+                        qs,
+                        span,
+                        dh,
+                        stacked,
+                        rows_mut(&mut dk, b * span, span, dh),
+                    );
+                    dsd_tn(
+                        p,
+                        dc,
+                        span,
+                        dh,
+                        stacked,
+                        rows_mut(&mut dv, b * span, span, dh),
+                    );
                 }
             }
         }
@@ -349,23 +343,17 @@ pub fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize
     out
 }
 
-/// Subtract `slope·(i−j)` from causal positions of block-sparse score data.
-fn apply_alibi_blocks(data: &mut [f32], layout: &lx_sparse::BlockCsr, slope: f32) {
-    let b = layout.block_size;
-    for br in 0..layout.n_brows {
-        for e in layout.row_entries(br) {
-            let bc = layout.col_idx[e] as usize;
-            for i in 0..b {
-                let gi = br * b + i;
-                for j in 0..b {
-                    let gj = bc * b + j;
-                    if gj <= gi {
-                        data[e * b * b + i * b + j] -= slope * (gi - gj) as f32;
-                    }
-                }
-            }
-        }
-    }
+/// The per-layer launch layout of `layout`, checked against the sequence.
+fn stacked_layout(layout: &MultiHeadLayout, seq: usize) -> &lx_sparse::BlockCsr {
+    let stacked = layout
+        .stacked()
+        .expect("attention heads must share one block size and grid");
+    assert_eq!(
+        stacked.n_brows * stacked.block_size,
+        layout.n_heads() * seq,
+        "layout grid must match seq"
+    );
+    stacked
 }
 
 fn rows(t: &Tensor, start_row: usize, n_rows: usize, width: usize) -> &[f32] {

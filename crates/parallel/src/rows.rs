@@ -17,6 +17,11 @@
 //!   `Range<usize>` spans of `data` (CSR block-rows, scattered weight
 //!   columns). Tasks get contiguous runs of spans and the one slice covering
 //!   them.
+//! * [`par_weighted`] — items of unequal cost described by a prefix-sum
+//!   table (CSR row pointers, the run table of a grouped GEMM). Tasks get
+//!   contiguous item ranges of roughly equal *weight*, not equal count, so a
+//!   causal layout whose last block-rows hold most of the blocks still
+//!   splits evenly.
 
 use crate::pool::{pool, split_range, ThreadPool};
 use std::ops::Range;
@@ -128,6 +133,71 @@ impl ThreadPool {
     }
 }
 
+impl ThreadPool {
+    /// Parallel loop over `prefix.len() - 1` items of unequal weight: item `i`
+    /// weighs `prefix[i + 1] - prefix[i]` (a non-decreasing prefix-sum table,
+    /// e.g. CSR row pointers). Items are split into contiguous ranges of
+    /// roughly equal weight — at least `min_weight` each — and `cover(range)`
+    /// names the sub-slice of `data` the items of `range` write; covers of
+    /// successive ranges must be ascending and disjoint. Each task receives
+    /// its item range and exactly that sub-slice. A total weight of at most
+    /// `min_weight` runs inline on the calling thread.
+    pub fn par_weighted<T, C, F>(
+        &self,
+        data: &mut [T],
+        prefix: &[u32],
+        min_weight: usize,
+        cover: C,
+        body: F,
+    ) where
+        T: Send,
+        C: Fn(Range<usize>) -> Range<usize>,
+        F: Fn(Range<usize>, &mut [T]) + Sync,
+    {
+        let n = prefix.len().saturating_sub(1);
+        if n == 0 {
+            return;
+        }
+        let weight = |items: Range<usize>| (prefix[items.end] - prefix[items.start]) as usize;
+        let min_weight = min_weight.max(1);
+        let total = weight(0..n);
+        if total <= min_weight {
+            return body(0..n, &mut data[cover(0..n)]);
+        }
+        // Oversubscribe 2x like `split_range`: the greedy cut overshoots its
+        // target by up to one item, and the spare chunks absorb that.
+        let target = total.div_ceil(self.threads() * 2).max(min_weight);
+        let body_ref = &body;
+        let mut rest = data;
+        let mut carved = 0usize;
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        let mut start = 0;
+        while start < n {
+            let mut end = start + 1;
+            while end < n && weight(start..end) < target {
+                end += 1;
+            }
+            // A light tail would be one more dispatch for no balance gain.
+            if weight(end..n) < min_weight {
+                end = n;
+            }
+            let span = cover(start..end);
+            assert!(
+                carved <= span.start && span.start <= span.end,
+                "par_weighted: cover of items {start}..{end} overlaps its predecessor"
+            );
+            let (_, at_base) = std::mem::take(&mut rest).split_at_mut(span.start - carved);
+            let (head, tail) = at_base.split_at_mut(span.end - span.start);
+            carved = span.end;
+            rest = tail;
+            let items = start..end;
+            tasks.push(Box::new(move || body_ref(items, head)));
+            start = end;
+        }
+        self.run_scoped(tasks);
+    }
+}
+
 /// [`ThreadPool::par_rows`] on the global pool.
 pub fn par_rows<T, F>(data: &mut [T], rows: usize, row_stride: usize, grain: usize, body: F)
 where
@@ -144,6 +214,16 @@ where
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     pool().par_disjoint(data, spans, grain, body)
+}
+
+/// [`ThreadPool::par_weighted`] on the global pool.
+pub fn par_weighted<T, C, F>(data: &mut [T], prefix: &[u32], min_weight: usize, cover: C, body: F)
+where
+    T: Send,
+    C: Fn(Range<usize>) -> Range<usize>,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    pool().par_weighted(data, prefix, min_weight, cover, body)
 }
 
 #[cfg(test)]
@@ -237,6 +317,74 @@ mod tests {
             }
         });
         assert!(data.iter().all(|&v| v == 1));
+    }
+
+    /// Causal-shaped weights (item `i` weighs `i + 1`, owning that many
+    /// elements): every element is written once, and no task is handed more
+    /// than its fair share plus one item.
+    #[test]
+    fn par_weighted_balances_by_weight_not_count() {
+        let n = 64usize;
+        let prefix: Vec<u32> = (0..=n as u32).map(|i| i * (i + 1) / 2).collect();
+        let total = prefix[n] as usize;
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let mut data = vec![0u32; total];
+            let heaviest = std::sync::atomic::AtomicUsize::new(0);
+            let cover = |r: Range<usize>| prefix[r.start] as usize..prefix[r.end] as usize;
+            pool.par_weighted(&mut data, &prefix, 1, cover, |items, chunk| {
+                assert_eq!(chunk.len(), cover(items.clone()).len());
+                heaviest.fetch_max(chunk.len(), std::sync::atomic::Ordering::Relaxed);
+                let base = prefix[items.start] as usize;
+                for i in items {
+                    for v in &mut chunk[prefix[i] as usize - base..prefix[i + 1] as usize - base] {
+                        *v += i as u32 + 1;
+                    }
+                }
+            });
+            for i in 0..n {
+                for v in &data[prefix[i] as usize..prefix[i + 1] as usize] {
+                    assert_eq!(*v, i as u32 + 1);
+                }
+            }
+            let fair = total.div_ceil(2 * threads);
+            assert!(
+                heaviest.into_inner() <= fair + n,
+                "{threads} threads: a task got more than its share"
+            );
+        }
+    }
+
+    #[test]
+    fn par_weighted_small_or_empty_runs_inline() {
+        let mut data = vec![0u8; 6];
+        par_weighted(
+            &mut data,
+            &[0, 2, 2, 6],
+            100,
+            |_| 0..6,
+            |items, chunk| {
+                assert_eq!(items, 0..3);
+                chunk.fill(1);
+            },
+        );
+        assert!(data.iter().all(|&v| v == 1));
+        par_weighted(&mut data, &[], 1, |_| 0..0, |_, _| panic!("must not run"));
+        par_weighted(&mut data, &[0], 1, |_| 0..0, |_, _| panic!("must not run"));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps its predecessor")]
+    fn par_weighted_rejects_descending_covers() {
+        let mut data = vec![0u8; 8];
+        // Four unit-weight items whose covers run backwards.
+        par_weighted(
+            &mut data,
+            &[0, 1, 2, 3, 4],
+            1,
+            |r| 8 - r.end * 2..8 - r.start * 2,
+            |_, _| {},
+        );
     }
 
     #[test]

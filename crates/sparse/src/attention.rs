@@ -11,16 +11,34 @@
 //! `data[e·b² .. (e+1)·b²]`, row-major within the block. Entries of one
 //! block-row are contiguous, so row-wise softmax touches a contiguous span.
 //!
-//! Every per-block product is issued through the `lx-kernels`
-//! [`KernelBackend`](lx_kernels::KernelBackend) as a strided GEMM, so block-sparse work and dense work
-//! hit the *same* microkernels and the dispatcher decides per block shape
-//! whether packing pays off. Task-level parallelism splits block-rows (or
-//! block-columns for the transposed kernels) with the safe
-//! `lx_parallel::{par_rows, par_disjoint}` helpers.
+//! Each of the three matmuls is **one** grouped GEMM
+//! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
+//! over an offset table the layout built when it was constructed — the
+//! paper's Dynamic-aware Operator: one launch over a pool of block tasks.
+//!
+//! ```text
+//!   BlockCsr (built once per pattern)            one launch per operator
+//!   ┌──────────────────────────────┐
+//!   │ sdd     (br, bc, e )  × nnz  │──▶ S[e]   = Q[br] · K[bc]ᵀ    every block its own run
+//!   │ dsd     (e,  bc, br)  by row │──▶ O[br] += P[e]  · V[bc]     one run per block-row
+//!   │ dsd_tn  (e,  br, bc)  by col │──▶ O[bc] += P[e]ᵀ · X[br]     one run per block-column
+//!   └──────────────────────────────┘
+//!        window index × stride = element offset (b·dh for Q/K/V/O rows, b² for blocks)
+//! ```
+//!
+//! The packed backend packs every Q/K/V block-row once per launch instead of
+//! once per block that touches it, runs its register-tile microkernel off
+//! those panels, and splits the runs across the pool by block count, so a
+//! causal layout's heavy last rows do not serialise. The elementwise passes
+//! here (scale + causal fill, softmax, ALiBi) use the same nnz-balanced
+//! block-row split. Every operator works unchanged on
+//! [`MultiHeadLayout::stacked`](crate::MultiHeadLayout::stacked) — all heads
+//! of a layer as one block-diagonal layout over head-major `Q`/`K`/`V` — so
+//! a layer issues one launch per operator, not one per head.
 
 use crate::layout::BlockCsr;
-use lx_kernels::{Epilogue, GemmOp};
-use lx_parallel::{par_disjoint, par_rows};
+use lx_kernels::{GemmGroup, GemmTable, Windows};
+use lx_parallel::par_weighted;
 use std::ops::Range;
 
 /// What to write into causally-masked positions of diagonal blocks.
@@ -56,12 +74,27 @@ fn check_dims(layout: &BlockCsr, s: usize) {
     );
 }
 
-/// Per-block-row spans of the CSR block data (entry `e` owns `b²` elements).
-fn row_data_spans(layout: &BlockCsr) -> Vec<Range<usize>> {
+/// Elements per task below which a pass is not worth a pool dispatch: a
+/// multiply or a fill moves ~64K elements in the time one costs, the
+/// softmax passes (an `exp`, a row reduction) only ~4K.
+const ELEMENTWISE_GRAIN: usize = 1 << 16;
+const SOFTMAX_GRAIN: usize = 1 << 12;
+
+/// Run `body` over nnz-balanced runs of block-rows of CSR block `data`, at
+/// least `grain` elements each: each task gets a block-row range and the
+/// slice holding exactly those rows' blocks (entry `e` sits at `e·b²` minus
+/// the first row's offset).
+fn par_block_rows(
+    data: &mut [f32],
+    layout: &BlockCsr,
+    grain: usize,
+    body: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
     let bb = layout.block_size * layout.block_size;
-    (0..layout.n_brows)
-        .map(|br| layout.row_ptr[br] as usize * bb..layout.row_ptr[br + 1] as usize * bb)
-        .collect()
+    let span = |brs: Range<usize>| {
+        layout.row_ptr[brs.start] as usize * bb..layout.row_ptr[brs.end] as usize * bb
+    };
+    par_weighted(data, &layout.row_ptr, grain / bb.max(1), span, body);
 }
 
 /// SDD: `out_blocks = scale · A·Bᵀ` on active blocks only.
@@ -85,48 +118,72 @@ pub fn sdd_nt(
     assert_eq!(a.len(), s * dh, "SDD: A is s×dh");
     assert_eq!(b_mat.len(), s * dh, "SDD: B is s×dh");
     assert_eq!(out.len(), layout.data_len(), "SDD: out sized to layout");
-    let fillv = fill_value(fill);
-    let be = lx_kernels::backend();
     let bb = b * b;
-    let spans = row_data_spans(layout);
-    // One task per run of block-rows: a row's entries own disjoint,
-    // contiguous `out` spans.
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    par_disjoint(out, &spans, grain, |brs, chunk| {
-        let base = spans[brs.start].start;
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: b,
+            k: dh,
+            n: b,
+            a: Windows::normal(a, dh, b * dh),
+            b: Windows::transposed(b_mat, dh, b * dh),
+            ldc: b,
+            c_stride: bb,
+            beta: 0.0,
+            table: &layout.sdd,
+        },
+        out,
+    );
+    let fillv = fill_value(fill);
+    if scale == 1.0 && fillv.is_none() {
+        return;
+    }
+    par_block_rows(out, layout, ELEMENTWISE_GRAIN, |brs, chunk| {
+        let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
-            let a_rows = &a[br * b * dh..(br + 1) * b * dh];
             for e in layout.row_entries(br) {
                 let bc = layout.col_idx[e] as usize;
                 let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
-                let b_rows = &b_mat[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm(
-                    &GemmOp::nt(b, dh, b, a_rows, dh, b_rows, dh),
-                    blk,
-                    b,
-                    0.0,
-                    Epilogue::None,
-                );
                 if scale != 1.0 {
                     for v in blk.iter_mut() {
                         *v *= scale;
                     }
                 }
+                // Causal masking at element granularity: a block on the
+                // diagonal computed the full b×b product and now overwrites
+                // its masked part (empty for blocks below the diagonal).
                 if let Some(fv) = fillv {
-                    // Causal masking at element granularity. Diagonal blocks
-                    // compute the full b×b product and then overwrite the
-                    // masked half — the vectorised block GEMM beats the old
-                    // skip-per-element scalar loop even doing 2× the MACs.
                     for i in 0..b {
                         let first_masked = (br * b + i + 1).saturating_sub(bc * b).min(b);
-                        for v in &mut blk[i * b + first_masked..(i + 1) * b] {
-                            *v = fv;
-                        }
+                        blk[i * b + first_masked..(i + 1) * b].fill(fv);
                     }
                 }
             }
         }
     });
+}
+
+/// One launch of `out[s×dh] = Σ P-block · X-rows` over `table`, whose runs
+/// each own `b` output rows; rows no run writes are zeroed.
+fn dsd_launch(p: Windows<'_>, x: &[f32], dh: usize, b: usize, table: &GemmTable, out: &mut [f32]) {
+    for (run, rows) in table.runs().windows(2).zip(out.chunks_exact_mut(b * dh)) {
+        if run[0] == run[1] {
+            rows.fill(0.0);
+        }
+    }
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: b,
+            k: b,
+            n: dh,
+            a: p,
+            b: Windows::normal(x, dh, b * dh),
+            ldc: dh,
+            c_stride: b * dh,
+            beta: 0.0,
+            table,
+        },
+        out,
+    );
 }
 
 /// DSD: `out[s×dh] = P · V` where P is block-sparse data over `layout`.
@@ -136,29 +193,7 @@ pub fn dsd(p: &[f32], v: &[f32], s: usize, dh: usize, layout: &BlockCsr, out: &m
     assert_eq!(p.len(), layout.data_len(), "DSD: P sized to layout");
     assert_eq!(v.len(), s * dh, "DSD: V is s×dh");
     assert_eq!(out.len(), s * dh, "DSD: out is s×dh");
-    let be = lx_kernels::backend();
-    let bb = b * b;
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    // One task per run of block-rows; each owns `b` contiguous output rows.
-    par_rows(out, layout.n_brows, b * dh, grain, |brs, chunk| {
-        for br in brs.clone() {
-            let local = (br - brs.start) * b * dh;
-            let out_rows = &mut chunk[local..local + b * dh];
-            out_rows.fill(0.0);
-            for e in layout.row_entries(br) {
-                let bc = layout.col_idx[e] as usize;
-                let p_blk = &p[e * bb..(e + 1) * bb];
-                let v_rows = &v[bc * b * dh..(bc + 1) * b * dh];
-                be.gemm(
-                    &GemmOp::nn(b, b, dh, p_blk, b, v_rows, dh),
-                    out_rows,
-                    dh,
-                    1.0,
-                    Epilogue::None,
-                );
-            }
-        }
-    });
+    dsd_launch(Windows::normal(p, b, b * b), v, dh, b, &layout.dsd, out);
 }
 
 /// Transposed DSD: `out[s×dh] = Pᵀ · X` via the CSC view
@@ -169,29 +204,40 @@ pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out:
     assert_eq!(p.len(), layout.data_len(), "DSD-T: P sized to layout");
     assert_eq!(x.len(), s * dh, "DSD-T: X is s×dh");
     assert_eq!(out.len(), s * dh, "DSD-T: out is s×dh");
-    let be = lx_kernels::backend();
+    // The stored block is P[br, bc]; read transposed it is exactly the
+    // window of `Pᵀ` that block-column `bc` needs.
+    dsd_launch(
+        Windows::transposed(p, b, b * b),
+        x,
+        dh,
+        b,
+        &layout.dsd_tn,
+        out,
+    );
+}
+
+/// Subtract `slope·(i−j)` from the causal positions (`j ≤ i`) of block-sparse
+/// score data — the ALiBi bias of one head. The causal prefix of each block
+/// row is computed once per row (the whole row below the diagonal), so the
+/// inner loop never tests a position.
+pub fn apply_alibi_blocks(data: &mut [f32], layout: &BlockCsr, slope: f32) {
+    let b = layout.block_size;
+    assert_eq!(data.len(), layout.data_len());
     let bb = b * b;
-    let grain = ((1 << 14) / (bb * dh).max(1)).max(1);
-    // One task per run of block-columns; each owns `b` output rows.
-    par_rows(out, layout.n_bcols, b * dh, grain, |bcs, chunk| {
-        for bc in bcs.clone() {
-            let local = (bc - bcs.start) * b * dh;
-            let out_rows = &mut chunk[local..local + b * dh];
-            out_rows.fill(0.0);
-            for e2 in layout.col_entries(bc) {
-                let br = layout.row_idx[e2] as usize;
-                let e = layout.csc_to_csr[e2] as usize;
-                // The stored block is P[br, bc]; as the A operand of a `tn`
-                // GEMM it is read transposed, exactly what `Pᵀ` needs.
-                let p_blk = &p[e * bb..(e + 1) * bb];
-                let x_rows = &x[br * b * dh..(br + 1) * b * dh];
-                be.gemm(
-                    &GemmOp::tn(b, b, dh, p_blk, b, x_rows, dh),
-                    out_rows,
-                    dh,
-                    1.0,
-                    Epilogue::None,
-                );
+    par_block_rows(data, layout, ELEMENTWISE_GRAIN, |brs, chunk| {
+        let base = layout.row_ptr[brs.start] as usize * bb;
+        for br in brs {
+            for e in layout.row_entries(br) {
+                let bc = layout.col_idx[e] as usize;
+                let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
+                for (i, row) in blk.chunks_exact_mut(b).enumerate() {
+                    let gi = br * b + i;
+                    // Columns of this block row at or before the diagonal.
+                    let causal = (gi + 1).saturating_sub(bc * b).min(b);
+                    for (j, v) in row[..causal].iter_mut().enumerate() {
+                        *v -= slope * (gi - (bc * b + j)) as f32;
+                    }
+                }
             }
         }
     });
@@ -202,15 +248,15 @@ pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out:
 pub fn block_row_softmax(data: &mut [f32], layout: &BlockCsr) {
     let b = layout.block_size;
     assert_eq!(data.len(), layout.data_len());
-    let spans = row_data_spans(layout);
-    par_disjoint(data, &spans, 1, |brs, chunk| {
-        let base = spans[brs.start].start;
+    let bb = b * b;
+    par_block_rows(data, layout, SOFTMAX_GRAIN, |brs, chunk| {
+        let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
             let entries = layout.row_entries(br);
             if entries.is_empty() {
                 continue;
             }
-            let span = &mut chunk[spans[br].start - base..spans[br].end - base];
+            let span = &mut chunk[entries.start * bb - base..entries.end * bb - base];
             let n_entries = entries.len();
             for i in 0..b {
                 // Pass 1: max.
@@ -251,9 +297,8 @@ pub fn block_row_softmax_backward(y: &[f32], dy: &[f32], layout: &BlockCsr, dx: 
     assert_eq!(y.len(), layout.data_len());
     assert_eq!(dy.len(), layout.data_len());
     assert_eq!(dx.len(), layout.data_len());
-    let spans = row_data_spans(layout);
-    par_disjoint(dx, &spans, 1, |brs, chunk| {
-        let base = spans[brs.start].start;
+    par_block_rows(dx, layout, SOFTMAX_GRAIN, |brs, chunk| {
+        let base = layout.row_ptr[brs.start] as usize * b * b;
         for br in brs {
             let entries = layout.row_entries(br);
             for i in 0..b {

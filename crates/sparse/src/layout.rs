@@ -3,11 +3,14 @@
 //! A [`BlockCsr`] is the precomputed indexing structure for one sparse
 //! pattern: row pointers + block-column indices (CSR order, which is also the
 //! storage order of score-block data), plus a CSC view for the transposed
-//! kernels in the backward pass. Building one costs a scan of the mask; the
-//! whole point of the pattern pool is to do that *offline* and reuse it.
+//! kernels in the backward pass, plus the three grouped-GEMM offset tables
+//! the SDD / DSD / transposed-DSD operators launch over (see
+//! [`crate::attention`]). Building one costs a scan of the mask; the whole
+//! point of the pattern pool is to do that *offline* and reuse it.
 
 use crate::mask::BlockMask;
-use std::sync::Arc;
+use lx_kernels::GemmTable;
+use std::sync::{Arc, OnceLock};
 
 /// Layout lookup table for a block-sparse matrix over an
 /// `n_brows × n_bcols` grid of `block_size × block_size` tiles.
@@ -26,6 +29,22 @@ pub struct BlockCsr {
     pub row_idx: Vec<u32>,
     /// For each CSC entry, the CSR entry index owning the block data.
     pub csc_to_csr: Vec<u32>,
+    /// SDD tasks, one per block in CSR order: `(block-row, block-col, entry)`.
+    pub(crate) sdd: GemmTable,
+    /// DSD tasks in CSR order, one run per block-row:
+    /// `(entry, block-col, block-row)`.
+    pub(crate) dsd: GemmTable,
+    /// Transposed-DSD tasks in CSC order, one run per block-column:
+    /// `(entry, block-row, block-col)`.
+    pub(crate) dsd_tn: GemmTable,
+}
+
+/// `(entry, major, minor)` of every entry of a compressed index (CSR: row
+/// pointers + column indices; CSC the other way round), in entry order.
+fn entries<'a>(ptr: &'a [u32], idx: &'a [u32]) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
+    ptr.windows(2)
+        .enumerate()
+        .flat_map(move |(major, w)| (w[0]..w[1]).map(move |e| (e, major as u32, idx[e as usize])))
 }
 
 impl BlockCsr {
@@ -44,6 +63,37 @@ impl BlockCsr {
             }
             row_ptr.push(col_idx.len() as u32);
         }
+        Self::from_csr(block_size, n_bcols, row_ptr, col_idx)
+    }
+
+    /// The layouts of `heads` as one block-diagonal layout: head `h` owns
+    /// block-rows and block-columns `h·n .. (h+1)·n`, and — CSR order being
+    /// head-major — the block data of the stack is the heads' block data back
+    /// to back, exactly where [`MultiHeadLayout::data_offsets`] puts it. One
+    /// operator launch over the stack therefore covers every head of a
+    /// layer. `None` unless the heads share one block size and grid.
+    pub fn stack(heads: &[Arc<BlockCsr>]) -> Option<BlockCsr> {
+        let first = heads.first()?;
+        let (b, rows, cols) = (first.block_size, first.n_brows, first.n_bcols);
+        if heads
+            .iter()
+            .any(|h| (h.block_size, h.n_brows, h.n_bcols) != (b, rows, cols))
+        {
+            return None;
+        }
+        let mut row_ptr = vec![0u32];
+        let mut col_idx = Vec::new();
+        for (h, head) in heads.iter().enumerate() {
+            let entries = col_idx.len() as u32;
+            row_ptr.extend(head.row_ptr[1..].iter().map(|&p| entries + p));
+            col_idx.extend(head.col_idx.iter().map(|&c| (h * cols) as u32 + c));
+        }
+        Some(Self::from_csr(b, heads.len() * cols, row_ptr, col_idx))
+    }
+
+    /// Derive the CSC view and the operator offset tables from the CSR index.
+    fn from_csr(block_size: usize, n_bcols: usize, row_ptr: Vec<u32>, col_idx: Vec<u32>) -> Self {
+        let n_brows = row_ptr.len() - 1;
         // CSC view with back-pointers into CSR entry order.
         let nnzb = col_idx.len();
         let mut col_counts = vec![0u32; n_bcols + 1];
@@ -57,15 +107,20 @@ impl BlockCsr {
         let mut cursor = col_counts;
         let mut row_idx = vec![0u32; nnzb];
         let mut csc_to_csr = vec![0u32; nnzb];
-        for r in 0..n_brows {
-            for e in row_ptr[r]..row_ptr[r + 1] {
-                let c = col_idx[e as usize] as usize;
-                let pos = cursor[c] as usize;
-                row_idx[pos] = r as u32;
-                csc_to_csr[pos] = e;
-                cursor[c] += 1;
-            }
+        for (e, br, bc) in entries(&row_ptr, &col_idx) {
+            let pos = cursor[bc as usize] as usize;
+            row_idx[pos] = br;
+            csc_to_csr[pos] = e;
+            cursor[bc as usize] += 1;
         }
+        let csr = || entries(&row_ptr, &col_idx);
+        let sdd = GemmTable::each(csr().map(|(e, br, bc)| (br, bc, e)));
+        let dsd = GemmTable::new(csr().map(|(e, br, bc)| (e, bc, br)), row_ptr.clone());
+        let csc = entries(&col_ptr, &row_idx);
+        let dsd_tn = GemmTable::new(
+            csc.map(|(e2, bc, br)| (csc_to_csr[e2 as usize], br, bc)),
+            col_ptr.clone(),
+        );
         BlockCsr {
             block_size,
             n_brows,
@@ -75,6 +130,9 @@ impl BlockCsr {
             col_ptr,
             row_idx,
             csc_to_csr,
+            sdd,
+            dsd,
+            dsd_tn,
         }
     }
 
@@ -158,7 +216,9 @@ impl BlockCsr {
 ///
 /// Each head references a pooled (shared) `BlockCsr`; `data_offsets` place
 /// every head's block data in one contiguous buffer. Combination is pure
-/// offset arithmetic — the per-head lookup tables are reused as-is.
+/// offset arithmetic — the per-head lookup tables are reused as-is; the
+/// [stacked](Self::stacked) layout a per-layer operator launch runs over is
+/// derived from them the first time a launch asks for it.
 #[derive(Debug, Clone)]
 pub struct MultiHeadLayout {
     pub heads: Vec<Arc<BlockCsr>>,
@@ -166,6 +226,7 @@ pub struct MultiHeadLayout {
     pub data_offsets: Vec<usize>,
     /// Total elements across heads (`data_offsets.last() + last head len`).
     pub total_data_len: usize,
+    stacked: OnceLock<Option<BlockCsr>>,
 }
 
 impl MultiHeadLayout {
@@ -178,10 +239,22 @@ impl MultiHeadLayout {
             acc += h.data_len();
         }
         MultiHeadLayout {
+            stacked: OnceLock::new(),
             heads,
             data_offsets,
             total_data_len: acc,
         }
+    }
+
+    /// All heads as one block-diagonal layout over the shared block-data
+    /// buffer (see [`BlockCsr::stack`]); `None` when the heads differ in
+    /// block size or grid. Built on first use — index concatenation, no mask
+    /// scan — and kept for every later launch over this layout (forward and
+    /// backward, every batch item, every step that reuses the plan).
+    pub fn stacked(&self) -> Option<&BlockCsr> {
+        self.stacked
+            .get_or_init(|| BlockCsr::stack(&self.heads))
+            .as_ref()
     }
 
     pub fn n_heads(&self) -> usize {
@@ -334,6 +407,38 @@ mod tests {
         assert_eq!(ml.total_data_len, 112);
         assert_eq!(ml.total_blocks(), 7);
         assert_eq!(ml.head_data_range(1), 32..80);
+    }
+
+    #[test]
+    fn stacked_heads_are_the_block_diagonal_layout() {
+        let mut m0 = diag_mask(3);
+        m0.set(2, 0, true);
+        let mut m1 = BlockMask::square(3); // block-row 1 empty
+        m1.set(0, 0, true);
+        m1.set(2, 1, true);
+        let masks = [m0, m1, diag_mask(3)];
+        let heads: Vec<_> = masks
+            .iter()
+            .map(|m| Arc::new(BlockCsr::from_mask(m, 4)))
+            .collect();
+        let mut diagonal = BlockMask::square(9);
+        for (h, m) in masks.iter().enumerate() {
+            for r in 0..3 {
+                for c in 0..3 {
+                    diagonal.set(h * 3 + r, h * 3 + c, m.get(r, c));
+                }
+            }
+        }
+        // Same index, same CSC view, same operator tables.
+        let ml = MultiHeadLayout::combine(heads.clone());
+        assert_eq!(ml.stacked(), Some(&BlockCsr::from_mask(&diagonal, 4)));
+        assert_eq!(ml.stacked().unwrap().data_len(), ml.total_data_len);
+        // Heads on different grids do not stack.
+        let other = Arc::new(BlockCsr::from_mask(&diag_mask(2), 4));
+        assert!(MultiHeadLayout::combine(vec![heads[0].clone(), other])
+            .stacked()
+            .is_none());
+        assert!(BlockCsr::stack(&[]).is_none());
     }
 
     #[test]

@@ -12,46 +12,78 @@
 //!
 //! This mirrors the paper's memory-coalescing layout choice and means the
 //! kernels never convert data formats at runtime — the property that makes
-//! them "dynamic-aware". Because each active slab is contiguous, every
-//! per-block product below is one strided GEMM on the `lx-kernels`
-//! [`KernelBackend`](lx_kernels::KernelBackend): the compact activation matrix is addressed with
-//! `lda = active_width` and the slab with its natural leading dimension, so
-//! sparse MLP work runs on the same packed microkernels as the dense path.
+//! them "dynamic-aware". Because each active slab is contiguous, each of the
+//! six kernels below is **one** grouped GEMM
+//! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
+//! over an offset table the [`NeuronBlockSet`] built when it was
+//! constructed. With `ai` the position of active block `blk` in the set:
+//!
+//! ```text
+//!   table   (A, B, C) window    used by                                 shape
+//!   cols    (0,  blk, ai)       fc1_forward, fc2_backward_input         C[:, ai] = A · W_blkᵀ
+//!   sum     (ai, blk, 0 )       fc2_forward, fc1_backward_input         C += A[:, ai] · W_blk
+//!   slabs   (ai, 0,   blk)      fc1_grad_weights, fc2_grad_weights      dW_blk += A[:, ai]ᵀ · B
+//! ```
+//!
+//! The compact activation matrix is addressed with `ld = active_width` and
+//! window stride `block`, a weight slab with its natural leading dimension
+//! and stride `block · ld`. The packed backend packs the shared activation
+//! panel once per row chunk (not once per slab), and slabs whose packed
+//! panels are adjacent collapse into one deeper microkernel call, so sparse
+//! MLP work runs at the efficiency of the dense path it replaces.
 
-use lx_kernels::{Epilogue, GemmOp};
-use lx_parallel::{par_disjoint, par_rows};
-use std::ops::Range;
+use lx_kernels::{GemmGroup, GemmTable, Windows};
 
 /// Sorted set of active neuron blocks out of `n_blocks_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeuronBlockSet {
     pub block_size: usize,
     pub n_blocks_total: usize,
-    /// Sorted, deduplicated active block indices.
+    /// Sorted, deduplicated active block indices. The offset tables below
+    /// are derived from it at construction: build a new set rather than
+    /// editing this in place.
     pub active: Vec<u32>,
+    /// `(0, blk, ai)`, every task its own run: column windows of a compact
+    /// `rows × active` output.
+    cols: GemmTable,
+    /// `(ai, blk, 0)`, one run: every slab accumulates into one output.
+    sum: GemmTable,
+    /// `(ai, 0, blk)`, every task its own run: one weight-gradient slab each.
+    slabs: GemmTable,
 }
 
 impl NeuronBlockSet {
-    /// All blocks active (the dense case).
-    pub fn all(n_blocks_total: usize, block_size: usize) -> Self {
+    /// `active` must be sorted, deduplicated and in range.
+    fn new(active: Vec<u32>, n_blocks_total: usize, block_size: usize) -> Self {
+        let blocks = || (0u32..).zip(active.iter().copied());
+        let n = active.len() as u32;
         NeuronBlockSet {
             block_size,
             n_blocks_total,
-            active: (0..n_blocks_total as u32).collect(),
+            cols: GemmTable::each(blocks().map(|(ai, blk)| (0, blk, ai))),
+            sum: GemmTable::new(blocks().map(|(ai, blk)| (ai, blk, 0)), vec![0, n]),
+            slabs: GemmTable::each(blocks().map(|(ai, blk)| (ai, 0, blk))),
+            active,
         }
+    }
+
+    /// All blocks active (the dense case).
+    pub fn all(n_blocks_total: usize, block_size: usize) -> Self {
+        Self::new(
+            (0..n_blocks_total as u32).collect(),
+            n_blocks_total,
+            block_size,
+        )
     }
 
     /// From a boolean per-block mask.
     pub fn from_mask(mask: &[bool], block_size: usize) -> Self {
-        NeuronBlockSet {
-            block_size,
-            n_blocks_total: mask.len(),
-            active: mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &a)| a.then_some(i as u32))
-                .collect(),
-        }
+        let active = mask
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &a)| a.then_some(i as u32))
+            .collect();
+        Self::new(active, mask.len(), block_size)
     }
 
     /// From an arbitrary (possibly unsorted) index list.
@@ -64,11 +96,7 @@ impl NeuronBlockSet {
                 .is_none_or(|&l| (l as usize) < n_blocks_total),
             "active block out of range"
         );
-        NeuronBlockSet {
-            block_size,
-            n_blocks_total,
-            active: indices,
-        }
+        Self::new(indices, n_blocks_total, block_size)
     }
 
     pub fn n_active(&self) -> usize {
@@ -106,18 +134,7 @@ impl NeuronBlockSet {
     /// mixed-precision MLP path, which decodes only the active slabs of a
     /// half-stored weight to f32.
     pub fn compacted(&self) -> NeuronBlockSet {
-        NeuronBlockSet {
-            block_size: self.block_size,
-            n_blocks_total: self.n_active(),
-            active: (0..self.n_active() as u32).collect(),
-        }
-    }
-
-    /// Weight-buffer span of active block `ai` when each neuron owns `per`
-    /// contiguous elements (an FC1 column slab or FC2 row slab).
-    fn slab(&self, ai: usize, per: usize) -> Range<usize> {
-        let blk = self.active[ai] as usize * self.block_size;
-        blk * per..(blk + self.block_size) * per
+        Self::all(self.n_active(), self.block_size)
     }
 
     /// Number of active blocks present in both sets (merge walk over the
@@ -267,16 +284,11 @@ impl ColMajorWeights {
     }
 }
 
-/// Rows-per-task grain targeting ~32K MACs, as the original loops used.
-fn rows_grain(width: usize, d: usize) -> usize {
-    ((1 << 15) / (width * d).max(1)).max(1)
-}
-
 /// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1.col(active[a]·b+t)⟩ (+ bias)`.
 ///
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
-/// Each active block is `Z_a = X · W_aᵀ`, a strided `nt`-GEMM against the
-/// contiguous column slab `W_a`.
+/// Each active block is `Z_a = X · W_aᵀ` against the contiguous column slab
+/// `W_a`; `X` is one shared window.
 pub fn fc1_forward(
     x: &[f32],
     rows: usize,
@@ -295,39 +307,37 @@ pub fn fc1_forward(
     let width = set.active_neurons();
     assert_eq!(x.len(), rows * d_in, "fc1: x is rows×d_in");
     assert_eq!(z.len(), rows * width, "fc1: z is rows×active");
-    if width == 0 {
-        return;
-    }
-    let be = lx_kernels::backend();
-    par_rows(z, rows, width, rows_grain(width, d_in), |rr, chunk| {
-        let m = rr.len();
-        let x_win = &x[rr.start * d_in..rr.end * d_in];
-        for (a, &blk) in set.active.iter().enumerate() {
-            let w_blk = &w1t[blk as usize * b * d_in..(blk as usize + 1) * b * d_in];
-            // Each block writes its own b-column window once, so the bias
-            // rides the GEMM write-back as a fused epilogue (per-block bias
-            // slab) instead of a second pass over the whole compact z.
-            let ep = match bias {
-                Some(bias) => Epilogue::Bias(&bias[blk as usize * b..(blk as usize + 1) * b]),
-                None => Epilogue::None,
-            };
-            be.gemm(
-                &GemmOp::nt(m, d_in, b, x_win, d_in, w_blk, d_in),
-                &mut chunk[a * b..],
-                width,
-                0.0,
-                ep,
-            );
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: rows,
+            k: d_in,
+            n: b,
+            a: Windows::normal(x, d_in, 0),
+            b: Windows::transposed(w1t, d_in, b * d_in),
+            ldc: width,
+            c_stride: b,
+            beta: 0.0,
+            table: &set.cols,
+        },
+        z,
+    );
+    if let (Some(bias), true) = (bias, width > 0) {
+        // After the complete product, like a fused bias epilogue.
+        for z_row in z.chunks_exact_mut(width) {
+            for (z_blk, &blk) in z_row.chunks_exact_mut(b).zip(&set.active) {
+                let bias_blk = &bias[blk as usize * b..(blk as usize + 1) * b];
+                for (v, &bv) in z_blk.iter_mut().zip(bias_blk) {
+                    *v += bv;
+                }
+            }
         }
-    });
+    }
 }
 
 /// FC2 forward: `y[r,:] = Σ_active a[r, blk]·w2_row(neuron) (+ bias)`.
 ///
 /// `w2` is row-major `h × d_out`; `a` is compact `rows × active_neurons`.
-/// Each active block accumulates `Y += A_blk · W2_blk` (strided GEMM,
-/// `beta = 1`); the reference arm of the dispatcher still skips exact-zero
-/// activations (post-ReLU) inside its inner loop.
+/// Every active block accumulates `Y += A_blk · W2_blk` into the one output.
 pub fn fc2_forward(
     a: &[f32],
     rows: usize,
@@ -342,38 +352,32 @@ pub fn fc2_forward(
     assert_eq!(a.len(), rows * width, "fc2: a is rows×active");
     assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
     assert_eq!(y.len(), rows * d_out, "fc2: y is rows×d_out");
-    let be = lx_kernels::backend();
-    par_rows(
-        y,
-        rows,
-        d_out,
-        rows_grain(width.max(1), d_out),
-        |rr, chunk| {
-            let m = rr.len();
-            for local in 0..m {
-                let y_row = &mut chunk[local * d_out..local * d_out + d_out];
-                match bias {
-                    Some(bias) => y_row.copy_from_slice(bias),
-                    None => y_row.fill(0.0),
-                }
+    match bias {
+        Some(bias) if d_out > 0 => {
+            for y_row in y.chunks_exact_mut(d_out) {
+                y_row.copy_from_slice(bias);
             }
-            for (ai, &blk) in set.active.iter().enumerate() {
-                let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
-                let a_win = &a[rr.start * width + ai * b..];
-                be.gemm(
-                    &GemmOp::nn(m, b, d_out, a_win, width, w_blk, d_out),
-                    chunk,
-                    d_out,
-                    1.0,
-                    Epilogue::None,
-                );
-            }
+        }
+        _ => y.fill(0.0),
+    }
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: rows,
+            k: b,
+            n: d_out,
+            a: Windows::normal(a, width, b),
+            b: Windows::normal(w2, d_out, b * d_out),
+            ldc: d_out,
+            c_stride: 0,
+            beta: 1.0,
+            table: &set.sum,
         },
+        y,
     );
 }
 
 /// FC2 backward w.r.t. its input: `da[r, blk] = ⟨dy_r, w2_row(neuron)⟩`.
-/// Per block: `dA_blk = dY · W2_blkᵀ`, a strided `nt`-GEMM.
+/// Per block: `dA_blk = dY · W2_blkᵀ`; `dY` is one shared window.
 pub fn fc2_backward_input(
     dy: &[f32],
     rows: usize,
@@ -386,28 +390,24 @@ pub fn fc2_backward_input(
     let width = set.active_neurons();
     assert_eq!(dy.len(), rows * d_out);
     assert_eq!(da.len(), rows * width);
-    if width == 0 {
-        return;
-    }
-    let be = lx_kernels::backend();
-    par_rows(da, rows, width, rows_grain(width, d_out), |rr, chunk| {
-        let m = rr.len();
-        let dy_win = &dy[rr.start * d_out..rr.end * d_out];
-        for (ai, &blk) in set.active.iter().enumerate() {
-            let w_blk = &w2[blk as usize * b * d_out..(blk as usize + 1) * b * d_out];
-            be.gemm(
-                &GemmOp::nt(m, d_out, b, dy_win, d_out, w_blk, d_out),
-                &mut chunk[ai * b..],
-                width,
-                0.0,
-                Epilogue::None,
-            );
-        }
-    });
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: rows,
+            k: d_out,
+            n: b,
+            a: Windows::normal(dy, d_out, 0),
+            b: Windows::transposed(w2, d_out, b * d_out),
+            ldc: width,
+            c_stride: b,
+            beta: 0.0,
+            table: &set.cols,
+        },
+        da,
+    );
 }
 
 /// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1.col(neuron)`.
-/// Per block: `dX += dZ_blk · W_blk` (strided GEMM, `beta = 1`).
+/// Every active block accumulates `dX += dZ_blk · W_blk` into the one output.
 pub fn fc1_backward_input(
     dz: &[f32],
     rows: usize,
@@ -421,34 +421,48 @@ pub fn fc1_backward_input(
     let width = set.active_neurons();
     assert_eq!(dz.len(), rows * width);
     assert_eq!(dx.len(), rows * d_in);
-    let be = lx_kernels::backend();
-    par_rows(
-        dx,
-        rows,
-        d_in,
-        rows_grain(width.max(1), d_in),
-        |rr, chunk| {
-            let m = rr.len();
-            chunk.fill(0.0);
-            for (ai, &blk) in set.active.iter().enumerate() {
-                let w_blk = &w1t[blk as usize * b * d_in..(blk as usize + 1) * b * d_in];
-                let dz_win = &dz[rr.start * width + ai * b..];
-                be.gemm(
-                    &GemmOp::nn(m, b, d_in, dz_win, width, w_blk, d_in),
-                    chunk,
-                    d_in,
-                    1.0,
-                    Epilogue::None,
-                );
-            }
+    dx.fill(0.0);
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: rows,
+            k: b,
+            n: d_in,
+            a: Windows::normal(dz, width, b),
+            b: Windows::normal(w1t, d_in, b * d_in),
+            ldc: d_in,
+            c_stride: 0,
+            beta: 1.0,
+            table: &set.sum,
         },
+        dx,
+    );
+}
+
+/// `dW_blk += G_blkᵀ · X` for every active block: `g` is the compact
+/// `rows × active` gradient, `x` the shared `rows × d` operand, and block
+/// `blk` owns the contiguous `b × d` slab of `dw`.
+fn grad_slabs(g: &[f32], x: &[f32], rows: usize, d: usize, set: &NeuronBlockSet, dw: &mut [f32]) {
+    let b = set.block_size;
+    lx_kernels::backend().gemm_grouped(
+        &GemmGroup {
+            m: b,
+            k: rows,
+            n: d,
+            a: Windows::transposed(g, set.active_neurons(), b),
+            b: Windows::normal(x, d, 0),
+            ldc: d,
+            c_stride: b * d,
+            beta: 1.0,
+            table: &set.slabs,
+        },
+        dw,
     );
 }
 
 /// Accumulate FC1 weight gradients for *active columns only*:
 /// `dw1.col(neuron) += Σ_r x_r · dz[r, compact(neuron)]`.
-/// Per block: `dW_blk += dZ_blkᵀ · X`, a strided `tn`-GEMM into the block's
-/// contiguous column slab; active slabs are disjoint, so blocks parallelise.
+/// Per block: `dW_blk += dZ_blkᵀ · X` into the block's contiguous column
+/// slab; active slabs are disjoint, so blocks parallelise.
 pub fn fc1_grad_weights(
     x: &[f32],
     dz: &[f32],
@@ -463,22 +477,7 @@ pub fn fc1_grad_weights(
     let width = set.active_neurons();
     assert_eq!(x.len(), rows * d_in);
     assert_eq!(dz.len(), rows * width);
-    let be = lx_kernels::backend();
-    let spans: Vec<Range<usize>> = (0..set.n_active()).map(|ai| set.slab(ai, d_in)).collect();
-    par_disjoint(dw1t, &spans, 1, |ais, chunk| {
-        let base = spans[ais.start].start;
-        for ai in ais {
-            let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
-            let dz_win = &dz[ai * b..];
-            be.gemm(
-                &GemmOp::tn(b, rows, d_in, dz_win, width, x, d_in),
-                dst,
-                d_in,
-                1.0,
-                Epilogue::None,
-            );
-        }
-    });
+    grad_slabs(dz, x, rows, d_in, set, dw1t);
     if let Some(dbias) = dbias {
         for (ai, &blk) in set.active.iter().enumerate() {
             for t in 0..b {
@@ -504,27 +503,10 @@ pub fn fc2_grad_weights(
     set: &NeuronBlockSet,
     dw2: &mut [f32],
 ) {
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(a.len(), rows * width);
+    assert_eq!(a.len(), rows * set.active_neurons());
     assert_eq!(dy.len(), rows * d_out);
     assert_eq!(dw2.len(), set.total_neurons() * d_out);
-    let be = lx_kernels::backend();
-    let spans: Vec<Range<usize>> = (0..set.n_active()).map(|ai| set.slab(ai, d_out)).collect();
-    par_disjoint(dw2, &spans, 1, |ais, chunk| {
-        let base = spans[ais.start].start;
-        for ai in ais {
-            let dst = &mut chunk[spans[ai].start - base..spans[ai].end - base];
-            let a_win = &a[ai * b..];
-            be.gemm(
-                &GemmOp::tn(b, rows, d_out, a_win, width, dy, d_out),
-                dst,
-                d_out,
-                1.0,
-                Epilogue::None,
-            );
-        }
-    });
+    grad_slabs(a, dy, rows, d_out, set, dw2);
 }
 
 #[cfg(test)]

@@ -31,8 +31,10 @@ impl Tensor {
         match workspace::pool_take(len) {
             Some(buf) => buf,
             None => {
-                memtrack::register(len * 4);
-                vec![0.0; len]
+                let mut buf = Vec::with_capacity(workspace::fresh_capacity(len));
+                memtrack::register(buf.capacity() * 4);
+                buf.resize(len, 0.0);
+                buf
             }
         }
     }
@@ -44,6 +46,16 @@ impl Tensor {
         data.fill(0.0);
         Tensor {
             data,
+            shape: shape.to_vec(),
+        }
+    }
+
+    /// A tensor with unspecified (finite or not) contents, for outputs a
+    /// kernel overwrites in full before anything reads them — skips the
+    /// zero-fill pass [`Tensor::zeros`] pays on every pooled reuse.
+    pub fn scratch(shape: &[usize]) -> Self {
+        Tensor {
+            data: Self::raw_buffer(shape.iter().product()),
             shape: shape.to_vec(),
         }
     }

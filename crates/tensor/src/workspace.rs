@@ -235,6 +235,22 @@ pub(crate) fn pool_take(len: usize) -> Option<Vec<f32>> {
     })
 }
 
+/// Capacity to allocate for a fresh `len`-element buffer: `len` itself
+/// outside a scope; inside one, `len` rounded up to its size class — the
+/// next value with a three-bit mantissa (`4..=8 · 2^k`, at most 25% above
+/// `len`). A step whose buffer sizes move with a predicted sparse plan never
+/// asks for "the exact sizes it parked"; class ceilings make every request
+/// of a class fit whatever an earlier request of that class left behind
+/// (within [`Pool::take`]'s over-allocation bound by construction), so the
+/// pool converges after a few steps instead of after every size was seen.
+pub(crate) fn fresh_capacity(len: usize) -> usize {
+    if len < 8 || !ACTIVE.with(|a| a.borrow().is_some()) {
+        return len;
+    }
+    let step = 1usize << (len.ilog2() - 2);
+    len.div_ceil(step) * step
+}
+
 /// Offer a dropped tensor's buffer to the current scope. Returns `true` when
 /// parked (the caller must not free it — it already moved), `false` when no
 /// scope is active (the caller lets the vec drop normally).
@@ -310,6 +326,40 @@ mod tests {
             let c = src.clone();
             assert_eq!(c, src);
         });
+    }
+
+    /// Sizes that move from step to step (a predicted sparse plan) settle
+    /// after one buffer per size class: requests of a class, in either
+    /// order, fit what the first of them allocated; outside a scope nothing
+    /// is rounded.
+    #[test]
+    fn size_classes_absorb_step_to_step_drift() {
+        assert_eq!(fresh_capacity(155_648), 155_648, "no scope, no rounding");
+        let mut ws = Workspace::new();
+        // 512-row compact activations over 19..=51 active 16-wide blocks.
+        let sizes: Vec<usize> = (19..=51).map(|blocks| 512 * 16 * blocks).collect();
+        ws.scope(|| {
+            for &len in &sizes {
+                let cap = fresh_capacity(len);
+                assert!(cap >= len && cap <= len + len / 4, "{len} -> {cap}");
+                assert_eq!(fresh_capacity(cap), cap, "ceilings are fixed points");
+            }
+        });
+        let mark = alloc_stats();
+        ws.scope(|| {
+            for &len in &sizes {
+                drop(Tensor::zeros(&[len]));
+            }
+        });
+        // Ceilings 20, 24, 28, 32, 40, 48 and 56 blocks: 7 buffers for 33 sizes.
+        assert_eq!(alloc_stats().since(&mark).count, 7);
+        let mark = alloc_stats();
+        ws.scope(|| {
+            for &len in sizes.iter().rev() {
+                drop(Tensor::zeros(&[len]));
+            }
+        });
+        assert_eq!(alloc_stats().since(&mark).count, 0, "every class was met");
     }
 
     #[test]

@@ -279,16 +279,32 @@ fn per_dtype_gemm_fan_out_stays_retired() {
         .collect();
     assert_eq!(gemm_fns, ["", "_f16", "_nt", "_nt_f16", "_nt_q4", "_q4"]);
     // Every backend implements exactly one GEMM method (trait methods carry
-    // no `pub`, so they are checked in the sources directly).
+    // no `pub`, so they are checked in the sources directly) — plus, since
+    // the grouped entry point, at most one `gemm_grouped`: the only other
+    // `gemm*` method name the trait or any backend may carry.
     for file in ["backend", "packed", "dispatch", "observe"] {
         let src = non_test_source(&format!("crates/kernels/src/{file}.rs"));
-        let methods = src
+        let methods: Vec<&str> = src
             .lines()
-            .filter(|l| l.trim_start().starts_with("fn gemm"))
+            .filter_map(|l| l.trim_start().strip_prefix("fn gemm"))
+            .collect();
+        let plain = methods.iter().filter(|m| m.starts_with('(')).count();
+        let grouped = methods
+            .iter()
+            .filter(|m| m.starts_with("_grouped("))
             .count();
         assert!(
-            (1..=2).contains(&methods),
-            "{file}.rs: {methods} `fn gemm*` methods"
+            (1..=2).contains(&plain),
+            "{file}.rs: {plain} `fn gemm` methods"
+        );
+        assert!(
+            grouped <= 1,
+            "{file}.rs: {grouped} `fn gemm_grouped` methods"
+        );
+        assert_eq!(
+            plain + grouped,
+            methods.len(),
+            "{file}.rs: a `fn gemm*` method other than `gemm` / `gemm_grouped`"
         );
     }
     // `Param` holds one `reduced: Option<Reduced>`, not a field per family.

@@ -5,15 +5,22 @@
 //! has one) must match the `Reference` scalar oracle bit-tolerantly (≤1e-4
 //! relative) on every cell, across odd and degenerate shapes; the lossless
 //! N:M cells, fused-vs-unfused epilogues and parallel-vs-sequential runs
-//! must match **bitwise**. The block-sparse / neuron-sparse operator shapes
-//! the sparse crate issues ride along at the bottom.
+//! must match **bitwise**. The grouped entry point
+//! ([`KernelBackend::gemm_grouped`]) has its own grid: `Packed` grouped vs
+//! the `Reference` per-task loop over the six offset-table shapes the sparse
+//! crate launches, and bitwise equality of one group across sequential mode,
+//! private pools of 1, 2 and 4 threads, and every FMA microkernel arm. The
+//! block-sparse / neuron-sparse operators themselves ride along at the
+//! bottom.
 //!
 //! Shape axes are seeded sweeps, not proptest: the workspace is offline, and
 //! deterministic sweeps reproduce exactly in CI.
 
 use lx_kernels::{
-    BOperand, Epilogue, GemmOp, KernelBackend, Layout, Observed, AUTO, MR, NR, PACKED, REFERENCE,
+    BOperand, Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Observed,
+    Windows, AUTO, MR, NR, PACKED, REFERENCE,
 };
+use lx_parallel::ThreadPool;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
 use lx_sparse::patterns::PatternSpec;
@@ -454,7 +461,7 @@ fn parallel_packed_is_bit_identical_to_sequential() {
 }
 
 /// Regression: a GEMM issued from inside every pool worker simultaneously
-/// (the sparse FC1 does exactly this) must fall back to the sequential
+/// (any kernel nested in a pool task does exactly this) must fall back to the sequential
 /// driver instead of re-entering the pool — no deadlock, no oversubscribed
 /// nested parallelism, and the same bits as the top-level sequential run.
 #[test]
@@ -571,6 +578,389 @@ fn observed_attributes_all_five_dtype_labels_from_the_operand() {
                 LABELS[j]
             );
         }
+    }
+}
+
+// ---- Grouped GEMM --------------------------------------------------------
+
+/// One grouped launch: the operand buffers, the offset table, and an initial
+/// C, in one of the six forms the sparse operators issue.
+struct Group {
+    what: String,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Vec<f32>,
+    a_win: (usize, usize, Layout), // (ld, stride, layout)
+    b: Vec<f32>,
+    b_win: (usize, usize, Layout),
+    ldc: usize,
+    c_stride: usize,
+    c_len: usize,
+    table: GemmTable,
+}
+
+impl Group {
+    fn view(&self, beta: f32) -> GemmGroup<'_> {
+        let windows = |data, (ld, stride, layout)| Windows {
+            data,
+            ld,
+            stride,
+            layout,
+        };
+        GemmGroup {
+            m: self.m,
+            k: self.k,
+            n: self.n,
+            a: windows(&self.a[..], self.a_win),
+            b: windows(&self.b[..], self.b_win),
+            ldc: self.ldc,
+            c_stride: self.c_stride,
+            beta,
+            table: &self.table,
+        }
+    }
+
+    /// Launch over a C pre-filled with NaN (`beta = 0` must not leak it) or
+    /// with 0.5 (accumulated with `beta`).
+    fn run(&self, beta: f32, launch: impl FnOnce(&GemmGroup<'_>, &mut [f32])) -> Vec<f32> {
+        let mut c = vec![if beta == 0.0 { f32::NAN } else { 0.5 }; self.c_len];
+        launch(&self.view(beta), &mut c);
+        // Windows no task writes keep their NaN; compare them as a sentinel.
+        c.iter_mut().filter(|v| v.is_nan()).for_each(|v| *v = -7.0);
+        c
+    }
+}
+
+/// The `(block-row, block-col)` coordinates of a seeded block mask over a
+/// `grid × grid` block matrix, in CSR order. Row 1 is always empty.
+fn block_coords(grid: usize, seed: u64) -> Vec<(u32, u32)> {
+    let dice = lx_tensor::rng::uniform_vec(grid * grid, 0.0, 1.0, seed);
+    (0..grid * grid)
+        .filter(|i| i / grid != 1 && dice[*i] < 0.45)
+        .map(|i| ((i / grid) as u32, (i % grid) as u32))
+        .collect()
+}
+
+/// Prefix-sum run table of `major(coord)` over `0..grid`.
+fn run_table(coords: &[(u32, u32)], grid: usize, major: impl Fn(&(u32, u32)) -> u32) -> Vec<u32> {
+    let mut runs = vec![0u32; grid + 1];
+    for c in coords {
+        runs[major(c) as usize + 1] += 1;
+    }
+    for i in 0..grid {
+        runs[i + 1] += runs[i];
+    }
+    runs
+}
+
+/// The three block-sparse attention forms over block size `b`, head dim
+/// `dh`: SDD (`nt`, every block its own C), DSD (`nn`, one run per block-row)
+/// and transposed DSD (`tn`, one run per block-column, CSC order).
+fn attention_groups(b: usize, dh: usize, coords: &[(u32, u32)], seed: u64) -> Vec<Group> {
+    const GRID: usize = 5;
+    let s = GRID * b;
+    let dense = |seed| randn_vec(s * dh, 1.0, seed);
+    let blocks = randn_vec(coords.len() * b * b, 1.0, seed + 2);
+    let csr = || (0u32..).zip(coords.iter().copied());
+    let mut csc: Vec<_> = csr().collect();
+    csc.sort_by_key(|&(_, (br, bc))| (bc, br));
+    vec![
+        Group {
+            what: format!("sdd b={b} dh={dh}"),
+            m: b,
+            k: dh,
+            n: b,
+            a: dense(seed),
+            a_win: (dh, b * dh, Layout::Normal),
+            b: dense(seed + 1),
+            b_win: (dh, b * dh, Layout::Transposed),
+            ldc: b,
+            c_stride: b * b,
+            c_len: coords.len() * b * b,
+            table: GemmTable::each(csr().map(|(e, (br, bc))| (br, bc, e))),
+        },
+        Group {
+            what: format!("dsd b={b} dh={dh}"),
+            m: b,
+            k: b,
+            n: dh,
+            a: blocks.clone(),
+            a_win: (b, b * b, Layout::Normal),
+            b: dense(seed + 3),
+            b_win: (dh, b * dh, Layout::Normal),
+            ldc: dh,
+            c_stride: b * dh,
+            c_len: s * dh,
+            table: GemmTable::new(
+                csr().map(|(e, (br, bc))| (e, bc, br)),
+                run_table(coords, GRID, |c| c.0),
+            ),
+        },
+        Group {
+            what: format!("dsd_tn b={b} dh={dh}"),
+            m: b,
+            k: b,
+            n: dh,
+            a: blocks,
+            a_win: (b, b * b, Layout::Transposed),
+            b: dense(seed + 4),
+            b_win: (dh, b * dh, Layout::Normal),
+            ldc: dh,
+            c_stride: b * dh,
+            c_len: s * dh,
+            table: GemmTable::new(
+                csc.iter().map(|&(e, (br, bc))| (e, br, bc)),
+                run_table(coords, GRID, |c| c.1),
+            ),
+        },
+    ]
+}
+
+/// The three neuron-slab forms over `rows` activations, slab width `b` and
+/// model width `d`, with `active` of `total` slabs: shared-A column windows
+/// (`cols`), one accumulating run (`sum`), and shared-B gradient slabs
+/// (`slabs`).
+fn neuron_groups(rows: usize, b: usize, d: usize, active: &[u32], seed: u64) -> Vec<Group> {
+    let total = *active.iter().max().expect("active slabs") as usize + 1;
+    let width = active.len() * b;
+    let blocks = || (0u32..).zip(active.iter().copied());
+    let x = randn_vec(rows * d, 1.0, seed);
+    let w = randn_vec(total * b * d, 0.5, seed + 1);
+    let compact = randn_vec(rows * width, 1.0, seed + 2);
+    vec![
+        Group {
+            what: format!("cols rows={rows} b={b} d={d}"),
+            m: rows,
+            k: d,
+            n: b,
+            a: x.clone(),
+            a_win: (d, 0, Layout::Normal),
+            b: w.clone(),
+            b_win: (d, b * d, Layout::Transposed),
+            ldc: width,
+            c_stride: b,
+            c_len: rows * width,
+            table: GemmTable::each(blocks().map(|(ai, blk)| (0, blk, ai))),
+        },
+        Group {
+            what: format!("sum rows={rows} b={b} d={d}"),
+            m: rows,
+            k: b,
+            n: d,
+            a: compact.clone(),
+            a_win: (width, b, Layout::Normal),
+            b: w,
+            b_win: (d, b * d, Layout::Normal),
+            ldc: d,
+            c_stride: 0,
+            c_len: rows * d,
+            table: GemmTable::new(
+                blocks().map(|(ai, blk)| (ai, blk, 0)),
+                vec![0, active.len() as u32],
+            ),
+        },
+        Group {
+            what: format!("slabs rows={rows} b={b} d={d}"),
+            m: b,
+            k: rows,
+            n: d,
+            a: compact,
+            a_win: (width, b, Layout::Transposed),
+            b: x,
+            b_win: (d, 0, Layout::Normal),
+            ldc: d,
+            c_stride: b * d,
+            c_len: total * b * d,
+            table: GemmTable::each(blocks().map(|(ai, blk)| (ai, 0, blk))),
+        },
+    ]
+}
+
+/// The microkernel arms this host can run, `None` being the launch's own
+/// choice.
+fn arms() -> Vec<Option<Isa>> {
+    let mut arms = vec![None, Some(Isa::Scalar)];
+    arms.extend(
+        [Isa::Avx2, Isa::Avx512, Isa::Neon]
+            .into_iter()
+            .filter(|isa| isa.supported())
+            .map(Some),
+    );
+    arms
+}
+
+/// `Packed`'s grouped path — every arm, including the forced-scalar one —
+/// against the `Reference` per-task loop, over tile-edge and non-multiple
+/// block shapes, all three layout combinations, overwrite and accumulate,
+/// empty block rows and shared-A / shared-B tables.
+#[test]
+fn packed_grouped_matches_the_reference_per_task_loop() {
+    let pool = lx_parallel::pool();
+    let mut seed = 600_000u64;
+    let mut groups = Vec::new();
+    for b in [4usize, 8, 16, 32] {
+        for dh in [8usize, 16, 32, 64, 100] {
+            seed += 10;
+            groups.extend(attention_groups(b, dh, &block_coords(5, seed), seed));
+            groups.extend(neuron_groups(37, b, dh, &[0, 2, 3, 6], seed + 5));
+        }
+    }
+    // A single block, and a contiguous slab set (every panel adjacent).
+    groups.extend(attention_groups(16, 32, &[(2, 1)], 1));
+    groups.extend(neuron_groups(64, 16, 48, &[0, 1, 2, 3, 4], 2));
+    for g in &groups {
+        for beta in [0.0f32, 1.0, 0.5] {
+            let want = g.run(beta, |view, c| REFERENCE.gemm_grouped(view, c));
+            for isa in arms() {
+                let got = g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c));
+                assert_close(&format!("{} beta={beta} {isa:?}", g.what), &got, &want);
+            }
+            let auto = g.run(beta, |view, c| AUTO.gemm_grouped(view, c));
+            assert_close(&format!("{} beta={beta} auto", g.what), &auto, &want);
+        }
+    }
+}
+
+/// An empty table is a no-op on every backend — even over empty operand
+/// buffers — and a zero-depth group only applies `beta`.
+#[test]
+fn empty_and_degenerate_groups_are_harmless() {
+    let empty = GemmTable::each([]);
+    let none: &[f32] = &[];
+    let group = |k, table| GemmGroup {
+        m: 4,
+        k,
+        n: 4,
+        a: Windows::normal(none, k, 4 * k),
+        b: Windows::transposed(none, k, 4 * k),
+        ldc: 4,
+        c_stride: 16,
+        beta: 0.5,
+        table,
+    };
+    let one = GemmTable::each([(0, 0, 1)]);
+    for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
+        let mut c = vec![3.0f32; 32];
+        be.gemm_grouped(&group(8, &empty), &mut c);
+        assert_eq!(c, vec![3.0; 32], "{}: empty table", be.name());
+        be.gemm_grouped(&group(0, &one), &mut c);
+        assert_eq!(c[..16], [3.0; 16], "{}: untouched window", be.name());
+        assert_eq!(c[16..], [1.5; 16], "{}: k = 0 scales by beta", be.name());
+    }
+}
+
+/// One group, one answer: the grouped path fixes the accumulation order of
+/// every C tile from the table alone, so sequential mode, private pools of 1,
+/// 2 and 4 threads (each cuts the runs — or the rows — into different
+/// C-disjoint chunks) and every FMA arm produce the same bits.
+#[test]
+fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
+    let fma: Vec<Option<Isa>> = [Isa::Avx2, Isa::Avx512, Isa::Neon]
+        .into_iter()
+        .filter(|isa| isa.supported())
+        .map(Some)
+        .collect();
+    let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+    let mut groups = Vec::new();
+    // Enough blocks and rows that every pool size really splits the launch.
+    let dense: Vec<(u32, u32)> = (0..25u32).map(|i| (i / 5, i % 5)).collect();
+    groups.extend(attention_groups(16, 32, &dense, 701));
+    groups.extend(attention_groups(8, 100, &block_coords(5, 702), 702));
+    groups.extend(neuron_groups(200, 16, 64, &[0, 1, 2, 5, 6, 9], 703));
+    for g in &groups {
+        for beta in [0.0f32, 1.0] {
+            let launch = |pool: &ThreadPool, isa| {
+                g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c))
+            };
+            // Per arm (`None` = the launch's own pick, scalar under
+            // LX_KERNEL_FORCE_SCALAR): every pool matches the inline run.
+            let mut wants = Vec::new();
+            for isa in std::iter::once(None).chain(fma.iter().copied()) {
+                let want = lx_kernels::with_sequential(|| launch(&pools[0], isa));
+                for pool in &pools {
+                    let what = format!("{} beta={beta} {isa:?} threads={}", g.what, pool.threads());
+                    assert_bits(&what, &launch(pool, isa), &want);
+                }
+                wants.push(want);
+            }
+            // The FMA arms agree with each other.
+            for pair in wants[1..].windows(2) {
+                assert_bits(
+                    &format!("{} beta={beta} fma arms", g.what),
+                    &pair[1],
+                    &pair[0],
+                );
+            }
+            let want = &wants[0];
+            // The process-wide entry point takes the same path.
+            let global = g.run(beta, |view, c| PACKED.gemm_grouped(view, c));
+            assert_bits(
+                &format!("{} beta={beta} global pool", g.what),
+                &global,
+                want,
+            );
+        }
+    }
+}
+
+/// Sequential mode never touches the pool: a grouped launch issued from
+/// inside every worker at once completes (no nested dispatch to deadlock on)
+/// with the top-level bits.
+#[test]
+fn grouped_launch_inside_every_worker_runs_inline() {
+    let dense: Vec<(u32, u32)> = (0..25u32).map(|i| (i / 5, i % 5)).collect();
+    let groups = attention_groups(16, 32, &dense, 711);
+    let run = |i: usize| groups[i % 3].run(0.0, |view, c| PACKED.gemm_grouped(view, c));
+    let tasks = (lx_parallel::pool().threads() * 2).max(4);
+    let results =
+        lx_parallel::parallel_map(0..tasks, 1, |chunk| chunk.map(run).collect::<Vec<_>>());
+    for (i, got) in results.into_iter().flatten().enumerate() {
+        assert_bits(&format!("worker launch {i}"), &got, &run(i));
+    }
+}
+
+/// The table contract is checked when the table is built and the buffers
+/// when it is launched, before anything is written.
+#[test]
+fn malformed_tables_and_short_buffers_are_rejected() {
+    let panics = |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+    assert!(
+        panics(&|| drop(GemmTable::new([(0, 0, 0)], vec![0, 2]))),
+        "runs past the tasks"
+    );
+    assert!(
+        panics(&|| drop(GemmTable::new([(0, 0, 0), (1, 1, 1)], vec![0, 2]))),
+        "run mixing C windows"
+    );
+    fn group<'a>(a: &'a [f32], table: &'a GemmTable) -> GemmGroup<'a> {
+        GemmGroup {
+            m: 4,
+            k: 4,
+            n: 4,
+            a: Windows::normal(a, 4, 16),
+            b: Windows::normal(a, 4, 16),
+            ldc: 4,
+            c_stride: 16,
+            beta: 0.0,
+            table,
+        }
+    }
+    // A windows 0 and 3, C windows 0 and 1.
+    let table = GemmTable::each([(0, 0, 0), (3, 1, 1)]);
+    let buf = vec![0.0f32; 4 * 16];
+    for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
+        let short_a = group(&buf[..48], &table);
+        assert!(
+            panics(&|| be.gemm_grouped(&short_a, &mut [0.0; 32])),
+            "short A"
+        );
+        let fits = group(&buf, &table);
+        assert!(
+            panics(&|| be.gemm_grouped(&fits, &mut [0.0; 31])),
+            "short C"
+        );
+        be.gemm_grouped(&fits, &mut [0.0; 32]);
     }
 }
 

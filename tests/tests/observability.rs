@@ -1,6 +1,7 @@
 //! Cross-crate observability integration: StepOutcome↔span equivalence,
 //! concurrent span recording from worker threads, histogram percentile
-//! accuracy against an exact oracle, and the serve-side trace dump.
+//! accuracy against an exact oracle, grouped-GEMM call/task accounting, and
+//! the serve-side trace dump.
 //!
 //! A trace session is process-global (one active ring), so every test that
 //! starts one serialises on [`obs_lock`].
@@ -281,4 +282,55 @@ fn serve_shutdown_dumps_a_valid_chrome_trace() {
         .expect("wait histogram registered");
     assert!(wait.1.count >= 2, "one wait sample per scheduled slice");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A grouped launch is **one** `kernel.gemm.calls` (classed by the whole
+/// group's FLOPs, same label set as a plain call) however many block tasks
+/// its table holds; `kernel.gemm.tasks` carries the block count. Holding
+/// [`obs_lock`] keeps the model-stepping tests — the only other grouped
+/// callers in this binary — out of the window, and nothing here dispatches
+/// large-class reference GEMMs, so both deltas are exact.
+#[test]
+fn grouped_launch_counts_one_call_and_all_its_tasks() {
+    use lx_kernels::{GemmGroup, GemmTable, KernelBackend, Observed, Windows, REFERENCE};
+    static OBSERVED: Observed = Observed::new(&REFERENCE);
+    let _guard = obs_lock();
+    // 32 tasks of 64×128×64: 2·32·2^19 = 2^25 FLOPs, the first large group
+    // (each task alone is small-class).
+    let (m, k, n, tasks) = (64usize, 128usize, 64usize, 32u32);
+    let a = vec![0.5f32; m * k];
+    let b = vec![0.25f32; n * k];
+    let table = GemmTable::each((0..tasks).map(|t| (0, 0, t)));
+    let mut c = vec![0.0f32; tasks as usize * m * n];
+    let calls = registry().counter_labeled(
+        "kernel.gemm.calls",
+        &[
+            ("backend", "reference"),
+            ("class", "large"),
+            ("dtype", "f32"),
+            ("isa", lx_kernels::active_isa().name()),
+            ("threads", &lx_parallel::pool().threads().to_string()),
+        ],
+    );
+    let task_counter = registry().counter("kernel.gemm.tasks");
+    let (calls_before, tasks_before) = (calls.get(), task_counter.get());
+    let total_before = lx_kernels::gemm_call_total();
+    OBSERVED.gemm_grouped(
+        &GemmGroup {
+            m,
+            k,
+            n,
+            a: Windows::normal(&a, k, 0),
+            b: Windows::transposed(&b, k, 0),
+            ldc: n,
+            c_stride: m * n,
+            beta: 0.0,
+            table: &table,
+        },
+        &mut c,
+    );
+    assert_eq!(calls.get() - calls_before, 1, "one call per launch");
+    assert_eq!(task_counter.get() - tasks_before, u64::from(tasks));
+    assert_eq!(lx_kernels::gemm_call_total() - total_before, 1);
+    assert!(c.iter().all(|&v| v == 16.0), "the launch ran every task");
 }

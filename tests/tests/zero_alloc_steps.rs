@@ -301,6 +301,44 @@ fn small_engine(refresh: PlanRefreshConfig) -> FinetuneEngine {
     engine
 }
 
+/// The paper's regime: `StepMode::Sparse` with the predictors planning every
+/// layer of every step, so attention layouts and neuron sets — and with them
+/// the size of every block-data and compact-activation buffer — change from
+/// step to step. Once the pool has seen the sizes the predictors produce,
+/// steps allocate nothing: scratch is sized by layout-independent bounds and
+/// the rest recycles through the workspace.
+#[test]
+fn per_step_planned_sparse_steps_stay_allocation_free() {
+    let _guard = alloc_lock();
+    let mut engine = small_engine(PlanRefreshConfig::default());
+    let mut opt = Adam::new(0.01);
+    let mut densities = std::collections::BTreeSet::new();
+    let mut step = |engine: &mut FinetuneEngine, seed: u64| {
+        let ids: Vec<u32> = lx_tensor::rng::uniform_vec(2 * 16, 0.0, 64.0, seed)
+            .into_iter()
+            .map(|v| v as u32)
+            .collect();
+        let targets = prompt_aware_targets(&ids, 2, 16, 0);
+        let out = engine.train_step_mode(&ids, &targets, 2, 16, &mut opt, StepMode::Sparse);
+        let bits = |d: Option<f32>| d.expect("sparse step").to_bits();
+        densities.insert((bits(out.attn_density), bits(out.mlp_density)));
+    };
+    for s in 0..12 {
+        step(&mut engine, 300 + s); // warmup: the pool meets the plan sizes
+    }
+    let mark = memtrack::alloc_stats();
+    for s in 12..24 {
+        step(&mut engine, 300 + s);
+    }
+    assert_eq!(
+        memtrack::alloc_stats().since(&mark).count,
+        0,
+        "per-step planned sparse steps must not heap-allocate tensors"
+    );
+    assert_eq!(engine.plan_reuse_stats().predicted_steps, 24);
+    assert!(densities.len() > 1, "the plans must actually vary");
+}
+
 #[test]
 fn plan_reuse_keeps_the_loss_curve_close_while_skipping_predictions() {
     let _guard = alloc_lock();
