@@ -5,7 +5,7 @@
 //! ablation), and predictor overhead (§V-C).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
+use lx_sparse::attention::{dsd, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet, PatternPool, PatternSpec};
 use lx_tensor::gemm::{gemm, gemm_nt};
@@ -68,8 +68,8 @@ fn bench_attention_ops(c: &mut Criterion) {
             |bch, layout| {
                 bch.iter(|| {
                     let mut p = vec![0.0f32; layout.data_len()];
-                    sdd_nt(&q, &k, S, DH, 0.125, layout, CausalFill::NegInf, &mut p);
-                    block_row_softmax(&mut p, layout);
+                    sdd_nt(&q, &k, S, DH, 1.0, layout, CausalFill::None, &mut p);
+                    scores_to_probs(&mut p, layout, 0.125, None);
                     let mut o = vec![0.0f32; S * DH];
                     dsd(&p, &v, S, DH, layout, &mut o);
                     black_box(o)
@@ -98,9 +98,10 @@ fn bench_neuron_ops(c: &mut Criterion) {
                     let width = set.active_neurons();
                     let mut z = vec![0.0f32; rows * width];
                     fc1_forward(&x, rows, &w1t, d, None, set, &mut z);
-                    lx_tensor::ops::relu_inplace(&mut z);
+                    let mut a = vec![0.0f32; z.len()];
+                    lx_tensor::ops::relu(&z, &mut a);
                     let mut y = vec![0.0f32; rows * d];
-                    fc2_forward(&z, rows, &w2, d, None, set, &mut y);
+                    fc2_forward(&a, rows, &w2, d, None, set, &mut y);
                     black_box(y)
                 })
             },

@@ -6,7 +6,7 @@
 //! "adaptable and efficient in scenarios with dynamic sparsity levels").
 
 use lx_bench::{header, row};
-use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
+use lx_sparse::attention::{dsd, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet};
 use lx_tensor::gemm::{gemm, gemm_nt};
@@ -67,8 +67,8 @@ fn main() {
         let layout = BlockCsr::from_mask(&mask, block);
         let t = time_it(|| {
             let mut p = vec![0.0f32; layout.data_len()];
-            sdd_nt(&q, &k, s, dh, scale, &layout, CausalFill::NegInf, &mut p);
-            block_row_softmax(&mut p, &layout);
+            sdd_nt(&q, &k, s, dh, 1.0, &layout, CausalFill::None, &mut p);
+            scores_to_probs(&mut p, &layout, scale, None);
             let mut o = vec![0.0f32; s * dh];
             dsd(&p, &v, s, dh, &layout, &mut o);
         });

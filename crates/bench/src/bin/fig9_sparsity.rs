@@ -16,7 +16,7 @@ use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
 use lx_model::{CaptureConfig, ModelConfig};
-use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
+use lx_sparse::attention::{dsd, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::scattered::{spmm, ElemCsr};
 use lx_sparse::{BlockCsr, NeuronBlockSet, PatternPool};
@@ -144,8 +144,8 @@ fn main() {
         }) * cfg.n_heads as f64;
         let sparse_head = |layout: &BlockCsr| {
             let mut p = vec![0.0f32; layout.data_len()];
-            sdd_nt(&q, &k, seq, dh, scale, layout, CausalFill::NegInf, &mut p);
-            block_row_softmax(&mut p, layout);
+            sdd_nt(&q, &k, seq, dh, 1.0, layout, CausalFill::None, &mut p);
+            scores_to_probs(&mut p, layout, scale, None);
             let mut o = vec![0.0f32; seq * dh];
             dsd(&p, &v, seq, dh, layout, &mut o);
         };

@@ -20,7 +20,11 @@
 //! per-task `gemm` loop it replaced, both single-threaded (`with_sequential`),
 //! so the ratio is packing reuse and microkernel efficiency and enforces on
 //! any runner — floor ≥3.0x for the SDD score blocks, ≥1.3x for the FC1
-//! neuron slabs.
+//! neuron slabs. The last two rows gate the row kernels: the active ISA arm
+//! over the scalar definition it must match bit for bit, single-threaded —
+//! floor ≥3.0x for the fused block-row softmax at the same SDD layout,
+//! ≥1.5x for LayerNorm forward + backward at 512×256 (skipped, loudly, when
+//! the active arm *is* the scalar definition).
 //!
 //! Flags:
 //! * `--smoke` — small shapes, few reps; asserts numerical equivalence and a
@@ -598,6 +602,120 @@ fn main() {
             &group,
             rows * active as usize * B,
             1.3,
+        );
+    }
+
+    // Row kernels: the active ISA arm vs the scalar definition it must equal
+    // bit for bit, single-threaded on both legs. The floors enforce wherever
+    // a vector arm is active; on a scalar-only host there is nothing to
+    // compare.
+    {
+        use lx_kernels::rows::{self, Band, Causal};
+        let isa = lx_kernels::active_isa();
+        let mut rows_gate =
+            |label: &str, dims: String, floor: f64, run: &dyn Fn(Isa) -> Vec<f32>| {
+                let best = |arm: Isa| {
+                    lx_kernels::with_sequential(|| {
+                        let out = run(arm);
+                        let mut best = f64::INFINITY;
+                        for _ in 0..gate_reps {
+                            let t0 = Instant::now();
+                            std::hint::black_box(run(arm));
+                            best = best.min(t0.elapsed().as_secs_f64());
+                        }
+                        (best, out)
+                    })
+                };
+                let ((t_def, want), (t_arm, got)) = (best(Isa::Scalar), best(isa));
+                let same = want
+                    .iter()
+                    .zip(&got)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                if !same {
+                    eprintln!(
+                        "kernel_bench: {label}: {} arm differs from the definition",
+                        isa.name()
+                    );
+                    failures += 1;
+                }
+                let speedup = t_def / t_arm;
+                let status = if !same {
+                    "FAIL (diff)"
+                } else if isa == Isa::Scalar {
+                    eprintln!(
+                    "kernel_bench: SKIP {label} floor — the active arm is the scalar definition"
+                );
+                    "skip"
+                } else if speedup >= floor {
+                    "ok"
+                } else {
+                    eprintln!("kernel_bench: {label} {speedup:.2}x below the {floor:.2}x floor");
+                    gate_failed = true;
+                    "FAIL"
+                };
+                row(&[
+                    label.to_string(),
+                    dims,
+                    format!("{:.2}", t_def * 1e3),
+                    format!("{:.2}", t_arm * 1e3),
+                    format!("{speedup:.2}x"),
+                    format!("{floor:.2}x"),
+                    status.to_string(),
+                ]);
+            };
+
+        // Fused scores → probabilities over one head of the grouped-SDD row
+        // above: 123 causal blocks of 16×16, ALiBi on.
+        const B: usize = 16;
+        let n_brows = 512 / B;
+        let mut row_ptr = vec![0usize];
+        let mut cols: Vec<u32> = Vec::new();
+        for br in 0..n_brows as u32 {
+            let keep = ((0.23 * (br + 1) as f64).round() as u32).clamp(1, br + 1);
+            cols.extend(br + 1 - keep..=br);
+            row_ptr.push(cols.len());
+        }
+        let scores = randn_vec(cols.len() * B * B, 2.0, 22);
+        rows_gate(
+            "rows softmax block s=512 b=16 d=0.23",
+            format!("{}x{B}x{B}", cols.len()),
+            3.0,
+            &|arm| {
+                let mut p = scores.clone();
+                for br in 0..n_brows {
+                    let entries = row_ptr[br]..row_ptr[br + 1];
+                    let causal = Causal {
+                        q0: br * B,
+                        cols: &cols[entries.clone()],
+                        slope: 0.0625,
+                    };
+                    let span = &mut p[entries.start * B * B..entries.end * B * B];
+                    let band = Band::block_row(B, entries.len());
+                    rows::softmax_forward(arm, span, band, 0.177, Some(causal));
+                }
+                p
+            },
+        );
+
+        // LayerNorm forward + backward (frozen gamma/beta) at the model's
+        // activation shape.
+        let (n_rows, d) = (512usize, 256usize);
+        let x = randn_vec(n_rows * d, 1.0, 23);
+        let dy = randn_vec(n_rows * d, 1.0, 24);
+        let gamma = randn_vec(d, 1.0, 25);
+        let beta = randn_vec(d, 1.0, 26);
+        rows_gate(
+            "rows layernorm 512x256",
+            format!("{n_rows}x{d}"),
+            1.5,
+            &|arm| {
+                let mut out = vec![0.0f32; 2 * n_rows * d];
+                let (y, dx) = out.split_at_mut(n_rows * d);
+                let (mut mean, mut rstd) = (vec![0.0; n_rows], vec![0.0; n_rows]);
+                rows::layernorm_forward(arm, &x, &gamma, &beta, 1e-5, y, &mut mean, &mut rstd);
+                rows::layernorm_backward(arm, &x, &dy, &gamma, &mean, &rstd, dx, None);
+                out
+            },
         );
     }
 

@@ -11,6 +11,9 @@
 //! | `avx512` | 14×32         | x86-64 with AVX-512F        |
 //! | `neon`   | 6×16          | aarch64 with NEON           |
 //!
+//! The row kernels ([`crate::rows`]) run on the same selection: `avx2` and
+//! `avx512` are register arms, `scalar` and `neon` their scalar definition.
+//!
 //! Selection precedence (first match wins):
 //! 1. `LX_KERNEL_FORCE_SCALAR=1` → `scalar` (CI fallback arm),
 //! 2. `LX_KERNEL_ISA=scalar|avx2|avx512|neon` → that arm if the CPU supports

@@ -1,4 +1,4 @@
-//! # lx-kernels — runtime-dispatched GEMM microkernel backends
+//! # lx-kernels — runtime-dispatched GEMM microkernel backends and row kernels
 //!
 //! Every dense and block-sparse hot path in this workspace bottoms out in one
 //! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
@@ -41,6 +41,11 @@
 //! in `lx-sparse` launch one group each over their layout's table so block
 //! and neuron-slab products hit the same microkernels. The contiguous free
 //! functions below are conveniences over the single-product entry point.
+//!
+//! What a step does per row *outside* a GEMM — softmax forward/backward,
+//! LayerNorm, ReLU, the log-sum-exp of cross-entropy — lives in [`rows`]:
+//! one polynomial `exp` and passes defined over 16 virtual lanes, run on the
+//! same [`active_isa`] arm as the microkernels and bit-identical across arms.
 
 mod backend;
 mod dispatch;
@@ -50,6 +55,7 @@ mod isa;
 mod observe;
 mod op;
 mod packed;
+pub mod rows;
 
 pub use backend::{KernelBackend, Reference};
 pub use dispatch::{

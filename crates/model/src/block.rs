@@ -8,7 +8,7 @@ use crate::mha::MultiHeadAttention;
 use crate::mlp::MlpBlock;
 use crate::param::Param;
 use crate::plan::LayerPlan;
-use lx_tensor::ops::{relu_backward, relu_inplace};
+use lx_tensor::ops::{relu, relu_backward};
 use lx_tensor::Tensor;
 
 /// Bottleneck adapter: `y + Up(ReLU(Down(y)))`, Up initialised to zero so it
@@ -37,8 +37,8 @@ impl Adapter {
 
     pub fn forward(&mut self, y: &Tensor) -> Tensor {
         let h = self.down.forward(y);
-        let mut hr = h.clone();
-        relu_inplace(hr.as_mut_slice());
+        let mut hr = Tensor::scratch(h.shape());
+        relu(h.as_slice(), hr.as_mut_slice());
         let mut out = self.up.forward(&hr);
         out.add_assign(y);
         self.cache_h = Some(h);
@@ -51,7 +51,7 @@ impl Adapter {
             .take()
             .expect("Adapter backward without forward");
         let dhr = self.up.backward(dout);
-        let mut dh = Tensor::zeros(h.shape());
+        let mut dh = Tensor::scratch(h.shape());
         relu_backward(dhr.as_slice(), h.as_slice(), dh.as_mut_slice());
         let mut dy = self.down.backward(&dh);
         dy.add_assign(dout); // residual path
@@ -162,8 +162,9 @@ impl TransformerBlock {
         if let Some(a) = &mut self.adapter1 {
             attn_out = a.forward(&attn_out);
         }
-        let mut x1 = x.clone();
-        x1.add_assign(&attn_out);
+        // Residual into the sub-layer's own output: same sum, no copy of x.
+        let mut x1 = attn_out;
+        x1.add_assign(x);
 
         let normed2 = self.ln2.forward(&x1);
         let mut mlp_out = self.mlp.forward(&normed2, mlp_set);
@@ -190,20 +191,18 @@ impl TransformerBlock {
 
     pub fn backward(&mut self, dout: &Tensor) -> Tensor {
         // MLP sub-layer.
-        let mut dmlp_out = dout.clone();
-        if let Some(a) = &mut self.adapter2 {
-            dmlp_out = a.backward(&dmlp_out);
-        }
-        let dnormed2 = self.mlp.backward(&dmlp_out);
+        let dnormed2 = match &mut self.adapter2 {
+            Some(a) => self.mlp.backward(&a.backward(dout)),
+            None => self.mlp.backward(dout),
+        };
         let mut dx1 = self.ln2.backward(&dnormed2);
         dx1.add_assign(dout); // residual
 
         // Attention sub-layer.
-        let mut dattn_out = dx1.clone();
-        if let Some(a) = &mut self.adapter1 {
-            dattn_out = a.backward(&dattn_out);
-        }
-        let dnormed = self.attn.backward(&dattn_out);
+        let dnormed = match &mut self.adapter1 {
+            Some(a) => self.attn.backward(&a.backward(&dx1)),
+            None => self.attn.backward(&dx1),
+        };
         let mut dx = self.ln1.backward(&dnormed);
         dx.add_assign(&dx1); // residual
         dx

@@ -1,7 +1,7 @@
 //! LayerNorm module with cached per-row statistics for the backward pass.
 
 use crate::param::Param;
-use lx_tensor::ops::{layernorm_backward_row, layernorm_row};
+use lx_kernels::{active_isa, rows};
 use lx_tensor::Tensor;
 
 #[derive(Debug)]
@@ -32,21 +32,20 @@ impl LayerNorm {
     }
 
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let rows = x.rows();
-        let mut y = Tensor::zeros(x.shape());
-        let mut means = Tensor::zeros(&[rows]);
-        let mut rstds = Tensor::zeros(&[rows]);
-        for r in 0..rows {
-            let (m, s) = layernorm_row(
-                x.row(r),
-                self.gamma.value.as_slice(),
-                self.beta.value.as_slice(),
-                self.eps,
-                y.row_mut(r),
-            );
-            means.as_mut_slice()[r] = m;
-            rstds.as_mut_slice()[r] = s;
-        }
+        // The kernel writes every element of all three.
+        let mut y = Tensor::scratch(x.shape());
+        let mut means = Tensor::scratch(&[x.rows()]);
+        let mut rstds = Tensor::scratch(&[x.rows()]);
+        rows::layernorm_forward(
+            active_isa(),
+            x.as_slice(),
+            self.gamma.value.as_slice(),
+            self.beta.value.as_slice(),
+            self.eps,
+            y.as_mut_slice(),
+            means.as_mut_slice(),
+            rstds.as_mut_slice(),
+        );
         self.cache = Some(LnCache {
             x: x.clone(),
             means,
@@ -60,28 +59,33 @@ impl LayerNorm {
             .cache
             .take()
             .expect("LayerNorm::backward without forward");
-        let rows = dy.rows();
-        let dim = dy.cols();
-        let mut dx = Tensor::zeros(dy.shape());
-        let mut dgamma = Tensor::zeros(&[dim]);
-        let mut dbeta = Tensor::zeros(&[dim]);
-        for r in 0..rows {
-            layernorm_backward_row(
-                cache.x.row(r),
-                dy.row(r),
-                self.gamma.value.as_slice(),
-                cache.means.as_slice()[r],
-                cache.rstds.as_slice()[r],
-                dx.row_mut(r),
-                dgamma.as_mut_slice(),
-                dbeta.as_mut_slice(),
-            );
-        }
-        if self.gamma.trainable {
-            self.gamma.accumulate_grad(&dgamma);
-        }
-        if self.beta.trainable {
-            self.beta.accumulate_grad(&dbeta);
+        let mut dx = Tensor::scratch(dy.shape());
+        // Both frozen (always, under LoRA): no parameter gradient is
+        // accumulated at all, not accumulated and dropped.
+        let trainable = self.gamma.trainable || self.beta.trainable;
+        let mut grads = trainable.then(|| {
+            let dim = dy.cols();
+            (Tensor::zeros(&[dim]), Tensor::zeros(&[dim]))
+        });
+        rows::layernorm_backward(
+            active_isa(),
+            cache.x.as_slice(),
+            dy.as_slice(),
+            self.gamma.value.as_slice(),
+            cache.means.as_slice(),
+            cache.rstds.as_slice(),
+            dx.as_mut_slice(),
+            grads
+                .as_mut()
+                .map(|(dg, db)| (dg.as_mut_slice(), db.as_mut_slice())),
+        );
+        if let Some((dgamma, dbeta)) = &grads {
+            if self.gamma.trainable {
+                self.gamma.accumulate_grad(dgamma);
+            }
+            if self.beta.trainable {
+                self.beta.accumulate_grad(dbeta);
+            }
         }
         dx
     }

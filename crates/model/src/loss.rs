@@ -1,46 +1,66 @@
 //! Causal-LM cross-entropy with ignore-index support (prompt positions and
 //! padding are excluded from the loss).
 
-use lx_tensor::ops::softmax_row;
+use lx_kernels::{active_isa, rows, Isa};
 use lx_tensor::Tensor;
 
 /// Target id meaning "do not score this position".
 pub const IGNORE_INDEX: i32 = -1;
+
+/// `−ln softmax(row)[t]` as `max + ln Σ exp(x − max) − x[t]`: no clamp on the
+/// probability, so a confidently wrong token costs what it costs and a small
+/// `p[t]` loses no precision. With `grad = (drow, coef)` the same pass writes
+/// `drow = coef · (softmax(row) − onehot(t))` straight from the row.
+fn token_nll(isa: Isa, row: &[f32], t: i32, grad: Option<(&mut [f32], f32)>) -> f64 {
+    let t = t as usize;
+    assert!(t < row.len(), "target {t} out of vocab {}", row.len());
+    let (max, sum) = match grad {
+        None => rows::log_sum_exp(isa, row, None),
+        Some((drow, coef)) => {
+            let stats = rows::log_sum_exp(isa, row, Some((&mut *drow, coef)));
+            drow[t] -= coef;
+            stats
+        }
+    };
+    max as f64 + (sum as f64).ln() - row[t] as f64
+}
+
+/// Sum of [`token_nll`] over the non-ignored rows, and how many there were.
+fn summed_nll(logits: &Tensor, targets: &[i32]) -> (f64, usize) {
+    assert_eq!(targets.len(), logits.rows(), "one target per logit row");
+    let isa = active_isa();
+    let scored = targets
+        .iter()
+        .enumerate()
+        .filter(|(_, &t)| t != IGNORE_INDEX);
+    scored.fold((0.0, 0), |(sum, n), (r, &t)| {
+        (sum + token_nll(isa, logits.row(r), t, None), n + 1)
+    })
+}
 
 /// Mean cross-entropy over non-ignored positions.
 ///
 /// Returns `(loss, dlogits)` where `dlogits = (softmax − onehot) / n_counted`
 /// — ready to feed straight into the model's backward pass.
 pub fn cross_entropy(logits: &Tensor, targets: &[i32]) -> (f32, Tensor) {
-    let rows = logits.rows();
-    let vocab = logits.cols();
-    assert_eq!(targets.len(), rows, "one target per logit row");
+    assert_eq!(targets.len(), logits.rows(), "one target per logit row");
     let counted = targets.iter().filter(|&&t| t != IGNORE_INDEX).count();
-    let mut dlogits = Tensor::zeros(logits.shape());
     if counted == 0 {
-        return (0.0, dlogits);
+        return (0.0, Tensor::zeros(logits.shape()));
     }
+    let isa = active_isa();
     let inv = 1.0 / counted as f32;
+    // Every row is written below: scored rows by the kernel, ignored rows
+    // with explicit zeros.
+    let mut dlogits = Tensor::scratch(logits.shape());
     let mut loss = 0.0f64;
-    // One workspace-pooled softmax scratch row, reused across positions
-    // (the old per-row `to_vec` was a vocab-sized heap allocation per token).
-    let mut scratch = Tensor::zeros(&[vocab]);
-    let probs = scratch.as_mut_slice();
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..rows {
-        let t = targets[r];
-        if t == IGNORE_INDEX {
-            continue; // dlogits row stays zero
-        }
-        assert!((t as usize) < vocab, "target {t} out of vocab {vocab}");
-        probs.copy_from_slice(logits.row(r));
-        softmax_row(probs);
-        loss -= (probs[t as usize].max(1e-12) as f64).ln();
+    for (r, &t) in targets.iter().enumerate() {
         let drow = dlogits.row_mut(r);
-        for (o, &p) in drow.iter_mut().zip(probs.iter()) {
-            *o = p * inv;
+        if t == IGNORE_INDEX {
+            drow.fill(0.0);
+        } else {
+            loss += token_nll(isa, logits.row(r), t, Some((drow, inv)));
         }
-        drow[t as usize] -= inv;
     }
     ((loss / counted as f64) as f32, dlogits)
 }
@@ -49,49 +69,16 @@ pub fn cross_entropy(logits: &Tensor, targets: &[i32]) -> (f32, Tensor) {
 /// gradient — the evaluation-path variant of [`cross_entropy`] (no
 /// `[rows, vocab]` dlogits allocation for passes that never backprop).
 pub fn cross_entropy_loss(logits: &Tensor, targets: &[i32]) -> f32 {
-    let rows = logits.rows();
-    let vocab = logits.cols();
-    assert_eq!(targets.len(), rows, "one target per logit row");
-    let counted = targets.iter().filter(|&&t| t != IGNORE_INDEX).count();
-    if counted == 0 {
-        return 0.0;
+    match summed_nll(logits, targets) {
+        (_, 0) => 0.0,
+        (sum, counted) => (sum / counted as f64) as f32,
     }
-    let mut loss = 0.0f64;
-    let mut scratch = Tensor::zeros(&[vocab]);
-    let probs = scratch.as_mut_slice();
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..rows {
-        let t = targets[r];
-        if t == IGNORE_INDEX {
-            continue;
-        }
-        assert!((t as usize) < vocab, "target {t} out of vocab {vocab}");
-        probs.copy_from_slice(logits.row(r));
-        softmax_row(probs);
-        loss -= (probs[t as usize].max(1e-12) as f64).ln();
-    }
-    (loss / counted as f64) as f32
 }
 
 /// Sum of log-probabilities of `targets` under `logits` at non-ignored rows
 /// (the lm-eval-style candidate-scoring primitive used by Table IV).
 pub fn sequence_logprob(logits: &Tensor, targets: &[i32]) -> f32 {
-    let rows = logits.rows();
-    assert_eq!(targets.len(), rows);
-    let mut total = 0.0f64;
-    let mut scratch = Tensor::zeros(&[logits.cols()]);
-    let probs = scratch.as_mut_slice();
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..rows {
-        let t = targets[r];
-        if t == IGNORE_INDEX {
-            continue;
-        }
-        probs.copy_from_slice(logits.row(r));
-        softmax_row(probs);
-        total += (probs[t as usize].max(1e-12) as f64).ln();
-    }
-    total as f32
+    -summed_nll(logits, targets).0 as f32
 }
 
 #[cfg(test)]
@@ -113,6 +100,33 @@ mod tests {
         logits.row_mut(1)[2] = 50.0;
         let (loss, _) = cross_entropy(&logits, &[1, 2]);
         assert!(loss < 1e-4, "loss {loss}");
+    }
+
+    #[test]
+    fn confidently_wrong_tokens_cost_their_full_margin() {
+        // A 60-nat margin for the wrong answer: the loss is the margin (the
+        // old `ln(max(p, 1e-12))` clamp capped it at 27.6), identically on
+        // all three entry points, and the gradient still pushes the right
+        // way.
+        let mut logits = Tensor::zeros(&[2, 8]);
+        logits.row_mut(0)[3] = 60.0;
+        logits.row_mut(1)[5] = 60.0;
+        let targets = [0, 6];
+        let (loss, grad) = cross_entropy(&logits, &targets);
+        assert!((loss - 60.0).abs() < 1e-4, "loss {loss}");
+        assert_eq!(
+            cross_entropy_loss(&logits, &targets).to_bits(),
+            loss.to_bits()
+        );
+        let logprob = sequence_logprob(&logits, &targets);
+        assert!((logprob + 120.0).abs() < 1e-3, "logprob {logprob}");
+        assert!((grad.row(0)[0] + 0.5).abs() < 1e-6 && (grad.row(0)[3] - 0.5).abs() < 1e-6);
+        // A non-finite logit must surface as a non-finite loss (the loss
+        // scaler's skip path keys on it).
+        logits.row_mut(1)[2] = f32::NAN;
+        assert!(!cross_entropy(&logits, &targets).0.is_finite());
+        logits.row_mut(1)[2] = f32::INFINITY;
+        assert!(!cross_entropy_loss(&logits, &targets).is_finite());
     }
 
     #[test]

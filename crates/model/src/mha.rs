@@ -4,17 +4,17 @@
 //! The sparse path computes scores only on active blocks (SDD), softmaxes
 //! over the sparse rows, and contracts with V (DSD); the backward pass reuses
 //! the cached layout so inactive blocks never contribute gradients — the
-//! paper's §II-D invariant.
+//! paper's §II-D invariant. Both paths turn scores into probabilities (and
+//! `dP` into `dS`) with the same fused row kernels: scale, ALiBi bias, causal
+//! limit, max, `exp` + sum and normalise are one pass family, and nothing past
+//! the diagonal is ever exponentiated.
 
 use crate::linear::Linear;
 use crate::param::Param;
-use lx_sparse::attention::{
-    apply_alibi_blocks, block_row_softmax, block_row_softmax_backward, dsd, dsd_tn, sdd_nt,
-    CausalFill,
-};
+use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::MultiHeadLayout;
 use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
-use lx_tensor::ops::{apply_causal_mask, softmax_backward_row, softmax_rows};
+use lx_tensor::ops::{causal_softmax_backward_rows, causal_softmax_rows};
 use lx_tensor::Tensor;
 use std::sync::Arc;
 
@@ -99,8 +99,10 @@ impl MultiHeadAttention {
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let (ctx, mode) = match layout {
             None => {
-                let mut probs = Tensor::zeros(&[batch * self.n_heads * seq, seq]);
-                let mut ctx = Tensor::zeros(&[batch * self.n_heads * seq, self.head_dim]);
+                // Every element of both is written per (batch, head): the
+                // scores GEMM then the fused softmax, and the context GEMM.
+                let mut probs = Tensor::scratch(&[batch * self.n_heads * seq, seq]);
+                let mut ctx = Tensor::scratch(&[batch * self.n_heads * seq, self.head_dim]);
                 for b in 0..batch {
                     for h in 0..self.n_heads {
                         let off = (b * self.n_heads + h) * seq;
@@ -109,19 +111,8 @@ impl MultiHeadAttention {
                         let vs = rows(&v, off, seq, self.head_dim);
                         let p = &mut probs.as_mut_slice()[off * seq..(off + seq) * seq];
                         gemm_nt(seq, self.head_dim, seq, qs, ks, p, 0.0);
-                        for val in p.iter_mut() {
-                            *val *= scale;
-                        }
-                        if let Some(slopes) = &self.alibi_slopes {
-                            let slope = slopes[h];
-                            for i in 0..seq {
-                                for j in 0..=i {
-                                    p[i * seq + j] -= slope * (i - j) as f32;
-                                }
-                            }
-                        }
-                        apply_causal_mask(p, seq);
-                        softmax_rows(p, seq);
+                        let slope = self.alibi_slopes.as_ref().map_or(0.0, |s| s[h]);
+                        causal_softmax_rows(p, seq, scale, slope);
                         let c = &mut ctx.as_mut_slice()
                             [off * self.head_dim..(off + seq) * self.head_dim];
                         gemm(seq, seq, self.head_dim, p, vs, c, 0.0);
@@ -136,23 +127,28 @@ impl MultiHeadAttention {
                 // and the shared block-data buffer directly.
                 let stacked = stacked_layout(layout, seq);
                 let (total, span) = (layout.total_data_len, self.n_heads * seq);
-                // Every active block is overwritten by the SDD.
+                // Every active block is overwritten by the SDD, every
+                // context row by the DSD.
                 let mut probs = Tensor::scratch(&[batch, total]);
-                let mut ctx = Tensor::zeros(&[batch * span, self.head_dim]);
+                let mut ctx = Tensor::scratch(&[batch * span, self.head_dim]);
                 for b in 0..batch {
                     let qs = rows(&q, b * span, span, self.head_dim);
                     let ks = rows(&k, b * span, span, self.head_dim);
                     let vs = rows(&v, b * span, span, self.head_dim);
                     let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total];
-                    let fill = CausalFill::NegInf;
-                    sdd_nt(qs, ks, span, self.head_dim, scale, stacked, fill, p);
-                    if let Some(slopes) = &self.alibi_slopes {
-                        for (h, &slope) in slopes.iter().enumerate() {
-                            let p_head = &mut p[layout.head_data_range(h)];
-                            apply_alibi_blocks(p_head, &layout.heads[h], slope);
-                        }
-                    }
-                    block_row_softmax(p, stacked);
+                    // Raw products: scale, bias and the causal limit belong
+                    // to the fused pass.
+                    sdd_nt(
+                        qs,
+                        ks,
+                        span,
+                        self.head_dim,
+                        1.0,
+                        stacked,
+                        CausalFill::None,
+                        p,
+                    );
+                    scores_to_probs(p, stacked, scale, self.alibi_slopes.as_deref());
                     let c = rows_mut(&mut ctx, b * span, span, self.head_dim);
                     dsd(p, vs, span, self.head_dim, stacked, c);
                 }
@@ -188,16 +184,19 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let dmerged = self.wo.backward(dy);
         let dctx = split_heads(&dmerged, batch, seq, heads, dh);
-        let mut dq = Tensor::zeros(&[batch * heads * seq, dh]);
-        let mut dk = Tensor::zeros(&[batch * heads * seq, dh]);
-        let mut dv = Tensor::zeros(&[batch * heads * seq, dh]);
+        // Fully overwritten below: beta-0 GEMMs per (batch, head) on the
+        // dense path, DSD launches (which zero the rows no block touches) on
+        // the sparse one.
+        let mut dq = Tensor::scratch(&[batch * heads * seq, dh]);
+        let mut dk = Tensor::scratch(&[batch * heads * seq, dh]);
+        let mut dv = Tensor::scratch(&[batch * heads * seq, dh]);
         match &cache.mode {
             CacheMode::Dense { probs } => {
-                // Workspace-pooled scratch: these buffers recycle across
-                // (batch, head) iterations and across steps.
-                let mut dscores_t = Tensor::zeros(&[seq, seq]);
-                let mut dp_t = Tensor::zeros(&[seq, seq]);
-                let dscores = dscores_t.as_mut_slice();
+                // Workspace-pooled scratch, recycled across (batch, head)
+                // iterations and across steps: dP from the GEMM (beta 0
+                // overwrites it), turned into dS in place.
+                let mut ds_t = Tensor::scratch(&[seq, seq]);
+                let ds = ds_t.as_mut_slice();
                 for b in 0..batch {
                     for h in 0..heads {
                         let off = (b * heads + h) * seq;
@@ -206,25 +205,14 @@ impl MultiHeadAttention {
                         let vs = rows(&cache.v, off, seq, dh);
                         let dc = rows(&dctx, off, seq, dh);
                         let p = &probs.as_slice()[off * seq..(off + seq) * seq];
-                        // dP = dC · Vᵀ (beta 0 fully overwrites the scratch).
-                        let dp = dp_t.as_mut_slice();
-                        gemm_nt(seq, dh, seq, dc, vs, dp, 0.0);
-                        // dS = softmax'(P, dP), then scale.
-                        for r in 0..seq {
-                            softmax_backward_row(
-                                &p[r * seq..(r + 1) * seq],
-                                &dp[r * seq..(r + 1) * seq],
-                                &mut dscores[r * seq..(r + 1) * seq],
-                            );
-                        }
-                        for v in dscores.iter_mut() {
-                            *v *= scale;
-                        }
+                        // dP = dC · Vᵀ, then dS = scale · P ⊙ (dP − ⟨P, dP⟩).
+                        gemm_nt(seq, dh, seq, dc, vs, ds, 0.0);
+                        causal_softmax_backward_rows(p, ds, seq, scale);
                         // dQ = dS · K ; dK = dSᵀ · Q ; dV = Pᵀ · dC
                         let dqs = rows_mut(&mut dq, off, seq, dh);
-                        gemm(seq, seq, dh, dscores, ks, dqs, 0.0);
+                        gemm(seq, seq, dh, ds, ks, dqs, 0.0);
                         let dks = rows_mut(&mut dk, off, seq, dh);
-                        gemm_tn(seq, seq, dh, dscores, qs, dks, 0.0);
+                        gemm_tn(seq, seq, dh, ds, qs, dks, 0.0);
                         let dvs = rows_mut(&mut dv, off, seq, dh);
                         gemm_tn(seq, seq, dh, p, dc, dvs, 0.0);
                     }
@@ -234,8 +222,7 @@ impl MultiHeadAttention {
                 let stacked = stacked_layout(layout, seq);
                 let (total, span) = (layout.total_data_len, heads * seq);
                 // Block-data scratch, fully overwritten per batch item: dP
-                // by the SDD, dS by the softmax backward.
-                let mut dp_t = Tensor::scratch(&[total]);
+                // by the SDD, turned into dS in place.
                 let mut ds_t = Tensor::scratch(&[total]);
                 for b in 0..batch {
                     let qs = rows(&cache.q, b * span, span, dh);
@@ -243,14 +230,11 @@ impl MultiHeadAttention {
                     let vs = rows(&cache.v, b * span, span, dh);
                     let dc = rows(&dctx, b * span, span, dh);
                     let p = &probs.as_slice()[b * total..(b + 1) * total];
-                    // dP on active blocks only (SDD with zero fill).
-                    let dp = dp_t.as_mut_slice();
-                    sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::Zero, dp);
+                    // dP on active blocks only; the fused backward never
+                    // reads it past the diagonal, so no fill.
                     let ds = ds_t.as_mut_slice();
-                    block_row_softmax_backward(p, dp, stacked, ds);
-                    for v in ds.iter_mut() {
-                        *v *= scale;
-                    }
+                    sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::None, ds);
+                    probs_backward(p, ds, stacked, scale);
                     let ds: &[f32] = ds;
                     dsd(
                         ds,
@@ -313,13 +297,16 @@ impl MultiHeadAttention {
 pub fn split_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
     assert_eq!(x.rows(), batch * seq);
     assert_eq!(x.cols(), heads * dh);
-    let mut out = Tensor::zeros(&[batch * heads * seq, dh]);
-    for b in 0..batch {
-        for s in 0..seq {
-            let src = x.row(b * seq + s);
-            for h in 0..heads {
-                let dst = out.row_mut((b * heads + h) * seq + s);
-                dst.copy_from_slice(&src[h * dh..(h + 1) * dh]);
+    let mut out = Tensor::scratch(&[batch * heads * seq, dh]);
+    if x.is_empty() {
+        return out;
+    }
+    let (d, per_batch) = (heads * dh, seq * heads * dh);
+    let batches = x.as_slice().chunks_exact(per_batch);
+    for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
+        for (h, head) in dst.chunks_exact_mut(seq * dh).enumerate() {
+            for (dst_row, src_row) in head.chunks_exact_mut(dh).zip(src.chunks_exact(d)) {
+                dst_row.copy_from_slice(&src_row[h * dh..(h + 1) * dh]);
             }
         }
     }
@@ -330,13 +317,16 @@ pub fn split_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize
 pub fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
     assert_eq!(x.rows(), batch * heads * seq);
     assert_eq!(x.cols(), dh);
-    let mut out = Tensor::zeros(&[batch * seq, heads * dh]);
-    for b in 0..batch {
-        for h in 0..heads {
-            for s in 0..seq {
-                let src = x.row((b * heads + h) * seq + s);
-                let dst = out.row_mut(b * seq + s);
-                dst[h * dh..(h + 1) * dh].copy_from_slice(src);
+    let mut out = Tensor::scratch(&[batch * seq, heads * dh]);
+    if x.is_empty() {
+        return out;
+    }
+    let (d, per_batch) = (heads * dh, seq * heads * dh);
+    let batches = x.as_slice().chunks_exact(per_batch);
+    for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
+        for (h, head) in src.chunks_exact(seq * dh).enumerate() {
+            for (src_row, dst_row) in head.chunks_exact(dh).zip(dst.chunks_exact_mut(d)) {
+                dst_row[h * dh..(h + 1) * dh].copy_from_slice(src_row);
             }
         }
     }

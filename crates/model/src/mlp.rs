@@ -19,7 +19,7 @@ use lx_sparse::neuron::{
 };
 use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
-use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu_backward, relu_inplace};
+use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu, relu_backward};
 use lx_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 
@@ -185,16 +185,22 @@ impl MlpBlock {
     }
 
     fn activate(&self, z: &Tensor) -> Tensor {
-        let mut a = z.clone();
         match self.activation {
-            Activation::Relu => relu_inplace(a.as_mut_slice()),
-            Activation::Gelu => gelu_inplace(a.as_mut_slice()),
+            Activation::Relu => {
+                let mut a = Tensor::scratch(z.shape());
+                relu(z.as_slice(), a.as_mut_slice());
+                a
+            }
+            Activation::Gelu => {
+                let mut a = z.clone();
+                gelu_inplace(a.as_mut_slice());
+                a
+            }
         }
-        a
     }
 
     fn activate_backward(&self, da: &Tensor, z: &Tensor) -> Tensor {
-        let mut dz = Tensor::zeros(z.shape());
+        let mut dz = Tensor::scratch(z.shape());
         match self.activation {
             Activation::Relu => relu_backward(da.as_slice(), z.as_slice(), dz.as_mut_slice()),
             Activation::Gelu => gelu_backward(da.as_slice(), z.as_slice(), dz.as_mut_slice()),
@@ -388,7 +394,9 @@ impl MlpBlock {
                 &set,
             ),
         };
-        let mut z = Tensor::zeros(&[rows, width]);
+        // `z`, `y`, and `da` / `dx` in the backward: each grouped launch
+        // writes its whole output.
+        let mut z = Tensor::scratch(&[rows, width]);
         fc1_forward(
             x.as_slice(),
             rows,
@@ -419,7 +427,7 @@ impl MlpBlock {
             l.cache_ax = Some(ax);
         }
         let a = self.activate(&z);
-        let mut y = Tensor::zeros(&[rows, self.d_model]);
+        let mut y = Tensor::scratch(&[rows, self.d_model]);
         fc2_forward(
             a.as_slice(),
             rows,
@@ -555,7 +563,7 @@ impl MlpBlock {
             None => (self.w1.value.as_slice(), self.w2.value.as_slice(), &set),
         };
         // FC2 backward to compact dA.
-        let mut da = Tensor::zeros(&[rows, width]);
+        let mut da = Tensor::scratch(&[rows, width]);
         fc2_backward_input(
             dy.as_slice(),
             rows,
@@ -626,7 +634,7 @@ impl MlpBlock {
         let dz = self.activate_backward(&da, &cache.z);
         // dx first: it reads the (possibly slab-decoded) weight view, whose
         // borrow must end before the grad blocks take `&mut` access below.
-        let mut dx = Tensor::zeros(&[rows, self.d_model]);
+        let mut dx = Tensor::scratch(&[rows, self.d_model]);
         fc1_backward_input(
             dz.as_slice(),
             rows,

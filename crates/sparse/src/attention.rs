@@ -29,35 +29,40 @@
 //! The packed backend packs every Q/K/V block-row once per launch instead of
 //! once per block that touches it, runs its register-tile microkernel off
 //! those panels, and splits the runs across the pool by block count, so a
-//! causal layout's heavy last rows do not serialise. The elementwise passes
-//! here (scale + causal fill, softmax, ALiBi) use the same nnz-balanced
-//! block-row split. Every operator works unchanged on
+//! causal layout's heavy last rows do not serialise. Between the matmuls,
+//! scores become probabilities — and `dP` becomes `dS` — in one fused pass
+//! family each ([`scores_to_probs`], [`probs_backward`]) over the
+//! ISA-dispatched row kernels of [`lx_kernels::rows`], split by the same
+//! nnz-balanced block rows:
+//!
+//! ```text
+//!   forward   S = Q·Kᵀ ──▶ scale·s − slope·(q−k), causal limit, max ──▶ exp + Σ ──▶ ·1/Σ ──▶ P
+//!   backward  dP = dO·Vᵀ ──▶ ⟨P, dP⟩ per row ──▶ dS = scale · P ⊙ (dP − ⟨P, dP⟩)
+//! ```
+//!
+//! A row of a block-row is `n_entries` segments of `b` floats at stride `b²`
+//! (a dense row is the one-segment case of the same kernels); positions past
+//! the diagonal are never exponentiated and come out as exact zeros, so the
+//! SDD before them needs neither its scale nor its fill post-pass. Every
+//! operator works unchanged on
 //! [`MultiHeadLayout::stacked`](crate::MultiHeadLayout::stacked) — all heads
 //! of a layer as one block-diagonal layout over head-major `Q`/`K`/`V` — so
 //! a layer issues one launch per operator, not one per head.
 
 use crate::layout::BlockCsr;
-use lx_kernels::{GemmGroup, GemmTable, Windows};
+use lx_kernels::rows::{self, Band, Causal};
+use lx_kernels::{active_isa, GemmGroup, GemmTable, Windows};
 use lx_parallel::par_weighted;
 use std::ops::Range;
 
 /// What to write into causally-masked positions of diagonal blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CausalFill {
-    /// `-∞`: for attention *scores*, so softmax zeroes them.
+    /// `-∞`: for attention *scores*, so a softmax zeroes them.
     NegInf,
-    /// `0`: for gradients flowing through masked positions.
-    Zero,
-    /// Leave untouched (pattern already handles masking).
+    /// Leave the raw products — what the fused [`scores_to_probs`] /
+    /// [`probs_backward`] passes take, which stop at the diagonal themselves.
     None,
-}
-
-fn fill_value(fill: CausalFill) -> Option<f32> {
-    match fill {
-        CausalFill::NegInf => Some(f32::NEG_INFINITY),
-        CausalFill::Zero => Some(0.0),
-        CausalFill::None => None,
-    }
 }
 
 fn check_dims(layout: &BlockCsr, s: usize) {
@@ -74,16 +79,17 @@ fn check_dims(layout: &BlockCsr, s: usize) {
     );
 }
 
-/// Elements per task below which a pass is not worth a pool dispatch: a
-/// multiply or a fill moves ~64K elements in the time one costs, the
-/// softmax passes (an `exp`, a row reduction) only ~4K.
-const ELEMENTWISE_GRAIN: usize = 1 << 16;
-const SOFTMAX_GRAIN: usize = 1 << 12;
+/// Elements per task below which the SDD's scale/fill post-pass is not
+/// worth a pool dispatch: at ~0.3 ns per element a task must be this large
+/// to last the ~0.4 ms below which a second worker gains nothing (see
+/// [`rows::PAR_GRAIN`], the same bound for the ~1.5 ns softmax family).
+const ELEMENTWISE_GRAIN: usize = 1 << 20;
 
 /// Run `body` over nnz-balanced runs of block-rows of CSR block `data`, at
-/// least `grain` elements each: each task gets a block-row range and the
-/// slice holding exactly those rows' blocks (entry `e` sits at `e·b²` minus
-/// the first row's offset).
+/// least `grain` elements each (one run on a thread pinned by
+/// [`lx_kernels::with_sequential`]): each task gets a block-row range and
+/// the slice holding exactly those rows' blocks (entry `e` sits at `e·b²`
+/// minus the first row's offset).
 fn par_block_rows(
     data: &mut [f32],
     layout: &BlockCsr,
@@ -91,6 +97,11 @@ fn par_block_rows(
     body: impl Fn(Range<usize>, &mut [f32]) + Sync,
 ) {
     let bb = layout.block_size * layout.block_size;
+    let grain = if lx_kernels::sequential_mode() {
+        usize::MAX
+    } else {
+        grain
+    };
     let span = |brs: Range<usize>| {
         layout.row_ptr[brs.start] as usize * bb..layout.row_ptr[brs.end] as usize * bb
     };
@@ -101,7 +112,10 @@ fn par_block_rows(
 ///
 /// `a` and `b_mat` are `s×dh` row-major (Q and K for the forward scores;
 /// dO and V for the `dP` backward). `out` must have `layout.data_len()`
-/// elements. Masked positions of diagonal blocks get `fill`.
+/// elements. Masked positions of diagonal blocks get `fill`. The model runs
+/// it with `scale = 1` and [`CausalFill::None`] — one launch, no post-pass —
+/// and leaves scale and causal limit to the fused row passes; the post-pass
+/// serves standalone callers that want finished scores.
 #[allow(clippy::too_many_arguments)]
 pub fn sdd_nt(
     a: &[f32],
@@ -133,8 +147,7 @@ pub fn sdd_nt(
         },
         out,
     );
-    let fillv = fill_value(fill);
-    if scale == 1.0 && fillv.is_none() {
+    if scale == 1.0 && fill == CausalFill::None {
         return;
     }
     par_block_rows(out, layout, ELEMENTWISE_GRAIN, |brs, chunk| {
@@ -151,10 +164,10 @@ pub fn sdd_nt(
                 // Causal masking at element granularity: a block on the
                 // diagonal computed the full b×b product and now overwrites
                 // its masked part (empty for blocks below the diagonal).
-                if let Some(fv) = fillv {
+                if fill == CausalFill::NegInf {
                     for i in 0..b {
                         let first_masked = (br * b + i + 1).saturating_sub(bc * b).min(b);
-                        blk[i * b + first_masked..(i + 1) * b].fill(fv);
+                        blk[i * b + first_masked..(i + 1) * b].fill(f32::NEG_INFINITY);
                     }
                 }
             }
@@ -216,107 +229,71 @@ pub fn dsd_tn(p: &[f32], x: &[f32], s: usize, dh: usize, layout: &BlockCsr, out:
     );
 }
 
-/// Subtract `slope·(i−j)` from the causal positions (`j ≤ i`) of block-sparse
-/// score data — the ALiBi bias of one head. The causal prefix of each block
-/// row is computed once per row (the whole row below the diagonal), so the
-/// inner loop never tests a position.
-pub fn apply_alibi_blocks(data: &mut [f32], layout: &BlockCsr, slope: f32) {
-    let b = layout.block_size;
-    assert_eq!(data.len(), layout.data_len());
-    let bb = b * b;
-    par_block_rows(data, layout, ELEMENTWISE_GRAIN, |brs, chunk| {
-        let base = layout.row_ptr[brs.start] as usize * bb;
-        for br in brs {
-            for e in layout.row_entries(br) {
-                let bc = layout.col_idx[e] as usize;
-                let blk = &mut chunk[e * bb - base..(e + 1) * bb - base];
-                for (i, row) in blk.chunks_exact_mut(b).enumerate() {
-                    let gi = br * b + i;
-                    // Columns of this block row at or before the diagonal.
-                    let causal = (gi + 1).saturating_sub(bc * b).min(b);
-                    for (j, v) in row[..causal].iter_mut().enumerate() {
-                        *v -= slope * (gi - (bc * b + j)) as f32;
-                    }
-                }
-            }
-        }
-    });
+/// The band and causal geometry of block-row `br`: `b` rows of one segment
+/// per entry, queries `br·b ..`, keys by block column. `slopes` holds one
+/// ALiBi slope per equal run of block rows (one per head of a stacked
+/// layout); `None` is no bias.
+fn block_row_band<'a>(
+    layout: &'a BlockCsr,
+    br: usize,
+    slopes: Option<&[f32]>,
+) -> (Band, Causal<'a>) {
+    let entries = layout.row_entries(br);
+    let slope = slopes.map_or(0.0, |s| s[br * s.len() / layout.n_brows]);
+    (
+        Band::block_row(layout.block_size, entries.len()),
+        Causal {
+            q0: br * layout.block_size,
+            cols: &layout.col_idx[entries],
+            slope,
+        },
+    )
 }
 
-/// Row-wise softmax over block-sparse score data. `-∞` entries become 0;
-/// rows with no active blocks stay empty.
-pub fn block_row_softmax(data: &mut [f32], layout: &BlockCsr) {
-    let b = layout.block_size;
+/// Causal scores → probabilities in place over block-sparse score data
+/// (what [`sdd_nt`] leaves with `scale = 1` and `CausalFill::None`), one
+/// pass family: `scale·s − slope·(q−k)` up to the diagonal, row max, `exp` +
+/// sum, normalise. Positions past the diagonal become exact zeros without
+/// being read; rows with no active blocks stay empty. `slopes` is one ALiBi
+/// slope per head of a stacked layout (`slopes.len()` equal runs of block
+/// rows), `None` for no bias.
+pub fn scores_to_probs(data: &mut [f32], layout: &BlockCsr, scale: f32, slopes: Option<&[f32]>) {
+    let bb = layout.block_size * layout.block_size;
     assert_eq!(data.len(), layout.data_len());
-    let bb = b * b;
-    par_block_rows(data, layout, SOFTMAX_GRAIN, |brs, chunk| {
+    if let Some(s) = slopes {
+        assert!(
+            !s.is_empty() && layout.n_brows.is_multiple_of(s.len()),
+            "one slope per equal run of block rows"
+        );
+    }
+    let isa = active_isa();
+    par_block_rows(data, layout, rows::PAR_GRAIN, |brs, chunk| {
         let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
             let entries = layout.row_entries(br);
-            if entries.is_empty() {
-                continue;
-            }
+            let (band, causal) = block_row_band(layout, br, slopes);
             let span = &mut chunk[entries.start * bb - base..entries.end * bb - base];
-            let n_entries = entries.len();
-            for i in 0..b {
-                // Pass 1: max.
-                let mut max = f32::NEG_INFINITY;
-                for e in 0..n_entries {
-                    for &v in &span[e * b * b + i * b..e * b * b + (i + 1) * b] {
-                        max = max.max(v);
-                    }
-                }
-                if max == f32::NEG_INFINITY {
-                    for e in 0..n_entries {
-                        span[e * b * b + i * b..e * b * b + (i + 1) * b].fill(0.0);
-                    }
-                    continue;
-                }
-                // Pass 2: exp + sum.
-                let mut sum = 0.0f32;
-                for e in 0..n_entries {
-                    for v in span[e * b * b + i * b..e * b * b + (i + 1) * b].iter_mut() {
-                        *v = (*v - max).exp();
-                        sum += *v;
-                    }
-                }
-                let inv = 1.0 / sum;
-                for e in 0..n_entries {
-                    for v in span[e * b * b + i * b..e * b * b + (i + 1) * b].iter_mut() {
-                        *v *= inv;
-                    }
-                }
-            }
+            rows::softmax_forward(isa, span, band, scale, Some(causal));
         }
     });
 }
 
-/// Backward of [`block_row_softmax`]: `dx = y ⊙ (dy − ⟨y, dy⟩_row)`.
-pub fn block_row_softmax_backward(y: &[f32], dy: &[f32], layout: &BlockCsr, dx: &mut [f32]) {
-    let b = layout.block_size;
-    assert_eq!(y.len(), layout.data_len());
-    assert_eq!(dy.len(), layout.data_len());
-    assert_eq!(dx.len(), layout.data_len());
-    par_block_rows(dx, layout, SOFTMAX_GRAIN, |brs, chunk| {
-        let base = layout.row_ptr[brs.start] as usize * b * b;
+/// Backward of [`scores_to_probs`], in place on `grad` (`dP` in, `dS` out):
+/// `dS = scale · P ⊙ (dP − ⟨P, dP⟩_row)` up to the diagonal, zeros past it —
+/// `dP` there is never read, so the SDD that produced it needs no fill.
+pub fn probs_backward(p: &[f32], grad: &mut [f32], layout: &BlockCsr, scale: f32) {
+    let bb = layout.block_size * layout.block_size;
+    assert_eq!(p.len(), layout.data_len());
+    assert_eq!(grad.len(), layout.data_len());
+    let isa = active_isa();
+    par_block_rows(grad, layout, rows::PAR_GRAIN, |brs, chunk| {
+        let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
             let entries = layout.row_entries(br);
-            for i in 0..b {
-                let mut dot = 0.0f32;
-                for e in entries.clone() {
-                    let off = e * b * b + i * b;
-                    for t in 0..b {
-                        dot += y[off + t] * dy[off + t];
-                    }
-                }
-                for e in entries.clone() {
-                    let off = e * b * b + i * b;
-                    let dx_row = &mut chunk[off - base..off - base + b];
-                    for t in 0..b {
-                        dx_row[t] = y[off + t] * (dy[off + t] - dot);
-                    }
-                }
-            }
+            let (band, causal) = block_row_band(layout, br, None);
+            let span = entries.start * bb..entries.end * bb;
+            let g = &mut chunk[span.start - base..span.end - base];
+            rows::softmax_backward(isa, &p[span], g, band, scale, Some(causal));
         }
     });
 }
@@ -432,8 +409,8 @@ mod tests {
             let lay = layout(spec);
             let scale = 1.0 / (DH as f32).sqrt();
             let mut p = vec![0.0; lay.data_len()];
-            sdd_nt(&q, &k, S, DH, scale, &lay, CausalFill::NegInf, &mut p);
-            block_row_softmax(&mut p, &lay);
+            sdd_nt(&q, &k, S, DH, 1.0, &lay, CausalFill::None, &mut p);
+            scores_to_probs(&mut p, &lay, scale, None);
             let mut out = vec![0.0; S * DH];
             dsd(&p, &v, S, DH, &lay, &mut out);
 
@@ -470,13 +447,12 @@ mod tests {
         let lay = layout(PatternSpec::LocalWindow { w: 2 });
         let q = randn_vec(S * DH, 1.0, 6);
         let k = randn_vec(S * DH, 1.0, 7);
-        let mut scores = vec![0.0; lay.data_len()];
-        sdd_nt(&q, &k, S, DH, 0.5, &lay, CausalFill::NegInf, &mut scores);
-        let mut y = scores.clone();
-        block_row_softmax(&mut y, &lay);
+        let mut y = vec![0.0; lay.data_len()];
+        sdd_nt(&q, &k, S, DH, 1.0, &lay, CausalFill::None, &mut y);
+        scores_to_probs(&mut y, &lay, 0.5, None);
         let dy = randn_vec(lay.data_len(), 1.0, 8);
-        let mut dx = vec![0.0; lay.data_len()];
-        block_row_softmax_backward(&y, &dy, &lay, &mut dx);
+        let mut dx = dy.clone();
+        probs_backward(&y, &mut dx, &lay, 1.0);
 
         // Dense reference row by row.
         let dense_y = block_data_to_dense(&y, &lay);
@@ -498,22 +474,6 @@ mod tests {
         }
         let sparse_dx = block_data_to_dense(&dx, &lay);
         assert_close(&sparse_dx, &dense_dx, 1e-4);
-    }
-
-    #[test]
-    fn causal_fill_zero_for_gradients() {
-        let lay = layout(PatternSpec::Causal);
-        let a = randn_vec(S * DH, 1.0, 9);
-        let b = randn_vec(S * DH, 1.0, 10);
-        let mut out = vec![f32::NAN; lay.data_len()];
-        sdd_nt(&a, &b, S, DH, 1.0, &lay, CausalFill::Zero, &mut out);
-        let dense = block_data_to_dense(&out, &lay);
-        for i in 0..S {
-            for j in (i + 1)..S {
-                assert_eq!(dense[i * S + j], 0.0, "masked grad at ({i},{j}) must be 0");
-            }
-        }
-        assert!(out.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -556,7 +516,7 @@ mod tests {
         let q = randn_vec(S * DH, 1.0, 12);
         let mut p: Vec<f32> = vec![];
         sdd_nt(&q, &q, S, DH, 1.0, &lay, CausalFill::NegInf, &mut p);
-        block_row_softmax(&mut p, &lay);
+        scores_to_probs(&mut p, &lay, 1.0, None);
         let mut out = vec![7.0; S * DH];
         dsd(&p, &q, S, DH, &lay, &mut out);
         assert!(out.iter().all(|&v| v == 0.0), "no blocks -> zero output");

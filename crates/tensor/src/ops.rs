@@ -1,28 +1,27 @@
 //! Elementwise and row-wise numeric kernels shared by the model and the
 //! Long Exposure components: activations (ReLU for OPT-style models, GeLU for
-//! GPT-2-style), numerically-stable softmax and its backward, layer
-//! normalisation, and bias helpers.
+//! GPT-2-style), numerically-stable softmax (plain, and the fused causal
+//! scores → probabilities pair of dense attention), and bias helpers. ReLU
+//! and every softmax here are thin shape adapters over the ISA-dispatched
+//! row kernels in [`lx_kernels::rows`] — the one implementation the
+//! block-sparse path, LayerNorm and the loss run too.
 
 use crate::Tensor;
+use lx_kernels::active_isa;
+use lx_kernels::rows::{self, Band, Causal};
 
 // ---------------------------------------------------------------------------
 // Activations
 // ---------------------------------------------------------------------------
 
-/// In-place ReLU.
-pub fn relu_inplace(x: &mut [f32]) {
-    for v in x {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
+/// ReLU: `a = max(z, 0)`.
+pub fn relu(z: &[f32], a: &mut [f32]) {
+    rows::relu(active_isa(), z, a)
 }
 
 /// ReLU backward: `dz = da ⊙ [z > 0]`, reading the *pre-activation* `z`.
 pub fn relu_backward(da: &[f32], z: &[f32], dz: &mut [f32]) {
-    for ((g, &zv), out) in da.iter().zip(z).zip(dz.iter_mut()) {
-        *out = if zv > 0.0 { *g } else { 0.0 };
-    }
+    rows::relu_backward(active_isa(), da, z, dz)
 }
 
 // The scalar GELU lives in lx-kernels so the fused GEMM epilogue and this
@@ -57,46 +56,74 @@ pub fn gelu_backward(da: &[f32], z: &[f32], dz: &mut [f32]) {
 // Softmax
 // ---------------------------------------------------------------------------
 
-/// Numerically-stable softmax over each `width`-sized row of `x`.
-pub fn softmax_rows(x: &mut [f32], width: usize) {
-    assert_eq!(x.len() % width.max(1), 0, "softmax_rows: ragged input");
+/// Run `body(first row, rows, chunk)` over `width`-wide row chunks of `x`,
+/// on the pool when the matrix is worth more than one
+/// [`rows::PAR_GRAIN`]-sized task (and the thread is not pinned by
+/// [`lx_kernels::with_sequential`]).
+fn par_row_chunks(x: &mut [f32], width: usize, body: impl Fn(usize, usize, &mut [f32]) + Sync) {
+    assert_eq!(x.len() % width.max(1), 0, "softmax: ragged input");
     if width == 0 {
         return;
     }
     let rows = x.len() / width;
-    lx_parallel::par_rows(x, rows, width, (4096 / width).max(1), |rr, chunk| {
-        for r in rr.clone() {
-            let local = (r - rr.start) * width;
-            softmax_row(&mut chunk[local..local + width]);
-        }
+    let grain = if lx_kernels::sequential_mode() {
+        rows
+    } else {
+        (rows::PAR_GRAIN / width).max(1)
+    };
+    lx_parallel::par_rows(x, rows, width, grain, |rr, chunk| {
+        body(rr.start, rr.len(), chunk)
     });
 }
 
-/// Softmax of one row in place.
-pub fn softmax_row(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        // Fully-masked row: define softmax as all zeros (no probability mass).
-        row.fill(0.0);
-        return;
-    }
-    let mut sum = 0.0;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
+/// Numerically-stable softmax over each `width`-sized row of `x`. A row of
+/// nothing but `−∞` becomes zeros.
+pub fn softmax_rows(x: &mut [f32], width: usize) {
+    let isa = active_isa();
+    par_row_chunks(x, width, |_, n, chunk| {
+        rows::softmax_forward(isa, chunk, Band::dense(n, width), 1.0, None)
+    });
 }
 
-/// Softmax backward for one row: `dx = y ⊙ (dy − ⟨y, dy⟩)`.
-pub fn softmax_backward_row(y: &[f32], dy: &[f32], dx: &mut [f32]) {
-    let dot: f32 = y.iter().zip(dy).map(|(a, b)| a * b).sum();
-    for ((&yv, &dyv), out) in y.iter().zip(dy).zip(dx.iter_mut()) {
-        *out = yv * (dyv - dot);
-    }
+/// Dense causal attention scores → probabilities in place, one pass family:
+/// row `i` of the `s×s` matrix becomes `softmax_j(scale·x[i,j] −
+/// slope·(i−j))` over `j ≤ i` and exact zeros past the diagonal (which is
+/// never exponentiated). `slope = 0` for no ALiBi bias.
+pub fn causal_softmax_rows(x: &mut [f32], s: usize, scale: f32, slope: f32) {
+    assert_eq!(x.len(), s * s, "causal softmax: square scores");
+    let isa = active_isa();
+    par_row_chunks(x, s, |q0, n, chunk| {
+        let cols = &[0][..];
+        let causal = Some(Causal { q0, cols, slope });
+        rows::softmax_forward(isa, chunk, Band::dense(n, s), scale, causal)
+    });
+}
+
+/// Backward of [`causal_softmax_rows`], in place on `grad` (`dP` in, `dS`
+/// out): `dS = scale · P ⊙ (dP − ⟨P, dP⟩_row)` up to the diagonal, zeros
+/// past it.
+pub fn causal_softmax_backward_rows(p: &[f32], grad: &mut [f32], s: usize, scale: f32) {
+    assert_eq!(
+        p.len(),
+        s * s,
+        "causal softmax backward: square probabilities"
+    );
+    assert_eq!(
+        grad.len(),
+        s * s,
+        "causal softmax backward: grad shaped like p"
+    );
+    let isa = active_isa();
+    par_row_chunks(grad, s, |q0, n, chunk| {
+        let cols = &[0][..];
+        let causal = Some(Causal {
+            q0,
+            cols,
+            slope: 0.0,
+        });
+        let p = &p[q0 * s..(q0 + n) * s];
+        rows::softmax_backward(isa, p, chunk, Band::dense(n, s), scale, causal)
+    });
 }
 
 /// Apply a causal mask to an `s×s` score matrix: positions `j > i` get −∞.
@@ -106,61 +133,6 @@ pub fn apply_causal_mask(scores: &mut [f32], s: usize) {
         for v in scores[i * s + i + 1..(i + 1) * s].iter_mut() {
             *v = f32::NEG_INFINITY;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LayerNorm
-// ---------------------------------------------------------------------------
-
-/// LayerNorm forward over one row. Returns `(mean, rstd)` for the backward.
-pub fn layernorm_row(
-    x: &[f32],
-    gamma: &[f32],
-    beta: &[f32],
-    eps: f32,
-    y: &mut [f32],
-) -> (f32, f32) {
-    let n = x.len() as f32;
-    let mean = x.iter().sum::<f32>() / n;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-    let rstd = 1.0 / (var + eps).sqrt();
-    for i in 0..x.len() {
-        y[i] = (x[i] - mean) * rstd * gamma[i] + beta[i];
-    }
-    (mean, rstd)
-}
-
-/// LayerNorm backward over one row.
-///
-/// Accumulates `dgamma`/`dbeta` (+=) and writes `dx`.
-#[allow(clippy::too_many_arguments)]
-pub fn layernorm_backward_row(
-    x: &[f32],
-    dy: &[f32],
-    gamma: &[f32],
-    mean: f32,
-    rstd: f32,
-    dx: &mut [f32],
-    dgamma: &mut [f32],
-    dbeta: &mut [f32],
-) {
-    let n = x.len();
-    let nf = n as f32;
-    let mut sum_dyg = 0.0f32;
-    let mut sum_dyg_xhat = 0.0f32;
-    for i in 0..n {
-        let xhat = (x[i] - mean) * rstd;
-        let dyg = dy[i] * gamma[i];
-        sum_dyg += dyg;
-        sum_dyg_xhat += dyg * xhat;
-        dgamma[i] += dy[i] * xhat;
-        dbeta[i] += dy[i];
-    }
-    for i in 0..n {
-        let xhat = (x[i] - mean) * rstd;
-        let dyg = dy[i] * gamma[i];
-        dx[i] = rstd * (dyg - sum_dyg / nf - xhat * sum_dyg_xhat / nf);
     }
 }
 
@@ -196,14 +168,14 @@ mod tests {
 
     #[test]
     fn relu_roundtrip() {
-        let mut x = vec![-1.0, 0.0, 2.0];
-        relu_inplace(&mut x);
-        assert_eq!(x, vec![0.0, 0.0, 2.0]);
-        let z = vec![-1.0, 0.5, 2.0];
-        let da = vec![1.0, 1.0, 1.0];
-        let mut dz = vec![0.0; 3];
+        let z = vec![-1.0, 0.0, 0.5, 2.0];
+        let mut a = vec![9.0; 4];
+        relu(&z, &mut a);
+        assert_eq!(a, vec![0.0, 0.0, 0.5, 2.0]);
+        let da = vec![1.0; 4];
+        let mut dz = vec![9.0; 4];
         relu_backward(&da, &z, &mut dz);
-        assert_eq!(dz, vec![0.0, 1.0, 1.0]);
+        assert_eq!(dz, vec![0.0, 0.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -224,46 +196,22 @@ mod tests {
     }
 
     #[test]
-    fn softmax_row_sums_to_one_and_is_stable() {
-        let mut row = vec![1000.0, 1001.0, 999.0];
-        softmax_row(&mut row);
-        let sum: f32 = row.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        assert!(row.iter().all(|v| v.is_finite()));
-        assert!(row[1] > row[0] && row[0] > row[2]);
+    fn softmax_rows_sum_to_one_and_are_stable() {
+        let mut x = vec![1000.0, 1001.0, 999.0, -3.0, 0.0, 2.0];
+        softmax_rows(&mut x, 3);
+        for row in x.chunks(3) {
+            let sum: f32 = row.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5);
+            assert!(row.iter().all(|v| v.is_finite()));
+        }
+        assert!(x[1] > x[0] && x[0] > x[2]);
     }
 
     #[test]
     fn softmax_fully_masked_row_is_zero() {
         let mut row = vec![f32::NEG_INFINITY; 4];
-        softmax_row(&mut row);
+        softmax_rows(&mut row, 4);
         assert!(row.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn softmax_backward_matches_finite_difference() {
-        let x = vec![0.3f32, -0.7, 1.1, 0.2];
-        let dy = vec![0.5f32, -0.2, 0.1, 0.9];
-        let mut y = x.clone();
-        softmax_row(&mut y);
-        let mut dx = vec![0.0; 4];
-        softmax_backward_row(&y, &dy, &mut dx);
-        for i in 0..4 {
-            let h = 1e-3;
-            let mut xp = x.clone();
-            xp[i] += h;
-            softmax_row(&mut xp);
-            let mut xm = x.clone();
-            xm[i] -= h;
-            softmax_row(&mut xm);
-            let fd: f32 = xp
-                .iter()
-                .zip(&xm)
-                .zip(&dy)
-                .map(|((p, m), g)| (p - m) / (2.0 * h) * g)
-                .sum();
-            assert!((dx[i] - fd).abs() < 1e-3, "i={i}: {} vs {fd}", dx[i]);
-        }
     }
 
     #[test]
@@ -272,6 +220,8 @@ mod tests {
         let mut scores = vec![0.5f32; s * s];
         apply_causal_mask(&mut scores, s);
         softmax_rows(&mut scores, s);
+        let mut fused = vec![0.5f32; s * s];
+        causal_softmax_rows(&mut fused, s, 1.0, 0.0);
         for i in 0..s {
             for j in 0..s {
                 let v = scores[i * s + j];
@@ -280,64 +230,42 @@ mod tests {
                 } else {
                     assert!((v - 1.0 / (i + 1) as f32).abs() < 1e-5);
                 }
+                assert_eq!(fused[i * s + j].to_bits(), v.to_bits());
             }
         }
     }
 
     #[test]
-    fn layernorm_normalises() {
-        let x = vec![1.0f32, 2.0, 3.0, 4.0];
-        let gamma = vec![1.0; 4];
-        let beta = vec![0.0; 4];
-        let mut y = vec![0.0; 4];
-        layernorm_row(&x, &gamma, &beta, 1e-5, &mut y);
-        let mean: f32 = y.iter().sum::<f32>() / 4.0;
-        let var: f32 = y.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn layernorm_backward_matches_finite_difference() {
-        let n = 6;
-        let x: Vec<f32> = crate::rng::randn_vec(n, 1.0, 20);
-        let gamma: Vec<f32> = crate::rng::uniform_vec(n, 0.5, 1.5, 21);
-        let beta: Vec<f32> = crate::rng::randn_vec(n, 0.1, 22);
-        let dy: Vec<f32> = crate::rng::randn_vec(n, 1.0, 23);
-        let mut y = vec![0.0; n];
-        let (mean, rstd) = layernorm_row(&x, &gamma, &beta, 1e-6, &mut y);
-        let mut dx = vec![0.0; n];
-        let mut dgamma = vec![0.0; n];
-        let mut dbeta = vec![0.0; n];
-        layernorm_backward_row(
-            &x,
-            &dy,
-            &gamma,
-            mean,
-            rstd,
-            &mut dx,
-            &mut dgamma,
-            &mut dbeta,
-        );
-        let loss = |xv: &[f32]| -> f32 {
-            let mut yy = vec![0.0; n];
-            layernorm_row(xv, &gamma, &beta, 1e-6, &mut yy);
-            yy.iter().zip(&dy).map(|(a, b)| a * b).sum()
+    fn causal_softmax_backward_matches_finite_difference() {
+        let s = 5;
+        let (scale, slope) = (0.7, 0.25);
+        let x = crate::rng::randn_vec(s * s, 1.0, 30);
+        let dy = crate::rng::randn_vec(s * s, 1.0, 31);
+        let probs = |x: &[f32]| {
+            let mut p = x.to_vec();
+            causal_softmax_rows(&mut p, s, scale, slope);
+            p
         };
-        for i in 0..n {
-            let h = 1e-3;
-            let mut xp = x.clone();
-            xp[i] += h;
-            let mut xm = x.clone();
-            xm[i] -= h;
+        let p = probs(&x);
+        let mut dx = dy.clone();
+        causal_softmax_backward_rows(&p, &mut dx, s, scale);
+        let loss = |x: &[f32]| -> f32 { probs(x).iter().zip(&dy).map(|(p, g)| p * g).sum() };
+        let h = 1e-2;
+        for idx in 0..s * s {
+            let (i, j) = (idx / s, idx % s);
+            if j > i {
+                assert_eq!(dx[idx], 0.0, "masked gradient at ({i},{j})");
+                continue;
+            }
+            let (mut xp, mut xm) = (x.clone(), x.clone());
+            xp[idx] += h;
+            xm[idx] -= h;
             let fd = (loss(&xp) - loss(&xm)) / (2.0 * h);
-            assert!((dx[i] - fd).abs() < 2e-3, "i={i}: {} vs {fd}", dx[i]);
-        }
-        // dbeta is just dy; dgamma is dy * xhat.
-        for i in 0..n {
-            assert!((dbeta[i] - dy[i]).abs() < 1e-6);
-            let xhat = (x[i] - mean) * rstd;
-            assert!((dgamma[i] - dy[i] * xhat).abs() < 1e-5);
+            assert!(
+                (dx[idx] - fd).abs() < 2e-3,
+                "({i},{j}): {} vs {fd}",
+                dx[idx]
+            );
         }
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --release -p lx-examples --example operator_playground
 //! ```
 
-use lx_sparse::attention::{block_row_softmax, dsd, sdd_nt, CausalFill};
+use lx_sparse::attention::{dsd, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::{PatternPool, PatternSpec};
 use lx_tensor::gemm::gemm_nt;
 use lx_tensor::ops::{apply_causal_mask, softmax_rows};
@@ -52,8 +52,8 @@ fn main() {
         let layout = pool.layout(spec, n);
         let t0 = Instant::now();
         let mut p = vec![0.0f32; layout.data_len()];
-        sdd_nt(&q, &k, s, dh, scale, &layout, CausalFill::NegInf, &mut p);
-        block_row_softmax(&mut p, &layout);
+        sdd_nt(&q, &k, s, dh, 1.0, &layout, CausalFill::None, &mut p);
+        scores_to_probs(&mut p, &layout, scale, None);
         let mut out = vec![0.0f32; s * dh];
         dsd(&p, &v, s, dh, &layout, &mut out);
         let t = t0.elapsed();

@@ -350,3 +350,61 @@ fn second_scheduler_stays_retired() {
         );
     }
 }
+
+#[test]
+fn second_softmax_stays_retired() {
+    // The one-row-kernel contract: `lx_kernels::rows` holds the only `exp`,
+    // softmax, LayerNorm, ReLU and log-sum-exp on the step path; lx-tensor,
+    // lx-sparse and lx-model adapt shapes and call it. A scalar copy growing
+    // back in any of them would fork the numerics (and the speed) again.
+    for dir in ["crates/tensor/src", "crates/sparse/src", "crates/model/src"] {
+        let mut files: Vec<_> = std::fs::read_dir(repo_root().join(dir))
+            .expect("crate source dir")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .collect();
+        files.sort();
+        for file in files {
+            let rel = format!("{dir}/{}", file.file_name().unwrap().to_string_lossy());
+            let src = non_test_source(&rel);
+            // Code only: doc and line comments may mention anything.
+            let code: String = src
+                .lines()
+                .map(|l| l.split("//").next().unwrap_or(""))
+                .collect::<Vec<_>>()
+                .join("\n");
+            for forbidden in [
+                ".exp()",
+                "f32::exp",
+                "fn softmax_row(",
+                "fn softmax_backward_row(",
+                "fn block_row_softmax",
+                "fn apply_alibi_blocks(",
+                "fn layernorm_row(",
+                "fn layernorm_backward_row(",
+                "fn relu_inplace(",
+                ".max(1e-12)",
+            ] {
+                assert!(
+                    !code.contains(forbidden),
+                    "{rel}: `{forbidden}` — a row pass outside lx_kernels::rows"
+                );
+            }
+        }
+    }
+    // The adapters really are adapters: each softmax-family entry point
+    // reaches the kernels, and the loss has one log-sum-exp call site.
+    let ops = non_test_source("crates/tensor/src/ops.rs");
+    assert_eq!(ops.matches("rows::softmax_forward(").count(), 2);
+    assert_eq!(ops.matches("rows::softmax_backward(").count(), 1);
+    let attention = non_test_source("crates/sparse/src/attention.rs");
+    assert_eq!(attention.matches("rows::softmax_forward(").count(), 1);
+    assert_eq!(attention.matches("rows::softmax_backward(").count(), 1);
+    let loss = non_test_source("crates/model/src/loss.rs");
+    assert_eq!(loss.matches("fn token_nll(").count(), 1);
+    assert_eq!(
+        loss.matches("token_nll(").count(),
+        3,
+        "definition + two callers"
+    );
+}

@@ -7,7 +7,7 @@
 //! case can be replayed exactly.
 
 use lx_sparse::attention::{
-    block_data_to_dense, block_row_softmax, dense_to_block_data, dsd, dsd_tn, sdd_nt, CausalFill,
+    block_data_to_dense, dense_to_block_data, dsd, dsd_tn, scores_to_probs, sdd_nt, CausalFill,
 };
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet, PatternSpec};
@@ -77,8 +77,8 @@ fn sparse_softmax_rows_are_distributions() {
         let q = randn_vec(s * 8, 1.0, seed);
         let k = randn_vec(s * 8, 1.0, seed + 1);
         let mut p = vec![0.0f32; csr.data_len()];
-        sdd_nt(&q, &k, s, 8, 0.35, &csr, CausalFill::NegInf, &mut p);
-        block_row_softmax(&mut p, &csr);
+        sdd_nt(&q, &k, s, 8, 1.0, &csr, CausalFill::None, &mut p);
+        scores_to_probs(&mut p, &csr, 0.35, None);
         let dense = block_data_to_dense(&p, &csr);
         for i in 0..s {
             let row_sum: f32 = dense[i * s..(i + 1) * s].iter().sum();
