@@ -42,9 +42,6 @@ fn mask_with_density(n: usize, density: f64, seed: u64) -> BlockMask {
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig12_operators");
-    // Tuned kernel policy so sparse per-block GEMMs and the dense arm both
-    // dispatch to the best backend for their shape.
-    lx_runtime::kernel_policy::install_tuned();
     let (s, dh, block) = (512, 64, 32);
     let n = s / block;
     println!(

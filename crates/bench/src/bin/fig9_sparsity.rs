@@ -38,7 +38,6 @@ fn time_it(f: impl FnMut()) -> f64 {
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig9_sparsity");
-    lx_runtime::kernel_policy::install_tuned();
     let (batch, seq, block) = (2, 256, SIM_BLOCK);
     let cfg = ModelConfig::opt_sim_base();
     let mut model = sim_model(cfg.clone(), 42);

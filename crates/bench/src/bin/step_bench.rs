@@ -205,7 +205,6 @@ fn reuse_arm(
 fn main() {
     let cli = BenchCli::parse("step_bench");
     let smoke = cli.smoke;
-    lx_runtime::kernel_policy::install_tuned();
     let precision = cli.precision();
     let (cfg, batch, seq, measured) = if smoke {
         (ModelConfig::test_tiny(), 2, 32, 8)

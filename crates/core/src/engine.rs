@@ -51,8 +51,8 @@ pub struct EngineConfig {
     /// Recall weighting of the predictor loss (false-negative cost).
     pub pos_weight: f32,
     /// Cross-step plan reuse for the predicted policy (shadowy-sparsity
-    /// amortisation). Defaults to every-step prediction, overridable via
-    /// `LX_PLAN_REFRESH` / `LX_PLAN_MIN_OVERLAP`.
+    /// amortisation). Defaults to every-step prediction;
+    /// [`FinetuneEngine::set_plan_refresh`] changes it on a live engine.
     pub plan_refresh: PlanRefreshConfig,
     pub seed: u64,
 }
@@ -71,7 +71,7 @@ impl Default for EngineConfig {
             predictor_lr: 0.5,
             noise_std: 0.02,
             pos_weight: 4.0,
-            plan_refresh: PlanRefreshConfig::from_env(PlanRefreshConfig::default()),
+            plan_refresh: PlanRefreshConfig::default(),
             seed: 0x10e0,
         }
     }

@@ -67,10 +67,6 @@ pub trait SparsityPolicy {
 /// overlap of attention layouts and neuron-block sets), and while the
 /// overlap sits below `min_overlap` the policy keeps predicting every step
 /// instead of trusting a stale plan.
-///
-/// Environment overrides (applied by [`PlanRefreshConfig::from_env`], which
-/// the engine uses on its default config): `LX_PLAN_REFRESH=<interval>` and
-/// `LX_PLAN_MIN_OVERLAP=<0..1>`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanRefreshConfig {
     /// Re-predict every `interval` steps (≥ 1; 1 = every step).
@@ -86,27 +82,6 @@ impl Default for PlanRefreshConfig {
             interval: 1,
             min_overlap: 0.5,
         }
-    }
-}
-
-impl PlanRefreshConfig {
-    /// `base` with `LX_PLAN_REFRESH` / `LX_PLAN_MIN_OVERLAP` overrides
-    /// applied (unparsable values are ignored).
-    pub fn from_env(base: PlanRefreshConfig) -> Self {
-        let mut cfg = base;
-        if let Some(n) = std::env::var("LX_PLAN_REFRESH")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            cfg.interval = n.max(1);
-        }
-        if let Some(t) = std::env::var("LX_PLAN_MIN_OVERLAP")
-            .ok()
-            .and_then(|v| v.parse::<f32>().ok())
-        {
-            cfg.min_overlap = t.clamp(0.0, 1.0);
-        }
-        cfg
     }
 }
 

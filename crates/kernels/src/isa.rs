@@ -15,18 +15,14 @@
 //! `avx512` are register arms, `scalar` and `neon` their scalar definition.
 //!
 //! Selection precedence (first match wins):
-//! 1. `LX_KERNEL_FORCE_SCALAR=1` → `scalar` (CI fallback arm),
-//! 2. `LX_KERNEL_ISA=scalar|avx2|avx512|neon` → that arm if the CPU supports
+//! 1. `LX_KERNEL_ISA=scalar|avx2|avx512|neon` → that arm if the CPU supports
 //!    it, else fall through with a warning (CI pins arms this way; an
 //!    unsupported pin must degrade loudly, never crash),
-//! 3. an ISA pinned in the installed [`KernelPolicy`](crate::KernelPolicy),
-//! 4. the widest ISA detected on the host.
+//! 2. the widest ISA detected on the host.
 
 use std::sync::OnceLock;
 
-/// Microkernel instruction-set arm. The numeric codes (1..=4) are the wire
-/// format used by the policy atomics and the persisted policy JSON; 0 is
-/// reserved for "no pin".
+/// Microkernel instruction-set arm.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Isa {
     /// Fixed-shape scalar kernel, auto-vectorised by LLVM. Always available.
@@ -40,8 +36,7 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// Stable lowercase name, used by `LX_KERNEL_ISA`, metrics labels and the
-    /// persisted policy JSON.
+    /// Stable lowercase name, used by `LX_KERNEL_ISA` and metrics labels.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
@@ -108,26 +103,6 @@ impl Isa {
             }
         }
     }
-
-    /// Wire code for the policy atomics / JSON (0 = no pin).
-    pub(crate) fn code(self) -> usize {
-        match self {
-            Isa::Scalar => 1,
-            Isa::Avx2 => 2,
-            Isa::Avx512 => 3,
-            Isa::Neon => 4,
-        }
-    }
-
-    pub(crate) fn from_code(code: usize) -> Option<Isa> {
-        match code {
-            1 => Some(Isa::Scalar),
-            2 => Some(Isa::Avx2),
-            3 => Some(Isa::Avx512),
-            4 => Some(Isa::Neon),
-            _ => None,
-        }
-    }
 }
 
 /// Widest ISA the host supports, probed once.
@@ -147,7 +122,7 @@ pub fn detected_isa() -> Isa {
 }
 
 /// `LX_KERNEL_ISA` pin, validated once. Unsupported or unknown values warn
-/// and fall through to the next precedence level.
+/// and fall through to detection.
 fn env_isa() -> Option<Isa> {
     static ENV: OnceLock<Option<Isa>> = OnceLock::new();
     *ENV.get_or_init(|| {
@@ -178,21 +153,10 @@ fn env_isa() -> Option<Isa> {
     })
 }
 
-/// The ISA arm the next packed GEMM will run, after applying the full
-/// precedence chain (force-scalar → env pin → policy pin → detection).
+/// The ISA arm every packed GEMM and row kernel in this process runs: the
+/// `LX_KERNEL_ISA` pin, else the widest detected.
 pub fn active_isa() -> Isa {
-    if crate::dispatch::force_scalar() {
-        return Isa::Scalar;
-    }
-    if let Some(isa) = env_isa() {
-        return isa;
-    }
-    if let Some(isa) = crate::dispatch::policy_isa() {
-        if isa.supported() {
-            return isa;
-        }
-    }
-    detected_isa()
+    env_isa().unwrap_or_else(detected_isa)
 }
 
 #[cfg(test)]
@@ -203,10 +167,8 @@ mod tests {
     fn names_roundtrip() {
         for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon] {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
-            assert_eq!(Isa::from_code(isa.code()), Some(isa));
         }
         assert_eq!(Isa::parse("sve"), None);
-        assert_eq!(Isa::from_code(0), None);
     }
 
     #[test]

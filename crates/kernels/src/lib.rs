@@ -31,9 +31,8 @@
 //!   independent of thread count and partition;
 //! * [`Auto`] — the size-aware dispatcher that picks between them per call
 //!   using the installed [`KernelPolicy`] (see the `dispatch` module source
-//!   for the policy rationale, `lx_runtime::kernel_policy` for the
-//!   cache-model-derived tile shapes, and [`autotune`] for the one-time
-//!   measured probe, persisted across restarts via `LX_KERNEL_POLICY`).
+//!   for the policy rationale and `lx_runtime::kernel_policy` for the cache
+//!   model its tile shapes come from).
 //!
 //! Callers outside benchmarks route through the process-wide [`backend`]
 //! (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`, default `auto`):
@@ -59,15 +58,14 @@ pub mod rows;
 
 pub use backend::{KernelBackend, Reference};
 pub use dispatch::{
-    auto_choice, autotune, backend, backend_by_name, current_policy, force_scalar, install_policy,
-    invalidate_stale_policy, load_policy_json, save_policy_json, Auto, KernelPolicy,
-    PersistedPolicy, TileConfig, AUTO, PACKED, POLICY_DTYPES, REFERENCE,
+    auto_choice, autotune, backend, backend_by_name, current_policy, install_policy, Auto,
+    KernelPolicy, TileConfig, AUTO, PACKED, REFERENCE,
 };
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
 pub use op::{BOperand, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
-pub use packed::{simd_active, Packed, MR, NR};
+pub use packed::{Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
 pub use lx_quant::{NmView, Q4View, Q8View};
@@ -330,10 +328,96 @@ mod tests {
         assert_bits(&c, &product(backend(), &q4), "gemm_nt_q4");
     }
 
+    /// Serialises the tests that install a process-wide policy.
+    static POLICY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Holds [`POLICY_LOCK`] and re-installs the policy it found, also when
+    /// the test panics. Sibling tests run packed GEMMs concurrently, so the
+    /// holder may only install different `mc` / `nc` — the test below proves
+    /// those cannot change a result; `kc` and the crossover can.
+    struct PolicyGuard {
+        before: KernelPolicy,
+        _lock: std::sync::MutexGuard<'static, ()>,
+    }
+
+    impl PolicyGuard {
+        fn lock() -> Self {
+            let _lock = POLICY_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            PolicyGuard {
+                before: current_policy(),
+                _lock,
+            }
+        }
+
+        fn install_tiles(&self, mc: usize, nc: usize) -> KernelPolicy {
+            let p = KernelPolicy {
+                tiles: TileConfig {
+                    mc,
+                    nc,
+                    ..self.before.tiles
+                },
+                ..self.before
+            };
+            install_policy(p);
+            p
+        }
+    }
+
+    impl Drop for PolicyGuard {
+        fn drop(&mut self) {
+            install_policy(self.before);
+        }
+    }
+
     #[test]
-    fn autotune_installs_policy() {
-        let p = autotune();
-        assert!(p.min_flops_packed > 0);
+    fn policy_roundtrip() {
+        // All four fields round-trip in `lx-runtime`'s `tests/kernel_policy.rs`
+        // (its own process); here only the two no sibling test can observe.
+        let guard = PolicyGuard::lock();
+        let p = guard.install_tiles(48, 512);
+        assert_eq!(current_policy(), p);
+        drop(guard);
+        assert_ne!(current_policy().tiles.mc, 48);
+    }
+
+    #[test]
+    fn packed_is_bitwise_independent_of_mc_and_nc() {
+        // What lets the cache-model tiles be the default at no numeric cost:
+        // `mc` / `nc` regroup rows and columns, never an element's k-order.
+        // Shapes straddle both tile sets (m vs 96 / 252, n vs 1024 / 2048);
+        // explicit pools, so the row split does not hang on `LX_THREADS`.
+        let guard = PolicyGuard::lock();
+        let pools = [1, 2].map(lx_parallel::ThreadPool::new);
+        let under = |mc: usize, nc: usize, op: &GemmOp<'_>| {
+            guard.install_tiles(mc, nc);
+            pools.each_ref().map(|pool| {
+                let mut c = vec![0.0; op.m * op.n];
+                PACKED.gemm_on(pool, op, &mut c, op.n, 0.0, Epilogue::None);
+                c
+            })
+        };
+        for &(m, k, n) in &[(300usize, 70usize, 1100usize), (97, 513, 40)] {
+            let a = pseudo(m * k, 40 + m as u32);
+            let b = pseudo(k * n, 41 + n as u32);
+            let (q4_codes, q4_scales) = lx_quant::nf4::quantize(&b);
+            let q4 = Q4View::new(&q4_codes, &q4_scales, k * n);
+            let (nm_vals, nm_masks) = lx_quant::nm::encode(&b, n, k, 2, 4);
+            let nm = NmView::new(&nm_vals, &nm_masks, n, k, 2, 4);
+            for (what, op) in [
+                ("nn", GemmOp::nn(m, k, n, &a, k, &b[..], n)),
+                ("nt", GemmOp::nt(m, k, n, &a, k, &b[..], k)),
+                ("tn", GemmOp::tn(m, k, n, &a, m, &b[..], n)),
+                ("nn q4", GemmOp::nn(m, k, n, &a, k, q4, n)),
+                ("nt nm", GemmOp::nt(m, k, n, &a, k, nm, k)),
+            ] {
+                let [old_1, old_2] = under(96, 2048, &op);
+                let [new_1, new_2] = under(252, 1024, &op);
+                let what = format!("{what} {m}x{k}x{n}");
+                assert_bits(&old_1, &new_1, &what);
+                assert_bits(&old_2, &new_2, &what);
+                assert_bits(&new_1, &new_2, &what);
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
 use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTask, Layout};
-use lx_parallel::{par_rows, ThreadPool};
+use lx_parallel::ThreadPool;
 use std::cell::RefCell;
 use std::ops::Range;
 
@@ -324,8 +324,8 @@ thread_local! {
 
 /// Pack `kc` k-steps × `nc` columns of B into `nr`-wide column panels:
 /// `out[panel][p·nr + j]` = B(pc+p, jc + panel·nr + j), zero-padded past
-/// `nc`. Panels are disjoint slices of `out`, so when `parallel` is set the
-/// fill is carved across the pool (one "row" per panel).
+/// `nc`. Panels are disjoint slices of `out`, so when a pool is given the
+/// fill is carved across it (one "row" per panel).
 #[allow(clippy::too_many_arguments)]
 fn pack_b<S: PackSrc + ?Sized>(
     out: &mut Vec<f32>,
@@ -337,7 +337,7 @@ fn pack_b<S: PackSrc + ?Sized>(
     jc: usize,
     nc: usize,
     nr: usize,
-    parallel: bool,
+    pool: Option<&ThreadPool>,
 ) {
     let panels = nc.div_ceil(nr);
     let panel_len = kc * nr;
@@ -360,10 +360,9 @@ fn pack_b<S: PackSrc + ?Sized>(
     // Each task should pack a cache-friendly stretch of panels; packing is
     // bandwidth-bound, so only fan out when there is real work to split.
     let grain = ((1 << 15) / panel_len.max(1)).max(1);
-    if parallel && panels > grain {
-        par_rows(out, panels, panel_len, grain, fill);
-    } else {
-        fill(0..panels, out);
+    match pool {
+        Some(pool) if panels > grain => pool.par_rows(out, panels, panel_len, grain, fill),
+        _ => fill(0..panels, out),
     }
 }
 
@@ -679,24 +678,18 @@ fn microkernel(
     }
 }
 
-/// Whether the next packed call will run a SIMD microkernel — i.e. the
-/// active ISA arm (after `LX_KERNEL_FORCE_SCALAR` / `LX_KERNEL_ISA` / policy
-/// pins) is not the scalar fallback.
-pub fn simd_active() -> bool {
-    active_isa() != Isa::Scalar
-}
-
 /// The packed/tiled backend. Tile sizes (MC/KC/NC) are read from the global
 /// [`KernelPolicy`](crate::KernelPolicy) at call time, so an installed policy
-/// or autotune result takes effect immediately; the microkernel arm follows
-/// [`active_isa`].
+/// takes effect immediately; the microkernel arm follows [`active_isa`].
 pub struct Packed;
 
 impl Packed {
     /// The macro-kernel, generic over the B source so the storage dispatch
     /// happens once per call and the pack loops stay statically typed.
+    #[allow(clippy::too_many_arguments)]
     fn driver<S: PackSrc + ?Sized>(
         &self,
+        pool: &ThreadPool,
         op: &GemmOp<'_>,
         b: &S,
         c: &mut [f32],
@@ -755,7 +748,18 @@ impl Packed {
                 // The epilogue folds into the write-back of the *final*
                 // k-block only, i.e. after the complete accumulated sum.
                 let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
-                pack_b(&mut bpack, b, ldb, b_layout, pc, kc, jc, nc, tnr, !seq);
+                pack_b(
+                    &mut bpack,
+                    b,
+                    ldb,
+                    b_layout,
+                    pc,
+                    kc,
+                    jc,
+                    nc,
+                    tnr,
+                    (!seq).then_some(pool),
+                );
                 let bpack_ref = &bpack;
                 let grain = row_grain(kc, nc).max(tmr);
                 let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
@@ -793,7 +797,7 @@ impl Packed {
                 if seq {
                     macro_rows(0..m, &mut *c);
                 } else {
-                    par_rows(c, m, ldc, grain, macro_rows);
+                    pool.par_rows(c, m, ldc, grain, macro_rows);
                 }
                 pc += kc;
             }
@@ -1001,6 +1005,27 @@ impl GroupPass<'_> {
 }
 
 impl Packed {
+    /// [`KernelBackend::gemm`] on an explicit pool (tests: the result must
+    /// not depend on how many threads split the rows).
+    pub fn gemm_on(
+        &self,
+        pool: &ThreadPool,
+        op: &GemmOp<'_>,
+        c: &mut [f32],
+        ldc: usize,
+        beta: f32,
+        ep: Epilogue<'_>,
+    ) {
+        op.check(c.len(), ldc);
+        match &op.b {
+            BOperand::F32(b) => self.driver(pool, op, *b, c, ldc, beta, ep),
+            BOperand::F16(b) => self.driver(pool, op, *b, c, ldc, beta, ep),
+            BOperand::Q8(b) => self.driver(pool, op, b, c, ldc, beta, ep),
+            BOperand::Q4(b) => self.driver(pool, op, b, c, ldc, beta, ep),
+            BOperand::Nm(b) => self.driver(pool, op, b, c, ldc, beta, ep),
+        }
+    }
+
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
     /// given, an explicit microkernel arm (tests and benches; `None` picks
     /// the arm from the task shape).
@@ -1106,14 +1131,7 @@ impl KernelBackend for Packed {
     /// the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
     /// never materialised and the microkernel runs unchanged on f32 panels.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
-        op.check(c.len(), ldc);
-        match &op.b {
-            BOperand::F32(b) => self.driver(op, *b, c, ldc, beta, ep),
-            BOperand::F16(b) => self.driver(op, *b, c, ldc, beta, ep),
-            BOperand::Q8(b) => self.driver(op, b, c, ldc, beta, ep),
-            BOperand::Q4(b) => self.driver(op, b, c, ldc, beta, ep),
-            BOperand::Nm(b) => self.driver(op, b, c, ldc, beta, ep),
-        }
+        self.gemm_on(lx_parallel::pool(), op, c, ldc, beta, ep)
     }
 
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {

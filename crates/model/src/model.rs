@@ -76,9 +76,6 @@ impl TransformerModel {
             .map(|l| TransformerBlock::new(&config, l, seed + 1000 * (l as u64 + 1)))
             .collect();
         let ln_f = LayerNorm::new("ln_f", config.d_model, config.ln_eps);
-        // LX_WORKSPACE=0 turns the step workspace off globally (debugging
-        // escape hatch; steps then heap-allocate every intermediate).
-        let workspace = Workspace::from_env();
         TransformerModel {
             config,
             embedding,
@@ -86,7 +83,7 @@ impl TransformerModel {
             ln_f,
             precision: Precision::F32,
             cache_h: None,
-            workspace,
+            workspace: Workspace::new(),
         }
     }
 
@@ -165,12 +162,6 @@ impl TransformerModel {
         // storage change invalidates them.
         for b in &mut self.blocks {
             b.mlp.invalidate_slab_cache();
-        }
-        // A persisted autotune policy probed under the old storage family is
-        // stale when re-demoting to a dtype it never measured (a pre-nm
-        // version-1 file, say): drop it so the next autotune re-probes.
-        if precision != self.precision && dtype != Dtype::F32 {
-            lx_kernels::invalidate_stale_policy(dtype.name());
         }
         self.precision = precision;
     }
@@ -818,37 +809,6 @@ mod tests {
             last < first * 0.95,
             "scaled LoRA training on a 2:4-pruned backbone must reduce loss: {first} -> {last}"
         );
-    }
-
-    #[test]
-    fn redemotion_to_uncovered_dtype_drops_stale_kernel_policy() {
-        // A persisted autotune policy that predates the nm probe arm
-        // (version 1, or any file not covering nm-2:4) must be deleted when
-        // the model re-demotes to Nm24Frozen, so the next autotune re-probes.
-        let path =
-            std::env::temp_dir().join(format!("lx_model_stale_policy_{}.json", std::process::id()));
-        // A valid version-2 policy whose probe covered the pre-nm dtypes
-        // only.
-        std::fs::write(
-            &path,
-            "{\n  \"version\": 2,\n  \"isa\": \"scalar\",\n  \"threads\": 1,\n  \
-             \"dtypes\": \"f32 f16 i8-block nf4-block\",\n  \"mc\": 96,\n  \"kc\": 256,\n  \
-             \"nc\": 2048,\n  \"min_flops_packed\": 1000000\n}\n",
-        )
-        .unwrap();
-        std::env::set_var("LX_KERNEL_POLICY", &path);
-        let mut m = tiny();
-        m.freeze_all();
-        // f16 is covered by the persisted probe: the file must survive.
-        m.set_precision(crate::Precision::F16Frozen);
-        let survived_f16 = path.exists();
-        // nm-2:4 is not: the re-demotion must drop the policy.
-        m.set_precision(crate::Precision::Nm24Frozen);
-        let gone = !path.exists();
-        std::env::remove_var("LX_KERNEL_POLICY");
-        std::fs::remove_file(&path).ok();
-        assert!(survived_f16, "covered-dtype demotion must keep the policy");
-        assert!(gone, "uncovered-dtype re-demotion must drop the policy");
     }
 
     #[test]

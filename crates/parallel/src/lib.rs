@@ -21,7 +21,7 @@ mod pool;
 mod rows;
 
 pub use latch::Latch;
-pub use pool::{in_worker, pool, set_global_threads, ThreadPool};
+pub use pool::{in_worker, pool, ThreadPool};
 pub use rows::{par_disjoint, par_rows, par_weighted};
 
 use std::ops::Range;

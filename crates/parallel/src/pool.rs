@@ -5,7 +5,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -258,35 +258,30 @@ pub(crate) fn split_range(range: Range<usize>, grain: usize, threads: usize) -> 
 }
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
-static REQUESTED_THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Request a specific global pool size. Must be called before the first use
-/// of [`pool`]; afterwards it has no effect (returns `false`).
-pub fn set_global_threads(n: usize) -> bool {
-    if GLOBAL_POOL.get().is_some() {
-        return false;
-    }
-    REQUESTED_THREADS.store(n, Ordering::SeqCst);
-    true
+/// The pool width an `LX_THREADS` value asks for: a positive integer,
+/// surrounding whitespace ignored.
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok().filter(|&n| n > 0)
 }
 
-/// The process-wide pool. Size: `LX_THREADS` env var, else
-/// [`set_global_threads`], else `available_parallelism`.
+/// The process-wide pool. Size: `LX_THREADS`, else `available_parallelism`;
+/// a value that is not a positive integer warns and falls back, so a typo
+/// can't silently un-pin a benchmark.
 pub fn pool() -> &'static ThreadPool {
     GLOBAL_POOL.get_or_init(|| {
-        let n = std::env::var("LX_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .or_else(|| {
-                let req = REQUESTED_THREADS.load(Ordering::SeqCst);
-                (req > 0).then_some(req)
-            })
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let detected = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        let n = match std::env::var("LX_THREADS") {
+            Ok(raw) => parse_threads(&raw).unwrap_or_else(|| {
+                let n = detected();
+                eprintln!(
+                    "lx-parallel: ignoring LX_THREADS={raw:?} (expected a positive integer); \
+                     using {n} threads"
+                );
+                n
+            }),
+            Err(_) => detected(),
+        };
         ThreadPool::new(n)
     })
 }
@@ -294,6 +289,15 @@ pub fn pool() -> &'static ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lx_threads_values_parse_or_are_rejected() {
+        assert_eq!(parse_threads("2"), Some(2));
+        assert_eq!(parse_threads(" 2\n"), Some(2));
+        for junk in ["0", "abc", "", " ", "-1", "2.0", "2 4"] {
+            assert_eq!(parse_threads(junk), None, "{junk:?}");
+        }
+    }
 
     #[test]
     fn split_range_covers_exactly() {

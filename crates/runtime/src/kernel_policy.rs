@@ -1,4 +1,4 @@
-//! Derive a [`lx_kernels::KernelPolicy`] from a cache model.
+//! The cache model behind the one [`lx_kernels::KernelPolicy`].
 //!
 //! The roofline model in [`cost`](crate::cost) reasons about *device* peak
 //! flops vs bandwidth; this module applies the same compute-vs-traffic logic
@@ -16,12 +16,14 @@
 //!   per element per pass and the microkernel retiring ~`R` MACs per cycle,
 //!   packing pays off once `2·m·k·n` FLOPs exceed `overhead_factor ×` the
 //!   packed traffic. Rather than model constants we can't measure from
-//!   here, we fold this into a single conservative crossover (~64³ MACs) and
-//!   let `lx_kernels::autotune()` refine it empirically.
+//!   here, we fold this into a single conservative crossover (~64³ MACs).
 //!
 //! Nothing here inspects CPUID; [`CpuSpec::generic`] encodes the smallest
 //! cache sizes common across the CI fleet, which only costs performance —
 //! never correctness — when the real machine is bigger.
+//! `policy_for(&CpuSpec::generic())` is the value `KernelPolicy::default()`
+//! hard-codes and every process starts under (a test below and
+//! `tests/kernel_policy.rs` hold them equal), so nothing needs installing.
 
 use lx_kernels::{KernelPolicy, TileConfig, MR, NR};
 
@@ -65,31 +67,7 @@ pub fn policy_for(spec: &CpuSpec) -> KernelPolicy {
     KernelPolicy {
         tiles: tiles_for(spec),
         min_flops_packed: 2 * 64u64.pow(3),
-        isa: None,
     }
-}
-
-/// Derive a policy from [`CpuSpec::generic`], refine the crossover with the
-/// one-time `lx_kernels` autotune probe, and install it process-wide.
-/// Benches call this once before measuring; returns the installed policy.
-///
-/// With `LX_KERNEL_POLICY=<path>` set, the autotune step loads a previously
-/// persisted crossover instead of re-probing when the file's `(isa, threads)`
-/// key matches this process (and writes the probe result there otherwise),
-/// so serve restarts skip the probe entirely.
-pub fn install_tuned() -> KernelPolicy {
-    lx_kernels::install_policy(policy_for(&CpuSpec::generic()));
-    // `autotune` is memoized and may have run earlier in the process with
-    // whatever tiles were current then — adopt only its measured crossover,
-    // keeping the cache-model tiles installed above.
-    let tuned = lx_kernels::autotune();
-    let policy = KernelPolicy {
-        tiles: tiles_for(&CpuSpec::generic()),
-        min_flops_packed: tuned.min_flops_packed,
-        isa: tuned.isa,
-    };
-    lx_kernels::install_policy(policy);
-    policy
 }
 
 #[cfg(test)]
@@ -120,9 +98,7 @@ mod tests {
     }
 
     #[test]
-    fn install_tuned_reports_a_live_policy() {
-        let p = install_tuned();
-        assert_eq!(p.tiles, lx_kernels::current_policy().tiles);
-        assert!(p.min_flops_packed > 0);
+    fn generic_policy_is_the_kernel_default() {
+        assert_eq!(policy_for(&CpuSpec::generic()), KernelPolicy::default());
     }
 }

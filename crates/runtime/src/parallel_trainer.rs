@@ -47,7 +47,7 @@ impl DataParallelTrainer {
             replicas: (0..n_workers).map(|_| build()).collect(),
             gathered: (0..n_workers - 1).map(|_| Vec::new()).collect(),
             updated: Vec::new(),
-            exchange_ws: Workspace::from_env(),
+            exchange_ws: Workspace::new(),
         }
     }
 

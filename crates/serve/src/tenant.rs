@@ -155,7 +155,7 @@ impl TenantTask {
             losses: Vec::new(),
             busy: Duration::ZERO,
             progress,
-            workspace: Workspace::from_env(),
+            workspace: Workspace::new(),
             ready_since: Instant::now(),
             wait_hist,
             run_hist,

@@ -132,27 +132,13 @@ impl Workspace {
         }
     }
 
-    /// A workspace honouring the global `LX_WORKSPACE` escape hatch:
-    /// [`Workspace::disabled`] when `LX_WORKSPACE=0`, [`Workspace::new`]
-    /// otherwise. Every owner of a long-lived workspace (models, per-tenant
-    /// serve jobs) should construct through this so "disable pooling
-    /// globally" means *globally*.
-    pub fn from_env() -> Self {
-        if std::env::var("LX_WORKSPACE").as_deref() == Ok("0") {
-            Workspace::disabled()
-        } else {
-            Workspace::new()
-        }
-    }
-
     /// Whether scopes of this workspace pool buffers.
     pub fn is_enabled(&self) -> bool {
         !self.disabled
     }
 
-    /// Enable or disable pooling (an `LX_WORKSPACE=0`-style escape hatch;
-    /// disabling does not drop already-parked buffers — call
-    /// [`Self::clear`] for that).
+    /// Enable or disable pooling (disabling does not drop already-parked
+    /// buffers — call [`Self::clear`] for that).
     pub fn set_enabled(&mut self, enabled: bool) {
         self.disabled = !enabled;
     }

@@ -408,3 +408,68 @@ fn second_softmax_stays_retired() {
         "definition + two callers"
     );
 }
+
+/// Every `.rs` file under `dir` (repo-relative), recursively.
+fn rust_files(dir: &str) -> Vec<PathBuf> {
+    let mut stack = vec![repo_root().join(dir)];
+    let mut files = Vec::new();
+    while let Some(dir) = stack.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("read {dir:?}: {e}")) {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+#[test]
+fn environment_knobs_stay_four() {
+    // The one-configuration contract: the library reads four `LX_*`
+    // variables, each documented in README's configuration table, and
+    // nothing mutates the process environment (tests run multi-threaded).
+    // A fifth knob is a second configuration someone has to test.
+    // Needles assembled here so this file does not match itself.
+    let mutators = ["set", "remove"].map(|op| format!("{op}_var("));
+    let mut knobs = std::collections::BTreeSet::new();
+    for (dir, reads_knobs) in [("crates", true), ("tests", false)] {
+        for file in rust_files(dir) {
+            let src = std::fs::read_to_string(&file).expect("read source");
+            for needle in &mutators {
+                assert!(!src.contains(needle), "{}: {needle}", file.display());
+            }
+            if !reads_knobs {
+                continue;
+            }
+            // Every string literal that *is* an `LX_…` name, whoever reads it.
+            for (at, _) in src.match_indices("\"LX_") {
+                let name = &src[at + 1..];
+                let end = name.find('"').expect("closing quote");
+                knobs.insert(name[..end].to_string());
+            }
+        }
+    }
+    let expected = [
+        "LX_KERNEL_BACKEND",
+        "LX_KERNEL_ISA",
+        "LX_THREADS",
+        "LX_TRACE",
+    ];
+    assert_eq!(
+        knobs.iter().map(String::as_str).collect::<Vec<_>>(),
+        expected
+    );
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README");
+    for knob in expected {
+        assert!(
+            readme
+                .lines()
+                .any(|l| l.starts_with(&format!("| `{knob}`"))),
+            "{knob} is missing from README's configuration table"
+        );
+    }
+}

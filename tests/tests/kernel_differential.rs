@@ -874,7 +874,7 @@ fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
                 g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c))
             };
             // Per arm (`None` = the launch's own pick, scalar under
-            // LX_KERNEL_FORCE_SCALAR): every pool matches the inline run.
+            // LX_KERNEL_ISA=scalar): every pool matches the inline run.
             let mut wants = Vec::new();
             for isa in std::iter::once(None).chain(fma.iter().copied()) {
                 let want = lx_kernels::with_sequential(|| launch(&pools[0], isa));
