@@ -1,4 +1,4 @@
-//! **Ablation** (DESIGN.md §4): the predictor design choices of §V —
+//! **Ablation**: the predictor design choices of §V —
 //! (a) √s sequence downsampling vs full-resolution inputs (cost), and
 //! (b) recall-weighted loss + noise augmentation vs plain BCE (quality).
 //!

@@ -16,7 +16,6 @@ const BINS: &[&str] = &[
     "fig11_predictor",
     "fig12_operators",
     "fig13_gpt2",
-    "fig14_scaling",
     "ablation_predictor",
     "kernel_bench",
 ];

@@ -1,5 +1,6 @@
 //! **Figure 13**: GPT-2 (GeLU) scalability — only the attention optimisation
-//! applies, yet Long Exposure still wins.
+//! applies, yet Long Exposure still wins. Measured on the GPT-2-style sim
+//! model.
 //!
 //! Paper: average speedups up to 1.63× (GPT2-Large) and 1.55× (GPT2-XL)
 //! across seq 512/1024 with LoRA/Adapter/BitFit.
@@ -8,7 +9,6 @@ use long_exposure::engine::StepMode;
 use lx_bench::{calibrated_engine, default_opt, fmt_ms, header, mean_step, row};
 use lx_model::ModelConfig;
 use lx_peft::PeftMethod;
-use lx_runtime::cost::{step_cost, DeviceSpec, WorkloadParams};
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig13_gpt2");
@@ -25,7 +25,6 @@ fn main() {
         "mlp dens",
     ]);
     let cfg = ModelConfig::gpt2_sim();
-    let mut attn_density = 1.0f64;
     for seq in [256usize, 512] {
         let batch = if seq > 256 { 1 } else { 2 };
         for (mname, method) in [
@@ -53,9 +52,6 @@ fn main() {
                 steps,
                 &mut opt,
             );
-            if let Some(d) = lx.attn_density {
-                attn_density = d as f64;
-            }
             assert!(lx.mlp_density.is_none(), "GeLU model must not sparsify MLP");
             row(&[
                 cfg.name.clone(),
@@ -73,39 +69,6 @@ fn main() {
         }
     }
 
-    println!("\n== Fig. 13 (modelled): paper dims on A100 (attention-only savings) ==\n");
-    header(&[
-        "model",
-        "seq",
-        "dense ms",
-        "long-exp ms",
-        "speedup",
-        "paper avg",
-    ]);
-    let dev = DeviceSpec::a100();
-    for (name, cfg, paper) in [
-        ("gpt2-large", ModelConfig::gpt2_large(), "1.63x"),
-        ("gpt2-xl", ModelConfig::gpt2_xl(), "1.55x"),
-    ] {
-        for seq in [512usize, 1024] {
-            let lf = 0.003;
-            let dense = step_cost(&dev, &cfg, &WorkloadParams::dense(8, seq, lf)).total_s();
-            let lx = step_cost(
-                &dev,
-                &cfg,
-                &WorkloadParams::long_exposure(8, seq, lf, attn_density, 1.0),
-            )
-            .total_s();
-            row(&[
-                name.to_string(),
-                seq.to_string(),
-                format!("{:.1}", dense * 1e3),
-                format!("{:.1}", lx * 1e3),
-                format!("{:.2}x", dense / lx),
-                paper.to_string(),
-            ]);
-        }
-    }
     println!(
         "\nshape to check: smaller-than-OPT but consistent speedups; MLP stays dense for GeLU."
     );

@@ -1,68 +1,20 @@
 //! **Figure 8**: memory footprints of OPT fine-tuning across sequence
-//! lengths — dense, Long Exposure, and Long Exposure (optimal = frozen MLP
-//! weights offloaded to host), with OOM detection against the A100.
+//! lengths, dense vs Long Exposure.
 //!
 //! Paper: O(s²)→O(s) attention buffers, up to 2.77× reduction for OPT-1.3B
 //! (1.69× for OPT-350M); dense OOMs first at long sequences.
 //!
-//! Also reports *measured* peak tensor bytes from the real allocator
-//! tracker on sim-model steps.
+//! Measured: peak tensor bytes from the real allocator tracker on sim-model
+//! steps, and the backbone's storage at each precision mode.
 
 use long_exposure::engine::StepMode;
 use lx_bench::{calibrated_engine, default_opt, header, mean_step, row};
 use lx_model::{ModelConfig, Precision};
 use lx_peft::PeftMethod;
-use lx_runtime::memsim::{step_memory, MemoryMode};
-use lx_runtime::DeviceSpec;
 use lx_tensor::memtrack;
 
 fn main() {
     let cli = lx_bench::BenchCli::parse("fig8_memory");
-    println!("== Fig. 8 (modelled): paper dims, A100-80GB, batch 4, LoRA ==\n");
-    header(&[
-        "model",
-        "seq",
-        "dense GB",
-        "long-exp GB",
-        "optimal GB",
-        "reduction (opt)",
-        "dense OOM?",
-    ]);
-    let dev = DeviceSpec::a100();
-    let (attn_d, mlp_d, lf) = (0.25, 0.45, 0.003);
-    for (name, cfg) in [
-        ("opt-350m", ModelConfig::opt_350m()),
-        ("opt-1.3b", ModelConfig::opt_1_3b()),
-    ] {
-        for seq in [512usize, 1024, 2048, 4096] {
-            let dense = step_memory(&cfg, 4, seq, MemoryMode::Dense, 1.0, 1.0, lf);
-            let lx = step_memory(&cfg, 4, seq, MemoryMode::LongExposure, attn_d, mlp_d, lf);
-            let opt = step_memory(
-                &cfg,
-                4,
-                seq,
-                MemoryMode::LongExposureOptimal,
-                attn_d,
-                mlp_d,
-                lf,
-            );
-            row(&[
-                name.to_string(),
-                seq.to_string(),
-                format!(
-                    "{:.1}{}",
-                    dense.total_gb(),
-                    if dense.oom_on(&dev) { " (OOM)" } else { "" }
-                ),
-                format!("{:.1}", lx.total_gb()),
-                format!("{:.1}", opt.total_gb()),
-                format!("{:.2}x", dense.total() / opt.total()),
-                if dense.oom_on(&dev) { "yes" } else { "no" }.to_string(),
-            ]);
-        }
-    }
-    println!("\npaper reference: 2.77x reduction (OPT-1.3B), 1.69x (OPT-350M); dense OOMs at long seq.\n");
-
     println!("== Fig. 8 (measured): real peak tensor bytes on sim model steps ==\n");
     header(&["model", "seq", "dense MB", "long-exp MB", "reduction"]);
     let cfg = ModelConfig::opt_sim_small();

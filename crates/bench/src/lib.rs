@@ -1,6 +1,6 @@
 //! Shared harness for the experiment binaries (one per paper table/figure)
-//! and the Criterion benches. See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! and the Criterion benches. README's "Experiments" table maps each bin to
+//! the paper figure it measures.
 
 pub mod cli;
 pub mod report;
@@ -21,8 +21,9 @@ use std::time::Duration;
 /// 16 so short sequences stay block-aligned).
 pub const SIM_BLOCK: usize = 16;
 
-/// Build a sim model with emulated pre-trained structure (see DESIGN.md:
-/// activation concentration + ALiBi locality + sharpened attention).
+/// Build a sim model with emulated pre-trained structure: activation
+/// concentration ([`TransformerModel::induce_activation_sparsity`]) + ALiBi
+/// locality + sharpened attention ([`TransformerModel::sharpen_attention`]).
 pub fn sim_model(cfg: ModelConfig, seed: u64) -> TransformerModel {
     let mut model = TransformerModel::new(cfg, seed);
     model.induce_activation_sparsity(0.93, 0.25, SIM_BLOCK, seed + 1);

@@ -40,8 +40,8 @@ pub struct EngineConfig {
     /// MLP importance filter: fraction of the peak block importance. The
     /// paper sweeps 1–5% on OPT checkpoints; the sim models' synthetic
     /// activation distribution has a compressed dynamic range, so the
-    /// equivalent operating point here is ~0.3 (see EXPERIMENTS.md for the
-    /// threshold mapping).
+    /// equivalent operating point here is ~0.3, and the paper's 1–5 % sweep
+    /// maps to ~0.2–0.5.
     pub mlp_threshold: f32,
     pub enable_attn: bool,
     pub enable_mlp: bool,

@@ -1,6 +1,6 @@
-//! Model configurations: paper-dimension presets (Table II) and scaled-down
-//! "sim" presets that run in seconds on CPU while preserving the
-//! architecture (ReLU vs GeLU MLP, head counts, depth ratios).
+//! Model configurations: scaled-down "sim" presets that run in seconds on CPU
+//! while preserving the paper models' architecture family (ReLU vs GeLU MLP,
+//! multi-head attention).
 
 /// MLP activation. OPT uses ReLU (the sparsity source for the MLP path);
 /// GPT-2 uses GeLU, so only the attention optimisation applies (paper §VII-D).
@@ -25,7 +25,9 @@ pub struct ModelConfig {
     /// Per-head ALiBi locality slopes. Real OPT/GPT-2 use learned positions
     /// whose *trained* attention is local + sink-focused; random-init learned
     /// positions have no such structure, so the sim models emulate it with
-    /// ALiBi (a mechanism production LLMs also use). See DESIGN.md.
+    /// ALiBi (a mechanism production LLMs also use); see
+    /// [`TransformerModel::sharpen_attention`](crate::TransformerModel::sharpen_attention)
+    /// for the other half of that emulation.
     pub alibi: bool,
 }
 
@@ -50,74 +52,6 @@ impl ModelConfig {
         );
         self
     }
-
-    // ---- Paper-dimension presets (Table II models + scaling set) ----
-
-    pub fn opt_125m() -> Self {
-        Self::opt("opt-125m", 12, 768, 12)
-    }
-
-    pub fn opt_350m() -> Self {
-        Self::opt("opt-350m", 24, 1024, 16)
-    }
-
-    pub fn opt_1_3b() -> Self {
-        Self::opt("opt-1.3b", 24, 2048, 32)
-    }
-
-    pub fn opt_2_7b() -> Self {
-        Self::opt("opt-2.7b", 32, 2560, 32)
-    }
-
-    fn opt(name: &str, layers: usize, d: usize, heads: usize) -> Self {
-        ModelConfig {
-            name: name.into(),
-            n_layers: layers,
-            d_model: d,
-            n_heads: heads,
-            d_ff: 4 * d,
-            vocab_size: 50_272,
-            max_seq: 2048,
-            activation: Activation::Relu,
-            ln_eps: 1e-5,
-            alibi: true,
-        }
-        .validate()
-    }
-
-    pub fn gpt2_large() -> Self {
-        ModelConfig {
-            name: "gpt2-large".into(),
-            n_layers: 36,
-            d_model: 1280,
-            n_heads: 20,
-            d_ff: 5120,
-            vocab_size: 50_257,
-            max_seq: 1024,
-            activation: Activation::Gelu,
-            ln_eps: 1e-5,
-            alibi: true,
-        }
-        .validate()
-    }
-
-    pub fn gpt2_xl() -> Self {
-        ModelConfig {
-            name: "gpt2-xl".into(),
-            n_layers: 48,
-            d_model: 1600,
-            n_heads: 25,
-            d_ff: 6400,
-            vocab_size: 50_257,
-            max_seq: 1024,
-            activation: Activation::Gelu,
-            ln_eps: 1e-5,
-            alibi: true,
-        }
-        .validate()
-    }
-
-    // ---- Sim presets: same architecture family, CPU-tractable sizes ----
 
     /// Tiny model for unit tests and gradient checks.
     pub fn test_tiny() -> Self {
@@ -186,30 +120,6 @@ impl ModelConfig {
         }
         .validate()
     }
-
-    /// Depth/width-scaled sim variant of a paper preset, preserving the
-    /// layer-count ratio between model sizes so scaling trends survive.
-    pub fn scaled_sim(
-        name: &str,
-        n_layers: usize,
-        d_model: usize,
-        n_heads: usize,
-        act: Activation,
-    ) -> Self {
-        ModelConfig {
-            name: name.into(),
-            n_layers,
-            d_model,
-            n_heads,
-            d_ff: 4 * d_model,
-            vocab_size: 1024,
-            max_seq: 2048,
-            activation: act,
-            ln_eps: 1e-5,
-            alibi: true,
-        }
-        .validate()
-    }
 }
 
 #[cfg(test)]
@@ -217,38 +127,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_presets_have_expected_param_counts() {
-        // Within 15% of the nominal size (embeddings and heads differ a bit
-        // between published variants).
-        let cases = [
-            (ModelConfig::opt_125m(), 125e6),
-            (ModelConfig::opt_350m(), 350e6),
-            (ModelConfig::opt_1_3b(), 1.3e9),
-            (ModelConfig::opt_2_7b(), 2.7e9),
-            (ModelConfig::gpt2_large(), 774e6),
-            (ModelConfig::gpt2_xl(), 1.5e9),
-        ];
-        for (cfg, nominal) in cases {
-            let count = cfg.param_count() as f64;
-            let ratio = count / nominal;
-            assert!(
-                (0.8..1.25).contains(&ratio),
-                "{}: {count:.2e} vs nominal {nominal:.2e} (ratio {ratio:.2})",
-                cfg.name
-            );
-        }
-    }
-
-    #[test]
     fn head_dim_divides() {
-        let cfg = ModelConfig::opt_1_3b();
+        let cfg = ModelConfig::opt_sim_base();
         assert_eq!(cfg.head_dim() * cfg.n_heads, cfg.d_model);
     }
 
     #[test]
     #[should_panic(expected = "divide")]
     fn invalid_heads_panic() {
-        ModelConfig::scaled_sim("bad", 1, 100, 3, Activation::Relu);
+        ModelConfig {
+            name: "bad".into(),
+            n_heads: 3,
+            d_model: 100,
+            ..ModelConfig::test_tiny()
+        }
+        .validate();
     }
 
     #[test]

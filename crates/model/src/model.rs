@@ -269,7 +269,7 @@ impl TransformerModel {
     /// under LayerNormed inputs (pre-activations are ≈ N(b_i, ‖w_i‖²)), with
     /// `hot_fraction` of `group`-aligned neuron groups given a lower target
     /// (the "heavy" neurons). Firing stays input-dependent — only the
-    /// *rates* are calibrated. See DESIGN.md ("Substitutions").
+    /// *rates* are calibrated.
     pub fn induce_activation_sparsity(
         &mut self,
         per_token_target: f32,

@@ -1,9 +1,7 @@
 //! The cache model behind the one [`lx_kernels::KernelPolicy`].
 //!
-//! The roofline model in [`cost`](crate::cost) reasons about *device* peak
-//! flops vs bandwidth; this module applies the same compute-vs-traffic logic
-//! one level down, to the CPU cache hierarchy the packed GEMM backend blocks
-//! for:
+//! Each tile is sized so the data it reuses stays resident at one level of
+//! the CPU cache hierarchy the packed GEMM backend blocks for:
 //!
 //! * `KC` — the B̃ panel (`kc × NR` f32) must sit in L1d next to the A
 //!   stream: budget half of L1d for it.

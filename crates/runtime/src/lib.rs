@@ -1,31 +1,13 @@
-//! Platform and distribution substrate.
+//! The CPU cache model behind the packed-GEMM kernel policy.
 //!
-//! The paper evaluates on A100/A6000 GPUs at billion-parameter scale; this
-//! box has two CPU cores. The runtime crate bridges that gap two ways:
+//! [`kernel_policy`] derives the packed-GEMM tile shapes and the
+//! packed-vs-reference crossover from a cache shape ([`CpuSpec`]);
+//! `policy_for(&CpuSpec::generic())` is the value `lx-kernels` starts every
+//! process under.
 //!
-//! * [`cost`] — a roofline cost model parameterised with the paper's
-//!   published device specs, driven by exact FLOP/byte counts of our layer
-//!   implementations, for the platform-specific tables (Fig. 7/13/14 at
-//!   paper dimensions);
-//! * [`kernel_policy`] — the same compute-vs-traffic reasoning applied to
-//!   the CPU cache hierarchy: derives the packed-GEMM tile shapes and the
-//!   packed-vs-reference crossover installed into `lx-kernels`;
-//! * [`memsim`] — an accounting model of fine-tuning memory (parameters,
-//!   optimizer state, activations, sparse vs dense attention buffers,
-//!   CPU-offloaded weights) for Fig. 8 including OOM detection;
-//! * [`parallel_trainer`] — a real thread-based data-parallel trainer with
-//!   gradient all-reduce for the strong-scaling mechanism of Fig. 14.
-//!
-//! Every experiment that uses the cost model *also* reports real measured
-//! wall-clock from the sim models, so modelled and measured shapes can be
-//! compared side by side (see EXPERIMENTS.md).
+//! The paper's platform figures (Figs. 7, 8, 13) are answered by measurement
+//! on the sim models: the figure bins in `lx-bench` and `benchmark/`.
 
-pub mod cost;
 pub mod kernel_policy;
-pub mod memsim;
-pub mod parallel_trainer;
 
-pub use cost::{DeviceSpec, StepCost, WorkloadParams};
 pub use kernel_policy::CpuSpec;
-pub use memsim::{MemoryBreakdown, MemoryMode};
-pub use parallel_trainer::DataParallelTrainer;

@@ -2,9 +2,8 @@
 //!
 //! The single source of truth for "how many bytes does one element occupy":
 //! the tensor types register these sizes with [`memtrack`](crate::memtrack),
-//! and `lx-runtime`'s memory/cost models read them from here instead of
-//! hard-coding byte counts — so the simulator cannot drift from what the
-//! runtime actually stores.
+//! and parameter storage accounting reads them from here instead of
+//! hard-coding byte counts — so the two cannot drift apart.
 //!
 //! The block-quantized dtypes are *not* a whole number of bytes per element
 //! (NF4 packs two codes per byte, and both carry one f32 scale per

@@ -20,8 +20,9 @@ const SEQ: usize = 64;
 const BLOCK: usize = 16;
 
 fn backbone() -> TransformerModel {
-    // Emulated pre-trained structure (see DESIGN.md), then frozen: the
-    // pristine shared state every tenant attaches to.
+    // Emulated pre-trained structure (see
+    // `TransformerModel::induce_activation_sparsity` / `sharpen_attention`),
+    // then frozen: the pristine shared state every tenant attaches to.
     let mut model = TransformerModel::new(ModelConfig::opt_sim_small(), 42);
     model.induce_activation_sparsity(0.93, 0.25, BLOCK, 11);
     model.sharpen_attention(3.0);

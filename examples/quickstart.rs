@@ -21,7 +21,8 @@ fn main() {
     );
 
     // 1. Model + PEFT method (LoRA on Q/V). The bias shift emulates the
-    //    activation concentration of a pre-trained checkpoint (DESIGN.md).
+    //    activation concentration of a pre-trained checkpoint (see
+    //    `TransformerModel::induce_activation_sparsity`).
     let mut model = TransformerModel::new(cfg.clone(), 42);
     model.induce_activation_sparsity(0.93, 0.25, block, 11);
     model.sharpen_attention(3.0);

@@ -7,7 +7,9 @@ pub fn tiny_cfg() -> ModelConfig {
     ModelConfig::test_tiny()
 }
 
-/// Tiny model with emulated pre-trained structure (see DESIGN.md).
+/// Tiny model with emulated pre-trained structure (see
+/// [`TransformerModel::induce_activation_sparsity`] and
+/// [`TransformerModel::sharpen_attention`]).
 pub fn tiny_model(seed: u64) -> TransformerModel {
     let mut m = TransformerModel::new(tiny_cfg(), seed);
     m.induce_activation_sparsity(0.9, 0.3, 4, seed + 1);

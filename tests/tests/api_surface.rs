@@ -24,6 +24,7 @@ const CRATES: &[(&str, &str)] = &[
     ("lx-core", "crates/core/src"),
     ("lx-serve", "crates/serve/src"),
     ("lx-cluster", "crates/cluster/src"),
+    ("lx-runtime", "crates/runtime/src"),
 ];
 
 const BASELINE: &str = "api/public_api.txt";
@@ -407,6 +408,25 @@ fn second_softmax_stays_retired() {
         3,
         "definition + two callers"
     );
+}
+
+#[test]
+fn every_experiment_in_all_experiments_is_a_bin() {
+    // `all_experiments` launches its list by file name; an entry whose bin
+    // was deleted fails only when someone runs the whole sweep.
+    let src = non_test_source("crates/bench/src/bin/all_experiments.rs");
+    let start = src.find("const BINS: &[&str] = &[").expect("BINS list");
+    let list = &src[start..start + src[start..].find("];").expect("end of BINS")];
+    let bins: Vec<&str> = list.split('"').skip(1).step_by(2).collect();
+    assert!(!bins.is_empty(), "no entries parsed from BINS");
+    for bin in bins {
+        assert!(
+            repo_root()
+                .join(format!("crates/bench/src/bin/{bin}.rs"))
+                .is_file(),
+            "all_experiments::BINS names `{bin}`, which is not in crates/bench/src/bin/"
+        );
+    }
 }
 
 /// Every `.rs` file under `dir` (repo-relative), recursively.

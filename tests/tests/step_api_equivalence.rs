@@ -55,8 +55,8 @@ fn train_mode_is_grad_mode_plus_optimizer_bit_identically() {
         let a = fused
             .execute(StepRequest::train(&ids, &targets, BATCH, SEQ, &mut opt_a))
             .loss;
-        // The manual composition every custom update loop (e.g. the
-        // data-parallel trainer) relies on.
+        // The manual composition every custom update loop relies on:
+        // gradients from grad mode, then its own optimizer pass.
         let b = composed
             .execute(StepRequest::grad(&ids, &targets, BATCH, SEQ))
             .loss;

@@ -231,50 +231,6 @@ fn steady_state_holds_across_micro_batches() {
     assert!(ws.hits > 0 && ws.recycled > 0, "{ws:?}");
 }
 
-#[test]
-fn data_parallel_steady_state_steps_stay_allocation_free() {
-    // The 2-replica arm: each replica's step runs in its own worker thread
-    // with its own model workspace, and the grad-exchange (gather, reduce,
-    // optimizer update, broadcast) routes through the trainer's exchange
-    // workspace — so after warmup a full data-parallel step performs zero
-    // fresh heap tensor allocations end to end.
-    let _guard = alloc_lock();
-    let build = || {
-        let mut m = TransformerModel::new(ModelConfig::test_tiny(), 42);
-        PeftMethod::lora_default().apply(&mut m, 10);
-        m
-    };
-    let mut trainer = lx_runtime::DataParallelTrainer::new(2, build);
-    let mut opt = Sgd::new(0.05);
-    let global_batch = 2 * BATCH;
-    let mut step = |trainer: &mut lx_runtime::DataParallelTrainer, seed: u64| {
-        let vocab = ModelConfig::test_tiny().vocab_size as f32;
-        let ids: Vec<u32> = lx_tensor::rng::uniform_vec(global_batch * SEQ, 0.0, vocab, seed)
-            .into_iter()
-            .map(|v| v as u32)
-            .collect();
-        let targets = prompt_aware_targets(&ids, global_batch, SEQ, 0);
-        trainer.step(&ids, &targets, global_batch, SEQ, None, &mut opt);
-    };
-    for s in 0..2 {
-        step(&mut trainer, 600 + s); // warmup: snapshot buffers materialise
-    }
-    let mark = memtrack::alloc_stats();
-    for s in 2..8 {
-        step(&mut trainer, 600 + s);
-    }
-    assert_eq!(
-        memtrack::alloc_stats().since(&mark).count,
-        0,
-        "steady-state data-parallel steps must not heap-allocate tensors"
-    );
-    let ws = trainer.exchange_workspace_stats();
-    assert!(
-        ws.misses > 0,
-        "warmup snapshots must have routed through the exchange workspace: {ws:?}"
-    );
-}
-
 fn small_engine(refresh: PlanRefreshConfig) -> FinetuneEngine {
     let mut cfg = ModelConfig::test_tiny();
     cfg.d_ff = 32;
