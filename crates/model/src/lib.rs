@@ -37,7 +37,7 @@ pub use exec::{
 pub use model::{
     prompt_aware_targets, CaptureConfig, Captures, LayerCapture, LayerPlanner, TransformerModel,
 };
-pub use optim::{clip_grad_norm, Adam, AdamW, LossScaler, LrSchedule, Optimizer, Scheduled, Sgd};
+pub use optim::{Adam, AdamW, LossScaler, Optimizer, Sgd};
 pub use param::Param;
 pub use plan::{LayerPlan, SparsePlan};
 pub use precision::Precision;

@@ -1,4 +1,6 @@
-//! Dense linear layer with optional LoRA adapter.
+//! Dense linear layer with optional LoRA adapter, and [`Lora`] — the one
+//! rank-r pair every LoRA site in the model (`Linear`, MLP FC1 and FC2) and
+//! the merge path use.
 //!
 //! The backbone weight is typically frozen under PEFT; gradients then flow
 //! only into the low-rank pair `(A, B)` exactly as derived in the paper's
@@ -6,18 +8,51 @@
 //! gradient that the frozen path propagates to earlier layers.
 
 use crate::param::Param;
+use lx_kernels::GemmOp;
+use lx_sparse::neuron::{
+    fc1_backward_input, fc1_forward, fc1_grad_weights, fc2_backward_input, fc2_forward,
+    fc2_grad_weights,
+};
+use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
-/// LoRA low-rank pair: `ΔW = (α/r)·BᵀA` with `A ∈ r×d_in`, `B ∈ d_out×r`.
-/// `B` starts at zero so fine-tuning begins from the pre-trained function.
+/// LoRA low-rank pair: `y += s·(x·Ã)·Bᵀ` with `s = α/r`, `Ã` the `d_in × r`
+/// down-projection and `B ∈ d_out×r`. `B` starts at zero so fine-tuning
+/// begins from the pre-trained function.
+///
+/// `A` is stored `[r, d_in]` (`Layout::Transposed`: `Linear` and MLP FC1) or
+/// `[d_in, r]` (`Layout::Normal`: MLP FC2, whose row `n` then belongs to
+/// input neuron `n`). The attach site fixes the orientation; it is part of
+/// the parameter's shape.
+///
+/// On the neuron-sparse MLP path the neuron-major factor — FC1's `B`, FC2's
+/// `A` — runs on the grouped `lx_sparse::neuron` kernels with `d = r`, so an
+/// inactive neuron's row is neither read nor given a gradient (§II-D).
 #[derive(Debug)]
 pub struct Lora {
     pub a: Param,
     pub b: Param,
     pub scale: f32,
-    cache_ax: Option<Tensor>,
+    a_layout: Layout,
+    /// `x·Ã` of the last forward, consumed by the backward.
+    ax: Option<Tensor>,
+}
+
+/// The other storage orientation.
+fn transposed(layout: Layout) -> Layout {
+    match layout {
+        Layout::Normal => Layout::Transposed,
+        Layout::Transposed => Layout::Normal,
+    }
+}
+
+/// A `shape` tensor written in full by `kernel`.
+fn filled(shape: &[usize], kernel: impl FnOnce(&mut [f32])) -> Tensor {
+    let mut t = Tensor::scratch(shape);
+    kernel(t.as_mut_slice());
+    t
 }
 
 impl Lora {
@@ -28,11 +63,16 @@ impl Lora {
         rank: usize,
         alpha: f32,
         seed: u64,
+        a_layout: Layout,
     ) -> Self {
+        let a_shape = match a_layout {
+            Layout::Normal => [d_in, rank],
+            Layout::Transposed => [rank, d_in],
+        };
         Lora {
             a: Param::new(
                 format!("{name_prefix}.lora_a"),
-                Tensor::randn(&[rank, d_in], 1.0 / rank as f32, seed),
+                Tensor::randn(&a_shape, 1.0 / rank as f32, seed),
                 true,
             ),
             b: Param::new(
@@ -41,12 +81,160 @@ impl Lora {
                 true,
             ),
             scale: alpha / rank as f32,
-            cache_ax: None,
+            a_layout,
+            ax: None,
         }
     }
 
     pub fn rank(&self) -> usize {
-        self.a.value.shape()[0]
+        self.b.value.shape()[1]
+    }
+
+    /// `y += s·(x·Ã)·Bᵀ`.
+    pub fn forward(&mut self, x: &Tensor, y: &mut Tensor) {
+        self.forward_over(x, y, None);
+    }
+
+    /// Accumulates `dA` / `dB` into the trainable halves and adds the
+    /// adapter's share of the input gradient to `dx`.
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor) {
+        self.backward_over(x, dy, dx, None);
+    }
+
+    /// The neuron-major factor `set` restricts: `A` when stored `[d_in, r]`
+    /// (FC2, compact input `x`), else `B` (FC1, compact output `y`). Returns
+    /// `(set for A, set for B)`.
+    fn split<'s>(
+        &self,
+        set: Option<&'s NeuronBlockSet>,
+    ) -> (Option<&'s NeuronBlockSet>, Option<&'s NeuronBlockSet>) {
+        match self.a_layout {
+            Layout::Normal => (set, None),
+            Layout::Transposed => (None, set),
+        }
+    }
+
+    /// [`forward`](Self::forward) over the active neuron blocks of `set`
+    /// (every neuron when `None`).
+    pub(crate) fn forward_over(
+        &mut self,
+        x: &Tensor,
+        y: &mut Tensor,
+        set: Option<&NeuronBlockSet>,
+    ) {
+        let (a_set, b_set) = self.split(set);
+        let (rows, r) = (x.rows(), self.rank());
+        let (a, b) = (self.a.value.as_slice(), self.b.value.as_slice());
+        let ax = match a_set {
+            Some(set) => filled(&[rows, r], |ax| {
+                fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
+            }),
+            None => matmul(x, &self.a.value, self.a_layout, Epilogue::None),
+        };
+        let delta = match b_set {
+            Some(set) => filled(y.shape(), |d| {
+                fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
+            }),
+            None => matmul(&ax, &self.b.value, Layout::Transposed, Epilogue::None),
+        };
+        y.axpy(self.scale, &delta);
+        self.ax = Some(ax);
+    }
+
+    /// [`backward`](Self::backward) over the active neuron blocks of `set`,
+    /// compact on the same side as [`forward_over`](Self::forward_over).
+    /// Inactive rows of the neuron-major factor receive no gradient.
+    pub(crate) fn backward_over(
+        &mut self,
+        x: &Tensor,
+        dy: &Tensor,
+        dx: &mut Tensor,
+        set: Option<&NeuronBlockSet>,
+    ) {
+        let (a_set, b_set) = self.split(set);
+        let (rows, r) = (dy.rows(), self.rank());
+        let mut ax = self.ax.take().expect("LoRA backward without forward");
+        // d(ax) = s·dy·B
+        let b = self.b.value.as_slice();
+        let mut dax = match b_set {
+            Some(set) => filled(&[rows, r], |dax| {
+                fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
+            }),
+            None => matmul(dy, &self.b.value, Layout::Normal, Epilogue::None),
+        };
+        dax.scale(self.scale);
+        // dB += s·dyᵀ·ax
+        if self.b.trainable {
+            match b_set {
+                Some(set) => {
+                    ax.scale(self.scale);
+                    let db = self.b.grad_mut().as_mut_slice();
+                    fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db);
+                }
+                None => {
+                    let mut db = matmul_tn(dy, &ax);
+                    db.scale(self.scale);
+                    self.b.accumulate_grad(&db);
+                }
+            }
+        }
+        // dA += d(ax)ᵀ·x, in A's storage orientation
+        if self.a.trainable {
+            match (a_set, self.a_layout) {
+                (Some(set), _) => {
+                    let da = self.a.grad_mut().as_mut_slice();
+                    fc2_grad_weights(x.as_slice(), dax.as_slice(), rows, r, set, da);
+                }
+                (None, Layout::Transposed) => self.a.accumulate_grad(&matmul_tn(&dax, x)),
+                (None, Layout::Normal) => self.a.accumulate_grad(&matmul_tn(x, &dax)),
+            }
+        }
+        // dx += d(ax)·Ãᵀ
+        let a = self.a.value.as_slice();
+        let dx_lora = match a_set {
+            Some(set) => filled(dx.shape(), |d| {
+                fc2_backward_input(dax.as_slice(), rows, a, r, set, d)
+            }),
+            None => matmul(
+                &dax,
+                &self.a.value,
+                transposed(self.a_layout),
+                Epilogue::None,
+            ),
+        };
+        dx.add_assign(&dx_lora);
+    }
+
+    /// Fold `ΔW = s·Ã·Bᵀ` into the f32 weight `w` of the adapted linear,
+    /// stored `[d_in, d_out]` (`Layout::Normal`: `Linear`, FC2) or
+    /// `[d_out, d_in]` (`Layout::Transposed`: neuron-major FC1) — one GEMM
+    /// accumulating into `w`.
+    pub fn fold_into(&self, w: &mut Tensor, w_layout: Layout) {
+        let (a, r, d_out) = (self.a.value.as_slice(), self.rank(), self.b.value.rows());
+        let d_in = a.len() / r;
+        let mut sb = match w_layout {
+            Layout::Normal => self.b.value.transposed_2d(), // [r, d_out]
+            Layout::Transposed => self.b.value.clone(),     // [d_out, r]
+        };
+        sb.scale(self.scale);
+        let sb = sb.as_slice();
+        let op = match w_layout {
+            // W += Ã · (s·Bᵀ)
+            Layout::Normal => {
+                GemmOp::contiguous(d_in, r, d_out, a, self.a_layout, sb, Layout::Normal)
+            }
+            // W += (s·B) · Ãᵀ
+            Layout::Transposed => GemmOp::contiguous(
+                d_out,
+                r,
+                d_in,
+                sb,
+                Layout::Normal,
+                a,
+                transposed(self.a_layout),
+            ),
+        };
+        lx_kernels::backend().gemm(&op, w.as_mut_slice(), op.n.max(1), 1.0, Epilogue::None);
     }
 }
 
@@ -92,6 +280,7 @@ impl Linear {
             rank,
             alpha,
             seed,
+            Layout::Transposed,
         ));
     }
 
@@ -105,10 +294,7 @@ impl Linear {
         };
         let mut y = self.weight.matmul(x, Layout::Normal, ep);
         if let Some(lora) = &mut self.lora {
-            let ax = matmul(x, &lora.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
-            let delta = matmul(&ax, &lora.b.value, Layout::Transposed, Epilogue::None); // [rows, d_out]
-            y.axpy(lora.scale, &delta);
-            lora.cache_ax = Some(ax);
+            lora.forward(x, &mut y);
         }
         self.cache_x = Some(x.clone());
         y
@@ -131,24 +317,7 @@ impl Linear {
             }
         }
         if let Some(lora) = &mut self.lora {
-            let ax = lora.cache_ax.take().expect("LoRA cache missing");
-            // d(ax) = (α/r) · dy · B
-            let mut dax = matmul(dy, &lora.b.value, Layout::Normal, Epilogue::None);
-            dax.scale(lora.scale);
-            if lora.b.trainable {
-                // dB = (α/r) · dyᵀ · ax
-                let mut db = matmul_tn(dy, &ax);
-                db.scale(lora.scale);
-                lora.b.accumulate_grad(&db);
-            }
-            if lora.a.trainable {
-                // dA = d(ax)ᵀ · x
-                let da = matmul_tn(&dax, &x);
-                lora.a.accumulate_grad(&da);
-            }
-            // dx += d(ax) · A
-            let dx_lora = matmul(&dax, &lora.a.value, Layout::Normal, Epilogue::None);
-            dx.add_assign(&dx_lora);
+            lora.backward(&x, dy, &mut dx);
         }
         dx
     }

@@ -6,19 +6,24 @@
 //! an active neuron block is a contiguous slab in **both** matrices and no
 //! format conversion ever happens at runtime.
 //!
-//! LoRA can attach to both linears. In the sparse path, only the active-block
-//! rows of the LoRA `B` matrices participate — demonstrating the paper's
-//! §II-D result that forward-inactive parameters receive no gradient.
+//! LoRA can attach to both linears, as the same [`Lora`] pair `Linear` uses:
+//! FC1's `A` is `[r, d]` and its `B` neuron-major `[d_ff, r]`; FC2's `A` is
+//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. In the sparse path the
+//! neuron-major factor runs on the same grouped neuron kernels as the
+//! backbone slabs (with `d = r`), so only active-block rows participate —
+//! the paper's §II-D result that forward-inactive parameters receive no
+//! gradient.
 
 use crate::config::Activation;
+use crate::linear::Lora;
 use crate::param::Param;
 use lx_obs::{registry, Counter};
 use lx_sparse::neuron::{
-    fc1_backward_input, fc1_forward, fc1_grad_weights, fc2_backward_input, fc2_forward,
-    fc2_grad_weights,
+    fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_backward_input,
+    fc2_forward, fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu, relu_backward};
 use lx_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
@@ -38,16 +43,6 @@ fn slab_counters() -> &'static SlabCounters {
     })
 }
 
-/// LoRA pair for an MLP linear. Shape semantics depend on the attach site —
-/// see [`MlpBlock::attach_lora_fc1`] / [`MlpBlock::attach_lora_fc2`].
-#[derive(Debug)]
-pub struct MlpLora {
-    pub a: Param,
-    pub b: Param,
-    pub scale: f32,
-    cache_ax: Option<Tensor>,
-}
-
 #[derive(Debug)]
 pub struct MlpBlock {
     /// FC1, neuron-major `[d_ff, d]`: row `n` = input weights of neuron `n`.
@@ -57,9 +52,9 @@ pub struct MlpBlock {
     pub w2: Param,
     pub b2: Param,
     /// LoRA on FC1: `a ∈ [r, d]`, `b ∈ [d_ff, r]` (row per neuron).
-    pub lora1: Option<MlpLora>,
-    /// LoRA on FC2: `a ∈ [d_ff, r]` (row per neuron, pre-transposed), `b ∈ [d, r]`.
-    pub lora2: Option<MlpLora>,
+    pub lora1: Option<Lora>,
+    /// LoRA on FC2: `a ∈ [d_ff, r]` (row per neuron), `b ∈ [d, r]`.
+    pub lora2: Option<Lora>,
     pub activation: Activation,
     d_model: usize,
     d_ff: usize,
@@ -87,8 +82,6 @@ struct MlpCache {
     set: Option<Arc<NeuronBlockSet>>,
     /// The step ran against reduced-stored weights via the slab cache.
     used_slabs: bool,
-    ax1: Option<Tensor>,
-    ax2: Option<Tensor>,
 }
 
 /// f32 views of the *active* neuron slabs of reduced-stored FC weights (f16
@@ -151,37 +144,27 @@ impl MlpBlock {
     }
 
     pub fn attach_lora_fc1(&mut self, rank: usize, alpha: f32, seed: u64) {
-        self.lora1 = Some(MlpLora {
-            a: Param::new(
-                format!("{}.lora_a", self.w1.name),
-                Tensor::randn(&[rank, self.d_model], 1.0 / rank as f32, seed),
-                true,
-            ),
-            b: Param::new(
-                format!("{}.lora_b", self.w1.name),
-                Tensor::zeros(&[self.d_ff, rank]),
-                true,
-            ),
-            scale: alpha / rank as f32,
-            cache_ax: None,
-        });
+        self.lora1 = Some(Lora::new(
+            &self.w1.name,
+            self.d_model,
+            self.d_ff,
+            rank,
+            alpha,
+            seed,
+            Layout::Transposed,
+        ));
     }
 
     pub fn attach_lora_fc2(&mut self, rank: usize, alpha: f32, seed: u64) {
-        self.lora2 = Some(MlpLora {
-            a: Param::new(
-                format!("{}.lora_a", self.w2.name),
-                Tensor::randn(&[self.d_ff, rank], 1.0 / rank as f32, seed),
-                true,
-            ),
-            b: Param::new(
-                format!("{}.lora_b", self.w2.name),
-                Tensor::zeros(&[self.d_model, rank]),
-                true,
-            ),
-            scale: alpha / rank as f32,
-            cache_ax: None,
-        });
+        self.lora2 = Some(Lora::new(
+            &self.w2.name,
+            self.d_ff,
+            self.d_model,
+            rank,
+            alpha,
+            seed,
+            Layout::Normal,
+        ));
     }
 
     fn activate(&self, z: &Tensor) -> Tensor {
@@ -315,7 +298,6 @@ impl MlpBlock {
     }
 
     fn forward_dense(&mut self, x: &Tensor) -> Tensor {
-        let rows = x.rows();
         // z = x·W1ᵀ(stored) + b1  (+ LoRA1). The bias rides the GEMM
         // write-back as a fused epilogue; the activation stays unfused
         // because backward needs the pre-activation z.
@@ -324,36 +306,23 @@ impl MlpBlock {
             Layout::Transposed,
             Epilogue::Bias(self.b1.value.as_slice()),
         );
-        let mut ax1 = None;
         if let Some(l) = &mut self.lora1 {
-            let ax = matmul(x, &l.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
-            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d_ff]
-            z.axpy(l.scale, &delta);
-            ax1 = Some(ax.clone());
-            l.cache_ax = Some(ax);
+            l.forward(x, &mut z);
         }
         let a = self.activate(&z);
         // y = a·W2 + b2  (+ LoRA2), bias again fused into the write-back.
         let mut y = self
             .w2
             .matmul(&a, Layout::Normal, Epilogue::Bias(self.b2.value.as_slice()));
-        let mut ax2 = None;
         if let Some(l) = &mut self.lora2 {
-            let ax = matmul(&a, &l.a.value, Layout::Normal, Epilogue::None); // [rows, r]
-            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d]
-            y.axpy(l.scale, &delta);
-            ax2 = Some(ax.clone());
-            l.cache_ax = Some(ax);
+            l.forward(&a, &mut y);
         }
-        debug_assert_eq!(y.rows(), rows);
         self.cache = Some(MlpCache {
             x: x.clone(),
             z,
             a,
             set: None,
             used_slabs: false,
-            ax1,
-            ax2,
         });
         y
     }
@@ -406,25 +375,8 @@ impl MlpBlock {
             kset,
             z.as_mut_slice(),
         );
-        let mut ax1 = None;
         if let Some(l) = &mut self.lora1 {
-            let ax = matmul(x, &l.a.value, Layout::Transposed, Epilogue::None); // [rows, r]
-            let r = ax.cols();
-            // z[row, compact(n)] += scale · ⟨ax_row, B1_row(n)⟩, active only.
-            for row in 0..rows {
-                let ax_row = ax.row(row);
-                let z_row = z.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..set.block_size {
-                        let n = blk as usize * set.block_size + t;
-                        let b_row = &l.b.value.as_slice()[n * r..(n + 1) * r];
-                        let dot: f32 = ax_row.iter().zip(b_row).map(|(u, v)| u * v).sum();
-                        z_row[ci * set.block_size + t] += l.scale * dot;
-                    }
-                }
-            }
-            ax1 = Some(ax.clone());
-            l.cache_ax = Some(ax);
+            l.forward_over(x, &mut z, Some(&set));
         }
         let a = self.activate(&z);
         let mut y = Tensor::scratch(&[rows, self.d_model]);
@@ -437,32 +389,8 @@ impl MlpBlock {
             kset,
             y.as_mut_slice(),
         );
-        let mut ax2 = None;
         if let Some(l) = &mut self.lora2 {
-            let r = l.b.value.shape()[1];
-            // ax2[row,:] = Σ_active a[row, compact(n)] · A2ᵀ_row(n)
-            let mut ax = Tensor::zeros(&[rows, r]);
-            for row in 0..rows {
-                let a_row = a.row(row);
-                let ax_row = ax.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..set.block_size {
-                        let n = blk as usize * set.block_size + t;
-                        let av = a_row[ci * set.block_size + t];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let a2_row = &l.a.value.as_slice()[n * r..(n + 1) * r];
-                        for (o, &v) in ax_row.iter_mut().zip(a2_row) {
-                            *o += av * v;
-                        }
-                    }
-                }
-            }
-            let delta = matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None); // [rows, d]
-            y.axpy(l.scale, &delta);
-            ax2 = Some(ax.clone());
-            l.cache_ax = Some(ax);
+            l.forward_over(&a, &mut y, Some(&set));
         }
         self.cache = Some(MlpCache {
             x: x.clone(),
@@ -470,8 +398,6 @@ impl MlpBlock {
             a,
             set: Some(set),
             used_slabs,
-            ax1,
-            ax2,
         });
         y
     }
@@ -489,24 +415,7 @@ impl MlpBlock {
         // the `nt` kernel shape, fused-decoding when half-stored.
         let mut da = self.w2.matmul(dy, Layout::Transposed, Epilogue::None);
         if let Some(l) = &mut self.lora2 {
-            let ax = cache.ax2.as_ref().expect("lora2 cache");
-            let mut dax = matmul(dy, &l.b.value, Layout::Normal, Epilogue::None); // [rows, r]
-            dax.scale(l.scale);
-            if l.b.trainable {
-                let mut db = matmul_tn(dy, ax);
-                db.scale(l.scale);
-                l.b.accumulate_grad(&db);
-            }
-            if l.a.trainable {
-                let dat = matmul_tn(&cache.a, &dax); // [d_ff, r]
-                l.a.accumulate_grad(&dat);
-            }
-            da.add_assign(&matmul(
-                &dax,
-                &l.a.value,
-                Layout::Transposed,
-                Epilogue::None,
-            ));
+            l.backward(&cache.a, dy, &mut da);
         }
         if self.b2.trainable {
             bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
@@ -527,19 +436,7 @@ impl MlpBlock {
         }
         let mut dx = self.w1.matmul(&dz, Layout::Normal, Epilogue::None); // dz · W1(stored [d_ff,d])
         if let Some(l) = &mut self.lora1 {
-            let ax = cache.ax1.as_ref().expect("lora1 cache");
-            let mut dax = matmul(&dz, &l.b.value, Layout::Normal, Epilogue::None); // [rows, r]
-            dax.scale(l.scale);
-            if l.b.trainable {
-                let mut db = matmul_tn(&dz, ax); // [d_ff, r]
-                db.scale(l.scale);
-                l.b.accumulate_grad(&db);
-            }
-            if l.a.trainable {
-                let da1 = matmul_tn(&dax, &cache.x); // [r, d]
-                l.a.accumulate_grad(&da1);
-            }
-            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
+            l.backward(&cache.x, &dz, &mut dx);
         }
         dx
     }
@@ -552,7 +449,6 @@ impl MlpBlock {
     ) -> Tensor {
         let rows = dy.rows();
         let width = set.active_neurons();
-        let bsz = set.block_size;
         // Same storage dispatch as forward: the cross-step slab cache still
         // holds this step's gather, so the backward kernels reuse it for free.
         let slabs = cache
@@ -573,49 +469,7 @@ impl MlpBlock {
             da.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora2 {
-            let ax = cache.ax2.as_ref().expect("lora2 cache");
-            let r = l.b.value.shape()[1];
-            let mut dax = matmul(dy, &l.b.value, Layout::Normal, Epilogue::None);
-            dax.scale(l.scale);
-            if l.b.trainable {
-                let mut db = matmul_tn(dy, ax);
-                db.scale(l.scale);
-                l.b.accumulate_grad(&db);
-            }
-            if l.a.trainable {
-                // dA2ᵀ_row(n) += Σ_rows a[row, compact(n)] · dax[row,:] — active rows only.
-                let g = l.a.grad_mut();
-                for row in 0..rows {
-                    let a_row = cache.a.row(row);
-                    let dax_row = dax.row(row);
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        for t in 0..bsz {
-                            let n = blk as usize * bsz + t;
-                            let av = a_row[ci * bsz + t];
-                            if av == 0.0 {
-                                continue;
-                            }
-                            let dst = &mut g.as_mut_slice()[n * r..(n + 1) * r];
-                            for (o, &v) in dst.iter_mut().zip(dax_row) {
-                                *o += av * v;
-                            }
-                        }
-                    }
-                }
-            }
-            // da[row, compact(n)] += ⟨dax_row, A2ᵀ_row(n)⟩
-            for row in 0..rows {
-                let dax_row = dax.row(row);
-                let da_row = da.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        let n = blk as usize * bsz + t;
-                        let a2_row = &l.a.value.as_slice()[n * r..(n + 1) * r];
-                        let dot: f32 = dax_row.iter().zip(a2_row).map(|(u, v)| u * v).sum();
-                        da_row[ci * bsz + t] += dot;
-                    }
-                }
-            }
+            l.backward_over(&cache.a, dy, &mut da, Some(&set));
         }
         if self.b2.trainable {
             bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
@@ -647,15 +501,7 @@ impl MlpBlock {
         // full-size buffers, so they use the global set; frozen reduced-
         // stored weights never take this path (trainability implies f32).
         if self.b1.trainable {
-            let g = self.b1.grad_mut();
-            for row in 0..rows {
-                let dz_row = dz.row(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        g.as_mut_slice()[blk as usize * bsz + t] += dz_row[ci * bsz + t];
-                    }
-                }
-            }
+            fc1_grad_bias(dz.as_slice(), &set, self.b1.grad_mut().as_mut_slice());
         }
         if self.w1.trainable {
             fc1_grad_weights(
@@ -665,58 +511,10 @@ impl MlpBlock {
                 self.d_model,
                 &set,
                 self.w1.grad_mut().as_mut_slice(),
-                None,
             );
         }
         if let Some(l) = &mut self.lora1 {
-            let ax = cache.ax1.as_ref().expect("lora1 cache");
-            let r = l.b.value.shape()[1];
-            // dax[row,:] = scale · Σ_active dz[row, compact(n)] · B1_row(n)
-            let mut dax = Tensor::zeros(&[rows, r]);
-            for row in 0..rows {
-                let dz_row = dz.row(row);
-                let dax_row = dax.row_mut(row);
-                for (ci, &blk) in set.active.iter().enumerate() {
-                    for t in 0..bsz {
-                        let g = dz_row[ci * bsz + t];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        let n = blk as usize * bsz + t;
-                        let b_row = &l.b.value.as_slice()[n * r..(n + 1) * r];
-                        for (o, &v) in dax_row.iter_mut().zip(b_row) {
-                            *o += l.scale * g * v;
-                        }
-                    }
-                }
-            }
-            if l.b.trainable {
-                // dB1_row(n) += scale · Σ_rows dz[row, compact(n)] · ax[row,:]
-                // — inactive neuron rows receive nothing (§II-D).
-                let g = l.b.grad_mut();
-                for row in 0..rows {
-                    let dz_row = dz.row(row);
-                    let ax_row = ax.row(row);
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        for t in 0..bsz {
-                            let gv = dz_row[ci * bsz + t];
-                            if gv == 0.0 {
-                                continue;
-                            }
-                            let n = blk as usize * bsz + t;
-                            let dst = &mut g.as_mut_slice()[n * r..(n + 1) * r];
-                            for (o, &v) in dst.iter_mut().zip(ax_row) {
-                                *o += l.scale * gv * v;
-                            }
-                        }
-                    }
-                }
-            }
-            if l.a.trainable {
-                let da1 = matmul_tn(&dax, &cache.x);
-                l.a.accumulate_grad(&da1);
-            }
-            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
+            l.backward_over(&cache.x, &dz, &mut dx, Some(&set));
         }
         dx
     }
@@ -789,23 +587,66 @@ mod tests {
         }
     }
 
+    /// `[dA1, dB1, dA2, dB2]` of a block with LoRA on both FCs.
+    fn lora_grads(m: &MlpBlock) -> [&[f32]; 4] {
+        let (l1, l2) = (m.lora1.as_ref().unwrap(), m.lora2.as_ref().unwrap());
+        [&l1.a, &l1.b, &l2.a, &l2.b].map(|p| p.grad.as_ref().unwrap().as_slice())
+    }
+
     #[test]
     fn partial_set_equals_dense_with_masked_neurons() {
+        // LoRA on both FCs with nonzero B. The dense reference zeroes the
+        // inactive neurons' FC2 rows — backbone and LoRA A2 — so nothing
+        // downstream sees them, and the backward sends them no gradient.
+        const R: usize = 2;
         let x = Tensor::randn(&[ROWS, D], 1.0, 3);
+        let dy = Tensor::randn(&[ROWS, D], 1.0, 20);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
-        let mut sparse = mlp();
-        let ys = sparse.forward(&x, Some(&set));
-        // Dense reference: zero the inactive neurons' FC2 rows.
-        let mut dense = mlp();
-        for n in 0..FF {
-            let blk = n / BLK;
-            if !set.active.contains(&(blk as u32)) {
-                dense.w2.value.as_mut_slice()[n * D..(n + 1) * D].fill(0.0);
+        let active = |n: usize| set.active.contains(&((n / BLK) as u32));
+        let with_lora = || {
+            let mut m = mlp();
+            m.attach_lora_fc1(R, 4.0, 21);
+            m.attach_lora_fc2(R, 4.0, 22);
+            for (l, seed) in [(&mut m.lora1, 23), (&mut m.lora2, 24)] {
+                let b = &mut l.as_mut().unwrap().b.value;
+                let vals = lx_tensor::rng::randn_vec(b.len(), 0.3, seed);
+                b.as_mut_slice().copy_from_slice(&vals);
             }
+            m
+        };
+        let mut sparse = with_lora();
+        let ys = sparse.forward(&x, Some(&set));
+        let dxs = sparse.backward(&dy);
+        let mut dense = with_lora();
+        for n in (0..FF).filter(|&n| !active(n)) {
+            dense.w2.value.as_mut_slice()[n * D..(n + 1) * D].fill(0.0);
+            let a2 = &mut dense.lora2.as_mut().unwrap().a.value;
+            a2.as_mut_slice()[n * R..(n + 1) * R].fill(0.0);
         }
         let yd = dense.forward(&x, None);
+        let dxd = dense.backward(&dy);
         for (a, b) in ys.as_slice().iter().zip(yd.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        }
+        for (a, b) in dxs.as_slice().iter().zip(dxd.as_slice()) {
+            assert!((a - b).abs() < 1e-3, "dx {a} vs {b}");
+        }
+        let (gs, gd) = (lora_grads(&sparse), lora_grads(&dense));
+        for (which, (s, d)) in gs.iter().zip(gd).enumerate() {
+            for (i, (a, b)) in s.iter().zip(d).enumerate() {
+                // The dense reference still computes dA2 for inactive rows.
+                if which == 2 && !active(i / R) {
+                    continue;
+                }
+                assert!((a - b).abs() < 1e-3, "grad {which}[{i}]: {a} vs {b}");
+            }
+        }
+        // §II-D: inactive neurons' rows of B1 and A2 get exactly no gradient.
+        for n in (0..FF).filter(|&n| !active(n)) {
+            for (which, g) in [(1, gs[1]), (2, gs[2])] {
+                let row = &g[n * R..(n + 1) * R];
+                assert!(row.iter().all(|&v| v == 0.0), "grad {which} row {n}");
+            }
         }
     }
 

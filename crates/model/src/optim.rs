@@ -18,28 +18,14 @@ pub trait Optimizer {
     fn name(&self) -> &'static str;
 }
 
-/// Plain SGD with optional momentum.
+/// Plain SGD: stateless.
 pub struct Sgd {
     pub lr: f32,
-    pub momentum: f32,
-    velocity: HashMap<String, Tensor>,
 }
 
 impl Sgd {
     pub fn new(lr: f32) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: HashMap::new(),
-        }
+        Sgd { lr }
     }
 }
 
@@ -51,24 +37,11 @@ impl Optimizer for Sgd {
             return;
         }
         let Some(grad) = &param.grad else { return };
-        if self.momentum == 0.0 {
-            param.value.axpy(-self.lr, grad);
-            return;
-        }
-        // Steady-state lookups borrow the name; the clone happens only once,
-        // when a parameter's state is first created.
-        if !self.velocity.contains_key(&param.name) {
-            self.velocity
-                .insert(param.name.clone(), Tensor::zeros(grad.shape()));
-        }
-        let v = self.velocity.get_mut(&param.name).expect("just inserted");
-        v.scale(self.momentum);
-        v.add_assign(grad);
-        param.value.axpy(-self.lr, v);
+        param.value.axpy(-self.lr, grad);
     }
 
     fn state_bytes(&self) -> usize {
-        self.velocity.values().map(|t| t.len() * 4).sum()
+        0
     }
 
     fn name(&self) -> &'static str {
@@ -191,115 +164,6 @@ impl Optimizer for AdamW {
     }
 }
 
-/// Learning-rate schedules used by fine-tuning recipes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LrSchedule {
-    Constant,
-    /// Linear warm-up over `warmup` steps, then linear decay to zero at
-    /// `total` steps.
-    LinearWarmupDecay {
-        warmup: u64,
-        total: u64,
-    },
-    /// Linear warm-up then cosine decay to `min_frac · base` at `total`.
-    Cosine {
-        warmup: u64,
-        total: u64,
-        min_frac: f32,
-    },
-}
-
-impl LrSchedule {
-    /// Multiplier applied to the base learning rate at `step` (1-based).
-    pub fn factor(&self, step: u64) -> f32 {
-        match *self {
-            LrSchedule::Constant => 1.0,
-            LrSchedule::LinearWarmupDecay { warmup, total } => {
-                if warmup > 0 && step <= warmup {
-                    step as f32 / warmup as f32
-                } else {
-                    let total = total.max(warmup + 1);
-                    let remaining = total.saturating_sub(step) as f32;
-                    (remaining / (total - warmup) as f32).max(0.0)
-                }
-            }
-            LrSchedule::Cosine {
-                warmup,
-                total,
-                min_frac,
-            } => {
-                if warmup > 0 && step <= warmup {
-                    step as f32 / warmup as f32
-                } else {
-                    let total = total.max(warmup + 1);
-                    let progress =
-                        ((step - warmup) as f32 / (total - warmup) as f32).clamp(0.0, 1.0);
-                    let cos = 0.5 * (1.0 + (std::f32::consts::PI * progress).cos());
-                    min_frac + (1.0 - min_frac) * cos
-                }
-            }
-        }
-    }
-}
-
-/// Wrap any optimizer with an LR schedule (scales the inner LR per step).
-pub struct Scheduled<O> {
-    inner: O,
-    schedule: LrSchedule,
-    base_lr: f32,
-    step: u64,
-    set_lr: fn(&mut O, f32),
-}
-
-impl Scheduled<Adam> {
-    pub fn adam(inner: Adam, schedule: LrSchedule) -> Self {
-        let base_lr = inner.lr;
-        Scheduled {
-            inner,
-            schedule,
-            base_lr,
-            step: 0,
-            set_lr: |o, lr| o.lr = lr,
-        }
-    }
-}
-
-impl Scheduled<Sgd> {
-    pub fn sgd(inner: Sgd, schedule: LrSchedule) -> Self {
-        let base_lr = inner.lr;
-        Scheduled {
-            inner,
-            schedule,
-            base_lr,
-            step: 0,
-            set_lr: |o, lr| o.lr = lr,
-        }
-    }
-}
-
-impl<O: Optimizer> Optimizer for Scheduled<O> {
-    fn begin_step(&mut self) {
-        self.step += 1;
-        (self.set_lr)(
-            &mut self.inner,
-            self.base_lr * self.schedule.factor(self.step),
-        );
-        self.inner.begin_step();
-    }
-
-    fn update(&mut self, param: &mut Param) {
-        self.inner.update(param);
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.inner.state_bytes()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
 /// Dynamic loss scaling for mixed-precision training (the standard AMP
 /// recipe the paper's FP16 runs rely on).
 ///
@@ -397,36 +261,6 @@ impl LossScaler {
     }
 }
 
-/// Global-norm gradient clipping over the trainable parameters.
-/// Returns the pre-clip norm. Call between `backward` and the optimizer.
-#[allow(clippy::type_complexity)]
-pub fn clip_grad_norm(params: &mut dyn FnMut(&mut dyn FnMut(&mut Param)), max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    params(&mut |p: &mut Param| {
-        if p.trainable {
-            if let Some(g) = &p.grad {
-                sq += g
-                    .as_slice()
-                    .iter()
-                    .map(|v| (*v as f64) * (*v as f64))
-                    .sum::<f64>();
-            }
-        }
-    });
-    let norm = sq.sqrt() as f32;
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        params(&mut |p: &mut Param| {
-            if p.trainable {
-                if let Some(g) = &mut p.grad {
-                    g.scale(scale);
-                }
-            }
-        });
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,21 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn momentum_accelerates_sgd() {
-        let run = |momentum: f32| {
-            let mut p = quadratic_param();
-            let mut opt = Sgd::with_momentum(0.02, momentum);
-            for _ in 0..30 {
-                set_grad_to_value(&mut p);
-                opt.begin_step();
-                opt.update(&mut p);
-            }
-            p.value.as_slice()[0].abs()
-        };
-        assert!(run(0.9) < run(0.0), "momentum should converge faster here");
-    }
-
-    #[test]
     fn frozen_params_are_untouched() {
         let mut p = Param::frozen("w", Tensor::full(&[1], 2.0));
         p.grad = Some(Tensor::full(&[1], 1.0));
@@ -517,49 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_schedule_warms_up_and_decays() {
-        let s = LrSchedule::LinearWarmupDecay {
-            warmup: 10,
-            total: 110,
-        };
-        assert!((s.factor(1) - 0.1).abs() < 1e-6);
-        assert!((s.factor(10) - 1.0).abs() < 1e-6);
-        assert!(s.factor(60) < 1.0 && s.factor(60) > 0.0);
-        assert!(s.factor(110) <= 1e-6);
-    }
-
-    #[test]
-    fn cosine_schedule_bottoms_at_min_frac() {
-        let s = LrSchedule::Cosine {
-            warmup: 5,
-            total: 105,
-            min_frac: 0.1,
-        };
-        assert!((s.factor(5) - 1.0).abs() < 1e-6);
-        assert!((s.factor(105) - 0.1).abs() < 1e-3);
-        // Monotone decreasing after warmup.
-        assert!(s.factor(30) > s.factor(60));
-        assert!(s.factor(60) > s.factor(100));
-    }
-
-    #[test]
-    fn scheduled_optimizer_scales_updates() {
-        // Step 1 of a 10-step warmup uses 10% of the base LR.
-        let mut p = Param::new("w", Tensor::full(&[1], 1.0), true);
-        p.grad = Some(Tensor::full(&[1], 1.0));
-        let mut opt = Scheduled::sgd(
-            Sgd::new(1.0),
-            LrSchedule::LinearWarmupDecay {
-                warmup: 10,
-                total: 100,
-            },
-        );
-        opt.begin_step();
-        opt.update(&mut p);
-        assert!((p.value.as_slice()[0] - 0.9).abs() < 1e-5);
-    }
-
-    #[test]
     fn loss_scaler_unscales_then_backs_off_on_overflow() {
         let mut p = Param::new("w", Tensor::zeros(&[2]), true);
         p.grad = Some(Tensor::full(&[2], 10.0));
@@ -587,26 +363,5 @@ mod tests {
             scaler.update(false);
         }
         assert_eq!(scaler.scale(), 16.0);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_when_needed() {
-        let mut a = Param::new("a", Tensor::zeros(&[1]), true);
-        a.grad = Some(Tensor::full(&[1], 3.0));
-        let mut b = Param::new("b", Tensor::zeros(&[1]), true);
-        b.grad = Some(Tensor::full(&[1], 4.0));
-        let mut visit = |f: &mut dyn FnMut(&mut Param)| {
-            f(&mut a);
-            f(&mut b);
-        };
-        let norm = clip_grad_norm(&mut visit, 1.0);
-        assert!((norm - 5.0).abs() < 1e-5, "pre-clip norm {norm}");
-        let ga = a.grad.as_ref().unwrap().as_slice()[0];
-        let gb = b.grad.as_ref().unwrap().as_slice()[0];
-        assert!((ga - 0.6).abs() < 1e-5 && (gb - 0.8).abs() < 1e-5);
-        // Below the limit: untouched.
-        let norm2 = clip_grad_norm(&mut |f| f(&mut a), 10.0);
-        assert!((norm2 - 0.6).abs() < 1e-5);
-        assert!((a.grad.as_ref().unwrap().as_slice()[0] - 0.6).abs() < 1e-6);
     }
 }

@@ -1,10 +1,11 @@
-//! LoRA weight merging: fold `ΔW = (α/r)·BᵀA` into the backbone weight so
-//! inference after fine-tuning pays zero adapter overhead. The inverse
-//! (`unmerge`) restores the original backbone exactly (up to f32 rounding),
-//! which is what lets one backbone serve many tasks.
+//! LoRA weight merging: fold `ΔW = (α/r)·ÃBᵀ` into the backbone weight so
+//! inference after fine-tuning pays zero adapter overhead. Every site —
+//! `Linear`, MLP FC1 and FC2 — folds through the same
+//! [`Lora::fold_into`]: one GEMM accumulating into the weight in its stored
+//! orientation, with the capture/re-apply of the N:M mask around it.
 //!
 //! **Sparsity preservation (SPP lineage):** on a 2:4 structured-sparse
-//! backbone the dense delta `BᵀA` would repopulate pruned positions and
+//! backbone the dense delta `ÃBᵀ` would repopulate pruned positions and
 //! destroy the N:M pattern the fused kernels exploit. The merge therefore
 //! captures the weight's group mask before folding, projects the merged
 //! weight back onto it (zeroing every pruned position the delta touched —
@@ -13,9 +14,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use lx_model::linear::Linear;
+use lx_model::linear::{Linear, Lora};
 use lx_model::{Param, TransformerModel};
 use lx_obs::{registry, Counter};
+use lx_tensor::gemm::Layout;
 
 /// Pruned positions a LoRA delta tried to repopulate, summed over every
 /// mask-preserving merge in the process (the SPP projection magnitude-proxy).
@@ -53,8 +55,8 @@ fn reapply_nm_mask(p: &mut Param, masks: &[u8]) {
     p.to_nm_with_mask(masks);
 }
 
-/// Fold a Linear's LoRA pair into its weight; the adapter stays attached but
-/// contributes zero afterwards only if you also zero it — instead we detach.
+/// Fold `lora` into `weight` (stored `w_layout` relative to `x·W`) with the
+/// pair's one GEMM-based [`Lora::fold_into`].
 ///
 /// A reduced-stored weight (f16 or block-quantized) is promoted to f32
 /// first: merging writes into the weight buffer, and folding a delta into
@@ -63,88 +65,34 @@ fn reapply_nm_mask(p: &mut Param, masks: &[u8]) {
 /// The exception is a 2:4 structured-sparse weight, which keeps its storage:
 /// the merge re-applies the captured mask and re-compacts (see the module
 /// docs), so the weight stays N:M without caller involvement.
-pub fn merge_linear(linear: &mut Linear) {
-    let Some(lora) = linear.lora.take() else {
+fn merge_into(weight: &mut Param, lora: Option<Lora>, w_layout: Layout) {
+    let Some(lora) = lora else {
         return;
     };
-    let nm_mask = captured_nm_mask(&linear.weight);
-    linear.weight.to_f32();
-    let (d_in, d_out) = (linear.d_in(), linear.d_out());
-    let r = lora.rank();
-    let a = lora.a.value.as_slice(); // [r, d_in]
-    let b = lora.b.value.as_slice(); // [d_out, r]
-    let w = linear.weight.value.as_mut_slice(); // [d_in, d_out]
-    for i in 0..d_in {
-        for o in 0..d_out {
-            let mut acc = 0.0f32;
-            for k in 0..r {
-                acc += a[k * d_in + i] * b[o * r + k];
-            }
-            w[i * d_out + o] += lora.scale * acc;
-        }
-    }
+    let nm_mask = captured_nm_mask(weight);
+    weight.to_f32();
+    lora.fold_into(&mut weight.value, w_layout);
     if let Some(masks) = nm_mask {
-        reapply_nm_mask(&mut linear.weight, &masks);
+        reapply_nm_mask(weight, &masks);
     }
 }
 
-/// Merge every attention LoRA in the model. MLP LoRA (which lives in the
-/// neuron-major layout) is merged analogously.
+/// Fold a Linear's LoRA pair into its weight (`[d_in, d_out]`) and detach it.
+pub fn merge_linear(linear: &mut Linear) {
+    merge_into(&mut linear.weight, linear.lora.take(), Layout::Normal);
+}
+
+/// Merge every LoRA in the model: the attention linears, neuron-major FC1
+/// (`[d_ff, d]`, the transpose of `x·W`) and row-major FC2 (`[d_ff, d]`).
 pub fn merge_all(model: &mut TransformerModel) {
     for block in &mut model.blocks {
         merge_linear(&mut block.attn.wq);
         merge_linear(&mut block.attn.wk);
         merge_linear(&mut block.attn.wv);
         merge_linear(&mut block.attn.wo);
-        merge_mlp(block);
-    }
-}
-
-fn merge_mlp(block: &mut lx_model::block::TransformerBlock) {
-    let mlp = &mut block.mlp;
-    let d = mlp.w1.shape()[1];
-    let d_ff = mlp.d_ff();
-    if let Some(l) = mlp.lora1.take() {
-        let nm_mask = captured_nm_mask(&mlp.w1);
-        mlp.w1.to_f32();
-        // w1 is [d_ff, d] neuron-major; ΔW1ᵀ_row(n) = scale · Σ_k B[n,k]·A[k,:].
-        let r = l.b.value.shape()[1];
-        let a = l.a.value.as_slice(); // [r, d]
-        let b = l.b.value.as_slice(); // [d_ff, r]
-        let w = mlp.w1.value.as_mut_slice();
-        for n in 0..d_ff {
-            for i in 0..d {
-                let mut acc = 0.0;
-                for k in 0..r {
-                    acc += b[n * r + k] * a[k * d + i];
-                }
-                w[n * d + i] += l.scale * acc;
-            }
-        }
-        if let Some(masks) = nm_mask {
-            reapply_nm_mask(&mut mlp.w1, &masks);
-        }
-    }
-    if let Some(l) = mlp.lora2.take() {
-        let nm_mask = captured_nm_mask(&mlp.w2);
-        mlp.w2.to_f32();
-        // w2 is [d_ff, d] row-major; ΔW2_row(n) = scale · A2ᵀ_row(n) · Bᵀ.
-        let r = l.b.value.shape()[1];
-        let a = l.a.value.as_slice(); // [d_ff, r]
-        let b = l.b.value.as_slice(); // [d, r]
-        let w = mlp.w2.value.as_mut_slice();
-        for n in 0..d_ff {
-            for o in 0..d {
-                let mut acc = 0.0;
-                for k in 0..r {
-                    acc += a[n * r + k] * b[o * r + k];
-                }
-                w[n * d + o] += l.scale * acc;
-            }
-        }
-        if let Some(masks) = nm_mask {
-            reapply_nm_mask(&mut mlp.w2, &masks);
-        }
+        let mlp = &mut block.mlp;
+        merge_into(&mut mlp.w1, mlp.lora1.take(), Layout::Transposed);
+        merge_into(&mut mlp.w2, mlp.lora2.take(), Layout::Normal);
     }
 }
 

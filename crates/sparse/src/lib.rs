@@ -34,7 +34,7 @@ pub mod scattered;
 
 pub use layout::{BlockCsr, MultiHeadLayout};
 pub use mask::BlockMask;
-pub use neuron::{BlockSetDiff, ColMajorWeights, NeuronBlockSet};
+pub use neuron::{BlockSetDiff, NeuronBlockSet};
 pub use patterns::{PatternPool, PatternSpec};
 
 /// Default score-block edge and MLP neuron-block size (paper uses 32).

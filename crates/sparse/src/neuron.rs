@@ -5,7 +5,8 @@
 //! backward pass. Long Exposure filters neurons at block granularity, so the
 //! kernels here operate on a sorted list of active neuron *blocks*:
 //!
-//! * FC1 weights are stored **column-major** ([`ColMajorWeights`]) so an
+//! * FC1 weights are stored **neuron-major** (`w1t[d_out, d_in]`, i.e.
+//!   column-major relative to the conventional `d_in × d_out` matrix) so an
 //!   active output-neuron block is a contiguous `block·d_in` slab;
 //! * FC2 weights stay **row-major** so an active input-neuron block is a
 //!   contiguous `block·d_out` slab.
@@ -223,68 +224,7 @@ pub struct BlockSetDiff {
     pub removed: Vec<u32>,
 }
 
-/// FC1 weights stored column-major: `data[col · d_in + row]`, i.e. each
-/// output-neuron column is contiguous.
-#[derive(Debug, Clone)]
-pub struct ColMajorWeights {
-    pub d_in: usize,
-    pub d_out: usize,
-    data: Vec<f32>,
-}
-
-impl ColMajorWeights {
-    /// Convert from a row-major `d_in × d_out` weight matrix.
-    pub fn from_row_major(w: &[f32], d_in: usize, d_out: usize) -> Self {
-        assert_eq!(w.len(), d_in * d_out);
-        let mut data = vec![0.0; d_in * d_out];
-        for r in 0..d_in {
-            for c in 0..d_out {
-                data[c * d_in + r] = w[r * d_out + c];
-            }
-        }
-        ColMajorWeights { d_in, d_out, data }
-    }
-
-    pub fn zeros(d_in: usize, d_out: usize) -> Self {
-        ColMajorWeights {
-            d_in,
-            d_out,
-            data: vec![0.0; d_in * d_out],
-        }
-    }
-
-    /// Contiguous column `c` (one output neuron's weights).
-    #[inline]
-    pub fn col(&self, c: usize) -> &[f32] {
-        &self.data[c * self.d_in..(c + 1) * self.d_in]
-    }
-
-    #[inline]
-    pub fn col_mut(&mut self, c: usize) -> &mut [f32] {
-        &mut self.data[c * self.d_in..(c + 1) * self.d_in]
-    }
-
-    /// Back to row-major (tests, checkpointing).
-    pub fn to_row_major(&self) -> Vec<f32> {
-        let mut w = vec![0.0; self.d_in * self.d_out];
-        for c in 0..self.d_out {
-            for r in 0..self.d_in {
-                w[r * self.d_out + c] = self.data[c * self.d_in + r];
-            }
-        }
-        w
-    }
-
-    pub fn raw(&self) -> &[f32] {
-        &self.data
-    }
-
-    pub fn raw_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-}
-
-/// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1.col(active[a]·b+t)⟩ (+ bias)`.
+/// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1t[active[a]·b+t]⟩ (+ bias)`.
 ///
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
 /// Each active block is `Z_a = X · W_aᵀ` against the contiguous column slab
@@ -406,7 +346,7 @@ pub fn fc2_backward_input(
     );
 }
 
-/// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1.col(neuron)`.
+/// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1t[neuron]`.
 /// Every active block accumulates `dX += dZ_blk · W_blk` into the one output.
 pub fn fc1_backward_input(
     dz: &[f32],
@@ -460,7 +400,7 @@ fn grad_slabs(g: &[f32], x: &[f32], rows: usize, d: usize, set: &NeuronBlockSet,
 }
 
 /// Accumulate FC1 weight gradients for *active columns only*:
-/// `dw1.col(neuron) += Σ_r x_r · dz[r, compact(neuron)]`.
+/// `dw1t[neuron] += Σ_r x_r · dz[r, compact(neuron)]`.
 /// Per block: `dW_blk += dZ_blkᵀ · X` into the block's contiguous column
 /// slab; active slabs are disjoint, so blocks parallelise.
 pub fn fc1_grad_weights(
@@ -470,23 +410,28 @@ pub fn fc1_grad_weights(
     d_in: usize,
     set: &NeuronBlockSet,
     dw1t: &mut [f32],
-    dbias: Option<&mut [f32]>,
 ) {
     debug_assert_eq!(dw1t.len(), set.total_neurons() * d_in);
+    assert_eq!(x.len(), rows * d_in);
+    assert_eq!(dz.len(), rows * set.active_neurons());
+    grad_slabs(dz, x, rows, d_in, set, dw1t);
+}
+
+/// Accumulate the FC1 bias gradient of the *active neurons only*:
+/// `dbias[neuron] += Σ_r dz[r, compact(neuron)]`, row by row. Separate from
+/// [`fc1_grad_weights`] because BitFit trains the bias of a frozen FC1.
+pub fn fc1_grad_bias(dz: &[f32], set: &NeuronBlockSet, dbias: &mut [f32]) {
     let b = set.block_size;
     let width = set.active_neurons();
-    assert_eq!(x.len(), rows * d_in);
-    assert_eq!(dz.len(), rows * width);
-    grad_slabs(dz, x, rows, d_in, set, dw1t);
-    if let Some(dbias) = dbias {
-        for (ai, &blk) in set.active.iter().enumerate() {
-            for t in 0..b {
-                let neuron = blk as usize * b + t;
-                let mut acc = 0.0;
-                for r in 0..rows {
-                    acc += dz[r * width + ai * b + t];
-                }
-                dbias[neuron] += acc;
+    assert_eq!(dbias.len(), set.total_neurons());
+    if width == 0 {
+        return;
+    }
+    for dz_row in dz.chunks_exact(width) {
+        for (dz_blk, &blk) in dz_row.chunks_exact(b).zip(&set.active) {
+            let dbias_blk = &mut dbias[blk as usize * b..(blk as usize + 1) * b];
+            for (g, &v) in dbias_blk.iter_mut().zip(dz_blk) {
+                *g += v;
             }
         }
     }
@@ -512,7 +457,7 @@ pub fn fc2_grad_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_tensor::gemm::gemm;
+    use lx_tensor::gemm::{gemm, gemm_nt};
     use lx_tensor::rng::randn_vec;
 
     const ROWS: usize = 6;
@@ -531,9 +476,14 @@ mod tests {
         }
     }
 
-    fn dense_fc1(x: &[f32], w1: &[f32], bias: &[f32]) -> Vec<f32> {
+    /// Neuron-major FC1 weight `w1t[H, D_IN]`: row `n` is neuron `n`'s slab.
+    fn w1t(seed: u64) -> Vec<f32> {
+        randn_vec(H * D_IN, 1.0, seed)
+    }
+
+    fn dense_fc1(x: &[f32], w1t: &[f32], bias: &[f32]) -> Vec<f32> {
         let mut z = vec![0.0; ROWS * H];
-        gemm(ROWS, D_IN, H, x, w1, &mut z, 0.0);
+        gemm_nt(ROWS, D_IN, H, x, w1t, &mut z, 0.0);
         for r in 0..ROWS {
             for c in 0..H {
                 z[r * H + c] += bias[c];
@@ -561,40 +511,25 @@ mod tests {
     }
 
     #[test]
-    fn col_major_roundtrip() {
-        let w = randn_vec(D_IN * H, 1.0, 1);
-        let cm = ColMajorWeights::from_row_major(&w, D_IN, H);
-        assert_eq!(cm.to_row_major(), w);
-        // col(c)[r] == w[r*H + c]
-        for c in [0, 5, 15] {
-            for r in 0..D_IN {
-                assert_eq!(cm.col(c)[r], w[r * H + c]);
-            }
-        }
-    }
-
-    #[test]
     fn fc1_dense_set_matches_gemm() {
         let x = randn_vec(ROWS * D_IN, 1.0, 2);
-        let w1 = randn_vec(D_IN * H, 1.0, 3);
+        let w1t = w1t(3);
         let bias = randn_vec(H, 0.5, 4);
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
         let set = NeuronBlockSet::all(H / B, B);
         let mut z = vec![0.0; ROWS * H];
-        fc1_forward(&x, ROWS, cm.raw(), D_IN, Some(&bias), &set, &mut z);
-        assert_close(&z, &dense_fc1(&x, &w1, &bias), 1e-4);
+        fc1_forward(&x, ROWS, &w1t, D_IN, Some(&bias), &set, &mut z);
+        assert_close(&z, &dense_fc1(&x, &w1t, &bias), 1e-4);
     }
 
     #[test]
     fn fc1_sparse_set_selects_columns() {
         let x = randn_vec(ROWS * D_IN, 1.0, 5);
-        let w1 = randn_vec(D_IN * H, 1.0, 6);
+        let w1t = w1t(6);
         let bias = vec![0.0; H];
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
         let set = NeuronBlockSet::from_indices(vec![0, 2], H / B, B);
         let mut z = vec![0.0; ROWS * set.active_neurons()];
-        fc1_forward(&x, ROWS, cm.raw(), D_IN, Some(&bias), &set, &mut z);
-        let dense = dense_fc1(&x, &w1, &bias);
+        fc1_forward(&x, ROWS, &w1t, D_IN, Some(&bias), &set, &mut z);
+        let dense = dense_fc1(&x, &w1t, &bias);
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {
                 for t in 0..B {
@@ -651,9 +586,8 @@ mod tests {
     fn backward_input_paths_match_dense() {
         let set = NeuronBlockSet::from_indices(vec![0, 3], H / B, B);
         let width = set.active_neurons();
-        let w1 = randn_vec(D_IN * H, 1.0, 12);
+        let w1t = w1t(12);
         let w2 = randn_vec(H * D_OUT, 1.0, 13);
-        let cm = ColMajorWeights::from_row_major(&w1, D_IN, H);
         let dy = randn_vec(ROWS * D_OUT, 1.0, 14);
         let dz = randn_vec(ROWS * width, 1.0, 15);
 
@@ -682,7 +616,7 @@ mod tests {
         }
 
         let mut dx = vec![0.0; ROWS * D_IN];
-        fc1_backward_input(&dz, ROWS, cm.raw(), D_IN, &set, &mut dx);
+        fc1_backward_input(&dz, ROWS, &w1t, D_IN, &set, &mut dx);
         // Reference: scatter dz to full width then dZ · W1ᵀ.
         let mut dz_full = vec![0.0; ROWS * H];
         for r in 0..ROWS {
@@ -697,7 +631,7 @@ mod tests {
             for n in 0..H {
                 let g = dz_full[r * H + n];
                 for i in 0..D_IN {
-                    expect[r * D_IN + i] += g * w1[i * H + n];
+                    expect[r * D_IN + i] += g * w1t[n * D_IN + i];
                 }
             }
         }
@@ -710,13 +644,15 @@ mod tests {
         let width = set.active_neurons();
         let x = randn_vec(ROWS * D_IN, 1.0, 16);
         let dz = randn_vec(ROWS * width, 1.0, 17);
-        let mut dw1 = ColMajorWeights::zeros(D_IN, H);
+        let mut dw1t = vec![0.0; H * D_IN];
         let mut dbias = vec![0.0f32; H];
-        fc1_grad_weights(&x, &dz, ROWS, D_IN, &set, dw1.raw_mut(), Some(&mut dbias));
+        fc1_grad_weights(&x, &dz, ROWS, D_IN, &set, &mut dw1t);
+        fc1_grad_bias(&dz, &set, &mut dbias);
+        let slab = |n: usize| &dw1t[n * D_IN..(n + 1) * D_IN];
         #[allow(clippy::needless_range_loop)]
         for n in 0..H {
             let in_active = (8..12).contains(&n);
-            let col_nonzero = dw1.col(n).iter().any(|&v| v != 0.0);
+            let col_nonzero = slab(n).iter().any(|&v| v != 0.0);
             assert_eq!(col_nonzero, in_active, "neuron {n}");
             assert_eq!(dbias[n] != 0.0, in_active, "bias {n}");
         }
@@ -730,7 +666,7 @@ mod tests {
                 expect[i] += g * x[r * D_IN + i];
             }
         }
-        assert_close(dw1.col(n), &expect, 1e-4);
+        assert_close(slab(n), &expect, 1e-4);
 
         let dy = randn_vec(ROWS * D_OUT, 1.0, 18);
         let a = randn_vec(ROWS * width, 1.0, 19);
@@ -791,7 +727,7 @@ mod tests {
             assert_close(&y[r * D_OUT..(r + 1) * D_OUT], &bias, 1e-6);
         }
         let mut dw1 = vec![0.0; H * D_IN];
-        fc1_grad_weights(&x, &[], ROWS, D_IN, &set, &mut dw1, None);
+        fc1_grad_weights(&x, &[], ROWS, D_IN, &set, &mut dw1);
         assert!(dw1.iter().all(|&v| v == 0.0));
     }
 }

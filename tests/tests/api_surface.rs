@@ -493,3 +493,43 @@ fn environment_knobs_stay_four() {
         );
     }
 }
+
+#[test]
+fn one_lora_implementation() {
+    // The one-LoRA contract: `lx_model::linear::Lora` owns the rank-r
+    // forward, backward (dense and neuron-sparse) and the merge fold for
+    // every attach site. A second pair type would fork the math again.
+    // Needles assembled here so this file does not match itself.
+    let needle = format!("struct {}", "Lora");
+    let mut defs = Vec::new();
+    for file in rust_files("crates") {
+        let rel = file
+            .strip_prefix(repo_root())
+            .unwrap()
+            .display()
+            .to_string();
+        if !rel.contains("/src/") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for (at, _) in src.match_indices(&needle) {
+            // Whole word only: `struct LoraTargets` is configuration.
+            let rest = &src[at + needle.len()..];
+            if !rest.starts_with(|c: char| c.is_alphanumeric() || c == '_') {
+                defs.push(rel.clone());
+            }
+        }
+    }
+    assert_eq!(
+        defs,
+        ["crates/model/src/linear.rs"],
+        "struct Lora definitions"
+    );
+    let snapshot = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(BASELINE))
+        .expect("API baseline");
+    let retired = format!("{}{}", "Mlp", "Lora");
+    assert!(
+        !snapshot.contains(&retired),
+        "{retired} resurfaced in the public API"
+    );
+}

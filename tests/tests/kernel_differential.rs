@@ -22,7 +22,7 @@ use lx_kernels::{
 };
 use lx_parallel::ThreadPool;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
-use lx_sparse::neuron::{fc1_forward, fc2_forward, ColMajorWeights, NeuronBlockSet};
+use lx_sparse::neuron::{fc1_forward, fc2_forward, NeuronBlockSet};
 use lx_sparse::patterns::PatternSpec;
 use lx_sparse::BlockCsr;
 use lx_tensor::rng::randn_vec;
@@ -1057,16 +1057,15 @@ fn neuron_mlp_matches_oracle_at_packing_widths() {
     let set = NeuronBlockSet::from_indices(vec![0, 2, 3, 7], h / block, block);
     let width = set.active_neurons();
     let x = randn_vec(rows * d_in, 1.0, 41);
-    let w1 = randn_vec(d_in * h, 0.2, 42);
-    let cm = ColMajorWeights::from_row_major(&w1, d_in, h);
+    let w1t = randn_vec(h * d_in, 0.2, 42); // neuron-major: row n is neuron n
     let mut z = vec![0.0; rows * width];
-    fc1_forward(&x, rows, cm.raw(), d_in, None, &set, &mut z);
+    fc1_forward(&x, rows, &w1t, d_in, None, &set, &mut z);
     for r in 0..rows {
         for (ai, &blk) in set.active.iter().enumerate() {
             for t in 0..block {
                 let neuron = blk as usize * block + t;
                 let expect: f32 = (0..d_in)
-                    .map(|i| x[r * d_in + i] * w1[i * h + neuron])
+                    .map(|i| x[r * d_in + i] * w1t[neuron * d_in + i])
                     .sum();
                 let got = z[r * width + ai * block + t];
                 assert!(

@@ -91,6 +91,7 @@ fn train_run(scenario: Scenario, pooled: bool, steps: usize) -> (Vec<f32>, Vec<V
             for block in &mut model.blocks {
                 block.attn.wq.attach_lora(4, 8.0, 31);
                 block.mlp.attach_lora_fc1(4, 8.0, 33);
+                block.mlp.attach_lora_fc2(4, 8.0, 34);
             }
             model.set_precision(Precision::F16Frozen);
         }
@@ -159,6 +160,7 @@ fn allocs_after_warmup(scenario: Scenario, warmup: usize, steps: usize) -> usize
             for block in &mut model.blocks {
                 block.attn.wq.attach_lora(4, 8.0, 31);
                 block.mlp.attach_lora_fc1(4, 8.0, 33);
+                block.mlp.attach_lora_fc2(4, 8.0, 34);
             }
             model.set_precision(Precision::F16Frozen);
         }
