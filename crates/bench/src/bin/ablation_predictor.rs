@@ -6,7 +6,7 @@
 //! accuracy under drifting inputs (§V-B).
 
 use long_exposure::exposer::Exposer;
-use long_exposure::predictor::{pool_blocks, AttnPredictor, AttnSample};
+use long_exposure::predictor::{draw_noise, pool_blocks, AttnPredictor, AttnSample};
 use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
@@ -44,11 +44,11 @@ fn main() {
     });
     // Full resolution: predict at block 1 granularity (s×s score estimate),
     // then coarsen — what a naive flattened predictor would pay.
+    let heads: Vec<(Tensor, Tensor)> = (0..cfg.n_heads).map(|h| pred.head(h)).collect();
     let t_full = time_it(&mut || {
         let pooled = pool_blocks(&x, batch, seq, 1); // no pooling
         for sample in &pooled {
-            for h in 0..cfg.n_heads {
-                let (wq, wk) = &pred.heads[h];
+            for (wq, wk) in &heads {
                 let q = matmul(sample, wq, Layout::Normal, Epilogue::None);
                 let k = matmul(sample, wk, Layout::Normal, Epilogue::None);
                 let s_hat = matmul(&q, &k, Layout::Transposed, Epilogue::None);
@@ -112,7 +112,9 @@ fn main() {
         let mut p = AttnPredictor::new(cfg.d_model, cfg.n_heads, 8, 7);
         p.set_distance_slopes(lx_model::mha::alibi_slopes(cfg.n_heads), SIM_BLOCK);
         for e in 0..120 {
-            p.train_epoch(&samples, 0.5, noise, pos_weight, e);
+            let lens = samples.iter().map(|s| s.pooled.len());
+            let noise = draw_noise(lens, noise, |si| e + si as u64);
+            p.train_epoch(&samples, &noise, 0.5, pos_weight);
         }
         let (r, pr) = p.evaluate(&samples);
         row(&[

@@ -107,10 +107,10 @@ impl CheckpointMeta {
         // Plausibility bounds: these drive allocations in `load_predictors`
         // *before* any payload check, so a corrupt header must fail here
         // rather than abort on a multi-gigabyte Vec. Individual fields are
-        // not enough — the allocations are *products* of fields
-        // (`AttnPredictor::new` builds n_heads pairs of [d_model, rank]
-        // tensors per layer, `MlpPredictor::new` a [d_model, mlp_blocks]
-        // tensor), so bound the total element count a load would allocate.
+        // not enough — the allocations are *products* of fields (a layer
+        // loads two [d_model, n_heads·rank] attention matrices and one
+        // [d_model, mlp_blocks] MLP matrix), so bound the total element count
+        // a load would allocate.
         const MAX_DIM: usize = 1 << 20;
         for f in Self::FIELDS {
             let v = meta.field(f);
@@ -148,10 +148,14 @@ pub fn save_predictors(
     let meta_json = meta.to_json();
     buf.put_u32_le(meta_json.len() as u32);
     buf.put_slice(&meta_json);
+    // Per-head `[d, r]` projections and a `[d, n_blk]` MLP matrix: the
+    // layout predates the stacked heads and the neuron-major `wa`, and stays
+    // so that every checkpoint written since still loads.
     for layer in attn {
-        for (wq, wk) in &layer.heads {
-            put_tensor(&mut buf, wq);
-            put_tensor(&mut buf, wk);
+        for h in 0..layer.n_heads() {
+            let (wq, wk) = layer.head(h);
+            put_tensor(&mut buf, &wq);
+            put_tensor(&mut buf, &wk);
         }
         for &s in &layer.distance_slopes {
             buf.put_f32_le(s);
@@ -161,7 +165,7 @@ pub fn save_predictors(
         }
     }
     for layer in mlp {
-        put_tensor(&mut buf, &layer.wa);
+        put_tensor(&mut buf, &layer.wa.transposed_2d());
     }
     buf.freeze()
 }
@@ -186,12 +190,13 @@ pub fn load_predictors(
     let meta = CheckpointMeta::from_json(&meta_bytes).map_err(|e| format!("bad metadata: {e}"))?;
     let mut attn = Vec::with_capacity(meta.n_layers);
     for l in 0..meta.n_layers {
-        let mut p = AttnPredictor::new(meta.d_model, meta.n_heads, meta.rank, 0);
+        let mut p = AttnPredictor::zeros(meta.d_model, meta.n_heads, meta.rank);
         for h in 0..meta.n_heads {
-            p.heads[h].0 = get_tensor(&mut data, &[meta.d_model, meta.rank])
+            let wq = get_tensor(&mut data, &[meta.d_model, meta.rank])
                 .ok_or_else(|| format!("truncated wq layer {l} head {h}"))?;
-            p.heads[h].1 = get_tensor(&mut data, &[meta.d_model, meta.rank])
+            let wk = get_tensor(&mut data, &[meta.d_model, meta.rank])
                 .ok_or_else(|| format!("truncated wk layer {l} head {h}"))?;
+            p.set_head(h, &wq, &wk);
         }
         let mut slopes = Vec::with_capacity(meta.n_heads);
         for _ in 0..meta.n_heads {
@@ -211,15 +216,13 @@ pub fn load_predictors(
     }
     let mut mlp = Vec::with_capacity(meta.n_layers);
     for l in 0..meta.n_layers {
-        let mut p = MlpPredictor::new(
-            meta.d_model,
-            meta.mlp_blocks * meta.block_size,
-            meta.block_size,
-            0,
-        );
-        p.wa = get_tensor(&mut data, &[meta.d_model, meta.mlp_blocks])
+        let wa = get_tensor(&mut data, &[meta.d_model, meta.mlp_blocks])
             .ok_or_else(|| format!("truncated wa layer {l}"))?;
-        mlp.push(p);
+        mlp.push(MlpPredictor {
+            wa: wa.transposed_2d(),
+            block_size: meta.block_size,
+            n_blocks: meta.mlp_blocks,
+        });
     }
     if data.has_remaining() {
         return Err(format!("{} trailing bytes", data.remaining()));
@@ -283,10 +286,8 @@ mod tests {
         let (meta2, attn2, mlp2) = load_predictors(bytes).expect("load");
         assert_eq!(meta, meta2);
         for (a, b) in attn.iter().zip(&attn2) {
-            for ((wq, wk), (wq2, wk2)) in a.heads.iter().zip(&b.heads) {
-                assert_eq!(wq.as_slice(), wq2.as_slice());
-                assert_eq!(wk.as_slice(), wk2.as_slice());
-            }
+            assert_eq!(a.wq.as_slice(), b.wq.as_slice());
+            assert_eq!(a.wk.as_slice(), b.wk.as_slice());
             assert_eq!(a.distance_slopes, b.distance_slopes);
             assert_eq!(a.bias, b.bias);
             assert_eq!(a.block_size, b.block_size);
@@ -294,6 +295,65 @@ mod tests {
         for (a, b) in mlp.iter().zip(&mlp2) {
             assert_eq!(a.wa.as_slice(), b.wa.as_slice());
         }
+    }
+
+    #[test]
+    fn per_head_layout_loads_into_stacked_storage_and_resaves_identically() {
+        // Written field by field in the per-head layout: per layer, head h's
+        // wq [d, r] then its wk, then the slopes, then the biases; after
+        // every layer, each layer's wa as [d, n_blk].
+        let meta = sample().0;
+        let (d, r, heads, n_blk) = (meta.d_model, meta.rank, meta.n_heads, meta.mlp_blocks);
+        let value = |l: usize, what: usize, h: usize, i: usize| {
+            (1000 * l + 100 * what + 10 * h) as f32 + i as f32 / 64.0
+        };
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(meta.to_json().len() as u32);
+        buf.put_slice(&meta.to_json());
+        for l in 0..meta.n_layers {
+            for h in 0..heads {
+                for what in 0..2 {
+                    buf.put_u32_le((d * r) as u32);
+                    for i in 0..d * r {
+                        buf.put_f32_le(value(l, what, h, i));
+                    }
+                }
+            }
+            for h in 0..heads {
+                buf.put_f32_le(0.5 / (h + 1) as f32);
+            }
+            for h in 0..heads {
+                buf.put_f32_le(-0.25 * h as f32);
+            }
+        }
+        for l in 0..meta.n_layers {
+            buf.put_u32_le((d * n_blk) as u32);
+            for i in 0..d * n_blk {
+                buf.put_f32_le(value(l, 2, 0, i));
+            }
+        }
+        let raw = buf.freeze();
+        let (meta2, attn, mlp) = load_predictors(raw.clone()).expect("load");
+        assert_eq!(meta2, meta);
+        for (l, p) in attn.iter().enumerate() {
+            assert_eq!(p.wq.shape(), &[d, heads * r]);
+            for (h, i, c) in
+                (0..heads).flat_map(|h| (0..d).flat_map(move |i| (0..r).map(move |c| (h, i, c))))
+            {
+                assert_eq!(p.wq.row(i)[h * r + c], value(l, 0, h, i * r + c));
+                assert_eq!(p.wk.row(i)[h * r + c], value(l, 1, h, i * r + c));
+            }
+            assert_eq!(p.distance_slopes, [0.5, 0.25]);
+            assert_eq!(p.bias, [0.0, -0.25]);
+        }
+        for (l, p) in mlp.iter().enumerate() {
+            assert_eq!(p.wa.shape(), &[n_blk, d]);
+            for (b, i) in (0..n_blk).flat_map(|b| (0..d).map(move |i| (b, i))) {
+                assert_eq!(p.wa.row(b)[i], value(l, 2, 0, i * n_blk + b));
+            }
+        }
+        assert_eq!(save_predictors(&meta2, &attn, &mlp), raw);
     }
 
     #[test]

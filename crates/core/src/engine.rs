@@ -17,7 +17,7 @@ use crate::policy::{
     DensePolicy, OraclePolicy, PlanRefreshConfig, PlanReuseStats, PredictedPolicy, RandomPolicy,
     RandomTarget, SparsityPolicy,
 };
-use crate::predictor::{pool_blocks, AttnSample, MlpSample};
+use crate::predictor::{draw_noise, pool_blocks, AttnSample, MlpSample};
 use lx_model::{
     Activation, CaptureConfig, MicroBatch, Optimizer, PrepareHook, StepOutcome, StepRequest,
     TransformerModel,
@@ -272,8 +272,73 @@ impl FinetuneEngine {
 
     /// Offline phase: dense capture passes on `batches` (each
     /// `(ids, batch, seq)`), exposer targets, predictor training.
+    ///
+    /// Training runs epoch-major: each epoch draws every sample's
+    /// augmentation noise once and trains every layer's predictors on it.
+    /// Layers are independent and their sample shapes agree, so each layer
+    /// sees exactly the updates, in exactly the order, of a layer-by-layer
+    /// loop drawing its own copy of the same noise.
     pub fn calibrate(&mut self, batches: &[(Vec<u32>, usize, usize)]) -> CalibrationReport {
         let _span = lx_obs::Span::enter("engine.calibrate").cat("engine");
+        let (attn_samples, mlp_samples) = {
+            let _span = lx_obs::Span::enter("engine.calibrate.capture").cat("engine");
+            self.calibration_samples(batches)
+        };
+        {
+            let _span = lx_obs::Span::enter("engine.calibrate.train").cat("engine");
+            let (lr, pos_weight) = (self.config.predictor_lr, self.config.pos_weight);
+            let (seed, std) = (self.config.seed, self.config.noise_std);
+            // Every layer's samples have layer 0's shapes.
+            let attn_lens = attn_samples.first().into_iter().flatten();
+            let attn_lens: Vec<usize> = attn_lens.map(|s| s.pooled.len()).collect();
+            let mlp_lens = mlp_samples.first().into_iter().flatten();
+            let mlp_lens: Vec<usize> = mlp_lens.map(|s| s.x.len()).collect();
+            for e in 0..self.config.calib_epochs as u64 {
+                // These seeds repeat across (epoch, sample) pairs: attention
+                // sample si+1 of epoch e draws what sample si draws in epoch
+                // e+1, and an MLP sample repeats the draw of the sample 31
+                // epochs away. Changing them moves every calibrated weight
+                // (and the benchmark's final loss), so they stay as they are.
+                let attn_noise =
+                    draw_noise(attn_lens.iter().copied(), std, |si| seed + e + si as u64);
+                let mlp_noise = draw_noise(mlp_lens.iter().copied(), std, |si| {
+                    seed + 1000 + e + 31 * si as u64
+                });
+                let predictors = self.predicted.attn.iter_mut().zip(&mut self.predicted.mlp);
+                let samples = attn_samples.iter().zip(&mlp_samples);
+                for ((attn, mlp), (attn_layer, mlp_layer)) in predictors.zip(samples) {
+                    attn.train_epoch(attn_layer, &attn_noise, lr, pos_weight);
+                    mlp.train_epoch(mlp_layer, &mlp_noise, lr, pos_weight);
+                }
+            }
+        }
+        let _span = lx_obs::Span::enter("engine.calibrate.evaluate").cat("engine");
+        let mut report = CalibrationReport::default();
+        for (l, (attn, mlp)) in attn_samples.iter().zip(&mlp_samples).enumerate() {
+            if !attn.is_empty() {
+                let (r, p) = self.predicted.attn[l].evaluate(attn);
+                report.attn_recall.push(r);
+                report.attn_precision.push(p);
+            }
+            if !mlp.is_empty() {
+                let (r, p) = self.predicted.mlp[l].evaluate(mlp);
+                report.mlp_recall.push(r);
+                report.mlp_precision.push(p);
+            }
+        }
+        self.calibrated = true;
+        // The predictors just changed under the policy; a cached plan from
+        // the pre-calibration predictors must not be replayed.
+        self.predicted.invalidate_plan_cache();
+        report
+    }
+
+    /// Dense capture passes on `batches` and the exposer's targets: each
+    /// layer's attention and MLP predictor samples, one per batch element.
+    fn calibration_samples(
+        &mut self,
+        batches: &[(Vec<u32>, usize, usize)],
+    ) -> (Vec<Vec<AttnSample>>, Vec<Vec<MlpSample>>) {
         let exposer = Exposer::new(
             self.config.block_size,
             self.config.attn_prob_threshold,
@@ -339,48 +404,7 @@ impl FinetuneEngine {
                 }
             }
         }
-        // Train predictors.
-        for l in 0..n_layers {
-            for e in 0..self.config.calib_epochs {
-                if !attn_samples[l].is_empty() {
-                    self.predicted.attn[l].train_epoch(
-                        &attn_samples[l],
-                        self.config.predictor_lr,
-                        self.config.noise_std,
-                        self.config.pos_weight,
-                        self.config.seed + e as u64,
-                    );
-                }
-                if !mlp_samples[l].is_empty() {
-                    self.predicted.mlp[l].train_epoch(
-                        &mlp_samples[l],
-                        self.config.predictor_lr,
-                        self.config.noise_std,
-                        self.config.pos_weight,
-                        self.config.seed + 1000 + e as u64,
-                    );
-                }
-            }
-        }
-        // Evaluate.
-        let mut report = CalibrationReport::default();
-        for l in 0..n_layers {
-            if !attn_samples[l].is_empty() {
-                let (r, p) = self.predicted.attn[l].evaluate(&attn_samples[l]);
-                report.attn_recall.push(r);
-                report.attn_precision.push(p);
-            }
-            if !mlp_samples[l].is_empty() {
-                let (r, p) = self.predicted.mlp[l].evaluate(&mlp_samples[l]);
-                report.mlp_recall.push(r);
-                report.mlp_precision.push(p);
-            }
-        }
-        self.calibrated = true;
-        // The predictors just changed under the policy; a cached plan from
-        // the pre-calibration predictors must not be replayed.
-        self.predicted.invalidate_plan_cache();
-        report
+        (attn_samples, mlp_samples)
     }
 
     /// One timed training step in the given mode.
@@ -713,6 +737,36 @@ mod tests {
             report.mean_mlp_recall() > 0.7,
             "mlp recall {}",
             report.mean_mlp_recall()
+        );
+    }
+
+    #[test]
+    fn epoch_major_calibration_matches_the_layer_major_loop_bitwise() {
+        let batches = [batch(1), batch(2)];
+        let mut epoch_major = small_engine();
+        epoch_major.calibrate(&batches);
+        // The loop calibration ran before: layer by layer, each layer drawing
+        // its own copy of every epoch's noise.
+        let mut layer_major = small_engine();
+        let (attn, mlp) = layer_major.calibration_samples(&batches);
+        let c = layer_major.config.clone();
+        for l in 0..layer_major.model.config.n_layers {
+            for e in 0..c.calib_epochs as u64 {
+                let lens = attn[l].iter().map(|s| s.pooled.len());
+                let noise = draw_noise(lens, c.noise_std, |si| c.seed + e + si as u64);
+                let pred = &mut layer_major.predicted.attn[l];
+                pred.train_epoch(&attn[l], &noise, c.predictor_lr, c.pos_weight);
+                let lens = mlp[l].iter().map(|s| s.x.len());
+                let seed = |si: usize| c.seed + 1000 + e + 31 * si as u64;
+                let noise = draw_noise(lens, c.noise_std, seed);
+                let pred = &mut layer_major.predicted.mlp[l];
+                pred.train_epoch(&mlp[l], &noise, c.predictor_lr, c.pos_weight);
+            }
+        }
+        assert!(!attn[0].is_empty() && !mlp[0].is_empty());
+        assert_eq!(
+            epoch_major.export_predictors(),
+            layer_major.export_predictors()
         );
     }
 

@@ -13,15 +13,27 @@
 //! loss** — a false negative (an important block predicted inactive) costs
 //! `pos_weight ×` more than a false positive, because dropped-but-needed
 //! computation harms accuracy while extra computation only costs time.
+//!
+//! Both predictors are laid out for whole-matrix products: the attention
+//! predictor stacks its heads side by side (`Ŵq, Ŵk: [d, H·r]`), so one
+//! product per sample projects every head; the MLP predictor stores `Ŵa`
+//! neuron-major (`[n_blk, d]`), so each block's logits over the sequence are
+//! one contiguous row for the vector log-sum-exp of stage two.
 
 use lx_sparse::{BlockMask, NeuronBlockSet};
 use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
-use lx_tensor::rng;
-use lx_tensor::Tensor;
+use lx_tensor::{ops, rng, Tensor};
 
 #[inline]
 fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
+}
+
+/// One recall-weighted binary cross-entropy term: `−w·(t·ln p + (1−t)·ln(1−p))`.
+#[inline]
+fn weighted_bce(p: f32, t: f32, w: f32) -> f64 {
+    let eps = 1e-7f32;
+    -(w * (t * (p + eps).ln() + (1.0 - t) * (1.0 - p + eps).ln())) as f64
 }
 
 /// Mean-pool each block of `block` consecutive tokens: `[B·S, d] → per-batch
@@ -50,6 +62,56 @@ pub fn pool_blocks(x: &Tensor, batch: usize, seq: usize, block: usize) -> Vec<Te
         .collect()
 }
 
+/// One epoch's augmentation noise: buffer `si` holds `lens[si]` draws of
+/// N(0, std²) from seed `seed(si)`. Empty when `std` is not positive, and
+/// training then runs on the clean inputs. Every layer trains on the same
+/// draw, so calibration makes it once per epoch, not once per layer.
+pub fn draw_noise(
+    lens: impl IntoIterator<Item = usize>,
+    std: f32,
+    seed: impl Fn(usize) -> u64,
+) -> Vec<Vec<f32>> {
+    if std > 0.0 {
+        let draws = lens.into_iter().enumerate();
+        draws
+            .map(|(si, len)| rng::randn_vec(len, std, seed(si)))
+            .collect()
+    } else {
+        Vec::new()
+    }
+}
+
+/// Sample `si` of a training pass plus its drawn noise (`noise` is empty or
+/// holds one buffer per sample; see [`draw_noise`]).
+fn with_noise(x: &Tensor, noise: &[Vec<f32>], si: usize) -> Tensor {
+    let mut noisy = x.clone();
+    if let Some(noise) = noise.get(si) {
+        assert_eq!(noise.len(), noisy.len(), "noise shaped like sample {si}");
+        for (v, n) in noisy.as_mut_slice().iter_mut().zip(noise) {
+            *v += n;
+        }
+    }
+    noisy
+}
+
+/// Columns `h·r..(h+1)·r` of a head-stacked `[rows, H·r]` matrix, contiguous.
+fn head_cols(stacked: &Tensor, h: usize, r: usize) -> Tensor {
+    let mut part = Tensor::scratch(&[stacked.rows(), r]);
+    for i in 0..stacked.rows() {
+        part.row_mut(i)
+            .copy_from_slice(&stacked.row(i)[h * r..(h + 1) * r]);
+    }
+    part
+}
+
+/// Write `part` (`[rows, r]`) into head `h`'s columns of a stacked matrix.
+fn put_head_cols(stacked: &mut Tensor, h: usize, part: &Tensor) {
+    let r = part.cols();
+    for i in 0..part.rows() {
+        stacked.row_mut(i)[h * r..(h + 1) * r].copy_from_slice(part.row(i));
+    }
+}
+
 /// One calibration sample for the attention predictor of a layer:
 /// the pooled block input and the per-head important-block masks.
 pub struct AttnSample {
@@ -65,7 +127,11 @@ pub struct AttnSample {
 /// attention scores, and the static part of those scores need not be
 /// learned — only the content-dependent residual does.
 pub struct AttnPredictor {
-    pub heads: Vec<(Tensor, Tensor)>, // (wq [d,r], wk [d,r])
+    /// Every head's query projection side by side: head `h` is columns
+    /// `h·r..(h+1)·r` of `[d, H·r]`.
+    pub wq: Tensor,
+    /// Key projections, stacked like `wq`.
+    pub wk: Tensor,
     pub rank: usize,
     /// Per-head positional penalty per *token* of distance (0 = none).
     pub distance_slopes: Vec<f32>,
@@ -76,19 +142,46 @@ pub struct AttnPredictor {
     pub bias: Vec<f32>,
 }
 
+/// One head's forward on one pooled sample: its `[n, r]` slices of the
+/// stacked projections and its raw `n×n` block logits.
+struct HeadForward {
+    q: Tensor,
+    k: Tensor,
+    logits: Tensor,
+}
+
+/// One sample's recall-weighted BCE over every head's causal blocks and its
+/// gradients: what one SGD step of [`AttnPredictor::train_epoch`] applies.
+pub struct AttnGrads {
+    /// `[d, H·r]`, stacked like [`AttnPredictor::wq`].
+    pub dwq: Tensor,
+    pub dwk: Tensor,
+    pub dbias: Vec<f32>,
+    /// Sum of the weighted BCE terms, and how many there were.
+    pub loss: f64,
+    pub count: usize,
+}
+
 impl AttnPredictor {
     pub fn new(d_model: usize, n_heads: usize, rank: usize, seed: u64) -> Self {
-        let heads = (0..n_heads)
-            .map(|h| {
-                let s = seed.wrapping_add(h as u64 * 7919);
-                (
-                    Tensor::randn(&[d_model, rank], 0.2, s),
-                    Tensor::randn(&[d_model, rank], 0.2, s + 1),
-                )
-            })
-            .collect();
+        let mut p = Self::zeros(d_model, n_heads, rank);
+        for h in 0..n_heads {
+            let s = seed.wrapping_add(h as u64 * 7919);
+            p.set_head(
+                h,
+                &Tensor::randn(&[d_model, rank], 0.2, s),
+                &Tensor::randn(&[d_model, rank], 0.2, s + 1),
+            );
+        }
+        p
+    }
+
+    /// All-zero projections and biases, no distance penalty: the shell a
+    /// checkpoint load fills in.
+    pub(crate) fn zeros(d_model: usize, n_heads: usize, rank: usize) -> Self {
         AttnPredictor {
-            heads,
+            wq: Tensor::zeros(&[d_model, n_heads * rank]),
+            wk: Tensor::zeros(&[d_model, n_heads * rank]),
             rank,
             distance_slopes: vec![0.0; n_heads],
             block_size: 1,
@@ -96,31 +189,61 @@ impl AttnPredictor {
         }
     }
 
+    pub fn n_heads(&self) -> usize {
+        self.bias.len()
+    }
+
+    /// Head `h`'s `(wq, wk)`, each `[d, r]`: the checkpoint's layout.
+    pub fn head(&self, h: usize) -> (Tensor, Tensor) {
+        (
+            head_cols(&self.wq, h, self.rank),
+            head_cols(&self.wk, h, self.rank),
+        )
+    }
+
+    /// Overwrite head `h`'s `[d, r]` projections.
+    pub fn set_head(&mut self, h: usize, wq: &Tensor, wk: &Tensor) {
+        put_head_cols(&mut self.wq, h, wq);
+        put_head_cols(&mut self.wk, h, wk);
+    }
+
     /// Install the model's known positional score slopes.
     pub fn set_distance_slopes(&mut self, slopes: Vec<f32>, block_size: usize) {
-        assert_eq!(slopes.len(), self.heads.len());
+        assert_eq!(slopes.len(), self.n_heads());
         self.distance_slopes = slopes;
         self.block_size = block_size;
     }
 
-    /// Raw block logits for one pooled sample and one head (`n×n`).
-    fn head_logits(&self, pooled: &Tensor, head: usize) -> Tensor {
-        let (wq, wk) = &self.heads[head];
-        let q = matmul(pooled, wq, Layout::Normal, Epilogue::None);
-        let k = matmul(pooled, wk, Layout::Normal, Epilogue::None);
-        let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None);
-        let slope = self.distance_slopes[head] * self.block_size as f32;
-        let bias = self.bias[head];
-        let n = logits.rows();
-        for i in 0..n {
-            for j in 0..=i {
-                logits.row_mut(i)[j] += bias;
-                if slope != 0.0 && j < i {
-                    logits.row_mut(i)[j] -= slope * (i - j) as f32;
+    /// Every head's forward on one pooled sample: `Q̂ = X̂·Ŵq` and
+    /// `K̂ = X̂·Ŵk` are one product each for all heads; each head's logits
+    /// are then its own `n×r·r×n` product plus bias and distance penalty.
+    fn forward(&self, pooled: &Tensor) -> Vec<HeadForward> {
+        let q_all = matmul(pooled, &self.wq, Layout::Normal, Epilogue::None); // [n, H·r]
+        let k_all = matmul(pooled, &self.wk, Layout::Normal, Epilogue::None);
+        let n = pooled.rows();
+        (0..self.n_heads())
+            .map(|h| {
+                let q = head_cols(&q_all, h, self.rank);
+                let k = head_cols(&k_all, h, self.rank);
+                let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None);
+                let slope = self.distance_slopes[h] * self.block_size as f32;
+                let bias = self.bias[h];
+                for i in 0..n {
+                    for j in 0..=i {
+                        logits.row_mut(i)[j] += bias;
+                        if slope != 0.0 && j < i {
+                            logits.row_mut(i)[j] -= slope * (i - j) as f32;
+                        }
+                    }
                 }
-            }
-        }
-        logits
+                HeadForward { q, k, logits }
+            })
+            .collect()
+    }
+
+    /// Raw block logits of every head for one pooled sample (`n×n` each).
+    pub fn logits(&self, pooled: &Tensor) -> Vec<Tensor> {
+        self.forward(pooled).into_iter().map(|h| h.logits).collect()
     }
 
     /// Predict per-head block masks for a (possibly multi-sample) batch.
@@ -135,10 +258,9 @@ impl AttnPredictor {
     ) -> Vec<BlockMask> {
         let pooled = pool_blocks(x, batch, seq, block);
         let n = seq / block;
-        let mut masks = vec![BlockMask::square(n); self.heads.len()];
+        let mut masks = vec![BlockMask::square(n); self.n_heads()];
         for sample in &pooled {
-            for (h, mask) in masks.iter_mut().enumerate() {
-                let logits = self.head_logits(sample, h);
+            for (mask, logits) in masks.iter_mut().zip(self.logits(sample)) {
                 for i in 0..n {
                     for j in 0..=i {
                         if logits.row(i)[j] >= 0.0 {
@@ -156,87 +278,79 @@ impl AttnPredictor {
         masks
     }
 
-    /// One SGD pass over the samples with noise augmentation and
-    /// recall-weighted BCE. Returns the mean loss.
+    /// Recall-weighted BCE of one (already noised) pooled sample against
+    /// its per-head targets, and its gradients. Per head, on causal blocks,
+    /// `dL/dlogit = w·(σ − t)/m`; the weights are normalised by their mean
+    /// so the step size stays stable regardless of `pos_weight` (only the
+    /// pos/neg *ratio* matters for the recall-vs-precision trade). Then
+    /// `dŴq = X̂ᵀ·(dL·K̂)` and `dŴk = X̂ᵀ·(dLᵀ·Q̂)` are one product each for
+    /// all heads, and `dbias = Σ dL`.
+    pub fn gradients(&self, x: &Tensor, targets: &[BlockMask], pos_weight: f32) -> AttnGrads {
+        let n = x.rows();
+        let m = (n * (n + 1) / 2) as f32;
+        let width = self.n_heads() * self.rank;
+        let mut dq_all = Tensor::scratch(&[n, width]);
+        let mut dk_all = Tensor::scratch(&[n, width]);
+        let mut dbias = Vec::with_capacity(self.n_heads());
+        let mut loss = 0.0f64;
+        for (h, HeadForward { q, k, logits }) in self.forward(x).into_iter().enumerate() {
+            let target = |i: usize, j: usize| if targets[h].get(i, j) { 1.0 } else { 0.0 };
+            let mut weight_sum = 0.0f32;
+            for i in 0..n {
+                for j in 0..=i {
+                    weight_sum += if target(i, j) > 0.5 { pos_weight } else { 1.0 };
+                }
+            }
+            let mean_w = (weight_sum / m).max(1e-6);
+            let mut dlogits = Tensor::zeros(&[n, n]);
+            for i in 0..n {
+                for j in 0..=i {
+                    let t = target(i, j);
+                    let p = sigmoid(logits.row(i)[j]);
+                    let w = (if t > 0.5 { pos_weight } else { 1.0 }) / mean_w;
+                    loss += weighted_bce(p, t, w);
+                    dlogits.row_mut(i)[j] = w * (p - t) / m;
+                }
+            }
+            put_head_cols(
+                &mut dq_all,
+                h,
+                &matmul(&dlogits, &k, Layout::Normal, Epilogue::None),
+            );
+            put_head_cols(&mut dk_all, h, &matmul_tn(&dlogits, &q));
+            dbias.push(dlogits.sum());
+        }
+        AttnGrads {
+            dwq: matmul_tn(x, &dq_all),
+            dwk: matmul_tn(x, &dk_all),
+            dbias,
+            loss,
+            count: self.n_heads() * n * (n + 1) / 2,
+        }
+    }
+
+    /// One SGD pass over the samples with recall-weighted BCE, sample `si`
+    /// shifted by `noise[si]` (noise augmentation; `noise` empty trains on
+    /// the clean inputs). Returns the mean loss.
     pub fn train_epoch(
         &mut self,
         samples: &[AttnSample],
+        noise: &[Vec<f32>],
         lr: f32,
-        noise_std: f32,
         pos_weight: f32,
-        seed: u64,
     ) -> f32 {
-        let mut total_loss = 0.0f64;
-        let mut count = 0usize;
+        assert!(noise.is_empty() || noise.len() == samples.len());
+        let (mut total_loss, mut count) = (0.0f64, 0usize);
         for (si, sample) in samples.iter().enumerate() {
-            let mut noisy = sample.pooled.clone();
-            if noise_std > 0.0 {
-                let noise = rng::randn_vec(noisy.len(), noise_std, seed + si as u64);
-                for (v, n) in noisy.as_mut_slice().iter_mut().zip(noise) {
-                    *v += n;
-                }
+            let noisy = with_noise(&sample.pooled, noise, si);
+            let g = self.gradients(&noisy, &sample.targets, pos_weight);
+            self.wq.axpy(-lr, &g.dwq);
+            self.wk.axpy(-lr, &g.dwk);
+            for (b, db) in self.bias.iter_mut().zip(&g.dbias) {
+                *b -= lr * db;
             }
-            let n = noisy.rows();
-            for h in 0..self.heads.len() {
-                let (wq, wk) = &self.heads[h];
-                let q = matmul(&noisy, wq, Layout::Normal, Epilogue::None); // [n, r]
-                let k = matmul(&noisy, wk, Layout::Normal, Epilogue::None);
-                let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None); // [n, n]
-                let slope = self.distance_slopes[h] * self.block_size as f32;
-                let head_bias = self.bias[h];
-                for i in 0..n {
-                    for j in 0..=i {
-                        logits.row_mut(i)[j] += head_bias;
-                        if slope != 0.0 && j < i {
-                            logits.row_mut(i)[j] -= slope * (i - j) as f32;
-                        }
-                    }
-                }
-                // Weighted BCE on causal blocks; dL/dlogit = w·(σ − t)/m.
-                // Weights are normalised by their mean so the step size stays
-                // stable regardless of `pos_weight` (only the pos/neg *ratio*
-                // matters for the recall-vs-precision trade).
-                let mut dlogits = Tensor::zeros(&[n, n]);
-                let m = (n * (n + 1) / 2) as f32;
-                let mut weight_sum = 0.0f32;
-                for i in 0..n {
-                    for j in 0..=i {
-                        let t = if sample.targets[h].get(i, j) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        weight_sum += if t > 0.5 { pos_weight } else { 1.0 };
-                    }
-                }
-                let mean_w = (weight_sum / m).max(1e-6);
-                for i in 0..n {
-                    for j in 0..=i {
-                        let t = if sample.targets[h].get(i, j) {
-                            1.0
-                        } else {
-                            0.0
-                        };
-                        let p = sigmoid(logits.row(i)[j]);
-                        let w = (if t > 0.5 { pos_weight } else { 1.0 }) / mean_w;
-                        let eps = 1e-7f32;
-                        total_loss -=
-                            (w * (t * (p + eps).ln() + (1.0 - t) * (1.0 - p + eps).ln())) as f64;
-                        count += 1;
-                        dlogits.row_mut(i)[j] = w * (p - t) / m;
-                    }
-                }
-                // dWq = X̂ᵀ·(dL·K̂); dWk = X̂ᵀ·(dLᵀ·Q̂); dbias = Σ dL.
-                let dq = matmul(&dlogits, &k, Layout::Normal, Epilogue::None); // [n, r]
-                let dk = matmul_tn(&dlogits, &q); // [n, r]
-                let dwq = matmul_tn(&noisy, &dq); // [d, r]
-                let dwk = matmul_tn(&noisy, &dk);
-                let dbias: f32 = dlogits.as_slice().iter().sum();
-                let (wq, wk) = &mut self.heads[h];
-                wq.axpy(-lr, &dwq);
-                wk.axpy(-lr, &dwk);
-                self.bias[h] -= lr * dbias;
-            }
+            total_loss += g.loss;
+            count += g.count;
         }
         if count == 0 {
             0.0
@@ -251,13 +365,11 @@ impl AttnPredictor {
         let (mut tp, mut r#fn, mut fp) = (0usize, 0usize, 0usize);
         for sample in samples {
             let n = sample.pooled.rows();
-            for h in 0..self.heads.len() {
-                let logits = self.head_logits(&sample.pooled, h);
+            for (logits, target) in self.logits(&sample.pooled).iter().zip(&sample.targets) {
                 for i in 0..n {
                     for j in 0..=i {
                         let pred = logits.row(i)[j] >= 0.0 || i == j;
-                        let target = sample.targets[h].get(i, j);
-                        match (pred, target) {
+                        match (pred, target.get(i, j)) {
                             (true, true) => tp += 1,
                             (false, true) => r#fn += 1,
                             (true, false) => fp += 1,
@@ -267,18 +379,22 @@ impl AttnPredictor {
                 }
             }
         }
-        let recall = if tp + r#fn == 0 {
-            1.0
-        } else {
-            tp as f32 / (tp + r#fn) as f32
-        };
-        let precision = if tp + fp == 0 {
-            1.0
-        } else {
-            tp as f32 / (tp + fp) as f32
-        };
-        (recall, precision)
+        recall_precision(tp, r#fn, fp)
     }
+}
+
+fn recall_precision(tp: usize, r#fn: usize, fp: usize) -> (f32, f32) {
+    let recall = if tp + r#fn == 0 {
+        1.0
+    } else {
+        tp as f32 / (tp + r#fn) as f32
+    };
+    let precision = if tp + fp == 0 {
+        1.0
+    } else {
+        tp as f32 / (tp + fp) as f32
+    };
+    (recall, precision)
 }
 
 /// One calibration sample for the MLP predictor of a layer.
@@ -291,10 +407,12 @@ pub struct MlpSample {
     pub reduced: NeuronBlockSet,
 }
 
-/// Low-rank neuron-block importance predictor: `Ŝ = X·Ŵa`, reduced over the
-/// sequence by max, thresholded at logit 0.
+/// Low-rank neuron-block importance predictor: `Ŝ = X·Ŵaᵀ`, reduced over the
+/// sequence by a soft max, thresholded at logit 0.
 pub struct MlpPredictor {
-    pub wa: Tensor, // [d, n_blk]
+    /// Neuron-major `[n_blk, d]`: block `b`'s logits over a sequence are
+    /// row `b` of `Ŵa·Xᵀ`.
+    pub wa: Tensor,
     pub block_size: usize,
     pub n_blocks: usize,
 }
@@ -304,41 +422,42 @@ impl MlpPredictor {
         assert_eq!(d_ff % block_size, 0);
         let n_blocks = d_ff / block_size;
         MlpPredictor {
-            wa: Tensor::randn(&[d_model, n_blocks], 0.2, seed),
+            wa: Tensor::randn(&[d_model, n_blocks], 0.2, seed).transposed_2d(),
             block_size,
             n_blocks,
         }
     }
 
-    /// Stable log-sum-exp over rows per block — the stage-two reduction.
+    /// Block-major logits `Ŵa·Xᵀ` (`[n_blk, rows]`).
+    fn block_logits(&self, x: &Tensor) -> Tensor {
+        matmul(&self.wa, x, Layout::Transposed, Epilogue::None)
+    }
+
+    /// Stage two: every block's log-mean-exp over the rows,
+    /// `ln Σ_r exp(s_rb) − ln rows`, one vector log-sum-exp per block row.
     /// A soft max keeps training gradients flowing to every contributing
     /// row (a hard max trains only the argmax row and converges poorly).
-    fn reduce_logits(&self, logits: &Tensor) -> Vec<f32> {
-        let rows = logits.rows();
-        let mut max = vec![f32::NEG_INFINITY; self.n_blocks];
-        for r in 0..rows {
-            for (blk, &v) in logits.row(r).iter().enumerate() {
-                if v > max[blk] {
-                    max[blk] = v;
-                }
-            }
+    /// With `softmax`, the same pass writes each block row's softmax there —
+    /// `∂reduced_b/∂s_rb`, the stage-two gradient.
+    fn reduce(&self, logits: &Tensor, softmax: Option<&mut [f32]>) -> Vec<f32> {
+        let rows = logits.cols();
+        let mut lse = ops::log_sum_exp_rows(logits.as_slice(), rows, softmax);
+        let ln_rows = (rows as f32).ln();
+        for v in &mut lse {
+            *v -= ln_rows;
         }
-        let mut sum = vec![0.0f32; self.n_blocks];
-        for r in 0..rows {
-            for (blk, &v) in logits.row(r).iter().enumerate() {
-                sum[blk] += (v - max[blk]).exp();
-            }
-        }
-        (0..self.n_blocks)
-            .map(|b| max[b] + sum[b].ln() - (rows as f32).ln())
-            .collect()
+        lse
+    }
+
+    /// The stage-two reduced logit of every neuron block for a batch of rows.
+    pub fn block_scores(&self, x: &Tensor) -> Vec<f32> {
+        self.reduce(&self.block_logits(x), None)
     }
 
     /// Predict the active neuron-block set for a batch of rows (stage two:
     /// soft-max reduction over rows, then threshold at logit 0).
     pub fn predict(&self, x: &Tensor) -> NeuronBlockSet {
-        let scores = matmul(x, &self.wa, Layout::Normal, Epilogue::None); // [rows, n_blk]
-        let best = self.reduce_logits(&scores);
+        let best = self.block_scores(x);
         let mut active: Vec<u32> = best
             .iter()
             .enumerate()
@@ -356,63 +475,59 @@ impl MlpPredictor {
         NeuronBlockSet::from_indices(active, self.n_blocks, self.block_size)
     }
 
-    /// One SGD pass (noise augmentation + recall-weighted BCE per row/block).
+    /// Recall-weighted BCE per block of the reduced prediction for one
+    /// (already noised) sample against its reduced target set: the sum of
+    /// the `n_blk` loss terms and `dŴa` (`[n_blk, d]`).
+    pub fn gradients(&self, x: &Tensor, target: &NeuronBlockSet, pos_weight: f32) -> (Tensor, f64) {
+        let rows = x.rows();
+        let logits = self.block_logits(x);
+        // Stage-two reduction first: the trained statistic is the
+        // soft-max-reduced logit per block, matching `predict`. `dlogits`
+        // starts as each block row's softmax over the rows.
+        let mut dlogits = Tensor::scratch(&[self.n_blocks, rows]);
+        let reduced = self.reduce(&logits, Some(dlogits.as_mut_slice()));
+        let mut is_target = vec![false; self.n_blocks];
+        for &a in &target.active {
+            is_target[a as usize] = true;
+        }
+        let m = self.n_blocks as f32;
+        let pos = target.active.len() as f32;
+        let mean_w = ((pos * pos_weight + (m - pos)) / m).max(1e-6);
+        let mut loss = 0.0f64;
+        for (blk, &on) in is_target.iter().enumerate() {
+            let t = if on { 1.0 } else { 0.0 };
+            let p = sigmoid(reduced[blk]);
+            let w = (if on { pos_weight } else { 1.0 }) / mean_w;
+            loss += weighted_bce(p, t, w);
+            // d(loss)/d(logit_{blk,r}) = dreduced_blk · softmax_r.
+            let dreduced = w * (p - t) / m;
+            for v in dlogits.row_mut(blk) {
+                *v *= dreduced;
+            }
+        }
+        let dwa = matmul(&dlogits, x, Layout::Normal, Epilogue::None);
+        (dwa, loss)
+    }
+
+    /// One SGD pass (noise augmentation + recall-weighted BCE per block),
+    /// sample `si` shifted by `noise[si]` (`noise` empty trains on the clean
+    /// inputs). Returns the mean loss.
     pub fn train_epoch(
         &mut self,
         samples: &[MlpSample],
+        noise: &[Vec<f32>],
         lr: f32,
-        noise_std: f32,
         pos_weight: f32,
-        seed: u64,
     ) -> f32 {
+        assert!(noise.is_empty() || noise.len() == samples.len());
         let mut total_loss = 0.0f64;
-        let mut count = 0usize;
         for (si, sample) in samples.iter().enumerate() {
-            let mut noisy = sample.x.clone();
-            if noise_std > 0.0 {
-                let noise = rng::randn_vec(noisy.len(), noise_std, seed + 31 * si as u64);
-                for (v, n) in noisy.as_mut_slice().iter_mut().zip(noise) {
-                    *v += n;
-                }
-            }
-            let rows = noisy.rows();
-            // [rows, n_blk]
-            let logits = matmul(&noisy, &self.wa, Layout::Normal, Epilogue::None);
-            // Stage-two reduction first: the trained statistic is the
-            // soft-max-reduced logit per block, matching `predict`.
-            let reduced = self.reduce_logits(&logits);
-            let target: Vec<bool> = {
-                let mut t = vec![false; self.n_blocks];
-                for &a in &sample.reduced.active {
-                    t[a as usize] = true;
-                }
-                t
-            };
-            let m = self.n_blocks as f32;
-            let pos = target.iter().filter(|&&t| t).count() as f32;
-            let mean_w = ((pos * pos_weight + (m - pos)) / m).max(1e-6);
-            // d(reduced_blk)/d(logit_{r,blk}) = softmax over rows.
-            let mut dreduced = vec![0.0f32; self.n_blocks];
-            for blk in 0..self.n_blocks {
-                let t = if target[blk] { 1.0 } else { 0.0 };
-                let p = sigmoid(reduced[blk]);
-                let w = (if t > 0.5 { pos_weight } else { 1.0 }) / mean_w;
-                let eps = 1e-7f32;
-                total_loss -= (w * (t * (p + eps).ln() + (1.0 - t) * (1.0 - p + eps).ln())) as f64;
-                count += 1;
-                dreduced[blk] = w * (p - t) / m;
-            }
-            let mut dlogits = Tensor::zeros(&[rows, self.n_blocks]);
-            // Row-softmax weights per block (stable via the reduced value).
-            for r in 0..rows {
-                for blk in 0..self.n_blocks {
-                    let weight = (logits.row(r)[blk] - reduced[blk]).exp() / rows as f32;
-                    dlogits.row_mut(r)[blk] = dreduced[blk] * weight;
-                }
-            }
-            let dwa = matmul_tn(&noisy, &dlogits); // [d, n_blk]
+            let noisy = with_noise(&sample.x, noise, si);
+            let (dwa, loss) = self.gradients(&noisy, &sample.reduced, pos_weight);
             self.wa.axpy(-lr, &dwa);
+            total_loss += loss;
         }
+        let count = samples.len() * self.n_blocks;
         if count == 0 {
             0.0
         } else {
@@ -438,17 +553,7 @@ impl MlpPredictor {
                 }
             }
         }
-        let recall = if tp + r#fn == 0 {
-            1.0
-        } else {
-            tp as f32 / (tp + r#fn) as f32
-        };
-        let precision = if tp + fp == 0 {
-            1.0
-        } else {
-            tp as f32 / (tp + fp) as f32
-        };
-        (recall, precision)
+        recall_precision(tp, r#fn, fp)
     }
 }
 
@@ -500,8 +605,8 @@ mod tests {
         let mut pred = AttnPredictor::new(d, 1, 4, 1);
         let (recall_before, _) = pred.evaluate(&samples);
         let mut last = f32::MAX;
-        for e in 0..300 {
-            last = pred.train_epoch(&samples, 0.5, 0.0, 2.0, e);
+        for _ in 0..300 {
+            last = pred.train_epoch(&samples, &[], 0.5, 2.0);
         }
         let (recall_after, precision_after) = pred.evaluate(&samples);
         assert!(
@@ -517,9 +622,9 @@ mod tests {
         let samples = synthetic_attn_samples(d, n, 10);
         let mut balanced = AttnPredictor::new(d, 1, 2, 2);
         let mut recall_first = AttnPredictor::new(d, 1, 2, 2);
-        for e in 0..120 {
-            balanced.train_epoch(&samples, 0.3, 0.0, 1.0, e);
-            recall_first.train_epoch(&samples, 0.3, 0.0, 8.0, e);
+        for _ in 0..120 {
+            balanced.train_epoch(&samples, &[], 0.3, 1.0);
+            recall_first.train_epoch(&samples, &[], 0.3, 8.0);
         }
         let (rb, _pb) = balanced.evaluate(&samples);
         let (rr, _pr) = recall_first.evaluate(&samples);
@@ -527,6 +632,33 @@ mod tests {
             rr >= rb - 1e-3,
             "recall-weighted training must not lose recall: {rr} vs {rb}"
         );
+    }
+
+    #[test]
+    fn stacked_heads_keep_each_heads_init_in_its_columns() {
+        let (d, heads, r, seed) = (8, 3, 4, 11);
+        let mut pred = AttnPredictor::new(d, heads, r, seed);
+        assert_eq!(pred.wq.shape(), &[d, heads * r]);
+        for h in 0..heads {
+            let s = seed + h as u64 * 7919;
+            let (wq, wk) = pred.head(h);
+            assert_eq!(wq.as_slice(), Tensor::randn(&[d, r], 0.2, s).as_slice());
+            assert_eq!(wk.as_slice(), Tensor::randn(&[d, r], 0.2, s + 1).as_slice());
+        }
+        let (wq, wk) = (Tensor::full(&[d, r], 1.0), Tensor::full(&[d, r], 2.0));
+        pred.set_head(1, &wq, &wk);
+        assert_eq!(pred.head(1).0.as_slice(), wq.as_slice());
+        assert_eq!(pred.head(1).1.as_slice(), wk.as_slice());
+        assert_eq!(pred.wq.row(0)[r..2 * r], [1.0; 4]);
+        assert_eq!(pred.wk.row(d - 1)[r..2 * r], [2.0; 4]);
+    }
+
+    #[test]
+    fn neuron_major_wa_is_the_transposed_init() {
+        let pred = MlpPredictor::new(8, 16, 4, 9);
+        let init = Tensor::randn(&[8, 4], 0.2, 9);
+        assert_eq!(pred.wa.shape(), &[4, 8]);
+        assert_eq!(pred.wa.as_slice(), init.transposed_2d().as_slice());
     }
 
     #[test]
@@ -573,8 +705,8 @@ mod tests {
         let (d, n_blk, blk) = (8, 4, 4);
         let samples = synthetic_mlp_samples(d, n_blk, blk, 10);
         let mut pred = MlpPredictor::new(d, n_blk * blk, blk, 5);
-        for e in 0..200 {
-            pred.train_epoch(&samples, 0.5, 0.0, 2.0, e);
+        for _ in 0..200 {
+            pred.train_epoch(&samples, &[], 0.5, 2.0);
         }
         let (recall, precision) = pred.evaluate(&samples);
         assert!(recall > 0.9, "recall {recall}");
@@ -597,7 +729,9 @@ mod tests {
         let mut pred = MlpPredictor::new(d, n_blk * blk, blk, 7);
         let mut last = f32::MAX;
         for e in 0..150 {
-            last = pred.train_epoch(&samples, 0.3, 0.1, 2.0, e);
+            let lens = samples.iter().map(|s| s.x.len());
+            let noise = draw_noise(lens, 0.1, |si| e + 31 * si as u64);
+            last = pred.train_epoch(&samples, &noise, 0.3, 2.0);
         }
         assert!(last < 1.0, "noisy training should still converge: {last}");
         let (recall, _) = pred.evaluate(&samples);

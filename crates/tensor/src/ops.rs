@@ -1,10 +1,10 @@
 //! Elementwise and row-wise numeric kernels shared by the model and the
 //! Long Exposure components: activations (ReLU for OPT-style models, GeLU for
 //! GPT-2-style), numerically-stable softmax (plain, and the fused causal
-//! scores → probabilities pair of dense attention), and bias helpers. ReLU
-//! and every softmax here are thin shape adapters over the ISA-dispatched
-//! row kernels in [`lx_kernels::rows`] — the one implementation the
-//! block-sparse path, LayerNorm and the loss run too.
+//! scores → probabilities pair of dense attention), row log-sum-exp, and bias
+//! helpers. ReLU, every softmax and the log-sum-exp here are thin shape
+//! adapters over the ISA-dispatched row kernels in [`lx_kernels::rows`] — the
+//! one implementation the block-sparse path, LayerNorm and the loss run too.
 
 use crate::Tensor;
 use lx_kernels::active_isa;
@@ -126,6 +126,30 @@ pub fn causal_softmax_backward_rows(p: &[f32], grad: &mut [f32], s: usize, scale
     });
 }
 
+/// `ln Σ eˣ` of each `width`-wide row of `x`, one vector pass per row. With
+/// `softmax` (shaped like `x`), the same pass also writes each row's softmax
+/// there — the gradient of that row's log-sum-exp.
+pub fn log_sum_exp_rows(x: &[f32], width: usize, mut softmax: Option<&mut [f32]>) -> Vec<f32> {
+    assert!(
+        width > 0 && x.len().is_multiple_of(width),
+        "log-sum-exp: ragged input"
+    );
+    if let Some(p) = &softmax {
+        assert_eq!(p.len(), x.len(), "log-sum-exp: softmax shaped like x");
+    }
+    let isa = active_isa();
+    let chunks = x.chunks_exact(width).enumerate();
+    chunks
+        .map(|(r, row)| {
+            let grad = softmax
+                .as_deref_mut()
+                .map(|p| (&mut p[r * width..(r + 1) * width], 1.0));
+            let (max, sum) = rows::log_sum_exp(isa, row, grad);
+            max + sum.ln()
+        })
+        .collect()
+}
+
 /// Apply a causal mask to an `s×s` score matrix: positions `j > i` get −∞.
 pub fn apply_causal_mask(scores: &mut [f32], s: usize) {
     assert_eq!(scores.len(), s * s);
@@ -205,6 +229,25 @@ mod tests {
             assert!(row.iter().all(|v| v.is_finite()));
         }
         assert!(x[1] > x[0] && x[0] > x[2]);
+    }
+
+    #[test]
+    fn log_sum_exp_rows_match_f64_and_write_the_softmax() {
+        let width = 37;
+        let x = crate::rng::randn_vec(3 * width, 4.0, 33);
+        let mut p = vec![9.0; x.len()];
+        let lse = log_sum_exp_rows(&x, width, Some(&mut p));
+        assert_eq!(lse, log_sum_exp_rows(&x, width, None));
+        for (r, row) in x.chunks(width).enumerate() {
+            let max = row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v as f64));
+            let sum: f64 = row.iter().map(|&v| (v as f64 - max).exp()).sum();
+            let want = max + sum.ln();
+            assert!((lse[r] as f64 - want).abs() < 1e-5 * want.abs().max(1.0));
+            for (j, &v) in row.iter().enumerate() {
+                let soft = (v as f64 - want).exp();
+                assert!((p[r * width + j] as f64 - soft).abs() < 1e-6, "({r},{j})");
+            }
+        }
     }
 
     #[test]

@@ -411,6 +411,35 @@ fn second_softmax_stays_retired() {
 }
 
 #[test]
+fn predictor_reductions_stay_on_the_row_kernels() {
+    // The MLP predictor's stage-two reduction and its softmax gradient run
+    // through `lx_tensor::ops::log_sum_exp_rows`, one vector pass per block
+    // row. The one scalar `exp` left in `crates/core/src` is the per-logit
+    // sigmoid of the BCE loss. Needle assembled here so this file does not
+    // match itself.
+    let retired = format!("{}_logits", "reduce");
+    let mut exps = 0;
+    for file in rust_files("crates/core/src") {
+        let rel = file
+            .strip_prefix(repo_root())
+            .unwrap()
+            .display()
+            .to_string();
+        let src = std::fs::read_to_string(&file).expect("read source");
+        assert!(!src.contains(&retired), "{rel}: `{retired}` resurfaced");
+        let code: String = non_test_source(&rel)
+            .lines()
+            .map(|l| l.split("//").next().unwrap_or(""))
+            .collect::<Vec<_>>()
+            .join("\n");
+        exps += code.matches(".exp()").count();
+    }
+    assert_eq!(exps, 1, "scalar `.exp()` calls in crates/core/src");
+    let ops = non_test_source("crates/tensor/src/ops.rs");
+    assert_eq!(ops.matches("rows::log_sum_exp(").count(), 1);
+}
+
+#[test]
 fn every_experiment_in_all_experiments_is_a_bin() {
     // `all_experiments` launches its list by file name; an entry whose bin
     // was deleted fails only when someone runs the whole sweep.

@@ -284,6 +284,45 @@ fn serve_shutdown_dumps_a_valid_chrome_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Calibration's three phases are child spans of `engine.calibrate`, so its
+/// seconds of set-up split into capture, predictor training and evaluation
+/// from the trace alone.
+#[test]
+fn calibration_phases_nest_under_engine_calibrate() {
+    let _guard = obs_lock();
+    let model = TransformerModel::new(ModelConfig::test_tiny(), 9);
+    let mut engine = long_exposure::FinetuneEngine::new(
+        model,
+        long_exposure::engine::EngineConfig {
+            block_size: BLOCK,
+            calib_epochs: 3,
+            ..Default::default()
+        },
+    );
+    let ids: Vec<u32> = (0..(BATCH * SEQ) as u32).map(|i| (i * 7) % 64).collect();
+    let session = TraceSession::start().expect("no other session active");
+    engine.calibrate(&[(ids, BATCH, SEQ)]);
+    let trace = session.finish();
+    assert_eq!(trace.dropped, 0);
+    let parent = trace.named("engine.calibrate");
+    assert_eq!(parent.len(), 1);
+    let mut phases_ns = 0;
+    for phase in ["capture", "train", "evaluate"] {
+        let spans = trace.named(&format!("engine.calibrate.{phase}"));
+        assert_eq!(spans.len(), 1, "one {phase} span per calibration");
+        assert!(
+            parent[0].contains(spans[0]),
+            "{phase} outside engine.calibrate"
+        );
+        phases_ns += spans[0].dur_ns;
+    }
+    assert!(
+        phases_ns <= parent[0].dur_ns,
+        "phases {phases_ns} ns > calibration {} ns",
+        parent[0].dur_ns
+    );
+}
+
 /// A grouped launch is **one** `kernel.gemm.calls` (classed by the whole
 /// group's FLOPs, same label set as a plain call) however many block tasks
 /// its table holds; `kernel.gemm.tasks` carries the block count. Holding
