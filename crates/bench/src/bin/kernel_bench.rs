@@ -16,12 +16,16 @@
 //! host exposes ≥2 cores — on a single-core box the ratio is meaningless,
 //! so the gate prints an explicit SKIP line instead of silently passing.
 //! Bit-identity between the compared variants is asserted unconditionally.
-//! Two more rows gate the grouped entry point the block-sparse operators
+//! Three more rows gate the grouped entry point the block-sparse operators
 //! launch through: one `gemm_grouped` over the operator's offset table vs the
 //! per-task `gemm` loop it replaced, both single-threaded (`with_sequential`),
 //! so the ratio is packing reuse and microkernel efficiency and enforces on
-//! any runner — floor ≥3.0x for the SDD score blocks, ≥1.3x for the FC1
-//! neuron slabs. The last two rows gate the row kernels: the active ISA arm
+//! any runner — floor ≥3.0x for the SDD score blocks and for the transposed
+//! DSD over the same layout, ≥1.3x for the FC1 neuron slabs. The `lora` row
+//! times the fused rank-r operator against the composition it replaced
+//! (separate products, scratch tensors, axpy / scale / add passes), asserts
+//! the two agree bit for bit, floor ≥1.05x. The last two rows gate the row
+//! kernels: the active ISA arm
 //! over the scalar definition it must match bit for bit, single-threaded —
 //! floor ≥3.0x for the fused block-row softmax at the same SDD layout,
 //! ≥1.5x for LayerNorm forward + backward at 512×256 (skipped, loudly, when
@@ -592,6 +596,139 @@ fn main() {
             rows * active as usize * B,
             1.3,
         );
+
+        // Transposed DSD (`dK = dSᵀ·Q`, `dV = Pᵀ·dO`) over the SDD layout
+        // above: one run per block column, every P block read once and
+        // transposed in place.
+        let (s, dh) = (512usize, 32usize);
+        let mut csc: Vec<(u32, u32)> = (0..(s / B) as u32)
+            .flat_map(|br| {
+                let keep = ((0.23 * (br + 1) as f64).round() as u32).clamp(1, br + 1);
+                (br + 1 - keep..=br).map(move |bc| (br, bc))
+            })
+            .collect();
+        let p = randn_vec(csc.len() * B * B, 1.0, 22);
+        let x = randn_vec(s * dh, 1.0, 23);
+        let entries: Vec<u32> = (0..csc.len() as u32).collect();
+        let mut order: Vec<(u32, (u32, u32))> =
+            entries.iter().copied().zip(csc.drain(..)).collect();
+        order.sort_by_key(|&(_, (br, bc))| (bc, br));
+        let mut runs = vec![0u32; s / B + 1];
+        for &(_, (_, bc)) in &order {
+            runs[bc as usize + 1] += 1;
+        }
+        for i in 0..s / B {
+            runs[i + 1] += runs[i];
+        }
+        let table = GemmTable::new(order.iter().map(|&(e, (br, bc))| (e, br, bc)), runs);
+        let group = GemmGroup {
+            m: B,
+            k: B,
+            n: dh,
+            a: Windows::transposed(&p, B, B * B),
+            b: Windows::normal(&x, dh, B * dh),
+            ldc: dh,
+            c_stride: B * dh,
+            beta: 0.0,
+            table: &table,
+        };
+        let dims = format!("{}x{B}x{B}x{dh}", table.tasks().len());
+        grouped_gate(
+            "grouped dsd_tn s=512 dh=32 b=16 d=0.23",
+            dims,
+            &group,
+            s * dh,
+            3.0,
+        );
+    }
+
+    // The fused rank-r operator vs the composition it replaced — separate
+    // products, an axpy into `y`, scale passes and an add into `dx` — at the
+    // benchmark's q/v shape, single-threaded on both legs. The two must agree
+    // bit for bit (`s = α/r = 2` is exact).
+    {
+        use lx_model::linear::Lora;
+        use lx_tensor::gemm::{matmul, matmul_tn};
+        let (rows, d, r) = (512usize, 256usize, 8usize);
+        let label = "lora fwd+bwd 512x256 r=8";
+        let pair = || {
+            let mut l = Lora::new("bench", d, d, r, 16.0, 24, Layout::Transposed);
+            let vals = randn_vec(d * r, 0.3, 25);
+            l.b.value.as_mut_slice().copy_from_slice(&vals);
+            l
+        };
+        let x = Tensor::randn(&[rows, d], 1.0, 26);
+        let dy = Tensor::randn(&[rows, d], 1.0, 27);
+        let y0 = Tensor::randn(&[rows, d], 1.0, 28);
+        let fused = |l: &mut Lora, y: &mut Tensor, dx: &mut Tensor| {
+            l.forward(&x, y);
+            l.backward(&x, &dy, dx);
+        };
+        let composed = |l: &mut Lora, y: &mut Tensor, dx: &mut Tensor| {
+            let ax = matmul(&x, &l.a.value, Layout::Transposed, Epilogue::None);
+            y.axpy(
+                l.scale,
+                &matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None),
+            );
+            let mut dax = matmul(&dy, &l.b.value, Layout::Normal, Epilogue::None);
+            dax.scale(l.scale);
+            let mut db = matmul_tn(&dy, &ax);
+            db.scale(l.scale);
+            l.b.accumulate_grad(&db);
+            l.a.accumulate_grad(&matmul_tn(&dax, &x));
+            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
+        };
+        type Leg<'a> = &'a dyn Fn(&mut Lora, &mut Tensor, &mut Tensor);
+        let once = |leg: Leg<'_>| {
+            let (mut l, mut y, mut dx) = (pair(), y0.clone(), y0.clone());
+            lx_kernels::with_sequential(|| leg(&mut l, &mut y, &mut dx));
+            let grads = [&l.a, &l.b].map(|p| p.grad.as_ref().expect("grad").as_slice().to_vec());
+            [
+                y.as_slice().to_vec(),
+                dx.as_slice().to_vec(),
+                grads[0].clone(),
+                grads[1].clone(),
+            ]
+        };
+        let identical = once(&fused)
+            .iter()
+            .zip(&once(&composed))
+            .all(|(f, c)| f.iter().zip(c).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let best = |leg: Leg<'_>| {
+            let (mut l, mut y, mut dx) = (pair(), y0.clone(), y0.clone());
+            lx_kernels::with_sequential(|| {
+                leg(&mut l, &mut y, &mut dx);
+                let mut best = f64::INFINITY;
+                for _ in 0..gate_reps {
+                    let t0 = Instant::now();
+                    leg(&mut l, &mut y, &mut dx);
+                    best = best.min(t0.elapsed().as_secs_f64());
+                }
+                best
+            })
+        };
+        let (t_composed, t_fused) = (best(&composed), best(&fused));
+        let (speedup, floor) = (t_composed / t_fused, 1.05);
+        let status = if !identical {
+            eprintln!("kernel_bench: {label}: fused and composed results differ");
+            failures += 1;
+            "FAIL (diff)"
+        } else if speedup >= floor {
+            "ok"
+        } else {
+            eprintln!("kernel_bench: {label} {speedup:.2}x below the {floor:.2}x floor");
+            gate_failed = true;
+            "FAIL"
+        };
+        row(&[
+            label.to_string(),
+            format!("{rows}x{d}x{r}"),
+            format!("{:.2}", t_composed * 1e3),
+            format!("{:.2}", t_fused * 1e3),
+            format!("{speedup:.2}x"),
+            format!("{floor:.2}x"),
+            status.to_string(),
+        ]);
     }
 
     // Row kernels: the active ISA arm vs the scalar definition it must equal

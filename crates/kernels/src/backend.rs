@@ -59,8 +59,7 @@ pub(crate) fn per_task<B: KernelBackend + ?Sized>(be: &B, group: &GemmGroup<'_>,
     }
 }
 
-/// `C *= beta` sweep (the whole op when `k == 0`; the up-front beta pass of
-/// the packed driver otherwise). Parallel across row chunks unless the
+/// `C *= beta` sweep: the whole op when `k == 0`. Parallel across row chunks unless the
 /// caller is already inside a pool worker or forced sequential.
 pub(crate) fn scale_only(c: &mut [f32], m: usize, n: usize, ldc: usize, beta: f32) {
     if crate::sequential_mode() {

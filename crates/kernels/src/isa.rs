@@ -9,7 +9,7 @@
 //! | `scalar` | 6×16          | nothing (LLVM autovec)      |
 //! | `avx2`   | 6×16          | x86-64 with AVX2+FMA        |
 //! | `avx512` | 14×32         | x86-64 with AVX-512F        |
-//! | `neon`   | 6×16          | aarch64 with NEON           |
+//! | `neon`   | 6×16          | aarch64 with NEON (fused, LLVM autovec) |
 //!
 //! The row kernels ([`crate::rows`]) run on the same selection: `avx2` and
 //! `avx512` are register arms, `scalar` and `neon` their scalar definition.
@@ -31,7 +31,8 @@ pub enum Isa {
     Avx2,
     /// AVX-512F 14×32 kernel (two zmm per row, 28 accumulators).
     Avx512,
-    /// NEON 6×16 kernel (four q-regs per row).
+    /// 6×16 portable fused-multiply-add kernel (`f32::mul_add`, a native
+    /// instruction on aarch64), left to LLVM to vectorise.
     Neon,
 }
 

@@ -20,6 +20,10 @@
 //!   explicit FMA-friendly inner loops. The register-tile shape follows the
 //!   active [`Isa`] arm (6×16 scalar/AVX2/NEON, 14×32 AVX-512), and packing
 //!   geometry follows the arm so each kernel sees panels of its own width.
+//!   There is one microkernel family: it reads each operand through a
+//!   [`Src`], which is a packed panel here and an operand's own strides
+//!   where it is read in place. NEON runs the portable fused definition
+//!   (`f32::mul_add`), not hand-written intrinsics.
 //! * Packing absorbs both operands' [`Layout`]s: every combination feeds the
 //!   *same* microkernel, only the pack routines index differently. Edge tiles
 //!   are zero-padded in the packed buffers, so the microkernel never branches
@@ -34,29 +38,37 @@
 //!   [`lx_parallel::in_worker`] via [`crate::sequential_mode`] and run the
 //!   whole macro-kernel on the calling thread instead of oversubscribing the
 //!   pool.
-//! * A fused [`Epilogue`] is applied to each register tile immediately after
-//!   its **final** k-block is accumulated — i.e. after the complete
-//!   `beta·C + ΣA·B` sum, in the same element order as an unfused bias or
-//!   GELU pass — so fused results are bit-identical to unfused ones while
-//!   the separate read-modify-write passes over C disappear.
+//! * `beta` folds into the first k-block's write-back ([`WriteBack`]) and a
+//!   fused [`Epilogue`] is applied to each macro-block right after its
+//!   **final** k-block — i.e. after the complete `beta·C + ΣA·B` sum, in the
+//!   same element order as a separate scale pass before and an unfused bias
+//!   or GELU pass after — so results are bit-identical to those passes
+//!   while their read-modify-write sweeps over C disappear.
+//! * Only operands that are reused are packed. A product one register tile
+//!   wide reads each A row once, one at most 16 rows tall each B row once:
+//!   such an operand is read where it lies by the strided microkernels
+//!   ([`Src`]: a pointer plus k- and row/column strides), whose register
+//!   tile [`pick_tile`] chooses from the product's shape.
 //!
-//! * A grouped launch ([`Packed::gemm_grouped_on`]) reuses all of the above
-//!   across the tasks of an offset table: each distinct A and B window is
-//!   packed once, the microkernel runs off those panels per task, and the
-//!   table's runs (or the rows of its column windows) are what the pool
-//!   splits.
+//! * A grouped launch ([`Packed::gemm_grouped_on`]) applies the same rule
+//!   across the tasks of an offset table: each distinct shared A and B
+//!   window is packed once, windows used by one task (and f32 B rows a
+//!   whole number of tiles wide) are read in place, and the table's runs
+//!   (or the rows of its column windows) are what the pool splits.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{row_grain, scale_only, scale_row, KernelBackend, GRAIN_FLOPS};
+use crate::backend::{per_task, row_grain, scale_only, KernelBackend, GRAIN_FLOPS};
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
 use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTask, Layout};
+use lx_obs::{registry, Counter};
 use lx_parallel::ThreadPool;
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Register tile height of the 6×16 arms (scalar/AVX2/NEON); also the unit
 /// the cache-model rounds MC to. The AVX-512 arm uses its own 14×32 tile.
@@ -64,9 +76,10 @@ pub const MR: usize = 6;
 /// Register tile width of the 6×16 arms; see [`MR`].
 pub const NR: usize = 16;
 
-/// Largest register tile any arm uses — sizes fixed spill buffers.
-const MR_MAX: usize = 14;
-const NR_MAX: usize = 32;
+/// The width (of C) up to which a product reads its A rows once, and the
+/// height up to which it reads its B rows once: one 16-wide / 16-tall
+/// register tile.
+const SINGLE_USE: usize = 16;
 
 /// Element type a B operand may be stored in. Packing converts to f32, so
 /// the microkernel and all accumulation stay f32 regardless of storage —
@@ -423,79 +436,106 @@ fn pack_a_panel(
     }
 }
 
-/// Scalar microkernel: `C[mr×nr] += Ã-panel · B̃-panel` over `kc` k-steps.
-/// Fixed-shape accumulator array so LLVM unrolls and vectorises the j loop.
-/// Only used by the 6×16 packing geometry.
-fn microkernel_scalar(
-    kc: usize,
-    ap: &[f32],
-    bp: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let b_row = &bp[p * NR..(p + 1) * NR];
-        let a_col = &ap[p * MR..(p + 1) * MR];
-        for (accs, &av) in acc.iter_mut().zip(a_col) {
-            for (s, &bv) in accs.iter_mut().zip(b_row) {
-                *s += av * bv;
-            }
+/// How a microkernel call folds its register tile `acc` into C. Folding the
+/// `beta` scale into the first k-block's write-back replaces a separate pass
+/// over C and rounds exactly as that pass did: every C element is still
+/// `beta·C` (or nothing) plus one complete FMA chain that started from `+0`.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum WriteBack {
+    /// `C += acc`: `beta = 1`, and every k-block after the first.
+    Add,
+    /// `C = acc`: `beta = 0` — prior C, NaN included, is never read. A chain
+    /// from `+0` never ends at `-0`, so this equals `0 + acc`.
+    Set,
+    /// `C = beta·C + acc`, a separate multiply and add.
+    Scale(f32),
+}
+
+impl WriteBack {
+    /// The write-back of k-block `pc` under `beta`: only the first block
+    /// sees `beta`.
+    fn at(pc: usize, beta: f32) -> Self {
+        if pc > 0 || beta == 1.0 {
+            WriteBack::Add
+        } else if beta == 0.0 {
+            WriteBack::Set
+        } else {
+            WriteBack::Scale(beta)
         }
     }
-    for (i, accs) in acc.iter().enumerate().take(mr) {
-        let c_row = &mut c[i * ldc..i * ldc + nr];
-        for (cv, &s) in c_row.iter_mut().zip(accs.iter()) {
-            *cv += s;
+
+    #[inline(always)]
+    fn apply(self, c: f32, acc: f32) -> f32 {
+        match self {
+            WriteBack::Add => c + acc,
+            WriteBack::Set => acc,
+            WriteBack::Scale(beta) => c * beta + acc,
+        }
+    }
+}
+
+/// Fold a spilled `rows × nr` register tile (row stride `ld`) into C.
+///
+/// # Safety
+/// `c` must be valid for `rows` rows × `nr` cols at stride `ldc`.
+#[inline(always)]
+unsafe fn write_back_spilled(
+    tmp: &[f32],
+    ld: usize,
+    c: *mut f32,
+    ldc: usize,
+    rows: usize,
+    nr: usize,
+    wb: WriteBack,
+) {
+    for i in 0..rows {
+        for j in 0..nr {
+            let cp = c.add(i * ldc + j);
+            *cp = wb.apply(*cp, tmp[i * ld + j]);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2+FMA 6×16 microkernel. `unsafe` here is confined to intrinsics
-    //! plus the raw C-tile pointer arithmetic the caller has already
-    //! bounds-checked; it is only reachable when [`Isa::Avx2`] passed its
-    //! runtime support probe.
-    use super::{MR, NR};
+    //! The AVX2+FMA 6×16 microkernel. `unsafe` here is confined to
+    //! intrinsics plus the raw pointer arithmetic the caller has already
+    //! bounds-checked; it is only reachable when
+    //! [`Isa::Avx2`](crate::Isa::Avx2) passed its runtime support probe.
+    use super::{write_back_spilled, Src, WriteBack, MR, NR};
+    use std::arch::x86_64::*;
 
-    /// # Safety
-    /// Requires AVX2+FMA. `c` must be valid for reads/writes of `mr` rows ×
-    /// `nr` cols at stride `ldc`; `ap`/`bp` must hold `kc` packed MR/NR
-    /// panels.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn microkernel(
-        kc: usize,
-        ap: *const f32,
-        bp: *const f32,
+    /// `C = wb(C, acc)` for one row of two 8-lane halves, full width.
+    #[inline(always)]
+    unsafe fn store_row(cp: *mut f32, lanes: &[__m256; 2], wb: WriteBack) {
+        for (h, &acc) in lanes.iter().enumerate() {
+            let p = cp.add(8 * h);
+            let out = match wb {
+                WriteBack::Add => _mm256_add_ps(_mm256_loadu_ps(p), acc),
+                WriteBack::Set => acc,
+                WriteBack::Scale(beta) => {
+                    _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(p), _mm256_set1_ps(beta)), acc)
+                }
+            };
+            _mm256_storeu_ps(p, out);
+        }
+    }
+
+    /// Fold `acc` into the `rows × nr` tile at `c`.
+    #[inline(always)]
+    unsafe fn write_back(
+        acc: &[[__m256; 2]],
         c: *mut f32,
         ldc: usize,
-        mr: usize,
+        rows: usize,
         nr: usize,
+        wb: WriteBack,
     ) {
-        use std::arch::x86_64::*;
-        // MR×NR accumulators: 6 rows × two 8-lane halves = 12 ymm registers,
-        // leaving room for the two B loads and the A broadcast.
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-        for p in 0..kc {
-            let b0 = _mm256_loadu_ps(bp.add(p * NR));
-            let b1 = _mm256_loadu_ps(bp.add(p * NR + 8));
-            for (i, lanes) in acc.iter_mut().enumerate() {
-                let av = _mm256_broadcast_ss(&*ap.add(p * MR + i));
-                lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
-                lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
-            }
-        }
         if nr == NR {
             // Full-width tile (any height): vector write-back of the valid
             // rows.
-            for (i, lanes) in acc.iter().enumerate().take(mr) {
-                let cp = c.add(i * ldc);
-                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), lanes[0]));
-                let cp8 = cp.add(8);
-                _mm256_storeu_ps(cp8, _mm256_add_ps(_mm256_loadu_ps(cp8), lanes[1]));
+            for (i, lanes) in acc.iter().enumerate().take(rows) {
+                store_row(c.add(i * ldc), lanes, wb);
             }
         } else {
             // Narrow edge tile: spill the register tile and clamp the
@@ -505,176 +545,364 @@ mod avx2 {
                 _mm256_storeu_ps(tmp.as_mut_ptr().add(i * NR), lanes[0]);
                 _mm256_storeu_ps(tmp.as_mut_ptr().add(i * NR + 8), lanes[1]);
             }
-            for i in 0..mr {
-                for j in 0..nr {
-                    *c.add(i * ldc + j) += tmp[i * NR + j];
+            write_back_spilled(&tmp, NR, c, ldc, rows, nr, wb);
+        }
+    }
+
+    /// `M` rows × 16 columns, A and B read wherever `a` / `b` point (see
+    /// [`Src`]). Up to 6 rows × two 8-lane halves = 12 ymm accumulators,
+    /// leaving room for the two B loads and the A broadcast.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA; the [`Src`] contract for `a` (`M` rows) and `b`
+    /// (16 columns) over `depth` segments of `kc` k-steps; `c` valid for `M`
+    /// rows × `nr` cols at stride `ldc`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn strided<const M: usize>(
+        depth: usize,
+        kc: usize,
+        a: Src<'_>,
+        b: Src<'_>,
+        c: *mut f32,
+        ldc: usize,
+        nr: usize,
+        wb: WriteBack,
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); 2]; M];
+        for s in 0..depth {
+            let (mut ap, mut bp) = (a.seg(s), b.seg(s));
+            for _ in 0..kc {
+                let b0 = _mm256_loadu_ps(bp);
+                let b1 = _mm256_loadu_ps(bp.add(8));
+                for (i, lanes) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(&*ap.add(i * a.xs));
+                    lanes[0] = _mm256_fmadd_ps(av, b0, lanes[0]);
+                    lanes[1] = _mm256_fmadd_ps(av, b1, lanes[1]);
                 }
+                ap = ap.add(a.ks);
+                bp = bp.add(b.ks);
             }
         }
+        write_back(&acc, c, ldc, M, nr, wb);
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    //! AVX-512F 14×32 microkernel: 14 rows × two zmm halves = 28 of the 32
-    //! zmm registers hold C, leaving the two B loads and the A broadcast.
-    //! Only reachable when [`Isa::Avx512`] passed its runtime support probe.
+    //! AVX-512F microkernels: the 14×32 tile (14 rows × two zmm halves = 28
+    //! of the 32 zmm registers hold C, leaving the two B loads and the A
+    //! broadcast) and the 16×16 one-zmm-per-row tile a 16-row block fills
+    //! exactly. Only reachable when [`Isa::Avx512`](crate::Isa::Avx512)
+    //! passed its runtime support probe.
+    use super::{Src, WriteBack};
+    use std::arch::x86_64::*;
 
-    pub const MR: usize = 14;
-    pub const NR: usize = 32;
+    /// Fold `acc` (`V` zmm per row) into the `acc.len() × nr` tile at `c`;
+    /// lanes past `nr` are masked off, so C is never touched beyond it.
+    #[inline(always)]
+    unsafe fn write_back<const V: usize>(
+        acc: &[[__m512; V]],
+        c: *mut f32,
+        ldc: usize,
+        nr: usize,
+        wb: WriteBack,
+    ) {
+        for (i, lanes) in acc.iter().enumerate() {
+            let row = c.add(i * ldc);
+            for (v, &x) in lanes.iter().enumerate() {
+                let left = nr.saturating_sub(16 * v);
+                if left == 0 {
+                    break;
+                }
+                let mask: __mmask16 = if left >= 16 { !0 } else { (1 << left) - 1 };
+                let cp = row.add(16 * v);
+                let out = match wb {
+                    WriteBack::Add => _mm512_add_ps(_mm512_maskz_loadu_ps(mask, cp), x),
+                    WriteBack::Set => x,
+                    WriteBack::Scale(beta) => _mm512_add_ps(
+                        _mm512_mul_ps(_mm512_maskz_loadu_ps(mask, cp), _mm512_set1_ps(beta)),
+                        x,
+                    ),
+                };
+                _mm512_mask_storeu_ps(cp, mask, out);
+            }
+        }
+    }
 
+    /// `M` rows × `16·V` columns read through [`Src`]: `V = 2` is the
+    /// strided 14×32 tile, `V = 1` the 16×16 one.
+    ///
     /// # Safety
-    /// Requires AVX-512F. `c` must be valid for reads/writes of `mr` rows ×
-    /// `nr` cols at stride `ldc`; `ap`/`bp` must hold `kc` packed 14/32
-    /// panels.
+    /// Requires AVX-512F; the [`Src`] contract for `a` (`M` rows) and `b`
+    /// (`16·V` columns) over `depth` segments of `kc` k-steps; `c` valid for
+    /// `M` rows × `nr` cols at stride `ldc`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn microkernel(
+    pub(super) unsafe fn strided<const M: usize, const V: usize>(
+        depth: usize,
         kc: usize,
-        ap: *const f32,
-        bp: *const f32,
+        a: Src<'_>,
+        b: Src<'_>,
         c: *mut f32,
         ldc: usize,
-        mr: usize,
         nr: usize,
+        wb: WriteBack,
     ) {
-        use std::arch::x86_64::*;
-        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-        for p in 0..kc {
-            let b0 = _mm512_loadu_ps(bp.add(p * NR));
-            let b1 = _mm512_loadu_ps(bp.add(p * NR + 16));
-            for (i, lanes) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(*ap.add(p * MR + i));
-                lanes[0] = _mm512_fmadd_ps(av, b0, lanes[0]);
-                lanes[1] = _mm512_fmadd_ps(av, b1, lanes[1]);
-            }
-        }
-        if nr == NR {
-            // Full-width tile (any height): vector write-back of the valid
-            // rows.
-            for (i, lanes) in acc.iter().enumerate().take(mr) {
-                let cp = c.add(i * ldc);
-                _mm512_storeu_ps(cp, _mm512_add_ps(_mm512_loadu_ps(cp), lanes[0]));
-                let cp16 = cp.add(16);
-                _mm512_storeu_ps(cp16, _mm512_add_ps(_mm512_loadu_ps(cp16), lanes[1]));
-            }
-        } else {
-            // Narrow edge tile: spill the register tile and clamp the
-            // write-back.
-            let mut tmp = [0.0f32; MR * NR];
-            for (i, lanes) in acc.iter().enumerate() {
-                _mm512_storeu_ps(tmp.as_mut_ptr().add(i * NR), lanes[0]);
-                _mm512_storeu_ps(tmp.as_mut_ptr().add(i * NR + 16), lanes[1]);
-            }
-            for i in 0..mr {
-                for j in 0..nr {
-                    *c.add(i * ldc + j) += tmp[i * NR + j];
+        let mut acc = [[_mm512_setzero_ps(); V]; M];
+        for s in 0..depth {
+            let (mut ap, mut bp) = (a.seg(s), b.seg(s));
+            for _ in 0..kc {
+                let mut bv = [_mm512_setzero_ps(); V];
+                for (v, x) in bv.iter_mut().enumerate() {
+                    *x = _mm512_loadu_ps(bp.add(16 * v));
                 }
+                for (i, lanes) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*ap.add(i * a.xs));
+                    for (l, &x) in lanes.iter_mut().zip(&bv) {
+                        *l = _mm512_fmadd_ps(av, x, *l);
+                    }
+                }
+                ap = ap.add(a.ks);
+                bp = bp.add(b.ks);
             }
         }
+        write_back(&acc, c, ldc, nr, wb);
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON 6×16 microkernel: 6 rows × four 4-lane q-registers = 24
-    //! accumulators, leaving the four B loads and the A broadcast. Only
-    //! reachable when [`Isa::Neon`] passed its runtime support probe.
-    use super::{MR, NR};
+/// Where a strided microkernel reads one operand: element `x` — a row of A,
+/// a column of B — at k-step `p` of segment `s` is
+/// `ptr[segs.at(s) + p·ks + x·xs]`. A packed panel is `ks = tile width`,
+/// `xs = 1`; an f32 window read in place is its own strides. B always has
+/// `xs = 1` and a full register-tile width of readable columns (a packed,
+/// zero-padded panel or a full-width window); A is read only for the rows a
+/// call computes.
+#[derive(Clone, Copy)]
+struct Src<'a> {
+    ptr: *const f32,
+    ks: usize,
+    xs: usize,
+    segs: Segs<'a>,
+}
 
+/// Where the segments of a K-merged call start (a run of tasks over
+/// consecutive slots, accumulated as one chain).
+#[derive(Clone, Copy)]
+enum Segs<'a> {
+    /// Segment `s` starts `s·step` elements on: consecutive packed panels.
+    Step(usize),
+    /// Segment `s` is window `windows[s]`, `stride` elements each.
+    Windows(&'a [u32], usize),
+}
+
+impl Src<'_> {
+    /// First element of segment `s`.
+    ///
     /// # Safety
-    /// Requires NEON. `c` must be valid for reads/writes of `mr` rows ×
-    /// `nr` cols at stride `ldc`; `ap`/`bp` must hold `kc` packed MR/NR
-    /// panels.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn microkernel(
-        kc: usize,
-        ap: *const f32,
-        bp: *const f32,
-        c: *mut f32,
-        ldc: usize,
-        mr: usize,
-        nr: usize,
-    ) {
-        use std::arch::aarch64::*;
-        let mut acc = [[vdupq_n_f32(0.0); 4]; MR];
-        for p in 0..kc {
-            let bq = [
-                vld1q_f32(bp.add(p * NR)),
-                vld1q_f32(bp.add(p * NR + 4)),
-                vld1q_f32(bp.add(p * NR + 8)),
-                vld1q_f32(bp.add(p * NR + 12)),
-            ];
-            for (i, lanes) in acc.iter_mut().enumerate() {
-                let av = vdupq_n_f32(*ap.add(p * MR + i));
-                for (l, &bv) in lanes.iter_mut().zip(bq.iter()) {
-                    *l = vfmaq_f32(*l, av, bv);
-                }
-            }
-        }
-        if mr == MR && nr == NR {
-            for (i, lanes) in acc.iter().enumerate() {
-                let cp = c.add(i * ldc);
-                for (q, l) in lanes.iter().enumerate() {
-                    let p = cp.add(q * 4);
-                    vst1q_f32(p, vaddq_f32(vld1q_f32(p), *l));
-                }
-            }
-        } else {
-            // Edge tile: spill the register tile and clamp the write-back.
-            let mut tmp = [0.0f32; MR * NR];
-            for (i, lanes) in acc.iter().enumerate() {
-                for (q, l) in lanes.iter().enumerate() {
-                    vst1q_f32(tmp.as_mut_ptr().add(i * NR + q * 4), *l);
-                }
-            }
-            for i in 0..mr {
-                for j in 0..nr {
-                    *c.add(i * ldc + j) += tmp[i * NR + j];
-                }
-            }
+    /// The segment must lie inside the allocation `ptr` points into.
+    #[inline(always)]
+    unsafe fn seg(&self, s: usize) -> *const f32 {
+        let off = match self.segs {
+            Segs::Step(step) => s * step,
+            Segs::Windows(windows, stride) => windows[s] as usize * stride,
+        };
+        self.ptr.add(off)
+    }
+}
+
+impl<'a> Src<'a> {
+    /// A packed panel `width` elements wide per k-step (an `mr`-tall Ã
+    /// panel, an `nr`-wide B̃ one), whose segments follow each other `step`
+    /// elements apart.
+    fn panel(panel: &'a [f32], width: usize, step: usize) -> Self {
+        Src {
+            ptr: panel.as_ptr(),
+            ks: width,
+            xs: 1,
+            segs: Segs::Step(step),
         }
     }
 }
 
-/// Dispatch one register tile to the active arm's microkernel. `isa` has
-/// already passed its runtime support probe in [`active_isa`], and the
-/// packing geometry matches `isa.tile()`.
+/// A register-tile geometry of the microkernels, all of which read through
+/// [`Src`]. The packed driver runs its arm's first tile ([`Tile::of`]);
+/// grouped launches and products with a single-use operand take the one
+/// [`pick_tile`] chooses per call. Private: the public arm stays [`Isa`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tile {
+    /// 6×16, `s += a·b` per k-step: the scalar arm's definition.
+    Scalar,
+    /// 6×16, one fused multiply-add per k-step: the portable FMA definition
+    /// the NEON arm runs (`f32::mul_add` is one instruction there).
+    Fused,
+    /// AVX2 6×16.
+    Avx2,
+    /// AVX-512 14×32.
+    Avx512,
+    /// AVX-512 16×16, one zmm per row.
+    Avx512x16,
+}
+
+impl Tile {
+    /// `(rows, columns)` of the register tile.
+    fn shape(self) -> (usize, usize) {
+        match self {
+            Tile::Avx512 => (14, 32),
+            Tile::Avx512x16 => (16, 16),
+            _ => (MR, NR),
+        }
+    }
+
+    /// The tiles arm `isa` runs; the first is its packed driver's, of
+    /// shape [`Isa::tile`].
+    fn of(isa: Isa) -> &'static [Tile] {
+        match isa {
+            Isa::Scalar => &[Tile::Scalar],
+            Isa::Avx2 => &[Tile::Avx2],
+            Isa::Avx512 => &[Tile::Avx512, Tile::Avx512x16],
+            Isa::Neon => &[Tile::Fused],
+        }
+    }
+
+    /// Vector instructions per k-step of one register tile: an FMA per
+    /// accumulator plus a load per B vector and per A broadcast.
+    fn instructions(self) -> usize {
+        let (mr, nr) = self.shape();
+        let vectors = nr
+            / if matches!(self, Tile::Avx512 | Tile::Avx512x16) {
+                16
+            } else {
+                8
+            };
+        mr * vectors + mr + vectors
+    }
+}
+
+/// The register tile an `m×n` product with strided operands runs: of the
+/// tiles arm `isa` runs, the one that issues the fewest vector instructions
+/// per k-step over the product padded to it. A 16×16 score block fills the
+/// 16×16 tile exactly but wastes most of the 14×32 one, a 512-row product
+/// is the other way round. `None` means the [`active_isa`], and on an
+/// AVX-512 host also offers the AVX2 tile; an explicit arm is held to its
+/// own tiles. The FMA tiles agree bit for bit (every C element is one fused
+/// multiply-add chain over `k` in each), so the choice never shows in the
+/// result.
+fn pick_tile(isa: Option<Isa>, m: usize, n: usize) -> Tile {
+    let cost = |t: &&Tile| {
+        let (mr, nr) = t.shape();
+        m.div_ceil(mr) * n.div_ceil(nr) * t.instructions()
+    };
+    let avx2 = (isa.is_none() && active_isa() == Isa::Avx512 && Isa::Avx2.supported())
+        .then_some(&Tile::Avx2);
+    *Tile::of(isa.unwrap_or_else(active_isa))
+        .iter()
+        .chain(avx2)
+        .min_by_key(cost)
+        .expect("every arm has a tile")
+}
+
+/// The portable strided kernel: `M` rows × 16 columns, `FUSED` choosing
+/// `mul_add` (NEON's definition) or a separate multiply and add (the scalar
+/// arm's).
+///
+/// # Safety
+/// The [`Src`] contract for `a` (`M` rows) and `b` (16 columns) over `depth`
+/// segments of `kc` k-steps; `c` valid for `M` rows × `nr` cols at `ldc`.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn microkernel(
-    isa: Isa,
+unsafe fn strided_portable<const M: usize, const FUSED: bool>(
+    depth: usize,
     kc: usize,
-    ap: &[f32],
-    bp: &[f32],
+    a: Src<'_>,
+    b: Src<'_>,
+    c: *mut f32,
+    ldc: usize,
+    nr: usize,
+    wb: WriteBack,
+) {
+    let mut acc = [[0.0f32; NR]; M];
+    for s in 0..depth {
+        let (mut ap, mut bp) = (a.seg(s), b.seg(s));
+        for _ in 0..kc {
+            let b_row = &*(bp as *const [f32; NR]);
+            for (i, accs) in acc.iter_mut().enumerate() {
+                let av = *ap.add(i * a.xs);
+                for (s, &bv) in accs.iter_mut().zip(b_row) {
+                    *s = if FUSED {
+                        av.mul_add(bv, *s)
+                    } else {
+                        *s + av * bv
+                    };
+                }
+            }
+            ap = ap.add(a.ks);
+            bp = bp.add(b.ks);
+        }
+    }
+    write_back_spilled(acc.as_flattened(), NR, c, ldc, M, nr, wb);
+}
+
+/// One strided register tile: `mr` rows × `nr` columns of C folded with
+/// `wb` over `depth` segments of `kc` k-steps (see [`Src`]). `tile` has
+/// passed its arm's runtime probe and `mr`, `nr` fit its shape.
+#[allow(clippy::too_many_arguments)]
+fn strided(
+    tile: Tile,
+    depth: usize,
+    kc: usize,
+    a: Src<'_>,
+    b: Src<'_>,
     c: &mut [f32],
     ldc: usize,
     mr: usize,
     nr: usize,
+    wb: WriteBack,
 ) {
-    let (tmr, tnr) = isa.tile();
-    debug_assert!(ap.len() >= kc * tmr && bp.len() >= kc * tnr);
-    debug_assert!(mr <= tmr && nr <= tnr && mr > 0 && nr > 0);
-    debug_assert!(c.len() >= (mr - 1) * ldc + nr);
-    debug_assert!(tmr <= MR_MAX && tnr <= NR_MAX);
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature presence was checked at runtime by `active_isa`;
-        // the debug asserts document the bounds the (checked) slice
-        // arguments guarantee.
-        Isa::Avx2 => unsafe {
-            avx2::microkernel(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc, mr, nr);
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, for AVX-512F.
-        Isa::Avx512 => unsafe {
-            avx512::microkernel(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc, mr, nr);
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: as above, for NEON.
-        Isa::Neon => unsafe {
-            neon::microkernel(kc, ap.as_ptr(), bp.as_ptr(), c.as_mut_ptr(), ldc, mr, nr);
-        },
-        _ => microkernel_scalar(kc, ap, bp, c, ldc, mr, nr),
+    let (tmr, tnr) = tile.shape();
+    assert!(mr > 0 && mr <= tmr && nr > 0 && nr <= tnr);
+    assert!(c.len() >= (mr - 1) * ldc + nr);
+    let c = c.as_mut_ptr();
+    macro_rules! rows {
+        ($f:ident; $($m:literal)*) => {
+            match mr {
+                $($m => $f::<$m>(depth, kc, a, b, c, ldc, nr, wb),)*
+                _ => unreachable!(),
+            }
+        };
+        ($f:ident, $g:tt; $($m:literal)*) => {
+            match mr {
+                $($m => $f::<$m, $g>(depth, kc, a, b, c, ldc, nr, wb),)*
+                _ => unreachable!(),
+            }
+        };
+    }
+    // SAFETY: the tile's arm passed its runtime probe (the driver runs
+    // `active_isa`'s, `pick_tile` offers only supported tiles,
+    // `gemm_grouped_on` asserts an explicit arm); the
+    // callers build `a` and `b` from checked views under the `Src` contract,
+    // and `c` was checked above.
+    unsafe {
+        match tile {
+            Tile::Scalar => rows!(strided_portable, false; 1 2 3 4 5 6),
+            Tile::Fused => rows!(strided_portable, true; 1 2 3 4 5 6),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2 => {
+                use avx2::strided as k;
+                rows!(k; 1 2 3 4 5 6)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => {
+                use avx512::strided as k;
+                rows!(k, 2; 1 2 3 4 5 6 7 8 9 10 11 12 13 14)
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512x16 => {
+                use avx512::strided as k;
+                rows!(k, 1; 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("x86 tile on another architecture"),
+        }
     }
 }
 
@@ -686,12 +914,14 @@ pub struct Packed;
 impl Packed {
     /// The macro-kernel, generic over the B source so the storage dispatch
     /// happens once per call and the pack loops stay statically typed.
+    /// `b_f32` is B itself when it is a plain f32 operand.
     #[allow(clippy::too_many_arguments)]
     fn driver<S: PackSrc + ?Sized>(
         &self,
         pool: &ThreadPool,
         op: &GemmOp<'_>,
         b: &S,
+        b_f32: Option<&[f32]>,
         c: &mut [f32],
         ldc: usize,
         beta: f32,
@@ -712,24 +942,27 @@ impl Packed {
             return;
         }
         ep.check(n);
-        // Nested call (inside a pool worker) or explicit
-        // `with_sequential`: run the whole macro-kernel on this thread.
-        let seq = crate::sequential_mode();
-        // One beta pass up front; every k-block then accumulates. The extra
-        // sweep over C costs O(m·n) against the O(m·n·k) product and only
-        // runs for shapes the dispatcher already deemed compute-bound —
-        // accepted in exchange for a branch-free microkernel write-back.
-        if beta != 1.0 {
-            scale_only(c, m, n, ldc, beta);
-        }
         if k == 0 {
-            // Degenerate product: the "sum" is just the beta pre-scale, so
-            // the epilogue becomes a standalone pass.
+            // Degenerate product: the "sum" is just the beta scale, so the
+            // epilogue becomes a standalone pass.
+            if beta != 1.0 {
+                scale_only(c, m, n, ldc, beta);
+            }
             apply_epilogue(c, m, n, ldc, ep);
             return;
         }
-        let isa = active_isa();
-        let (tmr, tnr) = isa.tile();
+        // Nested call (inside a pool worker) or explicit
+        // `with_sequential`: run the whole macro-kernel on this thread.
+        let seq = crate::sequential_mode();
+        // A product one register tile wide reads each A row once, and one
+        // a register tile tall reads each B row once: packing such an
+        // operand buys nothing, so it is read where it lies.
+        let b_rows = b_f32.filter(|_| b_layout == Layout::Normal && m <= SINGLE_USE);
+        if n <= SINGLE_USE || b_rows.is_some() {
+            return self.single_use(pool, seq, op, b, b_rows, c, ldc, beta, ep);
+        }
+        let tile = Tile::of(active_isa())[0];
+        let (tmr, tnr) = tile.shape();
         let t = tiles();
         let (mc, kc_max, nc_max) = (t.mc.max(tmr), t.kc.max(1), t.nc.max(tnr));
         // Reuse this thread's B̃ buffer across calls. Taken out of the
@@ -745,8 +978,10 @@ impl Packed {
             let mut pc = 0;
             while pc < k {
                 let kc = kc_max.min(k - pc);
-                // The epilogue folds into the write-back of the *final*
-                // k-block only, i.e. after the complete accumulated sum.
+                // `beta` folds into the first k-block's write-back, the
+                // epilogue into the *final* one's, i.e. after the complete
+                // accumulated sum.
+                let wb = WriteBack::at(pc, beta);
                 let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
                 pack_b(
                     &mut bpack,
@@ -760,9 +995,11 @@ impl Packed {
                     tnr,
                     (!seq).then_some(pool),
                 );
+                packed_elements(Operand::B).add((kc * nc) as u64);
                 let bpack_ref = &bpack;
                 let grain = row_grain(kc, nc).max(tmr);
                 let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
+                    packed_elements(Operand::A).add((rows.len() * kc) as u64);
                     PACK_A.with(|apack| {
                         let apack = &mut *apack.borrow_mut();
                         let mut ic = rows.start;
@@ -771,12 +1008,13 @@ impl Packed {
                             pack_a(apack, a, lda, a_layout, ic, mcb, pc, kc, tmr);
                             for jr in (0..nc).step_by(tnr) {
                                 let nr = tnr.min(nc - jr);
-                                let bp = &bpack_ref[(jr / tnr) * kc * tnr..];
+                                let bp = Src::panel(&bpack_ref[(jr / tnr) * kc * tnr..], tnr, 0);
                                 for ir in (0..mcb).step_by(tmr) {
                                     let mr = tmr.min(mcb - ir);
-                                    let ap = &apack[(ir / tmr) * kc * tmr..];
+                                    let ap = Src::panel(&apack[(ir / tmr) * kc * tmr..], tmr, 0);
                                     let coff = (ic - rows.start + ir) * ldc + jc + jr;
-                                    microkernel(isa, kc, ap, bp, &mut chunk[coff..], ldc, mr, nr);
+                                    let c = &mut chunk[coff..];
+                                    strided(tile, 1, kc, ap, bp, c, ldc, mr, nr, wb);
                                 }
                             }
                             // Epilogue over the finished mc×nc block, full
@@ -805,30 +1043,114 @@ impl Packed {
         }
         PACK_B.with(|b| *b.borrow_mut() = bpack);
     }
+
+    /// [`driver`](Self::driver) for a product whose A rows (`n` within
+    /// [`SINGLE_USE`]) or B rows (`b_rows`: a Normal f32 B under at most
+    /// [`SINGLE_USE`] rows of C) are each read once: the strided microkernels read A where it
+    /// lies, and B too when `b_rows` is given — all but a narrow last column
+    /// panel, which is packed. The k-blocks, and so every C element's
+    /// chains, are the packed driver's.
+    #[allow(clippy::too_many_arguments)]
+    fn single_use<S: PackSrc + ?Sized>(
+        &self,
+        pool: &ThreadPool,
+        seq: bool,
+        op: &GemmOp<'_>,
+        b: &S,
+        b_rows: Option<&[f32]>,
+        c: &mut [f32],
+        ldc: usize,
+        beta: f32,
+        ep: Epilogue<'_>,
+    ) {
+        let GemmOp { m, k, n, a, .. } = *op;
+        let tile = pick_tile(None, m, n);
+        let (tmr, tnr) = tile.shape();
+        let kc_max = tiles().kc.max(1);
+        let (a_ks, a_xs) = match op.a_layout {
+            Layout::Normal => (1, op.lda),
+            Layout::Transposed => (op.lda, 1),
+        };
+        // Columns `..direct` read B in place; the rest are packed.
+        let direct = b_rows.map_or(0, |_| n - n % tnr);
+        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
+        let mut pc = 0;
+        while pc < k {
+            let kc = kc_max.min(k - pc);
+            let wb = WriteBack::at(pc, beta);
+            let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
+            if direct < n {
+                let pool = (!seq).then_some(pool);
+                pack_b(
+                    &mut bpack,
+                    b,
+                    op.ldb,
+                    op.b_layout,
+                    pc,
+                    kc,
+                    direct,
+                    n - direct,
+                    tnr,
+                    pool,
+                );
+                packed_elements(Operand::B).add((kc * (n - direct)) as u64);
+            }
+            let bpack = &bpack;
+            let body = |rows: Range<usize>, chunk: &mut [f32]| {
+                for jr in (0..n).step_by(tnr) {
+                    let bsrc = match b_rows {
+                        Some(bf) if jr < direct => Src {
+                            ptr: bf[pc * op.ldb + jr..].as_ptr(),
+                            ks: op.ldb,
+                            xs: 1,
+                            segs: Segs::Step(0),
+                        },
+                        _ => Src::panel(&bpack[(jr - direct) / tnr * kc * tnr..], tnr, 0),
+                    };
+                    for ir in rows.clone().step_by(tmr) {
+                        let asrc = Src {
+                            ptr: a[ir * a_xs + pc * a_ks..].as_ptr(),
+                            ks: a_ks,
+                            xs: a_xs,
+                            segs: Segs::Step(0),
+                        };
+                        let (mr, nr) = (tmr.min(rows.end - ir), tnr.min(n - jr));
+                        let tile_c = &mut chunk[(ir - rows.start) * ldc + jr..];
+                        strided(tile, 1, kc, asrc, bsrc, tile_c, ldc, mr, nr, wb);
+                    }
+                }
+                if !ep_blk.is_none() {
+                    for r in 0..rows.len() {
+                        ep_blk.apply_tile(&mut chunk[r * ldc..], ldc, 1, n, 0);
+                    }
+                }
+            };
+            if seq {
+                body(0..m, &mut *c);
+            } else {
+                pool.par_rows(c, m, ldc, row_grain(kc, n).max(tmr), body);
+            }
+            pc += kc;
+        }
+        PACK_B.with(|b| *b.borrow_mut() = bpack);
+    }
 }
 
-/// The microkernel arm a grouped launch of `m×n` tasks runs: the one that
-/// issues the fewest vector instructions per k-step over the task padded to
-/// its register tile. A 16×16 score block fills 3 of the 6×16 AVX2 tiles but
-/// wastes two thirds of the 14×32 AVX-512 tiles it would need, so on an
-/// AVX-512 host the narrower arm can win; never an arm wider than
-/// [`active_isa`] allows. The FMA arms agree bit for bit (every C element is
-/// one fused multiply-add chain over `k` in either), so the choice never
-/// shows in the result.
-fn group_isa(m: usize, n: usize) -> Isa {
-    let active = active_isa();
-    let instructions = |isa: Isa, lanes: usize| {
-        let (mr, nr) = isa.tile();
-        m.div_ceil(mr) * mr * n.div_ceil(nr) * nr / lanes
-    };
-    if active == Isa::Avx512
-        && Isa::Avx2.supported()
-        && instructions(Isa::Avx2, 8) < instructions(Isa::Avx512, 16)
-    {
-        Isa::Avx2
-    } else {
-        active
-    }
+/// Which operand a pack copies.
+#[derive(Clone, Copy)]
+enum Operand {
+    A,
+    B,
+}
+
+/// `kernel.gemm.packed{operand}`: elements copied into packed panels, so a
+/// trace shows which operands a launch read where they lie.
+fn packed_elements(operand: Operand) -> &'static Counter {
+    static COUNTERS: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
+    let counters = COUNTERS.get_or_init(|| {
+        ["a", "b"].map(|o| registry().counter_labeled("kernel.gemm.packed", &[("operand", o)]))
+    });
+    &counters[operand as usize]
 }
 
 /// A launch whose tasks are the adjacent column windows of one product:
@@ -849,7 +1171,7 @@ fn is_wide(g: &GemmGroup<'_>, shape: CShape) -> bool {
 /// One k-block of a grouped launch: everything its chunks share.
 struct GroupPass<'a> {
     g: &'a GemmGroup<'a>,
-    isa: Isa,
+    tile: Tile,
     /// First k-step and depth of the block.
     pc: usize,
     kc: usize,
@@ -862,6 +1184,12 @@ struct GroupPass<'a> {
     /// panels of consecutive slots are contiguous along k, so a run of tasks
     /// over consecutive slots reads one long panel.
     b_slots: usize,
+    /// Every A window is read by one task: the microkernel reads it in
+    /// place instead of from a packed panel.
+    a_direct: bool,
+    /// B windows are f32 rows a whole number of tiles wide: read in place,
+    /// B̃ is never packed.
+    b_direct: bool,
 }
 
 impl GroupPass<'_> {
@@ -869,7 +1197,7 @@ impl GroupPass<'_> {
     /// their columns gathered into shared panels).
     fn pack_b(&self, out: &mut Vec<f32>, pool: Option<&ThreadPool>) {
         let (g, kc, pc) = (self.g, self.kc, self.pc);
-        let (_, nr) = self.isa.tile();
+        let (_, nr) = self.tile.shape();
         let panel_len = kc * nr;
         if panel_len == 0 {
             return;
@@ -907,12 +1235,14 @@ impl GroupPass<'_> {
             Some(pool) if panels > grain => pool.par_rows(out, panels, panel_len, grain, fill),
             _ => fill(0..panels, out),
         }
+        packed_elements(Operand::B).add((kc * self.cols * self.b_slots) as u64);
     }
 
-    /// Runs `rs`, rows `rows` of every C window, off the packed `bpack` into
-    /// `chunk`, which starts at element `base` of C. Packs the A windows it
-    /// meets into this thread's panels, laid out `[row panel][slot][kc][mr]`
-    /// like B̃.
+    /// Runs `rs`, rows `rows` of every C window, into `chunk`, which starts
+    /// at element `base` of C. B comes from the packed `bpack` unless read
+    /// in place; A windows are read in place, or packed as the runs meet
+    /// them into this thread's panels, laid out `[row panel][slot][kc][mr]`
+    /// like B̃. The first tasks of a run fold `beta` into their write-back.
     fn work(
         &self,
         bpack: &[f32],
@@ -921,31 +1251,33 @@ impl GroupPass<'_> {
         chunk: &mut [f32],
         base: usize,
     ) {
-        let (g, kc, pc, isa) = (self.g, self.kc, self.pc, self.isa);
-        let (mr, nr) = isa.tile();
-        let a_windows = g.table.a_windows();
+        let (g, kc, pc) = (self.g, self.kc, self.pc);
+        let (mr, nr) = self.tile.shape();
+        let (a_windows, b_windows) = (g.table.a_windows(), g.table.b_windows());
         let m_panels = rows.len().div_ceil(mr);
         let height = |ip: usize| mr.min(rows.len() - ip * mr);
         let a_panel = |ip: usize, slot: usize| (ip * a_windows.len() + slot) * kc * mr;
+        let (a_ks, a_xs) = match g.a.layout {
+            Layout::Normal => (1, g.a.ld),
+            Layout::Transposed => (g.a.ld, 1),
+        };
         PACK_A.with(|apack| {
             PACKED_SLOTS.with(|packed| {
                 let apack = &mut *apack.borrow_mut();
                 let packed = &mut *packed.borrow_mut();
-                apack.resize(m_panels * a_windows.len() * kc * mr, 0.0);
-                packed.clear();
-                packed.resize(a_windows.len(), false);
+                if !self.a_direct {
+                    apack.resize(m_panels * a_windows.len() * kc * mr, 0.0);
+                    packed.clear();
+                    packed.resize(a_windows.len(), false);
+                }
+                let mut copied = 0;
                 for run in rs {
                     let run = &self.tasks[self.runs[run] as usize..self.runs[run + 1] as usize];
                     let Some(first) = run.first() else { continue };
                     let c_off = g.c_offset(first) + rows.start * g.ldc - base;
-                    if pc == 0 && g.beta != 1.0 {
-                        for i in 0..rows.len() {
-                            let row = c_off + i * g.ldc;
-                            scale_row(&mut chunk[row..row + self.cols], g.beta);
-                        }
-                    }
+                    let mut wb = WriteBack::at(pc, g.beta);
                     let mut t = 0;
-                    while t < run.len() && kc > 0 {
+                    while t < run.len() {
                         let (a0, b0) = (run[t].a as usize, run[t].b as usize);
                         // Tasks over consecutive slots: one deeper call.
                         let mut depth = 1;
@@ -955,9 +1287,10 @@ impl GroupPass<'_> {
                             depth += 1;
                         }
                         for slot in a0..a0 + depth {
-                            if std::mem::replace(&mut packed[slot], true) {
+                            if self.a_direct || std::mem::replace(&mut packed[slot], true) {
                                 continue;
                             }
+                            copied += rows.len() * kc;
                             let a = &g.a.data[a_windows[slot] as usize * g.a.stride..];
                             for ip in 0..m_panels {
                                 let dst = &mut apack[a_panel(ip, slot)..][..kc * mr];
@@ -979,25 +1312,51 @@ impl GroupPass<'_> {
                             }
                         }
                         for jp in 0..self.cols.div_ceil(nr) {
-                            let bp = &bpack[(jp * self.b_slots + b0) * kc * nr..];
+                            let b = if self.b_direct {
+                                Src {
+                                    ptr: g.b.data[pc * g.b.ld + jp * nr..].as_ptr(),
+                                    ks: g.b.ld,
+                                    xs: 1,
+                                    segs: Segs::Windows(&b_windows[b0..b0 + depth], g.b.stride),
+                                }
+                            } else {
+                                let panel = &bpack[(jp * self.b_slots + b0) * kc * nr..];
+                                Src::panel(panel, nr, kc * nr)
+                            };
                             let width = nr.min(self.cols - jp * nr);
                             for ip in 0..m_panels {
-                                let ap = &apack[a_panel(ip, a0)..];
-                                let tile = &mut chunk[c_off + ip * mr * g.ldc + jp * nr..];
-                                microkernel(
-                                    isa,
-                                    depth * kc,
-                                    ap,
-                                    bp,
-                                    tile,
+                                let a = if self.a_direct {
+                                    let row = rows.start + ip * mr;
+                                    Src {
+                                        ptr: g.a.data[row * a_xs + pc * a_ks..].as_ptr(),
+                                        ks: a_ks,
+                                        xs: a_xs,
+                                        segs: Segs::Windows(&a_windows[a0..a0 + depth], g.a.stride),
+                                    }
+                                } else {
+                                    Src::panel(&apack[a_panel(ip, a0)..], mr, kc * mr)
+                                };
+                                let c = &mut chunk[c_off + ip * mr * g.ldc + jp * nr..];
+                                strided(
+                                    self.tile,
+                                    depth,
+                                    kc,
+                                    a,
+                                    b,
+                                    c,
                                     g.ldc,
                                     height(ip),
                                     width,
+                                    wb,
                                 );
                             }
                         }
+                        wb = WriteBack::Add;
                         t += depth;
                     }
+                }
+                if copied > 0 {
+                    packed_elements(Operand::A).add(copied as u64);
                 }
             })
         });
@@ -1018,29 +1377,31 @@ impl Packed {
     ) {
         op.check(c.len(), ldc);
         match &op.b {
-            BOperand::F32(b) => self.driver(pool, op, *b, c, ldc, beta, ep),
-            BOperand::F16(b) => self.driver(pool, op, *b, c, ldc, beta, ep),
-            BOperand::Q8(b) => self.driver(pool, op, b, c, ldc, beta, ep),
-            BOperand::Q4(b) => self.driver(pool, op, b, c, ldc, beta, ep),
-            BOperand::Nm(b) => self.driver(pool, op, b, c, ldc, beta, ep),
+            BOperand::F32(b) => self.driver(pool, op, *b, Some(b), c, ldc, beta, ep),
+            BOperand::F16(b) => self.driver(pool, op, *b, None, c, ldc, beta, ep),
+            BOperand::Q8(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
+            BOperand::Q4(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
+            BOperand::Nm(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
         }
     }
 
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
     /// given, an explicit microkernel arm (tests and benches; `None` picks
-    /// the arm from the task shape).
+    /// the register tile from the task shape).
     ///
-    /// Every distinct B window is packed once per launch and shared
-    /// read-only; every distinct A window is packed once per thread that
-    /// needs it, into thread-local panels; the register-tile microkernel then
-    /// runs straight off those panels for each task in table order. Tasks of
-    /// a run whose A *and* B slots are consecutive read contiguous panels and
-    /// collapse into one deeper microkernel call, and a launch of adjacent
-    /// column windows runs as one wide product (see `is_wide`) — properties
-    /// of the table, so every C element sees the same accumulation order
-    /// however the launch is split: by rows when the C windows are column
-    /// windows of one matrix (neuron slabs), by task count per run when they
-    /// are separate regions (score blocks, block rows), inline when
+    /// Only what is reused is packed. B̃ holds every distinct B window once
+    /// per launch, shared read-only — unless the windows are f32 rows a whole
+    /// number of register tiles wide, which the microkernel reads in place.
+    /// A window used by one task (a P or dS block of a DSD) is read in place
+    /// too; windows shared by several tasks are packed once per thread that
+    /// needs them, into thread-local panels. Tasks of a run whose A *and* B
+    /// slots are consecutive collapse into one deeper microkernel call (one
+    /// accumulator chain across the blocks), and a launch of adjacent column
+    /// windows runs as one wide product (see `is_wide`) — properties of the
+    /// table, so every C element sees the same accumulation order however
+    /// the launch is split: by rows when the C windows are column windows
+    /// of one matrix (neuron slabs), by task count per run when they are
+    /// separate regions (score blocks, block rows), inline when
     /// [`sequential_mode`] is set.
     ///
     /// [`sequential_mode`]: crate::sequential_mode
@@ -1056,32 +1417,45 @@ impl Packed {
             return;
         }
         let shape = g.check(c.len());
-        let (cols, runs, tasks, b_slots) = if is_wide(g, shape) {
+        if let Some(isa) = isa {
+            assert!(isa.supported(), "gemm group: {} not supported", isa.name());
+        }
+        if g.k == 0 {
+            // Nothing to accumulate: each run's C window is only scaled.
+            return per_task(self, g, c);
+        }
+        let wide = is_wide(g, shape);
+        let (cols, runs, tasks, b_slots) = if wide {
             let tasks = table.tasks();
             (tasks.len() * g.n, &[0, 1][..], &tasks[..1], 1)
         } else {
             (g.n, table.runs(), table.tasks(), table.b_windows().len())
         };
-        let isa = isa.unwrap_or_else(|| group_isa(g.m, cols));
-        assert!(isa.supported(), "gemm group: {} not supported", isa.name());
+        let tile = pick_tile(isa, g.m, cols);
+        let a_direct = !wide && table.a_windows().len() == table.tasks().len();
+        let b_direct = !wide && g.b.layout == Layout::Normal && g.n.is_multiple_of(tile.shape().1);
         let seq = crate::sequential_mode();
         let kc_max = tiles().kc.max(1);
         // As in `driver`: taken, not borrowed, across the parallel section.
         let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
         let mut pc = 0;
-        loop {
+        while pc < g.k {
             let kc = kc_max.min(g.k - pc);
             let pass = GroupPass {
                 g,
-                isa,
+                tile,
                 pc,
                 kc,
                 cols,
                 runs,
                 tasks,
                 b_slots,
+                a_direct,
+                b_direct,
             };
-            pass.pack_b(&mut bpack, (!seq).then_some(pool));
+            if !b_direct {
+                pass.pack_b(&mut bpack, (!seq).then_some(pool));
+            }
             let bpack = &bpack;
             let all_runs = 0..runs.len() - 1;
             // Multiply-adds behind one row of every C window.
@@ -1089,7 +1463,7 @@ impl Packed {
             match shape {
                 _ if seq => pass.work(bpack, all_runs, 0..g.m, c, 0),
                 CShape::Columns => {
-                    let grain = (GRAIN_FLOPS / row_macs.max(1)).max(isa.tile().0);
+                    let grain = (GRAIN_FLOPS / row_macs.max(1)).max(tile.shape().0);
                     pool.par_rows(c, g.m, g.ldc, grain, |rows, chunk| {
                         let base = rows.start * g.ldc;
                         pass.work(bpack, all_runs.clone(), rows, chunk, base)
@@ -1113,9 +1487,6 @@ impl Packed {
                 CShape::Other => pass.work(bpack, all_runs, 0..g.m, c, 0),
             }
             pc += kc;
-            if pc >= g.k {
-                break;
-            }
         }
         PACK_B.with(|b| *b.borrow_mut() = bpack);
     }
@@ -1136,5 +1507,199 @@ impl KernelBackend for Packed {
 
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
         self.gemm_grouped_on(lx_parallel::pool(), None, group, c)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Deterministic values in `[-1, 1)`.
+    fn values(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: idx {i}: {x} vs {y}");
+        }
+    }
+
+    /// One multiply-add step of a chain: fused, or a product then a sum.
+    fn step(fused: bool, a: f32, b: f32, acc: f32) -> f32 {
+        if fused {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    }
+
+    /// The packed driver's contract as plain scalar code: per k-block of
+    /// `kc` steps, every C element takes one multiply-add chain from `+0`,
+    /// folded into C with the block's [`WriteBack`].
+    fn chain_gemm(op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, fused: bool) {
+        let kc = tiles().kc;
+        let a_at = |i: usize, p: usize| match op.a_layout {
+            Layout::Normal => op.a[i * op.lda + p],
+            Layout::Transposed => op.a[p * op.lda + i],
+        };
+        let b_at = |p: usize, j: usize| match op.b_layout {
+            Layout::Normal => op.b.get(p * op.ldb + j),
+            Layout::Transposed => op.b.get(j * op.ldb + p),
+        };
+        for i in 0..op.m {
+            for j in 0..op.n {
+                let cv = &mut c[i * ldc + j];
+                for pc in (0..op.k).step_by(kc) {
+                    let acc = (pc..op.k.min(pc + kc))
+                        .fold(0.0, |acc, p| step(fused, a_at(i, p), b_at(p, j), acc));
+                    *cv = WriteBack::at(pc, beta).apply(*cv, acc);
+                }
+            }
+        }
+    }
+
+    fn supported(tile: Tile) -> bool {
+        match tile {
+            Tile::Scalar | Tile::Fused => true,
+            Tile::Avx2 => Isa::Avx2.supported(),
+            Tile::Avx512 | Tile::Avx512x16 => Isa::Avx512.supported(),
+        }
+    }
+
+    #[test]
+    fn tile_choice_follows_the_task_shape() {
+        assert_eq!(pick_tile(Some(Isa::Scalar), 16, 16), Tile::Scalar);
+        assert_eq!(pick_tile(Some(Isa::Avx2), 16, 16), Tile::Avx2);
+        assert_eq!(pick_tile(Some(Isa::Neon), 16, 16), Tile::Fused);
+        // A 16-row block fills the one-zmm-per-row tile; a tall product the
+        // 14×32 one.
+        for (m, n) in [(16, 16), (16, 32), (8, 8), (16, 256)] {
+            assert_eq!(
+                pick_tile(Some(Isa::Avx512), m, n),
+                Tile::Avx512x16,
+                "{m}x{n}"
+            );
+        }
+        for (m, n) in [(512, 256), (14, 32), (512, 400)] {
+            assert_eq!(pick_tile(Some(Isa::Avx512), m, n), Tile::Avx512, "{m}x{n}");
+        }
+        // An explicit arm never leaves its own tiles, and its first tile is
+        // the packed driver's geometry.
+        for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon] {
+            assert_eq!(Tile::of(isa)[0].shape(), isa.tile(), "{isa:?}");
+            for (m, n) in [(4, 8), (16, 16), (512, 256), (512, 16)] {
+                assert!(Tile::of(isa).contains(&pick_tile(Some(isa), m, n)));
+            }
+        }
+        // The default never leaves the active arm's tiles (plus AVX2 under
+        // AVX-512), so an `avx2` or `scalar` pin keeps its old tile.
+        let active = active_isa();
+        for (m, n) in [(4, 8), (16, 16), (512, 256)] {
+            let tile = pick_tile(None, m, n);
+            assert!(supported(tile));
+            assert!(
+                Tile::of(active).contains(&tile) || tile == Tile::Avx2,
+                "{tile:?}"
+            );
+        }
+    }
+
+    /// Every strided tile, in place over two layouts of A and windowed B
+    /// segments, folds exactly the chain its definition names.
+    #[test]
+    fn strided_tiles_match_the_chain_definition() {
+        let (kc, ld, stride, ldc) = (7, 40, 400, 40);
+        let windows = [3u32, 0, 5];
+        let (a, b) = (values(4000, 1), values(4000, 2));
+        let tiles = [
+            Tile::Scalar,
+            Tile::Fused,
+            Tile::Avx2,
+            Tile::Avx512,
+            Tile::Avx512x16,
+        ];
+        for tile in tiles.into_iter().filter(|&t| supported(t)) {
+            let fused = tile != Tile::Scalar;
+            let (tmr, tnr) = tile.shape();
+            for (mr, nr) in [(tmr, tnr), (1, 3), (tmr - 1, tnr - 5)] {
+                for (ks, xs) in [(1, ld), (ld, 1)] {
+                    let seg = Segs::Windows(&windows, stride);
+                    let a_src = Src {
+                        ptr: a.as_ptr(),
+                        ks,
+                        xs,
+                        segs: seg,
+                    };
+                    let b_src = Src {
+                        ptr: b.as_ptr(),
+                        ks: ld,
+                        xs: 1,
+                        segs: seg,
+                    };
+                    for wb in [WriteBack::Add, WriteBack::Set, WriteBack::Scale(0.5)] {
+                        let c0 = values(tmr * ldc, 3);
+                        let mut got = c0.clone();
+                        strided(tile, 3, kc, a_src, b_src, &mut got, ldc, mr, nr, wb);
+                        let mut want = c0.clone();
+                        for i in 0..mr {
+                            for j in 0..nr {
+                                let mut acc = 0.0;
+                                for &w in &windows {
+                                    let w = w as usize * stride;
+                                    for p in 0..kc {
+                                        let (x, y) = (a[w + p * ks + i * xs], b[w + p * ld + j]);
+                                        acc = step(fused, x, y, acc);
+                                    }
+                                }
+                                want[i * ldc + j] = wb.apply(c0[i * ldc + j], acc);
+                            }
+                        }
+                        let what = format!("{tile:?} {mr}x{nr} ks={ks} {wb:?}");
+                        assert_bits(&what, &got, &want);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both driver paths — packed panels, and the single-use operands read
+    /// in place (a one-tile-wide product, a B read by at most 16 rows, with
+    /// and without a packed narrow last panel) — against the chain
+    /// definition, across a k-block boundary, both A layouts and all three
+    /// write-backs, over a NaN-poisoned C for `beta = 0`.
+    #[test]
+    fn driver_paths_match_the_chain_definition() {
+        let fused = active_isa() != Isa::Scalar;
+        let k = tiles().kc + 44;
+        let mut seed = 10;
+        for (m, n) in [(37, 8), (40, 16), (8, 40), (16, 64), (5, 3), (30, 40)] {
+            for a_layout in [Layout::Normal, Layout::Transposed] {
+                for beta in [0.0f32, 1.0, 0.5] {
+                    seed += 3;
+                    let (a, b) = (values(m * k, seed), values(k * n, seed + 1));
+                    let op = GemmOp::contiguous(m, k, n, &a, a_layout, &b[..], Layout::Normal);
+                    let c0 = if beta == 0.0 {
+                        vec![f32::NAN; m * n]
+                    } else {
+                        values(m * n, seed + 2)
+                    };
+                    let mut want = c0.clone();
+                    chain_gemm(&op, &mut want, n, beta, fused);
+                    let mut got = c0;
+                    Packed.gemm(&op, &mut got, n, beta, Epilogue::None);
+                    let what = format!("{m}x{k}x{n} {a_layout:?} beta={beta}");
+                    assert_bits(&what, &got, &want);
+                }
+            }
+        }
     }
 }

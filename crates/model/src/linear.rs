@@ -10,11 +10,10 @@
 use crate::param::Param;
 use lx_kernels::GemmOp;
 use lx_sparse::neuron::{
-    fc1_backward_input, fc1_forward, fc1_grad_weights, fc2_backward_input, fc2_forward,
-    fc2_grad_weights,
+    active_cols, fc1_backward_input, fc1_grad_weights, fc2_forward, fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
@@ -115,7 +114,11 @@ impl Lora {
     }
 
     /// [`forward`](Self::forward) over the active neuron blocks of `set`
-    /// (every neuron when `None`).
+    /// (every neuron when `None`). The rank-r update rides the frozen
+    /// product: `y` takes `(s·ax)·Bᵀ` as a beta-1 accumulation, each element
+    /// one `r`-long chain added once — no `rows × d_out` scratch, no second
+    /// pass over `y`. For `s` a power of two, `s·ax` is exact and the sum is
+    /// bit-identical to adding `s·((x·Ã)·Bᵀ)`.
     pub(crate) fn forward_over(
         &mut self,
         x: &Tensor,
@@ -131,19 +134,23 @@ impl Lora {
             }),
             None => matmul(x, &self.a.value, self.a_layout, Epilogue::None),
         };
-        let delta = match b_set {
-            Some(set) => filled(y.shape(), |d| {
-                fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
-            }),
-            None => matmul(&ax, &self.b.value, Layout::Transposed, Epilogue::None),
-        };
-        y.axpy(self.scale, &delta);
+        let sax = filled(ax.shape(), |sax| {
+            for (o, &v) in sax.iter_mut().zip(ax.as_slice()) {
+                *o = self.scale * v;
+            }
+        });
+        let (sax, out) = (sax.as_slice(), y.as_mut_slice());
+        match b_set {
+            Some(set) => active_cols(sax, rows, b, r, set, 1.0, out),
+            None => gemm_nt(rows, r, self.b.value.rows(), sax, b, out, 1.0),
+        }
         self.ax = Some(ax);
     }
 
     /// [`backward`](Self::backward) over the active neuron blocks of `set`,
     /// compact on the same side as [`forward_over`](Self::forward_over).
-    /// Inactive rows of the neuron-major factor receive no gradient.
+    /// Inactive rows of the neuron-major factor receive no gradient. The
+    /// adapter's share of `dx` is a beta-1 accumulation of `d(ax)·Ãᵀ`.
     pub(crate) fn backward_over(
         &mut self,
         x: &Tensor,
@@ -190,19 +197,13 @@ impl Lora {
             }
         }
         // dx += d(ax)·Ãᵀ
-        let a = self.a.value.as_slice();
-        let dx_lora = match a_set {
-            Some(set) => filled(dx.shape(), |d| {
-                fc2_backward_input(dax.as_slice(), rows, a, r, set, d)
-            }),
-            None => matmul(
-                &dax,
-                &self.a.value,
-                transposed(self.a_layout),
-                Epilogue::None,
-            ),
-        };
-        dx.add_assign(&dx_lora);
+        let (a, dax, out) = (self.a.value.as_slice(), dax.as_slice(), dx.as_mut_slice());
+        let d_in = a.len() / r.max(1);
+        match (a_set, self.a_layout) {
+            (Some(set), _) => active_cols(dax, rows, a, r, set, 1.0, out),
+            (None, Layout::Transposed) => gemm(rows, r, d_in, dax, a, out, 1.0),
+            (None, Layout::Normal) => gemm_nt(rows, r, d_in, dax, a, out, 1.0),
+        }
     }
 
     /// Fold `ΔW = s·Ã·Bᵀ` into the f32 weight `w` of the adapted linear,
@@ -285,6 +286,15 @@ impl Linear {
     }
 
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
+        let y = self.project(x);
+        self.cache_x = Some(x.clone());
+        y
+    }
+
+    /// The forward product without caching `x`, for a caller that keeps `x`
+    /// itself and hands it back to [`backward_into`](Self::backward_into)
+    /// (attention's q/k/v projections of one input).
+    pub fn project(&mut self, x: &Tensor) -> Tensor {
         // Dtype-dispatching (fused f16/quant decode when the backbone weight
         // is reduced-stored), with the bias add fused into the GEMM
         // write-back instead of a second pass over y.
@@ -296,7 +306,6 @@ impl Linear {
         if let Some(lora) = &mut self.lora {
             lora.forward(x, &mut y);
         }
-        self.cache_x = Some(x.clone());
         y
     }
 
@@ -306,9 +315,31 @@ impl Linear {
             .cache_x
             .take()
             .expect("Linear::backward without forward");
-        let mut dx = self.weight.matmul(dy, Layout::Transposed, Epilogue::None); // dy · Wᵀ
+        let mut dx = Tensor::scratch(&[dy.rows(), self.d_in()]);
+        self.backward_into(&x, dy, &mut dx, 0.0);
+        dx
+    }
+
+    /// Backward of [`project`](Self::project)`(x)`: accumulates grads into
+    /// trainable params and writes `dx = beta·dx + dy·Wᵀ` plus the adapter's
+    /// share — `beta = 1` sums the input gradients of several projections of
+    /// one input in one buffer.
+    pub fn backward_into(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor, beta: f32) {
+        let (d_in, d_out) = (self.d_in(), self.d_out());
+        assert_eq!(dx.shape(), [dy.rows(), d_in], "Linear::backward_into: dx");
+        let w = self.weight.b_ref();
+        let op = GemmOp::contiguous(
+            dy.rows(),
+            d_out,
+            d_in,
+            dy.as_slice(),
+            Layout::Normal,
+            w.operand(),
+            Layout::Transposed,
+        ); // dy · Wᵀ
+        lx_kernels::backend().gemm(&op, dx.as_mut_slice(), d_in.max(1), beta, Epilogue::None);
         if self.weight.trainable {
-            let dw = matmul_tn(&x, dy); // xᵀ · dy
+            let dw = matmul_tn(x, dy); // xᵀ · dy
             self.weight.accumulate_grad(&dw);
         }
         if let Some(bias) = &mut self.bias {
@@ -317,9 +348,8 @@ impl Linear {
             }
         }
         if let Some(lora) = &mut self.lora {
-            lora.backward(&x, dy, &mut dx);
+            lora.backward(x, dy, dx);
         }
-        dx
     }
 
     /// Visit every parameter (weight, bias, LoRA pair).
@@ -470,6 +500,211 @@ mod tests {
             let lm = finite_diff_loss(&mut lin, &xm, &dy);
             let fd = (lp - lm) / (2.0 * h);
             assert!((dx.as_slice()[idx] - fd).abs() < 1e-2, "dx[{idx}]");
+        }
+    }
+
+    /// The composition the fused operator replaced, kept as its oracle:
+    /// `y += s·((x·Ã)·Bᵀ)` through a `rows × d_out` scratch and an axpy,
+    /// `dx += d(ax)·Ãᵀ` through a `rows × d_in` scratch and an add.
+    fn composed_forward(l: &Lora, x: &Tensor, y: &mut Tensor, set: Option<&NeuronBlockSet>) {
+        let (a_set, b_set) = l.split(set);
+        let (rows, r) = (x.rows(), l.rank());
+        let (a, b) = (l.a.value.as_slice(), l.b.value.as_slice());
+        let ax = match a_set {
+            Some(set) => filled(&[rows, r], |ax| {
+                fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
+            }),
+            None => matmul(x, &l.a.value, l.a_layout, Epilogue::None),
+        };
+        let delta = match b_set {
+            Some(set) => filled(y.shape(), |d| {
+                lx_sparse::neuron::fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
+            }),
+            None => matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None),
+        };
+        y.axpy(l.scale, &delta);
+    }
+
+    /// The composed backward: `(dA, dB)` and the adapter's share of `dx`
+    /// added to `dx`.
+    fn composed_backward(
+        l: &Lora,
+        x: &Tensor,
+        dy: &Tensor,
+        dx: &mut Tensor,
+        set: Option<&NeuronBlockSet>,
+    ) -> (Tensor, Tensor) {
+        let (a_set, b_set) = l.split(set);
+        let (rows, r) = (dy.rows(), l.rank());
+        let (a, b) = (l.a.value.as_slice(), l.b.value.as_slice());
+        let mut ax = match a_set {
+            Some(set) => filled(&[rows, r], |ax| {
+                fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
+            }),
+            None => matmul(x, &l.a.value, l.a_layout, Epilogue::None),
+        };
+        let mut dax = match b_set {
+            Some(set) => filled(&[rows, r], |dax| {
+                fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
+            }),
+            None => matmul(dy, &l.b.value, Layout::Normal, Epilogue::None),
+        };
+        dax.scale(l.scale);
+        let mut db = Tensor::zeros(l.b.value.shape());
+        match b_set {
+            Some(set) => {
+                ax.scale(l.scale);
+                let db = db.as_mut_slice();
+                fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db);
+            }
+            None => {
+                db = matmul_tn(dy, &ax);
+                db.scale(l.scale);
+            }
+        }
+        let da = match (a_set, l.a_layout) {
+            (Some(set), _) => filled(l.a.value.shape(), |da| {
+                da.fill(0.0);
+                fc2_grad_weights(x.as_slice(), dax.as_slice(), rows, r, set, da)
+            }),
+            (None, Layout::Transposed) => matmul_tn(&dax, x),
+            (None, Layout::Normal) => matmul_tn(x, &dax),
+        };
+        let dx_lora = match a_set {
+            Some(set) => filled(dx.shape(), |d| {
+                active_cols(dax.as_slice(), rows, a, r, set, 0.0, d)
+            }),
+            None => matmul(&dax, &l.a.value, transposed(l.a_layout), Epilogue::None),
+        };
+        dx.add_assign(&dx_lora);
+        (da, db)
+    }
+
+    /// A trainable pair with a nonzero `B`, built the same way every call.
+    fn lora(a_layout: Layout, d_in: usize, d_out: usize, alpha: f32) -> Lora {
+        let mut l = Lora::new("l", d_in, d_out, 8, alpha, 31, a_layout);
+        let vals = lx_tensor::rng::randn_vec(l.b.value.len(), 0.3, 32);
+        l.b.value.as_mut_slice().copy_from_slice(&vals);
+        l
+    }
+
+    fn assert_bits(what: &str, got: &Tensor, want: &Tensor) {
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: idx {i}: {x} vs {y}");
+        }
+    }
+
+    fn assert_rel(what: &str, got: &Tensor, want: &Tensor, tol: f32) {
+        let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!((x - y).abs() <= tol * scale, "{what}: idx {i}: {x} vs {y}");
+        }
+    }
+
+    /// The fused rank-r operator against the composition it replaced, on
+    /// both `A` orientations, the dense and the neuron-sparse paths: `y`,
+    /// `dx`, `dA` and `dB` are bit-identical at `s = 2` (power-of-two scaling
+    /// is exact), and at `s = 1.7` only `y` moves, by ≤ 1e-6 relative. The
+    /// shapes route every product to the packed backend, whose beta-1
+    /// write-back adds each chain once; the reference loops accumulate an
+    /// `nn` product into C term by term, so under
+    /// `LX_KERNEL_BACKEND=reference` `dx` is held to 1e-6 as well.
+    #[test]
+    fn fused_lora_matches_the_composition() {
+        let (rows, d, blk) = (128, 256, 16);
+        let set = NeuronBlockSet::from_indices(vec![0, 3, 4, 5, 9, 15], d / blk, blk);
+        let width = set.active_neurons();
+        let exact_dx = lx_kernels::backend().name() != "reference";
+        for (alpha, exact_y) in [(16.0, true), (13.6, false)] {
+            for (a_layout, sparse) in [
+                (Layout::Transposed, false),
+                (Layout::Normal, false),
+                (Layout::Transposed, true),
+                (Layout::Normal, true),
+            ] {
+                let what = format!("s={} {a_layout:?} sparse={sparse}", alpha / 8.0);
+                let set = sparse.then_some(&set);
+                // FC1 (`A` transposed) is compact on its output, FC2 on its
+                // input.
+                let compact_in = sparse && a_layout == Layout::Normal;
+                let compact_out = sparse && a_layout == Layout::Transposed;
+                let x_cols = if compact_in { width } else { d };
+                let y_cols = if compact_out { width } else { d };
+                let x = Tensor::randn(&[rows, x_cols], 1.0, 40);
+                let y0 = Tensor::randn(&[rows, y_cols], 1.0, 41);
+                let dy = Tensor::randn(&[rows, y_cols], 1.0, 42);
+                let dx0 = Tensor::randn(&[rows, x_cols], 1.0, 43);
+
+                let mut fused = lora(a_layout, d, d, alpha);
+                let (mut y, mut dx) = (y0.clone(), dx0.clone());
+                fused.forward_over(&x, &mut y, set);
+                fused.backward_over(&x, &dy, &mut dx, set);
+
+                let oracle = lora(a_layout, d, d, alpha);
+                let (mut y_want, mut dx_want) = (y0, dx0);
+                composed_forward(&oracle, &x, &mut y_want, set);
+                let (da, db) = composed_backward(&oracle, &x, &dy, &mut dx_want, set);
+
+                if exact_y {
+                    assert_bits(&format!("{what} y"), &y, &y_want);
+                } else {
+                    assert_rel(&format!("{what} y"), &y, &y_want, 1e-6);
+                }
+                // `A` stored `[d_in, r]` makes `dx`'s update an `nt` product,
+                // a dot per element on either backend.
+                if exact_dx || a_layout == Layout::Normal {
+                    assert_bits(&format!("{what} dx"), &dx, &dx_want);
+                } else {
+                    assert_rel(&format!("{what} dx"), &dx, &dx_want, 1e-6);
+                }
+                assert_bits(&format!("{what} dA"), fused.a.grad.as_ref().unwrap(), &da);
+                assert_bits(&format!("{what} dB"), fused.b.grad.as_ref().unwrap(), &db);
+            }
+        }
+    }
+
+    /// `Linear` with the fused adapter over f32, f16 and NF4 backbones
+    /// against the frozen product plus the composed adapter, bitwise at
+    /// `s = 2`.
+    #[test]
+    fn fused_lora_linear_matches_the_composition_on_every_backbone() {
+        use lx_tensor::Dtype;
+        let (rows, d) = (128, 256);
+        let exact_dx = lx_kernels::backend().name() != "reference";
+        for dtype in [Dtype::F32, Dtype::F16, Dtype::Nf4Block] {
+            let mut lin = Linear::new("l", d, d, true, 50);
+            lin.weight.demote(dtype);
+            lin.lora = Some(lora(Layout::Transposed, d, d, 16.0));
+            let x = Tensor::randn(&[rows, d], 1.0, 51);
+            let dy = Tensor::randn(&[rows, d], 1.0, 52);
+            let y = lin.forward(&x);
+            let dx = lin.backward(&dy);
+
+            let oracle = lora(Layout::Transposed, d, d, 16.0);
+            let bias = lin.bias.as_ref().unwrap().value.as_slice();
+            let mut y_want = lin.weight.matmul(&x, Layout::Normal, Epilogue::Bias(bias));
+            composed_forward(&oracle, &x, &mut y_want, None);
+            let mut dx_want = lin.weight.matmul(&dy, Layout::Transposed, Epilogue::None);
+            let (da, db) = composed_backward(&oracle, &x, &dy, &mut dx_want, None);
+
+            let fused = lin.lora.as_ref().unwrap();
+            assert_bits(&format!("{dtype:?} y"), &y, &y_want);
+            if exact_dx {
+                assert_bits(&format!("{dtype:?} dx"), &dx, &dx_want);
+            } else {
+                assert_rel(&format!("{dtype:?} dx"), &dx, &dx_want, 1e-6);
+            }
+            assert_bits(
+                &format!("{dtype:?} dA"),
+                fused.a.grad.as_ref().unwrap(),
+                &da,
+            );
+            assert_bits(
+                &format!("{dtype:?} dB"),
+                fused.b.grad.as_ref().unwrap(),
+                &db,
+            );
         }
     }
 

@@ -43,6 +43,8 @@ pub fn alibi_slopes(n_heads: usize) -> Vec<f32> {
 struct AttnCache {
     batch: usize,
     seq: usize,
+    /// The input of the q/k/v projections.
+    x: Tensor,
     /// Head-major `[B·h·S, dh]` projections.
     q: Tensor,
     k: Tensor,
@@ -93,9 +95,11 @@ impl MultiHeadAttention {
         let d = self.n_heads * self.head_dim;
         assert_eq!(x.rows(), batch * seq, "attention input rows");
         assert_eq!(x.cols(), d, "attention input width");
-        let q = split_heads(&self.wq.forward(x), batch, seq, self.n_heads, self.head_dim);
-        let k = split_heads(&self.wk.forward(x), batch, seq, self.n_heads, self.head_dim);
-        let v = split_heads(&self.wv.forward(x), batch, seq, self.n_heads, self.head_dim);
+        // One input, three projections: the cache keeps `x` once for all
+        // three backward passes.
+        let q = split_heads(&self.wq.project(x), batch, seq, self.n_heads, self.head_dim);
+        let k = split_heads(&self.wk.project(x), batch, seq, self.n_heads, self.head_dim);
+        let v = split_heads(&self.wv.project(x), batch, seq, self.n_heads, self.head_dim);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let (ctx, mode) = match layout {
             None => {
@@ -166,6 +170,7 @@ impl MultiHeadAttention {
         self.cache = Some(AttnCache {
             batch,
             seq,
+            x: x.clone(),
             q,
             k,
             v,
@@ -266,9 +271,12 @@ impl MultiHeadAttention {
         let dq_m = merge_heads(&dq, batch, seq, heads, dh);
         let dk_m = merge_heads(&dk, batch, seq, heads, dh);
         let dv_m = merge_heads(&dv, batch, seq, heads, dh);
-        let mut dx = self.wq.backward(&dq_m);
-        dx.add_assign(&self.wk.backward(&dk_m));
-        dx.add_assign(&self.wv.backward(&dv_m));
+        // One `dx`: the q projection writes it, k and v accumulate into it.
+        let x = &cache.x;
+        let mut dx = Tensor::scratch(x.shape());
+        self.wq.backward_into(x, &dq_m, &mut dx, 0.0);
+        self.wk.backward_into(x, &dk_m, &mut dx, 1.0);
+        self.wv.backward_into(x, &dv_m, &mut dx, 1.0);
         dx
     }
 

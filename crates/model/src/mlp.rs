@@ -19,8 +19,8 @@ use crate::linear::Lora;
 use crate::param::Param;
 use lx_obs::{registry, Counter};
 use lx_sparse::neuron::{
-    fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_backward_input,
-    fc2_forward, fc2_grad_weights,
+    active_cols, fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_forward,
+    fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
@@ -460,12 +460,13 @@ impl MlpBlock {
         };
         // FC2 backward to compact dA.
         let mut da = Tensor::scratch(&[rows, width]);
-        fc2_backward_input(
+        active_cols(
             dy.as_slice(),
             rows,
             w2s,
             self.d_model,
             kset,
+            0.0,
             da.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora2 {

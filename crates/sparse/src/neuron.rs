@@ -14,14 +14,14 @@
 //! This mirrors the paper's memory-coalescing layout choice and means the
 //! kernels never convert data formats at runtime — the property that makes
 //! them "dynamic-aware". Because each active slab is contiguous, each of the
-//! six kernels below is **one** grouped GEMM
+//! kernels below is **one** grouped GEMM
 //! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
 //! over an offset table the [`NeuronBlockSet`] built when it was
 //! constructed. With `ai` the position of active block `blk` in the set:
 //!
 //! ```text
 //!   table   (A, B, C) window    used by                                 shape
-//!   cols    (0,  blk, ai)       fc1_forward, fc2_backward_input         C[:, ai] = A · W_blkᵀ
+//!   cols    (0,  blk, ai)       active_cols (fc1_forward, FC2's dA)     C[:, ai] = A · W_blkᵀ
 //!   sum     (ai, blk, 0 )       fc2_forward, fc1_backward_input         C += A[:, ai] · W_blk
 //!   slabs   (ai, 0,   blk)      fc1_grad_weights, fc2_grad_weights      dW_blk += A[:, ai]ᵀ · B
 //! ```
@@ -238,29 +238,8 @@ pub fn fc1_forward(
     set: &NeuronBlockSet,
     z: &mut [f32],
 ) {
-    debug_assert_eq!(
-        w1t.len(),
-        set.total_neurons() * d_in,
-        "fc1: w1t is d_out×d_in"
-    );
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(x.len(), rows * d_in, "fc1: x is rows×d_in");
-    assert_eq!(z.len(), rows * width, "fc1: z is rows×active");
-    lx_kernels::backend().gemm_grouped(
-        &GemmGroup {
-            m: rows,
-            k: d_in,
-            n: b,
-            a: Windows::normal(x, d_in, 0),
-            b: Windows::transposed(w1t, d_in, b * d_in),
-            ldc: width,
-            c_stride: b,
-            beta: 0.0,
-            table: &set.cols,
-        },
-        z,
-    );
+    active_cols(x, rows, w1t, d_in, set, 0.0, z);
+    let (b, width) = (set.block_size, set.active_neurons());
     if let (Some(bias), true) = (bias, width > 0) {
         // After the complete product, like a fused bias epilogue.
         for z_row in z.chunks_exact_mut(width) {
@@ -316,33 +295,43 @@ pub fn fc2_forward(
     );
 }
 
-/// FC2 backward w.r.t. its input: `da[r, blk] = ⟨dy_r, w2_row(neuron)⟩`.
-/// Per block: `dA_blk = dY · W2_blkᵀ`; `dY` is one shared window.
-pub fn fc2_backward_input(
-    dy: &[f32],
+/// The active columns of `X · Wᵀ` for a neuron-major `W` (`total_neurons ×
+/// d`, row `n` belonging to neuron `n`): `out[r, a·b+t] = beta·out +
+/// ⟨x_r, w[active[a]·b+t]⟩` over a compact `rows × active_neurons` output,
+/// one shared `X` window against each active slab. This is FC1's forward
+/// product (`W = W1ᵀ`), FC2's input gradient (`dA = dY · W2_activeᵀ`) and,
+/// with `beta = 1`, the rank-r LoRA updates into those compact buffers.
+pub fn active_cols(
+    x: &[f32],
     rows: usize,
-    w2: &[f32],
-    d_out: usize,
+    w: &[f32],
+    d: usize,
     set: &NeuronBlockSet,
-    da: &mut [f32],
+    beta: f32,
+    out: &mut [f32],
 ) {
     let b = set.block_size;
     let width = set.active_neurons();
-    assert_eq!(dy.len(), rows * d_out);
-    assert_eq!(da.len(), rows * width);
+    assert_eq!(x.len(), rows * d, "active cols: x is rows×d");
+    debug_assert_eq!(
+        w.len(),
+        set.total_neurons() * d,
+        "active cols: w is neurons×d"
+    );
+    assert_eq!(out.len(), rows * width, "active cols: out is rows×active");
     lx_kernels::backend().gemm_grouped(
         &GemmGroup {
             m: rows,
-            k: d_out,
+            k: d,
             n: b,
-            a: Windows::normal(dy, d_out, 0),
-            b: Windows::transposed(w2, d_out, b * d_out),
+            a: Windows::normal(x, d, 0),
+            b: Windows::transposed(w, d, b * d),
             ldc: width,
             c_stride: b,
-            beta: 0.0,
+            beta,
             table: &set.cols,
         },
-        da,
+        out,
     );
 }
 
@@ -592,7 +581,7 @@ mod tests {
         let dz = randn_vec(ROWS * width, 1.0, 15);
 
         let mut da = vec![0.0; ROWS * width];
-        fc2_backward_input(&dy, ROWS, &w2, D_OUT, &set, &mut da);
+        active_cols(&dy, ROWS, &w2, D_OUT, &set, 0.0, &mut da);
         // Reference: dY · W2ᵀ then gather active columns.
         let mut da_full = vec![0.0; ROWS * H];
         for r in 0..ROWS {

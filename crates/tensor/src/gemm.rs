@@ -73,7 +73,8 @@ pub fn matmul<'b>(
         a.shape(),
         b.shape()
     );
-    let mut c = Tensor::zeros(&[m, n]);
+    // Every element is written: beta 0 never reads C.
+    let mut c = Tensor::scratch(&[m, n]);
     let op = GemmOp::contiguous(m, k, n, a.as_slice(), Layout::Normal, b.operand(), b_layout);
     lx_kernels::backend().gemm(&op, c.as_mut_slice(), n.max(1), 0.0, ep);
     c
@@ -91,7 +92,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         a.shape(),
         b.shape()
     );
-    let mut c = Tensor::zeros(&[m, n]);
+    let mut c = Tensor::scratch(&[m, n]);
     gemm_tn(m, k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0.0);
     c
 }

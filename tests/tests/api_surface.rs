@@ -561,4 +561,18 @@ fn one_lora_implementation() {
         !snapshot.contains(&retired),
         "{retired} resurfaced in the public API"
     );
+    // The rank-r updates accumulate into `y` / `dx` inside the GEMM
+    // write-back: no `rows × d` scratch and no second pass over the output.
+    let linear = non_test_source("crates/model/src/linear.rs");
+    for needle in ["let delta", "dx_lora", ".axpy(", ".add_assign("] {
+        assert!(!linear.contains(needle), "linear.rs: `{needle}` resurfaced");
+    }
+}
+
+#[test]
+fn one_grouped_gemm_in_the_packed_backend() {
+    // One grouped launch path: the in-place A reads, the 16×16 tile and the
+    // folded beta are choices inside it, not a second entry point.
+    let packed = non_test_source("crates/kernels/src/packed.rs");
+    assert_eq!(packed.matches("fn gemm_grouped(").count(), 1);
 }

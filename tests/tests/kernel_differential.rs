@@ -8,8 +8,11 @@
 //! must match **bitwise**. The grouped entry point
 //! ([`KernelBackend::gemm_grouped`]) has its own grid: `Packed` grouped vs
 //! the `Reference` per-task loop over the six offset-table shapes the sparse
-//! crate launches, and bitwise equality of one group across sequential mode,
-//! private pools of 1, 2 and 4 threads, and every FMA microkernel arm. The
+//! crate launches (≤1e-4), every arm **bitwise** against the per-task chain
+//! definition written out as scalar code (in-place A windows, the 16×16
+//! tile, K-merged runs, the folded beta), and bitwise equality of one group
+//! across sequential mode, private pools of 1, 2 and 4 threads, and every
+//! FMA microkernel arm. The
 //! block-sparse / neuron-sparse operators themselves ride along at the
 //! bottom.
 //!
@@ -818,6 +821,101 @@ fn packed_grouped_matches_the_reference_per_task_loop() {
             }
             let auto = g.run(beta, |view, c| AUTO.gemm_grouped(view, c));
             assert_close(&format!("{} beta={beta} auto", g.what), &auto, &want);
+        }
+    }
+}
+
+/// The grouped contract as plain scalar code — the per-task loop with the
+/// packed path's accumulation order written out. Within a run, tasks whose A
+/// *and* B slots are consecutive form one K-merged chain; every C element
+/// takes one multiply-add chain from `+0` per merged group (`mul_add` when
+/// `fused`, else a product then a sum), and the run's first group folds
+/// `beta` (`C = chain` under `beta = 0`, `beta·C + chain` otherwise) where
+/// later groups add. Holds for `k` within one k-block.
+fn chain_oracle(g: &Group, beta: f32, fused: bool) -> Vec<f32> {
+    assert!(g.k <= lx_kernels::current_policy().tiles.kc);
+    let view = g.view(beta);
+    let table = &g.table;
+    let at = |w: &Windows<'_>, window: u32, row: usize, col: usize| {
+        let base = window as usize * w.stride;
+        match w.layout {
+            Layout::Normal => w.data[base + row * w.ld + col],
+            Layout::Transposed => w.data[base + col * w.ld + row],
+        }
+    };
+    g.run(beta, |_, c| {
+        for run in table.runs().windows(2) {
+            let tasks = &table.tasks()[run[0] as usize..run[1] as usize];
+            let mut t = 0;
+            while t < tasks.len() {
+                let (a0, b0) = (tasks[t].a, tasks[t].b);
+                let mut depth = 1;
+                while tasks
+                    .get(t + depth)
+                    .is_some_and(|next| next.a == a0 + depth as u32 && next.b == b0 + depth as u32)
+                {
+                    depth += 1;
+                }
+                let c0 = tasks[t].c as usize * view.c_stride;
+                for i in 0..g.m {
+                    for j in 0..g.n {
+                        let mut acc = 0.0f32;
+                        for d in 0..depth as u32 {
+                            let aw = table.a_windows()[(a0 + d) as usize];
+                            let bw = table.b_windows()[(b0 + d) as usize];
+                            for p in 0..g.k {
+                                let (x, y) = (at(&view.a, aw, i, p), at(&view.b, bw, p, j));
+                                acc = if fused {
+                                    x.mul_add(y, acc)
+                                } else {
+                                    acc + x * y
+                                };
+                            }
+                        }
+                        let cv = &mut c[c0 + i * g.ldc + j];
+                        *cv = match (t, beta) {
+                            (0, 0.0) => acc,
+                            (0, _) => *cv * beta + acc,
+                            _ => *cv + acc,
+                        };
+                    }
+                }
+                t += depth;
+            }
+        }
+    })
+}
+
+/// `Packed`'s grouped path on every arm against [`chain_oracle`], bit for
+/// bit: A windows read once (the DSD P / dS blocks, both layouts, over
+/// K-merged block rows) come straight from their buffer, the 16×16 tile
+/// takes 16-row blocks, f32 B rows are read in place, and `beta` folds into
+/// the first write-back — over b ∈ {4, 8, 16, 32}, dh ∈ {8, 16, 32, 64,
+/// 100} and beta 0 (NaN-poisoned C), 1 and 0.5. The scalar arm is the
+/// unfused definition; every other arm the fused one.
+#[test]
+fn packed_grouped_matches_the_chain_definition_bitwise() {
+    let pool = lx_parallel::pool();
+    let mut seed = 900_000u64;
+    let mut groups = Vec::new();
+    for b in [4usize, 8, 16, 32] {
+        for dh in [8usize, 16, 32, 64, 100] {
+            seed += 10;
+            groups.extend(attention_groups(b, dh, &block_coords(5, seed), seed));
+            groups.extend(neuron_groups(37, b, dh, &[0, 2, 3, 6], seed + 5));
+        }
+    }
+    // Every block of every row active: the longest K-merged runs.
+    let dense: Vec<(u32, u32)> = (0..25u32).map(|i| (i / 5, i % 5)).collect();
+    groups.extend(attention_groups(16, 32, &dense, 1));
+    let fused = |isa: Option<Isa>| isa.unwrap_or_else(lx_kernels::active_isa) != Isa::Scalar;
+    for g in &groups {
+        for beta in [0.0f32, 1.0, 0.5] {
+            for isa in arms() {
+                let got = g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c));
+                let want = chain_oracle(g, beta, fused(isa));
+                assert_bits(&format!("{} beta={beta} {isa:?}", g.what), &got, &want);
+            }
         }
     }
 }
