@@ -57,7 +57,7 @@ fn main() {
         "\nshape to check: attention-buffer term grows 4x per seq doubling when dense, ~2x sparse."
     );
 
-    println!("\n== Precision modes (measured): backbone storage f32/f16/int8/nf4/nm24 ==\n");
+    println!("\n== Precision modes (measured): backbone storage f32/f16/nf4/nm24 ==\n");
     header(&[
         "model",
         "precision",
@@ -75,7 +75,6 @@ fn main() {
     for precision in [
         Precision::F32,
         Precision::F16Frozen,
-        Precision::Int8Frozen,
         Precision::Nf4Frozen,
         Precision::Nm24Frozen,
     ] {
@@ -99,14 +98,13 @@ fn main() {
         ]);
     }
     println!(
-        "\nacceptance (measured, vs the f32 run): f16 ≤ 0.55x, int8 ≤ 0.30x, nf4 ≤ 0.17x, \
-         nm24 ≤ 0.60x (matrices shrink; biases/LayerNorm stay f32; 2:4 matrices are \
-         0.5625x — half the values plus one mask byte per group of four)."
+        "\nacceptance (measured, vs the f32 run): f16 ≤ 0.55x, nf4 ≤ 0.17x, nm24 ≤ 0.60x \
+         (matrices shrink; biases/LayerNorm stay f32; 2:4 matrices are 0.5625x — half \
+         the values plus one mask byte per group of four)."
     );
     if cli.smoke {
         let gates = [
             (Precision::F16Frozen, 0.55),
-            (Precision::Int8Frozen, 0.30),
             (Precision::Nf4Frozen, 0.17),
             (Precision::Nm24Frozen, 0.60),
         ];

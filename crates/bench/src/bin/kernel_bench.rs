@@ -66,7 +66,7 @@ struct Shape {
     layouts: (Layout, Layout),
     /// Storage of the B operand. Every non-f32 dtype runs both backends'
     /// fused decode path (mixed-precision storage, f32 accumulate): f16 bits,
-    /// int8/NF4 dequant-in-pack, and the 2:4-compacted arm that expands
+    /// NF4 dequant-in-pack, and the 2:4-compacted arm that expands
     /// group-by-group inside `pack_b` with fully-zero K-groups skipped
     /// (benched in the `nt` layout — the pruned frozen-backbone forward
     /// shape).
@@ -95,14 +95,13 @@ const fn shape(
 }
 
 fn shapes(smoke: bool) -> Vec<Shape> {
-    use Dtype::{I8Block as Q8, Nf4Block as Q4, Nm24 as Nm, F16, F32};
+    use Dtype::{Nf4Block as Q4, Nm24 as Nm, F16, F32};
     if smoke {
         vec![
             shape("square", NN, F32, 192, 192, 192),
             shape("attn scores", NT, F32, 128, 64, 128),
             shape("mlp fc1", NN, F32, 128, 128, 256),
             shape("mlp fc1 f16-w", NN, F16, 128, 128, 256),
-            shape("mlp fc1 int8-w", NN, Q8, 128, 128, 256),
             shape("mlp fc1 nf4-w", NN, Q4, 128, 128, 256),
             shape("mlp fc1 nm24-w", NT, Nm, 128, 128, 256),
             shape("grad dW", TN, F32, 128, 128, 128),
@@ -117,7 +116,6 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             shape("attn context s=512", NN, F32, 512, 512, 64),
             shape("mlp fc1 512x256x1024", NN, F32, 512, 256, 1024),
             shape("mlp fc1 f16-w 512x256x1024", NN, F16, 512, 256, 1024),
-            shape("mlp fc1 int8-w 512x256x1024", NN, Q8, 512, 256, 1024),
             shape("mlp fc1 nf4-w 512x256x1024", NN, Q4, 512, 256, 1024),
             shape("mlp fc1 nm24-w 512x256x1024", NT, Nm, 512, 256, 1024),
             shape("mlp fc2 512x1024x256", NN, F32, 512, 1024, 256),

@@ -53,8 +53,8 @@ pub struct ClusterConfig {
     pub mode: StepMode,
     /// Storage precision of every replica's backbone — the tenants-per-GB
     /// axis: adapters and optimizer state stay f32 per tenant while
-    /// `F16Frozen` halves the backbone, `Int8Frozen` / `Nf4Frozen` cut it to
-    /// ~0.27x / ~0.14x (QLoRA-style serving), and `Nm24Frozen` 2:4-prunes it
+    /// `F16Frozen` halves the backbone, `Nf4Frozen` cuts it to ~0.14x
+    /// (QLoRA-style serving), and `Nm24Frozen` 2:4-prunes it
     /// to ~0.56x with bit-exact compute on the surviving weights.
     pub precision: Precision,
     /// Per-QoS-class admission quotas.
@@ -872,14 +872,10 @@ mod tests {
     #[test]
     fn reduced_backbone_interleaving_matches_sequential() {
         // The scheduler-equivalence property must survive the storage
-        // change: the backbone is frozen (f16 bits / int8 / NF4 codes never
+        // change: the backbone is frozen (f16 bits / NF4 codes never
         // move) and all mutable tenant state is f32 and swaps in/out, so
         // interleaved and sequential runs stay bit-identical.
-        for precision in [
-            Precision::F16Frozen,
-            Precision::Int8Frozen,
-            Precision::Nf4Frozen,
-        ] {
+        for precision in [Precision::F16Frozen, Precision::Nf4Frozen] {
             let run = |slice_steps: u64| {
                 let mut c = cluster(ClusterConfig {
                     precision,

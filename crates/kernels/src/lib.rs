@@ -3,7 +3,7 @@
 //! Every dense and block-sparse hot path in this workspace bottoms out in one
 //! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
 //! described by a [`GemmOp`] — the f32 `A` view, a [`BOperand`] in whatever
-//! storage the weights live in (f32, f16 bits, block int8/NF4, N:M
+//! storage the weights live in (f32, f16 bits, block NF4, N:M
 //! structured-sparse), a [`Layout`] per side — plus an [`Epilogue`] (bias
 //! add, optionally followed by GELU) applied inside the write-back while
 //! output tiles are cache-hot, bit-identically to the unfused sequence (see
@@ -68,7 +68,7 @@ pub use op::{BOperand, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 pub use packed::{Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
-pub use lx_quant::{NmView, Q4View, Q8View};
+pub use lx_quant::{NmView, Q4View};
 
 std::thread_local! {
     static FORCE_SEQ: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn quantized_gemm_matches_dequant_up_front_on_every_backend() {
         // Shapes straddling block boundaries (k·n % 64 != 0, incl. a tail
-        // block) and register tiles, both layouts, both codecs.
+        // block) and register tiles, both layouts.
         for &(m, k, n) in &[
             (5usize, 7usize, 15usize),
             (13, 65, 33),
@@ -432,36 +432,29 @@ mod tests {
         ] {
             let a = pseudo(m * k, 20 + m as u32);
             let bf = pseudo(k * n, 21 + n as u32);
-            let (c8, s8) = lx_quant::q8::quantize(&bf);
-            let (c4, s4) = lx_quant::nf4::quantize(&bf);
-            let mut dq8 = vec![0.0f32; k * n];
-            let mut dq4 = vec![0.0f32; k * n];
-            lx_quant::q8::dequantize(&c8, &s8, &mut dq8);
-            lx_quant::nf4::dequantize(&c4, &s4, &mut dq4);
-            let q8: BOperand<'_> = Q8View::new(&c8, &s8).into();
-            let q4: BOperand<'_> = Q4View::new(&c4, &s4, k * n).into();
-            for (quant, dense) in [(q8, &dq8), (q4, &dq4)] {
-                // The same buffer read as k×n (Normal) and as n×k
-                // (Transposed).
-                for (fused, oracle) in [
-                    (
-                        GemmOp::nn(m, k, n, &a, k, quant, n),
-                        GemmOp::nn(m, k, n, &a, k, &dense[..], n),
-                    ),
-                    (
-                        GemmOp::nt(m, k, n, &a, k, quant, k),
-                        GemmOp::nt(m, k, n, &a, k, &dense[..], k),
-                    ),
-                ] {
-                    let expect = product(&REFERENCE, &oracle);
-                    for be in BACKENDS {
-                        assert_close(&product(be, &fused), &expect, 1e-4);
-                    }
-                    // Reference must match its own f32 path bit for bit
-                    // (identical accumulation order — the slab-decode
-                    // equivalence rests on it).
-                    assert_bits(&product(&REFERENCE, &fused), &expect, "reference");
+            let (codes, scales) = lx_quant::nf4::quantize(&bf);
+            let mut dense = vec![0.0f32; k * n];
+            lx_quant::nf4::dequantize(&codes, &scales, &mut dense);
+            let quant: BOperand<'_> = Q4View::new(&codes, &scales, k * n).into();
+            // The same buffer read as k×n (Normal) and as n×k (Transposed).
+            for (fused, oracle) in [
+                (
+                    GemmOp::nn(m, k, n, &a, k, quant, n),
+                    GemmOp::nn(m, k, n, &a, k, &dense[..], n),
+                ),
+                (
+                    GemmOp::nt(m, k, n, &a, k, quant, k),
+                    GemmOp::nt(m, k, n, &a, k, &dense[..], k),
+                ),
+            ] {
+                let expect = product(&REFERENCE, &oracle);
+                for be in BACKENDS {
+                    assert_close(&product(be, &fused), &expect, 1e-4);
                 }
+                // Reference must match its own f32 path bit for bit
+                // (identical accumulation order — the slab-decode
+                // equivalence rests on it).
+                assert_bits(&product(&REFERENCE, &fused), &expect, "reference");
             }
         }
     }
@@ -507,7 +500,7 @@ mod tests {
             for be in BACKENDS {
                 assert_close(&product(be, &fused), &expect, 1e-4);
             }
-            // Unlike q8/nf4 there is no quantization error, so each backend
+            // Unlike nf4 there is no quantization error, so each backend
             // must match ITS OWN f32 path bit for bit — Reference because the
             // decode-on-load loops share the f32 accumulation order, Packed
             // because the group-skipping pack fills panels identically to the

@@ -30,16 +30,15 @@ use std::time::Instant;
 const CLASSES: [&str; 4] = ["tiny", "small", "medium", "large"];
 
 /// Storage dtypes of the B operand (A and all accumulation are always f32).
-const DTYPES: [&str; 5] = ["f32", "f16", "i8-block", "nf4-block", "nm-2:4"];
+const DTYPES: [&str; 4] = ["f32", "f16", "nf4-block", "nm-2:4"];
 
 /// Index into [`DTYPES`] of the operand's storage kind.
 fn dtype(b: &BOperand<'_>) -> usize {
     match b {
         BOperand::F32(_) => 0,
         BOperand::F16(_) => 1,
-        BOperand::Q8(_) => 2,
-        BOperand::Q4(_) => 3,
-        BOperand::Nm(_) => 4,
+        BOperand::Q4(_) => 2,
+        BOperand::Nm(_) => 3,
     }
 }
 
@@ -218,16 +217,16 @@ mod tests {
     fn quantized_calls_land_in_their_dtype_bucket() {
         let observed = Observed::new(&REFERENCE);
         let vals: Vec<f32> = (0..4).map(|i| i as f32 - 1.5).collect();
-        let (codes, scales) = lx_quant::q8::quantize(&vals);
-        let b = BOperand::Q8(lx_quant::Q8View::new(&codes, &scales));
-        assert_eq!(DTYPES[dtype(&b)], "i8-block");
-        let before_q8 = stats("reference", 0, dtype(&b)).calls.get();
+        let (codes, scales) = lx_quant::nf4::quantize(&vals);
+        let b = BOperand::Q4(lx_quant::Q4View::new(&codes, &scales, vals.len()));
+        assert_eq!(DTYPES[dtype(&b)], "nf4-block");
+        let before_q4 = stats("reference", 0, dtype(&b)).calls.get();
         let before_f32 = stats("reference", 0, 0).calls.get();
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let mut c = [0.0f32; 4];
         let op = GemmOp::nn(2, 2, 2, &a, 2, b, 2);
         observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
-        assert_eq!(stats("reference", 0, dtype(&b)).calls.get(), before_q8 + 1);
+        assert_eq!(stats("reference", 0, dtype(&b)).calls.get(), before_q4 + 1);
         assert_eq!(
             stats("reference", 0, 0).calls.get(),
             before_f32,

@@ -17,7 +17,7 @@
 //! `(r−1)·ld + c` elements (so views carved out of a larger buffer, whose
 //! final row stops at the logical width, are accepted).
 
-use crate::{NmView, Q4View, Q8View};
+use crate::{NmView, Q4View};
 
 /// How an operand is stored relative to how it is multiplied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -47,8 +47,6 @@ pub enum BOperand<'a> {
     F32(&'a [f32]),
     /// IEEE binary16 bits.
     F16(&'a [u16]),
-    /// Block-quantized int8 codes plus per-block scales.
-    Q8(Q8View<'a>),
     /// NF4 codebook nibbles plus per-block scales.
     Q4(Q4View<'a>),
     /// N:M structured-sparse compacted values plus group bitmasks. Lossless:
@@ -62,7 +60,6 @@ impl BOperand<'_> {
         match self {
             BOperand::F32(b) => b.len(),
             BOperand::F16(b) => b.len(),
-            BOperand::Q8(b) => b.len(),
             BOperand::Q4(b) => b.len(),
             BOperand::Nm(b) => b.len(),
         }
@@ -78,7 +75,6 @@ impl BOperand<'_> {
         match self {
             BOperand::F32(b) => b[idx],
             BOperand::F16(b) => crate::half::f16_bits_to_f32(b[idx]),
-            BOperand::Q8(b) => b.get(idx),
             BOperand::Q4(b) => b.get(idx),
             BOperand::Nm(b) => b.get(idx),
         }
@@ -92,7 +88,6 @@ impl BOperand<'_> {
         match self {
             BOperand::F32(b) => out.copy_from_slice(&b[base..base + out.len()]),
             BOperand::F16(b) => crate::half::decode_slice(&b[base..base + out.len()], out),
-            BOperand::Q8(b) => decode_elementwise(base, out, |idx| b.get(idx)),
             BOperand::Q4(b) => decode_elementwise(base, out, |idx| b.get(idx)),
             BOperand::Nm(b) => {
                 let cols = b.cols();
@@ -125,12 +120,6 @@ impl<'a> From<&'a [f32]> for BOperand<'a> {
 impl<'a> From<&'a [u16]> for BOperand<'a> {
     fn from(b: &'a [u16]) -> Self {
         BOperand::F16(b)
-    }
-}
-
-impl<'a> From<Q8View<'a>> for BOperand<'a> {
-    fn from(b: Q8View<'a>) -> Self {
-        BOperand::Q8(b)
     }
 }
 

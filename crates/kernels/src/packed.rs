@@ -203,13 +203,6 @@ impl<E: PackElem> PackSrc for [E] {
     }
 }
 
-impl PackSrc for lx_quant::Q8View<'_> {
-    #[inline(always)]
-    fn load(&self, idx: usize) -> f32 {
-        self.get(idx)
-    }
-}
-
 impl PackSrc for lx_quant::Q4View<'_> {
     #[inline(always)]
     fn load(&self, idx: usize) -> f32 {
@@ -1379,7 +1372,6 @@ impl Packed {
         match &op.b {
             BOperand::F32(b) => self.driver(pool, op, *b, Some(b), c, ldc, beta, ep),
             BOperand::F16(b) => self.driver(pool, op, *b, None, c, ldc, beta, ep),
-            BOperand::Q8(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
             BOperand::Q4(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
             BOperand::Nm(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
         }
@@ -1498,7 +1490,7 @@ impl KernelBackend for Packed {
     }
 
     /// Every storage kind feeds the same macro-kernel: the decode (f16 bits,
-    /// int8/NF4 dequant, N:M group expansion with zero-group skipping — see
+    /// NF4 dequant, N:M group expansion with zero-group skipping — see
     /// the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
     /// never materialised and the microkernel runs unchanged on f32 panels.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {

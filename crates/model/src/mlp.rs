@@ -88,7 +88,7 @@ struct MlpCache {
 /// or block-quantized), in the compact coordinate system of
 /// [`NeuronBlockSet::compacted`]. This is the paper's "only active blocks
 /// resident at full width" discipline: inactive slabs never leave their
-/// reduced storage (2 bytes/element for f16, ~1 for int8, ~0.5 for NF4).
+/// reduced storage (2 bytes/element for f16, ~0.5 for NF4).
 ///
 /// Under shadowy sparsity consecutive plans overlap heavily, so the gather is
 /// maintained *incrementally* across steps: blocks active in both the old and
@@ -203,7 +203,7 @@ impl MlpBlock {
     /// (re-gathering only the bias when it is trainable and may have moved);
     /// a drifted plan copies carried-over slabs from the previous gather and
     /// decodes only the newly-activated blocks ([`NeuronBlockSet::diff`])
-    /// from the stored f16/int8/NF4 bits.
+    /// from the stored f16/NF4 bits.
     fn refresh_slab_cache(&mut self, set: &Arc<NeuronBlockSet>) {
         let bsz = set.block_size;
         if let Some(c) = &mut self.slab_cache {
@@ -739,14 +739,14 @@ mod tests {
     }
 
     /// Every reduced storage dtype, for the demote-both-FC-weights sweeps.
-    const REDUCED: [lx_tensor::Dtype; 4] = {
+    const REDUCED: [lx_tensor::Dtype; 3] = {
         use lx_tensor::Dtype;
-        [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24]
+        [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24]
     };
 
     #[test]
     fn incremental_slab_decode_equals_full_decode_under_drift() {
-        // Two identical reduced-stored blocks (f16, int8, NF4 in turn): one
+        // Two identical reduced-stored blocks (f16, NF4, 2:4 in turn): one
         // keeps its cross-step slab cache (incremental decode), the other is
         // forced to re-gather from scratch every step. Outputs must stay
         // bit-identical across a randomized plan-drift sequence including
@@ -817,7 +817,7 @@ mod tests {
         // The exactness contract behind the reduced-storage sparse path:
         // running the neuron kernels over slab-decoded weights must equal
         // running them over a *pre-rounded* f32 model (demote → promote up
-        // front: rounded for f16, dequantized for int8/NF4, pruned for 2:4)
+        // front: rounded for f16, dequantized for NF4, pruned for 2:4)
         // bit-for-bit, because the slab decode is elementwise.
         for dtype in REDUCED {
             let mut q = mlp();

@@ -119,7 +119,7 @@ impl TransformerModel {
 
     /// Summed `(decoded, carried-over)` active-slab counters across every
     /// layer's cross-step slab cache (reduced-stored sparse MLP path) — how
-    /// much f16/int8/NF4→f32 decode work shadowy-sparsity reuse avoided.
+    /// much f16/NF4→f32 decode work shadowy-sparsity reuse avoided.
     pub fn slab_cache_stats(&self) -> (u64, u64) {
         self.blocks
             .iter()
@@ -138,9 +138,9 @@ impl TransformerModel {
     /// more dimensions — attention projections, MLP weights, embedding
     /// tables — to half storage (round-to-nearest-even); biases, LayerNorm
     /// affine parameters and all trainable state stay f32.
-    /// [`Precision::Int8Frozen`] and [`Precision::Nf4Frozen`] demote the
-    /// same parameter set to block-quantized storage (symmetric int8 /
-    /// NF4 codes plus per-block absmax scales) under the same rule, and
+    /// [`Precision::Nf4Frozen`] demotes the same parameter set to
+    /// block-quantized storage (NF4 codes plus per-block absmax scales)
+    /// under the same rule, and
     /// [`Precision::Nm24Frozen`] magnitude-prunes it to 2:4 structured
     /// sparsity (compacted bit-exact survivors; **the pruned positions do
     /// not come back** on a later promotion).
@@ -153,7 +153,7 @@ impl TransformerModel {
         let dtype = precision.dtype();
         self.for_each_param(&mut |p| {
             // Everything that is not a frozen matrix goes (back) to f32, so
-            // a precision *switch* (e.g. f16 → int8) cannot leave
+            // a precision *switch* (e.g. f16 → NF4) cannot leave
             // sub-matrix parameters in the previous reduced storage.
             let frozen_matrix = !p.trainable && p.shape().len() >= 2;
             p.demote(if frozen_matrix { dtype } else { Dtype::F32 });
@@ -684,17 +684,15 @@ mod tests {
         let mut m = tiny();
         m.freeze_all();
         let f32_bytes = m.param_storage_bytes();
-        m.set_precision(crate::Precision::Int8Frozen);
-        let i8_bytes = m.param_storage_bytes();
+        m.set_precision(crate::Precision::F16Frozen);
+        let f16_bytes = m.param_storage_bytes();
         m.set_precision(crate::Precision::Nf4Frozen);
         let nf4_bytes = m.param_storage_bytes();
-        // Matrices land at ~0.266x (int8) / ~0.141x (NF4); biases and
-        // LayerNorm stay f32, nudging the model-level ratio up slightly.
-        let r8 = i8_bytes as f64 / f32_bytes as f64;
+        // Matrices land at ~0.141x (NF4); biases and LayerNorm stay f32,
+        // nudging the model-level ratio up slightly.
         let r4 = nf4_bytes as f64 / f32_bytes as f64;
-        assert!(r8 < 0.32, "int8 storage ratio {r8}");
         assert!(r4 < 0.20, "nf4 storage ratio {r4}");
-        assert!(r4 < r8, "nf4 must be smaller than int8");
+        assert!(nf4_bytes < f16_bytes, "nf4 must be smaller than f16");
         // Promotion back to f32 restores the full footprint.
         m.set_precision(crate::Precision::F32);
         assert_eq!(m.param_storage_bytes(), f32_bytes);
@@ -706,37 +704,33 @@ mod tests {
         a.freeze_all();
         let ids = sample_batch(&a, 2, 8, 24);
         let la = logits_of(&mut a, &ids, 2, 8);
-        for precision in [crate::Precision::Int8Frozen, crate::Precision::Nf4Frozen] {
-            let mut b = tiny(); // same seed ⇒ identical weights
-            b.freeze_all();
-            b.set_precision(precision);
-            let lb = logits_of(&mut b, &ids, 2, 8);
-            for (x, y) in lb.as_slice().iter().zip(la.as_slice()) {
-                assert!(x.is_finite(), "{precision}: non-finite logit");
-                // Coarse closeness bound — quantization perturbs more than
-                // f16; the per-step loss envelope lives in the integration
-                // differential tests.
-                assert!(
-                    (x - y).abs() <= 0.5 * (1.0 + y.abs()),
-                    "{precision} logits drifted: {x} vs {y}"
-                );
-            }
+        let mut b = tiny(); // same seed ⇒ identical weights
+        b.freeze_all();
+        b.set_precision(crate::Precision::Nf4Frozen);
+        let lb = logits_of(&mut b, &ids, 2, 8);
+        for (x, y) in lb.as_slice().iter().zip(la.as_slice()) {
+            assert!(x.is_finite(), "nf4: non-finite logit");
+            // Coarse closeness bound — quantization perturbs more than f16;
+            // the per-step loss envelope lives in the integration
+            // differential tests.
+            assert!(
+                (x - y).abs() <= 0.5 * (1.0 + y.abs()),
+                "nf4 logits drifted: {x} vs {y}"
+            );
         }
     }
 
     #[test]
     fn precision_roundtrip_preserves_the_quantized_function_exactly() {
-        for precision in [crate::Precision::Int8Frozen, crate::Precision::Nf4Frozen] {
-            let mut m = tiny();
-            m.freeze_all();
-            m.set_precision(precision);
-            let ids = sample_batch(&m, 1, 8, 25);
-            let before = logits_of(&mut m, &ids, 1, 8);
-            // F32 promotion is an exact decode: the function is unchanged.
-            m.set_precision(crate::Precision::F32);
-            let after = logits_of(&mut m, &ids, 1, 8);
-            assert_eq!(before.as_slice(), after.as_slice(), "{precision}");
-        }
+        let mut m = tiny();
+        m.freeze_all();
+        m.set_precision(crate::Precision::Nf4Frozen);
+        let ids = sample_batch(&m, 1, 8, 25);
+        let before = logits_of(&mut m, &ids, 1, 8);
+        // F32 promotion is an exact decode: the function is unchanged.
+        m.set_precision(crate::Precision::F32);
+        let after = logits_of(&mut m, &ids, 1, 8);
+        assert_eq!(before.as_slice(), after.as_slice());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Storage precision: a parameter normally holds its values in [`value`]
 //! (f32). Under a reduced [`Precision`](crate::Precision) plan frozen
 //! backbone matrices are *demoted* ([`Param::demote`]): the values move into
-//! [`reduced`] — f16 bits, block-quantized int8/NF4 codes, or 2:4
+//! [`reduced`] — f16 bits, block-quantized NF4 codes, or 2:4
 //! structured-sparse compacted values, exactly one of them — [`value`]
 //! becomes an empty placeholder, and the compute paths consume the storage
 //! through the fused reduced-B GEMMs (decode inside the pack stage; the N:M
@@ -85,17 +85,17 @@ impl Param {
     }
 
     /// Bytes occupied by the value storage (excludes any gradient). Reports
-    /// the actual storage's footprint — for the block-quantized dtypes that
-    /// includes the per-block scales, matching [`Dtype::bytes_for`].
+    /// the actual storage's footprint — for NF4 that includes the per-block
+    /// scales, matching [`Dtype::bytes_for`].
     pub fn storage_bytes(&self) -> usize {
         match &self.reduced {
             Some(r) => r.bytes(),
-            None => self.value.len() * Dtype::F32.size_bytes(),
+            None => Dtype::F32.bytes_for(self.value.len()),
         }
     }
 
-    /// Move the values into `dtype` storage: f16 rounds to nearest even, the
-    /// block dtypes quantize, [`Dtype::Nm24`] magnitude-prunes each 4-group
+    /// Move the values into `dtype` storage: f16 rounds to nearest even, NF4
+    /// quantizes, [`Dtype::Nm24`] magnitude-prunes each 4-group
     /// to its 2 largest values (*lossy at demotion time only*: the pruned
     /// positions are gone, but the survivors — and thus every later decode
     /// or GEMM — are bit-exact), and [`Dtype::F32`] promotes back. No-op
@@ -219,7 +219,7 @@ impl Param {
 mod tests {
     use super::*;
 
-    const REDUCED: [Dtype; 4] = [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24];
+    const REDUCED: [Dtype; 3] = [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24];
     const NN: Layout = Layout::Normal;
     const NT: Layout = Layout::Transposed;
 
@@ -293,11 +293,10 @@ mod tests {
     fn redemotion_crosses_storage_families() {
         let mut p = Param::frozen("w", Tensor::randn(&[4, 8], 1.0, 7));
         for dtype in [
-            Dtype::I8Block,
             Dtype::Nf4Block,
             Dtype::F16,
             Dtype::Nm24,
-            Dtype::I8Block,
+            Dtype::Nf4Block,
             Dtype::Nm24,
             Dtype::F32,
         ] {

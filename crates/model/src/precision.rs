@@ -10,18 +10,17 @@
 //! `lx_kernels::BOperand::F16` arm of `KernelBackend::gemm`), so storage is
 //! halved without a half-arithmetic path.
 //!
-//! [`Precision::Int8Frozen`] and [`Precision::Nf4Frozen`] push the same
-//! recipe past f16 with the `lx-quant` block codecs (QLoRA lineage): frozen
-//! matrices store int8 or NF4 codes plus one f32 absmax scale per 64-element
-//! block, ~0.27x and ~0.14x of the f32 bytes respectively. The demotion
-//! rule, the fused dequant-in-pack GEMMs, and the sparse-path slab decode
+//! [`Precision::Nf4Frozen`] pushes the same recipe past f16 with the
+//! `lx-quant` NF4 block codec (QLoRA lineage): frozen matrices store NF4
+//! codes plus one f32 absmax scale per 64-element block, ~0.14x of the f32
+//! bytes. The demotion rule, the fused dequant-in-pack GEMMs, and the sparse-path slab decode
 //! all mirror the f16 plan — a plan is just the [`Dtype`] its frozen
 //! matrices are stored at ([`Precision::dtype`]).
 //!
 //! Pair with [`LossScaler`](crate::optim::LossScaler) when training: the
 //! rounded backbone shifts activation magnitudes slightly, and scaling keeps
 //! small adapter gradients out of the f32 underflow range the same way the
-//! paper's FP16 runs do. The quantized plans perturb the backbone more than
+//! paper's FP16 runs do. The NF4 plan perturbs the backbone more than
 //! f16 does (see the precision-differential loss envelopes in
 //! `tests/tests/precision_differential.rs`), but the adapters still train
 //! because they — and all gradients — stay f32.
@@ -37,9 +36,6 @@ pub enum Precision {
     /// Frozen backbone matrices stored f16; trainable parameters, biases,
     /// LayerNorm, gradients and optimizer state stay f32.
     F16Frozen,
-    /// Frozen backbone matrices stored as per-block-scaled symmetric int8
-    /// (one f32 absmax scale per 64 elements); everything else stays f32.
-    Int8Frozen,
     /// Frozen backbone matrices stored as NF4 4-bit normal-float codes (two
     /// per byte, one f32 absmax scale per 64 elements); everything else
     /// stays f32.
@@ -47,7 +43,7 @@ pub enum Precision {
     /// Frozen backbone matrices magnitude-pruned to 2:4 structured sparsity
     /// and stored compacted (kept values bit-exact f32 + one index-mask byte
     /// per group, 0.5625x of the f32 bytes); everything else stays f32.
-    /// Unlike the quantized plans the demotion changes the *function* (half
+    /// Unlike the NF4 plan the demotion changes the *function* (half
     /// the weights become exact zeros, SLoPe/SPP lineage) but the stored
     /// survivors are exact, so compute on the pruned weights is bit-identical
     /// to dense compute on their decoded form — and the fused GEMMs skip
@@ -61,7 +57,6 @@ impl Precision {
         match self {
             Precision::F32 => Dtype::F32,
             Precision::F16Frozen => Dtype::F16,
-            Precision::Int8Frozen => Dtype::I8Block,
             Precision::Nf4Frozen => Dtype::Nf4Block,
             Precision::Nm24Frozen => Dtype::Nm24,
         }
@@ -71,7 +66,6 @@ impl Precision {
         match self {
             Precision::F32 => "f32",
             Precision::F16Frozen => "f16-frozen",
-            Precision::Int8Frozen => "int8-frozen",
             Precision::Nf4Frozen => "nf4-frozen",
             Precision::Nm24Frozen => "nm24-frozen",
         }

@@ -163,37 +163,32 @@ mod tests {
         // QLoRA-style lifecycle: quantized frozen backbone + f32 adapters,
         // then merge. The merge must promote the touched weights to f32 (the
         // delta cannot be folded into 4-bit codes) and keep the function.
-        for precision in [
-            lx_model::Precision::Int8Frozen,
-            lx_model::Precision::Nf4Frozen,
-        ] {
-            let mut m = TransformerModel::new(ModelConfig::test_tiny(), 12);
-            PeftMethod::Lora {
-                rank: 2,
-                alpha: 4.0,
-                targets: LoraTargets::all(),
+        let mut m = TransformerModel::new(ModelConfig::test_tiny(), 12);
+        PeftMethod::Lora {
+            rank: 2,
+            alpha: 4.0,
+            targets: LoraTargets::all(),
+        }
+        .apply(&mut m, 13);
+        m.set_precision(lx_model::Precision::Nf4Frozen);
+        m.for_each_param(&mut |p| {
+            if p.name.contains("lora_b") {
+                let v = lx_tensor::rng::randn_vec(p.value.len(), 0.3, 14);
+                p.value.as_mut_slice().copy_from_slice(&v);
             }
-            .apply(&mut m, 13);
-            m.set_precision(precision);
-            m.for_each_param(&mut |p| {
-                if p.name.contains("lora_b") {
-                    let v = lx_tensor::rng::randn_vec(p.value.len(), 0.3, 14);
-                    p.value.as_mut_slice().copy_from_slice(&v);
-                }
-            });
-            let ids: Vec<u32> = (0..8u32).collect();
-            let before = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
-            merge_all(&mut m);
-            let after = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
-            for (a, b) in before.as_slice().iter().zip(after.as_slice()) {
-                assert!((a - b).abs() < 1e-3, "{precision}: {a} vs {b}");
-            }
-            // Merged weights are f32 again; untouched ones (embedding) keep
-            // their quantized storage.
-            for block in &m.blocks {
-                assert!(!block.attn.wq.weight.is_reduced(), "{precision}");
-                assert!(!block.mlp.w1.is_reduced(), "{precision}");
-            }
+        });
+        let ids: Vec<u32> = (0..8u32).collect();
+        let before = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
+        merge_all(&mut m);
+        let after = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
+        for (a, b) in before.as_slice().iter().zip(after.as_slice()) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+        // Merged weights are f32 again; untouched ones (embedding) keep
+        // their quantized storage.
+        for block in &m.blocks {
+            assert!(!block.attn.wq.weight.is_reduced());
+            assert!(!block.mlp.w1.is_reduced());
         }
     }
 

@@ -3,8 +3,6 @@
 //! Frozen backbone weights dominate the per-tenant memory bill; this crate
 //! holds the codecs that shrink them past the f16 plan:
 //!
-//! * [`q8`] — symmetric int8 with one f32 absmax scale per 64-element block
-//!   (`code = round(v / (absmax/127))`, dequant `code · scale`);
 //! * [`nf4`] — an NF4-style 4-bit codec (QLoRA lineage): a 16-entry
 //!   normal-float codebook on `[-1, 1]` plus one f32 absmax per block, two
 //!   codes packed per byte;
@@ -27,12 +25,11 @@
 //! decodes to exact zeros.
 //!
 //! This crate has zero dependencies; `lx-kernels` consumes the borrowed
-//! views ([`Q8View`] / [`Q4View`]) inside its pack routines and `lx-tensor`
+//! views ([`Q4View`] / [`NmView`]) inside its pack routines and `lx-tensor`
 //! owns the allocation/accounting side (`QuantTensor`).
 
 pub mod nf4;
 pub mod nm;
-pub mod q8;
 
 pub use nm::NmView;
 
@@ -76,49 +73,12 @@ pub(crate) fn finite_absmax(block: &[f32]) -> f32 {
     m
 }
 
-/// Borrowed view over int8 block-quantized storage: `codes[i]` scaled by
-/// `scales[i / BLOCK]`. The index space is the flat row-major element index
-/// of the original buffer, so strided consumers (GEMM pack routines) resolve
-/// scales without any layout translation.
-#[derive(Clone, Copy, Debug)]
-pub struct Q8View<'a> {
-    codes: &'a [i8],
-    scales: &'a [f32],
-}
-
-impl<'a> Q8View<'a> {
-    pub fn new(codes: &'a [i8], scales: &'a [f32]) -> Self {
-        assert_eq!(
-            scales.len(),
-            n_blocks(codes.len()),
-            "q8: {} codes need {} block scales, got {}",
-            codes.len(),
-            n_blocks(codes.len()),
-            scales.len()
-        );
-        Q8View { codes, scales }
-    }
-
-    /// Logical element count.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Dequantize the element at flat index `idx`.
-    #[inline(always)]
-    pub fn get(&self, idx: usize) -> f32 {
-        self.codes[idx] as f32 * self.scales[idx / BLOCK]
-    }
-}
-
 /// Borrowed view over NF4 block-quantized storage: two 4-bit codebook
 /// indices per byte (element `2i` in the low nibble of byte `i`, element
-/// `2i+1` in the high nibble), scaled by `scales[i / BLOCK]`. Same flat
-/// index space as [`Q8View`].
+/// `2i+1` in the high nibble), scaled by `scales[i / BLOCK]`. The index
+/// space is the flat row-major element index of the original buffer, so
+/// strided consumers (GEMM pack routines) resolve scales without any layout
+/// translation.
 #[derive(Clone, Copy, Debug)]
 pub struct Q4View<'a> {
     codes: &'a [u8],
@@ -216,14 +176,6 @@ mod tests {
         assert_eq!(finite_absmax(&[1.0, -2.0, f32::INFINITY, f32::NAN]), 2.0);
         assert_eq!(finite_absmax(&[f32::NAN, f32::INFINITY]), 0.0);
         assert_eq!(finite_absmax(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "block scales")]
-    fn q8_view_checks_scale_count() {
-        let codes = [0i8; 65];
-        let scales = [0.0f32; 1];
-        let _ = Q8View::new(&codes, &scales);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!
 //! Decoding is strictly elementwise (element `(r, c)` needs only its own
 //! group's mask byte and slots), so any window of rows decodes bit-identical
-//! to a full decode — the same slab-decode contract the block codecs honour.
+//! to a full decode — the same slab-decode contract the NF4 codec honours.
 
 /// Groups covering one row of `cols` elements (tail group included).
 pub const fn groups_per_row(cols: usize, m: usize) -> usize {

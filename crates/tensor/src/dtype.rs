@@ -4,12 +4,6 @@
 //! the tensor types register these sizes with [`memtrack`](crate::memtrack),
 //! and parameter storage accounting reads them from here instead of
 //! hard-coding byte counts — so the two cannot drift apart.
-//!
-//! The block-quantized dtypes are *not* a whole number of bytes per element
-//! (NF4 packs two codes per byte, and both carry one f32 scale per
-//! 64-element block), so exact accounting goes through [`Dtype::bytes_for`];
-//! [`Dtype::size_bytes`] stays for the byte-per-element dtypes and reports
-//! the rounded-up code byte for the quantized ones.
 
 /// Storage precision of a tensor buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,13 +14,8 @@ pub enum Dtype {
     ///
     /// [`HalfTensor`]: crate::f16::HalfTensor
     F16,
-    /// Symmetric int8 with one f32 absmax scale per 64-element block
-    /// ([`QuantTensor`] storage; codecs in `lx-quant`).
-    ///
-    /// [`QuantTensor`]: crate::quant::QuantTensor
-    I8Block,
     /// NF4 4-bit normal-float codes, two per byte, one f32 absmax scale per
-    /// 64-element block ([`QuantTensor`] storage).
+    /// 64-element block ([`QuantTensor`] storage; codec in `lx-quant`).
     ///
     /// [`QuantTensor`]: crate::quant::QuantTensor
     Nf4Block,
@@ -40,28 +29,12 @@ pub enum Dtype {
 }
 
 impl Dtype {
-    /// Bytes per element, rounded **up** for the sub-byte/blocked dtypes
-    /// (one code byte; excludes block scales). Exact totals — including NF4
-    /// nibble packing and the per-block scales — come from
-    /// [`bytes_for`](Self::bytes_for).
-    pub const fn size_bytes(self) -> usize {
-        match self {
-            Dtype::F32 => 4,
-            Dtype::F16 => 2,
-            Dtype::I8Block | Dtype::Nf4Block => 1,
-            // 2 f32 slots + 1 mask byte per 4 elements ≈ 2.25 bytes/elem,
-            // rounded up.
-            Dtype::Nm24 => 3,
-        }
-    }
-
     /// Exact storage bytes for a buffer of `numel` elements, including the
-    /// per-block f32 scales of the quantized dtypes.
+    /// per-block f32 scales of NF4.
     pub const fn bytes_for(self, numel: usize) -> usize {
         match self {
             Dtype::F32 => 4 * numel,
             Dtype::F16 => 2 * numel,
-            Dtype::I8Block => numel + lx_quant::n_blocks(numel) * 4,
             Dtype::Nf4Block => lx_quant::nibble_bytes(numel) + lx_quant::n_blocks(numel) * 4,
             // Flat view (one logical row): 2 compacted f32s per full group
             // of 4 plus one mask byte per group. Exact whenever the matrix
@@ -78,7 +51,6 @@ impl Dtype {
         match self {
             Dtype::F32 => "f32",
             Dtype::F16 => "f16",
-            Dtype::I8Block => "i8-block",
             Dtype::Nf4Block => "nf4-block",
             Dtype::Nm24 => "nm-2:4",
         }
@@ -97,10 +69,7 @@ mod tests {
 
     #[test]
     fn sizes_match_storage_types() {
-        assert_eq!(Dtype::F32.size_bytes(), std::mem::size_of::<f32>());
-        assert_eq!(Dtype::F16.size_bytes(), std::mem::size_of::<u16>());
         assert_eq!(Dtype::F16.to_string(), "f16");
-        assert_eq!(Dtype::I8Block.to_string(), "i8-block");
         assert_eq!(Dtype::Nf4Block.to_string(), "nf4-block");
     }
 
@@ -108,10 +77,8 @@ mod tests {
     fn bytes_for_counts_codes_and_scales_exactly() {
         assert_eq!(Dtype::F32.bytes_for(10), 40);
         assert_eq!(Dtype::F16.bytes_for(10), 20);
-        // 64 codes + 1 scale.
-        assert_eq!(Dtype::I8Block.bytes_for(64), 64 + 4);
-        // Tail block: 65 codes + 2 scales.
-        assert_eq!(Dtype::I8Block.bytes_for(65), 65 + 8);
+        assert_eq!(Dtype::F32.bytes_for(1), std::mem::size_of::<f32>());
+        assert_eq!(Dtype::F16.bytes_for(1), std::mem::size_of::<u16>());
         // 32 packed bytes + 1 scale; odd length rounds the nibbles up.
         assert_eq!(Dtype::Nf4Block.bytes_for(64), 32 + 4);
         assert_eq!(Dtype::Nf4Block.bytes_for(65), 33 + 8);
@@ -120,11 +87,9 @@ mod tests {
 
     #[test]
     fn quant_compression_ratios_beat_the_fig8_gates() {
-        // The ISSUE gates: int8 ≤ 0.30x and nf4 ≤ 0.17x of f32 for
-        // matrix-sized buffers.
+        // The fig8 gate: nf4 ≤ 0.17x of f32 for matrix-sized buffers.
         let n = 256 * 1024;
         let f32b = Dtype::F32.bytes_for(n) as f64;
-        assert!(Dtype::I8Block.bytes_for(n) as f64 / f32b < 0.27);
         assert!(Dtype::Nf4Block.bytes_for(n) as f64 / f32b < 0.15);
     }
 
@@ -139,6 +104,5 @@ mod tests {
         let ratio = Dtype::Nm24.bytes_for(n) as f64 / Dtype::F32.bytes_for(n) as f64;
         assert_eq!(ratio, 0.5625);
         assert_eq!(Dtype::Nm24.to_string(), "nm-2:4");
-        assert_eq!(Dtype::Nm24.size_bytes(), 3);
     }
 }

@@ -221,7 +221,7 @@ mod tests {
         let a = Tensor::randn(&[7, 36], 1.0, 15);
         let b = Tensor::randn(&[36, 9], 1.0, 16);
         let bias = crate::rng::randn_vec(9, 1.0, 42);
-        for dtype in [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24] {
+        for dtype in [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24] {
             for (stored, layout) in [(b.clone(), NN), (b.transposed_2d(), NT)] {
                 let r = Reduced::from_tensor(&stored, dtype);
                 let decoded = BRef::from(&r).to_tensor();

@@ -7,7 +7,7 @@
 //! of 4 vs 16 for f32 — 0.5625x). Kept values are stored **bit-exactly**,
 //! so decoding is lossless on survivors and exact-zero on pruned positions;
 //! row decodes are strictly elementwise and bit-identical to a full-buffer
-//! decode, the same slab-gather contract the quantized dtypes honour.
+//! decode, the same slab-gather contract the NF4 dtype honours.
 //!
 //! The mask is first-class: [`NmTensor::masks`] hands it to the
 //! sparsity-preserving adapter merge (SPP lineage), which re-applies it

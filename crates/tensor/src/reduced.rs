@@ -45,7 +45,6 @@ impl<'a> BRef<'a> {
         match self.operand {
             BOperand::F32(_) => Dtype::F32,
             BOperand::F16(_) => Dtype::F16,
-            BOperand::Q8(_) => Dtype::I8Block,
             BOperand::Q4(_) => Dtype::Nf4Block,
             BOperand::Nm(_) => Dtype::Nm24,
         }
@@ -123,7 +122,7 @@ impl<'a> From<&'a Reduced> for BRef<'a> {
 pub enum Reduced {
     /// IEEE binary16 bits.
     F16(HalfTensor),
-    /// Block-quantized int8 or NF4.
+    /// Block-quantized NF4.
     Quant(QuantTensor),
     /// 2:4 structured-sparse. Lossless on the surviving values — encoding
     /// prunes (irreversibly zeroes the smaller half of each 4-group), but
@@ -137,14 +136,14 @@ impl Reduced {
         match dtype {
             Dtype::F32 => panic!("Reduced: f32 is not a reduced storage dtype"),
             Dtype::F16 => Reduced::F16(HalfTensor::from_tensor(t)),
-            Dtype::I8Block | Dtype::Nf4Block => Reduced::Quant(QuantTensor::from_tensor(t, dtype)),
+            Dtype::Nf4Block => Reduced::Quant(QuantTensor::from_tensor(t)),
             Dtype::Nm24 => Reduced::Nm(NmTensor::from_tensor(t, dtype)),
         }
     }
 
     /// Bytes occupied by the storage, as registered with
     /// [`memtrack`](crate::memtrack) — code bytes plus per-block scales for
-    /// the quantized dtypes, compacted values plus mask bytes for N:M.
+    /// NF4, compacted values plus mask bytes for N:M.
     pub fn bytes(&self) -> usize {
         match self {
             Reduced::F16(t) => t.bytes(),
@@ -171,7 +170,7 @@ mod tests {
     /// One tensor in every reduced storage, with row lengths that put row
     /// boundaries mid-quantization-block and leave N:M tail groups.
     fn all_storages(t: &Tensor) -> Vec<Reduced> {
-        [Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24]
+        [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24]
             .map(|dtype| Reduced::from_tensor(t, dtype))
             .into()
     }
@@ -179,10 +178,9 @@ mod tests {
     #[test]
     fn view_reports_shape_and_dtype_of_every_storage() {
         let t = Tensor::randn(&[9, 33], 1.0, 32);
-        for (r, dtype) in
-            all_storages(&t)
-                .iter()
-                .zip([Dtype::F16, Dtype::I8Block, Dtype::Nf4Block, Dtype::Nm24])
+        for (r, dtype) in all_storages(&t)
+            .iter()
+            .zip([Dtype::F16, Dtype::Nf4Block, Dtype::Nm24])
         {
             let v = BRef::from(r);
             assert_eq!(v.dtype(), dtype);

@@ -237,8 +237,17 @@ fn per_dtype_gemm_fan_out_stays_retired() {
     // The one-GEMM-entry-point contract: storage format, layout and epilogue
     // are *data* (`BOperand`, `Layout`, `Epilogue`), never method names. The
     // per-(dtype, layout, ±epilogue) families must not drift back at any
-    // layer of the stack.
+    // layer of the stack. Enum variants are not items, so the non-test
+    // sources of the same crates are searched as well.
     let current = current_surface();
+    let sources: String = CRATES
+        .iter()
+        .flat_map(|(_, dir)| rust_files(dir))
+        .map(|file| {
+            let rel = file.strip_prefix(repo_root()).unwrap().display();
+            non_test_source(&rel.to_string())
+        })
+        .collect();
     for retired in [
         // lx-kernels free functions beyond the benchmark-frozen six (the
         // exact survivor list is asserted below).
@@ -262,9 +271,15 @@ fn per_dtype_gemm_fan_out_stays_retired() {
         "pub fn is_quant",
         "pub fn is_nm",
         "pub fn copy_row_into",
+        // The int8 storage plan, at every layer that knew about it.
+        "Int8Frozen",
+        "I8Block",
+        "Q8View",
+        "pub mod q8",
+        "BOperand::Q8",
     ] {
         assert!(
-            !current.contains(retired),
+            !current.contains(retired) && !sources.contains(retired),
             "retired per-dtype entry point resurfaced: {retired}"
         );
     }

@@ -71,13 +71,7 @@ const BACKENDS: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
 const LAYOUTS: [Layout; 2] = [Layout::Normal, Layout::Transposed];
 
 /// Storage kinds of the B operand — one per [`BOperand`] variant.
-const KINDS: [Dtype; 5] = [
-    Dtype::F32,
-    Dtype::F16,
-    Dtype::I8Block,
-    Dtype::Nf4Block,
-    Dtype::Nm24,
-];
+const KINDS: [Dtype; 4] = [Dtype::F32, Dtype::F16, Dtype::Nf4Block, Dtype::Nm24];
 
 /// An owned `rows × cols` B matrix stored at one [`Dtype`].
 struct BMat {
@@ -536,17 +530,18 @@ fn transposed_a_with_non_f32_or_transposed_b_is_rejected() {
 /// The `Observed` wrapper derives the `dtype` label from the operand: one
 /// call per storage kind must bump exactly its own
 /// `kernel.gemm.calls{backend,class,dtype,isa,threads}` counter and none of
-/// the other four. The shape is large-class on the reference backend — a
-/// bucket no concurrently running test dispatches into — so the deltas are
-/// exact.
+/// the others. The labels are the tensor-level [`Dtype::name`]s, so a kernel
+/// label drifting from its dtype name fails here. The shape is large-class
+/// on the reference backend — a bucket no concurrently running test
+/// dispatches into — so the deltas are exact.
 #[test]
-fn observed_attributes_all_five_dtype_labels_from_the_operand() {
+fn observed_attributes_every_dtype_label_from_the_operand() {
     static OBSERVED: Observed = Observed::new(&REFERENCE);
-    const LABELS: [&str; 5] = ["f32", "f16", "i8-block", "nf4-block", "nm-2:4"];
+    let labels = KINDS.map(Dtype::name);
     let (m, k, n) = (256, 256, 256); // 2·256³ = 2^25 FLOPs: first large shape
     let isa = lx_kernels::active_isa().name();
     let threads = lx_parallel::pool().threads().to_string();
-    let counters = LABELS.map(|dtype| {
+    let counters = labels.map(|dtype| {
         lx_obs::registry().counter_labeled(
             "kernel.gemm.calls",
             &[
@@ -578,7 +573,7 @@ fn observed_attributes_all_five_dtype_labels_from_the_operand() {
                 counter.get() - before[j],
                 u64::from(i == j),
                 "{kind:?} call vs dtype={} counter",
-                LABELS[j]
+                labels[j]
             );
         }
     }

@@ -1,5 +1,5 @@
 //! Mixed-precision differential tests: the reduced storage plans
-//! (`F16Frozen`, `Int8Frozen`, `Nf4Frozen`, `Nm24Frozen`) must (a) actually shrink
+//! (`F16Frozen`, `Nf4Frozen`, `Nm24Frozen`) must (a) actually shrink
 //! measured backbone storage to their documented ratios, (b) leave the
 //! sparse execution path numerically identical to an f32 model holding the
 //! same (rounded) weights, (c) keep training dynamics within a documented
@@ -8,11 +8,11 @@
 //!
 //! Documented tolerances (also stated in the README): over 24 LoRA training
 //! steps on identical data, the per-step loss stays within **0.05 absolute**
-//! of the f32 run for f16 storage, **0.10** for int8-block, **0.25** for
-//! NF4-block, and **0.10** for the 2:4 structured-sparse plan (on
-//! opt-sim-small). The backbone rounding perturbs the function once; it does not
-//! compound, because the stored bits never change and all accumulation is
-//! f32 — coarser codecs just start further from the f32 function.
+//! of the f32 run for f16 storage, **0.25** for NF4-block, and **0.10** for
+//! the 2:4 structured-sparse plan (on opt-sim-small). The backbone rounding
+//! perturbs the function once; it does not compound, because the stored bits
+//! never change and all accumulation is f32 — coarser codecs just start
+//! further from the f32 function.
 
 use lx_model::{
     prompt_aware_targets, Adam, LossScaler, ModelConfig, Precision, StepRequest, TransformerModel,
@@ -191,7 +191,6 @@ fn measured_backbone_footprint_hits_quantized_gates() {
     };
     let (_m32, f32_bytes) = build(Precision::F32);
     for (precision, gate) in [
-        (Precision::Int8Frozen, 0.30),
         (Precision::Nf4Frozen, 0.17),
         // 2:4 matrices are 0.5625x (half the values plus one mask byte per
         // group of four); biases/LayerNorm staying f32 keeps it under 0.60.
@@ -240,27 +239,23 @@ fn quantized_storage_loss_curves_track_f32_within_envelope() {
         losses
     };
     let f32_curve = run(Precision::F32, false);
-    for (precision, tolerance) in [
-        (Precision::Int8Frozen, 0.10f32),
-        (Precision::Nf4Frozen, 0.25f32),
-    ] {
-        let curve = run(precision, true);
-        let mut max_diff = 0.0f32;
-        for (step, (a, b)) in curve.iter().zip(&f32_curve).enumerate() {
-            let d = (a - b).abs();
-            assert!(
-                d <= tolerance,
-                "step {step}: {precision} loss {a} vs f32 loss {b} (|Δ| = {d} > {tolerance})"
-            );
-            max_diff = max_diff.max(d);
-        }
-        // The quantized run must actually train.
+    let (precision, tolerance) = (Precision::Nf4Frozen, 0.25f32);
+    let curve = run(precision, true);
+    let mut max_diff = 0.0f32;
+    for (step, (a, b)) in curve.iter().zip(&f32_curve).enumerate() {
+        let d = (a - b).abs();
         assert!(
-            curve.last().unwrap() < curve.first().unwrap(),
-            "{precision}"
+            d <= tolerance,
+            "step {step}: {precision} loss {a} vs f32 loss {b} (|Δ| = {d} > {tolerance})"
         );
-        println!("{precision}: max per-step loss divergence over {STEPS} steps: {max_diff}");
+        max_diff = max_diff.max(d);
     }
+    // The quantized run must actually train.
+    assert!(
+        curve.last().unwrap() < curve.first().unwrap(),
+        "{precision}"
+    );
+    println!("{precision}: max per-step loss divergence over {STEPS} steps: {max_diff}");
 }
 
 /// The quantized twin of the f16 sparse-path test, with a stronger claim:
@@ -270,11 +265,7 @@ fn quantized_storage_loss_curves_track_f32_within_envelope() {
 /// logits and on every gradient.
 #[test]
 fn sparse_path_on_quantized_storage_matches_rounded_f32_model_exactly() {
-    for precision in [
-        Precision::Int8Frozen,
-        Precision::Nf4Frozen,
-        Precision::Nm24Frozen,
-    ] {
+    for precision in [Precision::Nf4Frozen, Precision::Nm24Frozen] {
         let cfg = ModelConfig::test_tiny();
         let mut quant = TransformerModel::new(cfg.clone(), 13);
         let mut rounded = TransformerModel::new(cfg, 13); // same seed, same weights
@@ -285,7 +276,6 @@ fn sparse_path_on_quantized_storage_matches_rounded_f32_model_exactly() {
         rounded.for_each_param(&mut |p| {
             if !p.trainable && p.shape().len() >= 2 {
                 match precision {
-                    Precision::Int8Frozen => lx_quant::q8::round_slice(p.value.as_mut_slice()),
                     Precision::Nf4Frozen => lx_quant::nf4::round_slice(p.value.as_mut_slice()),
                     Precision::Nm24Frozen => {
                         let cols = *p.shape().last().unwrap();
@@ -391,35 +381,34 @@ fn carried_slabs_skip_re_dequant_on_quantized_backbone() {
 
 #[test]
 fn tenant_adapter_lifecycle_works_on_quantized_backbone() {
-    for precision in [Precision::Int8Frozen, Precision::Nf4Frozen] {
-        let mut m = TransformerModel::new(ModelConfig::test_tiny(), 29);
-        m.freeze_all();
-        m.set_precision(precision);
-        let adapter = TenantAdapter::initialise(&mut m, PeftMethod::lora_default(), 3);
-        assert_eq!(m.num_trainable(), 0);
-        assert_eq!(m.precision(), precision, "detach keeps precision");
-        adapter.attach_to(&mut m);
-        let ids = batch(&m, 1, 8, 47);
-        let before = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
-        let extracted = TenantAdapter::extract_from(&mut m, PeftMethod::lora_default(), 3);
-        lx_peft::detach(&mut m);
-        extracted.attach_to(&mut m);
-        let after = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
-        assert_eq!(
-            before.as_slice(),
-            after.as_slice(),
-            "{precision}: attach/extract on a quantized backbone must restore the function"
+    let precision = Precision::Nf4Frozen;
+    let mut m = TransformerModel::new(ModelConfig::test_tiny(), 29);
+    m.freeze_all();
+    m.set_precision(precision);
+    let adapter = TenantAdapter::initialise(&mut m, PeftMethod::lora_default(), 3);
+    assert_eq!(m.num_trainable(), 0);
+    assert_eq!(m.precision(), precision, "detach keeps precision");
+    adapter.attach_to(&mut m);
+    let ids = batch(&m, 1, 8, 47);
+    let before = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
+    let extracted = TenantAdapter::extract_from(&mut m, PeftMethod::lora_default(), 3);
+    lx_peft::detach(&mut m);
+    extracted.attach_to(&mut m);
+    let after = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
+    assert_eq!(
+        before.as_slice(),
+        after.as_slice(),
+        "{precision}: attach/extract on a quantized backbone must restore the function"
+    );
+    // Merging folds the adapter into (promoted) f32 weights; the merged
+    // model must compute the same function the adapted one did.
+    lx_peft::merge::merge_all(&mut m);
+    let merged = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
+    for (a, b) in merged.as_slice().iter().zip(after.as_slice()) {
+        assert!(
+            (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
+            "{precision}: merge changed the function: {a} vs {b}"
         );
-        // Merging folds the adapter into (promoted) f32 weights; the merged
-        // model must compute the same function the adapted one did.
-        lx_peft::merge::merge_all(&mut m);
-        let merged = m.execute(StepRequest::infer(&ids, 1, 8)).logits.unwrap();
-        for (a, b) in merged.as_slice().iter().zip(after.as_slice()) {
-            assert!(
-                (a - b).abs() <= 1e-3 * (1.0 + b.abs()),
-                "{precision}: merge changed the function: {a} vs {b}"
-            );
-        }
     }
 }
 
