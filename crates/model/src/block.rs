@@ -157,7 +157,6 @@ impl TransformerBlock {
             self.attn
                 .cached_dense_probs()
                 .expect("dense probs present in capture mode")
-                .clone()
         });
         if let Some(a) = &mut self.adapter1 {
             attn_out = a.forward(&attn_out);

@@ -1,20 +1,20 @@
-//! Multi-head attention with a dense path (baseline) and a block-sparse path
-//! driven by a per-head [`MultiHeadLayout`] (the Long Exposure path).
+//! Multi-head attention over a per-head [`MultiHeadLayout`]: the paper's
+//! Dynamic-aware Operator is the only implementation.
 //!
-//! The sparse path computes scores only on active blocks (SDD), softmaxes
-//! over the sparse rows, and contracts with V (DSD); the backward pass reuses
+//! Scores are computed only on active blocks (SDD), turned into probabilities
+//! over the sparse rows, and contracted with V (DSD); the backward pass reuses
 //! the cached layout so inactive blocks never contribute gradients — the
-//! paper's §II-D invariant. Both paths turn scores into probabilities (and
-//! `dP` into `dS`) with the same fused row kernels: scale, ALiBi bias, causal
-//! limit, max, `exp` + sum and normalise are one pass family, and nothing past
+//! paper's §II-D invariant. Dense causal attention is the same path over the
+//! full-causal layout, so the masked upper half is never computed. The fused
+//! row kernels apply scale, ALiBi bias and the causal limit, and nothing past
 //! the diagonal is ever exponentiated.
 
 use crate::linear::Linear;
 use crate::param::Param;
-use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill};
-use lx_sparse::MultiHeadLayout;
-use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
-use lx_tensor::ops::{causal_softmax_backward_rows, causal_softmax_rows};
+use lx_sparse::attention::{
+    block_data_to_dense, dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill,
+};
+use lx_sparse::{BlockCsr, MultiHeadLayout, PatternSpec};
 use lx_tensor::Tensor;
 use std::sync::Arc;
 
@@ -29,6 +29,9 @@ pub struct MultiHeadAttention {
     /// Optional ALiBi slopes (one per head): `score[i,j] -= slope·(i−j)`.
     /// An additive positional bias, so the backward pass is unchanged.
     pub alibi_slopes: Option<Vec<f32>>,
+    /// The full-causal layout dense forwards run over, with the `seq` it was
+    /// built for; rebuilt only when `seq` changes.
+    causal: Option<(usize, Arc<MultiHeadLayout>)>,
     cache: Option<AttnCache>,
 }
 
@@ -37,6 +40,13 @@ pub fn alibi_slopes(n_heads: usize) -> Vec<f32> {
     (0..n_heads)
         .map(|h| 2f32.powf(-8.0 * (h + 1) as f32 / n_heads as f32))
         .collect()
+}
+
+/// Block edge of the full-causal layout over `seq` positions: the largest
+/// power of two ≤ 16 that divides `seq`. Sixteen rows are what the grouped
+/// kernels' block tiles are built for; smaller edges multiply the tasks.
+fn causal_block(seq: usize) -> usize {
+    (seq & seq.wrapping_neg()).clamp(1, 16)
 }
 
 #[derive(Debug)]
@@ -49,18 +59,10 @@ struct AttnCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    mode: CacheMode,
-}
-
-#[derive(Debug)]
-enum CacheMode {
-    /// Dense probabilities `[B·h·S, S]`.
-    Dense { probs: Tensor },
-    /// Block-sparse probabilities: per batch, `layout.total_data_len` floats.
-    Sparse {
-        layout: Arc<MultiHeadLayout>,
-        probs: Tensor,
-    },
+    /// The layout the forward ran over (the full-causal one when dense).
+    layout: Arc<MultiHeadLayout>,
+    /// Block probabilities: per batch item, `layout.total_data_len` floats.
+    probs: Tensor,
 }
 
 impl MultiHeadAttention {
@@ -74,6 +76,7 @@ impl MultiHeadAttention {
             n_heads,
             head_dim: d_model / n_heads,
             alibi_slopes: None,
+            causal: None,
             cache: None,
         }
     }
@@ -83,8 +86,27 @@ impl MultiHeadAttention {
         self.alibi_slopes = Some(alibi_slopes(self.n_heads));
     }
 
-    /// Forward. `layout = None` runs dense causal attention; `Some` runs the
-    /// per-head block-sparse path (requires `seq` divisible by the block).
+    /// The full-causal layout over `seq`, every head alike, at the block
+    /// edge [`causal_block`] derives from `seq`.
+    fn causal_layout(&mut self, seq: usize) -> Arc<MultiHeadLayout> {
+        match &self.causal {
+            Some((s, layout)) if *s == seq => layout.clone(),
+            _ => {
+                let block = causal_block(seq);
+                let csr = Arc::new(BlockCsr::from_mask(
+                    &PatternSpec::Causal.mask(seq / block),
+                    block,
+                ));
+                let layout = Arc::new(MultiHeadLayout::combine(vec![csr; self.n_heads]));
+                self.causal = Some((seq, layout.clone()));
+                layout
+            }
+        }
+    }
+
+    /// Forward. `layout = None` runs dense causal attention: the same block
+    /// operators over the full-causal layout. `Some` runs the per-head
+    /// block-sparse path (requires `seq` divisible by the block).
     pub fn forward(
         &mut self,
         x: &Tensor,
@@ -95,76 +117,47 @@ impl MultiHeadAttention {
         let d = self.n_heads * self.head_dim;
         assert_eq!(x.rows(), batch * seq, "attention input rows");
         assert_eq!(x.cols(), d, "attention input width");
+        let layout = match layout {
+            Some(layout) => layout.clone(),
+            None => self.causal_layout(seq),
+        };
+        assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
         // One input, three projections: the cache keeps `x` once for all
         // three backward passes.
         let q = split_heads(&self.wq.project(x), batch, seq, self.n_heads, self.head_dim);
         let k = split_heads(&self.wk.project(x), batch, seq, self.n_heads, self.head_dim);
         let v = split_heads(&self.wv.project(x), batch, seq, self.n_heads, self.head_dim);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let (ctx, mode) = match layout {
-            None => {
-                // Every element of both is written per (batch, head): the
-                // scores GEMM then the fused softmax, and the context GEMM.
-                let mut probs = Tensor::scratch(&[batch * self.n_heads * seq, seq]);
-                let mut ctx = Tensor::scratch(&[batch * self.n_heads * seq, self.head_dim]);
-                for b in 0..batch {
-                    for h in 0..self.n_heads {
-                        let off = (b * self.n_heads + h) * seq;
-                        let qs = rows(&q, off, seq, self.head_dim);
-                        let ks = rows(&k, off, seq, self.head_dim);
-                        let vs = rows(&v, off, seq, self.head_dim);
-                        let p = &mut probs.as_mut_slice()[off * seq..(off + seq) * seq];
-                        gemm_nt(seq, self.head_dim, seq, qs, ks, p, 0.0);
-                        let slope = self.alibi_slopes.as_ref().map_or(0.0, |s| s[h]);
-                        causal_softmax_rows(p, seq, scale, slope);
-                        let c = &mut ctx.as_mut_slice()
-                            [off * self.head_dim..(off + seq) * self.head_dim];
-                        gemm(seq, seq, self.head_dim, p, vs, c, 0.0);
-                    }
-                }
-                (ctx, CacheMode::Dense { probs })
-            }
-            Some(layout) => {
-                assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
-                // One launch per operator covers every head of the layer:
-                // the stacked layout addresses the head-major projections
-                // and the shared block-data buffer directly.
-                let stacked = stacked_layout(layout, seq);
-                let (total, span) = (layout.total_data_len, self.n_heads * seq);
-                // Every active block is overwritten by the SDD, every
-                // context row by the DSD.
-                let mut probs = Tensor::scratch(&[batch, total]);
-                let mut ctx = Tensor::scratch(&[batch * span, self.head_dim]);
-                for b in 0..batch {
-                    let qs = rows(&q, b * span, span, self.head_dim);
-                    let ks = rows(&k, b * span, span, self.head_dim);
-                    let vs = rows(&v, b * span, span, self.head_dim);
-                    let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total];
-                    // Raw products: scale, bias and the causal limit belong
-                    // to the fused pass.
-                    sdd_nt(
-                        qs,
-                        ks,
-                        span,
-                        self.head_dim,
-                        1.0,
-                        stacked,
-                        CausalFill::None,
-                        p,
-                    );
-                    scores_to_probs(p, stacked, scale, self.alibi_slopes.as_deref());
-                    let c = rows_mut(&mut ctx, b * span, span, self.head_dim);
-                    dsd(p, vs, span, self.head_dim, stacked, c);
-                }
-                (
-                    ctx,
-                    CacheMode::Sparse {
-                        layout: layout.clone(),
-                        probs,
-                    },
-                )
-            }
-        };
+        // One launch per operator covers every head of the layer: the stacked
+        // layout addresses the head-major projections and the shared
+        // block-data buffer directly.
+        let stacked = stacked_layout(&layout, seq);
+        let (total, span) = (layout.total_data_len, self.n_heads * seq);
+        // Every active block is overwritten by the SDD, every context row by
+        // the DSD.
+        let mut probs = Tensor::scratch(&[batch, total]);
+        let mut ctx = Tensor::scratch(&[batch * span, self.head_dim]);
+        for b in 0..batch {
+            let qs = rows(&q, b * span, span, self.head_dim);
+            let ks = rows(&k, b * span, span, self.head_dim);
+            let vs = rows(&v, b * span, span, self.head_dim);
+            let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total];
+            // Raw products: scale, bias and the causal limit belong to the
+            // fused pass.
+            sdd_nt(
+                qs,
+                ks,
+                span,
+                self.head_dim,
+                1.0,
+                stacked,
+                CausalFill::None,
+                p,
+            );
+            scores_to_probs(p, stacked, scale, self.alibi_slopes.as_deref());
+            let c = rows_mut(&mut ctx, b * span, span, self.head_dim);
+            dsd(p, vs, span, self.head_dim, stacked, c);
+        }
         let merged = merge_heads(&ctx, batch, seq, self.n_heads, self.head_dim);
         let y = self.wo.forward(&merged);
         self.cache = Some(AttnCache {
@@ -174,7 +167,8 @@ impl MultiHeadAttention {
             q,
             k,
             v,
-            mode,
+            layout,
+            probs,
         });
         y
     }
@@ -189,84 +183,53 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let dmerged = self.wo.backward(dy);
         let dctx = split_heads(&dmerged, batch, seq, heads, dh);
-        // Fully overwritten below: beta-0 GEMMs per (batch, head) on the
-        // dense path, DSD launches (which zero the rows no block touches) on
-        // the sparse one.
+        // Fully overwritten by the DSD launches, which zero the rows no block
+        // touches.
         let mut dq = Tensor::scratch(&[batch * heads * seq, dh]);
         let mut dk = Tensor::scratch(&[batch * heads * seq, dh]);
         let mut dv = Tensor::scratch(&[batch * heads * seq, dh]);
-        match &cache.mode {
-            CacheMode::Dense { probs } => {
-                // Workspace-pooled scratch, recycled across (batch, head)
-                // iterations and across steps: dP from the GEMM (beta 0
-                // overwrites it), turned into dS in place.
-                let mut ds_t = Tensor::scratch(&[seq, seq]);
-                let ds = ds_t.as_mut_slice();
-                for b in 0..batch {
-                    for h in 0..heads {
-                        let off = (b * heads + h) * seq;
-                        let qs = rows(&cache.q, off, seq, dh);
-                        let ks = rows(&cache.k, off, seq, dh);
-                        let vs = rows(&cache.v, off, seq, dh);
-                        let dc = rows(&dctx, off, seq, dh);
-                        let p = &probs.as_slice()[off * seq..(off + seq) * seq];
-                        // dP = dC · Vᵀ, then dS = scale · P ⊙ (dP − ⟨P, dP⟩).
-                        gemm_nt(seq, dh, seq, dc, vs, ds, 0.0);
-                        causal_softmax_backward_rows(p, ds, seq, scale);
-                        // dQ = dS · K ; dK = dSᵀ · Q ; dV = Pᵀ · dC
-                        let dqs = rows_mut(&mut dq, off, seq, dh);
-                        gemm(seq, seq, dh, ds, ks, dqs, 0.0);
-                        let dks = rows_mut(&mut dk, off, seq, dh);
-                        gemm_tn(seq, seq, dh, ds, qs, dks, 0.0);
-                        let dvs = rows_mut(&mut dv, off, seq, dh);
-                        gemm_tn(seq, seq, dh, p, dc, dvs, 0.0);
-                    }
-                }
-            }
-            CacheMode::Sparse { layout, probs } => {
-                let stacked = stacked_layout(layout, seq);
-                let (total, span) = (layout.total_data_len, heads * seq);
-                // Block-data scratch, fully overwritten per batch item: dP
-                // by the SDD, turned into dS in place.
-                let mut ds_t = Tensor::scratch(&[total]);
-                for b in 0..batch {
-                    let qs = rows(&cache.q, b * span, span, dh);
-                    let ks = rows(&cache.k, b * span, span, dh);
-                    let vs = rows(&cache.v, b * span, span, dh);
-                    let dc = rows(&dctx, b * span, span, dh);
-                    let p = &probs.as_slice()[b * total..(b + 1) * total];
-                    // dP on active blocks only; the fused backward never
-                    // reads it past the diagonal, so no fill.
-                    let ds = ds_t.as_mut_slice();
-                    sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::None, ds);
-                    probs_backward(p, ds, stacked, scale);
-                    let ds: &[f32] = ds;
-                    dsd(
-                        ds,
-                        ks,
-                        span,
-                        dh,
-                        stacked,
-                        rows_mut(&mut dq, b * span, span, dh),
-                    );
-                    dsd_tn(
-                        ds,
-                        qs,
-                        span,
-                        dh,
-                        stacked,
-                        rows_mut(&mut dk, b * span, span, dh),
-                    );
-                    dsd_tn(
-                        p,
-                        dc,
-                        span,
-                        dh,
-                        stacked,
-                        rows_mut(&mut dv, b * span, span, dh),
-                    );
-                }
-            }
+        let stacked = stacked_layout(&cache.layout, seq);
+        let (total, span) = (cache.layout.total_data_len, heads * seq);
+        // Block-data scratch, fully overwritten per batch item: dP by the
+        // SDD, turned into dS in place.
+        let mut ds_t = Tensor::scratch(&[total]);
+        for b in 0..batch {
+            let qs = rows(&cache.q, b * span, span, dh);
+            let ks = rows(&cache.k, b * span, span, dh);
+            let vs = rows(&cache.v, b * span, span, dh);
+            let dc = rows(&dctx, b * span, span, dh);
+            let p = &cache.probs.as_slice()[b * total..(b + 1) * total];
+            // dP on active blocks only; the fused backward never reads it
+            // past the diagonal, so no fill.
+            let ds = ds_t.as_mut_slice();
+            sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::None, ds);
+            probs_backward(p, ds, stacked, scale);
+            let ds: &[f32] = ds;
+            // dQ = dS · K ; dK = dSᵀ · Q ; dV = Pᵀ · dC
+            dsd(
+                ds,
+                ks,
+                span,
+                dh,
+                stacked,
+                rows_mut(&mut dq, b * span, span, dh),
+            );
+            dsd_tn(
+                ds,
+                qs,
+                span,
+                dh,
+                stacked,
+                rows_mut(&mut dk, b * span, span, dh),
+            );
+            dsd_tn(
+                p,
+                dc,
+                span,
+                dh,
+                stacked,
+                rows_mut(&mut dv, b * span, span, dh),
+            );
         }
         let dq_m = merge_heads(&dq, batch, seq, heads, dh);
         let dk_m = merge_heads(&dk, batch, seq, heads, dh);
@@ -280,16 +243,27 @@ impl MultiHeadAttention {
         dx
     }
 
-    /// Dense attention probabilities from the most recent forward, if dense.
-    /// Used by calibration capture (ground truth for exposer/predictor).
-    pub fn cached_dense_probs(&self) -> Option<&Tensor> {
-        match &self.cache {
-            Some(AttnCache {
-                mode: CacheMode::Dense { probs },
-                ..
-            }) => Some(probs),
-            _ => None,
+    /// Dense `[B·h·S, S]` attention probabilities of the most recent forward,
+    /// if it was dense, expanded from its block data (zeros past the
+    /// diagonal). Used by calibration capture (ground truth for
+    /// exposer/predictor).
+    pub fn cached_dense_probs(&self) -> Option<Tensor> {
+        let cache = self.cache.as_ref()?;
+        let (_, causal) = self.causal.as_ref()?;
+        if !Arc::ptr_eq(&cache.layout, causal) {
+            return None;
         }
+        let (seq, layout) = (cache.seq, &cache.layout);
+        let mut out = Tensor::scratch(&[cache.batch * self.n_heads * seq, seq]);
+        for b in 0..cache.batch {
+            let probs = &cache.probs.as_slice()[b * layout.total_data_len..];
+            for (h, head) in layout.heads.iter().enumerate() {
+                let dense = block_data_to_dense(&probs[layout.head_data_range(h)], head);
+                let start = (b * self.n_heads + h) * seq * seq;
+                out.as_mut_slice()[start..start + seq * seq].copy_from_slice(&dense);
+            }
+        }
+        Some(out)
     }
 
     pub fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -342,7 +316,7 @@ pub fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize
 }
 
 /// The per-layer launch layout of `layout`, checked against the sequence.
-fn stacked_layout(layout: &MultiHeadLayout, seq: usize) -> &lx_sparse::BlockCsr {
+fn stacked_layout(layout: &MultiHeadLayout, seq: usize) -> &BlockCsr {
     let stacked = layout
         .stacked()
         .expect("attention heads must share one block size and grid");
@@ -365,7 +339,9 @@ fn rows_mut(t: &mut Tensor, start_row: usize, n_rows: usize, width: usize) -> &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_sparse::{BlockCsr, PatternPool, PatternSpec};
+    use lx_sparse::PatternPool;
+    use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
+    use lx_tensor::ops::{causal_softmax_backward_rows, causal_softmax_rows};
 
     const B: usize = 2;
     const S: usize = 16;
@@ -373,13 +349,144 @@ mod tests {
     const H: usize = 2;
     const BLK: usize = 4;
 
+    /// `(batch, seq, alibi)` cells of the oracle comparisons: derived block
+    /// edges 16, 4 and 1, ALiBi off and on, batch 1 and 2.
+    const CELLS: [(usize, usize, bool); 5] = [
+        (B, S, false),
+        (1, 12, false),
+        (1, 7, false),
+        (B, S, true),
+        (B, 12, true),
+    ];
+
     fn mha() -> MultiHeadAttention {
         MultiHeadAttention::new("attn", D, H, 42)
     }
 
+    fn mha_with(alibi: bool) -> MultiHeadAttention {
+        let mut attn = mha();
+        if alibi {
+            attn.enable_alibi();
+        }
+        attn
+    }
+
+    /// The full-causal layout over `seq` at block edge `block`.
+    fn causal_at(seq: usize, block: usize) -> Arc<MultiHeadLayout> {
+        let csr = Arc::new(BlockCsr::from_mask(
+            &PatternSpec::Causal.mask(seq / block),
+            block,
+        ));
+        Arc::new(MultiHeadLayout::combine(vec![csr; H]))
+    }
+
     fn full_layout() -> Arc<MultiHeadLayout> {
-        let csr = Arc::new(BlockCsr::from_mask(&PatternSpec::Causal.mask(S / BLK), BLK));
-        Arc::new(MultiHeadLayout::combine(vec![csr.clone(), csr]))
+        causal_at(S, BLK)
+    }
+
+    /// The layouts checked against the oracle at `seq`: dense (`None`, the
+    /// derived edge), and explicit full-causal layouts at edge 1 and, where
+    /// it divides `seq`, at edge `BLK`.
+    fn layouts(seq: usize) -> Vec<Option<Arc<MultiHeadLayout>>> {
+        let mut all = vec![None, Some(causal_at(seq, 1))];
+        if seq.is_multiple_of(BLK) {
+            all.push(Some(causal_at(seq, BLK)));
+        }
+        all
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// What the reference forward keeps for its backward.
+    struct Reference {
+        batch: usize,
+        seq: usize,
+        x: Tensor,
+        q: Tensor,
+        k: Tensor,
+        v: Tensor,
+        /// Dense `[B·h·S, S]` probabilities.
+        probs: Tensor,
+    }
+
+    /// The reference attention: per (batch, head), the full S×S scores GEMM,
+    /// the fused causal softmax and the context GEMM, through `attn`'s own
+    /// projections and parameters.
+    fn reference_forward(
+        attn: &mut MultiHeadAttention,
+        x: &Tensor,
+        batch: usize,
+        seq: usize,
+    ) -> (Tensor, Reference) {
+        let (heads, dh) = (attn.n_heads, attn.head_dim);
+        let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
+        let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
+        let v = split_heads(&attn.wv.project(x), batch, seq, heads, dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut probs = Tensor::zeros(&[batch * heads * seq, seq]);
+        let mut ctx = Tensor::zeros(&[batch * heads * seq, dh]);
+        for b in 0..batch {
+            for h in 0..heads {
+                let off = (b * heads + h) * seq;
+                let qs = rows(&q, off, seq, dh);
+                let ks = rows(&k, off, seq, dh);
+                let vs = rows(&v, off, seq, dh);
+                let p = &mut probs.as_mut_slice()[off * seq..(off + seq) * seq];
+                gemm_nt(seq, dh, seq, qs, ks, p, 0.0);
+                let slope = attn.alibi_slopes.as_ref().map_or(0.0, |s| s[h]);
+                causal_softmax_rows(p, seq, scale, slope);
+                gemm(seq, seq, dh, p, vs, rows_mut(&mut ctx, off, seq, dh), 0.0);
+            }
+        }
+        let y = attn.wo.forward(&merge_heads(&ctx, batch, seq, heads, dh));
+        let r = Reference {
+            batch,
+            seq,
+            x: x.clone(),
+            q,
+            k,
+            v,
+            probs,
+        };
+        (y, r)
+    }
+
+    /// Backward of [`reference_forward`]; returns `dx`.
+    fn reference_backward(attn: &mut MultiHeadAttention, r: &Reference, dy: &Tensor) -> Tensor {
+        let (batch, seq, heads, dh) = (r.batch, r.seq, attn.n_heads, attn.head_dim);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);
+        let mut dq = Tensor::zeros(&[batch * heads * seq, dh]);
+        let mut dk = Tensor::zeros(&[batch * heads * seq, dh]);
+        let mut dv = Tensor::zeros(&[batch * heads * seq, dh]);
+        let mut ds = vec![0.0; seq * seq];
+        for b in 0..batch {
+            for h in 0..heads {
+                let off = (b * heads + h) * seq;
+                let qs = rows(&r.q, off, seq, dh);
+                let ks = rows(&r.k, off, seq, dh);
+                let vs = rows(&r.v, off, seq, dh);
+                let dc = rows(&dctx, off, seq, dh);
+                let p = &r.probs.as_slice()[off * seq..(off + seq) * seq];
+                // dP = dC · Vᵀ, then dS = scale · P ⊙ (dP − ⟨P, dP⟩).
+                gemm_nt(seq, dh, seq, dc, vs, &mut ds, 0.0);
+                causal_softmax_backward_rows(p, &mut ds, seq, scale);
+                // dQ = dS · K ; dK = dSᵀ · Q ; dV = Pᵀ · dC
+                gemm(seq, seq, dh, &ds, ks, rows_mut(&mut dq, off, seq, dh), 0.0);
+                gemm_tn(seq, seq, dh, &ds, qs, rows_mut(&mut dk, off, seq, dh), 0.0);
+                gemm_tn(seq, seq, dh, p, dc, rows_mut(&mut dv, off, seq, dh), 0.0);
+            }
+        }
+        let mut dx = Tensor::zeros(r.x.shape());
+        attn.wq
+            .backward_into(&r.x, &merge_heads(&dq, batch, seq, heads, dh), &mut dx, 0.0);
+        attn.wk
+            .backward_into(&r.x, &merge_heads(&dk, batch, seq, heads, dh), &mut dx, 1.0);
+        attn.wv
+            .backward_into(&r.x, &merge_heads(&dv, batch, seq, heads, dh), &mut dx, 1.0);
+        dx
     }
 
     #[test]
@@ -392,54 +499,139 @@ mod tests {
 
     #[test]
     fn dense_attention_rows_are_convex_combinations() {
-        let mut attn = mha();
-        let x = Tensor::randn(&[B * S, D], 1.0, 2);
-        let y = attn.forward(&x, B, S, None);
-        assert_eq!(y.shape(), &[B * S, D]);
-        let probs = attn.cached_dense_probs().unwrap();
-        for r in 0..B * H * S {
-            let row_sum: f32 = probs.row(r).iter().sum();
-            assert!((row_sum - 1.0).abs() < 1e-4, "row {r} sums to {row_sum}");
-            // Causality: position s attends only within [0, s].
-            let s = r % S;
-            for j in (s + 1)..S {
-                assert_eq!(probs.row(r)[j], 0.0);
+        for (batch, seq, alibi) in CELLS {
+            let mut attn = mha_with(alibi);
+            let x = Tensor::randn(&[batch * seq, D], 1.0, 2);
+            let (y, r) = reference_forward(&mut attn, &x, batch, seq);
+            assert_eq!(y.shape(), &[batch * seq, D]);
+            for row in 0..batch * H * seq {
+                let p = r.probs.row(row);
+                let row_sum: f32 = p.iter().sum();
+                assert!((row_sum - 1.0).abs() < 1e-4, "row {row} sums to {row_sum}");
+                // Causality: position s attends only within [0, s].
+                let s = row % seq;
+                assert!(p[s + 1..].iter().all(|&v| v == 0.0), "row {row}");
             }
         }
     }
 
     #[test]
     fn sparse_full_causal_matches_dense_forward() {
-        let x = Tensor::randn(&[B * S, D], 1.0, 3);
-        let mut dense = mha();
-        let mut sparse = mha();
-        let yd = dense.forward(&x, B, S, None);
-        let ys = sparse.forward(&x, B, S, Some(&full_layout()));
-        for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
+        for (batch, seq, alibi) in CELLS {
+            let x = Tensor::randn(&[batch * seq, D], 1.0, 3);
+            let (yd, _) = reference_forward(&mut mha_with(alibi), &x, batch, seq);
+            for layout in layouts(seq) {
+                let ys = mha_with(alibi).forward(&x, batch, seq, layout.as_ref());
+                for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
+                    assert!((a - b).abs() < 1e-4, "S={seq}: {a} vs {b}");
+                }
+            }
         }
     }
 
     #[test]
     fn sparse_full_causal_matches_dense_backward() {
-        let x = Tensor::randn(&[B * S, D], 1.0, 4);
-        let dy = Tensor::randn(&[B * S, D], 1.0, 5);
-        let mut dense = mha();
-        let mut sparse = mha();
-        // Make all projections trainable to compare weight grads too.
-        dense.for_each_param(&mut |p| p.trainable = true);
-        sparse.for_each_param(&mut |p| p.trainable = true);
-        let _ = dense.forward(&x, B, S, None);
-        let dxd = dense.backward(&dy);
-        let _ = sparse.forward(&x, B, S, Some(&full_layout()));
-        let dxs = sparse.backward(&dy);
-        for (a, b) in dxd.as_slice().iter().zip(dxs.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "dx: {a} vs {b}");
+        for (batch, seq, alibi) in CELLS {
+            let x = Tensor::randn(&[batch * seq, D], 1.0, 4);
+            let dy = Tensor::randn(&[batch * seq, D], 1.0, 5);
+            // Make all projections trainable to compare weight grads too.
+            let mut dense = mha_with(alibi);
+            dense.for_each_param(&mut |p| p.trainable = true);
+            let (_, r) = reference_forward(&mut dense, &x, batch, seq);
+            let dxd = reference_backward(&mut dense, &r, &dy);
+            let gd = dense.wq.weight.grad.as_ref().unwrap();
+            for layout in layouts(seq) {
+                let mut sparse = mha_with(alibi);
+                sparse.for_each_param(&mut |p| p.trainable = true);
+                let _ = sparse.forward(&x, batch, seq, layout.as_ref());
+                let dxs = sparse.backward(&dy);
+                for (a, b) in dxd.as_slice().iter().zip(dxs.as_slice()) {
+                    assert!((a - b).abs() < 1e-3, "S={seq} dx: {a} vs {b}");
+                }
+                let gs = sparse.wq.weight.grad.as_ref().unwrap();
+                for (a, b) in gd.as_slice().iter().zip(gs.as_slice()) {
+                    assert!((a - b).abs() < 1e-3, "S={seq} dWq: {a} vs {b}");
+                }
+            }
         }
-        let gd = dense.wq.weight.grad.as_ref().unwrap();
-        let gs = sparse.wq.weight.grad.as_ref().unwrap();
-        for (a, b) in gd.as_slice().iter().zip(gs.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "dWq: {a} vs {b}");
+    }
+
+    #[test]
+    fn dense_forward_is_the_full_causal_layout_bitwise() {
+        for (seq, edge) in [(512, 16), (64, 16), (24, 8), (12, 4), (6, 2), (7, 1)] {
+            assert_eq!(causal_block(seq), edge, "block edge for S={seq}");
+        }
+        for (batch, seq, alibi) in CELLS {
+            let x = Tensor::randn(&[batch * seq, D], 1.0, 10);
+            let dy = Tensor::randn(&[batch * seq, D], 1.0, 11);
+            let explicit_layout = causal_at(seq, causal_block(seq));
+            let mut dense = mha_with(alibi);
+            let mut explicit = mha_with(alibi);
+            dense.for_each_param(&mut |p| p.trainable = true);
+            explicit.for_each_param(&mut |p| p.trainable = true);
+            let yd = dense.forward(&x, batch, seq, None);
+            let ye = explicit.forward(&x, batch, seq, Some(&explicit_layout));
+            assert_eq!(bits(&yd), bits(&ye), "S={seq}: y");
+            let dxd = dense.backward(&dy);
+            let dxe = explicit.backward(&dy);
+            assert_eq!(bits(&dxd), bits(&dxe), "S={seq}: dx");
+            let gd = dense.wq.weight.grad.as_ref().unwrap();
+            let ge = explicit.wq.weight.grad.as_ref().unwrap();
+            assert_eq!(bits(gd), bits(ge), "S={seq}: dWq");
+        }
+    }
+
+    #[test]
+    fn captured_probs_match_the_oracle() {
+        for (batch, seq, alibi) in CELLS {
+            let x = Tensor::randn(&[batch * seq, D], 1.0, 12);
+            let (_, r) = reference_forward(&mut mha_with(alibi), &x, batch, seq);
+            let mut attn = mha_with(alibi);
+            let _ = attn.forward(&x, batch, seq, None);
+            let probs = attn.cached_dense_probs().expect("dense forward");
+            assert_eq!(probs.shape(), r.probs.shape());
+            for row in 0..batch * H * seq {
+                let (got, want) = (probs.row(row), r.probs.row(row));
+                let s = row % seq;
+                for (j, (a, b)) in got.iter().zip(want).enumerate() {
+                    if j > s {
+                        assert_eq!(
+                            a.to_bits(),
+                            0,
+                            "S={seq} row {row} col {j} past the diagonal"
+                        );
+                    } else {
+                        assert!((a - b).abs() < 1e-6, "S={seq} row {row}: {a} vs {b}");
+                    }
+                }
+            }
+            // A forward over an explicit layout is not a dense capture.
+            let _ = attn.forward(&x, batch, seq, Some(&causal_at(seq, 1)));
+            assert!(attn.cached_dense_probs().is_none());
+        }
+    }
+
+    #[test]
+    fn dense_layout_cache_follows_seq() {
+        // One module through S = 16, 8, 16, 16: every step equals a fresh
+        // module's, and the layout is rebuilt only when `seq` changes.
+        let mut reused = mha();
+        let mut previous: Option<(usize, Arc<MultiHeadLayout>)> = None;
+        for (i, seq) in [16, 8, 16, 16].into_iter().enumerate() {
+            let x = Tensor::randn(&[B * seq, D], 1.0, 20 + i as u64);
+            let dy = Tensor::randn(&[B * seq, D], 1.0, 30 + i as u64);
+            let mut fresh = mha();
+            let yf = fresh.forward(&x, B, seq, None);
+            let dxf = fresh.backward(&dy);
+            let yr = reused.forward(&x, B, seq, None);
+            let dxr = reused.backward(&dy);
+            assert_eq!(bits(&yr), bits(&yf), "step {i} (S={seq}): y");
+            assert_eq!(bits(&dxr), bits(&dxf), "step {i} (S={seq}): dx");
+            let current = reused.causal.clone().expect("layout cached");
+            if let Some((prev_seq, prev)) = previous {
+                assert_eq!(Arc::ptr_eq(&prev, &current.1), prev_seq == seq, "step {i}");
+            }
+            previous = Some(current);
         }
     }
 

@@ -298,7 +298,9 @@ pub fn probs_backward(p: &[f32], grad: &mut [f32], layout: &BlockCsr, scale: f32
     });
 }
 
-/// Expand block data to a dense `s×s` matrix (tests & visualisation).
+/// Expand block data to a dense `s×s` matrix, zeros outside the active
+/// blocks. Calibration capture builds its dense attention probabilities with
+/// it, one head at a time; tests and visualisation use it too.
 pub fn block_data_to_dense(data: &[f32], layout: &BlockCsr) -> Vec<f32> {
     let b = layout.block_size;
     let s = layout.n_brows * b;

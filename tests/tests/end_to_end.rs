@@ -8,10 +8,19 @@ use lx_data::{Batcher, SyntheticWorld};
 use lx_integration::{batch_ids, tiny_model};
 use lx_model::{prompt_aware_targets, score_continuation, Sgd};
 use lx_peft::PeftMethod;
+use std::sync::{Mutex, MutexGuard};
 
 const BLOCK: usize = 4;
 const SEQ: usize = 16;
 const BATCH: usize = 2;
+
+/// `memtrack`'s peak is process-wide and tests in this binary run on
+/// parallel threads: every test takes this lock, so the footprint test's
+/// measurement windows never see a sibling test's buffers.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn engine_for(method: PeftMethod, seed: u64) -> FinetuneEngine {
     let mut model = tiny_model(seed);
@@ -36,6 +45,7 @@ fn engine_for(method: PeftMethod, seed: u64) -> FinetuneEngine {
 
 #[test]
 fn sparse_training_converges_for_every_peft_method() {
+    let _serial = serial();
     for method in [
         PeftMethod::lora_default(),
         PeftMethod::Adapter { bottleneck: 4 },
@@ -62,6 +72,7 @@ fn sparse_training_converges_for_every_peft_method() {
 
 #[test]
 fn sparse_and_dense_reach_similar_loss() {
+    let _serial = serial();
     // Fig. 11a's claim in miniature: predicted sparsity tracks dense
     // convergence while random patterns lag.
     let run = |mode: StepMode| {
@@ -89,6 +100,7 @@ fn sparse_and_dense_reach_similar_loss() {
 
 #[test]
 fn densities_are_reported_and_meaningful() {
+    let _serial = serial();
     let mut engine = engine_for(PeftMethod::lora_default(), 8);
     let vocab = engine.model.config.vocab_size;
     let ids = batch_ids(BATCH, SEQ, vocab, 9);
@@ -107,6 +119,7 @@ fn densities_are_reported_and_meaningful() {
 
 #[test]
 fn downstream_eval_pipeline_runs() {
+    let _serial = serial();
     // A miniature Table IV pipeline: instruction-tune then score tasks.
     let mut engine = engine_for(PeftMethod::lora_default(), 40);
     engine.model.embedding.tokens.trainable = true;
@@ -129,6 +142,7 @@ fn downstream_eval_pipeline_runs() {
 
 #[test]
 fn memory_tracker_sees_smaller_sparse_footprint() {
+    let _serial = serial();
     // The O(s²) vs O(s) attention-buffer gap needs a sequence long enough
     // that score buffers dominate the fixed bookkeeping (paper Fig. 8 uses
     // 512–4096; the tiny model's max is 64).
