@@ -57,7 +57,7 @@ fn main() {
         "\nshape to check: attention-buffer term grows 4x per seq doubling when dense, ~2x sparse."
     );
 
-    println!("\n== Precision modes (measured): backbone storage f32/f16/nf4/nm24 ==\n");
+    println!("\n== Precision modes (measured): backbone storage f32/f16/nf4 ==\n");
     header(&[
         "model",
         "precision",
@@ -72,12 +72,7 @@ fn main() {
     // and QuantTensor its code bytes plus per-block scales.
     let mut f32_measured = 0usize;
     let mut ratios: Vec<(Precision, f64)> = Vec::new();
-    for precision in [
-        Precision::F32,
-        Precision::F16Frozen,
-        Precision::Nf4Frozen,
-        Precision::Nm24Frozen,
-    ] {
+    for precision in [Precision::F32, Precision::F16Frozen, Precision::Nf4Frozen] {
         let before = memtrack::current_bytes();
         let mut model = lx_bench::sim_model(ModelConfig::opt_sim_small(), 42);
         model.freeze_all();
@@ -98,16 +93,11 @@ fn main() {
         ]);
     }
     println!(
-        "\nacceptance (measured, vs the f32 run): f16 ≤ 0.55x, nf4 ≤ 0.17x, nm24 ≤ 0.60x \
-         (matrices shrink; biases/LayerNorm stay f32; 2:4 matrices are 0.5625x — half \
-         the values plus one mask byte per group of four)."
+        "\nacceptance (measured, vs the f32 run): f16 ≤ 0.55x, nf4 ≤ 0.17x \
+         (matrices shrink; biases/LayerNorm stay f32)."
     );
     if cli.smoke {
-        let gates = [
-            (Precision::F16Frozen, 0.55),
-            (Precision::Nf4Frozen, 0.17),
-            (Precision::Nm24Frozen, 0.60),
-        ];
+        let gates = [(Precision::F16Frozen, 0.55), (Precision::Nf4Frozen, 0.17)];
         let mut failed = false;
         for (precision, gate) in gates {
             let ratio = ratios

@@ -51,8 +51,8 @@ fn main() {
         cfg.name
     );
     // The paper sweeps 1-5% of peak on OPT checkpoints; the sim models'
-    // compressed dynamic range maps that sweep to ~0.2-0.5
-    // (`EngineConfig::mlp_threshold`).
+    // compressed dynamic range maps that sweep to ~0.2-0.5 (the engine
+    // itself filters at 0.3).
     let thresholds = [0.2f32, 0.3, 0.4, 0.5];
     let mut engine = FinetuneEngine::new(
         sim_model(cfg.clone(), 42),

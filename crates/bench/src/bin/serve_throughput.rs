@@ -18,7 +18,7 @@
 //! co-queue, and — only when the host exposes enough cores — replica-scaling
 //! floors must hold, else the exit code is non-zero.
 //!
-//! `--precision f32|f16|nf4|nm24` picks the backbone storage plan
+//! `--precision f32|f16|nf4` picks the backbone storage plan
 //! (default f16, the production configuration).
 //!
 //! `--trace <path>` records the run in an `lx-obs` trace session and writes

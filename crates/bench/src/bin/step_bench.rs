@@ -32,12 +32,12 @@ use lx_model::{prompt_aware_targets, ModelConfig, Precision};
 use lx_obs::{inert_span_cost_ns, registry, Histogram, TraceSession};
 use lx_peft::PeftMethod;
 use lx_tensor::memtrack;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-// Three, not two: the workspace pool needs to see every slab-gather width
-// the drifting plan produces before allocations reach zero, and the 2:4
-// backbone's plans take one drift longer to cover their widths than f16's.
+// The workspace pool needs to see every slab-gather width the drifting plan
+// produces before allocations reach zero.
 const WARMUP: usize = 3;
 const REUSE_STEPS: usize = 24;
 
@@ -108,7 +108,7 @@ fn steady_state(
 }
 
 /// Estimate the cost of the *disabled* instrumentation on one steady-state
-/// sparse step: count the span/counter operations a traced step performs,
+/// sparse step: count the span records and counter calls a traced step makes,
 /// multiply by the measured inert-path cost of one operation, and express it
 /// as a fraction of the measured step time. Must run while no trace session
 /// is active (the whole point is the inert path).
@@ -139,12 +139,20 @@ fn overhead_estimate(
     for _ in 0..WARMUP {
         run(&mut engine, &mut batcher);
     }
-    let counter_total = || -> u64 { registry().counters().iter().map(|(_, v)| v).sum() };
-    let counters_before = counter_total();
+    // One op per `inc` / `add` call, whatever amount it adds: an element
+    // counter bumped once per GEMM is one op, not thousands.
+    let ops_before: BTreeMap<String, u16> = registry().counter_ops().into_iter().collect();
     let session = TraceSession::start().expect("overhead probe needs the trace ring");
     run(&mut engine, &mut batcher);
     let trace = session.finish();
-    let counter_ops = counter_total().saturating_sub(counters_before);
+    let counter_ops: u64 = registry()
+        .counter_ops()
+        .into_iter()
+        .map(|(key, after)| {
+            let before = ops_before.get(&key).copied().unwrap_or(0);
+            u64::from(after.wrapping_sub(before))
+        })
+        .sum();
     // Spans + counter bumps + the always-on step histogram record. A counter
     // bump (one relaxed atomic add) costs no more than an inert span check,
     // so pricing every operation at `span_cost_ns` is conservative.
@@ -227,16 +235,8 @@ fn main() {
         "ws hits",
         "ws misses",
     ]);
-    // The nm24 row is the compound-speedup probe: activation sparsity (the
-    // sparse plan) stacked on weight sparsity (the 2:4 backbone, packed
-    // straight from compacted storage) in one training step.
-    let arms = [
-        ("dense", StepMode::Dense, precision),
-        ("sparse", StepMode::Sparse, precision),
-        ("sparse nm24", StepMode::Sparse, Precision::Nm24Frozen),
-    ];
     let mut steady = Vec::new();
-    for (label, mode, precision) in arms {
+    for (label, mode) in [("dense", StepMode::Dense), ("sparse", StepMode::Sparse)] {
         let s = steady_state(cfg.clone(), precision, batch, seq, mode, label, measured);
         row(&[
             s.mode.to_string(),
@@ -272,40 +272,34 @@ fn main() {
         "reuse speedup",
         "max loss dev",
     ]);
-    // One arm pair per backbone storage plan: the CLI precision and the 2:4
-    // backbone (whose slab decodes come from compacted nm storage). Both
-    // speedup rows regression-gate via `--compare`.
-    let mut reuse_pairs = Vec::new();
-    for (suffix, arm_precision) in [("", precision), (" nm24", Precision::Nm24Frozen)] {
-        let every = reuse_arm(cfg.clone(), arm_precision, batch, seq, 1);
-        let reused = reuse_arm(cfg.clone(), arm_precision, batch, seq, 4);
-        let max_dev = every
-            .losses
-            .iter()
-            .zip(&reused.losses)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        let speedup = every.predict.as_secs_f64() / reused.predict.as_secs_f64().max(1e-12);
-        row(&[
-            format!("predict every step{suffix}"),
-            every.predicted_steps.to_string(),
-            every.reused_steps.to_string(),
-            fmt_ms(every.predict),
-            every.decoded.to_string(),
-            "1.00x".into(),
-            "0.000".into(),
-        ]);
-        row(&[
-            format!("reuse interval 4{suffix}"),
-            reused.predicted_steps.to_string(),
-            reused.reused_steps.to_string(),
-            fmt_ms(reused.predict),
-            reused.decoded.to_string(),
-            format!("{speedup:.2}x"),
-            format!("{max_dev:.3}"),
-        ]);
-        reuse_pairs.push((suffix, every, reused, max_dev));
-    }
+    // The speedup row regression-gates via `--compare`.
+    let every = reuse_arm(cfg.clone(), precision, batch, seq, 1);
+    let reused = reuse_arm(cfg.clone(), precision, batch, seq, 4);
+    let max_dev = every
+        .losses
+        .iter()
+        .zip(&reused.losses)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f32, f32::max);
+    let speedup = every.predict.as_secs_f64() / reused.predict.as_secs_f64().max(1e-12);
+    row(&[
+        "predict every step".into(),
+        every.predicted_steps.to_string(),
+        every.reused_steps.to_string(),
+        fmt_ms(every.predict),
+        every.decoded.to_string(),
+        "1.00x".into(),
+        "0.000".into(),
+    ]);
+    row(&[
+        "reuse interval 4".into(),
+        reused.predicted_steps.to_string(),
+        reused.reused_steps.to_string(),
+        fmt_ms(reused.predict),
+        reused.decoded.to_string(),
+        format!("{speedup:.2}x"),
+        format!("{max_dev:.3}"),
+    ]);
     if let Some(est) = &overhead {
         println!();
         header(&["instrumentation", "span cost ns", "ops/step", "overhead"]);
@@ -385,25 +379,23 @@ fn main() {
                 gate_failed = true;
             }
         }
-        for (suffix, every, reused, max_dev) in &reuse_pairs {
-            if reused.predict >= every.predict {
-                eprintln!(
-                    "step_bench: plan reuse{suffix} did not reduce predict time ({:?} vs {:?})",
-                    reused.predict, every.predict
-                );
-                gate_failed = true;
-            }
-            if reused.decoded > every.decoded {
-                eprintln!(
-                    "step_bench: plan reuse{suffix} decoded more slabs ({} vs {})",
-                    reused.decoded, every.decoded
-                );
-                gate_failed = true;
-            }
-            if *max_dev > 0.05 {
-                eprintln!("step_bench: reuse{suffix} loss curve deviated by {max_dev} (> 0.05)");
-                gate_failed = true;
-            }
+        if reused.predict >= every.predict {
+            eprintln!(
+                "step_bench: plan reuse did not reduce predict time ({:?} vs {:?})",
+                reused.predict, every.predict
+            );
+            gate_failed = true;
+        }
+        if reused.decoded > every.decoded {
+            eprintln!(
+                "step_bench: plan reuse decoded more slabs ({} vs {})",
+                reused.decoded, every.decoded
+            );
+            gate_failed = true;
+        }
+        if max_dev > 0.05 {
+            eprintln!("step_bench: reuse loss curve deviated by {max_dev} (> 0.05)");
+            gate_failed = true;
         }
         if let Some(est) = &overhead {
             if est.fraction >= 0.01 {

@@ -7,7 +7,7 @@
 //!   at the end of the run (see [`crate::report`]); emitted by
 //!   [`BenchCli::finish`].
 //! * `--smoke` — shrink the workload into a fast CI gate.
-//! * `--precision f32|f16|nf4|nm24` — parameter-storage plan for bins
+//! * `--precision f32|f16|nf4` — parameter-storage plan for bins
 //!   that build models (default f16, the production configuration).
 //! * `--<flag> <value>` — free-form valued flags via [`BenchCli::value`]
 //!   (e.g. `kernel_bench --compare <baseline> --tolerance <frac>`).
@@ -61,7 +61,7 @@ impl BenchCli {
             .map(String::as_str)
     }
 
-    /// The `--precision f32|f16|nf4|nm24` storage plan. Defaults to
+    /// The `--precision f32|f16|nf4` storage plan. Defaults to
     /// `f16` (the production configuration); exits with status 2 on anything
     /// else.
     pub fn precision(&self) -> Precision {
@@ -69,10 +69,9 @@ impl BenchCli {
             None | Some("f16") => Precision::F16Frozen,
             Some("f32") => Precision::F32,
             Some("nf4") => Precision::Nf4Frozen,
-            Some("nm24") => Precision::Nm24Frozen,
             Some(other) => {
                 eprintln!(
-                    "{}: unknown --precision '{other}' (expected f32|f16|nf4|nm24)",
+                    "{}: unknown --precision '{other}' (expected f32|f16|nf4)",
                     self.name
                 );
                 std::process::exit(2);
@@ -134,10 +133,6 @@ mod tests {
         assert_eq!(
             cli(&["--precision", "nf4"]).precision(),
             Precision::Nf4Frozen
-        );
-        assert_eq!(
-            cli(&["--precision", "nm24"]).precision(),
-            Precision::Nm24Frozen
         );
     }
 

@@ -53,9 +53,8 @@ pub struct ClusterConfig {
     pub mode: StepMode,
     /// Storage precision of every replica's backbone — the tenants-per-GB
     /// axis: adapters and optimizer state stay f32 per tenant while
-    /// `F16Frozen` halves the backbone, `Nf4Frozen` cuts it to ~0.14x
-    /// (QLoRA-style serving), and `Nm24Frozen` 2:4-prunes it
-    /// to ~0.56x with bit-exact compute on the surviving weights.
+    /// `F16Frozen` halves the backbone and `Nf4Frozen` cuts it to ~0.14x
+    /// (QLoRA-style serving).
     pub precision: Precision,
     /// Per-QoS-class admission quotas.
     pub quotas: QosQuotas,

@@ -15,7 +15,7 @@
 use crate::exposer::Exposer;
 use crate::policy::{
     DensePolicy, OraclePolicy, PlanRefreshConfig, PlanReuseStats, PredictedPolicy, RandomPolicy,
-    RandomTarget, SparsityPolicy,
+    RandomTarget, SparsityPolicy, ATTN_MIN_RECALL, MLP_THRESHOLD,
 };
 use crate::predictor::{draw_noise, pool_blocks, AttnSample, MlpSample};
 use lx_model::{
@@ -35,19 +35,7 @@ pub struct EngineConfig {
     /// Ground-truth importance: an attention block matters when its max
     /// probability reaches this.
     pub attn_prob_threshold: f32,
-    /// Minimum fraction of predicted blocks a pooled pattern must cover.
-    pub attn_min_recall: f32,
-    /// MLP importance filter: fraction of the peak block importance. The
-    /// paper sweeps 1–5% on OPT checkpoints; the sim models' synthetic
-    /// activation distribution has a compressed dynamic range, so the
-    /// equivalent operating point here is ~0.3, and the paper's 1–5 % sweep
-    /// maps to ~0.2–0.5.
-    pub mlp_threshold: f32,
-    pub enable_attn: bool,
-    pub enable_mlp: bool,
     pub calib_epochs: usize,
-    pub predictor_lr: f32,
-    pub noise_std: f32,
     /// Recall weighting of the predictor loss (false-negative cost).
     pub pos_weight: f32,
     /// Cross-step plan reuse for the predicted policy (shadowy-sparsity
@@ -63,19 +51,18 @@ impl Default for EngineConfig {
             block_size: 32,
             predictor_rank: 8,
             attn_prob_threshold: 0.05,
-            attn_min_recall: 0.95,
-            mlp_threshold: 0.3,
-            enable_attn: true,
-            enable_mlp: true,
             calib_epochs: 150,
-            predictor_lr: 0.5,
-            noise_std: 0.02,
             pos_weight: 4.0,
             plan_refresh: PlanRefreshConfig::default(),
             seed: 0x10e0,
         }
     }
 }
+
+/// Step size of predictor calibration.
+const PREDICTOR_LR: f32 = 0.5;
+/// Standard deviation of the Gaussian noise added to calibration inputs.
+const NOISE_STD: f32 = 0.02;
 
 /// Predictor quality after calibration, per layer.
 #[derive(Debug, Clone, Default)]
@@ -237,20 +224,10 @@ impl FinetuneEngine {
             &model.config,
             config.block_size,
             config.predictor_rank,
-            config.attn_min_recall,
-            config.enable_attn,
-            config.enable_mlp,
             config.seed,
         );
         predicted.set_refresh(config.plan_refresh);
-        let oracle = OraclePolicy::new(
-            config.block_size,
-            config.attn_prob_threshold,
-            config.mlp_threshold,
-            config.attn_min_recall,
-            config.enable_attn,
-            config.enable_mlp && model.config.activation == Activation::Relu,
-        );
+        let oracle = OraclePolicy::new(config.block_size, config.attn_prob_threshold);
         let random_attn =
             RandomPolicy::new(RandomTarget::Attention, config.block_size, config.seed);
         let random_mlp = RandomPolicy::new(RandomTarget::Mlp, config.block_size, config.seed);
@@ -267,7 +244,7 @@ impl FinetuneEngine {
     }
 
     fn mlp_sparsity_applicable(&self) -> bool {
-        self.config.enable_mlp && self.model.config.activation == Activation::Relu
+        self.model.config.activation == Activation::Relu
     }
 
     /// Offline phase: dense capture passes on `batches` (each
@@ -286,8 +263,7 @@ impl FinetuneEngine {
         };
         {
             let _span = lx_obs::Span::enter("engine.calibrate.train").cat("engine");
-            let (lr, pos_weight) = (self.config.predictor_lr, self.config.pos_weight);
-            let (seed, std) = (self.config.seed, self.config.noise_std);
+            let (seed, pos_weight) = (self.config.seed, self.config.pos_weight);
             // Every layer's samples have layer 0's shapes.
             let attn_lens = attn_samples.first().into_iter().flatten();
             let attn_lens: Vec<usize> = attn_lens.map(|s| s.pooled.len()).collect();
@@ -299,16 +275,17 @@ impl FinetuneEngine {
                 // e+1, and an MLP sample repeats the draw of the sample 31
                 // epochs away. Changing them moves every calibrated weight
                 // (and the benchmark's final loss), so they stay as they are.
-                let attn_noise =
-                    draw_noise(attn_lens.iter().copied(), std, |si| seed + e + si as u64);
-                let mlp_noise = draw_noise(mlp_lens.iter().copied(), std, |si| {
+                let attn_noise = draw_noise(attn_lens.iter().copied(), NOISE_STD, |si| {
+                    seed + e + si as u64
+                });
+                let mlp_noise = draw_noise(mlp_lens.iter().copied(), NOISE_STD, |si| {
                     seed + 1000 + e + 31 * si as u64
                 });
                 let predictors = self.predicted.attn.iter_mut().zip(&mut self.predicted.mlp);
                 let samples = attn_samples.iter().zip(&mlp_samples);
                 for ((attn, mlp), (attn_layer, mlp_layer)) in predictors.zip(samples) {
-                    attn.train_epoch(attn_layer, &attn_noise, lr, pos_weight);
-                    mlp.train_epoch(mlp_layer, &mlp_noise, lr, pos_weight);
+                    attn.train_epoch(attn_layer, &attn_noise, PREDICTOR_LR, pos_weight);
+                    mlp.train_epoch(mlp_layer, &mlp_noise, PREDICTOR_LR, pos_weight);
                 }
             }
         }
@@ -342,7 +319,7 @@ impl FinetuneEngine {
         let exposer = Exposer::new(
             self.config.block_size,
             self.config.attn_prob_threshold,
-            self.config.mlp_threshold,
+            MLP_THRESHOLD,
         );
         let n_layers = self.model.config.n_layers;
         let heads = self.model.config.n_heads;
@@ -362,7 +339,7 @@ impl FinetuneEngine {
                     batch,
                     seq,
                     CaptureConfig {
-                        attn: self.config.enable_attn,
+                        attn: true,
                         mlp: mlp_on,
                     },
                 ))
@@ -629,11 +606,7 @@ impl FinetuneEngine {
             ))
             .captures
             .expect("capture mode records captures");
-        let exposer = Exposer::new(
-            blk,
-            self.config.attn_prob_threshold,
-            self.config.mlp_threshold,
-        );
+        let exposer = Exposer::new(blk, self.config.attn_prob_threshold, MLP_THRESHOLD);
         let causal_cost = PatternSpec::Causal.cost(n) as f32;
         let longformer = 1.0 - PatternSpec::LocalGlobal { w: 4, g: 2 }.cost(n) as f32 / causal_cost;
         let bigbird = 1.0
@@ -656,7 +629,7 @@ impl FinetuneEngine {
                 let lx_attn = {
                     let mut total_cost = 0.0;
                     for m in &head_masks {
-                        let (spec, _) = pool.best_match(m, self.config.attn_min_recall);
+                        let (spec, _) = pool.best_match(m, ATTN_MIN_RECALL);
                         total_cost += spec.cost(n) as f32;
                     }
                     1.0 - total_cost / (causal_cost * heads as f32)
@@ -753,14 +726,14 @@ mod tests {
         for l in 0..layer_major.model.config.n_layers {
             for e in 0..c.calib_epochs as u64 {
                 let lens = attn[l].iter().map(|s| s.pooled.len());
-                let noise = draw_noise(lens, c.noise_std, |si| c.seed + e + si as u64);
+                let noise = draw_noise(lens, NOISE_STD, |si| c.seed + e + si as u64);
                 let pred = &mut layer_major.predicted.attn[l];
-                pred.train_epoch(&attn[l], &noise, c.predictor_lr, c.pos_weight);
+                pred.train_epoch(&attn[l], &noise, PREDICTOR_LR, c.pos_weight);
                 let lens = mlp[l].iter().map(|s| s.x.len());
                 let seed = |si: usize| c.seed + 1000 + e + 31 * si as u64;
-                let noise = draw_noise(lens, c.noise_std, seed);
+                let noise = draw_noise(lens, NOISE_STD, seed);
                 let pred = &mut layer_major.predicted.mlp[l];
-                pred.train_epoch(&mlp[l], &noise, c.predictor_lr, c.pos_weight);
+                pred.train_epoch(&mlp[l], &noise, PREDICTOR_LR, c.pos_weight);
             }
         }
         assert!(!attn[0].is_empty() && !mlp[0].is_empty());

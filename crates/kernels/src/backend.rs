@@ -28,8 +28,7 @@ pub trait KernelBackend: Sync {
     /// Mixed-precision contract: a non-f32 [`BOperand`] is decoded to f32 (an
     /// exact conversion) inside the load/pack stage and every multiply and
     /// accumulation runs in f32, so the result matches decoding B up front
-    /// and running the f32 product on the same backend — bit for bit for the
-    /// lossless N:M operand.
+    /// and running the f32 product on the same backend.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>);
 
     /// Every task of `group` in table order, each `C[c] = op(A[a])·op(B[b]) +
@@ -153,9 +152,7 @@ impl KernelBackend for Reference {
             // k-step (or per output column for the transposed layout), so
             // the full f32 B is never materialised. Per-element accumulation
             // order is identical to the f32 loops, so results match the
-            // decode-up-front path bit for bit — for the lossless N:M
-            // operand this is the differential oracle the packed
-            // zero-group-skipping arm is checked against.
+            // decode-up-front path bit for bit.
             (_, _, b_layout) => {
                 match b_layout {
                     Layout::Normal => decoded_nn(op, c, ldc, beta),

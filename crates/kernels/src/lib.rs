@@ -3,17 +3,17 @@
 //! Every dense and block-sparse hot path in this workspace bottoms out in one
 //! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
 //! described by a [`GemmOp`] — the f32 `A` view, a [`BOperand`] in whatever
-//! storage the weights live in (f32, f16 bits, block NF4, N:M
-//! structured-sparse), a [`Layout`] per side — plus an [`Epilogue`] (bias
-//! add, optionally followed by GELU) applied inside the write-back while
-//! output tiles are cache-hot, bit-identically to the unfused sequence (see
-//! the `epilogue` module). The block-sparse operators launch the *grouped*
-//! form of the same operator: a [`GemmGroup`] is many equally-shaped products
-//! over windows of three shared buffers, addressed through a [`GemmTable`] —
-//! the offset table a sparse layout builds once and every forward and
-//! backward launch reuses (the paper's Dynamic-aware Operator). This crate
-//! owns the kernels behind the [`KernelBackend`] trait ([`gemm`] and
-//! [`gemm_grouped`], the latter defaulting to the per-task loop):
+//! storage the weights live in (f32, f16 bits, block NF4), a [`Layout`]
+//! per side — plus an [`Epilogue`] (bias add, optionally followed by GELU)
+//! applied inside the write-back while output tiles are cache-hot,
+//! bit-identically to the unfused sequence (see the `epilogue` module). The
+//! block-sparse operators launch the *grouped* form of the same operator: a
+//! [`GemmGroup`] is many equally-shaped products over windows of three
+//! shared buffers, addressed through a [`GemmTable`] — the offset table a
+//! sparse layout builds once and every forward and backward launch reuses
+//! (the paper's Dynamic-aware Operator). This crate owns the kernels behind
+//! the [`KernelBackend`] trait ([`gemm`] and [`gemm_grouped`], the latter
+//! defaulting to the per-task loop):
 //!
 //! [`gemm`]: KernelBackend::gemm
 //! [`gemm_grouped`]: KernelBackend::gemm_grouped
@@ -68,7 +68,7 @@ pub use op::{BOperand, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 pub use packed::{Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
-pub use lx_quant::{NmView, Q4View};
+pub use lx_quant::Q4View;
 
 std::thread_local! {
     static FORCE_SEQ: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -401,14 +401,12 @@ mod tests {
             let b = pseudo(k * n, 41 + n as u32);
             let (q4_codes, q4_scales) = lx_quant::nf4::quantize(&b);
             let q4 = Q4View::new(&q4_codes, &q4_scales, k * n);
-            let (nm_vals, nm_masks) = lx_quant::nm::encode(&b, n, k, 2, 4);
-            let nm = NmView::new(&nm_vals, &nm_masks, n, k, 2, 4);
             for (what, op) in [
                 ("nn", GemmOp::nn(m, k, n, &a, k, &b[..], n)),
                 ("nt", GemmOp::nt(m, k, n, &a, k, &b[..], k)),
                 ("tn", GemmOp::tn(m, k, n, &a, m, &b[..], n)),
                 ("nn q4", GemmOp::nn(m, k, n, &a, k, q4, n)),
-                ("nt nm", GemmOp::nt(m, k, n, &a, k, nm, k)),
+                ("nt q4", GemmOp::nt(m, k, n, &a, k, q4, k)),
             ] {
                 let [old_1, old_2] = under(96, 2048, &op);
                 let [new_1, new_2] = under(252, 1024, &op);
@@ -455,58 +453,6 @@ mod tests {
                 // (identical accumulation order — the slab-decode
                 // equivalence rests on it).
                 assert_bits(&product(&REFERENCE, &fused), &expect, "reference");
-            }
-        }
-    }
-
-    /// Magnitude-prune `v` to 2:4 in place and return it (dense but
-    /// N:M-conformant: what the lossless codec round-trips bit-exactly).
-    fn round24(mut v: Vec<f32>, rows: usize, cols: usize) -> Vec<f32> {
-        lx_quant::nm::round_slice(&mut v, rows, cols, 2, 4);
-        v
-    }
-
-    #[test]
-    fn nm_gemm_matches_decode_up_front_on_every_backend() {
-        // Shapes straddling the 4-wide groups, register tiles, and KC: the
-        // tail group cases (n % 4 != 0, k % 4 != 0) are load-bearing. In the
-        // Transposed layout B is n×k — the sparse axis is the reduction axis
-        // (the frozen backbone forward shape, where pack-time group skipping
-        // pays).
-        for &(layout, m, k, n) in &[
-            (Layout::Normal, 5usize, 7usize, 15usize),
-            (Layout::Normal, 13, 65, 33),
-            (Layout::Normal, 32, 64, 48),
-            (Layout::Transposed, 5, 15, 7),
-            (Layout::Transposed, 13, 33, 65),
-            (Layout::Transposed, 8, 1024, 16),
-        ] {
-            let (rows, cols) = match layout {
-                Layout::Normal => (k, n),
-                Layout::Transposed => (n, k),
-            };
-            let a = pseudo(m * k, 30 + m as u32);
-            let bf = round24(pseudo(rows * cols, 31 + n as u32), rows, cols);
-            let (vals, masks) = lx_quant::nm::encode(&bf, rows, cols, 2, 4);
-            let view = NmView::new(&vals, &masks, rows, cols, 2, 4);
-            // The codec is lossless on a 2:4-conformant matrix: the decoded
-            // oracle B is the original bit for bit.
-            let mut bdq = vec![0.0f32; rows * cols];
-            lx_quant::nm::decode(&vals, &masks, rows, cols, 2, 4, &mut bdq);
-            assert_eq!(bdq, bf);
-            let fused = GemmOp::contiguous(m, k, n, &a, Layout::Normal, view, layout);
-            let dense = GemmOp::contiguous(m, k, n, &a, Layout::Normal, &bdq[..], layout);
-            let expect = product(&REFERENCE, &dense);
-            for be in BACKENDS {
-                assert_close(&product(be, &fused), &expect, 1e-4);
-            }
-            // Unlike nf4 there is no quantization error, so each backend
-            // must match ITS OWN f32 path bit for bit — Reference because the
-            // decode-on-load loops share the f32 accumulation order, Packed
-            // because the group-skipping pack fills panels identically to the
-            // dense pack of the decoded matrix.
-            for be in [&REFERENCE as &dyn KernelBackend, &PACKED] {
-                assert_bits(&product(be, &fused), &product(be, &dense), be.name());
             }
         }
     }

@@ -30,7 +30,7 @@ use std::time::Instant;
 const CLASSES: [&str; 4] = ["tiny", "small", "medium", "large"];
 
 /// Storage dtypes of the B operand (A and all accumulation are always f32).
-const DTYPES: [&str; 4] = ["f32", "f16", "nf4-block", "nm-2:4"];
+const DTYPES: [&str; 3] = ["f32", "f16", "nf4-block"];
 
 /// Index into [`DTYPES`] of the operand's storage kind.
 fn dtype(b: &BOperand<'_>) -> usize {
@@ -38,7 +38,6 @@ fn dtype(b: &BOperand<'_>) -> usize {
         BOperand::F32(_) => 0,
         BOperand::F16(_) => 1,
         BOperand::Q4(_) => 2,
-        BOperand::Nm(_) => 3,
     }
 }
 

@@ -17,7 +17,7 @@
 //! `(r−1)·ld + c` elements (so views carved out of a larger buffer, whose
 //! final row stops at the logical width, are accepted).
 
-use crate::{NmView, Q4View};
+use crate::Q4View;
 
 /// How an operand is stored relative to how it is multiplied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,9 +49,6 @@ pub enum BOperand<'a> {
     F16(&'a [u16]),
     /// NF4 codebook nibbles plus per-block scales.
     Q4(Q4View<'a>),
-    /// N:M structured-sparse compacted values plus group bitmasks. Lossless:
-    /// kept values decode bit-exactly and pruned positions to exact `0.0`.
-    Nm(NmView<'a>),
 }
 
 impl BOperand<'_> {
@@ -61,7 +58,6 @@ impl BOperand<'_> {
             BOperand::F32(b) => b.len(),
             BOperand::F16(b) => b.len(),
             BOperand::Q4(b) => b.len(),
-            BOperand::Nm(b) => b.len(),
         }
     }
 
@@ -76,7 +72,6 @@ impl BOperand<'_> {
             BOperand::F32(b) => b[idx],
             BOperand::F16(b) => crate::half::f16_bits_to_f32(b[idx]),
             BOperand::Q4(b) => b.get(idx),
-            BOperand::Nm(b) => b.get(idx),
         }
     }
 
@@ -88,26 +83,12 @@ impl BOperand<'_> {
         match self {
             BOperand::F32(b) => out.copy_from_slice(&b[base..base + out.len()]),
             BOperand::F16(b) => crate::half::decode_slice(&b[base..base + out.len()], out),
-            BOperand::Q4(b) => decode_elementwise(base, out, |idx| b.get(idx)),
-            BOperand::Nm(b) => {
-                let cols = b.cols();
-                // Whole storage rows take the group-walking row decode.
-                if cols > 0 && base.is_multiple_of(cols) && out.len().is_multiple_of(cols) {
-                    for (r, row) in out.chunks_mut(cols).enumerate() {
-                        b.decode_row_into(base / cols + r, row);
-                    }
-                } else {
-                    decode_elementwise(base, out, |idx| b.get(idx));
+            BOperand::Q4(b) => {
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = b.get(base + j);
                 }
             }
         }
-    }
-}
-
-#[inline(always)]
-fn decode_elementwise(base: usize, out: &mut [f32], get: impl Fn(usize) -> f32) {
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = get(base + j);
     }
 }
 
@@ -126,12 +107,6 @@ impl<'a> From<&'a [u16]> for BOperand<'a> {
 impl<'a> From<Q4View<'a>> for BOperand<'a> {
     fn from(b: Q4View<'a>) -> Self {
         BOperand::Q4(b)
-    }
-}
-
-impl<'a> From<NmView<'a>> for BOperand<'a> {
-    fn from(b: NmView<'a>) -> Self {
-        BOperand::Nm(b)
     }
 }
 

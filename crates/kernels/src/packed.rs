@@ -110,53 +110,15 @@ impl PackElem for u16 {
 /// same flat index (`scales[idx / BLOCK]`), which works under `ldb` striding
 /// because the index handed in is always buffer-relative, never
 /// panel-relative.
-///
-/// The per-panel fill hooks have elementwise defaults that reproduce the
-/// classic pack loops bit-for-bit; a source with occupancy structure (the
-/// N:M view) overrides them to skip work. The destination panel is always
-/// pre-zeroed by [`pack_b`], so an override may legitimately skip stores of
-/// `+0.0` elements.
 pub(crate) trait PackSrc: Sync {
     /// Dequantized/decoded f32 value of element `idx` of the row-major
     /// buffer.
     fn load(&self, idx: usize) -> f32;
-
-    /// Fill one pre-zeroed `nr`-wide B̃ panel from a **Normal**-layout
-    /// operand: `dst[p·nr + j] = element(pc+p, col0+j)` for `p < kc`,
-    /// `j < width`.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_panel_normal(
-        &self,
-        dst: &mut [f32],
-        ldb: usize,
-        pc: usize,
-        kc: usize,
-        col0: usize,
-        width: usize,
-        nr: usize,
-    ) {
-        fill_normal_elementwise(self, dst, ldb, pc, kc, col0, width, nr);
-    }
-
-    /// Fill one pre-zeroed `nr`-wide B̃ panel from a **Transposed**-layout
-    /// operand: `dst[p·nr + j] = element(col0+j, pc+p)`.
-    #[allow(clippy::too_many_arguments)]
-    fn fill_panel_transposed(
-        &self,
-        dst: &mut [f32],
-        ldb: usize,
-        pc: usize,
-        kc: usize,
-        col0: usize,
-        width: usize,
-        nr: usize,
-    ) {
-        fill_transposed_elementwise(self, dst, ldb, pc, kc, col0, width, nr);
-    }
 }
 
-/// The classic elementwise Normal-layout panel fill (also the fallback the
-/// N:M override uses when its fast-path preconditions don't hold).
+/// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand:
+/// `dst[p·nr + j] = element(pc+p, col0+j)` for `p < kc`, `j < width`.
+/// Lanes past `width` are left as they are.
 #[allow(clippy::too_many_arguments)]
 fn fill_normal_elementwise<S: PackSrc + ?Sized>(
     b: &S,
@@ -176,7 +138,8 @@ fn fill_normal_elementwise<S: PackSrc + ?Sized>(
     }
 }
 
-/// Transposed-layout twin of [`fill_normal_elementwise`].
+/// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
+/// `dst[p·nr + j] = element(col0+j, pc+p)`.
 #[allow(clippy::too_many_arguments)]
 fn fill_transposed_elementwise<S: PackSrc + ?Sized>(
     b: &S,
@@ -207,117 +170,6 @@ impl PackSrc for lx_quant::Q4View<'_> {
     #[inline(always)]
     fn load(&self, idx: usize) -> f32 {
         self.get(idx)
-    }
-}
-
-/// The zero-group-skipping pack arm: instead of decoding every element, walk
-/// the row's occupancy groups, skip any group whose mask byte is 0 (a fully
-/// pruned K-group — the structured case external masks produce), and scatter
-/// only the kept slots into the pre-zeroed panel. Pack cost thus scales with
-/// nnz rather than the dense element count. Writes are bit-identical to
-/// packing the decoded dense matrix: pruned positions decode to `+0.0` (the
-/// pre-zeroed panel), kept values land verbatim — a kept `+0.0` overwrites
-/// panel zero with the same bits, and a kept `-0.0` is stored explicitly.
-///
-/// The group walk needs the flat index space to decompose by the view's own
-/// row length, i.e. `ldb == cols`; any other striding falls back to the
-/// elementwise fill, which is always correct.
-impl PackSrc for lx_quant::NmView<'_> {
-    #[inline(always)]
-    fn load(&self, idx: usize) -> f32 {
-        self.get(idx)
-    }
-
-    /// Normal layout: panel rows are k-steps (storage rows), so each storage
-    /// row contributes `width` consecutive columns — the groups overlapping
-    /// `[col0, col0 + width)`.
-    fn fill_panel_normal(
-        &self,
-        dst: &mut [f32],
-        ldb: usize,
-        pc: usize,
-        kc: usize,
-        col0: usize,
-        width: usize,
-        nr: usize,
-    ) {
-        if ldb != self.cols() || width == 0 {
-            return fill_normal_elementwise(self, dst, ldb, pc, kc, col0, width, nr);
-        }
-        let (m, n_slots) = (self.m(), self.n());
-        let (g0, g1) = (col0 / m, (col0 + width - 1) / m);
-        for p in 0..kc {
-            let (row_masks, row_slots) = self.row(pc + p);
-            let dst_row = &mut dst[p * nr..p * nr + width];
-            for (g, &gmask) in row_masks.iter().enumerate().take(g1 + 1).skip(g0) {
-                let mut mask = gmask;
-                if mask == 0 {
-                    continue;
-                }
-                let sbase = g * n_slots;
-                let slots = &row_slots[sbase..row_slots.len().min(sbase + n_slots)];
-                let gbase = g * m;
-                // Writing a kept `+0.0` over the pre-zeroed panel is a
-                // bit-level no-op, so kept values store unconditionally;
-                // only the straddling edge groups need the column check.
-                let interior = gbase >= col0 && gbase + m <= col0 + width;
-                let mut rank = 0usize;
-                while mask != 0 {
-                    let j = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let v = slots[rank];
-                    rank += 1;
-                    let c = gbase + j;
-                    if interior || (c >= col0 && c < col0 + width) {
-                        dst_row[c - col0] = v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Transposed layout: panel columns are storage rows and the k-steps run
-    /// along each row's groups — the frozen-backbone forward shape,
-    /// where every output neuron's weight row is N:M sparse along k.
-    fn fill_panel_transposed(
-        &self,
-        dst: &mut [f32],
-        ldb: usize,
-        pc: usize,
-        kc: usize,
-        col0: usize,
-        width: usize,
-        nr: usize,
-    ) {
-        if ldb != self.cols() || kc == 0 {
-            return fill_transposed_elementwise(self, dst, ldb, pc, kc, col0, width, nr);
-        }
-        let (m, n_slots) = (self.m(), self.n());
-        let (g0, g1) = (pc / m, (pc + kc - 1) / m);
-        for j in 0..width {
-            let (row_masks, row_slots) = self.row(col0 + j);
-            for (g, &gmask) in row_masks.iter().enumerate().take(g1 + 1).skip(g0) {
-                let mut mask = gmask;
-                if mask == 0 {
-                    continue;
-                }
-                let sbase = g * n_slots;
-                let slots = &row_slots[sbase..row_slots.len().min(sbase + n_slots)];
-                let gbase = g * m;
-                let interior = gbase >= pc && gbase + m <= pc + kc;
-                let mut rank = 0usize;
-                while mask != 0 {
-                    let jj = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    let v = slots[rank];
-                    rank += 1;
-                    let c = gbase + jj;
-                    if interior || (c >= pc && c < pc + kc) {
-                        dst[(c - pc) * nr + j] = v;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -354,12 +206,13 @@ fn pack_b<S: PackSrc + ?Sized>(
             let j0 = panel * nr;
             let width = nr.min(nc - j0);
             let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            // The panel buffer is freshly zeroed above, so the source's fill
-            // hook (elementwise default, or a sparsity-aware override that
-            // skips zero groups) only needs to store nonzero elements.
+            // The panel buffer is freshly zeroed above, so the lanes past
+            // `width` stay zero.
             match layout {
-                Layout::Normal => b.fill_panel_normal(dst, ldb, pc, kc, jc + j0, width, nr),
-                Layout::Transposed => b.fill_panel_transposed(dst, ldb, pc, kc, jc + j0, width, nr),
+                Layout::Normal => fill_normal_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr),
+                Layout::Transposed => {
+                    fill_transposed_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr)
+                }
             }
         }
     };
@@ -1214,9 +1067,11 @@ impl GroupPass<'_> {
                     let b = &g.b.data[window * g.b.stride..];
                     let dst = &mut dst[v - cols.start..];
                     match g.b.layout {
-                        Layout::Normal => b.fill_panel_normal(dst, g.b.ld, pc, kc, j, width, nr),
+                        Layout::Normal => {
+                            fill_normal_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
+                        }
                         Layout::Transposed => {
-                            b.fill_panel_transposed(dst, g.b.ld, pc, kc, j, width, nr)
+                            fill_transposed_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
                         }
                     }
                     v += width;
@@ -1373,7 +1228,6 @@ impl Packed {
             BOperand::F32(b) => self.driver(pool, op, *b, Some(b), c, ldc, beta, ep),
             BOperand::F16(b) => self.driver(pool, op, *b, None, c, ldc, beta, ep),
             BOperand::Q4(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
-            BOperand::Nm(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
         }
     }
 
@@ -1490,8 +1344,7 @@ impl KernelBackend for Packed {
     }
 
     /// Every storage kind feeds the same macro-kernel: the decode (f16 bits,
-    /// NF4 dequant, N:M group expansion with zero-group skipping — see
-    /// the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
+    /// NF4 dequant — see the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
     /// never materialised and the microkernel runs unchanged on f32 panels.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
         self.gemm_on(lx_parallel::pool(), op, c, ldc, beta, ep)

@@ -728,7 +728,7 @@ mod tests {
     #[test]
     fn redemotion_across_precisions_does_not_serve_stale_slabs() {
         // Regression: switching the storage plan between sparse steps (here
-        // f16 → 2:4 structured-sparse) must invalidate the cross-step MLP
+        // f16 → NF4) must invalidate the cross-step MLP
         // slab caches, or the post-switch step would serve slabs decoded
         // from the *previous* storage. Oracle: a twin that takes the same
         // precision path but never built a cache under the old storage.
@@ -745,12 +745,12 @@ mod tests {
         m.set_precision(crate::Precision::F16Frozen);
         // Builds the f16 slab caches.
         let _ = m.execute(StepRequest::infer(&ids, BATCH, SEQ).plan(&provided));
-        m.set_precision(crate::Precision::Nm24Frozen);
+        m.set_precision(crate::Precision::Nf4Frozen);
         let redemoted = m.execute(StepRequest::infer(&ids, BATCH, SEQ).plan(&provided));
         let mut fresh = tiny();
         fresh.freeze_all();
         fresh.set_precision(crate::Precision::F16Frozen);
-        fresh.set_precision(crate::Precision::Nm24Frozen);
+        fresh.set_precision(crate::Precision::Nf4Frozen);
         let oracle = fresh.execute(StepRequest::infer(&ids, BATCH, SEQ).plan(&provided));
         assert_eq!(
             redemoted.logits.unwrap().as_slice(),

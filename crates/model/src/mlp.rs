@@ -739,14 +739,11 @@ mod tests {
     }
 
     /// Every reduced storage dtype, for the demote-both-FC-weights sweeps.
-    const REDUCED: [lx_tensor::Dtype; 3] = {
-        use lx_tensor::Dtype;
-        [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24]
-    };
+    const REDUCED: [lx_tensor::Dtype; 2] = [lx_tensor::Dtype::F16, lx_tensor::Dtype::Nf4Block];
 
     #[test]
     fn incremental_slab_decode_equals_full_decode_under_drift() {
-        // Two identical reduced-stored blocks (f16, NF4, 2:4 in turn): one
+        // Two identical reduced-stored blocks (f16, then NF4): one
         // keeps its cross-step slab cache (incremental decode), the other is
         // forced to re-gather from scratch every step. Outputs must stay
         // bit-identical across a randomized plan-drift sequence including
@@ -817,7 +814,7 @@ mod tests {
         // The exactness contract behind the reduced-storage sparse path:
         // running the neuron kernels over slab-decoded weights must equal
         // running them over a *pre-rounded* f32 model (demote → promote up
-        // front: rounded for f16, dequantized for NF4, pruned for 2:4)
+        // front: rounded for f16, dequantized for NF4)
         // bit-for-bit, because the slab decode is elementwise.
         for dtype in REDUCED {
             let mut q = mlp();

@@ -140,11 +140,7 @@ impl TransformerModel {
     /// affine parameters and all trainable state stay f32.
     /// [`Precision::Nf4Frozen`] demotes the same parameter set to
     /// block-quantized storage (NF4 codes plus per-block absmax scales)
-    /// under the same rule, and
-    /// [`Precision::Nm24Frozen`] magnitude-prunes it to 2:4 structured
-    /// sparsity (compacted bit-exact survivors; **the pruned positions do
-    /// not come back** on a later promotion).
-    /// [`Precision::F32`] promotes everything back (an exact decode; values
+    /// under the same rule. [`Precision::F32`] promotes everything back (an exact decode; values
     /// keep whatever rounding the previous storage applied).
     ///
     /// Apply *after* any weight surgery that edits f32 buffers in place
@@ -731,78 +727,6 @@ mod tests {
         m.set_precision(crate::Precision::F32);
         let after = logits_of(&mut m, &ids, 1, 8);
         assert_eq!(before.as_slice(), after.as_slice());
-    }
-
-    #[test]
-    fn nm24_frozen_shrinks_backbone_storage() {
-        let mut m = tiny();
-        m.freeze_all();
-        let f32_bytes = m.param_storage_bytes();
-        m.set_precision(crate::Precision::Nm24Frozen);
-        assert_eq!(m.precision(), crate::Precision::Nm24Frozen);
-        let nm_bytes = m.param_storage_bytes();
-        // Matrices land at exactly 0.5625x (9 bytes per 16); biases and
-        // LayerNorm stay f32, nudging the model-level ratio up slightly.
-        let ratio = nm_bytes as f64 / f32_bytes as f64;
-        assert!(ratio < 0.60, "nm24 storage ratio {ratio}");
-        assert!(ratio > 0.5625, "matrices alone would be exactly 0.5625x");
-        // Promotion back to f32 restores the full footprint (the pruned
-        // zeros are stored dense again).
-        m.set_precision(crate::Precision::F32);
-        assert_eq!(m.param_storage_bytes(), f32_bytes);
-    }
-
-    #[test]
-    fn precision_roundtrip_preserves_the_nm_function_exactly() {
-        // Stronger than the quantized twin: the nm storage computes the
-        // *same bits* as its dense decode, so the nm-stored forward must
-        // already equal the promoted-f32 forward (not just survive the
-        // round-trip).
-        let mut m = tiny();
-        m.freeze_all();
-        m.set_precision(crate::Precision::Nm24Frozen);
-        let ids = sample_batch(&m, 1, 8, 27);
-        let before = logits_of(&mut m, &ids, 1, 8);
-        m.set_precision(crate::Precision::F32);
-        let after = logits_of(&mut m, &ids, 1, 8);
-        assert_eq!(before.as_slice(), after.as_slice());
-        // And all logits stay finite despite half the backbone being pruned.
-        assert!(before.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn scaled_training_on_nm24_backbone_reduces_loss() {
-        let mut m = tiny();
-        m.freeze_all();
-        m.set_precision(crate::Precision::Nm24Frozen);
-        for block in &mut m.blocks {
-            block.attn.wq.attach_lora(4, 8.0, 51);
-            block.attn.wv.attach_lora(4, 8.0, 52);
-            block.mlp.attach_lora_fc1(4, 8.0, 53);
-            block.mlp.attach_lora_fc2(4, 8.0, 54);
-        }
-        let mut opt = crate::optim::Adam::new(0.02);
-        let mut scaler = crate::optim::LossScaler::default();
-        let ids = sample_batch(&m, 2, 8, 28);
-        let targets = prompt_aware_targets(&ids, 2, 8, 0);
-        let first =
-            m.execute(StepRequest::train(&ids, &targets, 2, 8, &mut opt).loss_scale(&mut scaler));
-        assert!(!first.skipped, "no overflow expected at 2^16 scale");
-        let first = first.loss;
-        let mut last = first;
-        for _ in 0..30 {
-            let out = m.execute(
-                StepRequest::train(&ids, &targets, 2, 8, &mut opt).loss_scale(&mut scaler),
-            );
-            if !out.skipped {
-                last = out.loss;
-            }
-        }
-        assert_eq!(scaler.overflows(), 0);
-        assert!(
-            last < first * 0.95,
-            "scaled LoRA training on a 2:4-pruned backbone must reduce loss: {first} -> {last}"
-        );
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! Storage precision: a parameter normally holds its values in [`value`]
 //! (f32). Under a reduced [`Precision`](crate::Precision) plan frozen
 //! backbone matrices are *demoted* ([`Param::demote`]): the values move into
-//! [`reduced`] — f16 bits, block-quantized NF4 codes, or 2:4
-//! structured-sparse compacted values, exactly one of them — [`value`]
-//! becomes an empty placeholder, and the compute paths consume the storage
-//! through the fused reduced-B GEMMs (decode inside the pack stage; the N:M
-//! arm additionally skips all-zero weight groups) or decode rows on load.
+//! [`reduced`] — f16 bits or block-quantized NF4 codes, exactly one of
+//! them — [`value`] becomes an empty placeholder, and the compute paths
+//! consume the storage through the fused reduced-B GEMMs (decode inside the
+//! pack stage) or decode rows on load.
 //! Trainable parameters are never reduced-stored — gradients and optimizer
 //! state stay f32, as the paper's mixed-precision recipe requires.
 //!
@@ -17,7 +16,7 @@
 //! [`reduced`]: Param::reduced
 
 use lx_tensor::gemm::{matmul, Epilogue, Layout};
-use lx_tensor::{BRef, Dtype, NmTensor, Reduced, Tensor};
+use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 
 /// A named model parameter.
 #[derive(Debug)]
@@ -73,15 +72,10 @@ impl Param {
         self.b_ref().dtype()
     }
 
-    /// Whether the values live in any reduced storage (f16, block-quantized,
-    /// or N:M structured-sparse) rather than f32.
+    /// Whether the values live in any reduced storage (f16 or
+    /// block-quantized) rather than f32.
     pub fn is_reduced(&self) -> bool {
         self.reduced.is_some()
-    }
-
-    /// The stored N:M group masks, when the values are N:M-stored.
-    pub fn nm_masks(&self) -> Option<&[u8]> {
-        self.reduced.as_ref()?.nm_masks()
     }
 
     /// Bytes occupied by the value storage (excludes any gradient). Reports
@@ -95,11 +89,8 @@ impl Param {
     }
 
     /// Move the values into `dtype` storage: f16 rounds to nearest even, NF4
-    /// quantizes, [`Dtype::Nm24`] magnitude-prunes each 4-group
-    /// to its 2 largest values (*lossy at demotion time only*: the pruned
-    /// positions are gone, but the survivors — and thus every later decode
-    /// or GEMM — are bit-exact), and [`Dtype::F32`] promotes back. No-op
-    /// when already stored at that dtype; any other reduced storage is
+    /// quantizes, and [`Dtype::F32`] promotes back. No-op when already
+    /// stored at that dtype; any other reduced storage is
     /// decoded first. Panics when asked to reduce a trainable parameter: the
     /// optimizer updates `value` in place, so trainable state must stay f32.
     pub fn demote(&mut self, dtype: Dtype) {
@@ -110,20 +101,6 @@ impl Param {
         if dtype != Dtype::F32 {
             self.store_reduced(|value| Reduced::from_tensor(value, dtype));
         }
-    }
-
-    /// Demote to N:M storage with an externally supplied group mask
-    /// (`lx_quant::nm` layout) instead of magnitude pruning — how a
-    /// calibration-derived or merge-preserved sparsity pattern is installed.
-    pub fn to_nm_with_mask(&mut self, masks: &[u8]) {
-        self.to_f32();
-        self.store_reduced(|value| {
-            Reduced::Nm(NmTensor::from_f32_with_mask(
-                value.as_slice(),
-                value.shape(),
-                masks,
-            ))
-        });
     }
 
     /// Replace the (f32-stored) value with `encode(value)`.
@@ -219,7 +196,7 @@ impl Param {
 mod tests {
     use super::*;
 
-    const REDUCED: [Dtype; 3] = [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24];
+    const REDUCED: [Dtype; 2] = [Dtype::F16, Dtype::Nf4Block];
     const NN: Layout = Layout::Normal;
     const NT: Layout = Layout::Transposed;
 
@@ -281,7 +258,6 @@ mod tests {
             for (a, b) in p.value.as_slice().iter().zip(before.as_slice()) {
                 let tol = match dtype {
                     Dtype::F16 => b.abs() * 1e-3 + 1e-7,
-                    // 2:4 pruning zeroes half the values outright.
                     _ => 1.0 + b.abs(),
                 };
                 assert!((a - b).abs() <= tol, "{dtype}: {a} vs {b}");
@@ -292,45 +268,12 @@ mod tests {
     #[test]
     fn redemotion_crosses_storage_families() {
         let mut p = Param::frozen("w", Tensor::randn(&[4, 8], 1.0, 7));
-        for dtype in [
-            Dtype::Nf4Block,
-            Dtype::F16,
-            Dtype::Nm24,
-            Dtype::Nf4Block,
-            Dtype::Nm24,
-            Dtype::F32,
-        ] {
+        for dtype in [Dtype::Nf4Block, Dtype::F16, Dtype::Nf4Block, Dtype::F32] {
             p.demote(dtype);
             assert_eq!(p.dtype(), dtype);
             assert_eq!(p.is_reduced(), dtype != Dtype::F32);
             assert_eq!(p.shape(), &[4, 8]);
         }
-    }
-
-    #[test]
-    fn nm_demotion_prunes_then_roundtrips_bit_exactly() {
-        let mut p = Param::frozen("w", Tensor::randn(&[8, 8], 1.0, 6));
-        // Oracle: the same pruning applied to a dense copy.
-        let mut pruned = p.value.as_slice().to_vec();
-        lx_tensor::nm::round_slice(&mut pruned, 8, 8, 2, 4);
-        p.demote(Dtype::Nm24);
-        p.to_f32();
-        for (a, b) in p.value.as_slice().iter().zip(&pruned) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn nm_external_mask_is_respected() {
-        let t = Tensor::full(&[2, 4], 1.0);
-        let mut p = Param::frozen("w", t);
-        // Keep positions {0,1} in row 0's group and {2,3} in row 1's.
-        p.to_nm_with_mask(&[0b0011, 0b1100]);
-        assert_eq!(p.dtype(), Dtype::Nm24);
-        assert_eq!(
-            decoded(&p).value.as_slice(),
-            &[1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0]
-        );
     }
 
     #[test]
@@ -361,17 +304,10 @@ mod tests {
                 let y = p.matmul(input, layout, Epilogue::None);
                 let expect = oracle.matmul(input, layout, Epilogue::None);
                 for (a, b) in y.as_slice().iter().zip(expect.as_slice()) {
-                    // The N:M codec is lossless on survivors, so unlike the
-                    // rounding codecs its fused path must match the decoded
-                    // oracle bit for bit.
-                    if dtype == Dtype::Nm24 {
-                        assert_eq!(a.to_bits(), b.to_bits());
-                    } else {
-                        assert!(
-                            (a - b).abs() <= 1e-4 * (1.0 + b.abs()),
-                            "{dtype}: {a} vs {b}"
-                        );
-                    }
+                    assert!(
+                        (a - b).abs() <= 1e-4 * (1.0 + b.abs()),
+                        "{dtype}: {a} vs {b}"
+                    );
                 }
             }
             // And the f16-rounded result stays near the full-precision one.
@@ -387,7 +323,7 @@ mod tests {
     #[test]
     fn row_helpers_decode_bit_identically() {
         // 6-wide rows: every row boundary is mid-block (exercising the
-        // flat-index scale resolution) and ends in an N:M tail group.
+        // flat-index scale resolution).
         let t = Tensor::randn(&[4, 6], 1.0, 9);
         let mut p = Param::frozen("emb", t.clone());
         let mut row32 = vec![0.0f32; 6];

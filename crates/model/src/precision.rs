@@ -13,9 +13,9 @@
 //! [`Precision::Nf4Frozen`] pushes the same recipe past f16 with the
 //! `lx-quant` NF4 block codec (QLoRA lineage): frozen matrices store NF4
 //! codes plus one f32 absmax scale per 64-element block, ~0.14x of the f32
-//! bytes. The demotion rule, the fused dequant-in-pack GEMMs, and the sparse-path slab decode
-//! all mirror the f16 plan — a plan is just the [`Dtype`] its frozen
-//! matrices are stored at ([`Precision::dtype`]).
+//! bytes. The demotion rule, the fused dequant-in-pack GEMMs, and the
+//! sparse-path slab decode all mirror the f16 plan — a plan is just the
+//! [`Dtype`] its frozen matrices are stored at ([`Precision::dtype`]).
 //!
 //! Pair with [`LossScaler`](crate::optim::LossScaler) when training: the
 //! rounded backbone shifts activation magnitudes slightly, and scaling keeps
@@ -40,15 +40,6 @@ pub enum Precision {
     /// per byte, one f32 absmax scale per 64 elements); everything else
     /// stays f32.
     Nf4Frozen,
-    /// Frozen backbone matrices magnitude-pruned to 2:4 structured sparsity
-    /// and stored compacted (kept values bit-exact f32 + one index-mask byte
-    /// per group, 0.5625x of the f32 bytes); everything else stays f32.
-    /// Unlike the NF4 plan the demotion changes the *function* (half
-    /// the weights become exact zeros, SLoPe/SPP lineage) but the stored
-    /// survivors are exact, so compute on the pruned weights is bit-identical
-    /// to dense compute on their decoded form — and the fused GEMMs skip
-    /// all-zero weight groups at pack time.
-    Nm24Frozen,
 }
 
 impl Precision {
@@ -58,7 +49,6 @@ impl Precision {
             Precision::F32 => Dtype::F32,
             Precision::F16Frozen => Dtype::F16,
             Precision::Nf4Frozen => Dtype::Nf4Block,
-            Precision::Nm24Frozen => Dtype::Nm24,
         }
     }
 
@@ -67,7 +57,6 @@ impl Precision {
             Precision::F32 => "f32",
             Precision::F16Frozen => "f16-frozen",
             Precision::Nf4Frozen => "nf4-frozen",
-            Precision::Nm24Frozen => "nm24-frozen",
         }
     }
 }

@@ -11,15 +11,26 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// A monotonic event counter.
+///
+/// One atomic word holds two tallies, so a bump stays a single `fetch_add`:
+/// the low 48 bits are the value ([`get`](Self::get); it wraps at 2^48) and
+/// the high 16 bits count the `inc` / `add` calls, modulo 2^16
+/// ([`Registry::counter_ops`]). A counter of elements thus still says how
+/// many times it was bumped — what pricing the disabled instrumentation
+/// needs.
 #[derive(Debug, Default)]
 pub struct Counter {
-    value: AtomicU64,
+    word: AtomicU64,
 }
+
+const VALUE_BITS: u32 = 48;
+const VALUE_MASK: u64 = (1 << VALUE_BITS) - 1;
+const ONE_OP: u64 = 1 << VALUE_BITS;
 
 impl Counter {
     pub const fn new() -> Self {
         Counter {
-            value: AtomicU64::new(0),
+            word: AtomicU64::new(0),
         }
     }
 
@@ -30,16 +41,22 @@ impl Counter {
 
     #[inline]
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        debug_assert!(n <= VALUE_MASK, "counter bump {n} exceeds 48 bits");
+        self.word.fetch_add(ONE_OP + n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.word.load(Ordering::Relaxed) & VALUE_MASK
+    }
+
+    /// `inc` / `add` calls so far, modulo 2^16.
+    fn ops(&self) -> u16 {
+        (self.word.load(Ordering::Relaxed) >> VALUE_BITS) as u16
     }
 
     /// Zero the counter (bench arms isolating their own window).
     pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        self.word.store(0, Ordering::Relaxed);
     }
 }
 
@@ -284,6 +301,18 @@ impl Registry {
             .collect()
     }
 
+    /// Every registered counter's `(key, calls)`, sorted by key: how many
+    /// `inc` / `add` calls it took, whatever they added, modulo 2^16 — so
+    /// count a window as `after.wrapping_sub(before)`.
+    pub fn counter_ops(&self) -> Vec<(String, u16)> {
+        self.counters
+            .lock()
+            .expect("counter registry")
+            .iter()
+            .map(|(k, c)| (k.clone(), c.ops()))
+            .collect()
+    }
+
     /// Every registered histogram's `(key, summary)`, sorted by key.
     pub fn histograms(&self) -> Vec<(String, HistogramSummary)> {
         self.histograms
@@ -383,6 +412,22 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.reset();
         assert_eq!(c.get(), 0);
+    }
+
+    #[test]
+    fn counter_ops_count_calls_not_amounts() {
+        let c = Counter::new();
+        c.inc();
+        c.add(1 << 40);
+        c.add(0);
+        assert_eq!((c.get(), c.ops()), ((1 << 40) + 1, 3));
+        // The call tally wraps on its own, without touching the value.
+        for _ in 0..u16::MAX {
+            c.inc();
+        }
+        assert_eq!((c.get(), c.ops()), ((1 << 40) + 65_536, 2));
+        c.reset();
+        assert_eq!((c.get(), c.ops()), (0, 0));
     }
 
     #[test]

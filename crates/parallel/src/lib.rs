@@ -53,25 +53,6 @@ where
     pool().parallel_map(range, grain, body)
 }
 
-/// Deterministic parallel sum-style reduction over index chunks.
-pub fn parallel_reduce<R, F, G>(
-    range: Range<usize>,
-    grain: usize,
-    identity: R,
-    body: F,
-    fold: G,
-) -> R
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-    G: Fn(R, R) -> R,
-{
-    pool()
-        .parallel_map(range, grain, body)
-        .into_iter()
-        .fold(identity, fold)
-}
-
 /// Run two closures potentially in parallel and return both results.
 pub fn join<RA, RB>(a: impl FnOnce() -> RA + Send, b: impl FnOnce() -> RB + Send) -> (RA, RB)
 where
@@ -113,19 +94,6 @@ mod tests {
         let mut sorted = out.clone();
         sorted.sort_unstable();
         assert_eq!(out, sorted, "chunk results must be returned in index order");
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential() {
-        let seq: u64 = (0..100_000u64).map(|i| i * i).sum();
-        let par = parallel_reduce(
-            0..100_000,
-            128,
-            0u64,
-            |r| r.map(|i| (i as u64) * (i as u64)).sum::<u64>(),
-            |a, b| a + b,
-        );
-        assert_eq!(seq, par);
     }
 
     #[test]

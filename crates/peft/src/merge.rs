@@ -2,58 +2,11 @@
 //! inference after fine-tuning pays zero adapter overhead. Every site —
 //! `Linear`, MLP FC1 and FC2 — folds through the same
 //! [`Lora::fold_into`]: one GEMM accumulating into the weight in its stored
-//! orientation, with the capture/re-apply of the N:M mask around it.
-//!
-//! **Sparsity preservation (SPP lineage):** on a 2:4 structured-sparse
-//! backbone the dense delta `ÃBᵀ` would repopulate pruned positions and
-//! destroy the N:M pattern the fused kernels exploit. The merge therefore
-//! captures the weight's group mask before folding, projects the merged
-//! weight back onto it (zeroing every pruned position the delta touched —
-//! counted in the `peft.merge.mask_violations` metric), and re-demotes to
-//! the same compacted storage. A merged Nm24 backbone is provably still 2:4.
-
-use std::sync::{Arc, OnceLock};
+//! orientation.
 
 use lx_model::linear::{Linear, Lora};
 use lx_model::{Param, TransformerModel};
-use lx_obs::{registry, Counter};
 use lx_tensor::gemm::Layout;
-
-/// Pruned positions a LoRA delta tried to repopulate, summed over every
-/// mask-preserving merge in the process (the SPP projection magnitude-proxy).
-fn mask_violations() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| registry().counter("peft.merge.mask_violations"))
-}
-
-/// Process-wide total of `peft.merge.mask_violations` — how many pruned weight
-/// positions merges have projected back to zero. Exposed for tests and
-/// benches; the same value ships through the `lx-obs` registry.
-pub fn mask_violation_total() -> u64 {
-    mask_violations().get()
-}
-
-/// The N:M group mask of a structured-sparse-stored weight, captured before
-/// the merge promotes it to f32 (which discards the stored mask).
-fn captured_nm_mask(p: &Param) -> Option<Vec<u8>> {
-    p.nm_masks().map(<[u8]>::to_vec)
-}
-
-/// Project a merged (dense f32) weight back onto its pre-merge N:M mask and
-/// re-demote it to compacted storage. Every pruned position the dense delta
-/// repopulated is zeroed and counted.
-fn reapply_nm_mask(p: &mut Param, masks: &[u8]) {
-    let (rows, cols) = (p.b_ref().rows(), p.b_ref().cols());
-    let violations = lx_tensor::nm::apply_mask(
-        p.value.as_mut_slice(),
-        masks,
-        rows,
-        cols,
-        lx_tensor::nm::NM_M,
-    );
-    mask_violations().add(violations as u64);
-    p.to_nm_with_mask(masks);
-}
 
 /// Fold `lora` into `weight` (stored `w_layout` relative to `x·W`) with the
 /// pair's one GEMM-based [`Lora::fold_into`].
@@ -62,19 +15,12 @@ fn reapply_nm_mask(p: &mut Param, masks: &[u8]) {
 /// first: merging writes into the weight buffer, and folding a delta into
 /// rounded storage would lose exactly the adaptation being merged. Re-apply
 /// a precision plan afterwards if the merged model should ship reduced.
-/// The exception is a 2:4 structured-sparse weight, which keeps its storage:
-/// the merge re-applies the captured mask and re-compacts (see the module
-/// docs), so the weight stays N:M without caller involvement.
 fn merge_into(weight: &mut Param, lora: Option<Lora>, w_layout: Layout) {
     let Some(lora) = lora else {
         return;
     };
-    let nm_mask = captured_nm_mask(weight);
     weight.to_f32();
     lora.fold_into(&mut weight.value, w_layout);
-    if let Some(masks) = nm_mask {
-        reapply_nm_mask(weight, &masks);
-    }
 }
 
 /// Fold a Linear's LoRA pair into its weight (`[d_in, d_out]`) and detach it.
@@ -190,78 +136,6 @@ mod tests {
             assert!(!block.attn.wq.weight.is_reduced());
             assert!(!block.mlp.w1.is_reduced());
         }
-    }
-
-    #[test]
-    fn merge_on_nm_backbone_preserves_the_sparsity_pattern() {
-        // SPP lifecycle: 2:4-pruned frozen backbone + f32 adapters, then
-        // merge. Unlike the quantized backbones the merged weights must NOT
-        // end up promoted-dense — they keep their compacted N:M storage,
-        // the pre-merge mask is provably intact (zero violations on
-        // re-check), and the dense delta the projection discarded is
-        // surfaced through the mask-violation metric.
-        let mut m = TransformerModel::new(ModelConfig::test_tiny(), 15);
-        PeftMethod::Lora {
-            rank: 2,
-            alpha: 4.0,
-            targets: LoraTargets::all(),
-        }
-        .apply(&mut m, 16);
-        m.set_precision(lx_model::Precision::Nm24Frozen);
-        // Capture every nm weight's mask before the merge.
-        let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
-        m.for_each_param(&mut |p| {
-            if let Some(masks) = p.nm_masks() {
-                masks_before.push((p.name.clone(), masks.to_vec()));
-            }
-        });
-        assert!(!masks_before.is_empty(), "backbone must be nm-stored");
-        m.for_each_param(&mut |p| {
-            if p.name.contains("lora_b") {
-                let v = lx_tensor::rng::randn_vec(p.value.len(), 0.3, 17);
-                p.value.as_mut_slice().copy_from_slice(&v);
-            }
-        });
-        let violations_before = crate::merge::mask_violation_total();
-        merge_all(&mut m);
-        // A dense rank-2 delta touches pruned positions: the projection
-        // must have counted them.
-        assert!(
-            crate::merge::mask_violation_total() > violations_before,
-            "dense LoRA delta must hit pruned positions"
-        );
-        // Every merged weight is still nm-stored under its ORIGINAL mask,
-        // and its decode obeys that mask exactly (zero violations).
-        let before: std::collections::HashMap<_, _> = masks_before.into_iter().collect();
-        let mut checked = 0;
-        m.for_each_param(&mut |p| {
-            if let Some(expect) = before.get(&p.name) {
-                let masks = p
-                    .nm_masks()
-                    .unwrap_or_else(|| panic!("{}: merged weight must stay nm-stored", p.name));
-                assert_eq!(masks, &expect[..], "{}: mask changed", p.name);
-                let b = p.b_ref();
-                let mut dense = b.to_tensor();
-                let v = lx_tensor::nm::apply_mask(
-                    dense.as_mut_slice(),
-                    expect,
-                    b.rows(),
-                    b.cols(),
-                    lx_tensor::nm::NM_M,
-                );
-                assert_eq!(v, 0, "{}: merged weight violates its 2:4 mask", p.name);
-                checked += 1;
-            }
-        });
-        assert!(checked > 0);
-        // And no LoRA params remain.
-        let mut lora_left = 0;
-        m.for_each_param(&mut |p| {
-            if p.name.contains("lora") {
-                lora_left += 1;
-            }
-        });
-        assert_eq!(lora_left, 0);
     }
 
     #[test]

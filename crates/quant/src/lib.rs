@@ -1,14 +1,9 @@
-//! # lx-quant — block-quantized storage codecs
+//! # lx-quant — block-quantized storage codec
 //!
 //! Frozen backbone weights dominate the per-tenant memory bill; this crate
-//! holds the codecs that shrink them past the f16 plan:
-//!
-//! * [`nf4`] — an NF4-style 4-bit codec (QLoRA lineage): a 16-entry
-//!   normal-float codebook on `[-1, 1]` plus one f32 absmax per block, two
-//!   codes packed per byte;
-//! * [`nm`] — N:M structured sparsity (2:4 by default): per row-group of M
-//!   elements keep N, stored as compacted f32s plus one index-bitmask byte
-//!   per group — lossless on survivors, exact zero elsewhere.
+//! holds the codec that shrinks them past the f16 plan: [`nf4`], an
+//! NF4-style 4-bit codec (QLoRA lineage) — a 16-entry normal-float codebook
+//! on `[-1, 1]` plus one f32 absmax per block, two codes packed per byte.
 //!
 //! Blocking is **flat**: blocks of [`BLOCK`] consecutive elements of the
 //! row-major buffer, with a short tail block when `len % BLOCK != 0`. Blocks
@@ -25,13 +20,10 @@
 //! decodes to exact zeros.
 //!
 //! This crate has zero dependencies; `lx-kernels` consumes the borrowed
-//! views ([`Q4View`] / [`NmView`]) inside its pack routines and `lx-tensor`
+//! view ([`Q4View`]) inside its pack routines and `lx-tensor`
 //! owns the allocation/accounting side (`QuantTensor`).
 
 pub mod nf4;
-pub mod nm;
-
-pub use nm::NmView;
 
 /// Elements per quantization block (one f32 scale per block).
 pub const BLOCK: usize = 64;

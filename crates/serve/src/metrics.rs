@@ -110,25 +110,6 @@ impl ServeMetrics {
             tenant_series_cap: self.tenant_series_cap,
         }
     }
-
-    /// Fold another scheduler's metrics into this one (cluster aggregation:
-    /// every replica worker records into one shared `ServeMetrics`, or
-    /// per-replica metrics merge at report time).
-    pub fn merge(&mut self, other: &ServeMetrics) {
-        self.completed_jobs += other.completed_jobs;
-        self.total_steps += other.total_steps;
-        self.total_tokens += other.total_tokens;
-        self.total_busy += other.total_busy;
-        for (tenant, m) in &other.per_tenant {
-            let t = self.per_tenant.entry(tenant.clone()).or_default();
-            t.steps += m.steps;
-            t.tokens += m.tokens;
-            t.busy += m.busy;
-            t.swap += m.swap;
-            t.slices += m.slices;
-            t.last_loss = m.last_loss;
-        }
-    }
 }
 
 /// Immutable view of the service's counters at one instant.
@@ -442,23 +423,5 @@ mod tests {
         assert_eq!(rollup_steps, (1000 - 8) * 2);
         // Aggregate service totals are untouched by the cap.
         assert!(text.contains(&format!("lx_serve_steps_total {}", 1000 * 2)));
-    }
-
-    #[test]
-    fn merge_folds_per_tenant_and_totals() {
-        let mut a = ServeMetrics::default();
-        a.record_slice("x", 4, 64, Duration::from_millis(100), Duration::ZERO, 2.0);
-        let mut b = ServeMetrics::default();
-        b.record_slice("x", 2, 32, Duration::from_millis(50), Duration::ZERO, 1.0);
-        b.record_slice("y", 1, 16, Duration::from_millis(25), Duration::ZERO, 3.0);
-        b.completed_jobs = 2;
-        a.merge(&b);
-        let snap = a.snapshot();
-        assert_eq!(snap.total_steps, 7);
-        assert_eq!(snap.total_tokens, 112);
-        assert_eq!(snap.completed_jobs, 2);
-        assert_eq!(snap.per_tenant["x"].steps, 6);
-        assert_eq!(snap.per_tenant["x"].slices, 2);
-        assert_eq!(snap.per_tenant["y"].steps, 1);
     }
 }

@@ -90,18 +90,6 @@ impl BlockMask {
         }
     }
 
-    /// In-place intersection.
-    pub fn intersect_with(&mut self, other: &BlockMask) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask grids differ"
-        );
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= b;
-        }
-    }
-
     /// Number of blocks active in `self` that are also active in `other`.
     pub fn covered_by(&self, other: &BlockMask) -> usize {
         assert_eq!(
@@ -207,10 +195,7 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.count(), 3);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.count(), 1);
-        assert!(i.get(1, 1));
+        assert_eq!(a.covered_by(&b), 1);
     }
 
     #[test]

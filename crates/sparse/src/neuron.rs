@@ -125,10 +125,6 @@ impl NeuronBlockSet {
         1.0 - self.density()
     }
 
-    pub fn is_dense(&self) -> bool {
-        self.active.len() == self.n_blocks_total
-    }
-
     /// The same active blocks renumbered to `0..n_active` over a grid that
     /// contains only them — the coordinate system of a weight buffer holding
     /// just the active slabs (gathered in `active` order). Used by the
@@ -484,7 +480,7 @@ mod tests {
     #[test]
     fn block_set_constructors() {
         let all = NeuronBlockSet::all(4, 8);
-        assert!(all.is_dense());
+        assert_eq!(all.density(), 1.0);
         assert_eq!(all.active_neurons(), 32);
         let m = NeuronBlockSet::from_mask(&[true, false, true, false], 8);
         assert_eq!(m.active, vec![0, 2]);

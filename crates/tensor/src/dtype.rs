@@ -19,13 +19,6 @@ pub enum Dtype {
     ///
     /// [`QuantTensor`]: crate::quant::QuantTensor
     Nf4Block,
-    /// 2:4 structured sparsity: per row-group of 4 elements keep 2, stored
-    /// as compacted f32s plus one index-bitmask byte per group
-    /// ([`NmTensor`] storage; codec in `lx-quant`). Kept values are stored
-    /// bit-exactly — the dtype is lossless on survivors.
-    ///
-    /// [`NmTensor`]: crate::nm::NmTensor
-    Nm24,
 }
 
 impl Dtype {
@@ -36,14 +29,6 @@ impl Dtype {
             Dtype::F32 => 4 * numel,
             Dtype::F16 => 2 * numel,
             Dtype::Nf4Block => lx_quant::nibble_bytes(numel) + lx_quant::n_blocks(numel) * 4,
-            // Flat view (one logical row): 2 compacted f32s per full group
-            // of 4 plus one mask byte per group. Exact whenever the matrix
-            // row length is a multiple of 4 (tail groups are per-row;
-            // `NmTensor::bytes` accounts for them exactly).
-            Dtype::Nm24 => {
-                lx_quant::nm::slots_per_row(numel, 2, 4) * 4
-                    + lx_quant::nm::groups_per_row(numel, 4)
-            }
         }
     }
 
@@ -52,7 +37,6 @@ impl Dtype {
             Dtype::F32 => "f32",
             Dtype::F16 => "f16",
             Dtype::Nf4Block => "nf4-block",
-            Dtype::Nm24 => "nm-2:4",
         }
     }
 }
@@ -91,18 +75,5 @@ mod tests {
         let n = 256 * 1024;
         let f32b = Dtype::F32.bytes_for(n) as f64;
         assert!(Dtype::Nf4Block.bytes_for(n) as f64 / f32b < 0.15);
-    }
-
-    #[test]
-    fn nm24_bytes_are_nine_per_sixteen_of_f32() {
-        // 2 kept f32s (8 bytes) + 1 mask byte per group of 4 = 9 bytes where
-        // f32 spends 16: the 0.5625x the fig8 smoke gate checks.
-        assert_eq!(Dtype::Nm24.bytes_for(4), 9);
-        assert_eq!(Dtype::Nm24.bytes_for(1024), 1024 / 4 * 9);
-        assert_eq!(Dtype::Nm24.bytes_for(0), 0);
-        let n = 256 * 1024;
-        let ratio = Dtype::Nm24.bytes_for(n) as f64 / Dtype::F32.bytes_for(n) as f64;
-        assert_eq!(ratio, 0.5625);
-        assert_eq!(Dtype::Nm24.to_string(), "nm-2:4");
     }
 }

@@ -9,7 +9,6 @@ mod dtype;
 pub mod f16;
 pub mod gemm;
 pub mod memtrack;
-pub mod nm;
 pub mod ops;
 pub mod quant;
 mod reduced;
@@ -19,7 +18,6 @@ pub mod workspace;
 
 pub use dtype::Dtype;
 pub use f16::HalfTensor;
-pub use nm::NmTensor;
 pub use quant::QuantTensor;
 pub use reduced::{BRef, Reduced};
 pub use tensor::Tensor;

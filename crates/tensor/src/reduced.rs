@@ -1,14 +1,14 @@
 //! Storage-agnostic matrix views: [`BRef`] and the owning [`Reduced`] enum.
 //!
 //! A frozen weight lives in exactly one storage — f32 ([`Tensor`]) or one of
-//! the reduced ones ([`HalfTensor`], [`QuantTensor`], [`NmTensor`]). Every
+//! the reduced ones ([`HalfTensor`], [`QuantTensor`]). Every
 //! consumer (the tensor-level [`matmul`](crate::gemm::matmul), embedding row
 //! lookups, active-neuron-slab gathers, promotion back to f32) only needs a
 //! shape plus the kernel-level [`BOperand`], so everything derived from
 //! those two — row/column counts, windowed row decodes, full decodes — is
 //! written once here, on [`BRef`], instead of once per storage type.
 
-use crate::{Dtype, HalfTensor, NmTensor, QuantTensor, Tensor};
+use crate::{Dtype, HalfTensor, QuantTensor, Tensor};
 use lx_kernels::BOperand;
 
 /// A borrowed, shaped, storage-typed matrix: what a GEMM takes as its `B`.
@@ -46,7 +46,6 @@ impl<'a> BRef<'a> {
             BOperand::F32(_) => Dtype::F32,
             BOperand::F16(_) => Dtype::F16,
             BOperand::Q4(_) => Dtype::Nf4Block,
-            BOperand::Nm(_) => Dtype::Nm24,
         }
     }
 
@@ -97,37 +96,23 @@ impl<'a> From<&'a QuantTensor> for BRef<'a> {
     }
 }
 
-impl<'a> From<&'a NmTensor> for BRef<'a> {
-    fn from(t: &'a NmTensor) -> Self {
-        BRef {
-            shape: t.shape(),
-            operand: t.operand(),
-        }
-    }
-}
-
 impl<'a> From<&'a Reduced> for BRef<'a> {
     fn from(r: &'a Reduced) -> Self {
         match r {
             Reduced::F16(t) => t.into(),
             Reduced::Quant(t) => t.into(),
-            Reduced::Nm(t) => t.into(),
         }
     }
 }
 
 /// The reduced (non-f32) storage of a frozen parameter — exactly one of the
-/// three families, so a double-stored parameter is unrepresentable.
+/// two families, so a double-stored parameter is unrepresentable.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reduced {
     /// IEEE binary16 bits.
     F16(HalfTensor),
     /// Block-quantized NF4.
     Quant(QuantTensor),
-    /// 2:4 structured-sparse. Lossless on the surviving values — encoding
-    /// prunes (irreversibly zeroes the smaller half of each 4-group), but
-    /// every later decode is bit-exact.
-    Nm(NmTensor),
 }
 
 impl Reduced {
@@ -137,28 +122,16 @@ impl Reduced {
             Dtype::F32 => panic!("Reduced: f32 is not a reduced storage dtype"),
             Dtype::F16 => Reduced::F16(HalfTensor::from_tensor(t)),
             Dtype::Nf4Block => Reduced::Quant(QuantTensor::from_tensor(t)),
-            Dtype::Nm24 => Reduced::Nm(NmTensor::from_tensor(t, dtype)),
         }
     }
 
     /// Bytes occupied by the storage, as registered with
     /// [`memtrack`](crate::memtrack) — code bytes plus per-block scales for
-    /// NF4, compacted values plus mask bytes for N:M.
+    /// NF4.
     pub fn bytes(&self) -> usize {
         match self {
             Reduced::F16(t) => t.bytes(),
             Reduced::Quant(t) => t.bytes(),
-            Reduced::Nm(t) => t.bytes(),
-        }
-    }
-
-    /// The per-group index bitmasks of an N:M storage (`None` for the other
-    /// families). The mask is first-class: the sparsity-preserving adapter
-    /// merge re-applies it after folding LoRA deltas.
-    pub fn nm_masks(&self) -> Option<&[u8]> {
-        match self {
-            Reduced::Nm(t) => Some(t.masks()),
-            _ => None,
         }
     }
 }
@@ -168,9 +141,9 @@ mod tests {
     use super::*;
 
     /// One tensor in every reduced storage, with row lengths that put row
-    /// boundaries mid-quantization-block and leave N:M tail groups.
+    /// boundaries mid-quantization-block.
     fn all_storages(t: &Tensor) -> Vec<Reduced> {
-        [Dtype::F16, Dtype::Nf4Block, Dtype::Nm24]
+        [Dtype::F16, Dtype::Nf4Block]
             .map(|dtype| Reduced::from_tensor(t, dtype))
             .into()
     }
@@ -178,10 +151,7 @@ mod tests {
     #[test]
     fn view_reports_shape_and_dtype_of_every_storage() {
         let t = Tensor::randn(&[9, 33], 1.0, 32);
-        for (r, dtype) in all_storages(&t)
-            .iter()
-            .zip([Dtype::F16, Dtype::Nf4Block, Dtype::Nm24])
-        {
+        for (r, dtype) in all_storages(&t).iter().zip([Dtype::F16, Dtype::Nf4Block]) {
             let v = BRef::from(r);
             assert_eq!(v.dtype(), dtype);
             assert_eq!(v.shape(), &[9, 33]);
@@ -195,13 +165,13 @@ mod tests {
 
     #[test]
     fn decode_rows_is_bit_identical_to_full_decode() {
-        // 33 cols: every row boundary lands mid-block and every row ends in
-        // an N:M tail group — the cases the sparse slab gathers depend on.
+        // 33 cols: every row boundary lands mid-block — the case the sparse
+        // slab gathers depend on.
         let t = Tensor::randn(&[12, 33], 1.0, 33);
         for r in all_storages(&t) {
             let v = BRef::from(&r);
             // Oracle: the elementwise accessor, independent of the windowed
-            // (and, for N:M, group-walking) decode under test.
+            // decode under test.
             let full: Vec<f32> = (0..t.len()).map(|i| v.operand().get(i)).collect();
             assert_eq!(v.to_tensor().as_slice(), &full[..]);
             for (r0, n_rows) in [(0usize, 1usize), (3, 2), (7, 5), (11, 1)] {

@@ -155,13 +155,6 @@ impl Tensor {
         self.shape = shape.to_vec();
     }
 
-    /// A reshaped clone (data copied).
-    pub fn reshaped(&self, shape: &[usize]) -> Tensor {
-        let mut t = self.clone();
-        t.reshape(shape);
-        t
-    }
-
     /// Row `r` of the 2-D view.
     pub fn row(&self, r: usize) -> &[f32] {
         let c = self.cols();
@@ -204,14 +197,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
-    }
-
-    /// Mean absolute value (used by importance filters and tests).
-    pub fn mean_abs(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().map(|v| v.abs()).sum::<f32>() / self.data.len() as f32
     }
 
     /// Maximum absolute value.

@@ -238,11 +238,14 @@ fn per_dtype_gemm_fan_out_stays_retired() {
     // are *data* (`BOperand`, `Layout`, `Epilogue`), never method names. The
     // per-(dtype, layout, ±epilogue) families must not drift back at any
     // layer of the stack. Enum variants are not items, so the non-test
-    // sources of the same crates are searched as well.
+    // sources of the same crates are searched as well, plus the adapter and
+    // experiment crates that used to consume the retired plans.
     let current = current_surface();
     let sources: String = CRATES
         .iter()
-        .flat_map(|(_, dir)| rust_files(dir))
+        .map(|(_, dir)| *dir)
+        .chain(["crates/peft/src", "crates/bench/src"])
+        .flat_map(rust_files)
         .map(|file| {
             let rel = file.strip_prefix(repo_root()).unwrap().display();
             non_test_source(&rel.to_string())
@@ -277,6 +280,13 @@ fn per_dtype_gemm_fan_out_stays_retired() {
         "Q8View",
         "pub mod q8",
         "BOperand::Q8",
+        // The N:M (2:4) storage plan and its mask-preserving merge, likewise.
+        "Nm24Frozen",
+        "NmView",
+        "NmTensor",
+        "Dtype::Nm24",
+        "to_nm_with_mask",
+        "mask_violation_total",
     ] {
         assert!(
             !current.contains(retired) && !sources.contains(retired),

@@ -103,14 +103,13 @@ fn replicated_drive_matches_single_backbone_scheduler_bitwise() {
     }
 }
 
-/// `precision = Nm24Frozen` flows through every cluster replica exactly like
-/// the other frozen-storage modes: each replica's backbone is 2:4-pruned at
-/// construction, `calibrate_shared` still broadcasts one predictor blob to
-/// all replicas, and an interleaved multi-replica sparse drive stays
-/// bit-identical to a single identically pruned backbone draining the same
-/// jobs sequentially.
+/// `precision = Nf4Frozen` flows through every cluster replica: each
+/// replica's backbone is NF4-quantized at construction, `calibrate_shared`
+/// still broadcasts one predictor blob to all replicas, and an interleaved
+/// multi-replica sparse drive stays bit-identical to a single identically
+/// quantized backbone draining the same jobs sequentially.
 #[test]
-fn pruned_backbone_cluster_matches_sequential_single_backbone_bitwise() {
+fn quantized_backbone_cluster_matches_sequential_single_backbone_bitwise() {
     let specs: Vec<JobSpec> = (0..3).map(|i| spec(&format!("p{i}"), 6)).collect();
     let calib: Vec<(Vec<u32>, usize, usize)> = {
         let spec = DatasetSpec::E2e {
@@ -121,23 +120,23 @@ fn pruned_backbone_cluster_matches_sequential_single_backbone_bitwise() {
         (0..2).map(|_| (batcher.next_batch(1, 16), 1, 16)).collect()
     };
 
-    // Reference: single backbone, pruned, one tenant at a time.
+    // Reference: single backbone, quantized, one tenant at a time.
     let reference_reports = sequential_reference(
         ClusterConfig {
             mode: StepMode::Sparse,
-            precision: Precision::Nm24Frozen,
+            precision: Precision::Nf4Frozen,
             ..ClusterConfig::default()
         },
         &specs,
         Some(&calib),
     );
 
-    // Candidate: two pruned replicas, small slices, maximal interleaving.
+    // Candidate: two quantized replicas, small slices, maximal interleaving.
     let mut c = cluster(ClusterConfig {
         replicas: 2,
         slice_steps: 2,
         mode: StepMode::Sparse,
-        precision: Precision::Nm24Frozen,
+        precision: Precision::Nf4Frozen,
         ..ClusterConfig::default()
     });
     c.calibrate_shared(&calib);
@@ -153,7 +152,7 @@ fn pruned_backbone_cluster_matches_sequential_single_backbone_bitwise() {
         let clustered = report.report_for(&r.tenant).expect("tenant completed");
         assert_eq!(
             clustered.losses, r.losses,
-            "{}: 2:4 pruning must not break the scale-out equivalence",
+            "{}: NF4 storage must not break the scale-out equivalence",
             r.tenant
         );
     }

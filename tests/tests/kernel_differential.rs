@@ -3,9 +3,10 @@
 //! × B layout × epilogue × backend × (contiguous | strided) C. The `Packed`
 //! backend (including its runtime-detected SIMD microkernel, when the host
 //! has one) must match the `Reference` scalar oracle bit-tolerantly (≤1e-4
-//! relative) on every cell, across odd and degenerate shapes; the lossless
-//! N:M cells, fused-vs-unfused epilogues and parallel-vs-sequential runs
-//! must match **bitwise**. The grouped entry point
+//! relative) on every cell, across odd and degenerate shapes; each
+//! backend's reduced-storage cells against its own f32 kernel on the decoded
+//! B, fused-vs-unfused epilogues and parallel-vs-sequential runs must match
+//! **bitwise**. The grouped entry point
 //! ([`KernelBackend::gemm_grouped`]) has its own grid: `Packed` grouped vs
 //! the `Reference` per-task loop over the six offset-table shapes the sparse
 //! crate launches (≤1e-4), every arm **bitwise** against the per-task chain
@@ -71,7 +72,7 @@ const BACKENDS: [&dyn KernelBackend; 2] = [&REFERENCE, &PACKED];
 const LAYOUTS: [Layout; 2] = [Layout::Normal, Layout::Transposed];
 
 /// Storage kinds of the B operand — one per [`BOperand`] variant.
-const KINDS: [Dtype; 4] = [Dtype::F32, Dtype::F16, Dtype::Nf4Block, Dtype::Nm24];
+const KINDS: [Dtype; 3] = [Dtype::F32, Dtype::F16, Dtype::Nf4Block];
 
 /// An owned `rows × cols` B matrix stored at one [`Dtype`].
 struct BMat {
@@ -155,11 +156,10 @@ fn manual_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, ep: Epilogue<'
 /// Every storage kind × B layout over the shape cube: both backends' fused
 /// path (pack-time decode in `Packed`, on-load decode in `Reference`) must
 /// match the oracle of "decode all of B to f32, then run the reference f32
-/// kernel". The N:M codec is lossless (kept bits verbatim, pruned positions
-/// exact zero), so there each backend must additionally be **bit-identical**
-/// to its own f32 kernel on the decoded B — `Reference` via its on-load row
-/// decode, `Packed` via the pack-time group expansion with the
-/// all-zero-group skip. The f32 rows also cover the `Aᵀ·B` shape.
+/// kernel". Decoding is exact, so each backend must additionally be
+/// **bit-identical** to its own f32 kernel on the decoded B — `Reference`
+/// via its on-load row decode, `Packed` via the pack-time decode. The f32
+/// rows also cover the `Aᵀ·B` shape.
 #[test]
 fn packed_matches_reference_on_operand_grid() {
     let sizes = interesting_sizes();
@@ -187,7 +187,7 @@ fn packed_matches_reference_on_operand_grid() {
                         for be in BACKENDS {
                             let got = run(be, b.operand());
                             assert_close(&format!("{} {what}", be.name()), &got, &want);
-                            if kind == Dtype::Nm24 {
+                            if kind != Dtype::F32 {
                                 let own = run(be, BOperand::F32(&dec));
                                 assert_bits(&format!("{} {what}", be.name()), &got, &own);
                             }
@@ -323,58 +323,6 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
     }
 }
 
-/// N:M codec round-trip at integration level: every tail length (`cols % 4`
-/// covering 0..=3 plus sub-group rows), an all-zero group (kept zeros), and
-/// an absent group (external mask byte 0) must decode bit-identically to the
-/// nm-rounded dense matrix, through both the bulk decode and the flat `get`.
-#[test]
-fn nm_codec_round_trip_covers_tail_zero_and_absent_groups() {
-    for (rows, cols) in [
-        (1usize, 4usize),
-        (5, 8),
-        (3, 9),
-        (3, 10),
-        (3, 11),
-        (2, 3),
-        (4, 40),
-    ] {
-        let seed = (rows * 100 + cols) as u64;
-        let dense = randn_vec(rows * cols, 1.0, seed);
-        let mut want = dense.clone();
-        lx_quant::nm::round_slice(&mut want, rows, cols, 2, 4);
-        let (vals, masks) = lx_quant::nm::encode(&dense, rows, cols, 2, 4);
-        let mut got = vec![f32::NAN; rows * cols];
-        lx_quant::nm::decode(&vals, &masks, rows, cols, 2, 4, &mut got);
-        assert_bits(&format!("nm round-trip {rows}x{cols}"), &got, &want);
-        let view = lx_kernels::NmView::new(&vals, &masks, rows, cols, 2, 4);
-        for (i, &w) in want.iter().enumerate() {
-            assert_eq!(
-                view.get(i).to_bits(),
-                w.to_bits(),
-                "nm get {rows}x{cols} idx {i}"
-            );
-        }
-    }
-
-    // A group of stored zeros still owns mask bits and slots; a group with an
-    // external mask byte of 0 is *absent* (zero-padded slots). Both decode to
-    // exact zeros, matching `apply_mask` on the dense original.
-    let mut dense = randn_vec(12, 1.0, 77);
-    for v in dense[4..8].iter_mut() {
-        *v = 0.0;
-    }
-    let mut masks = lx_quant::nm::prune_mask(&dense, 1, 12, 2, 4);
-    masks[2] = 0; // third group absent entirely
-    let vals = lx_quant::nm::encode_with_mask(&dense, 1, 12, 2, 4, &masks);
-    let mut got = vec![f32::NAN; 12];
-    lx_quant::nm::decode(&vals, &masks, 1, 12, 2, 4, &mut got);
-    let mut want = dense.clone();
-    // Group 0 prunes 2 of its 4 nonzeros, group 1 was already zero, the
-    // absent group prunes all 4 → 6 violations against the raw dense buffer.
-    assert_eq!(lx_quant::nm::apply_mask(&mut want, &masks, 1, 12, 4), 6);
-    assert_bits("nm zero/absent groups", &got, &want);
-}
-
 /// Every storage kind into a strided C window (one block column of a wide
 /// slab, the layout the sparse FC1 writes), with and without a fused
 /// epilogue, through both the parallel and the forced-sequential driver: the
@@ -402,7 +350,7 @@ fn strided_c_views_are_respected_bitwise_on_both_paths() {
                     // Oracle: the same backend's f32 kernel on the decoded
                     // B, then the unfused passes. The fused decode hands the
                     // kernel the very same f32 operand values, so this is
-                    // bitwise for every kind, not only the lossless N:M.
+                    // bitwise for every kind.
                     let mut want = window(BOperand::F32(&dec), Epilogue::None);
                     manual_epilogue(&mut want[block * b..], rows, b, width, ep);
                     let got_seq = lx_kernels::with_sequential(|| window(w.operand(), ep));

@@ -1,5 +1,5 @@
 //! Mixed-precision differential tests: the reduced storage plans
-//! (`F16Frozen`, `Nf4Frozen`, `Nm24Frozen`) must (a) actually shrink
+//! (`F16Frozen`, `Nf4Frozen`) must (a) actually shrink
 //! measured backbone storage to their documented ratios, (b) leave the
 //! sparse execution path numerically identical to an f32 model holding the
 //! same (rounded) weights, (c) keep training dynamics within a documented
@@ -8,11 +8,10 @@
 //!
 //! Documented tolerances (also stated in the README): over 24 LoRA training
 //! steps on identical data, the per-step loss stays within **0.05 absolute**
-//! of the f32 run for f16 storage, **0.25** for NF4-block, and **0.10** for
-//! the 2:4 structured-sparse plan (on opt-sim-small). The backbone rounding
-//! perturbs the function once; it does not compound, because the stored bits
-//! never change and all accumulation is f32 — coarser codecs just start
-//! further from the f32 function.
+//! of the f32 run for f16 storage and **0.25** for NF4-block. The backbone
+//! rounding perturbs the function once; it does not compound, because the
+//! stored bits never change and all accumulation is f32 — coarser codecs
+//! just start further from the f32 function.
 
 use lx_model::{
     prompt_aware_targets, Adam, LossScaler, ModelConfig, Precision, StepRequest, TransformerModel,
@@ -190,20 +189,14 @@ fn measured_backbone_footprint_hits_quantized_gates() {
         (model, measured)
     };
     let (_m32, f32_bytes) = build(Precision::F32);
-    for (precision, gate) in [
-        (Precision::Nf4Frozen, 0.17),
-        // 2:4 matrices are 0.5625x (half the values plus one mask byte per
-        // group of four); biases/LayerNorm staying f32 keeps it under 0.60.
-        (Precision::Nm24Frozen, 0.60),
-    ] {
-        let (_m, bytes) = build(precision);
-        let ratio = bytes as f64 / f32_bytes as f64;
-        assert!(
-            ratio <= gate,
-            "measured {precision} backbone must be ≤{gate}x of f32: {ratio} \
-             ({bytes} vs {f32_bytes})"
-        );
-    }
+    let (precision, gate) = (Precision::Nf4Frozen, 0.17);
+    let (_m, bytes) = build(precision);
+    let ratio = bytes as f64 / f32_bytes as f64;
+    assert!(
+        ratio <= gate,
+        "measured {precision} backbone must be ≤{gate}x of f32: {ratio} \
+         ({bytes} vs {f32_bytes})"
+    );
 }
 
 #[test]
@@ -265,80 +258,71 @@ fn quantized_storage_loss_curves_track_f32_within_envelope() {
 /// logits and on every gradient.
 #[test]
 fn sparse_path_on_quantized_storage_matches_rounded_f32_model_exactly() {
-    for precision in [Precision::Nf4Frozen, Precision::Nm24Frozen] {
-        let cfg = ModelConfig::test_tiny();
-        let mut quant = TransformerModel::new(cfg.clone(), 13);
-        let mut rounded = TransformerModel::new(cfg, 13); // same seed, same weights
-        quant.freeze_all();
-        rounded.freeze_all();
-        // Round every ≥2-D frozen param of `rounded` through the codec in
-        // place, mirroring exactly what the storage demotion does to `quant`.
-        rounded.for_each_param(&mut |p| {
-            if !p.trainable && p.shape().len() >= 2 {
-                match precision {
-                    Precision::Nf4Frozen => lx_quant::nf4::round_slice(p.value.as_mut_slice()),
-                    Precision::Nm24Frozen => {
-                        let cols = *p.shape().last().unwrap();
-                        let rows = p.value.as_slice().len() / cols;
-                        lx_tensor::nm::round_slice(p.value.as_mut_slice(), rows, cols, 2, 4);
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        });
-        quant.set_precision(precision);
-        PeftMethod::lora_default().apply(&mut quant, 21);
-        PeftMethod::lora_default().apply(&mut rounded, 21);
+    let precision = Precision::Nf4Frozen;
+    let cfg = ModelConfig::test_tiny();
+    let mut quant = TransformerModel::new(cfg.clone(), 13);
+    let mut rounded = TransformerModel::new(cfg, 13); // same seed, same weights
+    quant.freeze_all();
+    rounded.freeze_all();
+    // Round every ≥2-D frozen param of `rounded` through the codec in
+    // place, mirroring exactly what the storage demotion does to `quant`.
+    rounded.for_each_param(&mut |p| {
+        if !p.trainable && p.shape().len() >= 2 {
+            lx_quant::nf4::round_slice(p.value.as_mut_slice());
+        }
+    });
+    quant.set_precision(precision);
+    PeftMethod::lora_default().apply(&mut quant, 21);
+    PeftMethod::lora_default().apply(&mut rounded, 21);
 
-        let mut plan = lx_model::SparsePlan::dense(quant.config.n_layers);
-        for layer in plan.layers.iter_mut() {
-            layer.mlp = Some(Arc::new(NeuronBlockSet::from_indices(
-                vec![0, 2, 5, 7],
-                8,
-                4,
-            )));
-        }
-        let ids = batch(&quant, 2, 8, 31);
-        let targets = prompt_aware_targets(&ids, 2, 8, 0);
-        let out_a = quant.execute(
-            StepRequest::grad(&ids, &targets, 2, 8)
-                .plan(&plan)
-                .keep_logits(),
-        );
-        let out_b = rounded.execute(
-            StepRequest::grad(&ids, &targets, 2, 8)
-                .plan(&plan)
-                .keep_logits(),
-        );
-        let (ya, yb) = (out_a.logits.unwrap(), out_b.logits.unwrap());
-        for (i, (a, b)) in ya.as_slice().iter().zip(yb.as_slice()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{precision} logit {i}: {a} vs {b}"
-            );
-        }
-        let mut grads_a = Vec::new();
-        quant.for_each_param(&mut |p| {
-            if let Some(g) = &p.grad {
-                grads_a.push((p.name.clone(), g.as_slice().to_vec()));
-            }
-        });
-        let mut checked = 0;
-        rounded.for_each_param(&mut |p| {
-            if let Some(g) = &p.grad {
-                let (name, ga) = grads_a
-                    .iter()
-                    .find(|(n, _)| n == &p.name)
-                    .expect("grad present in both");
-                for (x, y) in ga.iter().zip(g.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{precision} {name}: {x} vs {y}");
-                }
-                checked += 1;
-            }
-        });
-        assert!(checked > 0, "no gradients compared");
+    let mut plan = lx_model::SparsePlan::dense(quant.config.n_layers);
+    for layer in plan.layers.iter_mut() {
+        layer.mlp = Some(Arc::new(NeuronBlockSet::from_indices(
+            vec![0, 2, 5, 7],
+            8,
+            4,
+        )));
     }
+    let ids = batch(&quant, 2, 8, 31);
+    let targets = prompt_aware_targets(&ids, 2, 8, 0);
+    let out_a = quant.execute(
+        StepRequest::grad(&ids, &targets, 2, 8)
+            .plan(&plan)
+            .keep_logits(),
+    );
+    let out_b = rounded.execute(
+        StepRequest::grad(&ids, &targets, 2, 8)
+            .plan(&plan)
+            .keep_logits(),
+    );
+    let (ya, yb) = (out_a.logits.unwrap(), out_b.logits.unwrap());
+    for (i, (a, b)) in ya.as_slice().iter().zip(yb.as_slice()).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{precision} logit {i}: {a} vs {b}"
+        );
+    }
+    let mut grads_a = Vec::new();
+    quant.for_each_param(&mut |p| {
+        if let Some(g) = &p.grad {
+            grads_a.push((p.name.clone(), g.as_slice().to_vec()));
+        }
+    });
+    let mut checked = 0;
+    rounded.for_each_param(&mut |p| {
+        if let Some(g) = &p.grad {
+            let (name, ga) = grads_a
+                .iter()
+                .find(|(n, _)| n == &p.name)
+                .expect("grad present in both");
+            for (x, y) in ga.iter().zip(g.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{precision} {name}: {x} vs {y}");
+            }
+            checked += 1;
+        }
+    });
+    assert!(checked > 0, "no gradients compared");
 }
 
 /// Slab-cache counters on a quantized backbone: steps that repeat a plan
@@ -436,109 +420,4 @@ fn tenant_adapter_lifecycle_works_on_f16_backbone() {
         after.as_slice(),
         "attach/extract on a half backbone must restore the exact function"
     );
-}
-
-/// SPP-style merge on a 2:4 backbone: folding trained adapter deltas into
-/// the weights must re-apply the backbone's group masks, so every merged
-/// matrix is provably still 2:4 — same mask bytes bit for bit, zero
-/// violations when the captured mask is re-applied to the decoded result.
-#[test]
-fn merge_on_nm24_backbone_preserves_masks_bit_exactly() {
-    let mut m = TransformerModel::new(ModelConfig::test_tiny(), 37);
-    m.freeze_all();
-    m.set_precision(Precision::Nm24Frozen);
-    PeftMethod::lora_default().apply(&mut m, 41);
-    let mut masks_before: Vec<(String, Vec<u8>)> = Vec::new();
-    m.for_each_param(&mut |p| {
-        if let Some(masks) = p.nm_masks() {
-            masks_before.push((p.name.clone(), masks.to_vec()));
-        }
-    });
-    assert!(!masks_before.is_empty(), "no N:M-stored backbone weights");
-    // A few training steps make the LoRA deltas nonzero (lora_b starts at
-    // zero, which would make the merge a trivial no-op).
-    let mut opt = Adam::new(0.01);
-    for step in 0..3 {
-        let ids = batch(&m, 2, 8, 300 + step);
-        let targets = prompt_aware_targets(&ids, 2, 8, 0);
-        m.execute(StepRequest::train(&ids, &targets, 2, 8, &mut opt));
-    }
-    lx_peft::merge::merge_all(&mut m);
-    let mut checked = 0;
-    m.for_each_param(&mut |p| {
-        let Some((_, expect)) = masks_before.iter().find(|(n, _)| n == &p.name) else {
-            return;
-        };
-        let masks = p
-            .nm_masks()
-            .unwrap_or_else(|| panic!("{}: merge must keep N:M storage", p.name));
-        assert_eq!(masks, &expect[..], "{}: mask bytes changed", p.name);
-        // The decoded merged matrix obeys its own mask exactly: re-applying
-        // it finds nothing left to zero.
-        let b = p.b_ref();
-        let mut dense = b.to_tensor();
-        let (rows, cols) = (b.rows(), b.cols());
-        assert_eq!(
-            lx_tensor::nm::apply_mask(
-                dense.as_mut_slice(),
-                expect,
-                rows,
-                cols,
-                lx_tensor::nm::NM_M
-            ),
-            0,
-            "{}: merged weights violate the 2:4 pattern",
-            p.name
-        );
-        checked += 1;
-    });
-    assert_eq!(checked, masks_before.len(), "every N:M weight re-checked");
-}
-
-/// The N:M plan's training dynamics on opt-sim-small: 2:4 pruning perturbs
-/// the function once, at demotion — the stored survivor bits never change
-/// and all accumulation is f32, so the gap must not compound. Documented
-/// envelope: over 24 LoRA steps the per-step loss stays within **0.10
-/// absolute** of the dense f32 run.
-#[test]
-fn nm24_loss_curve_tracks_dense_f32_within_envelope() {
-    const TOLERANCE: f32 = 0.10;
-    const STEPS: usize = 24;
-    let run = |precision: Precision| -> Vec<f32> {
-        let mut model = TransformerModel::new(ModelConfig::opt_sim_small(), 7);
-        model.freeze_all();
-        model.set_precision(precision);
-        PeftMethod::lora_default().apply(&mut model, 9);
-        let mut opt = Adam::new(0.01);
-        let mut losses = Vec::with_capacity(STEPS);
-        for step in 0..STEPS {
-            // Three fixed batches cycled, identical across both runs. Larger
-            // batches than the tiny-model envelope tests: the one-time
-            // pruning perturbation is compared per batch, so more tokens
-            // average out the batch-specific component of the gap.
-            let ids = batch(&model, 4, 16, 100 + (step % 3) as u64);
-            let targets = prompt_aware_targets(&ids, 4, 16, 0);
-            losses.push(
-                model
-                    .execute(StepRequest::train(&ids, &targets, 4, 16, &mut opt))
-                    .loss,
-            );
-        }
-        losses
-    };
-    let dense_curve = run(Precision::F32);
-    let nm_curve = run(Precision::Nm24Frozen);
-    let mut max_diff = 0.0f32;
-    for (step, (a, b)) in nm_curve.iter().zip(&dense_curve).enumerate() {
-        let d = (a - b).abs();
-        assert!(
-            d <= TOLERANCE,
-            "step {step}: nm24 loss {a} vs dense loss {b} (|Δ| = {d} > {TOLERANCE})"
-        );
-        max_diff = max_diff.max(d);
-    }
-    // Both runs must actually train.
-    assert!(dense_curve.last().unwrap() < dense_curve.first().unwrap());
-    assert!(nm_curve.last().unwrap() < nm_curve.first().unwrap());
-    println!("nm24: max per-step loss divergence over {STEPS} steps: {max_diff}");
 }
