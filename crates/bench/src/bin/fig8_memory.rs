@@ -68,8 +68,8 @@ fn main() {
     // The memtrack column is the live-tensor delta of actually building the
     // backbone at each precision — the real allocator-tracked footprint —
     // and the storage column is the dtype-accounted sum over parameters.
-    // The two agree because HalfTensor registers its true 2-byte elements
-    // and QuantTensor its code bytes plus per-block scales.
+    // The two agree because `Reduced` registers its true footprint: 2 bytes
+    // per f16 element, NF4 code bytes plus per-block scales.
     let mut f32_measured = 0usize;
     let mut ratios: Vec<(Precision, f64)> = Vec::new();
     for precision in [Precision::F32, Precision::F16Frozen, Precision::Nf4Frozen] {

@@ -21,6 +21,7 @@
 //! Collection is thread-local: bins print their tables from `main`, so the
 //! main thread's log is the report.
 
+use lx_obs::json::{self, Json};
 use std::cell::RefCell;
 use std::io::Write;
 use std::path::PathBuf;
@@ -124,32 +125,32 @@ pub struct BenchReport {
     pub tables: Vec<(Vec<String>, Vec<Vec<String>>)>,
 }
 
-/// Load a report previously written by [`emit_json`]. The parser accepts
-/// general JSON syntax for the subset the format uses (objects, arrays,
-/// strings), so hand-edited baselines with whitespace also load.
+/// Load a report previously written by [`emit_json`]. It reads through
+/// [`lx_obs::json`], which accepts general JSON syntax, so hand-edited
+/// baselines with whitespace also load.
 pub fn load_bench_json(path: &std::path::Path) -> Result<BenchReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let value = json::parse(&text)?;
-    let obj = value.as_object().ok_or("top level must be an object")?;
-    let bench = obj
+    value.as_object().ok_or("top level must be an object")?;
+    let bench = value
         .get("bench")
         .and_then(|v| v.as_str())
         .ok_or("missing \"bench\"")?
         .to_string();
     let mut tables = Vec::new();
-    for table in obj
+    for table in value
         .get("tables")
         .and_then(|v| v.as_array())
         .ok_or("missing \"tables\"")?
     {
-        let t = table.as_object().ok_or("table must be an object")?;
-        let header = json::string_array(t.get("header").ok_or("missing header")?)?;
-        let rows = t
+        table.as_object().ok_or("table must be an object")?;
+        let header = string_array(table.get("header").ok_or("missing header")?)?;
+        let rows = table
             .get("rows")
             .and_then(|v| v.as_array())
             .ok_or("missing rows")?
             .iter()
-            .map(json::string_array)
+            .map(string_array)
             .collect::<Result<Vec<_>, _>>()?;
         tables.push((header, rows));
     }
@@ -217,189 +218,16 @@ fn parse_ratio(cell: &str) -> Option<f64> {
     cell.trim().trim_end_matches('x').parse().ok()
 }
 
-/// Just-enough JSON: objects, arrays, strings (with escapes), numbers,
-/// booleans and null — the workspace is offline, so no serde.
-mod json {
-    use std::collections::HashMap;
-
-    #[derive(Debug)]
-    pub enum Value {
-        Object(HashMap<String, Value>),
-        Array(Vec<Value>),
-        String(String),
-        Other,
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&HashMap<String, Value>> {
-            match self {
-                Value::Object(m) => Some(m),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn string_array(v: &Value) -> Result<Vec<String>, String> {
-        v.as_array()
-            .ok_or("expected an array of strings")?
-            .iter()
-            .map(|s| {
-                s.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "expected a string".to_string())
-            })
-            .collect()
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            chars: text.chars().collect(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.chars.len() {
-            return Err(format!("trailing input at {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser {
-        chars: Vec<char>,
-        pos: usize,
-    }
-
-    impl Parser {
-        fn peek(&self) -> Option<char> {
-            self.chars.get(self.pos).copied()
-        }
-
-        fn bump(&mut self) -> Result<char, String> {
-            let c = self.peek().ok_or("unexpected end of input")?;
-            self.pos += 1;
-            Ok(c)
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, c: char) -> Result<(), String> {
-            self.skip_ws();
-            let got = self.bump()?;
-            if got != c {
-                return Err(format!("expected '{c}' at {}, got '{got}'", self.pos - 1));
-            }
-            Ok(())
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek().ok_or("unexpected end of input")? {
-                '{' => self.object(),
-                '[' => self.array(),
-                '"' => Ok(Value::String(self.string()?)),
-                c if c == '-' || c.is_ascii_digit() => {
-                    while matches!(self.peek(), Some('-' | '+' | '.' | 'e' | 'E' | '0'..='9')) {
-                        self.pos += 1;
-                    }
-                    Ok(Value::Other)
-                }
-                _ => {
-                    for lit in ["true", "false", "null"] {
-                        if self.chars[self.pos..].starts_with(&lit.chars().collect::<Vec<_>>()[..])
-                        {
-                            self.pos += lit.len();
-                            return Ok(Value::Other);
-                        }
-                    }
-                    Err(format!("unexpected character at {}", self.pos))
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect('{')?;
-            let mut map = HashMap::new();
-            self.skip_ws();
-            if self.peek() == Some('}') {
-                self.pos += 1;
-                return Ok(Value::Object(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(':')?;
-                map.insert(key, self.value()?);
-                self.skip_ws();
-                match self.bump()? {
-                    ',' => continue,
-                    '}' => return Ok(Value::Object(map)),
-                    c => return Err(format!("expected ',' or '}}', got '{c}'")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect('[')?;
-            let mut out = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(']') {
-                self.pos += 1;
-                return Ok(Value::Array(out));
-            }
-            loop {
-                out.push(self.value()?);
-                self.skip_ws();
-                match self.bump()? {
-                    ',' => continue,
-                    ']' => return Ok(Value::Array(out)),
-                    c => return Err(format!("expected ',' or ']', got '{c}'")),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect('"')?;
-            let mut out = String::new();
-            loop {
-                match self.bump()? {
-                    '"' => return Ok(out),
-                    '\\' => match self.bump()? {
-                        'n' => out.push('\n'),
-                        't' => out.push('\t'),
-                        'r' => out.push('\r'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                code = code * 16
-                                    + self.bump()?.to_digit(16).ok_or("bad \\u escape")?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        c => out.push(c),
-                    },
-                    c => out.push(c),
-                }
-            }
-        }
-    }
+fn string_array(v: &Json) -> Result<Vec<String>, String> {
+    v.as_array()
+        .ok_or("expected an array of strings")?
+        .iter()
+        .map(|s| {
+            s.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| "expected a string".to_string())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -436,18 +264,6 @@ mod tests {
         })
         .join()
         .unwrap();
-    }
-
-    #[test]
-    fn parser_handles_whitespace_and_escapes() {
-        let text = "{ \"bench\" : \"x\",\n \"tables\": [ { \"header\": [\"a \\\"q\\\"\"], \
-                    \"rows\": [ [\"1\"] ] } ] }";
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("lx-bench-parse-{}.json", std::process::id()));
-        std::fs::write(&path, text).unwrap();
-        let report = load_bench_json(&path).unwrap();
-        assert_eq!(report.tables[0].0[0], "a \"q\"");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -36,13 +36,10 @@ pub struct EngineConfig {
     /// probability reaches this.
     pub attn_prob_threshold: f32,
     pub calib_epochs: usize,
-    /// Recall weighting of the predictor loss (false-negative cost).
-    pub pos_weight: f32,
     /// Cross-step plan reuse for the predicted policy (shadowy-sparsity
     /// amortisation). Defaults to every-step prediction;
     /// [`FinetuneEngine::set_plan_refresh`] changes it on a live engine.
     pub plan_refresh: PlanRefreshConfig,
-    pub seed: u64,
 }
 
 impl Default for EngineConfig {
@@ -52,15 +49,18 @@ impl Default for EngineConfig {
             predictor_rank: 8,
             attn_prob_threshold: 0.05,
             calib_epochs: 150,
-            pos_weight: 4.0,
             plan_refresh: PlanRefreshConfig::default(),
-            seed: 0x10e0,
         }
     }
 }
 
 /// Step size of predictor calibration.
 const PREDICTOR_LR: f32 = 0.5;
+/// Recall weighting of the predictor loss (false-negative cost).
+const POS_WEIGHT: f32 = 4.0;
+/// Seed of predictor initialisation, calibration noise and the random
+/// baseline policies.
+const PREDICTOR_SEED: u64 = 0x10e0;
 /// Standard deviation of the Gaussian noise added to calibration inputs.
 const NOISE_STD: f32 = 0.02;
 
@@ -224,13 +224,13 @@ impl FinetuneEngine {
             &model.config,
             config.block_size,
             config.predictor_rank,
-            config.seed,
+            PREDICTOR_SEED,
         );
         predicted.set_refresh(config.plan_refresh);
         let oracle = OraclePolicy::new(config.block_size, config.attn_prob_threshold);
         let random_attn =
-            RandomPolicy::new(RandomTarget::Attention, config.block_size, config.seed);
-        let random_mlp = RandomPolicy::new(RandomTarget::Mlp, config.block_size, config.seed);
+            RandomPolicy::new(RandomTarget::Attention, config.block_size, PREDICTOR_SEED);
+        let random_mlp = RandomPolicy::new(RandomTarget::Mlp, config.block_size, PREDICTOR_SEED);
         FinetuneEngine {
             model,
             config,
@@ -263,7 +263,6 @@ impl FinetuneEngine {
         };
         {
             let _span = lx_obs::Span::enter("engine.calibrate.train").cat("engine");
-            let (seed, pos_weight) = (self.config.seed, self.config.pos_weight);
             // Every layer's samples have layer 0's shapes.
             let attn_lens = attn_samples.first().into_iter().flatten();
             let attn_lens: Vec<usize> = attn_lens.map(|s| s.pooled.len()).collect();
@@ -276,16 +275,16 @@ impl FinetuneEngine {
                 // epochs away. Changing them moves every calibrated weight
                 // (and the benchmark's final loss), so they stay as they are.
                 let attn_noise = draw_noise(attn_lens.iter().copied(), NOISE_STD, |si| {
-                    seed + e + si as u64
+                    PREDICTOR_SEED + e + si as u64
                 });
                 let mlp_noise = draw_noise(mlp_lens.iter().copied(), NOISE_STD, |si| {
-                    seed + 1000 + e + 31 * si as u64
+                    PREDICTOR_SEED + 1000 + e + 31 * si as u64
                 });
                 let predictors = self.predicted.attn.iter_mut().zip(&mut self.predicted.mlp);
                 let samples = attn_samples.iter().zip(&mlp_samples);
                 for ((attn, mlp), (attn_layer, mlp_layer)) in predictors.zip(samples) {
-                    attn.train_epoch(attn_layer, &attn_noise, PREDICTOR_LR, pos_weight);
-                    mlp.train_epoch(mlp_layer, &mlp_noise, PREDICTOR_LR, pos_weight);
+                    attn.train_epoch(attn_layer, &attn_noise, PREDICTOR_LR, POS_WEIGHT);
+                    mlp.train_epoch(mlp_layer, &mlp_noise, PREDICTOR_LR, POS_WEIGHT);
                 }
             }
         }
@@ -726,14 +725,14 @@ mod tests {
         for l in 0..layer_major.model.config.n_layers {
             for e in 0..c.calib_epochs as u64 {
                 let lens = attn[l].iter().map(|s| s.pooled.len());
-                let noise = draw_noise(lens, NOISE_STD, |si| c.seed + e + si as u64);
+                let noise = draw_noise(lens, NOISE_STD, |si| PREDICTOR_SEED + e + si as u64);
                 let pred = &mut layer_major.predicted.attn[l];
-                pred.train_epoch(&attn[l], &noise, PREDICTOR_LR, c.pos_weight);
+                pred.train_epoch(&attn[l], &noise, PREDICTOR_LR, POS_WEIGHT);
                 let lens = mlp[l].iter().map(|s| s.x.len());
-                let seed = |si: usize| c.seed + 1000 + e + 31 * si as u64;
+                let seed = |si: usize| PREDICTOR_SEED + 1000 + e + 31 * si as u64;
                 let noise = draw_noise(lens, NOISE_STD, seed);
                 let pred = &mut layer_major.predicted.mlp[l];
-                pred.train_epoch(&mlp[l], &noise, PREDICTOR_LR, c.pos_weight);
+                pred.train_epoch(&mlp[l], &noise, PREDICTOR_LR, POS_WEIGHT);
             }
         }
         assert!(!attn[0].is_empty() && !mlp[0].is_empty());

@@ -9,8 +9,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Reserved special tokens at the bottom of the vocabulary.
-pub const TOK_PAD: u32 = 0;
+/// Reserved special tokens at the bottom of the vocabulary (id 0 is
+/// reserved but never emitted).
 pub const TOK_BOS: u32 = 1;
 pub const TOK_SEP: u32 = 2;
 pub const TOK_YES: u32 = 3;

@@ -1,9 +1,11 @@
 //! IEEE binary16 ("half") conversion primitives.
 //!
 //! These are the canonical software f16 routines for the whole workspace:
-//! `lx-tensor::f16` delegates here so the storage layer and the fused
+//! the storage layer (`lx_tensor::Reduced`) encodes with them and the fused
 //! f16-input GEMM paths (the [`BOperand::F16`](crate::BOperand::F16) arm of
-//! every backend: on-load decode in `Reference`, pack-time decode in `Packed`) can never disagree on rounding semantics.
+//! every backend: on-load decode in `Reference`, pack-time decode in
+//! `Packed`) decode with them, so the two can never disagree on rounding
+//! semantics.
 //!
 //! Conversion policy: f32→f16 rounds to nearest, ties to even; overflow
 //! saturates to ±inf; NaN stays NaN with the quiet bit forced so a payload
@@ -110,6 +112,7 @@ pub fn encode_slice(values: &[f32]) -> Vec<u16> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::pseudo;
 
     #[test]
     fn exact_values_roundtrip() {
@@ -125,5 +128,110 @@ mod tests {
         let mut back = vec![0.0f32; vals.len()];
         decode_slice(&bits, &mut back);
         assert_eq!(back, vals);
+    }
+
+    #[test]
+    fn signed_zero_preserved() {
+        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
+        assert_eq!(f32_to_f16_bits(0.0), 0x0000);
+    }
+
+    #[test]
+    fn overflow_saturates_to_inf() {
+        assert!(round_f16(1e6).is_infinite());
+        assert!(round_f16(-1e6).is_infinite() && round_f16(-1e6) < 0.0);
+    }
+
+    #[test]
+    fn nan_stays_nan() {
+        assert!(round_f16(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn nan_payload_bits_survive_where_representable() {
+        // A signalling-ish NaN whose payload fits the 10-bit f16 mantissa
+        // after the 13-bit truncation: the kept payload bits must survive,
+        // and the quiet bit is forced so the result cannot become an inf.
+        let payload = 0x0015u32 << 13; // bits 13.. of the f32 mantissa
+        let nan = f32::from_bits(0x7f80_0000 | payload);
+        let bits = f32_to_f16_bits(nan);
+        assert_eq!(bits & 0x7c00, 0x7c00, "exponent must stay all-ones");
+        assert_ne!(bits & 0x03ff, 0, "payload must not vanish");
+        assert_eq!(bits & 0x0015, 0x0015, "kept payload bits preserved");
+        assert!(f16_bits_to_f32(bits).is_nan());
+    }
+
+    #[test]
+    fn subnormals_roundtrip_with_tolerance() {
+        let v = 3.0e-6f32; // subnormal range of f16 (min normal ≈ 6.1e-5)
+        let r = round_f16(v);
+        assert!(r > 0.0 && (r - v).abs() / v < 0.05, "{v} -> {r}");
+    }
+
+    #[test]
+    fn subnormal_sweep_stays_monotone_and_bounded() {
+        // Seeded sweep across the entire f16 subnormal band
+        // [2^-24, 2^-14): the round-trip must stay within half a subnormal
+        // step (2^-25) and be monotone non-decreasing in the input.
+        let step = 2.0_f32.powi(-24);
+        let (lo, hi) = (step, 2.0_f32.powi(-14));
+        let vals = pseudo(2_000, 0xF16)
+            .into_iter()
+            .map(|u| lo + (u + 1.0) / 2.0 * (hi - lo));
+        let mut pairs: Vec<(f32, f32)> = vals.map(|v| (v, round_f16(v))).collect();
+        pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        let mut prev = 0.0f32;
+        for (v, r) in pairs {
+            assert!((r - v).abs() <= step / 2.0 + f32::EPSILON, "{v} -> {r}");
+            assert!(
+                r >= prev,
+                "round-trip must be monotone: {v} -> {r} < {prev}"
+            );
+            prev = r;
+        }
+    }
+
+    #[test]
+    fn tiny_underflows_to_zero() {
+        assert_eq!(round_f16(1e-9), 0.0);
+    }
+
+    #[test]
+    fn roundtrip_error_is_bounded() {
+        for v in pseudo(10_000, 99).into_iter().map(|u| u * 4.0) {
+            let r = round_f16(v);
+            // Half has ~3.3 decimal digits: relative error < 2^-10.
+            assert!((r - v).abs() <= v.abs() * 1e-3 + 1e-7, "{v} -> {r}");
+        }
+    }
+
+    #[test]
+    fn round_to_nearest_even() {
+        // 1 + 2^-11 is exactly halfway between two f16 values; ties-to-even
+        // keeps the even mantissa (1.0).
+        let v = 1.0 + 2.0_f32.powi(-11);
+        assert_eq!(round_f16(v), 1.0);
+        // 1 + 3*2^-11 is halfway between mantissas 1 and 2; even mantissa (2)
+        // wins, giving 1 + 2^-9.
+        let v2 = 1.0 + 3.0 * 2.0_f32.powi(-11);
+        assert_eq!(round_f16(v2), 1.0 + 2.0_f32.powi(-9));
+    }
+
+    #[test]
+    fn tie_sweep_lands_on_even_mantissas() {
+        // Construct exact ties at many scales: the f16 mantissa step is
+        // 2^-10, so `(1 + (mant + ½)·2^-10)·2^e` sits exactly halfway
+        // between mantissas `mant` and `mant+1` (representable exactly in
+        // f32). RNE must pick whichever neighbour has an even mantissa.
+        for e in [-3i32, -1, 0, 1, 4, 9] {
+            for mant in [0u32, 1, 2, 5, 100, 511, 1022] {
+                let lo = (1.0 + mant as f32 * 2.0_f32.powi(-10)) * 2.0_f32.powi(e);
+                let hi = (1.0 + (mant + 1) as f32 * 2.0_f32.powi(-10)) * 2.0_f32.powi(e);
+                let tie = (1.0 + (2 * mant + 1) as f32 * 2.0_f32.powi(-11)) * 2.0_f32.powi(e);
+                let r = round_f16(tie);
+                let expect = if mant % 2 == 0 { lo } else { hi };
+                assert_eq!(r, expect, "tie at e={e} mant={mant}: {tie} -> {r}");
+            }
+        }
     }
 }

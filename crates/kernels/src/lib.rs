@@ -64,7 +64,7 @@ pub use dispatch::{
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
-pub use op::{BOperand, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
+pub use op::{BOperand, Dtype, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 pub use packed::{Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
@@ -166,7 +166,7 @@ mod tests {
         c
     }
 
-    fn pseudo(n: usize, seed: u32) -> Vec<f32> {
+    pub(crate) fn pseudo(n: usize, seed: u32) -> Vec<f32> {
         // Small deterministic pseudo-random values without the rand shim.
         let mut state = seed.wrapping_mul(2654435761).max(1);
         (0..n)

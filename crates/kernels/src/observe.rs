@@ -10,7 +10,7 @@
 //! at table init so CI matrix arms can tell their metric streams apart.
 //! Call counting is one relaxed atomic add; per-call *latency*
 //! (`kernel.gemm.ns{…}`) is only measured while
-//! [`lx_obs::timing_enabled`] — two `Instant` reads per GEMM are noise for
+//! [`lx_obs::tracing_active`] — two `Instant` reads per GEMM are noise for
 //! Fig. 12 shapes but not for small serving-shape products, and the disabled
 //! path must stay under the 1% `step_bench` overhead gate. A grouped launch
 //! ([`KernelBackend::gemm_grouped`]) is booked as **one** call — class from
@@ -21,25 +21,13 @@
 use crate::backend::KernelBackend;
 use crate::dispatch::{auto_choice, group_packs};
 use crate::epilogue::Epilogue;
-use crate::op::{BOperand, GemmGroup, GemmOp};
-use lx_obs::{registry, timing_enabled, Counter, Histogram};
+use crate::op::{Dtype, GemmGroup, GemmOp};
+use lx_obs::{registry, tracing_active, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// FLOP-count shape classes for GEMM attribution.
 const CLASSES: [&str; 4] = ["tiny", "small", "medium", "large"];
-
-/// Storage dtypes of the B operand (A and all accumulation are always f32).
-const DTYPES: [&str; 3] = ["f32", "f16", "nf4-block"];
-
-/// Index into [`DTYPES`] of the operand's storage kind.
-fn dtype(b: &BOperand<'_>) -> usize {
-    match b {
-        BOperand::F32(_) => 0,
-        BOperand::F16(_) => 1,
-        BOperand::Q4(_) => 2,
-    }
-}
 
 /// Class index by `2·m·k·n` FLOPs: tiny < 2^17 ≤ small < 2^21 ≤ medium
 /// < 2^25 ≤ large.
@@ -61,9 +49,9 @@ struct GemmStats {
     time_ns: Arc<Histogram>,
 }
 
-/// The `reference`/`packed` × class × dtype instrument table, registered
-/// once.
-fn stats(backend: &'static str, class: usize, dtype: usize) -> &'static GemmStats {
+/// The `reference`/`packed` × class × B-storage [`Dtype`] instrument table
+/// (A and all accumulation are always f32), registered once.
+fn stats(backend: &'static str, class: usize, dtype: Dtype) -> &'static GemmStats {
     static TABLE: OnceLock<Vec<GemmStats>> = OnceLock::new();
     let table = TABLE.get_or_init(|| {
         // Process-wide constant labels: the microkernel arm and pool width
@@ -71,14 +59,14 @@ fn stats(backend: &'static str, class: usize, dtype: usize) -> &'static GemmStat
         let isa = crate::isa::active_isa().name();
         let threads: &'static str =
             Box::leak(lx_parallel::pool().threads().to_string().into_boxed_str());
-        let mut v = Vec::with_capacity(2 * CLASSES.len() * DTYPES.len());
+        let mut v = Vec::with_capacity(2 * CLASSES.len() * Dtype::ALL.len());
         for be in ["reference", "packed"] {
             for cls in CLASSES {
-                for dt in DTYPES {
+                for dt in Dtype::ALL {
                     let labels = [
                         ("backend", be),
                         ("class", cls),
-                        ("dtype", dt),
+                        ("dtype", dt.name()),
                         ("isa", isa),
                         ("threads", threads),
                     ];
@@ -92,7 +80,7 @@ fn stats(backend: &'static str, class: usize, dtype: usize) -> &'static GemmStat
         v
     });
     let be = usize::from(backend == "packed");
-    &table[(be * CLASSES.len() + class) * DTYPES.len() + dtype]
+    &table[(be * CLASSES.len() + class) * Dtype::ALL.len() + dtype as usize]
 }
 
 /// A [`KernelBackend`] that delegates to `inner` and records call counts and
@@ -125,8 +113,8 @@ impl KernelBackend for Observed {
 
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
         let (m, k, n) = (op.m, op.k, op.n);
-        let s = stats(self.attribute(m, k, n), class(m, k, n), dtype(&op.b));
-        if timing_enabled() {
+        let s = stats(self.attribute(m, k, n), class(m, k, n), op.b.dtype());
+        if tracing_active() {
             let t0 = Instant::now();
             self.inner.gemm(op, c, ldc, beta, ep);
             s.time_ns.record_duration(t0.elapsed());
@@ -149,8 +137,8 @@ impl KernelBackend for Observed {
         };
         let tasks = group.table.tasks().len() as u64;
         let flops = 2 * tasks * (group.m as u64) * (group.k as u64) * (group.n as u64);
-        let s = stats(name, flop_class(flops), 0);
-        if timing_enabled() {
+        let s = stats(name, flop_class(flops), Dtype::F32);
+        if tracing_active() {
             let t0 = Instant::now();
             self.inner.gemm_grouped(group, c);
             s.time_ns.record_duration(t0.elapsed());
@@ -175,8 +163,8 @@ pub fn gemm_call_total() -> u64 {
     let mut total = 0;
     for be in ["reference", "packed"] {
         for (i, _) in CLASSES.iter().enumerate() {
-            for (d, _) in DTYPES.iter().enumerate() {
-                total += stats(be, i, d).calls.get();
+            for dt in Dtype::ALL {
+                total += stats(be, i, dt).calls.get();
             }
         }
     }
@@ -201,13 +189,13 @@ mod tests {
     fn observed_counts_calls_and_delegates() {
         let observed = Observed::new(&REFERENCE);
         assert_eq!(observed.name(), "reference");
-        let before = stats("reference", 0, 0).calls.get();
+        let before = stats("reference", 0, Dtype::F32).calls.get();
         let a = [1.0f32, 2.0, 3.0, 4.0];
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut c = [0.0f32; 4];
         let op = GemmOp::nn(2, 2, 2, &a, 2, &b[..], 2);
         observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
-        assert_eq!(stats("reference", 0, 0).calls.get(), before + 1);
+        assert_eq!(stats("reference", 0, Dtype::F32).calls.get(), before + 1);
         // 2x2 result actually computed by the inner backend.
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
     }
@@ -217,17 +205,17 @@ mod tests {
         let observed = Observed::new(&REFERENCE);
         let vals: Vec<f32> = (0..4).map(|i| i as f32 - 1.5).collect();
         let (codes, scales) = lx_quant::nf4::quantize(&vals);
-        let b = BOperand::Q4(lx_quant::Q4View::new(&codes, &scales, vals.len()));
-        assert_eq!(DTYPES[dtype(&b)], "nf4-block");
-        let before_q4 = stats("reference", 0, dtype(&b)).calls.get();
-        let before_f32 = stats("reference", 0, 0).calls.get();
+        let b = crate::BOperand::Q4(lx_quant::Q4View::new(&codes, &scales, vals.len()));
+        assert_eq!(b.dtype(), Dtype::Nf4Block);
+        let before_q4 = stats("reference", 0, b.dtype()).calls.get();
+        let before_f32 = stats("reference", 0, Dtype::F32).calls.get();
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let mut c = [0.0f32; 4];
         let op = GemmOp::nn(2, 2, 2, &a, 2, b, 2);
         observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
-        assert_eq!(stats("reference", 0, dtype(&b)).calls.get(), before_q4 + 1);
+        assert_eq!(stats("reference", 0, b.dtype()).calls.get(), before_q4 + 1);
         assert_eq!(
-            stats("reference", 0, 0).calls.get(),
+            stats("reference", 0, Dtype::F32).calls.get(),
             before_f32,
             "the f32 bucket must not double-count a quantized call"
         );

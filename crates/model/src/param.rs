@@ -254,7 +254,7 @@ mod tests {
             assert!(!p.is_reduced());
             assert_eq!(p.dtype(), Dtype::F32);
             // Values round-tripped through the codec (coarse bound; exact
-            // bounds live in lx-quant and lx-tensor::f16).
+            // bounds live in lx-quant and lx_kernels::half).
             for (a, b) in p.value.as_slice().iter().zip(before.as_slice()) {
                 let tol = match dtype {
                     Dtype::F16 => b.abs() * 1e-3 + 1e-7,

@@ -7,12 +7,14 @@
 //! by the viewer from interval containment per `tid`, which is exactly how
 //! our per-phase spans sit inside their step spans.
 //!
-//! The validator is a deliberately small hand-rolled JSON parser (this
-//! workspace is offline — no serde): enough to check structure, required
-//! fields and types, which is what the CI `trace_check` bin gates on.
+//! The validator reads through the crate's small JSON reader
+//! ([`crate::json`]; this workspace is offline — no serde) and checks
+//! structure, required fields and types, which is what the CI `trace_check`
+//! bin gates on.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::Json;
 use crate::span::{SpanRecord, Trace};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -137,25 +139,20 @@ pub struct TraceStats {
 /// complete event — string `name`/`cat`, `"ph":"X"`, numeric non-negative
 /// `ts`/`dur`, numeric `pid`/`tid`. Returns aggregate stats on success.
 pub fn validate_chrome_trace(json: &str) -> Result<TraceStats, String> {
-    let value = parse_json(json)?;
-    let top = value.as_object().ok_or("top level is not an object")?;
-    let events = top
-        .iter()
-        .find(|(k, _)| k == "traceEvents")
-        .map(|(_, v)| v)
+    let value = crate::json::parse(json)?;
+    value.as_object().ok_or("top level is not an object")?;
+    let events = value
+        .get("traceEvents")
         .ok_or("missing traceEvents")?
         .as_array()
         .ok_or("traceEvents is not an array")?;
     let mut names: Vec<&str> = Vec::new();
     let mut span_us = 0.0f64;
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
+        ev.as_object()
             .ok_or_else(|| format!("event {i} is not an object"))?;
         let field = |key: &str| -> Result<&Json, String> {
-            obj.iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
+            ev.get(key)
                 .ok_or_else(|| format!("event {i} missing {key}"))
         };
         let name = field("name")?
@@ -202,253 +199,6 @@ pub fn validate_chrome_trace_file(path: &Path) -> Result<TraceStats, String> {
     let json =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     validate_chrome_trace(&json)
-}
-
-// ---------------------------------------------------------------------------
-// Minimal recursive-descent JSON (validation only; no serde in this
-// workspace).
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
-    fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected byte {:?} at {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got {:?}",
-                        self.pos, other as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Multi-byte UTF-8 passes through byte-wise; the source
-                    // was a &str so the bytes are valid.
-                    let start = self.pos;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -523,15 +273,5 @@ mod tests {
             "non-X phase"
         );
         assert!(validate_chrome_trace("{\"traceEvents\":[]} junk").is_err());
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_numbers() {
-        let v = parse_json("{\"a\":[1.5,-2e3,\"q\\\"\\u0041\"],\"b\":null,\"c\":true}").unwrap();
-        let obj = v.as_object().unwrap();
-        let arr = obj[0].1.as_array().unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.5));
-        assert_eq!(arr[1].as_f64(), Some(-2000.0));
-        assert_eq!(arr[2].as_str(), Some("q\"A"));
     }
 }

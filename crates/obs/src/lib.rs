@@ -56,6 +56,7 @@
 
 mod chrome;
 mod clock;
+pub mod json;
 mod metrics;
 mod span;
 
@@ -63,6 +64,5 @@ pub use chrome::{validate_chrome_trace, validate_chrome_trace_file, TraceStats};
 pub use clock::now_ns;
 pub use metrics::{registry, Counter, Histogram, HistogramSummary, Registry};
 pub use span::{
-    force_timing, inert_span_cost_ns, timing_enabled, tracing_active, Span, SpanRecord, TimedSpan,
-    Trace, TraceSession,
+    inert_span_cost_ns, tracing_active, Span, SpanRecord, TimedSpan, Trace, TraceSession,
 };

@@ -87,9 +87,6 @@ impl Ring {
 
 /// Fast-path gate: true while a [`TraceSession`] is active.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-/// Secondary gate for instruments that are too hot to time unconditionally
-/// (per-GEMM histograms): [`force_timing`] turns them on without a session.
-static TIMING_FORCED: AtomicBool = AtomicBool::new(false);
 
 fn ring_slot() -> &'static Mutex<Option<Arc<Ring>>> {
     static SLOT: OnceLock<Mutex<Option<Arc<Ring>>>> = OnceLock::new();
@@ -104,19 +101,6 @@ fn current_ring() -> Option<Arc<Ring>> {
 #[inline]
 pub fn tracing_active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Whether fine-grained timing instruments (per-GEMM latency histograms)
-/// should measure: any active session, or an explicit [`force_timing`].
-#[inline]
-pub fn timing_enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) || TIMING_FORCED.load(Ordering::Relaxed)
-}
-
-/// Force fine-grained timing on/off independently of trace sessions (bench
-/// arms that want kernel latency histograms without span collection).
-pub fn force_timing(on: bool) {
-    TIMING_FORCED.store(on, Ordering::Relaxed);
 }
 
 fn current_tid() -> u64 {
@@ -225,12 +209,6 @@ impl Span {
             live.index = Some(index);
         }
         self
-    }
-
-    /// Whether this span will publish a record (a session was active at
-    /// `enter`).
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
     }
 }
 
@@ -423,7 +401,7 @@ mod tests {
     fn inert_spans_record_nothing() {
         let _guard = session_lock();
         let span = Span::enter("test.inert");
-        assert!(!span.is_recording());
+        assert!(span.0.is_none(), "no session: nothing to publish");
         drop(span);
         let took = TimedSpan::enter("test.inert.timed").finish();
         assert!(took.as_nanos() < 1_000_000_000);
@@ -481,17 +459,6 @@ mod tests {
         let rec = trace.named("test.exact")[0];
         assert_eq!(rec.dur_ns, took.as_nanos() as u64, "bit-honest duration");
         assert!(took >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn force_timing_gates_independently() {
-        let _guard = session_lock();
-        assert!(!timing_enabled());
-        force_timing(true);
-        assert!(timing_enabled());
-        assert!(!tracing_active());
-        force_timing(false);
-        assert!(!timing_enabled());
     }
 
     #[test]

@@ -22,13 +22,9 @@ mod rows;
 
 pub use latch::Latch;
 pub use pool::{in_worker, pool, ThreadPool};
-pub use rows::{par_disjoint, par_rows, par_weighted};
+pub use rows::{par_rows, par_weighted};
 
 use std::ops::Range;
-
-/// Default minimum number of items a task should own before it is worth
-/// paying queueing overhead. Callers can override per call site.
-pub const DEFAULT_GRAIN: usize = 1024;
 
 /// Run `body` over `range` in parallel chunks on the global pool.
 ///

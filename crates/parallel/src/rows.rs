@@ -13,10 +13,6 @@
 //! * [`par_rows`] — uniform stride: `data` is `rows` rows of `row_stride`
 //!   elements (the last row may be shorter when the buffer is a strided
 //!   window). Tasks get contiguous row *ranges*.
-//! * [`par_disjoint`] — explicit spans: sorted, non-overlapping
-//!   `Range<usize>` spans of `data` (CSR block-rows, scattered weight
-//!   columns). Tasks get contiguous runs of spans and the one slice covering
-//!   them.
 //! * [`par_weighted`] — items of unequal cost described by a prefix-sum
 //!   table (CSR row pointers, the run table of a grouped GEMM). Tasks get
 //!   contiguous item ranges of roughly equal *weight*, not equal count, so a
@@ -80,60 +76,6 @@ impl ThreadPool {
         self.run_scoped(tasks);
     }
 
-    /// Parallel loop over sorted, pairwise-disjoint `spans` of `data`.
-    ///
-    /// Each task receives a contiguous run of span indices and the single
-    /// sub-slice covering `spans[run.start].start .. spans[run.end-1].end`;
-    /// positions of individual spans inside it are recovered by subtracting
-    /// `spans[run.start].start`. `grain` is the minimum number of spans per
-    /// task. Gaps between spans belong to the covering task's slice but are
-    /// expected to be left untouched.
-    pub fn par_disjoint<T, F>(&self, data: &mut [T], spans: &[Range<usize>], grain: usize, body: F)
-    where
-        T: Send,
-        F: Fn(Range<usize>, &mut [T]) + Sync,
-    {
-        let n = spans.len();
-        if n == 0 {
-            return;
-        }
-        for (i, s) in spans.iter().enumerate() {
-            assert!(s.start <= s.end, "par_disjoint: span {i} is inverted");
-            assert!(s.end <= data.len(), "par_disjoint: span {i} out of bounds");
-            if i > 0 {
-                assert!(
-                    spans[i - 1].end <= s.start,
-                    "par_disjoint: spans {} and {i} overlap or are unsorted",
-                    i - 1
-                );
-            }
-        }
-        let grain = grain.max(1);
-        if n <= grain {
-            let base = spans[0].start;
-            let end = spans[n - 1].end;
-            body(0..n, &mut data[base..end]);
-            return;
-        }
-        let chunks = split_range(0..n, grain, self.threads());
-        let body_ref = &body;
-        let mut rest = data;
-        let mut carved = 0usize;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(chunks.len());
-        for chunk in chunks {
-            let base = spans[chunk.start].start;
-            let end = spans[chunk.end - 1].end;
-            let (_, at_base) = std::mem::take(&mut rest).split_at_mut(base - carved);
-            let (head, tail) = at_base.split_at_mut(end - base);
-            carved = end;
-            rest = tail;
-            tasks.push(Box::new(move || body_ref(chunk, head)));
-        }
-        self.run_scoped(tasks);
-    }
-}
-
-impl ThreadPool {
     /// Parallel loop over `prefix.len() - 1` items of unequal weight: item `i`
     /// weighs `prefix[i + 1] - prefix[i]` (a non-decreasing prefix-sum table,
     /// e.g. CSR row pointers). Items are split into contiguous ranges of
@@ -207,15 +149,6 @@ where
     pool().par_rows(data, rows, row_stride, grain, body)
 }
 
-/// [`ThreadPool::par_disjoint`] on the global pool.
-pub fn par_disjoint<T, F>(data: &mut [T], spans: &[Range<usize>], grain: usize, body: F)
-where
-    T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    pool().par_disjoint(data, spans, grain, body)
-}
-
 /// [`ThreadPool::par_weighted`] on the global pool.
 pub fn par_weighted<T, C, F>(data: &mut [T], prefix: &[u32], min_weight: usize, cover: C, body: F)
 where
@@ -278,45 +211,6 @@ mod tests {
     fn par_rows_empty_is_noop() {
         let mut data: Vec<u8> = vec![];
         par_rows(&mut data, 0, 4, 1, |_, _| panic!("must not run"));
-    }
-
-    #[test]
-    fn par_disjoint_covers_spans_with_gaps() {
-        // Spans with holes: every span gets its index written, holes stay 0.
-        let spans: Vec<Range<usize>> = (0..50).map(|i| i * 7..i * 7 + 3).collect();
-        let mut data = vec![0u32; 50 * 7];
-        par_disjoint(&mut data, &spans, 3, |rng, chunk| {
-            let base = rng.start * 7;
-            for i in rng {
-                let s = i * 7 - base;
-                for v in &mut chunk[s..s + 3] {
-                    *v = i as u32 + 1;
-                }
-            }
-        });
-        for (i, span) in spans.iter().enumerate() {
-            for j in span.clone() {
-                assert_eq!(data[j], i as u32 + 1);
-            }
-        }
-        let written: usize = data.iter().filter(|&&v| v != 0).count();
-        assert_eq!(written, 150, "gaps must stay untouched");
-    }
-
-    #[test]
-    fn par_disjoint_handles_empty_spans() {
-        let spans = vec![0..0, 0..4, 4..4, 4..8];
-        let mut data = vec![0u8; 8];
-        par_disjoint(&mut data, &spans, 1, |rng, chunk| {
-            let base = spans[rng.start].start;
-            for i in rng {
-                let s = spans[i].start - base..spans[i].end - base;
-                for v in &mut chunk[s] {
-                    *v += 1;
-                }
-            }
-        });
-        assert!(data.iter().all(|&v| v == 1));
     }
 
     /// Causal-shaped weights (item `i` weighs `i + 1`, owning that many
@@ -385,12 +279,5 @@ mod tests {
             |r| 8 - r.end * 2..8 - r.start * 2,
             |_, _| {},
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn par_disjoint_rejects_overlap() {
-        let mut data = vec![0u8; 10];
-        par_disjoint(&mut data, &[0..5, 4..8], 1, |_, _| {});
     }
 }

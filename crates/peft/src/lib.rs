@@ -167,24 +167,6 @@ fn is_bias_like(name: &str) -> bool {
         || name.ends_with(".beta")
 }
 
-/// Per-parameter-group trainability report (for experiment logs).
-pub fn trainable_summary(model: &mut TransformerModel) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    model.for_each_param(&mut |p| {
-        if p.trainable {
-            out.push((p.name.clone(), p.numel()));
-        }
-    });
-    out
-}
-
-/// Fraction of parameters that are trainable.
-pub fn trainable_fraction(model: &mut TransformerModel) -> f64 {
-    let total = model.num_params() as f64;
-    let trainable = model.num_trainable() as f64;
-    trainable / total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,6 +174,17 @@ mod tests {
 
     fn model() -> TransformerModel {
         TransformerModel::new(ModelConfig::test_tiny(), 7)
+    }
+
+    /// Names of the trainable parameters.
+    fn trainable_names(m: &mut TransformerModel) -> Vec<String> {
+        let mut out = Vec::new();
+        m.for_each_param(&mut |p| {
+            if p.trainable {
+                out.push(p.name.clone());
+            }
+        });
+        out
     }
 
     fn train_batch(m: &mut TransformerModel, method: &PeftMethod, steps: usize) -> (f32, f32) {
@@ -217,18 +210,15 @@ mod tests {
     fn lora_trainable_fraction_is_tiny() {
         let mut m = model();
         PeftMethod::lora_default().apply(&mut m, 1);
-        let frac = trainable_fraction(&mut m);
+        let frac = m.num_trainable() as f64 / m.num_params() as f64;
         assert!(
             frac < 0.30,
             "LoRA should train a small fraction, got {frac}"
         );
         assert!(m.num_trainable() > 0);
         // Only LoRA params are trainable.
-        let summary = trainable_summary(&mut m);
-        assert!(
-            summary.iter().all(|(n, _)| n.contains("lora")),
-            "{summary:?}"
-        );
+        let names = trainable_names(&mut m);
+        assert!(names.iter().all(|n| n.contains("lora")), "{names:?}");
     }
 
     #[test]
@@ -255,9 +245,9 @@ mod tests {
     fn bitfit_trains_only_biases() {
         let mut m = model();
         PeftMethod::BitFit.apply(&mut m, 1);
-        let summary = trainable_summary(&mut m);
-        assert!(!summary.is_empty());
-        for (name, _) in &summary {
+        let names = trainable_names(&mut m);
+        assert!(!names.is_empty());
+        for name in &names {
             assert!(is_bias_like(name), "non-bias trainable: {name}");
         }
         // Weights must stay frozen.
@@ -297,10 +287,10 @@ mod tests {
             targets: LoraTargets::all(),
         }
         .apply(&mut m, 4);
-        let summary = trainable_summary(&mut m);
-        assert!(summary.iter().any(|(n, _)| n.contains("w1.lora")));
-        assert!(summary.iter().any(|(n, _)| n.contains("w2.lora")));
-        assert!(summary.iter().any(|(n, _)| n.contains("wo.lora")));
+        let names = trainable_names(&mut m);
+        assert!(names.iter().any(|n| n.contains("w1.lora")));
+        assert!(names.iter().any(|n| n.contains("w2.lora")));
+        assert!(names.iter().any(|n| n.contains("wo.lora")));
     }
 
     #[test]

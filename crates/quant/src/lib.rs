@@ -21,7 +21,7 @@
 //!
 //! This crate has zero dependencies; `lx-kernels` consumes the borrowed
 //! view ([`Q4View`]) inside its pack routines and `lx-tensor`
-//! owns the allocation/accounting side (`QuantTensor`).
+//! owns the allocation/accounting side (`Reduced`).
 
 pub mod nf4;
 

@@ -38,9 +38,11 @@ fn rate(count: u64, d: Duration) -> f64 {
     }
 }
 
-/// Default cap on per-tenant Prometheus series: the top
-/// [`DEFAULT_TENANT_SERIES_CAP`] tenants by traffic get their own labeled
-/// series, everything else rolls up into `tenant="other"`.
+/// Label-cardinality guard for [`MetricsSnapshot::render_prometheus`]: only
+/// the top [`DEFAULT_TENANT_SERIES_CAP`] tenants by tokens processed are
+/// exposed as individual `tenant="…"` series; the rest aggregate into
+/// `tenant="other"`. A 1000-tenant fleet must not bloat the exposition (or
+/// the scrape database) with 6000 series.
 pub const DEFAULT_TENANT_SERIES_CAP: usize = 32;
 
 /// Live metrics owned by the scheduler; snapshot with [`ServeMetrics::snapshot`].
@@ -53,12 +55,6 @@ pub struct ServeMetrics {
     pub total_tokens: u64,
     pub total_busy: Duration,
     pub per_tenant: BTreeMap<String, TenantMetrics>,
-    /// Label-cardinality guard for [`MetricsSnapshot::render_prometheus`]:
-    /// only the top-K tenants by tokens processed are exposed as individual
-    /// `tenant="…"` series; the rest aggregate into `tenant="other"`. A
-    /// 1000-tenant fleet must not bloat the exposition (or the scrape
-    /// database) with 6000 series.
-    pub tenant_series_cap: usize,
 }
 
 impl Default for ServeMetrics {
@@ -71,7 +67,6 @@ impl Default for ServeMetrics {
             total_tokens: 0,
             total_busy: Duration::ZERO,
             per_tenant: BTreeMap::new(),
-            tenant_series_cap: DEFAULT_TENANT_SERIES_CAP,
         }
     }
 }
@@ -107,7 +102,6 @@ impl ServeMetrics {
             total_tokens: self.total_tokens,
             total_busy: self.total_busy,
             per_tenant: self.per_tenant.clone(),
-            tenant_series_cap: self.tenant_series_cap,
         }
     }
 }
@@ -122,8 +116,6 @@ pub struct MetricsSnapshot {
     pub total_tokens: u64,
     pub total_busy: Duration,
     pub per_tenant: BTreeMap<String, TenantMetrics>,
-    /// See [`ServeMetrics::tenant_series_cap`].
-    pub tenant_series_cap: usize,
 }
 
 impl MetricsSnapshot {
@@ -216,7 +208,7 @@ impl MetricsSnapshot {
         // number of lines.
         let mut ranked: Vec<(&String, &TenantMetrics)> = self.per_tenant.iter().collect();
         ranked.sort_by(|a, b| b.1.tokens.cmp(&a.1.tokens).then_with(|| a.0.cmp(b.0)));
-        let cap = self.tenant_series_cap.max(1).min(ranked.len());
+        let cap = DEFAULT_TENANT_SERIES_CAP.min(ranked.len());
         let mut tenant_series = |label: &str, m: &TenantMetrics, with_loss: bool| {
             let t = label.replace('"', "'");
             let _ = writeln!(
@@ -341,7 +333,6 @@ mod tests {
             total_tokens: 0,
             total_busy: Duration::ZERO,
             per_tenant: BTreeMap::new(),
-            tenant_series_cap: DEFAULT_TENANT_SERIES_CAP,
         };
         for v in [
             snap.aggregate_steps_per_sec(),
@@ -386,10 +377,8 @@ mod tests {
         // 1000 tenants, distinct traffic: the exposition must stay bounded
         // at cap tenants' series plus one `other` rollup, and the rollup
         // must conserve the totals the capped tenants no longer carry.
-        let mut m = ServeMetrics {
-            tenant_series_cap: 8,
-            ..ServeMetrics::default()
-        };
+        let cap = DEFAULT_TENANT_SERIES_CAP as u64;
+        let mut m = ServeMetrics::default();
         for i in 0..1000u64 {
             m.record_slice(
                 &format!("tenant-{i:04}"),
@@ -407,8 +396,8 @@ mod tests {
             .lines()
             .filter(|l| l.starts_with("lx_serve_tenant_"))
             .collect();
-        // 8 tenants x 6 series + 1 rollup x 5 series (no last_loss).
-        assert_eq!(tenant_lines.len(), 8 * 6 + 5, "bounded exposition");
+        // cap tenants x 6 series + 1 rollup x 5 series (no last_loss).
+        assert_eq!(tenant_lines.len() as u64, cap * 6 + 5, "bounded exposition");
         // Top-by-traffic survives; the long tail does not.
         assert!(text.contains("tenant=\"tenant-0999\""));
         assert!(!text.contains("tenant=\"tenant-0000\""));
@@ -420,7 +409,7 @@ mod tests {
             .and_then(|l| l.rsplit_once(' '))
             .map(|(_, v)| v.parse().unwrap())
             .expect("other rollup present");
-        assert_eq!(rollup_steps, (1000 - 8) * 2);
+        assert_eq!(rollup_steps, (1000 - cap) * 2);
         // Aggregate service totals are untouched by the cap.
         assert!(text.contains(&format!("lx_serve_steps_total {}", 1000 * 2)));
     }

@@ -36,6 +36,3 @@ pub use layout::{BlockCsr, MultiHeadLayout};
 pub use mask::BlockMask;
 pub use neuron::{BlockSetDiff, NeuronBlockSet};
 pub use patterns::{PatternPool, PatternSpec};
-
-/// Default score-block edge and MLP neuron-block size (paper uses 32).
-pub const DEFAULT_BLOCK: usize = 32;

@@ -120,28 +120,6 @@ impl BlockMask {
         }
     }
 
-    /// Build a mask by block-max-thresholding a dense `s×s` score matrix:
-    /// a block is active when its maximum score is ≥ `threshold`.
-    pub fn from_dense_scores(scores: &[f32], s: usize, block: usize, threshold: f32) -> Self {
-        assert_eq!(scores.len(), s * s, "scores must be s×s");
-        let n = s.div_ceil(block);
-        let mut mask = BlockMask::square(n);
-        for br in 0..n {
-            for bc in 0..n {
-                let mut max = f32::NEG_INFINITY;
-                for i in br * block..((br + 1) * block).min(s) {
-                    for j in bc * block..((bc + 1) * block).min(s) {
-                        max = max.max(scores[i * s + j]);
-                    }
-                }
-                if max >= threshold {
-                    mask.set(br, bc, true);
-                }
-            }
-        }
-        mask
-    }
-
     /// Render to an ASCII grid (`#` active, `.` inactive) for experiment
     /// visualisations (paper Fig. 11b).
     pub fn to_ascii(&self) -> String {
@@ -233,34 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn from_dense_scores_thresholds_blocks() {
-        let s = 4;
-        let block = 2;
-        let mut scores = vec![0.0f32; s * s];
-        scores[0] = 5.0; // block (0,0)
-        scores[2 * 4 + 3] = 5.0; // block (1,1)
-        let m = BlockMask::from_dense_scores(&scores, s, block, 1.0);
-        assert!(m.get(0, 0));
-        assert!(m.get(1, 1));
-        assert!(!m.get(0, 1));
-        assert!(!m.get(1, 0));
-    }
-
-    #[test]
     fn ascii_rendering() {
         let mut m = BlockMask::square(2);
         m.set(0, 0, true);
         assert_eq!(m.to_ascii(), "#.\n..\n");
-    }
-
-    #[test]
-    fn ragged_grid_from_scores() {
-        // s=5 with block=2 -> 3x3 grid, last block ragged.
-        let s = 5;
-        let mut scores = vec![-1.0f32; s * s];
-        scores[4 * 5 + 4] = 2.0; // block (2,2)
-        let m = BlockMask::from_dense_scores(&scores, s, 2, 0.0);
-        assert!(m.get(2, 2));
-        assert_eq!(m.count(), 1);
     }
 }

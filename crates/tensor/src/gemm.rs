@@ -45,8 +45,8 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 }
 
 /// `A[m,k] · B` on the trailing-2-D views, with `B` in **any storage** — a
-/// `&Tensor`, `&HalfTensor`, `&QuantTensor` or `&Reduced` — stored `k×n`
-/// ([`Layout::Normal`]) or `n×k` ([`Layout::Transposed`]).
+/// `&Tensor` or a `&Reduced` — stored `k×n` ([`Layout::Normal`]) or `n×k`
+/// ([`Layout::Transposed`]).
 ///
 /// A reduced-stored B decodes to f32 inside the kernel (pack-time for the
 /// packed backend) and all accumulation stays f32, so the result matches

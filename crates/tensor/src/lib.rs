@@ -5,20 +5,15 @@
 //! [`lx_parallel`]'s global pool; allocations are tracked by [`memtrack`] so
 //! the memory-footprint experiments (paper Fig. 8) can report real peaks.
 
-mod dtype;
-pub mod f16;
 pub mod gemm;
 pub mod memtrack;
 pub mod ops;
-pub mod quant;
 mod reduced;
 pub mod rng;
 mod tensor;
 pub mod workspace;
 
-pub use dtype::Dtype;
-pub use f16::HalfTensor;
-pub use quant::QuantTensor;
+pub use lx_kernels::Dtype;
 pub use reduced::{BRef, Reduced};
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};

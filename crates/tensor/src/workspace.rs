@@ -132,11 +132,6 @@ impl Workspace {
         }
     }
 
-    /// Whether scopes of this workspace pool buffers.
-    pub fn is_enabled(&self) -> bool {
-        !self.disabled
-    }
-
     /// Enable or disable pooling (disabling does not drop already-parked
     /// buffers — call [`Self::clear`] for that).
     pub fn set_enabled(&mut self, enabled: bool) {
@@ -360,7 +355,7 @@ mod tests {
     #[test]
     fn disabled_workspace_always_allocates() {
         let mut ws = Workspace::disabled();
-        assert!(!ws.is_enabled());
+        assert!(ws.disabled);
         ws.scope(|| drop(Tensor::zeros(&[16])));
         let mark = alloc_stats();
         ws.scope(|| drop(Tensor::zeros(&[16])));

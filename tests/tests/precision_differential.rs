@@ -13,12 +13,12 @@
 //! stored bits never change and all accumulation is f32 — coarser codecs
 //! just start further from the f32 function.
 
+use lx_kernels::half::round_f16;
 use lx_model::{
     prompt_aware_targets, Adam, LossScaler, ModelConfig, Precision, StepRequest, TransformerModel,
 };
 use lx_peft::{PeftMethod, TenantAdapter};
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::f16::round_f16;
 use lx_tensor::memtrack;
 use std::sync::Arc;
 

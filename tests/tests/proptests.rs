@@ -6,12 +6,12 @@
 //! `ProptestConfig::with_cases(24)` budget). Failures print the seed so a
 //! case can be replayed exactly.
 
+use lx_kernels::half::round_f16;
 use lx_sparse::attention::{
     block_data_to_dense, dense_to_block_data, dsd, dsd_tn, scores_to_probs, sdd_nt, CausalFill,
 };
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::{BlockCsr, BlockMask, NeuronBlockSet, PatternSpec};
-use lx_tensor::f16::round_f16;
 use lx_tensor::rng::randn_vec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
