@@ -267,6 +267,19 @@ mod tests {
     }
 
     #[test]
+    fn parser_handles_whitespace_and_escapes() {
+        let text = "{ \"bench\" : \"x\",\n \"tables\": [ { \"header\": [\"a \\\"q\\\"\"], \
+                    \"rows\": [ [\"1\"] ] } ] }";
+        let path = std::env::temp_dir().join(format!("lx-bench-parse-{}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let report = load_bench_json(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(report.bench, "x");
+        assert_eq!(report.tables[0].0[0], "a \"q\"");
+        assert_eq!(report.tables[0].1, vec![vec!["1".to_string()]]);
+    }
+
+    #[test]
     fn collects_and_serialises_tables() {
         // Thread-local state: run in an isolated thread so parallel tests
         // (and earlier prints) can't interleave.

@@ -274,4 +274,18 @@ mod tests {
         );
         assert!(validate_chrome_trace("{\"traceEvents\":[]} junk").is_err());
     }
+
+    #[test]
+    fn parser_handles_escapes_and_numbers() {
+        // An escaped quote and a \u escape in the name; fractional,
+        // exponent and negative-exponent numbers in the fields.
+        let doc = "{\"traceEvents\":[{\"name\":\"q\\\"\\u0041\",\"cat\":\"c\",\"ph\":\"X\",\
+                   \"ts\":1.5,\"dur\":2e3,\"pid\":1,\"tid\":25E-1}]}";
+        let stats = validate_chrome_trace(doc).expect("well-formed");
+        assert_eq!((stats.events, stats.names), (1, 1));
+        assert_eq!(stats.span_us, 2001.5);
+        let value = crate::json::parse(doc).unwrap();
+        let event = &value.get("traceEvents").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(event.get("name").and_then(Json::as_str), Some("q\"A"));
+    }
 }

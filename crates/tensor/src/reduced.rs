@@ -181,6 +181,7 @@ impl Drop for Reduced {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memtrack::thread_live_bytes;
 
     /// One tensor in every reduced storage, with row lengths that put row
     /// boundaries mid-quantization-block.
@@ -227,44 +228,85 @@ mod tests {
         }
     }
 
+    /// Encode `t` at `dtype` and check the tracker sees exactly
+    /// [`Dtype::bytes_for`] — the same figure [`Reduced::bytes`] reports —
+    /// and balances again once the storage is dropped.
+    fn assert_accounting(t: &Tensor, dtype: Dtype) {
+        let expect = dtype.bytes_for(t.len());
+        let before = thread_live_bytes();
+        let r = Reduced::from_tensor(t, dtype);
+        assert_eq!(r.bytes(), expect, "{dtype} reported");
+        assert_eq!(
+            (thread_live_bytes() - before) as usize,
+            expect,
+            "{dtype} measured"
+        );
+        drop(r);
+        assert_eq!(thread_live_bytes(), before, "{dtype} balanced");
+    }
+
+    /// A clone registers its own payload, and both drops unregister.
+    fn assert_clone_accounting(t: &Tensor, dtype: Dtype) {
+        let before = thread_live_bytes();
+        let a = Reduced::from_tensor(t, dtype);
+        let b = a.clone();
+        assert_eq!(
+            (thread_live_bytes() - before) as usize,
+            2 * dtype.bytes_for(t.len()),
+            "{dtype}"
+        );
+        assert_eq!(a, b);
+        drop(a);
+        drop(b);
+        assert_eq!(thread_live_bytes(), before, "{dtype} balanced");
+    }
+
     #[test]
-    fn accounting_matches_bytes_for_through_clone_and_drop() {
-        use crate::memtrack::thread_live_bytes;
+    fn f16_accounting_and_roundtrip() {
+        let t = Tensor::from_vec(vec![1.0, 2.5, -3.25, 0.0], &[2, 2]);
+        assert_eq!(Dtype::F16.bytes_for(t.len()), 8);
+        assert_accounting(&t, Dtype::F16);
+        let r = Reduced::from_tensor(&t, Dtype::F16);
+        assert_eq!(BRef::from(&r).to_tensor(), t);
+    }
+
+    #[test]
+    fn f16_storage_keeps_exact_values() {
+        // Exactly representable in binary16, up to its largest finite value.
+        let vals = vec![0.0f32, 1.0, -1.0, 0.5, 2.0, -0.25, 65504.0];
+        let t = Tensor::from_vec(vals, &[7]);
+        let r = Reduced::from_tensor(&t, Dtype::F16);
+        assert_eq!(BRef::from(&r).to_tensor(), t);
+    }
+
+    #[test]
+    fn f16_clone_registers_its_own_buffer() {
+        assert_clone_accounting(&Tensor::full(&[10], 1.0), Dtype::F16);
+    }
+
+    #[test]
+    fn nf4_accounting_matches_bytes_for_exactly() {
         // 16×20 = 320 elements: a tail block, and row boundaries mid-block;
         // 3×21 = 63 elements: a single short block.
         for shape in [[16usize, 20], [3, 21]] {
-            let t = Tensor::randn(&shape, 1.0, 31);
-            for dtype in [Dtype::F16, Dtype::Nf4Block] {
-                let expect = dtype.bytes_for(t.len());
-                let before = thread_live_bytes();
-                let a = Reduced::from_tensor(&t, dtype);
-                assert_eq!(a.bytes(), expect, "{dtype} reported");
-                assert_eq!(
-                    (thread_live_bytes() - before) as usize,
-                    expect,
-                    "{dtype} measured"
-                );
-                let b = a.clone();
-                assert_eq!(
-                    (thread_live_bytes() - before) as usize,
-                    2 * expect,
-                    "{dtype} clone"
-                );
-                assert_eq!(a, b);
-                // Loose decode sanity (exact codec bounds live with the
-                // codecs): f16 keeps ~3 decimal digits, the worst NF4 gap is
-                // ~0.18·absmax with absmax ≲ 5σ here.
-                let tol = if dtype == Dtype::F16 { 1e-2 } else { 1.0 };
-                let back = BRef::from(&b).to_tensor();
-                for (x, y) in t.as_slice().iter().zip(back.as_slice()) {
-                    assert!((x - y).abs() < tol, "{dtype}: {x} vs {y}");
-                }
-                drop(back);
-                drop(a);
-                drop(b);
-                assert_eq!(thread_live_bytes(), before, "{dtype} balanced");
-            }
+            assert_accounting(&Tensor::randn(&shape, 1.0, 31), Dtype::Nf4Block);
         }
+    }
+
+    #[test]
+    fn nf4_roundtrip_bounds_error() {
+        let t = Tensor::randn(&[9, 33], 1.0, 32);
+        let back = BRef::from(&Reduced::from_tensor(&t, Dtype::Nf4Block)).to_tensor();
+        // Loose sanity bound (exact bounds are tested in lx-quant): the
+        // worst NF4 gap is ~0.18·absmax, absmax ≲ 5σ here.
+        for (a, b) in t.as_slice().iter().zip(back.as_slice()) {
+            assert!((a - b).abs() < 1.0, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn nf4_clone_registers_its_own_buffer() {
+        assert_clone_accounting(&Tensor::randn(&[8, 8], 1.0, 34), Dtype::Nf4Block);
     }
 
     #[test]
