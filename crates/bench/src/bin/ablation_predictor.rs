@@ -92,15 +92,14 @@ fn main() {
     let pooled = pool_blocks(block_input, batch, seq, SIM_BLOCK);
     let eff = seq;
     let mut samples = Vec::new();
-    for (b, pooled_b) in pooled.iter().enumerate() {
-        let start = b * cfg.n_heads * eff;
-        let slice = Tensor::from_vec(
-            probs.as_slice()[start * eff..(start + cfg.n_heads * eff) * eff].to_vec(),
-            &[cfg.n_heads * eff, eff],
-        );
+    let per_batch = cfg.n_heads * eff * eff;
+    for (pooled_b, probs_b) in pooled
+        .into_iter()
+        .zip(probs.as_slice().chunks_exact(per_batch))
+    {
         samples.push(AttnSample {
-            pooled: pooled_b.clone(),
-            targets: exposer.attention_head_masks(&slice, 1, cfg.n_heads, eff),
+            pooled: pooled_b,
+            targets: exposer.attention_head_masks(probs_b, cfg.n_heads, eff),
         });
     }
     header(&["training variant", "recall", "precision"]);

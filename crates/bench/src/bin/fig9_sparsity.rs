@@ -126,7 +126,7 @@ fn main() {
         let k = randn_vec(seq * dh, 1.0, l as u64 + 1);
         let v = randn_vec(seq * dh, 1.0, l as u64 + 2);
         let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs, batch, cfg.n_heads, seq);
+        let masks = exposer.attention_head_masks(probs.as_slice(), cfg.n_heads, seq);
         let union = Exposer::attention_union_mask(&masks);
         let union_layout = BlockCsr::from_mask(&union, block);
         let lx_layouts: Vec<_> = masks
@@ -166,7 +166,7 @@ fn main() {
         let w1t = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 91 + l as u64);
         let w2 = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 92 + l as u64);
         let acts = cap.mlp_activations.as_ref().unwrap();
-        let set = exposer.mlp_filter(&exposer.mlp_block_importance(acts));
+        let set = exposer.mlp_filter(&exposer.mlp_block_importance(acts.as_slice(), acts.cols()));
         let dense_set = NeuronBlockSet::all(cfg.d_ff / block, block);
         let t_mlp_dense = time_it(|| {
             let mut z = vec![0.0f32; rows_n * cfg.d_ff];

@@ -18,7 +18,9 @@
 //!   arm's loss curve staying within 0.05 of every-step prediction, and the
 //!   disabled-instrumentation overhead estimate staying under 1% of a step.
 //!   Exits non-zero on violation (the CI gate).
-//! * `--json` — write `BENCH_step_bench.json`.
+//! * `--json` — write `BENCH_step_bench.json`. Its last table records how
+//!   long the first engine's `calibrate` took (report-only: no floor, no
+//!   baseline row), so the uploaded report tracks calibration time.
 //! * `--trace <path>` — record the plan-reuse arms in an `lx-obs` trace
 //!   session and write a Chrome trace-event JSON (Perfetto-loadable).
 //! * `--compare <baseline.json>` / `--tolerance <frac>` — gate the
@@ -27,7 +29,9 @@
 
 use long_exposure::engine::StepMode;
 use long_exposure::PlanRefreshConfig;
-use lx_bench::{calibrated_engine, default_opt, header, load_bench_json, row, BenchCli};
+use lx_bench::{
+    calibrated_engine, default_opt, header, load_bench_json, row, timed_calibrated_engine, BenchCli,
+};
 use lx_model::{prompt_aware_targets, ModelConfig, Precision};
 use lx_obs::{inert_span_cost_ns, registry, Histogram, TraceSession};
 use lx_peft::PeftMethod;
@@ -54,6 +58,8 @@ struct SteadyState {
     allocs_per_step: f64,
     hits: u64,
     misses: u64,
+    /// Wall time of the engine's `calibrate` call.
+    calibrate: Duration,
 }
 
 /// Run `WARMUP` untimed steps, then `measured` steps with the allocation
@@ -67,8 +73,8 @@ fn steady_state(
     label: &'static str,
     measured: usize,
 ) -> SteadyState {
-    let (mut engine, mut batcher) =
-        calibrated_engine(cfg, PeftMethod::lora_default(), batch, seq, 42);
+    let (mut engine, mut batcher, calibrate) =
+        timed_calibrated_engine(cfg, PeftMethod::lora_default(), batch, seq, 42);
     engine.model.set_precision(precision);
     let mut opt = default_opt();
     let prompt = engine.model.embedding.prompt_len();
@@ -104,6 +110,7 @@ fn steady_state(
         allocs_per_step: allocs.count as f64 / measured as f64,
         hits: ws.hits,
         misses: ws.misses,
+        calibrate,
     }
 }
 
@@ -310,6 +317,13 @@ fn main() {
             format!("{:.3}%", est.fraction * 100.0),
         ]);
     }
+    // Report-only, last so no baseline table index moves.
+    println!();
+    header(&["calibration", "calibrate s"]);
+    row(&[
+        "first calibrated engine".into(),
+        format!("{:.3}", steady[0].calibrate.as_secs_f64()),
+    ]);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_ref()) {
         let trace = session.finish();
         match trace.write_chrome(path) {

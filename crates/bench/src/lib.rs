@@ -15,7 +15,7 @@ use lx_model::{
     prompt_aware_targets, AdamW, ModelConfig, Optimizer, StepOutcome, TransformerModel,
 };
 use lx_peft::PeftMethod;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Standard sim-model block size (32 needs seq ≥ 512; most measured runs use
 /// 16 so short sequences stay block-aligned).
@@ -39,6 +39,18 @@ pub fn calibrated_engine(
     seq: usize,
     seed: u64,
 ) -> (FinetuneEngine, Batcher) {
+    let (engine, batcher, _) = timed_calibrated_engine(cfg, method, batch, seq, seed);
+    (engine, batcher)
+}
+
+/// [`calibrated_engine`], plus the wall time its `calibrate` call took.
+pub fn timed_calibrated_engine(
+    cfg: ModelConfig,
+    method: PeftMethod,
+    batch: usize,
+    seq: usize,
+    seed: u64,
+) -> (FinetuneEngine, Batcher, Duration) {
     let mut model = sim_model(cfg.clone(), seed);
     method.apply(&mut model, seed + 2);
     let world = SyntheticWorld::new(cfg.vocab_size as u32, seed + 3);
@@ -55,8 +67,10 @@ pub fn calibrated_engine(
     let calib: Vec<(Vec<u32>, usize, usize)> = (0..3)
         .map(|_| (batcher.next_batch(batch, seq), batch, seq))
         .collect();
+    let t0 = Instant::now();
     engine.calibrate(&calib);
-    (engine, batcher)
+    let calibrate = t0.elapsed();
+    (engine, batcher, calibrate)
 }
 
 /// Run `n` timed steps (after one untimed warm-up) and average the outcomes.

@@ -17,13 +17,13 @@ use crate::policy::{
     DensePolicy, OraclePolicy, PlanRefreshConfig, PlanReuseStats, PredictedPolicy, RandomPolicy,
     RandomTarget, SparsityPolicy, ATTN_MIN_RECALL, MLP_THRESHOLD,
 };
-use crate::predictor::{draw_noise, pool_blocks, AttnSample, MlpSample};
+use crate::predictor::{pool_blocks, AttnSample, MlpSample};
 use lx_model::{
     Activation, CaptureConfig, MicroBatch, Optimizer, PrepareHook, StepOutcome, StepRequest,
     TransformerModel,
 };
 use lx_sparse::{NeuronBlockSet, PatternPool, PatternSpec};
-use lx_tensor::Tensor;
+use lx_tensor::{Tensor, Workspace};
 use std::time::{Duration, Instant};
 
 /// Engine hyperparameters. Defaults follow the paper's setup scaled to the
@@ -63,6 +63,43 @@ const POS_WEIGHT: f32 = 4.0;
 const PREDICTOR_SEED: u64 = 0x10e0;
 /// Standard deviation of the Gaussian noise added to calibration inputs.
 const NOISE_STD: f32 = 0.02;
+
+/// One epoch's augmentation noise: a buffer per attention sample and one per
+/// MLP sample, shared by every layer (`train_epoch`'s `noise`).
+struct EpochNoise {
+    attn: Vec<Vec<f32>>,
+    mlp: Vec<Vec<f32>>,
+}
+
+/// A pool task running one predictor's epoch, `train`, with `ws` as its
+/// buffer pool.
+fn train_task<'a, R>(
+    span: &'static str,
+    layer: usize,
+    ws: &'a mut Workspace,
+    train: impl FnOnce() -> R + Send + 'a,
+) -> Box<dyn FnOnce() + Send + 'a> {
+    Box::new(move || {
+        let _span = lx_obs::Span::enter(span).cat("engine").layer(layer as u32);
+        ws.scope(train);
+    })
+}
+
+/// A pool task filling `buf` with `len` noise draws from `seed` (sample
+/// `si`'s), reusing the buffer's capacity.
+fn draw_task<'a>(
+    span: &'static str,
+    si: usize,
+    buf: &'a mut Vec<f32>,
+    len: usize,
+    seed: u64,
+) -> Box<dyn FnOnce() + Send + 'a> {
+    Box::new(move || {
+        let _span = lx_obs::Span::enter(span).cat("engine").index(si as u64);
+        buf.resize(len, 0.0);
+        lx_tensor::rng::randn_into(buf, NOISE_STD, seed);
+    })
+}
 
 /// Predictor quality after calibration, per layer.
 #[derive(Debug, Clone, Default)]
@@ -250,11 +287,13 @@ impl FinetuneEngine {
     /// Offline phase: dense capture passes on `batches` (each
     /// `(ids, batch, seq)`), exposer targets, predictor training.
     ///
-    /// Training runs epoch-major: each epoch draws every sample's
-    /// augmentation noise once and trains every layer's predictors on it.
+    /// Training runs epoch-major, one pool launch per epoch: each launch
+    /// trains every (layer, predictor) pair as its own task on the epoch's
+    /// augmentation noise while its other tasks draw the next epoch's.
     /// Layers are independent and their sample shapes agree, so each layer
-    /// sees exactly the updates, in exactly the order, of a layer-by-layer
-    /// loop drawing its own copy of the same noise.
+    /// sees exactly the updates, in exactly the order, of a sequential
+    /// layer-by-layer loop drawing its own copy of the same noise, whatever
+    /// the pool width.
     pub fn calibrate(&mut self, batches: &[(Vec<u32>, usize, usize)]) -> CalibrationReport {
         let _span = lx_obs::Span::enter("engine.calibrate").cat("engine");
         let (attn_samples, mlp_samples) = {
@@ -263,30 +302,7 @@ impl FinetuneEngine {
         };
         {
             let _span = lx_obs::Span::enter("engine.calibrate.train").cat("engine");
-            // Every layer's samples have layer 0's shapes.
-            let attn_lens = attn_samples.first().into_iter().flatten();
-            let attn_lens: Vec<usize> = attn_lens.map(|s| s.pooled.len()).collect();
-            let mlp_lens = mlp_samples.first().into_iter().flatten();
-            let mlp_lens: Vec<usize> = mlp_lens.map(|s| s.x.len()).collect();
-            for e in 0..self.config.calib_epochs as u64 {
-                // These seeds repeat across (epoch, sample) pairs: attention
-                // sample si+1 of epoch e draws what sample si draws in epoch
-                // e+1, and an MLP sample repeats the draw of the sample 31
-                // epochs away. Changing them moves every calibrated weight
-                // (and the benchmark's final loss), so they stay as they are.
-                let attn_noise = draw_noise(attn_lens.iter().copied(), NOISE_STD, |si| {
-                    PREDICTOR_SEED + e + si as u64
-                });
-                let mlp_noise = draw_noise(mlp_lens.iter().copied(), NOISE_STD, |si| {
-                    PREDICTOR_SEED + 1000 + e + 31 * si as u64
-                });
-                let predictors = self.predicted.attn.iter_mut().zip(&mut self.predicted.mlp);
-                let samples = attn_samples.iter().zip(&mlp_samples);
-                for ((attn, mlp), (attn_layer, mlp_layer)) in predictors.zip(samples) {
-                    attn.train_epoch(attn_layer, &attn_noise, PREDICTOR_LR, POS_WEIGHT);
-                    mlp.train_epoch(mlp_layer, &mlp_noise, PREDICTOR_LR, POS_WEIGHT);
-                }
-            }
+            self.train_predictors(&attn_samples, &mlp_samples);
         }
         let _span = lx_obs::Span::enter("engine.calibrate.evaluate").cat("engine");
         let mut report = CalibrationReport::default();
@@ -307,6 +323,84 @@ impl FinetuneEngine {
         // the pre-calibration predictors must not be replayed.
         self.predicted.invalidate_plan_cache();
         report
+    }
+
+    /// Calibration's train phase: `calib_epochs` epochs, one pool launch
+    /// each. The launch of epoch `e` holds its 2·L `train_epoch` tasks, one
+    /// per (layer, attention | MLP predictor), reading one half of a double
+    /// buffer of noise, plus one task per sample drawing epoch `e+1`'s noise
+    /// into the other half; a draw-only launch fills epoch 0's half first.
+    ///
+    /// A task runs on one thread from start to end, so its GEMMs take the
+    /// sequential path (a pool task is a worker to
+    /// `lx_kernels::sequential_mode`) and each predictor's updates keep
+    /// their order: the result does not depend on the pool width. Every
+    /// training task recycles its temporaries through a [`Workspace`] of its
+    /// own that lives for the whole phase, and the noise buffers keep their
+    /// capacity, so epochs after the first allocate nothing.
+    fn train_predictors(
+        &mut self,
+        attn_samples: &[Vec<AttnSample>],
+        mlp_samples: &[Vec<MlpSample>],
+    ) {
+        // Every layer's samples have layer 0's shapes.
+        let attn_lens = attn_samples.first().into_iter().flatten();
+        let attn_lens: Vec<usize> = attn_lens.map(|s| s.pooled.len()).collect();
+        let mlp_lens = mlp_samples.first().into_iter().flatten();
+        let mlp_lens: Vec<usize> = mlp_lens.map(|s| s.x.len()).collect();
+        let empty_noise = || EpochNoise {
+            attn: vec![Vec::new(); attn_lens.len()],
+            mlp: vec![Vec::new(); mlp_lens.len()],
+        };
+        let mut noise = [empty_noise(), empty_noise()];
+        let layers = self.predicted.attn.len();
+        let mut workspaces: Vec<Workspace> = (0..2 * layers).map(|_| Workspace::new()).collect();
+        let epochs = self.config.calib_epochs as u64;
+        // Launch `k` trains epoch `k − 1` and draws epoch `k`.
+        for launch in 0..=epochs {
+            let [even, odd] = &mut noise;
+            let (drawn, next) = if launch % 2 == 0 {
+                (&*odd, even)
+            } else {
+                (&*even, odd)
+            };
+            let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+            if launch > 0 {
+                // The heavier MLP trainings go first.
+                let (attn_ws, mlp_ws) = workspaces.split_at_mut(layers);
+                let mlp = self.predicted.mlp.iter_mut().zip(mlp_samples);
+                for (l, ((pred, samples), ws)) in mlp.zip(mlp_ws).enumerate() {
+                    let train =
+                        move || pred.train_epoch(samples, &drawn.mlp, PREDICTOR_LR, POS_WEIGHT);
+                    tasks.push(train_task("engine.calibrate.train.mlp", l, ws, train));
+                }
+                let attn = self.predicted.attn.iter_mut().zip(attn_samples);
+                for (l, ((pred, samples), ws)) in attn.zip(attn_ws).enumerate() {
+                    let train =
+                        move || pred.train_epoch(samples, &drawn.attn, PREDICTOR_LR, POS_WEIGHT);
+                    tasks.push(train_task("engine.calibrate.train.attn", l, ws, train));
+                }
+            }
+            if launch < epochs {
+                // These seeds repeat across (epoch, sample) pairs: attention
+                // sample si+1 of epoch e draws what sample si draws in epoch
+                // e+1, and an MLP sample repeats the draw of the sample 31
+                // epochs away. Changing them moves every calibrated weight
+                // (and the benchmark's final loss), so they stay as they are.
+                let e = launch;
+                for (si, (buf, &len)) in next.mlp.iter_mut().zip(&mlp_lens).enumerate() {
+                    let seed = PREDICTOR_SEED + 1000 + e + 31 * si as u64;
+                    let span = "engine.calibrate.train.noise.mlp";
+                    tasks.push(draw_task(span, si, buf, len, seed));
+                }
+                for (si, (buf, &len)) in next.attn.iter_mut().zip(&attn_lens).enumerate() {
+                    let seed = PREDICTOR_SEED + e + si as u64;
+                    let span = "engine.calibrate.train.noise.attn";
+                    tasks.push(draw_task(span, si, buf, len, seed));
+                }
+            }
+            lx_tensor::pool().run_scoped(tasks);
+        }
     }
 
     /// Dense capture passes on `batches` and the exposer's targets: each
@@ -348,33 +442,23 @@ impl FinetuneEngine {
                 let block_input = cap.block_input.as_ref().expect("capture input");
                 let pooled = pool_blocks(block_input, batch, eff, blk);
                 if let Some(probs) = &cap.attn_probs {
-                    for (b, pooled_b) in pooled.iter().enumerate() {
-                        // Slice this batch element's probabilities.
-                        let start = b * heads * eff;
-                        let slice = Tensor::from_vec(
-                            probs.as_slice()[start * eff..(start + heads * eff) * eff].to_vec(),
-                            &[heads * eff, eff],
-                        );
-                        let targets = exposer.attention_head_masks(&slice, 1, heads, eff);
+                    // Each batch element's rows of the capture, read in place.
+                    let per_batch = heads * eff * eff;
+                    let elements = probs.as_slice().chunks_exact(per_batch);
+                    for (pooled_b, probs_b) in pooled.into_iter().zip(elements) {
                         attn_samples[l].push(AttnSample {
-                            pooled: pooled_b.clone(),
-                            targets,
+                            pooled: pooled_b,
+                            targets: exposer.attention_head_masks(probs_b, heads, eff),
                         });
                     }
                 }
                 if let Some(acts) = &cap.mlp_activations {
-                    for b in 0..batch {
-                        let x = Tensor::from_vec(
-                            block_input.as_slice()
-                                [b * eff * block_input.cols()..(b + 1) * eff * block_input.cols()]
-                                .to_vec(),
-                            &[eff, block_input.cols()],
-                        );
-                        let acts_b = Tensor::from_vec(
-                            acts.as_slice()[b * eff * d_ff..(b + 1) * eff * d_ff].to_vec(),
-                            &[eff, d_ff],
-                        );
-                        let reduced = exposer.mlp_filter(&exposer.mlp_block_importance(&acts_b));
+                    let d = block_input.cols();
+                    let xs = block_input.as_slice().chunks_exact(eff * d);
+                    for (x_b, acts_b) in xs.zip(acts.as_slice().chunks_exact(eff * d_ff)) {
+                        let x = Tensor::from_vec(x_b.to_vec(), &[eff, d]);
+                        let reduced =
+                            exposer.mlp_filter(&exposer.mlp_block_importance(acts_b, d_ff));
                         mlp_samples[l].push(MlpSample { x, reduced });
                     }
                 }
@@ -621,7 +705,7 @@ impl FinetuneEngine {
             .enumerate()
             .map(|(l, cap)| {
                 let probs = cap.attn_probs.as_ref().expect("attn capture");
-                let head_masks = exposer.attention_head_masks(probs, batch, heads, eff);
+                let head_masks = exposer.attention_head_masks(probs.as_slice(), heads, eff);
                 let union = Exposer::attention_union_mask(&head_masks);
                 let shadowy_attn = Exposer::causal_relative_sparsity(&union);
                 // Long Exposure: head-specific pooled patterns.
@@ -634,7 +718,7 @@ impl FinetuneEngine {
                     1.0 - total_cost / (causal_cost * heads as f32)
                 };
                 let (shadowy_mlp, lx_mlp) = if let Some(acts) = &cap.mlp_activations {
-                    let imp = exposer.mlp_block_importance(acts);
+                    let imp = exposer.mlp_block_importance(acts.as_slice(), acts.cols());
                     let sweep = mlp_thresholds
                         .iter()
                         .map(|&th| {
@@ -663,6 +747,7 @@ impl FinetuneEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::draw_noise;
     use lx_model::{prompt_aware_targets, ModelConfig, Sgd};
     use lx_peft::PeftMethod;
 
@@ -712,13 +797,17 @@ mod tests {
         );
     }
 
+    /// Pooled == sequential: `calibrate` trains each (layer, predictor) as
+    /// a pool task, one launch per epoch, with the next epoch's noise drawn
+    /// in the same launch; the oracle runs on this thread, layer by layer.
+    /// CI runs it at 1, 2 and 4 pool threads on every ISA arm.
     #[test]
     fn epoch_major_calibration_matches_the_layer_major_loop_bitwise() {
         let batches = [batch(1), batch(2)];
         let mut epoch_major = small_engine();
         epoch_major.calibrate(&batches);
-        // The loop calibration ran before: layer by layer, each layer drawing
-        // its own copy of every epoch's noise.
+        // The sequential loop calibration ran before: layer by layer, each
+        // layer drawing its own copy of every epoch's noise.
         let mut layer_major = small_engine();
         let (attn, mlp) = layer_major.calibration_samples(&batches);
         let c = layer_major.config.clone();

@@ -42,27 +42,23 @@ impl Exposer {
 
     // ---------------- Attention ----------------
 
-    /// Per-head important-block masks from dense probabilities
-    /// (head-major `[B·h·S, S]`). A block is active if any sample in the
-    /// batch puts a probability ≥ threshold anywhere inside it.
-    pub fn attention_head_masks(
-        &self,
-        probs: &Tensor,
-        batch: usize,
-        heads: usize,
-        seq: usize,
-    ) -> Vec<BlockMask> {
-        assert_eq!(probs.rows(), batch * heads * seq, "probs rows");
-        assert_eq!(probs.cols(), seq, "probs width");
+    /// Per-head important-block masks from dense probabilities: `probs` is
+    /// head-major `[B·h·S, S]` rows for any whole number `B` of batch
+    /// elements — a capture's whole probabilities or one element's row range
+    /// of them. A block is active if any of those elements puts a
+    /// probability ≥ threshold anywhere inside it.
+    pub fn attention_head_masks(&self, probs: &[f32], heads: usize, seq: usize) -> Vec<BlockMask> {
+        let per_batch = heads * seq * seq;
+        assert!(
+            per_batch > 0 && probs.len().is_multiple_of(per_batch),
+            "probs must be whole [h·S, S] batch elements"
+        );
         assert_eq!(seq % self.block_size, 0, "seq must be block-aligned");
         let n = seq / self.block_size;
         let mut masks = vec![BlockMask::square(n); heads];
-        for b in 0..batch {
-            #[allow(clippy::needless_range_loop)]
-            for h in 0..heads {
-                let mask = &mut masks[h];
-                for s in 0..seq {
-                    let row = probs.row((b * heads + h) * seq + s);
+        for element in probs.chunks_exact(per_batch) {
+            for (mask, head) in masks.iter_mut().zip(element.chunks_exact(seq * seq)) {
+                for (s, row) in head.chunks_exact(seq).enumerate() {
                     let br = s / self.block_size;
                     for (j, &p) in row.iter().enumerate() {
                         if p >= self.attn_prob_threshold {
@@ -111,16 +107,19 @@ impl Exposer {
     // ---------------- MLP ----------------
 
     /// Per-block importance: max |activation| over all rows and neurons in
-    /// the block. (`acts` is `[rows, d_ff]` post-ReLU.)
-    pub fn mlp_block_importance(&self, acts: &Tensor) -> Vec<f32> {
-        let d_ff = acts.cols();
+    /// the block. `acts` is post-ReLU `[rows, d_ff]` rows — a whole capture
+    /// or a row range of one.
+    pub fn mlp_block_importance(&self, acts: &[f32], d_ff: usize) -> Vec<f32> {
         assert_eq!(d_ff % self.block_size, 0, "d_ff must be block-aligned");
+        assert!(
+            d_ff > 0 && acts.len().is_multiple_of(d_ff),
+            "acts must be whole rows"
+        );
         let n_blk = d_ff / self.block_size;
         let mut imp = vec![0.0f32; n_blk];
-        for r in 0..acts.rows() {
-            let row = acts.row(r);
-            for (blk, imp_v) in imp.iter_mut().enumerate() {
-                for &v in &row[blk * self.block_size..(blk + 1) * self.block_size] {
+        for row in acts.chunks_exact(d_ff) {
+            for (imp_v, blk) in imp.iter_mut().zip(row.chunks_exact(self.block_size)) {
+                for &v in blk {
                     if v.abs() > *imp_v {
                         *imp_v = v.abs();
                     }
@@ -201,7 +200,7 @@ mod tests {
         probs.row_mut(5)[1] = 0.9;
         // Head 1: heavy score at (row 8+7, col 6) -> block (1, 1).
         probs.row_mut(8 + 7)[6] = 0.5;
-        let masks = exposer().attention_head_masks(&probs, batch, heads, seq);
+        let masks = exposer().attention_head_masks(probs.as_slice(), heads, seq);
         assert!(masks[0].get(1, 0));
         assert!(!masks[1].get(1, 0));
         assert!(masks[1].get(1, 1));
@@ -220,7 +219,7 @@ mod tests {
                 probs.row_mut(h * seq + s)[col] = 0.8;
             }
         }
-        let masks = exposer().attention_head_masks(&probs, batch, heads, seq);
+        let masks = exposer().attention_head_masks(probs.as_slice(), heads, seq);
         let union = Exposer::attention_union_mask(&masks);
         let mean_head: f32 = masks.iter().map(|m| m.count() as f32).sum::<f32>() / heads as f32;
         assert!(
@@ -228,6 +227,38 @@ mod tests {
             "union {} vs mean head {mean_head}",
             union.count()
         );
+    }
+
+    /// A batch's masks are the union of its elements' masks, and each
+    /// element's masks and importances read from its row range of the
+    /// capture equal those of an owned copy of those rows.
+    #[test]
+    fn row_ranges_read_what_copies_read() {
+        let (batch, heads, seq, d_ff) = (3, 2, 8, 12);
+        let probs = Tensor::rand_uniform(&[batch * heads * seq, seq], 0.0, 0.2, 7);
+        let acts = Tensor::rand_uniform(&[batch * seq, d_ff], 0.0, 1.0, 8);
+        let e = exposer();
+        let mut union = vec![BlockMask::square(seq / 4); heads];
+        for b in 0..batch {
+            let range = b * heads * seq * seq..(b + 1) * heads * seq * seq;
+            let copy = Tensor::from_vec(
+                probs.as_slice()[range.clone()].to_vec(),
+                &[heads * seq, seq],
+            );
+            let masks = e.attention_head_masks(&probs.as_slice()[range], heads, seq);
+            assert_eq!(masks, e.attention_head_masks(copy.as_slice(), heads, seq));
+            for (u, m) in union.iter_mut().zip(&masks) {
+                u.union_with(m);
+            }
+            let rows = &acts.as_slice()[b * seq * d_ff..(b + 1) * seq * d_ff];
+            let copy = Tensor::from_vec(rows.to_vec(), &[seq, d_ff]);
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(e.mlp_block_importance(rows, d_ff)),
+                bits(e.mlp_block_importance(copy.as_slice(), d_ff))
+            );
+        }
+        assert_eq!(union, e.attention_head_masks(probs.as_slice(), heads, seq));
     }
 
     #[test]
@@ -247,7 +278,7 @@ mod tests {
         let mut acts = Tensor::zeros(&[2, 12]);
         acts.row_mut(0)[1] = 10.0;
         acts.row_mut(1)[5] = 0.01;
-        let imp = e.mlp_block_importance(&acts);
+        let imp = e.mlp_block_importance(acts.as_slice(), 12);
         assert_eq!(imp, vec![10.0, 0.01, 0.0]);
         let set = e.mlp_filter(&imp);
         // Threshold 5% of peak = 0.5: only block 0 survives.

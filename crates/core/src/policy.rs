@@ -427,7 +427,9 @@ impl SparsityPolicy for OraclePolicy {
         let mut plan = SparsePlan::dense(model.config.n_layers);
         for (layer, cap) in caps.iter().enumerate() {
             if let Some(probs) = &cap.attn_probs {
-                let masks = self.exposer.attention_head_masks(probs, batch, heads, eff);
+                let masks = self
+                    .exposer
+                    .attention_head_masks(probs.as_slice(), heads, eff);
                 let specs: Vec<PatternSpec> = masks
                     .iter()
                     .map(|m| self.pool.best_match(m, ATTN_MIN_RECALL).0)
@@ -435,7 +437,9 @@ impl SparsityPolicy for OraclePolicy {
                 plan.layers[layer].attn = Some(Arc::new(self.pool.combine(n, &specs)));
             }
             if let Some(acts) = &cap.mlp_activations {
-                let imp = self.exposer.mlp_block_importance(acts);
+                let imp = self
+                    .exposer
+                    .mlp_block_importance(acts.as_slice(), acts.cols());
                 plan.layers[layer].mlp = Some(Arc::new(self.exposer.mlp_filter(&imp)));
             }
         }

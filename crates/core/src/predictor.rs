@@ -64,8 +64,9 @@ pub fn pool_blocks(x: &Tensor, batch: usize, seq: usize, block: usize) -> Vec<Te
 
 /// One epoch's augmentation noise: buffer `si` holds `lens[si]` draws of
 /// N(0, std²) from seed `seed(si)`. Empty when `std` is not positive, and
-/// training then runs on the clean inputs. Every layer trains on the same
-/// draw, so calibration makes it once per epoch, not once per layer.
+/// training then runs on the clean inputs. Calibration draws the same
+/// buffers in place, one pool task per sample, and every layer trains on
+/// them.
 pub fn draw_noise(
     lens: impl IntoIterator<Item = usize>,
     std: f32,

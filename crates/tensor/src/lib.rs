@@ -14,6 +14,9 @@ mod tensor;
 pub mod workspace;
 
 pub use lx_kernels::Dtype;
+/// The process-wide worker pool every kernel here runs on, for callers that
+/// launch their own task groups onto it.
+pub use lx_parallel::pool;
 pub use reduced::{BRef, Reduced};
 pub use tensor::Tensor;
 pub use workspace::{Workspace, WorkspaceStats};

@@ -8,20 +8,26 @@ use rand::{Rng, SeedableRng};
 
 /// Standard-normal samples scaled by `std`.
 pub fn randn_vec(len: usize, std: f32, seed: u64) -> Vec<f32> {
+    let mut out = vec![0.0; len];
+    randn_into(&mut out, std, seed);
+    out
+}
+
+/// Fill `out` with the sequence [`randn_vec`]`(out.len(), std, seed)`
+/// returns, without allocating.
+pub fn randn_into(out: &mut [f32], std: f32, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     // Box-Muller; avoids pulling in rand_distr just for gaussians.
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
+    for pair in out.chunks_mut(2) {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        out.push(r * theta.cos() * std);
-        if out.len() < len {
-            out.push(r * theta.sin() * std);
+        pair[0] = r * theta.cos() * std;
+        if let Some(v) = pair.get_mut(1) {
+            *v = r * theta.sin() * std;
         }
     }
-    out
 }
 
 /// Uniform samples in `[lo, hi)`.
@@ -67,5 +73,34 @@ mod tests {
     #[test]
     fn odd_length_randn() {
         assert_eq!(randn_vec(7, 1.0, 3).len(), 7);
+    }
+
+    /// The fill draws exactly the sequence the old push loop drew, odd
+    /// lengths included, and overwrites whatever the buffer held.
+    #[test]
+    fn randn_into_matches_the_push_loop_bitwise() {
+        let push_loop = |len: usize, std: f32, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+                let u2: f32 = rng.gen_range(0.0..1.0);
+                let r = (-2.0 * u1.ln()).sqrt();
+                let theta = 2.0 * std::f32::consts::PI * u2;
+                out.push(r * theta.cos() * std);
+                if out.len() < len {
+                    out.push(r * theta.sin() * std);
+                }
+            }
+            out
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (len, seed) in [(0, 1), (1, 2), (7, 3), (8, 4), (1001, 5)] {
+            let want = push_loop(len, 0.02, seed);
+            let mut buf = vec![f32::NAN; len];
+            randn_into(&mut buf, 0.02, seed);
+            assert_eq!(bits(&buf), bits(&want), "len {len}");
+            assert_eq!(bits(&randn_vec(len, 0.02, seed)), bits(&want), "len {len}");
+        }
     }
 }

@@ -35,7 +35,7 @@ fn main() {
     for (l, cap) in caps.iter().enumerate() {
         println!("=== layer {l} ===");
         let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs, batch, cfg.n_heads, seq);
+        let masks = exposer.attention_head_masks(probs.as_slice(), cfg.n_heads, seq);
         for (h, m) in masks.iter().enumerate() {
             println!(
                 "head {h}: {} active blocks, causal-relative sparsity {:.2}",
@@ -58,7 +58,7 @@ fn main() {
             Exposer::mlp_per_token_sparsity(acts),
             Exposer::mlp_union_sparsity(acts),
         );
-        let imp = exposer.mlp_block_importance(acts);
+        let imp = exposer.mlp_block_importance(acts.as_slice(), acts.cols());
         for th in [0.01f32, 0.02, 0.05] {
             let e = Exposer::new(block, 0.05, th);
             let set = e.mlp_filter(&imp);

@@ -286,7 +286,9 @@ fn serve_shutdown_dumps_a_valid_chrome_trace() {
 
 /// Calibration's three phases are child spans of `engine.calibrate`, so its
 /// seconds of set-up split into capture, predictor training and evaluation
-/// from the trace alone.
+/// from the trace alone. Inside the train span, every epoch's launch records
+/// one span per (layer, predictor) task and one per noise draw, on whichever
+/// thread ran it.
 #[test]
 fn calibration_phases_nest_under_engine_calibrate() {
     let _guard = obs_lock();
@@ -321,6 +323,32 @@ fn calibration_phases_nest_under_engine_calibrate() {
         "phases {phases_ns} ns > calibration {} ns",
         parent[0].dur_ns
     );
+    let train = trace.named("engine.calibrate.train")[0];
+    let within = |r: &SpanRecord| r.start_ns >= train.start_ns && r.end_ns() <= train.end_ns();
+    let layers = ModelConfig::test_tiny().n_layers;
+    for predictor in ["attn", "mlp"] {
+        let tasks = trace.named(&format!("engine.calibrate.train.{predictor}"));
+        assert_eq!(
+            tasks.len(),
+            3 * layers,
+            "one {predictor} task per epoch and layer"
+        );
+        assert!(
+            tasks.iter().all(|r| within(r)),
+            "{predictor} task outside train"
+        );
+        for l in 0..layers as u32 {
+            let per_layer = tasks.iter().filter(|r| r.layer == Some(l)).count();
+            assert_eq!(per_layer, 3, "{predictor} tasks of layer {l}");
+        }
+        // One batch of BATCH elements: one draw per element and epoch.
+        let draws = trace.named(&format!("engine.calibrate.train.noise.{predictor}"));
+        assert_eq!(draws.len(), 3 * BATCH, "{predictor} noise draws");
+        assert!(
+            draws.iter().all(|r| within(r)),
+            "{predictor} draw outside train"
+        );
+    }
 }
 
 /// A grouped launch is **one** `kernel.gemm.calls` (classed by the whole

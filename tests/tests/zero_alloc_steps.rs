@@ -233,6 +233,32 @@ fn steady_state_holds_across_micro_batches() {
     assert!(ws.hits > 0 && ws.recycled > 0, "{ws:?}");
 }
 
+/// Calibration's train phase recycles every predictor temporary through a
+/// workspace per (layer, predictor) task and refills its noise buffers in
+/// place, so epochs after the first allocate no tensors: calibrating with 2
+/// epochs and with 6 performs the same number of fresh allocations.
+#[test]
+fn calibration_epochs_after_warm_up_allocate_nothing() {
+    let _guard = alloc_lock();
+    let fresh_allocs = |calib_epochs: usize| {
+        let model = TransformerModel::new(ModelConfig::test_tiny(), 9);
+        let config = EngineConfig {
+            block_size: BLOCK,
+            calib_epochs,
+            ..EngineConfig::default()
+        };
+        let mut engine = FinetuneEngine::new(model, config);
+        let ids: Vec<u32> = (0..(BATCH * SEQ) as u32).map(|i| (i * 7) % 64).collect();
+        let mark = memtrack::alloc_stats();
+        let report = engine.calibrate(&[(ids, BATCH, SEQ)]);
+        assert!(!report.attn_recall.is_empty() && !report.mlp_recall.is_empty());
+        memtrack::alloc_stats().since(&mark).count
+    };
+    let (two, six) = (fresh_allocs(2), fresh_allocs(6));
+    assert!(two > 0, "capture and the first epoch allocate");
+    assert_eq!(two, six, "epochs 3..6 must not heap-allocate tensors");
+}
+
 fn small_engine(refresh: PlanRefreshConfig) -> FinetuneEngine {
     let mut cfg = ModelConfig::test_tiny();
     cfg.d_ff = 32;
