@@ -92,6 +92,7 @@ fn main() {
     let pooled = pool_blocks(block_input, batch, seq, SIM_BLOCK);
     let eff = seq;
     let mut samples = Vec::new();
+    assert_eq!(probs.shape(), [batch * cfg.n_heads * eff, eff]);
     let per_batch = cfg.n_heads * eff * eff;
     for (pooled_b, probs_b) in pooled
         .into_iter()
@@ -99,7 +100,7 @@ fn main() {
     {
         samples.push(AttnSample {
             pooled: pooled_b,
-            targets: exposer.attention_head_masks(probs_b, cfg.n_heads, eff),
+            targets: exposer.attention_head_masks(probs_b, 1, cfg.n_heads, eff),
         });
     }
     header(&["training variant", "recall", "precision"]);

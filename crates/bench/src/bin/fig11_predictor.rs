@@ -127,7 +127,7 @@ fn main() {
         .expect("capture mode records captures");
     let exposer = Exposer::new(SIM_BLOCK, 8.0 / seq as f32, 0.3);
     let probs = caps[0].attn_probs.as_ref().unwrap();
-    let target = &exposer.attention_head_masks(probs.as_slice(), cfg.n_heads, seq)[0];
+    let target = &exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq)[0];
     println!("layer 0 head 0 — target (left) vs prediction (right):");
     let x = caps[0].block_input.as_ref().unwrap();
     let predicted = &engine.predict_attention_masks(0, x, batch, seq)[0];

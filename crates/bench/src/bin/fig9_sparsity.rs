@@ -126,7 +126,7 @@ fn main() {
         let k = randn_vec(seq * dh, 1.0, l as u64 + 1);
         let v = randn_vec(seq * dh, 1.0, l as u64 + 2);
         let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs.as_slice(), cfg.n_heads, seq);
+        let masks = exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq);
         let union = Exposer::attention_union_mask(&masks);
         let union_layout = BlockCsr::from_mask(&union, block);
         let lx_layouts: Vec<_> = masks

@@ -441,18 +441,20 @@ impl FinetuneEngine {
             for (l, cap) in caps.iter().enumerate() {
                 let block_input = cap.block_input.as_ref().expect("capture input");
                 let pooled = pool_blocks(block_input, batch, eff, blk);
+                assert_eq!(pooled.len(), batch, "one pooled input per element");
                 if let Some(probs) = &cap.attn_probs {
                     // Each batch element's rows of the capture, read in place.
-                    let per_batch = heads * eff * eff;
-                    let elements = probs.as_slice().chunks_exact(per_batch);
+                    assert_eq!(probs.shape(), [batch * heads * eff, eff], "probs shape");
+                    let elements = probs.as_slice().chunks_exact(heads * eff * eff);
                     for (pooled_b, probs_b) in pooled.into_iter().zip(elements) {
                         attn_samples[l].push(AttnSample {
                             pooled: pooled_b,
-                            targets: exposer.attention_head_masks(probs_b, heads, eff),
+                            targets: exposer.attention_head_masks(probs_b, 1, heads, eff),
                         });
                     }
                 }
                 if let Some(acts) = &cap.mlp_activations {
+                    assert_eq!(acts.shape(), [batch * eff, d_ff], "activations shape");
                     let d = block_input.cols();
                     let xs = block_input.as_slice().chunks_exact(eff * d);
                     for (x_b, acts_b) in xs.zip(acts.as_slice().chunks_exact(eff * d_ff)) {
@@ -705,7 +707,7 @@ impl FinetuneEngine {
             .enumerate()
             .map(|(l, cap)| {
                 let probs = cap.attn_probs.as_ref().expect("attn capture");
-                let head_masks = exposer.attention_head_masks(probs.as_slice(), heads, eff);
+                let head_masks = exposer.attention_head_masks(probs.as_slice(), batch, heads, eff);
                 let union = Exposer::attention_union_mask(&head_masks);
                 let shadowy_attn = Exposer::causal_relative_sparsity(&union);
                 // Long Exposure: head-specific pooled patterns.

@@ -43,15 +43,21 @@ impl Exposer {
     // ---------------- Attention ----------------
 
     /// Per-head important-block masks from dense probabilities: `probs` is
-    /// head-major `[B·h·S, S]` rows for any whole number `B` of batch
-    /// elements — a capture's whole probabilities or one element's row range
-    /// of them. A block is active if any of those elements puts a
-    /// probability ≥ threshold anywhere inside it.
-    pub fn attention_head_masks(&self, probs: &[f32], heads: usize, seq: usize) -> Vec<BlockMask> {
+    /// head-major `[batch·h·S, S]` — a capture's whole probabilities, or the
+    /// row range of `batch` of its elements. A block is active if any of
+    /// those elements puts a probability ≥ threshold anywhere inside it.
+    pub fn attention_head_masks(
+        &self,
+        probs: &[f32],
+        batch: usize,
+        heads: usize,
+        seq: usize,
+    ) -> Vec<BlockMask> {
         let per_batch = heads * seq * seq;
-        assert!(
-            per_batch > 0 && probs.len().is_multiple_of(per_batch),
-            "probs must be whole [h·S, S] batch elements"
+        assert_eq!(
+            probs.len(),
+            batch * per_batch,
+            "probs must be [batch·h·S, S]"
         );
         assert_eq!(seq % self.block_size, 0, "seq must be block-aligned");
         let n = seq / self.block_size;
@@ -200,7 +206,7 @@ mod tests {
         probs.row_mut(5)[1] = 0.9;
         // Head 1: heavy score at (row 8+7, col 6) -> block (1, 1).
         probs.row_mut(8 + 7)[6] = 0.5;
-        let masks = exposer().attention_head_masks(probs.as_slice(), heads, seq);
+        let masks = exposer().attention_head_masks(probs.as_slice(), batch, heads, seq);
         assert!(masks[0].get(1, 0));
         assert!(!masks[1].get(1, 0));
         assert!(masks[1].get(1, 1));
@@ -219,7 +225,7 @@ mod tests {
                 probs.row_mut(h * seq + s)[col] = 0.8;
             }
         }
-        let masks = exposer().attention_head_masks(probs.as_slice(), heads, seq);
+        let masks = exposer().attention_head_masks(probs.as_slice(), batch, heads, seq);
         let union = Exposer::attention_union_mask(&masks);
         let mean_head: f32 = masks.iter().map(|m| m.count() as f32).sum::<f32>() / heads as f32;
         assert!(
@@ -245,8 +251,11 @@ mod tests {
                 probs.as_slice()[range.clone()].to_vec(),
                 &[heads * seq, seq],
             );
-            let masks = e.attention_head_masks(&probs.as_slice()[range], heads, seq);
-            assert_eq!(masks, e.attention_head_masks(copy.as_slice(), heads, seq));
+            let masks = e.attention_head_masks(&probs.as_slice()[range], 1, heads, seq);
+            assert_eq!(
+                masks,
+                e.attention_head_masks(copy.as_slice(), 1, heads, seq)
+            );
             for (u, m) in union.iter_mut().zip(&masks) {
                 u.union_with(m);
             }
@@ -258,7 +267,10 @@ mod tests {
                 bits(e.mlp_block_importance(copy.as_slice(), d_ff))
             );
         }
-        assert_eq!(union, e.attention_head_masks(probs.as_slice(), heads, seq));
+        assert_eq!(
+            union,
+            e.attention_head_masks(probs.as_slice(), batch, heads, seq)
+        );
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl SparsityPolicy for OraclePolicy {
             if let Some(probs) = &cap.attn_probs {
                 let masks = self
                     .exposer
-                    .attention_head_masks(probs.as_slice(), heads, eff);
+                    .attention_head_masks(probs.as_slice(), batch, heads, eff);
                 let specs: Vec<PatternSpec> = masks
                     .iter()
                     .map(|m| self.pool.best_match(m, ATTN_MIN_RECALL).0)

@@ -70,8 +70,6 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-mod transpose;
-
 /// Register tile height of the 6×16 arms (scalar/AVX2/NEON); also the unit
 /// the cache-model rounds MC to. The AVX-512 arm uses its own 14×32 tile.
 pub const MR: usize = 6;
@@ -89,21 +87,12 @@ const SINGLE_USE: usize = 16;
 /// conversion during the O(k·n) pack, not per O(m·k·n) FLOP.
 pub(crate) trait PackElem: Copy + Sync {
     fn to_f32(self) -> f32;
-
-    /// The slice itself when the elements already are f32.
-    fn as_f32(_: &[Self]) -> Option<&[f32]> {
-        None
-    }
 }
 
 impl PackElem for f32 {
     #[inline(always)]
     fn to_f32(self) -> f32 {
         self
-    }
-
-    fn as_f32(s: &[f32]) -> Option<&[f32]> {
-        Some(s)
     }
 }
 
@@ -125,12 +114,6 @@ pub(crate) trait PackSrc: Sync {
     /// Dequantized/decoded f32 value of element `idx` of the row-major
     /// buffer.
     fn load(&self, idx: usize) -> f32;
-
-    /// The buffer as plain f32 elements, when it is stored that way: such
-    /// a B takes the block-transposing fill ([`transpose`]).
-    fn as_f32(&self) -> Option<&[f32]> {
-        None
-    }
 }
 
 /// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand:
@@ -157,8 +140,7 @@ fn fill_normal_elementwise<S: PackSrc + ?Sized>(
 
 /// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
 /// `dst[p·nr + j] = element(col0+j, pc+p)`. Lanes past `width` are left as
-/// they are. f16 and NF4 operands pack through it; f32 ones take
-/// [`transpose::fill`], which writes the same bits.
+/// they are.
 #[allow(clippy::too_many_arguments)]
 fn fill_transposed_elementwise<S: PackSrc + ?Sized>(
     b: &S,
@@ -182,10 +164,6 @@ impl<E: PackElem> PackSrc for [E] {
     #[inline(always)]
     fn load(&self, idx: usize) -> f32 {
         self[idx].to_f32()
-    }
-
-    fn as_f32(&self) -> Option<&[f32]> {
-        E::as_f32(self)
     }
 }
 
@@ -224,20 +202,14 @@ fn pack_b<S: PackSrc + ?Sized>(
     let panel_len = kc * nr;
     // Every lane is written below, so the buffer keeps its old contents.
     out.resize(panels * panel_len, 0.0);
-    let isa = active_isa();
     let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
         for (pi, panel) in prange.enumerate() {
             let j0 = panel * nr;
             let width = nr.min(nc - j0);
             let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            match (layout, b.as_f32()) {
-                (Layout::Normal, _) => {
-                    fill_normal_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr)
-                }
-                (Layout::Transposed, Some(bf)) => {
-                    transpose::fill(isa, bf, dst, ldb, pc, kc, jc + j0, width, nr)
-                }
-                (Layout::Transposed, None) => {
+            match layout {
+                Layout::Normal => fill_normal_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr),
+                Layout::Transposed => {
                     fill_transposed_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr)
                 }
             }
@@ -1082,7 +1054,6 @@ impl GroupPass<'_> {
             return;
         }
         let windows = g.table.b_windows();
-        let isa = active_isa();
         let panels = self.cols.div_ceil(nr) * self.b_slots;
         out.resize(panels * panel_len, 0.0);
         let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
@@ -1105,7 +1076,7 @@ impl GroupPass<'_> {
                             fill_normal_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
                         }
                         Layout::Transposed => {
-                            transpose::fill(isa, b, dst, g.b.ld, pc, kc, j, width, nr)
+                            fill_transposed_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
                         }
                     }
                     v += width;
@@ -1451,40 +1422,6 @@ mod tests {
             Tile::Scalar | Tile::Fused => true,
             Tile::Avx2 => Isa::Avx2.supported(),
             Tile::Avx512 | Tile::Avx512x16 => Isa::Avx512.supported(),
-        }
-    }
-
-    /// The block-transposing f32 fill writes exactly what the elementwise
-    /// fill writes — over widths, `kc` tails and operand and panel offsets,
-    /// on every arm this host runs — and leaves the lanes past `width`.
-    #[test]
-    fn transposed_fill_matches_the_elementwise_fill() {
-        let arms = [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon];
-        let sentinel = f32::from_bits(0x7fc0_beef);
-        for isa in arms.into_iter().filter(|isa| isa.supported()) {
-            for nr in [16, 32] {
-                for width in [1, 5, 8, 9, 15, 16, 17, 24, 31, 32] {
-                    if width > nr {
-                        continue;
-                    }
-                    for kc in [1, 7, 8, 9, 16, 17, 33, 40] {
-                        for (pc, col0, off) in [(0, 0, 0), (3, 2, 0), (5, 1, 3)] {
-                            let ldb = pc + kc + 2;
-                            let b = values((col0 + width) * ldb, (width * 64 + kc) as u64);
-                            let mut want = vec![sentinel; off + kc * nr];
-                            let mut got = want.clone();
-                            let dst = &mut want[off..];
-                            fill_transposed_elementwise(&b[..], dst, ldb, pc, kc, col0, width, nr);
-                            transpose::fill(isa, &b, &mut got[off..], ldb, pc, kc, col0, width, nr);
-                            let what = format!(
-                                "{} nr {nr} width {width} kc {kc} pc {pc} off {off}",
-                                isa.name()
-                            );
-                            assert_bits(&what, &got, &want);
-                        }
-                    }
-                }
-            }
         }
     }
 

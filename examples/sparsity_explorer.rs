@@ -35,7 +35,7 @@ fn main() {
     for (l, cap) in caps.iter().enumerate() {
         println!("=== layer {l} ===");
         let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs.as_slice(), cfg.n_heads, seq);
+        let masks = exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq);
         for (h, m) in masks.iter().enumerate() {
             println!(
                 "head {h}: {} active blocks, causal-relative sparsity {:.2}",
