@@ -10,7 +10,7 @@ use long_exposure::predictor::{draw_noise, pool_blocks, AttnPredictor, AttnSampl
 use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
-use lx_model::{CaptureConfig, ModelConfig};
+use lx_model::ModelConfig;
 use lx_tensor::gemm::{matmul, Epilogue, Layout};
 use lx_tensor::Tensor;
 use std::time::Instant;
@@ -72,37 +72,15 @@ fn main() {
     // ---- (b) training options quality ----
     println!("== Ablation (b): recall weighting + noise augmentation (§V-B) ==\n");
     let ids = batcher.next_batch(batch, seq);
-    let caps = model
-        .execute(lx_model::StepRequest::capture(
-            &ids,
-            batch,
-            seq,
-            CaptureConfig {
-                attn: true,
-                mlp: false,
-            },
-        ))
-        .captures
-        .expect("capture mode records captures");
     let exposer = Exposer::new(SIM_BLOCK, 8.0 / seq as f32, 0.3);
-    // Build per-sample attention training sets from layer 0.
-    let cap = &caps[0];
-    let block_input = cap.block_input.as_ref().unwrap();
-    let probs = cap.attn_probs.as_ref().unwrap();
-    let pooled = pool_blocks(block_input, batch, seq, SIM_BLOCK);
-    let eff = seq;
-    let mut samples = Vec::new();
-    assert_eq!(probs.shape(), [batch * cfg.n_heads * eff, eff]);
-    let per_batch = cfg.n_heads * eff * eff;
-    for (pooled_b, probs_b) in pooled
+    // Per-sample attention training sets from layer 0.
+    let layer0 = exposer.expose(&mut model, &ids, batch, seq).swap_remove(0);
+    let pooled = pool_blocks(&layer0.block_input, batch, seq, SIM_BLOCK);
+    let samples: Vec<AttnSample> = pooled
         .into_iter()
-        .zip(probs.as_slice().chunks_exact(per_batch))
-    {
-        samples.push(AttnSample {
-            pooled: pooled_b,
-            targets: exposer.attention_head_masks(probs_b, 1, cfg.n_heads, eff),
-        });
-    }
+        .zip(layer0.head_masks)
+        .map(|(pooled, targets)| AttnSample { pooled, targets })
+        .collect();
     header(&["training variant", "recall", "precision"]);
     for (name, pos_weight, noise) in [
         ("plain BCE", 1.0f32, 0.0f32),

@@ -9,7 +9,7 @@
 use long_exposure::engine::StepMode;
 use long_exposure::exposer::Exposer;
 use lx_bench::{calibrated_engine, header, row, SIM_BLOCK};
-use lx_model::{prompt_aware_targets, CaptureConfig, ModelConfig};
+use lx_model::{prompt_aware_targets, ModelConfig};
 use lx_peft::PeftMethod;
 
 fn main() {
@@ -112,25 +112,13 @@ fn main() {
 
     // Visualise ground-truth vs predicted mask for layer 0, head 0.
     let ids = batcher.next_batch(batch, seq);
-    let caps = engine
-        .model
-        .execute(lx_model::StepRequest::capture(
-            &ids,
-            batch,
-            seq,
-            CaptureConfig {
-                attn: true,
-                mlp: false,
-            },
-        ))
-        .captures
-        .expect("capture mode records captures");
     let exposer = Exposer::new(SIM_BLOCK, 8.0 / seq as f32, 0.3);
-    let probs = caps[0].attn_probs.as_ref().unwrap();
-    let target = &exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq)[0];
+    let layer0 = exposer
+        .expose(&mut engine.model, &ids, batch, seq)
+        .swap_remove(0);
+    let target = &layer0.batch_head_masks()[0];
     println!("layer 0 head 0 — target (left) vs prediction (right):");
-    let x = caps[0].block_input.as_ref().unwrap();
-    let predicted = &engine.predict_attention_masks(0, x, batch, seq)[0];
+    let predicted = &engine.predict_attention_masks(0, &layer0.block_input, batch, seq)[0];
     let ta = target.to_ascii();
     let pa = predicted.to_ascii();
     for (lt, lp) in ta.lines().zip(pa.lines()) {

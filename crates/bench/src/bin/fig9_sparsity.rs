@@ -15,7 +15,7 @@ use long_exposure::FinetuneEngine;
 use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
-use lx_model::{CaptureConfig, ModelConfig};
+use lx_model::ModelConfig;
 use lx_sparse::attention::{dsd, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::neuron::{fc1_forward, fc2_forward};
 use lx_sparse::scattered::{spmm, ElemCsr};
@@ -40,7 +40,6 @@ fn main() {
     let cli = lx_bench::BenchCli::parse("fig9_sparsity");
     let (batch, seq, block) = (2, 256, SIM_BLOCK);
     let cfg = ModelConfig::opt_sim_base();
-    let mut model = sim_model(cfg.clone(), 42);
     let world = SyntheticWorld::new(cfg.vocab_size as u32, 3);
     let mut batcher = Batcher::new(E2eGenerator::new(world).stream(100_000, 0));
     let ids = batcher.next_batch(batch, seq);
@@ -62,7 +61,10 @@ fn main() {
             ..EngineConfig::default()
         },
     );
-    let reports = engine.sparsity_report(&ids, batch, seq, &thresholds);
+    // One capture pass feeds both halves of the figure.
+    let exposer = engine.exposer();
+    let layers = exposer.expose(&mut engine.model, &ids, batch, seq);
+    let reports = engine.sparsity_report(&layers, &thresholds);
     header(&[
         "layer",
         "shadowy",
@@ -92,19 +94,6 @@ fn main() {
 
     // ---- Right: per-layer kernel performance ----
     println!("\n== Fig. 9 (right): per-layer kernel time, dense vs shadowy vs Long Exposure ==\n");
-    let caps = model
-        .execute(lx_model::StepRequest::capture(
-            &ids,
-            batch,
-            seq,
-            CaptureConfig {
-                attn: true,
-                mlp: true,
-            },
-        ))
-        .captures
-        .expect("capture mode records captures");
-    let exposer = Exposer::new(block, 8.0 / seq as f32, 0.3);
     let pool = PatternPool::default_pool(block, &[seq / block]);
     let dh = cfg.head_dim();
     let rows_n = batch * seq;
@@ -120,13 +109,12 @@ fn main() {
         "mlp LX ms",
         "LX speedup",
     ]);
-    for (l, cap) in caps.iter().enumerate() {
+    for (l, layer) in layers.iter().enumerate() {
         // Attention arms (single representative head workload × n_heads).
         let q = randn_vec(seq * dh, 1.0, l as u64);
         let k = randn_vec(seq * dh, 1.0, l as u64 + 1);
         let v = randn_vec(seq * dh, 1.0, l as u64 + 2);
-        let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq);
+        let masks = layer.batch_head_masks();
         let union = Exposer::attention_union_mask(&masks);
         let union_layout = BlockCsr::from_mask(&union, block);
         let lx_layouts: Vec<_> = masks
@@ -165,8 +153,7 @@ fn main() {
         let x = randn_vec(rows_n * cfg.d_model, 1.0, 90 + l as u64);
         let w1t = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 91 + l as u64);
         let w2 = randn_vec(cfg.d_ff * cfg.d_model, 0.05, 92 + l as u64);
-        let acts = cap.mlp_activations.as_ref().unwrap();
-        let set = exposer.mlp_filter(&exposer.mlp_block_importance(acts.as_slice(), acts.cols()));
+        let set = exposer.mlp_filter(&layer.batch_mlp_importance().unwrap());
         let dense_set = NeuronBlockSet::all(cfg.d_ff / block, block);
         let t_mlp_dense = time_it(|| {
             let mut z = vec![0.0f32; rows_n * cfg.d_ff];

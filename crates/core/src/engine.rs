@@ -12,16 +12,13 @@
 //! gradients across shards and run the optimizer once — the
 //! large-effective-batch scenario that also amortises predictor calls.
 
-use crate::exposer::Exposer;
+use crate::exposer::{Exposer, LayerExposure};
 use crate::policy::{
     DensePolicy, OraclePolicy, PlanRefreshConfig, PlanReuseStats, PredictedPolicy, RandomPolicy,
     RandomTarget, SparsityPolicy, ATTN_MIN_RECALL, MLP_THRESHOLD,
 };
 use crate::predictor::{pool_blocks, AttnSample, MlpSample};
-use lx_model::{
-    Activation, CaptureConfig, MicroBatch, Optimizer, PrepareHook, StepOutcome, StepRequest,
-    TransformerModel,
-};
+use lx_model::{MicroBatch, Optimizer, PrepareHook, StepOutcome, StepRequest, TransformerModel};
 use lx_sparse::{NeuronBlockSet, PatternPool, PatternSpec};
 use lx_tensor::{Tensor, Workspace};
 use std::time::{Duration, Instant};
@@ -280,10 +277,6 @@ impl FinetuneEngine {
         }
     }
 
-    fn mlp_sparsity_applicable(&self) -> bool {
-        self.model.config.activation == Activation::Relu
-    }
-
     /// Offline phase: dense capture passes on `batches` (each
     /// `(ids, batch, seq)`), exposer targets, predictor training.
     ///
@@ -403,66 +396,43 @@ impl FinetuneEngine {
         }
     }
 
+    /// The exposer of the engine's ground truth: its block size and
+    /// attention threshold, the MLP importance filter of the predictors.
+    pub fn exposer(&self) -> Exposer {
+        Exposer::new(
+            self.config.block_size,
+            self.config.attn_prob_threshold,
+            MLP_THRESHOLD,
+        )
+    }
+
     /// Dense capture passes on `batches` and the exposer's targets: each
     /// layer's attention and MLP predictor samples, one per batch element.
     fn calibration_samples(
         &mut self,
         batches: &[(Vec<u32>, usize, usize)],
     ) -> (Vec<Vec<AttnSample>>, Vec<Vec<MlpSample>>) {
-        let exposer = Exposer::new(
-            self.config.block_size,
-            self.config.attn_prob_threshold,
-            MLP_THRESHOLD,
-        );
+        let exposer = self.exposer();
         let n_layers = self.model.config.n_layers;
-        let heads = self.model.config.n_heads;
-        let d_ff = self.model.config.d_ff;
         let blk = self.config.block_size;
-        let mlp_on = self.mlp_sparsity_applicable();
         let mut attn_samples: Vec<Vec<AttnSample>> = (0..n_layers).map(|_| Vec::new()).collect();
         let mut mlp_samples: Vec<Vec<MlpSample>> = (0..n_layers).map(|_| Vec::new()).collect();
         for (ids, batch, seq) in batches {
             let (batch, seq) = (*batch, *seq);
             let eff = self.model.effective_seq(seq);
-            assert_eq!(eff % blk, 0, "effective seq {eff} must be block-aligned");
-            let caps = self
-                .model
-                .execute(StepRequest::capture(
-                    ids,
-                    batch,
-                    seq,
-                    CaptureConfig {
-                        attn: true,
-                        mlp: mlp_on,
-                    },
-                ))
-                .captures
-                .expect("capture mode records captures");
-            for (l, cap) in caps.iter().enumerate() {
-                let block_input = cap.block_input.as_ref().expect("capture input");
-                let pooled = pool_blocks(block_input, batch, eff, blk);
-                assert_eq!(pooled.len(), batch, "one pooled input per element");
-                if let Some(probs) = &cap.attn_probs {
-                    // Each batch element's rows of the capture, read in place.
-                    assert_eq!(probs.shape(), [batch * heads * eff, eff], "probs shape");
-                    let elements = probs.as_slice().chunks_exact(heads * eff * eff);
-                    for (pooled_b, probs_b) in pooled.into_iter().zip(elements) {
-                        attn_samples[l].push(AttnSample {
-                            pooled: pooled_b,
-                            targets: exposer.attention_head_masks(probs_b, 1, heads, eff),
-                        });
-                    }
+            let layers = exposer.expose(&mut self.model, ids, batch, seq);
+            for (l, layer) in layers.into_iter().enumerate() {
+                let x = &layer.block_input;
+                let pooled = pool_blocks(x, batch, eff, blk);
+                for (pooled, targets) in pooled.into_iter().zip(layer.head_masks) {
+                    attn_samples[l].push(AttnSample { pooled, targets });
                 }
-                if let Some(acts) = &cap.mlp_activations {
-                    assert_eq!(acts.shape(), [batch * eff, d_ff], "activations shape");
-                    let d = block_input.cols();
-                    let xs = block_input.as_slice().chunks_exact(eff * d);
-                    for (x_b, acts_b) in xs.zip(acts.as_slice().chunks_exact(eff * d_ff)) {
-                        let x = Tensor::from_vec(x_b.to_vec(), &[eff, d]);
-                        let reduced =
-                            exposer.mlp_filter(&exposer.mlp_block_importance(acts_b, d_ff));
-                        mlp_samples[l].push(MlpSample { x, reduced });
-                    }
+                let xs = x.as_slice().chunks_exact(eff * x.cols());
+                for (x_b, imp) in xs.zip(&layer.mlp_importance) {
+                    mlp_samples[l].push(MlpSample {
+                        x: Tensor::from_vec(x_b.to_vec(), &[eff, x.cols()]),
+                        reduced: exposer.mlp_filter(imp),
+                    });
                 }
             }
         }
@@ -663,35 +633,21 @@ impl FinetuneEngine {
         self.predicted.mlp[layer].predict(x)
     }
 
-    /// Fig. 9 per-layer sparsity analysis on one capture batch.
+    /// Fig. 9 per-layer sparsity analysis of one exposed batch (see
+    /// [`Self::exposer`]): the batch's head masks against fixed patterns and
+    /// the head-specific pool patterns, and its MLP importance filtered at
+    /// each of `mlp_thresholds`.
     pub fn sparsity_report(
-        &mut self,
-        ids: &[u32],
-        batch: usize,
-        seq: usize,
+        &self,
+        layers: &[LayerExposure],
         mlp_thresholds: &[f32],
     ) -> Vec<LayerSparsityReport> {
         let blk = self.config.block_size;
-        let eff = self.model.effective_seq(seq);
-        assert_eq!(eff % blk, 0);
-        let n = eff / blk;
-        let pool = PatternPool::default_pool(blk, &[n]);
         let heads = self.model.config.n_heads;
-        let mlp_on = self.model.config.activation == Activation::Relu;
-        let caps = self
-            .model
-            .execute(StepRequest::capture(
-                ids,
-                batch,
-                seq,
-                CaptureConfig {
-                    attn: true,
-                    mlp: mlp_on,
-                },
-            ))
-            .captures
-            .expect("capture mode records captures");
-        let exposer = Exposer::new(blk, self.config.attn_prob_threshold, MLP_THRESHOLD);
+        let Some(n) = layers.first().map(|l| l.head_masks[0][0].rows()) else {
+            return Vec::new();
+        };
+        let pool = PatternPool::default_pool(blk, &[n]);
         let causal_cost = PatternSpec::Causal.cost(n) as f32;
         let longformer = 1.0 - PatternSpec::LocalGlobal { w: 4, g: 2 }.cost(n) as f32 / causal_cost;
         let bigbird = 1.0
@@ -703,11 +659,11 @@ impl FinetuneEngine {
             }
             .cost(n) as f32
                 / causal_cost;
-        caps.iter()
+        layers
+            .iter()
             .enumerate()
-            .map(|(l, cap)| {
-                let probs = cap.attn_probs.as_ref().expect("attn capture");
-                let head_masks = exposer.attention_head_masks(probs.as_slice(), batch, heads, eff);
+            .map(|(l, layer)| {
+                let head_masks = layer.batch_head_masks();
                 let union = Exposer::attention_union_mask(&head_masks);
                 let shadowy_attn = Exposer::causal_relative_sparsity(&union);
                 // Long Exposure: head-specific pooled patterns.
@@ -719,19 +675,20 @@ impl FinetuneEngine {
                     }
                     1.0 - total_cost / (causal_cost * heads as f32)
                 };
-                let (shadowy_mlp, lx_mlp) = if let Some(acts) = &cap.mlp_activations {
-                    let imp = exposer.mlp_block_importance(acts.as_slice(), acts.cols());
-                    let sweep = mlp_thresholds
-                        .iter()
-                        .map(|&th| {
-                            let e = Exposer::new(blk, self.config.attn_prob_threshold, th);
-                            (th, e.mlp_filter(&imp).sparsity())
-                        })
-                        .collect();
-                    (Exposer::mlp_union_sparsity(acts), sweep)
-                } else {
-                    (0.0, Vec::new())
-                };
+                let (shadowy_mlp, lx_mlp) =
+                    match (&layer.mlp_activations, layer.batch_mlp_importance()) {
+                        (Some(acts), Some(imp)) => {
+                            let sweep = mlp_thresholds
+                                .iter()
+                                .map(|&th| {
+                                    let e = Exposer::new(blk, self.config.attn_prob_threshold, th);
+                                    (th, e.mlp_filter(&imp).sparsity())
+                                })
+                                .collect();
+                            (Exposer::mlp_union_sparsity(acts), sweep)
+                        }
+                        _ => (0.0, Vec::new()),
+                    };
                 LayerSparsityReport {
                     layer: l,
                     shadowy_attn,
@@ -749,8 +706,9 @@ impl FinetuneEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exposer::oracle::{capture, dense_head_masks, dense_probs};
     use crate::predictor::draw_noise;
-    use lx_model::{prompt_aware_targets, ModelConfig, Sgd};
+    use lx_model::{prompt_aware_targets, Activation, ModelConfig, Sgd};
     use lx_peft::PeftMethod;
 
     fn small_engine() -> FinetuneEngine {
@@ -833,6 +791,73 @@ mod tests {
         );
     }
 
+    /// Calibration samples through the dense path the exposer replaced:
+    /// each capture's block data expanded with `block_data_to_dense` and
+    /// scanned densely, one batch element at a time.
+    fn dense_path_samples(
+        e: &mut FinetuneEngine,
+        batches: &[(Vec<u32>, usize, usize)],
+    ) -> (Vec<Vec<AttnSample>>, Vec<Vec<MlpSample>>) {
+        let exposer = e.exposer();
+        let (heads, blk) = (e.model.config.n_heads, e.config.block_size);
+        let n_layers = e.model.config.n_layers;
+        let mut attn: Vec<Vec<AttnSample>> = (0..n_layers).map(|_| Vec::new()).collect();
+        let mut mlp: Vec<Vec<MlpSample>> = (0..n_layers).map(|_| Vec::new()).collect();
+        for (ids, batch, seq) in batches {
+            let (batch, seq) = (*batch, *seq);
+            for (l, cap) in capture(&mut e.model, ids, batch, seq).iter().enumerate() {
+                let dense = dense_probs(&cap.attn_layout, &cap.attn_probs);
+                let pooled = pool_blocks(&cap.block_input, batch, seq, blk);
+                let elements = dense.as_slice().chunks_exact(heads * seq * seq);
+                for (pooled, probs) in pooled.into_iter().zip(elements) {
+                    let targets = dense_head_masks(&exposer, probs, 1, heads, seq);
+                    attn[l].push(AttnSample { pooled, targets });
+                }
+                let acts = cap.mlp_activations.as_ref().expect("ReLU activations");
+                let (d, d_ff) = (cap.block_input.cols(), acts.cols());
+                let xs = cap.block_input.as_slice().chunks_exact(seq * d);
+                for (x, a) in xs.zip(acts.as_slice().chunks_exact(seq * d_ff)) {
+                    mlp[l].push(MlpSample {
+                        x: Tensor::from_vec(x.to_vec(), &[seq, d]),
+                        reduced: exposer.mlp_filter(&exposer.mlp_block_importance(a, d_ff)),
+                    });
+                }
+            }
+        }
+        (attn, mlp)
+    }
+
+    /// `Exposer::expose` hands calibration the samples the dense path
+    /// builds, and predictors trained on either export identical bytes.
+    #[test]
+    fn calibration_samples_match_the_dense_path() {
+        let batches = [batch(1), batch(2)];
+        let mut exposed = small_engine();
+        let (attn, mlp) = exposed.calibration_samples(&batches);
+        let mut dense = small_engine();
+        let (dense_attn, dense_mlp) = dense_path_samples(&mut dense, &batches);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (got, want) in attn.iter().flatten().zip(dense_attn.iter().flatten()) {
+            assert_eq!(bits(&got.pooled), bits(&want.pooled));
+            assert_eq!(got.targets, want.targets);
+        }
+        for (got, want) in mlp.iter().flatten().zip(dense_mlp.iter().flatten()) {
+            assert_eq!(bits(&got.x), bits(&want.x));
+            assert_eq!(got.reduced, want.reduced);
+        }
+        // Two batches of two elements per layer, on both sides.
+        let samples = 2 * 2 * exposed.model.config.n_layers;
+        for side in [&attn, &dense_attn] {
+            assert_eq!(side.iter().flatten().count(), samples);
+        }
+        for side in [&mlp, &dense_mlp] {
+            assert_eq!(side.iter().flatten().count(), samples);
+        }
+        exposed.train_predictors(&attn, &mlp);
+        dense.train_predictors(&dense_attn, &dense_mlp);
+        assert_eq!(exposed.export_predictors(), dense.export_predictors());
+    }
+
     #[test]
     fn sparse_step_trains_and_reports_density() {
         let mut e = small_engine();
@@ -895,7 +920,8 @@ mod tests {
     fn sparsity_report_structure() {
         let mut e = small_engine();
         let (ids, b, s) = batch(7);
-        let reports = e.sparsity_report(&ids, b, s, &[0.01, 0.05]);
+        let layers = e.exposer().expose(&mut e.model, &ids, b, s);
+        let reports = e.sparsity_report(&layers, &[0.01, 0.05]);
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(r.shadowy_attn >= 0.0 && r.shadowy_attn <= 1.0);

@@ -11,11 +11,15 @@
 //!   filtering those below a threshold (a % of the peak importance) converts
 //!   it into structured block sparsity (Fig. 9b).
 //!
-//! The exposer runs on dense calibration captures; its outputs are the
-//! training targets for the [`crate::predictor`]s and the ground truth for
-//! the sparsity-ratio experiments.
+//! [`Exposer::expose`] is the one source of ground truth: it runs a dense
+//! capture pass and reads, in place, what the forward already holds — the
+//! attention's block probabilities over its full-causal layout and the
+//! ReLU activations. Its per-layer [`LayerExposure`]s are the training
+//! targets for the [`crate::predictor`]s, the plans of the oracle policy
+//! and the ground truth for the sparsity-ratio experiments.
 
-use lx_sparse::{BlockMask, NeuronBlockSet};
+use lx_model::{StepRequest, TransformerModel};
+use lx_sparse::{BlockMask, MultiHeadLayout, NeuronBlockSet};
 use lx_tensor::Tensor;
 
 /// Threshold-driven sparsity analysis over calibration captures.
@@ -31,6 +35,48 @@ pub struct Exposer {
     pub mlp_threshold: f32,
 }
 
+/// What one layer's dense capture pass exposes.
+#[derive(Debug)]
+pub struct LayerExposure {
+    /// Input to the block, `[B·S, d]`: what the predictors see at runtime.
+    pub block_input: Tensor,
+    /// Per batch element, one important-block mask per head.
+    pub head_masks: Vec<Vec<BlockMask>>,
+    /// Per batch element, the MLP neuron-block importances; empty unless the
+    /// model is ReLU.
+    pub mlp_importance: Vec<Vec<f32>>,
+    /// Post-ReLU activations `[B·S, d_ff]` (ReLU models): the raw union
+    /// statistics of Fig. 9 read them.
+    pub mlp_activations: Option<Tensor>,
+}
+
+impl LayerExposure {
+    /// The batch's per-head masks: the OR of its elements' masks.
+    pub fn batch_head_masks(&self) -> Vec<BlockMask> {
+        let (first, rest) = self.head_masks.split_first().expect("batch of ≥ 1");
+        let mut masks = first.clone();
+        for element in rest {
+            for (m, e) in masks.iter_mut().zip(element) {
+                m.union_with(e);
+            }
+        }
+        masks
+    }
+
+    /// The batch's MLP block importances: the max over its elements. `None`
+    /// unless the model is ReLU.
+    pub fn batch_mlp_importance(&self) -> Option<Vec<f32>> {
+        let (first, rest) = self.mlp_importance.split_first()?;
+        let mut imp = first.clone();
+        for element in rest {
+            for (v, &e) in imp.iter_mut().zip(element) {
+                *v = v.max(e);
+            }
+        }
+        Some(imp)
+    }
+}
+
 impl Exposer {
     pub fn new(block_size: usize, attn_prob_threshold: f32, mlp_threshold: f32) -> Self {
         Exposer {
@@ -40,49 +86,107 @@ impl Exposer {
         }
     }
 
+    /// One dense capture pass over `ids` (`batch × seq` tokens) and, per
+    /// layer, its block input, each batch element's head masks and MLP block
+    /// importances, and the raw activations.
+    pub fn expose(
+        &self,
+        model: &mut TransformerModel,
+        ids: &[u32],
+        batch: usize,
+        seq: usize,
+    ) -> Vec<LayerExposure> {
+        let eff = model.effective_seq(seq);
+        let heads = model.config.n_heads;
+        let out = model.execute(StepRequest::capture(ids, batch, seq));
+        let captures = out.captures.expect("capture mode records captures");
+        captures
+            .into_iter()
+            .map(|cap| {
+                let layout = &cap.attn_layout;
+                assert_eq!(
+                    layout.n_heads(),
+                    heads,
+                    "layout heads must equal model heads"
+                );
+                assert_eq!(
+                    cap.attn_probs.shape(),
+                    [batch, layout.total_data_len],
+                    "probs must be one row of block data per element"
+                );
+                let head_masks = cap
+                    .attn_probs
+                    .as_slice()
+                    .chunks_exact(layout.total_data_len)
+                    .map(|probs| self.attention_head_masks(layout, probs, eff))
+                    .collect();
+                let mlp_importance = cap.mlp_activations.as_ref().map_or(Vec::new(), |acts| {
+                    let d_ff = acts.cols();
+                    acts.as_slice()
+                        .chunks_exact(eff * d_ff)
+                        .map(|element| self.mlp_block_importance(element, d_ff))
+                        .collect()
+                });
+                LayerExposure {
+                    block_input: cap.block_input,
+                    head_masks,
+                    mlp_importance,
+                    mlp_activations: cap.mlp_activations,
+                }
+            })
+            .collect()
+    }
+
     // ---------------- Attention ----------------
 
-    /// Per-head important-block masks from dense probabilities: `probs` is
-    /// head-major `[batch·h·S, S]` — a capture's whole probabilities, or the
-    /// row range of `batch` of its elements. A block is active if any of
-    /// those elements puts a probability ≥ threshold anywhere inside it.
+    /// Per-head important-block masks of one batch element: `probs` is its
+    /// block data over `layout`, a full-causal layout over `seq` positions.
+    /// Every element maps to the exposer block holding it, so any
+    /// `block_size` dividing `seq` works, whatever the layout's block edge.
+    /// A block is active if a probability ≥ threshold lies anywhere inside
+    /// it.
     pub fn attention_head_masks(
         &self,
+        layout: &MultiHeadLayout,
         probs: &[f32],
-        batch: usize,
-        heads: usize,
         seq: usize,
     ) -> Vec<BlockMask> {
-        let per_batch = heads * seq * seq;
         assert_eq!(
             probs.len(),
-            batch * per_batch,
-            "probs must be [batch·h·S, S]"
+            layout.total_data_len,
+            "probs must be one element's block data"
         );
-        assert_eq!(seq % self.block_size, 0, "seq must be block-aligned");
-        let n = seq / self.block_size;
-        let mut masks = vec![BlockMask::square(n); heads];
-        for element in probs.chunks_exact(per_batch) {
-            for (mask, head) in masks.iter_mut().zip(element.chunks_exact(seq * seq)) {
-                for (s, row) in head.chunks_exact(seq).enumerate() {
-                    let br = s / self.block_size;
-                    for (j, &p) in row.iter().enumerate() {
-                        if p >= self.attn_prob_threshold {
-                            mask.set(br, j / self.block_size, true);
+        let blk = self.block_size;
+        assert_eq!(seq % blk, 0, "seq must be block-aligned");
+        let n = seq / blk;
+        let masks = layout.heads.iter().enumerate().map(|(h, head)| {
+            let e = head.block_size;
+            assert_eq!(head.n_brows * e, seq, "layout grid must match seq");
+            let data = &probs[layout.head_data_range(h)];
+            let mut mask = BlockMask::square(n);
+            for br in 0..head.n_brows {
+                for k in head.row_entries(br) {
+                    let col0 = head.col_idx[k] as usize * e;
+                    let block = &data[k * e * e..(k + 1) * e * e];
+                    for (i, row) in block.chunks_exact(e).enumerate() {
+                        let r = (br * e + i) / blk;
+                        for (j, &p) in row.iter().enumerate() {
+                            if p >= self.attn_prob_threshold {
+                                mask.set(r, (col0 + j) / blk, true);
+                            }
                         }
                     }
                 }
             }
-        }
-        for m in &mut masks {
             // A token always attends to itself: keep the diagonal so every
             // row has at least one block.
             for i in 0..n {
-                m.set(i, i, true);
+                mask.set(i, i, true);
             }
-            m.intersect_causal();
-        }
-        masks
+            mask.intersect_causal();
+            mask
+        });
+        masks.collect()
     }
 
     /// The "shadowy" uniform mask: union over all heads (what a single
@@ -190,23 +294,198 @@ impl Exposer {
     }
 }
 
+/// The dense scan that block-data scanning replaced, kept as the test
+/// oracle.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use lx_model::Captures;
+    use lx_sparse::attention::block_data_to_dense;
+
+    /// The capture pass [`Exposer::expose`] runs, its records kept raw.
+    pub(crate) fn capture(
+        model: &mut TransformerModel,
+        ids: &[u32],
+        batch: usize,
+        seq: usize,
+    ) -> Captures {
+        let out = model.execute(StepRequest::capture(ids, batch, seq));
+        out.captures.expect("capture mode records captures")
+    }
+
+    /// Block probabilities `[B, layout.total_data_len]` expanded to dense
+    /// head-major `[B·h·S, S]` (zeros outside the layout).
+    pub(crate) fn dense_probs(layout: &MultiHeadLayout, probs: &Tensor) -> Tensor {
+        let seq = layout.heads[0].n_brows * layout.heads[0].block_size;
+        let dense: Vec<f32> = probs
+            .as_slice()
+            .chunks_exact(layout.total_data_len)
+            .flat_map(|element| {
+                layout.heads.iter().enumerate().flat_map(move |(h, head)| {
+                    block_data_to_dense(&element[layout.head_data_range(h)], head)
+                })
+            })
+            .collect();
+        let rows = dense.len() / seq;
+        Tensor::from_vec(dense, &[rows, seq])
+    }
+
+    /// Per-head masks from dense head-major `[batch·h·S, S]` probabilities:
+    /// a block is active if any of the `batch` elements puts a probability
+    /// ≥ threshold anywhere inside it.
+    pub(crate) fn dense_head_masks(
+        e: &Exposer,
+        probs: &[f32],
+        batch: usize,
+        heads: usize,
+        seq: usize,
+    ) -> Vec<BlockMask> {
+        let per_batch = heads * seq * seq;
+        assert_eq!(
+            probs.len(),
+            batch * per_batch,
+            "probs must be [batch·h·S, S]"
+        );
+        assert_eq!(seq % e.block_size, 0, "seq must be block-aligned");
+        let n = seq / e.block_size;
+        let mut masks = vec![BlockMask::square(n); heads];
+        for element in probs.chunks_exact(per_batch) {
+            for (mask, head) in masks.iter_mut().zip(element.chunks_exact(seq * seq)) {
+                for (s, row) in head.chunks_exact(seq).enumerate() {
+                    for (j, &p) in row.iter().enumerate() {
+                        if p >= e.attn_prob_threshold {
+                            mask.set(s / e.block_size, j / e.block_size, true);
+                        }
+                    }
+                }
+            }
+        }
+        for m in &mut masks {
+            for i in 0..n {
+                m.set(i, i, true);
+            }
+            m.intersect_causal();
+        }
+        masks
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{dense_head_masks, dense_probs};
     use super::*;
+    use lx_sparse::attention::dense_to_block_data;
+    use lx_sparse::{BlockCsr, PatternSpec};
+    use std::sync::Arc;
 
     fn exposer() -> Exposer {
         Exposer::new(4, 0.1, 0.05)
     }
 
+    /// The full-causal layout over `seq` at block edge `edge`, `heads` alike.
+    fn causal(heads: usize, seq: usize, edge: usize) -> MultiHeadLayout {
+        let csr = Arc::new(BlockCsr::from_mask(
+            &PatternSpec::Causal.mask(seq / edge),
+            edge,
+        ));
+        MultiHeadLayout::combine(vec![csr; heads])
+    }
+
+    /// Random probabilities `[B, total_data_len]` over `layout` the way a
+    /// dense forward leaves them: values in `[0, 0.2)`, zeros past the
+    /// diagonal.
+    fn causal_block_data(layout: &MultiHeadLayout, batch: usize, seed: u64) -> Tensor {
+        let mut data = Tensor::rand_uniform(&[batch, layout.total_data_len], 0.0, 0.2, seed);
+        for element in data.as_mut_slice().chunks_exact_mut(layout.total_data_len) {
+            for (h, head) in layout.heads.iter().enumerate() {
+                let e = head.block_size;
+                let head_data = &mut element[layout.head_data_range(h)];
+                for br in 0..head.n_brows {
+                    for k in head.row_entries(br) {
+                        let bc = head.col_idx[k] as usize;
+                        for i in 0..e {
+                            for j in 0..e {
+                                if bc * e + j > br * e + i {
+                                    head_data[k * e * e + i * e + j] = 0.0;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    /// Dense head-major `[h·S, S]` probabilities of one element gathered
+    /// into its block data over `layout`.
+    fn gather(layout: &MultiHeadLayout, dense: &Tensor) -> Vec<f32> {
+        let seq = dense.cols();
+        let heads = dense.as_slice().chunks_exact(seq * seq);
+        heads
+            .zip(&layout.heads)
+            .flat_map(|(head, csr)| dense_to_block_data(head, csr))
+            .collect()
+    }
+
+    /// Block-data masks equal the dense scan for capture edges 1, 4 and 16,
+    /// exposer blocks smaller than, equal to and larger than the edge,
+    /// thresholds 0, 0.05 and above 1, batch 1 and 2: per element, and as
+    /// the OR over the batch.
+    #[test]
+    fn block_data_masks_match_the_dense_scan() {
+        let heads = 3;
+        let grids = [(32, 16, [4, 16, 32]), (16, 4, [2, 4, 8]), (8, 1, [1, 2, 4])];
+        for (seq, edge, blocks) in grids {
+            let layout = causal(heads, seq, edge);
+            for batch in [1, 2] {
+                let data = causal_block_data(&layout, batch, (seq + batch) as u64);
+                let dense = dense_probs(&layout, &data);
+                for blk in blocks {
+                    for threshold in [0.0, 0.05, 1.5] {
+                        let e = Exposer::new(blk, threshold, 0.05);
+                        let cell =
+                            format!("S={seq} edge={edge} block={blk} θ={threshold} B={batch}");
+                        let per_element: Vec<Vec<BlockMask>> = data
+                            .as_slice()
+                            .chunks_exact(layout.total_data_len)
+                            .map(|probs| e.attention_head_masks(&layout, probs, seq))
+                            .collect();
+                        let rows = dense.as_slice().chunks_exact(heads * seq * seq);
+                        for (masks, element) in per_element.iter().zip(rows) {
+                            assert_eq!(
+                                masks,
+                                &dense_head_masks(&e, element, 1, heads, seq),
+                                "{cell}"
+                            );
+                        }
+                        let exposure = LayerExposure {
+                            block_input: Tensor::zeros(&[0, 1]),
+                            head_masks: per_element,
+                            mlp_importance: Vec::new(),
+                            mlp_activations: None,
+                        };
+                        assert_eq!(
+                            exposure.batch_head_masks(),
+                            dense_head_masks(&e, dense.as_slice(), batch, heads, seq),
+                            "{cell}: batch OR"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn head_masks_pick_up_heavy_blocks() {
-        let (batch, heads, seq) = (1, 2, 8);
-        let mut probs = Tensor::zeros(&[batch * heads * seq, seq]);
+        let (heads, seq) = (2, 8);
+        let mut probs = Tensor::zeros(&[heads * seq, seq]);
         // Head 0: heavy score at (row 5, col 1) -> block (1, 0).
         probs.row_mut(5)[1] = 0.9;
         // Head 1: heavy score at (row 8+7, col 6) -> block (1, 1).
         probs.row_mut(8 + 7)[6] = 0.5;
-        let masks = exposer().attention_head_masks(probs.as_slice(), batch, heads, seq);
+        let layout = causal(heads, seq, 2);
+        let masks = exposer().attention_head_masks(&layout, &gather(&layout, &probs), seq);
         assert!(masks[0].get(1, 0));
         assert!(!masks[1].get(1, 0));
         assert!(masks[1].get(1, 1));
@@ -216,8 +495,8 @@ mod tests {
 
     #[test]
     fn union_mask_is_denser_than_heads() {
-        let (batch, heads, seq) = (1, 4, 16);
-        let mut probs = Tensor::zeros(&[batch * heads * seq, seq]);
+        let (heads, seq) = (4, 16);
+        let mut probs = Tensor::zeros(&[heads * seq, seq]);
         // Each head activates a different column stripe.
         for h in 0..heads {
             for s in 0..seq {
@@ -225,7 +504,8 @@ mod tests {
                 probs.row_mut(h * seq + s)[col] = 0.8;
             }
         }
-        let masks = exposer().attention_head_masks(probs.as_slice(), batch, heads, seq);
+        let layout = causal(heads, seq, 16);
+        let masks = exposer().attention_head_masks(&layout, &gather(&layout, &probs), seq);
         let union = Exposer::attention_union_mask(&masks);
         let mean_head: f32 = masks.iter().map(|m| m.count() as f32).sum::<f32>() / heads as f32;
         assert!(
@@ -235,41 +515,49 @@ mod tests {
         );
     }
 
-    /// A batch's masks are the union of its elements' masks, and each
-    /// element's masks and importances read from its row range of the
-    /// capture equal those of an owned copy of those rows.
+    /// Each element's masks and importances read from its range of the
+    /// capture equal those of an owned copy of that range, and the batch's
+    /// OR and max equal one scan over the whole batch.
     #[test]
     fn row_ranges_read_what_copies_read() {
         let (batch, heads, seq, d_ff) = (3, 2, 8, 12);
-        let probs = Tensor::rand_uniform(&[batch * heads * seq, seq], 0.0, 0.2, 7);
+        let layout = causal(heads, seq, 4);
+        let probs = causal_block_data(&layout, batch, 7);
         let acts = Tensor::rand_uniform(&[batch * seq, d_ff], 0.0, 1.0, 8);
         let e = exposer();
-        let mut union = vec![BlockMask::square(seq / 4); heads];
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let mut head_masks = Vec::new();
+        let mut mlp_importance = Vec::new();
         for b in 0..batch {
-            let range = b * heads * seq * seq..(b + 1) * heads * seq * seq;
-            let copy = Tensor::from_vec(
-                probs.as_slice()[range.clone()].to_vec(),
-                &[heads * seq, seq],
-            );
-            let masks = e.attention_head_masks(&probs.as_slice()[range], 1, heads, seq);
-            assert_eq!(
-                masks,
-                e.attention_head_masks(copy.as_slice(), 1, heads, seq)
-            );
-            for (u, m) in union.iter_mut().zip(&masks) {
-                u.union_with(m);
-            }
+            let total = layout.total_data_len;
+            let range = &probs.as_slice()[b * total..(b + 1) * total];
+            let copy = range.to_vec();
+            let masks = e.attention_head_masks(&layout, range, seq);
+            assert_eq!(masks, e.attention_head_masks(&layout, &copy, seq));
+            head_masks.push(masks);
             let rows = &acts.as_slice()[b * seq * d_ff..(b + 1) * seq * d_ff];
             let copy = Tensor::from_vec(rows.to_vec(), &[seq, d_ff]);
-            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+            let imp = e.mlp_block_importance(rows, d_ff);
             assert_eq!(
-                bits(e.mlp_block_importance(rows, d_ff)),
+                bits(imp.clone()),
                 bits(e.mlp_block_importance(copy.as_slice(), d_ff))
             );
+            mlp_importance.push(imp);
         }
+        let exposure = LayerExposure {
+            block_input: Tensor::zeros(&[0, 1]),
+            head_masks,
+            mlp_importance,
+            mlp_activations: None,
+        };
+        let dense = dense_probs(&layout, &probs);
         assert_eq!(
-            union,
-            e.attention_head_masks(probs.as_slice(), batch, heads, seq)
+            exposure.batch_head_masks(),
+            dense_head_masks(&e, dense.as_slice(), batch, heads, seq)
+        );
+        assert_eq!(
+            bits(exposure.batch_mlp_importance().unwrap()),
+            bits(e.mlp_block_importance(acts.as_slice(), d_ff))
         );
     }
 

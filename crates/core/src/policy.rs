@@ -18,8 +18,7 @@
 use crate::exposer::Exposer;
 use crate::predictor::{AttnPredictor, MlpPredictor};
 use lx_model::{
-    Activation, CaptureConfig, LayerPlan, LayerPlanner, ModelConfig, PlanSource, SparsePlan,
-    StepRequest, TransformerModel,
+    Activation, LayerPlan, LayerPlanner, ModelConfig, PlanSource, SparsePlan, TransformerModel,
 };
 use lx_sparse::{NeuronBlockSet, PatternPool, PatternSpec};
 use lx_tensor::Tensor;
@@ -410,37 +409,17 @@ impl SparsityPolicy for OraclePolicy {
         assert_eq!(eff % self.block_size, 0, "seq must be block-aligned");
         let n = eff / self.block_size;
         self.pool.add_grid(n);
-        let mlp_on = model.config.activation == Activation::Relu;
-        let heads = model.config.n_heads;
-        let caps = model
-            .execute(StepRequest::capture(
-                ids,
-                batch,
-                seq,
-                CaptureConfig {
-                    attn: true,
-                    mlp: mlp_on,
-                },
-            ))
-            .captures
-            .expect("capture mode records captures");
+        let layers = self.exposer.expose(model, ids, batch, seq);
         let mut plan = SparsePlan::dense(model.config.n_layers);
-        for (layer, cap) in caps.iter().enumerate() {
-            if let Some(probs) = &cap.attn_probs {
-                let masks = self
-                    .exposer
-                    .attention_head_masks(probs.as_slice(), batch, heads, eff);
-                let specs: Vec<PatternSpec> = masks
-                    .iter()
-                    .map(|m| self.pool.best_match(m, ATTN_MIN_RECALL).0)
-                    .collect();
-                plan.layers[layer].attn = Some(Arc::new(self.pool.combine(n, &specs)));
-            }
-            if let Some(acts) = &cap.mlp_activations {
-                let imp = self
-                    .exposer
-                    .mlp_block_importance(acts.as_slice(), acts.cols());
-                plan.layers[layer].mlp = Some(Arc::new(self.exposer.mlp_filter(&imp)));
+        for (layer, exposed) in plan.layers.iter_mut().zip(&layers) {
+            let specs: Vec<PatternSpec> = exposed
+                .batch_head_masks()
+                .iter()
+                .map(|m| self.pool.best_match(m, ATTN_MIN_RECALL).0)
+                .collect();
+            layer.attn = Some(Arc::new(self.pool.combine(n, &specs)));
+            if let Some(imp) = exposed.batch_mlp_importance() {
+                layer.mlp = Some(Arc::new(self.exposer.mlp_filter(&imp)));
             }
         }
         self.plan = plan;
@@ -549,7 +528,7 @@ impl SparsityPolicy for RandomPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_model::{prompt_aware_targets, Sgd, StepOutcome};
+    use lx_model::{prompt_aware_targets, Sgd, StepOutcome, StepRequest};
 
     fn tiny() -> TransformerModel {
         let mut cfg = ModelConfig::test_tiny();
@@ -587,6 +566,49 @@ mod tests {
         assert!(attn > 0.0 && attn <= 1.0);
         assert!(mlp > 0.0 && mlp <= 1.0);
         assert!(out.loss.is_finite());
+    }
+
+    /// The oracle's plan for a batch-2 step is the one built from the dense
+    /// scan of the same capture: the batch's head masks matched to the
+    /// pool, and its MLP importance filtered.
+    #[test]
+    fn oracle_plan_equals_the_dense_scan_plan() {
+        use crate::exposer::oracle::{capture, dense_head_masks, dense_probs};
+        let (batch, seq, blk) = (2, 16, 4);
+        let ids: Vec<u32> = lx_tensor::rng::uniform_vec(batch * seq, 0.0, 64.0, 3)
+            .into_iter()
+            .map(|v| v as u32)
+            .collect();
+        let mut m = tiny();
+        let mut oracle = OraclePolicy::new(blk, 0.05);
+        let plan = match oracle.source(&mut m, &ids, batch, seq) {
+            PlanSource::Provided(plan) => plan.clone(),
+            _ => panic!("the oracle hands out a pre-built plan"),
+        };
+        let exposer = Exposer::new(blk, 0.05, MLP_THRESHOLD);
+        let pool = PatternPool::default_pool(blk, &[seq / blk]);
+        let heads = m.config.n_heads;
+        let caps = capture(&mut m, &ids, batch, seq);
+        assert_eq!(plan.layers.len(), caps.len());
+        for (layer, cap) in plan.layers.iter().zip(&caps) {
+            let dense = dense_probs(&cap.attn_layout, &cap.attn_probs);
+            let specs: Vec<PatternSpec> =
+                dense_head_masks(&exposer, dense.as_slice(), batch, heads, seq)
+                    .iter()
+                    .map(|m| pool.best_match(m, ATTN_MIN_RECALL).0)
+                    .collect();
+            let want = pool.combine(seq / blk, &specs);
+            assert_eq!(
+                layer.attn.as_ref().expect("attention plan").heads,
+                want.heads
+            );
+            let acts = cap.mlp_activations.as_ref().expect("ReLU activations");
+            let imp = exposer.mlp_block_importance(acts.as_slice(), acts.cols());
+            assert_eq!(
+                **layer.mlp.as_ref().expect("MLP plan"),
+                exposer.mlp_filter(&imp)
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Transformer block (pre-LN) with optional bottleneck adapters, plus the
 //! adapter module itself (Houlsby-style PEFT, paper Table I).
 
-use crate::config::ModelConfig;
+use crate::config::{Activation, ModelConfig};
 use crate::layernorm::LayerNorm;
 use crate::linear::Linear;
 use crate::mha::MultiHeadAttention;
 use crate::mlp::MlpBlock;
+use crate::model::LayerCapture;
 use crate::param::Param;
 use crate::plan::LayerPlan;
 use lx_tensor::ops::{relu, relu_backward};
@@ -75,8 +76,9 @@ pub struct TransformerBlock {
     pub ln2: LayerNorm,
     pub mlp: MlpBlock,
     pub adapter2: Option<Adapter>,
-    capture_cfg: Option<crate::model::CaptureConfig>,
-    captured: Option<crate::model::LayerCapture>,
+    /// Record a [`LayerCapture`] during the next forward.
+    capture: bool,
+    captured: Option<LayerCapture>,
 }
 
 impl TransformerBlock {
@@ -100,23 +102,19 @@ impl TransformerBlock {
                 seed + 100,
             ),
             adapter2: None,
-            capture_cfg: None,
+            capture: false,
             captured: None,
         }
     }
 
     /// Arm calibration capture for the next forward (dense mode only).
-    pub fn set_capture(&mut self, cfg: crate::model::CaptureConfig) {
-        self.capture_cfg = Some(cfg);
+    pub(crate) fn set_capture(&mut self) {
+        self.capture = true;
     }
 
     /// Retrieve (and clear) the capture recorded by the last armed forward.
-    pub fn take_capture(&mut self) -> crate::model::LayerCapture {
-        self.captured.take().unwrap_or(crate::model::LayerCapture {
-            block_input: None,
-            attn_probs: None,
-            mlp_activations: None,
-        })
+    pub(crate) fn take_capture(&mut self) -> Option<LayerCapture> {
+        self.captured.take()
     }
 
     pub fn attach_adapters(&mut self, d_model: usize, bottleneck: usize, seed: u64, layer: usize) {
@@ -143,8 +141,8 @@ impl TransformerBlock {
     ) -> Tensor {
         let attn_layout = plan.and_then(|p| p.attn.as_ref());
         let mlp_set = plan.and_then(|p| p.mlp.as_ref());
-        let capture = self.capture_cfg.take();
-        if capture.is_some() {
+        let capture = std::mem::take(&mut self.capture);
+        if capture {
             assert!(
                 attn_layout.is_none() && mlp_set.is_none(),
                 "calibration capture requires a dense forward"
@@ -153,11 +151,6 @@ impl TransformerBlock {
 
         let normed = self.ln1.forward(x);
         let mut attn_out = self.attn.forward(&normed, batch, seq, attn_layout);
-        let cap_probs = capture.filter(|c| c.attn).map(|_| {
-            self.attn
-                .cached_dense_probs()
-                .expect("dense probs present in capture mode")
-        });
         if let Some(a) = &mut self.adapter1 {
             attn_out = a.forward(&attn_out);
         }
@@ -167,17 +160,23 @@ impl TransformerBlock {
 
         let normed2 = self.ln2.forward(&x1);
         let mut mlp_out = self.mlp.forward(&normed2, mlp_set);
-        let cap_acts = capture.filter(|c| c.mlp).map(|_| {
-            self.mlp
-                .cached_activations()
-                .expect("activations present in capture mode")
-                .clone()
-        });
-        if capture.is_some() {
-            self.captured = Some(crate::model::LayerCapture {
-                block_input: Some(x.clone()),
-                attn_probs: cap_probs,
-                mlp_activations: cap_acts,
+        if capture {
+            // Capture mode runs no backward: the caches are taken, not
+            // cloned.
+            let (attn_layout, attn_probs) = self
+                .attn
+                .take_dense_probs()
+                .expect("dense probs present in capture mode");
+            let relu = self.mlp.activation == Activation::Relu;
+            self.captured = Some(LayerCapture {
+                block_input: self.ln1.take_input().expect("block input cached"),
+                attn_layout,
+                attn_probs,
+                mlp_activations: relu.then(|| {
+                    self.mlp
+                        .take_activations()
+                        .expect("activations present in capture mode")
+                }),
             });
         }
         if let Some(a) = &mut self.adapter2 {
@@ -224,8 +223,6 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::config::Activation;
 
     fn tiny_cfg() -> ModelConfig {
         let mut cfg = ModelConfig::test_tiny();

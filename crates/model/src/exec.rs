@@ -25,11 +25,11 @@
 //! ```
 
 use crate::loss::{self, IGNORE_INDEX};
-use crate::model::{CaptureConfig, Captures, LayerPlanner, TransformerModel};
+use crate::model::{Captures, LayerPlanner, TransformerModel};
 use crate::optim::{LossScaler, Optimizer};
 use crate::plan::SparsePlan;
 use lx_obs::{registry, Histogram, Span, TimedSpan};
-use lx_tensor::{Tensor, Workspace};
+use lx_tensor::Tensor;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -78,8 +78,9 @@ pub enum Mode<'a> {
     Grad,
     /// Forward and loss only; model state is untouched.
     Eval,
-    /// Dense forward recording per-layer calibration captures.
-    Capture(CaptureConfig),
+    /// Dense forward recording per-layer calibration captures: attention
+    /// always, MLP activations on ReLU models.
+    Capture,
     /// Forward scoring: [`StepOutcome::loss`] is the *summed log-probability*
     /// of the non-ignored targets (the lm-eval candidate-scoring primitive).
     Score,
@@ -99,7 +100,6 @@ pub struct StepRequest<'a> {
     pub(crate) mode: Mode<'a>,
     pub(crate) plan: PlanSource<'a>,
     pub(crate) keep_logits: bool,
-    pub(crate) workspace: Option<&'a mut Workspace>,
     pub(crate) prepare: Option<PrepareHook<'a>>,
 }
 
@@ -112,7 +112,6 @@ impl<'a> StepRequest<'a> {
             mode,
             plan: PlanSource::Dense,
             keep_logits: false,
-            workspace: None,
             prepare: None,
         }
     }
@@ -154,8 +153,8 @@ impl<'a> StepRequest<'a> {
     }
 
     /// Dense calibration pass recording per-layer captures.
-    pub fn capture(ids: &'a [u32], batch: usize, seq: usize, cfg: CaptureConfig) -> Self {
-        Self::new(ids, &[], batch, seq, Mode::Capture(cfg))
+    pub fn capture(ids: &'a [u32], batch: usize, seq: usize) -> Self {
+        Self::new(ids, &[], batch, seq, Mode::Capture)
     }
 
     /// Candidate-scoring pass: the outcome's `loss` is the summed
@@ -211,14 +210,6 @@ impl<'a> StepRequest<'a> {
     /// Return the last micro-batch's logits in the outcome.
     pub fn keep_logits(mut self) -> Self {
         self.keep_logits = true;
-        self
-    }
-
-    /// Execute inside `ws` instead of the model's own step workspace —
-    /// `lx-serve`-style callers keep one workspace per tenant so pooled
-    /// buffers stay warm across interleaved scheduler slices.
-    pub fn workspace(mut self, ws: &'a mut Workspace) -> Self {
-        self.workspace = Some(ws);
         self
     }
 }
@@ -278,19 +269,11 @@ impl TransformerModel {
     /// through the model; see the [module docs](self) for the mode catalogue.
     ///
     /// The whole step — all micro-batches, forward, backward, optimizer —
-    /// runs inside a step-workspace scope (the request's override or the
-    /// model's own pool), so after warmup a steady-state step performs zero
-    /// heap tensor allocations; see [`lx_tensor::Workspace`].
-    pub fn execute(&mut self, mut req: StepRequest<'_>) -> StepOutcome {
-        match req.workspace.take() {
-            Some(ws) => ws.scope(|| self.execute_inner(req)),
-            None => {
-                let mut ws = std::mem::take(&mut self.workspace);
-                let out = ws.scope(|| self.execute_inner(req));
-                self.workspace = ws;
-                out
-            }
-        }
+    /// runs inside the model's step-workspace scope, so after warmup a
+    /// steady-state step performs zero heap tensor allocations; see
+    /// [`lx_tensor::Workspace`].
+    pub fn execute(&mut self, req: StepRequest<'_>) -> StepOutcome {
+        self.workspace_scope(|m| m.execute_inner(req))
     }
 
     fn execute_inner(&mut self, req: StepRequest<'_>) -> StepOutcome {
@@ -303,7 +286,6 @@ impl TransformerModel {
             mode,
             mut plan,
             keep_logits,
-            workspace: _,
             mut prepare,
         } = req;
         assert!(!batches.is_empty(), "StepRequest needs at least one batch");
@@ -319,7 +301,7 @@ impl TransformerModel {
             prepare.is_none() || stateless_mode,
             "on_micro_batch hooks apply to stateless Eval/Score fusion only"
         );
-        if matches!(mode, Mode::Capture(_)) {
+        if matches!(mode, Mode::Capture) {
             assert!(
                 matches!(plan, PlanSource::Dense),
                 "Capture mode records dense ground truth; use PlanSource::Dense"
@@ -355,10 +337,7 @@ impl TransformerModel {
             ..StepOutcome::default()
         };
         let mut loss_acc = 0.0f64;
-        let capture_cfg = match mode {
-            Mode::Capture(cfg) => Some(cfg),
-            _ => None,
-        };
+        let capture = matches!(mode, Mode::Capture);
         for (i, mb) in batches.iter().enumerate() {
             let _mb_span = Span::enter("model.micro_batch").cat("step").index(i as u64);
             // Cross-tenant fusion point: let the caller reconfigure the model
@@ -374,8 +353,7 @@ impl TransformerModel {
             let fwd_span = TimedSpan::enter("model.forward_pass")
                 .cat("step")
                 .index(i as u64);
-            let (logits, used, pred_t) =
-                self.forward_pass(mb.ids, batch, seq, &mut plan, capture_cfg);
+            let (logits, used, pred_t) = self.forward_pass(mb.ids, batch, seq, &mut plan, capture);
             out.predict += pred_t;
             out.forward += fwd_span.finish().saturating_sub(pred_t);
             let densities = match (&used, &plan) {
@@ -442,7 +420,7 @@ impl TransformerModel {
                         loss_acc += shard as f64;
                         self.clear_step_cache();
                     }
-                    Mode::Capture(_) => {
+                    Mode::Capture => {
                         out.captures = Some(self.take_captures());
                         out.micro_losses.push(0.0);
                         self.clear_step_cache();
@@ -572,7 +550,7 @@ mod tests {
         opt: &mut dyn crate::Optimizer,
     ) -> f32 {
         m.zero_grads();
-        let (logits, _, _) = m.forward_pass(ids, BATCH, SEQ, &mut PlanSource::Dense, None);
+        let (logits, _, _) = m.forward_pass(ids, BATCH, SEQ, &mut PlanSource::Dense, false);
         let (loss, dlogits) = loss::cross_entropy(&logits, targets);
         m.backward(&dlogits);
         opt.begin_step();
@@ -589,7 +567,7 @@ mod tests {
         scaler: &mut LossScaler,
     ) -> Option<f32> {
         m.zero_grads();
-        let (logits, _, _) = m.forward_pass(ids, BATCH, SEQ, &mut PlanSource::Dense, None);
+        let (logits, _, _) = m.forward_pass(ids, BATCH, SEQ, &mut PlanSource::Dense, false);
         let (loss, mut dlogits) = loss::cross_entropy(&logits, targets);
         dlogits.scale(scaler.scale());
         m.backward(&dlogits);
@@ -769,7 +747,7 @@ mod tests {
         let cont = [5u32, 6];
         let via_mode = score_continuation(&mut m, &prompt, &cont);
         let ids: Vec<u32> = prompt.iter().chain(&cont).copied().collect();
-        let (logits, _, _) = m.forward_pass(&ids, 1, ids.len(), &mut PlanSource::Dense, None);
+        let (logits, _, _) = m.forward_pass(&ids, 1, ids.len(), &mut PlanSource::Dense, false);
         m.clear_step_cache();
         let (_, targets) = score_parts(&prompt, &cont, 0);
         let legacy = loss::sequence_logprob(&logits, &targets);
@@ -852,9 +830,7 @@ mod tests {
     fn accumulation_rejected_in_capture_mode() {
         let mut m = tiny();
         let (ids, _) = sample(600);
-        m.execute(
-            StepRequest::capture(&ids, BATCH, SEQ, CaptureConfig::default()).micro_batch(&ids, &[]),
-        );
+        m.execute(StepRequest::capture(&ids, BATCH, SEQ).micro_batch(&ids, &[]));
     }
 
     #[test]

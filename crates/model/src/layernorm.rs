@@ -54,6 +54,12 @@ impl LayerNorm {
         y
     }
 
+    /// Take the input of the last forward (calibration capture). The cache
+    /// is consumed, so no backward can follow.
+    pub(crate) fn take_input(&mut self) -> Option<Tensor> {
+        self.cache.take().map(|c| c.x)
+    }
+
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let cache = self
             .cache

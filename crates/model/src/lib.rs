@@ -34,9 +34,7 @@ pub use exec::{
     score_continuation, score_parts, MicroBatch, Mode, PlanSource, PrepareHook, StepOutcome,
     StepRequest,
 };
-pub use model::{
-    prompt_aware_targets, CaptureConfig, Captures, LayerCapture, LayerPlanner, TransformerModel,
-};
+pub use model::{prompt_aware_targets, Captures, LayerCapture, LayerPlanner, TransformerModel};
 pub use optim::{Adam, AdamW, LossScaler, Optimizer, Sgd};
 pub use param::Param;
 pub use plan::{LayerPlan, SparsePlan};

@@ -7,13 +7,13 @@
 //! paper's §II-D invariant. Dense causal attention is the same path over the
 //! full-causal layout, so the masked upper half is never computed. The fused
 //! row kernels apply scale, ALiBi bias and the causal limit, and nothing past
-//! the diagonal is ever exponentiated.
+//! the diagonal is ever exponentiated. A calibration capture takes a dense
+//! forward's block probabilities together with their full-causal layout;
+//! they are never expanded to a dense `[B·h·S, S]` tensor.
 
 use crate::linear::Linear;
 use crate::param::Param;
-use lx_sparse::attention::{
-    block_data_to_dense, dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill,
-};
+use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill};
 use lx_sparse::{BlockCsr, MultiHeadLayout, PatternSpec};
 use lx_tensor::Tensor;
 use std::sync::Arc;
@@ -243,27 +243,18 @@ impl MultiHeadAttention {
         dx
     }
 
-    /// Dense `[B·h·S, S]` attention probabilities of the most recent forward,
-    /// if it was dense, expanded from its block data (zeros past the
-    /// diagonal). Used by calibration capture (ground truth for
-    /// exposer/predictor).
-    pub fn cached_dense_probs(&self) -> Option<Tensor> {
-        let cache = self.cache.as_ref()?;
+    /// Take the block probabilities of the most recent forward, if it was
+    /// dense: the full-causal layout it ran over and its block data, per
+    /// batch element `layout.total_data_len` floats (zeros past the
+    /// diagonal). Calibration capture reads them in place as exposer ground
+    /// truth; the cache is consumed, so no backward can follow.
+    pub(crate) fn take_dense_probs(&mut self) -> Option<(Arc<MultiHeadLayout>, Tensor)> {
         let (_, causal) = self.causal.as_ref()?;
-        if !Arc::ptr_eq(&cache.layout, causal) {
+        if !Arc::ptr_eq(&self.cache.as_ref()?.layout, causal) {
             return None;
         }
-        let (seq, layout) = (cache.seq, &cache.layout);
-        let mut out = Tensor::scratch(&[cache.batch * self.n_heads * seq, seq]);
-        for b in 0..cache.batch {
-            let probs = &cache.probs.as_slice()[b * layout.total_data_len..];
-            for (h, head) in layout.heads.iter().enumerate() {
-                let dense = block_data_to_dense(&probs[layout.head_data_range(h)], head);
-                let start = (b * self.n_heads + h) * seq * seq;
-                out.as_mut_slice()[start..start + seq * seq].copy_from_slice(&dense);
-            }
-        }
-        Some(out)
+        let cache = self.cache.take()?;
+        Some((cache.layout, cache.probs))
     }
 
     pub fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -339,6 +330,7 @@ fn rows_mut(t: &mut Tensor, start_row: usize, n_rows: usize, width: usize) -> &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lx_sparse::attention::block_data_to_dense;
     use lx_sparse::PatternPool;
     use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
     use lx_tensor::ops::{causal_softmax_backward_rows, causal_softmax_rows};
@@ -588,7 +580,20 @@ mod tests {
             let (_, r) = reference_forward(&mut mha_with(alibi), &x, batch, seq);
             let mut attn = mha_with(alibi);
             let _ = attn.forward(&x, batch, seq, None);
-            let probs = attn.cached_dense_probs().expect("dense forward");
+            let (layout, data) = attn.take_dense_probs().expect("dense forward");
+            assert_eq!(layout.n_heads(), H);
+            assert_eq!(data.len(), batch * layout.total_data_len);
+            // Expanded head by head, the block data is the dense
+            // `[B·h·S, S]` probabilities.
+            let elements = data.as_slice().chunks_exact(layout.total_data_len);
+            let probs: Vec<f32> = elements
+                .flat_map(|element| {
+                    layout.heads.iter().enumerate().flat_map(|(h, head)| {
+                        block_data_to_dense(&element[layout.head_data_range(h)], head)
+                    })
+                })
+                .collect();
+            let probs = Tensor::from_vec(probs, &[batch * H * seq, seq]);
             assert_eq!(probs.shape(), r.probs.shape());
             for row in 0..batch * H * seq {
                 let (got, want) = (probs.row(row), r.probs.row(row));
@@ -607,7 +612,7 @@ mod tests {
             }
             // A forward over an explicit layout is not a dense capture.
             let _ = attn.forward(&x, batch, seq, Some(&causal_at(seq, 1)));
-            assert!(attn.cached_dense_probs().is_none());
+            assert!(attn.take_dense_probs().is_none());
         }
     }
 

@@ -520,9 +520,10 @@ impl MlpBlock {
         dx
     }
 
-    /// Post-activation values of the last dense forward (calibration capture).
-    pub fn cached_activations(&self) -> Option<&Tensor> {
-        self.cache.as_ref().map(|c| &c.a)
+    /// Take the post-activation values `[rows, d_ff]` of the last dense
+    /// forward (calibration capture). The cache is consumed, so no backward can follow.
+    pub(crate) fn take_activations(&mut self) -> Option<Tensor> {
+        self.cache.take().map(|c| c.a)
     }
 
     pub fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,6 +1,13 @@
 //! The full decoder-only transformer: embeddings → blocks → final LN → tied
 //! LM head, with capture hooks for Long Exposure's calibration phase.
 //!
+//! A capture ([`crate::Mode::Capture`]) is a dense forward in which every
+//! block hands over what its caches already hold: the block input, the
+//! attention's block probabilities over the full-causal layout it ran over
+//! (with that layout), and, on ReLU models, the MLP activations. Nothing is
+//! expanded or copied; `long_exposure::exposer::Exposer::expose` is the
+//! one reader.
+//!
 //! All execution goes through the unified request API in [`crate::exec`]:
 //! build a [`crate::StepRequest`] and call [`TransformerModel::execute`]. The
 //! raw forward/backward loops here are crate-private building blocks.
@@ -15,28 +22,27 @@ use crate::param::Param;
 use crate::plan::SparsePlan;
 use crate::precision::Precision;
 use lx_obs::TimedSpan;
+use lx_sparse::MultiHeadLayout;
 use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
 use lx_tensor::{Dtype, Tensor, Workspace, WorkspaceStats};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// What to record during a calibration forward pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CaptureConfig {
-    pub attn: bool,
-    pub mlp: bool,
-}
 
 /// Ground-truth signals captured from one layer during a dense forward:
 /// the block input the predictors will see at runtime, and the attention /
-/// activation outcomes they must learn to anticipate.
+/// activation outcomes they must learn to anticipate. Everything is handed
+/// over from the forward's own caches, not copied or expanded.
 #[derive(Debug)]
 pub struct LayerCapture {
     /// Input to the whole block (pre-LN residual stream), `[B·S, d]`. This is
     /// what the runtime planner observes *before* the block computes.
-    pub block_input: Option<Tensor>,
-    /// Dense attention probabilities, head-major `[B·h·S, S]`.
-    pub attn_probs: Option<Tensor>,
-    /// Post-ReLU activations `[B·S, d_ff]`.
+    pub block_input: Tensor,
+    /// The full-causal layout the dense attention ran over.
+    pub attn_layout: Arc<MultiHeadLayout>,
+    /// Its block probabilities, `[B, attn_layout.total_data_len]`: one row
+    /// of block data per batch element, zeros past the diagonal.
+    pub attn_probs: Tensor,
+    /// Post-ReLU activations `[B·S, d_ff]`; `None` unless the model is ReLU.
     pub mlp_activations: Option<Tensor>,
 }
 
@@ -64,9 +70,9 @@ pub struct TransformerModel {
     precision: Precision,
     cache_h: Option<Tensor>,
     /// Step-persistent buffer pool: every [`TransformerModel::execute`] runs
-    /// inside this workspace's scope (unless the request overrides it), so
-    /// per-step tensor buffers recycle across steps and micro-batches.
-    pub(crate) workspace: Workspace,
+    /// inside this workspace's scope, so per-step tensor buffers recycle
+    /// across steps and micro-batches.
+    workspace: Workspace,
 }
 
 impl TransformerModel {
@@ -181,13 +187,14 @@ impl TransformerModel {
     /// the pre-built plan, `Planner` is invoked with each block's input right
     /// before that block runs (its time is metered into the returned
     /// `Duration`), and the produced plan is collected for density stats.
+    /// With `capture`, every block records a [`LayerCapture`].
     pub(crate) fn forward_pass(
         &mut self,
         ids: &[u32],
         batch: usize,
         seq: usize,
         plan: &mut PlanSource<'_>,
-        capture: Option<CaptureConfig>,
+        capture: bool,
     ) -> (Tensor, Option<SparsePlan>, Duration) {
         let eff = self.effective_seq(seq);
         let mut x = self.embedding.forward(ids, batch, seq);
@@ -197,8 +204,8 @@ impl TransformerModel {
             _ => None,
         };
         for (i, block) in self.blocks.iter_mut().enumerate() {
-            if let Some(cfg) = capture {
-                block.set_capture(cfg);
+            if capture {
+                block.set_capture();
             }
             match plan {
                 PlanSource::Dense => x = block.forward(&x, batch, eff, None),
@@ -252,7 +259,10 @@ impl TransformerModel {
 
     /// Collect (and clear) the captures armed by the last capture forward.
     pub(crate) fn take_captures(&mut self) -> Captures {
-        self.blocks.iter_mut().map(|b| b.take_capture()).collect()
+        self.blocks
+            .iter_mut()
+            .map(|b| b.take_capture().expect("capture armed"))
+            .collect()
     }
 
     /// Emulate the activation concentration of a *pre-trained* ReLU LLM.
@@ -526,23 +536,16 @@ mod tests {
         let (b, s) = (2, 8);
         let ids = sample_batch(&m, b, s, 4);
         let caps = m
-            .execute(StepRequest::capture(
-                &ids,
-                b,
-                s,
-                CaptureConfig {
-                    attn: true,
-                    mlp: true,
-                },
-            ))
+            .execute(StepRequest::capture(&ids, b, s))
             .captures
             .expect("capture mode records captures");
         assert_eq!(caps.len(), m.config.n_layers);
         let d = m.config.d_model;
         let h = m.config.n_heads;
         for cap in &caps {
-            assert_eq!(cap.block_input.as_ref().unwrap().shape(), &[b * s, d]);
-            assert_eq!(cap.attn_probs.as_ref().unwrap().shape(), &[b * h * s, s]);
+            assert_eq!(cap.block_input.shape(), &[b * s, d]);
+            assert_eq!(cap.attn_layout.n_heads(), h);
+            assert_eq!(cap.attn_probs.shape(), &[b, cap.attn_layout.total_data_len]);
             assert_eq!(
                 cap.mlp_activations.as_ref().unwrap().shape(),
                 &[b * s, m.config.d_ff]
@@ -555,15 +558,7 @@ mod tests {
         let mut m = tiny();
         let ids = sample_batch(&m, 2, 8, 5);
         let caps = m
-            .execute(StepRequest::capture(
-                &ids,
-                2,
-                8,
-                CaptureConfig {
-                    attn: false,
-                    mlp: true,
-                },
-            ))
+            .execute(StepRequest::capture(&ids, 2, 8))
             .captures
             .unwrap();
         let acts = caps[0].mlp_activations.as_ref().unwrap();
@@ -572,6 +567,13 @@ mod tests {
             zero_frac > 0.2,
             "ReLU should zero a chunk of activations: {zero_frac}"
         );
+        // A GeLU model records no activations: there is no MLP sparsity to
+        // expose.
+        let mut cfg = ModelConfig::test_tiny();
+        cfg.activation = crate::Activation::Gelu;
+        let mut gelu = TransformerModel::new(cfg, 42);
+        let caps = gelu.execute(StepRequest::capture(&ids, 2, 8)).captures;
+        assert!(caps.unwrap().iter().all(|c| c.mlp_activations.is_none()));
     }
 
     #[test]
@@ -797,17 +799,9 @@ mod tests {
         let mut m = TransformerModel::new(cfg, 3);
         let ids = sample_batch(&m, 2, 64, 9);
         let mlp_zero_fraction = |m: &mut TransformerModel| {
-            m.execute(StepRequest::capture(
-                &ids,
-                2,
-                64,
-                CaptureConfig {
-                    attn: false,
-                    mlp: true,
-                },
-            ))
-            .captures
-            .unwrap()[0]
+            m.execute(StepRequest::capture(&ids, 2, 64))
+                .captures
+                .unwrap()[0]
                 .mlp_activations
                 .as_ref()
                 .unwrap()

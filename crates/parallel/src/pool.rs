@@ -127,86 +127,6 @@ impl ThreadPool {
             panic!("task in Long Exposure thread pool panicked");
         }
     }
-
-    /// Parallel loop over `range` in chunks of at least `grain` items.
-    pub fn parallel_for<F>(&self, range: Range<usize>, grain: usize, body: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        let n = range.len();
-        if n == 0 {
-            return;
-        }
-        let grain = grain.max(1);
-        if n <= grain {
-            body(range);
-            return;
-        }
-        let chunks = split_range(range, grain, self.n_threads);
-        let body_ref = &body;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-            .into_iter()
-            .map(|chunk| Box::new(move || body_ref(chunk)) as Box<dyn FnOnce() + Send + '_>)
-            .collect();
-        self.run_scoped(tasks);
-    }
-
-    /// Chunked parallel map preserving chunk order in the output.
-    pub fn parallel_map<R, F>(&self, range: Range<usize>, grain: usize, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        let n = range.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let grain = grain.max(1);
-        if n <= grain {
-            return vec![body(range)];
-        }
-        let chunks = split_range(range, grain, self.n_threads);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(chunks.len());
-        slots.resize_with(chunks.len(), || None);
-        {
-            let body_ref = &body;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                .into_iter()
-                .zip(slots.iter_mut())
-                .map(|(chunk, slot)| {
-                    Box::new(move || *slot = Some(body_ref(chunk))) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            self.run_scoped(tasks);
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("scoped task did not fill its slot"))
-            .collect()
-    }
-
-    /// Run two closures, the second potentially on another worker.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let mut ra: Option<RA> = None;
-        let mut rb: Option<RB> = None;
-        {
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
-                vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))];
-            self.run_scoped(tasks);
-        }
-        (
-            ra.expect("join arm a missing"),
-            rb.expect("join arm b missing"),
-        )
-    }
 }
 
 impl Drop for ThreadPool {
@@ -322,18 +242,21 @@ mod tests {
     fn private_pool_executes_and_shuts_down() {
         let pool = ThreadPool::new(3);
         assert_eq!(pool.threads(), 3);
-        let sum: usize = pool
-            .parallel_map(0..100, 5, |r| r.sum::<usize>())
-            .into_iter()
-            .sum();
-        assert_eq!(sum, (0..100).sum::<usize>());
+        let mut data: Vec<usize> = vec![0; 100];
+        pool.par_rows(&mut data, 100, 1, 5, |rows, chunk| {
+            for (v, i) in chunk.iter_mut().zip(rows) {
+                *v = i;
+            }
+        });
+        assert_eq!(data.iter().sum::<usize>(), (0..100).sum::<usize>());
         drop(pool); // must not hang
     }
 
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = ThreadPool::new(1);
-        let out = pool.parallel_map(0..10, 1, |r| r.len());
-        assert_eq!(out.iter().sum::<usize>(), 10);
+        let mut data = vec![0u8; 10];
+        pool.par_rows(&mut data, 10, 1, 1, |_, chunk| chunk.fill(1));
+        assert_eq!(data.iter().map(|&v| v as usize).sum::<usize>(), 10);
     }
 }

@@ -40,7 +40,8 @@ fn rate(count: u64, d: Duration) -> f64 {
 
 /// Label-cardinality guard for [`MetricsSnapshot::render_prometheus`]: only
 /// the top [`DEFAULT_TENANT_SERIES_CAP`] tenants by tokens processed are
-/// exposed as individual `tenant="…"` series; the rest aggregate into
+/// exposed as individual `tenant="…"` series, the service's own and the
+/// registry's tenant-labelled histograms alike; the rest aggregate into
 /// `tenant="other"`. A 1000-tenant fleet must not bloat the exposition (or
 /// the scrape database) with 6000 series.
 pub const DEFAULT_TENANT_SERIES_CAP: usize = 32;
@@ -260,7 +261,22 @@ impl MetricsSnapshot {
             // not a meaningful series.
             tenant_series("other", &rollup, false);
         }
-        out.push_str(&lx_obs::registry().render_prometheus());
+        // The registry follows the same cap: a `tenant`-labelled series
+        // (the per-tenant slice histograms) renders only for a top-K tenant.
+        let shown: Vec<String> = ranked[..cap]
+            .iter()
+            .map(|(t, _)| t.replace('"', "'"))
+            .collect();
+        for line in lx_obs::registry().render_prometheus().lines() {
+            let tenant = line
+                .split_once("tenant=\"")
+                .and_then(|(_, rest)| rest.split_once('"'))
+                .map(|(t, _)| t);
+            if tenant.is_none_or(|t| shown.iter().any(|s| s == t)) {
+                out.push_str(line);
+                out.push('\n');
+            }
+        }
         out
     }
 }

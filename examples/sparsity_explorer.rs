@@ -8,7 +8,7 @@
 use long_exposure::exposer::Exposer;
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
-use lx_model::{CaptureConfig, ModelConfig, TransformerModel};
+use lx_model::{ModelConfig, TransformerModel};
 
 fn main() {
     let (batch, seq, block) = (2, 128, 16);
@@ -18,24 +18,12 @@ fn main() {
     let mut batcher = Batcher::new(E2eGenerator::new(world).stream(20_000, 0));
     let ids = batcher.next_batch(batch, seq);
 
-    let caps = model
-        .execute(lx_model::StepRequest::capture(
-            &ids,
-            batch,
-            seq,
-            CaptureConfig {
-                attn: true,
-                mlp: true,
-            },
-        ))
-        .captures
-        .expect("capture mode records captures");
     let exposer = Exposer::new(block, 0.05, 0.02);
+    let layers = exposer.expose(&mut model, &ids, batch, seq);
 
-    for (l, cap) in caps.iter().enumerate() {
+    for (l, layer) in layers.iter().enumerate() {
         println!("=== layer {l} ===");
-        let probs = cap.attn_probs.as_ref().unwrap();
-        let masks = exposer.attention_head_masks(probs.as_slice(), batch, cfg.n_heads, seq);
+        let masks = layer.batch_head_masks();
         for (h, m) in masks.iter().enumerate() {
             println!(
                 "head {h}: {} active blocks, causal-relative sparsity {:.2}",
@@ -52,13 +40,13 @@ fn main() {
         println!("union mask ({}x{} blocks):", union.rows(), union.cols());
         print!("{}", union.to_ascii());
 
-        let acts = cap.mlp_activations.as_ref().unwrap();
+        let acts = layer.mlp_activations.as_ref().unwrap();
         println!(
             "MLP: per-token sparsity {:.2}, union (\"shadowy\") sparsity {:.2}",
             Exposer::mlp_per_token_sparsity(acts),
             Exposer::mlp_union_sparsity(acts),
         );
-        let imp = exposer.mlp_block_importance(acts.as_slice(), acts.cols());
+        let imp = layer.batch_mlp_importance().unwrap();
         for th in [0.01f32, 0.02, 0.05] {
             let e = Exposer::new(block, 0.05, th);
             let set = e.mlp_filter(&imp);

@@ -390,6 +390,42 @@ fn second_scheduler_stays_retired() {
 }
 
 #[test]
+fn exposer_is_the_one_capture_reader() {
+    // The one-ground-truth contract: a capture hands over the dense
+    // forward's block probabilities and `Exposer::expose` is their only
+    // reader. The dense `[B·h·S, S]` capture, its two-bool config and the
+    // pool primitives only tests called must not grow back, and no second
+    // capture-to-mask loop may run its own capture pass.
+    let root = repo_root();
+    for dir in ["crates", "examples"] {
+        for file in rust_files(dir) {
+            let rel = file.strip_prefix(&root).expect("under the repo");
+            let rel = rel.to_string_lossy().replace('\\', "/");
+            let src = std::fs::read_to_string(&file).expect("read source");
+            for retired in [
+                "CaptureConfig",
+                "cached_dense_probs",
+                "parallel_for",
+                "parallel_map",
+            ] {
+                assert!(
+                    !src.contains(retired),
+                    "{rel}: retired `{retired}` resurfaced"
+                );
+            }
+            let callers = non_test_source(&rel)
+                .matches("StepRequest::capture(")
+                .count();
+            let allowed = usize::from(rel == "crates/core/src/exposer.rs");
+            assert_eq!(
+                callers, allowed,
+                "{rel}: capture passes go through Exposer::expose"
+            );
+        }
+    }
+}
+
+#[test]
 fn second_softmax_stays_retired() {
     // The one-row-kernel contract: `lx_kernels::rows` holds the only `exp`,
     // softmax, LayerNorm, ReLU and log-sum-exp on the step path; lx-tensor,

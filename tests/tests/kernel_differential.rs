@@ -405,6 +405,22 @@ fn parallel_packed_is_bit_identical_to_sequential() {
     }
 }
 
+/// `f(i)` for every `i < tasks`, each run as its own task on the global
+/// pool and written to its own result slot; results in index order.
+fn pool_tasks<R: Send>(tasks: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..tasks).map(|_| None).collect();
+    let f = &f;
+    let jobs = slots
+        .iter_mut()
+        .enumerate()
+        .map(|(i, slot)| Box::new(move || *slot = Some(f(i))) as Box<dyn FnOnce() + Send + '_>);
+    lx_parallel::pool().run_scoped(jobs.collect());
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every task fills its slot"))
+        .collect()
+}
+
 /// Regression: a GEMM issued from inside every pool worker simultaneously
 /// (any kernel nested in a pool task does exactly this) must fall back to the sequential
 /// driver instead of re-entering the pool — no deadlock, no oversubscribed
@@ -434,10 +450,8 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
             Epilogue::None,
         )
     };
-    // grain 1 → one chunk per task index, so every worker gets GEMM work.
-    let results =
-        lx_parallel::parallel_map(0..tasks, 1, |chunk| chunk.map(gemm).collect::<Vec<_>>());
-    for (i, got) in results.into_iter().flatten().enumerate() {
+    // One pool task per index, so every worker gets GEMM work.
+    for (i, got) in pool_tasks(tasks, gemm).into_iter().enumerate() {
         let want = lx_kernels::with_sequential(|| gemm(i));
         assert_bits(&format!("worker gemm {i}"), &got, &want);
     }
@@ -954,9 +968,7 @@ fn grouped_launch_inside_every_worker_runs_inline() {
     let groups = attention_groups(16, 32, &dense, 711);
     let run = |i: usize| groups[i % 3].run(0.0, |view, c| PACKED.gemm_grouped(view, c));
     let tasks = (lx_parallel::pool().threads() * 2).max(4);
-    let results =
-        lx_parallel::parallel_map(0..tasks, 1, |chunk| chunk.map(run).collect::<Vec<_>>());
-    for (i, got) in results.into_iter().flatten().enumerate() {
+    for (i, got) in pool_tasks(tasks, run).into_iter().enumerate() {
         assert_bits(&format!("worker launch {i}"), &got, &run(i));
     }
 }

@@ -284,6 +284,75 @@ fn serve_shutdown_dumps_a_valid_chrome_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The exposition's tenant cap covers the registry too: the per-tenant
+/// slice histograms of every admitted tenant stay registered, but only the
+/// top-K tenants' series render.
+#[test]
+fn serve_exposition_caps_every_tenant_labelled_series() {
+    let _guard = obs_lock();
+    let scheduler = lx_cluster::ClusterScheduler::new(
+        |_| {
+            let mut model = TransformerModel::new(ModelConfig::test_tiny(), 22);
+            model.freeze_all();
+            model
+        },
+        long_exposure::engine::EngineConfig {
+            block_size: BLOCK,
+            ..Default::default()
+        },
+        lx_cluster::ClusterConfig {
+            replicas: 1,
+            ..Default::default()
+        },
+        Arc::new(lx_serve::AdapterRegistry::in_memory()),
+    );
+    let svc = lx_cluster::FinetuneService::spawn(scheduler);
+    let jobs: Vec<_> = (0..40)
+        .map(|i| {
+            let spec = lx_serve::JobSpec {
+                stream_len: 2_000,
+                ..lx_serve::JobSpec::lora(format!("capped-{i:02}"), 1, 1, 16)
+            };
+            svc.submit(spec, lx_cluster::QosClass::Batch)
+        })
+        .collect();
+    for job in jobs {
+        job.wait().expect("job completes");
+    }
+    let prom = svc.metrics().render_prometheus();
+    svc.shutdown();
+    let mut tenants: Vec<&str> = prom
+        .lines()
+        .filter_map(|l| l.split_once("tenant=\"")?.1.split_once('"'))
+        .map(|(t, _)| t)
+        .filter(|&t| t != "other")
+        .collect();
+    tenants.sort_unstable();
+    tenants.dedup();
+    assert_eq!(
+        tenants.len(),
+        lx_serve::metrics::DEFAULT_TENANT_SERIES_CAP,
+        "{tenants:?}"
+    );
+    assert!(prom.contains("lx_serve_tenant_steps_total{tenant=\"other\"}"));
+    // The shown tenants keep their slice histograms.
+    for t in &tenants {
+        assert!(
+            prom.contains(&format!("serve_slice_run_ns_count{{tenant=\"{t}\"}}")),
+            "{t}"
+        );
+    }
+    let registered = registry().histograms();
+    let capped = registered
+        .iter()
+        .filter(|(k, _)| k.starts_with("serve.slice.run_ns{tenant=\"capped-"));
+    assert_eq!(
+        capped.count(),
+        40,
+        "every tenant's histogram stays registered"
+    );
+}
+
 /// Calibration's three phases are child spans of `engine.calibrate`, so its
 /// seconds of set-up split into capture, predictor training and evaluation
 /// from the trace alone. Inside the train span, every epoch's launch records
