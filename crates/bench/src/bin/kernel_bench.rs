@@ -29,7 +29,14 @@
 //! over the scalar definition it must match bit for bit, single-threaded —
 //! floor ≥3.0x for the fused block-row softmax at the same SDD layout,
 //! ≥1.5x for LayerNorm forward + backward at 512×256 (skipped, loudly, when
-//! the active arm *is* the scalar definition).
+//! the active arm *is* the scalar definition). Two more gate the
+//! reduced-storage run decoders the same way: one `d_model × d_ff` panel
+//! decoded by the active arm over the definition, bitwise asserted, floor
+//! ≥3.0x for f16 and for NF4.
+//!
+//! The shape table starts after a ~0.3 s warm-up: a vCPU that was idle runs
+//! the first ~100 ms slow, which inflates the `Reference` times of the first
+//! rows and so their ratios.
 //!
 //! Flags:
 //! * `--smoke` — small shapes, few reps; asserts numerical equivalence and a
@@ -100,6 +107,8 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             shape("mlp fc1", NN, F32, 128, 128, 256),
             shape("mlp fc1 f16-w", NN, F16, 128, 128, 256),
             shape("mlp fc1 nf4-w", NN, Q4, 128, 128, 256),
+            shape("lm head f16-w", NT, F16, 64, 128, 1024),
+            shape("lm head nf4-w", NT, Q4, 64, 128, 1024),
             shape("grad dW", TN, F32, 128, 128, 128),
         ]
     } else {
@@ -113,6 +122,8 @@ fn shapes(smoke: bool) -> Vec<Shape> {
             shape("mlp fc1 512x256x1024", NN, F32, 512, 256, 1024),
             shape("mlp fc1 f16-w 512x256x1024", NN, F16, 512, 256, 1024),
             shape("mlp fc1 nf4-w 512x256x1024", NN, Q4, 512, 256, 1024),
+            shape("lm head f16-w 64x128x1024", NT, F16, 64, 128, 1024),
+            shape("lm head nf4-w 64x128x1024", NT, Q4, 64, 128, 1024),
             shape("mlp fc2 512x1024x256", NN, F32, 512, 1024, 256),
             shape("grad dW 256x512x1024", TN, F32, 256, 512, 1024),
         ]
@@ -151,6 +162,20 @@ fn time(be: &dyn KernelBackend, op: &GemmOp<'_>, c: &mut [f32], reps: usize) -> 
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Keep both backends busy on a 192³ product for ~0.3 s, so the shape table
+/// starts on a warm vCPU.
+fn warm_up() {
+    let n = 192;
+    let (a, b) = (randn_vec(n * n, 1.0, 1), randn_vec(n * n, 1.0, 2));
+    let op = GemmOp::nn(n, n, n, &a, n, &b[..], n);
+    let mut c = vec![0.0f32; n * n];
+    let t0 = Instant::now();
+    while t0.elapsed().as_secs_f64() < 0.3 {
+        run(&REFERENCE, &op, &mut c);
+        run(&PACKED, &op, &mut c);
+    }
 }
 
 fn max_rel_diff(x: &[f32], y: &[f32]) -> f32 {
@@ -216,6 +241,7 @@ fn main() {
     ]);
     let mut failures = 0usize;
     let mut best_speedup = 0.0f64;
+    warm_up();
     for s in shapes(smoke) {
         let (a_layout, b_layout) = s.layouts;
         let (b_rows, b_cols) = match b_layout {
@@ -776,6 +802,20 @@ fn main() {
                 out
             },
         );
+
+        // Reduced-storage decode of one backbone panel (`d_model × d_ff` of
+        // the serve model), as the B̃ fills and row gathers run it.
+        let (d, d_ff) = (128usize, 1024usize);
+        let panel = Tensor::from_vec(randn_vec(d * d_ff, 1.0, 27), &[d, d_ff]);
+        for (label, dtype) in [("decode f16", Dtype::F16), ("decode nf4", Dtype::Nf4Block)] {
+            let reduced = Reduced::from_tensor(&panel, dtype);
+            let b = BRef::from(&reduced).operand();
+            rows_gate(label, format!("{d}x{d_ff}"), 3.0, &|arm| {
+                let mut out = vec![0.0f32; b.len()];
+                lx_kernels::decode::run(arm, b, 0, &mut out);
+                out
+            });
+        }
     }
 
     cli.finish();

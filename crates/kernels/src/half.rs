@@ -1,15 +1,19 @@
 //! IEEE binary16 ("half") conversion primitives.
 //!
 //! These are the canonical software f16 routines for the whole workspace:
-//! the storage layer (`lx_tensor::Reduced`) encodes with them and the fused
-//! f16-input GEMM paths (the [`BOperand::F16`](crate::BOperand::F16) arm of
-//! every backend: on-load decode in `Reference`, pack-time decode in
-//! `Packed`) decode with them, so the two can never disagree on rounding
-//! semantics.
+//! the storage layer (`lx_tensor::Reduced`) encodes with them, and
+//! [`f16_bits_to_f32`] is the definition every f16 decode must equal bit for
+//! bit. The decodes themselves — [`decode_slice`] and the
+//! [`BOperand::F16`](crate::BOperand::F16) arm of every backend (on-load
+//! decode in `Reference`, pack-time decode in `Packed`) — run a run at a time
+//! through [`crate::decode`], whose vector arms are `vcvtph2ps`.
 //!
 //! Conversion policy: f32→f16 rounds to nearest, ties to even; overflow
 //! saturates to ±inf; NaN stays NaN with the quiet bit forced so a payload
-//! that truncates to zero cannot turn into an infinity. f16→f32 is exact.
+//! that truncates to zero cannot turn into an infinity. f16→f32 is exact,
+//! except that a signalling NaN comes back quiet (the f32 quiet bit set,
+//! payload kept), as `vcvtph2ps` returns it. The encoder never writes a
+//! signalling NaN, so no stored weight decodes differently for it.
 
 /// Convert an `f32` to IEEE binary16 bits (round-to-nearest-even).
 pub fn f32_to_f16_bits(value: f32) -> u16 {
@@ -63,7 +67,8 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
     sign // underflow -> signed zero
 }
 
-/// Convert IEEE binary16 bits back to `f32` (exact).
+/// Convert IEEE binary16 bits back to `f32`: exact, with a NaN returned
+/// quiet.
 #[inline]
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let sign = ((bits & 0x8000) as u32) << 16;
@@ -82,8 +87,11 @@ pub fn f16_bits_to_f32(bits: u16) -> f32 {
             }
             sign | ((e as u32) << 23) | ((f & 0x03ff) << 13)
         }
+    } else if exp == 0x1f && frac != 0 {
+        // NaN: keep the payload, set the quiet bit.
+        sign | 0x7fc0_0000 | (frac << 13)
     } else if exp == 0x1f {
-        sign | 0x7f80_0000 | (frac << 13)
+        sign | 0x7f80_0000
     } else {
         sign | ((exp + 127 - 15) << 23) | (frac << 13)
     };
@@ -96,12 +104,11 @@ pub fn round_f16(value: f32) -> f32 {
     f16_bits_to_f32(f32_to_f16_bits(value))
 }
 
-/// Decode a slice of f16 bits into an f32 buffer of the same length.
+/// Decode a slice of f16 bits into an f32 buffer of the same length, on the
+/// [`active_isa`](crate::active_isa) arm.
 pub fn decode_slice(bits: &[u16], out: &mut [f32]) {
     assert_eq!(bits.len(), out.len(), "decode_slice length mismatch");
-    for (o, &b) in out.iter_mut().zip(bits) {
-        *o = f16_bits_to_f32(b);
-    }
+    crate::decode::f16(crate::active_isa(), bits, out);
 }
 
 /// Encode a slice of f32 values into f16 bits (round-to-nearest-even).

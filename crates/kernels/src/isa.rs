@@ -7,12 +7,15 @@
 //! | arm      | register tile | requires                    |
 //! |----------|---------------|-----------------------------|
 //! | `scalar` | 6×16          | nothing (LLVM autovec)      |
-//! | `avx2`   | 6×16          | x86-64 with AVX2+FMA        |
+//! | `avx2`   | 6×16          | x86-64 with AVX2+FMA+F16C   |
 //! | `avx512` | 14×32         | x86-64 with AVX-512F        |
 //! | `neon`   | 6×16          | aarch64 with NEON (fused, LLVM autovec) |
 //!
-//! The row kernels ([`crate::rows`]) run on the same selection: `avx2` and
-//! `avx512` are register arms, `scalar` and `neon` their scalar definition.
+//! The row kernels ([`crate::rows`]) and the reduced-storage run decoders
+//! ([`crate::decode`]) run on the same selection: `avx2` and `avx512` are
+//! register arms, `scalar` and `neon` their scalar definition. F16C (the
+//! `vcvtph2ps` the AVX2 f16 decoder uses) shipped with every AVX2 CPU, so
+//! the `avx2` arm requires it rather than splitting into two arms.
 //!
 //! Selection precedence (first match wins):
 //! 1. `LX_KERNEL_ISA=scalar|avx2|avx512|neon` → that arm if the CPU supports
@@ -27,7 +30,7 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// Fixed-shape scalar kernel, auto-vectorised by LLVM. Always available.
     Scalar,
-    /// AVX2+FMA 6×16 kernel (two ymm per row).
+    /// AVX2+FMA 6×16 kernel (two ymm per row); F16C for the f16 decoder.
     Avx2,
     /// AVX-512F 14×32 kernel (two zmm per row, 28 accumulators).
     Avx512,
@@ -75,7 +78,9 @@ impl Isa {
             Isa::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+                    is_x86_feature_detected!("avx2")
+                        && is_x86_feature_detected!("fma")
+                        && is_x86_feature_detected!("f16c")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {

@@ -46,7 +46,46 @@
 //! one polynomial `exp` and passes defined over 16 virtual lanes, run on the
 //! same [`active_isa`] arm as the microkernels and bit-identical across arms.
 
+/// Declare a kernel `name(isa, args…)` as three instantiations of the
+/// `#[inline(always)]` definition `def::<L>(args…)`: over the defining
+/// `Scalar` type, and over the register types `x86::Avx2` / `x86::Avx512`
+/// inside wrappers that enable AVX2+FMA+F16C / AVX-512F (the definition and
+/// its intrinsics inline into the wrapper, which is what makes them legal to
+/// execute). The three types are resolved in the invoking module. An arm the
+/// host cannot execute, and `Isa::Scalar` / `Isa::Neon`, run the definition.
+macro_rules! arms {
+    ($(#[$meta:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $def:ident;) => {
+        $(#[$meta])*
+        $vis fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx512f")]
+                fn avx512($($arg: $ty),*) $(-> $ret)? {
+                    $def::<x86::Avx512>($($arg),*)
+                }
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx2,fma,f16c")]
+                fn avx2($($arg: $ty),*) $(-> $ret)? {
+                    $def::<x86::Avx2>($($arg),*)
+                }
+                match isa {
+                    // SAFETY: `supported()` has just confirmed that this CPU
+                    // executes every feature the wrapper enables.
+                    Isa::Avx512 if isa.supported() => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above, for AVX2 + FMA + F16C.
+                    Isa::Avx2 if isa.supported() => return unsafe { avx2($($arg),*) },
+                    _ => {}
+                }
+            }
+            let _ = isa;
+            $def::<Scalar>($($arg),*)
+        }
+    };
+}
+
 mod backend;
+pub mod decode;
 mod dispatch;
 mod epilogue;
 pub mod half;

@@ -129,20 +129,14 @@ impl BOperand<'_> {
         }
     }
 
-    /// Decode flat elements `base .. base + out.len()` into `out`. Every
-    /// codec decodes elementwise over flat indices, so any window is
-    /// bit-identical to the same elements of a full decode. The storage kind
-    /// is resolved once per call, not per element.
+    /// Decode flat elements `base .. base + out.len()` into `out`: one
+    /// [`decode::run`](crate::decode::run) on the
+    /// [`active_isa`](crate::active_isa) arm. Every codec decodes
+    /// elementwise over flat indices and every arm equals [`get`](Self::get)
+    /// bit for bit, so any window is bit-identical to the same elements of
+    /// a full decode.
     pub fn decode_into(&self, base: usize, out: &mut [f32]) {
-        match self {
-            BOperand::F32(b) => out.copy_from_slice(&b[base..base + out.len()]),
-            BOperand::F16(b) => crate::half::decode_slice(&b[base..base + out.len()], out),
-            BOperand::Q4(b) => {
-                for (j, o) in out.iter_mut().enumerate() {
-                    *o = b.get(base + j);
-                }
-            }
-        }
+        crate::decode::run(crate::active_isa(), *self, base, out)
     }
 }
 

@@ -28,6 +28,14 @@
 //!   *same* microkernel, only the pack routines index differently. Edge tiles
 //!   are zero-padded in the packed buffers, so the microkernel never branches
 //!   on shape; write-back clamps to the valid region.
+//! * Packing is also where reduced storage turns into f32 ([`fill_panel`]),
+//!   so the microkernel and all accumulation stay f32 whatever the storage —
+//!   the BLIS-style mixed-precision scheme: an f16 or NF4 B costs one decode
+//!   during the O(k·n) pack, not one per O(m·k·n) FLOP. It decodes a run at
+//!   a time through the active arm's [`decode::run`]: one run per k-row of a
+//!   Normal panel, straight into it; one run per column of a Transposed
+//!   panel, into a stack scratch and from there strided into the panel. f32
+//!   B is copied element by element.
 //! * B̃ is packed once per `(jc, pc)` block — in parallel across panel chunks
 //!   when the pool is available — and shared read-only across all row tasks:
 //!   the "B-panel reuse across A rows" that makes the kernel
@@ -60,6 +68,7 @@
 //! GEMMs allocate nothing.
 
 use crate::backend::{per_task, row_grain, scale_only, KernelBackend, GRAIN_FLOPS};
+use crate::decode;
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
@@ -81,47 +90,62 @@ pub const NR: usize = 16;
 /// register tile.
 const SINGLE_USE: usize = 16;
 
-/// Element type a B operand may be stored in. Packing converts to f32, so
-/// the microkernel and all accumulation stay f32 regardless of storage —
-/// the BLIS-style mixed-precision scheme: lower-precision operands cost one
-/// conversion during the O(k·n) pack, not per O(m·k·n) FLOP.
-pub(crate) trait PackElem: Copy + Sync {
-    fn to_f32(self) -> f32;
-}
-
-impl PackElem for f32 {
-    #[inline(always)]
-    fn to_f32(self) -> f32 {
-        self
-    }
-}
-
-/// `u16` is interpreted as IEEE binary16 bits.
-impl PackElem for u16 {
-    #[inline(always)]
-    fn to_f32(self) -> f32 {
-        crate::half::f16_bits_to_f32(self)
-    }
-}
-
-/// A B operand the pack routines can read by **flat element index** — the
-/// generalisation [`PackElem`] needs once storage is no longer one element
-/// per slot. Block-quantized sources resolve their per-block scale from the
-/// same flat index (`scales[idx / BLOCK]`), which works under `ldb` striding
-/// because the index handed in is always buffer-relative, never
-/// panel-relative.
-pub(crate) trait PackSrc: Sync {
-    /// Dequantized/decoded f32 value of element `idx` of the row-major
-    /// buffer.
-    fn load(&self, idx: usize) -> f32;
-}
-
-/// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand:
-/// `dst[p·nr + j] = element(pc+p, col0+j)` for `p < kc`, `j < width`.
-/// Lanes past `width` are left as they are.
+/// Fill one `nr`-wide B̃ panel: `dst[p·nr + j]` = B(pc+p, col0+j) for
+/// `p < kc`, `j < width`, from B stored in `layout`; lanes past `width` are
+/// left as they are. An f32 B is copied element by element, reduced storage
+/// decoded in runs on arm `isa`. Decoder indices are buffer-relative, never
+/// panel-relative, so NF4 resolves its block scales under any `ldb`.
 #[allow(clippy::too_many_arguments)]
-fn fill_normal_elementwise<S: PackSrc + ?Sized>(
-    b: &S,
+fn fill_panel(
+    isa: Isa,
+    b: BOperand<'_>,
+    layout: Layout,
+    dst: &mut [f32],
+    ldb: usize,
+    pc: usize,
+    kc: usize,
+    col0: usize,
+    width: usize,
+    nr: usize,
+) {
+    match (b, layout) {
+        (BOperand::F32(b), Layout::Normal) => {
+            fill_normal_elementwise(|i| b[i], dst, ldb, pc, kc, col0, width, nr)
+        }
+        (BOperand::F32(b), Layout::Transposed) => {
+            fill_transposed_elementwise(|i| b[i], dst, ldb, pc, kc, col0, width, nr)
+        }
+        (_, Layout::Normal) => {
+            for p in 0..kc {
+                let row = &mut dst[p * nr..p * nr + width];
+                decode::run(isa, b, (pc + p) * ldb + col0, row);
+            }
+        }
+        (_, Layout::Transposed) => {
+            // The default k-block depth: one run per column at the default
+            // tiling.
+            const RUN: usize = 256;
+            let mut scratch = [0.0f32; RUN];
+            for j in 0..width {
+                let base = (col0 + j) * ldb + pc;
+                for p0 in (0..kc).step_by(RUN) {
+                    let run = &mut scratch[..RUN.min(kc - p0)];
+                    decode::run(isa, b, base + p0, run);
+                    for (p, &v) in run.iter().enumerate() {
+                        dst[(p0 + p) * nr + j] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand, one
+/// `load(flat index)` per element: `dst[p·nr + j] = load((pc+p)·ldb + col0+j)`
+/// for `p < kc`, `j < width`. Lanes past `width` are left as they are.
+#[allow(clippy::too_many_arguments)]
+fn fill_normal_elementwise(
+    load: impl Fn(usize) -> f32,
     dst: &mut [f32],
     ldb: usize,
     pc: usize,
@@ -133,17 +157,17 @@ fn fill_normal_elementwise<S: PackSrc + ?Sized>(
     for p in 0..kc {
         let base = (pc + p) * ldb + col0;
         for j in 0..width {
-            dst[p * nr + j] = b.load(base + j);
+            dst[p * nr + j] = load(base + j);
         }
     }
 }
 
 /// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
-/// `dst[p·nr + j] = element(col0+j, pc+p)`. Lanes past `width` are left as
-/// they are.
+/// `dst[p·nr + j] = load((col0+j)·ldb + pc+p)`. Lanes past `width` are left
+/// as they are.
 #[allow(clippy::too_many_arguments)]
-fn fill_transposed_elementwise<S: PackSrc + ?Sized>(
-    b: &S,
+fn fill_transposed_elementwise(
+    load: impl Fn(usize) -> f32,
     dst: &mut [f32],
     ldb: usize,
     pc: usize,
@@ -155,22 +179,8 @@ fn fill_transposed_elementwise<S: PackSrc + ?Sized>(
     for j in 0..width {
         let base = (col0 + j) * ldb + pc;
         for p in 0..kc {
-            dst[p * nr + j] = b.load(base + p);
+            dst[p * nr + j] = load(base + p);
         }
-    }
-}
-
-impl<E: PackElem> PackSrc for [E] {
-    #[inline(always)]
-    fn load(&self, idx: usize) -> f32 {
-        self[idx].to_f32()
-    }
-}
-
-impl PackSrc for lx_quant::Q4View<'_> {
-    #[inline(always)]
-    fn load(&self, idx: usize) -> f32 {
-        self.get(idx)
     }
 }
 
@@ -183,12 +193,14 @@ thread_local! {
 
 /// Pack `kc` k-steps × `nc` columns of B into `nr`-wide column panels:
 /// `out[panel][p·nr + j]` = B(pc+p, jc + panel·nr + j), zero-padded past
-/// `nc`. Panels are disjoint slices of `out`, so when a pool is given the
-/// fill is carved across it (one "row" per panel).
+/// `nc`, reduced storage decoded on arm `isa`. Panels are disjoint slices of
+/// `out`, so when a pool is given the fill is carved across it (one "row"
+/// per panel).
 #[allow(clippy::too_many_arguments)]
-fn pack_b<S: PackSrc + ?Sized>(
+fn pack_b(
     out: &mut Vec<f32>,
-    b: &S,
+    isa: Isa,
+    b: BOperand<'_>,
     ldb: usize,
     layout: Layout,
     pc: usize,
@@ -207,12 +219,7 @@ fn pack_b<S: PackSrc + ?Sized>(
             let j0 = panel * nr;
             let width = nr.min(nc - j0);
             let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            match layout {
-                Layout::Normal => fill_normal_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr),
-                Layout::Transposed => {
-                    fill_transposed_elementwise(b, dst, ldb, pc, kc, jc + j0, width, nr)
-                }
-            }
+            fill_panel(isa, b, layout, dst, ldb, pc, kc, jc + j0, width, nr);
             // The fills store the lanes below `width`; zero the padding.
             if width < nr {
                 for row in dst.chunks_exact_mut(nr) {
@@ -763,16 +770,13 @@ fn strided(
 pub struct Packed;
 
 impl Packed {
-    /// The macro-kernel, generic over the B source so the storage dispatch
-    /// happens once per call and the pack loops stay statically typed.
-    /// `b_f32` is B itself when it is a plain f32 operand.
+    /// The macro-kernel, for every storage kind of B: only the B̃ fill
+    /// ([`fill_panel`]) looks at it.
     #[allow(clippy::too_many_arguments)]
-    fn driver<S: PackSrc + ?Sized>(
+    fn driver(
         &self,
         pool: &ThreadPool,
         op: &GemmOp<'_>,
-        b: &S,
-        b_f32: Option<&[f32]>,
         c: &mut [f32],
         ldc: usize,
         beta: f32,
@@ -808,11 +812,15 @@ impl Packed {
         // A product one register tile wide reads each A row once, and one
         // a register tile tall reads each B row once: packing such an
         // operand buys nothing, so it is read where it lies.
-        let b_rows = b_f32.filter(|_| b_layout == Layout::Normal && m <= SINGLE_USE);
+        let isa = active_isa();
+        let b_rows = match op.b {
+            BOperand::F32(b) if b_layout == Layout::Normal && m <= SINGLE_USE => Some(b),
+            _ => None,
+        };
         if n <= SINGLE_USE || b_rows.is_some() {
-            return self.single_use(pool, seq, op, b, b_rows, c, ldc, beta, ep);
+            return self.single_use(pool, seq, isa, op, b_rows, c, ldc, beta, ep);
         }
-        let tile = Tile::of(active_isa())[0];
+        let tile = Tile::of(isa)[0];
         let (tmr, tnr) = tile.shape();
         let t = tiles();
         let (mc, kc_max, nc_max) = (t.mc.max(tmr), t.kc.max(1), t.nc.max(tnr));
@@ -836,7 +844,8 @@ impl Packed {
                 let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
                 pack_b(
                     &mut bpack,
-                    b,
+                    isa,
+                    op.b,
                     ldb,
                     b_layout,
                     pc,
@@ -902,12 +911,12 @@ impl Packed {
     /// panel, which is packed. The k-blocks, and so every C element's
     /// chains, are the packed driver's.
     #[allow(clippy::too_many_arguments)]
-    fn single_use<S: PackSrc + ?Sized>(
+    fn single_use(
         &self,
         pool: &ThreadPool,
         seq: bool,
+        isa: Isa,
         op: &GemmOp<'_>,
-        b: &S,
         b_rows: Option<&[f32]>,
         c: &mut [f32],
         ldc: usize,
@@ -934,7 +943,8 @@ impl Packed {
                 let pool = (!seq).then_some(pool);
                 pack_b(
                     &mut bpack,
-                    b,
+                    isa,
+                    op.b,
                     op.ldb,
                     op.b_layout,
                     pc,
@@ -1069,16 +1079,10 @@ impl GroupPass<'_> {
                 while v < cols.end {
                     let (window, j) = (windows[slot + v / g.n] as usize, v % g.n);
                     let width = (g.n - j).min(cols.end - v);
-                    let b = &g.b.data[window * g.b.stride..];
+                    let b = BOperand::F32(&g.b.data[window * g.b.stride..]);
                     let dst = &mut dst[v - cols.start..];
-                    match g.b.layout {
-                        Layout::Normal => {
-                            fill_normal_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
-                        }
-                        Layout::Transposed => {
-                            fill_transposed_elementwise(b, dst, g.b.ld, pc, kc, j, width, nr)
-                        }
-                    }
+                    let isa = Isa::Scalar; // f32 windows: copied, not decoded
+                    fill_panel(isa, b, g.b.layout, dst, g.b.ld, pc, kc, j, width, nr);
                     v += width;
                 }
             }
@@ -1229,11 +1233,7 @@ impl Packed {
         ep: Epilogue<'_>,
     ) {
         op.check(c.len(), ldc);
-        match &op.b {
-            BOperand::F32(b) => self.driver(pool, op, *b, Some(b), c, ldc, beta, ep),
-            BOperand::F16(b) => self.driver(pool, op, *b, None, c, ldc, beta, ep),
-            BOperand::Q4(b) => self.driver(pool, op, b, None, c, ldc, beta, ep),
-        }
+        self.driver(pool, op, c, ldc, beta, ep)
     }
 
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
@@ -1349,8 +1349,9 @@ impl KernelBackend for Packed {
     }
 
     /// Every storage kind feeds the same macro-kernel: the decode (f16 bits,
-    /// NF4 dequant — see the `PackSrc` impls) is fused into the B̃ pack, so a dense f32 B is
-    /// never materialised and the microkernel runs unchanged on f32 panels.
+    /// NF4 dequant — see `fill_panel`) is fused into the B̃ pack, so a
+    /// dense f32 B is never materialised and the microkernel runs unchanged
+    /// on f32 panels.
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
         self.gemm_on(lx_parallel::pool(), op, c, ldc, beta, ep)
     }
@@ -1426,34 +1427,51 @@ mod tests {
     }
 
     /// `pack_b` into a buffer holding an earlier call's (here: NaN) lanes
-    /// gives the panels a zeroed buffer and the elementwise fills give.
+    /// gives the panels a zeroed buffer and the elementwise fills give — for
+    /// every storage kind on every arm this host runs, so the run-decoding
+    /// fills of f16 and NF4 equal their elementwise oracle bit for bit. The
+    /// windows cover `ldb` past the stored width, panels narrower than `nr`,
+    /// odd first columns and `kc` that is no multiple of a vector step.
     #[test]
     fn pack_b_overwrites_every_lane_of_a_reused_buffer() {
-        let nr = active_isa().tile().1;
-        for layout in [Layout::Normal, Layout::Transposed] {
-            for (k, n, pc, kc, jc, nc) in [
-                (20, 40, 3, 17, 2, 37),
-                (8, 16, 0, 8, 0, 16),
-                (9, 5, 1, 8, 0, 5),
-            ] {
-                let ldb = if layout == Layout::Normal { n } else { k };
-                let b = values(k * n, (k * n + nc) as u64);
-                let mut want = vec![0.0; nc.div_ceil(nr) * kc * nr];
-                for (panel, dst) in want.chunks_exact_mut(kc * nr).enumerate() {
-                    let (j0, width) = (jc + panel * nr, nr.min(nc - panel * nr));
-                    match layout {
-                        Layout::Normal => {
-                            fill_normal_elementwise(&b[..], dst, ldb, pc, kc, j0, width, nr)
+        let arms = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
+        for isa in arms.filter(|isa| isa.supported()) {
+            let nr = isa.tile().1;
+            for layout in [Layout::Normal, Layout::Transposed] {
+                for (k, n, pad, pc, kc, jc, nc) in [
+                    (20, 40, 0, 3, 17, 2, 37),
+                    (8, 16, 0, 0, 8, 0, 16),
+                    (9, 5, 0, 1, 8, 0, 5),
+                    (70, 75, 3, 5, 61, 3, 70),
+                    (130, 33, 1, 1, 129, 1, 31),
+                ] {
+                    let ldb = pad + if layout == Layout::Normal { n } else { k };
+                    let len = if layout == Layout::Normal { k } else { n } * ldb;
+                    let vals = values(len, (k * n + nc) as u64);
+                    let bits = crate::half::encode_slice(&vals);
+                    let (codes, scales) = lx_quant::nf4::quantize(&vals);
+                    let q4 = lx_quant::Q4View::new(&codes, &scales, len);
+                    for b in [BOperand::F32(&vals), BOperand::F16(&bits), BOperand::Q4(q4)] {
+                        let mut want = vec![0.0; nc.div_ceil(nr) * kc * nr];
+                        for (panel, dst) in want.chunks_exact_mut(kc * nr).enumerate() {
+                            let (j0, width) = (jc + panel * nr, nr.min(nc - panel * nr));
+                            let load = |i| b.get(i);
+                            match layout {
+                                Layout::Normal => {
+                                    fill_normal_elementwise(load, dst, ldb, pc, kc, j0, width, nr)
+                                }
+                                Layout::Transposed => fill_transposed_elementwise(
+                                    load, dst, ldb, pc, kc, j0, width, nr,
+                                ),
+                            }
                         }
-                        Layout::Transposed => {
-                            fill_transposed_elementwise(&b[..], dst, ldb, pc, kc, j0, width, nr)
-                        }
+                        let mut got = vec![f32::NAN; want.len() + 7];
+                        pack_b(&mut got, isa, b, ldb, layout, pc, kc, jc, nc, nr, None);
+                        let what = format!("{} {} {layout:?} nc {nc}", isa.name(), b.dtype());
+                        assert_bits(&what, &got, &want);
+                        assert_eq!(got.len(), want.len());
                     }
                 }
-                let mut got = vec![f32::NAN; want.len() + 7];
-                pack_b(&mut got, &b[..], ldb, layout, pc, kc, jc, nc, nr, None);
-                assert_bits(&format!("{layout:?} nc {nc}"), &got, &want);
-                assert_eq!(got.len(), want.len());
             }
         }
     }

@@ -43,42 +43,6 @@ pub const LANES: usize = 16;
 /// one (the pool's wake-up and the shared core eat it).
 pub const PAR_GRAIN: usize = 1 << 18;
 
-/// Declare a public kernel `name(isa, args…)` as three instantiations of the
-/// `#[inline(always)]` definition `def::<L>(args…)`: over the defining
-/// [`Scalar`] lanes, and over the register lanes inside wrappers that enable
-/// AVX2+FMA / AVX-512F (the definition and its intrinsics inline into the
-/// wrapper, which is what makes them legal to execute).
-macro_rules! arms {
-    ($(#[$meta:meta])* pub fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $def:ident;) => {
-        $(#[$meta])*
-        pub fn $name(isa: Isa, $($arg: $ty),*) $(-> $ret)? {
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[allow(clippy::too_many_arguments)]
-                #[target_feature(enable = "avx512f")]
-                fn avx512($($arg: $ty),*) $(-> $ret)? {
-                    $def::<x86::Avx512>($($arg),*)
-                }
-                #[allow(clippy::too_many_arguments)]
-                #[target_feature(enable = "avx2,fma")]
-                fn avx2($($arg: $ty),*) $(-> $ret)? {
-                    $def::<x86::Avx2>($($arg),*)
-                }
-                match isa {
-                    // SAFETY: `supported()` has just confirmed that this CPU
-                    // executes every feature the wrapper enables.
-                    Isa::Avx512 if isa.supported() => return unsafe { avx512($($arg),*) },
-                    // SAFETY: as above, for AVX2 + FMA.
-                    Isa::Avx2 if isa.supported() => return unsafe { avx2($($arg),*) },
-                    _ => {}
-                }
-            }
-            let _ = isa;
-            $def::<Scalar>($($arg),*)
-        }
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Sixteen lanes
 // ---------------------------------------------------------------------------

@@ -106,6 +106,16 @@ impl<'a> Q4View<'a> {
         self.len == 0
     }
 
+    /// The packed nibbles: element `2i` in the low nibble of byte `i`.
+    pub fn codes(&self) -> &'a [u8] {
+        self.codes
+    }
+
+    /// One absmax scale per [`BLOCK`] elements.
+    pub fn scales(&self) -> &'a [f32] {
+        self.scales
+    }
+
     /// Dequantize the element at flat index `idx`.
     #[inline(always)]
     pub fn get(&self, idx: usize) -> f32 {
