@@ -4,8 +4,7 @@
 //! Shapes cover the hot paths the backends serve: square training GEMMs, the
 //! attention score/context products (`s×dh×s` / `s×s×dh`), the MLP FC1/FC2
 //! shapes, and the `dW = Xᵀ·dY` gradient (`tn`) shape. Each shape is timed on
-//! both backends, cross-checked numerically (≤1e-4 relative), and reported
-//! with the dispatcher's per-shape choice.
+//! both backends and cross-checked numerically (≤1e-4 relative).
 //!
 //! A second "gates" table checks the two wins this backend round is about:
 //! the parallel macro-kernel (pooled vs single-worker packed GEMM on the
@@ -18,7 +17,9 @@
 //! Bit-identity between the compared variants is asserted unconditionally.
 //! Three more rows gate the grouped entry point the block-sparse operators
 //! launch through: one `gemm_grouped` over the operator's offset table vs the
-//! per-task `gemm` loop it replaced, both single-threaded (`with_sequential`),
+//! per-task `gemm` loop it replaced — each block on the backend that loop ran
+//! it on, `Reference` for the 16-wide attention blocks and `Packed` for the
+//! FC1 slabs — both single-threaded (`with_sequential`),
 //! so the ratio is packing reuse and microkernel efficiency and enforces on
 //! any runner — floor ≥3.0x for the SDD score blocks and for the transposed
 //! DSD over the same layout, ≥1.3x for the FC1 neuron slabs. The `lora` row
@@ -39,8 +40,8 @@
 //! rows and so their ratios.
 //!
 //! Flags:
-//! * `--smoke` — small shapes, few reps; asserts numerical equivalence and a
-//!   sane dispatcher, exits non-zero on mismatch (the CI regression gate).
+//! * `--smoke` — small shapes, few reps; asserts numerical equivalence,
+//!   exits non-zero on mismatch (the CI regression gate).
 //! * `--probe-isa <name>` — exit 0 if this CPU can run the named ISA arm
 //!   (`scalar|avx2|avx512|neon`), 2 otherwise; no benching. CI uses this to
 //!   skip matrix arms the runner cannot execute, with a visible log line.
@@ -56,8 +57,7 @@
 
 use lx_bench::{header, load_bench_json, row, BenchCli};
 use lx_kernels::{
-    Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Windows, AUTO, PACKED,
-    REFERENCE,
+    Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Windows, PACKED, REFERENCE,
 };
 use lx_tensor::rng::randn_vec;
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
@@ -131,9 +131,10 @@ fn shapes(smoke: bool) -> Vec<Shape> {
 }
 
 /// What the block-sparse operators did before the grouped entry point: one
-/// dispatched GEMM per block. Implementing only `gemm` leaves `gemm_grouped`
-/// at the trait's default — the per-task loop.
-struct PerTask;
+/// GEMM per block on the backend the size dispatch of that time picked for
+/// it. Implementing only `gemm` leaves `gemm_grouped` at the trait's default
+/// — the per-task loop.
+struct PerTask(&'static dyn KernelBackend);
 
 impl KernelBackend for PerTask {
     fn name(&self) -> &'static str {
@@ -141,7 +142,7 @@ impl KernelBackend for PerTask {
     }
 
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
-        AUTO.gemm(op, c, ldc, beta, ep)
+        self.0.gemm(op, c, ldc, beta, ep)
     }
 }
 
@@ -220,12 +221,11 @@ fn main() {
     let policy = lx_kernels::current_policy();
     let threads = lx_parallel::pool().threads();
     println!(
-        "== kernel_bench: Reference vs Packed (policy: MC={} KC={} NC={}, packed ≥ {} flops, \
-         isa: {}, threads: {}{}) ==\n",
+        "== kernel_bench: Reference vs Packed (policy: MC={} KC={} NC={}, isa: {}, threads: {}{}) \
+         ==\n",
         policy.tiles.mc,
         policy.tiles.kc,
         policy.tiles.nc,
-        policy.min_flops_packed,
         lx_kernels::active_isa().name(),
         threads,
         if smoke { ", smoke" } else { "" }
@@ -236,7 +236,6 @@ fn main() {
         "ref ms",
         "packed ms",
         "speedup",
-        "auto picks",
         "max rel diff",
     ]);
     let mut failures = 0usize;
@@ -274,20 +273,12 @@ fn main() {
         }
         let speedup = t_ref / t_packed;
         best_speedup = best_speedup.max(speedup);
-        // What the dispatcher actually does for this shape.
-        let auto_picks = lx_kernels::auto_choice(s.m, s.k, s.n);
-        let mut c_auto = vec![0.0f32; s.m * s.n];
-        run(&AUTO, &op, &mut c_auto);
-        if max_rel_diff(&c_auto, &c_ref) > 1e-4 {
-            failures += 1;
-        }
         row(&[
             s.label.to_string(),
             format!("{}x{}x{}", s.m, s.k, s.n),
             format!("{:.2}", t_ref * 1e3),
             format!("{:.2}", t_packed * 1e3),
             format!("{speedup:.2}x"),
-            auto_picks.to_string(),
             format!("{diff:.2e}"),
         ]);
     }
@@ -312,7 +303,7 @@ fn main() {
     ]);
 
     // Parallel scaling: the same packed GEMM single-worker vs pooled, on the
-    // large shape class (256³ clears the packed crossover). The two legs
+    // large shape class (256³). The two legs
     // write worker-disjoint row panels in the same order, so the results must
     // be bit-identical — that half gates; the timing is report-only, like
     // `fused bias` below.
@@ -458,7 +449,7 @@ fn main() {
     // legs, so the floors enforce on any runner.
     {
         const B: usize = 16;
-        let mut grouped_gate = |label: &str, dims: String, g: &GemmGroup<'_>, c_len, floor: f64| {
+        let mut grouped = |label: &str, dims, g: &GemmGroup<'_>, c_len, base: PerTask, floor| {
             let mut c_loop = vec![0.0f32; c_len];
             let mut c_grouped = vec![0.0f32; c_len];
             let best = |f: &mut dyn FnMut()| {
@@ -473,7 +464,7 @@ fn main() {
                     best
                 })
             };
-            let t_loop = best(&mut || PerTask.gemm_grouped(g, &mut c_loop));
+            let t_loop = best(&mut || base.gemm_grouped(g, &mut c_loop));
             let t_grouped = best(&mut || PACKED.gemm_grouped(g, &mut c_grouped));
             let close = max_rel_diff(&c_grouped, &c_loop) <= 1e-4;
             if !close {
@@ -523,11 +514,12 @@ fn main() {
         };
         let c_len = table.tasks().len() * B * B;
         let dims = format!("{}x{B}x{dh}x{B}", table.tasks().len());
-        grouped_gate(
+        grouped(
             "grouped sdd s=512 dh=32 b=16 d=0.23",
             dims,
             &group,
             c_len,
+            PerTask(&REFERENCE),
             3.0,
         );
 
@@ -548,11 +540,12 @@ fn main() {
             table: &table,
         };
         let dims = format!("{active}x{rows}x{d}x{B}");
-        grouped_gate(
+        grouped(
             "grouped fc1 512x256 d=0.41",
             dims,
             &group,
             rows * active as usize * B,
+            PerTask(&PACKED),
             1.3,
         );
 
@@ -592,11 +585,12 @@ fn main() {
             table: &table,
         };
         let dims = format!("{}x{B}x{B}x{dh}", table.tasks().len());
-        grouped_gate(
+        grouped(
             "grouped dsd_tn s=512 dh=32 b=16 d=0.23",
             dims,
             &group,
             s * dh,
+            PerTask(&REFERENCE),
             3.0,
         );
     }

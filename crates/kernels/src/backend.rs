@@ -114,8 +114,9 @@ fn dot_unrolled(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// The scalar loop kernels that used to live in `lx-tensor::gemm`, kept
-/// verbatim (modulo leading dims) as the correctness oracle and as the
-/// small-shape arm of the dispatcher. `i-k-j` order with an A-element
+/// verbatim (modulo leading dims) as the correctness oracle of the
+/// differential tests and the base column of `kernel_bench`; no runtime path
+/// runs them. `i-k-j` order with an A-element
 /// broadcast against a contiguous B row, which LLVM auto-vectorises well;
 /// rows of C split across the pool with a FLOP-based grain.
 pub struct Reference;

@@ -4,8 +4,8 @@
 //! Every read of a reduced-storage weight goes through [`run`]: the B̃ pack
 //! of the [`Packed`](crate::Packed) backend (one run per k-row of a
 //! Normal-layout panel, one per column of a Transposed one) and
-//! [`BOperand::decode_into`] behind `Reference`'s decoded rows, the embedding
-//! gathers and the MLP slab gathers.
+//! [`BOperand::decode_into`] behind the embedding gathers, the MLP slab
+//! gathers and the scalar oracle's decoded rows.
 //!
 //! As in [`rows`](crate::rows), the first argument is the arm, normally
 //! [`active_isa()`](crate::active_isa); `Isa::Scalar`, `Isa::Neon` and an arm

@@ -90,7 +90,7 @@ impl Epilogue<'_> {
 }
 
 /// Apply `ep` to an `m`×`n` block of `c` as a standalone pass — what the
-/// Reference backend runs after its decoded-B loops, and what degenerate
+/// scalar oracle backend runs after its decoded-B loops, and what degenerate
 /// `k == 0` GEMMs (where the "accumulation" is just the beta pre-scale)
 /// reduce to.
 #[track_caller]

@@ -4,9 +4,9 @@
 //! the storage layer (`lx_tensor::Reduced`) encodes with them, and
 //! [`f16_bits_to_f32`] is the definition every f16 decode must equal bit for
 //! bit. The decodes themselves — [`decode_slice`] and the
-//! [`BOperand::F16`](crate::BOperand::F16) arm of every backend (on-load
-//! decode in `Reference`, pack-time decode in `Packed`) — run a run at a time
-//! through [`crate::decode`], whose vector arms are `vcvtph2ps`.
+//! [`BOperand::F16`](crate::BOperand::F16) arm of every backend (pack-time
+//! decode in `Packed`, on-load row decode in the scalar oracle) — run a run
+//! at a time through [`crate::decode`], whose vector arms are `vcvtph2ps`.
 //!
 //! Conversion policy: f32→f16 rounds to nearest, ties to even; overflow
 //! saturates to ±inf; NaN stays NaN with the quiet bit forced so a payload

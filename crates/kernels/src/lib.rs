@@ -18,8 +18,6 @@
 //! [`gemm`]: KernelBackend::gemm
 //! [`gemm_grouped`]: KernelBackend::gemm_grouped
 //!
-//! * [`Reference`] — the original scalar `i-k-j` loops, kept as the
-//!   correctness oracle and the zero-setup-cost arm for small shapes;
 //! * [`Packed`] — cache-blocked, panel-packed microkernels (`MR×NR` register
 //!   tiles, B-panel reuse across A row blocks, runtime-selected
 //!   scalar/AVX2/AVX-512/NEON `std::arch` inner loops — see [`Isa`] and
@@ -28,18 +26,21 @@
 //!   grouped launch packs each distinct window once, runs the same
 //!   microkernel off the shared panels for every task in table order, and
 //!   splits the table's runs across the pool by task count — bitwise
-//!   independent of thread count and partition;
-//! * [`Auto`] — the size-aware dispatcher that picks between them per call
-//!   using the installed [`KernelPolicy`] (see the `dispatch` module source
-//!   for the policy rationale and `lx_runtime::kernel_policy` for the cache
-//!   model its tile shapes come from).
+//!   independent of thread count and partition. It runs every product the
+//!   program issues, whatever its shape, under the installed
+//!   [`KernelPolicy`]'s tiles (see `lx_runtime::kernel_policy` for the
+//!   cache model they come from);
+//! * [`Reference`] — the original scalar `i-k-j` loops and the default
+//!   per-task grouped loop, kept as the correctness oracle of the
+//!   differential tests and the base column of `kernel_bench`. No runtime
+//!   path runs it.
 //!
-//! Callers outside benchmarks route through the process-wide [`backend`]
-//! (`LX_KERNEL_BACKEND` ∈ `reference | packed | auto`, default `auto`):
-//! `lx-tensor::gemm` builds contiguous ops from tensors, the sparse operators
-//! in `lx-sparse` launch one group each over their layout's table so block
-//! and neuron-slab products hit the same microkernels. The contiguous free
-//! functions below are conveniences over the single-product entry point.
+//! Callers outside tests and benchmarks route through the process-wide
+//! [`backend`], the observed [`Packed`]: `lx-tensor::gemm` builds contiguous
+//! ops from tensors, the sparse operators in `lx-sparse` launch one group
+//! each over their layout's table so block and neuron-slab products hit the
+//! same microkernels. The contiguous free functions below are conveniences
+//! over the single-product entry point.
 //!
 //! What a step does per row *outside* a GEMM — softmax forward/backward,
 //! LayerNorm, ReLU, the log-sum-exp of cross-entropy — lives in [`rows`]:
@@ -97,8 +98,8 @@ pub mod rows;
 
 pub use backend::{KernelBackend, Reference};
 pub use dispatch::{
-    auto_choice, autotune, backend, backend_by_name, current_policy, install_policy, Auto,
-    KernelPolicy, TileConfig, AUTO, PACKED, REFERENCE,
+    auto_choice, autotune, backend, current_policy, install_policy, KernelPolicy, TileConfig,
+    PACKED, REFERENCE,
 };
 pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
 pub use isa::{active_isa, detected_isa, Isa};
@@ -117,7 +118,7 @@ std::thread_local! {
 /// onto the pool: either the caller asked for it via [`with_sequential`], or
 /// this thread *is* a pool worker (a nested GEMM dispatching back onto the
 /// pool it is running on would oversubscribe or deadlock — this is how
-/// `Auto`-routed GEMMs inside `par_rows` tasks stay safe).
+/// GEMMs issued inside `par_rows` tasks stay safe).
 pub fn sequential_mode() -> bool {
     FORCE_SEQ.with(|f| f.get()) || lx_parallel::in_worker()
 }
@@ -235,7 +236,10 @@ mod tests {
         }
     }
 
-    const BACKENDS: [&dyn KernelBackend; 3] = [&REFERENCE, &PACKED, &AUTO];
+    /// Both backends, plus the process-wide one that wraps `Packed`.
+    fn backends() -> [&'static dyn KernelBackend; 3] {
+        [&REFERENCE, &PACKED, backend()]
+    }
 
     /// `op` into a fresh zeroed contiguous C.
     fn product(be: &dyn KernelBackend, op: &GemmOp<'_>) -> Vec<f32> {
@@ -323,7 +327,7 @@ mod tests {
         let mut c = vec![3.0; 4];
         let empty: &[f32] = &[];
         // k == 0: C just gets scaled by beta.
-        for be in BACKENDS {
+        for be in backends() {
             c.fill(3.0);
             let op = GemmOp::nn(2, 0, 2, empty, 1, empty, 2);
             be.gemm(&op, &mut c, 2, 0.5, Epilogue::None);
@@ -373,7 +377,7 @@ mod tests {
     /// Holds [`POLICY_LOCK`] and re-installs the policy it found, also when
     /// the test panics. Sibling tests run packed GEMMs concurrently, so the
     /// holder may only install different `mc` / `nc` — the test below proves
-    /// those cannot change a result; `kc` and the crossover can.
+    /// those cannot change a result; `kc` can.
     struct PolicyGuard {
         before: KernelPolicy,
         _lock: std::sync::MutexGuard<'static, ()>,
@@ -485,7 +489,7 @@ mod tests {
                 ),
             ] {
                 let expect = product(&REFERENCE, &oracle);
-                for be in BACKENDS {
+                for be in backends() {
                     assert_close(&product(be, &fused), &expect, 1e-4);
                 }
                 // Reference must match its own f32 path bit for bit

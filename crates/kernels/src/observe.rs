@@ -1,9 +1,8 @@
 //! GEMM observability: the [`Observed`] wrapper backend.
 //!
 //! Every call through [`crate::dispatch::backend`] passes through an
-//! `Observed` wrapper that attributes the call to the backend that actually
-//! ran it (for [`crate::dispatch::Auto`], the routed choice), to a FLOP
-//! shape class, and to the storage dtype of the B operand, then bumps
+//! `Observed` wrapper that attributes the call to the backend it wraps, to a
+//! FLOP shape class, and to the storage dtype of the B operand, then bumps
 //! `kernel.gemm.calls{backend,class,dtype,isa,threads}` in the global
 //! [`lx_obs`] registry. The `isa` and `threads` labels are process-wide
 //! constants (the active microkernel arm and the pool width), captured once
@@ -19,7 +18,6 @@
 //! calls-per-step collapsed.
 
 use crate::backend::KernelBackend;
-use crate::dispatch::{auto_choice, group_packs};
 use crate::epilogue::Epilogue;
 use crate::op::{Dtype, GemmGroup, GemmOp};
 use lx_obs::{registry, tracing_active, Counter, Histogram};
@@ -93,17 +91,6 @@ impl Observed {
     pub const fn new(inner: &'static dyn KernelBackend) -> Self {
         Observed { inner }
     }
-
-    /// The backend name a call of this shape is attributed to (resolves
-    /// `auto` to its routed choice).
-    fn attribute(&self, m: usize, k: usize, n: usize) -> &'static str {
-        let name = self.inner.name();
-        if name == "auto" {
-            auto_choice(m, k, n)
-        } else {
-            name
-        }
-    }
 }
 
 impl KernelBackend for Observed {
@@ -113,7 +100,7 @@ impl KernelBackend for Observed {
 
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
         let (m, k, n) = (op.m, op.k, op.n);
-        let s = stats(self.attribute(m, k, n), class(m, k, n), op.b.dtype());
+        let s = stats(self.inner.name(), class(m, k, n), op.b.dtype());
         if tracing_active() {
             let t0 = Instant::now();
             self.inner.gemm(op, c, ldc, beta, ep);
@@ -128,16 +115,9 @@ impl KernelBackend for Observed {
     /// total FLOPs and `kernel.gemm.ns` books the launch's wall time (not the
     /// sum of its blocks); `kernel.gemm.tasks` keeps blocks-per-step visible.
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
-        let name = match self.inner.name() {
-            "auto" if group_packs(group) => "packed",
-            // Narrow tasks go through `Auto::gemm` one by one; all share a
-            // shape, so they all route the same way.
-            "auto" => auto_choice(group.m, group.k, group.n),
-            name => name,
-        };
         let tasks = group.table.tasks().len() as u64;
         let flops = 2 * tasks * (group.m as u64) * (group.k as u64) * (group.n as u64);
-        let s = stats(name, flop_class(flops), Dtype::F32);
+        let s = stats(self.inner.name(), flop_class(flops), Dtype::F32);
         if tracing_active() {
             let t0 = Instant::now();
             self.inner.gemm_grouped(group, c);

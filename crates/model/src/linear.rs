@@ -605,17 +605,14 @@ mod tests {
     /// The fused rank-r operator against the composition it replaced, on
     /// both `A` orientations, the dense and the neuron-sparse paths: `y`,
     /// `dx`, `dA` and `dB` are bit-identical at `s = 2` (power-of-two scaling
-    /// is exact), and at `s = 1.7` only `y` moves, by ≤ 1e-6 relative. The
-    /// shapes route every product to the packed backend, whose beta-1
-    /// write-back adds each chain once; the reference loops accumulate an
-    /// `nn` product into C term by term, so under
-    /// `LX_KERNEL_BACKEND=reference` `dx` is held to 1e-6 as well.
+    /// is exact), and at `s = 1.7` only `y` moves, by ≤ 1e-6 relative. Every
+    /// product runs on the packed backend, whose beta-1 write-back adds each
+    /// chain once, so `dx` is bit-identical at both scales.
     #[test]
     fn fused_lora_matches_the_composition() {
         let (rows, d, blk) = (128, 256, 16);
         let set = NeuronBlockSet::from_indices(vec![0, 3, 4, 5, 9, 15], d / blk, blk);
         let width = set.active_neurons();
-        let exact_dx = lx_kernels::backend().name() != "reference";
         for (alpha, exact_y) in [(16.0, true), (13.6, false)] {
             for (a_layout, sparse) in [
                 (Layout::Transposed, false),
@@ -651,13 +648,7 @@ mod tests {
                 } else {
                     assert_rel(&format!("{what} y"), &y, &y_want, 1e-6);
                 }
-                // `A` stored `[d_in, r]` makes `dx`'s update an `nt` product,
-                // a dot per element on either backend.
-                if exact_dx || a_layout == Layout::Normal {
-                    assert_bits(&format!("{what} dx"), &dx, &dx_want);
-                } else {
-                    assert_rel(&format!("{what} dx"), &dx, &dx_want, 1e-6);
-                }
+                assert_bits(&format!("{what} dx"), &dx, &dx_want);
                 assert_bits(&format!("{what} dA"), fused.a.grad.as_ref().unwrap(), &da);
                 assert_bits(&format!("{what} dB"), fused.b.grad.as_ref().unwrap(), &db);
             }
@@ -671,7 +662,6 @@ mod tests {
     fn fused_lora_linear_matches_the_composition_on_every_backbone() {
         use lx_tensor::Dtype;
         let (rows, d) = (128, 256);
-        let exact_dx = lx_kernels::backend().name() != "reference";
         for dtype in [Dtype::F32, Dtype::F16, Dtype::Nf4Block] {
             let mut lin = Linear::new("l", d, d, true, 50);
             lin.weight.demote(dtype);
@@ -690,11 +680,7 @@ mod tests {
 
             let fused = lin.lora.as_ref().unwrap();
             assert_bits(&format!("{dtype:?} y"), &y, &y_want);
-            if exact_dx {
-                assert_bits(&format!("{dtype:?} dx"), &dx, &dx_want);
-            } else {
-                assert_rel(&format!("{dtype:?} dx"), &dx, &dx_want, 1e-6);
-            }
+            assert_bits(&format!("{dtype:?} dx"), &dx, &dx_want);
             assert_bits(
                 &format!("{dtype:?} dA"),
                 fused.a.grad.as_ref().unwrap(),

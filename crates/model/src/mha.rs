@@ -392,7 +392,7 @@ mod tests {
     }
 
     /// What the reference forward keeps for its backward.
-    struct Reference {
+    struct DenseOracle {
         batch: usize,
         seq: usize,
         x: Tensor,
@@ -411,7 +411,7 @@ mod tests {
         x: &Tensor,
         batch: usize,
         seq: usize,
-    ) -> (Tensor, Reference) {
+    ) -> (Tensor, DenseOracle) {
         let (heads, dh) = (attn.n_heads, attn.head_dim);
         let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
         let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
@@ -433,7 +433,7 @@ mod tests {
             }
         }
         let y = attn.wo.forward(&merge_heads(&ctx, batch, seq, heads, dh));
-        let r = Reference {
+        let r = DenseOracle {
             batch,
             seq,
             x: x.clone(),
@@ -446,7 +446,7 @@ mod tests {
     }
 
     /// Backward of [`reference_forward`]; returns `dx`.
-    fn reference_backward(attn: &mut MultiHeadAttention, r: &Reference, dy: &Tensor) -> Tensor {
+    fn reference_backward(attn: &mut MultiHeadAttention, r: &DenseOracle, dy: &Tensor) -> Tensor {
         let (batch, seq, heads, dh) = (r.batch, r.seq, attn.n_heads, attn.head_dim);
         let scale = 1.0 / (dh as f32).sqrt();
         let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);

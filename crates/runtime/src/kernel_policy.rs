@@ -9,12 +9,9 @@
 //!   panels of B̃: budget half of L2.
 //! * `NC` — the B̃ block (`kc × nc` f32) should stay resident in the
 //!   last-level budget while every row panel of A streams against it.
-//! * `min_flops_packed` — packing writes `m·k + k·n` elements and the beta
-//!   pass touches `m·n`; with pack traffic costing roughly one element write
-//!   per element per pass and the microkernel retiring ~`R` MACs per cycle,
-//!   packing pays off once `2·m·k·n` FLOPs exceed `overhead_factor ×` the
-//!   packed traffic. Rather than model constants we can't measure from
-//!   here, we fold this into a single conservative crossover (~64³ MACs).
+//! * `min_flops_packed` — inert: every product runs packed and nothing
+//!   reads it. It stays at 2·64³ only because the frozen `benchmark/`
+//!   prints it, and goes with it.
 //!
 //! Nothing here inspects CPUID; [`CpuSpec::generic`] encodes the smallest
 //! cache sizes common across the CI fleet, which only costs performance —
@@ -60,7 +57,7 @@ pub fn tiles_for(spec: &CpuSpec) -> TileConfig {
     TileConfig { mc, kc, nc }
 }
 
-/// Full policy for `spec` (tiles + the conservative packed crossover).
+/// Full policy for `spec`: its tiles, plus the inert `min_flops_packed`.
 pub fn policy_for(spec: &CpuSpec) -> KernelPolicy {
     KernelPolicy {
         tiles: tiles_for(spec),

@@ -1,7 +1,7 @@
 //! The CPU cache model behind the packed-GEMM kernel policy.
 //!
-//! [`kernel_policy`] derives the packed-GEMM tile shapes and the
-//! packed-vs-reference crossover from a cache shape ([`CpuSpec`]);
+//! [`kernel_policy`] derives the packed-GEMM tile shapes from a cache shape
+//! ([`CpuSpec`]);
 //! `policy_for(&CpuSpec::generic())` is the value `lx-kernels` starts every
 //! process under.
 //!

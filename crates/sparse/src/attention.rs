@@ -430,7 +430,7 @@ mod tests {
         let x = randn_vec(S * DH, 1.0, 5);
         let mut out = vec![0.0; S * DH];
         dsd_tn(&p, &x, S, DH, &lay, &mut out);
-        // Reference: dense transpose multiply.
+        // Oracle: dense transpose multiply.
         let dense_p = block_data_to_dense(&p, &lay);
         let mut expect = vec![0.0; S * DH];
         for i in 0..S {

@@ -578,7 +578,7 @@ mod tests {
 
         let mut da = vec![0.0; ROWS * width];
         active_cols(&dy, ROWS, &w2, D_OUT, &set, 0.0, &mut da);
-        // Reference: dY · W2ᵀ then gather active columns.
+        // Oracle: dY · W2ᵀ then gather active columns.
         let mut da_full = vec![0.0; ROWS * H];
         for r in 0..ROWS {
             for n in 0..H {
@@ -602,7 +602,7 @@ mod tests {
 
         let mut dx = vec![0.0; ROWS * D_IN];
         fc1_backward_input(&dz, ROWS, &w1t, D_IN, &set, &mut dx);
-        // Reference: scatter dz to full width then dZ · W1ᵀ.
+        // Oracle: scatter dz to full width then dZ · W1ᵀ.
         let mut dz_full = vec![0.0; ROWS * H];
         for r in 0..ROWS {
             for (ai, &blk) in set.active.iter().enumerate() {

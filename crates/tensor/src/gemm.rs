@@ -1,14 +1,13 @@
 //! Dense GEMM entry points, routed through the `lx-kernels` backend.
 //!
 //! These used to be hand-written `i-k-j` loop kernels; they now live in
-//! `lx-kernels` as the [`Reference`](lx_kernels::Reference) backend, and the
-//! functions here are thin dispatching wrappers: `gemm`/`gemm_nt`/`gemm_tn`
-//! on contiguous f32 slices, and one `Tensor`-level [`matmul`] that takes its
-//! `B` in any storage (see [`BRef`]). Row-major everywhere; transposition is
-//! a [`Layout`] argument, so callers never materialise transposes in the hot
-//! path. Which kernel actually runs — the reference loops or the
-//! packed/tiled microkernels — is decided per call by the dispatcher (see
-//! `lx_kernels::dispatch`).
+//! `lx-kernels` as its test oracle, and the functions here are thin wrappers
+//! over the process-wide backend: `gemm`/`gemm_nt`/`gemm_tn` on contiguous
+//! f32 slices, and one `Tensor`-level [`matmul`] that takes its `B` in any
+//! storage (see [`BRef`]). Row-major everywhere; transposition is a
+//! [`Layout`] argument, so callers never materialise transposes in the hot
+//! path. Every call, whatever its shape, runs the packed/tiled microkernels
+//! (see [`lx_kernels::backend`]).
 
 use crate::{BRef, Tensor};
 use lx_kernels::GemmOp;
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn large_parallel_gemm_matches_naive() {
-        // Large enough that the dispatcher takes the packed path.
+        // Several register tiles and row panels in every dimension.
         let (m, k, n) = (128, 96, 64);
         let a = crate::rng::randn_vec(m * k, 1.0, 9);
         let b = crate::rng::randn_vec(k * n, 1.0, 10);

@@ -204,7 +204,7 @@ mod tests {
 
     #[test]
     fn gelu_matches_reference_points() {
-        // Reference values from the tanh approximation itself evaluated in f64.
+        // Expected values from the tanh approximation itself evaluated in f64.
         assert!((gelu(0.0)).abs() < 1e-7);
         assert!((gelu(1.0) - 0.841_192).abs() < 1e-3);
         assert!((gelu(-1.0) + 0.158_808).abs() < 1e-3);

@@ -320,7 +320,7 @@ fn per_dtype_gemm_fan_out_stays_retired() {
     // no `pub`, so they are checked in the sources directly) — plus, since
     // the grouped entry point, at most one `gemm_grouped`: the only other
     // `gemm*` method name the trait or any backend may carry.
-    for file in ["backend", "packed", "dispatch", "observe"] {
+    for file in ["backend", "packed", "observe"] {
         let src = non_test_source(&format!("crates/kernels/src/{file}.rs"));
         let methods: Vec<&str> = src
             .lines()
@@ -550,11 +550,11 @@ fn rust_files(dir: &str) -> Vec<PathBuf> {
 }
 
 #[test]
-fn environment_knobs_stay_four() {
-    // The one-configuration contract: the library reads four `LX_*`
+fn environment_knobs_stay_three() {
+    // The one-configuration contract: the library reads three `LX_*`
     // variables, each documented in README's configuration table, and
     // nothing mutates the process environment (tests run multi-threaded).
-    // A fifth knob is a second configuration someone has to test.
+    // A fourth knob is a second configuration someone has to test.
     // Needles assembled here so this file does not match itself.
     let mutators = ["set", "remove"].map(|op| format!("{op}_var("));
     let mut knobs = std::collections::BTreeSet::new();
@@ -575,12 +575,7 @@ fn environment_knobs_stay_four() {
             }
         }
     }
-    let expected = [
-        "LX_KERNEL_BACKEND",
-        "LX_KERNEL_ISA",
-        "LX_THREADS",
-        "LX_TRACE",
-    ];
+    let expected = ["LX_KERNEL_ISA", "LX_THREADS", "LX_TRACE"];
     assert_eq!(
         knobs.iter().map(String::as_str).collect::<Vec<_>>(),
         expected
@@ -648,4 +643,51 @@ fn one_grouped_gemm_in_the_packed_backend() {
     // folded beta are choices inside it, not a second entry point.
     let packed = non_test_source("crates/kernels/src/packed.rs");
     assert_eq!(packed.matches("fn gemm_grouped(").count(), 1);
+}
+
+#[test]
+fn one_runtime_gemm_backend() {
+    // One GEMM path at runtime: `lx_kernels::backend()` is the observed
+    // `Packed`, whatever the shape. The size dispatcher and its lookup stay
+    // gone everywhere, and the scalar oracle is named only where the kernel
+    // crate defines and wraps it, and in the benches that time against it.
+    // Needles assembled here so this file does not match itself.
+    let whole_word = |src: &str, needle: &str| {
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        src.match_indices(needle).any(|(at, _)| {
+            !src[..at].ends_with(ident) && !src[at + needle.len()..].starts_with(ident)
+        })
+    };
+    let auto = format!("{}{}", "Au", "to");
+    let retired = [
+        auto.clone(),
+        auto.to_uppercase(),
+        format!("backend_{}", "by_name"),
+        format!("group_{}", "packs"),
+    ];
+    let oracle = ["Reference".to_string(), "Reference".to_uppercase()];
+    let allowed =
+        ["backend", "dispatch", "lib", "observe"].map(|f| format!("crates/kernels/src/{f}.rs"));
+    for dir in ["crates", "tests", "examples"] {
+        for file in rust_files(dir) {
+            let rel = file
+                .strip_prefix(repo_root())
+                .unwrap()
+                .display()
+                .to_string();
+            let src = std::fs::read_to_string(&file).expect("read source");
+            for needle in &retired {
+                assert!(!whole_word(&src, needle), "{rel}: `{needle}` resurfaced");
+            }
+            let runtime_src = rel.starts_with("crates/")
+                && rel.contains("/src/")
+                && !rel.starts_with("crates/bench/")
+                && !allowed.contains(&rel);
+            if runtime_src {
+                for needle in &oracle {
+                    assert!(!whole_word(&src, needle), "{rel}: names `{needle}`");
+                }
+            }
+        }
+    }
 }

@@ -22,7 +22,7 @@
 
 use lx_kernels::{
     BOperand, Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Observed,
-    Windows, AUTO, MR, NR, PACKED, REFERENCE,
+    Windows, MR, NR, PACKED, REFERENCE,
 };
 use lx_parallel::ThreadPool;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
@@ -464,7 +464,7 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
 fn transposed_a_with_non_f32_or_transposed_b_is_rejected() {
     let (m, k, n) = (8, 8, 8);
     let a = randn_vec(k * m, 1.0, 801);
-    let backends: [&dyn KernelBackend; 4] = [&REFERENCE, &PACKED, &AUTO, lx_kernels::backend()];
+    let backends: [&dyn KernelBackend; 3] = [&REFERENCE, &PACKED, lx_kernels::backend()];
     for kind in KINDS {
         for layout in LAYOUTS {
             if kind == Dtype::F32 && layout == Layout::Normal {
@@ -538,6 +538,100 @@ fn observed_attributes_every_dtype_label_from_the_operand() {
                 labels[j]
             );
         }
+    }
+}
+
+/// The process-wide backend runs every product on `Packed`, including the
+/// narrow and sub-2·64³ shapes a size crossover used to send to the scalar
+/// loops: `k < 8`, `n < 8`, a rank-8 update each way, a `1×3×1` product and
+/// a `k = 4` grouped launch. Each comes out bitwise equal to `PACKED` on the
+/// same op and is booked under `kernel.gemm.calls{backend="packed"}`; the
+/// `reference` counter of its bucket never moves. No concurrently running
+/// test in this binary dispatches the observed reference below the large
+/// class, and none runs an f16 or NF4 B through the process-wide backend,
+/// so those deltas are exact. Sibling tests' sparse operators share the
+/// f32 packed buckets, which therefore move by at least one.
+#[test]
+fn runtime_backend_runs_every_shape_on_packed() {
+    let isa = lx_kernels::active_isa().name();
+    let threads = lx_parallel::pool().threads().to_string();
+    let calls = |backend: &str, class: &str, dtype: Dtype| {
+        lx_obs::registry().counter_labeled(
+            "kernel.gemm.calls",
+            &[
+                ("backend", backend),
+                ("class", class),
+                ("dtype", dtype.name()),
+                ("isa", isa),
+                ("threads", &threads),
+            ],
+        )
+    };
+    let expect_packed = |what: &str, class: &str, dtype: Dtype, launch: &dyn Fn()| {
+        let (reference, packed) = (
+            calls("reference", class, dtype),
+            calls("packed", class, dtype),
+        );
+        let before = (reference.get(), packed.get());
+        launch();
+        assert_eq!(reference.get(), before.0, "{what}: reference calls");
+        let moved = packed.get() - before.1;
+        if dtype == Dtype::F32 {
+            assert!(moved >= 1, "{what}: packed calls moved by {moved}");
+        } else {
+            assert_eq!(moved, 1, "{what}: packed calls");
+        }
+    };
+    let runtime = lx_kernels::backend();
+    assert_eq!(runtime.name(), "packed");
+    // Classes by 2·m·k·n: tiny < 2^17 ≤ small.
+    for (m, k, n, class) in [
+        (64usize, 4usize, 64usize, "tiny"),
+        (64, 64, 4, "tiny"),
+        (64, 128, 8, "small"),
+        (64, 8, 128, "small"),
+        (1, 3, 1, "tiny"),
+    ] {
+        let a = randn_vec(m * k, 1.0, 951 + k as u64);
+        let c0 = randn_vec(m * n, 1.0, 952);
+        for kind in KINDS {
+            for layout in LAYOUTS {
+                let what = format!("{m}x{k}x{n} {kind:?} {layout:?}");
+                let b = BMat::random(kind, layout, k, n, 953 + n as u64);
+                let run = |be: &dyn KernelBackend| {
+                    let ep = Epilogue::None;
+                    product(be, (m, k, n), &a, b.operand(), layout, &c0, 1.0, ep)
+                };
+                let want = run(&PACKED);
+                expect_packed(&what, class, kind, &|| {
+                    assert_bits(&what, &run(runtime), &want);
+                });
+            }
+        }
+    }
+    // Six 32×4×32 tasks, each B window shared by two of them: 49,152 FLOPs.
+    let (m, k, n, tasks) = (32usize, 4usize, 32usize, 6u32);
+    let group = Group {
+        what: "narrow group".into(),
+        m,
+        k,
+        n,
+        a: randn_vec(tasks as usize * m * k, 1.0, 954),
+        a_win: (k, m * k, Layout::Normal),
+        b: randn_vec(3 * k * n, 1.0, 955),
+        b_win: (n, k * n, Layout::Normal),
+        ldc: n,
+        c_stride: m * n,
+        c_len: tasks as usize * m * n,
+        table: GemmTable::each((0..tasks).map(|t| (t, t % 3, t))),
+    };
+    for beta in [0.0f32, 1.0] {
+        let want = group.run(beta, |view, c| PACKED.gemm_grouped(view, c));
+        let what = format!("{} beta={beta}", group.what);
+        expect_packed(&what, "tiny", Dtype::F32, &|| {
+            let got = group.run(beta, |view, c| runtime.gemm_grouped(view, c));
+            assert_bits(&what, &got, &want);
+        });
     }
 }
 
@@ -776,8 +870,8 @@ fn packed_grouped_matches_the_reference_per_task_loop() {
                 let got = g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c));
                 assert_close(&format!("{} beta={beta} {isa:?}", g.what), &got, &want);
             }
-            let auto = g.run(beta, |view, c| AUTO.gemm_grouped(view, c));
-            assert_close(&format!("{} beta={beta} auto", g.what), &auto, &want);
+            let runtime = g.run(beta, |view, c| lx_kernels::backend().gemm_grouped(view, c));
+            assert_close(&format!("{} beta={beta} runtime", g.what), &runtime, &want);
         }
     }
 }
@@ -895,7 +989,11 @@ fn empty_and_degenerate_groups_are_harmless() {
         table,
     };
     let one = GemmTable::each([(0, 0, 1)]);
-    for be in [&REFERENCE as &dyn KernelBackend, &PACKED, &AUTO] {
+    for be in [
+        &REFERENCE as &dyn KernelBackend,
+        &PACKED,
+        lx_kernels::backend(),
+    ] {
         let mut c = vec![3.0f32; 32];
         be.gemm_grouped(&group(8, &empty), &mut c);
         assert_eq!(c, vec![3.0; 32], "{}: empty table", be.name());
@@ -1045,8 +1143,8 @@ fn attention_block_shapes_match() {
     }
 }
 
-/// End-to-end sparse attention against a dense matmul oracle, whatever
-/// backend the dispatcher picks — the routed pipeline must stay exact.
+/// End-to-end sparse attention on the process-wide backend against a dense
+/// matmul oracle — the launched pipeline must stay exact.
 #[test]
 fn sparse_attention_pipeline_matches_dense_oracle() {
     let (b, s, dh) = (8usize, 64usize, 16usize);

@@ -5,13 +5,10 @@
 //!   one product. The oracle is the per-head step: `[n,d]·[d,r]`
 //!   projections, logits, recall-weighted BCE and `X̂ᵀ·dQ̂_h` products, one
 //!   head at a time. Logits, `dŴq`, `dŴk`, the bias step and `predict_masks`
-//!   must agree for n ∈ {1, 4, 32} and H ∈ {1, 8}. On the reference backend
-//!   (`LX_KERNEL_BACKEND=reference`) they must agree bitwise, since its
-//!   loops accumulate every output element in the same order whatever the
-//!   width. At H = 1 the stacked and per-head shapes are the same, so they
-//!   must agree bitwise on every backend. Otherwise a product wide enough
-//!   for the packed kernels rounds differently, and the tolerance is 1e-5 of
-//!   the compared tensor's largest magnitude.
+//!   must agree for n ∈ {1, 4, 32} and H ∈ {1, 8}. At H = 1 the stacked and
+//!   per-head shapes are the same, so they must agree bitwise. At H = 8 the
+//!   stacked product is wider, the packed kernels may round it differently,
+//!   and the tolerance is 1e-5 of the compared tensor's largest magnitude.
 //! * **Neuron-major MLP predictor.** The stage-two reduction is one vector
 //!   log-sum-exp per block row. It is checked against the scalar libm
 //!   `reduce_logits` over `X·Ŵa` and its scalar softmax-gradient loop. The
@@ -27,10 +24,6 @@ use lx_tensor::Tensor;
 
 const D: usize = 256;
 const RANK: usize = 8;
-
-fn bitwise_backend() -> bool {
-    lx_kernels::backend().name() == "reference"
-}
 
 /// `got == want` bitwise when `exact`, else within `tol` of `want`'s largest
 /// magnitude.
@@ -148,7 +141,7 @@ fn stacked_attention_step_matches_the_per_head_oracle() {
     let pos_weight = 4.0;
     for heads in [1, 8] {
         for n in [1, 4, 32] {
-            let exact = bitwise_backend() || heads == 1;
+            let exact = heads == 1;
             let p = predictor(heads, 3 + n as u64);
             let x = Tensor::randn(&[n, D], 1.0, 50 + n as u64);
             let targets = targets(heads, n, 70);
@@ -197,7 +190,7 @@ fn stacked_predict_masks_match_the_per_head_oracle() {
     let (block, batch) = (4, 2);
     for heads in [1, 8] {
         for n in [1, 4, 32] {
-            let exact = bitwise_backend() || heads == 1;
+            let exact = heads == 1;
             let p = predictor(heads, 9 + n as u64);
             let seq = n * block;
             let x = Tensor::randn(&[batch * seq, D], 1.0, 90 + n as u64);
