@@ -505,7 +505,7 @@ fn main() {
             m: B,
             k: dh,
             n: B,
-            a: Windows::normal(&q, dh, B * dh),
+            a: Windows::normal(&q[..], dh, B * dh),
             b: Windows::transposed(&k, dh, B * dh),
             ldc: B,
             c_stride: B * B,
@@ -532,7 +532,7 @@ fn main() {
             m: rows,
             k: d,
             n: B,
-            a: Windows::normal(&x, d, 0),
+            a: Windows::normal(&x[..], d, 0),
             b: Windows::transposed(&w1t, d, B * d),
             ldc: active as usize * B,
             c_stride: B,
@@ -577,7 +577,7 @@ fn main() {
             m: B,
             k: B,
             n: dh,
-            a: Windows::transposed(&p, B, B * B),
+            a: Windows::transposed(&p[..], B, B * B),
             b: Windows::normal(&x, dh, B * dh),
             ldc: dh,
             c_stride: B * dh,

@@ -9,8 +9,8 @@
 //!    workspace hits/misses.
 //! 2. **plan reuse** — identical calibrated engines run 24 identical steps
 //!    with every-step prediction vs a reuse interval: total predict time,
-//!    f16 slab blocks decoded, the predict-time ratio (`reuse speedup`) and
-//!    the worst per-step loss deviation between the arms.
+//!    the predict-time ratio (`reuse speedup`) and the worst per-step loss
+//!    deviation between the arms.
 //!
 //! Flags:
 //! * `--smoke` — tiny model; gates on **zero steady-state allocations**
@@ -40,8 +40,8 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-// The workspace pool needs to see every slab-gather width the drifting plan
-// produces before allocations reach zero.
+// The workspace pool needs to see every compact activation width the
+// drifting plan produces before allocations reach zero.
 const WARMUP: usize = 3;
 const REUSE_STEPS: usize = 24;
 
@@ -173,7 +173,6 @@ fn overhead_estimate(
 
 struct ReuseArm {
     predict: Duration,
-    decoded: u64,
     losses: Vec<f32>,
     predicted_steps: u64,
     reused_steps: u64,
@@ -206,11 +205,9 @@ fn reuse_arm(
         predict += out.predict;
         losses.push(out.loss);
     }
-    let (decoded, _) = engine.model.slab_cache_stats();
     let stats = engine.plan_reuse_stats();
     ReuseArm {
         predict,
-        decoded,
         losses,
         predicted_steps: stats.predicted_steps,
         reused_steps: stats.reused_steps,
@@ -275,7 +272,6 @@ fn main() {
         "predicted",
         "reused",
         "predict ms",
-        "slabs decoded",
         "reuse speedup",
         "max loss dev",
     ]);
@@ -294,7 +290,6 @@ fn main() {
         every.predicted_steps.to_string(),
         every.reused_steps.to_string(),
         fmt_ms(every.predict),
-        every.decoded.to_string(),
         "1.00x".into(),
         "0.000".into(),
     ]);
@@ -303,7 +298,6 @@ fn main() {
         reused.predicted_steps.to_string(),
         reused.reused_steps.to_string(),
         fmt_ms(reused.predict),
-        reused.decoded.to_string(),
         format!("{speedup:.2}x"),
         format!("{max_dev:.3}"),
     ]);
@@ -343,7 +337,7 @@ fn main() {
 
     println!(
         "\nshape to check: allocs/step is 0 after warmup in both modes; plan reuse cuts \
-         predict time and slab decodes while the loss curve stays within 0.05."
+         predict time while the loss curve stays within 0.05."
     );
     cli.finish();
 
@@ -397,13 +391,6 @@ fn main() {
             eprintln!(
                 "step_bench: plan reuse did not reduce predict time ({:?} vs {:?})",
                 reused.predict, every.predict
-            );
-            gate_failed = true;
-        }
-        if reused.decoded > every.decoded {
-            eprintln!(
-                "step_bench: plan reuse decoded more slabs ({} vs {})",
-                reused.decoded, every.decoded
             );
             gate_failed = true;
         }

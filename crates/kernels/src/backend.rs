@@ -48,12 +48,14 @@ pub(crate) fn per_task<B: KernelBackend + ?Sized>(be: &B, group: &GemmGroup<'_>,
         return;
     }
     group.check(c.len());
+    let mut scratch = Vec::new();
     for run in table.runs().windows(2) {
         let tasks = &table.tasks()[run[0] as usize..run[1] as usize];
         for (i, task) in tasks.iter().enumerate() {
             let beta = if i == 0 { group.beta } else { 1.0 };
             let c_win = &mut c[group.c_offset(task)..][..group.c_span()];
-            be.gemm(&group.task_op(task), c_win, group.ldc, beta, Epilogue::None);
+            let op = group.task_op(task, &mut scratch);
+            be.gemm(&op, c_win, group.ldc, beta, Epilogue::None);
         }
     }
 }

@@ -3,9 +3,10 @@
 //!
 //! Every read of a reduced-storage weight goes through [`run`]: the B̃ pack
 //! of the [`Packed`](crate::Packed) backend (one run per k-row of a
-//! Normal-layout panel, one per column of a Transposed one) and
-//! [`BOperand::decode_into`] behind the embedding gathers, the MLP slab
-//! gathers and the scalar oracle's decoded rows.
+//! Normal-layout panel, one per column of a Transposed one — for a plain
+//! product and for each window of a grouped launch, so the sparse MLP's
+//! active slabs decode here), [`BOperand::decode_into`] behind the
+//! embedding gathers and the scalar oracle's decoded rows.
 //!
 //! As in [`rows`](crate::rows), the first argument is the arm, normally
 //! [`active_isa()`](crate::active_isa); `Isa::Scalar`, `Isa::Neon` and an arm

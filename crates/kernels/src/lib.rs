@@ -493,7 +493,7 @@ mod tests {
                     assert_close(&product(be, &fused), &expect, 1e-4);
                 }
                 // Reference must match its own f32 path bit for bit
-                // (identical accumulation order — the slab-decode
+                // (identical accumulation order — the decoded-twin
                 // equivalence rests on it).
                 assert_bits(&product(&REFERENCE, &fused), &expect, "reference");
             }

@@ -112,12 +112,13 @@ impl KernelBackend for Observed {
     }
 
     /// One call, whatever the table holds: the class comes from the group's
-    /// total FLOPs and `kernel.gemm.ns` books the launch's wall time (not the
-    /// sum of its blocks); `kernel.gemm.tasks` keeps blocks-per-step visible.
+    /// total FLOPs, the dtype from its B operand, and `kernel.gemm.ns` books
+    /// the launch's wall time (not the sum of its blocks);
+    /// `kernel.gemm.tasks` keeps blocks-per-step visible.
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
         let tasks = group.table.tasks().len() as u64;
         let flops = 2 * tasks * (group.m as u64) * (group.k as u64) * (group.n as u64);
-        let s = stats(self.inner.name(), flop_class(flops), Dtype::F32);
+        let s = stats(self.inner.name(), flop_class(flops), group.b.data.dtype());
         if tracing_active() {
             let t0 = Instant::now();
             self.inner.gemm_grouped(group, c);

@@ -36,6 +36,15 @@ impl Layout {
             Layout::Transposed => (cols, rows),
         }
     }
+
+    /// Flat index of element `(row, col)` of an operand multiplied as
+    /// stored in this layout with leading dimension `ld`.
+    pub(crate) fn at(self, ld: usize, row: usize, col: usize) -> usize {
+        match self {
+            Layout::Normal => row * ld + col,
+            Layout::Transposed => col * ld + row,
+        }
+    }
 }
 
 /// Storage kind of a B operand — and of a stored tensor buffer: the single
@@ -142,6 +151,14 @@ impl BOperand<'_> {
 
 impl<'a> From<&'a [f32]> for BOperand<'a> {
     fn from(b: &'a [f32]) -> Self {
+        BOperand::F32(b)
+    }
+}
+
+/// Lets a `&Vec<f32>` weight pass where an `impl Into<BOperand>` is taken
+/// (the neuron operators' weight argument).
+impl<'a> From<&'a Vec<f32>> for BOperand<'a> {
+    fn from(b: &'a Vec<f32>) -> Self {
         BOperand::F32(b)
     }
 }
@@ -279,14 +296,19 @@ impl<'a> GemmOp<'a> {
     }
 }
 
+/// Elements a `rows × cols` view with leading dimension `ld` spans.
+fn span(rows: usize, cols: usize, ld: usize) -> usize {
+    match (rows, cols) {
+        (0, _) | (_, 0) => 0,
+        _ => (rows - 1) * ld + cols,
+    }
+}
+
 /// Check a `rows × cols` view with leading dimension `ld`.
 #[track_caller]
 fn check_view(len: usize, rows: usize, cols: usize, ld: usize, what: &str) {
     assert!(ld >= cols, "{what}: leading dim {ld} < width {cols}");
-    if rows == 0 || cols == 0 {
-        return;
-    }
-    let need = (rows - 1) * ld + cols;
+    let need = span(rows, cols, ld);
     assert!(
         len >= need,
         "{what}: {len} elements < {need} needed for {rows}x{cols} (ld {ld})"
@@ -416,21 +438,23 @@ impl GemmTable {
     }
 }
 
-/// A family of equally-shaped windows into one f32 buffer: window `i` starts
-/// at element `i · stride` and is read with leading dimension `ld`.
+/// A family of equally-shaped windows into one buffer `D` — an f32 slice
+/// for A, a [`BOperand`] for B: window `i` starts at flat element
+/// `i · stride` and is read with leading dimension `ld`. The offset indexes
+/// the whole buffer, so a window of an NF4 operand may start mid-block.
 #[derive(Clone, Copy, Debug)]
-pub struct Windows<'a> {
-    pub data: &'a [f32],
+pub struct Windows<D> {
+    pub data: D,
     pub ld: usize,
     pub stride: usize,
     pub layout: Layout,
 }
 
-impl<'a> Windows<'a> {
+impl<D> Windows<D> {
     /// Windows stored as they are multiplied.
-    pub fn normal(data: &'a [f32], ld: usize, stride: usize) -> Self {
+    pub fn normal(data: impl Into<D>, ld: usize, stride: usize) -> Self {
         Windows {
-            data,
+            data: data.into(),
             ld,
             stride,
             layout: Layout::Normal,
@@ -438,7 +462,7 @@ impl<'a> Windows<'a> {
     }
 
     /// Windows stored transposed.
-    pub fn transposed(data: &'a [f32], ld: usize, stride: usize) -> Self {
+    pub fn transposed(data: impl Into<D>, ld: usize, stride: usize) -> Self {
         Windows {
             layout: Layout::Transposed,
             ..Self::normal(data, ld, stride)
@@ -450,14 +474,15 @@ impl<'a> Windows<'a> {
 /// `C[c] = op(A[a]) · op(B[b]) + β·C[c]` over windows of three shared
 /// buffers, where `β` is `beta` for the first task of a run and 1 for the
 /// rest (a run accumulates). One launch covers a whole block-sparse operator;
-/// an empty table is a no-op.
+/// an empty table is a no-op. A is f32; B is any [`BOperand`], decoded
+/// window by window as it is packed.
 #[derive(Clone, Copy, Debug)]
 pub struct GemmGroup<'a> {
     pub m: usize,
     pub k: usize,
     pub n: usize,
-    pub a: Windows<'a>,
-    pub b: Windows<'a>,
+    pub a: Windows<&'a [f32]>,
+    pub b: Windows<BOperand<'a>>,
     /// Leading dimension of every C window.
     pub ldc: usize,
     /// C window `i` starts at element `i · c_stride` of the output buffer.
@@ -479,21 +504,33 @@ pub(crate) enum CShape {
 }
 
 impl GemmGroup<'_> {
-    /// The operand views of one task as a plain [`GemmOp`].
-    pub(crate) fn task_op(&self, t: &GemmTask) -> GemmOp<'_> {
-        fn window<'w>(w: &Windows<'w>, windows: &[u32], slot: u32) -> &'w [f32] {
-            // A degenerate shape may come with empty buffers.
-            let off = windows[slot as usize] as usize * w.stride;
-            w.data.get(off..).unwrap_or(&[])
-        }
+    /// The operand views of one task as a plain [`GemmOp`]. A reduced B
+    /// window is decoded into `scratch` through the elementwise definition
+    /// (an NF4 view cannot start mid-block), so the per-task oracle reads
+    /// the values the grouped pack decodes.
+    pub(crate) fn task_op<'s>(&'s self, t: &GemmTask, scratch: &'s mut Vec<f32>) -> GemmOp<'s> {
+        // A degenerate shape may come with empty buffers.
+        let a_off = self.table.a_windows()[t.a as usize] as usize * self.a.stride;
+        let b_off = self.table.b_windows()[t.b as usize] as usize * self.b.stride;
+        let b = match self.b.data {
+            BOperand::F32(b) => b.get(b_off..).unwrap_or(&[]),
+            b => {
+                let (rows, cols) = self.b.layout.stored(self.k, self.n);
+                scratch.resize(span(rows, cols, self.b.ld), 0.0);
+                if !scratch.is_empty() {
+                    crate::decode::run(crate::Isa::Scalar, b, b_off, scratch);
+                }
+                scratch
+            }
+        };
         GemmOp {
             m: self.m,
             k: self.k,
             n: self.n,
-            a: window(&self.a, self.table.a_windows(), t.a),
+            a: self.a.data.get(a_off..).unwrap_or(&[]),
             lda: self.a.ld,
             a_layout: self.a.layout,
-            b: BOperand::F32(window(&self.b, self.table.b_windows(), t.b)),
+            b: BOperand::F32(b),
             ldb: self.b.ld,
             b_layout: self.b.layout,
         }
@@ -506,10 +543,7 @@ impl GemmGroup<'_> {
 
     /// Elements from the start of a C window to one past its last element.
     pub(crate) fn c_span(&self) -> usize {
-        match (self.m, self.n) {
-            (0, _) | (_, 0) => 0,
-            (m, n) => (m - 1) * self.ldc + n,
-        }
+        span(self.m, self.n, self.ldc)
     }
 
     /// Validate every window of a non-empty table against the slice-length

@@ -60,9 +60,10 @@
 //!
 //! * A grouped launch ([`Packed::gemm_grouped_on`]) applies the same rule
 //!   across the tasks of an offset table: each distinct shared A and B
-//!   window is packed once, windows used by one task (and f32 B rows a
-//!   whole number of tiles wide) are read in place, and the table's runs
-//!   (or the rows of its column windows) are what the pool splits.
+//!   window is packed once (a reduced B window decoded as it is packed),
+//!   windows used by one task (and f32 B rows a whole number of tiles wide)
+//!   are read in place, and the table's runs (or the rows of its column
+//!   windows) are what the pool splits.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
@@ -90,11 +91,12 @@ pub const NR: usize = 16;
 /// register tile.
 const SINGLE_USE: usize = 16;
 
-/// Fill one `nr`-wide B̃ panel: `dst[p·nr + j]` = B(pc+p, col0+j) for
-/// `p < kc`, `j < width`, from B stored in `layout`; lanes past `width` are
-/// left as they are. An f32 B is copied element by element, reduced storage
-/// decoded in runs on arm `isa`. Decoder indices are buffer-relative, never
-/// panel-relative, so NF4 resolves its block scales under any `ldb`.
+/// Fill one `nr`-wide B̃ panel: `dst[p·nr + j]` = B(p, j) for `p < kc`,
+/// `j < width`, counted from the element at flat index `at` of B stored in
+/// `layout`; lanes past `width` are left as they are. An f32 B is copied
+/// element by element, reduced storage decoded in runs on arm `isa`.
+/// Decoder indices are buffer-relative, never panel- or window-relative, so
+/// NF4 resolves its block scales under any `ldb` and any window offset.
 #[allow(clippy::too_many_arguments)]
 fn fill_panel(
     isa: Isa,
@@ -102,23 +104,22 @@ fn fill_panel(
     layout: Layout,
     dst: &mut [f32],
     ldb: usize,
-    pc: usize,
+    at: usize,
     kc: usize,
-    col0: usize,
     width: usize,
     nr: usize,
 ) {
     match (b, layout) {
         (BOperand::F32(b), Layout::Normal) => {
-            fill_normal_elementwise(|i| b[i], dst, ldb, pc, kc, col0, width, nr)
+            fill_normal_elementwise(|i| b[i], dst, ldb, at, kc, width, nr)
         }
         (BOperand::F32(b), Layout::Transposed) => {
-            fill_transposed_elementwise(|i| b[i], dst, ldb, pc, kc, col0, width, nr)
+            fill_transposed_elementwise(|i| b[i], dst, ldb, at, kc, width, nr)
         }
         (_, Layout::Normal) => {
             for p in 0..kc {
                 let row = &mut dst[p * nr..p * nr + width];
-                decode::run(isa, b, (pc + p) * ldb + col0, row);
+                decode::run(isa, b, at + p * ldb, row);
             }
         }
         (_, Layout::Transposed) => {
@@ -127,7 +128,7 @@ fn fill_panel(
             const RUN: usize = 256;
             let mut scratch = [0.0f32; RUN];
             for j in 0..width {
-                let base = (col0 + j) * ldb + pc;
+                let base = at + j * ldb;
                 for p0 in (0..kc).step_by(RUN) {
                     let run = &mut scratch[..RUN.min(kc - p0)];
                     decode::run(isa, b, base + p0, run);
@@ -141,21 +142,20 @@ fn fill_panel(
 }
 
 /// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand, one
-/// `load(flat index)` per element: `dst[p·nr + j] = load((pc+p)·ldb + col0+j)`
+/// `load(flat index)` per element: `dst[p·nr + j] = load(at + p·ldb + j)`
 /// for `p < kc`, `j < width`. Lanes past `width` are left as they are.
 #[allow(clippy::too_many_arguments)]
 fn fill_normal_elementwise(
     load: impl Fn(usize) -> f32,
     dst: &mut [f32],
     ldb: usize,
-    pc: usize,
+    at: usize,
     kc: usize,
-    col0: usize,
     width: usize,
     nr: usize,
 ) {
     for p in 0..kc {
-        let base = (pc + p) * ldb + col0;
+        let base = at + p * ldb;
         for j in 0..width {
             dst[p * nr + j] = load(base + j);
         }
@@ -163,21 +163,20 @@ fn fill_normal_elementwise(
 }
 
 /// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
-/// `dst[p·nr + j] = load((col0+j)·ldb + pc+p)`. Lanes past `width` are left
-/// as they are.
+/// `dst[p·nr + j] = load(at + j·ldb + p)`. Lanes past `width` are left as
+/// they are.
 #[allow(clippy::too_many_arguments)]
 fn fill_transposed_elementwise(
     load: impl Fn(usize) -> f32,
     dst: &mut [f32],
     ldb: usize,
-    pc: usize,
+    at: usize,
     kc: usize,
-    col0: usize,
     width: usize,
     nr: usize,
 ) {
     for j in 0..width {
-        let base = (col0 + j) * ldb + pc;
+        let base = at + j * ldb;
         for p in 0..kc {
             dst[p * nr + j] = load(base + p);
         }
@@ -219,7 +218,8 @@ fn pack_b(
             let j0 = panel * nr;
             let width = nr.min(nc - j0);
             let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            fill_panel(isa, b, layout, dst, ldb, pc, kc, jc + j0, width, nr);
+            let at = layout.at(ldb, pc, jc + j0);
+            fill_panel(isa, b, layout, dst, ldb, at, kc, width, nr);
             // The fills store the lanes below `width`; zero the padding.
             if width < nr {
                 for row in dst.chunks_exact_mut(nr) {
@@ -1048,14 +1048,17 @@ struct GroupPass<'a> {
     /// Every A window is read by one task: the microkernel reads it in
     /// place instead of from a packed panel.
     a_direct: bool,
-    /// B windows are f32 rows a whole number of tiles wide: read in place,
-    /// B̃ is never packed.
-    b_direct: bool,
+    /// B windows are f32 rows a whole number of tiles wide: read in place
+    /// from this buffer, B̃ is never packed.
+    b_direct: Option<&'a [f32]>,
+    /// The arm a reduced B decodes on.
+    isa: Isa,
 }
 
 impl GroupPass<'_> {
     /// Pack B̃ for this block: every distinct B window once (or, widened,
-    /// their columns gathered into shared panels).
+    /// their columns gathered into shared panels), a reduced B decoded as it
+    /// is packed.
     fn pack_b(&self, out: &mut Vec<f32>, pool: Option<&ThreadPool>) {
         let (g, kc, pc) = (self.g, self.kc, self.pc);
         let (_, nr) = self.tile.shape();
@@ -1079,10 +1082,10 @@ impl GroupPass<'_> {
                 while v < cols.end {
                     let (window, j) = (windows[slot + v / g.n] as usize, v % g.n);
                     let width = (g.n - j).min(cols.end - v);
-                    let b = BOperand::F32(&g.b.data[window * g.b.stride..]);
+                    let at = window * g.b.stride + g.b.layout.at(g.b.ld, pc, j);
                     let dst = &mut dst[v - cols.start..];
-                    let isa = Isa::Scalar; // f32 windows: copied, not decoded
-                    fill_panel(isa, b, g.b.layout, dst, g.b.ld, pc, kc, j, width, nr);
+                    let (b, ld) = (g.b.data, g.b.ld);
+                    fill_panel(self.isa, b, g.b.layout, dst, ld, at, kc, width, nr);
                     v += width;
                 }
             }
@@ -1169,9 +1172,9 @@ impl GroupPass<'_> {
                             }
                         }
                         for jp in 0..self.cols.div_ceil(nr) {
-                            let b = if self.b_direct {
+                            let b = if let Some(bf) = self.b_direct {
                                 Src {
-                                    ptr: g.b.data[pc * g.b.ld + jp * nr..].as_ptr(),
+                                    ptr: bf[pc * g.b.ld + jp * nr..].as_ptr(),
                                     ks: g.b.ld,
                                     xs: 1,
                                     segs: Segs::Windows(&b_windows[b0..b0 + depth], g.b.stride),
@@ -1237,12 +1240,15 @@ impl Packed {
     }
 
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
-    /// given, an explicit microkernel arm (tests and benches; `None` picks
-    /// the register tile from the task shape).
+    /// given, an explicit microkernel and decode arm (tests and benches;
+    /// `None` picks the register tile from the task shape and decodes on the
+    /// [`active_isa`]).
     ///
     /// Only what is reused is packed. B̃ holds every distinct B window once
     /// per launch, shared read-only — unless the windows are f32 rows a whole
     /// number of register tiles wide, which the microkernel reads in place.
+    /// A reduced B (the f16 / NF4 neuron slabs) is decoded window by window
+    /// into B̃, so it holds the f32 values a decoded twin's windows hold.
     /// A window used by one task (a P or dS block of a DSD) is read in place
     /// too; windows shared by several tasks are packed once per thread that
     /// needs them, into thread-local panels. Tasks of a run whose A *and* B
@@ -1284,7 +1290,14 @@ impl Packed {
         };
         let tile = pick_tile(isa, g.m, cols);
         let a_direct = !wide && table.a_windows().len() == table.tasks().len();
-        let b_direct = !wide && g.b.layout == Layout::Normal && g.n.is_multiple_of(tile.shape().1);
+        let b_direct = match g.b.data {
+            BOperand::F32(b)
+                if !wide && g.b.layout == Layout::Normal && g.n.is_multiple_of(tile.shape().1) =>
+            {
+                Some(b)
+            }
+            _ => None,
+        };
         let seq = crate::sequential_mode();
         let kc_max = tiles().kc.max(1);
         // As in `driver`: taken, not borrowed, across the parallel section.
@@ -1303,8 +1316,9 @@ impl Packed {
                 b_slots,
                 a_direct,
                 b_direct,
+                isa: isa.unwrap_or_else(active_isa),
             };
-            if !b_direct {
+            if b_direct.is_none() {
                 pass.pack_b(&mut bpack, (!seq).then_some(pool));
             }
             let bpack = &bpack;
@@ -1455,14 +1469,14 @@ mod tests {
                         let mut want = vec![0.0; nc.div_ceil(nr) * kc * nr];
                         for (panel, dst) in want.chunks_exact_mut(kc * nr).enumerate() {
                             let (j0, width) = (jc + panel * nr, nr.min(nc - panel * nr));
-                            let load = |i| b.get(i);
+                            let (load, at) = (|i| b.get(i), layout.at(ldb, pc, j0));
                             match layout {
                                 Layout::Normal => {
-                                    fill_normal_elementwise(load, dst, ldb, pc, kc, j0, width, nr)
+                                    fill_normal_elementwise(load, dst, ldb, at, kc, width, nr)
                                 }
-                                Layout::Transposed => fill_transposed_elementwise(
-                                    load, dst, ldb, pc, kc, j0, width, nr,
-                                ),
+                                Layout::Transposed => {
+                                    fill_transposed_elementwise(load, dst, ldb, at, kc, width, nr)
+                                }
                             }
                         }
                         let mut got = vec![f32::NAN; want.len() + 7];

@@ -706,10 +706,10 @@ mod tests {
     #[test]
     fn redemotion_across_precisions_does_not_serve_stale_slabs() {
         // Regression: switching the storage plan between sparse steps (here
-        // f16 → NF4) must invalidate the cross-step MLP
-        // slab caches, or the post-switch step would serve slabs decoded
-        // from the *previous* storage. Oracle: a twin that takes the same
-        // precision path but never built a cache under the old storage.
+        // f16 → NF4) must take effect on the next step: the post-switch step
+        // reads the MLP slabs from the new storage, never from the
+        // *previous* one. Oracle: a twin that takes the same precision path
+        // but never ran a step under the old storage.
         let (ids, _) = sample(400);
         let cfg = ModelConfig::test_tiny();
         let mut provided = SparsePlan::default();
@@ -721,7 +721,7 @@ mod tests {
         let mut m = tiny();
         m.freeze_all();
         m.set_precision(crate::Precision::F16Frozen);
-        // Builds the f16 slab caches.
+        // A sparse step over the f16 storage.
         let _ = m.execute(StepRequest::infer(&ids, BATCH, SEQ).plan(&provided));
         m.set_precision(crate::Precision::Nf4Frozen);
         let redemoted = m.execute(StepRequest::infer(&ids, BATCH, SEQ).plan(&provided));

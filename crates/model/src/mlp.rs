@@ -4,7 +4,9 @@
 //! FC1 is kept *neuron-major* (`w1[d_ff, d]`, i.e. column-major relative to
 //! the conventional `d × d_ff` matrix) and FC2 row-major (`w2[d_ff, d]`), so
 //! an active neuron block is a contiguous slab in **both** matrices and no
-//! format conversion ever happens at runtime.
+//! format conversion ever happens at runtime. An f16 or NF4 weight is read
+//! where it is stored too: the grouped neuron kernels decode each active
+//! slab as they pack it, so the sparse path is one path for every storage.
 //!
 //! LoRA can attach to both linears, as the same [`Lora`] pair `Linear` uses:
 //! FC1's `A` is `[r, d]` and its `B` neuron-major `[d_ff, r]`; FC2's `A` is
@@ -17,7 +19,6 @@
 use crate::config::Activation;
 use crate::linear::Lora;
 use crate::param::Param;
-use lx_obs::{registry, Counter};
 use lx_sparse::neuron::{
     active_cols, fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_forward,
     fc2_grad_weights,
@@ -26,22 +27,7 @@ use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
 use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu, relu_backward};
 use lx_tensor::Tensor;
-use std::sync::{Arc, OnceLock};
-
-/// Process-wide mirrors of the per-layer slab-cache counters (see
-/// [`MlpLayer::slab_cache_stats`] for the per-layer source of truth).
-struct SlabCounters {
-    decoded: Arc<Counter>,
-    carried: Arc<Counter>,
-}
-
-fn slab_counters() -> &'static SlabCounters {
-    static COUNTERS: OnceLock<SlabCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| SlabCounters {
-        decoded: registry().counter("mlp.slab.decoded"),
-        carried: registry().counter("mlp.slab.carried"),
-    })
-}
+use std::sync::Arc;
 
 #[derive(Debug)]
 pub struct MlpBlock {
@@ -59,17 +45,6 @@ pub struct MlpBlock {
     d_model: usize,
     d_ff: usize,
     cache: Option<MlpCache>,
-    /// Cross-step cache of decoded active slabs (reduced-stored sparse
-    /// mode, f16 or block-quantized). Keyed by the plan it was gathered for;
-    /// refreshed incrementally — see [`MlpBlock::refresh_slab_cache`].
-    slab_cache: Option<SparseSlabs>,
-    /// The retired gather's buffers, recycled as the next drifted plan's
-    /// destination so steady-state drift stays allocation-free (the step
-    /// bench gates on zero heap tensors per steady step). Contents are
-    /// garbage between drifts — every span is overwritten before use.
-    slab_spare: Option<(Tensor, Tensor, Tensor)>,
-    slabs_decoded: u64,
-    slabs_reused: u64,
 }
 
 #[derive(Debug)]
@@ -80,36 +55,6 @@ struct MlpCache {
     /// Post-activation, same width as `z`.
     a: Tensor,
     set: Option<Arc<NeuronBlockSet>>,
-    /// The step ran against reduced-stored weights via the slab cache.
-    used_slabs: bool,
-}
-
-/// f32 views of the *active* neuron slabs of reduced-stored FC weights (f16
-/// or block-quantized), in the compact coordinate system of
-/// [`NeuronBlockSet::compacted`]. This is the paper's "only active blocks
-/// resident at full width" discipline: inactive slabs never leave their
-/// reduced storage (2 bytes/element for f16, ~0.5 for NF4).
-///
-/// Under shadowy sparsity consecutive plans overlap heavily, so the gather is
-/// maintained *incrementally* across steps: blocks active in both the old and
-/// new plan are carried over with an f32 copy, only newly-activated blocks
-/// are decoded from the stored bits, and deactivated blocks are evicted by
-/// not being carried. An unchanged plan reuses the whole gather untouched.
-/// The quantized decodes are elementwise over flat indices, so a slab window
-/// is bit-identical to the same rows of a full-buffer decode even when row
-/// boundaries land mid-quantization-block.
-#[derive(Debug)]
-struct SparseSlabs {
-    /// The (global) plan this gather was built for.
-    set: Arc<NeuronBlockSet>,
-    /// Active FC1 column slabs, `[active_neurons, d_model]`.
-    w1: Tensor,
-    /// Active FC2 row slabs, `[active_neurons, d_model]`.
-    w2: Tensor,
-    /// FC1 bias entries gathered in active order.
-    b1: Tensor,
-    /// Renumbered block set addressing the gathered buffers.
-    cset: Arc<NeuronBlockSet>,
 }
 
 impl MlpBlock {
@@ -132,10 +77,6 @@ impl MlpBlock {
             d_model,
             d_ff,
             cache: None,
-            slab_cache: None,
-            slab_spare: None,
-            slabs_decoded: 0,
-            slabs_reused: 0,
         }
     }
 
@@ -198,105 +139,6 @@ impl MlpBlock {
         }
     }
 
-    /// Bring the cross-step slab cache up to date with `set` (see
-    /// [`SparseSlabs`]). An unchanged plan reuses the weight gather as-is
-    /// (re-gathering only the bias when it is trainable and may have moved);
-    /// a drifted plan copies carried-over slabs from the previous gather and
-    /// decodes only the newly-activated blocks ([`NeuronBlockSet::diff`])
-    /// from the stored f16/NF4 bits.
-    fn refresh_slab_cache(&mut self, set: &Arc<NeuronBlockSet>) {
-        let bsz = set.block_size;
-        if let Some(c) = &mut self.slab_cache {
-            if *c.set == **set {
-                // The f16 weight bits are frozen, but a trainable bias
-                // (BitFit) moves every optimizer step: refresh the compact
-                // gather in place so the cache never serves stale values.
-                if self.b1.trainable {
-                    for (ci, &blk) in set.active.iter().enumerate() {
-                        let n0 = blk as usize * bsz;
-                        c.b1.as_mut_slice()[ci * bsz..(ci + 1) * bsz]
-                            .copy_from_slice(&self.b1.value.as_slice()[n0..n0 + bsz]);
-                    }
-                }
-                self.slabs_reused += set.n_active() as u64;
-                slab_counters().carried.add(set.n_active() as u64);
-                return;
-            }
-        }
-        let d = self.d_model;
-        assert!(
-            self.w1.is_reduced() && self.w2.is_reduced(),
-            "slab cache requires reduced-stored FC weights"
-        );
-        let prev = self.slab_cache.take();
-        // Blocks newly activated relative to the previous gather must be
-        // decoded; everything else is carried over with an f32 copy.
-        let added = prev.as_ref().map(|p| set.diff(&p.set).added);
-        // Recycle the buffers retired two drifts ago when the active width
-        // is unchanged (the common steady-state case — the plan picks a
-        // fixed number of blocks, only *which* blocks drifts). Every active
-        // span is decoded or carried below, so stale contents never leak.
-        let (mut w1, mut w2, mut b1) = match self.slab_spare.take() {
-            Some((w1, w2, b1)) if w1.shape() == [set.active_neurons(), d] => (w1, w2, b1),
-            _ => (
-                Tensor::zeros(&[set.active_neurons(), d]),
-                Tensor::zeros(&[set.active_neurons(), d]),
-                Tensor::zeros(&[set.active_neurons()]),
-            ),
-        };
-        // Monotone cursors: `set.active`, `added` and `prev.set.active` are
-        // all sorted, so one forward walk finds every carry position.
-        let (mut ai, mut pp) = (0usize, 0usize);
-        for (ci, &blk) in set.active.iter().enumerate() {
-            let (n0, span) = (blk as usize * bsz, ci * bsz * d..(ci + 1) * bsz * d);
-            let is_added = match &added {
-                Some(a) => a.get(ai) == Some(&blk),
-                None => true,
-            };
-            if is_added {
-                ai += 1;
-                self.w1
-                    .decode_rows(n0, bsz, &mut w1.as_mut_slice()[span.clone()]);
-                self.w2.decode_rows(n0, bsz, &mut w2.as_mut_slice()[span]);
-                self.slabs_decoded += 1;
-                slab_counters().decoded.inc();
-            } else {
-                let p = prev
-                    .as_ref()
-                    .expect("carried block implies a previous gather");
-                while p.set.active[pp] < blk {
-                    pp += 1;
-                }
-                let pspan = pp * bsz * d..(pp + 1) * bsz * d;
-                w1.as_mut_slice()[span.clone()].copy_from_slice(&p.w1.as_slice()[pspan.clone()]);
-                w2.as_mut_slice()[span].copy_from_slice(&p.w2.as_slice()[pspan]);
-                self.slabs_reused += 1;
-                slab_counters().carried.inc();
-            }
-            b1.as_mut_slice()[ci * bsz..(ci + 1) * bsz]
-                .copy_from_slice(&self.b1.value.as_slice()[n0..n0 + bsz]);
-        }
-        self.slab_spare = prev.map(|p| (p.w1, p.w2, p.b1));
-        self.slab_cache = Some(SparseSlabs {
-            set: set.clone(),
-            w1,
-            w2,
-            b1,
-            cset: Arc::new(set.compacted()),
-        });
-    }
-
-    /// `(decoded, carried-over)` slab-block counters since construction —
-    /// how much reduced→f32 decode work the cross-step cache avoided.
-    pub fn slab_cache_stats(&self) -> (u64, u64) {
-        (self.slabs_decoded, self.slabs_reused)
-    }
-
-    /// Drop the cross-step slab cache (weight storage changed).
-    pub(crate) fn invalidate_slab_cache(&mut self) {
-        self.slab_cache = None;
-    }
-
     fn forward_dense(&mut self, x: &Tensor) -> Tensor {
         // z = x·W1ᵀ(stored) + b1  (+ LoRA1). The bias rides the GEMM
         // write-back as a fused epilogue; the activation stays unfused
@@ -322,7 +164,6 @@ impl MlpBlock {
             z,
             a,
             set: None,
-            used_slabs: false,
         });
         y
     }
@@ -340,39 +181,18 @@ impl MlpBlock {
         );
         let rows = x.rows();
         let width = set.active_neurons();
-        // Reduced-stored weights (f16 or block-quantized): run the neuron
-        // kernels in the compact coordinate system over the cross-step slab
-        // cache (only blocks that drifted in get decoded); f32 weights use
-        // the full buffers with the global set, as before. Both layouts
-        // produce the identical compact `rows × active` buffers.
-        let used_slabs = self.w1.is_reduced();
-        if used_slabs {
-            assert!(
-                self.w2.is_reduced(),
-                "FC1/FC2 must share a storage precision"
-            );
-            self.refresh_slab_cache(&set);
-        }
-        let slabs = used_slabs.then(|| self.slab_cache.as_ref().expect("slab cache refreshed"));
-        let (w1s, b1s, w2s, kset): (&[f32], &[f32], &[f32], &NeuronBlockSet) = match slabs {
-            Some(s) => (s.w1.as_slice(), s.b1.as_slice(), s.w2.as_slice(), &s.cset),
-            None => (
-                self.w1.value.as_slice(),
-                self.b1.value.as_slice(),
-                self.w2.value.as_slice(),
-                &set,
-            ),
-        };
-        // `z`, `y`, and `da` / `dx` in the backward: each grouped launch
-        // writes its whole output.
+        // One path whatever the storage: the neuron kernels read f32, f16 or
+        // NF4 weights where they lie, decoding each active slab as the
+        // grouped launch packs it. `z`, `y`, and `da` / `dx` in the
+        // backward: each grouped launch writes its whole output.
         let mut z = Tensor::scratch(&[rows, width]);
         fc1_forward(
             x.as_slice(),
             rows,
-            w1s,
+            self.w1.b_ref().operand(),
             self.d_model,
-            Some(b1s),
-            kset,
+            Some(self.b1.value.as_slice()),
+            &set,
             z.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora1 {
@@ -383,10 +203,10 @@ impl MlpBlock {
         fc2_forward(
             a.as_slice(),
             rows,
-            w2s,
+            self.w2.b_ref().operand(),
             self.d_model,
             Some(self.b2.value.as_slice()),
-            kset,
+            &set,
             y.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora2 {
@@ -397,7 +217,6 @@ impl MlpBlock {
             z,
             a,
             set: Some(set),
-            used_slabs,
         });
         y
     }
@@ -449,23 +268,14 @@ impl MlpBlock {
     ) -> Tensor {
         let rows = dy.rows();
         let width = set.active_neurons();
-        // Same storage dispatch as forward: the cross-step slab cache still
-        // holds this step's gather, so the backward kernels reuse it for free.
-        let slabs = cache
-            .used_slabs
-            .then(|| self.slab_cache.as_ref().expect("slab cache present"));
-        let (w1s, w2s, kset): (&[f32], &[f32], &NeuronBlockSet) = match slabs {
-            Some(s) => (s.w1.as_slice(), s.w2.as_slice(), &s.cset),
-            None => (self.w1.value.as_slice(), self.w2.value.as_slice(), &set),
-        };
         // FC2 backward to compact dA.
         let mut da = Tensor::scratch(&[rows, width]);
         active_cols(
             dy.as_slice(),
             rows,
-            w2s,
+            self.w2.b_ref().operand(),
             self.d_model,
-            kset,
+            &set,
             0.0,
             da.as_mut_slice(),
         );
@@ -487,20 +297,17 @@ impl MlpBlock {
         }
         // Activation backward on the compact buffers.
         let dz = self.activate_backward(&da, &cache.z);
-        // dx first: it reads the (possibly slab-decoded) weight view, whose
-        // borrow must end before the grad blocks take `&mut` access below.
         let mut dx = Tensor::scratch(&[rows, self.d_model]);
         fc1_backward_input(
             dz.as_slice(),
             rows,
-            w1s,
+            self.w1.b_ref().operand(),
             self.d_model,
-            kset,
+            &set,
             dx.as_mut_slice(),
         );
-        // FC1 grads — active blocks only (§II-D). Weight grads address the
-        // full-size buffers, so they use the global set; frozen reduced-
-        // stored weights never take this path (trainability implies f32).
+        // FC1 grads — active blocks only (§II-D); frozen reduced-stored
+        // weights never take this path (trainability implies f32).
         if self.b1.trainable {
             fc1_grad_bias(dz.as_slice(), &set, self.b1.grad_mut().as_mut_slice());
         }
@@ -742,122 +549,120 @@ mod tests {
     /// Every reduced storage dtype, for the demote-both-FC-weights sweeps.
     const REDUCED: [lx_tensor::Dtype; 2] = [lx_tensor::Dtype::F16, lx_tensor::Dtype::Nf4Block];
 
-    #[test]
-    fn incremental_slab_decode_equals_full_decode_under_drift() {
-        // Two identical reduced-stored blocks (f16, then NF4): one
-        // keeps its cross-step slab cache (incremental decode), the other is
-        // forced to re-gather from scratch every step. Outputs must stay
-        // bit-identical across a randomized plan-drift sequence including
-        // empty→full and full→empty transitions.
-        for dtype in REDUCED {
-            let mk = || {
-                let mut m = mlp();
-                m.w1.demote(dtype);
-                m.w2.demote(dtype);
-                m
-            };
-            let mut inc = mk();
-            let mut full = mk();
-            let x = Tensor::randn(&[ROWS, D], 1.0, 30);
-            let n_blk = (FF / BLK) as u32;
-            let mut plans: Vec<Vec<u32>> = vec![
-                vec![],               // start empty
-                (0..n_blk).collect(), // empty → full
-                vec![],               // full → empty
-                vec![0, 2],
-                vec![0, 3],           // one block drifts
-                (0..n_blk).collect(), // partial → full
-                vec![1],
-            ];
-            for step in 0..6u64 {
-                let picks = lx_tensor::rng::uniform_vec(3, 0.0, n_blk as f32, 40 + step);
-                plans.push(picks.into_iter().map(|v| v as u32).collect());
-            }
-            for idx in plans {
-                let set = Arc::new(NeuronBlockSet::from_indices(idx, n_blk as usize, BLK));
-                let yi = inc.forward(&x, Some(&set));
-                full.invalidate_slab_cache(); // the full-re-decode arm
-                let yf = full.forward(&x, Some(&set));
-                assert_eq!(yi.as_slice(), yf.as_slice(), "set {:?}", set.active);
-            }
-            let (dec_inc, reused) = inc.slab_cache_stats();
-            let (dec_full, _) = full.slab_cache_stats();
-            assert!(reused > 0, "drifting plans must carry blocks over");
-            assert!(
-                dec_inc < dec_full,
-                "incremental decode must do less work: {dec_inc} vs {dec_full}"
-            );
-        }
+    /// `[dA1, dB1, dA2, dB2, db1]`: [`lora_grads`] plus the BitFit bias.
+    fn lora_and_bias_grads(m: &MlpBlock) -> [&[f32]; 5] {
+        let [a1, b1, a2, b2] = lora_grads(m);
+        [a1, b1, a2, b2, m.b1.grad.as_ref().unwrap().as_slice()]
     }
 
-    #[test]
-    fn unchanged_plan_reuses_the_slab_cache_wholesale() {
-        for dtype in REDUCED {
-            let mut m = mlp();
+    /// A block whose FC weights are re-stored through `stores` in order,
+    /// with LoRA (nonzero B) on both FCs and a trainable `b1` (BitFit).
+    fn stored(stores: &[lx_tensor::Dtype]) -> MlpBlock {
+        let mut m = mlp();
+        m.attach_lora_fc1(2, 4.0, 36);
+        m.attach_lora_fc2(2, 4.0, 37);
+        for (l, seed) in [(&mut m.lora1, 38), (&mut m.lora2, 39)] {
+            let b = &mut l.as_mut().unwrap().b.value;
+            let vals = lx_tensor::rng::randn_vec(b.len(), 0.3, seed);
+            b.as_mut_slice().copy_from_slice(&vals);
+        }
+        m.b1.trainable = true;
+        for &dtype in stores {
             m.w1.demote(dtype);
             m.w2.demote(dtype);
-            let x = Tensor::randn(&[ROWS, D], 1.0, 31);
-            let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
-            let _ = m.forward(&x, Some(&set));
-            let (dec0, _) = m.slab_cache_stats();
-            assert_eq!(dec0, 2, "first step decodes every active block");
-            for _ in 0..3 {
-                let _ = m.forward(&x, Some(&set));
-            }
-            let (dec, reused) = m.slab_cache_stats();
-            assert_eq!(dec, dec0, "unchanged plan must decode nothing");
-            assert_eq!(reused, 3 * 2, "each reuse step counts its active blocks");
         }
+        m
     }
 
     #[test]
-    fn reduced_slab_sparse_path_matches_prerounded_dense() {
+    fn reduced_sparse_path_matches_prerounded_dense() {
         // The exactness contract behind the reduced-storage sparse path:
-        // running the neuron kernels over slab-decoded weights must equal
-        // running them over a *pre-rounded* f32 model (demote → promote up
-        // front: rounded for f16, dequantized for NF4)
-        // bit-for-bit, because the slab decode is elementwise.
+        // running the neuron kernels over f16 / NF4 weights read in place
+        // must equal running them over a *pre-rounded* f32 model (demote →
+        // promote up front: rounded for f16, dequantized for NF4) bit for
+        // bit, forward and backward, because the slab decode is exact.
+        let x = Tensor::randn(&[ROWS, D], 1.0, 35);
+        let dy = Tensor::randn(&[ROWS, D], 1.0, 40);
+        let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2, 3], FF / BLK, BLK));
         for dtype in REDUCED {
-            let mut q = mlp();
-            let mut pre = mlp();
-            for w in [&mut q.w1, &mut q.w2, &mut pre.w1, &mut pre.w2] {
-                w.demote(dtype);
-            }
-            for w in [&mut pre.w1, &mut pre.w2] {
-                w.to_f32(); // pre-rounded dense f32
-            }
-            let x = Tensor::randn(&[ROWS, D], 1.0, 35);
-            let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2, 3], FF / BLK, BLK));
+            let mut q = stored(&[dtype]);
+            let mut pre = stored(&[dtype, lx_tensor::Dtype::F32]);
             let yq = q.forward(&x, Some(&set));
             let yp = pre.forward(&x, Some(&set));
-            assert_eq!(yq.as_slice(), yp.as_slice(), "{dtype}");
+            assert_eq!(yq.as_slice(), yp.as_slice(), "{dtype} y");
+            let dxq = q.backward(&dy);
+            let dxp = pre.backward(&dy);
+            assert_eq!(dxq.as_slice(), dxp.as_slice(), "{dtype} dx");
+            let (gq, gp) = (lora_and_bias_grads(&q), lora_and_bias_grads(&pre));
+            for (which, (a, b)) in gq.iter().zip(gp).enumerate() {
+                assert_eq!(*a, b, "{dtype} grad {which}");
+            }
         }
     }
 
     #[test]
-    fn cached_slabs_track_a_trainable_bias() {
+    fn sparse_reduced_path_serves_the_current_trainable_bias() {
         // BitFit on the reduced-precision sparse path: the weight bits are
-        // frozen, but b1 is trainable and moves between steps. The
-        // unchanged-plan fast path must still serve the *current* bias, not
-        // the one gathered when the cache was built.
-        let mut m = mlp();
-        m.w1.demote(lx_tensor::Dtype::Nf4Block);
-        m.w2.demote(lx_tensor::Dtype::Nf4Block);
-        m.b1.trainable = true;
+        // frozen, but b1 is trainable and moves between steps. A repeated
+        // plan must serve the *current* bias: the moved block equals a fresh
+        // block built with the moved bias.
         let x = Tensor::randn(&[ROWS, D], 1.0, 32);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
-        let _ = m.forward(&x, Some(&set)); // builds the cache
-        for v in m.b1.value.as_mut_slice() {
-            *v += 0.5; // an optimizer step moved the bias
-        }
-        let y_cached = m.forward(&x, Some(&set)); // unchanged plan: fast path
-        m.invalidate_slab_cache();
-        let y_fresh = m.forward(&x, Some(&set)); // full re-gather
+        let nf4 = [lx_tensor::Dtype::Nf4Block];
+        let mut m = stored(&nf4);
+        let _ = m.forward(&x, Some(&set));
+        let moved = |m: &mut MlpBlock| {
+            for v in m.b1.value.as_mut_slice() {
+                *v += 0.5; // an optimizer step moved the bias
+            }
+        };
+        moved(&mut m);
+        let mut fresh = stored(&nf4);
+        moved(&mut fresh);
+        let y = m.forward(&x, Some(&set));
+        let y_fresh = fresh.forward(&x, Some(&set));
         assert_eq!(
-            y_cached.as_slice(),
+            y.as_slice(),
             y_fresh.as_slice(),
-            "cached gather must serve the updated bias"
+            "must serve the moved bias"
         );
+    }
+
+    #[test]
+    fn re_stored_weights_are_read_by_the_next_same_plan_forward() {
+        // `w1` / `w2` are public: re-storing them between two steps over the
+        // same plan (what `merge_all` plus a re-demote does) must change
+        // what the next forward reads. Oracle: a fresh block stored the
+        // same way.
+        use lx_tensor::Dtype::{Nf4Block, F16, F32};
+        let x = Tensor::randn(&[ROWS, D], 1.0, 33);
+        let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
+        // f16 → NF4 directly, without `set_precision`.
+        let mut m = stored(&[F16]);
+        let _ = m.forward(&x, Some(&set));
+        m.w1.demote(Nf4Block);
+        m.w2.demote(Nf4Block);
+        let y = m.forward(&x, Some(&set));
+        let y_fresh = stored(&[F16, Nf4Block]).forward(&x, Some(&set));
+        assert_eq!(y.as_slice(), y_fresh.as_slice(), "f16 → nf4");
+        // Promote, edit an active slab in place, re-demote.
+        let edit = |m: &mut MlpBlock| {
+            for w in [&mut m.w1, &mut m.w2] {
+                w.value.as_mut_slice()[0] += 1.0; // neuron 0: block 0, active
+                w.demote(F16);
+            }
+        };
+        let mut m = stored(&[F16]);
+        let _ = m.forward(&x, Some(&set));
+        for w in [&mut m.w1, &mut m.w2] {
+            w.demote(F32);
+        }
+        edit(&mut m);
+        let y = m.forward(&x, Some(&set));
+        let mut fresh = stored(&[F16, F32]);
+        edit(&mut fresh);
+        let y_fresh = fresh.forward(&x, Some(&set));
+        assert_eq!(y.as_slice(), y_fresh.as_slice(), "promote, edit, re-demote");
     }
 
     #[test]

@@ -123,16 +123,6 @@ impl TransformerModel {
         out
     }
 
-    /// Summed `(decoded, carried-over)` active-slab counters across every
-    /// layer's cross-step slab cache (reduced-stored sparse MLP path) — how
-    /// much f16/NF4→f32 decode work shadowy-sparsity reuse avoided.
-    pub fn slab_cache_stats(&self) -> (u64, u64) {
-        self.blocks
-            .iter()
-            .map(|b| b.mlp.slab_cache_stats())
-            .fold((0, 0), |(d, r), (bd, br)| (d + bd, r + br))
-    }
-
     /// Current parameter-storage plan.
     pub fn precision(&self) -> Precision {
         self.precision
@@ -160,11 +150,6 @@ impl TransformerModel {
             let frozen_matrix = !p.trainable && p.shape().len() >= 2;
             p.demote(if frozen_matrix { dtype } else { Dtype::F32 });
         });
-        // The cross-step slab caches gather from the (old) storage; a
-        // storage change invalidates them.
-        for b in &mut self.blocks {
-            b.mlp.invalidate_slab_cache();
-        }
         self.precision = precision;
     }
 

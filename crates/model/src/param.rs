@@ -134,7 +134,7 @@ impl Param {
 
     /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
     /// (`n_rows × cols`, contiguous), whatever the storage. This is the
-    /// active-neuron-slab gather and the embedding-table lookup: every
+    /// embedding-table lookup: every
     /// decode is elementwise, so a window is bit-identical to the same rows
     /// of a full decode.
     pub fn decode_rows(&self, r0: usize, n_rows: usize, out: &mut [f32]) {

@@ -177,7 +177,14 @@ pub fn sdd_nt(
 
 /// One launch of `out[s×dh] = Σ P-block · X-rows` over `table`, whose runs
 /// each own `b` output rows; rows no run writes are zeroed.
-fn dsd_launch(p: Windows<'_>, x: &[f32], dh: usize, b: usize, table: &GemmTable, out: &mut [f32]) {
+fn dsd_launch(
+    p: Windows<&[f32]>,
+    x: &[f32],
+    dh: usize,
+    b: usize,
+    table: &GemmTable,
+    out: &mut [f32],
+) {
     for (run, rows) in table.runs().windows(2).zip(out.chunks_exact_mut(b * dh)) {
         if run[0] == run[1] {
             rows.fill(0.0);

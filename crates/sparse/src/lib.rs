@@ -34,5 +34,5 @@ pub mod scattered;
 
 pub use layout::{BlockCsr, MultiHeadLayout};
 pub use mask::BlockMask;
-pub use neuron::{BlockSetDiff, NeuronBlockSet};
+pub use neuron::NeuronBlockSet;
 pub use patterns::{PatternPool, PatternSpec};

@@ -13,8 +13,13 @@
 //!
 //! This mirrors the paper's memory-coalescing layout choice and means the
 //! kernels never convert data formats at runtime — the property that makes
-//! them "dynamic-aware". Because each active slab is contiguous, each of the
-//! kernels below is **one** grouped GEMM
+//! them "dynamic-aware". The weight of the four operators that read one
+//! ([`active_cols`], [`fc1_forward`], [`fc2_forward`],
+//! [`fc1_backward_input`]) is any [`BOperand`]: an f16 or NF4 backbone is
+//! read where it lies, each active slab decoded as the grouped launch packs
+//! it, so the products equal those over the decoded f32 weight bit for bit.
+//! Because each active slab is contiguous, each of the kernels below is
+//! **one** grouped GEMM
 //! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
 //! over an offset table the [`NeuronBlockSet`] built when it was
 //! constructed. With `ai` the position of active block `blk` in the set:
@@ -33,7 +38,7 @@
 //! panels are adjacent collapse into one deeper microkernel call, so sparse
 //! MLP work runs at the efficiency of the dense path it replaces.
 
-use lx_kernels::{GemmGroup, GemmTable, Windows};
+use lx_kernels::{BOperand, GemmGroup, GemmTable, Windows};
 
 /// Sorted set of active neuron blocks out of `n_blocks_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,15 +130,6 @@ impl NeuronBlockSet {
         1.0 - self.density()
     }
 
-    /// The same active blocks renumbered to `0..n_active` over a grid that
-    /// contains only them — the coordinate system of a weight buffer holding
-    /// just the active slabs (gathered in `active` order). Used by the
-    /// mixed-precision MLP path, which decodes only the active slabs of a
-    /// half-stored weight to f32.
-    pub fn compacted(&self) -> NeuronBlockSet {
-        Self::all(self.n_active(), self.block_size)
-    }
-
     /// Number of active blocks present in both sets (merge walk over the
     /// sorted index lists).
     pub fn intersection_count(&self, other: &NeuronBlockSet) -> usize {
@@ -169,55 +165,6 @@ impl NeuronBlockSet {
             inter as f32 / union as f32
         }
     }
-
-    /// Blocks activated and deactivated going from `prev` to `self`:
-    /// `added` are active here but not in `prev` (must be decoded fresh),
-    /// `removed` were active in `prev` but not here (evicted). Blocks in
-    /// both can be carried over — the incremental-slab-decode contract.
-    pub fn diff(&self, prev: &NeuronBlockSet) -> BlockSetDiff {
-        assert_eq!(
-            self.n_blocks_total, prev.n_blocks_total,
-            "diff needs matching block grids"
-        );
-        let (a, b) = (&self.active, &prev.active);
-        let mut added = Vec::new();
-        let mut removed = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
-            match (a.get(i), b.get(j)) {
-                (Some(&x), Some(&y)) if x == y => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&x), Some(&y)) if x < y => {
-                    added.push(x);
-                    i += 1;
-                }
-                (Some(_), Some(&y)) => {
-                    removed.push(y);
-                    j += 1;
-                }
-                (Some(&x), None) => {
-                    added.push(x);
-                    i += 1;
-                }
-                (None, Some(&y)) => {
-                    removed.push(y);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
-        BlockSetDiff { added, removed }
-    }
-}
-
-/// Result of [`NeuronBlockSet::diff`]: block indices newly activated and
-/// newly deactivated relative to a previous set.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BlockSetDiff {
-    pub added: Vec<u32>,
-    pub removed: Vec<u32>,
 }
 
 /// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1t[active[a]·b+t]⟩ (+ bias)`.
@@ -225,10 +172,10 @@ pub struct BlockSetDiff {
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
 /// Each active block is `Z_a = X · W_aᵀ` against the contiguous column slab
 /// `W_a`; `X` is one shared window.
-pub fn fc1_forward(
+pub fn fc1_forward<'w>(
     x: &[f32],
     rows: usize,
-    w1t: &[f32],
+    w1t: impl Into<BOperand<'w>>,
     d_in: usize,
     bias: Option<&[f32]>,
     set: &NeuronBlockSet,
@@ -253,16 +200,16 @@ pub fn fc1_forward(
 ///
 /// `w2` is row-major `h × d_out`; `a` is compact `rows × active_neurons`.
 /// Every active block accumulates `Y += A_blk · W2_blk` into the one output.
-pub fn fc2_forward(
+pub fn fc2_forward<'w>(
     a: &[f32],
     rows: usize,
-    w2: &[f32],
+    w2: impl Into<BOperand<'w>>,
     d_out: usize,
     bias: Option<&[f32]>,
     set: &NeuronBlockSet,
     y: &mut [f32],
 ) {
-    let b = set.block_size;
+    let (b, w2) = (set.block_size, w2.into());
     let width = set.active_neurons();
     assert_eq!(a.len(), rows * width, "fc2: a is rows×active");
     assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
@@ -297,16 +244,16 @@ pub fn fc2_forward(
 /// one shared `X` window against each active slab. This is FC1's forward
 /// product (`W = W1ᵀ`), FC2's input gradient (`dA = dY · W2_activeᵀ`) and,
 /// with `beta = 1`, the rank-r LoRA updates into those compact buffers.
-pub fn active_cols(
+pub fn active_cols<'w>(
     x: &[f32],
     rows: usize,
-    w: &[f32],
+    w: impl Into<BOperand<'w>>,
     d: usize,
     set: &NeuronBlockSet,
     beta: f32,
     out: &mut [f32],
 ) {
-    let b = set.block_size;
+    let (b, w) = (set.block_size, w.into());
     let width = set.active_neurons();
     assert_eq!(x.len(), rows * d, "active cols: x is rows×d");
     debug_assert_eq!(
@@ -333,14 +280,15 @@ pub fn active_cols(
 
 /// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1t[neuron]`.
 /// Every active block accumulates `dX += dZ_blk · W_blk` into the one output.
-pub fn fc1_backward_input(
+pub fn fc1_backward_input<'w>(
     dz: &[f32],
     rows: usize,
-    w1t: &[f32],
+    w1t: impl Into<BOperand<'w>>,
     d_in: usize,
     set: &NeuronBlockSet,
     dx: &mut [f32],
 ) {
+    let w1t = w1t.into();
     debug_assert_eq!(w1t.len(), set.total_neurons() * d_in);
     let b = set.block_size;
     let width = set.active_neurons();
@@ -665,17 +613,13 @@ mod tests {
     }
 
     #[test]
-    fn overlap_and_diff_track_drift() {
+    fn overlap_tracks_drift() {
         let a = NeuronBlockSet::from_indices(vec![0, 1, 2], 8, B);
         let b = NeuronBlockSet::from_indices(vec![1, 2, 5], 8, B);
         assert_eq!(a.intersection_count(&b), 2);
         assert!((a.overlap(&b) - 0.5).abs() < 1e-6); // 2 / 4
-        let d = b.diff(&a);
-        assert_eq!(d.added, vec![5]);
-        assert_eq!(d.removed, vec![0]);
-        // Identity and disjoint extremes.
+                                                     // Identity and disjoint extremes.
         assert_eq!(a.overlap(&a), 1.0);
-        assert!(a.diff(&a).added.is_empty() && a.diff(&a).removed.is_empty());
         let c = NeuronBlockSet::from_indices(vec![6, 7], 8, B);
         assert_eq!(a.overlap(&c), 0.0);
         // Empty ↔ full transitions.
@@ -683,12 +627,6 @@ mod tests {
         let full = NeuronBlockSet::all(8, B);
         assert_eq!(empty.overlap(&empty), 1.0);
         assert_eq!(empty.overlap(&full), 0.0);
-        let up = full.diff(&empty);
-        assert_eq!(up.added.len(), 8);
-        assert!(up.removed.is_empty());
-        let down = empty.diff(&full);
-        assert!(down.added.is_empty());
-        assert_eq!(down.removed.len(), 8);
     }
 
     #[test]

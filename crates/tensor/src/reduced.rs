@@ -7,11 +7,12 @@
 //! ([`Tensor`]) or [`Reduced`] (f16 bits, or NF4 codes plus per-block
 //! scales) — and the fused reduced-B GEMMs in `lx-kernels` decode inside
 //! their pack/load stage rather than via a materialised f32 copy. Every
-//! consumer (the tensor-level [`matmul`](crate::gemm::matmul), embedding row
-//! lookups, active-neuron-slab gathers, promotion back to f32) only needs a
-//! shape plus the kernel-level [`BOperand`], so everything derived from
-//! those two — row/column counts, windowed row decodes, full decodes — is
-//! written once here, on [`BRef`], instead of once per storage type.
+//! consumer (the tensor-level [`matmul`](crate::gemm::matmul), the sparse
+//! MLP's grouped launches, embedding row lookups, promotion back to f32)
+//! only needs a shape plus the kernel-level [`BOperand`], so everything
+//! derived from those two — row/column counts, windowed row decodes, full
+//! decodes — is written once here, on [`BRef`], instead of once per storage
+//! type.
 
 use crate::{memtrack, Dtype, Tensor};
 use lx_kernels::BOperand;
@@ -53,7 +54,7 @@ impl<'a> BRef<'a> {
 
     /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
     /// (`n_rows × cols`, contiguous). This is the load path for embedding
-    /// lookups and active-neuron-slab gathers; every codec decodes
+    /// lookups; every codec decodes
     /// elementwise over flat indices, so a window is bit-identical to the
     /// same rows of a full decode even when it straddles quantization-block
     /// boundaries.

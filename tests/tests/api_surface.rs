@@ -691,3 +691,30 @@ fn one_runtime_gemm_backend() {
         }
     }
 }
+
+#[test]
+fn f32_slab_copies_stay_retired() {
+    // One sparse-MLP path: the neuron operators read f16 / NF4 weights where
+    // they lie and decode each active slab inside the grouped pack. The
+    // cross-step f32 slab cache, the set diff that maintained it and the
+    // compact renumbering it addressed must not grow back anywhere.
+    // Needles assembled here so this file does not match itself.
+    let retired = [
+        format!("Sparse{}", "Slabs"),
+        format!("slab_{}", "cache"),
+        format!("BlockSet{}", "Diff"),
+        format!("comp{}", "acted"),
+    ];
+    for dir in ["crates", "tests", "examples"] {
+        for file in rust_files(dir) {
+            let src = std::fs::read_to_string(&file).expect("read source");
+            for needle in &retired {
+                assert!(
+                    !src.contains(needle.as_str()),
+                    "{}: retired `{needle}` resurfaced",
+                    file.display()
+                );
+            }
+        }
+    }
+}

@@ -11,9 +11,10 @@
 //! the `Reference` per-task loop over the six offset-table shapes the sparse
 //! crate launches (≤1e-4), every arm **bitwise** against the per-task chain
 //! definition written out as scalar code (in-place A windows, the 16×16
-//! tile, K-merged runs, the folded beta), and bitwise equality of one group
+//! tile, K-merged runs, the folded beta), bitwise equality of one group
 //! across sequential mode, private pools of 1, 2 and 4 threads, and every
-//! FMA microkernel arm. The
+//! FMA microkernel arm, and of an f16 / NF4 B (the neuron slabs) with its
+//! decoded f32 twin. The
 //! block-sparse / neuron-sparse operators themselves ride along at the
 //! bottom.
 //!
@@ -489,8 +490,8 @@ fn transposed_a_with_non_f32_or_transposed_b_is_rejected() {
     }
 }
 
-/// The `Observed` wrapper derives the `dtype` label from the operand: one
-/// call per storage kind must bump exactly its own
+/// The `Observed` wrapper derives the `dtype` label from the B operand: one
+/// call and one grouped launch per storage kind must bump exactly its own
 /// `kernel.gemm.calls{backend,class,dtype,isa,threads}` counter and none of
 /// the others. The labels are the tensor-level [`Dtype::name`]s, so a kernel
 /// label drifting from its dtype name fails here. The shape is large-class
@@ -517,6 +518,9 @@ fn observed_attributes_every_dtype_label_from_the_operand() {
     });
     let a = randn_vec(m * k, 1.0, 901);
     let c0 = vec![0.0; m * n];
+    // A grouped launch of four `m × k/4 × n` tasks over one B: the same
+    // FLOPs, so the same large class, booked under the B's dtype.
+    let table = GemmTable::new((0..4).map(|t| (t, t, 0)), vec![0, 4]);
     for (i, kind) in KINDS.into_iter().enumerate() {
         let b = BMat::random(kind, Layout::Normal, k, n, 902);
         let before = counters.each_ref().map(|c| c.get());
@@ -530,11 +534,23 @@ fn observed_attributes_every_dtype_label_from_the_operand() {
             0.0,
             Epilogue::None,
         );
+        let group = GemmGroup {
+            m,
+            k: k / 4,
+            n,
+            a: Windows::normal(&a[..], k, k / 4),
+            b: Windows::normal(b.operand(), n, k / 4 * n),
+            ldc: n,
+            c_stride: 0,
+            beta: 0.0,
+            table: &table,
+        };
+        OBSERVED.gemm_grouped(&group, &mut c0.clone());
         for (j, counter) in counters.iter().enumerate() {
             assert_eq!(
                 counter.get() - before[j],
-                u64::from(i == j),
-                "{kind:?} call vs dtype={} counter",
+                2 * u64::from(i == j),
+                "{kind:?} call and grouped launch vs dtype={} counter",
                 labels[j]
             );
         }
@@ -656,18 +672,20 @@ struct Group {
 
 impl Group {
     fn view(&self, beta: f32) -> GemmGroup<'_> {
-        let windows = |data, (ld, stride, layout)| Windows {
-            data,
-            ld,
-            stride,
-            layout,
-        };
+        fn windows<D>(data: D, (ld, stride, layout): (usize, usize, Layout)) -> Windows<D> {
+            Windows {
+                data,
+                ld,
+                stride,
+                layout,
+            }
+        }
         GemmGroup {
             m: self.m,
             k: self.k,
             n: self.n,
             a: windows(&self.a[..], self.a_win),
-            b: windows(&self.b[..], self.b_win),
+            b: windows(BOperand::F32(&self.b), self.b_win),
             ldc: self.ldc,
             c_stride: self.c_stride,
             beta,
@@ -887,12 +905,13 @@ fn chain_oracle(g: &Group, beta: f32, fused: bool) -> Vec<f32> {
     assert!(g.k <= lx_kernels::current_policy().tiles.kc);
     let view = g.view(beta);
     let table = &g.table;
-    let at = |w: &Windows<'_>, window: u32, row: usize, col: usize| {
-        let base = window as usize * w.stride;
-        match w.layout {
-            Layout::Normal => w.data[base + row * w.ld + col],
-            Layout::Transposed => w.data[base + col * w.ld + row],
-        }
+    // Flat index of element `(row, col)` of window `window`.
+    let at = |(ld, stride, layout): (usize, usize, Layout), window: u32, row: usize, col: usize| {
+        window as usize * stride
+            + match layout {
+                Layout::Normal => row * ld + col,
+                Layout::Transposed => col * ld + row,
+            }
     };
     g.run(beta, |_, c| {
         for run in table.runs().windows(2) {
@@ -915,7 +934,8 @@ fn chain_oracle(g: &Group, beta: f32, fused: bool) -> Vec<f32> {
                             let aw = table.a_windows()[(a0 + d) as usize];
                             let bw = table.b_windows()[(b0 + d) as usize];
                             for p in 0..g.k {
-                                let (x, y) = (at(&view.a, aw, i, p), at(&view.b, bw, p, j));
+                                let x = view.a.data[at(g.a_win, aw, i, p)];
+                                let y = view.b.data.get(at(g.b_win, bw, p, j));
                                 acc = if fused {
                                     x.mul_add(y, acc)
                                 } else {
@@ -1053,6 +1073,72 @@ fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
                 &global,
                 want,
             );
+        }
+    }
+}
+
+/// `view` with its B windows over `b` instead.
+fn over<'a>(view: &GemmGroup<'a>, b: BOperand<'a>) -> GemmGroup<'a> {
+    GemmGroup {
+        b: Windows { data: b, ..view.b },
+        ..*view
+    }
+}
+
+/// A grouped launch over a reduced B — the f16 / NF4 backbone's neuron
+/// slabs — equals the same launch over its decoded f32 twin bit for bit:
+/// the pack decodes each window from its flat offset into the whole operand,
+/// so B̃ holds the values the twin's windows hold, and the table alone fixes
+/// every accumulation chain whether B̃ is packed or (the twin's f32 rows a
+/// whole number of tiles wide) read in place. Covers the two table forms
+/// that read weights — `cols` (transposed, run as one wide product) and
+/// `sum` (normal, one accumulating run) — f16 and NF4, every arm this host
+/// runs (each decodes on its own arm), `Packed` on 1 and 2 threads, slab
+/// strides `b·d` of 32, 400 and 296 (windows starting inside NF4's
+/// 64-element blocks) and `d` of 64 and 128, where the twin's `sum` reads
+/// its rows in place. The `Reference` per-task oracle, which decodes each
+/// window up front, equals its own run over the twin bitwise and `Packed`
+/// within tolerance.
+#[test]
+fn reduced_grouped_launches_equal_their_decoded_f32_twins_bitwise() {
+    let pools: Vec<ThreadPool> = [1, 2].into_iter().map(ThreadPool::new).collect();
+    let shapes = [
+        (6, 4, 8),
+        (37, 4, 100),
+        (29, 8, 37),
+        (37, 16, 64),
+        (40, 16, 128),
+    ];
+    let mut groups = Vec::new();
+    for (seed, (rows, b, d)) in (960u64..).step_by(10).zip(shapes) {
+        // `cols` and `sum`; `slabs` multiplies activations, not weights.
+        let forms = neuron_groups(rows, b, d, &[0, 2, 3, 6], seed);
+        groups.extend(forms.into_iter().take(2));
+    }
+    for g in &groups {
+        for kind in [Dtype::F16, Dtype::Nf4Block] {
+            let stored = BMat::encode(kind, &g.b, 1, g.b.len());
+            let twin = stored.decoded();
+            let (reduced, twin) = (stored.operand(), BOperand::F32(&twin));
+            for beta in [0.0f32, 1.0] {
+                let what = |on: &str| format!("{} {kind} beta={beta} {on}", g.what);
+                for pool in &pools {
+                    for isa in arms() {
+                        let launch = |b| {
+                            g.run(beta, |view, c| {
+                                PACKED.gemm_grouped_on(pool, isa, &over(view, b), c)
+                            })
+                        };
+                        let on = format!("{isa:?} threads={}", pool.threads());
+                        assert_bits(&what(&on), &launch(reduced), &launch(twin));
+                    }
+                }
+                let oracle = |b| g.run(beta, |view, c| REFERENCE.gemm_grouped(&over(view, b), c));
+                let want = oracle(reduced);
+                assert_bits(&what("reference"), &want, &oracle(twin));
+                let got = g.run(beta, |view, c| PACKED.gemm_grouped(&over(view, reduced), c));
+                assert_close(&what("packed vs reference"), &got, &want);
+            }
         }
     }
 }

@@ -456,7 +456,7 @@ fn grouped_launch_counts_one_call_and_all_its_tasks() {
             m,
             k,
             n,
-            a: Windows::normal(&a, k, 0),
+            a: Windows::normal(&a[..], k, 0),
             b: Windows::transposed(&b, k, 0),
             ldc: n,
             c_stride: m * n,

@@ -325,44 +325,6 @@ fn sparse_path_on_quantized_storage_matches_rounded_f32_model_exactly() {
     assert!(checked > 0, "no gradients compared");
 }
 
-/// Slab-cache counters on a quantized backbone: steps that repeat a plan
-/// must carry every slab over instead of re-running the nibble decode, and
-/// a drifted plan re-decodes only what drifted in.
-#[test]
-fn carried_slabs_skip_re_dequant_on_quantized_backbone() {
-    let mut m = TransformerModel::new(ModelConfig::test_tiny(), 19);
-    m.freeze_all();
-    m.set_precision(Precision::Nf4Frozen);
-    PeftMethod::lora_default().apply(&mut m, 23);
-    let n_layers = m.config.n_layers;
-    let set = |blocks: Vec<u32>| {
-        let mut plan = lx_model::SparsePlan::dense(n_layers);
-        for layer in plan.layers.iter_mut() {
-            layer.mlp = Some(Arc::new(NeuronBlockSet::from_indices(blocks.clone(), 8, 4)));
-        }
-        plan
-    };
-    let ids = batch(&m, 1, 8, 43);
-    let targets = prompt_aware_targets(&ids, 1, 8, 0);
-    let plan_a = set(vec![0, 2, 5]);
-    m.execute(StepRequest::grad(&ids, &targets, 1, 8).plan(&plan_a));
-    let (dec0, reused0) = m.slab_cache_stats();
-    let layers = n_layers as u64;
-    assert_eq!(dec0, 3 * layers, "first step decodes every active slab");
-    assert_eq!(reused0, 0);
-    // Unchanged plan: zero further decodes, every slab carried.
-    m.execute(StepRequest::grad(&ids, &targets, 1, 8).plan(&plan_a));
-    let (dec1, reused1) = m.slab_cache_stats();
-    assert_eq!(dec1, dec0, "carried slabs must skip the nibble decode");
-    assert_eq!(reused1, 3 * layers);
-    // One block drifts: exactly one new decode per layer, two carried.
-    let plan_b = set(vec![0, 2, 6]);
-    m.execute(StepRequest::grad(&ids, &targets, 1, 8).plan(&plan_b));
-    let (dec2, reused2) = m.slab_cache_stats();
-    assert_eq!(dec2, dec1 + layers, "only the drifted-in slab decodes");
-    assert_eq!(reused2, reused1 + 2 * layers);
-}
-
 #[test]
 fn tenant_adapter_lifecycle_works_on_quantized_backbone() {
     let precision = Precision::Nf4Frozen;
