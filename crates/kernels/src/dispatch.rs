@@ -5,9 +5,10 @@
 //! Every product the program issues — a lone `64×128×8` LoRA update or a
 //! `512×256×1024` frozen projection, a single call or a grouped launch —
 //! runs on [`Packed`], through the [`Observed`] wrapper [`backend`] hands
-//! out. There is no size crossover: the packed driver reads single-use
-//! operands in place and a grouped launch packs each shared window once, so
-//! no shape is left where the [`Reference`] loops win. `Reference` stays
+//! out, as one grouped launch (a plain product is a launch of one task).
+//! There is no size crossover: the launch reads operands used once in place
+//! and packs each shared window once, so no shape is left where the
+//! [`Reference`] loops win. `Reference` stays
 //! public as the correctness oracle of the differential tests and the base
 //! column of `kernel_bench`; no runtime path reaches it.
 //!
@@ -15,9 +16,9 @@
 //!
 //! There is one policy: [`KernelPolicy::default`] is the cache-model value
 //! `lx_runtime::kernel_policy::policy_for(&CpuSpec::generic())` (a test there
-//! holds the two equal), and the atomics below start at it. `mc` / `nc` only
-//! choose which rows and columns are computed together — never the k-order of
-//! any element — so they cannot move a result; `kc` can.
+//! holds the two equal), and the atomics below start at it. Only `kc` is read:
+//! it is the k-block depth, so it sets every element's chain and can move a
+//! result. `mc` / `nc` are inert — the one macro-kernel blocks only `k`.
 
 use crate::backend::{KernelBackend, Reference};
 use crate::observe::Observed;
@@ -27,11 +28,17 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Cache-blocking tile shape for the packed backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileConfig {
-    /// Rows of A packed per block (Ã sized `mc × kc`, targeting L2).
+    /// Inert, like [`KernelPolicy::min_flops_packed`]: the cache model's
+    /// rows of A per block (Ã sized `mc × kc`, targeting L2), which no
+    /// kernel reads. It round-trips through [`install_policy`] /
+    /// [`current_policy`] only for the frozen `benchmark/`, whose header
+    /// prints it, and goes with it.
     pub mc: usize,
-    /// K-depth per block (B̃ panel of `kc × NR` targeting L1).
+    /// K-depth per block (B̃ panel of `kc × NR` targeting L1): the one
+    /// field the packed backend reads.
     pub kc: usize,
-    /// Columns of B packed per block (B̃ sized `kc × nc`).
+    /// Inert, like [`mc`](Self::mc): the cache model's columns of B per
+    /// block (B̃ sized `kc × nc`).
     pub nc: usize,
 }
 

@@ -4,9 +4,9 @@
 //! GELU MLPs) an activation — classically a second and third read-modify-write
 //! pass over the whole output. An [`Epilogue`] handed to
 //! [`KernelBackend::gemm`](crate::KernelBackend::gemm) is instead applied to
-//! each macro-block of C right after its final k-block is accumulated, while
-//! the block is still cache-warm — the extra serial passes disappear and the
-//! epilogue work runs on the same workers that computed the block, so it
+//! each row chunk of C right after its final k-block is accumulated, while
+//! the rows are still cache-warm — the extra serial passes disappear and the
+//! epilogue work runs on the same workers that computed the rows, so it
 //! parallelises with the GEMM.
 //!
 //! Numerics: the epilogue is applied element-wise *after* the complete
@@ -60,9 +60,9 @@ impl Epilogue<'_> {
     }
 
     /// Apply to an `mr`×`nr` window of C whose first column is output column
-    /// `j0`. No-op for `None`; the packed driver calls this with full
-    /// macro-block rows (`mr == 1`, `nr == nc`) so the inner loop amortises
-    /// its setup over long contiguous runs.
+    /// `j0`. No-op for `None`; the packed launch calls this with whole C
+    /// rows (`mr == 1`, `nr == n`) so the inner loop amortises its setup
+    /// over long contiguous runs.
     #[inline]
     pub(crate) fn apply_tile(&self, c: &mut [f32], ldc: usize, mr: usize, nr: usize, j0: usize) {
         match *self {

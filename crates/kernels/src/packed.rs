@@ -1,25 +1,28 @@
-//! The [`Packed`] backend: cache-blocked, panel-packed GEMM microkernels.
+//! The [`Packed`] backend: panel-packed GEMM microkernels behind one
+//! macro-kernel, the grouped launch.
 //!
-//! Classic three-level blocking (BLIS/GotoBLAS structure, adapted from the
-//! shared-memory-tile + register-tile pattern GPU kernels use):
+//! Every product runs as a launch over an offset table of block tasks
+//! ([`GemmTable`]): a sparse operator's table lists its blocks, and a plain
+//! [`KernelBackend::gemm`] is a launch of one task. Only `k` is blocked:
 //!
 //! ```text
-//!   for jc in steps of NC over n:            // C column block   (≈ L3)
-//!     for pc in steps of KC over k:          // K block
-//!       pack B[pc.., jc..] → B̃  (KC×NC, NR-wide column panels)   (≈ L2→L1)
-//!       parallel over worker-disjoint row chunks of C:
-//!         for ic in steps of MC over rows:   // A row block      (≈ L2)
-//!           pack A[ic.., pc..] → Ã (MC×KC, MR-tall row panels)
-//!           for jr, ir over NR/MR panels:
-//!             microkernel: C[MR×NR] += Ã-panel · B̃-panel
-//!             (last k-block: apply the fused epilogue to the hot tile)
+//!   for pc in steps of KC over k:               // K block
+//!     pack each distinct shared B window → B̃  (KC × NR column panels)
+//!     parallel over C row chunks (or runs of tasks):
+//!       for each run, its tasks in table order:
+//!         pack a shared A window → Ã once per thread (MR-tall row panels),
+//!           or read an A window one task uses where it lies
+//!         for jr, ir over NR/MR panels:
+//!           microkernel: C[MR×NR] (+)= Ã-panel · B̃-panel
+//!       (last k-block: apply the fused epilogue to the finished C rows)
 //! ```
 //!
 //! * The microkernel keeps an `MR×NR` register tile of C accumulators and
 //!   streams one `MR` column of Ã against one `NR` row of B̃ per k-step —
 //!   explicit FMA-friendly inner loops. The register-tile shape follows the
-//!   active [`Isa`] arm (6×16 scalar/AVX2/NEON, 14×32 AVX-512), and packing
-//!   geometry follows the arm so each kernel sees panels of its own width.
+//!   active [`Isa`] arm (6×16 scalar/AVX2/NEON; 14×32 or 16×16 AVX-512,
+//!   whichever [`pick_tile`] finds cheaper for the task shape), and packing
+//!   geometry follows the tile so each kernel sees panels of its own width.
 //!   There is one microkernel family: it reads each operand through a
 //!   [`Src`], which is a packed panel here and an operand's own strides
 //!   where it is read in place. NEON runs the portable fused definition
@@ -36,60 +39,46 @@
 //!   Normal panel, straight into it; one run per column of a Transposed
 //!   panel, into a stack scratch and from there strided into the panel. f32
 //!   B is copied element by element.
-//! * B̃ is packed once per `(jc, pc)` block — in parallel across panel chunks
-//!   when the pool is available — and shared read-only across all row tasks:
-//!   the "B-panel reuse across A rows" that makes the kernel
-//!   bandwidth-friendly. C row chunks are worker-disjoint (`par_rows`
-//!   split_at_mut carving), so one big GEMM saturates all `LX_THREADS`
-//!   workers.
-//! * Nested calls (a GEMM issued from inside a pool worker) detect
-//!   [`lx_parallel::in_worker`] via [`crate::sequential_mode`] and run the
-//!   whole macro-kernel on the calling thread instead of oversubscribing the
-//!   pool.
+//! * Only what is reused is packed. B̃ holds each distinct B window once per
+//!   k-block — packed in parallel across panel chunks when the pool is
+//!   available — and is shared read-only by every row task: the "B-panel
+//!   reuse across A rows" that makes the kernel bandwidth-friendly. f32 B
+//!   rows a whole number of register tiles wide are read in place instead,
+//!   and so is every A window one task reads — a plain product's whole A.
+//! * C row chunks (or runs of tasks) are worker-disjoint (`par_rows` /
+//!   `par_weighted` split_at_mut carving), so one big GEMM saturates all
+//!   `LX_THREADS` workers. Nested calls (a GEMM issued from inside a pool
+//!   worker) detect [`lx_parallel::in_worker`] via [`crate::sequential_mode`]
+//!   and run the whole launch on the calling thread instead of
+//!   oversubscribing the pool.
 //! * `beta` folds into the first k-block's write-back ([`WriteBack`]) and a
-//!   fused [`Epilogue`] is applied to each macro-block right after its
-//!   **final** k-block — i.e. after the complete `beta·C + ΣA·B` sum, in the
-//!   same element order as a separate scale pass before and an unfused bias
-//!   or GELU pass after — so results are bit-identical to those passes
-//!   while their read-modify-write sweeps over C disappear.
-//! * Only operands that are reused are packed. A product one register tile
-//!   wide reads each A row once, one at most 16 rows tall each B row once:
-//!   such an operand is read where it lies by the strided microkernels
-//!   ([`Src`]: a pointer plus k- and row/column strides), whose register
-//!   tile [`pick_tile`] chooses from the product's shape.
-//!
-//! * A grouped launch ([`Packed::gemm_grouped_on`]) applies the same rule
-//!   across the tasks of an offset table: each distinct shared A and B
-//!   window is packed once (a reduced B window decoded as it is packed),
-//!   windows used by one task (and f32 B rows a whole number of tiles wide)
-//!   are read in place, and the table's runs (or the rows of its column
-//!   windows) are what the pool splits.
+//!   fused [`Epilogue`] is applied to each row chunk right after its
+//!   **final** k-block, on the worker that computed it — i.e. after the
+//!   complete `beta·C + ΣA·B` sum, in the same element order as a separate
+//!   scale pass before and an unfused bias or GELU pass after — so results
+//!   are bit-identical to those passes while their read-modify-write sweeps
+//!   over C disappear.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{per_task, row_grain, scale_only, KernelBackend, GRAIN_FLOPS};
+use crate::backend::{scale_row, KernelBackend, GRAIN_FLOPS};
 use crate::decode;
 use crate::dispatch::tiles;
 use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
-use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTask, Layout};
+use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 use lx_obs::{registry, Counter};
 use lx_parallel::ThreadPool;
 use std::cell::RefCell;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// Register tile height of the 6×16 arms (scalar/AVX2/NEON); also the unit
 /// the cache-model rounds MC to. The AVX-512 arm uses its own 14×32 tile.
 pub const MR: usize = 6;
 /// Register tile width of the 6×16 arms; see [`MR`].
 pub const NR: usize = 16;
-
-/// The width (of C) up to which a product reads its A rows once, and the
-/// height up to which it reads its B rows once: one 16-wide / 16-tall
-/// register tile.
-const SINGLE_USE: usize = 16;
 
 /// Fill one `nr`-wide B̃ panel: `dst[p·nr + j]` = B(p, j) for `p < kc`,
 /// `j < width`, counted from the element at flat index `at` of B stored in
@@ -188,77 +177,6 @@ thread_local! {
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Which A slots of a grouped launch this thread has packed so far.
     static PACKED_SLOTS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Pack `kc` k-steps × `nc` columns of B into `nr`-wide column panels:
-/// `out[panel][p·nr + j]` = B(pc+p, jc + panel·nr + j), zero-padded past
-/// `nc`, reduced storage decoded on arm `isa`. Panels are disjoint slices of
-/// `out`, so when a pool is given the fill is carved across it (one "row"
-/// per panel).
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    out: &mut Vec<f32>,
-    isa: Isa,
-    b: BOperand<'_>,
-    ldb: usize,
-    layout: Layout,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-    pool: Option<&ThreadPool>,
-) {
-    let panels = nc.div_ceil(nr);
-    let panel_len = kc * nr;
-    // Every lane is written below, so the buffer keeps its old contents.
-    out.resize(panels * panel_len, 0.0);
-    let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
-        for (pi, panel) in prange.enumerate() {
-            let j0 = panel * nr;
-            let width = nr.min(nc - j0);
-            let dst = &mut dst_all[pi * panel_len..(pi + 1) * panel_len];
-            let at = layout.at(ldb, pc, jc + j0);
-            fill_panel(isa, b, layout, dst, ldb, at, kc, width, nr);
-            // The fills store the lanes below `width`; zero the padding.
-            if width < nr {
-                for row in dst.chunks_exact_mut(nr) {
-                    row[width..].fill(0.0);
-                }
-            }
-        }
-    };
-    // Each task should pack a cache-friendly stretch of panels; packing is
-    // bandwidth-bound, so only fan out when there is real work to split.
-    let grain = ((1 << 15) / panel_len.max(1)).max(1);
-    match pool {
-        Some(pool) if panels > grain => pool.par_rows(out, panels, panel_len, grain, fill),
-        _ => fill(0..panels, out),
-    }
-}
-
-/// Pack `mc` rows × `kc` k-steps of A into `mr`-tall row panels:
-/// `out[panel][p·mr + i]` = A(ic + panel·mr + i, pc+p), zero-padded past
-/// `mc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    out: &mut Vec<f32>,
-    a: &[f32],
-    lda: usize,
-    layout: Layout,
-    ic: usize,
-    mc: usize,
-    pc: usize,
-    kc: usize,
-    mr: usize,
-) {
-    let panels = mc.div_ceil(mr);
-    out.clear();
-    out.resize(panels * kc * mr, 0.0);
-    for (panel, dst) in out.chunks_exact_mut((kc * mr).max(1)).enumerate() {
-        let i0 = panel * mr;
-        pack_a_panel(dst, a, lda, layout, ic + i0, mr.min(mc - i0), pc, kc, mr);
-    }
 }
 
 /// One `mr`-tall Ã panel: `dst[p·mr + i]` = A(i0 + i, pc + p) for
@@ -584,9 +502,9 @@ impl<'a> Src<'a> {
 }
 
 /// A register-tile geometry of the microkernels, all of which read through
-/// [`Src`]. The packed driver runs its arm's first tile ([`Tile::of`]);
-/// grouped launches and products with a single-use operand take the one
-/// [`pick_tile`] chooses per call. Private: the public arm stays [`Isa`].
+/// [`Src`]. Every launch runs the one [`pick_tile`] chooses for its task
+/// shape from the tiles of its arm ([`Tile::of`]). Private: the public arm
+/// stays [`Isa`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Tile {
     /// 6×16, `s += a·b` per k-step: the scalar arm's definition.
@@ -612,8 +530,8 @@ impl Tile {
         }
     }
 
-    /// The tiles arm `isa` runs; the first is its packed driver's, of
-    /// shape [`Isa::tile`].
+    /// The tiles arm `isa` runs; the first has the arm's shape,
+    /// [`Isa::tile`].
     fn of(isa: Isa) -> &'static [Tile] {
         match isa {
             Isa::Scalar => &[Tile::Scalar],
@@ -734,11 +652,10 @@ fn strided(
             }
         };
     }
-    // SAFETY: the tile's arm passed its runtime probe (the driver runs
-    // `active_isa`'s, `pick_tile` offers only supported tiles,
-    // `gemm_grouped_on` asserts an explicit arm); the
-    // callers build `a` and `b` from checked views under the `Src` contract,
-    // and `c` was checked above.
+    // SAFETY: the tile's arm passed its runtime probe (`pick_tile` offers
+    // only the active arm's tiles, `gemm_grouped_on` asserts an explicit
+    // arm); the callers build `a` and `b` from checked views under the
+    // `Src` contract, and `c` was checked above.
     unsafe {
         match tile {
             Tile::Scalar => rows!(strided_portable, false; 1 2 3 4 5 6),
@@ -764,238 +681,10 @@ fn strided(
     }
 }
 
-/// The packed/tiled backend. Tile sizes (MC/KC/NC) are read from the global
+/// The packed backend. The k-block depth `KC` is read from the global
 /// [`KernelPolicy`](crate::KernelPolicy) at call time, so an installed policy
 /// takes effect immediately; the microkernel arm follows [`active_isa`].
 pub struct Packed;
-
-impl Packed {
-    /// The macro-kernel, for every storage kind of B: only the B̃ fill
-    /// ([`fill_panel`]) looks at it.
-    #[allow(clippy::too_many_arguments)]
-    fn driver(
-        &self,
-        pool: &ThreadPool,
-        op: &GemmOp<'_>,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        let GemmOp {
-            m,
-            k,
-            n,
-            a,
-            lda,
-            a_layout,
-            ldb,
-            b_layout,
-            ..
-        } = *op;
-        if m == 0 || n == 0 {
-            return;
-        }
-        ep.check(n);
-        if k == 0 {
-            // Degenerate product: the "sum" is just the beta scale, so the
-            // epilogue becomes a standalone pass.
-            if beta != 1.0 {
-                scale_only(c, m, n, ldc, beta);
-            }
-            apply_epilogue(c, m, n, ldc, ep);
-            return;
-        }
-        // Nested call (inside a pool worker) or explicit
-        // `with_sequential`: run the whole macro-kernel on this thread.
-        let seq = crate::sequential_mode();
-        // A product one register tile wide reads each A row once, and one
-        // a register tile tall reads each B row once: packing such an
-        // operand buys nothing, so it is read where it lies.
-        let isa = active_isa();
-        let b_rows = match op.b {
-            BOperand::F32(b) if b_layout == Layout::Normal && m <= SINGLE_USE => Some(b),
-            _ => None,
-        };
-        if n <= SINGLE_USE || b_rows.is_some() {
-            return self.single_use(pool, seq, isa, op, b_rows, c, ldc, beta, ep);
-        }
-        let tile = Tile::of(isa)[0];
-        let (tmr, tnr) = tile.shape();
-        let t = tiles();
-        let (mc, kc_max, nc_max) = (t.mc.max(tmr), t.kc.max(1), t.nc.max(tnr));
-        // Reuse this thread's B̃ buffer across calls. Taken out of the
-        // thread-local (not borrowed across the parallel section): the
-        // submitting thread helps drain the pool queue while waiting, and a
-        // stolen task may re-enter `driver` on this very thread — a held
-        // `RefCell` borrow would panic, whereas a nested call here simply
-        // finds an empty cell and allocates its own buffer.
-        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        let mut jc = 0;
-        while jc < n {
-            let nc = nc_max.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc = kc_max.min(k - pc);
-                // `beta` folds into the first k-block's write-back, the
-                // epilogue into the *final* one's, i.e. after the complete
-                // accumulated sum.
-                let wb = WriteBack::at(pc, beta);
-                let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
-                pack_b(
-                    &mut bpack,
-                    isa,
-                    op.b,
-                    ldb,
-                    b_layout,
-                    pc,
-                    kc,
-                    jc,
-                    nc,
-                    tnr,
-                    (!seq).then_some(pool),
-                );
-                packed_elements(Operand::B).add((kc * nc) as u64);
-                let bpack_ref = &bpack;
-                let grain = row_grain(kc, nc).max(tmr);
-                let macro_rows = |rows: Range<usize>, chunk: &mut [f32]| {
-                    packed_elements(Operand::A).add((rows.len() * kc) as u64);
-                    PACK_A.with(|apack| {
-                        let apack = &mut *apack.borrow_mut();
-                        let mut ic = rows.start;
-                        while ic < rows.end {
-                            let mcb = mc.min(rows.end - ic);
-                            pack_a(apack, a, lda, a_layout, ic, mcb, pc, kc, tmr);
-                            for jr in (0..nc).step_by(tnr) {
-                                let nr = tnr.min(nc - jr);
-                                let bp = Src::panel(&bpack_ref[(jr / tnr) * kc * tnr..], tnr, 0);
-                                for ir in (0..mcb).step_by(tmr) {
-                                    let mr = tmr.min(mcb - ir);
-                                    let ap = Src::panel(&apack[(ir / tmr) * kc * tmr..], tmr, 0);
-                                    let coff = (ic - rows.start + ir) * ldc + jc + jr;
-                                    let c = &mut chunk[coff..];
-                                    strided(tile, 1, kc, ap, bp, c, ldc, mr, nr, wb);
-                                }
-                            }
-                            // Epilogue over the finished mc×nc block, full
-                            // rows at a time: the block is still cache-warm,
-                            // the work stays on the worker that computed it,
-                            // and the long contiguous rows amortise loop
-                            // setup the way a 32-wide register tile cannot.
-                            if !ep_blk.is_none() {
-                                for r in 0..mcb {
-                                    let off = (ic - rows.start + r) * ldc + jc;
-                                    ep_blk.apply_tile(&mut chunk[off..], ldc, 1, nc, jc);
-                                }
-                            }
-                            ic += mcb;
-                        }
-                    });
-                };
-                if seq {
-                    macro_rows(0..m, &mut *c);
-                } else {
-                    pool.par_rows(c, m, ldc, grain, macro_rows);
-                }
-                pc += kc;
-            }
-            jc += nc;
-        }
-        PACK_B.with(|b| *b.borrow_mut() = bpack);
-    }
-
-    /// [`driver`](Self::driver) for a product whose A rows (`n` within
-    /// [`SINGLE_USE`]) or B rows (`b_rows`: a Normal f32 B under at most
-    /// [`SINGLE_USE`] rows of C) are each read once: the strided microkernels read A where it
-    /// lies, and B too when `b_rows` is given — all but a narrow last column
-    /// panel, which is packed. The k-blocks, and so every C element's
-    /// chains, are the packed driver's.
-    #[allow(clippy::too_many_arguments)]
-    fn single_use(
-        &self,
-        pool: &ThreadPool,
-        seq: bool,
-        isa: Isa,
-        op: &GemmOp<'_>,
-        b_rows: Option<&[f32]>,
-        c: &mut [f32],
-        ldc: usize,
-        beta: f32,
-        ep: Epilogue<'_>,
-    ) {
-        let GemmOp { m, k, n, a, .. } = *op;
-        let tile = pick_tile(None, m, n);
-        let (tmr, tnr) = tile.shape();
-        let kc_max = tiles().kc.max(1);
-        let (a_ks, a_xs) = match op.a_layout {
-            Layout::Normal => (1, op.lda),
-            Layout::Transposed => (op.lda, 1),
-        };
-        // Columns `..direct` read B in place; the rest are packed.
-        let direct = b_rows.map_or(0, |_| n - n % tnr);
-        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        let mut pc = 0;
-        while pc < k {
-            let kc = kc_max.min(k - pc);
-            let wb = WriteBack::at(pc, beta);
-            let ep_blk = if pc + kc == k { ep } else { Epilogue::None };
-            if direct < n {
-                let pool = (!seq).then_some(pool);
-                pack_b(
-                    &mut bpack,
-                    isa,
-                    op.b,
-                    op.ldb,
-                    op.b_layout,
-                    pc,
-                    kc,
-                    direct,
-                    n - direct,
-                    tnr,
-                    pool,
-                );
-                packed_elements(Operand::B).add((kc * (n - direct)) as u64);
-            }
-            let bpack = &bpack;
-            let body = |rows: Range<usize>, chunk: &mut [f32]| {
-                for jr in (0..n).step_by(tnr) {
-                    let bsrc = match b_rows {
-                        Some(bf) if jr < direct => Src {
-                            ptr: bf[pc * op.ldb + jr..].as_ptr(),
-                            ks: op.ldb,
-                            xs: 1,
-                            segs: Segs::Step(0),
-                        },
-                        _ => Src::panel(&bpack[(jr - direct) / tnr * kc * tnr..], tnr, 0),
-                    };
-                    for ir in rows.clone().step_by(tmr) {
-                        let asrc = Src {
-                            ptr: a[ir * a_xs + pc * a_ks..].as_ptr(),
-                            ks: a_ks,
-                            xs: a_xs,
-                            segs: Segs::Step(0),
-                        };
-                        let (mr, nr) = (tmr.min(rows.end - ir), tnr.min(n - jr));
-                        let tile_c = &mut chunk[(ir - rows.start) * ldc + jr..];
-                        strided(tile, 1, kc, asrc, bsrc, tile_c, ldc, mr, nr, wb);
-                    }
-                }
-                if !ep_blk.is_none() {
-                    for r in 0..rows.len() {
-                        ep_blk.apply_tile(&mut chunk[r * ldc..], ldc, 1, n, 0);
-                    }
-                }
-            };
-            if seq {
-                body(0..m, &mut *c);
-            } else {
-                pool.par_rows(c, m, ldc, row_grain(kc, n).max(tmr), body);
-            }
-            pc += kc;
-        }
-        PACK_B.with(|b| *b.borrow_mut() = bpack);
-    }
-}
 
 /// Which operand a pack copies.
 #[derive(Clone, Copy)]
@@ -1053,6 +742,9 @@ struct GroupPass<'a> {
     b_direct: Option<&'a [f32]>,
     /// The arm a reduced B decodes on.
     isa: Isa,
+    /// Applied to each run's C rows as the block leaves them: the launch's
+    /// epilogue on the final k-block, [`Epilogue::None`] before it.
+    ep: Epilogue<'a>,
 }
 
 impl GroupPass<'_> {
@@ -1102,7 +794,8 @@ impl GroupPass<'_> {
     /// at element `base` of C. B comes from the packed `bpack` unless read
     /// in place; A windows are read in place, or packed as the runs meet
     /// them into this thread's panels, laid out `[row panel][slot][kc][mr]`
-    /// like B̃. The first tasks of a run fold `beta` into their write-back.
+    /// like B̃. The first tasks of a run fold `beta` into their write-back,
+    /// and its finished rows take the pass's epilogue.
     fn work(
         &self,
         bpack: &[f32],
@@ -1214,6 +907,12 @@ impl GroupPass<'_> {
                         wb = WriteBack::Add;
                         t += depth;
                     }
+                    if !self.ep.is_none() {
+                        for r in 0..rows.len() {
+                            let row = &mut chunk[c_off + r * g.ldc..];
+                            self.ep.apply_tile(row, g.ldc, 1, self.cols, 0);
+                        }
+                    }
                 }
                 if copied > 0 {
                     packed_elements(Operand::A).add(copied as u64);
@@ -1223,9 +922,13 @@ impl GroupPass<'_> {
     }
 }
 
+/// The offset table of a plain product: one task over A, B and C window 0.
+static ONE_TASK: LazyLock<GemmTable> = LazyLock::new(|| GemmTable::each([(0, 0, 0)]));
+
 impl Packed {
     /// [`KernelBackend::gemm`] on an explicit pool (tests: the result must
-    /// not depend on how many threads split the rows).
+    /// not depend on how many threads split the rows): a grouped launch of
+    /// [`ONE_TASK`], whose single C window carries the epilogue.
     pub fn gemm_on(
         &self,
         pool: &ThreadPool,
@@ -1236,7 +939,34 @@ impl Packed {
         ep: Epilogue<'_>,
     ) {
         op.check(c.len(), ldc);
-        self.driver(pool, op, c, ldc, beta, ep)
+        let GemmOp { m, k, n, .. } = *op;
+        if m == 0 || n == 0 {
+            return;
+        }
+        let g = GemmGroup {
+            m,
+            k,
+            n,
+            a: Windows {
+                data: op.a,
+                ld: op.lda,
+                stride: 0,
+                layout: op.a_layout,
+            },
+            b: Windows {
+                data: op.b,
+                ld: op.ldb,
+                stride: 0,
+                layout: op.b_layout,
+            },
+            ldc,
+            c_stride: 0,
+            beta,
+            table: &ONE_TASK,
+        };
+        // C cut to the product's span is one column window of an `m`-row
+        // matrix, which the launch splits by rows.
+        self.launch(pool, None, &g, &mut c[..(m - 1) * ldc + n], ep)
     }
 
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
@@ -1269,17 +999,46 @@ impl Packed {
         g: &GemmGroup<'_>,
         c: &mut [f32],
     ) {
+        self.launch(pool, isa, g, c, Epilogue::None)
+    }
+
+    /// The macro-kernel behind both entry points: `g`'s tasks, then `ep` on
+    /// the finished rows of its C window — a launch carrying an epilogue has
+    /// one run.
+    fn launch(
+        &self,
+        pool: &ThreadPool,
+        isa: Option<Isa>,
+        g: &GemmGroup<'_>,
+        c: &mut [f32],
+        ep: Epilogue<'_>,
+    ) {
         let table = g.table;
-        if table.tasks().is_empty() || g.m == 0 || g.n == 0 {
+        let Some(first) = table.tasks().first() else {
+            return;
+        };
+        if g.m == 0 || g.n == 0 {
             return;
         }
         let shape = g.check(c.len());
         if let Some(isa) = isa {
             assert!(isa.supported(), "gemm group: {} not supported", isa.name());
         }
+        assert!(
+            ep.is_none() || table.runs().len() == 2,
+            "gemm group: only a launch with one C window may carry an epilogue"
+        );
+        ep.check(g.n);
         if g.k == 0 {
-            // Nothing to accumulate: each run's C window is only scaled.
-            return per_task(self, g, c);
+            // Nothing to accumulate: each run's C window is only scaled, so
+            // the epilogue becomes a standalone pass.
+            for run in table.runs().windows(2).filter(|r| r[0] < r[1]) {
+                let window = &mut c[g.c_offset(&table.tasks()[run[0] as usize])..];
+                for i in 0..g.m {
+                    scale_row(&mut window[i * g.ldc..][..g.n], g.beta);
+                }
+            }
+            return apply_epilogue(&mut c[g.c_offset(first)..], g.m, g.n, g.ldc, ep);
         }
         let wide = is_wide(g, shape);
         let (cols, runs, tasks, b_slots) = if wide {
@@ -1300,7 +1059,12 @@ impl Packed {
         };
         let seq = crate::sequential_mode();
         let kc_max = tiles().kc.max(1);
-        // As in `driver`: taken, not borrowed, across the parallel section.
+        // Reuse this thread's B̃ buffer across calls. Taken out of the
+        // thread-local (not borrowed across the parallel section): the
+        // submitting thread helps drain the pool queue while waiting, and a
+        // stolen task may launch on this very thread — a held `RefCell`
+        // borrow would panic, whereas a nested launch here simply finds an
+        // empty cell and allocates its own buffer.
         let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
         let mut pc = 0;
         while pc < g.k {
@@ -1317,6 +1081,7 @@ impl Packed {
                 a_direct,
                 b_direct,
                 isa: isa.unwrap_or_else(active_isa),
+                ep: if pc + kc == g.k { ep } else { Epilogue::None },
             };
             if b_direct.is_none() {
                 pass.pack_b(&mut bpack, (!seq).then_some(pool));
@@ -1407,7 +1172,7 @@ mod tests {
         }
     }
 
-    /// The packed driver's contract as plain scalar code: per k-block of
+    /// A plain product's contract as plain scalar code: per k-block of
     /// `kc` steps, every C element takes one multiply-add chain from `+0`,
     /// folded into C with the block's [`WriteBack`].
     fn chain_gemm(op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, fused: bool) {
@@ -1440,50 +1205,86 @@ mod tests {
         }
     }
 
-    /// `pack_b` into a buffer holding an earlier call's (here: NaN) lanes
-    /// gives the panels a zeroed buffer and the elementwise fills give — for
-    /// every storage kind on every arm this host runs, so the run-decoding
-    /// fills of f16 and NF4 equal their elementwise oracle bit for bit. The
-    /// windows cover `ldb` past the stored width, panels narrower than `nr`,
-    /// odd first columns and `kc` that is no multiple of a vector step.
+    /// A pass's B̃ fill ([`GroupPass::pack_b`]) into a buffer holding an
+    /// earlier call's (here: NaN) lanes gives the panels a zeroed buffer and
+    /// the elementwise fills give — for every storage kind on every tile of
+    /// every arm this host runs, so the run-decoding fills of f16 and NF4
+    /// equal their elementwise oracle bit for bit. The windows cover `ldb`
+    /// past the stored width, panels narrower than `nr`, odd first columns
+    /// (a window offset) and `kc` that is no multiple of a vector step.
     #[test]
     fn pack_b_overwrites_every_lane_of_a_reused_buffer() {
         let arms = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
+        let table = GemmTable::each([(0, 1, 0)]);
+        let no_a: &[f32] = &[];
         for isa in arms.filter(|isa| isa.supported()) {
-            let nr = isa.tile().1;
-            for layout in [Layout::Normal, Layout::Transposed] {
-                for (k, n, pad, pc, kc, jc, nc) in [
-                    (20, 40, 0, 3, 17, 2, 37),
-                    (8, 16, 0, 0, 8, 0, 16),
-                    (9, 5, 0, 1, 8, 0, 5),
-                    (70, 75, 3, 5, 61, 3, 70),
-                    (130, 33, 1, 1, 129, 1, 31),
-                ] {
-                    let ldb = pad + if layout == Layout::Normal { n } else { k };
-                    let len = if layout == Layout::Normal { k } else { n } * ldb;
-                    let vals = values(len, (k * n + nc) as u64);
-                    let bits = crate::half::encode_slice(&vals);
-                    let (codes, scales) = lx_quant::nf4::quantize(&vals);
-                    let q4 = lx_quant::Q4View::new(&codes, &scales, len);
-                    for b in [BOperand::F32(&vals), BOperand::F16(&bits), BOperand::Q4(q4)] {
-                        let mut want = vec![0.0; nc.div_ceil(nr) * kc * nr];
-                        for (panel, dst) in want.chunks_exact_mut(kc * nr).enumerate() {
-                            let (j0, width) = (jc + panel * nr, nr.min(nc - panel * nr));
-                            let (load, at) = (|i| b.get(i), layout.at(ldb, pc, j0));
-                            match layout {
-                                Layout::Normal => {
-                                    fill_normal_elementwise(load, dst, ldb, at, kc, width, nr)
-                                }
-                                Layout::Transposed => {
-                                    fill_transposed_elementwise(load, dst, ldb, at, kc, width, nr)
+            for &tile in Tile::of(isa) {
+                let nr = tile.shape().1;
+                for layout in [Layout::Normal, Layout::Transposed] {
+                    for (k, n, pad, pc, kc, jc, nc) in [
+                        (20, 40, 0, 3, 17, 2, 37),
+                        (8, 16, 0, 0, 8, 0, 16),
+                        (9, 5, 0, 1, 8, 0, 5),
+                        (70, 75, 3, 5, 61, 3, 70),
+                        (130, 33, 1, 1, 129, 1, 31),
+                    ] {
+                        let ldb = pad + if layout == Layout::Normal { n } else { k };
+                        let len = if layout == Layout::Normal { k } else { n } * ldb;
+                        let vals = values(len, (k * n + nc) as u64);
+                        let bits = crate::half::encode_slice(&vals);
+                        let (codes, scales) = lx_quant::nf4::quantize(&vals);
+                        let q4 = lx_quant::Q4View::new(&codes, &scales, len);
+                        for b in [BOperand::F32(&vals), BOperand::F16(&bits), BOperand::Q4(q4)] {
+                            let mut want = vec![0.0; nc.div_ceil(nr) * kc * nr];
+                            for (panel, dst) in want.chunks_exact_mut(kc * nr).enumerate() {
+                                let (j0, width) = (jc + panel * nr, nr.min(nc - panel * nr));
+                                let (load, at) = (|i| b.get(i), layout.at(ldb, pc, j0));
+                                match layout {
+                                    Layout::Normal => {
+                                        fill_normal_elementwise(load, dst, ldb, at, kc, width, nr)
+                                    }
+                                    Layout::Transposed => fill_transposed_elementwise(
+                                        load, dst, ldb, at, kc, width, nr,
+                                    ),
                                 }
                             }
+                            // B window 1 starts at column `jc`.
+                            let g = GemmGroup {
+                                m: 1,
+                                k,
+                                n: nc,
+                                a: Windows::normal(no_a, k, 0),
+                                b: Windows {
+                                    data: b,
+                                    ld: ldb,
+                                    stride: layout.at(ldb, 0, jc),
+                                    layout,
+                                },
+                                ldc: nc,
+                                c_stride: 0,
+                                beta: 1.0,
+                                table: &table,
+                            };
+                            let pass = GroupPass {
+                                g: &g,
+                                tile,
+                                pc,
+                                kc,
+                                cols: nc,
+                                runs: table.runs(),
+                                tasks: table.tasks(),
+                                b_slots: 1,
+                                a_direct: true,
+                                b_direct: None,
+                                isa,
+                                ep: Epilogue::None,
+                            };
+                            let mut got = vec![f32::NAN; want.len() + 7];
+                            pass.pack_b(&mut got, None);
+                            let what = format!("{tile:?} {} {layout:?} nc {nc}", b.dtype());
+                            assert_bits(&what, &got, &want);
+                            assert_eq!(got.len(), want.len());
                         }
-                        let mut got = vec![f32::NAN; want.len() + 7];
-                        pack_b(&mut got, isa, b, ldb, layout, pc, kc, jc, nc, nr, None);
-                        let what = format!("{} {} {layout:?} nc {nc}", isa.name(), b.dtype());
-                        assert_bits(&what, &got, &want);
-                        assert_eq!(got.len(), want.len());
                     }
                 }
             }
@@ -1507,8 +1308,8 @@ mod tests {
         for (m, n) in [(512, 256), (14, 32), (512, 400)] {
             assert_eq!(pick_tile(Some(Isa::Avx512), m, n), Tile::Avx512, "{m}x{n}");
         }
-        // An explicit arm never leaves its own tiles, and its first tile is
-        // the packed driver's geometry.
+        // An explicit arm never leaves its own tiles, and its first tile has
+        // the arm's shape.
         for isa in [Isa::Scalar, Isa::Avx2, Isa::Avx512, Isa::Neon] {
             assert_eq!(Tile::of(isa)[0].shape(), isa.tile(), "{isa:?}");
             for (m, n) in [(4, 8), (16, 16), (512, 256), (512, 16)] {
@@ -1586,33 +1387,78 @@ mod tests {
         }
     }
 
-    /// Both driver paths — packed panels, and the single-use operands read
-    /// in place (a one-tile-wide product, a B read by at most 16 rows, with
-    /// and without a packed narrow last panel) — against the chain
-    /// definition, across a k-block boundary, both A layouts and all three
-    /// write-backs, over a NaN-poisoned C for `beta = 0`.
+    /// Plain products — one-task launches — against the chain definition
+    /// followed by the standalone epilogue, bitwise: across a k-block
+    /// boundary; f32, f16 and NF4 B in both layouts (and a transposed A over
+    /// f32 B); all three write-backs, over a NaN-poisoned C for `beta = 0`;
+    /// no, `Bias` and `BiasGelu` epilogues; on the global pool and explicit
+    /// 1- and 2-thread ones. The shapes include products one register tile
+    /// wide or narrower, at most 16 rows tall, and widths no multiple of
+    /// any tile, where B is packed rather than read in place.
     #[test]
-    fn driver_paths_match_the_chain_definition() {
+    fn plain_products_match_the_chain_definition() {
         let fused = active_isa() != Isa::Scalar;
         let k = tiles().kc + 44;
+        let pools = [1, 2].map(ThreadPool::new);
         let mut seed = 10;
-        for (m, n) in [(37, 8), (40, 16), (8, 40), (16, 64), (5, 3), (30, 40)] {
-            for a_layout in [Layout::Normal, Layout::Transposed] {
-                for beta in [0.0f32, 1.0, 0.5] {
-                    seed += 3;
-                    let (a, b) = (values(m * k, seed), values(k * n, seed + 1));
-                    let op = GemmOp::contiguous(m, k, n, &a, a_layout, &b[..], Layout::Normal);
-                    let c0 = if beta == 0.0 {
-                        vec![f32::NAN; m * n]
-                    } else {
-                        values(m * n, seed + 2)
-                    };
-                    let mut want = c0.clone();
-                    chain_gemm(&op, &mut want, n, beta, fused);
-                    let mut got = c0;
-                    Packed.gemm(&op, &mut got, n, beta, Epilogue::None);
-                    let what = format!("{m}x{k}x{n} {a_layout:?} beta={beta}");
-                    assert_bits(&what, &got, &want);
+        for (m, n) in [
+            (37, 8),
+            (40, 16),
+            (8, 40),
+            (16, 64),
+            (5, 3),
+            (30, 40),
+            (20, 100),
+        ] {
+            let bias = values(n, seed);
+            let layouts = [
+                (Layout::Normal, Layout::Normal),
+                (Layout::Normal, Layout::Transposed),
+                (Layout::Transposed, Layout::Normal),
+            ];
+            for (a_layout, b_layout) in layouts {
+                seed += 3;
+                let (a, vals) = (values(m * k, seed), values(k * n, seed + 1));
+                let bits = crate::half::encode_slice(&vals);
+                let (codes, scales) = lx_quant::nf4::quantize(&vals);
+                let q4 = lx_quant::Q4View::new(&codes, &scales, vals.len());
+                let mut operands = vec![BOperand::F32(&vals)];
+                if a_layout == Layout::Normal {
+                    operands.extend([BOperand::F16(&bits), BOperand::Q4(q4)]);
+                }
+                for b in operands {
+                    let op = GemmOp::contiguous(m, k, n, &a, a_layout, b, b_layout);
+                    for beta in [0.0f32, 1.0, 0.5] {
+                        let c0 = if beta == 0.0 {
+                            vec![f32::NAN; m * n]
+                        } else {
+                            values(m * n, seed + 2)
+                        };
+                        let mut chain = c0.clone();
+                        chain_gemm(&op, &mut chain, n, beta, fused);
+                        let eps = [
+                            ("none", Epilogue::None),
+                            ("bias", Epilogue::Bias(&bias)),
+                            ("bias+gelu", Epilogue::BiasGelu(&bias)),
+                        ];
+                        for (ep_name, ep) in eps {
+                            let mut want = chain.clone();
+                            apply_epilogue(&mut want, m, n, n, ep);
+                            let what = format!(
+                                "{m}x{k}x{n} A {a_layout:?} B {} {b_layout:?} beta={beta} {ep_name}",
+                                b.dtype()
+                            );
+                            let mut got = c0.clone();
+                            Packed.gemm(&op, &mut got, n, beta, ep);
+                            assert_bits(&what, &got, &want);
+                            for pool in &pools {
+                                let mut got = c0.clone();
+                                Packed.gemm_on(pool, &op, &mut got, n, beta, ep);
+                                let what = format!("{what} on {} threads", pool.threads());
+                                assert_bits(&what, &got, &want);
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -1,14 +1,15 @@
 //! The cache model behind the one [`lx_kernels::KernelPolicy`].
 //!
 //! Each tile is sized so the data it reuses stays resident at one level of
-//! the CPU cache hierarchy the packed GEMM backend blocks for:
+//! the CPU cache hierarchy:
 //!
 //! * `KC` — the B̃ panel (`kc × NR` f32) must sit in L1d next to the A
-//!   stream: budget half of L1d for it.
-//! * `MC` — the Ã block (`mc × kc` f32) must survive in L2 across all NR
-//!   panels of B̃: budget half of L2.
-//! * `NC` — the B̃ block (`kc × nc` f32) should stay resident in the
-//!   last-level budget while every row panel of A streams against it.
+//!   stream: budget half of L1d for it. The only tile the packed GEMM
+//!   backend reads: its one macro-kernel blocks only `k`.
+//! * `MC` — inert: the Ã block (`mc × kc` f32) sized to half of L2.
+//! * `NC` — inert: the B̃ block (`kc × nc` f32) sized to the last-level
+//!   budget. `MC` and `NC` stay only because the frozen `benchmark/`
+//!   prints them, and go with it.
 //! * `min_flops_packed` — inert: every product runs packed and nothing
 //!   reads it. It stays at 2·64³ only because the frozen `benchmark/`
 //!   prints it, and goes with it.

@@ -693,6 +693,29 @@ fn one_runtime_gemm_backend() {
 }
 
 #[test]
+fn one_gemm_macro_kernel() {
+    // One macro-kernel in the kernel crate: a plain product is a one-task
+    // grouped launch. The blocked driver, the single-use-operand path and
+    // its width threshold must not grow back beside it.
+    // Needles assembled here so this file does not match itself.
+    let retired = [
+        format!("fn {}", "driver"),
+        format!("fn {}", "single_use"),
+        format!("SINGLE_{}", "USE"),
+    ];
+    for file in rust_files("crates/kernels/src") {
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for needle in &retired {
+            assert!(
+                !src.contains(needle.as_str()),
+                "{}: retired `{needle}` resurfaced",
+                file.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn f32_slab_copies_stay_retired() {
     // One sparse-MLP path: the neuron operators read f16 / NF4 weights where
     // they lie and decode each active slab inside the grouped pack. The

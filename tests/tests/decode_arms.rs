@@ -131,9 +131,8 @@ fn decode_windows_equal_the_definition_on_every_arm() {
 
 #[test]
 fn reduced_b_products_equal_their_decoded_f32_twins() {
-    // (m, k, n, extra ldb): `n` under one register tile (the single-use
-    // path) and past it with a narrow last panel; `k` past one KC block and
-    // no multiple of 16.
+    // (m, k, n, extra ldb): `n` under one register tile and past it with a
+    // narrow last panel; `k` past one KC block and no multiple of 16.
     let shapes = [
         (24, 37, 45, 0),
         (24, 37, 45, 5),

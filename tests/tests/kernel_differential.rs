@@ -326,7 +326,7 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
 
 /// Every storage kind into a strided C window (one block column of a wide
 /// slab, the layout the sparse FC1 writes), with and without a fused
-/// epilogue, through both the parallel and the forced-sequential driver: the
+/// epilogue, through both the parallel and the forced-sequential launch: the
 /// write — and the epilogue — must stay inside the window, index the bias by
 /// the GEMM's own columns (not the slab's), and match the unfused
 /// composition on the decoded-dense B bit for bit.
@@ -365,7 +365,7 @@ fn strided_c_views_are_respected_bitwise_on_both_paths() {
 }
 
 /// The parallel macro-kernel must be bit-identical to the single-threaded
-/// driver for every storage kind, B layout and epilogue: workers own disjoint
+/// launch for every storage kind, B layout and epilogue: workers own disjoint
 /// row panels of C and each panel's summation order is unchanged, so this is
 /// exact equality, not a tolerance. The grid includes shapes smaller than one
 /// worker panel (a single register tile of rows) and shapes big enough to
@@ -424,7 +424,7 @@ fn pool_tasks<R: Send>(tasks: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
 
 /// Regression: a GEMM issued from inside every pool worker simultaneously
 /// (any kernel nested in a pool task does exactly this) must fall back to the sequential
-/// driver instead of re-entering the pool — no deadlock, no oversubscribed
+/// launch instead of re-entering the pool — no deadlock, no oversubscribed
 /// nested parallelism, and the same bits as the top-level sequential run.
 #[test]
 fn gemm_inside_every_worker_takes_the_sequential_path() {
@@ -1020,6 +1020,85 @@ fn empty_and_degenerate_groups_are_harmless() {
         be.gemm_grouped(&group(0, &one), &mut c);
         assert_eq!(c[..16], [3.0; 16], "{}: untouched window", be.name());
         assert_eq!(c[16..], [1.5; 16], "{}: k = 0 scales by beta", be.name());
+    }
+}
+
+/// Degenerate shapes never reach a k-loop, on the packed backend and the
+/// observed runtime one alike. With `k == 0` a plain product is its `beta`
+/// scale plus a standalone epilogue, and a grouped launch scales each
+/// non-empty run's C window once (column windows of one matrix, and sorted
+/// regions), leaving the other windows as they are — bitwise what the
+/// reference gives, over a NaN-poisoned C for `beta = 0`. An `m == 0` or
+/// `n == 0` product or launch writes nothing.
+#[test]
+fn degenerate_shapes_match_the_reference() {
+    let none: &[f32] = &[];
+    let backends = [&PACKED as &dyn KernelBackend, lx_kernels::backend()];
+    let start = |beta: f32, len: usize| -> Vec<f32> {
+        if beta == 0.0 {
+            vec![f32::NAN; len]
+        } else {
+            (0..len).map(|i| i as f32 * 0.25 - 3.0).collect()
+        }
+    };
+    let (m, n, ldc) = (5, 7, 9);
+    let bias: Vec<f32> = (0..n).map(|j| j as f32 - 2.5).collect();
+    // Columns: C windows 0 and 2 of a 4-row, 12-wide matrix (window 1 is
+    // never written). Regions: one 4x4 block per window.
+    let table = GemmTable::new([(0, 0, 0), (1, 1, 0), (0, 0, 2)], vec![0, 2, 2, 3]);
+    let group = |beta, (ldc, c_stride)| GemmGroup {
+        m: 4,
+        k: 0,
+        n: 4,
+        a: Windows::normal(none, 0, 0),
+        b: Windows::transposed(none, 0, 0),
+        ldc,
+        c_stride,
+        beta,
+        table: &table,
+    };
+    for beta in [0.0f32, 0.5, 1.0] {
+        for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
+            let op = GemmOp::nn(m, 0, n, none, 0, none, n);
+            let mut want = start(beta, (m - 1) * ldc + n);
+            REFERENCE.gemm(&op, &mut want, ldc, beta, ep);
+            for be in backends {
+                let mut got = start(beta, want.len());
+                be.gemm(&op, &mut got, ldc, beta, ep);
+                let what = format!("{}: k = 0, beta {beta}, {ep:?}", be.name());
+                assert_bits(&what, &got, &want);
+            }
+        }
+        for (shape, dims) in [("columns", (12, 4)), ("regions", (4, 16))] {
+            let g = group(beta, dims);
+            let mut want = start(beta, 48);
+            REFERENCE.gemm_grouped(&g, &mut want);
+            for be in backends {
+                let mut got = start(beta, 48);
+                be.gemm_grouped(&g, &mut got);
+                let what = format!("{}: grouped k = 0 {shape}, beta {beta}", be.name());
+                assert_bits(&what, &got, &want);
+            }
+        }
+    }
+    let a = vec![1.0f32; 16];
+    for be in backends {
+        for (m, n) in [(0, 4), (3, 0)] {
+            let op = GemmOp::nn(m, 4, n, &a, 4, &a[..], n.max(1));
+            let mut c = vec![7.0f32; 12];
+            be.gemm(&op, &mut c, 4, 0.0, Epilogue::Bias(&bias));
+            assert_eq!(c, vec![7.0; 12], "{}: {m}x4x{n} product", be.name());
+            let g = GemmGroup {
+                m,
+                n,
+                k: 4,
+                a: Windows::normal(&a[..], 4, 0),
+                b: Windows::normal(&a[..], n.max(1), 0),
+                ..group(0.0, (4, 16))
+            };
+            be.gemm_grouped(&g, &mut c);
+            assert_eq!(c, vec![7.0; 12], "{}: {m}x4x{n} launch", be.name());
+        }
     }
 }
 
