@@ -1,31 +1,20 @@
 //! Fused post-GEMM epilogues.
 //!
-//! Every FC layer in the model follows its GEMM with a bias add and (for
-//! GELU MLPs) an activation — classically a second and third read-modify-write
-//! pass over the whole output. An [`Epilogue`] handed to
+//! A linear layer follows its GEMM with a bias add — classically a second
+//! read-modify-write pass over the whole output. An [`Epilogue`] handed to
 //! [`KernelBackend::gemm`](crate::KernelBackend::gemm) is instead applied to
 //! each row chunk of C right after its final k-block is accumulated, while
-//! the rows are still cache-warm — the extra serial passes disappear and the
+//! the rows are still cache-warm — the extra serial pass disappears and the
 //! epilogue work runs on the same workers that computed the rows, so it
-//! parallelises with the GEMM.
+//! parallelises with the GEMM. There is no activation epilogue: the MLP's
+//! backward reads the pre-activation, so its activation stays a pass of its
+//! own.
 //!
 //! Numerics: the epilogue is applied element-wise *after* the complete
 //! accumulation (including the `beta` pre-scale), in the same order an
-//! unfused `gemm` + bias pass + activation pass would apply it, using the
-//! same scalar [`gelu`]. Fused and unfused results are therefore
-//! bit-identical per backend — the differential suite asserts exactly that.
-
-/// `sqrt(2/π)`, the tanh-approximation constant. `lx-tensor`'s activation
-/// ops delegate to [`gelu`] below so the fused epilogue and the unfused
-/// activation pass can never drift apart.
-pub const GELU_C: f32 = 0.797_884_6;
-
-/// Scalar tanh-approximation GELU — the single definition shared by the
-/// fused epilogue and `lx_tensor::ops`.
-#[inline]
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
+//! unfused `gemm` + bias pass would apply it. Fused and unfused results are
+//! therefore bit-identical per backend — the differential suite asserts
+//! exactly that.
 
 /// Transform fused into the GEMM write-back. Bias slices are indexed by the
 /// GEMM call's output column (0..n) and must be at least `n` long.
@@ -36,8 +25,6 @@ pub enum Epilogue<'a> {
     None,
     /// `C[i,j] = beta·C[i,j] + (A·B)[i,j] + bias[j]`.
     Bias(&'a [f32]),
-    /// `C[i,j] = gelu(beta·C[i,j] + (A·B)[i,j] + bias[j])`.
-    BiasGelu(&'a [f32]),
 }
 
 impl Epilogue<'_> {
@@ -49,7 +36,7 @@ impl Epilogue<'_> {
     /// Validate the bias against the GEMM's output width.
     #[track_caller]
     pub(crate) fn check(&self, n: usize) {
-        if let Epilogue::Bias(b) | Epilogue::BiasGelu(b) = self {
+        if let Epilogue::Bias(b) = self {
             assert!(
                 b.len() >= n,
                 "epilogue bias has {} elements but the GEMM writes {} columns",
@@ -73,15 +60,6 @@ impl Epilogue<'_> {
                     let row = &mut c[i * ldc..i * ldc + nr];
                     for (v, &bv) in row.iter_mut().zip(b) {
                         *v += bv;
-                    }
-                }
-            }
-            Epilogue::BiasGelu(bias) => {
-                let b = &bias[j0..j0 + nr];
-                for i in 0..mr {
-                    let row = &mut c[i * ldc..i * ldc + nr];
-                    for (v, &bv) in row.iter_mut().zip(b) {
-                        *v = gelu(*v + bv);
                     }
                 }
             }
@@ -113,20 +91,6 @@ mod tests {
         let mut c = vec![1.0f32; 6];
         apply_epilogue(&mut c, 2, 3, 3, Epilogue::Bias(&[0.5, -1.0, 2.0]));
         assert_eq!(c, vec![1.5, 0.0, 3.0, 1.5, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn bias_gelu_matches_manual_composition() {
-        let bias = [0.25f32, -0.75];
-        let mut fused = vec![0.3f32, -1.2, 2.0, 0.0];
-        let mut manual = fused.clone();
-        apply_epilogue(&mut fused, 2, 2, 2, Epilogue::BiasGelu(&bias));
-        for (i, v) in manual.iter_mut().enumerate() {
-            *v = gelu(*v + bias[i % 2]);
-        }
-        for (f, m) in fused.iter().zip(&manual) {
-            assert_eq!(f.to_bits(), m.to_bits());
-        }
     }
 
     #[test]

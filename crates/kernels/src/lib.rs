@@ -4,8 +4,8 @@
 //! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
 //! described by a [`GemmOp`] — the f32 `A` view, a [`BOperand`] in whatever
 //! storage the weights live in (f32, f16 bits, block NF4), a [`Layout`]
-//! per side — plus an [`Epilogue`] (bias add, optionally followed by GELU)
-//! applied inside the write-back while output tiles are cache-hot,
+//! per side — plus an [`Epilogue`] (a bias add) applied inside the
+//! write-back while output tiles are cache-hot,
 //! bit-identically to the unfused sequence (see the `epilogue` module). The
 //! block-sparse operators launch the *grouped* form of the same operator: a
 //! [`GemmGroup`] is many equally-shaped products over windows of three
@@ -101,7 +101,7 @@ pub use dispatch::{
     auto_choice, autotune, backend, current_policy, install_policy, KernelPolicy, TileConfig,
     PACKED, REFERENCE,
 };
-pub use epilogue::{apply_epilogue, gelu, Epilogue, GELU_C};
+pub use epilogue::{apply_epilogue, Epilogue};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
 pub use op::{BOperand, Dtype, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};

@@ -168,6 +168,7 @@ mod tests {
 
     #[test]
     fn observed_counts_calls_and_delegates() {
+        // Shape class 0; the dtype-bucket test below keeps to class 1.
         let observed = Observed::new(&REFERENCE);
         assert_eq!(observed.name(), "reference");
         let before = stats("reference", 0, Dtype::F32).calls.get();
@@ -183,20 +184,25 @@ mod tests {
 
     #[test]
     fn quantized_calls_land_in_their_dtype_bucket() {
+        // Shape class 1, which no other test here counts into: the f32
+        // check below reads a process-wide counter, and a parallel test
+        // thread calling into the same bucket would move it.
+        let (m, k, n) = (32, 64, 32);
+        assert_eq!(class(m, k, n), 1);
         let observed = Observed::new(&REFERENCE);
-        let vals: Vec<f32> = (0..4).map(|i| i as f32 - 1.5).collect();
+        let vals: Vec<f32> = (0..k * n).map(|i| (i % 7) as f32 - 3.0).collect();
         let (codes, scales) = lx_quant::nf4::quantize(&vals);
         let b = crate::BOperand::Q4(lx_quant::Q4View::new(&codes, &scales, vals.len()));
         assert_eq!(b.dtype(), Dtype::Nf4Block);
-        let before_q4 = stats("reference", 0, b.dtype()).calls.get();
-        let before_f32 = stats("reference", 0, Dtype::F32).calls.get();
-        let a = [1.0f32, 0.0, 0.0, 1.0];
-        let mut c = [0.0f32; 4];
-        let op = GemmOp::nn(2, 2, 2, &a, 2, b, 2);
-        observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
-        assert_eq!(stats("reference", 0, b.dtype()).calls.get(), before_q4 + 1);
+        let before_q4 = stats("reference", 1, b.dtype()).calls.get();
+        let before_f32 = stats("reference", 1, Dtype::F32).calls.get();
+        let a = vec![0.5f32; m * k];
+        let mut c = vec![0.0f32; m * n];
+        let op = GemmOp::nn(m, k, n, &a, k, b, n);
+        observed.gemm(&op, &mut c, n, 0.0, Epilogue::None);
+        assert_eq!(stats("reference", 1, b.dtype()).calls.get(), before_q4 + 1);
         assert_eq!(
-            stats("reference", 0, Dtype::F32).calls.get(),
+            stats("reference", 1, Dtype::F32).calls.get(),
             before_f32,
             "the f32 bucket must not double-count a quantized call"
         );

@@ -55,9 +55,9 @@
 //!   fused [`Epilogue`] is applied to each row chunk right after its
 //!   **final** k-block, on the worker that computed it — i.e. after the
 //!   complete `beta·C + ΣA·B` sum, in the same element order as a separate
-//!   scale pass before and an unfused bias or GELU pass after — so results
-//!   are bit-identical to those passes while their read-modify-write sweeps
-//!   over C disappear.
+//!   scale pass before and an unfused bias pass after — so results are
+//!   bit-identical to those passes while their read-modify-write sweeps over
+//!   C disappear.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
@@ -1391,7 +1391,7 @@ mod tests {
     /// followed by the standalone epilogue, bitwise: across a k-block
     /// boundary; f32, f16 and NF4 B in both layouts (and a transposed A over
     /// f32 B); all three write-backs, over a NaN-poisoned C for `beta = 0`;
-    /// no, `Bias` and `BiasGelu` epilogues; on the global pool and explicit
+    /// no and `Bias` epilogues; on the global pool and explicit
     /// 1- and 2-thread ones. The shapes include products one register tile
     /// wide or narrower, at most 16 rows tall, and widths no multiple of
     /// any tile, where B is packed rather than read in place.
@@ -1436,11 +1436,7 @@ mod tests {
                         };
                         let mut chain = c0.clone();
                         chain_gemm(&op, &mut chain, n, beta, fused);
-                        let eps = [
-                            ("none", Epilogue::None),
-                            ("bias", Epilogue::Bias(&bias)),
-                            ("bias+gelu", Epilogue::BiasGelu(&bias)),
-                        ];
+                        let eps = [("none", Epilogue::None), ("bias", Epilogue::Bias(&bias))];
                         for (ep_name, ep) in eps {
                             let mut want = chain.clone();
                             apply_epilogue(&mut want, m, n, n, ep);

@@ -1,4 +1,4 @@
-//! MLP block with dense and neuron-block-sparse paths.
+//! MLP block: one neuron-block path, whatever the plan.
 //!
 //! Weight storage follows the paper's memory-coalescing layout (§VI-B):
 //! FC1 is kept *neuron-major* (`w1[d_ff, d]`, i.e. column-major relative to
@@ -6,15 +6,20 @@
 //! an active neuron block is a contiguous slab in **both** matrices and no
 //! format conversion ever happens at runtime. An f16 or NF4 weight is read
 //! where it is stored too: the grouped neuron kernels decode each active
-//! slab as they pack it, so the sparse path is one path for every storage.
+//! slab as they pack it, so one path serves every storage.
+//!
+//! Dense is the plan in which every neuron is active: a forward without a
+//! [`NeuronBlockSet`] runs the same kernels over one full-width block, which
+//! the block builds once at construction, as `mha.rs` caches its causal
+//! layout. Biases are added after the complete products, so the dense plan
+//! equals plain GEMMs followed by bias passes bit for bit.
 //!
 //! LoRA can attach to both linears, as the same [`Lora`] pair `Linear` uses:
 //! FC1's `A` is `[r, d]` and its `B` neuron-major `[d_ff, r]`; FC2's `A` is
-//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. In the sparse path the
-//! neuron-major factor runs on the same grouped neuron kernels as the
-//! backbone slabs (with `d = r`), so only active-block rows participate —
-//! the paper's §II-D result that forward-inactive parameters receive no
-//! gradient.
+//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. The neuron-major factor
+//! runs on the same grouped neuron kernels as the backbone slabs (with
+//! `d = r`), so only active-block rows participate — the paper's §II-D
+//! result that forward-inactive parameters receive no gradient.
 
 use crate::config::Activation;
 use crate::linear::Lora;
@@ -24,7 +29,7 @@ use lx_sparse::neuron::{
     fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::Layout;
 use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu, relu_backward};
 use lx_tensor::Tensor;
 use std::sync::Arc;
@@ -44,17 +49,20 @@ pub struct MlpBlock {
     pub activation: Activation,
     d_model: usize,
     d_ff: usize,
+    /// The dense plan: one block of all `d_ff` neurons.
+    full: Arc<NeuronBlockSet>,
     cache: Option<MlpCache>,
 }
 
 #[derive(Debug)]
 struct MlpCache {
     x: Tensor,
-    /// Pre-activation; compact `rows × active_neurons` in sparse mode.
+    /// Pre-activation, compact `rows × set.active_neurons()`.
     z: Tensor,
     /// Post-activation, same width as `z`.
     a: Tensor,
-    set: Option<Arc<NeuronBlockSet>>,
+    /// The plan the forward ran (the full-width block when dense).
+    set: Arc<NeuronBlockSet>,
 }
 
 impl MlpBlock {
@@ -76,6 +84,7 @@ impl MlpBlock {
             activation,
             d_model,
             d_ff,
+            full: Arc::new(NeuronBlockSet::all(1, d_ff)),
             cache: None,
         }
     }
@@ -132,53 +141,25 @@ impl MlpBlock {
         dz
     }
 
+    /// Forward over the active neuron blocks of `set`; `None` runs the dense
+    /// plan, the same path over the full-width block.
     pub fn forward(&mut self, x: &Tensor, set: Option<&Arc<NeuronBlockSet>>) -> Tensor {
-        match set {
-            None => self.forward_dense(x),
-            Some(set) => self.forward_sparse(x, set.clone()),
-        }
-    }
-
-    fn forward_dense(&mut self, x: &Tensor) -> Tensor {
-        // z = x·W1ᵀ(stored) + b1  (+ LoRA1). The bias rides the GEMM
-        // write-back as a fused epilogue; the activation stays unfused
-        // because backward needs the pre-activation z.
-        let mut z = self.w1.matmul(
-            x,
-            Layout::Transposed,
-            Epilogue::Bias(self.b1.value.as_slice()),
-        );
-        if let Some(l) = &mut self.lora1 {
-            l.forward(x, &mut z);
-        }
-        let a = self.activate(&z);
-        // y = a·W2 + b2  (+ LoRA2), bias again fused into the write-back.
-        let mut y = self
-            .w2
-            .matmul(&a, Layout::Normal, Epilogue::Bias(self.b2.value.as_slice()));
-        if let Some(l) = &mut self.lora2 {
-            l.forward(&a, &mut y);
-        }
-        self.cache = Some(MlpCache {
-            x: x.clone(),
-            z,
-            a,
-            set: None,
-        });
-        y
-    }
-
-    fn forward_sparse(&mut self, x: &Tensor, set: Arc<NeuronBlockSet>) -> Tensor {
-        assert_eq!(
-            set.total_neurons(),
-            self.d_ff,
-            "neuron block grid must cover d_ff"
-        );
-        assert_eq!(
-            self.activation,
-            Activation::Relu,
-            "neuron sparsity requires ReLU (paper §II-B)"
-        );
+        let set = match set {
+            Some(set) => {
+                assert_eq!(
+                    set.total_neurons(),
+                    self.d_ff,
+                    "neuron block grid must cover d_ff"
+                );
+                assert_eq!(
+                    self.activation,
+                    Activation::Relu,
+                    "neuron sparsity requires ReLU (paper §II-B)"
+                );
+                set.clone()
+            }
+            None => self.full.clone(),
+        };
         let rows = x.rows();
         let width = set.active_neurons();
         // One path whatever the storage: the neuron kernels read f32, f16 or
@@ -198,6 +179,7 @@ impl MlpBlock {
         if let Some(l) = &mut self.lora1 {
             l.forward_over(x, &mut z, Some(&set));
         }
+        // The activation stays unfused: the backward reads `z`.
         let a = self.activate(&z);
         let mut y = Tensor::scratch(&[rows, self.d_model]);
         fc2_forward(
@@ -216,56 +198,13 @@ impl MlpBlock {
             x: x.clone(),
             z,
             a,
-            set: Some(set),
+            set,
         });
         y
     }
 
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let cache = self.cache.take().expect("MLP backward without forward");
-        match &cache.set {
-            None => self.backward_dense(dy, &cache),
-            Some(set) => self.backward_sparse(dy, &cache, set.clone()),
-        }
-    }
-
-    fn backward_dense(&mut self, dy: &Tensor, cache: &MlpCache) -> Tensor {
-        // FC2 (+ LoRA2): da = dy·W2ᵀ with W2 stored `[d_ff, d]` row-major —
-        // the `nt` kernel shape, fused-decoding when half-stored.
-        let mut da = self.w2.matmul(dy, Layout::Transposed, Epilogue::None);
-        if let Some(l) = &mut self.lora2 {
-            l.backward(&cache.a, dy, &mut da);
-        }
-        if self.b2.trainable {
-            bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
-        }
-        if self.w2.trainable {
-            let dw2 = matmul_tn(&cache.a, dy); // [d_ff, d]
-            self.w2.accumulate_grad(&dw2);
-        }
-        // Activation.
-        let dz = self.activate_backward(&da, &cache.z);
-        // FC1 (+ LoRA1).
-        if self.b1.trainable {
-            bias_grad_rows(&dz, self.b1.grad_mut().as_mut_slice());
-        }
-        if self.w1.trainable {
-            let dw1 = matmul_tn(&dz, &cache.x); // [d_ff, d]
-            self.w1.accumulate_grad(&dw1);
-        }
-        let mut dx = self.w1.matmul(&dz, Layout::Normal, Epilogue::None); // dz · W1(stored [d_ff,d])
-        if let Some(l) = &mut self.lora1 {
-            l.backward(&cache.x, &dz, &mut dx);
-        }
-        dx
-    }
-
-    fn backward_sparse(
-        &mut self,
-        dy: &Tensor,
-        cache: &MlpCache,
-        set: Arc<NeuronBlockSet>,
-    ) -> Tensor {
+        let MlpCache { x, z, a, set } = self.cache.take().expect("MLP backward without forward");
         let rows = dy.rows();
         let width = set.active_neurons();
         // FC2 backward to compact dA.
@@ -280,14 +219,14 @@ impl MlpBlock {
             da.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora2 {
-            l.backward_over(&cache.a, dy, &mut da, Some(&set));
+            l.backward_over(&a, dy, &mut da, Some(&set));
         }
         if self.b2.trainable {
             bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
         }
         if self.w2.trainable {
             fc2_grad_weights(
-                cache.a.as_slice(),
+                a.as_slice(),
                 dy.as_slice(),
                 rows,
                 self.d_model,
@@ -296,7 +235,7 @@ impl MlpBlock {
             );
         }
         // Activation backward on the compact buffers.
-        let dz = self.activate_backward(&da, &cache.z);
+        let dz = self.activate_backward(&da, &z);
         let mut dx = Tensor::scratch(&[rows, self.d_model]);
         fc1_backward_input(
             dz.as_slice(),
@@ -313,7 +252,7 @@ impl MlpBlock {
         }
         if self.w1.trainable {
             fc1_grad_weights(
-                cache.x.as_slice(),
+                x.as_slice(),
                 dz.as_slice(),
                 rows,
                 self.d_model,
@@ -322,7 +261,7 @@ impl MlpBlock {
             );
         }
         if let Some(l) = &mut self.lora1 {
-            l.backward_over(&cache.x, &dz, &mut dx, Some(&set));
+            l.backward_over(&x, &dz, &mut dx, Some(&set));
         }
         dx
     }
@@ -352,6 +291,8 @@ impl MlpBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lx_tensor::gemm::{matmul_tn, Epilogue};
+    use lx_tensor::ops::add_bias_rows;
 
     const D: usize = 8;
     const FF: usize = 16;
@@ -366,33 +307,196 @@ mod tests {
         Arc::new(NeuronBlockSet::all(FF / BLK, BLK))
     }
 
+    /// What the reference forward keeps for its backward.
+    struct DenseOracle {
+        x: Tensor,
+        z: Tensor,
+        a: Tensor,
+    }
+
+    impl DenseOracle {
+        /// The reference MLP through `m`'s own parameters: plain products
+        /// over the stored weights, bias passes after them, the activation,
+        /// and LoRA's own dense path.
+        fn forward(m: &mut MlpBlock, x: &Tensor) -> (Tensor, Self) {
+            let mut z = m.w1.matmul(x, Layout::Transposed, Epilogue::None);
+            add_bias_rows(&mut z, m.b1.value.as_slice());
+            if let Some(l) = &mut m.lora1 {
+                l.forward(x, &mut z);
+            }
+            let a = m.activate(&z);
+            let mut y = m.w2.matmul(&a, Layout::Normal, Epilogue::None);
+            add_bias_rows(&mut y, m.b2.value.as_slice());
+            if let Some(l) = &mut m.lora2 {
+                l.forward(&a, &mut y);
+            }
+            let oracle = DenseOracle { x: x.clone(), z, a };
+            (y, oracle)
+        }
+
+        /// The reference backward: accumulates into `m`'s gradients and
+        /// returns `dx`.
+        fn backward(self, m: &mut MlpBlock, dy: &Tensor) -> Tensor {
+            let mut da = m.w2.matmul(dy, Layout::Transposed, Epilogue::None);
+            if let Some(l) = &mut m.lora2 {
+                l.backward(&self.a, dy, &mut da);
+            }
+            if m.b2.trainable {
+                bias_grad_rows(dy, m.b2.grad_mut().as_mut_slice());
+            }
+            if m.w2.trainable {
+                m.w2.accumulate_grad(&matmul_tn(&self.a, dy));
+            }
+            let dz = m.activate_backward(&da, &self.z);
+            if m.b1.trainable {
+                bias_grad_rows(&dz, m.b1.grad_mut().as_mut_slice());
+            }
+            if m.w1.trainable {
+                m.w1.accumulate_grad(&matmul_tn(&dz, &self.x));
+            }
+            let mut dx = m.w1.matmul(&dz, Layout::Normal, Epilogue::None);
+            if let Some(l) = &mut m.lora1 {
+                l.backward(&self.x, &dz, &mut dx);
+            }
+            dx
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Randomise every bias and LoRA `B` of `m` (both are zero at init).
+    fn perturb(m: &mut MlpBlock, seed: u64) {
+        let mut params = vec![&mut m.b1.value, &mut m.b2.value];
+        params.extend(
+            [&mut m.lora1, &mut m.lora2]
+                .into_iter()
+                .flatten()
+                .map(|l| &mut l.b.value),
+        );
+        for (i, t) in params.into_iter().enumerate() {
+            let vals = lx_tensor::rng::randn_vec(t.len(), 0.3, seed + i as u64);
+            t.as_mut_slice().copy_from_slice(&vals);
+        }
+    }
+
+    #[test]
+    fn dense_plan_matches_the_oracle_bitwise() {
+        // The dense plan is the neuron path over one full-width block. With
+        // the biases added after the complete products, it equals plain
+        // GEMMs plus bias passes bit for bit: forward, input gradient and
+        // every backbone gradient of a first backward, for any bias, either
+        // activation and every storage. FC2's k = 512 spans two kc blocks,
+        // so a bias that entered before the product would show.
+        use lx_tensor::Dtype::{Nf4Block, F16, F32};
+        let (d, ff, rows) = (64, 512, 24);
+        let x = Tensor::randn(&[rows, d], 1.0, 50);
+        let dy = Tensor::randn(&[rows, d], 1.0, 51);
+        for activation in [Activation::Relu, Activation::Gelu] {
+            for dtype in [F32, F16, Nf4Block] {
+                let build = || {
+                    let mut m = MlpBlock::new("mlp", d, ff, activation, 52);
+                    perturb(&mut m, 53);
+                    for p in [&mut m.b1, &mut m.b2] {
+                        p.trainable = true;
+                    }
+                    for w in [&mut m.w1, &mut m.w2] {
+                        w.demote(dtype);
+                        // Trainable weights stay f32.
+                        w.trainable = dtype == F32;
+                    }
+                    m
+                };
+                let (mut plan, mut reference) = (build(), build());
+                let y = plan.forward(&x, None);
+                let (y_ref, oracle) = DenseOracle::forward(&mut reference, &x);
+                let cell = format!("{activation:?} {dtype}");
+                assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "{cell} y");
+                let dx = plan.backward(&dy);
+                let dx_ref = oracle.backward(&mut reference, &dy);
+                assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()), "{cell} dx");
+                let grads = |m: &MlpBlock| {
+                    [&m.w1, &m.w2, &m.b1, &m.b2]
+                        .map(|p| p.grad.as_ref().map(|g| bits(g.as_slice())))
+                };
+                for (which, (g, g_ref)) in
+                    grads(&plan).into_iter().zip(grads(&reference)).enumerate()
+                {
+                    assert_eq!(
+                        g.is_some(),
+                        which >= 2 || dtype == F32,
+                        "{cell} grad {which}"
+                    );
+                    assert_eq!(g, g_ref, "{cell} grad {which}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_plan_lora_matches_the_oracle() {
+        // LoRA on both FCs rides the same full-width block, at a scale
+        // (3 / 2) that is not a power of two. `y` and `dx` stay bitwise; the
+        // gradients may differ from LoRA's own dense path in the last bits,
+        // because the neuron path scales `ax` before FC1's `dB` product
+        // rather than after it.
+        let x = Tensor::randn(&[ROWS, D], 1.0, 54);
+        let dy = Tensor::randn(&[ROWS, D], 1.0, 55);
+        let build = || {
+            let mut m = mlp();
+            m.attach_lora_fc1(2, 3.0, 56);
+            m.attach_lora_fc2(2, 3.0, 57);
+            perturb(&mut m, 58);
+            m
+        };
+        let (mut plan, mut reference) = (build(), build());
+        let y = plan.forward(&x, None);
+        let (y_ref, oracle) = DenseOracle::forward(&mut reference, &x);
+        assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "y");
+        let dx = plan.backward(&dy);
+        let dx_ref = oracle.backward(&mut reference, &dy);
+        assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()), "dx");
+        let grads = lora_grads(&plan).into_iter().zip(lora_grads(&reference));
+        for (which, (g, g_ref)) in grads.enumerate() {
+            assert_close(g, g_ref, 1e-5, &format!("grad {which}"));
+        }
+    }
+
+    fn assert_close(a: &[f32], b: &[f32], tol: f32, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what} length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                (x - y).abs() <= tol * (1.0 + y.abs()),
+                "{what}[{i}]: {x} vs {y}"
+            );
+        }
+    }
+
     #[test]
     fn sparse_all_blocks_matches_dense() {
+        // Every block of a BLK-wide grid active: the same neurons as the
+        // dense plan's one full-width block, in `BLK`-deep pieces.
         let x = Tensor::randn(&[ROWS, D], 1.0, 1);
-        let mut dense = mlp();
-        let mut sparse = mlp();
-        let yd = dense.forward(&x, None);
-        let ys = sparse.forward(&x, Some(&all_set()));
-        for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
-        // Backward too, with trainable biases (BitFit-style).
-        dense.b1.trainable = true;
-        dense.b2.trainable = true;
-        sparse.b1.trainable = true;
-        sparse.b2.trainable = true;
         let dy = Tensor::randn(&[ROWS, D], 1.0, 2);
-        let _ = dense.forward(&x, None);
-        let dxd = dense.backward(&dy);
-        let _ = sparse.forward(&x, Some(&all_set()));
+        let build = || {
+            let mut m = mlp();
+            perturb(&mut m, 3);
+            // Trainable biases (BitFit-style).
+            m.b1.trainable = true;
+            m.b2.trainable = true;
+            m
+        };
+        let (mut sparse, mut dense) = (build(), build());
+        let ys = sparse.forward(&x, Some(&all_set()));
+        let (yd, oracle) = DenseOracle::forward(&mut dense, &x);
+        assert_close(ys.as_slice(), yd.as_slice(), 1e-4, "y");
         let dxs = sparse.backward(&dy);
-        for (a, b) in dxd.as_slice().iter().zip(dxs.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "dx {a} vs {b}");
-        }
-        let g1 = dense.b1.grad.as_ref().unwrap();
-        let g2 = sparse.b1.grad.as_ref().unwrap();
-        for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
-            assert!((a - b).abs() < 1e-3, "db1 {a} vs {b}");
+        let dxd = oracle.backward(&mut dense, &dy);
+        assert_close(dxs.as_slice(), dxd.as_slice(), 1e-3, "dx");
+        for (s, d) in [(&sparse.b1, &dense.b1), (&sparse.b2, &dense.b2)] {
+            let (gs, gd) = (s.grad.as_ref().unwrap(), d.grad.as_ref().unwrap());
+            assert_close(gs.as_slice(), gd.as_slice(), 1e-3, &s.name);
         }
     }
 
@@ -432,8 +536,8 @@ mod tests {
             let a2 = &mut dense.lora2.as_mut().unwrap().a.value;
             a2.as_mut_slice()[n * R..(n + 1) * R].fill(0.0);
         }
-        let yd = dense.forward(&x, None);
-        let dxd = dense.backward(&dy);
+        let (yd, oracle) = DenseOracle::forward(&mut dense, &x);
+        let dxd = oracle.backward(&mut dense, &dy);
         for (a, b) in ys.as_slice().iter().zip(yd.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }

@@ -9,7 +9,9 @@
 use lx_sparse::{MultiHeadLayout, NeuronBlockSet};
 use std::sync::Arc;
 
-/// Sparse choices for one transformer layer. `None` fields run dense.
+/// Sparse choices for one transformer layer. A `None` field is the full
+/// plan: every attention block under the causal limit, every MLP neuron —
+/// the same operators over a layout or block set with nothing left out.
 #[derive(Debug, Clone, Default)]
 pub struct LayerPlan {
     pub attn: Option<Arc<MultiHeadLayout>>,

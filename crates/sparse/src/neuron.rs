@@ -35,8 +35,9 @@
 //! window stride `block`, a weight slab with its natural leading dimension
 //! and stride `block · ld`. The packed backend packs the shared activation
 //! panel once per row chunk (not once per slab), and slabs whose packed
-//! panels are adjacent collapse into one deeper microkernel call, so sparse
-//! MLP work runs at the efficiency of the dense path it replaces.
+//! panels are adjacent collapse into one deeper microkernel call. The dense
+//! MLP is the same operators over [`NeuronBlockSet::all`]`(1, d_ff)`: one
+//! block of every neuron, whose one-task launches are the plain products.
 
 use lx_kernels::{BOperand, GemmGroup, GemmTable, Windows};
 
@@ -209,32 +210,54 @@ pub fn fc2_forward<'w>(
     set: &NeuronBlockSet,
     y: &mut [f32],
 ) {
-    let (b, w2) = (set.block_size, w2.into());
-    let width = set.active_neurons();
-    assert_eq!(a.len(), rows * width, "fc2: a is rows×active");
+    let w2 = w2.into();
+    assert_eq!(
+        a.len(),
+        rows * set.active_neurons(),
+        "fc2: a is rows×active"
+    );
     assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
     assert_eq!(y.len(), rows * d_out, "fc2: y is rows×d_out");
-    match bias {
-        Some(bias) if d_out > 0 => {
-            for y_row in y.chunks_exact_mut(d_out) {
-                y_row.copy_from_slice(bias);
+    active_sum(a, rows, w2, d_out, set, y);
+    if let (Some(bias), true) = (bias, d_out > 0) {
+        // After the complete product, like a fused bias epilogue.
+        for y_row in y.chunks_exact_mut(d_out) {
+            for (v, &bv) in y_row.iter_mut().zip(bias) {
+                *v += bv;
             }
         }
-        _ => y.fill(0.0),
+    }
+}
+
+/// `out = Σ_active A[:, ai] · W_blk` over the compact `rows × active` `a`
+/// and a `total_neurons × d` row-major `w`: one run of the `sum` table, its
+/// first task writing `out` (beta 0). An empty set launches no task, so
+/// `out` is zeroed up front instead.
+fn active_sum(
+    a: &[f32],
+    rows: usize,
+    w: BOperand<'_>,
+    d: usize,
+    set: &NeuronBlockSet,
+    out: &mut [f32],
+) {
+    let b = set.block_size;
+    if set.active.is_empty() {
+        out.fill(0.0);
     }
     lx_kernels::backend().gemm_grouped(
         &GemmGroup {
             m: rows,
             k: b,
-            n: d_out,
-            a: Windows::normal(a, width, b),
-            b: Windows::normal(w2, d_out, b * d_out),
-            ldc: d_out,
+            n: d,
+            a: Windows::normal(a, set.active_neurons(), b),
+            b: Windows::normal(w, d, b * d),
+            ldc: d,
             c_stride: 0,
-            beta: 1.0,
+            beta: 0.0,
             table: &set.sum,
         },
-        y,
+        out,
     );
 }
 
@@ -290,25 +313,9 @@ pub fn fc1_backward_input<'w>(
 ) {
     let w1t = w1t.into();
     debug_assert_eq!(w1t.len(), set.total_neurons() * d_in);
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(dz.len(), rows * width);
+    assert_eq!(dz.len(), rows * set.active_neurons());
     assert_eq!(dx.len(), rows * d_in);
-    dx.fill(0.0);
-    lx_kernels::backend().gemm_grouped(
-        &GemmGroup {
-            m: rows,
-            k: b,
-            n: d_in,
-            a: Windows::normal(dz, width, b),
-            b: Windows::normal(w1t, d_in, b * d_in),
-            ldc: d_in,
-            c_stride: 0,
-            beta: 1.0,
-            table: &set.sum,
-        },
-        dx,
-    );
+    active_sum(dz, rows, w1t, d_in, set, dx);
 }
 
 /// `dW_blk += G_blkᵀ · X` for every active block: `g` is the compact
@@ -492,6 +499,31 @@ mod tests {
             }
         }
         assert_close(&y, &expect, 1e-4);
+    }
+
+    #[test]
+    fn fc2_bias_follows_the_complete_product() {
+        // The bias is added once the active blocks have all accumulated, as a
+        // fused bias epilogue would: bitwise the bias-free product followed
+        // by a bias pass, never the bias folded in ahead of the first block.
+        // Blocks of 288 neurons span more than one kc block, so the kernel
+        // carries C between k-blocks, where the order would show.
+        let (b, blocks) = (288, 3);
+        let set = NeuronBlockSet::from_indices(vec![0, 2], blocks, b);
+        let a = randn_vec(ROWS * set.active_neurons(), 1.0, 24);
+        let w2 = randn_vec(blocks * b * D_OUT, 1.0, 25);
+        let bias = randn_vec(D_OUT, 3.0, 26);
+        let mut y = vec![f32::NAN; ROWS * D_OUT];
+        fc2_forward(&a, ROWS, &w2, D_OUT, Some(&bias), &set, &mut y);
+        let mut expect = vec![f32::NAN; ROWS * D_OUT];
+        fc2_forward(&a, ROWS, &w2, D_OUT, None, &set, &mut expect);
+        for row in expect.chunks_exact_mut(D_OUT) {
+            for (v, &bv) in row.iter_mut().zip(&bias) {
+                *v += bv;
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&y), bits(&expect));
     }
 
     #[test]

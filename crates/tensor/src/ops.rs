@@ -24,9 +24,14 @@ pub fn relu_backward(da: &[f32], z: &[f32], dz: &mut [f32]) {
     rows::relu_backward(active_isa(), da, z, dz)
 }
 
-// The scalar GELU lives in lx-kernels so the fused GEMM epilogue and this
-// unfused pass share one definition and can never drift apart numerically.
-pub use lx_kernels::{gelu, GELU_C};
+/// `sqrt(2/π)`, the tanh-approximation constant.
+pub const GELU_C: f32 = 0.797_884_6;
+
+/// Scalar tanh-approximation GeLU.
+#[inline]
+pub fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+}
 
 /// Derivative of the tanh-approximation GeLU.
 #[inline]

@@ -716,6 +716,39 @@ fn one_gemm_macro_kernel() {
 }
 
 #[test]
+fn one_mlp_path() {
+    // One MLP body: a dense plan is the neuron-block path over one
+    // full-width block. A hand-written dense forward / backward must not
+    // grow back beside it, nor the GELU epilogue that no layer fused.
+    // Needles assembled here so this file does not match itself.
+    let dense = [
+        format!("fn {}", "forward_dense"),
+        format!("fn {}", "backward_dense"),
+    ];
+    for file in rust_files("crates/model/src") {
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for needle in &dense {
+            assert!(
+                !src.contains(needle.as_str()),
+                "{}: retired `{needle}` resurfaced",
+                file.display()
+            );
+        }
+    }
+    let gelu_epilogue = format!("Bias{}", "Gelu");
+    for dir in ["crates", "tests", "examples"] {
+        for file in rust_files(dir) {
+            let src = std::fs::read_to_string(&file).expect("read source");
+            assert!(
+                !src.contains(gelu_epilogue.as_str()),
+                "{}: retired `{gelu_epilogue}` resurfaced",
+                file.display()
+            );
+        }
+    }
+}
+
+#[test]
 fn f32_slab_copies_stay_retired() {
     // One sparse-MLP path: the neuron operators read f16 / NF4 weights where
     // they lie and decode each active slab inside the grouped pack. The

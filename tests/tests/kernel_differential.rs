@@ -133,23 +133,16 @@ fn product<'a>(
 }
 
 /// Apply `ep` to an `m×n` window of `c` (row stride `ldc`) the way the
-/// pre-fusion model code did: a full bias pass, then a full activation pass.
-/// The fused write-back must reproduce this bit-for-bit — per element the
-/// same scalar ops in the same order.
+/// pre-fusion model code did: a full bias pass. The fused write-back must
+/// reproduce this bit-for-bit — per element the same scalar ops in the same
+/// order.
 fn manual_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, ep: Epilogue<'_>) {
-    let (Epilogue::Bias(bias) | Epilogue::BiasGelu(bias)) = ep else {
+    let Epilogue::Bias(bias) = ep else {
         return;
     };
     for r in 0..m {
         for (v, b) in c[r * ldc..r * ldc + n].iter_mut().zip(bias) {
             *v += b;
-        }
-    }
-    if matches!(ep, Epilogue::BiasGelu(_)) {
-        for r in 0..m {
-            for v in &mut c[r * ldc..r * ldc + n] {
-                *v = lx_kernels::gelu(*v);
-            }
         }
     }
 }
@@ -265,9 +258,9 @@ fn large_shape_stays_within_tolerance() {
 }
 
 /// Fused epilogue oracle over the whole operand grid: for every backend,
-/// storage kind, B layout, shape and epilogue kind, the fused call must equal
-/// "same backend, same operand, no epilogue, then the unfused bias/GELU
-/// passes" — bitwise. The f32 kind sweeps the full shape cube, the
+/// storage kind, B layout and shape, the fused bias call must equal
+/// "same backend, same operand, no epilogue, then the unfused bias pass" —
+/// bitwise. The f32 kind sweeps the full shape cube, the
 /// mixed-precision kinds a reduced one.
 #[test]
 fn fused_epilogues_match_unfused_composition_bitwise() {
@@ -294,28 +287,24 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
                         let beta = if layout == Layout::Normal { 0.5 } else { 0.0 };
                         let b = BMat::random(kind, layout, k, n, seed + 1000);
                         for be in BACKENDS {
-                            for ep in [Epilogue::Bias(&bias), Epilogue::BiasGelu(&bias)] {
-                                let mut want = product(
-                                    be,
-                                    dims,
-                                    &a,
-                                    b.operand(),
-                                    layout,
-                                    &c0,
-                                    beta,
-                                    Epilogue::None,
-                                );
-                                manual_epilogue(&mut want, m, n, n, ep);
-                                let got = product(be, dims, &a, b.operand(), layout, &c0, beta, ep);
-                                assert_bits(
-                                    &format!(
-                                        "{} {kind:?} {layout:?} {m}x{k}x{n} {ep:?}",
-                                        be.name()
-                                    ),
-                                    &got,
-                                    &want,
-                                );
-                            }
+                            let ep = Epilogue::Bias(&bias);
+                            let mut want = product(
+                                be,
+                                dims,
+                                &a,
+                                b.operand(),
+                                layout,
+                                &c0,
+                                beta,
+                                Epilogue::None,
+                            );
+                            manual_epilogue(&mut want, m, n, n, ep);
+                            let got = product(be, dims, &a, b.operand(), layout, &c0, beta, ep);
+                            assert_bits(
+                                &format!("{} {kind:?} {layout:?} {m}x{k}x{n} {ep:?}", be.name()),
+                                &got,
+                                &want,
+                            );
                         }
                     }
                 }
@@ -346,7 +335,7 @@ fn strided_c_views_are_respected_bitwise_on_both_paths() {
                     be.gemm(&op, &mut slab[block * b..], width, 0.0, ep);
                     slab
                 };
-                for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
+                for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
                     let what = format!("{} {kind:?} block {block} {ep:?}", be.name());
                     // Oracle: the same backend's f32 kernel on the decoded
                     // B, then the unfused passes. The fused decode hands the
@@ -387,7 +376,7 @@ fn parallel_packed_is_bit_identical_to_sequential() {
                 for kind in KINDS {
                     for layout in LAYOUTS {
                         let b = BMat::random(kind, layout, k, n, seed + 1000);
-                        for ep in [Epilogue::None, Epilogue::BiasGelu(&bias)] {
+                        for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
                             let run = || {
                                 product(&PACKED, (m, k, n), &a, b.operand(), layout, &c0, 0.5, ep)
                             };
