@@ -11,7 +11,7 @@ use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
 use lx_model::ModelConfig;
-use lx_tensor::gemm::{matmul, Epilogue, Layout};
+use lx_tensor::gemm::{matmul, Layout};
 use lx_tensor::Tensor;
 use std::time::Instant;
 
@@ -49,9 +49,9 @@ fn main() {
         let pooled = pool_blocks(&x, batch, seq, 1); // no pooling
         for sample in &pooled {
             for (wq, wk) in &heads {
-                let q = matmul(sample, wq, Layout::Normal, Epilogue::None);
-                let k = matmul(sample, wk, Layout::Normal, Epilogue::None);
-                let s_hat = matmul(&q, &k, Layout::Transposed, Epilogue::None);
+                let q = matmul(sample, wq, Layout::Normal);
+                let k = matmul(sample, wk, Layout::Normal);
+                let s_hat = matmul(&q, &k, Layout::Transposed);
                 std::hint::black_box(&s_hat);
             }
         }

@@ -9,8 +9,8 @@
 //! A second "gates" table starts with two report-only rows: the parallel
 //! macro-kernel (pooled vs single-worker packed GEMM on the large shape
 //! class — `available_parallelism` cannot tell two cores from two vCPUs
-//! sharing one) and the fused bias epilogue (vs the unfused
-//! gemm-then-bias composition). Bit-identity between the compared variants
+//! sharing one) and the fused bias (an op carrying its bias into the
+//! write-back, vs the unfused gemm-then-bias composition). Bit-identity between the compared variants
 //! is asserted unconditionally.
 //! Three more rows gate the grouped entry point the block-sparse operators
 //! launch through: one `gemm_grouped` over the operator's offset table vs the
@@ -54,7 +54,7 @@
 
 use lx_bench::{header, load_bench_json, row, BenchCli};
 use lx_kernels::{
-    Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Windows, PACKED, REFERENCE,
+    GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Windows, PACKED, REFERENCE,
 };
 use lx_tensor::rng::randn_vec;
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
@@ -138,13 +138,13 @@ impl KernelBackend for PerTask {
         "per-task"
     }
 
-    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
-        self.0.gemm(op, c, ldc, beta, ep)
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
+        self.0.gemm(op, c, ldc, beta)
     }
 }
 
 fn run(be: &dyn KernelBackend, op: &GemmOp<'_>, c: &mut [f32]) {
-    be.gemm(op, c, op.n, 0.0, Epilogue::None);
+    be.gemm(op, c, op.n, 0.0);
 }
 
 /// Best-of-`reps` timing: the minimum is the standard noise-robust
@@ -284,7 +284,7 @@ fn main() {
     );
     let mut gate_failed = false;
 
-    // ---- Gates: parallel scaling and fused-epilogue wins ------------------
+    // ---- Gates: parallel scaling and fused-bias wins ----------------------
     // The gate shapes run in well under a millisecond, so a deeper best-of
     // min is cheap and is what keeps sub-1.5x ratio floors from flaking.
     let gate_reps = if smoke { 15 } else { 30 };
@@ -331,8 +331,8 @@ fn main() {
         ]);
     }
 
-    // Fused bias epilogue: gemm + a serial bias pass (what the model paths
-    // did before fusion) vs one call carrying the `Epilogue`. The fused
+    // Fused bias: gemm + a serial bias pass (what the model paths did before
+    // fusion) vs one call whose op carries the bias. The fused
     // write-back applies the identical scalar op per element after full
     // accumulation, so the outputs must match bit-for-bit — that half gates.
     // The timing is reported, not gated: the win is saved C traffic, which a
@@ -357,7 +357,11 @@ fn main() {
                 }
             }
         };
-        let fused = |c: &mut [f32]| PACKED.gemm(&op, c, n, 0.0, Epilogue::Bias(&bias));
+        let biased = GemmOp {
+            bias: Some(&bias),
+            ..op
+        };
+        let fused = |c: &mut [f32]| PACKED.gemm(&biased, c, n, 0.0);
         let best = |f: &dyn Fn(&mut [f32]), c: &mut [f32]| {
             f(c);
             let mut best = f64::INFINITY;
@@ -375,7 +379,7 @@ fn main() {
             .zip(&c_fused)
             .all(|(x, y)| x.to_bits() == y.to_bits());
         if !identical {
-            eprintln!("kernel_bench: fused bias epilogue is not bit-identical to unfused");
+            eprintln!("kernel_bench: fused bias is not bit-identical to unfused");
             failures += 1;
         }
         let status = if identical {
@@ -461,6 +465,7 @@ fn main() {
             c_stride: B * B,
             beta: 0.0,
             table: &table,
+            bias: None,
         };
         let c_len = table.tasks().len() * B * B;
         let dims = format!("{}x{B}x{dh}x{B}", table.tasks().len());
@@ -488,6 +493,7 @@ fn main() {
             c_stride: B,
             beta: 0.0,
             table: &table,
+            bias: None,
         };
         let dims = format!("{active}x{rows}x{d}x{B}");
         grouped(
@@ -533,6 +539,7 @@ fn main() {
             c_stride: B * dh,
             beta: 0.0,
             table: &table,
+            bias: None,
         };
         let dims = format!("{}x{B}x{B}x{dh}", table.tasks().len());
         grouped(
@@ -568,18 +575,15 @@ fn main() {
             l.backward(&x, &dy, dx);
         };
         let composed = |l: &mut Lora, y: &mut Tensor, dx: &mut Tensor| {
-            let ax = matmul(&x, &l.a.value, Layout::Transposed, Epilogue::None);
-            y.axpy(
-                l.scale,
-                &matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None),
-            );
-            let mut dax = matmul(&dy, &l.b.value, Layout::Normal, Epilogue::None);
+            let ax = matmul(&x, &l.a.value, Layout::Transposed);
+            y.axpy(l.scale, &matmul(&ax, &l.b.value, Layout::Transposed));
+            let mut dax = matmul(&dy, &l.b.value, Layout::Normal);
             dax.scale(l.scale);
             let mut db = matmul_tn(&dy, &ax);
             db.scale(l.scale);
             l.b.accumulate_grad(&db);
             l.a.accumulate_grad(&matmul_tn(&dax, &x));
-            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal, Epilogue::None));
+            dx.add_assign(&matmul(&dax, &l.a.value, Layout::Normal));
         };
         type Leg<'a> = &'a dyn Fn(&mut Lora, &mut Tensor, &mut Tensor);
         let once = |leg: Leg<'_>| {

@@ -21,7 +21,7 @@
 //! one contiguous row for the vector log-sum-exp of stage two.
 
 use lx_sparse::{BlockMask, NeuronBlockSet};
-use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{matmul, matmul_tn, Layout};
 use lx_tensor::{ops, rng, Tensor};
 
 #[inline]
@@ -219,14 +219,14 @@ impl AttnPredictor {
     /// `K̂ = X̂·Ŵk` are one product each for all heads; each head's logits
     /// are then its own `n×r·r×n` product plus bias and distance penalty.
     fn forward(&self, pooled: &Tensor) -> Vec<HeadForward> {
-        let q_all = matmul(pooled, &self.wq, Layout::Normal, Epilogue::None); // [n, H·r]
-        let k_all = matmul(pooled, &self.wk, Layout::Normal, Epilogue::None);
+        let q_all = matmul(pooled, &self.wq, Layout::Normal); // [n, H·r]
+        let k_all = matmul(pooled, &self.wk, Layout::Normal);
         let n = pooled.rows();
         (0..self.n_heads())
             .map(|h| {
                 let q = head_cols(&q_all, h, self.rank);
                 let k = head_cols(&k_all, h, self.rank);
-                let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None);
+                let mut logits = matmul(&q, &k, Layout::Transposed);
                 let slope = self.distance_slopes[h] * self.block_size as f32;
                 let bias = self.bias[h];
                 for i in 0..n {
@@ -313,11 +313,7 @@ impl AttnPredictor {
                     dlogits.row_mut(i)[j] = w * (p - t) / m;
                 }
             }
-            put_head_cols(
-                &mut dq_all,
-                h,
-                &matmul(&dlogits, &k, Layout::Normal, Epilogue::None),
-            );
+            put_head_cols(&mut dq_all, h, &matmul(&dlogits, &k, Layout::Normal));
             put_head_cols(&mut dk_all, h, &matmul_tn(&dlogits, &q));
             dbias.push(dlogits.sum());
         }
@@ -431,7 +427,7 @@ impl MlpPredictor {
 
     /// Block-major logits `Ŵa·Xᵀ` (`[n_blk, rows]`).
     fn block_logits(&self, x: &Tensor) -> Tensor {
-        matmul(&self.wa, x, Layout::Transposed, Epilogue::None)
+        matmul(&self.wa, x, Layout::Transposed)
     }
 
     /// Stage two: every block's log-mean-exp over the rows,
@@ -506,7 +502,7 @@ impl MlpPredictor {
                 *v *= dreduced;
             }
         }
-        let dwa = matmul(&dlogits, x, Layout::Normal, Epilogue::None);
+        let dwa = matmul(&dlogits, x, Layout::Normal);
         (dwa, loss)
     }
 

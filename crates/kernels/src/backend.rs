@@ -1,6 +1,5 @@
 //! The [`KernelBackend`] trait and the [`Reference`] scalar backend.
 
-use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::op::{BOperand, GemmGroup, GemmOp, Layout};
 use lx_parallel::par_rows;
 
@@ -21,19 +20,20 @@ pub trait KernelBackend: Sync {
     /// Short name for dispatch logs and benches.
     fn name(&self) -> &'static str;
 
-    /// `C[m,n] = op(A)·op(B) + beta·C`, then `ep` applied to every element of
-    /// the `m×n` output after its complete accumulation — bit-identical to
-    /// the plain product followed by standalone bias/activation passes.
+    /// `C[m,n] = op(A)·op(B) + beta·C`, then the op's bias added to every
+    /// row after its complete accumulation — bit-identical to the plain
+    /// product followed by a standalone bias pass.
     ///
     /// Mixed-precision contract: a non-f32 [`BOperand`] is decoded to f32 (an
     /// exact conversion) inside the load/pack stage and every multiply and
     /// accumulation runs in f32, so the result matches decoding B up front
     /// and running the f32 product on the same backend.
-    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>);
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32);
 
     /// Every task of `group` in table order, each `C[c] = op(A[a])·op(B[b]) +
     /// β·C[c]` with `β = group.beta` for the first task of a run and 1 for
-    /// the rest. The default is the per-task [`gemm`](Self::gemm) loop — the
+    /// the rest, then each run's bias window. The default is the per-task
+    /// [`gemm`](Self::gemm) loop with a plain bias pass after each run — the
     /// oracle a backend that packs shared windows once and splits the runs
     /// across the pool is checked against.
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
@@ -51,11 +51,25 @@ pub(crate) fn per_task<B: KernelBackend + ?Sized>(be: &B, group: &GemmGroup<'_>,
     let mut scratch = Vec::new();
     for run in table.runs().windows(2) {
         let tasks = &table.tasks()[run[0] as usize..run[1] as usize];
+        let Some(first) = tasks.first() else { continue };
+        let c_win = &mut c[group.c_offset(first)..][..group.c_span()];
         for (i, task) in tasks.iter().enumerate() {
             let beta = if i == 0 { group.beta } else { 1.0 };
-            let c_win = &mut c[group.c_offset(task)..][..group.c_span()];
             let op = group.task_op(task, &mut scratch);
-            be.gemm(&op, c_win, group.ldc, beta, Epilogue::None);
+            be.gemm(&op, c_win, group.ldc, beta);
+        }
+        if let Some(bias) = group.run_bias(first) {
+            add_bias(c_win, group.m, group.n, group.ldc, bias);
+        }
+    }
+}
+
+/// `C[i, j] += bias[j]` over an `m × n` window of C with row stride `ldc`:
+/// the plain bias pass every fused bias must equal bit for bit.
+pub(crate) fn add_bias(c: &mut [f32], m: usize, n: usize, ldc: usize, bias: &[f32]) {
+    for i in 0..m {
+        for (v, &b) in c[i * ldc..][..n].iter_mut().zip(&bias[..n]) {
+            *v += b;
         }
     }
 }
@@ -128,49 +142,35 @@ impl KernelBackend for Reference {
         "reference"
     }
 
-    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
         op.check(c.len(), ldc);
         let (m, k, n) = (op.m, op.k, op.n);
         if m == 0 || n == 0 {
             return;
         }
-        ep.check(n);
-        if k == 0 {
-            scale_only(c, m, n, ldc, beta);
-            return apply_epilogue(c, m, n, ldc, ep);
-        }
         match (op.b, op.a_layout, op.b_layout) {
-            (BOperand::F32(b), Layout::Normal, Layout::Normal) => f32_nn(op, b, c, ldc, beta, ep),
-            (BOperand::F32(b), Layout::Normal, Layout::Transposed) => {
-                f32_nt(op, b, c, ldc, beta, ep)
-            }
-            // `check` admits a transposed A only against a plain f32 B, and
-            // the gradient-of-weights shape never takes a bias or activation
-            // fused, so the epilogue runs as a standalone pass.
-            (BOperand::F32(b), Layout::Transposed, _) => {
-                f32_tn(op, b, c, ldc, beta);
-                apply_epilogue(c, m, n, ldc, ep);
-            }
+            _ if k == 0 => scale_only(c, m, n, ldc, beta),
+            (BOperand::F32(b), Layout::Normal, Layout::Normal) => f32_nn(op, b, c, ldc, beta),
+            (BOperand::F32(b), Layout::Normal, Layout::Transposed) => f32_nt(op, b, c, ldc, beta),
+            // `check` admits a transposed A only against a plain f32 B.
+            (BOperand::F32(b), Layout::Transposed, _) => f32_tn(op, b, c, ldc, beta),
             // On-load decode: one B row is decoded to an f32 scratch per
             // k-step (or per output column for the transposed layout), so
             // the full f32 B is never materialised. Per-element accumulation
             // order is identical to the f32 loops, so results match the
             // decode-up-front path bit for bit.
-            (_, _, b_layout) => {
-                match b_layout {
-                    Layout::Normal => decoded_nn(op, c, ldc, beta),
-                    Layout::Transposed => decoded_nt(op, c, ldc, beta),
-                }
-                apply_epilogue(c, m, n, ldc, ep);
-            }
+            (_, _, Layout::Normal) => decoded_nn(op, c, ldc, beta),
+            (_, _, Layout::Transposed) => decoded_nt(op, c, ldc, beta),
+        }
+        // The oracle's bias is a plain pass after the complete product.
+        if let Some(bias) = op.bias {
+            add_bias(c, m, n, ldc, bias);
         }
     }
 }
 
-/// `A·B` on f32 operands. The fused epilogue is applied to each C row right
-/// after the row's full k accumulation, inside the same worker task — same
-/// element order as the unfused pass, so results are bit-identical.
-fn f32_nn(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+/// `A·B` on f32 operands.
+fn f32_nn(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32) {
     let (k, n, a, lda, ldb) = (op.k, op.n, op.a, op.lda, op.ldb);
     par_rows(c, op.m, ldc, row_grain(k, n), |rows, chunk| {
         for i in rows.clone() {
@@ -185,13 +185,12 @@ fn f32_nn(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32, ep: 
                 let b_row = &b[l * ldb..l * ldb + n];
                 axpy_row(c_row, av, b_row);
             }
-            ep.apply_tile(c_row, n, 1, n, 0);
         }
     });
 }
 
-/// `A·Bᵀ` on f32 operands (B stored `n×k`); epilogue placement as [`f32_nn`].
-fn f32_nt(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+/// `A·Bᵀ` on f32 operands (B stored `n×k`).
+fn f32_nt(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32) {
     let (k, n, a, lda, ldb) = (op.k, op.n, op.a, op.lda, op.ldb);
     par_rows(c, op.m, ldc, row_grain(k, n), |rows, chunk| {
         for i in rows.clone() {
@@ -203,7 +202,6 @@ fn f32_nt(op: &GemmOp<'_>, b: &[f32], c: &mut [f32], ldc: usize, beta: f32, ep: 
                 let dot = dot_unrolled(a_row, b_row);
                 *cv = if beta == 0.0 { dot } else { beta * *cv + dot };
             }
-            ep.apply_tile(c_row, n, 1, n, 0);
         }
     });
 }

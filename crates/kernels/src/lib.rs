@@ -4,14 +4,14 @@
 //! operator: `C = op(A)·op(B) + beta·C`, row-major with leading dimensions,
 //! described by a [`GemmOp`] — the f32 `A` view, a [`BOperand`] in whatever
 //! storage the weights live in (f32, f16 bits, block NF4), a [`Layout`]
-//! per side — plus an [`Epilogue`] (a bias add) applied inside the
-//! write-back while output tiles are cache-hot,
-//! bit-identically to the unfused sequence (see the `epilogue` module). The
+//! per side and an optional bias, added inside the write-back while output
+//! tiles are cache-hot, bit-identically to a separate bias pass. The
 //! block-sparse operators launch the *grouped* form of the same operator: a
 //! [`GemmGroup`] is many equally-shaped products over windows of three
 //! shared buffers, addressed through a [`GemmTable`] — the offset table a
 //! sparse layout builds once and every forward and backward launch reuses
-//! (the paper's Dynamic-aware Operator). This crate owns the kernels behind
+//! (the paper's Dynamic-aware Operator) — each run of which may take its own
+//! [`Bias`] window. This crate owns the kernels behind
 //! the [`KernelBackend`] trait ([`gemm`] and [`gemm_grouped`], the latter
 //! defaulting to the per-task loop):
 //!
@@ -88,7 +88,6 @@ macro_rules! arms {
 mod backend;
 pub mod decode;
 mod dispatch;
-mod epilogue;
 pub mod half;
 mod isa;
 mod observe;
@@ -101,10 +100,9 @@ pub use dispatch::{
     auto_choice, autotune, backend, current_policy, install_policy, KernelPolicy, TileConfig,
     PACKED, REFERENCE,
 };
-pub use epilogue::{apply_epilogue, Epilogue};
 pub use isa::{active_isa, detected_isa, Isa};
 pub use observe::{gemm_call_total, Observed};
-pub use op::{BOperand, Dtype, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
+pub use op::{BOperand, Bias, Dtype, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 pub use packed::{Packed, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
@@ -149,7 +147,7 @@ fn contiguous<'a>(
     beta: f32,
 ) {
     let op = GemmOp::contiguous(m, k, n, a, Layout::Normal, b, b_layout);
-    backend().gemm(&op, c, n.max(1), beta, Epilogue::None)
+    backend().gemm(&op, c, n.max(1), beta)
 }
 
 /// `C[m,n] = A[m,k]·B[k,n] + beta·C`, contiguous rows.
@@ -244,7 +242,7 @@ mod tests {
     /// `op` into a fresh zeroed contiguous C.
     fn product(be: &dyn KernelBackend, op: &GemmOp<'_>) -> Vec<f32> {
         let mut c = vec![0.0; op.m * op.n];
-        be.gemm(op, &mut c, op.n.max(1), 0.0, Epilogue::None);
+        be.gemm(op, &mut c, op.n.max(1), 0.0);
         c
     }
 
@@ -273,7 +271,7 @@ mod tests {
         let b = pseudo(k * n, 4);
         let mut c = vec![1.0; m * n];
         let op = GemmOp::nn(m, k, n, &a, k, &b[..], n);
-        PACKED.gemm(&op, &mut c, n, 2.0, Epilogue::None);
+        PACKED.gemm(&op, &mut c, n, 2.0);
         let mut expect = naive(m, k, n, &a, &b);
         for v in expect.iter_mut() {
             *v += 2.0;
@@ -315,7 +313,7 @@ mod tests {
         for be in [&PACKED as &dyn KernelBackend, &REFERENCE] {
             let mut c = vec![0.0; (m - 1) * ldc + n];
             let op = GemmOp::nn(m, k, n, &a, lda, &b[..], ldb);
-            be.gemm(&op, &mut c, ldc, 0.0, Epilogue::None);
+            be.gemm(&op, &mut c, ldc, 0.0);
             for i in 0..m {
                 assert_close(&c[i * ldc..i * ldc + n], &expect[i * n..(i + 1) * n], 1e-4);
             }
@@ -330,10 +328,10 @@ mod tests {
         for be in backends() {
             c.fill(3.0);
             let op = GemmOp::nn(2, 0, 2, empty, 1, empty, 2);
-            be.gemm(&op, &mut c, 2, 0.5, Epilogue::None);
+            be.gemm(&op, &mut c, 2, 0.5);
             assert_eq!(c, vec![1.5; 4], "{}", be.name());
             let op = GemmOp::nn(0, 3, 0, empty, 3, empty, 1);
-            be.gemm(&op, &mut [], 1, 0.0, Epilogue::None);
+            be.gemm(&op, &mut [], 1, 0.0);
         }
     }
 
@@ -343,7 +341,7 @@ mod tests {
         let a = pseudo(4 * 4, 13);
         let bits = half::encode_slice(&a);
         let op = GemmOp::tn(4, 4, 4, &a, 4, &bits[..], 4);
-        REFERENCE.gemm(&op, &mut [0.0; 16], 4, 0.0, Epilogue::None);
+        REFERENCE.gemm(&op, &mut [0.0; 16], 4, 0.0);
     }
 
     #[test]
@@ -435,7 +433,7 @@ mod tests {
             guard.install_tiles(mc, nc);
             pools.each_ref().map(|pool| {
                 let mut c = vec![0.0; op.m * op.n];
-                PACKED.gemm_on(pool, op, &mut c, op.n, 0.0, Epilogue::None);
+                PACKED.gemm_on(pool, op, &mut c, op.n, 0.0);
                 c
             })
         };

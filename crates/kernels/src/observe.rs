@@ -18,7 +18,6 @@
 //! calls-per-step collapsed.
 
 use crate::backend::KernelBackend;
-use crate::epilogue::Epilogue;
 use crate::op::{Dtype, GemmGroup, GemmOp};
 use lx_obs::{registry, tracing_active, Counter, Histogram};
 use std::sync::{Arc, OnceLock};
@@ -98,15 +97,15 @@ impl KernelBackend for Observed {
         self.inner.name()
     }
 
-    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
         let (m, k, n) = (op.m, op.k, op.n);
         let s = stats(self.inner.name(), class(m, k, n), op.b.dtype());
         if tracing_active() {
             let t0 = Instant::now();
-            self.inner.gemm(op, c, ldc, beta, ep);
+            self.inner.gemm(op, c, ldc, beta);
             s.time_ns.record_duration(t0.elapsed());
         } else {
-            self.inner.gemm(op, c, ldc, beta, ep);
+            self.inner.gemm(op, c, ldc, beta);
         }
         s.calls.inc();
     }
@@ -176,7 +175,7 @@ mod tests {
         let b = [5.0f32, 6.0, 7.0, 8.0];
         let mut c = [0.0f32; 4];
         let op = GemmOp::nn(2, 2, 2, &a, 2, &b[..], 2);
-        observed.gemm(&op, &mut c, 2, 0.0, Epilogue::None);
+        observed.gemm(&op, &mut c, 2, 0.0);
         assert_eq!(stats("reference", 0, Dtype::F32).calls.get(), before + 1);
         // 2x2 result actually computed by the inner backend.
         assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
@@ -199,7 +198,7 @@ mod tests {
         let a = vec![0.5f32; m * k];
         let mut c = vec![0.0f32; m * n];
         let op = GemmOp::nn(m, k, n, &a, k, b, n);
-        observed.gemm(&op, &mut c, n, 0.0, Epilogue::None);
+        observed.gemm(&op, &mut c, n, 0.0);
         assert_eq!(stats("reference", 1, b.dtype()).calls.get(), before_q4 + 1);
         assert_eq!(
             stats("reference", 1, Dtype::F32).calls.get(),

@@ -175,9 +175,11 @@ impl<'a> From<Q4View<'a>> for BOperand<'a> {
     }
 }
 
-/// One GEMM: `C[m,n] = op(A)[m,k] · op(B)[k,n] + beta·C`, where `op` is the
-/// identity for [`Layout::Normal`] and a transpose for
-/// [`Layout::Transposed`] (`A` then stored `k×m`, `B` stored `n×k`).
+/// One GEMM: `C[m,n] = op(A)[m,k] · op(B)[k,n] + beta·C (+ bias)`, where
+/// `op` is the identity for [`Layout::Normal`] and a transpose for
+/// [`Layout::Transposed`] (`A` then stored `k×m`, `B` stored `n×k`). The
+/// constructors leave `bias` empty; a caller that has one sets it with
+/// struct-update syntax.
 #[derive(Clone, Copy, Debug)]
 pub struct GemmOp<'a> {
     pub m: usize,
@@ -189,6 +191,10 @@ pub struct GemmOp<'a> {
     pub b: BOperand<'a>,
     pub ldb: usize,
     pub b_layout: Layout,
+    /// `C[i, j] += bias[j]` after the complete `beta·C + op(A)·op(B)`: the
+    /// result equals the product followed by a separate bias pass bit for
+    /// bit. At least `n` long.
+    pub bias: Option<&'a [f32]>,
 }
 
 impl<'a> GemmOp<'a> {
@@ -213,6 +219,7 @@ impl<'a> GemmOp<'a> {
             b: b.into(),
             ldb,
             b_layout: Layout::Normal,
+            bias: None,
         }
     }
 
@@ -275,6 +282,7 @@ impl<'a> GemmOp<'a> {
             b: b.into(),
             ldb: stored_width(b_layout, n, k),
             b_layout,
+            bias: None,
         }
     }
 
@@ -293,6 +301,9 @@ impl<'a> GemmOp<'a> {
         check_view(self.a.len(), a_rows, a_cols, self.lda, "gemm: A");
         check_view(self.b.len(), b_rows, b_cols, self.ldb, "gemm: B");
         check_view(c_len, self.m, self.n, ldc, "gemm: C");
+        if let Some(bias) = self.bias {
+            check_bias(bias.len(), self.n, "gemm");
+        }
     }
 }
 
@@ -312,6 +323,15 @@ fn check_view(len: usize, rows: usize, cols: usize, ld: usize, what: &str) {
     assert!(
         len >= need,
         "{what}: {len} elements < {need} needed for {rows}x{cols} (ld {ld})"
+    );
+}
+
+/// Check a bias of `len` elements against the `need` its last window reads.
+#[track_caller]
+fn check_bias(len: usize, need: usize, what: &str) {
+    assert!(
+        len >= need,
+        "{what}: bias has {len} elements < {need} needed"
     );
 }
 
@@ -470,10 +490,21 @@ impl<D> Windows<D> {
     }
 }
 
+/// The bias of a grouped launch: run `r` adds `data[w·stride ..][..n]` to
+/// every row of its C window, where `w` is the B window of the run's first
+/// task. `stride` 0 gives every run the same bias (FC2's one run); stride
+/// `n` gives each B window its own `n` values (FC1's neuron blocks).
+#[derive(Clone, Copy, Debug)]
+pub struct Bias<'a> {
+    pub data: &'a [f32],
+    pub stride: usize,
+}
+
 /// A grouped GEMM: every task of `table` is one `m×k×n` product
 /// `C[c] = op(A[a]) · op(B[b]) + β·C[c]` over windows of three shared
 /// buffers, where `β` is `beta` for the first task of a run and 1 for the
-/// rest (a run accumulates). One launch covers a whole block-sparse operator;
+/// rest (a run accumulates). Once a run's last task is done, its [`Bias`]
+/// window is added. One launch covers a whole block-sparse operator;
 /// an empty table is a no-op. A is f32; B is any [`BOperand`], decoded
 /// window by window as it is packed.
 #[derive(Clone, Copy, Debug)]
@@ -489,6 +520,7 @@ pub struct GemmGroup<'a> {
     pub c_stride: usize,
     pub beta: f32,
     pub table: &'a GemmTable,
+    pub bias: Option<Bias<'a>>,
 }
 
 /// How the C windows of a group lie in the output buffer — what decides how
@@ -533,7 +565,16 @@ impl GemmGroup<'_> {
             b: BOperand::F32(b),
             ldb: self.b.ld,
             b_layout: self.b.layout,
+            bias: None,
         }
+    }
+
+    /// The bias window of the run whose first task is `first`.
+    pub(crate) fn run_bias(&self, first: &GemmTask) -> Option<&[f32]> {
+        self.bias.map(|b| {
+            let w = self.table.b_windows()[first.b as usize] as usize;
+            &b.data[w * b.stride..][..self.n]
+        })
     }
 
     /// Element offset of a task's C window.
@@ -579,6 +620,10 @@ impl GemmGroup<'_> {
             self.ldc,
             "gemm group: C",
         );
+        if let Some(bias) = self.bias {
+            let need = t.max[1] as usize * bias.stride + self.n;
+            check_bias(bias.data.len(), need, "gemm group");
+        }
         if c_off + self.n <= self.ldc && c_len <= self.m * self.ldc {
             CShape::Columns
         } else if t.c_ascending && self.c_span() <= self.c_stride {
@@ -612,6 +657,30 @@ mod tests {
         assert_eq!(Dtype::Nf4Block.bytes_for(64), 32 + 4);
         assert_eq!(Dtype::Nf4Block.bytes_for(65), 33 + 8);
         assert_eq!(Dtype::Nf4Block.bytes_for(0), 0);
+    }
+
+    /// The bias of the table's largest B window must fit, checked in O(1)
+    /// before anything is written.
+    #[test]
+    #[should_panic(expected = "gemm group: bias has 11 elements < 12 needed")]
+    fn short_bias_is_rejected() {
+        let (buf, table) = (vec![0.0f32; 48], GemmTable::each([(0, 0, 0), (1, 2, 1)]));
+        let g = GemmGroup {
+            m: 4,
+            k: 4,
+            n: 4,
+            a: Windows::normal(&buf[..], 4, 16),
+            b: Windows::normal(&buf[..], 4, 16),
+            ldc: 4,
+            c_stride: 16,
+            beta: 0.0,
+            table: &table,
+            bias: Some(Bias {
+                data: &buf[..11],
+                stride: 4,
+            }),
+        };
+        g.check(32);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!           or read an A window one task uses where it lies
 //!         for jr, ir over NR/MR panels:
 //!           microkernel: C[MR×NR] (+)= Ã-panel · B̃-panel
-//!       (last k-block: apply the fused epilogue to the finished C rows)
+//!       (last k-block: add each run's bias to its finished C rows)
 //! ```
 //!
 //! * The microkernel keeps an `MR×NR` register tile of C accumulators and
@@ -51,23 +51,22 @@
 //!   worker) detect [`lx_parallel::in_worker`] via [`crate::sequential_mode`]
 //!   and run the whole launch on the calling thread instead of
 //!   oversubscribing the pool.
-//! * `beta` folds into the first k-block's write-back ([`WriteBack`]) and a
-//!   fused [`Epilogue`] is applied to each row chunk right after its
-//!   **final** k-block, on the worker that computed it — i.e. after the
-//!   complete `beta·C + ΣA·B` sum, in the same element order as a separate
-//!   scale pass before and an unfused bias pass after — so results are
+//! * `beta` folds into the first k-block's write-back ([`WriteBack`]), and
+//!   each run's bias window ([`GemmGroup::bias`]) is added to the run's rows
+//!   right after their **final** k-block, on the worker that computed them
+//!   — i.e. after the complete `beta·C + ΣA·B` sum, in the same element order
+//!   as a separate scale pass before and a bias pass after — so results are
 //!   bit-identical to those passes while their read-modify-write sweeps over
-//!   C disappear.
+//!   C disappear. A plain product's bias is the bias of its one run.
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
-use crate::backend::{scale_row, KernelBackend, GRAIN_FLOPS};
+use crate::backend::{add_bias, scale_row, KernelBackend, GRAIN_FLOPS};
 use crate::decode;
 use crate::dispatch::tiles;
-use crate::epilogue::{apply_epilogue, Epilogue};
 use crate::isa::{active_isa, Isa};
-use crate::op::{BOperand, CShape, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
+use crate::op::{BOperand, Bias, CShape, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
 use lx_obs::{registry, Counter};
 use lx_parallel::ThreadPool;
 use std::cell::RefCell;
@@ -742,9 +741,6 @@ struct GroupPass<'a> {
     b_direct: Option<&'a [f32]>,
     /// The arm a reduced B decodes on.
     isa: Isa,
-    /// Applied to each run's C rows as the block leaves them: the launch's
-    /// epilogue on the final k-block, [`Epilogue::None`] before it.
-    ep: Epilogue<'a>,
 }
 
 impl GroupPass<'_> {
@@ -795,7 +791,8 @@ impl GroupPass<'_> {
     /// in place; A windows are read in place, or packed as the runs meet
     /// them into this thread's panels, laid out `[row panel][slot][kc][mr]`
     /// like B̃. The first tasks of a run fold `beta` into their write-back,
-    /// and its finished rows take the pass's epilogue.
+    /// and on the final k-block its finished rows take its bias — per column
+    /// window when the launch is widened.
     fn work(
         &self,
         bpack: &[f32],
@@ -824,8 +821,8 @@ impl GroupPass<'_> {
                     packed.resize(a_windows.len(), false);
                 }
                 let mut copied = 0;
-                for run in rs {
-                    let run = &self.tasks[self.runs[run] as usize..self.runs[run + 1] as usize];
+                for r in rs {
+                    let run = &self.tasks[self.runs[r] as usize..self.runs[r + 1] as usize];
                     let Some(first) = run.first() else { continue };
                     let c_off = g.c_offset(first) + rows.start * g.ldc - base;
                     let mut wb = WriteBack::at(pc, g.beta);
@@ -907,10 +904,15 @@ impl GroupPass<'_> {
                         wb = WriteBack::Add;
                         t += depth;
                     }
-                    if !self.ep.is_none() {
-                        for r in 0..rows.len() {
-                            let row = &mut chunk[c_off + r * g.ldc..];
-                            self.ep.apply_tile(row, g.ldc, 1, self.cols, 0);
+                    if pc + kc == g.k {
+                        // The table's tasks behind the run's column windows:
+                        // its first task, or every task of a widened launch.
+                        let windows = &g.table.tasks()[self.runs[r] as usize..][..self.cols / g.n];
+                        for (w, t) in windows.iter().enumerate() {
+                            if let Some(bias) = g.run_bias(t) {
+                                let c = &mut chunk[c_off + w * g.n..];
+                                add_bias(c, rows.len(), g.n, g.ldc, bias);
+                            }
                         }
                     }
                 }
@@ -928,7 +930,7 @@ static ONE_TASK: LazyLock<GemmTable> = LazyLock::new(|| GemmTable::each([(0, 0, 
 impl Packed {
     /// [`KernelBackend::gemm`] on an explicit pool (tests: the result must
     /// not depend on how many threads split the rows): a grouped launch of
-    /// [`ONE_TASK`], whose single C window carries the epilogue.
+    /// [`ONE_TASK`], whose one run carries the op's bias.
     pub fn gemm_on(
         &self,
         pool: &ThreadPool,
@@ -936,7 +938,6 @@ impl Packed {
         c: &mut [f32],
         ldc: usize,
         beta: f32,
-        ep: Epilogue<'_>,
     ) {
         op.check(c.len(), ldc);
         let GemmOp { m, k, n, .. } = *op;
@@ -963,10 +964,11 @@ impl Packed {
             c_stride: 0,
             beta,
             table: &ONE_TASK,
+            bias: op.bias.map(|data| Bias { data, stride: 0 }),
         };
         // C cut to the product's span is one column window of an `m`-row
         // matrix, which the launch splits by rows.
-        self.launch(pool, None, &g, &mut c[..(m - 1) * ldc + n], ep)
+        self.gemm_grouped_on(pool, None, &g, &mut c[..(m - 1) * ldc + n])
     }
 
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
@@ -989,7 +991,8 @@ impl Packed {
     /// the launch is split: by rows when the C windows are column windows
     /// of one matrix (neuron slabs), by task count per run when they are
     /// separate regions (score blocks, block rows), inline when
-    /// [`sequential_mode`] is set.
+    /// [`sequential_mode`] is set. Each run's bias is added by the worker
+    /// that finishes the run's rows on the final k-block.
     ///
     /// [`sequential_mode`]: crate::sequential_mode
     pub fn gemm_grouped_on(
@@ -999,46 +1002,28 @@ impl Packed {
         g: &GemmGroup<'_>,
         c: &mut [f32],
     ) {
-        self.launch(pool, isa, g, c, Epilogue::None)
-    }
-
-    /// The macro-kernel behind both entry points: `g`'s tasks, then `ep` on
-    /// the finished rows of its C window — a launch carrying an epilogue has
-    /// one run.
-    fn launch(
-        &self,
-        pool: &ThreadPool,
-        isa: Option<Isa>,
-        g: &GemmGroup<'_>,
-        c: &mut [f32],
-        ep: Epilogue<'_>,
-    ) {
         let table = g.table;
-        let Some(first) = table.tasks().first() else {
-            return;
-        };
-        if g.m == 0 || g.n == 0 {
+        if table.tasks().is_empty() || g.m == 0 || g.n == 0 {
             return;
         }
         let shape = g.check(c.len());
         if let Some(isa) = isa {
             assert!(isa.supported(), "gemm group: {} not supported", isa.name());
         }
-        assert!(
-            ep.is_none() || table.runs().len() == 2,
-            "gemm group: only a launch with one C window may carry an epilogue"
-        );
-        ep.check(g.n);
         if g.k == 0 {
-            // Nothing to accumulate: each run's C window is only scaled, so
-            // the epilogue becomes a standalone pass.
+            // Nothing to accumulate: each run's C window is only scaled, then
+            // takes its bias.
             for run in table.runs().windows(2).filter(|r| r[0] < r[1]) {
-                let window = &mut c[g.c_offset(&table.tasks()[run[0] as usize])..];
+                let first = &table.tasks()[run[0] as usize];
+                let window = &mut c[g.c_offset(first)..];
                 for i in 0..g.m {
                     scale_row(&mut window[i * g.ldc..][..g.n], g.beta);
                 }
+                if let Some(bias) = g.run_bias(first) {
+                    add_bias(window, g.m, g.n, g.ldc, bias);
+                }
             }
-            return apply_epilogue(&mut c[g.c_offset(first)..], g.m, g.n, g.ldc, ep);
+            return;
         }
         let wide = is_wide(g, shape);
         let (cols, runs, tasks, b_slots) = if wide {
@@ -1081,7 +1066,6 @@ impl Packed {
                 a_direct,
                 b_direct,
                 isa: isa.unwrap_or_else(active_isa),
-                ep: if pc + kc == g.k { ep } else { Epilogue::None },
             };
             if b_direct.is_none() {
                 pass.pack_b(&mut bpack, (!seq).then_some(pool));
@@ -1131,8 +1115,8 @@ impl KernelBackend for Packed {
     /// NF4 dequant — see `fill_panel`) is fused into the B̃ pack, so a
     /// dense f32 B is never materialised and the microkernel runs unchanged
     /// on f32 panels.
-    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32, ep: Epilogue<'_>) {
-        self.gemm_on(lx_parallel::pool(), op, c, ldc, beta, ep)
+    fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
+        self.gemm_on(lx_parallel::pool(), op, c, ldc, beta)
     }
 
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
@@ -1264,6 +1248,7 @@ mod tests {
                                 c_stride: 0,
                                 beta: 1.0,
                                 table: &table,
+                                bias: None,
                             };
                             let pass = GroupPass {
                                 g: &g,
@@ -1277,7 +1262,6 @@ mod tests {
                                 a_direct: true,
                                 b_direct: None,
                                 isa,
-                                ep: Epilogue::None,
                             };
                             let mut got = vec![f32::NAN; want.len() + 7];
                             pass.pack_b(&mut got, None);
@@ -1388,13 +1372,13 @@ mod tests {
     }
 
     /// Plain products — one-task launches — against the chain definition
-    /// followed by the standalone epilogue, bitwise: across a k-block
-    /// boundary; f32, f16 and NF4 B in both layouts (and a transposed A over
-    /// f32 B); all three write-backs, over a NaN-poisoned C for `beta = 0`;
-    /// no and `Bias` epilogues; on the global pool and explicit
-    /// 1- and 2-thread ones. The shapes include products one register tile
-    /// wide or narrower, at most 16 rows tall, and widths no multiple of
-    /// any tile, where B is packed rather than read in place.
+    /// followed by a plain bias pass, bitwise: across a k-block boundary;
+    /// f32, f16 and NF4 B in both layouts (and a transposed A over f32 B);
+    /// all three write-backs, over a NaN-poisoned C for `beta = 0`; with and
+    /// without a bias; on the global pool and explicit 1- and 2-thread ones.
+    /// The shapes include products one register tile wide or narrower, at
+    /// most 16 rows tall, and widths no multiple of any tile, where B is
+    /// packed rather than read in place.
     #[test]
     fn plain_products_match_the_chain_definition() {
         let fused = active_isa() != Isa::Scalar;
@@ -1436,20 +1420,23 @@ mod tests {
                         };
                         let mut chain = c0.clone();
                         chain_gemm(&op, &mut chain, n, beta, fused);
-                        let eps = [("none", Epilogue::None), ("bias", Epilogue::Bias(&bias))];
-                        for (ep_name, ep) in eps {
+                        for bias in [None, Some(&bias[..])] {
                             let mut want = chain.clone();
-                            apply_epilogue(&mut want, m, n, n, ep);
+                            if let Some(bias) = bias {
+                                add_bias(&mut want, m, n, n, bias);
+                            }
                             let what = format!(
-                                "{m}x{k}x{n} A {a_layout:?} B {} {b_layout:?} beta={beta} {ep_name}",
-                                b.dtype()
+                                "{m}x{k}x{n} A {a_layout:?} B {} {b_layout:?} beta={beta} bias {}",
+                                b.dtype(),
+                                bias.is_some()
                             );
+                            let op = GemmOp { bias, ..op };
                             let mut got = c0.clone();
-                            Packed.gemm(&op, &mut got, n, beta, ep);
+                            Packed.gemm(&op, &mut got, n, beta);
                             assert_bits(&what, &got, &want);
                             for pool in &pools {
                                 let mut got = c0.clone();
-                                Packed.gemm_on(pool, &op, &mut got, n, beta, ep);
+                                Packed.gemm_on(pool, &op, &mut got, n, beta);
                                 let what = format!("{what} on {} threads", pool.threads());
                                 assert_bits(&what, &got, &want);
                             }

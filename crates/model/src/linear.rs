@@ -13,7 +13,7 @@ use lx_sparse::neuron::{
     active_cols, fc1_backward_input, fc1_grad_weights, fc2_forward, fc2_grad_weights,
 };
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{gemm, gemm_nt, matmul, matmul_tn, Layout};
 use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
@@ -132,7 +132,7 @@ impl Lora {
             Some(set) => filled(&[rows, r], |ax| {
                 fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
             }),
-            None => matmul(x, &self.a.value, self.a_layout, Epilogue::None),
+            None => matmul(x, &self.a.value, self.a_layout),
         };
         let sax = filled(ax.shape(), |sax| {
             for (o, &v) in sax.iter_mut().zip(ax.as_slice()) {
@@ -167,7 +167,7 @@ impl Lora {
             Some(set) => filled(&[rows, r], |dax| {
                 fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
             }),
-            None => matmul(dy, &self.b.value, Layout::Normal, Epilogue::None),
+            None => matmul(dy, &self.b.value, Layout::Normal),
         };
         dax.scale(self.scale);
         // dB += s·dyᵀ·ax
@@ -235,7 +235,7 @@ impl Lora {
                 transposed(self.a_layout),
             ),
         };
-        lx_kernels::backend().gemm(&op, w.as_mut_slice(), op.n.max(1), 1.0, Epilogue::None);
+        lx_kernels::backend().gemm(&op, w.as_mut_slice(), op.n.max(1), 1.0);
     }
 }
 
@@ -298,11 +298,23 @@ impl Linear {
         // Dtype-dispatching (fused f16/quant decode when the backbone weight
         // is reduced-stored), with the bias add fused into the GEMM
         // write-back instead of a second pass over y.
-        let ep = match &self.bias {
-            Some(bias) => Epilogue::Bias(bias.value.as_slice()),
-            None => Epilogue::None,
-        };
-        let mut y = self.weight.matmul(x, Layout::Normal, ep);
+        let (d_in, d_out) = (self.d_in(), self.d_out());
+        assert_eq!(x.cols(), d_in, "Linear::project: x");
+        let mut y = Tensor::scratch(&[x.rows(), d_out]);
+        let w = self.weight.b_ref();
+        let op = GemmOp {
+            bias: self.bias.as_ref().map(|b| b.value.as_slice()),
+            ..GemmOp::contiguous(
+                x.rows(),
+                d_in,
+                d_out,
+                x.as_slice(),
+                Layout::Normal,
+                w.operand(),
+                Layout::Normal,
+            )
+        }; // x · W + bias
+        lx_kernels::backend().gemm(&op, y.as_mut_slice(), d_out.max(1), 0.0);
         if let Some(lora) = &mut self.lora {
             lora.forward(x, &mut y);
         }
@@ -337,7 +349,7 @@ impl Linear {
             w.operand(),
             Layout::Transposed,
         ); // dy · Wᵀ
-        lx_kernels::backend().gemm(&op, dx.as_mut_slice(), d_in.max(1), beta, Epilogue::None);
+        lx_kernels::backend().gemm(&op, dx.as_mut_slice(), d_in.max(1), beta);
         if self.weight.trainable {
             let dw = matmul_tn(x, dy); // xᵀ · dy
             self.weight.accumulate_grad(&dw);
@@ -514,13 +526,13 @@ mod tests {
             Some(set) => filled(&[rows, r], |ax| {
                 fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
             }),
-            None => matmul(x, &l.a.value, l.a_layout, Epilogue::None),
+            None => matmul(x, &l.a.value, l.a_layout),
         };
         let delta = match b_set {
             Some(set) => filled(y.shape(), |d| {
                 lx_sparse::neuron::fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
             }),
-            None => matmul(&ax, &l.b.value, Layout::Transposed, Epilogue::None),
+            None => matmul(&ax, &l.b.value, Layout::Transposed),
         };
         y.axpy(l.scale, &delta);
     }
@@ -541,13 +553,13 @@ mod tests {
             Some(set) => filled(&[rows, r], |ax| {
                 fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
             }),
-            None => matmul(x, &l.a.value, l.a_layout, Epilogue::None),
+            None => matmul(x, &l.a.value, l.a_layout),
         };
         let mut dax = match b_set {
             Some(set) => filled(&[rows, r], |dax| {
                 fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
             }),
-            None => matmul(dy, &l.b.value, Layout::Normal, Epilogue::None),
+            None => matmul(dy, &l.b.value, Layout::Normal),
         };
         dax.scale(l.scale);
         let mut db = Tensor::zeros(l.b.value.shape());
@@ -574,7 +586,7 @@ mod tests {
             Some(set) => filled(dx.shape(), |d| {
                 active_cols(dax.as_slice(), rows, a, r, set, 0.0, d)
             }),
-            None => matmul(&dax, &l.a.value, transposed(l.a_layout), Epilogue::None),
+            None => matmul(&dax, &l.a.value, transposed(l.a_layout)),
         };
         dx.add_assign(&dx_lora);
         (da, db)
@@ -673,9 +685,10 @@ mod tests {
 
             let oracle = lora(Layout::Transposed, d, d, 16.0);
             let bias = lin.bias.as_ref().unwrap().value.as_slice();
-            let mut y_want = lin.weight.matmul(&x, Layout::Normal, Epilogue::Bias(bias));
+            let mut y_want = lin.weight.matmul(&x, Layout::Normal);
+            lx_tensor::ops::add_bias_rows(&mut y_want, bias);
             composed_forward(&oracle, &x, &mut y_want, None);
-            let mut dx_want = lin.weight.matmul(&dy, Layout::Transposed, Epilogue::None);
+            let mut dx_want = lin.weight.matmul(&dy, Layout::Transposed);
             let (da, db) = composed_backward(&oracle, &x, &dy, &mut dx_want, None);
 
             let fused = lin.lora.as_ref().unwrap();

@@ -291,7 +291,7 @@ impl MlpBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_tensor::gemm::{matmul_tn, Epilogue};
+    use lx_tensor::gemm::matmul_tn;
     use lx_tensor::ops::add_bias_rows;
 
     const D: usize = 8;
@@ -319,13 +319,13 @@ mod tests {
         /// over the stored weights, bias passes after them, the activation,
         /// and LoRA's own dense path.
         fn forward(m: &mut MlpBlock, x: &Tensor) -> (Tensor, Self) {
-            let mut z = m.w1.matmul(x, Layout::Transposed, Epilogue::None);
+            let mut z = m.w1.matmul(x, Layout::Transposed);
             add_bias_rows(&mut z, m.b1.value.as_slice());
             if let Some(l) = &mut m.lora1 {
                 l.forward(x, &mut z);
             }
             let a = m.activate(&z);
-            let mut y = m.w2.matmul(&a, Layout::Normal, Epilogue::None);
+            let mut y = m.w2.matmul(&a, Layout::Normal);
             add_bias_rows(&mut y, m.b2.value.as_slice());
             if let Some(l) = &mut m.lora2 {
                 l.forward(&a, &mut y);
@@ -337,7 +337,7 @@ mod tests {
         /// The reference backward: accumulates into `m`'s gradients and
         /// returns `dx`.
         fn backward(self, m: &mut MlpBlock, dy: &Tensor) -> Tensor {
-            let mut da = m.w2.matmul(dy, Layout::Transposed, Epilogue::None);
+            let mut da = m.w2.matmul(dy, Layout::Transposed);
             if let Some(l) = &mut m.lora2 {
                 l.backward(&self.a, dy, &mut da);
             }
@@ -354,7 +354,7 @@ mod tests {
             if m.w1.trainable {
                 m.w1.accumulate_grad(&matmul_tn(&dz, &self.x));
             }
-            let mut dx = m.w1.matmul(&dz, Layout::Normal, Epilogue::None);
+            let mut dx = m.w1.matmul(&dz, Layout::Normal);
             if let Some(l) = &mut m.lora1 {
                 l.backward(&self.x, &dz, &mut dx);
             }

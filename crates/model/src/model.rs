@@ -23,7 +23,7 @@ use crate::plan::SparsePlan;
 use crate::precision::Precision;
 use lx_obs::TimedSpan;
 use lx_sparse::MultiHeadLayout;
-use lx_tensor::gemm::{matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{matmul_tn, Layout};
 use lx_tensor::{Dtype, Tensor, Workspace, WorkspaceStats};
 use std::sync::Arc;
 use std::time::Duration;
@@ -210,10 +210,7 @@ impl TransformerModel {
             }
         }
         let h = self.ln_f.forward(&x);
-        let logits = self
-            .embedding
-            .tokens
-            .matmul(&h, Layout::Transposed, Epilogue::None);
+        let logits = self.embedding.tokens.matmul(&h, Layout::Transposed);
         self.cache_h = Some(h);
         (logits, used, predict)
     }
@@ -222,10 +219,7 @@ impl TransformerModel {
     pub(crate) fn backward(&mut self, dlogits: &Tensor) {
         let h = self.cache_h.take().expect("model backward without forward");
         // Tied head: dH = dLogits · E ; dE += dLogitsᵀ · H.
-        let dh = self
-            .embedding
-            .tokens
-            .matmul(dlogits, Layout::Normal, Epilogue::None);
+        let dh = self.embedding.tokens.matmul(dlogits, Layout::Normal);
         if self.embedding.tokens.trainable {
             let demb = matmul_tn(dlogits, &h);
             self.embedding.tokens.accumulate_grad(&demb);

@@ -15,7 +15,7 @@
 //! [`value`]: Param::value
 //! [`reduced`]: Param::reduced
 
-use lx_tensor::gemm::{matmul, Epilogue, Layout};
+use lx_tensor::gemm::{matmul, Layout};
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 
 /// A named model parameter.
@@ -124,12 +124,10 @@ impl Param {
 
     /// `x · W` ([`Layout::Normal`]) or `x · Wᵀ` ([`Layout::Transposed`]) on
     /// the trailing-2-D view of the value, fused-decoding when
-    /// reduced-stored, with `ep` applied at kernel write-back (bit-identical
-    /// to the plain product followed by the equivalent bias/activation
-    /// passes). This is the forward (and `dx` backward) hot path for frozen
-    /// weights.
-    pub fn matmul(&self, x: &Tensor, layout: Layout, ep: Epilogue<'_>) -> Tensor {
-        matmul(x, self.b_ref(), layout, ep)
+    /// reduced-stored. This is the forward (and `dx` backward) hot path for
+    /// frozen weights.
+    pub fn matmul(&self, x: &Tensor, layout: Layout) -> Tensor {
+        matmul(x, self.b_ref(), layout)
     }
 
     /// Decode rows `[r0, r0 + n_rows)` of the 2-D view into `out`
@@ -296,13 +294,13 @@ mod tests {
         let g = Tensor::randn(&[5, 7], 1.0, 13);
         for dtype in REDUCED {
             let mut p = Param::frozen("w", Tensor::randn(&[8, 7], 1.0, 12));
-            let y32 = p.matmul(&x, NN, Epilogue::None);
+            let y32 = p.matmul(&x, NN);
             p.demote(dtype);
             // Oracle: decode the stored weights and run the f32 kernel.
             let oracle = decoded(&p);
             for (input, layout) in [(&x, NN), (&g, NT)] {
-                let y = p.matmul(input, layout, Epilogue::None);
-                let expect = oracle.matmul(input, layout, Epilogue::None);
+                let y = p.matmul(input, layout);
+                let expect = oracle.matmul(input, layout);
                 for (a, b) in y.as_slice().iter().zip(expect.as_slice()) {
                     assert!(
                         (a - b).abs() <= 1e-4 * (1.0 + b.abs()),
@@ -312,7 +310,7 @@ mod tests {
             }
             // And the f16-rounded result stays near the full-precision one.
             if dtype == Dtype::F16 {
-                let y16 = p.matmul(&x, NN, Epilogue::None);
+                let y16 = p.matmul(&x, NN);
                 for (a, b) in y16.as_slice().iter().zip(y32.as_slice()) {
                     assert!((a - b).abs() <= 3e-2 * (1.0 + b.abs()), "{a} vs {b}");
                 }

@@ -144,6 +144,7 @@ pub fn sdd_nt(
             c_stride: bb,
             beta: 0.0,
             table: &layout.sdd,
+            bias: None,
         },
         out,
     );
@@ -201,6 +202,7 @@ fn dsd_launch(
             c_stride: b * dh,
             beta: 0.0,
             table,
+            bias: None,
         },
         out,
     );

@@ -35,11 +35,15 @@
 //! window stride `block`, a weight slab with its natural leading dimension
 //! and stride `block · ld`. The packed backend packs the shared activation
 //! panel once per row chunk (not once per slab), and slabs whose packed
-//! panels are adjacent collapse into one deeper microkernel call. The dense
-//! MLP is the same operators over [`NeuronBlockSet::all`]`(1, d_ff)`: one
-//! block of every neuron, whose one-task launches are the plain products.
+//! panels are adjacent collapse into one deeper microkernel call. The
+//! forward biases ride the same launch ([`Bias`]): each `cols` run takes
+//! its neuron block's window of FC1's bias (stride `block`), and the one
+//! `sum` run takes all of FC2's (stride 0), added by the worker that
+//! finishes the run's rows. The dense MLP is the same operators over
+//! [`NeuronBlockSet::all`]`(1, d_ff)`: one block of every neuron, whose
+//! one-task launches are the plain products.
 
-use lx_kernels::{BOperand, GemmGroup, GemmTable, Windows};
+use lx_kernels::{BOperand, Bias, GemmGroup, GemmOp, GemmTable, Windows};
 
 /// Sorted set of active neuron blocks out of `n_blocks_total`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,7 +176,8 @@ impl NeuronBlockSet {
 ///
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
 /// Each active block is `Z_a = X · W_aᵀ` against the contiguous column slab
-/// `W_a`; `X` is one shared window.
+/// `W_a`; `X` is one shared window. `bias` has one value per neuron; block
+/// `a` takes its window after its complete product.
 pub fn fc1_forward<'w>(
     x: &[f32],
     rows: usize,
@@ -182,25 +187,21 @@ pub fn fc1_forward<'w>(
     set: &NeuronBlockSet,
     z: &mut [f32],
 ) {
-    active_cols(x, rows, w1t, d_in, set, 0.0, z);
-    let (b, width) = (set.block_size, set.active_neurons());
-    if let (Some(bias), true) = (bias, width > 0) {
-        // After the complete product, like a fused bias epilogue.
-        for z_row in z.chunks_exact_mut(width) {
-            for (z_blk, &blk) in z_row.chunks_exact_mut(b).zip(&set.active) {
-                let bias_blk = &bias[blk as usize * b..(blk as usize + 1) * b];
-                for (v, &bv) in z_blk.iter_mut().zip(bias_blk) {
-                    *v += bv;
-                }
-            }
-        }
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), set.total_neurons(), "fc1: one bias per neuron");
     }
+    let bias = bias.map(|data| Bias {
+        data,
+        stride: set.block_size,
+    });
+    cols(x, rows, w1t.into(), d_in, set, 0.0, bias, z);
 }
 
 /// FC2 forward: `y[r,:] = Σ_active a[r, blk]·w2_row(neuron) (+ bias)`.
 ///
 /// `w2` is row-major `h × d_out`; `a` is compact `rows × active_neurons`.
-/// Every active block accumulates `Y += A_blk · W2_blk` into the one output.
+/// Every active block accumulates `Y += A_blk · W2_blk` into the one output,
+/// which takes `bias` (`d_out` long) after its last block.
 pub fn fc2_forward<'w>(
     a: &[f32],
     rows: usize,
@@ -218,32 +219,33 @@ pub fn fc2_forward<'w>(
     );
     assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
     assert_eq!(y.len(), rows * d_out, "fc2: y is rows×d_out");
-    active_sum(a, rows, w2, d_out, set, y);
-    if let (Some(bias), true) = (bias, d_out > 0) {
-        // After the complete product, like a fused bias epilogue.
-        for y_row in y.chunks_exact_mut(d_out) {
-            for (v, &bv) in y_row.iter_mut().zip(bias) {
-                *v += bv;
-            }
-        }
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), d_out, "fc2: bias is d_out long");
     }
+    active_sum(a, rows, w2, d_out, set, bias, y);
 }
 
-/// `out = Σ_active A[:, ai] · W_blk` over the compact `rows × active` `a`
-/// and a `total_neurons × d` row-major `w`: one run of the `sum` table, its
-/// first task writing `out` (beta 0). An empty set launches no task, so
-/// `out` is zeroed up front instead.
+/// `out = Σ_active A[:, ai] · W_blk (+ bias)` over the compact `rows ×
+/// active` `a` and a `total_neurons × d` row-major `w`: one run of the `sum`
+/// table, its first task writing `out` (beta 0), the `d`-long bias added
+/// after its last. An empty set has no task to launch: it is a `k = 0`
+/// product, which zeroes `out` and adds the bias.
 fn active_sum(
     a: &[f32],
     rows: usize,
     w: BOperand<'_>,
     d: usize,
     set: &NeuronBlockSet,
+    bias: Option<&[f32]>,
     out: &mut [f32],
 ) {
     let b = set.block_size;
     if set.active.is_empty() {
-        out.fill(0.0);
+        let op = GemmOp {
+            bias,
+            ..GemmOp::nn(rows, 0, d, &[], 0, w, d)
+        };
+        return lx_kernels::backend().gemm(&op, out, d.max(1), 0.0);
     }
     lx_kernels::backend().gemm_grouped(
         &GemmGroup {
@@ -256,6 +258,7 @@ fn active_sum(
             c_stride: 0,
             beta: 0.0,
             table: &set.sum,
+            bias: bias.map(|data| Bias { data, stride: 0 }),
         },
         out,
     );
@@ -276,8 +279,23 @@ pub fn active_cols<'w>(
     beta: f32,
     out: &mut [f32],
 ) {
-    let (b, w) = (set.block_size, w.into());
-    let width = set.active_neurons();
+    cols(x, rows, w.into(), d, set, beta, None, out)
+}
+
+/// [`active_cols`] with each block's [`Bias`] window added after its
+/// complete product.
+#[allow(clippy::too_many_arguments)]
+fn cols(
+    x: &[f32],
+    rows: usize,
+    w: BOperand<'_>,
+    d: usize,
+    set: &NeuronBlockSet,
+    beta: f32,
+    bias: Option<Bias<'_>>,
+    out: &mut [f32],
+) {
+    let (b, width) = (set.block_size, set.active_neurons());
     assert_eq!(x.len(), rows * d, "active cols: x is rows×d");
     debug_assert_eq!(
         w.len(),
@@ -296,6 +314,7 @@ pub fn active_cols<'w>(
             c_stride: b,
             beta,
             table: &set.cols,
+            bias,
         },
         out,
     );
@@ -315,7 +334,7 @@ pub fn fc1_backward_input<'w>(
     debug_assert_eq!(w1t.len(), set.total_neurons() * d_in);
     assert_eq!(dz.len(), rows * set.active_neurons());
     assert_eq!(dx.len(), rows * d_in);
-    active_sum(dz, rows, w1t, d_in, set, dx);
+    active_sum(dz, rows, w1t, d_in, set, None, dx);
 }
 
 /// `dW_blk += G_blkᵀ · X` for every active block: `g` is the compact
@@ -334,6 +353,7 @@ fn grad_slabs(g: &[f32], x: &[f32], rows: usize, d: usize, set: &NeuronBlockSet,
             c_stride: b * d,
             beta: 1.0,
             table: &set.slabs,
+            bias: None,
         },
         dw,
     );
@@ -503,9 +523,9 @@ mod tests {
 
     #[test]
     fn fc2_bias_follows_the_complete_product() {
-        // The bias is added once the active blocks have all accumulated, as a
-        // fused bias epilogue would: bitwise the bias-free product followed
-        // by a bias pass, never the bias folded in ahead of the first block.
+        // The bias is added once the active blocks have all accumulated:
+        // bitwise the bias-free product followed by a bias pass, never the
+        // bias folded in ahead of the first block.
         // Blocks of 288 neurons span more than one kc block, so the kernel
         // carries C between k-blocks, where the order would show.
         let (b, blocks) = (288, 3);
@@ -524,6 +544,52 @@ mod tests {
         }
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&y), bits(&expect));
+    }
+
+    #[test]
+    fn fc1_bias_follows_the_complete_product() {
+        // Each active block takes its own bias window once its product is
+        // complete: bitwise the bias-free product followed by a bias pass.
+        // `d_in` spans two kc blocks, so C is carried between k-blocks.
+        let d_in = 300;
+        let set = NeuronBlockSet::from_indices(vec![0, 2, 3], H / B, B);
+        let width = set.active_neurons();
+        let x = randn_vec(ROWS * d_in, 1.0, 27);
+        let w1t = randn_vec(H * d_in, 1.0, 28);
+        let bias = randn_vec(H, 3.0, 29);
+        let mut z = vec![f32::NAN; ROWS * width];
+        fc1_forward(&x, ROWS, &w1t, d_in, Some(&bias), &set, &mut z);
+        let mut expect = vec![f32::NAN; ROWS * width];
+        fc1_forward(&x, ROWS, &w1t, d_in, None, &set, &mut expect);
+        for row in expect.chunks_exact_mut(width) {
+            for (blk, &a) in row.chunks_exact_mut(B).zip(&set.active) {
+                for (v, &bv) in blk.iter_mut().zip(&bias[a as usize * B..]) {
+                    *v += bv;
+                }
+            }
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&z), bits(&expect));
+    }
+
+    /// A bias covering only the active blocks is still the wrong length.
+    #[test]
+    #[should_panic(expected = "fc1: one bias per neuron")]
+    fn fc1_rejects_a_bias_shorter_than_every_neuron() {
+        let set = NeuronBlockSet::from_indices(vec![0], H / B, B);
+        let x = randn_vec(ROWS * D_IN, 1.0, 30);
+        let mut z = vec![0.0; ROWS * B];
+        fc1_forward(&x, ROWS, &w1t(31), D_IN, Some(&[0.0; B]), &set, &mut z);
+    }
+
+    #[test]
+    #[should_panic(expected = "fc2: bias is d_out long")]
+    fn fc2_rejects_a_short_bias() {
+        let set = NeuronBlockSet::all(H / B, B);
+        let a = randn_vec(ROWS * H, 1.0, 32);
+        let w2 = randn_vec(H * D_OUT, 1.0, 33);
+        let mut y = vec![0.0; ROWS * D_OUT];
+        fc2_forward(&a, ROWS, &w2, D_OUT, Some(&[0.0; D_OUT - 1]), &set, &mut y);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 
 use crate::{BRef, Tensor};
 use lx_kernels::GemmOp;
-// Fused post-GEMM epilogue (bias at write-back) and operand
-// layout; re-exported so model-layer callers need no direct lx-kernels dep.
-pub use lx_kernels::{Epilogue, Layout};
+// Operand layout; re-exported so model-layer callers need no direct
+// lx-kernels dep.
+pub use lx_kernels::Layout;
 
 /// `C[m,n] = A[m,k] · B[k,n] + beta·C`.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
@@ -40,7 +40,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(b.len(), k * n, "gemm_tn: B size");
     assert_eq!(c.len(), m * n, "gemm_tn: C size");
     let op = GemmOp::contiguous(m, k, n, a, Layout::Transposed, b, Layout::Normal);
-    lx_kernels::backend().gemm(&op, c, n.max(1), beta, Epilogue::None);
+    lx_kernels::backend().gemm(&op, c, n.max(1), beta);
 }
 
 /// `A[m,k] · B` on the trailing-2-D views, with `B` in **any storage** — a
@@ -49,15 +49,8 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 ///
 /// A reduced-stored B decodes to f32 inside the kernel (pack-time for the
 /// packed backend) and all accumulation stays f32, so the result matches
-/// decoding B up front. `ep` is applied at kernel write-back, bit-identical
-/// to the plain product followed by the equivalent bias/activation passes,
-/// minus those passes' memory traffic.
-pub fn matmul<'b>(
-    a: &Tensor,
-    b: impl Into<BRef<'b>>,
-    b_layout: Layout,
-    ep: Epilogue<'_>,
-) -> Tensor {
+/// decoding B up front.
+pub fn matmul<'b>(a: &Tensor, b: impl Into<BRef<'b>>, b_layout: Layout) -> Tensor {
     let b = b.into();
     let (m, k) = (a.rows(), a.cols());
     let (kb, n) = match b_layout {
@@ -74,7 +67,7 @@ pub fn matmul<'b>(
     // Every element is written: beta 0 never reads C.
     let mut c = Tensor::scratch(&[m, n]);
     let op = GemmOp::contiguous(m, k, n, a.as_slice(), Layout::Normal, b.operand(), b_layout);
-    lx_kernels::backend().gemm(&op, c.as_mut_slice(), n.max(1), 0.0, ep);
+    lx_kernels::backend().gemm(&op, c.as_mut_slice(), n.max(1), 0.0);
     c
 }
 
@@ -192,6 +185,19 @@ mod tests {
     const NN: Layout = Layout::Normal;
     const NT: Layout = Layout::Transposed;
 
+    /// [`matmul`] with `bias` carried by the op into the write-back, as
+    /// `Linear` runs its forward.
+    fn matmul_bias<'b>(a: &Tensor, b: impl Into<BRef<'b>>, layout: Layout, bias: &[f32]) -> Tensor {
+        let (m, k, n) = (a.rows(), a.cols(), bias.len());
+        let mut c = Tensor::scratch(&[m, n]);
+        let op = GemmOp {
+            bias: Some(bias),
+            ..GemmOp::contiguous(m, k, n, a.as_slice(), NN, b.into().operand(), layout)
+        };
+        lx_kernels::backend().gemm(&op, c.as_mut_slice(), n, 0.0);
+        c
+    }
+
     fn assert_bits(a: &Tensor, b: &Tensor) {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -203,10 +209,10 @@ mod tests {
     fn tensor_wrappers_shapes() {
         let a = Tensor::randn(&[6, 4], 1.0, 11);
         let b = Tensor::randn(&[4, 5], 1.0, 12);
-        let c = matmul(&a, &b, NN, Epilogue::None);
+        let c = matmul(&a, &b, NN);
         assert_eq!(c.shape(), &[6, 5]);
         let bt = b.transposed_2d();
-        let c2 = matmul(&a, &bt, NT, Epilogue::None);
+        let c2 = matmul(&a, &bt, NT);
         assert_close(c.as_slice(), c2.as_slice(), 1e-4);
         let at = a.transposed_2d();
         let c3 = matmul_tn(&at, &b);
@@ -223,11 +229,11 @@ mod tests {
             for (stored, layout) in [(b.clone(), NN), (b.transposed_2d(), NT)] {
                 let r = Reduced::from_tensor(&stored, dtype);
                 let decoded = BRef::from(&r).to_tensor();
-                let oracle = matmul(&a, &decoded, layout, Epilogue::None);
-                let c = matmul(&a, &r, layout, Epilogue::None);
+                let oracle = matmul(&a, &decoded, layout);
+                let c = matmul(&a, &r, layout);
                 assert_close(c.as_slice(), oracle.as_slice(), 1e-4);
-                // Fused epilogue form against its own unfused twin.
-                let fused = matmul(&a, &r, layout, Epilogue::Bias(&bias));
+                // Fused bias against its own unfused twin.
+                let fused = matmul_bias(&a, &r, layout, &bias);
                 let mut unfused = c;
                 crate::ops::add_bias_rows(&mut unfused, &bias);
                 assert_bits(&fused, &unfused);
@@ -242,14 +248,14 @@ mod tests {
         let b = Tensor::randn(&[33, 12], 1.0, 18);
         let bias = crate::rng::randn_vec(12, 1.0, 19);
         // Bias-only fusion.
-        let fused = matmul(&a, &b, NN, Epilogue::Bias(&bias));
-        let mut unfused = matmul(&a, &b, NN, Epilogue::None);
+        let fused = matmul_bias(&a, &b, NN, &bias);
+        let mut unfused = matmul(&a, &b, NN);
         add_bias_rows(&mut unfused, &bias);
         assert_bits(&fused, &unfused);
         // nt form against its own unfused twin.
         let bt = b.transposed_2d();
-        let fused_nt = matmul(&a, &bt, NT, Epilogue::Bias(&bias));
-        let mut unfused_nt = matmul(&a, &bt, NT, Epilogue::None);
+        let fused_nt = matmul_bias(&a, &bt, NT, &bias);
+        let mut unfused_nt = matmul(&a, &bt, NT);
         add_bias_rows(&mut unfused_nt, &bias);
         assert_bits(&fused_nt, &unfused_nt);
     }
@@ -258,7 +264,7 @@ mod tests {
     fn degenerate_dims() {
         let a = Tensor::randn(&[1, 8], 1.0, 13);
         let b = Tensor::randn(&[8, 1], 1.0, 14);
-        let c = matmul(&a, &b, NN, Epilogue::None);
+        let c = matmul(&a, &b, NN);
         assert_eq!(c.shape(), &[1, 1]);
         let expect: f32 = a
             .as_slice()

@@ -238,9 +238,9 @@ fn non_test_source(rel: &str) -> String {
 
 #[test]
 fn per_dtype_gemm_fan_out_stays_retired() {
-    // The one-GEMM-entry-point contract: storage format, layout and epilogue
-    // are *data* (`BOperand`, `Layout`, `Epilogue`), never method names. The
-    // per-(dtype, layout, ±epilogue) families must not drift back at any
+    // The one-GEMM-entry-point contract: storage format, layout and bias
+    // are *data* (`BOperand`, `Layout`, `GemmOp::bias`), never method names.
+    // The per-(dtype, layout, ±bias) families must not drift back at any
     // layer of the stack. Enum variants are not items, so the non-test
     // sources of the same crates are searched as well, plus the experiment
     // crate that used to consume the retired plans.
@@ -745,6 +745,37 @@ fn one_mlp_path() {
                 file.display()
             );
         }
+    }
+}
+
+#[test]
+fn one_bias_mechanism() {
+    // One bias mechanism: a plain product's op and each run of a grouped
+    // launch carry their own bias into the write-back. The epilogue enum and
+    // its standalone pass, the one-run restriction they imposed, and the
+    // neuron operators' separate bias loops must not grow back.
+    // Needles assembled here so this file does not match itself.
+    let retired = [
+        format!("{}logue", "Epi"),
+        format!("apply_{}", "epilogue"),
+        format!("may carry an {}", "epilogue"),
+    ];
+    for file in rust_files("crates") {
+        let src = std::fs::read_to_string(&file).expect("read source");
+        for needle in &retired {
+            assert!(
+                !src.contains(needle.as_str()),
+                "{}: retired `{needle}` resurfaced",
+                file.display()
+            );
+        }
+    }
+    let neuron = non_test_source("crates/sparse/src/neuron.rs");
+    for needle in [format!(".zip({}", "bias"), format!("+= {}", "bv")] {
+        assert!(
+            !neuron.contains(needle.as_str()),
+            "neuron.rs: a bias loop (`{needle}`) resurfaced beside the launch's bias"
+        );
     }
 }
 

@@ -19,7 +19,7 @@
 //! it cannot are named on stderr.
 
 use lx_kernels::half::{decode_slice, f16_bits_to_f32, f32_to_f16_bits};
-use lx_kernels::{decode, BOperand, Epilogue, GemmOp, Isa, KernelBackend, Q4View, PACKED};
+use lx_kernels::{decode, BOperand, GemmOp, Isa, KernelBackend, Q4View, PACKED};
 use lx_tensor::rng::randn_vec;
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
 
@@ -161,7 +161,7 @@ fn reduced_b_products_equal_their_decoded_f32_twins() {
                         GemmOp::nn(m, k, n, &a, k, b, ldb)
                     };
                     let mut c = vec![0.0f32; m * n];
-                    PACKED.gemm(&op, &mut c, n, 0.0, Epilogue::None);
+                    PACKED.gemm(&op, &mut c, n, 0.0);
                     c
                 };
                 let what = format!(

@@ -1,11 +1,11 @@
 //! Differential property tests, table-driven through the single
 //! [`KernelBackend::gemm`] entry point: one grid over B-operand storage kind
-//! × B layout × epilogue × backend × (contiguous | strided) C. The `Packed`
+//! × B layout × bias × backend × (contiguous | strided) C. The `Packed`
 //! backend (including its runtime-detected SIMD microkernel, when the host
 //! has one) must match the `Reference` scalar oracle bit-tolerantly (≤1e-4
 //! relative) on every cell, across odd and degenerate shapes; each
 //! backend's reduced-storage cells against its own f32 kernel on the decoded
-//! B, fused-vs-unfused epilogues and parallel-vs-sequential runs must match
+//! B, fused-vs-unfused biases and parallel-vs-sequential runs must match
 //! **bitwise**. The grouped entry point
 //! ([`KernelBackend::gemm_grouped`]) has its own grid: `Packed` grouped vs
 //! the `Reference` per-task loop over the six offset-table shapes the sparse
@@ -14,7 +14,8 @@
 //! tile, K-merged runs, the folded beta), bitwise equality of one group
 //! across sequential mode, private pools of 1, 2 and 4 threads, and every
 //! FMA microkernel arm, and of an f16 / NF4 B (the neuron slabs) with its
-//! decoded f32 twin. The
+//! decoded f32 twin. A launch carrying a bias per run equals the same launch
+//! without it followed by a plain bias pass over each run, bitwise. The
 //! block-sparse / neuron-sparse operators themselves ride along at the
 //! bottom.
 //!
@@ -22,8 +23,8 @@
 //! deterministic sweeps reproduce exactly in CI.
 
 use lx_kernels::{
-    BOperand, Epilogue, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Observed,
-    Windows, MR, NR, PACKED, REFERENCE,
+    BOperand, Bias, GemmGroup, GemmOp, GemmTable, Isa, KernelBackend, Layout, Observed, Windows,
+    MR, NR, PACKED, REFERENCE,
 };
 use lx_parallel::ThreadPool;
 use lx_sparse::attention::{block_data_to_dense, dsd, dsd_tn, sdd_nt, CausalFill};
@@ -114,7 +115,7 @@ impl BMat {
     }
 }
 
-/// Contiguous `A·op(B)` with `beta`/`ep` into a copy of `c0`.
+/// Contiguous `A·op(B)` with `beta` and `bias` into a copy of `c0`.
 #[allow(clippy::too_many_arguments)]
 fn product<'a>(
     be: &dyn KernelBackend,
@@ -124,20 +125,23 @@ fn product<'a>(
     b_layout: Layout,
     c0: &[f32],
     beta: f32,
-    ep: Epilogue<'_>,
+    bias: Option<&[f32]>,
 ) -> Vec<f32> {
     let mut c = c0.to_vec();
-    let op = GemmOp::contiguous(m, k, n, a, Layout::Normal, b, b_layout);
-    be.gemm(&op, &mut c, n.max(1), beta, ep);
+    let op = GemmOp {
+        bias,
+        ..GemmOp::contiguous(m, k, n, a, Layout::Normal, b, b_layout)
+    };
+    be.gemm(&op, &mut c, n.max(1), beta);
     c
 }
 
-/// Apply `ep` to an `m×n` window of `c` (row stride `ldc`) the way the
+/// Add `bias` to an `m×n` window of `c` (row stride `ldc`) the way the
 /// pre-fusion model code did: a full bias pass. The fused write-back must
 /// reproduce this bit-for-bit — per element the same scalar ops in the same
 /// order.
-fn manual_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, ep: Epilogue<'_>) {
-    let Epilogue::Bias(bias) = ep else {
+fn manual_epilogue(c: &mut [f32], m: usize, n: usize, ldc: usize, bias: Option<&[f32]>) {
+    let Some(bias) = bias else {
         return;
     };
     for r in 0..m {
@@ -175,7 +179,7 @@ fn packed_matches_reference_on_operand_grid() {
                         let dec = b.decoded();
                         let what = format!("{kind:?} {layout:?} {m}x{k}x{n}");
                         let run = |be: &dyn KernelBackend, b: BOperand<'_>| {
-                            product(be, dims, &a, b, layout, &c0, beta, Epilogue::None)
+                            product(be, dims, &a, b, layout, &c0, beta, None)
                         };
                         let want = run(&REFERENCE, BOperand::F32(&dec));
                         for be in BACKENDS {
@@ -192,8 +196,8 @@ fn packed_matches_reference_on_operand_grid() {
                 let b_tn = randn_vec(k * n, 1.0, seed + 4000);
                 let op = GemmOp::tn(m, k, n, &a_tn, m.max(1), &b_tn[..], n.max(1));
                 let (mut c_ref, mut c_packed) = (c0.clone(), c0.clone());
-                REFERENCE.gemm(&op, &mut c_ref, n.max(1), 1.0, Epilogue::None);
-                PACKED.gemm(&op, &mut c_packed, n.max(1), 1.0, Epilogue::None);
+                REFERENCE.gemm(&op, &mut c_ref, n.max(1), 1.0);
+                PACKED.gemm(&op, &mut c_packed, n.max(1), 1.0);
                 assert_close(&format!("tn {m}x{k}x{n}"), &c_packed, &c_ref);
             }
         }
@@ -213,8 +217,8 @@ fn packed_matches_reference_on_strided_views() {
         let strided_a = GemmOp::nn(rows, b, d, &act[block * b..], width, &w[..], d);
         let mut c_ref = vec![0.0; rows * d];
         let mut c_packed = vec![0.0; rows * d];
-        REFERENCE.gemm(&strided_a, &mut c_ref, d, 0.0, Epilogue::None);
-        PACKED.gemm(&strided_a, &mut c_packed, d, 0.0, Epilogue::None);
+        REFERENCE.gemm(&strided_a, &mut c_ref, d, 0.0);
+        PACKED.gemm(&strided_a, &mut c_packed, d, 0.0);
         assert_close(&format!("strided block {block}"), &c_packed, &c_ref);
 
         // Strided C: write one block column of a wide output.
@@ -222,14 +226,8 @@ fn packed_matches_reference_on_strided_views() {
         let mut y_packed = vec![0.0; rows * width];
         let op_ref = GemmOp::nt(rows, d, b, &c_ref, d, &wt[..], d);
         let op_packed = GemmOp::nt(rows, d, b, &c_packed, d, &wt[..], d);
-        REFERENCE.gemm(&op_ref, &mut y_ref[block * b..], width, 0.0, Epilogue::None);
-        PACKED.gemm(
-            &op_packed,
-            &mut y_packed[block * b..],
-            width,
-            0.0,
-            Epilogue::None,
-        );
+        REFERENCE.gemm(&op_ref, &mut y_ref[block * b..], width, 0.0);
+        PACKED.gemm(&op_packed, &mut y_packed[block * b..], width, 0.0);
         assert_close(&format!("strided C block {block}"), &y_packed, &y_ref);
     }
 }
@@ -242,18 +240,7 @@ fn large_shape_stays_within_tolerance() {
     let a = randn_vec(70 * 600, 1.0, 11);
     let b = randn_vec(600 * 70, 1.0, 12);
     let c0 = vec![0.0; 70 * 70];
-    let run = |be| {
-        product(
-            be,
-            dims,
-            &a,
-            &b[..],
-            Layout::Normal,
-            &c0,
-            0.0,
-            Epilogue::None,
-        )
-    };
+    let run = |be| product(be, dims, &a, &b[..], Layout::Normal, &c0, 0.0, None);
     assert_close("large gemm", &run(&PACKED), &run(&REFERENCE));
 }
 
@@ -287,21 +274,13 @@ fn fused_epilogues_match_unfused_composition_bitwise() {
                         let beta = if layout == Layout::Normal { 0.5 } else { 0.0 };
                         let b = BMat::random(kind, layout, k, n, seed + 1000);
                         for be in BACKENDS {
-                            let ep = Epilogue::Bias(&bias);
-                            let mut want = product(
-                                be,
-                                dims,
-                                &a,
-                                b.operand(),
-                                layout,
-                                &c0,
-                                beta,
-                                Epilogue::None,
-                            );
-                            manual_epilogue(&mut want, m, n, n, ep);
-                            let got = product(be, dims, &a, b.operand(), layout, &c0, beta, ep);
+                            let run =
+                                |bias| product(be, dims, &a, b.operand(), layout, &c0, beta, bias);
+                            let mut want = run(None);
+                            manual_epilogue(&mut want, m, n, n, Some(&bias));
+                            let got = run(Some(&bias));
                             assert_bits(
-                                &format!("{} {kind:?} {layout:?} {m}x{k}x{n} {ep:?}", be.name()),
+                                &format!("{} {kind:?} {layout:?} {m}x{k}x{n} bias", be.name()),
                                 &got,
                                 &want,
                             );
@@ -329,23 +308,26 @@ fn strided_c_views_are_respected_bitwise_on_both_paths() {
         let dec = w.decoded();
         for be in BACKENDS {
             for block in 0..width / b {
-                let window = |operand: BOperand<'_>, ep: Epilogue<'_>| {
+                let window = |operand: BOperand<'_>, bias| {
                     let mut slab = vec![1.0f32; rows * width];
-                    let op = GemmOp::nt(rows, d, b, &act, d, operand, d);
-                    be.gemm(&op, &mut slab[block * b..], width, 0.0, ep);
+                    let op = GemmOp {
+                        bias,
+                        ..GemmOp::nt(rows, d, b, &act, d, operand, d)
+                    };
+                    be.gemm(&op, &mut slab[block * b..], width, 0.0);
                     slab
                 };
-                for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
-                    let what = format!("{} {kind:?} block {block} {ep:?}", be.name());
+                for bias in [None, Some(&bias[..])] {
+                    let what = format!("{} {kind:?} block {block} {bias:?}", be.name());
                     // Oracle: the same backend's f32 kernel on the decoded
                     // B, then the unfused passes. The fused decode hands the
                     // kernel the very same f32 operand values, so this is
                     // bitwise for every kind.
-                    let mut want = window(BOperand::F32(&dec), Epilogue::None);
-                    manual_epilogue(&mut want[block * b..], rows, b, width, ep);
-                    let got_seq = lx_kernels::with_sequential(|| window(w.operand(), ep));
+                    let mut want = window(BOperand::F32(&dec), None);
+                    manual_epilogue(&mut want[block * b..], rows, b, width, bias);
+                    let got_seq = lx_kernels::with_sequential(|| window(w.operand(), bias));
                     assert_bits(&format!("{what} seq"), &got_seq, &want);
-                    let got_par = window(w.operand(), ep);
+                    let got_par = window(w.operand(), bias);
                     assert_bits(&format!("{what} par"), &got_par, &want);
                 }
             }
@@ -376,14 +358,15 @@ fn parallel_packed_is_bit_identical_to_sequential() {
                 for kind in KINDS {
                     for layout in LAYOUTS {
                         let b = BMat::random(kind, layout, k, n, seed + 1000);
-                        for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
+                        for bias in [None, Some(&bias[..])] {
                             let run = || {
-                                product(&PACKED, (m, k, n), &a, b.operand(), layout, &c0, 0.5, ep)
+                                product(&PACKED, (m, k, n), &a, b.operand(), layout, &c0, 0.5, bias)
                             };
                             let c_seq = lx_kernels::with_sequential(run);
                             let c_par = run();
+                            let with = if bias.is_some() { "bias" } else { "no bias" };
                             assert_bits(
-                                &format!("par vs seq {kind:?} {layout:?} {m}x{k}x{n} {ep:?}"),
+                                &format!("par vs seq {kind:?} {layout:?} {m}x{k}x{n} {with}"),
                                 &c_par,
                                 &c_seq,
                             );
@@ -429,16 +412,7 @@ fn gemm_inside_every_worker_takes_the_sequential_path() {
     let gemm = |i: usize| {
         let (a, b) = inputs(i);
         let c0 = vec![0.0f32; dims.0 * dims.2];
-        product(
-            &PACKED,
-            dims,
-            &a,
-            &b[..],
-            Layout::Normal,
-            &c0,
-            0.0,
-            Epilogue::None,
-        )
+        product(&PACKED, dims, &a, &b[..], Layout::Normal, &c0, 0.0, None)
     };
     // One pool task per index, so every worker gets GEMM work.
     for (i, got) in pool_tasks(tasks, gemm).into_iter().enumerate() {
@@ -465,7 +439,7 @@ fn transposed_a_with_non_f32_or_transposed_b_is_rejected() {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let op =
                         GemmOp::contiguous(m, k, n, &a, Layout::Transposed, b.operand(), layout);
-                    be.gemm(&op, &mut vec![0.0; m * n], n, 0.0, Epilogue::None);
+                    be.gemm(&op, &mut vec![0.0; m * n], n, 0.0);
                 }));
                 let payload = result.expect_err("unsupported combination must panic");
                 let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -521,7 +495,7 @@ fn observed_attributes_every_dtype_label_from_the_operand() {
             Layout::Normal,
             &c0,
             0.0,
-            Epilogue::None,
+            None,
         );
         let group = GemmGroup {
             m,
@@ -533,6 +507,7 @@ fn observed_attributes_every_dtype_label_from_the_operand() {
             c_stride: 0,
             beta: 0.0,
             table: &table,
+            bias: None,
         };
         OBSERVED.gemm_grouped(&group, &mut c0.clone());
         for (j, counter) in counters.iter().enumerate() {
@@ -604,8 +579,7 @@ fn runtime_backend_runs_every_shape_on_packed() {
                 let what = format!("{m}x{k}x{n} {kind:?} {layout:?}");
                 let b = BMat::random(kind, layout, k, n, 953 + n as u64);
                 let run = |be: &dyn KernelBackend| {
-                    let ep = Epilogue::None;
-                    product(be, (m, k, n), &a, b.operand(), layout, &c0, 1.0, ep)
+                    product(be, (m, k, n), &a, b.operand(), layout, &c0, 1.0, None)
                 };
                 let want = run(&PACKED);
                 expect_packed(&what, class, kind, &|| {
@@ -629,6 +603,7 @@ fn runtime_backend_runs_every_shape_on_packed() {
         c_stride: m * n,
         c_len: tasks as usize * m * n,
         table: GemmTable::each((0..tasks).map(|t| (t, t % 3, t))),
+        bias: None,
     };
     for beta in [0.0f32, 1.0] {
         let want = group.run(beta, |view, c| PACKED.gemm_grouped(view, c));
@@ -643,7 +618,8 @@ fn runtime_backend_runs_every_shape_on_packed() {
 // ---- Grouped GEMM --------------------------------------------------------
 
 /// One grouped launch: the operand buffers, the offset table, and an initial
-/// C, in one of the six forms the sparse operators issue.
+/// C, in one of the forms the sparse operators issue.
+#[derive(Clone)]
 struct Group {
     what: String,
     m: usize,
@@ -657,6 +633,8 @@ struct Group {
     c_stride: usize,
     c_len: usize,
     table: GemmTable,
+    /// Per-run bias and its window stride, when the launch carries one.
+    bias: Option<(Vec<f32>, usize)>,
 }
 
 impl Group {
@@ -679,7 +657,49 @@ impl Group {
             c_stride: self.c_stride,
             beta,
             table: &self.table,
+            bias: self.bias.as_ref().map(|(data, stride)| Bias {
+                data,
+                stride: *stride,
+            }),
         }
+    }
+
+    /// This group carrying a random bias whose windows lie `stride` apart.
+    fn biased(&self, stride: usize, seed: u64) -> Group {
+        let last = self
+            .table
+            .b_windows()
+            .iter()
+            .max()
+            .map_or(0, |&w| w as usize);
+        let data = randn_vec(last * stride + self.n, 2.0, seed);
+        Group {
+            what: format!("{} bias stride {stride}", self.what),
+            bias: Some((data, stride)),
+            ..self.clone()
+        }
+    }
+
+    /// `launch` over this (biased) group against `launch` over it without
+    /// its bias followed by [`bias_pass`], bitwise.
+    fn assert_bias_rides(
+        &self,
+        what: &str,
+        beta: f32,
+        launch: impl Fn(&GemmGroup<'_>, &mut [f32]),
+    ) {
+        let got = self.run(beta, &launch);
+        let want = self.run(beta, |view, c| {
+            launch(
+                &GemmGroup {
+                    bias: None,
+                    ..*view
+                },
+                c,
+            );
+            bias_pass(view, c);
+        });
+        assert_bits(&format!("{what} {}", self.what), &got, &want);
     }
 
     /// Launch over a C pre-filled with NaN (`beta = 0` must not leak it) or
@@ -690,6 +710,21 @@ impl Group {
         // Windows no task writes keep their NaN; compare them as a sentinel.
         c.iter_mut().filter(|v| v.is_nan()).for_each(|v| *v = -7.0);
         c
+    }
+}
+
+/// The plain bias pass a launch carrying `g.bias` must equal: each non-empty
+/// run's C window takes the bias window of its first task's B window.
+fn bias_pass(g: &GemmGroup<'_>, c: &mut [f32]) {
+    let Some(Bias { data, stride }) = g.bias else {
+        return;
+    };
+    let table = g.table;
+    for run in table.runs().windows(2).filter(|r| r[0] < r[1]) {
+        let first = table.tasks()[run[0] as usize];
+        let bias = &data[table.b_windows()[first.b as usize] as usize * stride..];
+        let window = &mut c[first.c as usize * g.c_stride..];
+        manual_epilogue(window, g.m, g.n, g.ldc, Some(bias));
     }
 }
 
@@ -740,6 +775,7 @@ fn attention_groups(b: usize, dh: usize, coords: &[(u32, u32)], seed: u64) -> Ve
             c_stride: b * b,
             c_len: coords.len() * b * b,
             table: GemmTable::each(csr().map(|(e, (br, bc))| (br, bc, e))),
+            bias: None,
         },
         Group {
             what: format!("dsd b={b} dh={dh}"),
@@ -757,6 +793,7 @@ fn attention_groups(b: usize, dh: usize, coords: &[(u32, u32)], seed: u64) -> Ve
                 csr().map(|(e, (br, bc))| (e, bc, br)),
                 run_table(coords, GRID, |c| c.0),
             ),
+            bias: None,
         },
         Group {
             what: format!("dsd_tn b={b} dh={dh}"),
@@ -774,14 +811,16 @@ fn attention_groups(b: usize, dh: usize, coords: &[(u32, u32)], seed: u64) -> Ve
                 csc.iter().map(|&(e, (br, bc))| (e, br, bc)),
                 run_table(coords, GRID, |c| c.1),
             ),
+            bias: None,
         },
     ]
 }
 
-/// The three neuron-slab forms over `rows` activations, slab width `b` and
-/// model width `d`, with `active` of `total` slabs: shared-A column windows
-/// (`cols`), one accumulating run (`sum`), and shared-B gradient slabs
-/// (`slabs`).
+/// The neuron-slab forms over `rows` activations, slab width `b` and model
+/// width `d`, with `active` of `total` slabs: shared-A column windows
+/// (`cols`, side by side, so the launch widens them into one product; and
+/// `narrow cols`, a free column after each, so it does not), one
+/// accumulating run (`sum`), and shared-B gradient slabs (`slabs`).
 fn neuron_groups(rows: usize, b: usize, d: usize, active: &[u32], seed: u64) -> Vec<Group> {
     let total = *active.iter().max().expect("active slabs") as usize + 1;
     let width = active.len() * b;
@@ -803,6 +842,22 @@ fn neuron_groups(rows: usize, b: usize, d: usize, active: &[u32], seed: u64) -> 
             c_stride: b,
             c_len: rows * width,
             table: GemmTable::each(blocks().map(|(ai, blk)| (0, blk, ai))),
+            bias: None,
+        },
+        Group {
+            what: format!("narrow cols rows={rows} b={b} d={d}"),
+            m: rows,
+            k: d,
+            n: b,
+            a: x.clone(),
+            a_win: (d, 0, Layout::Normal),
+            b: w.clone(),
+            b_win: (d, b * d, Layout::Transposed),
+            ldc: width + active.len(),
+            c_stride: b + 1,
+            c_len: rows * (width + active.len()),
+            table: GemmTable::each(blocks().map(|(ai, blk)| (0, blk, ai))),
+            bias: None,
         },
         Group {
             what: format!("sum rows={rows} b={b} d={d}"),
@@ -820,6 +875,7 @@ fn neuron_groups(rows: usize, b: usize, d: usize, active: &[u32], seed: u64) -> 
                 blocks().map(|(ai, blk)| (ai, blk, 0)),
                 vec![0, active.len() as u32],
             ),
+            bias: None,
         },
         Group {
             what: format!("slabs rows={rows} b={b} d={d}"),
@@ -834,6 +890,7 @@ fn neuron_groups(rows: usize, b: usize, d: usize, active: &[u32], seed: u64) -> 
             c_stride: b * d,
             c_len: total * b * d,
             table: GemmTable::each(blocks().map(|(ai, blk)| (ai, 0, blk))),
+            bias: None,
         },
     ]
 }
@@ -952,7 +1009,10 @@ fn chain_oracle(g: &Group, beta: f32, fused: bool) -> Vec<f32> {
 /// takes 16-row blocks, f32 B rows are read in place, and `beta` folds into
 /// the first write-back — over b ∈ {4, 8, 16, 32}, dh ∈ {8, 16, 32, 64,
 /// 100} and beta 0 (NaN-poisoned C), 1 and 0.5. The scalar arm is the
-/// unfused definition; every other arm the fused one.
+/// unfused definition; every other arm the fused one. Every form also runs
+/// with a bias per B window, on every arm against itself without the bias
+/// followed by the plain pass: narrow and widened column windows, sorted
+/// regions with an empty run, one accumulating run.
 #[test]
 fn packed_grouped_matches_the_chain_definition_bitwise() {
     let pool = lx_parallel::pool();
@@ -969,12 +1029,17 @@ fn packed_grouped_matches_the_chain_definition_bitwise() {
     let dense: Vec<(u32, u32)> = (0..25u32).map(|i| (i / 5, i % 5)).collect();
     groups.extend(attention_groups(16, 32, &dense, 1));
     let fused = |isa: Option<Isa>| isa.unwrap_or_else(lx_kernels::active_isa) != Isa::Scalar;
-    for g in &groups {
+    for (g, seed) in groups.iter().zip(1u64..) {
+        let biased = g.biased(g.n, seed);
         for beta in [0.0f32, 1.0, 0.5] {
             for isa in arms() {
-                let got = g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c));
+                let launch = |view: &GemmGroup<'_>, c: &mut [f32]| {
+                    PACKED.gemm_grouped_on(pool, isa, view, c)
+                };
+                let got = g.run(beta, launch);
                 let want = chain_oracle(g, beta, fused(isa));
                 assert_bits(&format!("{} beta={beta} {isa:?}", g.what), &got, &want);
+                biased.assert_bias_rides(&format!("beta={beta} {isa:?}"), beta, launch);
             }
         }
     }
@@ -996,6 +1061,7 @@ fn empty_and_degenerate_groups_are_harmless() {
         c_stride: 16,
         beta: 0.5,
         table,
+        bias: None,
     };
     let one = GemmTable::each([(0, 0, 1)]);
     for be in [
@@ -1014,11 +1080,13 @@ fn empty_and_degenerate_groups_are_harmless() {
 
 /// Degenerate shapes never reach a k-loop, on the packed backend and the
 /// observed runtime one alike. With `k == 0` a plain product is its `beta`
-/// scale plus a standalone epilogue, and a grouped launch scales each
-/// non-empty run's C window once (column windows of one matrix, and sorted
-/// regions), leaving the other windows as they are — bitwise what the
-/// reference gives, over a NaN-poisoned C for `beta = 0`. An `m == 0` or
-/// `n == 0` product or launch writes nothing.
+/// scale plus its bias, and a grouped launch scales each non-empty run's C
+/// window once (column windows of one matrix, and sorted regions, with an
+/// empty run between) and adds the run's bias window, leaving the other
+/// windows as they are — bitwise what the reference gives and what the
+/// launch without bias followed by the plain pass gives, over a
+/// NaN-poisoned C for `beta = 0`. An `m == 0` or `n == 0` product or launch
+/// writes nothing.
 #[test]
 fn degenerate_shapes_match_the_reference() {
     let none: &[f32] = &[];
@@ -1033,8 +1101,13 @@ fn degenerate_shapes_match_the_reference() {
     let (m, n, ldc) = (5, 7, 9);
     let bias: Vec<f32> = (0..n).map(|j| j as f32 - 2.5).collect();
     // Columns: C windows 0 and 2 of a 4-row, 12-wide matrix (window 1 is
-    // never written). Regions: one 4x4 block per window.
-    let table = GemmTable::new([(0, 0, 0), (1, 1, 0), (0, 0, 2)], vec![0, 2, 2, 3]);
+    // never written). Regions: one 4x4 block per window. The runs start at
+    // B windows 0 and 1, whose biases lie 3 apart.
+    let table = GemmTable::new([(0, 0, 0), (1, 1, 0), (0, 1, 2)], vec![0, 2, 2, 3]);
+    let run_bias = Bias {
+        data: &bias[..],
+        stride: 3,
+    };
     let group = |beta, (ldc, c_stride)| GemmGroup {
         m: 4,
         k: 0,
@@ -1045,28 +1118,48 @@ fn degenerate_shapes_match_the_reference() {
         c_stride,
         beta,
         table: &table,
+        bias: None,
     };
     for beta in [0.0f32, 0.5, 1.0] {
-        for ep in [Epilogue::None, Epilogue::Bias(&bias)] {
-            let op = GemmOp::nn(m, 0, n, none, 0, none, n);
+        for bias in [None, Some(&bias[..])] {
+            let op = GemmOp {
+                bias,
+                ..GemmOp::nn(m, 0, n, none, 0, none, n)
+            };
             let mut want = start(beta, (m - 1) * ldc + n);
-            REFERENCE.gemm(&op, &mut want, ldc, beta, ep);
+            REFERENCE.gemm(&op, &mut want, ldc, beta);
             for be in backends {
                 let mut got = start(beta, want.len());
-                be.gemm(&op, &mut got, ldc, beta, ep);
-                let what = format!("{}: k = 0, beta {beta}, {ep:?}", be.name());
+                be.gemm(&op, &mut got, ldc, beta);
+                let what = format!("{}: k = 0, beta {beta}, {bias:?}", be.name());
                 assert_bits(&what, &got, &want);
             }
         }
         for (shape, dims) in [("columns", (12, 4)), ("regions", (4, 16))] {
-            let g = group(beta, dims);
-            let mut want = start(beta, 48);
-            REFERENCE.gemm_grouped(&g, &mut want);
-            for be in backends {
-                let mut got = start(beta, 48);
-                be.gemm_grouped(&g, &mut got);
-                let what = format!("{}: grouped k = 0 {shape}, beta {beta}", be.name());
-                assert_bits(&what, &got, &want);
+            for bias in [None, Some(run_bias)] {
+                let g = GemmGroup {
+                    bias,
+                    ..group(beta, dims)
+                };
+                let mut want = start(beta, 48);
+                REFERENCE.gemm_grouped(&g, &mut want);
+                let mut plain = start(beta, 48);
+                PACKED.gemm_grouped(&GemmGroup { bias: None, ..g }, &mut plain);
+                bias_pass(&g, &mut plain);
+                assert_bits(
+                    &format!("grouped k = 0 {shape}, beta {beta}, bias pass"),
+                    &plain,
+                    &want,
+                );
+                for be in backends {
+                    let mut got = start(beta, 48);
+                    be.gemm_grouped(&g, &mut got);
+                    let what = format!(
+                        "{}: grouped k = 0 {shape}, beta {beta}, {bias:?}",
+                        be.name()
+                    );
+                    assert_bits(&what, &got, &want);
+                }
             }
         }
     }
@@ -1075,7 +1168,15 @@ fn degenerate_shapes_match_the_reference() {
         for (m, n) in [(0, 4), (3, 0)] {
             let op = GemmOp::nn(m, 4, n, &a, 4, &a[..], n.max(1));
             let mut c = vec![7.0f32; 12];
-            be.gemm(&op, &mut c, 4, 0.0, Epilogue::Bias(&bias));
+            be.gemm(
+                &GemmOp {
+                    bias: Some(&bias),
+                    ..op
+                },
+                &mut c,
+                4,
+                0.0,
+            );
             assert_eq!(c, vec![7.0; 12], "{}: {m}x4x{n} product", be.name());
             let g = GemmGroup {
                 m,
@@ -1094,7 +1195,9 @@ fn degenerate_shapes_match_the_reference() {
 /// One group, one answer: the grouped path fixes the accumulation order of
 /// every C tile from the table alone, so sequential mode, private pools of 1,
 /// 2 and 4 threads (each cuts the runs — or the rows — into different
-/// C-disjoint chunks) and every FMA arm produce the same bits.
+/// C-disjoint chunks) and every FMA arm produce the same bits. On each pool
+/// the bias of every run rides the launch: bitwise the launch without it
+/// followed by the plain pass.
 #[test]
 fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
     let fma: Vec<Option<Isa>> = [Isa::Avx2, Isa::Avx512, Isa::Neon]
@@ -1110,6 +1213,7 @@ fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
     groups.extend(attention_groups(8, 100, &block_coords(5, 702), 702));
     groups.extend(neuron_groups(200, 16, 64, &[0, 1, 2, 5, 6, 9], 703));
     for g in &groups {
+        let biased = g.biased(g.n, 7);
         for beta in [0.0f32, 1.0] {
             let launch = |pool: &ThreadPool, isa| {
                 g.run(beta, |view, c| PACKED.gemm_grouped_on(pool, isa, view, c))
@@ -1120,8 +1224,11 @@ fn grouped_results_are_bitwise_independent_of_threads_partition_and_fma_arm() {
             for isa in std::iter::once(None).chain(fma.iter().copied()) {
                 let want = lx_kernels::with_sequential(|| launch(&pools[0], isa));
                 for pool in &pools {
-                    let what = format!("{} beta={beta} {isa:?} threads={}", g.what, pool.threads());
-                    assert_bits(&what, &launch(pool, isa), &want);
+                    let on = format!("beta={beta} {isa:?} threads={}", pool.threads());
+                    assert_bits(&format!("{} {on}", g.what), &launch(pool, isa), &want);
+                    biased.assert_bias_rides(&on, beta, |view, c| {
+                        PACKED.gemm_grouped_on(pool, isa, view, c)
+                    });
                 }
                 wants.push(want);
             }
@@ -1158,32 +1265,41 @@ fn over<'a>(view: &GemmGroup<'a>, b: BOperand<'a>) -> GemmGroup<'a> {
 /// the pack decodes each window from its flat offset into the whole operand,
 /// so B̃ holds the values the twin's windows hold, and the table alone fixes
 /// every accumulation chain whether B̃ is packed or (the twin's f32 rows a
-/// whole number of tiles wide) read in place. Covers the two table forms
-/// that read weights — `cols` (transposed, run as one wide product) and
-/// `sum` (normal, one accumulating run) — f16 and NF4, every arm this host
-/// runs (each decodes on its own arm), `Packed` on 1 and 2 threads, slab
-/// strides `b·d` of 32, 400 and 296 (windows starting inside NF4's
-/// 64-element blocks) and `d` of 64 and 128, where the twin's `sum` reads
-/// its rows in place. The `Reference` per-task oracle, which decodes each
-/// window up front, equals its own run over the twin bitwise and `Packed`
-/// within tolerance.
+/// whole number of tiles wide) read in place. Covers the table forms that
+/// read weights — `cols` (transposed, run as one wide product), `narrow
+/// cols` (not widened) and `sum` (normal, one accumulating run) — f16 and
+/// NF4, every arm this host runs (each decodes on its own arm), `Packed` on
+/// 1 and 2 threads, slab strides `b·d` of 32, 400 and 296 (windows starting
+/// inside NF4's 64-element blocks) and `d` of 64 and 128, where the twin's
+/// `sum` reads its rows in place, and slabs deeper than one k-block. Each
+/// launch also carries the operators' bias — one per `cols` window, one
+/// shared by the `sum` run — bitwise the launch without it followed by the
+/// plain pass, over f32, f16 and NF4 B alike. The `Reference` per-task
+/// oracle, which decodes each window up front, equals its own run over the
+/// twin bitwise and `Packed` within tolerance.
 #[test]
 fn reduced_grouped_launches_equal_their_decoded_f32_twins_bitwise() {
     let pools: Vec<ThreadPool> = [1, 2].into_iter().map(ThreadPool::new).collect();
+    // A slab as deep as two k-blocks: `sum` carries C between them.
+    let deep = lx_kernels::current_policy().tiles.kc + 32;
     let shapes = [
         (6, 4, 8),
         (37, 4, 100),
         (29, 8, 37),
         (37, 16, 64),
         (40, 16, 128),
+        (9, deep, 24),
     ];
     let mut groups = Vec::new();
     for (seed, (rows, b, d)) in (960u64..).step_by(10).zip(shapes) {
-        // `cols` and `sum`; `slabs` multiplies activations, not weights.
+        // `cols`, `narrow cols` and `sum`; `slabs` multiplies activations,
+        // not weights.
         let forms = neuron_groups(rows, b, d, &[0, 2, 3, 6], seed);
-        groups.extend(forms.into_iter().take(2));
+        groups.extend(forms.into_iter().take(3));
     }
-    for g in &groups {
+    for (g, seed) in groups.iter().zip(970u64..) {
+        // FC2's one output shares one bias; FC1's blocks each take their own.
+        let biased = g.biased(if g.c_stride == 0 { 0 } else { g.n }, seed);
         for kind in [Dtype::F16, Dtype::Nf4Block] {
             let stored = BMat::encode(kind, &g.b, 1, g.b.len());
             let twin = stored.decoded();
@@ -1199,6 +1315,12 @@ fn reduced_grouped_launches_equal_their_decoded_f32_twins_bitwise() {
                         };
                         let on = format!("{isa:?} threads={}", pool.threads());
                         assert_bits(&what(&on), &launch(reduced), &launch(twin));
+                        for b in [reduced, twin] {
+                            let on = format!("{kind} B {} beta={beta} {on}", b.dtype());
+                            biased.assert_bias_rides(&on, beta, |view, c| {
+                                PACKED.gemm_grouped_on(pool, isa, &over(view, b), c)
+                            });
+                        }
                     }
                 }
                 let oracle = |b| g.run(beta, |view, c| REFERENCE.gemm_grouped(&over(view, b), c));
@@ -1249,6 +1371,7 @@ fn malformed_tables_and_short_buffers_are_rejected() {
             c_stride: 16,
             beta: 0.0,
             table,
+            bias: None,
         }
     }
     // A windows 0 and 3, C windows 0 and 1.
@@ -1290,8 +1413,8 @@ fn attention_block_shapes_match() {
         ] {
             let mut c_ref = vec![0.0; b * ldc];
             let mut c_packed = vec![0.0; b * ldc];
-            REFERENCE.gemm(&op, &mut c_ref, ldc, beta, Epilogue::None);
-            PACKED.gemm(&op, &mut c_packed, ldc, beta, Epilogue::None);
+            REFERENCE.gemm(&op, &mut c_ref, ldc, beta);
+            PACKED.gemm(&op, &mut c_packed, ldc, beta);
             assert_close(&format!("{what} block b={b} dh={dh}"), &c_packed, &c_ref);
         }
     }

@@ -462,6 +462,7 @@ fn grouped_launch_counts_one_call_and_all_its_tasks() {
             c_stride: m * n,
             beta: 0.0,
             table: &table,
+            bias: None,
         },
         &mut c,
     );

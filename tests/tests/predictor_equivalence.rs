@@ -18,7 +18,7 @@
 
 use long_exposure::predictor::{pool_blocks, AttnPredictor, AttnSample, MlpPredictor};
 use lx_sparse::{BlockMask, NeuronBlockSet};
-use lx_tensor::gemm::{matmul, matmul_tn, Epilogue, Layout};
+use lx_tensor::gemm::{matmul, matmul_tn, Layout};
 use lx_tensor::rng::uniform_vec;
 use lx_tensor::Tensor;
 
@@ -71,9 +71,9 @@ fn per_head_oracle(
     (0..p.n_heads())
         .map(|h| {
             let (wq, wk) = p.head(h);
-            let q = matmul(x, &wq, Layout::Normal, Epilogue::None);
-            let k = matmul(x, &wk, Layout::Normal, Epilogue::None);
-            let mut logits = matmul(&q, &k, Layout::Transposed, Epilogue::None);
+            let q = matmul(x, &wq, Layout::Normal);
+            let k = matmul(x, &wk, Layout::Normal);
+            let mut logits = matmul(&q, &k, Layout::Transposed);
             let slope = p.distance_slopes[h] * p.block_size as f32;
             for i in 0..n {
                 for j in 0..=i {
@@ -100,7 +100,7 @@ fn per_head_oracle(
                     dlogits.row_mut(i)[j] = w * (p - t(i, j)) / m;
                 }
             }
-            let dq = matmul(&dlogits, &k, Layout::Normal, Epilogue::None);
+            let dq = matmul(&dlogits, &k, Layout::Normal);
             let dk = matmul_tn(&dlogits, &q);
             HeadStep {
                 dwq: matmul_tn(x, &dq),
@@ -266,7 +266,7 @@ fn scalar_mlp_oracle(
 ) -> (Vec<f32>, Tensor) {
     let rows = x.rows();
     let wa = p.wa.transposed_2d(); // the old `[d, n_blk]` storage
-    let logits = matmul(x, &wa, Layout::Normal, Epilogue::None);
+    let logits = matmul(x, &wa, Layout::Normal);
     let reduced = reduce_logits(&logits);
     let m = p.n_blocks as f32;
     let pos = target.active.len() as f32;
