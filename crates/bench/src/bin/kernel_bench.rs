@@ -22,12 +22,14 @@
 //! DSD over the same layout, ≥1.3x for the FC1 neuron slabs. The `lora` row
 //! times the fused rank-r operator against the composition it replaced
 //! (separate products, scratch tensors, axpy / scale / add passes), asserts
-//! the two agree bit for bit, floor ≥1.05x. The last two rows gate the row
+//! the two agree bit for bit, floor ≥1.05x. The next three rows gate the row
 //! kernels: the active ISA arm
 //! over the scalar definition it must match bit for bit, single-threaded —
 //! floor ≥3.0x for the fused block-row softmax at the same SDD layout,
-//! ≥1.5x for LayerNorm forward + backward at 512×256 (skipped, loudly, when
-//! the active arm *is* the scalar definition). Two more gate the
+//! ≥0.9x for its backward over that layout (a third of the ~2.8x it reads;
+//! with no `exp` in it, the definition is not slow), ≥1.5x for LayerNorm
+//! forward + backward at 512×256 (skipped, loudly, when the active arm *is*
+//! the scalar definition). Two more gate the
 //! reduced-storage run decoders the same way: one `d_model × d_ff` panel
 //! decoded by the active arm over the definition, bitwise asserted, floor
 //! ≥3.0x for f16 and for NF4.
@@ -708,25 +710,51 @@ fn main() {
             cols.extend(br + 1 - keep..=br);
             row_ptr.push(cols.len());
         }
+        // Forward in place on `data` (scores in), or with `p` the backward
+        // (`dP` in, `dS` out).
+        let block_rows = |arm: Isa, data: &mut [f32], p: Option<&[f32]>| {
+            for br in 0..n_brows {
+                let entries = row_ptr[br]..row_ptr[br + 1];
+                let causal = Some(Causal {
+                    q0: br * B,
+                    cols: &cols[entries.clone()],
+                    slope: 0.0625,
+                });
+                let span = entries.start * B * B..entries.end * B * B;
+                let band = Band::block_row(B, entries.len());
+                match p {
+                    None => rows::softmax_forward(arm, &mut data[span], band, 0.177, causal),
+                    Some(p) => {
+                        let g = &mut data[span.clone()];
+                        rows::softmax_backward(arm, &p[span], g, band, 0.177, causal);
+                    }
+                }
+            }
+        };
         let scores = randn_vec(cols.len() * B * B, 2.0, 22);
+        let dims = format!("{}x{B}x{B}", cols.len());
         rows_gate(
             "rows softmax block s=512 b=16 d=0.23",
-            format!("{}x{B}x{B}", cols.len()),
+            dims.clone(),
             3.0,
             &|arm| {
                 let mut p = scores.clone();
-                for br in 0..n_brows {
-                    let entries = row_ptr[br]..row_ptr[br + 1];
-                    let causal = Causal {
-                        q0: br * B,
-                        cols: &cols[entries.clone()],
-                        slope: 0.0625,
-                    };
-                    let span = &mut p[entries.start * B * B..entries.end * B * B];
-                    let band = Band::block_row(B, entries.len());
-                    rows::softmax_forward(arm, span, band, 0.177, Some(causal));
-                }
+                block_rows(arm, &mut p, None);
                 p
+            },
+        );
+        // Its backward over the same layout, from those probabilities.
+        let mut probs = scores.clone();
+        block_rows(Isa::Scalar, &mut probs, None);
+        let dp = randn_vec(probs.len(), 1.0, 28);
+        rows_gate(
+            "rows softmax backward block s=512 b=16 d=0.23",
+            dims,
+            0.9,
+            &|arm| {
+                let mut g = dp.clone();
+                block_rows(arm, &mut g, Some(&probs));
+                g
             },
         );
 

@@ -16,6 +16,17 @@
 //! build without the `fma` feature, so the forced-scalar arm is the slow
 //! reference (~25 ns per `exp`), not a fast path.
 //!
+//! **No subnormal leaves the softmax pair.** The floor gives every kept
+//! probability ≥ 2⁻⁶⁴ / row length, and the backward flushes what is left
+//! below the normal range. A subnormal operand or result costs an x86 FMA a
+//! microcode assist of ~100+ cycles, and the attention launches reading P
+//! and dS — `dsd`, `dsd_tn` — would pay it on every product: a dense causal
+//! step at S = 512 used to write ~900 subnormal P and ~17 k subnormal dS per
+//! layer, and its dQ / dK launches ran ~3.5x slower for it. The rule is part of
+//! the definition, so every arm keeps it bit for bit; nothing sets the
+//! per-thread MXCSR flush-to-zero / denormals-are-zero modes, which would make
+//! a result depend on the thread that computed it.
+//!
 //! The first argument of every kernel is the arm to run, normally
 //! [`active_isa()`](crate::active_isa); an arm the host cannot execute, and
 //! `Isa::Scalar` / `Isa::Neon`, run the definition itself.
@@ -23,8 +34,8 @@
 //! | kernel | definition | error |
 //! |---|---|---|
 //! | [`exp`] | `n = round(x·log₂e)`, `r = x − n·ln2` (two-constant Cody–Waite), `1 + r + r²·P₅(r)` Horner in FMAs, `·2ⁿ` through the exponent bits | ≤ 2 ulp on `[−87.3, 0]` (measured 1.01); `exp(0) = 1`, `x < −87.3 → 0`, NaN → NaN |
-//! | [`softmax_forward`] | `v = scale·s − slope·(q−k)` up to the causal limit, lane max, `exp(v − max)` + lane sum, `· 1/sum` | `exp` + one rounding per add |
-//! | [`softmax_backward`] | lane sum of `p·dp`, `ds = p·(dp − dot)·scale` | exact ops only |
+//! | [`softmax_forward`] | `v = scale·s − slope·(q−k)` up to the causal limit, lane max, `exp(v − max)` — exactly 0 where `v − max < −64·ln 2` — + lane sum, `· 1/sum` | `exp` + one rounding per add; the dropped mass is < 2⁻⁶⁴ per element |
+//! | [`softmax_backward`] | lane sum of `p·dp`, `ds = p·(dp − dot)·scale`, flushed to +0 where `\|ds\| < f32::MIN_POSITIVE` | exact ops only |
 //! | [`layernorm_forward`] / [`layernorm_backward`] | lane sums for mean, variance and the two backward moments | exact ops only |
 //! | [`relu`] / [`relu_backward`] | elementwise | exact |
 //! | [`log_sum_exp`] | lane max, `exp(x − max)` + lane sum (optionally written out as `softmax·coef`) | `exp` |
@@ -37,10 +48,12 @@ const NEG_INF: f32 = f32::NEG_INFINITY;
 pub const LANES: usize = 16;
 
 /// Elements per pool task below which a row pass stays on the calling
-/// thread. The fused softmax family costs ~1.5 ns per element over its three
-/// passes on the AVX-512 arm, so a task this size is ~0.4 ms — and a region
-/// that cannot give two workers that much each gains nothing from the second
-/// one (the pool's wake-up and the shared core eat it).
+/// thread. On the AVX-512 arm, single-threaded over the 1.08 M block
+/// elements of one dense causal S = 512 layer, the softmax forward costs
+/// ~1.95 ns per element over its three passes and the backward ~1.45 ns over
+/// its two, so a task this size is ~0.4–0.5 ms — and a region that cannot
+/// give two workers that much each gains nothing from the second one (the
+/// pool's wake-up and the shared core eat it).
 pub const PAR_GRAIN: usize = 1 << 18;
 
 // ---------------------------------------------------------------------------
@@ -492,6 +505,20 @@ fn prefix(causal: Option<Causal<'_>>, r: usize, e: usize, width: usize) -> (usiz
     (valid, valid.next_multiple_of(LANES).min(width), d0)
 }
 
+/// `−64·ln 2`: a shifted score `v − max` below it gives probability exactly
+/// 0, so every kept `exp` is ≥ 2⁻⁶⁴ and every kept probability ≥ 2⁻⁶⁴ / row
+/// length — never subnormal. The dropped mass is < 2⁻⁶⁴ per element, far
+/// under the rounding of a sum that holds `exp(0) = 1`.
+const SOFTMAX_FLOOR: f32 = -64.0 * std::f32::consts::LN_2;
+
+/// `v` with every lane of magnitude below `f32::MIN_POSITIVE` — zeros and
+/// subnormals — set to `+0`; a NaN stays NaN.
+#[inline(always)]
+fn flush_subnormal<L: Lanes>(v: L) -> L {
+    let (lo, hi) = (L::splat(-f32::MIN_POSITIVE), L::splat(f32::MIN_POSITIVE));
+    lo.lt_select(v, v.lt_select(hi, L::splat(0.0), v), v)
+}
+
 #[inline(always)]
 fn softmax_forward_def<L: Lanes>(
     data: &mut [f32],
@@ -535,22 +562,27 @@ fn softmax_forward_def<L: Lanes>(
             continue;
         }
         let (max_v, mut lane_sum) = (L::splat(max), L::splat(0.0));
+        let (floor, zero) = (L::splat(SOFTMAX_FLOOR), L::splat(0.0));
         for e in 0..band.segments {
             let (_, live, _) = prefix(causal, r, e, band.width);
             let seg = &mut data[band.seg(r, e)][..live];
             let mut j0 = 0;
             while j0 < live {
-                let p = exp_lanes(load_at::<L>(seg, j0, NEG_INF).sub(max_v));
+                let v = load_at::<L>(seg, j0, NEG_INF).sub(max_v);
+                let p = v.lt_select(floor, zero, exp_lanes(v));
                 store_at(p, seg, j0);
                 lane_sum = lane_sum.add(p);
                 j0 += LANES;
             }
         }
-        let inv = 1.0 / lane_sum.tree_sum();
+        let inv = L::splat(1.0 / lane_sum.tree_sum());
         for e in 0..band.segments {
             let (_, live, _) = prefix(causal, r, e, band.width);
-            for v in &mut data[band.seg(r, e)][..live] {
-                *v *= inv;
+            let seg = &mut data[band.seg(r, e)][..live];
+            let mut j0 = 0;
+            while j0 < live {
+                store_at(load_at::<L>(seg, j0, 0.0).mul(inv), seg, j0);
+                j0 += LANES;
             }
         }
     }
@@ -578,6 +610,7 @@ fn softmax_backward_def<L: Lanes>(
     scale: f32,
     causal: Option<Causal<'_>>,
 ) {
+    let scale_v = L::splat(scale);
     for r in 0..band.rows {
         let mut lane_dot = L::splat(0.0);
         for e in 0..band.segments {
@@ -590,13 +623,19 @@ fn softmax_backward_def<L: Lanes>(
                 j0 += LANES;
             }
         }
-        let dot = lane_dot.tree_sum();
+        let dot = L::splat(lane_dot.tree_sum());
         for e in 0..band.segments {
-            let (valid, _, _) = prefix(causal, r, e, band.width);
-            let (ps, gs) = (&p[band.seg(r, e)], &mut grad[band.seg(r, e)]);
-            gs[valid..].fill(0.0);
-            for (g, &pv) in gs[..valid].iter_mut().zip(&ps[..valid]) {
-                *g = pv * (*g - dot) * scale;
+            let (valid, live, _) = prefix(causal, r, e, band.width);
+            let (ps, gs) = (&p[band.seg(r, e)][..live], &mut grad[band.seg(r, e)]);
+            gs[live..].fill(0.0);
+            let gs = &mut gs[..live];
+            let mut j0 = 0;
+            while j0 < live {
+                let dp = load_at::<L>(gs, j0, 0.0);
+                let ds = load_at::<L>(ps, j0, 0.0).mul(dp.sub(dot)).mul(scale_v);
+                let ds = first(ds, (valid - j0) as f32, 0.0);
+                store_at(flush_subnormal(ds), gs, j0);
+                j0 += LANES;
             }
         }
     }

@@ -617,6 +617,72 @@ mod tests {
     }
 
     #[test]
+    fn sharpened_dense_attention_leaves_no_subnormal_probability() {
+        // S = 128 at the derived edge 16, Q sharpened until most rows'
+        // scores spread over more than 100 nats: the probabilities of the
+        // distant keys fall below 2⁻¹²⁶ unless the softmax drops them.
+        let (batch, seq, sharpen) = (1, 128, 60.0);
+        assert_eq!(causal_block(seq), 16);
+        let x = Tensor::randn(&[batch * seq, D], 1.0, 40);
+        let dy = Tensor::randn(&[batch * seq, D], 1.0, 41);
+        let sharpened = || {
+            let mut attn = mha_with(true);
+            attn.for_each_param(&mut |p| p.trainable = true);
+            attn.wq
+                .weight
+                .value
+                .as_mut_slice()
+                .iter_mut()
+                .for_each(|w| *w *= sharpen);
+            attn
+        };
+
+        let mut attn = sharpened();
+        let (heads, dh) = (attn.n_heads, attn.head_dim);
+        let q = split_heads(&attn.wq.project(&x), batch, seq, heads, dh);
+        let k = split_heads(&attn.wk.project(&x), batch, seq, heads, dh);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut wide = 0;
+        for row in 0..heads * seq {
+            let (qi, head0) = (q.row(row), row - row % seq);
+            let scores = (head0..=row).map(|j| {
+                let kj = k.row(j);
+                scale * qi.iter().zip(kj).map(|(a, b)| a * b).sum::<f32>()
+            });
+            let (lo, hi) = scores.fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), s| {
+                (lo.min(s), hi.max(s))
+            });
+            wide += usize::from(hi - lo > 100.0);
+        }
+        assert!(
+            wide > heads * seq / 2,
+            "only {wide} rows spread over 100 nats"
+        );
+
+        let _ = attn.forward(&x, batch, seq, None);
+        let (_, probs) = attn.take_dense_probs().expect("dense forward");
+        let subnormal = probs.as_slice().iter().filter(|p| p.is_subnormal()).count();
+        assert_eq!(subnormal, 0, "subnormal block probabilities");
+
+        let mut dense = sharpened();
+        let (yd, r) = reference_forward(&mut dense, &x, batch, seq);
+        let dxd = reference_backward(&mut dense, &r, &dy);
+        let ys = attn.forward(&x, batch, seq, None);
+        let dxs = attn.backward(&dy);
+        for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
+            assert!((a - b).abs() < 1e-4, "y: {a} vs {b}");
+        }
+        for (a, b) in dxd.as_slice().iter().zip(dxs.as_slice()) {
+            assert!((a - b).abs() < 1e-3, "dx: {a} vs {b}");
+        }
+        let gd = dense.wq.weight.grad.as_ref().unwrap();
+        let gs = attn.wq.weight.grad.as_ref().unwrap();
+        for (a, b) in gd.as_slice().iter().zip(gs.as_slice()) {
+            assert!((a - b).abs() < 1e-3, "dWq: {a} vs {b}");
+        }
+    }
+
+    #[test]
     fn dense_layout_cache_follows_seq() {
         // One module through S = 16, 8, 16, 16: every step equals a fresh
         // module's, and the layout is rebuilt only when `seq` changes.

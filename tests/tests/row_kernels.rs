@@ -13,6 +13,11 @@
 //!   replaced — scale → ALiBi → causal mask → softmax, kept here as a
 //!   test-only oracle on libm `exp` — within 1e-6, on both layouts, and the
 //!   fused backward against finite differences;
+//! * no subnormal leaves the softmax kernels: on a causal block-row spread
+//!   over > 150 nats, the forward writes exact zeros where `v − max <
+//!   −64·ln 2` and elsewhere the bits of the formula it ran before the floor,
+//!   and the backward flushes every `dS` below `f32::MIN_POSITIVE`, on every
+//!   arm;
 //! * non-finite inputs stay visible: a NaN or `+∞` score makes its row NaN
 //!   and the loss non-finite.
 
@@ -326,6 +331,197 @@ fn block_rows_are_bit_identical_on_every_arm() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// No subnormal leaves the softmax kernels
+// ---------------------------------------------------------------------------
+
+/// `−64·ln 2`: the shifted score below which a probability is exactly 0.
+const FLOOR: f32 = -64.0 * std::f32::consts::LN_2;
+
+/// Sixteen lane partials folded through the kernels' tree.
+fn tree_sum(mut lanes: [f32; 16]) -> f32 {
+    for w in [8, 4, 2, 1] {
+        for l in 0..w {
+            lanes[l] += lanes[l + w];
+        }
+    }
+    lanes[0]
+}
+
+/// The block-row geometry of the floor tests: query block-row `br` of a
+/// full-causal layout at edge 16 — `br + 1` segments, the last one the
+/// diagonal block, where row `r` sees `r + 1 < 16` keys for `r < 15`.
+struct CausalRow {
+    br: usize,
+    cols: Vec<u32>,
+}
+
+impl CausalRow {
+    const B: usize = 16;
+
+    fn new(br: usize) -> Self {
+        CausalRow {
+            br,
+            cols: (0..=br as u32).collect(),
+        }
+    }
+
+    fn band(&self) -> Band {
+        Band::block_row(Self::B, self.cols.len())
+    }
+
+    fn causal(&self, slope: f32) -> Option<Causal<'_>> {
+        Some(Causal {
+            q0: self.br * Self::B,
+            cols: &self.cols,
+            slope,
+        })
+    }
+
+    /// `(index into the band's data, q − k)` of every key row `r` sees, in
+    /// segment order.
+    fn keys(&self, r: usize) -> Vec<(usize, usize)> {
+        let (b, q) = (Self::B, self.br * Self::B + r);
+        (0..=q)
+            .map(|k| ((k / b) * b * b + r * b + k % b, q - k))
+            .collect()
+    }
+}
+
+/// The forward the kernels ran before the floor, on the definition's own
+/// operation order: scaled and biased scores, max, `exp` (the module's own,
+/// elementwise) into lane `key mod 16` in segment order, the lane tree,
+/// `· 1/sum`. Returns the probabilities and each position's `v − max`
+/// (`−∞` where masked).
+fn old_block_row_forward(
+    row: &CausalRow,
+    scores: &[f32],
+    scale: f32,
+    slope: f32,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut p = vec![0.0; scores.len()];
+    let mut shifted = vec![f32::NEG_INFINITY; scores.len()];
+    for r in 0..CausalRow::B {
+        let keys = row.keys(r);
+        let v: Vec<f32> = keys
+            .iter()
+            .map(|&(at, d)| scores[at] * scale - slope * d as f32)
+            .collect();
+        let max = v.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut e: Vec<f32> = v.iter().map(|&x| x - max).collect();
+        for (&(at, _), &x) in keys.iter().zip(&e) {
+            shifted[at] = x;
+        }
+        rows::exp(Isa::Scalar, &mut e);
+        let mut lanes = [0.0f32; 16];
+        for (k, &x) in e.iter().enumerate() {
+            lanes[k % 16] += x;
+        }
+        let inv = 1.0 / tree_sum(lanes);
+        for (&(at, _), &x) in keys.iter().zip(&e) {
+            p[at] = x * inv;
+        }
+    }
+    (p, shifted)
+}
+
+/// The backward the kernels ran before the flush: lane-ordered `⟨P, dP⟩`,
+/// then `P·(dP − dot)·scale` on every visible key.
+fn old_block_row_backward(row: &CausalRow, p: &[f32], dp: &[f32], scale: f32) -> Vec<f32> {
+    let mut ds = vec![0.0; p.len()];
+    for r in 0..CausalRow::B {
+        let keys = row.keys(r);
+        let mut lanes = [0.0f32; 16];
+        for (k, &(at, _)) in keys.iter().enumerate() {
+            lanes[k % 16] += p[at] * dp[at];
+        }
+        let dot = tree_sum(lanes);
+        for &(at, _) in &keys {
+            ds[at] = p[at] * (dp[at] - dot) * scale;
+        }
+    }
+    ds
+}
+
+fn subnormals(x: &[f32]) -> usize {
+    x.iter().filter(|v| v.is_subnormal()).count()
+}
+
+#[test]
+fn softmax_never_emits_a_subnormal_on_any_arm() {
+    // Query block-row 4: 5 segments, 65..=80 keys per row, a gentle ALiBi
+    // slope. Half the scores sit within a few nats of the top, so a row's
+    // sum is well above 1 and the old `exp / sum` fell below 2⁻¹²⁶ over a
+    // band ~ln(sum) nats wide; the other half spread ~250 nats below.
+    let row = CausalRow::new(4);
+    let (scale, slope) = (1.0f32, 0.02f32);
+    let n = row.band().segments * CausalRow::B * CausalRow::B;
+    let scores: Vec<f32> = randn_vec(n, 1.0, 61)
+        .iter()
+        .enumerate()
+        .map(|(i, v)| -v.abs() * if i % 2 == 0 { 1.0 } else { 90.0 })
+        .collect();
+    let (want, shifted) = old_block_row_forward(&row, &scores, scale, slope);
+    for r in 0..CausalRow::B {
+        let v: Vec<f32> = row.keys(r).iter().map(|&(at, _)| shifted[at]).collect();
+        let low = v.iter().copied().fold(0.0, f32::min);
+        assert!(low < -150.0, "row {r} spreads only {} nats", -low);
+    }
+    assert!(
+        subnormals(&want) > 0,
+        "the old formula must make subnormals here"
+    );
+
+    let p = same_on_every_arm("floored block fwd", |isa| {
+        let mut p = scores.clone();
+        rows::softmax_forward(isa, &mut p, row.band(), scale, row.causal(slope));
+        p
+    });
+    assert_eq!(subnormals(&p), 0, "forward");
+    let (mut zeroed, mut kept) = (0, 0);
+    for (i, ((&got, &old), &v)) in p.iter().zip(&want).zip(&shifted).enumerate() {
+        if v < FLOOR {
+            assert_eq!(got.to_bits(), 0, "idx {i}: v − max = {v} must give +0");
+            zeroed += usize::from(v.is_finite());
+        } else {
+            assert_eq!(got.to_bits(), old.to_bits(), "idx {i}: {got} vs {old}");
+            kept += 1;
+        }
+    }
+    assert!(zeroed > 100 && kept > 100, "zeroed {zeroed}, kept {kept}");
+
+    // Backward on that P with gradients ~1e-6: the kernel stays normal.
+    let dp = randn_vec(n, 1e-6, 62);
+    let ds = same_on_every_arm("floored block bwd", |isa| {
+        let mut g = dp.clone();
+        rows::softmax_backward(isa, &p, &mut g, row.band(), 0.18, row.causal(slope));
+        g
+    });
+    assert_eq!(subnormals(&ds), 0, "backward");
+
+    // The flush itself: probabilities between 1e-36 and 1e-24 (normal, but
+    // their products with 1e-6 gradients are not) against the old formula.
+    let tiny: Vec<f32> = randn_vec(n, 6.0, 63)
+        .iter()
+        .map(|v| 10f32.powf(-30.0 + v.clamp(-6.0, 6.0)))
+        .collect();
+    let old = old_block_row_backward(&row, &tiny, &dp, 0.18);
+    assert!(
+        subnormals(&old) > 100,
+        "the old formula must make subnormals here"
+    );
+    let ds = same_on_every_arm("flushed block bwd", |isa| {
+        let mut g = dp.clone();
+        rows::softmax_backward(isa, &tiny, &mut g, row.band(), 0.18, row.causal(slope));
+        g
+    });
+    assert_eq!(subnormals(&ds), 0, "backward flush");
+    for (i, (&got, &old)) in ds.iter().zip(&old).enumerate() {
+        let want = if old.is_subnormal() { 0.0 } else { old };
+        assert_eq!(got.to_bits(), want.to_bits(), "idx {i}: {got} vs {old}");
     }
 }
 
