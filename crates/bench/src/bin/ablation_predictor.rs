@@ -6,7 +6,9 @@
 //! accuracy under drifting inputs (§V-B).
 
 use long_exposure::exposer::Exposer;
-use long_exposure::predictor::{draw_noise, pool_blocks, AttnPredictor, AttnSample};
+use long_exposure::predictor::{
+    draw_noise, noise_seed, pool_blocks, AttnPredictor, AttnSample, NoiseKind,
+};
 use lx_bench::{header, row, sim_model, SIM_BLOCK};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
@@ -91,7 +93,7 @@ fn main() {
         p.set_distance_slopes(lx_model::mha::alibi_slopes(cfg.n_heads), SIM_BLOCK);
         for e in 0..120 {
             let lens = samples.iter().map(|s| s.pooled.len());
-            let noise = draw_noise(lens, noise, |si| e + si as u64);
+            let noise = draw_noise(lens, noise, |si| noise_seed(0, NoiseKind::Attn, e, si));
             p.train_epoch(&samples, &noise, 0.5, pos_weight);
         }
         let (r, pr) = p.evaluate(&samples);

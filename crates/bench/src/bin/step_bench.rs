@@ -19,8 +19,9 @@
 //!   disabled-instrumentation overhead estimate staying under 1% of a step.
 //!   Exits non-zero on violation (the CI gate).
 //! * `--json` — write `BENCH_step_bench.json`. Its last table records how
-//!   long the first engine's `calibrate` took (report-only: no floor, no
-//!   baseline row), so the uploaded report tracks calibration time.
+//!   long the first engine's `calibrate` took, and its capture and train
+//!   phases (report-only: no floor, no baseline row), so the uploaded report
+//!   tracks calibration time.
 //! * `--trace <path>` — record the plan-reuse arms in an `lx-obs` trace
 //!   session and write a Chrome trace-event JSON (Perfetto-loadable).
 //! * `--compare <baseline.json>` / `--tolerance <frac>` — gate the
@@ -60,6 +61,9 @@ struct SteadyState {
     misses: u64,
     /// Wall time of the engine's `calibrate` call.
     calibrate: Duration,
+    /// Its capture and train phases, as the report times them.
+    capture: Duration,
+    train: Duration,
 }
 
 /// Run `WARMUP` untimed steps, then `measured` steps with the allocation
@@ -73,7 +77,7 @@ fn steady_state(
     label: &'static str,
     measured: usize,
 ) -> SteadyState {
-    let (mut engine, mut batcher, calibrate) =
+    let (mut engine, mut batcher, calibrate, report) =
         timed_calibrated_engine(cfg, PeftMethod::lora_default(), batch, seq, 42);
     engine.model.set_precision(precision);
     let mut opt = default_opt();
@@ -111,6 +115,8 @@ fn steady_state(
         hits: ws.hits,
         misses: ws.misses,
         calibrate,
+        capture: report.capture,
+        train: report.train,
     }
 }
 
@@ -313,10 +319,13 @@ fn main() {
     }
     // Report-only, last so no baseline table index moves.
     println!();
-    header(&["calibration", "calibrate s"]);
+    header(&["calibration", "calibrate s", "capture s", "train s"]);
+    let first = &steady[0];
     row(&[
         "first calibrated engine".into(),
-        format!("{:.3}", steady[0].calibrate.as_secs_f64()),
+        format!("{:.3}", first.calibrate.as_secs_f64()),
+        format!("{:.3}", first.capture.as_secs_f64()),
+        format!("{:.3}", first.train.as_secs_f64()),
     ]);
     if let (Some(session), Some(path)) = (trace_session, trace_path.as_ref()) {
         let trace = session.finish();

@@ -8,7 +8,7 @@ pub mod report;
 pub use cli::BenchCli;
 pub use report::{compare_to_baseline, emit_json, header, load_bench_json, row, BenchReport};
 
-use long_exposure::engine::{EngineConfig, FinetuneEngine, StepMode};
+use long_exposure::engine::{CalibrationReport, EngineConfig, FinetuneEngine, StepMode};
 use lx_data::e2e::E2eGenerator;
 use lx_data::{Batcher, SyntheticWorld};
 use lx_model::{
@@ -39,18 +39,19 @@ pub fn calibrated_engine(
     seq: usize,
     seed: u64,
 ) -> (FinetuneEngine, Batcher) {
-    let (engine, batcher, _) = timed_calibrated_engine(cfg, method, batch, seq, seed);
+    let (engine, batcher, _, _) = timed_calibrated_engine(cfg, method, batch, seq, seed);
     (engine, batcher)
 }
 
-/// [`calibrated_engine`], plus the wall time its `calibrate` call took.
+/// [`calibrated_engine`], plus the wall time its `calibrate` call took and
+/// the report it returned.
 pub fn timed_calibrated_engine(
     cfg: ModelConfig,
     method: PeftMethod,
     batch: usize,
     seq: usize,
     seed: u64,
-) -> (FinetuneEngine, Batcher, Duration) {
+) -> (FinetuneEngine, Batcher, Duration, CalibrationReport) {
     let mut model = sim_model(cfg.clone(), seed);
     method.apply(&mut model, seed + 2);
     let world = SyntheticWorld::new(cfg.vocab_size as u32, seed + 3);
@@ -68,9 +69,9 @@ pub fn timed_calibrated_engine(
         .map(|_| (batcher.next_batch(batch, seq), batch, seq))
         .collect();
     let t0 = Instant::now();
-    engine.calibrate(&calib);
+    let report = engine.calibrate(&calib);
     let calibrate = t0.elapsed();
-    (engine, batcher, calibrate)
+    (engine, batcher, calibrate, report)
 }
 
 /// Run `n` timed steps (after one untimed warm-up) and average the outcomes.

@@ -781,6 +781,14 @@ mod tests {
         assert!(rejection(&mut c, spec("t", 2)).contains("calibrate_shared"));
     }
 
+    /// An empty batch list panics before any replica or the registry
+    /// takes predictors that were never trained.
+    #[test]
+    #[should_panic(expected = "calibrate needs at least one batch")]
+    fn empty_shared_calibration_is_rejected() {
+        cluster(one_replica(4)).calibrate_shared(&[]);
+    }
+
     #[test]
     fn sparse_mode_rejects_misaligned_sequences_at_admission() {
         let mut c = cluster(ClusterConfig {

@@ -17,7 +17,7 @@ use crate::policy::{
     DensePolicy, OraclePolicy, PlanRefreshConfig, PlanReuseStats, PredictedPolicy, RandomPolicy,
     RandomTarget, SparsityPolicy, ATTN_MIN_RECALL, MLP_THRESHOLD,
 };
-use crate::predictor::{pool_blocks, AttnSample, MlpSample};
+use crate::predictor::{noise_seed, pool_blocks, AttnSample, MlpSample, NoiseKind};
 use lx_model::{MicroBatch, Optimizer, PrepareHook, StepOutcome, StepRequest, TransformerModel};
 use lx_sparse::{NeuronBlockSet, PatternPool, PatternSpec};
 use lx_tensor::{Tensor, Workspace};
@@ -58,8 +58,14 @@ const POS_WEIGHT: f32 = 4.0;
 /// Seed of predictor initialisation, calibration noise and the random
 /// baseline policies.
 const PREDICTOR_SEED: u64 = 0x10e0;
-/// Standard deviation of the Gaussian noise added to calibration inputs.
+/// Standard deviation of the noise added to calibration inputs.
 const NOISE_STD: f32 = 0.02;
+
+/// Seed of calibration's noise stream for sample `si` of the `kind`
+/// predictors in epoch `epoch`: one distinct stream per triple.
+fn calib_noise_seed(kind: NoiseKind, epoch: u64, si: usize) -> u64 {
+    noise_seed(PREDICTOR_SEED, kind, epoch, si)
+}
 
 /// One epoch's augmentation noise: a buffer per attention sample and one per
 /// MLP sample, shared by every layer (`train_epoch`'s `noise`).
@@ -94,17 +100,22 @@ fn draw_task<'a>(
     Box::new(move || {
         let _span = lx_obs::Span::enter(span).cat("engine").index(si as u64);
         buf.resize(len, 0.0);
-        lx_tensor::rng::randn_into(buf, NOISE_STD, seed);
+        lx_tensor::rng::irwin_hall_into(buf, NOISE_STD, seed);
     })
 }
 
-/// Predictor quality after calibration, per layer.
+/// Predictor quality after calibration, per layer, and how long its two
+/// heavy phases took.
 #[derive(Debug, Clone, Default)]
 pub struct CalibrationReport {
     pub attn_recall: Vec<f32>,
     pub attn_precision: Vec<f32>,
     pub mlp_recall: Vec<f32>,
     pub mlp_precision: Vec<f32>,
+    /// Wall time of the dense capture passes and the exposer's targets.
+    pub capture: Duration,
+    /// Wall time of predictor training (every epoch of every layer).
+    pub train: Duration,
 }
 
 impl CalibrationReport {
@@ -288,17 +299,26 @@ impl FinetuneEngine {
     /// layer-by-layer loop drawing its own copy of the same noise, whatever
     /// the pool width.
     pub fn calibrate(&mut self, batches: &[(Vec<u32>, usize, usize)]) -> CalibrationReport {
+        assert!(!batches.is_empty(), "calibrate needs at least one batch");
         let _span = lx_obs::Span::enter("engine.calibrate").cat("engine");
+        let t = Instant::now();
         let (attn_samples, mlp_samples) = {
             let _span = lx_obs::Span::enter("engine.calibrate.capture").cat("engine");
             self.calibration_samples(batches)
         };
+        let capture = t.elapsed();
+        let t = Instant::now();
         {
             let _span = lx_obs::Span::enter("engine.calibrate.train").cat("engine");
             self.train_predictors(&attn_samples, &mlp_samples);
         }
+        let train = t.elapsed();
         let _span = lx_obs::Span::enter("engine.calibrate.evaluate").cat("engine");
-        let mut report = CalibrationReport::default();
+        let mut report = CalibrationReport {
+            capture,
+            train,
+            ..CalibrationReport::default()
+        };
         for (l, (attn, mlp)) in attn_samples.iter().zip(&mlp_samples).enumerate() {
             if !attn.is_empty() {
                 let (r, p) = self.predicted.attn[l].evaluate(attn);
@@ -375,19 +395,14 @@ impl FinetuneEngine {
                 }
             }
             if launch < epochs {
-                // These seeds repeat across (epoch, sample) pairs: attention
-                // sample si+1 of epoch e draws what sample si draws in epoch
-                // e+1, and an MLP sample repeats the draw of the sample 31
-                // epochs away. Changing them moves every calibrated weight
-                // (and the benchmark's final loss), so they stay as they are.
                 let e = launch;
                 for (si, (buf, &len)) in next.mlp.iter_mut().zip(&mlp_lens).enumerate() {
-                    let seed = PREDICTOR_SEED + 1000 + e + 31 * si as u64;
+                    let seed = calib_noise_seed(NoiseKind::Mlp, e, si);
                     let span = "engine.calibrate.train.noise.mlp";
                     tasks.push(draw_task(span, si, buf, len, seed));
                 }
                 for (si, (buf, &len)) in next.attn.iter_mut().zip(&attn_lens).enumerate() {
-                    let seed = PREDICTOR_SEED + e + si as u64;
+                    let seed = calib_noise_seed(NoiseKind::Attn, e, si);
                     let span = "engine.calibrate.train.noise.attn";
                     tasks.push(draw_task(span, si, buf, len, seed));
                 }
@@ -774,11 +789,12 @@ mod tests {
         for l in 0..layer_major.model.config.n_layers {
             for e in 0..c.calib_epochs as u64 {
                 let lens = attn[l].iter().map(|s| s.pooled.len());
-                let noise = draw_noise(lens, NOISE_STD, |si| PREDICTOR_SEED + e + si as u64);
+                let seed = |si| calib_noise_seed(NoiseKind::Attn, e, si);
+                let noise = draw_noise(lens, NOISE_STD, seed);
                 let pred = &mut layer_major.predicted.attn[l];
                 pred.train_epoch(&attn[l], &noise, PREDICTOR_LR, POS_WEIGHT);
                 let lens = mlp[l].iter().map(|s| s.x.len());
-                let seed = |si: usize| PREDICTOR_SEED + 1000 + e + 31 * si as u64;
+                let seed = |si| calib_noise_seed(NoiseKind::Mlp, e, si);
                 let noise = draw_noise(lens, NOISE_STD, seed);
                 let pred = &mut layer_major.predicted.mlp[l];
                 pred.train_epoch(&mlp[l], &noise, PREDICTOR_LR, POS_WEIGHT);
@@ -789,6 +805,34 @@ mod tests {
             epoch_major.export_predictors(),
             layer_major.export_predictors()
         );
+    }
+
+    /// Every calibration noise draw has a stream of its own: at the default
+    /// 150 epochs and 64 samples, no two (kind, epoch, sample) triples share
+    /// a seed, nor the first word their generators draw.
+    #[test]
+    fn calibration_noise_streams_never_collide() {
+        use rand::{RngCore, SeedableRng};
+        let epochs = EngineConfig::default().calib_epochs as u64;
+        let mut seeds = std::collections::HashSet::new();
+        let mut first_words = std::collections::HashSet::new();
+        for kind in [NoiseKind::Attn, NoiseKind::Mlp] {
+            for e in 0..epochs {
+                for si in 0..64 {
+                    let seed = calib_noise_seed(kind, e, si);
+                    assert!(seeds.insert(seed), "{kind:?} epoch {e} sample {si}");
+                    let word = rand::rngs::StdRng::seed_from_u64(seed).next_u64();
+                    assert!(first_words.insert(word), "{kind:?} epoch {e} sample {si}");
+                }
+            }
+        }
+        assert_eq!(seeds.len(), 2 * epochs as usize * 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "calibrate needs at least one batch")]
+    fn empty_calibration_is_rejected() {
+        small_engine().calibrate(&[]);
     }
 
     /// Calibration samples through the dense path the exposer replaced:

@@ -21,7 +21,7 @@
 //! one contiguous row for the vector log-sum-exp of stage two.
 
 use lx_sparse::{BlockMask, NeuronBlockSet};
-use lx_tensor::gemm::{matmul, matmul_tn, Layout};
+use lx_tensor::gemm::{gemm_op, matmul, matmul_tn, GemmOp, Layout};
 use lx_tensor::{ops, rng, Tensor};
 
 #[inline]
@@ -29,11 +29,20 @@ fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + (-x).exp())
 }
 
-/// One recall-weighted binary cross-entropy term: `−w·(t·ln p + (1−t)·ln(1−p))`.
+/// One recall-weighted binary cross-entropy term,
+/// `−w·(t·ln p + (1−t)·ln(1−p))` for a target `t` that is 1 when `on`, else
+/// 0. Only the logarithm the target selects is evaluated: the other term is
+/// `0·finite` (both arguments are ≥ `eps`), which adds a signed zero, so the
+/// result equals the two-log form bit for bit.
 #[inline]
-fn weighted_bce(p: f32, t: f32, w: f32) -> f64 {
+fn weighted_bce(p: f32, on: bool, w: f32) -> f64 {
     let eps = 1e-7f32;
-    -(w * (t * (p + eps).ln() + (1.0 - t) * (1.0 - p + eps).ln())) as f64
+    let ln = if on {
+        (p + eps).ln()
+    } else {
+        (1.0 - p + eps).ln()
+    };
+    -(w * ln) as f64
 }
 
 /// Mean-pool each block of `block` consecutive tokens: `[B·S, d] → per-batch
@@ -62,11 +71,30 @@ pub fn pool_blocks(x: &Tensor, batch: usize, seq: usize, block: usize) -> Vec<Te
         .collect()
 }
 
-/// One epoch's augmentation noise: buffer `si` holds `lens[si]` draws of
-/// N(0, std²) from seed `seed(si)`. Empty when `std` is not positive, and
-/// training then runs on the clean inputs. Calibration draws the same
-/// buffers in place, one pool task per sample, and every layer trains on
-/// them.
+/// Which predictor a calibration noise stream feeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum NoiseKind {
+    Attn,
+    Mlp,
+}
+
+/// Seed of the noise stream of sample `sample` in epoch `epoch` for the
+/// `kind` predictors: the three indices in disjoint bit fields (kind in bit
+/// 63, epoch in bits 32..63, sample in bits 0..32), XORed with `base`. So
+/// distinct (kind, epoch, sample) triples get distinct seeds, and distinct
+/// seeds start distinct generator states.
+pub fn noise_seed(base: u64, kind: NoiseKind, epoch: u64, sample: usize) -> u64 {
+    let sample = sample as u64;
+    assert!(epoch < 1 << 31, "noise epoch {epoch} out of range");
+    assert!(sample < 1 << 32, "noise sample {sample} out of range");
+    base ^ ((kind as u64) << 63 | epoch << 32 | sample)
+}
+
+/// One epoch's augmentation noise: buffer `si` holds `lens[si]` zero-mean
+/// draws of std `std` from seed `seed(si)` ([`rng::irwin_hall_into`]).
+/// Empty when `std` is not positive, and training then runs on the clean
+/// inputs. Calibration draws the same buffers in place, one pool task per
+/// sample, and every layer trains on them.
 pub fn draw_noise(
     lens: impl IntoIterator<Item = usize>,
     std: f32,
@@ -75,7 +103,11 @@ pub fn draw_noise(
     if std > 0.0 {
         let draws = lens.into_iter().enumerate();
         draws
-            .map(|(si, len)| rng::randn_vec(len, std, seed(si)))
+            .map(|(si, len)| {
+                let mut buf = vec![0.0; len];
+                rng::irwin_hall_into(&mut buf, std, seed(si));
+                buf
+            })
             .collect()
     } else {
         Vec::new()
@@ -83,14 +115,16 @@ pub fn draw_noise(
 }
 
 /// Sample `si` of a training pass plus its drawn noise (`noise` is empty or
-/// holds one buffer per sample; see [`draw_noise`]).
+/// holds one buffer per sample; see [`draw_noise`]), written in one pass.
 fn with_noise(x: &Tensor, noise: &[Vec<f32>], si: usize) -> Tensor {
-    let mut noisy = x.clone();
-    if let Some(noise) = noise.get(si) {
-        assert_eq!(noise.len(), noisy.len(), "noise shaped like sample {si}");
-        for (v, n) in noisy.as_mut_slice().iter_mut().zip(noise) {
-            *v += n;
-        }
+    let Some(noise) = noise.get(si) else {
+        return x.clone();
+    };
+    assert_eq!(noise.len(), x.len(), "noise shaped like sample {si}");
+    let mut noisy = Tensor::scratch(x.shape());
+    let sums = noisy.as_mut_slice().iter_mut().zip(x.as_slice());
+    for ((o, &v), &n) in sums.zip(noise) {
+        *o = v + n;
     }
     noisy
 }
@@ -143,12 +177,12 @@ pub struct AttnPredictor {
     pub bias: Vec<f32>,
 }
 
-/// One head's forward on one pooled sample: its `[n, r]` slices of the
-/// stacked projections and its raw `n×n` block logits.
-struct HeadForward {
+/// Every head's forward on one pooled sample: the stacked projections
+/// `Q̂, K̂: [n, H·r]` and each head's raw `n×n` block logits.
+struct Forward {
     q: Tensor,
     k: Tensor,
-    logits: Tensor,
+    logits: Vec<Tensor>,
 }
 
 /// One sample's recall-weighted BCE over every head's causal blocks and its
@@ -217,16 +251,19 @@ impl AttnPredictor {
 
     /// Every head's forward on one pooled sample: `Q̂ = X̂·Ŵq` and
     /// `K̂ = X̂·Ŵk` are one product each for all heads; each head's logits
-    /// are then its own `n×r·r×n` product plus bias and distance penalty.
-    fn forward(&self, pooled: &Tensor) -> Vec<HeadForward> {
-        let q_all = matmul(pooled, &self.wq, Layout::Normal); // [n, H·r]
-        let k_all = matmul(pooled, &self.wk, Layout::Normal);
-        let n = pooled.rows();
-        (0..self.n_heads())
+    /// are then its own `n×r·r×n` product, read from its column windows of
+    /// `Q̂` and `K̂` in place, plus bias and distance penalty.
+    fn forward(&self, pooled: &Tensor) -> Forward {
+        let q = matmul(pooled, &self.wq, Layout::Normal); // [n, H·r]
+        let k = matmul(pooled, &self.wk, Layout::Normal);
+        let (n, r, width) = (pooled.rows(), self.rank, self.n_heads() * self.rank);
+        let logits = (0..self.n_heads())
             .map(|h| {
-                let q = head_cols(&q_all, h, self.rank);
-                let k = head_cols(&k_all, h, self.rank);
-                let mut logits = matmul(&q, &k, Layout::Transposed);
+                let mut logits = Tensor::scratch(&[n, n]);
+                // Head h's columns start at h·r, leading dimension H·r.
+                let (q_h, k_h) = (&q.as_slice()[h * r..], &k.as_slice()[h * r..]);
+                let op = GemmOp::nt(n, r, n, q_h, width, k_h, width);
+                gemm_op(&op, logits.as_mut_slice(), n, 0.0);
                 let slope = self.distance_slopes[h] * self.block_size as f32;
                 let bias = self.bias[h];
                 for i in 0..n {
@@ -237,14 +274,15 @@ impl AttnPredictor {
                         }
                     }
                 }
-                HeadForward { q, k, logits }
+                logits
             })
-            .collect()
+            .collect();
+        Forward { q, k, logits }
     }
 
     /// Raw block logits of every head for one pooled sample (`n×n` each).
     pub fn logits(&self, pooled: &Tensor) -> Vec<Tensor> {
-        self.forward(pooled).into_iter().map(|h| h.logits).collect()
+        self.forward(pooled).logits
     }
 
     /// Predict per-head block masks for a (possibly multi-sample) batch.
@@ -283,43 +321,52 @@ impl AttnPredictor {
     /// its per-head targets, and its gradients. Per head, on causal blocks,
     /// `dL/dlogit = w·(σ − t)/m`; the weights are normalised by their mean
     /// so the step size stays stable regardless of `pos_weight` (only the
-    /// pos/neg *ratio* matters for the recall-vs-precision trade). Then
-    /// `dŴq = X̂ᵀ·(dL·K̂)` and `dŴk = X̂ᵀ·(dLᵀ·Q̂)` are one product each for
-    /// all heads, and `dbias = Σ dL`.
+    /// pos/neg *ratio* matters for the recall-vs-precision trade). Each
+    /// head's `dQ̂_h = dL·K̂_h` and `dK̂_h = dLᵀ·Q̂_h` read and write its column
+    /// windows of the stacked matrices in place; then `dŴq = X̂ᵀ·dQ̂` and
+    /// `dŴk = X̂ᵀ·dK̂` are one product each for all heads, and
+    /// `dbias = Σ dL`.
     pub fn gradients(&self, x: &Tensor, targets: &[BlockMask], pos_weight: f32) -> AttnGrads {
+        assert_eq!(targets.len(), self.n_heads(), "one target mask per head");
         let n = x.rows();
         let m = (n * (n + 1) / 2) as f32;
-        let width = self.n_heads() * self.rank;
-        let mut dq_all = Tensor::scratch(&[n, width]);
-        let mut dk_all = Tensor::scratch(&[n, width]);
+        let (r, width) = (self.rank, self.n_heads() * self.rank);
+        let mut dq = Tensor::scratch(&[n, width]);
+        let mut dk = Tensor::scratch(&[n, width]);
         let mut dbias = Vec::with_capacity(self.n_heads());
         let mut loss = 0.0f64;
-        for (h, HeadForward { q, k, logits }) in self.forward(x).into_iter().enumerate() {
-            let target = |i: usize, j: usize| if targets[h].get(i, j) { 1.0 } else { 0.0 };
+        let Forward { q, k, logits } = self.forward(x);
+        // Every head writes the causal entries; the rest stay 0.
+        let mut dlogits = Tensor::zeros(&[n, n]);
+        for (h, (logits, target)) in logits.iter().zip(targets).enumerate() {
             let mut weight_sum = 0.0f32;
             for i in 0..n {
                 for j in 0..=i {
-                    weight_sum += if target(i, j) > 0.5 { pos_weight } else { 1.0 };
+                    weight_sum += if target.get(i, j) { pos_weight } else { 1.0 };
                 }
             }
             let mean_w = (weight_sum / m).max(1e-6);
-            let mut dlogits = Tensor::zeros(&[n, n]);
             for i in 0..n {
                 for j in 0..=i {
-                    let t = target(i, j);
+                    let on = target.get(i, j);
+                    let t = if on { 1.0 } else { 0.0 };
                     let p = sigmoid(logits.row(i)[j]);
-                    let w = (if t > 0.5 { pos_weight } else { 1.0 }) / mean_w;
-                    loss += weighted_bce(p, t, w);
+                    let w = (if on { pos_weight } else { 1.0 }) / mean_w;
+                    loss += weighted_bce(p, on, w);
                     dlogits.row_mut(i)[j] = w * (p - t) / m;
                 }
             }
-            put_head_cols(&mut dq_all, h, &matmul(&dlogits, &k, Layout::Normal));
-            put_head_cols(&mut dk_all, h, &matmul_tn(&dlogits, &q));
+            let at = h * r;
+            let (q_h, k_h) = (&q.as_slice()[at..], &k.as_slice()[at..]);
+            let dq_op = GemmOp::nn(n, n, r, dlogits.as_slice(), n, k_h, width);
+            gemm_op(&dq_op, &mut dq.as_mut_slice()[at..], width, 0.0);
+            let dk_op = GemmOp::tn(n, n, r, dlogits.as_slice(), n, q_h, width);
+            gemm_op(&dk_op, &mut dk.as_mut_slice()[at..], width, 0.0);
             dbias.push(dlogits.sum());
         }
         AttnGrads {
-            dwq: matmul_tn(x, &dq_all),
-            dwk: matmul_tn(x, &dk_all),
+            dwq: matmul_tn(x, &dq),
+            dwk: matmul_tn(x, &dk),
             dbias,
             loss,
             count: self.n_heads() * n * (n + 1) / 2,
@@ -425,9 +472,13 @@ impl MlpPredictor {
         }
     }
 
-    /// Block-major logits `Ŵa·Xᵀ` (`[n_blk, rows]`).
-    fn block_logits(&self, x: &Tensor) -> Tensor {
-        matmul(&self.wa, x, Layout::Transposed)
+    /// Block-major logits `Ŵa·Xᵀ` (`[n_blk, rows]`). The product runs as
+    /// `X·Ŵaᵀ`, which reads X in place and packs only the small `Ŵa`, and its
+    /// `[rows, n_blk]` result is transposed. Every element is the same
+    /// k-ordered multiply-add chain in either orientation, so this equals
+    /// `matmul(Ŵa, X, Transposed)` bit for bit.
+    pub fn block_logits(&self, x: &Tensor) -> Tensor {
+        matmul(x, &self.wa, Layout::Transposed).transposed_2d()
     }
 
     /// Stage two: every block's log-mean-exp over the rows,
@@ -495,7 +546,7 @@ impl MlpPredictor {
             let t = if on { 1.0 } else { 0.0 };
             let p = sigmoid(reduced[blk]);
             let w = (if on { pos_weight } else { 1.0 }) / mean_w;
-            loss += weighted_bce(p, t, w);
+            loss += weighted_bce(p, on, w);
             // d(loss)/d(logit_{blk,r}) = dreduced_blk · softmax_r.
             let dreduced = w * (p - t) / m;
             for v in dlogits.row_mut(blk) {
@@ -727,7 +778,7 @@ mod tests {
         let mut last = f32::MAX;
         for e in 0..150 {
             let lens = samples.iter().map(|s| s.x.len());
-            let noise = draw_noise(lens, 0.1, |si| e + 31 * si as u64);
+            let noise = draw_noise(lens, 0.1, |si| noise_seed(0, NoiseKind::Mlp, e, si));
             last = pred.train_epoch(&samples, &noise, 0.3, 2.0);
         }
         assert!(last < 1.0, "noisy training should still converge: {last}");

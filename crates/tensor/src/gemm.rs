@@ -10,10 +10,9 @@
 //! (see [`lx_kernels::backend`]).
 
 use crate::{BRef, Tensor};
-use lx_kernels::GemmOp;
-// Operand layout; re-exported so model-layer callers need no direct
-// lx-kernels dep.
-pub use lx_kernels::Layout;
+// Operand layout and the product descriptor; re-exported so model-layer
+// callers need no direct lx-kernels dep.
+pub use lx_kernels::{GemmOp, Layout};
 
 /// `C[m,n] = A[m,k] · B[k,n] + beta·C`.
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32], beta: f32) {
@@ -41,6 +40,14 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(c.len(), m * n, "gemm_tn: C size");
     let op = GemmOp::contiguous(m, k, n, a, Layout::Transposed, b, Layout::Normal);
     lx_kernels::backend().gemm(&op, c, n.max(1), beta);
+}
+
+/// `C = op(A)·op(B) + beta·C` for one described product on the process-wide
+/// backend, C with leading dimension `ldc`: the entry for strided windows of
+/// larger buffers (a head's columns of a head-stacked matrix, read and
+/// written in place).
+pub fn gemm_op(op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
+    lx_kernels::backend().gemm(op, c, ldc, beta);
 }
 
 /// `A[m,k] · B` on the trailing-2-D views, with `B` in **any storage** — a

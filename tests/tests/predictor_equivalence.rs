@@ -15,11 +15,19 @@
 //!   reduction agrees to 1e-6. `dŴa` agrees to 1e-6 up to 64 rows and to
 //!   5e-6 at 512 rows, where the oracle's own rounding is the larger error.
 //!   `dŴa` also matches finite differences of the loss.
+//! * **Calibration's cheap paths.** `block_logits` runs `X·Ŵaᵀ` and
+//!   transposes; it equals the `Ŵa·Xᵀ` product bitwise on every arm and at
+//!   1, 2 and 4 threads. The attention step reads each head through strided
+//!   column windows and takes one BCE logarithm per term; it equals a copy
+//!   of the copying, two-log step bitwise. The Irwin–Hall noise generator
+//!   is seeded, centred, scaled and bounded.
 
 use long_exposure::predictor::{pool_blocks, AttnPredictor, AttnSample, MlpPredictor};
+use lx_kernels::{GemmGroup, GemmOp, GemmTable, Isa, Packed, Windows};
+use lx_parallel::ThreadPool;
 use lx_sparse::{BlockMask, NeuronBlockSet};
 use lx_tensor::gemm::{matmul, matmul_tn, Layout};
-use lx_tensor::rng::uniform_vec;
+use lx_tensor::rng::{irwin_hall_into, uniform_vec};
 use lx_tensor::Tensor;
 
 const D: usize = 256;
@@ -355,4 +363,250 @@ fn mlp_gradient_matches_finite_differences() {
             "dWa[{idx}]: {g} vs finite difference {fd}"
         );
     }
+}
+
+/// `op` as the one-task grouped launch `Packed::gemm_on` runs, on an
+/// explicit pool and microkernel arm (`None`: the launch's own choice).
+fn one_task_launch(pool: &ThreadPool, isa: Option<Isa>, op: &GemmOp<'_>) -> Vec<f32> {
+    let table = GemmTable::each([(0, 0, 0)]);
+    let group = GemmGroup {
+        m: op.m,
+        k: op.k,
+        n: op.n,
+        a: Windows {
+            data: op.a,
+            ld: op.lda,
+            stride: 0,
+            layout: op.a_layout,
+        },
+        b: Windows {
+            data: op.b,
+            ld: op.ldb,
+            stride: 0,
+            layout: op.b_layout,
+        },
+        ldc: op.n,
+        c_stride: 0,
+        beta: 0.0,
+        table: &table,
+        bias: None,
+    };
+    let mut c = vec![f32::NAN; op.m * op.n];
+    Packed.gemm_grouped_on(pool, isa, &group, &mut c);
+    c
+}
+
+/// `MlpPredictor::block_logits` runs `X·Ŵaᵀ` and transposes the result.
+/// That equals the block-major product it replaced, `Ŵa·Xᵀ`, bit for bit:
+/// on every microkernel arm this host has, at 1, 2 and 4 threads, for the
+/// calibration shape (512 rows, d 256, 64 blocks) and for ragged ones.
+#[test]
+fn row_major_block_logits_equal_the_block_major_product_bitwise() {
+    let arms = [
+        None,
+        Some(Isa::Scalar),
+        Some(Isa::Avx2),
+        Some(Isa::Avx512),
+        Some(Isa::Neon),
+    ];
+    let arms: Vec<Option<Isa>> = arms
+        .into_iter()
+        .filter(|isa| isa.is_none_or(Isa::supported))
+        .collect();
+    let pools: Vec<ThreadPool> = [1, 2, 4].into_iter().map(ThreadPool::new).collect();
+    for (rows, d, n_blk) in [(512, D, 64), (37, 40, 9), (1, 8, 4), (64, D, 16)] {
+        let (p, x, _) = mlp_case(rows, d, n_blk, 40 + rows as u64);
+        let at = format!("rows={rows} d={d} n_blk={n_blk}");
+        // The public path, on the process-wide pool and active arm.
+        let old = matmul(&p.wa, &x, Layout::Transposed);
+        let got = p.block_logits(&x);
+        assert_eq!(got.shape(), &[n_blk, rows]);
+        assert_agree(
+            &format!("{at} block_logits"),
+            got.as_slice(),
+            old.as_slice(),
+            true,
+            0.0,
+        );
+        // Both orientations as explicit launches.
+        let block_major = GemmOp::nt(n_blk, d, rows, p.wa.as_slice(), d, x.as_slice(), d);
+        let row_major = GemmOp::nt(rows, d, n_blk, x.as_slice(), d, p.wa.as_slice(), d);
+        for pool in &pools {
+            for &isa in &arms {
+                let on = format!("{at} {isa:?} threads={}", pool.threads());
+                let want = one_task_launch(pool, isa, &block_major);
+                let by_row =
+                    Tensor::from_vec(one_task_launch(pool, isa, &row_major), &[rows, n_blk]);
+                let got = by_row.transposed_2d();
+                assert_agree(&on, got.as_slice(), &want, true, 0.0);
+            }
+        }
+    }
+}
+
+/// The attention step as it was before the heads were read in place:
+/// each head's `[n, r]` columns copied out of `Q̂` / `K̂`, its `dQ̂_h` /
+/// `dK̂_h` copied back into the stacked gradients, and both BCE logarithms
+/// evaluated for every term.
+fn copied_heads_two_log_gradients(
+    p: &AttnPredictor,
+    x: &Tensor,
+    targets: &[BlockMask],
+    pos_weight: f32,
+) -> (Tensor, Tensor, Vec<f32>, f64) {
+    let two_log_bce = |p: f32, t: f32, w: f32| {
+        let eps = 1e-7f32;
+        -(w * (t * (p + eps).ln() + (1.0 - t) * (1.0 - p + eps).ln())) as f64
+    };
+    let copy_cols = |stacked: &Tensor, h: usize| {
+        Tensor::from_vec(head_cols(stacked, h, p.rank), &[stacked.rows(), p.rank])
+    };
+    let put_cols = |stacked: &mut Tensor, h: usize, part: &Tensor| {
+        for i in 0..part.rows() {
+            stacked.row_mut(i)[h * p.rank..(h + 1) * p.rank].copy_from_slice(part.row(i));
+        }
+    };
+    let n = x.rows();
+    let m = (n * (n + 1) / 2) as f32;
+    let q_all = matmul(x, &p.wq, Layout::Normal);
+    let k_all = matmul(x, &p.wk, Layout::Normal);
+    let mut dq_all = Tensor::zeros(&[n, p.n_heads() * p.rank]);
+    let mut dk_all = Tensor::zeros(&[n, p.n_heads() * p.rank]);
+    let (mut dbias, mut loss) = (Vec::new(), 0.0f64);
+    for (h, target) in targets.iter().enumerate() {
+        let (q, k) = (copy_cols(&q_all, h), copy_cols(&k_all, h));
+        let mut logits = matmul(&q, &k, Layout::Transposed);
+        let slope = p.distance_slopes[h] * p.block_size as f32;
+        for i in 0..n {
+            for j in 0..=i {
+                logits.row_mut(i)[j] += p.bias[h];
+                if slope != 0.0 && j < i {
+                    logits.row_mut(i)[j] -= slope * (i - j) as f32;
+                }
+            }
+        }
+        let target = |i: usize, j: usize| if target.get(i, j) { 1.0 } else { 0.0 };
+        let mut weight_sum = 0.0f32;
+        for i in 0..n {
+            for j in 0..=i {
+                weight_sum += if target(i, j) > 0.5 { pos_weight } else { 1.0 };
+            }
+        }
+        let mean_w = (weight_sum / m).max(1e-6);
+        let mut dlogits = Tensor::zeros(&[n, n]);
+        for i in 0..n {
+            for j in 0..=i {
+                let t = target(i, j);
+                let prob = sigmoid(logits.row(i)[j]);
+                let w = (if t > 0.5 { pos_weight } else { 1.0 }) / mean_w;
+                loss += two_log_bce(prob, t, w);
+                dlogits.row_mut(i)[j] = w * (prob - t) / m;
+            }
+        }
+        put_cols(&mut dq_all, h, &matmul(&dlogits, &k, Layout::Normal));
+        put_cols(&mut dk_all, h, &matmul_tn(&dlogits, &q));
+        dbias.push(dlogits.sum());
+    }
+    (matmul_tn(x, &dq_all), matmul_tn(x, &dk_all), dbias, loss)
+}
+
+/// `AttnPredictor::gradients` reads every head through strided column
+/// windows and evaluates one logarithm per BCE term; it equals the copying,
+/// two-log step bit for bit in `dŴq`, `dŴk`, `dbias` and the loss. The
+/// biases push the probabilities to exactly 0, to ~2e-9 and to exactly 1,
+/// each against all-negative, all-positive and mixed targets, beside heads
+/// of ordinary logits.
+#[test]
+fn strided_single_log_attention_step_equals_the_copying_two_log_step_bitwise() {
+    let pos_weight = 4.0;
+    for heads in [1, 4] {
+        for n in [1, 4, 32] {
+            for (scale, bias) in [(0.01, -200.0), (0.01, -20.0), (0.01, 200.0), (1.0, -0.3)] {
+                let mut p = predictor(heads, 5 + n as u64);
+                p.bias = vec![bias; heads];
+                let x = Tensor::randn(&[n, D], scale, 60 + n as u64);
+                let all = |on: bool| {
+                    let mut mask = BlockMask::square(n);
+                    for i in 0..n {
+                        for j in 0..=i {
+                            mask.set(i, j, on);
+                        }
+                    }
+                    vec![mask; heads]
+                };
+                for (fill, targets) in [
+                    ("t=0", all(false)),
+                    ("t=1", all(true)),
+                    ("mixed", targets(heads, n, 80)),
+                ] {
+                    let at = format!("H={heads} n={n} bias={bias} {fill}");
+                    let (dwq, dwk, dbias, loss) =
+                        copied_heads_two_log_gradients(&p, &x, &targets, pos_weight);
+                    let got = p.gradients(&x, &targets, pos_weight);
+                    assert_agree(
+                        &format!("{at} dWq"),
+                        got.dwq.as_slice(),
+                        dwq.as_slice(),
+                        true,
+                        0.0,
+                    );
+                    assert_agree(
+                        &format!("{at} dWk"),
+                        got.dwk.as_slice(),
+                        dwk.as_slice(),
+                        true,
+                        0.0,
+                    );
+                    assert_agree(&format!("{at} dbias"), &got.dbias, &dbias, true, 0.0);
+                    assert_eq!(
+                        got.loss.to_bits(),
+                        loss.to_bits(),
+                        "{at} loss {} vs {loss}",
+                        got.loss
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Calibration's noise std (`NOISE_STD` in the engine).
+const NOISE_STD: f32 = 0.02;
+
+/// The calibration noise generator is a pure function of its seed (one
+/// generator word per draw, so any length is a prefix of a longer draw),
+/// zero-mean with the requested std, and bounded by `2√3·std`.
+#[test]
+fn irwin_hall_noise_is_seeded_centred_scaled_and_bounded() {
+    let draw = |len: usize, seed: u64| {
+        let mut buf = vec![f32::NAN; len];
+        irwin_hall_into(&mut buf, NOISE_STD, seed);
+        buf
+    };
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let long = draw(1001, 7);
+    assert_eq!(bits(&long), bits(&draw(1001, 7)), "same seed, same bits");
+    assert_ne!(
+        bits(&long),
+        bits(&draw(1001, 8)),
+        "another seed, another stream"
+    );
+    for len in [0, 1, 7, 63, 1000] {
+        assert_eq!(bits(&draw(len, 7)), bits(&long[..len]), "length {len}");
+    }
+    let n = 1 << 20;
+    let v = draw(n, 42);
+    let mean = v.iter().map(|&x| f64::from(x)).sum::<f64>() / n as f64;
+    let var = v
+        .iter()
+        .map(|&x| (f64::from(x) - mean).powi(2))
+        .sum::<f64>()
+        / n as f64;
+    let std = f64::from(NOISE_STD);
+    assert!(mean.abs() <= 0.01 * std, "mean {mean}");
+    assert!((var.sqrt() - std).abs() <= 0.01 * std, "std {}", var.sqrt());
+    let bound = (2.0 * 3f64.sqrt() * std) as f32;
+    assert!(v.iter().all(|x| x.abs() <= bound), "support beyond 2√3·std");
+    let widest = v.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+    assert!(widest > 2.5 * NOISE_STD, "the tails are reached: {widest}");
 }
