@@ -101,9 +101,9 @@ pub use dispatch::{
     PACKED, REFERENCE,
 };
 pub use isa::{active_isa, detected_isa, Isa};
-pub use observe::{gemm_call_total, Observed};
+pub use observe::{gemm_call_total, observe_fused, Observed};
 pub use op::{BOperand, Bias, Dtype, GemmGroup, GemmOp, GemmTable, GemmTask, Layout, Windows};
-pub use packed::{Packed, MR, NR};
+pub use packed::{Packed, Staged, MR, NR};
 // Quantized-B operands are passed as lx-quant views; re-exported so kernel
 // callers need no direct lx-quant dependency.
 pub use lx_quant::Q4View;

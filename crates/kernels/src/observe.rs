@@ -130,6 +130,35 @@ impl KernelBackend for Observed {
     }
 }
 
+/// Book one *fused* launch — `f`, which runs the products of `groups`
+/// staged ([`Packed::stage`](crate::Packed::stage)) inside its own parallel
+/// split, with row passes between them — as **one** packed call: the class
+/// from all the groups' FLOPs, the dtype from the first group's B, and
+/// `kernel.gemm.ns` the launch's wall time, row passes included. The
+/// groups' task counts go to `kernel.gemm.tasks`.
+pub fn observe_fused<R>(groups: &[&GemmGroup<'_>], f: impl FnOnce() -> R) -> R {
+    let mut tasks = 0;
+    let mut flops = 0;
+    for g in groups {
+        let n = g.table.tasks().len() as u64;
+        tasks += n;
+        flops += 2 * n * (g.m as u64) * (g.k as u64) * (g.n as u64);
+    }
+    let dtype = groups.first().map_or(Dtype::F32, |g| g.b.data.dtype());
+    let s = stats("packed", flop_class(flops), dtype);
+    let out = if tracing_active() {
+        let t0 = Instant::now();
+        let out = f();
+        s.time_ns.record_duration(t0.elapsed());
+        out
+    } else {
+        f()
+    };
+    s.calls.inc();
+    group_tasks().add(tasks);
+    out
+}
+
 /// `kernel.gemm.tasks`: block tasks issued through grouped launches.
 fn group_tasks() -> &'static Counter {
     static TASKS: OnceLock<Arc<Counter>> = OnceLock::new();

@@ -593,26 +593,18 @@ impl GemmGroup<'_> {
     #[track_caller]
     pub(crate) fn check(&self, c_len: usize) -> CShape {
         let (a_rows, a_cols) = self.a.layout.stored(self.m, self.k);
-        let (b_rows, b_cols) = self.b.layout.stored(self.k, self.n);
-        let t = self.table;
-        let a_off = t.max[0] as usize * self.a.stride;
-        let b_off = t.max[1] as usize * self.b.stride;
-        let c_off = t.max[2] as usize * self.c_stride;
-        let tail = |len: usize, off: usize| len.saturating_sub(off);
+        let a_off = self.table.max[0] as usize * self.a.stride;
         check_view(
-            tail(self.a.data.len(), a_off),
+            self.a.data.len().saturating_sub(a_off),
             a_rows,
             a_cols,
             self.a.ld,
             "gemm group: A",
         );
-        check_view(
-            tail(self.b.data.len(), b_off),
-            b_rows,
-            b_cols,
-            self.b.ld,
-            "gemm group: B",
-        );
+        self.check_b();
+        let t = self.table;
+        let c_off = t.max[2] as usize * self.c_stride;
+        let tail = |len: usize, off: usize| len.saturating_sub(off);
         check_view(
             tail(c_len, c_off),
             self.m,
@@ -620,16 +612,50 @@ impl GemmGroup<'_> {
             self.ldc,
             "gemm group: C",
         );
-        if let Some(bias) = self.bias {
-            let need = t.max[1] as usize * bias.stride + self.n;
-            check_bias(bias.data.len(), need, "gemm group");
-        }
         if c_off + self.n <= self.ldc && c_len <= self.m * self.ldc {
             CShape::Columns
         } else if t.c_ascending && self.c_span() <= self.c_stride {
             CShape::Regions
         } else {
             CShape::Other
+        }
+    }
+
+    /// Validate the A windows of `tasks` against an A buffer of `len`
+    /// elements that starts at element `base` of the group's A.
+    #[track_caller]
+    pub(crate) fn check_a(&self, len: usize, base: usize, tasks: &[GemmTask]) {
+        let (rows, cols) = self.a.layout.stored(self.m, self.k);
+        for t in tasks {
+            let off = self.table.a_windows()[t.a as usize] as usize * self.a.stride;
+            assert!(off >= base, "gemm group: A window at {off} before {base}");
+            check_view(
+                len.saturating_sub(off - base),
+                rows,
+                cols,
+                self.a.ld,
+                "gemm group: A",
+            );
+        }
+    }
+
+    /// Validate every B window and the bias against their buffers — O(1),
+    /// from the table's largest B window index.
+    #[track_caller]
+    pub(crate) fn check_b(&self) {
+        let (b_rows, b_cols) = self.b.layout.stored(self.k, self.n);
+        let t = self.table;
+        let b_off = t.max[1] as usize * self.b.stride;
+        check_view(
+            self.b.data.len().saturating_sub(b_off),
+            b_rows,
+            b_cols,
+            self.b.ld,
+            "gemm group: B",
+        );
+        if let Some(bias) = self.bias {
+            let need = t.max[1] as usize * bias.stride + self.n;
+            check_bias(bias.data.len(), need, "gemm group");
         }
     }
 }

@@ -59,6 +59,13 @@
 //!   bit-identical to those passes while their read-modify-write sweeps over
 //!   C disappear. A plain product's bias is the bias of its one run.
 //!
+//! A launch can also be *staged* ([`Packed::stage`]): the tile picked and B̃
+//! packed once, after which its caller computes runs piecemeal on its own
+//! workers ([`Staged::run`]) — how the attention core interleaves score
+//! products, softmax and context products per block-row. A staged run reads
+//! every A window in place, also from a slice the caller has just written
+//! ([`Staged::run_over`]).
+//!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
 
@@ -81,10 +88,12 @@ pub const NR: usize = 16;
 
 /// Fill one `nr`-wide B̃ panel: `dst[p·nr + j]` = B(p, j) for `p < kc`,
 /// `j < width`, counted from the element at flat index `at` of B stored in
-/// `layout`; lanes past `width` are left as they are. An f32 B is copied
-/// element by element, reduced storage decoded in runs on arm `isa`.
-/// Decoder indices are buffer-relative, never panel- or window-relative, so
-/// NF4 resolves its block scales under any `ldb` and any window offset.
+/// `layout`; lanes past `width` are left as they are. An f32 B is copied a
+/// k-row at a time, or transposed 16 × 16 at a time; reduced storage is
+/// decoded in runs on arm `isa` — straight into the panel's k-rows, or into
+/// 16 column runs that are then transposed the same way. Decoder indices
+/// are buffer-relative, never panel- or window-relative, so NF4 resolves its
+/// block scales under any `ldb` and any window offset.
 #[allow(clippy::too_many_arguments)]
 fn fill_panel(
     isa: Isa,
@@ -99,10 +108,17 @@ fn fill_panel(
 ) {
     match (b, layout) {
         (BOperand::F32(b), Layout::Normal) => {
-            fill_normal_elementwise(|i| b[i], dst, ldb, at, kc, width, nr)
+            for p in 0..kc {
+                let (src, row) = (&b[at + p * ldb..][..width], &mut dst[p * nr..][..width]);
+                // An inline loop: a k-row is a register tile wide, too short
+                // to pay a `memcpy` call.
+                for (d, &v) in row.iter_mut().zip(src) {
+                    *d = v;
+                }
+            }
         }
         (BOperand::F32(b), Layout::Transposed) => {
-            fill_transposed_elementwise(|i| b[i], dst, ldb, at, kc, width, nr)
+            transpose_into(|j| &b[at + j * ldb..][..kc], dst, kc, width, nr)
         }
         (_, Layout::Normal) => {
             for p in 0..kc {
@@ -114,66 +130,71 @@ fn fill_panel(
             // The default k-block depth: one run per column at the default
             // tiling.
             const RUN: usize = 256;
-            let mut scratch = [0.0f32; RUN];
-            for j in 0..width {
-                let base = at + j * ldb;
+            let mut runs = vec![[0.0f32; RUN]; TRANSPOSE];
+            for j0 in (0..width).step_by(TRANSPOSE) {
+                let cols = TRANSPOSE.min(width - j0);
                 for p0 in (0..kc).step_by(RUN) {
-                    let run = &mut scratch[..RUN.min(kc - p0)];
-                    decode::run(isa, b, base + p0, run);
-                    for (p, &v) in run.iter().enumerate() {
-                        dst[(p0 + p) * nr + j] = v;
+                    let len = RUN.min(kc - p0);
+                    for (j, run) in runs.iter_mut().enumerate().take(cols) {
+                        decode::run(isa, b, at + (j0 + j) * ldb + p0, &mut run[..len]);
                     }
+                    let dst = &mut dst[p0 * nr + j0..];
+                    transpose_into(|j| &runs[j][..len], dst, len, cols, nr);
                 }
             }
         }
     }
 }
 
-/// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand, one
-/// `load(flat index)` per element: `dst[p·nr + j] = load(at + p·ldb + j)`
-/// for `p < kc`, `j < width`. Lanes past `width` are left as they are.
-#[allow(clippy::too_many_arguments)]
-fn fill_normal_elementwise(
-    load: impl Fn(usize) -> f32,
-    dst: &mut [f32],
-    ldb: usize,
-    at: usize,
-    kc: usize,
-    width: usize,
-    nr: usize,
-) {
-    for p in 0..kc {
-        let base = at + p * ldb;
-        for j in 0..width {
-            dst[p * nr + j] = load(base + j);
-        }
-    }
-}
+/// Columns and k-steps one transposing fill moves per block.
+const TRANSPOSE: usize = 16;
 
-/// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
-/// `dst[p·nr + j] = load(at + j·ldb + p)`. Lanes past `width` are left as
-/// they are.
-#[allow(clippy::too_many_arguments)]
-fn fill_transposed_elementwise(
-    load: impl Fn(usize) -> f32,
+/// `dst[p·nr + j] = col(j)[p]` for `p < kc`, `j < width`, where `col(j)` is
+/// the `kc` values of column `j`: blocks of 16 × 16 go through a stack tile,
+/// so every load and every store is a contiguous run rather than one
+/// element `nr` apart from the next.
+fn transpose_into<'c>(
+    col: impl Fn(usize) -> &'c [f32],
     dst: &mut [f32],
-    ldb: usize,
-    at: usize,
     kc: usize,
     width: usize,
     nr: usize,
 ) {
-    for j in 0..width {
-        let base = at + j * ldb;
-        for p in 0..kc {
-            dst[p * nr + j] = load(base + p);
+    const T: usize = TRANSPOSE;
+    let mut tile = [[0.0f32; T]; T];
+    for j0 in (0..width).step_by(T) {
+        let cols = T.min(width - j0);
+        for p0 in (0..kc).step_by(T) {
+            let steps = T.min(kc - p0);
+            if cols == T && steps == T {
+                // A whole block: fixed-size moves the compiler keeps inline.
+                for (j, row) in tile.iter_mut().enumerate() {
+                    *row = *col(j0 + j)[p0..].first_chunk::<T>().expect("a whole block");
+                }
+                for (p, out) in dst[p0 * nr + j0..].chunks_mut(nr).take(T).enumerate() {
+                    let out: &mut [f32; T] = out.first_chunk_mut().expect("a whole block");
+                    *out = std::array::from_fn(|j| tile[j][p]);
+                }
+                continue;
+            }
+            for (j, row) in tile.iter_mut().enumerate().take(cols) {
+                row[..steps].copy_from_slice(&col(j0 + j)[p0..p0 + steps]);
+            }
+            for p in 0..steps {
+                let out = &mut dst[(p0 + p) * nr + j0..][..cols];
+                for (j, o) in out.iter_mut().enumerate() {
+                    *o = tile[j][p];
+                }
+            }
         }
     }
 }
 
 thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// B̃ buffers this thread is not using right now: a launch takes one per
+    /// k-block it keeps packed and returns them when it is done.
+    static PACK_B: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     /// Which A slots of a grouped launch this thread has packed so far.
     static PACKED_SLOTS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
@@ -472,17 +493,20 @@ enum Segs<'a> {
 }
 
 impl Src<'_> {
-    /// First element of segment `s`.
+    /// First element of segment `s`. The offset is added with wrapping
+    /// arithmetic: a pointer may be counted from before the slice it reads
+    /// (a staged run's A, counted from element 0 of the group's buffer) as
+    /// long as every segment lands inside it.
     ///
     /// # Safety
-    /// The segment must lie inside the allocation `ptr` points into.
+    /// The segment must lie inside the allocation it is read from.
     #[inline(always)]
     unsafe fn seg(&self, s: usize) -> *const f32 {
         let off = match self.segs {
             Segs::Step(step) => s * step,
             Segs::Windows(windows, stride) => windows[s] as usize * stride,
         };
-        self.ptr.add(off)
+        self.ptr.wrapping_add(off)
     }
 }
 
@@ -717,9 +741,24 @@ fn is_wide(g: &GemmGroup<'_>, shape: CShape) -> bool {
         && (0u32..).zip(tasks).all(|(i, t)| t.c == tasks[0].c + i)
 }
 
+/// B read where it lies: f32 windows stored as they are multiplied, a whole
+/// number of `tile`'s register columns wide.
+fn b_in_place<'a>(g: &GemmGroup<'a>, tile: Tile) -> Option<&'a [f32]> {
+    match g.b.data {
+        BOperand::F32(b) if g.b.layout == Layout::Normal && g.n.is_multiple_of(tile.shape().1) => {
+            Some(b)
+        }
+        _ => None,
+    }
+}
+
 /// One k-block of a grouped launch: everything its chunks share.
 struct GroupPass<'a> {
     g: &'a GemmGroup<'a>,
+    /// The A buffer this pass reads, holding elements `a_base ..` of the
+    /// group's A: the group's own, or the part of it a staged run was given.
+    a: &'a [f32],
+    a_base: usize,
     tile: Tile,
     /// First k-step and depth of the block.
     pc: usize,
@@ -758,8 +797,10 @@ impl GroupPass<'_> {
         let panels = self.cols.div_ceil(nr) * self.b_slots;
         out.resize(panels * panel_len, 0.0);
         let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
-            for (dst, p) in dst_all.chunks_exact_mut(panel_len).zip(prange) {
-                let (jp, slot) = (p / self.b_slots, p % self.b_slots);
+            // Panel `p` is column panel `p / b_slots` of slot `p % b_slots`,
+            // counted up rather than divided out per panel.
+            let (mut jp, mut slot) = (prange.start / self.b_slots, prange.start % self.b_slots);
+            for dst in dst_all.chunks_exact_mut(panel_len) {
                 let cols = jp * nr..self.cols.min((jp + 1) * nr);
                 if cols.len() < nr {
                     dst.fill(0.0);
@@ -768,13 +809,21 @@ impl GroupPass<'_> {
                 // `s + v / n` (`v < n` unless widened).
                 let mut v = cols.start;
                 while v < cols.end {
-                    let (window, j) = (windows[slot + v / g.n] as usize, v % g.n);
+                    let (window, j) = if v < g.n {
+                        (windows[slot] as usize, v)
+                    } else {
+                        (windows[slot + v / g.n] as usize, v % g.n)
+                    };
                     let width = (g.n - j).min(cols.end - v);
                     let at = window * g.b.stride + g.b.layout.at(g.b.ld, pc, j);
                     let dst = &mut dst[v - cols.start..];
                     let (b, ld) = (g.b.data, g.b.ld);
                     fill_panel(self.isa, b, g.b.layout, dst, ld, at, kc, width, nr);
                     v += width;
+                }
+                slot += 1;
+                if slot == self.b_slots {
+                    (jp, slot) = (jp + 1, 0);
                 }
             }
         };
@@ -805,6 +854,9 @@ impl GroupPass<'_> {
         let (mr, nr) = self.tile.shape();
         let (a_windows, b_windows) = (g.table.a_windows(), g.table.b_windows());
         let m_panels = rows.len().div_ceil(mr);
+        // Per call, not per task: a division costs tens of cycles, a
+        // score block's whole product a few hundred.
+        let (n_panels, c_windows) = (self.cols.div_ceil(nr), self.cols / g.n);
         let height = |ip: usize| mr.min(rows.len() - ip * mr);
         let a_panel = |ip: usize, slot: usize| (ip * a_windows.len() + slot) * kc * mr;
         let (a_ks, a_xs) = match g.a.layout {
@@ -841,7 +893,7 @@ impl GroupPass<'_> {
                                 continue;
                             }
                             copied += rows.len() * kc;
-                            let a = &g.a.data[a_windows[slot] as usize * g.a.stride..];
+                            let a = &self.a[a_windows[slot] as usize * g.a.stride - self.a_base..];
                             for ip in 0..m_panels {
                                 let dst = &mut apack[a_panel(ip, slot)..][..kc * mr];
                                 if height(ip) < mr {
@@ -861,7 +913,7 @@ impl GroupPass<'_> {
                                 );
                             }
                         }
-                        for jp in 0..self.cols.div_ceil(nr) {
+                        for jp in 0..n_panels {
                             let b = if let Some(bf) = self.b_direct {
                                 Src {
                                     ptr: bf[pc * g.b.ld + jp * nr..].as_ptr(),
@@ -877,8 +929,11 @@ impl GroupPass<'_> {
                             for ip in 0..m_panels {
                                 let a = if self.a_direct {
                                     let row = rows.start + ip * mr;
+                                    // Counted from element 0 of the group's A: the
+                                    // windows' offsets take `a` back into range.
+                                    let at = self.a[row * a_xs + pc * a_ks..].as_ptr();
                                     Src {
-                                        ptr: g.a.data[row * a_xs + pc * a_ks..].as_ptr(),
+                                        ptr: at.wrapping_sub(self.a_base),
                                         ks: a_ks,
                                         xs: a_xs,
                                         segs: Segs::Windows(&a_windows[a0..a0 + depth], g.a.stride),
@@ -907,7 +962,7 @@ impl GroupPass<'_> {
                     if pc + kc == g.k {
                         // The table's tasks behind the run's column windows:
                         // its first task, or every task of a widened launch.
-                        let windows = &g.table.tasks()[self.runs[r] as usize..][..self.cols / g.n];
+                        let windows = &g.table.tasks()[self.runs[r] as usize..][..c_windows];
                         for (w, t) in windows.iter().enumerate() {
                             if let Some(bias) = g.run_bias(t) {
                                 let c = &mut chunk[c_off + w * g.n..];
@@ -1034,28 +1089,17 @@ impl Packed {
         };
         let tile = pick_tile(isa, g.m, cols);
         let a_direct = !wide && table.a_windows().len() == table.tasks().len();
-        let b_direct = match g.b.data {
-            BOperand::F32(b)
-                if !wide && g.b.layout == Layout::Normal && g.n.is_multiple_of(tile.shape().1) =>
-            {
-                Some(b)
-            }
-            _ => None,
-        };
+        let b_direct = b_in_place(g, tile).filter(|_| !wide);
         let seq = crate::sequential_mode();
         let kc_max = tiles().kc.max(1);
-        // Reuse this thread's B̃ buffer across calls. Taken out of the
-        // thread-local (not borrowed across the parallel section): the
-        // submitting thread helps drain the pool queue while waiting, and a
-        // stolen task may launch on this very thread — a held `RefCell`
-        // borrow would panic, whereas a nested launch here simply finds an
-        // empty cell and allocates its own buffer.
-        let mut bpack = PACK_B.with(|b| std::mem::take(&mut *b.borrow_mut()));
+        let mut bpack = take_b_buffer();
         let mut pc = 0;
         while pc < g.k {
             let kc = kc_max.min(g.k - pc);
             let pass = GroupPass {
                 g,
+                a: g.a.data,
+                a_base: 0,
                 tile,
                 pc,
                 kc,
@@ -1102,7 +1146,159 @@ impl Packed {
             }
             pc += kc;
         }
-        PACK_B.with(|b| *b.borrow_mut() = bpack);
+        return_b_buffer(bpack);
+    }
+
+    /// Stage `g` for a caller that computes its runs piecemeal, inside its
+    /// own split of the work — say one task per attention block-row that runs
+    /// a score product, a softmax and a context product back to back while
+    /// the blocks are in cache. Staging picks the register tile and packs B̃
+    /// of every k-block once, on `pool` (inline under [`sequential_mode`]),
+    /// exactly as [`gemm_grouped_on`](Self::gemm_grouped_on) would — f32 B
+    /// rows a whole number of register tiles wide are read in place instead.
+    /// Then [`Staged::run`] computes any runs on the calling thread, each C
+    /// element bit for bit what the grouped launch gives it. A staged run
+    /// reads every A window where it lies: a run of a few blocks would pay
+    /// more to pack a window than its products save.
+    ///
+    /// [`sequential_mode`]: crate::sequential_mode
+    pub fn stage<'a>(&self, pool: &ThreadPool, isa: Option<Isa>, g: GemmGroup<'a>) -> Staged<'a> {
+        let table = g.table;
+        if !table.tasks().is_empty() {
+            g.check_b();
+        }
+        if let Some(isa) = isa {
+            assert!(isa.supported(), "gemm group: {} not supported", isa.name());
+        }
+        let tile = pick_tile(isa, g.m, g.n);
+        let b_direct = b_in_place(&g, tile);
+        let mut staged = Staged {
+            g,
+            tile,
+            b_direct,
+            isa: isa.unwrap_or_else(active_isa),
+            packs: Vec::new(),
+        };
+        if b_direct.is_none() && !table.tasks().is_empty() && g.m > 0 && g.n > 0 {
+            let pool = (!crate::sequential_mode()).then_some(pool);
+            for pc in staged.k_blocks() {
+                let mut bpack = take_b_buffer();
+                staged.pass(pc, &[], 0).pack_b(&mut bpack, pool);
+                staged.packs.push(bpack);
+            }
+        }
+        staged
+    }
+}
+
+/// A B̃ buffer for a launch on this thread: one it has used before, or a
+/// new one. Taken out of the thread-local, not borrowed across a parallel
+/// section: the submitting thread helps drain the pool queue while waiting,
+/// and a stolen task may launch on this very thread — a held `RefCell`
+/// borrow would panic, whereas a nested launch simply takes another buffer.
+fn take_b_buffer() -> Vec<f32> {
+    PACK_B.with(|b| b.borrow_mut().pop().unwrap_or_default())
+}
+
+fn return_b_buffer(buffer: Vec<f32>) {
+    PACK_B.with(|b| b.borrow_mut().push(buffer));
+}
+
+/// A grouped launch staged by [`Packed::stage`]: its register tile chosen
+/// and its B̃ packed, waiting for callers to compute its runs.
+pub struct Staged<'a> {
+    g: GemmGroup<'a>,
+    tile: Tile,
+    /// B read in place: f32 rows a whole number of register tiles wide.
+    b_direct: Option<&'a [f32]>,
+    isa: Isa,
+    /// B̃ of each k-block, unless B is read in place.
+    packs: Vec<Vec<f32>>,
+}
+
+impl Staged<'_> {
+    /// First k-step of every k-block.
+    fn k_blocks(&self) -> std::iter::StepBy<Range<usize>> {
+        (0..self.g.k).step_by(tiles().kc.max(1))
+    }
+
+    /// The pass over the k-block starting at `pc`, reading A from `a`, which
+    /// holds elements `a_base ..` of the group's A.
+    fn pass<'s>(&'s self, pc: usize, a: &'s [f32], a_base: usize) -> GroupPass<'s> {
+        let table = self.g.table;
+        GroupPass {
+            g: &self.g,
+            a,
+            a_base,
+            tile: self.tile,
+            pc,
+            kc: tiles().kc.max(1).min(self.g.k - pc),
+            cols: self.g.n,
+            runs: table.runs(),
+            tasks: table.tasks(),
+            b_slots: table.b_windows().len(),
+            a_direct: true,
+            b_direct: self.b_direct,
+            isa: self.isa,
+        }
+    }
+
+    /// Compute runs `runs` of the staged launch into `chunk`, which holds
+    /// elements `base ..` of its C, on the calling thread: every k-block of
+    /// each run, its `beta` and its bias, as the grouped launch does.
+    pub fn run(&self, runs: Range<usize>, chunk: &mut [f32], base: usize) {
+        self.run_over(self.g.a.data, 0, runs, chunk, base)
+    }
+
+    /// [`run`](Self::run) with the A windows read from `a`, which holds
+    /// elements `a_base ..` of the group's A buffer — for an A that the
+    /// caller writes between the runs it computes, such as the probabilities
+    /// a context product reads right after its softmax. Panics unless every
+    /// A window of `runs` lies inside `a`.
+    pub fn run_over(
+        &self,
+        a: &[f32],
+        a_base: usize,
+        runs: Range<usize>,
+        chunk: &mut [f32],
+        base: usize,
+    ) {
+        let g = &self.g;
+        let table = g.table;
+        let tasks =
+            &table.tasks()[table.runs()[runs.start] as usize..table.runs()[runs.end] as usize];
+        g.check_a(a.len(), a_base, tasks);
+        if g.m == 0 || g.n == 0 {
+            return;
+        }
+        if g.k == 0 {
+            for run in table.runs()[runs.start..=runs.end].windows(2) {
+                let Some(first) = table.tasks()[run[0] as usize..run[1] as usize].first() else {
+                    continue;
+                };
+                let window = &mut chunk[g.c_offset(first) - base..];
+                for i in 0..g.m {
+                    scale_row(&mut window[i * g.ldc..][..g.n], g.beta);
+                }
+                if let Some(bias) = g.run_bias(first) {
+                    add_bias(window, g.m, g.n, g.ldc, bias);
+                }
+            }
+            return;
+        }
+        for (b, pc) in self.k_blocks().enumerate() {
+            let bpack = self.packs.get(b).map_or(&[][..], |p| &p[..]);
+            self.pass(pc, a, a_base)
+                .work(bpack, runs.clone(), 0..g.m, chunk, base);
+        }
+    }
+}
+
+impl Drop for Staged<'_> {
+    fn drop(&mut self) {
+        for bpack in self.packs.drain(..) {
+            return_b_buffer(bpack);
+        }
     }
 }
 
@@ -1181,6 +1377,48 @@ mod tests {
         }
     }
 
+    /// Fill one `nr`-wide B̃ panel from a **Normal**-layout operand, one
+    /// `load(flat index)` per element: `dst[p·nr + j] = load(at + p·ldb + j)`
+    /// for `p < kc`, `j < width` — the definition the fills are checked against.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_normal_elementwise(
+        load: impl Fn(usize) -> f32,
+        dst: &mut [f32],
+        ldb: usize,
+        at: usize,
+        kc: usize,
+        width: usize,
+        nr: usize,
+    ) {
+        for p in 0..kc {
+            let base = at + p * ldb;
+            for j in 0..width {
+                dst[p * nr + j] = load(base + j);
+            }
+        }
+    }
+
+    /// Fill one `nr`-wide B̃ panel from a **Transposed**-layout operand:
+    /// `dst[p·nr + j] = load(at + j·ldb + p)` — the definition the fills are
+    /// checked against.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_transposed_elementwise(
+        load: impl Fn(usize) -> f32,
+        dst: &mut [f32],
+        ldb: usize,
+        at: usize,
+        kc: usize,
+        width: usize,
+        nr: usize,
+    ) {
+        for j in 0..width {
+            let base = at + j * ldb;
+            for p in 0..kc {
+                dst[p * nr + j] = load(base + p);
+            }
+        }
+    }
+
     fn supported(tile: Tile) -> bool {
         match tile {
             Tile::Scalar | Tile::Fused => true,
@@ -1192,10 +1430,12 @@ mod tests {
     /// A pass's B̃ fill ([`GroupPass::pack_b`]) into a buffer holding an
     /// earlier call's (here: NaN) lanes gives the panels a zeroed buffer and
     /// the elementwise fills give — for every storage kind on every tile of
-    /// every arm this host runs, so the run-decoding fills of f16 and NF4
-    /// equal their elementwise oracle bit for bit. The windows cover `ldb`
-    /// past the stored width, panels narrower than `nr`, odd first columns
-    /// (a window offset) and `kc` that is no multiple of a vector step.
+    /// every arm this host runs, so the row copies, the 16 × 16 transposes
+    /// and the run-decoding fills of f16 and NF4 equal their elementwise
+    /// oracle bit for bit. The windows cover `ldb` past the stored width,
+    /// panels narrower than `nr` (down to one column), odd first columns (a
+    /// window offset), `kc` that is no multiple of a vector step or of the
+    /// transpose block, and `kc` past one decode run.
     #[test]
     fn pack_b_overwrites_every_lane_of_a_reused_buffer() {
         let arms = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
@@ -1211,6 +1451,8 @@ mod tests {
                         (9, 5, 0, 1, 8, 0, 5),
                         (70, 75, 3, 5, 61, 3, 70),
                         (130, 33, 1, 1, 129, 1, 31),
+                        (310, 40, 2, 3, 300, 5, 35),
+                        (17, 3, 0, 0, 17, 2, 1),
                     ] {
                         let ldb = pad + if layout == Layout::Normal { n } else { k };
                         let len = if layout == Layout::Normal { k } else { n } * ldb;
@@ -1252,6 +1494,8 @@ mod tests {
                             };
                             let pass = GroupPass {
                                 g: &g,
+                                a: no_a,
+                                a_base: 0,
                                 tile,
                                 pc,
                                 kc,

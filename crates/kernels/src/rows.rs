@@ -27,6 +27,18 @@
 //! per-thread MXCSR flush-to-zero / denormals-are-zero modes, which would make
 //! a result depend on the thread that computed it.
 //!
+//! **The softmax pair works 16 rows at a time.** A band's rows are taken in
+//! tiles of 16, each row with its own lane accumulators, and every pass
+//! sweeps a segment for the whole tile before the next segment: a 16×16
+//! block of block-row data is one straight run of sixteen row chunks, its
+//! causal geometry worked out once per block instead of once per row, and a
+//! block every row of the tile sees whole skips the causal mask. Every row
+//! still folds its segments into the same lanes in the same order, so the
+//! tiled kernels equal the row-at-a-time definition bit for bit. On the
+//! AVX-512 arm, single-threaded over S = 512 block rows (dense and
+//! d = 0.23), the forward went from ~0.95–1.8 to ~0.6 ns per element and the
+//! backward from ~0.6–1.0 to ~0.35–0.4.
+//!
 //! The first argument of every kernel is the arm to run, normally
 //! [`active_isa()`](crate::active_isa); an arm the host cannot execute, and
 //! `Isa::Scalar` / `Isa::Neon`, run the definition itself.
@@ -34,8 +46,8 @@
 //! | kernel | definition | error |
 //! |---|---|---|
 //! | [`exp`] | `n = round(x·log₂e)`, `r = x − n·ln2` (two-constant Cody–Waite), `1 + r + r²·P₅(r)` Horner in FMAs, `·2ⁿ` through the exponent bits | ≤ 2 ulp on `[−87.3, 0]` (measured 1.01); `exp(0) = 1`, `x < −87.3 → 0`, NaN → NaN |
-//! | [`softmax_forward`] | `v = scale·s − slope·(q−k)` up to the causal limit, lane max, `exp(v − max)` — exactly 0 where `v − max < −64·ln 2` — + lane sum, `· 1/sum` | `exp` + one rounding per add; the dropped mass is < 2⁻⁶⁴ per element |
-//! | [`softmax_backward`] | lane sum of `p·dp`, `ds = p·(dp − dot)·scale`, flushed to +0 where `\|ds\| < f32::MIN_POSITIVE` | exact ops only |
+//! | [`softmax_forward`] | `v = scale·s − slope·(q−k)` up to the causal limit, lane max, `exp(v − max)` — exactly 0 where `v − max < −64·ln 2` — + lane sum, `· 1/sum`; rows in tiles of 16 | `exp` + one rounding per add; the dropped mass is < 2⁻⁶⁴ per element |
+//! | [`softmax_backward`] | lane sum of `p·dp`, `ds = p·(dp − dot)·scale`, flushed to +0 where `\|ds\| < f32::MIN_POSITIVE`; rows in tiles of 16 | exact ops only |
 //! | [`layernorm_forward`] / [`layernorm_backward`] | lane sums for mean, variance and the two backward moments | exact ops only |
 //! | [`relu`] / [`relu_backward`] | elementwise | exact |
 //! | [`log_sum_exp`] | lane max, `exp(x − max)` + lane sum (optionally written out as `softmax·coef`) | `exp` |
@@ -48,13 +60,13 @@ const NEG_INF: f32 = f32::NEG_INFINITY;
 pub const LANES: usize = 16;
 
 /// Elements per pool task below which a row pass stays on the calling
-/// thread. On the AVX-512 arm, single-threaded over the 1.08 M block
-/// elements of one dense causal S = 512 layer, the softmax forward costs
-/// ~1.95 ns per element over its three passes and the backward ~1.45 ns over
-/// its two, so a task this size is ~0.4–0.5 ms — and a region that cannot
-/// give two workers that much each gains nothing from the second one (the
-/// pool's wake-up and the shared core eat it).
-pub const PAR_GRAIN: usize = 1 << 18;
+/// thread. On the AVX-512 arm, single-threaded over the block rows of one
+/// S = 512 layer (dense causal and d = 0.23), the 16-row tiled softmax
+/// forward costs ~0.6 ns per element over its three passes and the backward
+/// ~0.35–0.4 ns over its two, so a task this size lasts ~45–80 µs: three to
+/// eight times the 10–16 µs the pool takes to wake its first worker, which
+/// a smaller task would spend a large share of waiting for.
+pub const PAR_GRAIN: usize = 1 << 17;
 
 // ---------------------------------------------------------------------------
 // Sixteen lanes
@@ -519,6 +531,132 @@ fn flush_subnormal<L: Lanes>(v: L) -> L {
     lo.lt_select(v, v.lt_select(hi, L::splat(0.0), v), v)
 }
 
+/// Rows one softmax tile works together: the 16 rows of a block-row band.
+/// Each keeps its own lane accumulators, so every pass sweeps a segment
+/// once for all sixteen rows, and a whole 16×16 block is one straight run
+/// of row chunks.
+const TILE: usize = 16;
+
+/// The row tiles of a band: `TILE` rows at a time, the last one shorter.
+#[inline(always)]
+fn tiles(rows: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..rows)
+        .step_by(TILE)
+        .map(move |r0| r0..rows.min(r0 + TILE))
+}
+
+/// Segment `e` of a full tile as one block when a row segment is one chunk:
+/// the block's elements (row `i` at `i·LANES`) and the geometry of its
+/// first row — row `i` sees `v0 + i` keys (clamped to `0..=LANES`) and
+/// starts at distance `d0 + i`, both exact and equal to what [`prefix`]
+/// gives. `None` when the segment is not one chunk wide or the tile is
+/// short.
+#[inline(always)]
+fn block<'d>(
+    data: &'d mut [f32],
+    band: &Band,
+    causal: Option<Causal<'_>>,
+    tile: &std::ops::Range<usize>,
+    e: usize,
+) -> Option<(&'d mut [f32], isize, f32)> {
+    if band.width != LANES || band.row_stride != LANES || tile.len() != TILE {
+        return None;
+    }
+    let (v0, d0) = match causal {
+        None => (LANES as isize, 0.0),
+        Some(c) => {
+            let (q, k0) = (c.q0 + tile.start, c.cols[e] as usize * LANES);
+            (q as isize + 1 - k0 as isize, q as f32 - k0 as f32)
+        }
+    };
+    let at = band.seg(tile.start, e).start;
+    Some((&mut data[at..at + TILE * LANES], v0, d0))
+}
+
+/// `(valid, live, d0)` of row `i` of a [`block`].
+#[inline(always)]
+fn row_in_block(v0: isize, d0: f32, i: usize) -> (usize, usize, f32) {
+    let valid = (v0 + i as isize).clamp(0, LANES as isize) as usize;
+    (valid, if valid > 0 { LANES } else { 0 }, d0 + i as f32)
+}
+
+/// First pass on one row segment at `(valid, live, d0)`: `scale·s −
+/// slope·(q−k)` in place, lanes past the causal limit at −∞ up to `live`
+/// and zeros after it, folded into the row's lane max.
+#[inline(always)]
+fn scores_seg<L: Lanes>(
+    seg: &mut [f32],
+    (valid, live, d0): (usize, usize, f32),
+    scale_v: L,
+    slope_v: L,
+    lane_max: &mut L,
+) {
+    if live < seg.len() {
+        seg[live..].fill(0.0);
+    }
+    let seg = &mut seg[..live];
+    let lane = L::load(&LANE);
+    let mut j0 = 0;
+    while j0 < live {
+        // Distance of the chunk's first key, and how many of its lanes are
+        // at or before the diagonal.
+        let (dist0, left) = (d0 - j0 as f32, (valid - j0) as f32);
+        let bias = slope_v.mul(L::splat(dist0).sub(lane));
+        let s = load_at::<L>(seg, j0, 0.0).mul(scale_v).sub(bias);
+        let s = first(s, left, NEG_INF);
+        store_at(s, seg, j0);
+        *lane_max = s.max_or(*lane_max);
+        j0 += LANES;
+    }
+}
+
+/// [`scores_seg`] on a one-chunk segment whose every key is visible: no
+/// lane is masked, so the mask, the zero fill and the tail handling drop
+/// out and the bits stay the same.
+#[inline(always)]
+fn scores_whole<L: Lanes>(seg: &mut Chunk, d0: f32, scale_v: L, slope_v: L, lane_max: &mut L) {
+    let bias = slope_v.mul(L::splat(d0).sub(L::load(&LANE)));
+    let s = L::load(seg).mul(scale_v).sub(bias);
+    s.store(seg);
+    *lane_max = s.max_or(*lane_max);
+}
+
+/// Second pass on one row segment: `exp(v − max)`, exactly 0 below the
+/// floor, folded into the row's lane sum. A row whose max is −∞ has nothing
+/// to attend to and no probability mass (only −∞ and NaN scores get there;
+/// a NaN stays visible).
+#[inline(always)]
+fn exp_seg<L: Lanes>(seg: &mut [f32], max: f32, lane_sum: &mut L) {
+    if max == NEG_INF {
+        for v in seg {
+            *v = if v.is_nan() { f32::NAN } else { 0.0 };
+        }
+        return;
+    }
+    let (max_v, floor, zero) = (L::splat(max), L::splat(SOFTMAX_FLOOR), L::splat(0.0));
+    let mut j0 = 0;
+    while j0 < seg.len() {
+        let v = load_at::<L>(seg, j0, NEG_INF).sub(max_v);
+        let p = v.lt_select(floor, zero, exp_lanes(v));
+        store_at(p, seg, j0);
+        *lane_sum = lane_sum.add(p);
+        j0 += LANES;
+    }
+}
+
+/// Third pass on one row segment: `· 1/sum`, unless the row had no mass.
+#[inline(always)]
+fn scale_seg<L: Lanes>(seg: &mut [f32], max: f32, inv: L) {
+    if max == NEG_INF {
+        return;
+    }
+    let mut j0 = 0;
+    while j0 < seg.len() {
+        store_at(load_at::<L>(seg, j0, 0.0).mul(inv), seg, j0);
+        j0 += LANES;
+    }
+}
+
 #[inline(always)]
 fn softmax_forward_def<L: Lanes>(
     data: &mut [f32],
@@ -527,62 +665,60 @@ fn softmax_forward_def<L: Lanes>(
     causal: Option<Causal<'_>>,
 ) {
     let (scale_v, slope_v) = (L::splat(scale), L::splat(causal.map_or(0.0, |c| c.slope)));
-    let lane = L::load(&LANE);
-    for r in 0..band.rows {
-        // Scores in place, masked lanes of the last live chunk at −∞.
-        let mut lane_max = L::splat(NEG_INF);
+    let live = |r: usize, e: usize| prefix(causal, r, e, band.width).1;
+    for tile in tiles(band.rows) {
+        let mut acc = [L::splat(NEG_INF); TILE];
         for e in 0..band.segments {
-            let (valid, live, d0) = prefix(causal, r, e, band.width);
-            let seg = &mut data[band.seg(r, e)];
-            seg[live..].fill(0.0);
-            let seg = &mut seg[..live];
-            let mut j0 = 0;
-            while j0 < live {
-                // Distance of the chunk's first key, and how many of its
-                // lanes are at or before the diagonal.
-                let (dist0, left) = (d0 - j0 as f32, (valid - j0) as f32);
-                let bias = slope_v.mul(L::splat(dist0).sub(lane));
-                let s = load_at::<L>(seg, j0, 0.0).mul(scale_v).sub(bias);
-                let s = first(s, left, NEG_INF);
-                store_at(s, seg, j0);
-                lane_max = s.max_or(lane_max);
-                j0 += LANES;
-            }
-        }
-        let max = lane_max.tree_max();
-        if max == NEG_INF {
-            // Nothing to attend to: no probability mass. (Only −∞ and NaN
-            // scores get here; a NaN stays visible.)
-            for e in 0..band.segments {
-                let (_, live, _) = prefix(causal, r, e, band.width);
-                for v in &mut data[band.seg(r, e)][..live] {
-                    *v = if v.is_nan() { f32::NAN } else { 0.0 };
+            if let Some((block, v0, d0)) = block(data, &band, causal, &tile, e) {
+                let whole = v0 >= LANES as isize;
+                let rows = block.chunks_exact_mut(LANES).zip(&mut acc);
+                for (i, (row, lane_max)) in rows.enumerate() {
+                    if whole {
+                        let row = row.first_chunk_mut().expect("one chunk");
+                        scores_whole(row, d0 + i as f32, scale_v, slope_v, lane_max);
+                    } else {
+                        scores_seg(row, row_in_block(v0, d0, i), scale_v, slope_v, lane_max);
+                    }
+                }
+            } else {
+                for (r, lane_max) in tile.clone().zip(&mut acc) {
+                    let at = prefix(causal, r, e, band.width);
+                    scores_seg(&mut data[band.seg(r, e)], at, scale_v, slope_v, lane_max);
                 }
             }
-            continue;
         }
-        let (max_v, mut lane_sum) = (L::splat(max), L::splat(0.0));
-        let (floor, zero) = (L::splat(SOFTMAX_FLOOR), L::splat(0.0));
+        let mut max = [NEG_INF; TILE];
+        for (m, a) in max.iter_mut().zip(&acc) {
+            *m = a.tree_max();
+        }
+        acc = [L::splat(0.0); TILE];
         for e in 0..band.segments {
-            let (_, live, _) = prefix(causal, r, e, band.width);
-            let seg = &mut data[band.seg(r, e)][..live];
-            let mut j0 = 0;
-            while j0 < live {
-                let v = load_at::<L>(seg, j0, NEG_INF).sub(max_v);
-                let p = v.lt_select(floor, zero, exp_lanes(v));
-                store_at(p, seg, j0);
-                lane_sum = lane_sum.add(p);
-                j0 += LANES;
+            if let Some((block, v0, d0)) = block(data, &band, causal, &tile, e) {
+                let rows = block.chunks_exact_mut(LANES).zip(&mut acc);
+                for (i, ((row, lane_sum), &max)) in rows.zip(&max).enumerate() {
+                    exp_seg(&mut row[..row_in_block(v0, d0, i).1], max, lane_sum);
+                }
+            } else {
+                for ((r, lane_sum), &max) in tile.clone().zip(&mut acc).zip(&max) {
+                    exp_seg(&mut data[band.seg(r, e)][..live(r, e)], max, lane_sum);
+                }
             }
         }
-        let inv = L::splat(1.0 / lane_sum.tree_sum());
+        for (a, &m) in acc.iter_mut().zip(&max) {
+            if m != NEG_INF {
+                *a = L::splat(1.0 / a.tree_sum());
+            }
+        }
         for e in 0..band.segments {
-            let (_, live, _) = prefix(causal, r, e, band.width);
-            let seg = &mut data[band.seg(r, e)][..live];
-            let mut j0 = 0;
-            while j0 < live {
-                store_at(load_at::<L>(seg, j0, 0.0).mul(inv), seg, j0);
-                j0 += LANES;
+            if let Some((block, v0, d0)) = block(data, &band, causal, &tile, e) {
+                let rows = block.chunks_exact_mut(LANES).zip(&acc).zip(&max);
+                for (i, ((row, &inv), &max)) in rows.enumerate() {
+                    scale_seg(&mut row[..row_in_block(v0, d0, i).1], max, inv);
+                }
+            } else {
+                for ((r, &inv), &max) in tile.clone().zip(&acc).zip(&max) {
+                    scale_seg(&mut data[band.seg(r, e)][..live(r, e)], max, inv);
+                }
             }
         }
     }
@@ -602,6 +738,62 @@ arms! {
     ) = softmax_forward_def;
 }
 
+/// First backward pass on one row segment: `⟨P, dP⟩` up to the causal
+/// limit, folded into the row's lane sum.
+#[inline(always)]
+fn dot_seg<L: Lanes>(
+    ps: &[f32],
+    gs: &[f32],
+    (valid, live, _): (usize, usize, f32),
+    lane_dot: &mut L,
+) {
+    let (ps, gs) = (&ps[..live], &gs[..live]);
+    let mut j0 = 0;
+    while j0 < live {
+        let pg = load_at::<L>(ps, j0, 0.0).mul(load_at(gs, j0, 0.0));
+        *lane_dot = lane_dot.add(first(pg, (valid - j0) as f32, 0.0));
+        j0 += LANES;
+    }
+}
+
+/// Second backward pass on one row segment: `dS = scale · P ⊙ (dP − dot)`
+/// in place up to the causal limit, flushed below the normal range, zeros
+/// after it.
+#[inline(always)]
+fn ds_seg<L: Lanes>(
+    ps: &[f32],
+    gs: &mut [f32],
+    (valid, live, _): (usize, usize, f32),
+    dot: L,
+    scale_v: L,
+) {
+    if live < gs.len() {
+        gs[live..].fill(0.0);
+    }
+    let (ps, gs) = (&ps[..live], &mut gs[..live]);
+    let mut j0 = 0;
+    while j0 < live {
+        let dp = load_at::<L>(gs, j0, 0.0);
+        let ds = load_at::<L>(ps, j0, 0.0).mul(dp.sub(dot)).mul(scale_v);
+        let ds = first(ds, (valid - j0) as f32, 0.0);
+        store_at(flush_subnormal(ds), gs, j0);
+        j0 += LANES;
+    }
+}
+
+/// [`dot_seg`] and [`ds_seg`] on a one-chunk segment whose every key is
+/// visible: no lane is masked, so both drop the mask and keep the bits.
+#[inline(always)]
+fn dot_whole<L: Lanes>(ps: &Chunk, gs: &Chunk, lane_dot: &mut L) {
+    *lane_dot = lane_dot.add(L::load(ps).mul(L::load(gs)));
+}
+
+#[inline(always)]
+fn ds_whole<L: Lanes>(ps: &Chunk, gs: &mut Chunk, dot: L, scale_v: L) {
+    let ds = L::load(ps).mul(L::load(gs).sub(dot)).mul(scale_v);
+    flush_subnormal(ds).store(gs);
+}
+
 #[inline(always)]
 fn softmax_backward_def<L: Lanes>(
     p: &[f32],
@@ -611,31 +803,55 @@ fn softmax_backward_def<L: Lanes>(
     causal: Option<Causal<'_>>,
 ) {
     let scale_v = L::splat(scale);
-    for r in 0..band.rows {
-        let mut lane_dot = L::splat(0.0);
+    for tile in tiles(band.rows) {
+        let mut acc = [L::splat(0.0); TILE];
         for e in 0..band.segments {
-            let (valid, live, _) = prefix(causal, r, e, band.width);
-            let (ps, gs) = (&p[band.seg(r, e)][..live], &grad[band.seg(r, e)][..live]);
-            let mut j0 = 0;
-            while j0 < live {
-                let pg = load_at::<L>(ps, j0, 0.0).mul(load_at(gs, j0, 0.0));
-                lane_dot = lane_dot.add(first(pg, (valid - j0) as f32, 0.0));
-                j0 += LANES;
+            if let Some((gb, v0, d0)) = block(grad, &band, causal, &tile, e) {
+                let pb = &p[band.seg(tile.start, e).start..][..TILE * LANES];
+                let whole = v0 >= LANES as isize;
+                let rows = pb.chunks_exact(LANES).zip(gb.chunks_exact(LANES));
+                for (i, ((ps, gs), lane_dot)) in rows.zip(&mut acc).enumerate() {
+                    if whole {
+                        let chunks = (ps.first_chunk(), gs.first_chunk());
+                        let (Some(ps), Some(gs)) = chunks else {
+                            unreachable!("one chunk")
+                        };
+                        dot_whole(ps, gs, lane_dot);
+                    } else {
+                        dot_seg(ps, gs, row_in_block(v0, d0, i), lane_dot);
+                    }
+                }
+            } else {
+                for (r, lane_dot) in tile.clone().zip(&mut acc) {
+                    let (ps, gs) = (&p[band.seg(r, e)], &grad[band.seg(r, e)]);
+                    dot_seg(ps, gs, prefix(causal, r, e, band.width), lane_dot);
+                }
             }
         }
-        let dot = L::splat(lane_dot.tree_sum());
+        for a in &mut acc {
+            *a = L::splat(a.tree_sum());
+        }
         for e in 0..band.segments {
-            let (valid, live, _) = prefix(causal, r, e, band.width);
-            let (ps, gs) = (&p[band.seg(r, e)][..live], &mut grad[band.seg(r, e)]);
-            gs[live..].fill(0.0);
-            let gs = &mut gs[..live];
-            let mut j0 = 0;
-            while j0 < live {
-                let dp = load_at::<L>(gs, j0, 0.0);
-                let ds = load_at::<L>(ps, j0, 0.0).mul(dp.sub(dot)).mul(scale_v);
-                let ds = first(ds, (valid - j0) as f32, 0.0);
-                store_at(flush_subnormal(ds), gs, j0);
-                j0 += LANES;
+            if let Some((gb, v0, d0)) = block(grad, &band, causal, &tile, e) {
+                let pb = &p[band.seg(tile.start, e).start..][..TILE * LANES];
+                let whole = v0 >= LANES as isize;
+                let rows = pb.chunks_exact(LANES).zip(gb.chunks_exact_mut(LANES));
+                for (i, ((ps, gs), &dot)) in rows.zip(&acc).enumerate() {
+                    if whole {
+                        let chunks = (ps.first_chunk(), gs.first_chunk_mut());
+                        let (Some(ps), Some(gs)) = chunks else {
+                            unreachable!("one chunk")
+                        };
+                        ds_whole(ps, gs, dot, scale_v);
+                    } else {
+                        ds_seg(ps, gs, row_in_block(v0, d0, i), dot, scale_v);
+                    }
+                }
+            } else {
+                for (r, &dot) in tile.clone().zip(&acc) {
+                    let (ps, gs) = (&p[band.seg(r, e)], &mut grad[band.seg(r, e)]);
+                    ds_seg(ps, gs, prefix(causal, r, e, band.width), dot, scale_v);
+                }
             }
         }
     }

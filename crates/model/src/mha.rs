@@ -7,13 +7,17 @@
 //! paper's §II-D invariant. Dense causal attention is the same path over the
 //! full-causal layout, so the masked upper half is never computed. The fused
 //! row kernels apply scale, ALiBi bias and the causal limit, and nothing past
-//! the diagonal is ever exponentiated. A calibration capture takes a dense
+//! the diagonal is ever exponentiated. Heads are never copied: the block
+//! operators ([`AttentionCore`]) read Q, K and V where the projections write
+//! them and write ctx where the output projection reads it, head `h` being
+//! the column window `h·dh` of the `[B·S, d]` activations; the backward does
+//! the same for dO, dQ, dK and dV. A calibration capture takes a dense
 //! forward's block probabilities together with their full-causal layout;
 //! they are never expanded to a dense `[B·h·S, S]` tensor.
 
 use crate::linear::Linear;
 use crate::param::Param;
-use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, CausalFill};
+use lx_sparse::attention::AttentionCore;
 use lx_sparse::{BlockCsr, MultiHeadLayout, PatternSpec};
 use lx_tensor::Tensor;
 use std::sync::Arc;
@@ -55,7 +59,7 @@ struct AttnCache {
     seq: usize,
     /// The input of the q/k/v projections.
     x: Tensor,
-    /// Head-major `[B·h·S, dh]` projections.
+    /// The projections, `[B·S, d]`, heads in place.
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -124,42 +128,29 @@ impl MultiHeadAttention {
         assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
         // One input, three projections: the cache keeps `x` once for all
         // three backward passes.
-        let q = split_heads(&self.wq.project(x), batch, seq, self.n_heads, self.head_dim);
-        let k = split_heads(&self.wk.project(x), batch, seq, self.n_heads, self.head_dim);
-        let v = split_heads(&self.wv.project(x), batch, seq, self.n_heads, self.head_dim);
+        let q = self.wq.project(x);
+        let k = self.wk.project(x);
+        let v = self.wv.project(x);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        // One launch per operator covers every head of the layer: the stacked
-        // layout addresses the head-major projections and the shared
-        // block-data buffer directly.
-        let stacked = stacked_layout(&layout, seq);
-        let (total, span) = (layout.total_data_len, self.n_heads * seq);
-        // Every active block is overwritten by the SDD, every context row by
-        // the DSD.
+        let total = layout.total_data_len;
+        // Every active block is overwritten by the score products, every
+        // context row by the context products or zeroed.
         let mut probs = Tensor::scratch(&[batch, total]);
-        let mut ctx = Tensor::scratch(&[batch * span, self.head_dim]);
+        let mut ctx = Tensor::scratch(&[batch * seq, d]);
+        // One fused launch per batch item covers every head of the layer.
+        let core = AttentionCore::new(&layout, seq, self.head_dim);
         for b in 0..batch {
-            let qs = rows(&q, b * span, span, self.head_dim);
-            let ks = rows(&k, b * span, span, self.head_dim);
-            let vs = rows(&v, b * span, span, self.head_dim);
-            let p = &mut probs.as_mut_slice()[b * total..(b + 1) * total];
-            // Raw products: scale, bias and the causal limit belong to the
-            // fused pass.
-            sdd_nt(
-                qs,
-                ks,
-                span,
-                self.head_dim,
-                1.0,
-                stacked,
-                CausalFill::None,
-                p,
+            core.forward(
+                rows(&q, b * seq, seq, d),
+                rows(&k, b * seq, seq, d),
+                rows(&v, b * seq, seq, d),
+                scale,
+                self.alibi_slopes.as_deref(),
+                &mut probs.as_mut_slice()[b * total..(b + 1) * total],
+                rows_mut(&mut ctx, b * seq, seq, d),
             );
-            scores_to_probs(p, stacked, scale, self.alibi_slopes.as_deref());
-            let c = rows_mut(&mut ctx, b * span, span, self.head_dim);
-            dsd(p, vs, span, self.head_dim, stacked, c);
         }
-        let merged = merge_heads(&ctx, batch, seq, self.n_heads, self.head_dim);
-        let y = self.wo.forward(&merged);
+        let y = self.wo.forward(&ctx);
         self.cache = Some(AttnCache {
             batch,
             seq,
@@ -179,67 +170,42 @@ impl MultiHeadAttention {
             .cache
             .take()
             .expect("attention backward without forward");
-        let (batch, seq, dh, heads) = (cache.batch, cache.seq, self.head_dim, self.n_heads);
+        let (batch, seq, dh) = (cache.batch, cache.seq, self.head_dim);
+        let d = self.n_heads * dh;
         let scale = 1.0 / (dh as f32).sqrt();
-        let dmerged = self.wo.backward(dy);
-        let dctx = split_heads(&dmerged, batch, seq, heads, dh);
-        // Fully overwritten by the DSD launches, which zero the rows no block
-        // touches.
-        let mut dq = Tensor::scratch(&[batch * heads * seq, dh]);
-        let mut dk = Tensor::scratch(&[batch * heads * seq, dh]);
-        let mut dv = Tensor::scratch(&[batch * heads * seq, dh]);
-        let stacked = stacked_layout(&cache.layout, seq);
-        let (total, span) = (cache.layout.total_data_len, heads * seq);
+        let dctx = self.wo.backward(dy);
+        // Fully overwritten by the context products, which zero the rows no
+        // block reaches.
+        let mut dq = Tensor::scratch(&[batch * seq, d]);
+        let mut dk = Tensor::scratch(&[batch * seq, d]);
+        let mut dv = Tensor::scratch(&[batch * seq, d]);
+        let total = cache.layout.total_data_len;
         // Block-data scratch, fully overwritten per batch item: dP by the
-        // SDD, turned into dS in place.
-        let mut ds_t = Tensor::scratch(&[total]);
+        // score products, turned into dS in place.
+        let mut ds = Tensor::scratch(&[total]);
+        let core = AttentionCore::new(&cache.layout, seq, dh);
         for b in 0..batch {
-            let qs = rows(&cache.q, b * span, span, dh);
-            let ks = rows(&cache.k, b * span, span, dh);
-            let vs = rows(&cache.v, b * span, span, dh);
-            let dc = rows(&dctx, b * span, span, dh);
-            let p = &cache.probs.as_slice()[b * total..(b + 1) * total];
-            // dP on active blocks only; the fused backward never reads it
-            // past the diagonal, so no fill.
-            let ds = ds_t.as_mut_slice();
-            sdd_nt(dc, vs, span, dh, 1.0, stacked, CausalFill::None, ds);
-            probs_backward(p, ds, stacked, scale);
-            let ds: &[f32] = ds;
-            // dQ = dS · K ; dK = dSᵀ · Q ; dV = Pᵀ · dC
-            dsd(
-                ds,
-                ks,
-                span,
-                dh,
-                stacked,
-                rows_mut(&mut dq, b * span, span, dh),
-            );
-            dsd_tn(
-                ds,
-                qs,
-                span,
-                dh,
-                stacked,
-                rows_mut(&mut dk, b * span, span, dh),
-            );
-            dsd_tn(
-                p,
-                dc,
-                span,
-                dh,
-                stacked,
-                rows_mut(&mut dv, b * span, span, dh),
+            core.backward(
+                (
+                    rows(&cache.q, b * seq, seq, d),
+                    rows(&cache.k, b * seq, seq, d),
+                    rows(&cache.v, b * seq, seq, d),
+                ),
+                rows(&dctx, b * seq, seq, d),
+                &cache.probs.as_slice()[b * total..(b + 1) * total],
+                scale,
+                ds.as_mut_slice(),
+                rows_mut(&mut dq, b * seq, seq, d),
+                rows_mut(&mut dk, b * seq, seq, d),
+                rows_mut(&mut dv, b * seq, seq, d),
             );
         }
-        let dq_m = merge_heads(&dq, batch, seq, heads, dh);
-        let dk_m = merge_heads(&dk, batch, seq, heads, dh);
-        let dv_m = merge_heads(&dv, batch, seq, heads, dh);
         // One `dx`: the q projection writes it, k and v accumulate into it.
         let x = &cache.x;
         let mut dx = Tensor::scratch(x.shape());
-        self.wq.backward_into(x, &dq_m, &mut dx, 0.0);
-        self.wk.backward_into(x, &dk_m, &mut dx, 1.0);
-        self.wv.backward_into(x, &dv_m, &mut dx, 1.0);
+        self.wq.backward_into(x, &dq, &mut dx, 0.0);
+        self.wk.backward_into(x, &dk, &mut dx, 1.0);
+        self.wv.backward_into(x, &dv, &mut dx, 1.0);
         dx
     }
 
@@ -263,60 +229,6 @@ impl MultiHeadAttention {
         self.wv.for_each_param(f);
         self.wo.for_each_param(f);
     }
-}
-
-/// `[B·S, h·dh] → [B·h·S, dh]`, head-major so per-(batch, head) slices are
-/// contiguous for the block kernels.
-pub fn split_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
-    assert_eq!(x.rows(), batch * seq);
-    assert_eq!(x.cols(), heads * dh);
-    let mut out = Tensor::scratch(&[batch * heads * seq, dh]);
-    if x.is_empty() {
-        return out;
-    }
-    let (d, per_batch) = (heads * dh, seq * heads * dh);
-    let batches = x.as_slice().chunks_exact(per_batch);
-    for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
-        for (h, head) in dst.chunks_exact_mut(seq * dh).enumerate() {
-            for (dst_row, src_row) in head.chunks_exact_mut(dh).zip(src.chunks_exact(d)) {
-                dst_row.copy_from_slice(&src_row[h * dh..(h + 1) * dh]);
-            }
-        }
-    }
-    out
-}
-
-/// Inverse of [`split_heads`].
-pub fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
-    assert_eq!(x.rows(), batch * heads * seq);
-    assert_eq!(x.cols(), dh);
-    let mut out = Tensor::scratch(&[batch * seq, heads * dh]);
-    if x.is_empty() {
-        return out;
-    }
-    let (d, per_batch) = (heads * dh, seq * heads * dh);
-    let batches = x.as_slice().chunks_exact(per_batch);
-    for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
-        for (h, head) in src.chunks_exact(seq * dh).enumerate() {
-            for (src_row, dst_row) in head.chunks_exact(dh).zip(dst.chunks_exact_mut(d)) {
-                dst_row[h * dh..(h + 1) * dh].copy_from_slice(src_row);
-            }
-        }
-    }
-    out
-}
-
-/// The per-layer launch layout of `layout`, checked against the sequence.
-fn stacked_layout(layout: &MultiHeadLayout, seq: usize) -> &BlockCsr {
-    let stacked = layout
-        .stacked()
-        .expect("attention heads must share one block size and grid");
-    assert_eq!(
-        stacked.n_brows * stacked.block_size,
-        layout.n_heads() * seq,
-        "layout grid must match seq"
-    );
-    stacked
 }
 
 fn rows(t: &Tensor, start_row: usize, n_rows: usize, width: usize) -> &[f32] {
@@ -385,6 +297,47 @@ mod tests {
             all.push(Some(causal_at(seq, BLK)));
         }
         all
+    }
+
+    /// `[B·S, h·dh] → [B·h·S, dh]`: the head-major copies the reference
+    /// attention runs its per-(batch, head) GEMMs over.
+    fn split_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
+        assert_eq!(x.rows(), batch * seq);
+        assert_eq!(x.cols(), heads * dh);
+        let mut out = Tensor::scratch(&[batch * heads * seq, dh]);
+        if x.is_empty() {
+            return out;
+        }
+        let (d, per_batch) = (heads * dh, seq * heads * dh);
+        let batches = x.as_slice().chunks_exact(per_batch);
+        for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
+            for (h, head) in dst.chunks_exact_mut(seq * dh).enumerate() {
+                for (dst_row, src_row) in head.chunks_exact_mut(dh).zip(src.chunks_exact(d)) {
+                    dst_row.copy_from_slice(&src_row[h * dh..(h + 1) * dh]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Inverse of [`split_heads`].
+    fn merge_heads(x: &Tensor, batch: usize, seq: usize, heads: usize, dh: usize) -> Tensor {
+        assert_eq!(x.rows(), batch * heads * seq);
+        assert_eq!(x.cols(), dh);
+        let mut out = Tensor::scratch(&[batch * seq, heads * dh]);
+        if x.is_empty() {
+            return out;
+        }
+        let (d, per_batch) = (heads * dh, seq * heads * dh);
+        let batches = x.as_slice().chunks_exact(per_batch);
+        for (src, dst) in batches.zip(out.as_mut_slice().chunks_exact_mut(per_batch)) {
+            for (h, head) in src.chunks_exact(seq * dh).enumerate() {
+                for (src_row, dst_row) in head.chunks_exact(dh).zip(dst.chunks_exact_mut(d)) {
+                    dst_row[h * dh..(h + 1) * dh].copy_from_slice(src_row);
+                }
+            }
+        }
+        out
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

@@ -22,7 +22,7 @@ mod rows;
 
 pub use latch::Latch;
 pub use pool::{in_worker, pool, ThreadPool};
-pub use rows::{par_rows, par_weighted};
+pub use rows::{par_rows, par_weighted, par_weighted_parts};
 
 #[cfg(test)]
 mod tests {

@@ -100,19 +100,79 @@ impl ThreadPool {
         if n == 0 {
             return;
         }
+        let Some(ranges) = self.weighted_ranges(prefix, min_weight) else {
+            return body(0..n, &mut data[cover(0..n)]);
+        };
+        let body_ref = &body;
+        let mut rest = data;
+        let mut carved = 0usize;
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
+        for items in ranges {
+            let head = carve(&mut rest, &mut carved, cover(items.clone()), &items);
+            tasks.push(Box::new(move || body_ref(items, head)));
+        }
+        self.run_scoped(tasks);
+    }
+
+    /// [`par_weighted`](Self::par_weighted) over several output buffers at
+    /// once: `cover(p, range)` names the sub-slice of `parts[p]` the items of
+    /// `range` write (ascending and disjoint across ranges, per part), and
+    /// each task receives its item range and one sub-slice per part, in
+    /// part order. An attention block-row writes one such slice per head
+    /// plus its rows of the output.
+    pub fn par_weighted_parts<T, C, F>(
+        &self,
+        mut parts: Vec<&mut [T]>,
+        prefix: &[u32],
+        min_weight: usize,
+        cover: C,
+        body: F,
+    ) where
+        T: Send,
+        C: Fn(usize, Range<usize>) -> Range<usize>,
+        F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+    {
+        let n = prefix.len().saturating_sub(1);
+        if n == 0 {
+            return;
+        }
+        let Some(ranges) = self.weighted_ranges(prefix, min_weight) else {
+            for (p, part) in parts.iter_mut().enumerate() {
+                let whole = std::mem::take(part);
+                *part = &mut whole[cover(p, 0..n)];
+            }
+            return body(0..n, &mut parts);
+        };
+        let body_ref = &body;
+        let mut carved = vec![0usize; parts.len()];
+        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
+        for items in ranges {
+            let mut heads: Vec<&mut [T]> = parts
+                .iter_mut()
+                .zip(&mut carved)
+                .enumerate()
+                .map(|(p, (rest, carved))| carve(rest, carved, cover(p, items.clone()), &items))
+                .collect();
+            tasks.push(Box::new(move || body_ref(items, &mut heads)));
+        }
+        self.run_scoped(tasks);
+    }
+
+    /// The item ranges of a weighted split: contiguous, of roughly equal
+    /// weight and at least `min_weight` each. `None` when the total weight is
+    /// at most `min_weight` — one range, run inline on the calling thread.
+    fn weighted_ranges(&self, prefix: &[u32], min_weight: usize) -> Option<Vec<Range<usize>>> {
+        let n = prefix.len() - 1;
         let weight = |items: Range<usize>| (prefix[items.end] - prefix[items.start]) as usize;
         let min_weight = min_weight.max(1);
         let total = weight(0..n);
         if total <= min_weight {
-            return body(0..n, &mut data[cover(0..n)]);
+            return None;
         }
         // Oversubscribe 2x like `split_range`: the greedy cut overshoots its
         // target by up to one item, and the spare chunks absorb that.
         let target = total.div_ceil(self.threads() * 2).max(min_weight);
-        let body_ref = &body;
-        let mut rest = data;
-        let mut carved = 0usize;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
+        let mut ranges = Vec::new();
         let mut start = 0;
         while start < n {
             let mut end = start + 1;
@@ -123,21 +183,34 @@ impl ThreadPool {
             if weight(end..n) < min_weight {
                 end = n;
             }
-            let span = cover(start..end);
-            assert!(
-                carved <= span.start && span.start <= span.end,
-                "par_weighted: cover of items {start}..{end} overlaps its predecessor"
-            );
-            let (_, at_base) = std::mem::take(&mut rest).split_at_mut(span.start - carved);
-            let (head, tail) = at_base.split_at_mut(span.end - span.start);
-            carved = span.end;
-            rest = tail;
-            let items = start..end;
-            tasks.push(Box::new(move || body_ref(items, head)));
+            ranges.push(start..end);
             start = end;
         }
-        self.run_scoped(tasks);
+        Some(ranges)
     }
+}
+
+/// Carve `span` (an ascending cover, in the coordinates of the buffer `rest`
+/// was cut from, `carved` elements of which are gone) off the front of
+/// `rest`: the slice before it is skipped, the slice after it stays in
+/// `rest`.
+fn carve<'a, T>(
+    rest: &mut &'a mut [T],
+    carved: &mut usize,
+    span: Range<usize>,
+    items: &Range<usize>,
+) -> &'a mut [T] {
+    assert!(
+        *carved <= span.start && span.start <= span.end,
+        "par_weighted: cover of items {}..{} overlaps its predecessor",
+        items.start,
+        items.end
+    );
+    let (_, at_base) = std::mem::take(rest).split_at_mut(span.start - *carved);
+    let (head, tail) = at_base.split_at_mut(span.end - span.start);
+    *carved = span.end;
+    *rest = tail;
+    head
 }
 
 /// [`ThreadPool::par_rows`] on the global pool.
@@ -157,6 +230,21 @@ where
     F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     pool().par_weighted(data, prefix, min_weight, cover, body)
+}
+
+/// [`ThreadPool::par_weighted_parts`] on the global pool.
+pub fn par_weighted_parts<T, C, F>(
+    parts: Vec<&mut [T]>,
+    prefix: &[u32],
+    min_weight: usize,
+    cover: C,
+    body: F,
+) where
+    T: Send,
+    C: Fn(usize, Range<usize>) -> Range<usize>,
+    F: Fn(Range<usize>, &mut [&mut [T]]) + Sync,
+{
+    pool().par_weighted_parts(parts, prefix, min_weight, cover, body)
 }
 
 #[cfg(test)]
@@ -246,6 +334,50 @@ mod tests {
                 heaviest.into_inner() <= fair + n,
                 "{threads} threads: a task got more than its share"
             );
+        }
+    }
+
+    /// Two parts with different covers per item — item `i` owns `i + 1`
+    /// elements of the first part and 3 of the second: every element of both
+    /// is written once by the task that owns its item, on any pool, and the
+    /// inline case hands over the covers of all items.
+    #[test]
+    fn par_weighted_parts_carves_every_part() {
+        let n = 40usize;
+        let prefix: Vec<u32> = (0..=n as u32).map(|i| i * (i + 1) / 2).collect();
+        let cover = |p: usize, r: Range<usize>| match p {
+            0 => prefix[r.start] as usize..prefix[r.end] as usize,
+            _ => 3 * r.start..3 * r.end,
+        };
+        for (threads, min_weight) in [(1, 1), (2, 1), (4, 7), (2, usize::MAX)] {
+            let pool = ThreadPool::new(threads);
+            let (mut a, mut b) = (vec![0u32; prefix[n] as usize], vec![0u32; 3 * n]);
+            pool.par_weighted_parts(
+                vec![&mut a[..], &mut b[..]],
+                &prefix,
+                min_weight,
+                cover,
+                |items, parts| {
+                    assert_eq!(parts.len(), 2);
+                    for (p, part) in parts.iter_mut().enumerate() {
+                        assert_eq!(part.len(), cover(p, items.clone()).len());
+                        let base = cover(p, items.clone()).start;
+                        for i in items.clone() {
+                            for v in &mut part[cover(p, i..i + 1).start - base..]
+                                [..cover(p, i..i + 1).len()]
+                            {
+                                *v += i as u32 + 1;
+                            }
+                        }
+                    }
+                },
+            );
+            for i in 0..n {
+                for p in [0, 1] {
+                    let buf = if p == 0 { &a } else { &b };
+                    assert!(buf[cover(p, i..i + 1)].iter().all(|&v| v == i as u32 + 1));
+                }
+            }
         }
     }
 

@@ -34,20 +34,31 @@ pub const CODEBOOK: [f32; 16] = [
     1.0,
 ];
 
-/// Nearest codebook index for a normalized value in `[-1, 1]`. Ties resolve
-/// to the lower index (first wins) so encode is deterministic.
-#[inline]
-fn encode_one(normalized: f32) -> u8 {
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (i, &c) in CODEBOOK.iter().enumerate() {
-        let d = (normalized - c).abs();
-        if d < best_d {
-            best_d = d;
-            best = i;
+/// Nearest codebook index of every value of `block` once divided by its
+/// `absmax` (non-finite values [`sanitize`]d first), appended to `out`. The
+/// f32 distance `|v/absmax − c|` of every entry is compared with the best so
+/// far under a strict `<`, so ties resolve to the lower index (first wins)
+/// and encode is deterministic. The comparisons select instead of branching:
+/// each codebook entry is one pass over the whole block, which vectorises,
+/// where a search per value mispredicts on every data-dependent compare.
+fn encode_block(block: &[f32], absmax: f32, out: &mut Vec<u8>) {
+    let mut x = [0.0f32; BLOCK];
+    for (x, &v) in x.iter_mut().zip(block) {
+        *x = sanitize(v, absmax) / absmax;
+    }
+    // Distance bits and index, each replaced under an all-ones mask where
+    // the entry is strictly closer: a select, never a branch.
+    let mut best = [0u32; BLOCK];
+    let mut best_d = [f32::INFINITY.to_bits(); BLOCK];
+    for (i, &c) in (0u32..).zip(&CODEBOOK) {
+        for ((&x, b), bd) in x.iter().zip(&mut best).zip(&mut best_d) {
+            let d = (x - c).abs().to_bits();
+            let closer = u32::from(f32::from_bits(d) < f32::from_bits(*bd)).wrapping_neg();
+            *bd ^= (*bd ^ d) & closer;
+            *b ^= (*b ^ i) & closer;
         }
     }
-    best as u8
+    out.extend(best[..block.len()].iter().map(|&b| b as u8));
 }
 
 /// Quantize to `(packed nibble codes, per-block scales)`.
@@ -64,10 +75,7 @@ pub fn quantize(values: &[f32]) -> (Vec<u8>, Vec<f32>) {
             nibbles.extend(std::iter::repeat_n(7u8, block.len()));
             continue;
         }
-        for &v in block {
-            let v = sanitize(v, absmax);
-            nibbles.push(encode_one(v / absmax));
-        }
+        encode_block(block, absmax, &mut nibbles);
     }
     if nibbles.len() % 2 == 1 {
         nibbles.push(7); // pad nibble decodes to 0.0 and never leaks
@@ -125,6 +133,103 @@ mod tests {
         let d8 = (mid - CODEBOOK[8]).abs();
         if d7 == d8 {
             assert_eq!(encode_one(mid), 7);
+        }
+    }
+
+    /// Nearest codebook index for a normalized value in `[-1, 1]` by a search
+    /// that branches per entry — the definition [`encode_block`] is checked
+    /// against.
+    fn encode_one(normalized: f32) -> u8 {
+        let mut best = 0usize;
+        let mut best_d = f32::INFINITY;
+        for (i, &c) in CODEBOOK.iter().enumerate() {
+            let d = (normalized - c).abs();
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        best as u8
+    }
+
+    /// Today's search loop, block by block: the oracle of `quantize`.
+    fn quantize_by_search(values: &[f32]) -> (Vec<u8>, Vec<f32>) {
+        let mut nibbles = Vec::new();
+        let mut scales = Vec::new();
+        for block in values.chunks(BLOCK) {
+            let absmax = finite_absmax(block);
+            scales.push(absmax);
+            for &v in block {
+                nibbles.push(if absmax == 0.0 {
+                    7
+                } else {
+                    encode_one(sanitize(v, absmax) / absmax)
+                });
+            }
+        }
+        if nibbles.len() % 2 == 1 {
+            nibbles.push(7);
+        }
+        let codes = nibbles
+            .chunks_exact(2)
+            .map(|p| p[0] | (p[1] << 4))
+            .collect();
+        (codes, scales)
+    }
+
+    #[test]
+    fn branch_free_encode_equals_the_search_loop() {
+        let absmax = 2.5f32;
+        // Every codebook value and every midpoint ± 1 ulp, at the block
+        // scale, with ±absmax and zeros, and the same values negated.
+        let mut edge = vec![absmax, -absmax, 0.0, -0.0];
+        for (i, &c) in CODEBOOK.iter().enumerate() {
+            edge.push(c * absmax);
+            if let Some(&next) = CODEBOOK.get(i + 1) {
+                let mid = (c + next) / 2.0;
+                for m in [
+                    mid,
+                    f32::from_bits(mid.to_bits() + 1),
+                    f32::from_bits(mid.to_bits() - 1),
+                ] {
+                    edge.push(m * absmax);
+                }
+            }
+        }
+        let negated: Vec<f32> = edge.iter().map(|v| -v).collect();
+        let mut cases = vec![edge, negated];
+        // Normalized midpoints ± 1 ulp exactly (absmax 1).
+        let mut unit = vec![1.0f32];
+        for w in CODEBOOK.windows(2) {
+            let mid = (w[0] + w[1]) / 2.0;
+            unit.extend([
+                mid,
+                f32::from_bits(mid.to_bits() + 1),
+                f32::from_bits(mid.to_bits() - 1),
+            ]);
+        }
+        cases.push(unit);
+        // Random blocks of odd and even lengths, zeros and non-finite inputs.
+        for (len, seed) in [
+            (64usize, 1u32),
+            (1, 2),
+            (63, 3),
+            (65, 4),
+            (1000, 5),
+            (129, 6),
+        ] {
+            cases.push(pseudo(len, 3.0, seed));
+        }
+        let mut hostile = pseudo(130, 1.0, 7);
+        hostile[3] = f32::NAN;
+        hostile[40] = f32::INFINITY;
+        hostile[64] = f32::NEG_INFINITY;
+        hostile[65..80].fill(0.0);
+        cases.push(hostile);
+        cases.push(vec![0.0; 77]);
+        cases.push(vec![f32::NAN; 9]);
+        for (i, vals) in cases.iter().enumerate() {
+            assert_eq!(quantize(vals), quantize_by_search(vals), "case {i}");
         }
     }
 

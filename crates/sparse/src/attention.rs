@@ -48,11 +48,19 @@
 //! [`MultiHeadLayout::stacked`](crate::MultiHeadLayout::stacked) — all heads
 //! of a layer as one block-diagonal layout over head-major `Q`/`K`/`V` — so
 //! a layer issues one launch per operator, not one per head.
+//!
+//! The model runs none of them one by one: [`AttentionCore`] fuses them per
+//! query block-row (and per key block-column for dK / dV) over activations
+//! that keep their heads in place, three launches per layer, bit for bit
+//! what this composed sequence gives over head-major copies — which is what
+//! the tests hold it to, and what the benchmark's operator probe times.
 
-use crate::layout::BlockCsr;
+use crate::layout::{BlockCsr, HeadTables, MultiHeadLayout};
 use lx_kernels::rows::{self, Band, Causal};
-use lx_kernels::{active_isa, GemmGroup, GemmTable, Windows};
-use lx_parallel::par_weighted;
+use lx_kernels::{
+    active_isa, observe_fused, BOperand, GemmGroup, GemmTable, Isa, Staged, Windows, PACKED,
+};
+use lx_parallel::{par_weighted, ThreadPool};
 use std::ops::Range;
 
 /// What to write into causally-masked positions of diagonal blocks.
@@ -80,10 +88,11 @@ fn check_dims(layout: &BlockCsr, s: usize) {
 }
 
 /// Elements per task below which the SDD's scale/fill post-pass is not
-/// worth a pool dispatch: at ~0.3 ns per element a task must be this large
-/// to last the ~0.4 ms below which a second worker gains nothing (see
-/// [`rows::PAR_GRAIN`], the same bound for the ~1.5 ns softmax family).
-const ELEMENTWISE_GRAIN: usize = 1 << 20;
+/// worth a pool dispatch: at ~0.33 ns per element (single-threaded, one
+/// dense causal S = 512 layer) a task this size lasts ~85 µs, the same
+/// several pool wake-ups (10–16 µs each) as [`rows::PAR_GRAIN`], the bound
+/// of the softmax family.
+const ELEMENTWISE_GRAIN: usize = 1 << 18;
 
 /// Run `body` over nnz-balanced runs of block-rows of CSR block `data`, at
 /// least `grain` elements each (one run on a thread pinned by
@@ -259,6 +268,27 @@ fn block_row_band<'a>(
     )
 }
 
+/// Scores → probabilities in place over block-row `br` of `layout`, whose
+/// block data is `blocks`: the one softmax call site of the block operators.
+fn row_probs(
+    isa: Isa,
+    layout: &BlockCsr,
+    br: usize,
+    slopes: Option<&[f32]>,
+    scale: f32,
+    blocks: &mut [f32],
+) {
+    let (band, causal) = block_row_band(layout, br, slopes);
+    rows::softmax_forward(isa, blocks, band, scale, Some(causal));
+}
+
+/// `dP → dS` in place over block-row `br` of `layout`, whose probabilities
+/// are `p`: the one softmax-backward call site of the block operators.
+fn row_grads(isa: Isa, layout: &BlockCsr, br: usize, scale: f32, p: &[f32], grad: &mut [f32]) {
+    let (band, causal) = block_row_band(layout, br, None);
+    rows::softmax_backward(isa, p, grad, band, scale, Some(causal));
+}
+
 /// Causal scores → probabilities in place over block-sparse score data
 /// (what [`sdd_nt`] leaves with `scale = 1` and `CausalFill::None`), one
 /// pass family: `scale·s − slope·(q−k)` up to the diagonal, row max, `exp` +
@@ -280,9 +310,8 @@ pub fn scores_to_probs(data: &mut [f32], layout: &BlockCsr, scale: f32, slopes: 
         let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
             let entries = layout.row_entries(br);
-            let (band, causal) = block_row_band(layout, br, slopes);
             let span = &mut chunk[entries.start * bb - base..entries.end * bb - base];
-            rows::softmax_forward(isa, span, band, scale, Some(causal));
+            row_probs(isa, layout, br, slopes, scale, span);
         }
     });
 }
@@ -298,13 +327,356 @@ pub fn probs_backward(p: &[f32], grad: &mut [f32], layout: &BlockCsr, scale: f32
     par_block_rows(grad, layout, rows::PAR_GRAIN, |brs, chunk| {
         let base = layout.row_ptr[brs.start] as usize * bb;
         for br in brs {
-            let entries = layout.row_entries(br);
-            let (band, causal) = block_row_band(layout, br, None);
-            let span = entries.start * bb..entries.end * bb;
+            let span = layout.row_entries(br);
+            let span = span.start * bb..span.end * bb;
             let g = &mut chunk[span.start - base..span.end - base];
-            rows::softmax_backward(isa, &p[span], g, band, scale, Some(causal));
+            row_grads(isa, layout, br, scale, &p[span], g);
         }
     });
+}
+
+/// Multiply-adds a fused task should carry at least: with the ~10–16 µs a
+/// pool launch takes to wake its first worker, a task below ~5 µs of
+/// products (at 50 GMAC/s) is not worth handing out.
+const FUSED_GRAIN_MACS: usize = 1 << 18;
+
+/// The attention core of one layer — SDD, softmax and DSD, forward and
+/// backward — over a [`MultiHeadLayout`] whose heads stack, with every head
+/// read and written in place: Q, K, V, dO, ctx, dQ, dK and dV of one batch
+/// item are token-major `[seq, heads·dh]`, head `h` the column window
+/// `h·dh`, where the projections keep them. Block data (P, dS) keeps the
+/// layout's head-major order.
+///
+/// Each operator is one fused launch split by block index across all heads,
+/// so a task's output rows are contiguous token rows and its blocks one
+/// slice per head:
+///
+/// ```text
+///   forward   per query block-row, per head:  S = Q·Kᵀ ─▶ softmax ─▶ ctx = P·V
+///   backward  per query block-row, per head:  dP = dO·Vᵀ ─▶ softmax⁻¹ ─▶ dQ = dS·K
+///             per key block-column, per head: dK = dSᵀ·Q,  dV = Pᵀ·dO
+/// ```
+///
+/// The transposed panels the score products read (K̃, Ṽ) are packed once
+/// per launch ([`Packed::stage`](lx_kernels::Packed::stage)). Every product
+/// keeps the task order and k-chain of the composed operators ([`sdd_nt`],
+/// [`scores_to_probs`], [`dsd`], [`probs_backward`], [`dsd_tn`]) over the
+/// stacked layout and head-major copies, and the softmax passes are the
+/// same calls, so the results are bit for bit theirs.
+pub struct AttentionCore<'a> {
+    stacked: &'a BlockCsr,
+    tables: &'a HeadTables,
+    heads: usize,
+    dh: usize,
+    pool: &'a ThreadPool,
+    isa: Option<Isa>,
+}
+
+impl<'a> AttentionCore<'a> {
+    /// The core over `layout` at `seq` positions and head width `dh`, on the
+    /// global pool and the active arm. Panics unless the heads share one
+    /// block size and grid, and the grid covers `seq`.
+    pub fn new(layout: &'a MultiHeadLayout, seq: usize, dh: usize) -> Self {
+        let stacked = layout
+            .stacked()
+            .expect("attention heads must share one block size and grid");
+        let heads = layout.n_heads();
+        assert_eq!(
+            stacked.n_brows * stacked.block_size,
+            heads * seq,
+            "layout grid must match seq"
+        );
+        AttentionCore {
+            stacked,
+            tables: layout.head_tables().expect("stacked heads have tables"),
+            heads,
+            dh,
+            pool: lx_parallel::pool(),
+            isa: None,
+        }
+    }
+
+    /// The same core on an explicit pool and, when given, an explicit arm for
+    /// products and row passes alike (tests: the result must not depend on
+    /// either).
+    pub fn on(self, pool: &'a ThreadPool, isa: Option<Isa>) -> Self {
+        AttentionCore { pool, isa, ..self }
+    }
+
+    /// `(block edge, block-rows per head, heads·dh)`.
+    fn dims(&self) -> (usize, usize, usize) {
+        let b = self.stacked.block_size;
+        (b, self.stacked.n_brows / self.heads, self.heads * self.dh)
+    }
+
+    /// A product group over this core's block tasks: `m×k×n` with A windows
+    /// `a`, B windows `b`, and C windows `c_stride` apart at `ldc`.
+    fn group<'g>(
+        (m, k, n): (usize, usize, usize),
+        a: Windows<&'g [f32]>,
+        b: Windows<BOperand<'g>>,
+        (ldc, c_stride): (usize, usize),
+        table: &'g GemmTable,
+    ) -> GemmGroup<'g> {
+        GemmGroup {
+            m,
+            k,
+            n,
+            a,
+            b,
+            ldc,
+            c_stride,
+            beta: 0.0,
+            table,
+            bias: None,
+        }
+    }
+
+    fn stage<'g>(&self, g: GemmGroup<'g>) -> Staged<'g> {
+        PACKED.stage(self.pool, self.isa, g)
+    }
+
+    fn isa(&self) -> Isa {
+        self.isa.unwrap_or_else(active_isa)
+    }
+
+    /// Least blocks per fused task, each carrying `macs` multiply-adds; every
+    /// task inline on a thread pinned by [`lx_kernels::with_sequential`].
+    fn grain(&self, macs: usize) -> usize {
+        if lx_kernels::sequential_mode() {
+            usize::MAX
+        } else {
+            (FUSED_GRAIN_MACS / macs.max(1)).max(1)
+        }
+    }
+
+    /// Split block data over the stacked layout into one slice per head.
+    fn per_head<'d>(&self, data: &'d mut [f32], n: usize) -> Vec<&'d mut [f32]> {
+        let bb = self.stacked.block_size * self.stacked.block_size;
+        let mut rest = data;
+        (1..=self.heads)
+            .map(|h| {
+                let len =
+                    (self.stacked.row_ptr[h * n] - self.stacked.row_ptr[(h - 1) * n]) as usize;
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len * bb);
+                rest = tail;
+                head
+            })
+            .collect()
+    }
+
+    /// One launch over query block-rows: per row and head, `sdd` into the
+    /// block data (one slice per head), the row pass `rows` on its blocks,
+    /// then `dsd` from them into `out` (`[seq, heads·dh]`); a head's rows no
+    /// block reaches are zeroed there.
+    fn by_query_rows(
+        &self,
+        sdd: &Staged<'_>,
+        dsd: &Staged<'_>,
+        data: &mut [f32],
+        out: &mut [f32],
+        rows: impl Fn(usize, &mut [f32]) + Sync,
+    ) {
+        let (b, n, d) = self.dims();
+        let (bb, heads, st) = (b * b, self.heads, self.stacked);
+        let mut parts = self.per_head(data, n);
+        parts.push(out);
+        let cover = |p: usize, r: Range<usize>| {
+            if p < heads {
+                let head0 = st.row_ptr[p * n] as usize;
+                (st.row_ptr[p * n + r.start] as usize - head0) * bb
+                    ..(st.row_ptr[p * n + r.end] as usize - head0) * bb
+            } else {
+                r.start * b * d..r.end * b * d
+            }
+        };
+        let grain = self.grain(2 * bb * self.dh);
+        self.pool.par_weighted_parts(
+            parts,
+            &self.tables.row_blocks,
+            grain,
+            cover,
+            |brs, parts| {
+                let (blocks, out) = parts.split_at_mut(heads);
+                let out_base = brs.start * b * d;
+                // Head by head: the score products of the task's rows, the
+                // row pass on each row, then the context products — the
+                // rows' blocks are still in cache for the last two.
+                for (h, chunk) in blocks.iter_mut().enumerate() {
+                    let sbrs = h * n + brs.start..h * n + brs.end;
+                    let base = st.row_ptr[sbrs.start] as usize * bb;
+                    let entries = st.row_ptr[sbrs.start] as usize..st.row_ptr[sbrs.end] as usize;
+                    sdd.run(entries, chunk, base);
+                    for sbr in sbrs.clone() {
+                        let entries = st.row_entries(sbr);
+                        if entries.is_empty() {
+                            let br = sbr - h * n;
+                            let rows = &mut out[0][(br * b * d - out_base)..][..b * d];
+                            for row in rows.chunks_exact_mut(d) {
+                                row[h * self.dh..][..self.dh].fill(0.0);
+                            }
+                            continue;
+                        }
+                        rows(
+                            sbr,
+                            &mut chunk[entries.start * bb - base..entries.end * bb - base],
+                        );
+                    }
+                    dsd.run_over(chunk, base, sbrs, out[0], out_base);
+                }
+            },
+        );
+    }
+
+    /// Forward of one batch item: block probabilities into `probs`
+    /// (`layout.total_data_len`, head-major) and `ctx = P·V`, heads in
+    /// place. `slopes` is one ALiBi slope per head, `None` for no bias.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward(
+        &self,
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        scale: f32,
+        slopes: Option<&[f32]>,
+        probs: &mut [f32],
+        ctx: &mut [f32],
+    ) {
+        let (b, n, d) = self.dims();
+        let (bb, dh, st, t) = (b * b, self.dh, self.stacked, self.tables);
+        for x in [q, k, v, &*ctx] {
+            assert_eq!(
+                x.len(),
+                n * b * d,
+                "attention: operands are [seq, heads·dh]"
+            );
+        }
+        assert_eq!(
+            probs.len(),
+            st.data_len(),
+            "attention: P sized to the layout"
+        );
+        if let Some(s) = slopes {
+            assert_eq!(s.len(), self.heads, "one slope per head");
+        }
+        let no_a: &[f32] = &[];
+        let sdd = Self::group(
+            (b, dh, b),
+            Windows::normal(q, d, dh),
+            Windows::transposed(k, d, dh),
+            (b, bb),
+            &t.sdd,
+        );
+        let dsd = Self::group(
+            (b, b, dh),
+            Windows::normal(no_a, b, bb),
+            Windows::normal(v, d, dh),
+            (d, dh),
+            &t.dsd,
+        );
+        let isa = self.isa();
+        observe_fused(&[&sdd, &dsd], || {
+            let (sdd, dsd) = (self.stage(sdd), self.stage(dsd));
+            self.by_query_rows(&sdd, &dsd, probs, ctx, |sbr, blocks| {
+                row_probs(isa, st, sbr, slopes, scale, blocks)
+            });
+        });
+    }
+
+    /// Backward of one batch item from `dout` (`[seq, heads·dh]`, heads in
+    /// place) and the forward's `probs`: `dS` into `ds` (block data like
+    /// `probs`), then dQ, dK and dV, heads in place.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward(
+        &self,
+        (q, k, v): (&[f32], &[f32], &[f32]),
+        dout: &[f32],
+        probs: &[f32],
+        scale: f32,
+        ds: &mut [f32],
+        dq: &mut [f32],
+        dk: &mut [f32],
+        dv: &mut [f32],
+    ) {
+        let (b, n, d) = self.dims();
+        let (bb, dh, st, t) = (b * b, self.dh, self.stacked, self.tables);
+        for x in [q, k, v, dout, &*dq, &*dk, &*dv] {
+            assert_eq!(
+                x.len(),
+                n * b * d,
+                "attention: operands are [seq, heads·dh]"
+            );
+        }
+        assert_eq!(
+            probs.len(),
+            st.data_len(),
+            "attention: P sized to the layout"
+        );
+        assert_eq!(ds.len(), st.data_len(), "attention: dS sized to the layout");
+        let no_a: &[f32] = &[];
+        // dP = dO·Vᵀ ─▶ dS ─▶ dQ = dS·K, per query block-row.
+        let sdd = Self::group(
+            (b, dh, b),
+            Windows::normal(dout, d, dh),
+            Windows::transposed(v, d, dh),
+            (b, bb),
+            &t.sdd,
+        );
+        let dsd = Self::group(
+            (b, b, dh),
+            Windows::normal(no_a, b, bb),
+            Windows::normal(k, d, dh),
+            (d, dh),
+            &t.dsd,
+        );
+        let isa = self.isa();
+        observe_fused(&[&sdd, &dsd], || {
+            let (sdd, dsd) = (self.stage(sdd), self.stage(dsd));
+            self.by_query_rows(&sdd, &dsd, ds, dq, |sbr, blocks| {
+                let entries = st.row_entries(sbr);
+                let p = &probs[entries.start * bb..entries.end * bb];
+                row_grads(isa, st, sbr, scale, p, blocks);
+            });
+        });
+        // dK = dSᵀ·Q and dV = Pᵀ·dO, per key block-column.
+        let ds: &[f32] = ds;
+        let dk_g = Self::group(
+            (b, b, dh),
+            Windows::transposed(ds, b, bb),
+            Windows::normal(q, d, dh),
+            (d, dh),
+            &t.dsd_tn,
+        );
+        let dv_g = Self::group(
+            (b, b, dh),
+            Windows::transposed(probs, b, bb),
+            Windows::normal(dout, d, dh),
+            (d, dh),
+            &t.dsd_tn,
+        );
+        observe_fused(&[&dk_g, &dv_g], || {
+            let (dk_s, dv_s) = (self.stage(dk_g), self.stage(dv_g));
+            let cover = |_: usize, r: Range<usize>| r.start * b * d..r.end * b * d;
+            let grain = self.grain(2 * bb * dh);
+            let parts = vec![dk, dv];
+            self.pool
+                .par_weighted_parts(parts, &t.col_blocks, grain, cover, |bcs, parts| {
+                    let base = bcs.start * b * d;
+                    for h in 0..self.heads {
+                        let sbcs = h * n + bcs.start..h * n + bcs.end;
+                        for (staged, out) in [&dk_s, &dv_s].into_iter().zip(parts.iter_mut()) {
+                            for sbc in sbcs.clone().filter(|&c| st.col_entries(c).is_empty()) {
+                                let rows = &mut out[(sbc - h * n) * b * d - base..][..b * d];
+                                for row in rows.chunks_exact_mut(d) {
+                                    row[h * dh..][..dh].fill(0.0);
+                                }
+                            }
+                            staged.run(sbcs.clone(), out, base);
+                        }
+                    }
+                });
+        });
+    }
 }
 
 /// Expand block data to a dense `s×s` matrix, zeros outside the active

@@ -212,6 +212,62 @@ impl BlockCsr {
     }
 }
 
+/// The operator tables of a stacked multi-head layout over activations that
+/// keep their heads in place: token-major `[s, heads·dh]`, head `h` the
+/// column window `h·dh`. Window `x·b·heads + h` — with stride `dh` and
+/// leading dimension `heads·dh` — is block-row (or block-column) `x` of
+/// head `h`, so Q, K, V and dO are read, and ctx, dQ, dK and dV written,
+/// where the projections keep them. Task order, C windows of the block data
+/// and the numbering of shared windows are those of the stacked layout's own
+/// tables, so every product keeps its accumulation order.
+#[derive(Debug, Clone)]
+pub(crate) struct HeadTables {
+    /// `(query window, key window, entry)`, every block its own run.
+    pub(crate) sdd: GemmTable,
+    /// `(entry, key window, query window)`, one run per stacked block-row.
+    pub(crate) dsd: GemmTable,
+    /// `(entry, query window, key window)`, one run per stacked block-column.
+    pub(crate) dsd_tn: GemmTable,
+    /// Blocks per query block-row over all heads, as a prefix table.
+    pub(crate) row_blocks: Vec<u32>,
+    /// Blocks per key block-column over all heads, as a prefix table.
+    pub(crate) col_blocks: Vec<u32>,
+}
+
+impl HeadTables {
+    /// The tables of `stacked`, the block-diagonal stack of `heads` equal
+    /// grids.
+    fn new(stacked: &BlockCsr, heads: usize) -> Self {
+        let (b, n) = (stacked.block_size as u32, (stacked.n_brows / heads) as u32);
+        let window = |x: u32| (x % n) * b * heads as u32 + x / n;
+        let csr = || entries(&stacked.row_ptr, &stacked.col_idx);
+        let csc = entries(&stacked.col_ptr, &stacked.row_idx);
+        let csc_to_csr = &stacked.csc_to_csr;
+        // Blocks of block-row (block-column) `x` summed over the heads.
+        let blocks = |ptr: &[u32]| {
+            let mut prefix = vec![0u32];
+            for x in 0..n as usize {
+                let sum = (0..heads).map(|h| ptr[h * n as usize + x + 1] - ptr[h * n as usize + x]);
+                prefix.push(prefix[x] + sum.sum::<u32>());
+            }
+            prefix
+        };
+        HeadTables {
+            sdd: GemmTable::each(csr().map(|(e, br, bc)| (window(br), window(bc), e))),
+            dsd: GemmTable::new(
+                csr().map(|(e, br, bc)| (e, window(bc), window(br))),
+                stacked.row_ptr.clone(),
+            ),
+            dsd_tn: GemmTable::new(
+                csc.map(|(e2, bc, br)| (csc_to_csr[e2 as usize], window(br), window(bc))),
+                stacked.col_ptr.clone(),
+            ),
+            row_blocks: blocks(&stacked.row_ptr),
+            col_blocks: blocks(&stacked.col_ptr),
+        }
+    }
+}
+
 /// The online-combined multi-head layout (paper Fig. 6, right).
 ///
 /// Each head references a pooled (shared) `BlockCsr`; `data_offsets` place
@@ -227,6 +283,7 @@ pub struct MultiHeadLayout {
     /// Total elements across heads (`data_offsets.last() + last head len`).
     pub total_data_len: usize,
     stacked: OnceLock<Option<BlockCsr>>,
+    head_tables: OnceLock<Option<HeadTables>>,
 }
 
 impl MultiHeadLayout {
@@ -240,6 +297,7 @@ impl MultiHeadLayout {
         }
         MultiHeadLayout {
             stacked: OnceLock::new(),
+            head_tables: OnceLock::new(),
             heads,
             data_offsets,
             total_data_len: acc,
@@ -254,6 +312,14 @@ impl MultiHeadLayout {
     pub fn stacked(&self) -> Option<&BlockCsr> {
         self.stacked
             .get_or_init(|| BlockCsr::stack(&self.heads))
+            .as_ref()
+    }
+
+    /// The tables of the [stacked](Self::stacked) layout over heads kept in
+    /// place ([`HeadTables`]), built on first use like the stack itself.
+    pub(crate) fn head_tables(&self) -> Option<&HeadTables> {
+        self.head_tables
+            .get_or_init(|| Some(HeadTables::new(self.stacked()?, self.n_heads())))
             .as_ref()
     }
 

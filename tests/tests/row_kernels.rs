@@ -856,3 +856,281 @@ fn nan_and_infinite_scores_poison_their_row_and_the_loss() {
         assert!(rows2[19..].iter().all(|&v| v == 0.0));
     }
 }
+
+// ---------------------------------------------------------------------------
+// 16-row tiles against the row-at-a-time definition
+// ---------------------------------------------------------------------------
+
+/// Sixteen lanes of the kernels' definition, held as a plain array.
+type Lanes16 = [f32; 16];
+
+const LANE16: Lanes16 = {
+    let mut lane = [0.0; 16];
+    let mut l = 0;
+    while l < 16 {
+        lane[l] = l as f32;
+        l += 1;
+    }
+    lane
+};
+
+/// `s[at..at + 16]`, lanes past the end of `s` at `pad`.
+fn load16(s: &[f32], at: usize, pad: f32) -> Lanes16 {
+    std::array::from_fn(|l| s.get(at + l).copied().unwrap_or(pad))
+}
+
+/// `s[at..at + 16] = v`, lanes past the end of `s` dropped.
+fn store16(v: Lanes16, s: &mut [f32], at: usize) {
+    for (o, x) in s[at..].iter_mut().zip(v) {
+        *o = x;
+    }
+}
+
+/// The first `left` lanes of `v`, `rest` in the others.
+fn first16(v: Lanes16, left: f32, rest: f32) -> Lanes16 {
+    std::array::from_fn(|l| if LANE16[l] < left { v[l] } else { rest })
+}
+
+fn tree16(mut lanes: Lanes16, op: impl Fn(f32, f32) -> f32) -> f32 {
+    for w in [8, 4, 2, 1] {
+        for l in 0..w {
+            lanes[l] = op(lanes[l], lanes[l + w]);
+        }
+    }
+    lanes[0]
+}
+
+/// `(valid, live, d0)` of segment `e` of row `r`, as the kernels define it.
+fn prefix16(causal: Option<Causal<'_>>, r: usize, e: usize, width: usize) -> (usize, usize, f32) {
+    let (valid, d0) = match causal {
+        None => (width, 0.0),
+        Some(c) => {
+            let (q, k0) = (c.q0 + r, c.cols[e] as usize * width);
+            ((q + 1).saturating_sub(k0).min(width), q as f32 - k0 as f32)
+        }
+    };
+    (valid, valid.next_multiple_of(16).min(width), d0)
+}
+
+fn seg16(band: Band, r: usize, e: usize) -> std::ops::Range<usize> {
+    let start = r * band.row_stride + e * band.seg_stride;
+    start..start + band.width
+}
+
+/// The softmax forward one row at a time — the definition before rows were
+/// tiled: three passes over every segment of a row, then the next row.
+fn row_at_a_time_forward(data: &mut [f32], band: Band, scale: f32, causal: Option<Causal<'_>>) {
+    const FLOOR: f32 = -64.0 * std::f32::consts::LN_2;
+    let slope = causal.map_or(0.0, |c| c.slope);
+    for r in 0..band.rows {
+        let mut lane_max = [f32::NEG_INFINITY; 16];
+        for e in 0..band.segments {
+            let (valid, live, d0) = prefix16(causal, r, e, band.width);
+            let seg = &mut data[seg16(band, r, e)];
+            seg[live..].fill(0.0);
+            let seg = &mut seg[..live];
+            let mut j0 = 0;
+            while j0 < live {
+                let (dist0, left) = (d0 - j0 as f32, (valid - j0) as f32);
+                let x = load16(seg, j0, 0.0);
+                let s = std::array::from_fn(|l| x[l] * scale - slope * (dist0 - LANE16[l]));
+                let s = first16(s, left, f32::NEG_INFINITY);
+                store16(s, seg, j0);
+                lane_max = std::array::from_fn(|l| {
+                    if s[l] > lane_max[l] {
+                        s[l]
+                    } else {
+                        lane_max[l]
+                    }
+                });
+                j0 += 16;
+            }
+        }
+        let max = tree16(lane_max, |a, b| if a > b { a } else { b });
+        if max == f32::NEG_INFINITY {
+            for e in 0..band.segments {
+                let (_, live, _) = prefix16(causal, r, e, band.width);
+                for v in &mut data[seg16(band, r, e)][..live] {
+                    *v = if v.is_nan() { f32::NAN } else { 0.0 };
+                }
+            }
+            continue;
+        }
+        let mut lane_sum = [0.0f32; 16];
+        for e in 0..band.segments {
+            let (_, live, _) = prefix16(causal, r, e, band.width);
+            let seg = &mut data[seg16(band, r, e)][..live];
+            let mut j0 = 0;
+            while j0 < live {
+                let x = load16(seg, j0, f32::NEG_INFINITY);
+                let v: Lanes16 = std::array::from_fn(|l| x[l] - max);
+                let mut e_v = v;
+                rows::exp(Isa::Scalar, &mut e_v);
+                let p = std::array::from_fn(|l| if v[l] < FLOOR { 0.0 } else { e_v[l] });
+                store16(p, seg, j0);
+                lane_sum = std::array::from_fn(|l| lane_sum[l] + p[l]);
+                j0 += 16;
+            }
+        }
+        let inv = 1.0 / tree16(lane_sum, |a, b| a + b);
+        for e in 0..band.segments {
+            let (_, live, _) = prefix16(causal, r, e, band.width);
+            let seg = &mut data[seg16(band, r, e)][..live];
+            let mut j0 = 0;
+            while j0 < live {
+                let x = load16(seg, j0, 0.0);
+                store16(x.map(|v| v * inv), seg, j0);
+                j0 += 16;
+            }
+        }
+    }
+}
+
+/// The softmax backward one row at a time.
+fn row_at_a_time_backward(
+    p: &[f32],
+    grad: &mut [f32],
+    band: Band,
+    scale: f32,
+    causal: Option<Causal<'_>>,
+) {
+    for r in 0..band.rows {
+        let mut lane_dot = [0.0f32; 16];
+        for e in 0..band.segments {
+            let (valid, live, _) = prefix16(causal, r, e, band.width);
+            let (ps, gs) = (
+                &p[seg16(band, r, e)][..live],
+                &grad[seg16(band, r, e)][..live],
+            );
+            let mut j0 = 0;
+            while j0 < live {
+                let (pv, gv) = (load16(ps, j0, 0.0), load16(gs, j0, 0.0));
+                let pg = first16(
+                    std::array::from_fn(|l| pv[l] * gv[l]),
+                    (valid - j0) as f32,
+                    0.0,
+                );
+                lane_dot = std::array::from_fn(|l| lane_dot[l] + pg[l]);
+                j0 += 16;
+            }
+        }
+        let dot = tree16(lane_dot, |a, b| a + b);
+        for e in 0..band.segments {
+            let (valid, live, _) = prefix16(causal, r, e, band.width);
+            let (ps, gs) = (&p[seg16(band, r, e)][..live], &mut grad[seg16(band, r, e)]);
+            gs[live..].fill(0.0);
+            let gs = &mut gs[..live];
+            let mut j0 = 0;
+            while j0 < live {
+                let (pv, dp) = (load16(ps, j0, 0.0), load16(gs, j0, 0.0));
+                let ds = std::array::from_fn(|l| pv[l] * (dp[l] - dot) * scale);
+                let ds = first16(ds, (valid - j0) as f32, 0.0);
+                let flushed = ds.map(|v| {
+                    if -f32::MIN_POSITIVE < v {
+                        if v < f32::MIN_POSITIVE {
+                            0.0
+                        } else {
+                            v
+                        }
+                    } else {
+                        v
+                    }
+                });
+                store16(flushed, gs, j0);
+                j0 += 16;
+            }
+        }
+    }
+}
+
+/// Scores with the rows that matter planted: a row of −∞, a row with a NaN,
+/// and (from the seed) ordinary values spread over a few nats.
+fn planted_scores(len: usize, band: Band, seed: u64) -> Vec<f32> {
+    let mut x = randn_vec(len, 3.0, seed);
+    if band.rows > 3 {
+        for e in 0..band.segments {
+            x[seg16(band, 1, e)].fill(f32::NEG_INFINITY);
+            x[seg16(band, 3, e).start] = f32::NAN;
+        }
+    }
+    x
+}
+
+#[test]
+fn tiled_softmax_equals_the_row_at_a_time_definition() {
+    let mut cases = 0;
+    let mut check =
+        |what: String, band: Band, causal: Option<Causal<'_>>, len: usize, seed: u64| {
+            let scores = planted_scores(len, band, seed);
+            let mut want = scores.clone();
+            row_at_a_time_forward(&mut want, band, 0.4, causal);
+            let p = same_on_every_arm(&format!("tiled fwd {what}"), |isa| {
+                let mut p = scores.clone();
+                rows::softmax_forward(isa, &mut p, band, 0.4, causal);
+                p
+            });
+            assert_bits(&format!("tiled fwd {what} vs row at a time"), &p, &want);
+            let dp = randn_vec(len, 1.0, seed + 1);
+            let mut want = dp.clone();
+            row_at_a_time_backward(&p, &mut want, band, 0.4, causal);
+            let ds = same_on_every_arm(&format!("tiled bwd {what}"), |isa| {
+                let mut g = dp.clone();
+                rows::softmax_backward(isa, &p, &mut g, band, 0.4, causal);
+                g
+            });
+            assert_bits(&format!("tiled bwd {what} vs row at a time"), &ds, &want);
+            cases += 1;
+        };
+    // Block-rows of 1 to 33 blocks whose last block is the diagonal one
+    // (rows that see fewer than the block's keys), and the same row shifted
+    // so its last block lies above the diagonal (rows that see nothing in
+    // it); ALiBi on and off; every block edge.
+    for b in [4usize, 8, 16, 32] {
+        for entries in [1usize, 2, 3, 7, 16, 33] {
+            let band = Band::block_row(b, entries);
+            let cols: Vec<u32> = (0..entries as u32).collect();
+            for (shift, slope) in [(0usize, 0.0f32), (0, 0.07), (b / 2, 0.02), (b, 0.0)] {
+                let q0 = ((entries - 1) * b).saturating_sub(shift);
+                let causal = Some(Causal {
+                    q0,
+                    cols: &cols,
+                    slope,
+                });
+                let what = format!("b={b} blocks={entries} q0={q0} slope={slope}");
+                check(
+                    what,
+                    band,
+                    causal,
+                    entries * b * b,
+                    (b * 100 + entries) as u64,
+                );
+            }
+            let what = format!("b={b} blocks={entries} no causal limit");
+            check(
+                what,
+                band,
+                None,
+                entries * b * b,
+                (b * 1000 + entries) as u64,
+            );
+        }
+    }
+    // Dense bands: one segment per row, tiles of 16 rows and a short last
+    // tile, plain and causal.
+    for (rows_n, width) in [(1usize, 5usize), (16, 16), (17, 33), (40, 67), (33, 512)] {
+        let band = Band::dense(rows_n, width);
+        let cols = [0u32];
+        let causal = Some(Causal {
+            q0: width.saturating_sub(rows_n),
+            cols: &cols,
+            slope: 0.01,
+        });
+        for (name, c) in [("plain", None), ("causal", causal)] {
+            let what = format!("dense {rows_n}x{width} {name}");
+            check(what, band, c, rows_n * width, (rows_n * width) as u64);
+        }
+    }
+    // An empty band writes nothing.
+    check("no segments".into(), Band::block_row(16, 0), None, 0, 9);
+    assert!(cases > 100);
+}
