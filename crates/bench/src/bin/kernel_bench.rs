@@ -19,7 +19,10 @@
 //! FC1 slabs — both single-threaded (`with_sequential`),
 //! so the ratio is packing reuse and microkernel efficiency and enforces on
 //! any runner — floor ≥3.0x for the SDD score blocks and for the transposed
-//! DSD over the same layout, ≥1.3x for the FC1 neuron slabs. The `lora` row
+//! DSD over the same layout. The FC1 row gates that the one wide launch over
+//! the neuron slabs is never slower than its per-slab launches, floor ≥1.0x:
+//! both read X in place, so what the wide launch buys is its wider register
+//! tile and one B̃ for all slabs, not packing reuse. The `lora` row
 //! times the fused rank-r operator against the composition it replaced
 //! (separate products, scratch tensors, axpy / scale / add passes), asserts
 //! the two agree bit for bit, floor ≥1.05x. The `attention core` row times
@@ -509,7 +512,7 @@ fn main() {
             &group,
             rows * active as usize * B,
             PerTask(&PACKED),
-            1.3,
+            1.0,
         );
 
         // Transposed DSD (`dK = dSᵀ·Q`, `dV = Pᵀ·dO`) over the SDD layout

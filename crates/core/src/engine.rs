@@ -137,8 +137,7 @@ fn mean(v: &[f32]) -> f32 {
 }
 
 /// Execution mode for a training step (the Fig. 11a arms). Each mode names
-/// one of the engine's built-in [`SparsityPolicy`] objects; external
-/// policies go through [`FinetuneEngine::train_step_policy`].
+/// one of the engine's built-in [`SparsityPolicy`] objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepMode {
     /// Dense baseline (HuggingFace-PEFT stand-in).
@@ -485,28 +484,6 @@ impl FinetuneEngine {
         policy_for_mode!(self, mode, policy => {
             step_with(&mut self.model, policy, batches, batch, seq, Some(opt), None)
         })
-    }
-
-    /// One step through an *external* [`SparsityPolicy`] — the hook the
-    /// predictor ablations use to compare plan sources under identical
-    /// engine plumbing.
-    pub fn train_step_policy(
-        &mut self,
-        batches: &[MicroBatch<'_>],
-        batch: usize,
-        seq: usize,
-        opt: &mut dyn Optimizer,
-        policy: &mut dyn SparsityPolicy,
-    ) -> StepOutcome {
-        step_with(
-            &mut self.model,
-            policy,
-            batches,
-            batch,
-            seq,
-            Some(opt),
-            None,
-        )
     }
 
     /// Evaluation-only pass in the given mode: forward and loss under the

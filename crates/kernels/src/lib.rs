@@ -23,9 +23,10 @@
 //!   scalar/AVX2/AVX-512/NEON `std::arch` inner loops — see [`Isa`] and
 //!   [`active_isa`]) with the macro-kernel parallelised over the
 //!   `lx-parallel` pool (worker-disjoint C row panels, shared packed B). A
-//!   grouped launch packs each distinct window once, runs the same
-//!   microkernel off the shared panels for every task in table order, and
-//!   splits the table's runs across the pool by task count — bitwise
+//!   grouped launch is staged ([`Staged`]: each distinct B window packed
+//!   once, over the whole depth) and its runs split across the pool in one
+//!   parallel section, by rows or by task count; every worker walks the
+//!   k-blocks of its share, each run's tasks in table order — bitwise
 //!   independent of thread count and partition. It runs every product the
 //!   program issues, whatever its shape, under the installed
 //!   [`KernelPolicy`]'s tiles (see `lx_runtime::kernel_policy` for the

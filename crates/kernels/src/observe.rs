@@ -98,54 +98,50 @@ impl KernelBackend for Observed {
     }
 
     fn gemm(&self, op: &GemmOp<'_>, c: &mut [f32], ldc: usize, beta: f32) {
-        let (m, k, n) = (op.m, op.k, op.n);
-        let s = stats(self.inner.name(), class(m, k, n), op.b.dtype());
-        if tracing_active() {
-            let t0 = Instant::now();
-            self.inner.gemm(op, c, ldc, beta);
-            s.time_ns.record_duration(t0.elapsed());
-        } else {
-            self.inner.gemm(op, c, ldc, beta);
-        }
-        s.calls.inc();
+        let class = class(op.m, op.k, op.n);
+        book(self.inner.name(), class, op.b.dtype(), || {
+            self.inner.gemm(op, c, ldc, beta)
+        })
     }
 
-    /// One call, whatever the table holds: the class comes from the group's
-    /// total FLOPs, the dtype from its B operand, and `kernel.gemm.ns` books
-    /// the launch's wall time (not the sum of its blocks);
+    /// One call, whatever the table holds (see `book_groups`);
     /// `kernel.gemm.tasks` keeps blocks-per-step visible.
     fn gemm_grouped(&self, group: &GemmGroup<'_>, c: &mut [f32]) {
-        let tasks = group.table.tasks().len() as u64;
-        let flops = 2 * tasks * (group.m as u64) * (group.k as u64) * (group.n as u64);
-        let s = stats(self.inner.name(), flop_class(flops), group.b.data.dtype());
-        if tracing_active() {
-            let t0 = Instant::now();
-            self.inner.gemm_grouped(group, c);
-            s.time_ns.record_duration(t0.elapsed());
-        } else {
-            self.inner.gemm_grouped(group, c);
-        }
-        s.calls.inc();
-        group_tasks().add(tasks);
+        book_groups(self.inner.name(), &[group], || {
+            self.inner.gemm_grouped(group, c)
+        })
     }
 }
 
 /// Book one *fused* launch — `f`, which runs the products of `groups`
 /// staged ([`Packed::stage`](crate::Packed::stage)) inside its own parallel
-/// split, with row passes between them — as **one** packed call: the class
-/// from all the groups' FLOPs, the dtype from the first group's B, and
-/// `kernel.gemm.ns` the launch's wall time, row passes included. The
-/// groups' task counts go to `kernel.gemm.tasks`.
+/// split, with row passes between them — as **one** packed call, row passes
+/// included in its time.
 pub fn observe_fused<R>(groups: &[&GemmGroup<'_>], f: impl FnOnce() -> R) -> R {
-    let mut tasks = 0;
-    let mut flops = 0;
+    book_groups("packed", groups, f)
+}
+
+/// Book `f`, which runs the products of `groups`, as one call on `backend`:
+/// the class from all the groups' FLOPs, the dtype from the first group's B,
+/// `kernel.gemm.ns` the wall time of `f` (not the sum of its blocks), and
+/// the groups' task counts into `kernel.gemm.tasks`.
+fn book_groups<R>(backend: &'static str, groups: &[&GemmGroup<'_>], f: impl FnOnce() -> R) -> R {
+    let (mut tasks, mut flops) = (0, 0);
     for g in groups {
         let n = g.table.tasks().len() as u64;
         tasks += n;
         flops += 2 * n * (g.m as u64) * (g.k as u64) * (g.n as u64);
     }
     let dtype = groups.first().map_or(Dtype::F32, |g| g.b.data.dtype());
-    let s = stats("packed", flop_class(flops), dtype);
+    let out = book(backend, flop_class(flops), dtype, f);
+    group_tasks().add(tasks);
+    out
+}
+
+/// Book one call of `f` on `backend` into `kernel.gemm.calls` of its class
+/// and B dtype, and its wall time into `kernel.gemm.ns` while tracing.
+fn book<R>(backend: &'static str, class: usize, dtype: Dtype, f: impl FnOnce() -> R) -> R {
+    let s = stats(backend, class, dtype);
     let out = if tracing_active() {
         let t0 = Instant::now();
         let out = f();
@@ -155,7 +151,6 @@ pub fn observe_fused<R>(groups: &[&GemmGroup<'_>], f: impl FnOnce() -> R) -> R {
         f()
     };
     s.calls.inc();
-    group_tasks().add(tasks);
     out
 }
 

@@ -3,12 +3,15 @@
 //!
 //! Every product runs as a launch over an offset table of block tasks
 //! ([`GemmTable`]): a sparse operator's table lists its blocks, and a plain
-//! [`KernelBackend::gemm`] is a launch of one task. Only `k` is blocked:
+//! [`KernelBackend::gemm`] is a launch of one task. Every launch is staged
+//! ([`Packed::stage`], [`Staged`]) — its tile picked and B̃ packed — and then
+//! run; only `k` is blocked:
 //!
 //! ```text
-//!   for pc in steps of KC over k:               // K block
-//!     pack each distinct shared B window → B̃  (KC × NR column panels)
-//!     parallel over C row chunks (or runs of tasks):
+//!   stage: pack each distinct shared B window → B̃, whole depth
+//!          (KC-deep segments of NR-wide column panels)
+//!   parallel over C row chunks (or runs of tasks):   // one section
+//!     for pc in steps of KC over k:                  // K block
 //!       for each run, its tasks in table order:
 //!         pack a shared A window → Ã once per thread (MR-tall row panels),
 //!           or read an A window one task uses where it lies
@@ -39,12 +42,12 @@
 //!   Normal panel, straight into it; one run per column of a Transposed
 //!   panel, into a stack scratch and from there strided into the panel. f32
 //!   B is copied element by element.
-//! * Only what is reused is packed. B̃ holds each distinct B window once per
-//!   k-block — packed in parallel across panel chunks when the pool is
-//!   available — and is shared read-only by every row task: the "B-panel
-//!   reuse across A rows" that makes the kernel bandwidth-friendly. f32 B
-//!   rows a whole number of register tiles wide are read in place instead,
-//!   and so is every A window one task reads — a plain product's whole A.
+//! * Only what is reused is packed. B̃ holds each distinct B window once —
+//!   packed in parallel across panel chunks when the pool is available —
+//!   and is shared read-only by every row task: the "B-panel reuse across A
+//!   rows" that makes the kernel bandwidth-friendly. f32 B rows a whole
+//!   number of register tiles wide are read in place instead, and so is
+//!   every A window one task reads — a plain product's whole A.
 //! * C row chunks (or runs of tasks) are worker-disjoint (`par_rows` /
 //!   `par_weighted` split_at_mut carving), so one big GEMM saturates all
 //!   `LX_THREADS` workers. Nested calls (a GEMM issued from inside a pool
@@ -59,12 +62,11 @@
 //!   bit-identical to those passes while their read-modify-write sweeps over
 //!   C disappear. A plain product's bias is the bias of its one run.
 //!
-//! A launch can also be *staged* ([`Packed::stage`]): the tile picked and B̃
-//! packed once, after which its caller computes runs piecemeal on its own
-//! workers ([`Staged::run`]) — how the attention core interleaves score
-//! products, softmax and context products per block-row. A staged run reads
-//! every A window in place, also from a slice the caller has just written
-//! ([`Staged::run_over`]).
+//! A caller can also stage a launch itself and compute its runs piecemeal on
+//! its own workers ([`Staged::run`]) — how the attention core interleaves
+//! score products, softmax and context products per block-row. Such a run
+//! reads every A window in place, also from a slice the caller has just
+//! written ([`Staged::run_over`]).
 //!
 //! Pack buffers are thread-local and reused across calls, so steady-state
 //! GEMMs allocate nothing.
@@ -192,8 +194,8 @@ fn transpose_into<'c>(
 
 thread_local! {
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// B̃ buffers this thread is not using right now: a launch takes one per
-    /// k-block it keeps packed and returns them when it is done.
+    /// B̃ buffers this thread is not using right now: a stage takes one and
+    /// returns it when it is dropped.
     static PACK_B: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     /// Which A slots of a grouped launch this thread has packed so far.
     static PACKED_SLOTS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
@@ -730,7 +732,8 @@ fn packed_elements(operand: Operand) -> &'static Counter {
 /// one shared A window, a fresh B window and its own run per task, C windows
 /// side by side (`fc1_forward`'s `Z = X · [W_a]ᵀ`). Such a launch is a single
 /// `m × k × (tasks·n)` GEMM whose B columns are gathered from the windows,
-/// so slabs narrower than the register tile share its panels.
+/// so slabs narrower than the register tile share its panels; like any
+/// single product, it reads its A in place.
 fn is_wide(g: &GemmGroup<'_>, shape: CShape) -> bool {
     let (table, tasks) = (g.table, g.table.tasks());
     shape == CShape::Columns
@@ -752,25 +755,20 @@ fn b_in_place<'a>(g: &GemmGroup<'a>, tile: Tile) -> Option<&'a [f32]> {
     }
 }
 
-/// One k-block of a grouped launch: everything its chunks share.
-struct GroupPass<'a> {
-    g: &'a GemmGroup<'a>,
-    /// The A buffer this pass reads, holding elements `a_base ..` of the
-    /// group's A: the group's own, or the part of it a staged run was given.
-    a: &'a [f32],
-    a_base: usize,
+/// A grouped launch staged by [`Packed::stage`]: its register tile chosen
+/// and its B̃ packed, waiting for callers to compute its runs. It alone
+/// walks a launch's k-blocks.
+pub struct Staged<'a> {
+    g: GemmGroup<'a>,
     tile: Tile,
-    /// First k-step and depth of the block.
-    pc: usize,
-    kc: usize,
     /// Width of a C window: `g.n`, or all of them side by side when the
     /// launch [`is_wide`] (then `runs`/`tasks` hold the one widened task).
     cols: usize,
     runs: &'a [u32],
     tasks: &'a [GemmTask],
-    /// Slots of B̃, which is laid out `[column panel][slot][kc][nr]`: the
-    /// panels of consecutive slots are contiguous along k, so a run of tasks
-    /// over consecutive slots reads one long panel.
+    /// Slots of B̃, which is laid out `[column panel][slot][k][nr]`: the
+    /// panels of consecutive slots follow each other, so a run of tasks over
+    /// consecutive slots reads them `k·nr` apart.
     b_slots: usize,
     /// Every A window is read by one task: the microkernel reads it in
     /// place instead of from a packed panel.
@@ -780,16 +778,60 @@ struct GroupPass<'a> {
     b_direct: Option<&'a [f32]>,
     /// The arm a reduced B decodes on.
     isa: Isa,
+    /// B̃, in one of this thread's buffers, which is returned on drop.
+    bpack: Vec<f32>,
 }
 
-impl GroupPass<'_> {
-    /// Pack B̃ for this block: every distinct B window once (or, widened,
-    /// their columns gathered into shared panels), a reduced B decoded as it
-    /// is packed.
+impl<'a> Staged<'a> {
+    /// Pick the tile and pack B̃ (on `pool` unless [`crate::sequential_mode`])
+    /// for a launch that runs `wide` (see [`is_wide`]) and reads every A
+    /// window in place when `a_direct`.
+    fn new(
+        pool: &ThreadPool,
+        isa: Option<Isa>,
+        g: GemmGroup<'a>,
+        wide: bool,
+        a_direct: bool,
+    ) -> Self {
+        if let Some(isa) = isa {
+            assert!(isa.supported(), "gemm group: {} not supported", isa.name());
+        }
+        let table = g.table;
+        let (cols, runs, tasks, b_slots) = if wide {
+            let tasks = table.tasks();
+            (tasks.len() * g.n, &[0, 1][..], &tasks[..1], 1)
+        } else {
+            (g.n, table.runs(), table.tasks(), table.b_windows().len())
+        };
+        let tile = pick_tile(isa, g.m, cols);
+        let b_direct = b_in_place(&g, tile).filter(|_| !wide);
+        let mut staged = Staged {
+            g,
+            tile,
+            cols,
+            runs,
+            tasks,
+            b_slots,
+            a_direct,
+            b_direct,
+            isa: isa.unwrap_or_else(active_isa),
+            bpack: take_b_buffer(),
+        };
+        if b_direct.is_none() && !tasks.is_empty() && g.m > 0 && g.n > 0 {
+            let mut bpack = std::mem::take(&mut staged.bpack);
+            staged.pack_b(&mut bpack, (!crate::sequential_mode()).then_some(pool));
+            staged.bpack = bpack;
+        }
+        staged
+    }
+
+    /// Pack B̃ over the whole depth: every distinct B window once (or,
+    /// widened, their columns gathered into shared panels), a reduced B
+    /// decoded as it is packed.
     fn pack_b(&self, out: &mut Vec<f32>, pool: Option<&ThreadPool>) {
-        let (g, kc, pc) = (self.g, self.kc, self.pc);
+        let (g, k) = (&self.g, self.g.k);
         let (_, nr) = self.tile.shape();
-        let panel_len = kc * nr;
+        let panel_len = k * nr;
         if panel_len == 0 {
             return;
         }
@@ -815,10 +857,10 @@ impl GroupPass<'_> {
                         (windows[slot + v / g.n] as usize, v % g.n)
                     };
                     let width = (g.n - j).min(cols.end - v);
-                    let at = window * g.b.stride + g.b.layout.at(g.b.ld, pc, j);
+                    let at = window * g.b.stride + g.b.layout.at(g.b.ld, 0, j);
                     let dst = &mut dst[v - cols.start..];
                     let (b, ld) = (g.b.data, g.b.ld);
-                    fill_panel(self.isa, b, g.b.layout, dst, ld, at, kc, width, nr);
+                    fill_panel(self.isa, b, g.b.layout, dst, ld, at, k, width, nr);
                     v += width;
                 }
                 slot += 1;
@@ -832,25 +874,77 @@ impl GroupPass<'_> {
             Some(pool) if panels > grain => pool.par_rows(out, panels, panel_len, grain, fill),
             _ => fill(0..panels, out),
         }
-        packed_elements(Operand::B).add((kc * self.cols * self.b_slots) as u64);
+        packed_elements(Operand::B).add((k * self.cols * self.b_slots) as u64);
+    }
+
+    /// Compute runs `runs` of the staged launch into `chunk`, which holds
+    /// elements `base ..` of its C, on the calling thread: every k-block of
+    /// each run, its `beta` and its bias, as the grouped launch does.
+    pub fn run(&self, runs: Range<usize>, chunk: &mut [f32], base: usize) {
+        self.run_over(self.g.a.data, 0, runs, chunk, base)
+    }
+
+    /// [`run`](Self::run) with the A windows read from `a`, which holds
+    /// elements `a_base ..` of the group's A buffer — for an A that the
+    /// caller writes between the runs it computes, such as the probabilities
+    /// a context product reads right after its softmax. Panics unless every
+    /// A window of `runs` lies inside `a`.
+    pub fn run_over(
+        &self,
+        a: &[f32],
+        a_base: usize,
+        runs: Range<usize>,
+        chunk: &mut [f32],
+        base: usize,
+    ) {
+        let g = &self.g;
+        let tasks = &self.tasks[self.runs[runs.start] as usize..self.runs[runs.end] as usize];
+        g.check_a(a.len(), a_base, tasks);
+        if g.m > 0 && g.n > 0 {
+            self.work(a, a_base, runs, 0..g.m, chunk, base)
+        }
     }
 
     /// Runs `rs`, rows `rows` of every C window, into `chunk`, which starts
-    /// at element `base` of C. B comes from the packed `bpack` unless read
-    /// in place; A windows are read in place, or packed as the runs meet
-    /// them into this thread's panels, laid out `[row panel][slot][kc][mr]`
-    /// like B̃. The first tasks of a run fold `beta` into their write-back,
-    /// and on the final k-block its finished rows take its bias — per column
-    /// window when the launch is widened.
+    /// at element `base` of C, with the A windows read from `a`, which holds
+    /// elements `a_base ..` of the group's A: k-block by k-block, the runs'
+    /// tasks in table order within each. `k = 0` is one empty block.
     fn work(
         &self,
-        bpack: &[f32],
+        a: &[f32],
+        a_base: usize,
         rs: Range<usize>,
         rows: Range<usize>,
         chunk: &mut [f32],
         base: usize,
     ) {
-        let (g, kc, pc) = (self.g, self.kc, self.pc);
+        let (k, kc_max) = (self.g.k, tiles().kc.max(1));
+        for pc in (0..k.max(1)).step_by(kc_max) {
+            let kc = kc_max.min(k - pc);
+            self.block(a, a_base, pc, kc, rs.clone(), rows.clone(), chunk, base);
+        }
+    }
+
+    /// The k-block `pc .. pc + kc` of [`work`](Self::work). B comes from B̃
+    /// unless read in place; A windows are read in place, or packed as the
+    /// runs meet them into this thread's panels, laid out
+    /// `[row panel][slot][kc][mr]`. The first tasks of a run fold `beta` into
+    /// their write-back (an empty block only scales), and on the final
+    /// k-block its finished rows take its bias — per column window when the
+    /// launch is widened.
+    #[allow(clippy::too_many_arguments)]
+    fn block(
+        &self,
+        a_buf: &[f32],
+        a_base: usize,
+        pc: usize,
+        kc: usize,
+        rs: Range<usize>,
+        rows: Range<usize>,
+        chunk: &mut [f32],
+        base: usize,
+    ) {
+        let g = &self.g;
         let (mr, nr) = self.tile.shape();
         let (a_windows, b_windows) = (g.table.a_windows(), g.table.b_windows());
         let m_panels = rows.len().div_ceil(mr);
@@ -877,9 +971,15 @@ impl GroupPass<'_> {
                     let run = &self.tasks[self.runs[r] as usize..self.runs[r + 1] as usize];
                     let Some(first) = run.first() else { continue };
                     let c_off = g.c_offset(first) + rows.start * g.ldc - base;
+                    if kc == 0 {
+                        // Nothing to accumulate: the rows are only scaled.
+                        for i in 0..rows.len() {
+                            scale_row(&mut chunk[c_off + i * g.ldc..][..self.cols], g.beta);
+                        }
+                    }
                     let mut wb = WriteBack::at(pc, g.beta);
                     let mut t = 0;
-                    while t < run.len() {
+                    while kc > 0 && t < run.len() {
                         let (a0, b0) = (run[t].a as usize, run[t].b as usize);
                         // Tasks over consecutive slots: one deeper call.
                         let mut depth = 1;
@@ -893,7 +993,7 @@ impl GroupPass<'_> {
                                 continue;
                             }
                             copied += rows.len() * kc;
-                            let a = &self.a[a_windows[slot] as usize * g.a.stride - self.a_base..];
+                            let a = &a_buf[a_windows[slot] as usize * g.a.stride - a_base..];
                             for ip in 0..m_panels {
                                 let dst = &mut apack[a_panel(ip, slot)..][..kc * mr];
                                 if height(ip) < mr {
@@ -922,8 +1022,9 @@ impl GroupPass<'_> {
                                     segs: Segs::Windows(&b_windows[b0..b0 + depth], g.b.stride),
                                 }
                             } else {
-                                let panel = &bpack[(jp * self.b_slots + b0) * kc * nr..];
-                                Src::panel(panel, nr, kc * nr)
+                                let panel =
+                                    &self.bpack[((jp * self.b_slots + b0) * g.k + pc) * nr..];
+                                Src::panel(panel, nr, g.k * nr)
                             };
                             let width = nr.min(self.cols - jp * nr);
                             for ip in 0..m_panels {
@@ -931,9 +1032,9 @@ impl GroupPass<'_> {
                                     let row = rows.start + ip * mr;
                                     // Counted from element 0 of the group's A: the
                                     // windows' offsets take `a` back into range.
-                                    let at = self.a[row * a_xs + pc * a_ks..].as_ptr();
+                                    let at = a_buf[row * a_xs + pc * a_ks..].as_ptr();
                                     Src {
-                                        ptr: at.wrapping_sub(self.a_base),
+                                        ptr: at.wrapping_sub(a_base),
                                         ks: a_ks,
                                         xs: a_xs,
                                         segs: Segs::Windows(&a_windows[a0..a0 + depth], g.a.stride),
@@ -985,7 +1086,7 @@ static ONE_TASK: LazyLock<GemmTable> = LazyLock::new(|| GemmTable::each([(0, 0, 
 impl Packed {
     /// [`KernelBackend::gemm`] on an explicit pool (tests: the result must
     /// not depend on how many threads split the rows): a grouped launch of
-    /// [`ONE_TASK`], whose one run carries the op's bias.
+    /// `ONE_TASK`, whose one run carries the op's bias.
     pub fn gemm_on(
         &self,
         pool: &ThreadPool,
@@ -1029,25 +1130,15 @@ impl Packed {
     /// [`KernelBackend::gemm_grouped`] on an explicit pool and, when `isa` is
     /// given, an explicit microkernel and decode arm (tests and benches;
     /// `None` picks the register tile from the task shape and decodes on the
-    /// [`active_isa`]).
-    ///
-    /// Only what is reused is packed. B̃ holds every distinct B window once
-    /// per launch, shared read-only — unless the windows are f32 rows a whole
-    /// number of register tiles wide, which the microkernel reads in place.
-    /// A reduced B (the f16 / NF4 neuron slabs) is decoded window by window
-    /// into B̃, so it holds the f32 values a decoded twin's windows hold.
-    /// A window used by one task (a P or dS block of a DSD) is read in place
-    /// too; windows shared by several tasks are packed once per thread that
-    /// needs them, into thread-local panels. Tasks of a run whose A *and* B
-    /// slots are consecutive collapse into one deeper microkernel call (one
-    /// accumulator chain across the blocks), and a launch of adjacent column
-    /// windows runs as one wide product (see `is_wide`) — properties of the
-    /// table, so every C element sees the same accumulation order however
-    /// the launch is split: by rows when the C windows are column windows
-    /// of one matrix (neuron slabs), by task count per run when they are
-    /// separate regions (score blocks, block rows), inline when
-    /// [`sequential_mode`] is set. Each run's bias is added by the worker
-    /// that finishes the run's rows on the final k-block.
+    /// [`active_isa`]). The launch is [staged](Self::stage), and its runs
+    /// are split over `pool` in one parallel section: by rows when the C
+    /// windows are column windows of one matrix (neuron slabs), by task
+    /// count per run when they are separate regions (score blocks, block
+    /// rows), inline when [`sequential_mode`] is set or the windows lie
+    /// otherwise. Unlike a caller's stage, a launch packs each A window that
+    /// several tasks share, once per thread that needs it, into thread-local
+    /// panels, and runs a launch of adjacent column windows as one wide
+    /// product (see `is_wide`).
     ///
     /// [`sequential_mode`]: crate::sequential_mode
     pub fn gemm_grouped_on(
@@ -1062,132 +1153,69 @@ impl Packed {
             return;
         }
         let shape = g.check(c.len());
-        if let Some(isa) = isa {
-            assert!(isa.supported(), "gemm group: {} not supported", isa.name());
-        }
-        if g.k == 0 {
-            // Nothing to accumulate: each run's C window is only scaled, then
-            // takes its bias.
-            for run in table.runs().windows(2).filter(|r| r[0] < r[1]) {
-                let first = &table.tasks()[run[0] as usize];
-                let window = &mut c[g.c_offset(first)..];
-                for i in 0..g.m {
-                    scale_row(&mut window[i * g.ldc..][..g.n], g.beta);
-                }
-                if let Some(bias) = g.run_bias(first) {
-                    add_bias(window, g.m, g.n, g.ldc, bias);
-                }
-            }
-            return;
-        }
         let wide = is_wide(g, shape);
-        let (cols, runs, tasks, b_slots) = if wide {
-            let tasks = table.tasks();
-            (tasks.len() * g.n, &[0, 1][..], &tasks[..1], 1)
-        } else {
-            (g.n, table.runs(), table.tasks(), table.b_windows().len())
-        };
-        let tile = pick_tile(isa, g.m, cols);
-        let a_direct = !wide && table.a_windows().len() == table.tasks().len();
-        let b_direct = b_in_place(g, tile).filter(|_| !wide);
+        // Every A window read by one task of the launch as it runs.
+        let a_direct = wide || table.a_windows().len() == table.tasks().len();
+        let staged = Staged::new(pool, isa, *g, wide, a_direct);
+        let (a, all_runs) = (g.a.data, 0..staged.runs.len() - 1);
         let seq = crate::sequential_mode();
-        let kc_max = tiles().kc.max(1);
-        let mut bpack = take_b_buffer();
-        let mut pc = 0;
-        while pc < g.k {
-            let kc = kc_max.min(g.k - pc);
-            let pass = GroupPass {
-                g,
-                a: g.a.data,
-                a_base: 0,
-                tile,
-                pc,
-                kc,
-                cols,
-                runs,
-                tasks,
-                b_slots,
-                a_direct,
-                b_direct,
-                isa: isa.unwrap_or_else(active_isa),
-            };
-            if b_direct.is_none() {
-                pass.pack_b(&mut bpack, (!seq).then_some(pool));
+        match shape {
+            CShape::Columns if !seq => {
+                // Multiply-adds behind one row of every C window.
+                let row_macs = g.k * g.n * table.tasks().len();
+                let grain = (GRAIN_FLOPS / row_macs.max(1)).max(staged.tile.shape().0);
+                pool.par_rows(c, g.m, g.ldc, grain, |rows, chunk| {
+                    let base = rows.start * g.ldc;
+                    staged.work(a, 0, all_runs.clone(), rows, chunk, base)
+                });
             }
-            let bpack = &bpack;
-            let all_runs = 0..runs.len() - 1;
-            // Multiply-adds behind one row of every C window.
-            let row_macs = g.k * g.n * table.tasks().len();
-            match shape {
-                _ if seq => pass.work(bpack, all_runs, 0..g.m, c, 0),
-                CShape::Columns => {
-                    let grain = (GRAIN_FLOPS / row_macs.max(1)).max(tile.shape().0);
-                    pool.par_rows(c, g.m, g.ldc, grain, |rows, chunk| {
-                        let base = rows.start * g.ldc;
-                        pass.work(bpack, all_runs.clone(), rows, chunk, base)
-                    });
-                }
-                CShape::Regions => {
-                    // The C region covering the non-empty runs of `rs`.
-                    let cover = |rs: Range<usize>| {
-                        let span = &tasks[runs[rs.start] as usize..runs[rs.end] as usize];
-                        match (span.first(), span.last()) {
-                            (Some(lo), Some(hi)) => g.c_offset(lo)..g.c_offset(hi) + g.c_span(),
-                            _ => 0..0,
-                        }
-                    };
-                    let min_tasks = GRAIN_FLOPS / (g.m * g.k * g.n).max(1);
-                    pool.par_weighted(c, runs, min_tasks, cover, |rs, chunk| {
-                        let base = cover(rs.clone()).start;
-                        pass.work(bpack, rs, 0..g.m, chunk, base)
-                    });
-                }
-                CShape::Other => pass.work(bpack, all_runs, 0..g.m, c, 0),
+            CShape::Regions if !seq => {
+                let (runs, tasks) = (table.runs(), table.tasks());
+                // The C region covering the non-empty runs of `rs`.
+                let cover = |rs: Range<usize>| {
+                    let span = &tasks[runs[rs.start] as usize..runs[rs.end] as usize];
+                    match (span.first(), span.last()) {
+                        (Some(lo), Some(hi)) => g.c_offset(lo)..g.c_offset(hi) + g.c_span(),
+                        _ => 0..0,
+                    }
+                };
+                let min_tasks = GRAIN_FLOPS / (g.m * g.k * g.n).max(1);
+                pool.par_weighted(c, runs, min_tasks, cover, |rs, chunk| {
+                    let base = cover(rs.clone()).start;
+                    staged.work(a, 0, rs, 0..g.m, chunk, base)
+                });
             }
-            pc += kc;
+            _ => staged.work(a, 0, all_runs, 0..g.m, c, 0),
         }
-        return_b_buffer(bpack);
     }
 
     /// Stage `g` for a caller that computes its runs piecemeal, inside its
     /// own split of the work — say one task per attention block-row that runs
     /// a score product, a softmax and a context product back to back while
     /// the blocks are in cache. Staging picks the register tile and packs B̃
-    /// of every k-block once, on `pool` (inline under [`sequential_mode`]),
-    /// exactly as [`gemm_grouped_on`](Self::gemm_grouped_on) would — f32 B
-    /// rows a whole number of register tiles wide are read in place instead.
-    /// Then [`Staged::run`] computes any runs on the calling thread, each C
-    /// element bit for bit what the grouped launch gives it. A staged run
-    /// reads every A window where it lies: a run of a few blocks would pay
-    /// more to pack a window than its products save.
+    /// once, on `pool` (inline under [`sequential_mode`]); then
+    /// [`Staged::run`] computes any runs on the calling thread, each C
+    /// element bit for bit what the grouped launch gives it, which is itself
+    /// a staged launch.
+    ///
+    /// Only what is reused is packed. B̃ holds every distinct B window once,
+    /// over the whole depth, shared read-only — unless the windows are f32
+    /// rows a whole number of register tiles wide, which the microkernel
+    /// reads in place. A reduced B (the f16 / NF4 neuron slabs) is decoded
+    /// window by window into B̃, so it holds the f32 values a decoded twin's
+    /// windows hold. A staged run reads every A window where it lies: a run
+    /// of a few blocks would pay more to pack a window than its products
+    /// save. Tasks of a run whose A *and* B slots are consecutive collapse
+    /// into one deeper microkernel call (one accumulator chain across the
+    /// blocks) — a property of the table, so every C element sees the same
+    /// accumulation order however the runs are split.
     ///
     /// [`sequential_mode`]: crate::sequential_mode
     pub fn stage<'a>(&self, pool: &ThreadPool, isa: Option<Isa>, g: GemmGroup<'a>) -> Staged<'a> {
-        let table = g.table;
-        if !table.tasks().is_empty() {
+        if !g.table.tasks().is_empty() {
             g.check_b();
         }
-        if let Some(isa) = isa {
-            assert!(isa.supported(), "gemm group: {} not supported", isa.name());
-        }
-        let tile = pick_tile(isa, g.m, g.n);
-        let b_direct = b_in_place(&g, tile);
-        let mut staged = Staged {
-            g,
-            tile,
-            b_direct,
-            isa: isa.unwrap_or_else(active_isa),
-            packs: Vec::new(),
-        };
-        if b_direct.is_none() && !table.tasks().is_empty() && g.m > 0 && g.n > 0 {
-            let pool = (!crate::sequential_mode()).then_some(pool);
-            for pc in staged.k_blocks() {
-                let mut bpack = take_b_buffer();
-                staged.pass(pc, &[], 0).pack_b(&mut bpack, pool);
-                staged.packs.push(bpack);
-            }
-        }
-        staged
+        Staged::new(pool, isa, g, false, true)
     }
 }
 
@@ -1200,105 +1228,10 @@ fn take_b_buffer() -> Vec<f32> {
     PACK_B.with(|b| b.borrow_mut().pop().unwrap_or_default())
 }
 
-fn return_b_buffer(buffer: Vec<f32>) {
-    PACK_B.with(|b| b.borrow_mut().push(buffer));
-}
-
-/// A grouped launch staged by [`Packed::stage`]: its register tile chosen
-/// and its B̃ packed, waiting for callers to compute its runs.
-pub struct Staged<'a> {
-    g: GemmGroup<'a>,
-    tile: Tile,
-    /// B read in place: f32 rows a whole number of register tiles wide.
-    b_direct: Option<&'a [f32]>,
-    isa: Isa,
-    /// B̃ of each k-block, unless B is read in place.
-    packs: Vec<Vec<f32>>,
-}
-
-impl Staged<'_> {
-    /// First k-step of every k-block.
-    fn k_blocks(&self) -> std::iter::StepBy<Range<usize>> {
-        (0..self.g.k).step_by(tiles().kc.max(1))
-    }
-
-    /// The pass over the k-block starting at `pc`, reading A from `a`, which
-    /// holds elements `a_base ..` of the group's A.
-    fn pass<'s>(&'s self, pc: usize, a: &'s [f32], a_base: usize) -> GroupPass<'s> {
-        let table = self.g.table;
-        GroupPass {
-            g: &self.g,
-            a,
-            a_base,
-            tile: self.tile,
-            pc,
-            kc: tiles().kc.max(1).min(self.g.k - pc),
-            cols: self.g.n,
-            runs: table.runs(),
-            tasks: table.tasks(),
-            b_slots: table.b_windows().len(),
-            a_direct: true,
-            b_direct: self.b_direct,
-            isa: self.isa,
-        }
-    }
-
-    /// Compute runs `runs` of the staged launch into `chunk`, which holds
-    /// elements `base ..` of its C, on the calling thread: every k-block of
-    /// each run, its `beta` and its bias, as the grouped launch does.
-    pub fn run(&self, runs: Range<usize>, chunk: &mut [f32], base: usize) {
-        self.run_over(self.g.a.data, 0, runs, chunk, base)
-    }
-
-    /// [`run`](Self::run) with the A windows read from `a`, which holds
-    /// elements `a_base ..` of the group's A buffer — for an A that the
-    /// caller writes between the runs it computes, such as the probabilities
-    /// a context product reads right after its softmax. Panics unless every
-    /// A window of `runs` lies inside `a`.
-    pub fn run_over(
-        &self,
-        a: &[f32],
-        a_base: usize,
-        runs: Range<usize>,
-        chunk: &mut [f32],
-        base: usize,
-    ) {
-        let g = &self.g;
-        let table = g.table;
-        let tasks =
-            &table.tasks()[table.runs()[runs.start] as usize..table.runs()[runs.end] as usize];
-        g.check_a(a.len(), a_base, tasks);
-        if g.m == 0 || g.n == 0 {
-            return;
-        }
-        if g.k == 0 {
-            for run in table.runs()[runs.start..=runs.end].windows(2) {
-                let Some(first) = table.tasks()[run[0] as usize..run[1] as usize].first() else {
-                    continue;
-                };
-                let window = &mut chunk[g.c_offset(first) - base..];
-                for i in 0..g.m {
-                    scale_row(&mut window[i * g.ldc..][..g.n], g.beta);
-                }
-                if let Some(bias) = g.run_bias(first) {
-                    add_bias(window, g.m, g.n, g.ldc, bias);
-                }
-            }
-            return;
-        }
-        for (b, pc) in self.k_blocks().enumerate() {
-            let bpack = self.packs.get(b).map_or(&[][..], |p| &p[..]);
-            self.pass(pc, a, a_base)
-                .work(bpack, runs.clone(), 0..g.m, chunk, base);
-        }
-    }
-}
-
 impl Drop for Staged<'_> {
     fn drop(&mut self) {
-        for bpack in self.packs.drain(..) {
-            return_b_buffer(bpack);
-        }
+        let bpack = std::mem::take(&mut self.bpack);
+        PACK_B.with(|b| b.borrow_mut().push(bpack));
     }
 }
 
@@ -1427,15 +1360,16 @@ mod tests {
         }
     }
 
-    /// A pass's B̃ fill ([`GroupPass::pack_b`]) into a buffer holding an
+    /// A stage's B̃ fill ([`Staged::pack_b`]) into a buffer holding an
     /// earlier call's (here: NaN) lanes gives the panels a zeroed buffer and
     /// the elementwise fills give — for every storage kind on every tile of
     /// every arm this host runs, so the row copies, the 16 × 16 transposes
     /// and the run-decoding fills of f16 and NF4 equal their elementwise
     /// oracle bit for bit. The windows cover `ldb` past the stored width,
     /// panels narrower than `nr` (down to one column), odd first columns (a
-    /// window offset), `kc` that is no multiple of a vector step or of the
-    /// transpose block, and `kc` past one decode run.
+    /// window offset, also one that starts `pc` k-rows down), depths `kc`
+    /// that are no multiple of a vector step or of the transpose block, and
+    /// `kc` past one decode run.
     #[test]
     fn pack_b_overwrites_every_lane_of_a_reused_buffer() {
         let arms = [Isa::Scalar, Isa::Avx2, Isa::Avx512].into_iter();
@@ -1474,16 +1408,16 @@ mod tests {
                                     ),
                                 }
                             }
-                            // B window 1 starts at column `jc`.
+                            // B window 1 starts at k-row `pc`, column `jc`.
                             let g = GemmGroup {
                                 m: 1,
-                                k,
+                                k: kc,
                                 n: nc,
-                                a: Windows::normal(no_a, k, 0),
+                                a: Windows::normal(no_a, kc, 0),
                                 b: Windows {
                                     data: b,
                                     ld: ldb,
-                                    stride: layout.at(ldb, 0, jc),
+                                    stride: layout.at(ldb, pc, jc),
                                     layout,
                                 },
                                 ldc: nc,
@@ -1492,13 +1426,9 @@ mod tests {
                                 table: &table,
                                 bias: None,
                             };
-                            let pass = GroupPass {
-                                g: &g,
-                                a: no_a,
-                                a_base: 0,
+                            let staged = Staged {
+                                g,
                                 tile,
-                                pc,
-                                kc,
                                 cols: nc,
                                 runs: table.runs(),
                                 tasks: table.tasks(),
@@ -1506,9 +1436,10 @@ mod tests {
                                 a_direct: true,
                                 b_direct: None,
                                 isa,
+                                bpack: take_b_buffer(),
                             };
                             let mut got = vec![f32::NAN; want.len() + 7];
-                            pass.pack_b(&mut got, None);
+                            staged.pack_b(&mut got, None);
                             let what = format!("{tile:?} {} {layout:?} nc {nc}", b.dtype());
                             assert_bits(&what, &got, &want);
                             assert_eq!(got.len(), want.len());

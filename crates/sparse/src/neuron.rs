@@ -33,9 +33,11 @@
 //!
 //! The compact activation matrix is addressed with `ld = active_width` and
 //! window stride `block`, a weight slab with its natural leading dimension
-//! and stride `block · ld`. The packed backend packs the shared activation
-//! panel once per row chunk (not once per slab), and slabs whose packed
-//! panels are adjacent collapse into one deeper microkernel call. The
+//! and stride `block · ld`. The packed backend runs a `cols` launch whose
+//! windows lie side by side as one wide product that reads the activation
+//! panel in place; otherwise it packs the shared panel once per row chunk
+//! (not once per slab). Slabs whose packed panels are adjacent collapse
+//! into one deeper microkernel call. The
 //! forward biases ride the same launch ([`Bias`]): each `cols` run takes
 //! its neuron block's window of FC1's bias (stride `block`), and the one
 //! `sum` run takes all of FC2's (stride 0), added by the worker that

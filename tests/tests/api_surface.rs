@@ -74,17 +74,13 @@ fn normalize(sig: &str) -> String {
     out.trim().to_string()
 }
 
-/// Extract the normalized public item signatures of one source file. Test
-/// modules are excluded: in this codebase every `#[cfg(test)]` block sits at
-/// the bottom of its file, so extraction simply stops there.
+/// Extract the normalized public item signatures of one source file, with
+/// its test-only items stripped first ([`strip_test_items`]).
 fn extract(src: &str) -> Vec<String> {
     let mut items = Vec::new();
     let mut pending: Option<String> = None;
-    for line in src.lines() {
+    for line in strip_test_items(src).lines() {
         let trimmed = line.trim();
-        if trimmed.starts_with("#[cfg(test)]") {
-            break;
-        }
         if pending.is_none() && PREFIXES.iter().any(|p| trimmed.starts_with(p)) {
             pending = Some(String::new());
         }
@@ -229,11 +225,121 @@ fn legacy_model_entry_points_stay_retired() {
     assert!(exec_section.contains("pub struct StepOutcome"));
 }
 
-/// Source of `rel` (repo-relative) up to its `#[cfg(test)]` module.
+/// Source of `rel` (repo-relative) without its `#[cfg(test)]` items.
 fn non_test_source(rel: &str) -> String {
     let src = std::fs::read_to_string(repo_root().join(rel)).expect("read source");
-    let end = src.find("#[cfg(test)]").unwrap_or(src.len());
-    src[..end].to_string()
+    strip_test_items(&src)
+}
+
+/// `src` without its `#[cfg(test)]` items: from each line that starts with
+/// that attribute, the attribute, any attributes after it and the item they
+/// gate — up to its `;`, or through its balanced body — are dropped, and the
+/// scan goes on after the item. Brackets in comments and in string and char
+/// literals do not count.
+fn strip_test_items(src: &str) -> String {
+    const CFG_TEST: &str = "#[cfg(test)]";
+    let mut out = String::with_capacity(src.len());
+    let mut rest = src;
+    while let Some(at) = rest
+        .match_indices(CFG_TEST)
+        .map(|(at, _)| at)
+        .find(|&at| rest[..at].rsplit('\n').next().unwrap().trim().is_empty())
+    {
+        out.push_str(&rest[..at]);
+        rest = &rest[at + CFG_TEST.len()..];
+        rest = &rest[item_len(rest)..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Bytes from the start of `src` to the end of its first item: the `;` or
+/// the closing brace that brings the bracket depth back to zero.
+fn item_len(src: &str) -> usize {
+    let chars: Vec<(usize, char)> = src.char_indices().collect();
+    let at = |i: usize| chars.get(i).map_or('\0', |&(_, c)| c);
+    // Index of the first `close` at or after `from`, or the end.
+    let find = |from: usize, close: &str| {
+        let start = chars.get(from).map_or(src.len(), |&(b, _)| b);
+        let end = src[start..].find(close).map_or(src.len(), |e| start + e);
+        chars.partition_point(|&(b, _)| b < end)
+    };
+    let (mut i, mut depth) = (0, 0usize);
+    while i < chars.len() {
+        match at(i) {
+            '/' if at(i + 1) == '/' => i = find(i, "\n"),
+            '/' if at(i + 1) == '*' => i = find(i + 2, "*/") + 1,
+            '"' => {
+                // Skip to the closing quote that is not escaped.
+                i += 1;
+                while i < chars.len() && at(i) != '"' {
+                    i += if at(i) == '\\' { 2 } else { 1 };
+                }
+            }
+            'r' if matches!(at(i + 1), '"' | '#') && !at(i.wrapping_sub(1)).is_alphanumeric() => {
+                let hashes = (i + 1..).take_while(|&j| at(j) == '#').count();
+                if at(i + 1 + hashes) == '"' {
+                    let close = format!("\"{}", "#".repeat(hashes));
+                    i = find(i + 2 + hashes, &close) + hashes;
+                }
+            }
+            '\'' if at(i + 1) == '\\' => i = find(i + 3, "'"),
+            '\'' if at(i + 2) == '\'' => i += 2,
+            '(' | '[' | '{' => depth += 1,
+            // A closer at depth zero ends the block the item sits in.
+            ')' | ']' | '}' if depth == 0 => return chars[i].0,
+            ')' | ']' | '}' => {
+                depth -= 1;
+                if depth == 0 && at(i) == '}' {
+                    return chars[i].0 + 1;
+                }
+            }
+            ';' if depth == 0 => return chars[i].0 + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    src.len()
+}
+
+/// A test-only item above a `pub` item hides nothing after it: every
+/// `#[cfg(test)]` item is skipped on its own, braces in its literals and
+/// comments included, and the scan goes on.
+#[test]
+fn test_only_items_hide_nothing_after_them() {
+    let src = r##"pub fn before() {}
+/// Mentions `#[cfg(test)]` without gating anything.
+pub struct Doc;
+#[cfg(test)]
+#[allow(dead_code)]
+fn helper(s: &str) -> (char, &'static str) {
+    // An unbalanced } in a comment.
+    let _ = ("}", r#"}""#, s, b'{', '\'');
+    ('{', "{")
+}
+pub fn after(x: [u8; 2]) -> u8 {
+    x[0]
+}
+#[cfg(test)]
+use std::fmt;
+#[cfg(test)]
+mod tests {
+    pub fn hidden() {}
+}
+pub struct Tail;
+"##;
+    let stripped = strip_test_items(src);
+    assert_eq!(
+        extract(src),
+        [
+            "pub fn after(x: [u8; 2]) -> u8",
+            "pub fn before()",
+            "pub struct Doc",
+            "pub struct Tail",
+        ],
+        "{stripped}"
+    );
+    assert!(!stripped.contains("helper") && !stripped.contains("fmt"));
 }
 
 #[test]

@@ -33,6 +33,7 @@ use lx_sparse::patterns::PatternSpec;
 use lx_sparse::BlockCsr;
 use lx_tensor::rng::randn_vec;
 use lx_tensor::{BRef, Dtype, Reduced, Tensor};
+use std::ops::Range;
 
 const TOL: f32 = 1e-4;
 
@@ -1328,6 +1329,87 @@ fn reduced_grouped_launches_equal_their_decoded_f32_twins_bitwise() {
                 assert_bits(&what("reference"), &want, &oracle(twin));
                 let got = g.run(beta, |view, c| PACKED.gemm_grouped(&over(view, reduced), c));
                 assert_close(&what("packed vs reference"), &got, &want);
+            }
+        }
+    }
+}
+
+/// Runs `0..runs` cut into consecutive pieces of seeded lengths 1 to 3.
+fn pieces(runs: usize, mut seed: u64) -> Vec<Range<usize>> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    while start < runs {
+        seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let end = runs.min(start + 1 + (seed >> 62) as usize % 3);
+        out.push(start..end);
+        start = end;
+    }
+    out
+}
+
+/// A group staged by its caller ([`lx_kernels::Packed::stage`]) and computed
+/// piece by piece ([`lx_kernels::Staged::run`]) equals the grouped launch,
+/// itself a staged launch split over the pool, bit for bit — although only
+/// the launch packs shared A windows and widens adjacent column windows.
+/// The runs are cut into seeded pieces, computed last piece first, each
+/// into C from its first window on. Covers every attention and neuron table
+/// form, the `cols` table the launch widens, `k` past two k-blocks (SDD
+/// scores, `cols` and `sum` slabs), `beta` 0 over a NaN-poisoned C, 1 and
+/// 0.5, a bias per run, `k = 0`, f16 and NF4 B, every arm this host runs,
+/// and pools of 1 and 2 threads (the stage packs on them too).
+#[test]
+fn staged_runs_equal_the_grouped_launch_bitwise() {
+    let pools: Vec<ThreadPool> = [1, 2].into_iter().map(ThreadPool::new).collect();
+    let deep = lx_kernels::current_policy().tiles.kc + 40;
+    let mut groups = attention_groups(8, 24, &block_coords(5, 1101), 1101);
+    groups.extend(attention_groups(4, deep, &block_coords(5, 1102), 1102));
+    groups.extend(neuron_groups(37, 8, 40, &[0, 2, 3, 6], 1103));
+    groups.extend(neuron_groups(13, 8, deep, &[0, 1, 3], 1104));
+    groups.extend(neuron_groups(9, deep, 24, &[0, 2], 1105));
+    let flat: Vec<Group> = groups
+        .iter()
+        .map(|g| Group {
+            what: format!("{} k=0", g.what),
+            k: 0,
+            ..g.clone()
+        })
+        .collect();
+    groups.extend(flat);
+    for (g, seed) in groups.iter().zip(1110u64..) {
+        let biased = g.biased(if g.c_stride == 0 { 0 } else { g.n }, seed);
+        let stored: Vec<BMat> = [Dtype::F16, Dtype::Nf4Block]
+            .into_iter()
+            .map(|kind| BMat::encode(kind, &g.b, 1, g.b.len()))
+            .collect();
+        let operands = std::iter::once(BOperand::F32(&g.b)).chain(stored.iter().map(BMat::operand));
+        for b in operands {
+            for (beta, g) in [(0.0f32, g), (1.0, &biased), (0.5, &biased)] {
+                for pool in &pools {
+                    for isa in arms() {
+                        let what = format!(
+                            "{} B {} beta={beta} {isa:?} threads={}",
+                            g.what,
+                            b.dtype(),
+                            pool.threads()
+                        );
+                        let want = g.run(beta, |view, c| {
+                            PACKED.gemm_grouped_on(pool, isa, &over(view, b), c)
+                        });
+                        let got = g.run(beta, |view, c| {
+                            let view = over(view, b);
+                            let staged = PACKED.stage(pool, isa, view);
+                            let (runs, tasks) = (view.table.runs(), view.table.tasks());
+                            for piece in pieces(runs.len() - 1, seed).into_iter().rev() {
+                                let span =
+                                    &tasks[runs[piece.start] as usize..runs[piece.end] as usize];
+                                let base = span.iter().map(|t| t.c as usize * view.c_stride).min();
+                                let base = base.unwrap_or(0);
+                                staged.run(piece, &mut c[base..], base);
+                            }
+                        });
+                        assert_bits(&what, &got, &want);
+                    }
+                }
             }
         }
     }
