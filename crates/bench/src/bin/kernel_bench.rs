@@ -26,15 +26,19 @@
 //! times the fused rank-r operator against the composition it replaced
 //! (separate products, scratch tensors, axpy / scale / add passes), asserts
 //! the two agree bit for bit, floor ≥1.05x. The `attention core` row times
-//! one `ft-sparse-s512` layer's attention core, forward + backward, as the
-//! fused launches over heads in place against the composed operators over
-//! head-major copies (the copies included), single-threaded, asserts the
-//! two agree bit for bit (P, ctx, dQ, dK, dV), floor ≥0.4x — a third of the
-//! ~1.1–1.3x it reads. The next three rows gate the row
+//! one `ft-sparse-s512` layer's attention core at the workload's density
+//! (~1,912 blocks), forward + backward, as the fused launches against the
+//! composed operators, both over the head-major panels the projections
+//! write, single-threaded; it prints the fused path's GMAC/s (six block
+//! products per block), asserts the two agree bit for bit (P, dS, ctx, dQ,
+//! dK, dV), floor ≥0.4x — it gates a collapse, not a ratio. Two report-only
+//! rows time the head-major q/k/v write (one launch, a run per head)
+//! against the token-major product it replaced, on one thread and on the
+//! pool, bits asserted. The next three rows gate the row
 //! kernels: the active ISA arm
 //! over the scalar definition it must match bit for bit, single-threaded —
 //! floor ≥3.0x for the fused block-row softmax at the same SDD layout,
-//! ≥0.9x for its backward over that layout (a third of the ~2.8x it reads;
+//! ≥0.9x for its backward over that layout (under half the ~1.6–1.9x it reads;
 //! with no `exp` in it, the definition is not slow), ≥1.5x for LayerNorm
 //! forward + backward at 512×256 (skipped, loudly, when the active arm *is*
 //! the scalar definition). Two more gate the
@@ -648,10 +652,11 @@ fn main() {
         ]);
     }
 
-    // The attention core of one `ft-sparse-s512` layer, forward + backward:
-    // the fused launches over heads in place vs the composed operators over
-    // head-major copies they replaced (the copies included), both
-    // single-threaded. P, ctx, dQ, dK and dV must agree bit for bit.
+    // The attention core of one `ft-sparse-s512` layer, forward + backward,
+    // at the workload's density (~1,912 blocks, ~0.45 of causal): the fused
+    // launches vs the composed operators, both over the head-major panels
+    // the projections write, single-threaded. P, ctx, dS, dQ, dK and dV must
+    // agree bit for bit.
     {
         use lx_sparse::attention::{
             dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt, AttentionCore, CausalFill,
@@ -660,11 +665,11 @@ fn main() {
         use std::sync::Arc;
         const B: usize = 16;
         let (s, heads, dh) = (512usize, 8usize, 32usize);
-        let (n, d) = (s / B, heads * dh);
-        let label = "attention core s=512 b=16 d=0.23";
+        let (n, span) = (s / B, heads * s);
+        let label = "attention core s=512 b=16 d=0.45";
         let mut mask = BlockMask::square(n);
         for br in 0..n {
-            let keep = ((0.23 * (br + 1) as f64).round() as usize).clamp(1, br + 1);
+            let keep = ((0.45 * (br + 1) as f64).round() as usize).clamp(1, br + 1);
             for bc in br + 1 - keep..=br {
                 mask.set(br, bc, true);
             }
@@ -674,73 +679,36 @@ fn main() {
         let stacked = layout.stacked().expect("equal heads stack");
         let total = layout.total_data_len;
         let scale = 1.0 / (dh as f32).sqrt();
-        let [q, k, v, dout] = [30u64, 31, 32, 33].map(|seed| randn_vec(s * d, 1.0, seed));
-        // `[S, h·dh]` ⇄ `[h·S, dh]`.
-        let split = |x: &[f32]| {
-            let mut out = vec![0.0f32; x.len()];
-            for h in 0..heads {
-                for t in 0..s {
-                    out[(h * s + t) * dh..][..dh].copy_from_slice(&x[t * d + h * dh..][..dh]);
-                }
-            }
-            out
-        };
-        let merge = |x: &[f32], out: &mut [f32]| {
-            for h in 0..heads {
-                for t in 0..s {
-                    out[t * d + h * dh..][..dh].copy_from_slice(&x[(h * s + t) * dh..][..dh]);
-                }
-            }
-        };
+        // Head-major `[heads, s, dh]` panels of one batch item.
+        let [q, k, v, dout] = [30u64, 31, 32, 33].map(|seed| randn_vec(span * dh, 1.0, seed));
         let composed = || {
-            let (qh, kh, vh) = (split(&q), split(&k), split(&v));
-            let (mut p, mut ctx_h) = (vec![0.0f32; total], vec![0.0f32; s * d]);
-            sdd_nt(
-                &qh,
-                &kh,
-                heads * s,
-                dh,
-                1.0,
-                stacked,
-                CausalFill::None,
-                &mut p,
-            );
-            scores_to_probs(&mut p, stacked, scale, None);
-            dsd(&p, &vh, heads * s, dh, stacked, &mut ctx_h);
-            let doh = split(&dout);
-            let mut ds = vec![0.0f32; total];
-            sdd_nt(
-                &doh,
-                &vh,
-                heads * s,
-                dh,
-                1.0,
-                stacked,
-                CausalFill::None,
-                &mut ds,
-            );
-            probs_backward(&p, &mut ds, stacked, scale);
-            let mut out = vec![0.0f32; 4 * s * d];
-            let mut grad = vec![0.0f32; s * d];
-            dsd(&ds, &kh, heads * s, dh, stacked, &mut grad);
-            merge(&grad, &mut out[s * d..2 * s * d]);
-            dsd_tn(&ds, &qh, heads * s, dh, stacked, &mut grad);
-            merge(&grad, &mut out[2 * s * d..3 * s * d]);
-            dsd_tn(&p, &doh, heads * s, dh, stacked, &mut grad);
-            merge(&grad, &mut out[3 * s * d..]);
-            merge(&ctx_h, &mut out[..s * d]);
-            [p, out].concat()
+            let mut out = vec![0.0f32; 2 * total + 4 * span * dh];
+            let (p, rest) = out.split_at_mut(total);
+            let (ds, rest) = rest.split_at_mut(total);
+            let (ctx, rest) = rest.split_at_mut(span * dh);
+            let (dq, rest) = rest.split_at_mut(span * dh);
+            let (dk, dv) = rest.split_at_mut(span * dh);
+            sdd_nt(&q, &k, span, dh, 1.0, stacked, CausalFill::None, p);
+            scores_to_probs(p, stacked, scale, None);
+            dsd(p, &v, span, dh, stacked, ctx);
+            sdd_nt(&dout, &v, span, dh, 1.0, stacked, CausalFill::None, ds);
+            probs_backward(p, ds, stacked, scale);
+            dsd(ds, &k, span, dh, stacked, dq);
+            dsd_tn(ds, &q, span, dh, stacked, dk);
+            dsd_tn(p, &dout, span, dh, stacked, dv);
+            out
         };
         let fused = || {
             let core = AttentionCore::new(&layout, s, dh);
-            let (mut p, mut ds) = (vec![0.0f32; total], vec![0.0f32; total]);
-            let mut out = vec![0.0f32; 4 * s * d];
-            let (ctx, grads) = out.split_at_mut(s * d);
-            core.forward(&q, &k, &v, scale, None, &mut p, ctx);
-            let (dq, rest) = grads.split_at_mut(s * d);
-            let (dk, dv) = rest.split_at_mut(s * d);
-            core.backward((&q, &k, &v), &dout, &p, scale, &mut ds, dq, dk, dv);
-            [p, out].concat()
+            let mut out = vec![0.0f32; 2 * total + 4 * span * dh];
+            let (p, rest) = out.split_at_mut(total);
+            let (ds, rest) = rest.split_at_mut(total);
+            let (ctx, rest) = rest.split_at_mut(span * dh);
+            let (dq, rest) = rest.split_at_mut(span * dh);
+            let (dk, dv) = rest.split_at_mut(span * dh);
+            core.forward(0, (&q, &k, &v), scale, None, p, ctx);
+            core.backward(0, (&q, &k, &v), &dout, p, scale, ds, (dq, dk, dv));
+            out
         };
         let best = |f: &dyn Fn() -> Vec<f32>| {
             lx_kernels::with_sequential(|| {
@@ -759,9 +727,11 @@ fn main() {
             .iter()
             .zip(&got)
             .all(|(a, b)| a.to_bits() == b.to_bits());
-        // About a third of the ~1.1–1.3x this row reads single-threaded on
-        // the AVX-512 host: it gates bit-identity, and only a collapse of the
-        // fused path on time.
+        // Six block products per block, forward and backward.
+        let macs = 6 * stacked.nnz_blocks() * B * B * dh;
+        let gmacs = macs as f64 / t_fused / 1e9;
+        // It gates bit-identity, and only a collapse of the fused path on
+        // time.
         let (speedup, floor) = (t_composed / t_fused, 0.4);
         let status = if !identical {
             eprintln!("kernel_bench: {label}: fused and composed results differ");
@@ -776,13 +746,87 @@ fn main() {
         };
         row(&[
             label.to_string(),
-            format!("{}x{B}x{dh}x{B}", stacked.nnz_blocks()),
+            format!("{}x{B}x{dh}x{B} {gmacs:.1} GMAC/s", stacked.nnz_blocks()),
             format!("{:.2}", t_composed * 1e3),
             format!("{:.2}", t_fused * 1e3),
             format!("{speedup:.2}x"),
             format!("{floor:.2}x"),
             status.to_string(),
         ]);
+    }
+
+    // The q/k/v projection of one `ft-*-s512` layer writing head-major
+    // panels (one launch, run `h` writing head `h` with its bias slice)
+    // against the token-major product it replaced, single-threaded and on
+    // the pool: report-only timing, bits asserted.
+    {
+        use lx_model::linear::Linear;
+        let (rows, d, heads) = (512usize, 256usize, 8usize);
+        let x = Tensor::randn(&[rows, d], 1.0, 34);
+        let mut lin = Linear::new("bench", d, d, true, 35);
+        let bias = randn_vec(d, 0.5, 36);
+        lin.bias
+            .as_mut()
+            .expect("bias")
+            .value
+            .as_mut_slice()
+            .copy_from_slice(&bias);
+        let token = lin.project(&x);
+        let mut panels = vec![0.0f32; rows * d];
+        let w = d / heads;
+        for (t, src) in token.as_slice().chunks_exact(d).enumerate() {
+            for h in 0..heads {
+                panels[(h * rows + t) * w..][..w].copy_from_slice(&src[h * w..][..w]);
+            }
+        }
+        let identical = lin
+            .project_heads(&x, heads)
+            .as_slice()
+            .iter()
+            .zip(&panels)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        for (label, sequential) in [
+            ("head-major q/k/v write 512x256 h=8 1 thread", true),
+            ("head-major q/k/v write 512x256 h=8 pool", false),
+        ] {
+            let mut best = |heads_major: bool| {
+                let mut run = || {
+                    let mut best = f64::INFINITY;
+                    for _ in 0..gate_reps {
+                        let t0 = Instant::now();
+                        if heads_major {
+                            std::hint::black_box(lin.project_heads(&x, heads));
+                        } else {
+                            std::hint::black_box(lin.project(&x));
+                        }
+                        best = best.min(t0.elapsed().as_secs_f64());
+                    }
+                    best
+                };
+                if sequential {
+                    lx_kernels::with_sequential(run)
+                } else {
+                    run()
+                }
+            };
+            let (t_token, t_heads) = (best(false), best(true));
+            let status = if identical {
+                "report-only"
+            } else {
+                eprintln!("kernel_bench: {label}: head-major and token-major results differ");
+                failures += 1;
+                "FAIL (diff)"
+            };
+            row(&[
+                label.to_string(),
+                format!("{rows}x{d}x{d}"),
+                format!("{:.2}", t_token * 1e3),
+                format!("{:.2}", t_heads * 1e3),
+                format!("{:.2}x", t_token / t_heads),
+                "-".to_string(),
+                status.to_string(),
+            ]);
+        }
     }
 
     // Row kernels: the active ISA arm vs the scalar definition it must equal

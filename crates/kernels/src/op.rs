@@ -529,7 +529,8 @@ pub struct GemmGroup<'a> {
 pub(crate) enum CShape {
     /// Column windows of one `m`-row matrix: split by rows.
     Columns,
-    /// Sorted, non-overlapping regions, one per run: split by runs.
+    /// Sorted, non-overlapping regions, one per run: split by runs — or by
+    /// rows of every region when all tasks read one A window.
     Regions,
     /// Anything else: not split.
     Other,

@@ -14,7 +14,8 @@
 //!     for pc in steps of KC over k:                  // K block
 //!       for each run, its tasks in table order:
 //!         pack a shared A window → Ã once per thread (MR-tall row panels),
-//!           or read an A window one task uses where it lies
+//!           or read an A window one task uses (or the launch's only A
+//!           window) where it lies
 //!         for jr, ir over NR/MR panels:
 //!           microkernel: C[MR×NR] (+)= Ã-panel · B̃-panel
 //!       (last k-block: add each run's bias to its finished C rows)
@@ -467,6 +468,44 @@ mod avx512 {
         }
         write_back(&acc, c, ldc, nr, wb);
     }
+
+    /// Two 16×16 blocks of one 16-row A against two 16-wide B̃ panels: the
+    /// A rows are broadcast once for both, 8 rows at a time (an 8×32 tile of
+    /// 16 accumulators), and each block is stored whole to its own C. Every
+    /// element is the fused chain over `kc` steps from `+0` that
+    /// [`strided`] computes, stored as `WriteBack::Set` stores it.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `a` valid for 16 rows `xs` apart of `kc` steps,
+    /// each `b` for `kc` rows of 16, each `c` for 16 rows `ldc` apart.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn score_pair(
+        kc: usize,
+        a: *const f32,
+        xs: usize,
+        b: [*const f32; 2],
+        c: [*mut f32; 2],
+        ldc: usize,
+    ) {
+        for half in 0..2 {
+            let a = a.add(8 * half * xs);
+            let mut acc = [[_mm512_setzero_ps(); 2]; 8];
+            for p in 0..kc {
+                let b0 = _mm512_loadu_ps(b[0].add(16 * p));
+                let b1 = _mm512_loadu_ps(b[1].add(16 * p));
+                for (i, lanes) in acc.iter_mut().enumerate() {
+                    let av = _mm512_set1_ps(*a.add(i * xs + p));
+                    lanes[0] = _mm512_fmadd_ps(av, b0, lanes[0]);
+                    lanes[1] = _mm512_fmadd_ps(av, b1, lanes[1]);
+                }
+            }
+            for (i, lanes) in acc.iter().enumerate() {
+                let row = (8 * half + i) * ldc;
+                _mm512_storeu_ps(c[0].add(row), lanes[0]);
+                _mm512_storeu_ps(c[1].add(row), lanes[1]);
+            }
+        }
+    }
 }
 
 /// Where a strided microkernel reads one operand: element `x` — a row of A,
@@ -728,6 +767,26 @@ fn packed_elements(operand: Operand) -> &'static Counter {
     &counters[operand as usize]
 }
 
+/// `kernel.gemm.pack_bytes`: bytes by which the thread-local pack buffers
+/// (Ã panels, B̃ buffers) have grown. They never shrink, so this is the
+/// scratch they hold — on threads still alive — which no tensor tally sees.
+fn pack_bytes() -> &'static Counter {
+    static BYTES: OnceLock<Arc<Counter>> = OnceLock::new();
+    BYTES.get_or_init(|| registry().counter("kernel.gemm.pack_bytes"))
+}
+
+/// Resize the pack buffer `buf` to `len` elements, booking its capacity
+/// growth into [`pack_bytes`]; returns the bytes it grew by.
+fn resize_pack(buf: &mut Vec<f32>, len: usize) -> usize {
+    let before = buf.capacity();
+    buf.resize(len, 0.0);
+    let grown = (buf.capacity() - before) * std::mem::size_of::<f32>();
+    if grown > 0 {
+        pack_bytes().add(grown as u64);
+    }
+    grown
+}
+
 /// A launch whose tasks are the adjacent column windows of one product:
 /// one shared A window, a fresh B window and its own run per task, C windows
 /// side by side (`fc1_forward`'s `Z = X · [W_a]ᵀ`). Such a launch is a single
@@ -778,6 +837,10 @@ pub struct Staged<'a> {
     b_direct: Option<&'a [f32]>,
     /// The arm a reduced B decodes on.
     isa: Isa,
+    /// A score launch: every run one 16×16 block over a packed B̃ panel,
+    /// A read in place, written once (beta 0, no bias) on the 16×16 tile —
+    /// run a block-row at a time by [`sweep`](Self::sweep).
+    sweep: bool,
     /// B̃, in one of this thread's buffers, which is returned on drop.
     bpack: Vec<f32>,
 }
@@ -805,6 +868,16 @@ impl<'a> Staged<'a> {
         };
         let tile = pick_tile(isa, g.m, cols);
         let b_direct = b_in_place(&g, tile).filter(|_| !wide);
+        let sweep = cfg!(target_arch = "x86_64")
+            && tile == Tile::Avx512x16
+            && (g.m, g.n) == (16, 16)
+            && a_direct
+            && !wide
+            && b_direct.is_none()
+            && g.beta == 0.0
+            && g.bias.is_none()
+            && g.a.layout == Layout::Normal
+            && (0u32..).zip(runs).all(|(i, &r)| r == i);
         let mut staged = Staged {
             g,
             tile,
@@ -815,6 +888,7 @@ impl<'a> Staged<'a> {
             a_direct,
             b_direct,
             isa: isa.unwrap_or_else(active_isa),
+            sweep,
             bpack: take_b_buffer(),
         };
         if b_direct.is_none() && !tasks.is_empty() && g.m > 0 && g.n > 0 {
@@ -837,7 +911,7 @@ impl<'a> Staged<'a> {
         }
         let windows = g.table.b_windows();
         let panels = self.cols.div_ceil(nr) * self.b_slots;
-        out.resize(panels * panel_len, 0.0);
+        resize_pack(out, panels * panel_len);
         let fill = |prange: Range<usize>, dst_all: &mut [f32]| {
             // Panel `p` is column panel `p / b_slots` of slot `p % b_slots`,
             // counted up rather than divided out per panel.
@@ -919,9 +993,76 @@ impl<'a> Staged<'a> {
         base: usize,
     ) {
         let (k, kc_max) = (self.g.k, tiles().kc.max(1));
+        if self.sweep && (1..=kc_max).contains(&k) && rows == (0..self.g.m) {
+            return self.sweep(a, a_base, rs, chunk, base);
+        }
         for pc in (0..k.max(1)).step_by(kc_max) {
             let kc = kc_max.min(k - pc);
             self.block(a, a_base, pc, kc, rs.clone(), rows.clone(), chunk, base);
+        }
+    }
+
+    /// Runs `rs` of a score launch (see the `sweep` field), all of the
+    /// depth in one k-block: consecutive blocks of one A window — a query
+    /// block-row — go in pairs through one call that loads each A element
+    /// once for both, an unpaired block through the 16×16 tile. Each element
+    /// is the chain [`block`](Self::block) computes, stored the same way.
+    fn sweep(
+        &self,
+        a_buf: &[f32],
+        a_base: usize,
+        rs: Range<usize>,
+        chunk: &mut [f32],
+        base: usize,
+    ) {
+        let g = &self.g;
+        let (k, nr) = (g.k, self.tile.shape().1);
+        let tasks = &self.tasks[self.runs[rs.start] as usize..self.runs[rs.end] as usize];
+        let a_windows = g.table.a_windows();
+        // Counted from element 0 of the group's A, as `block` counts it.
+        let a_at = |t: &GemmTask| {
+            let at = a_windows[t.a as usize] as usize * g.a.stride;
+            a_buf.as_ptr().wrapping_sub(a_base).wrapping_add(at)
+        };
+        let panel = |t: &GemmTask| &self.bpack[t.b as usize * k * nr..][..k * nr];
+        let c_span = g.c_span();
+        let mut i = 0;
+        while i < tasks.len() {
+            let t = &tasks[i];
+            let c0 = g.c_offset(t) - base;
+            #[cfg(target_arch = "x86_64")]
+            if let Some(u) = tasks.get(i + 1).filter(|u| u.a == t.a) {
+                let c1 = g.c_offset(u) - base;
+                assert!(chunk.len() >= c0.max(c1) + c_span, "score blocks inside C");
+                let c = chunk.as_mut_ptr();
+                // SAFETY: `sweep` is set only for the AVX-512 16×16 tile,
+                // whose arm passed its probe; A windows were checked against
+                // `a_buf` by the caller, each panel holds `k` rows of 16, and
+                // both C blocks lie in `chunk` (asserted above) and are
+                // distinct runs' windows.
+                unsafe {
+                    avx512::score_pair(
+                        k,
+                        a_at(t),
+                        g.a.ld,
+                        [panel(t).as_ptr(), panel(u).as_ptr()],
+                        [c.add(c0), c.add(c1)],
+                        g.ldc,
+                    )
+                };
+                i += 2;
+                continue;
+            }
+            let a = Src {
+                ptr: a_at(t),
+                ks: 1,
+                xs: g.a.ld,
+                segs: Segs::Step(0),
+            };
+            let b = Src::panel(panel(t), nr, 0);
+            let c = &mut chunk[c0..];
+            strided(self.tile, 1, k, a, b, c, g.ldc, g.m, g.n, WriteBack::Set);
+            i += 1;
         }
     }
 
@@ -962,7 +1103,7 @@ impl<'a> Staged<'a> {
                 let apack = &mut *apack.borrow_mut();
                 let packed = &mut *packed.borrow_mut();
                 if !self.a_direct {
-                    apack.resize(m_panels * a_windows.len() * kc * mr, 0.0);
+                    resize_pack(apack, m_panels * a_windows.len() * kc * mr);
                     packed.clear();
                     packed.resize(a_windows.len(), false);
                 }
@@ -1132,13 +1273,17 @@ impl Packed {
     /// `None` picks the register tile from the task shape and decodes on the
     /// [`active_isa`]). The launch is [staged](Self::stage), and its runs
     /// are split over `pool` in one parallel section: by rows when the C
-    /// windows are column windows of one matrix (neuron slabs), by task
-    /// count per run when they are separate regions (score blocks, block
-    /// rows), inline when [`sequential_mode`] is set or the windows lie
-    /// otherwise. Unlike a caller's stage, a launch packs each A window that
-    /// several tasks share, once per thread that needs it, into thread-local
-    /// panels, and runs a launch of adjacent column windows as one wide
-    /// product (see `is_wide`).
+    /// windows are column windows of one matrix (neuron slabs) or separate
+    /// regions that all read one A window (a projection writing head-major
+    /// panels: each task takes a row chunk of every run's region), by task
+    /// count per run when they are separate regions otherwise (score blocks,
+    /// block rows), inline when [`sequential_mode`] is set or the windows
+    /// lie otherwise. Unlike a caller's stage, a launch packs each A window
+    /// that several tasks share, once per thread that needs it, into
+    /// thread-local panels — unless it is the launch's only A window, which
+    /// is read in place a row chunk at a time as a plain product reads its
+    /// A — and runs a launch of adjacent column windows as one wide product
+    /// (see `is_wide`).
     ///
     /// [`sequential_mode`]: crate::sequential_mode
     pub fn gemm_grouped_on(
@@ -1154,19 +1299,48 @@ impl Packed {
         }
         let shape = g.check(c.len());
         let wide = is_wide(g, shape);
-        // Every A window read by one task of the launch as it runs.
-        let a_direct = wide || table.a_windows().len() == table.tasks().len();
+        // One A window that every task reads: the launch is one product's A
+        // against several B windows (a head-major projection), split by rows.
+        let one_a = table.a_windows().len() == 1 && shape != CShape::Other;
+        // Every A window read by one task of the launch as it runs, or the
+        // one A window read a row chunk at a time, as a plain product reads it.
+        let a_direct = wide || one_a || table.a_windows().len() == table.tasks().len();
         let staged = Staged::new(pool, isa, *g, wide, a_direct);
         let (a, all_runs) = (g.a.data, 0..staged.runs.len() - 1);
         let seq = crate::sequential_mode();
+        // Multiply-adds behind one row of every C window.
+        let row_macs = g.k * g.n * table.tasks().len();
+        let row_grain = (GRAIN_FLOPS / row_macs.max(1)).max(staged.tile.shape().0);
         match shape {
             CShape::Columns if !seq => {
-                // Multiply-adds behind one row of every C window.
-                let row_macs = g.k * g.n * table.tasks().len();
-                let grain = (GRAIN_FLOPS / row_macs.max(1)).max(staged.tile.shape().0);
-                pool.par_rows(c, g.m, g.ldc, grain, |rows, chunk| {
+                pool.par_rows(c, g.m, g.ldc, row_grain, |rows, chunk| {
                     let base = rows.start * g.ldc;
                     staged.work(a, 0, all_runs.clone(), rows, chunk, base)
+                });
+            }
+            CShape::Regions if one_a && !seq => {
+                // Each task takes a row chunk of every run's region, so A is
+                // read once per chunk however many runs share it.
+                let (runs, tasks) = (table.runs(), table.tasks());
+                let (mut parts, mut at) = (Vec::new(), Vec::new());
+                let (mut rest, mut carved) = (c, 0);
+                for r in all_runs.clone() {
+                    let run = &tasks[runs[r] as usize..runs[r + 1] as usize];
+                    let Some(first) = run.first() else { continue };
+                    let off = g.c_offset(first);
+                    let (_, from) = std::mem::take(&mut rest).split_at_mut(off - carved);
+                    let (part, tail) = from.split_at_mut(g.c_span());
+                    (rest, carved) = (tail, off + g.c_span());
+                    parts.push(part);
+                    at.push((r, off));
+                }
+                let rows: Vec<u32> = (0..=g.m as u32).collect();
+                let cover = |_: usize, r: Range<usize>| r.start * g.ldc..(r.end - 1) * g.ldc + g.n;
+                pool.par_weighted_parts(parts, &rows, row_grain, cover, |rows, parts| {
+                    for (&(r, off), part) in at.iter().zip(parts.iter_mut()) {
+                        let base = off + rows.start * g.ldc;
+                        staged.work(a, 0, r..r + 1, rows.clone(), part, base)
+                    }
                 });
             }
             CShape::Regions if !seq => {
@@ -1436,6 +1610,7 @@ mod tests {
                                 a_direct: true,
                                 b_direct: None,
                                 isa,
+                                sweep: false,
                                 bpack: take_b_buffer(),
                             };
                             let mut got = vec![f32::NAN; want.len() + 7];
@@ -1620,5 +1795,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `kernel.gemm.pack_bytes` books each capacity growth of a pack buffer
+    /// and nothing else: a resize at or below the capacity books 0. The
+    /// buffers never shrink, so on a fresh thread the counter grows by at
+    /// least the bytes its Ã and B̃ buffers hold after a launch that packs
+    /// both (other tests grow their own buffers concurrently).
+    #[test]
+    fn pack_buffer_growth_is_counted() {
+        let mut buf = Vec::new();
+        let grown = resize_pack(&mut buf, 1000);
+        assert!(grown >= 4000);
+        assert_eq!(grown, buf.capacity() * std::mem::size_of::<f32>());
+        assert_eq!(resize_pack(&mut buf, 10), 0);
+        assert_eq!(resize_pack(&mut buf, 1000), 0);
+        std::thread::spawn(|| {
+            let before = pack_bytes().get();
+            // Two A windows, each shared by two tasks (packed), against a
+            // transposed B (packed), on a pool of one.
+            let (m, k, n) = (20, 24, 16);
+            let (a, b) = (values(2 * m * k, 1), values(2 * n * k, 2));
+            let table = GemmTable::each([(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 3)]);
+            let g = GemmGroup {
+                m,
+                k,
+                n,
+                a: Windows::normal(&a[..], k, m * k),
+                b: Windows::transposed(&b[..], k, n * k),
+                ldc: n,
+                c_stride: m * n,
+                beta: 0.0,
+                table: &table,
+                bias: None,
+            };
+            let mut c = vec![0.0; 4 * m * n];
+            let pool = ThreadPool::new(1);
+            crate::with_sequential(|| Packed.gemm_grouped_on(&pool, None, &g, &mut c));
+            let a_held = PACK_A.with(|a| a.borrow().capacity());
+            let b_held: usize = PACK_B.with(|b| b.borrow().iter().map(Vec::capacity).sum());
+            assert!(a_held > 0 && b_held > 0, "both operands packed");
+            let held = (a_held + b_held) * std::mem::size_of::<f32>();
+            assert!(pack_bytes().get() - before >= held as u64);
+        })
+        .join()
+        .expect("pack thread");
     }
 }

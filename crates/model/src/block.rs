@@ -150,7 +150,7 @@ impl TransformerBlock {
         }
 
         let normed = self.ln1.forward(x);
-        let mut attn_out = self.attn.forward(&normed, batch, seq, attn_layout);
+        let mut attn_out = self.attn.forward(normed, batch, seq, attn_layout);
         if let Some(a) = &mut self.adapter1 {
             attn_out = a.forward(&attn_out);
         }
@@ -159,7 +159,7 @@ impl TransformerBlock {
         x1.add_assign(x);
 
         let normed2 = self.ln2.forward(&x1);
-        let mut mlp_out = self.mlp.forward(&normed2, mlp_set);
+        let mut mlp_out = self.mlp.forward(normed2, mlp_set);
         if capture {
             // Capture mode runs no backward: the caches are taken, not
             // cloned.

@@ -7,13 +7,20 @@
 //! paper's §II-D invariant. Dense causal attention is the same path over the
 //! full-causal layout, so the masked upper half is never computed. The fused
 //! row kernels apply scale, ALiBi bias and the causal limit, and nothing past
-//! the diagonal is ever exponentiated. Heads are never copied: the block
-//! operators ([`AttentionCore`]) read Q, K and V where the projections write
-//! them and write ctx where the output projection reads it, head `h` being
-//! the column window `h·dh` of the `[B·S, d]` activations; the backward does
-//! the same for dO, dQ, dK and dV. A calibration capture takes a dense
-//! forward's block probabilities together with their full-causal layout;
-//! they are never expanded to a dense `[B·h·S, S]` tensor.
+//! the diagonal is ever exponentiated.
+//!
+//! Heads are stored **head-major** by whoever writes them: the q, k and v
+//! projections write head `h` as one contiguous `[B·S, dh]` panel (run `h` of
+//! one launch, with its bias slice), the block operators ([`AttentionCore`])
+//! read those panels and write ctx the same way, and the output projection
+//! reads ctx as K-merged segments in head order. The backward does the same
+//! for dO (written head-major by `wo`'s backward), dQ, dK and dV, which the
+//! q/k/v input-gradient products read K-merged. No head is ever copied, every
+//! row the core touches is `dh` contiguous floats, and every product keeps
+//! the accumulation chain of the token-major one (bitwise while
+//! `d_model ≤ KC`). A calibration capture takes a dense forward's block
+//! probabilities together with their full-causal layout; they are never
+//! expanded to a dense `[B·h·S, S]` tensor.
 
 use crate::linear::Linear;
 use crate::param::Param;
@@ -59,7 +66,7 @@ struct AttnCache {
     seq: usize,
     /// The input of the q/k/v projections.
     x: Tensor,
-    /// The projections, `[B·S, d]`, heads in place.
+    /// The projections, head-major `[h·B·S, dh]`.
     q: Tensor,
     k: Tensor,
     v: Tensor,
@@ -110,51 +117,51 @@ impl MultiHeadAttention {
 
     /// Forward. `layout = None` runs dense causal attention: the same block
     /// operators over the full-causal layout. `Some` runs the per-head
-    /// block-sparse path (requires `seq` divisible by the block).
+    /// block-sparse path (requires `seq` divisible by the block). `x` is
+    /// taken by value: the cache keeps it for the backward without a copy.
     pub fn forward(
         &mut self,
-        x: &Tensor,
+        x: Tensor,
         batch: usize,
         seq: usize,
         layout: Option<&Arc<MultiHeadLayout>>,
     ) -> Tensor {
-        let d = self.n_heads * self.head_dim;
+        let (heads, dh) = (self.n_heads, self.head_dim);
         assert_eq!(x.rows(), batch * seq, "attention input rows");
-        assert_eq!(x.cols(), d, "attention input width");
+        assert_eq!(x.cols(), heads * dh, "attention input width");
         let layout = match layout {
             Some(layout) => layout.clone(),
             None => self.causal_layout(seq),
         };
-        assert_eq!(layout.n_heads(), self.n_heads, "layout heads");
-        // One input, three projections: the cache keeps `x` once for all
-        // three backward passes.
-        let q = self.wq.project(x);
-        let k = self.wk.project(x);
-        let v = self.wv.project(x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let total = layout.total_data_len;
+        assert_eq!(layout.n_heads(), heads, "layout heads");
+        // One input, three projections, each writing head-major panels: the
+        // cache keeps `x` once for all three backward passes.
+        let q = self.wq.project_heads(&x, heads);
+        let k = self.wk.project_heads(&x, heads);
+        let v = self.wv.project_heads(&x, heads);
+        let scale = 1.0 / (dh as f32).sqrt();
         // Every active block is overwritten by the score products, every
         // context row by the context products or zeroed.
-        let mut probs = Tensor::scratch(&[batch, total]);
-        let mut ctx = Tensor::scratch(&[batch * seq, d]);
+        let mut probs = Tensor::scratch(&[batch, layout.total_data_len]);
+        let mut ctx = Tensor::scratch(q.shape());
         // One fused launch per batch item covers every head of the layer.
-        let core = AttentionCore::new(&layout, seq, self.head_dim);
+        let core = AttentionCore::new(&layout, seq, dh);
+        let total = layout.total_data_len;
         for b in 0..batch {
             core.forward(
-                rows(&q, b * seq, seq, d),
-                rows(&k, b * seq, seq, d),
-                rows(&v, b * seq, seq, d),
+                b,
+                (q.as_slice(), k.as_slice(), v.as_slice()),
                 scale,
                 self.alibi_slopes.as_deref(),
                 &mut probs.as_mut_slice()[b * total..(b + 1) * total],
-                rows_mut(&mut ctx, b * seq, seq, d),
+                ctx.as_mut_slice(),
             );
         }
-        let y = self.wo.forward(&ctx);
+        let y = self.wo.forward_heads(ctx, heads);
         self.cache = Some(AttnCache {
             batch,
             seq,
-            x: x.clone(),
+            x,
             q,
             k,
             v,
@@ -170,42 +177,37 @@ impl MultiHeadAttention {
             .cache
             .take()
             .expect("attention backward without forward");
-        let (batch, seq, dh) = (cache.batch, cache.seq, self.head_dim);
-        let d = self.n_heads * dh;
+        let (seq, heads, dh) = (cache.seq, self.n_heads, self.head_dim);
         let scale = 1.0 / (dh as f32).sqrt();
+        // Head-major, as `wo` read ctx.
         let dctx = self.wo.backward(dy);
         // Fully overwritten by the context products, which zero the rows no
         // block reaches.
-        let mut dq = Tensor::scratch(&[batch * seq, d]);
-        let mut dk = Tensor::scratch(&[batch * seq, d]);
-        let mut dv = Tensor::scratch(&[batch * seq, d]);
-        let total = cache.layout.total_data_len;
+        let mut dq = Tensor::scratch(dctx.shape());
+        let mut dk = Tensor::scratch(dctx.shape());
+        let mut dv = Tensor::scratch(dctx.shape());
         // Block-data scratch, fully overwritten per batch item: dP by the
         // score products, turned into dS in place.
-        let mut ds = Tensor::scratch(&[total]);
+        let mut ds = Tensor::scratch(&[cache.layout.total_data_len]);
         let core = AttentionCore::new(&cache.layout, seq, dh);
-        for b in 0..batch {
+        let total = cache.layout.total_data_len;
+        for b in 0..cache.batch {
             core.backward(
-                (
-                    rows(&cache.q, b * seq, seq, d),
-                    rows(&cache.k, b * seq, seq, d),
-                    rows(&cache.v, b * seq, seq, d),
-                ),
-                rows(&dctx, b * seq, seq, d),
+                b,
+                (cache.q.as_slice(), cache.k.as_slice(), cache.v.as_slice()),
+                dctx.as_slice(),
                 &cache.probs.as_slice()[b * total..(b + 1) * total],
                 scale,
                 ds.as_mut_slice(),
-                rows_mut(&mut dq, b * seq, seq, d),
-                rows_mut(&mut dk, b * seq, seq, d),
-                rows_mut(&mut dv, b * seq, seq, d),
+                (dq.as_mut_slice(), dk.as_mut_slice(), dv.as_mut_slice()),
             );
         }
         // One `dx`: the q projection writes it, k and v accumulate into it.
         let x = &cache.x;
         let mut dx = Tensor::scratch(x.shape());
-        self.wq.backward_into(x, &dq, &mut dx, 0.0);
-        self.wk.backward_into(x, &dk, &mut dx, 1.0);
-        self.wv.backward_into(x, &dv, &mut dx, 1.0);
+        self.wq.backward_heads_into(x, &dq, heads, &mut dx, 0.0);
+        self.wk.backward_heads_into(x, &dk, heads, &mut dx, 1.0);
+        self.wv.backward_heads_into(x, &dv, heads, &mut dx, 1.0);
         dx
     }
 
@@ -231,14 +233,6 @@ impl MultiHeadAttention {
     }
 }
 
-fn rows(t: &Tensor, start_row: usize, n_rows: usize, width: usize) -> &[f32] {
-    &t.as_slice()[start_row * width..(start_row + n_rows) * width]
-}
-
-fn rows_mut(t: &mut Tensor, start_row: usize, n_rows: usize, width: usize) -> &mut [f32] {
-    &mut t.as_mut_slice()[start_row * width..(start_row + n_rows) * width]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +240,14 @@ mod tests {
     use lx_sparse::PatternPool;
     use lx_tensor::gemm::{gemm, gemm_nt, gemm_tn};
     use lx_tensor::ops::{causal_softmax_backward_rows, causal_softmax_rows};
+
+    fn rows(t: &Tensor, start_row: usize, n_rows: usize, width: usize) -> &[f32] {
+        &t.as_slice()[start_row * width..(start_row + n_rows) * width]
+    }
+
+    fn rows_mut(t: &mut Tensor, start_row: usize, n_rows: usize, width: usize) -> &mut [f32] {
+        &mut t.as_mut_slice()[start_row * width..(start_row + n_rows) * width]
+    }
 
     const B: usize = 2;
     const S: usize = 16;
@@ -466,7 +468,7 @@ mod tests {
             let x = Tensor::randn(&[batch * seq, D], 1.0, 3);
             let (yd, _) = reference_forward(&mut mha_with(alibi), &x, batch, seq);
             for layout in layouts(seq) {
-                let ys = mha_with(alibi).forward(&x, batch, seq, layout.as_ref());
+                let ys = mha_with(alibi).forward(x.clone(), batch, seq, layout.as_ref());
                 for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
                     assert!((a - b).abs() < 1e-4, "S={seq}: {a} vs {b}");
                 }
@@ -488,7 +490,7 @@ mod tests {
             for layout in layouts(seq) {
                 let mut sparse = mha_with(alibi);
                 sparse.for_each_param(&mut |p| p.trainable = true);
-                let _ = sparse.forward(&x, batch, seq, layout.as_ref());
+                let _ = sparse.forward(x.clone(), batch, seq, layout.as_ref());
                 let dxs = sparse.backward(&dy);
                 for (a, b) in dxd.as_slice().iter().zip(dxs.as_slice()) {
                     assert!((a - b).abs() < 1e-3, "S={seq} dx: {a} vs {b}");
@@ -514,8 +516,8 @@ mod tests {
             let mut explicit = mha_with(alibi);
             dense.for_each_param(&mut |p| p.trainable = true);
             explicit.for_each_param(&mut |p| p.trainable = true);
-            let yd = dense.forward(&x, batch, seq, None);
-            let ye = explicit.forward(&x, batch, seq, Some(&explicit_layout));
+            let yd = dense.forward(x.clone(), batch, seq, None);
+            let ye = explicit.forward(x.clone(), batch, seq, Some(&explicit_layout));
             assert_eq!(bits(&yd), bits(&ye), "S={seq}: y");
             let dxd = dense.backward(&dy);
             let dxe = explicit.backward(&dy);
@@ -532,7 +534,7 @@ mod tests {
             let x = Tensor::randn(&[batch * seq, D], 1.0, 12);
             let (_, r) = reference_forward(&mut mha_with(alibi), &x, batch, seq);
             let mut attn = mha_with(alibi);
-            let _ = attn.forward(&x, batch, seq, None);
+            let _ = attn.forward(x.clone(), batch, seq, None);
             let (layout, data) = attn.take_dense_probs().expect("dense forward");
             assert_eq!(layout.n_heads(), H);
             assert_eq!(data.len(), batch * layout.total_data_len);
@@ -564,7 +566,7 @@ mod tests {
                 }
             }
             // A forward over an explicit layout is not a dense capture.
-            let _ = attn.forward(&x, batch, seq, Some(&causal_at(seq, 1)));
+            let _ = attn.forward(x.clone(), batch, seq, Some(&causal_at(seq, 1)));
             assert!(attn.take_dense_probs().is_none());
         }
     }
@@ -612,7 +614,7 @@ mod tests {
             "only {wide} rows spread over 100 nats"
         );
 
-        let _ = attn.forward(&x, batch, seq, None);
+        let _ = attn.forward(x.clone(), batch, seq, None);
         let (_, probs) = attn.take_dense_probs().expect("dense forward");
         let subnormal = probs.as_slice().iter().filter(|p| p.is_subnormal()).count();
         assert_eq!(subnormal, 0, "subnormal block probabilities");
@@ -620,7 +622,7 @@ mod tests {
         let mut dense = sharpened();
         let (yd, r) = reference_forward(&mut dense, &x, batch, seq);
         let dxd = reference_backward(&mut dense, &r, &dy);
-        let ys = attn.forward(&x, batch, seq, None);
+        let ys = attn.forward(x.clone(), batch, seq, None);
         let dxs = attn.backward(&dy);
         for (a, b) in yd.as_slice().iter().zip(ys.as_slice()) {
             assert!((a - b).abs() < 1e-4, "y: {a} vs {b}");
@@ -645,9 +647,9 @@ mod tests {
             let x = Tensor::randn(&[B * seq, D], 1.0, 20 + i as u64);
             let dy = Tensor::randn(&[B * seq, D], 1.0, 30 + i as u64);
             let mut fresh = mha();
-            let yf = fresh.forward(&x, B, seq, None);
+            let yf = fresh.forward(x.clone(), B, seq, None);
             let dxf = fresh.backward(&dy);
-            let yr = reused.forward(&x, B, seq, None);
+            let yr = reused.forward(x.clone(), B, seq, None);
             let dxr = reused.backward(&dy);
             assert_eq!(bits(&yr), bits(&yf), "step {i} (S={seq}): y");
             assert_eq!(bits(&dxr), bits(&dxf), "step {i} (S={seq}): dx");
@@ -656,6 +658,126 @@ mod tests {
                 assert_eq!(Arc::ptr_eq(&prev, &current.1), prev_seq == seq, "step {i}");
             }
             previous = Some(current);
+        }
+    }
+
+    /// The attention path before heads were stored head-major, kept as an
+    /// oracle: token-major projections, head-major copies of Q, K, V and dO,
+    /// the composed block operators over the stacked layout (which the fused
+    /// core over heads in place equalled bit for bit), the copies merged
+    /// back, and token-major `wo` / input-gradient products. Returns `y` and
+    /// `dx`; the gradients accumulate into `attn`'s parameters.
+    fn column_window_path(
+        attn: &mut MultiHeadAttention,
+        x: &Tensor,
+        dy: &Tensor,
+        (batch, seq): (usize, usize),
+        layout: &Arc<MultiHeadLayout>,
+    ) -> (Tensor, Tensor) {
+        use lx_sparse::attention::CausalFill;
+        use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt};
+        let (heads, dh) = (attn.n_heads, attn.head_dim);
+        let st = layout.stacked().expect("heads stack");
+        let (span, total) = (heads * seq, layout.total_data_len);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
+        let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
+        let v = split_heads(&attn.wv.project(x), batch, seq, heads, dh);
+        let mut probs = vec![0.0; batch * total];
+        let mut ctx = Tensor::zeros(q.shape());
+        for b in 0..batch {
+            let (qb, kb, vb) = (
+                rows(&q, b * span, span, dh),
+                rows(&k, b * span, span, dh),
+                rows(&v, b * span, span, dh),
+            );
+            let p = &mut probs[b * total..(b + 1) * total];
+            sdd_nt(qb, kb, span, dh, 1.0, st, CausalFill::None, p);
+            scores_to_probs(p, st, scale, attn.alibi_slopes.as_deref());
+            dsd(p, vb, span, dh, st, rows_mut(&mut ctx, b * span, span, dh));
+        }
+        let y = attn.wo.forward(&merge_heads(&ctx, batch, seq, heads, dh));
+        let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);
+        let [mut dq, mut dk, mut dv] = [0; 3].map(|_| Tensor::zeros(q.shape()));
+        let mut ds = vec![0.0; total];
+        for b in 0..batch {
+            let (qb, kb, vb) = (
+                rows(&q, b * span, span, dh),
+                rows(&k, b * span, span, dh),
+                rows(&v, b * span, span, dh),
+            );
+            let (dc, p) = (
+                rows(&dctx, b * span, span, dh),
+                &probs[b * total..(b + 1) * total],
+            );
+            sdd_nt(dc, vb, span, dh, 1.0, st, CausalFill::None, &mut ds);
+            probs_backward(p, &mut ds, st, scale);
+            dsd(&ds, kb, span, dh, st, rows_mut(&mut dq, b * span, span, dh));
+            dsd_tn(&ds, qb, span, dh, st, rows_mut(&mut dk, b * span, span, dh));
+            dsd_tn(p, dc, span, dh, st, rows_mut(&mut dv, b * span, span, dh));
+        }
+        let mut dx = Tensor::zeros(x.shape());
+        let merge = |t: &Tensor| merge_heads(t, batch, seq, heads, dh);
+        attn.wq.backward_into(x, &merge(&dq), &mut dx, 0.0);
+        attn.wk.backward_into(x, &merge(&dk), &mut dx, 1.0);
+        attn.wv.backward_into(x, &merge(&dv), &mut dx, 1.0);
+        (y, dx)
+    }
+
+    /// The head-major module against [`column_window_path`], bitwise: `y`,
+    /// `dx` and every gradient (full fine-tuning plus LoRA on q, v and o:
+    /// weights, biases, both factors), over the dense full-causal layout and
+    /// per-head sparse ones, ALiBi off and on, batch 1 and 2.
+    #[test]
+    fn head_major_module_equals_the_column_window_path_bitwise() {
+        let pool = PatternPool::default_pool(BLK, &[S / BLK]);
+        let mixed = Arc::new(pool.combine(
+            S / BLK,
+            &[PatternSpec::LocalWindow { w: 1 }, PatternSpec::Causal],
+        ));
+        let build = |alibi: bool| {
+            let mut attn = mha_with(alibi);
+            for (i, lin) in [&mut attn.wq, &mut attn.wv, &mut attn.wo]
+                .into_iter()
+                .enumerate()
+            {
+                lin.attach_lora(2, 4.0, 70 + i as u64);
+                let b = &mut lin.lora.as_mut().unwrap().b.value;
+                let vals = lx_tensor::rng::randn_vec(b.len(), 0.3, 80 + i as u64);
+                b.as_mut_slice().copy_from_slice(&vals);
+            }
+            attn.for_each_param(&mut |p| p.trainable = true);
+            attn
+        };
+        for batch in [1, 2] {
+            for alibi in [false, true] {
+                for sparse in [false, true] {
+                    let what = format!("B={batch} alibi={alibi} sparse={sparse}");
+                    let x = Tensor::randn(&[batch * S, D], 1.0, 90);
+                    let dy = Tensor::randn(&[batch * S, D], 1.0, 91);
+                    let mut attn = build(alibi);
+                    let layout = if sparse {
+                        mixed.clone()
+                    } else {
+                        attn.causal_layout(S)
+                    };
+                    let y = attn.forward(x.clone(), batch, S, Some(&layout));
+                    let dx = attn.backward(&dy);
+                    let mut oracle = build(alibi);
+                    let (y_want, dx_want) =
+                        column_window_path(&mut oracle, &x, &dy, (batch, S), &layout);
+                    assert_eq!(bits(&y), bits(&y_want), "{what}: y");
+                    assert_eq!(bits(&dx), bits(&dx_want), "{what}: dx");
+                    let mut got = Vec::new();
+                    attn.for_each_param(&mut |p| got.push((p.name.clone(), p.grad.clone())));
+                    let mut want = Vec::new();
+                    oracle.for_each_param(&mut |p| want.push(p.grad.clone()));
+                    for ((name, g), w) in got.iter().zip(&want) {
+                        let (g, w) = (g.as_ref().expect("grad"), w.as_ref().expect("grad"));
+                        assert_eq!(bits(g), bits(w), "{what}: {name}");
+                    }
+                }
+            }
         }
     }
 
@@ -671,8 +793,8 @@ mod tests {
         ));
         let mut attn_mixed = mha();
         let mut attn_full = mha();
-        let ym = attn_mixed.forward(&x, B, S, Some(&mixed));
-        let yf = attn_full.forward(&x, B, S, Some(&full_layout()));
+        let ym = attn_mixed.forward(x.clone(), B, S, Some(&mixed));
+        let yf = attn_full.forward(x.clone(), B, S, Some(&full_layout()));
         let diff: f32 = ym
             .as_slice()
             .iter()
@@ -688,10 +810,10 @@ mod tests {
         let (b, s) = (1, 4);
         let x = Tensor::randn(&[b * s, 4], 0.5, 8);
         let dy = Tensor::randn(&[b * s, 4], 1.0, 9);
-        let _ = attn.forward(&x, b, s, None);
+        let _ = attn.forward(x.clone(), b, s, None);
         let dx = attn.backward(&dy);
         let loss = |attn: &mut MultiHeadAttention, x: &Tensor| -> f32 {
-            let y = attn.forward(x, b, s, None);
+            let y = attn.forward(x.clone(), b, s, None);
             attn.cache = None;
             y.as_slice()
                 .iter()

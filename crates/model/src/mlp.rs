@@ -142,8 +142,9 @@ impl MlpBlock {
     }
 
     /// Forward over the active neuron blocks of `set`; `None` runs the dense
-    /// plan, the same path over the full-width block.
-    pub fn forward(&mut self, x: &Tensor, set: Option<&Arc<NeuronBlockSet>>) -> Tensor {
+    /// plan, the same path over the full-width block. `x` is taken by value:
+    /// the cache keeps it for the backward without a copy.
+    pub fn forward(&mut self, x: Tensor, set: Option<&Arc<NeuronBlockSet>>) -> Tensor {
         let set = match set {
             Some(set) => {
                 assert_eq!(
@@ -177,7 +178,7 @@ impl MlpBlock {
             z.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora1 {
-            l.forward_over(x, &mut z, Some(&set));
+            l.forward_over(&x, &mut z, Some(&set));
         }
         // The activation stays unfused: the backward reads `z`.
         let a = self.activate(&z);
@@ -194,12 +195,7 @@ impl MlpBlock {
         if let Some(l) = &mut self.lora2 {
             l.forward_over(&a, &mut y, Some(&set));
         }
-        self.cache = Some(MlpCache {
-            x: x.clone(),
-            z,
-            a,
-            set,
-        });
+        self.cache = Some(MlpCache { x, z, a, set });
         y
     }
 
@@ -222,7 +218,7 @@ impl MlpBlock {
             l.backward_over(&a, dy, &mut da, Some(&set));
         }
         if self.b2.trainable {
-            bias_grad_rows(dy, self.b2.grad_mut().as_mut_slice());
+            bias_grad_rows(dy.as_slice(), self.b2.grad_mut().as_mut_slice());
         }
         if self.w2.trainable {
             fc2_grad_weights(
@@ -342,14 +338,14 @@ mod tests {
                 l.backward(&self.a, dy, &mut da);
             }
             if m.b2.trainable {
-                bias_grad_rows(dy, m.b2.grad_mut().as_mut_slice());
+                bias_grad_rows(dy.as_slice(), m.b2.grad_mut().as_mut_slice());
             }
             if m.w2.trainable {
                 m.w2.accumulate_grad(&matmul_tn(&self.a, dy));
             }
             let dz = m.activate_backward(&da, &self.z);
             if m.b1.trainable {
-                bias_grad_rows(&dz, m.b1.grad_mut().as_mut_slice());
+                bias_grad_rows(dz.as_slice(), m.b1.grad_mut().as_mut_slice());
             }
             if m.w1.trainable {
                 m.w1.accumulate_grad(&matmul_tn(&dz, &self.x));
@@ -409,7 +405,7 @@ mod tests {
                     m
                 };
                 let (mut plan, mut reference) = (build(), build());
-                let y = plan.forward(&x, None);
+                let y = plan.forward(x.clone(), None);
                 let (y_ref, oracle) = DenseOracle::forward(&mut reference, &x);
                 let cell = format!("{activation:?} {dtype}");
                 assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "{cell} y");
@@ -451,7 +447,7 @@ mod tests {
             m
         };
         let (mut plan, mut reference) = (build(), build());
-        let y = plan.forward(&x, None);
+        let y = plan.forward(x.clone(), None);
         let (y_ref, oracle) = DenseOracle::forward(&mut reference, &x);
         assert_eq!(bits(y.as_slice()), bits(y_ref.as_slice()), "y");
         let dx = plan.backward(&dy);
@@ -488,7 +484,7 @@ mod tests {
             m
         };
         let (mut sparse, mut dense) = (build(), build());
-        let ys = sparse.forward(&x, Some(&all_set()));
+        let ys = sparse.forward(x.clone(), Some(&all_set()));
         let (yd, oracle) = DenseOracle::forward(&mut dense, &x);
         assert_close(ys.as_slice(), yd.as_slice(), 1e-4, "y");
         let dxs = sparse.backward(&dy);
@@ -528,7 +524,7 @@ mod tests {
             m
         };
         let mut sparse = with_lora();
-        let ys = sparse.forward(&x, Some(&set));
+        let ys = sparse.forward(x.clone(), Some(&set));
         let dxs = sparse.backward(&dy);
         let mut dense = with_lora();
         for n in (0..FF).filter(|&n| !active(n)) {
@@ -572,7 +568,7 @@ mod tests {
         let set = Arc::new(NeuronBlockSet::from_indices(vec![1], FF / BLK, BLK));
         let mut m = mlp();
         m.attach_lora_fc1(2, 4.0, 6);
-        let _ = m.forward(&x, Some(&set));
+        let _ = m.forward(x.clone(), Some(&set));
         let _ = m.backward(&dy);
         let db = m.lora1.as_ref().unwrap().b.grad.as_ref().unwrap();
         let r = 2;
@@ -601,10 +597,10 @@ mod tests {
         }
         let x = Tensor::randn(&[4, D], 0.8, 11);
         let dy = Tensor::randn(&[4, D], 1.0, 12);
-        let _ = m.forward(&x, None);
+        let _ = m.forward(x.clone(), None);
         let _ = m.backward(&dy);
         let loss = |m: &mut MlpBlock, x: &Tensor| -> f32 {
-            let y = m.forward(x, None);
+            let y = m.forward(x.clone(), None);
             m.cache = None;
             y.as_slice()
                 .iter()
@@ -691,8 +687,8 @@ mod tests {
         for dtype in REDUCED {
             let mut q = stored(&[dtype]);
             let mut pre = stored(&[dtype, lx_tensor::Dtype::F32]);
-            let yq = q.forward(&x, Some(&set));
-            let yp = pre.forward(&x, Some(&set));
+            let yq = q.forward(x.clone(), Some(&set));
+            let yp = pre.forward(x.clone(), Some(&set));
             assert_eq!(yq.as_slice(), yp.as_slice(), "{dtype} y");
             let dxq = q.backward(&dy);
             let dxp = pre.backward(&dy);
@@ -714,7 +710,7 @@ mod tests {
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
         let nf4 = [lx_tensor::Dtype::Nf4Block];
         let mut m = stored(&nf4);
-        let _ = m.forward(&x, Some(&set));
+        let _ = m.forward(x.clone(), Some(&set));
         let moved = |m: &mut MlpBlock| {
             for v in m.b1.value.as_mut_slice() {
                 *v += 0.5; // an optimizer step moved the bias
@@ -723,8 +719,8 @@ mod tests {
         moved(&mut m);
         let mut fresh = stored(&nf4);
         moved(&mut fresh);
-        let y = m.forward(&x, Some(&set));
-        let y_fresh = fresh.forward(&x, Some(&set));
+        let y = m.forward(x.clone(), Some(&set));
+        let y_fresh = fresh.forward(x.clone(), Some(&set));
         assert_eq!(
             y.as_slice(),
             y_fresh.as_slice(),
@@ -743,11 +739,11 @@ mod tests {
         let set = Arc::new(NeuronBlockSet::from_indices(vec![0, 2], FF / BLK, BLK));
         // f16 → NF4 directly, without `set_precision`.
         let mut m = stored(&[F16]);
-        let _ = m.forward(&x, Some(&set));
+        let _ = m.forward(x.clone(), Some(&set));
         m.w1.demote(Nf4Block);
         m.w2.demote(Nf4Block);
-        let y = m.forward(&x, Some(&set));
-        let y_fresh = stored(&[F16, Nf4Block]).forward(&x, Some(&set));
+        let y = m.forward(x.clone(), Some(&set));
+        let y_fresh = stored(&[F16, Nf4Block]).forward(x.clone(), Some(&set));
         assert_eq!(y.as_slice(), y_fresh.as_slice(), "f16 → nf4");
         // Promote, edit an active slab in place, re-demote.
         let edit = |m: &mut MlpBlock| {
@@ -757,15 +753,15 @@ mod tests {
             }
         };
         let mut m = stored(&[F16]);
-        let _ = m.forward(&x, Some(&set));
+        let _ = m.forward(x.clone(), Some(&set));
         for w in [&mut m.w1, &mut m.w2] {
             w.demote(F32);
         }
         edit(&mut m);
-        let y = m.forward(&x, Some(&set));
+        let y = m.forward(x.clone(), Some(&set));
         let mut fresh = stored(&[F16, F32]);
         edit(&mut fresh);
-        let y_fresh = fresh.forward(&x, Some(&set));
+        let y_fresh = fresh.forward(x.clone(), Some(&set));
         assert_eq!(y.as_slice(), y_fresh.as_slice(), "promote, edit, re-demote");
     }
 
@@ -774,7 +770,7 @@ mod tests {
         let mut m = MlpBlock::new("mlp", D, FF, Activation::Gelu, 13);
         let x = Tensor::randn(&[2, D], 1.0, 14);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            m.forward(&x, Some(&all_set()))
+            m.forward(x.clone(), Some(&all_set()))
         }));
         assert!(result.is_err(), "GeLU + neuron sparsity must be rejected");
     }
@@ -787,7 +783,7 @@ mod tests {
         let mut m = mlp();
         m.w1.trainable = true;
         m.w2.trainable = true;
-        let _ = m.forward(&x, Some(&set));
+        let _ = m.forward(x.clone(), Some(&set));
         let _ = m.backward(&dy);
         let dw1 = m.w1.grad.as_ref().unwrap();
         let dw2 = m.w2.grad.as_ref().unwrap();

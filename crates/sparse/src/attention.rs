@@ -50,10 +50,11 @@
 //! a layer issues one launch per operator, not one per head.
 //!
 //! The model runs none of them one by one: [`AttentionCore`] fuses them per
-//! query block-row (and per key block-column for dK / dV) over activations
-//! that keep their heads in place, three launches per layer, bit for bit
-//! what this composed sequence gives over head-major copies — which is what
-//! the tests hold it to, and what the benchmark's operator probe times.
+//! query block-row (and per key block-column for dK / dV) over head-major
+//! activations — head `h` one contiguous `[batch·s, dh]` panel, written so
+//! by the projections — three launches per layer and batch item, bit for
+//! bit what this composed sequence gives over the same panels — which is
+//! what the tests hold it to, and what the benchmark's operator probe times.
 
 use crate::layout::{BlockCsr, HeadTables, MultiHeadLayout};
 use lx_kernels::rows::{self, Band, Causal};
@@ -62,6 +63,7 @@ use lx_kernels::{
 };
 use lx_parallel::{par_weighted, ThreadPool};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// What to write into causally-masked positions of diagonal blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,15 +343,16 @@ pub fn probs_backward(p: &[f32], grad: &mut [f32], layout: &BlockCsr, scale: f32
 const FUSED_GRAIN_MACS: usize = 1 << 18;
 
 /// The attention core of one layer — SDD, softmax and DSD, forward and
-/// backward — over a [`MultiHeadLayout`] whose heads stack, with every head
-/// read and written in place: Q, K, V, dO, ctx, dQ, dK and dV of one batch
-/// item are token-major `[seq, heads·dh]`, head `h` the column window
-/// `h·dh`, where the projections keep them. Block data (P, dS) keeps the
-/// layout's head-major order.
+/// backward — over a [`MultiHeadLayout`] whose heads stack. Q, K, V, dO,
+/// ctx, dQ, dK and dV are **head-major**, `[heads, batch·seq, dh]`: head `h`
+/// is one contiguous `[batch·seq, dh]` panel, written so by the projections
+/// that produce it and read so by the ones that consume it, and batch item
+/// `i` is rows `i·seq ..` of every panel. Block data (P, dS) is per batch
+/// item, `layout.total_data_len` floats in the layout's head-major order.
 ///
-/// Each operator is one fused launch split by block index across all heads,
-/// so a task's output rows are contiguous token rows and its blocks one
-/// slice per head:
+/// Per batch item, each operator is one fused launch split by block index
+/// across all heads, so a task's output rows are contiguous rows of each
+/// head's panel and its blocks one slice per head:
 ///
 /// ```text
 ///   forward   per query block-row, per head:  S = Q·Kᵀ ─▶ softmax ─▶ ctx = P·V
@@ -361,11 +364,12 @@ const FUSED_GRAIN_MACS: usize = 1 << 18;
 /// per launch ([`Packed::stage`](lx_kernels::Packed::stage)). Every product
 /// keeps the task order and k-chain of the composed operators ([`sdd_nt`],
 /// [`scores_to_probs`], [`dsd`], [`probs_backward`], [`dsd_tn`]) over the
-/// stacked layout and head-major copies, and the softmax passes are the
-/// same calls, so the results are bit for bit theirs.
+/// stacked layout, and the softmax passes are the same calls, so the results
+/// are bit for bit theirs.
 pub struct AttentionCore<'a> {
+    layout: &'a MultiHeadLayout,
     stacked: &'a BlockCsr,
-    tables: &'a HeadTables,
+    seq: usize,
     heads: usize,
     dh: usize,
     pool: &'a ThreadPool,
@@ -387,8 +391,9 @@ impl<'a> AttentionCore<'a> {
             "layout grid must match seq"
         );
         AttentionCore {
+            layout,
             stacked,
-            tables: layout.head_tables().expect("stacked heads have tables"),
+            seq,
             heads,
             dh,
             pool: lx_parallel::pool(),
@@ -403,10 +408,25 @@ impl<'a> AttentionCore<'a> {
         AttentionCore { pool, isa, ..self }
     }
 
-    /// `(block edge, block-rows per head, heads·dh)`.
+    /// `(block edge, block-rows per head, floats of one item's head rows)`.
     fn dims(&self) -> (usize, usize, usize) {
         let b = self.stacked.block_size;
-        (b, self.stacked.n_brows / self.heads, self.heads * self.dh)
+        (b, self.stacked.n_brows / self.heads, self.seq * self.dh)
+    }
+
+    /// The batch size of head-major operands of `len` floats, which must
+    /// hold item `i`, and the tables over their head panels.
+    fn batch(&self, len: usize, i: usize) -> (usize, Arc<HeadTables>) {
+        let (_, n, span) = self.dims();
+        let per_item = self.heads * span;
+        assert!(
+            per_item > 0 && len.is_multiple_of(per_item),
+            "attention: operands are [heads, batch·seq, dh]"
+        );
+        let batch = len / per_item;
+        assert!(i < batch, "attention: item {i} of a batch of {batch}");
+        let tables = self.layout.head_tables(batch * n);
+        (batch, tables.expect("stacked heads have tables"))
     }
 
     /// A product group over this core's block tasks: `m×k×n` with A windows
@@ -465,44 +485,49 @@ impl<'a> AttentionCore<'a> {
             .collect()
     }
 
-    /// One launch over query block-rows: per row and head, `sdd` into the
-    /// block data (one slice per head), the row pass `rows` on its blocks,
-    /// then `dsd` from them into `out` (`[seq, heads·dh]`); a head's rows no
-    /// block reaches are zeroed there.
+    /// Batch item `i`'s rows of every head panel of `x`, in head order.
+    fn item_rows<'d>(&self, x: &'d mut [f32], batch: usize, i: usize) -> Vec<&'d mut [f32]> {
+        let span = self.dims().2;
+        x.chunks_exact_mut(span).skip(i).step_by(batch).collect()
+    }
+
+    /// One launch over query block-rows of batch item `i`: per row and head,
+    /// `sdd` into the block data (one slice per head), the row pass `rows` on
+    /// its blocks, then `dsd` from them into `out` (head panels); a head's
+    /// rows no block reaches are zeroed there.
+    #[allow(clippy::too_many_arguments)]
     fn by_query_rows(
         &self,
+        t: &HeadTables,
+        (batch, i): (usize, usize),
         sdd: &Staged<'_>,
         dsd: &Staged<'_>,
         data: &mut [f32],
         out: &mut [f32],
         rows: impl Fn(usize, &mut [f32]) + Sync,
     ) {
-        let (b, n, d) = self.dims();
-        let (bb, heads, st) = (b * b, self.heads, self.stacked);
+        let (b, n, _) = self.dims();
+        let (bb, bd, heads, st) = (b * b, b * self.dh, self.heads, self.stacked);
+        let pitch = batch * n;
         let mut parts = self.per_head(data, n);
-        parts.push(out);
+        parts.extend(self.item_rows(out, batch, i));
         let cover = |p: usize, r: Range<usize>| {
             if p < heads {
                 let head0 = st.row_ptr[p * n] as usize;
                 (st.row_ptr[p * n + r.start] as usize - head0) * bb
                     ..(st.row_ptr[p * n + r.end] as usize - head0) * bb
             } else {
-                r.start * b * d..r.end * b * d
+                r.start * bd..r.end * bd
             }
         };
         let grain = self.grain(2 * bb * self.dh);
-        self.pool.par_weighted_parts(
-            parts,
-            &self.tables.row_blocks,
-            grain,
-            cover,
-            |brs, parts| {
+        self.pool
+            .par_weighted_parts(parts, &t.row_blocks, grain, cover, |brs, parts| {
                 let (blocks, out) = parts.split_at_mut(heads);
-                let out_base = brs.start * b * d;
                 // Head by head: the score products of the task's rows, the
                 // row pass on each row, then the context products — the
                 // rows' blocks are still in cache for the last two.
-                for (h, chunk) in blocks.iter_mut().enumerate() {
+                for (h, (chunk, out)) in blocks.iter_mut().zip(out.iter_mut()).enumerate() {
                     let sbrs = h * n + brs.start..h * n + brs.end;
                     let base = st.row_ptr[sbrs.start] as usize * bb;
                     let entries = st.row_ptr[sbrs.start] as usize..st.row_ptr[sbrs.end] as usize;
@@ -511,10 +536,7 @@ impl<'a> AttentionCore<'a> {
                         let entries = st.row_entries(sbr);
                         if entries.is_empty() {
                             let br = sbr - h * n;
-                            let rows = &mut out[0][(br * b * d - out_base)..][..b * d];
-                            for row in rows.chunks_exact_mut(d) {
-                                row[h * self.dh..][..self.dh].fill(0.0);
-                            }
+                            out[(br - brs.start) * bd..][..bd].fill(0.0);
                             continue;
                         }
                         rows(
@@ -522,34 +544,31 @@ impl<'a> AttentionCore<'a> {
                             &mut chunk[entries.start * bb - base..entries.end * bb - base],
                         );
                     }
-                    dsd.run_over(chunk, base, sbrs, out[0], out_base);
+                    let out_base = (h * pitch + brs.start) * bd;
+                    dsd.run_over(chunk, base, sbrs, out, out_base);
                 }
-            },
-        );
+            });
     }
 
-    /// Forward of one batch item: block probabilities into `probs`
-    /// (`layout.total_data_len`, head-major) and `ctx = P·V`, heads in
-    /// place. `slopes` is one ALiBi slope per head, `None` for no bias.
+    /// Forward of batch item `i`: its block probabilities into `probs`
+    /// (`layout.total_data_len` floats, head-major) and its rows of
+    /// `ctx = P·V` into the head panels. `q`, `k`, `v` and `ctx` hold the
+    /// whole batch. `slopes` is one ALiBi slope per head, `None` for no bias.
     #[allow(clippy::too_many_arguments)]
     pub fn forward(
         &self,
-        q: &[f32],
-        k: &[f32],
-        v: &[f32],
+        i: usize,
+        (q, k, v): (&[f32], &[f32], &[f32]),
         scale: f32,
         slopes: Option<&[f32]>,
         probs: &mut [f32],
         ctx: &mut [f32],
     ) {
-        let (b, n, d) = self.dims();
-        let (bb, dh, st, t) = (b * b, self.dh, self.stacked, self.tables);
-        for x in [q, k, v, &*ctx] {
-            assert_eq!(
-                x.len(),
-                n * b * d,
-                "attention: operands are [seq, heads·dh]"
-            );
+        let (b, _, span) = self.dims();
+        let (bb, dh, st) = (b * b, self.dh, self.stacked);
+        let (batch, t) = self.batch(q.len(), i);
+        for x in [k, v, &*ctx] {
+            assert_eq!(x.len(), q.len(), "attention: operands of one shape");
         }
         assert_eq!(
             probs.len(),
@@ -559,53 +578,49 @@ impl<'a> AttentionCore<'a> {
         if let Some(s) = slopes {
             assert_eq!(s.len(), self.heads, "one slope per head");
         }
-        let no_a: &[f32] = &[];
+        let (at, no_a): (usize, &[f32]) = (i * span, &[]);
         let sdd = Self::group(
             (b, dh, b),
-            Windows::normal(q, d, dh),
-            Windows::transposed(k, d, dh),
+            Windows::normal(&q[at..], dh, b * dh),
+            Windows::transposed(&k[at..], dh, b * dh),
             (b, bb),
             &t.sdd,
         );
         let dsd = Self::group(
             (b, b, dh),
             Windows::normal(no_a, b, bb),
-            Windows::normal(v, d, dh),
-            (d, dh),
+            Windows::normal(&v[at..], dh, b * dh),
+            (dh, b * dh),
             &t.dsd,
         );
         let isa = self.isa();
         observe_fused(&[&sdd, &dsd], || {
             let (sdd, dsd) = (self.stage(sdd), self.stage(dsd));
-            self.by_query_rows(&sdd, &dsd, probs, ctx, |sbr, blocks| {
+            self.by_query_rows(&t, (batch, i), &sdd, &dsd, probs, ctx, |sbr, blocks| {
                 row_probs(isa, st, sbr, slopes, scale, blocks)
             });
         });
     }
 
-    /// Backward of one batch item from `dout` (`[seq, heads·dh]`, heads in
-    /// place) and the forward's `probs`: `dS` into `ds` (block data like
-    /// `probs`), then dQ, dK and dV, heads in place.
+    /// Backward of batch item `i` from `dout` (head panels of the whole
+    /// batch) and the item's `probs`: `dS` into `ds` (block data like
+    /// `probs`), then the item's rows of dQ, dK and dV into the head panels.
     #[allow(clippy::too_many_arguments)]
     pub fn backward(
         &self,
+        i: usize,
         (q, k, v): (&[f32], &[f32], &[f32]),
         dout: &[f32],
         probs: &[f32],
         scale: f32,
         ds: &mut [f32],
-        dq: &mut [f32],
-        dk: &mut [f32],
-        dv: &mut [f32],
+        (dq, dk, dv): (&mut [f32], &mut [f32], &mut [f32]),
     ) {
-        let (b, n, d) = self.dims();
-        let (bb, dh, st, t) = (b * b, self.dh, self.stacked, self.tables);
-        for x in [q, k, v, dout, &*dq, &*dk, &*dv] {
-            assert_eq!(
-                x.len(),
-                n * b * d,
-                "attention: operands are [seq, heads·dh]"
-            );
+        let (b, n, span) = self.dims();
+        let (bb, dh, st) = (b * b, self.dh, self.stacked);
+        let (batch, t) = self.batch(q.len(), i);
+        for x in [k, v, dout, &*dq, &*dk, &*dv] {
+            assert_eq!(x.len(), q.len(), "attention: operands of one shape");
         }
         assert_eq!(
             probs.len(),
@@ -613,26 +628,26 @@ impl<'a> AttentionCore<'a> {
             "attention: P sized to the layout"
         );
         assert_eq!(ds.len(), st.data_len(), "attention: dS sized to the layout");
-        let no_a: &[f32] = &[];
+        let (isa, pitch, bd) = (self.isa(), batch * n, b * dh);
+        let (at, no_a): (usize, &[f32]) = (i * span, &[]);
         // dP = dO·Vᵀ ─▶ dS ─▶ dQ = dS·K, per query block-row.
         let sdd = Self::group(
             (b, dh, b),
-            Windows::normal(dout, d, dh),
-            Windows::transposed(v, d, dh),
+            Windows::normal(&dout[at..], dh, bd),
+            Windows::transposed(&v[at..], dh, bd),
             (b, bb),
             &t.sdd,
         );
         let dsd = Self::group(
             (b, b, dh),
             Windows::normal(no_a, b, bb),
-            Windows::normal(k, d, dh),
-            (d, dh),
+            Windows::normal(&k[at..], dh, bd),
+            (dh, bd),
             &t.dsd,
         );
-        let isa = self.isa();
         observe_fused(&[&sdd, &dsd], || {
             let (sdd, dsd) = (self.stage(sdd), self.stage(dsd));
-            self.by_query_rows(&sdd, &dsd, ds, dq, |sbr, blocks| {
+            self.by_query_rows(&t, (batch, i), &sdd, &dsd, ds, dq, |sbr, blocks| {
                 let entries = st.row_entries(sbr);
                 let p = &probs[entries.start * bb..entries.end * bb];
                 row_grads(isa, st, sbr, scale, p, blocks);
@@ -643,33 +658,32 @@ impl<'a> AttentionCore<'a> {
         let dk_g = Self::group(
             (b, b, dh),
             Windows::transposed(ds, b, bb),
-            Windows::normal(q, d, dh),
-            (d, dh),
+            Windows::normal(&q[at..], dh, bd),
+            (dh, bd),
             &t.dsd_tn,
         );
         let dv_g = Self::group(
             (b, b, dh),
             Windows::transposed(probs, b, bb),
-            Windows::normal(dout, d, dh),
-            (d, dh),
+            Windows::normal(&dout[at..], dh, bd),
+            (dh, bd),
             &t.dsd_tn,
         );
         observe_fused(&[&dk_g, &dv_g], || {
             let (dk_s, dv_s) = (self.stage(dk_g), self.stage(dv_g));
-            let cover = |_: usize, r: Range<usize>| r.start * b * d..r.end * b * d;
+            let cover = |_: usize, r: Range<usize>| r.start * bd..r.end * bd;
             let grain = self.grain(2 * bb * dh);
-            let parts = vec![dk, dv];
+            let mut parts = self.item_rows(dk, batch, i);
+            parts.extend(self.item_rows(dv, batch, i));
             self.pool
                 .par_weighted_parts(parts, &t.col_blocks, grain, cover, |bcs, parts| {
-                    let base = bcs.start * b * d;
-                    for h in 0..self.heads {
+                    let (dks, dvs) = parts.split_at_mut(self.heads);
+                    for (h, (dk, dv)) in dks.iter_mut().zip(dvs.iter_mut()).enumerate() {
                         let sbcs = h * n + bcs.start..h * n + bcs.end;
-                        for (staged, out) in [&dk_s, &dv_s].into_iter().zip(parts.iter_mut()) {
+                        let base = (h * pitch + bcs.start) * bd;
+                        for (staged, out) in [(&dk_s, dk), (&dv_s, dv)] {
                             for sbc in sbcs.clone().filter(|&c| st.col_entries(c).is_empty()) {
-                                let rows = &mut out[(sbc - h * n) * b * d - base..][..b * d];
-                                for row in rows.chunks_exact_mut(d) {
-                                    row[h * dh..][..dh].fill(0.0);
-                                }
+                                out[(sbc - h * n - bcs.start) * bd..][..bd].fill(0.0);
                             }
                             staged.run(sbcs.clone(), out, base);
                         }

@@ -10,7 +10,7 @@
 
 use crate::mask::BlockMask;
 use lx_kernels::GemmTable;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Layout lookup table for a block-sparse matrix over an
 /// `n_brows × n_bcols` grid of `block_size × block_size` tiles.
@@ -212,16 +212,20 @@ impl BlockCsr {
     }
 }
 
-/// The operator tables of a stacked multi-head layout over activations that
-/// keep their heads in place: token-major `[s, heads·dh]`, head `h` the
-/// column window `h·dh`. Window `x·b·heads + h` — with stride `dh` and
-/// leading dimension `heads·dh` — is block-row (or block-column) `x` of
-/// head `h`, so Q, K, V and dO are read, and ctx, dQ, dK and dV written,
-/// where the projections keep them. Task order, C windows of the block data
-/// and the numbering of shared windows are those of the stacked layout's own
-/// tables, so every product keeps its accumulation order.
-#[derive(Debug, Clone)]
+/// The operator tables of a stacked multi-head layout over head-major
+/// activations: head `h` of a batch is one contiguous `[batch·s, dh]` panel,
+/// and a batch item's rows of it start `pitch` block-rows after the item's
+/// rows of head `h − 1`. Window `h·pitch + x` — with stride `b·dh` and
+/// leading dimension `dh`, counted from the item's rows of head 0 — is
+/// block-row (or block-column) `x` of head `h`, so Q, K, V and dO are read,
+/// and ctx, dQ, dK and dV written, as contiguous rows where the projections
+/// keep them. Task order, C windows of the block data and the numbering of
+/// shared windows are those of the stacked layout's own tables (which these
+/// are, at `pitch = s / b`), so every product keeps its accumulation order.
+#[derive(Debug)]
 pub(crate) struct HeadTables {
+    /// Block-rows from one head's panel to the next.
+    pitch: usize,
     /// `(query window, key window, entry)`, every block its own run.
     pub(crate) sdd: GemmTable,
     /// `(entry, key window, query window)`, one run per stacked block-row.
@@ -236,10 +240,10 @@ pub(crate) struct HeadTables {
 
 impl HeadTables {
     /// The tables of `stacked`, the block-diagonal stack of `heads` equal
-    /// grids.
-    fn new(stacked: &BlockCsr, heads: usize) -> Self {
-        let (b, n) = (stacked.block_size as u32, (stacked.n_brows / heads) as u32);
-        let window = |x: u32| (x % n) * b * heads as u32 + x / n;
+    /// grids, over head panels `pitch` block-rows apart.
+    fn new(stacked: &BlockCsr, heads: usize, pitch: usize) -> Self {
+        let n = (stacked.n_brows / heads) as u32;
+        let window = |x: u32| (x / n) * pitch as u32 + x % n;
         let csr = || entries(&stacked.row_ptr, &stacked.col_idx);
         let csc = entries(&stacked.col_ptr, &stacked.row_idx);
         let csc_to_csr = &stacked.csc_to_csr;
@@ -253,6 +257,7 @@ impl HeadTables {
             prefix
         };
         HeadTables {
+            pitch,
             sdd: GemmTable::each(csr().map(|(e, br, bc)| (window(br), window(bc), e))),
             dsd: GemmTable::new(
                 csr().map(|(e, br, bc)| (e, window(bc), window(br))),
@@ -283,7 +288,18 @@ pub struct MultiHeadLayout {
     /// Total elements across heads (`data_offsets.last() + last head len`).
     pub total_data_len: usize,
     stacked: OnceLock<Option<BlockCsr>>,
-    head_tables: OnceLock<Option<HeadTables>>,
+    head_tables: TableCache,
+}
+
+/// The [`HeadTables`] a layout has built, one per pitch asked for; a clone
+/// starts with the same tables.
+#[derive(Debug, Default)]
+struct TableCache(Mutex<Vec<Arc<HeadTables>>>);
+
+impl Clone for TableCache {
+    fn clone(&self) -> Self {
+        TableCache(Mutex::new(self.0.lock().expect("table cache").clone()))
+    }
 }
 
 impl MultiHeadLayout {
@@ -297,7 +313,7 @@ impl MultiHeadLayout {
         }
         MultiHeadLayout {
             stacked: OnceLock::new(),
-            head_tables: OnceLock::new(),
+            head_tables: TableCache::default(),
             heads,
             data_offsets,
             total_data_len: acc,
@@ -315,12 +331,18 @@ impl MultiHeadLayout {
             .as_ref()
     }
 
-    /// The tables of the [stacked](Self::stacked) layout over heads kept in
-    /// place ([`HeadTables`]), built on first use like the stack itself.
-    pub(crate) fn head_tables(&self) -> Option<&HeadTables> {
-        self.head_tables
-            .get_or_init(|| Some(HeadTables::new(self.stacked()?, self.n_heads())))
-            .as_ref()
+    /// The tables of the [stacked](Self::stacked) layout over head panels
+    /// `pitch` block-rows apart ([`HeadTables`]): built the first time a
+    /// launch asks for that pitch (one per batch size) and kept.
+    pub(crate) fn head_tables(&self, pitch: usize) -> Option<Arc<HeadTables>> {
+        let stacked = self.stacked()?;
+        let mut cache = self.head_tables.0.lock().expect("table cache");
+        if let Some(t) = cache.iter().find(|t| t.pitch == pitch) {
+            return Some(t.clone());
+        }
+        let t = Arc::new(HeadTables::new(stacked, self.n_heads(), pitch));
+        cache.push(t.clone());
+        Some(t)
     }
 
     pub fn n_heads(&self) -> usize {

@@ -180,12 +180,15 @@ pub fn add_bias_rows(x: &mut Tensor, bias: &[f32]) {
     }
 }
 
-/// Column-sum of `dy` accumulated into `dbias` (+=).
-pub fn bias_grad_rows(dy: &Tensor, dbias: &mut [f32]) {
-    let c = dy.cols();
-    assert_eq!(c, dbias.len(), "bias grad width");
-    for r in 0..dy.rows() {
-        for (g, d) in dy.row(r).iter().zip(dbias.iter_mut()) {
+/// Column-sum of `dy`, rows of `dbias.len()` values, accumulated into
+/// `dbias` (+=), rows in order.
+pub fn bias_grad_rows(dy: &[f32], dbias: &mut [f32]) {
+    if dbias.is_empty() {
+        return;
+    }
+    assert_eq!(dy.len() % dbias.len(), 0, "bias grad width");
+    for row in dy.chunks_exact(dbias.len()) {
+        for (d, g) in dbias.iter_mut().zip(row) {
             *d += g;
         }
     }
@@ -323,7 +326,7 @@ mod tests {
         add_bias_rows(&mut x, &[1.0, 2.0]);
         assert_eq!(x.row(2), &[1.0, 2.0]);
         let mut db = vec![0.0; 2];
-        bias_grad_rows(&x, &mut db);
+        bias_grad_rows(x.as_slice(), &mut db);
         assert_eq!(db, vec![3.0, 6.0]);
     }
 }

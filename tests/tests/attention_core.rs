@@ -7,7 +7,8 @@
 //! passes (`scores_to_probs`, `probs_backward`) between them, and the head
 //! copies merged back — on an explicit ISA arm, so every arm this host runs
 //! is checked in one process (arms it lacks are skipped loudly). The fused
-//! path runs heads in place on private pools of 1, 2 and 4 threads.
+//! path reads and writes head-major `[heads, B·S, dh]` panels, the layout
+//! the projections keep, on private pools of 1, 2 and 4 threads.
 //!
 //! Cases cover S = 64 and 512, 1, 4 and 8 heads, head widths that are and
 //! are not a whole register tile (B read in place or packed), batch 1 and
@@ -282,43 +283,72 @@ impl Case {
         [probs, merge(&ctx), dss, merge(&dq), merge(&dk), merge(&dv)]
     }
 
-    /// The fused core, heads in place, on `pool`.
+    /// The fused core on `pool`, over head-major `[heads, B·S, dh]` panels
+    /// of the same Q, K, V and dO, its outputs read back token-major.
     fn fused(&self, pool: &ThreadPool, isa: Isa) -> Outputs {
-        let (batch, seq, dh) = (self.batch, self.seq, self.dh);
-        let d = self.layout.n_heads() * dh;
+        let (batch, seq, dh, heads) = (self.batch, self.seq, self.dh, self.layout.n_heads());
         let total = self.layout.total_data_len;
         let core = AttentionCore::new(&self.layout, seq, dh).on(pool, Some(isa));
-        let [q, k, v, dout] = &self.qkvo;
+        let [q, k, v, dout] = self
+            .qkvo
+            .each_ref()
+            .map(|x| to_panels(x, batch * seq, heads, dh));
         let mut probs = vec![f32::NAN; batch * total];
         let mut dss = vec![f32::NAN; batch * total];
         let [mut ctx, mut dq, mut dk, mut dv] = [0; 4].map(|_| vec![f32::NAN; q.len()]);
-        let n = seq * d;
         for i in 0..batch {
-            let at = i * n..(i + 1) * n;
             core.forward(
-                &q[at.clone()],
-                &k[at.clone()],
-                &v[at.clone()],
+                i,
+                (&q, &k, &v),
                 self.scale(),
                 self.slopes.as_deref(),
                 &mut probs[i * total..(i + 1) * total],
-                &mut ctx[i * n..(i + 1) * n],
+                &mut ctx,
             );
             let mut ds = vec![f32::NAN; total];
             core.backward(
-                (&q[at.clone()], &k[at.clone()], &v[at.clone()]),
-                &dout[at.clone()],
+                i,
+                (&q, &k, &v),
+                &dout,
                 &probs[i * total..(i + 1) * total],
                 self.scale(),
                 &mut ds,
-                &mut dq[i * n..(i + 1) * n],
-                &mut dk[i * n..(i + 1) * n],
-                &mut dv[i * n..(i + 1) * n],
+                (&mut dq, &mut dk, &mut dv),
             );
             dss[i * total..(i + 1) * total].copy_from_slice(&ds);
         }
-        [probs, ctx, dss, dq, dk, dv]
+        let tokens = |x: &[f32]| from_panels(x, batch * seq, heads, dh);
+        [
+            probs,
+            tokens(&ctx),
+            dss,
+            tokens(&dq),
+            tokens(&dk),
+            tokens(&dv),
+        ]
     }
+}
+
+/// `[rows, h·dh] → [h, rows, dh]`: the head panels the core reads.
+fn to_panels(x: &[f32], rows: usize, heads: usize, dh: usize) -> Vec<f32> {
+    let mut out = vec![0.0; x.len()];
+    for h in 0..heads {
+        for r in 0..rows {
+            out[(h * rows + r) * dh..][..dh].copy_from_slice(&x[(r * heads + h) * dh..][..dh]);
+        }
+    }
+    out
+}
+
+/// Inverse of [`to_panels`].
+fn from_panels(x: &[f32], rows: usize, heads: usize, dh: usize) -> Vec<f32> {
+    let mut out = vec![0.0; x.len()];
+    for h in 0..heads {
+        for r in 0..rows {
+            out[(r * heads + h) * dh..][..dh].copy_from_slice(&x[(h * rows + r) * dh..][..dh]);
+        }
+    }
+    out
 }
 
 /// Per-head predicted layouts over `n` block-rows of edge 16: pattern-pool

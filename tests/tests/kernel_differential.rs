@@ -1363,6 +1363,9 @@ fn staged_runs_equal_the_grouped_launch_bitwise() {
     let deep = lx_kernels::current_policy().tiles.kc + 40;
     let mut groups = attention_groups(8, 24, &block_coords(5, 1101), 1101);
     groups.extend(attention_groups(4, deep, &block_coords(5, 1102), 1102));
+    // 16×16 score blocks over a packed K̃, A in place: the staged runs sweep
+    // a block-row's blocks in pairs.
+    groups.extend(attention_groups(16, 32, &block_coords(5, 1106), 1106));
     groups.extend(neuron_groups(37, 8, 40, &[0, 2, 3, 6], 1103));
     groups.extend(neuron_groups(13, 8, deep, &[0, 1, 3], 1104));
     groups.extend(neuron_groups(9, deep, 24, &[0, 2], 1105));
@@ -1602,4 +1605,354 @@ fn neuron_mlp_matches_oracle_at_packing_widths() {
         }
     }
     assert_close("fc2", &y, &expect);
+}
+
+/// One launch over `heads` windows, its tasks and runs built as the model's
+/// head-major products build them (`lx_model::linear`): an operand with a
+/// non-zero stride spans the heads, the others are one window; C spanning
+/// them is one run per head, otherwise the heads are one K-merged run. One
+/// head is the token-major product itself.
+#[allow(clippy::too_many_arguments)]
+fn heads_launch(
+    (pool, isa): (&ThreadPool, Option<Isa>),
+    heads: usize,
+    (m, k, n): (usize, usize, usize),
+    a: Windows<&[f32]>,
+    b: Windows<BOperand<'_>>,
+    c: &mut [f32],
+    (ldc, c_stride): (usize, usize),
+    beta: f32,
+    bias: Option<Bias<'_>>,
+) {
+    let spans = |stride: usize| u32::from(stride > 0);
+    let (sa, sb, sc) = (spans(a.stride), spans(b.stride), spans(c_stride));
+    let tasks = (0..heads as u32).map(|h| (h * sa, h * sb, h * sc));
+    let table = if sc == 1 {
+        GemmTable::each(tasks)
+    } else {
+        GemmTable::new(tasks, vec![0, heads as u32])
+    };
+    let g = GemmGroup {
+        m,
+        k,
+        n,
+        a,
+        b,
+        ldc,
+        c_stride,
+        beta,
+        table: &table,
+        bias,
+    };
+    PACKED.gemm_grouped_on(pool, isa, &g, c);
+}
+
+/// An f32 B operand stored as multiplied.
+fn act(v: &[f32], ld: usize, stride: usize) -> Windows<BOperand<'_>> {
+    Windows::normal(v, ld, stride)
+}
+
+/// `[rows, h·w] → [h, rows, w]`.
+fn to_panels(x: &[f32], rows: usize, heads: usize) -> Vec<f32> {
+    let w = x.len() / rows / heads;
+    let mut out = vec![0.0; x.len()];
+    for h in 0..heads {
+        for r in 0..rows {
+            out[(h * rows + r) * w..][..w].copy_from_slice(&x[(r * heads + h) * w..][..w]);
+        }
+    }
+    out
+}
+
+/// The head-major launches of attention's projections — q/k/v writing head
+/// panels with their bias slices, `wo` reading them K-merged, the input
+/// gradients (K-merged reads, head-panel writes), the weight gradients (per
+/// head column / row blocks) and LoRA's rank-r products — against the
+/// token-major products they replaced, **bitwise**: f32, f16 and NF4
+/// weights, every arm, pools of 1 and 2 threads, beta 0 and 1. A K-merged
+/// run is one accumulation chain across the heads, which is the token-major
+/// product's chain only while its whole depth (`d_model`) fits one k-block:
+/// `d ≤ KC` here, as on every workload (d_model 256 = KC).
+#[test]
+fn head_major_projection_launches_equal_the_token_major_products_bitwise() {
+    let pools = [1, 2].map(ThreadPool::new);
+    let (rows, d, heads, r) = (37, 64, 4, 8);
+    assert!(d <= lx_kernels::current_policy().tiles.kc, "d_model ≤ KC");
+    let dh = d / heads;
+    let panels = (dh, rows * dh);
+    let [x, dy, c0] = [1u64, 2, 3].map(|seed| randn_vec(rows * d, 1.0, seed));
+    let (bias, ax) = (randn_vec(d, 1.0, 4), randn_vec(rows * r, 1.0, 5));
+    let lora_b = randn_vec(d * r, 0.3, 6);
+    let (x_hm, dy_hm) = (to_panels(&x, rows, heads), to_panels(&dy, rows, heads));
+    let f32s = |v: &[f32]| -> Vec<f32> { v.to_vec() };
+    for kind in KINDS {
+        let w = BMat::random(kind, Layout::Normal, d, d, 7);
+        for pool in &pools {
+            for isa in arms() {
+                let at = (pool, isa);
+                let what =
+                    |case: &str| format!("{case} W {kind} {isa:?} threads={}", pool.threads());
+                let wn = |stride| Windows {
+                    data: w.operand(),
+                    ld: d,
+                    stride,
+                    layout: Layout::Normal,
+                };
+                let wt = |stride| Windows {
+                    data: w.operand(),
+                    ld: d,
+                    stride,
+                    layout: Layout::Transposed,
+                };
+                let bias_at = |stride| {
+                    Some(Bias {
+                        data: &bias,
+                        stride,
+                    })
+                };
+                // q/k/v: y = x·W + bias, run h writing panel h.
+                let mut want = f32s(&c0);
+                let xa = Windows::normal(&x[..], d, 0);
+                heads_launch(
+                    at,
+                    1,
+                    (rows, d, d),
+                    xa,
+                    wn(0),
+                    &mut want,
+                    (d, 0),
+                    0.0,
+                    bias_at(0),
+                );
+                let mut got = f32s(&c0);
+                let (mkn, c) = ((rows, d, dh), panels);
+                heads_launch(at, heads, mkn, xa, wn(dh), &mut got, c, 0.0, bias_at(dh));
+                assert_bits(&what("q/k/v y"), &got, &to_panels(&want, rows, heads));
+                for beta in [0.0, 1.0] {
+                    // q/k/v dx = beta·dx + dY·Wᵀ, dY read K-merged.
+                    let mut want = f32s(&c0);
+                    let dya = Windows::normal(&dy[..], d, 0);
+                    heads_launch(
+                        at,
+                        1,
+                        (rows, d, d),
+                        dya,
+                        wt(0),
+                        &mut want,
+                        (d, 0),
+                        beta,
+                        None,
+                    );
+                    let mut got = f32s(&c0);
+                    let dyh = Windows::normal(&dy_hm[..], dh, rows * dh);
+                    heads_launch(
+                        at,
+                        heads,
+                        (rows, dh, d),
+                        dyh,
+                        wt(dh),
+                        &mut got,
+                        (d, 0),
+                        beta,
+                        None,
+                    );
+                    assert_bits(&what(&format!("q/k/v dx beta={beta}")), &got, &want);
+                }
+                // wo: y = ctx·W + bias, ctx read K-merged; dctx = dY·Wᵀ
+                // written head-major.
+                let mut want = f32s(&c0);
+                let xh = Windows::normal(&x_hm[..], dh, rows * dh);
+                heads_launch(
+                    at,
+                    1,
+                    (rows, d, d),
+                    xa,
+                    wn(0),
+                    &mut want,
+                    (d, 0),
+                    0.0,
+                    bias_at(0),
+                );
+                let mut got = f32s(&c0);
+                let mkn = (rows, dh, d);
+                heads_launch(
+                    at,
+                    heads,
+                    mkn,
+                    xh,
+                    wn(dh * d),
+                    &mut got,
+                    (d, 0),
+                    0.0,
+                    bias_at(0),
+                );
+                assert_bits(&what("wo y"), &got, &want);
+                let mut want = f32s(&c0);
+                let dya = Windows::normal(&dy[..], d, 0);
+                heads_launch(
+                    at,
+                    1,
+                    (rows, d, d),
+                    dya,
+                    wt(0),
+                    &mut want,
+                    (d, 0),
+                    0.0,
+                    None,
+                );
+                let mut got = f32s(&c0);
+                heads_launch(
+                    at,
+                    heads,
+                    (rows, d, dh),
+                    dya,
+                    wt(dh * d),
+                    &mut got,
+                    panels,
+                    0.0,
+                    None,
+                );
+                assert_bits(&what("wo dctx"), &got, &to_panels(&want, rows, heads));
+                if kind != Dtype::F32 {
+                    continue;
+                }
+                // Activation-by-activation products: B is f32.
+                let w0 = vec![0.0f32; d * d];
+                // q/k/v dW = xᵀ·dY, column block h from panel h of dY.
+                let xt = Windows::transposed(&x[..], d, 0);
+                let mut want = w0.clone();
+                heads_launch(
+                    at,
+                    1,
+                    (d, rows, d),
+                    xt,
+                    act(&dy, d, 0),
+                    &mut want,
+                    (d, 0),
+                    0.0,
+                    None,
+                );
+                let mut got = w0.clone();
+                let dyp = act(&dy_hm, dh, rows * dh);
+                heads_launch(
+                    at,
+                    heads,
+                    (d, rows, dh),
+                    xt,
+                    dyp,
+                    &mut got,
+                    (d, dh),
+                    0.0,
+                    None,
+                );
+                assert_bits(&what("q/k/v dW"), &got, &want);
+                // wo dW = ctxᵀ·dY, row block h from panel h of ctx.
+                let mut got = w0.clone();
+                let ct = Windows::transposed(&x_hm[..], dh, rows * dh);
+                let mkn = (dh, rows, d);
+                heads_launch(
+                    at,
+                    heads,
+                    mkn,
+                    ct,
+                    act(&dy, d, 0),
+                    &mut got,
+                    (d, dh * d),
+                    0.0,
+                    None,
+                );
+                assert_bits(&what("wo dW"), &got, &want);
+                // LoRA on q/v: y += (s·ax)·Bᵀ into panels; d(ax) = dY·B
+                // read K-merged; dB = dYᵀ·ax, row block h from panel h.
+                let axw = Windows::normal(&ax[..], r, 0);
+                let bt = |stride| Windows {
+                    data: BOperand::F32(&lora_b),
+                    ld: r,
+                    stride,
+                    layout: Layout::Transposed,
+                };
+                let mut want = f32s(&c0);
+                heads_launch(
+                    at,
+                    1,
+                    (rows, r, d),
+                    axw,
+                    bt(0),
+                    &mut want,
+                    (d, 0),
+                    1.0,
+                    None,
+                );
+                let mut got = to_panels(&c0, rows, heads);
+                heads_launch(
+                    at,
+                    heads,
+                    (rows, r, dh),
+                    axw,
+                    bt(dh * r),
+                    &mut got,
+                    panels,
+                    1.0,
+                    None,
+                );
+                assert_bits(&what("lora y"), &got, &to_panels(&want, rows, heads));
+                let mut want = vec![0.0f32; rows * r];
+                let bn = |stride| act(&lora_b, r, stride);
+                let dya = Windows::normal(&dy[..], d, 0);
+                heads_launch(
+                    at,
+                    1,
+                    (rows, d, r),
+                    dya,
+                    bn(0),
+                    &mut want,
+                    (r, 0),
+                    0.0,
+                    None,
+                );
+                let mut got = vec![0.0f32; rows * r];
+                let dyh = Windows::normal(&dy_hm[..], dh, rows * dh);
+                heads_launch(
+                    at,
+                    heads,
+                    (rows, dh, r),
+                    dyh,
+                    bn(dh * r),
+                    &mut got,
+                    (r, 0),
+                    0.0,
+                    None,
+                );
+                assert_bits(&what("lora d(ax)"), &got, &want);
+                let mut want = vec![0.0f32; d * r];
+                let dyt = Windows::transposed(&dy[..], d, 0);
+                heads_launch(
+                    at,
+                    1,
+                    (d, rows, r),
+                    dyt,
+                    act(&ax, r, 0),
+                    &mut want,
+                    (r, 0),
+                    0.0,
+                    None,
+                );
+                let mut got = vec![0.0f32; d * r];
+                let dyt = Windows::transposed(&dy_hm[..], dh, rows * dh);
+                let c = (r, dh * r);
+                heads_launch(
+                    at,
+                    heads,
+                    (dh, rows, r),
+                    dyt,
+                    act(&ax, r, 0),
+                    &mut got,
+                    c,
+                    0.0,
+                    None,
+                );
+                assert_bits(&what("lora dB"), &got, &want);
+            }
+        }
+    }
 }
