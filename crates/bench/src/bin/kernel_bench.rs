@@ -571,9 +571,12 @@ fn main() {
     // benchmark's q/v shape, single-threaded on both legs. The two must agree
     // bit for bit (`s = α/r = 2` is exact).
     {
-        use lx_model::linear::Lora;
+        use lx_model::linear::{Lora, Side};
+        use lx_sparse::NeuronBlockSet;
         use lx_tensor::gemm::{matmul, matmul_tn};
         let (rows, d, r) = (512usize, 256usize, 8usize);
+        let tokens = NeuronBlockSet::all(1, d);
+        let side = Side::panels(&tokens);
         let label = "lora fwd+bwd 512x256 r=8";
         let pair = || {
             let mut l = Lora::new("bench", d, d, r, 16.0, 24, Layout::Transposed);
@@ -585,8 +588,8 @@ fn main() {
         let dy = Tensor::randn(&[rows, d], 1.0, 27);
         let y0 = Tensor::randn(&[rows, d], 1.0, 28);
         let fused = |l: &mut Lora, y: &mut Tensor, dx: &mut Tensor| {
-            l.forward(&x, y);
-            l.backward(&x, &dy, dx);
+            l.forward(&x, y, side, side);
+            l.backward(&x, &dy, dx, side, side);
         };
         let composed = |l: &mut Lora, y: &mut Tensor, dx: &mut Tensor| {
             let ax = matmul(&x, &l.a.value, Layout::Transposed);
@@ -761,16 +764,22 @@ fn main() {
     // the pool: report-only timing, bits asserted.
     {
         use lx_model::linear::Linear;
+        use lx_model::mha::MultiHeadAttention;
         let (rows, d, heads) = (512usize, 256usize, 8usize);
         let x = Tensor::randn(&[rows, d], 1.0, 34);
-        let mut lin = Linear::new("bench", d, d, true, 35);
+        // An attention layer's q projection and its token-major twin: the
+        // same seed gives the same weight.
+        let mut split = MultiHeadAttention::new("bench", d, heads, 35).wq;
+        let mut lin = Linear::new("bench.wq", d, d, true, 35);
         let bias = randn_vec(d, 0.5, 36);
-        lin.bias
-            .as_mut()
-            .expect("bias")
-            .value
-            .as_mut_slice()
-            .copy_from_slice(&bias);
+        for l in [&mut split, &mut lin] {
+            l.bias
+                .as_mut()
+                .expect("bias")
+                .value
+                .as_mut_slice()
+                .copy_from_slice(&bias);
+        }
         let token = lin.project(&x);
         let mut panels = vec![0.0f32; rows * d];
         let w = d / heads;
@@ -779,8 +788,8 @@ fn main() {
                 panels[(h * rows + t) * w..][..w].copy_from_slice(&src[h * w..][..w]);
             }
         }
-        let identical = lin
-            .project_heads(&x, heads)
+        let identical = split
+            .project(&x)
             .as_slice()
             .iter()
             .zip(&panels)
@@ -795,7 +804,7 @@ fn main() {
                     for _ in 0..gate_reps {
                         let t0 = Instant::now();
                         if heads_major {
-                            std::hint::black_box(lin.project_heads(&x, heads));
+                            std::hint::black_box(split.project(&x));
                         } else {
                             std::hint::black_box(lin.project(&x));
                         }

@@ -181,36 +181,6 @@ pub struct FinetuneEngine {
     pub calibrated: bool,
 }
 
-/// Resolve a [`StepMode`] to the engine's built-in policy object without
-/// borrowing the whole engine (the model is borrowed separately).
-macro_rules! policy_for_mode {
-    ($self:ident, $mode:expr, $policy:ident => $body:expr) => {{
-        match $mode {
-            StepMode::Dense => {
-                let $policy: &mut dyn SparsityPolicy = &mut $self.dense;
-                $body
-            }
-            StepMode::Sparse => {
-                assert!($self.calibrated, "calibrate() before sparse training");
-                let $policy: &mut dyn SparsityPolicy = &mut $self.predicted;
-                $body
-            }
-            StepMode::Oracle => {
-                let $policy: &mut dyn SparsityPolicy = &mut $self.oracle;
-                $body
-            }
-            StepMode::RandomAttn => {
-                let $policy: &mut dyn SparsityPolicy = &mut $self.random_attn;
-                $body
-            }
-            StepMode::RandomMlp => {
-                let $policy: &mut dyn SparsityPolicy = &mut $self.random_mlp;
-                $body
-            }
-        }
-    }};
-}
-
 /// One step through a policy: ask it for the plan source, compose the
 /// request (all `batches` as accumulated micro-batches), execute. `opt:
 /// None` runs an evaluation pass instead of a training step.
@@ -453,6 +423,25 @@ impl FinetuneEngine {
         (attn_samples, mlp_samples)
     }
 
+    /// The model and the built-in policy `mode` names, as disjoint borrows
+    /// of the engine's fields.
+    fn model_and_policy(
+        &mut self,
+        mode: StepMode,
+    ) -> (&mut TransformerModel, &mut dyn SparsityPolicy) {
+        let policy: &mut dyn SparsityPolicy = match mode {
+            StepMode::Dense => &mut self.dense,
+            StepMode::Sparse => {
+                assert!(self.calibrated, "calibrate() before sparse training");
+                &mut self.predicted
+            }
+            StepMode::Oracle => &mut self.oracle,
+            StepMode::RandomAttn => &mut self.random_attn,
+            StepMode::RandomMlp => &mut self.random_mlp,
+        };
+        (&mut self.model, policy)
+    }
+
     /// One timed training step in the given mode.
     pub fn train_step_mode(
         &mut self,
@@ -481,9 +470,8 @@ impl FinetuneEngine {
         opt: &mut dyn Optimizer,
         mode: StepMode,
     ) -> StepOutcome {
-        policy_for_mode!(self, mode, policy => {
-            step_with(&mut self.model, policy, batches, batch, seq, Some(opt), None)
-        })
+        let (model, policy) = self.model_and_policy(mode);
+        step_with(model, policy, batches, batch, seq, Some(opt), None)
     }
 
     /// Evaluation-only pass in the given mode: forward and loss under the
@@ -496,17 +484,9 @@ impl FinetuneEngine {
         seq: usize,
         mode: StepMode,
     ) -> StepOutcome {
-        policy_for_mode!(self, mode, policy => {
-            step_with(
-                &mut self.model,
-                policy,
-                &[MicroBatch { ids, targets }],
-                batch,
-                seq,
-                None,
-                None,
-            )
-        })
+        let (model, policy) = self.model_and_policy(mode);
+        let batches = [MicroBatch { ids, targets }];
+        step_with(model, policy, &batches, batch, seq, None, None)
     }
 
     /// Fused evaluation pass over several independent micro-batches
@@ -525,9 +505,8 @@ impl FinetuneEngine {
         mode: StepMode,
         prepare: Option<PrepareHook<'_>>,
     ) -> StepOutcome {
-        policy_for_mode!(self, mode, policy => {
-            step_with(&mut self.model, policy, batches, batch, seq, None, prepare)
-        })
+        let (model, policy) = self.model_and_policy(mode);
+        step_with(model, policy, batches, batch, seq, None, prepare)
     }
 
     /// Long Exposure step (predicted sparsity).

@@ -37,10 +37,10 @@ impl Adapter {
     }
 
     pub fn forward(&mut self, y: &Tensor) -> Tensor {
-        let h = self.down.forward(y);
+        let h = self.down.forward(y.clone());
         let mut hr = Tensor::scratch(h.shape());
         relu(h.as_slice(), hr.as_mut_slice());
-        let mut out = self.up.forward(&hr);
+        let mut out = self.up.forward(hr);
         out.add_assign(y);
         self.cache_h = Some(h);
         out

@@ -7,136 +7,97 @@
 //! §II-C: `dW` is skipped, `dA`/`dB` are computed from the same upstream
 //! gradient that the frozen path propagates to earlier layers.
 //!
-//! Either side of a `Linear` may be **head-major** (`Split`): the
-//! `[rows, width]` activation stored as `heads` contiguous `[rows, width/heads]`
-//! panels, head `h` holding columns `h·width/heads ..` — the layout the
-//! attention core reads and writes. Attention's q/k/v projections write
-//! their output that way and its output projection reads its input that way.
-//! Each product is then one grouped launch over the heads (`launch`): a
-//! head-major output is one run per head, writing its panel (with its bias
-//! slice); a head-major input is K-merged, one accumulation chain across the
-//! heads in head order. Every element keeps the chain of the token-major
+//! Every product here is one [`launch`] over the blocks of a
+//! [`NeuronBlockSet`] — the launch the MLP's neuron operators run, over the
+//! tables the set built once. Each activation is a [`Side`] of its product:
+//! token-major (one block), `heads` head panels (`NeuronBlockSet::all(heads,
+//! width/heads)`, head `h` one contiguous `[rows, width/heads]` panel: what
+//! the attention core reads and writes), or the compact columns of the
+//! sparse MLP's active neuron blocks. A `Linear` holds the sets of both its
+//! sides from construction — attention's q/k/v write head panels and its
+//! output projection reads them — and the MLP hands its plan's set to its
+//! [`Lora`]s. A split output is one run per head, writing its panel (with
+//! its bias slice); a split input is K-merged, one accumulation chain across
+//! the heads in head order. Every element keeps the chain of the token-major
 //! product, so results are bit for bit the same while the merged depth fits
-//! one k-block (`d_in ≤ KC`, 256).
+//! one k-block (`d_in ≤ KC`, 256). Every weight gradient (`dW`, LoRA's `dA`
+//! and `dB`) accumulates straight into its `Param::grad` with beta 1.
 
 use crate::param::Param;
-use lx_kernels::{BOperand, Bias, GemmGroup, GemmOp, GemmTable, Windows};
-use lx_sparse::neuron::{
-    active_cols, fc1_backward_input, fc1_grad_weights, fc2_forward, fc2_grad_weights,
-};
+use lx_kernels::{BOperand, Bias, GemmOp, Windows};
+use lx_sparse::neuron::launch;
 use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::Layout;
 use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
-/// How the input and output activations of a [`Linear`] (or its [`Lora`])
-/// are stored: `x` heads on the input, `y` on the output, one head being the
-/// token-major matrix. At most one side is split.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Split {
-    x: usize,
-    y: usize,
+/// How one activation of a [`Linear`] or [`Lora`] product — its input or
+/// its output — is stored over the blocks of a [`NeuronBlockSet`]: as head
+/// panels (block `i` one contiguous `[rows, block]` panel; one panel is the
+/// token-major matrix) or as compact columns (the active blocks side by side
+/// in every row: the sparse MLP's `rows × active_neurons` buffers).
+#[derive(Clone, Copy, Debug)]
+pub struct Side<'s> {
+    set: &'s NeuronBlockSet,
+    panels: bool,
 }
 
-impl Split {
-    /// Token-major on both sides.
-    const NONE: Split = Split { x: 1, y: 1 };
-
-    /// A head-major output of `heads` panels (attention's q/k/v).
-    fn output(heads: usize) -> Self {
-        Split { x: 1, y: heads }
+impl<'s> Side<'s> {
+    /// Head panels over the blocks of `set`.
+    pub fn panels(set: &'s NeuronBlockSet) -> Self {
+        Side { set, panels: true }
     }
 
-    /// A head-major input of `heads` panels (attention's output projection).
-    fn input(heads: usize) -> Self {
-        Split { x: heads, y: 1 }
+    /// Compact columns over the active blocks of `set`.
+    pub fn columns(set: &'s NeuronBlockSet) -> Self {
+        Side { set, panels: false }
     }
 
-    fn check(self, d_in: usize, d_out: usize) {
-        assert!(self.x == 1 || self.y == 1, "one side of a linear is split");
-        assert!(
-            d_in.is_multiple_of(self.x) && d_out.is_multiple_of(self.y),
-            "heads divide the width"
-        );
+    fn block(self) -> usize {
+        self.set.block_size
+    }
+
+    /// Stored width of one token's row.
+    fn width(self) -> usize {
+        self.set.active_neurons()
+    }
+
+    /// Token rows of an activation stored this way.
+    fn rows(self, t: &Tensor) -> usize {
+        match self.width() {
+            0 => t.shape()[0],
+            w => t.len() / w,
+        }
+    }
+
+    /// Offset of block 1 in a buffer whose blocks lie `block · ld` apart;
+    /// 0 for the one window of a token-major side.
+    fn step(self, ld: usize) -> usize {
+        if self.panels && self.set.n_blocks_total == 1 {
+            0
+        } else {
+            self.block() * ld
+        }
+    }
+
+    /// `(ld, stride)` of an activation of `rows` token rows.
+    fn act(self, rows: usize) -> (usize, usize) {
+        if self.panels {
+            (self.block(), self.step(rows))
+        } else {
+            (self.width(), self.step(1))
+        }
     }
 }
 
-/// `(ld, stride)` of an activation of `width` columns over `rows` tokens
-/// stored as `heads` panels: head `h` starts `h·stride` on, rows `ld` apart.
-/// One head is the token-major matrix, whose one window has stride 0.
-fn panels(heads: usize, rows: usize, width: usize) -> (usize, usize) {
-    if heads > 1 {
-        (width / heads, rows * width / heads)
-    } else {
-        (width, 0)
-    }
-}
-
-/// `C = beta·C + op(A)·op(B)`, then the bias, over `heads` equal windows of
-/// each operand: `m`, `k`, `n` are one window's extents, and an operand's
-/// window `h` starts `h·stride` on — a stride of 0 is the same window for
-/// every head. When C spans the heads (a non-zero `c_stride`) each head is
-/// its own run, writing its own C window; otherwise the heads cut `k` and
-/// form one run, which the kernel computes as one accumulation chain per C
-/// element across the heads in order — bit for bit the uncut product while
-/// its whole depth fits one k-block. One head is the plain product.
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    heads: usize,
-    (m, k, n): (usize, usize, usize),
-    a: Windows<&[f32]>,
-    b: Windows<BOperand<'_>>,
-    c: &mut [f32],
-    (ldc, c_stride): (usize, usize),
-    beta: f32,
-    bias: Option<Bias<'_>>,
-) {
-    let spans = |stride: usize| u32::from(stride > 0);
-    let (sa, sb, sc) = (spans(a.stride), spans(b.stride), spans(c_stride));
-    let tasks = (0..heads as u32).map(|h| (h * sa, h * sb, h * sc));
-    let table = if sc == 1 {
-        GemmTable::each(tasks)
-    } else {
-        GemmTable::new(tasks, vec![0, heads as u32])
-    };
-    let g = GemmGroup {
-        m,
-        k,
-        n,
-        a,
-        b,
-        ldc,
-        c_stride,
-        beta,
-        table: &table,
-        bias,
-    };
-    lx_kernels::backend().gemm_grouped(&g, c);
-}
-
-/// A B operand's windows for a launch over heads: `ld` its stored width,
-/// `block` the offset of window 1 (0 when it does not span the heads).
-fn stored(data: BOperand<'_>, layout: Layout, ld: usize, block: usize) -> Windows<BOperand<'_>> {
+/// Windows over `data` stored as `layout` says, `ld` wide, window `i`
+/// starting `i · stride` on — an A operand or a B operand.
+fn windows<D>(data: impl Into<D>, layout: Layout, (ld, stride): (usize, usize)) -> Windows<D> {
     Windows {
-        data,
+        data: data.into(),
         ld: ld.max(1),
-        stride: block,
+        stride,
         layout,
-    }
-}
-
-/// Add the bias gradient, the column sums of `dy`, to `dbias`; `dy` is
-/// stored as `heads` panels of `dbias.len() / heads` columns.
-fn bias_grad(dy: &[f32], heads: usize, dbias: &mut [f32]) {
-    let panel = dy.len() / heads;
-    if panel == 0 {
-        return;
-    }
-    for (dy, dbias) in dy
-        .chunks_exact(panel)
-        .zip(dbias.chunks_exact_mut(dbias.len() / heads))
-    {
-        bias_grad_rows(dy, dbias);
     }
 }
 
@@ -149,17 +110,18 @@ fn bias_grad(dy: &[f32], heads: usize, dbias: &mut [f32]) {
 /// input neuron `n`). The attach site fixes the orientation; it is part of
 /// the parameter's shape.
 ///
-/// On the neuron-sparse MLP path the neuron-major factor — FC1's `B`, FC2's
-/// `A` — runs on the grouped `lx_sparse::neuron` kernels with `d = r`, so an
-/// inactive neuron's row is neither read nor given a gradient (§II-D).
+/// Each of the six products is one launch over the blocks of its side: the
+/// input's for `x·Ã`, `dA` and `dx`, the output's for `y`, `d(ax)` and `dB`.
+/// On the neuron-sparse MLP the compact side's factor — FC1's `B`, FC2's
+/// `A` — is then read and given a gradient only in its active rows (§II-D).
 #[derive(Debug)]
 pub struct Lora {
     pub a: Param,
     pub b: Param,
     pub scale: f32,
     a_layout: Layout,
-    /// `x·Ã` of the last forward, consumed by the backward.
-    ax: Option<Tensor>,
+    /// `s·(x·Ã)` of the last forward, consumed by the backward.
+    sax: Option<Tensor>,
 }
 
 /// The other storage orientation.
@@ -168,13 +130,6 @@ fn transposed(layout: Layout) -> Layout {
         Layout::Normal => Layout::Transposed,
         Layout::Transposed => Layout::Normal,
     }
-}
-
-/// A `shape` tensor written in full by `kernel`.
-fn filled(shape: &[usize], kernel: impl FnOnce(&mut [f32])) -> Tensor {
-    let mut t = Tensor::scratch(shape);
-    kernel(t.as_mut_slice());
-    t
 }
 
 impl Lora {
@@ -204,7 +159,7 @@ impl Lora {
             ),
             scale: alpha / rank as f32,
             a_layout,
-            ax: None,
+            sax: None,
         }
     }
 
@@ -212,282 +167,138 @@ impl Lora {
         self.b.value.shape()[1]
     }
 
-    /// `y += s·(x·Ã)·Bᵀ`.
-    pub fn forward(&mut self, x: &Tensor, y: &mut Tensor) {
-        self.forward_over(x, y, None);
+    /// `y += s·(x·Ã)·Bᵀ`, `x` stored as `xs` says and `y` as `ys`. The
+    /// rank-r update rides the frozen product: `y` takes `(s·ax)·Bᵀ` as a
+    /// beta-1 accumulation, each element one `r`-long chain added once — no
+    /// `rows × d_out` scratch, no second pass over `y`. For `s` a power of
+    /// two, `s·ax` is exact and the sum is bit-identical to adding
+    /// `s·((x·Ã)·Bᵀ)`.
+    pub fn forward(&mut self, x: &Tensor, y: &mut Tensor, xs: Side<'_>, ys: Side<'_>) {
+        let mut sax = self.ax(x, xs);
+        sax.scale(self.scale);
+        self.add_up(&sax, y, ys);
+        self.sax = Some(sax);
     }
 
     /// Accumulates `dA` / `dB` into the trainable halves and adds the
-    /// adapter's share of the input gradient to `dx`.
-    pub fn backward(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor) {
-        self.backward_over(x, dy, dx, None);
-    }
-
-    /// The neuron-major factor `set` restricts: `A` when stored `[d_in, r]`
-    /// (FC2, compact input `x`), else `B` (FC1, compact output `y`). Returns
-    /// `(set for A, set for B)`.
-    fn split<'s>(
-        &self,
-        set: Option<&'s NeuronBlockSet>,
-    ) -> (Option<&'s NeuronBlockSet>, Option<&'s NeuronBlockSet>) {
-        match self.a_layout {
-            Layout::Normal => (set, None),
-            Layout::Transposed => (None, set),
+    /// adapter's share of the input gradient, `d(ax)·Ãᵀ`, to `dx` as a
+    /// beta-1 accumulation; `x`, `dy` and `dx` are stored as in the forward.
+    pub fn backward(
+        &mut self,
+        x: &Tensor,
+        dy: &Tensor,
+        dx: &mut Tensor,
+        xs: Side<'_>,
+        ys: Side<'_>,
+    ) {
+        let sax = self.sax.take().expect("LoRA backward without forward");
+        // d(ax) = s·dy·B
+        let mut dax = self.dax(dy, ys);
+        dax.scale(self.scale);
+        if self.b.trainable {
+            self.grad_b(dy, &sax, ys);
         }
+        if self.a.trainable {
+            self.grad_a(x, &dax, xs);
+        }
+        self.add_down(&dax, dx, xs);
     }
 
-    /// `(d_in, d_out)` of the adapted product.
-    fn dims(&self) -> (usize, usize) {
-        (self.a.value.len() / self.rank().max(1), self.b.value.rows())
-    }
-
-    /// `A`'s windows over `heads` blocks of its `d_in` side, read as
+    /// `A`'s windows over the blocks of the input side `xs`, read as
     /// `op(Ã)` (`k` of `x·Ã`) or, `transpose`d, as `op(Ãᵀ)` (`n` of
     /// `d(ax)·Ãᵀ`).
-    fn a_windows(&self, heads: usize, transpose: bool) -> Windows<BOperand<'_>> {
-        let (d_in, r) = (self.dims().0, self.rank());
-        let block = match (heads, self.a_layout) {
-            (1, _) => 0,
-            (_, Layout::Transposed) => d_in / heads,
-            (_, Layout::Normal) => d_in / heads * r,
+    fn a_windows(&self, xs: Side<'_>, transpose: bool) -> Windows<BOperand<'_>> {
+        let ld = self.a.value.cols();
+        let step = match self.a_layout {
+            Layout::Transposed => xs.step(1),
+            Layout::Normal => xs.step(ld),
         };
         let layout = if transpose {
             transposed(self.a_layout)
         } else {
             self.a_layout
         };
-        let ld = self.a.value.cols();
-        stored(self.a.value.as_slice().into(), layout, ld, block)
+        windows(self.a.value.as_slice(), layout, (ld, step))
     }
 
-    /// [`forward`](Self::forward) over the active neuron blocks of `set`
-    /// (every neuron when `None`). The rank-r update rides the frozen
-    /// product: `y` takes `(s·ax)·Bᵀ` as a beta-1 accumulation, each element
-    /// one `r`-long chain added once — no `rows × d_out` scratch, no second
-    /// pass over `y`. For `s` a power of two, `s·ax` is exact and the sum is
-    /// bit-identical to adding `s·((x·Ã)·Bᵀ)`.
-    pub(crate) fn forward_over(
-        &mut self,
-        x: &Tensor,
-        y: &mut Tensor,
-        set: Option<&NeuronBlockSet>,
-    ) {
-        let (a_set, b_set) = self.split(set);
-        if a_set.is_none() && b_set.is_none() {
-            return self.forward_split(x, y, Split::NONE);
-        }
-        let (rows, r) = (x.rows(), self.rank());
-        let (a, b) = (self.a.value.as_slice(), self.b.value.as_slice());
-        let ax = match a_set {
-            Some(set) => filled(&[rows, r], |ax| {
-                fc2_forward(x.as_slice(), rows, a, r, None, set, ax)
-            }),
-            None => self.ax(x, 1),
-        };
-        let sax = self.scaled(&ax);
-        match b_set {
-            Some(set) => active_cols(sax.as_slice(), rows, b, r, set, 1.0, y.as_mut_slice()),
-            None => self.add_up(&sax, y, 1),
-        }
-        self.ax = Some(ax);
+    /// `B`'s windows over the blocks of the output side `ys`.
+    fn b_windows(&self, ys: Side<'_>, layout: Layout) -> Windows<BOperand<'_>> {
+        let r = self.rank();
+        windows(self.b.value.as_slice(), layout, (r, ys.step(r)))
     }
 
-    /// `x·Ã`, `x` stored as `heads` panels (K-merged over them).
-    fn ax(&self, x: &Tensor, heads: usize) -> Tensor {
-        let (d_in, r) = (self.dims().0, self.rank());
-        let rows = x.len() / d_in.max(1);
-        filled(&[rows, r], |ax| {
-            let (ld, stride) = panels(heads, rows, d_in);
-            let x = Windows::normal(x.as_slice(), ld, stride);
-            let a = self.a_windows(heads, false);
-            launch(heads, (rows, d_in / heads, r), x, a, ax, (r, 0), 0.0, None)
-        })
+    /// `x·Ã`, K-merged over the blocks of `xs`.
+    fn ax(&self, x: &Tensor, xs: Side<'_>) -> Tensor {
+        let (rows, r) = (xs.rows(x), self.rank());
+        let mut ax = Tensor::scratch(&[rows, r]);
+        let x = windows(x.as_slice(), Layout::Normal, xs.act(rows));
+        let mkn = (rows, xs.block(), r);
+        let a = self.a_windows(xs, false);
+        launch(xs.set, mkn, x, a, ax.as_mut_slice(), (r, 0), 0.0, None);
+        ax
     }
 
-    /// `s·ax`.
-    fn scaled(&self, ax: &Tensor) -> Tensor {
-        filled(ax.shape(), |sax| {
-            for (o, &v) in sax.iter_mut().zip(ax.as_slice()) {
-                *o = self.scale * v;
-            }
-        })
+    /// `y += sax·Bᵀ`, one run per block of `ys`.
+    fn add_up(&self, sax: &Tensor, y: &mut Tensor, ys: Side<'_>) {
+        let (rows, r) = (sax.rows(), self.rank());
+        let sax = windows(sax.as_slice(), Layout::Normal, (r, 0));
+        let bt = self.b_windows(ys, Layout::Transposed);
+        let (mkn, c) = ((rows, r, ys.block()), ys.act(rows));
+        launch(ys.set, mkn, sax, bt, y.as_mut_slice(), c, 1.0, None);
     }
 
-    /// `y += sax·Bᵀ`, `y` stored as `heads` panels (one run per head).
-    fn add_up(&self, sax: &Tensor, y: &mut Tensor, heads: usize) {
-        let (rows, r, d_out) = (sax.rows(), self.rank(), self.dims().1);
-        let block = if heads > 1 { d_out / heads * r } else { 0 };
-        let bt = stored(self.b.value.as_slice().into(), Layout::Transposed, r, block);
-        let sax = Windows::normal(sax.as_slice(), r.max(1), 0);
-        let c = panels(heads, rows, d_out);
-        let mkn = (rows, r, d_out / heads);
-        launch(heads, mkn, sax, bt, y.as_mut_slice(), c, 1.0, None);
+    /// `dy·B`, K-merged over the blocks of `ys`.
+    fn dax(&self, dy: &Tensor, ys: Side<'_>) -> Tensor {
+        let (rows, r) = (ys.rows(dy), self.rank());
+        let mut dax = Tensor::scratch(&[rows, r]);
+        let dy = windows(dy.as_slice(), Layout::Normal, ys.act(rows));
+        let b = self.b_windows(ys, Layout::Normal);
+        let mkn = (rows, ys.block(), r);
+        launch(ys.set, mkn, dy, b, dax.as_mut_slice(), (r, 0), 0.0, None);
+        dax
     }
 
-    /// [`backward`](Self::backward) over the active neuron blocks of `set`,
-    /// compact on the same side as [`forward_over`](Self::forward_over).
-    /// Inactive rows of the neuron-major factor receive no gradient. The
-    /// adapter's share of `dx` is a beta-1 accumulation of `d(ax)·Ãᵀ`.
-    pub(crate) fn backward_over(
-        &mut self,
-        x: &Tensor,
-        dy: &Tensor,
-        dx: &mut Tensor,
-        set: Option<&NeuronBlockSet>,
-    ) {
-        let (a_set, b_set) = self.split(set);
-        if a_set.is_none() && b_set.is_none() {
-            return self.backward_split(x, dy, dx, Split::NONE);
-        }
-        let (rows, r) = (dy.rows(), self.rank());
-        let mut ax = self.ax.take().expect("LoRA backward without forward");
-        // d(ax) = s·dy·B
-        let b = self.b.value.as_slice();
-        let mut dax = match b_set {
-            Some(set) => filled(&[rows, r], |dax| {
-                fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
-            }),
-            None => self.dax(dy, 1),
-        };
-        dax.scale(self.scale);
-        // dB += s·dyᵀ·ax
-        if self.b.trainable {
-            match b_set {
-                Some(set) => {
-                    ax.scale(self.scale);
-                    let db = self.b.grad_mut().as_mut_slice();
-                    fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db);
-                }
-                None => self.grad_b(dy, &ax, 1),
-            }
-        }
-        // dA += d(ax)ᵀ·x, in A's storage orientation
-        if self.a.trainable {
-            match a_set {
-                Some(set) => {
-                    let da = self.a.grad_mut().as_mut_slice();
-                    fc2_grad_weights(x.as_slice(), dax.as_slice(), rows, r, set, da);
-                }
-                None => self.grad_a(x, &dax, 1),
-            }
-        }
-        // dx += d(ax)·Ãᵀ
-        match a_set {
-            Some(set) => {
-                let (a, out) = (self.a.value.as_slice(), dx.as_mut_slice());
-                active_cols(dax.as_slice(), rows, a, r, set, 1.0, out)
-            }
-            None => self.add_down(&dax, dx, 1),
-        }
+    /// `dB += dyᵀ·sax`, one run per block of `ys`.
+    fn grad_b(&mut self, dy: &Tensor, sax: &Tensor, ys: Side<'_>) {
+        let (rows, r) = (sax.rows(), self.rank());
+        let dy = windows(dy.as_slice(), Layout::Transposed, ys.act(rows));
+        let sax = windows(sax.as_slice(), Layout::Normal, (r, 0));
+        let db = self.b.grad_mut().as_mut_slice();
+        let c = (r, ys.step(r));
+        launch(ys.set, (ys.block(), rows, r), dy, sax, db, c, 1.0, None);
     }
 
-    /// The dense forward with `x` / `y` stored as `split` says.
-    fn forward_split(&mut self, x: &Tensor, y: &mut Tensor, split: Split) {
-        let ax = self.ax(x, split.x);
-        self.add_up(&self.scaled(&ax), y, split.y);
-        self.ax = Some(ax);
-    }
-
-    /// The dense backward with `x`, `dy` and `dx` stored as `split` says.
-    fn backward_split(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor, split: Split) {
-        let ax = self.ax.take().expect("LoRA backward without forward");
-        let mut dax = self.dax(dy, split.y);
-        dax.scale(self.scale);
-        if self.b.trainable {
-            self.grad_b(dy, &ax, split.y);
-        }
-        if self.a.trainable {
-            self.grad_a(x, &dax, split.x);
-        }
-        self.add_down(&dax, dx, split.x);
-    }
-
-    /// `dy·B`, `dy` stored as `heads` panels (K-merged over them).
-    fn dax(&self, dy: &Tensor, heads: usize) -> Tensor {
-        let (r, d_out) = (self.rank(), self.dims().1);
-        let rows = dy.len() / d_out.max(1);
-        filled(&[rows, r], |dax| {
-            let block = if heads > 1 { d_out / heads * r } else { 0 };
-            let b = stored(self.b.value.as_slice().into(), Layout::Normal, r, block);
-            let (ld, stride) = panels(heads, rows, d_out);
-            let dy = Windows::normal(dy.as_slice(), ld, stride);
-            launch(
-                heads,
-                (rows, d_out / heads, r),
-                dy,
-                b,
-                dax,
-                (r, 0),
-                0.0,
-                None,
-            )
-        })
-    }
-
-    /// `dB += s·dyᵀ·ax`, `dy` stored as `heads` panels (one run per head).
-    fn grad_b(&mut self, dy: &Tensor, ax: &Tensor, heads: usize) {
-        let (rows, r, d_out) = (ax.rows(), self.rank(), self.dims().1);
-        let mut db = filled(&[d_out, r], |db| {
-            let (ld, stride) = panels(heads, rows, d_out);
-            let dy = Windows::transposed(dy.as_slice(), ld, stride);
-            let ax = stored(ax.as_slice().into(), Layout::Normal, r, 0);
-            let c_stride = if heads > 1 { d_out / heads * r } else { 0 };
-            launch(
-                heads,
-                (d_out / heads, rows, r),
-                dy,
-                ax,
-                db,
-                (r, c_stride),
-                0.0,
-                None,
-            )
-        });
-        db.scale(self.scale);
-        self.b.accumulate_grad(&db);
-    }
-
-    /// `dA += d(ax)ᵀ·x` in A's storage orientation, `x` stored as `heads`
-    /// panels (one run per head).
-    fn grad_a(&mut self, x: &Tensor, dax: &Tensor, heads: usize) {
-        let (rows, r, d_in) = (dax.rows(), self.rank(), self.dims().0);
-        let (ld, stride) = panels(heads, rows, d_in);
-        let w = d_in / heads;
-        let da = filled(self.a.value.shape(), |da| match self.a_layout {
+    /// `dA += d(ax)ᵀ·x` in A's storage orientation, one run per block of
+    /// `xs`.
+    fn grad_a(&mut self, x: &Tensor, dax: &Tensor, xs: Side<'_>) {
+        let (rows, r, ld) = (dax.rows(), self.rank(), self.a.value.cols());
+        let x_act = xs.act(rows);
+        let da = self.a.grad_mut().as_mut_slice();
+        match self.a_layout {
             // [r, d_in] = d(ax)ᵀ · x
             Layout::Transposed => {
-                let dax = Windows::transposed(dax.as_slice(), r.max(1), 0);
-                let x = stored(x.as_slice().into(), Layout::Normal, ld, stride);
-                let c = (d_in.max(1), if heads > 1 { w } else { 0 });
-                launch(heads, (r, rows, w), dax, x, da, c, 0.0, None)
+                let dax = windows(dax.as_slice(), Layout::Transposed, (r, 0));
+                let x = windows(x.as_slice(), Layout::Normal, x_act);
+                let c = (ld.max(1), xs.step(1));
+                launch(xs.set, (r, rows, xs.block()), dax, x, da, c, 1.0, None)
             }
             // [d_in, r] = xᵀ · d(ax)
             Layout::Normal => {
-                let x = Windows::transposed(x.as_slice(), ld, stride);
-                let dax = stored(dax.as_slice().into(), Layout::Normal, r, 0);
-                let c = (r.max(1), if heads > 1 { w * r } else { 0 });
-                launch(heads, (w, rows, r), x, dax, da, c, 0.0, None)
+                let x = windows(x.as_slice(), Layout::Transposed, x_act);
+                let dax = windows(dax.as_slice(), Layout::Normal, (r, 0));
+                let c = (r.max(1), xs.step(r));
+                launch(xs.set, (xs.block(), rows, r), x, dax, da, c, 1.0, None)
             }
-        });
-        self.a.accumulate_grad(&da);
+        }
     }
 
-    /// `dx += d(ax)·Ãᵀ`, `dx` stored as `heads` panels (one run per head).
-    fn add_down(&self, dax: &Tensor, dx: &mut Tensor, heads: usize) {
-        let (rows, r, d_in) = (dax.rows(), self.rank(), self.dims().0);
-        let at = self.a_windows(heads, true);
-        let dax = Windows::normal(dax.as_slice(), r.max(1), 0);
-        let c = panels(heads, rows, d_in);
-        launch(
-            heads,
-            (rows, r, d_in / heads),
-            dax,
-            at,
-            dx.as_mut_slice(),
-            c,
-            1.0,
-            None,
-        );
+    /// `dx += d(ax)·Ãᵀ`, one run per block of `xs`.
+    fn add_down(&self, dax: &Tensor, dx: &mut Tensor, xs: Side<'_>) {
+        let (rows, r) = (dax.rows(), self.rank());
+        let dax = windows(dax.as_slice(), Layout::Normal, (r, 0));
+        let at = self.a_windows(xs, true);
+        let (mkn, c) = ((rows, r, xs.block()), xs.act(rows));
+        launch(xs.set, mkn, dax, at, dx.as_mut_slice(), c, 1.0, None);
     }
 
     /// Fold `ΔW = s·Ã·Bᵀ` into the f32 weight `w` of the adapted linear,
@@ -523,19 +334,64 @@ impl Lora {
     }
 }
 
+/// The block sets of a [`Linear`]'s input and output: token-major (one
+/// block) or head panels, at most one side split.
+#[derive(Debug)]
+struct Heads {
+    x: NeuronBlockSet,
+    y: NeuronBlockSet,
+}
+
+impl Heads {
+    /// `x` heads on the `d_in` wide input, `y` on the `d_out` wide output.
+    fn new(d_in: usize, d_out: usize, x: usize, y: usize) -> Self {
+        assert!(x == 1 || y == 1, "one side of a linear is split");
+        assert!(
+            d_in.is_multiple_of(x) && d_out.is_multiple_of(y),
+            "heads divide the width"
+        );
+        Heads {
+            x: NeuronBlockSet::all(x, d_in / x),
+            y: NeuronBlockSet::all(y, d_out / y),
+        }
+    }
+
+    fn sides(&self) -> (Side<'_>, Side<'_>) {
+        (Side::panels(&self.x), Side::panels(&self.y))
+    }
+
+    /// The set every product launches over: the split side's.
+    fn split(&self) -> &NeuronBlockSet {
+        if self.x.n_blocks_total > 1 {
+            &self.x
+        } else {
+            &self.y
+        }
+    }
+
+    /// Offset of block 1 of `W` and `dW` (`[d_in, d_out]`): a row block of a
+    /// split input or a column block of a split output — the token-major
+    /// side steps 0.
+    fn w_step(&self, d_out: usize) -> usize {
+        let (xs, ys) = self.sides();
+        xs.step(d_out) + ys.step(1)
+    }
+}
+
 /// `y = x·W (+ bias) (+ (α/r)·(x·Aᵀ)·Bᵀ)` with weight stored `d_in × d_out`.
 #[derive(Debug)]
 pub struct Linear {
     pub weight: Param,
     pub bias: Option<Param>,
     pub lora: Option<Lora>,
-    /// The input of the last [`forward`](Self::forward) and how it is
-    /// stored, consumed by the backward.
-    cache_x: Option<(Tensor, Split)>,
+    heads: Heads,
+    /// The input of the last [`forward`](Self::forward), consumed by the
+    /// backward.
+    cache_x: Option<Tensor>,
 }
 
 impl Linear {
-    /// Xavier-ish init, bias zero, no LoRA.
+    /// Xavier-ish init, bias zero, no LoRA, token-major on both sides.
     pub fn new(name: &str, d_in: usize, d_out: usize, with_bias: bool, seed: u64) -> Self {
         let std = (2.0 / (d_in + d_out) as f32).sqrt();
         Linear {
@@ -545,8 +401,16 @@ impl Linear {
             ),
             bias: with_bias.then(|| Param::frozen(format!("{name}.bias"), Tensor::zeros(&[d_out]))),
             lora: None,
+            heads: Heads::new(d_in, d_out, 1, 1),
             cache_x: None,
         }
+    }
+
+    /// Store the input as `x` head panels (`[x·rows, d_in/x]`) and the
+    /// output as `y` (`[y·rows, d_out/y]`); one is token-major, and at most
+    /// one side is split.
+    pub(crate) fn set_heads(&mut self, x: usize, y: usize) {
+        self.heads = Heads::new(self.d_in(), self.d_out(), x, y);
     }
 
     pub fn d_in(&self) -> usize {
@@ -571,96 +435,51 @@ impl Linear {
         ));
     }
 
-    pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let y = self.project(x);
-        self.cache_x = Some((x.clone(), Split::NONE));
+    /// [`project`](Self::project), caching `x` — taken by value, so without
+    /// a copy — for [`backward`](Self::backward).
+    pub fn forward(&mut self, x: Tensor) -> Tensor {
+        let y = self.project(&x);
+        self.cache_x = Some(x);
         y
     }
 
-    /// [`forward`](Self::forward) of an `x` stored as `heads` head panels
-    /// (`[heads·rows, d_in/heads]`), taken by value: the cache keeps it
-    /// without a copy, and [`backward`](Self::backward) returns `dx` stored
-    /// the same way.
-    pub fn forward_heads(&mut self, x: Tensor, heads: usize) -> Tensor {
-        let split = Split::input(heads);
-        let y = self.project_split(&x, split);
-        self.cache_x = Some((x, split));
-        y
-    }
-
-    /// The forward product without caching `x`, for a caller that keeps `x`
-    /// itself and hands it back to [`backward_into`](Self::backward_into)
-    /// (attention's q/k/v projections of one input).
+    /// `x · W + bias (+ LoRA)` without caching `x`, for a caller that keeps
+    /// `x` itself and hands it back to [`backward_into`](Self::backward_into)
+    /// (attention's q/k/v projections of one input). The weight is read in
+    /// whatever storage it lives in (decoded as it is packed), and each run
+    /// adds its slice of the bias in the launch's write-back.
     pub fn project(&mut self, x: &Tensor) -> Tensor {
-        self.project_split(x, Split::NONE)
-    }
-
-    /// [`project`](Self::project) into `heads` head panels:
-    /// `[heads·rows, d_out/heads]`, run `h` of one launch writing panel `h`
-    /// with its slice of the bias.
-    pub fn project_heads(&mut self, x: &Tensor, heads: usize) -> Tensor {
-        self.project_split(x, Split::output(heads))
-    }
-
-    /// `x · W + bias (+ LoRA)` with `x` and `y` stored as `split` says, the
-    /// weight in whatever storage it lives in (decoded as it is packed) and
-    /// the bias added in the launch's write-back.
-    fn project_split(&mut self, x: &Tensor, split: Split) -> Tensor {
         let (d_in, d_out) = (self.d_in(), self.d_out());
-        split.check(d_in, d_out);
         assert_eq!(x.len() % d_in.max(1), 0, "Linear::project: x");
         let rows = x.len() / d_in.max(1);
-        let heads = split.x * split.y;
-        let (dhi, dho) = (d_in / split.x, d_out / split.y);
-        let mut y = Tensor::scratch(&[rows * split.y, dho]);
-        let (ld, stride) = panels(split.x, rows, d_in);
-        let xw = Windows::normal(x.as_slice(), ld, stride);
+        let heads = &self.heads;
+        let (xs, ys) = heads.sides();
+        let mut y = Tensor::scratch(&[rows * ys.set.n_blocks_total, ys.block()]);
+        let xw = windows(x.as_slice(), Layout::Normal, xs.act(rows));
         let w = self.weight.b_ref();
-        let w = stored(w.operand(), Layout::Normal, d_out, self.w_block(split));
-        // Run `h` of a split output adds its own slice.
+        let w = windows(w.operand(), Layout::Normal, (d_out, heads.w_step(d_out)));
         let bias = self.bias.as_ref().map(|b| Bias {
             data: b.value.as_slice(),
-            stride: if split.y > 1 { dho } else { 0 },
+            stride: ys.step(1),
         });
-        let c = panels(split.y, rows, d_out);
-        launch(
-            heads,
-            (rows, dhi, dho),
-            xw,
-            w,
-            y.as_mut_slice(),
-            c,
-            0.0,
-            bias,
-        );
+        let mkn = (rows, xs.block(), ys.block());
+        let c = ys.act(rows);
+        launch(heads.split(), mkn, xw, w, y.as_mut_slice(), c, 0.0, bias);
         if let Some(lora) = &mut self.lora {
-            lora.forward_split(x, &mut y, split);
+            lora.forward(x, &mut y, xs, ys);
         }
         y
-    }
-
-    /// Offset of block 1 of W (and of dW) under `split`: row blocks of a
-    /// split input, column blocks of a split output, 0 for none.
-    fn w_block(&self, split: Split) -> usize {
-        let (d_in, d_out) = (self.d_in(), self.d_out());
-        if split.x > 1 {
-            d_in / split.x * d_out
-        } else if split.y > 1 {
-            d_out / split.y
-        } else {
-            0
-        }
     }
 
     /// Backward: returns `dx`, stored as the cached input was;
     /// accumulates grads into trainable params.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        let (x, split) = self
+        let x = self
             .cache_x
             .take()
             .expect("Linear::backward without forward");
         let mut dx = Tensor::scratch(x.shape());
-        self.backward_split(&x, dy, &mut dx, 0.0, split);
+        self.backward_into(&x, dy, &mut dx, 0.0);
         dx
     }
 
@@ -669,80 +488,35 @@ impl Linear {
     /// share — `beta = 1` sums the input gradients of several projections of
     /// one input in one buffer.
     pub fn backward_into(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor, beta: f32) {
-        self.backward_split(x, dy, dx, beta, Split::NONE)
-    }
-
-    /// [`backward_into`](Self::backward_into) of
-    /// [`project_heads`](Self::project_heads)`(x, heads)`: `dy` is stored as
-    /// `heads` head panels, `x` and `dx` token-major.
-    pub fn backward_heads_into(
-        &mut self,
-        x: &Tensor,
-        dy: &Tensor,
-        heads: usize,
-        dx: &mut Tensor,
-        beta: f32,
-    ) {
-        self.backward_split(x, dy, dx, beta, Split::output(heads))
-    }
-
-    fn backward_split(
-        &mut self,
-        x: &Tensor,
-        dy: &Tensor,
-        dx: &mut Tensor,
-        beta: f32,
-        split: Split,
-    ) {
         let (d_in, d_out) = (self.d_in(), self.d_out());
-        split.check(d_in, d_out);
         let rows = dy.len() / d_out.max(1);
         assert_eq!(dx.len(), rows * d_in, "Linear::backward: dx");
-        let heads = split.x * split.y;
-        let (dhi, dho) = (d_in / split.x, d_out / split.y);
-        let (x_ld, x_stride) = panels(split.x, rows, d_in);
-        let (dy_ld, dy_stride) = panels(split.y, rows, d_out);
-        let block = self.w_block(split);
+        let heads = &self.heads;
+        let (xs, ys) = heads.sides();
+        let (x_act, dy_act) = (xs.act(rows), ys.act(rows));
+        let step = heads.w_step(d_out);
         // dx = beta·dx + dy · Wᵀ
         let w = self.weight.b_ref();
-        let wt = stored(w.operand(), Layout::Transposed, d_out, block);
-        let dyw = Windows::normal(dy.as_slice(), dy_ld, dy_stride);
-        let c = (x_ld, x_stride);
-        launch(
-            heads,
-            (rows, dho, dhi),
-            dyw,
-            wt,
-            dx.as_mut_slice(),
-            c,
-            beta,
-            None,
-        );
+        let wt = windows(w.operand(), Layout::Transposed, (d_out, step));
+        let dyw = windows(dy.as_slice(), Layout::Normal, dy_act);
+        let (mkn, split) = ((rows, ys.block(), xs.block()), heads.split());
+        launch(split, mkn, dyw, wt, dx.as_mut_slice(), x_act, beta, None);
         if self.weight.trainable {
-            // dW = xᵀ · dy, block by block of W
-            let dw = filled(&[d_in, d_out], |dw| {
-                let xt = Windows::transposed(x.as_slice(), x_ld, x_stride);
-                let dy = stored(dy.as_slice().into(), Layout::Normal, dy_ld, dy_stride);
-                launch(
-                    heads,
-                    (dhi, rows, dho),
-                    xt,
-                    dy,
-                    dw,
-                    (d_out, block),
-                    0.0,
-                    None,
-                )
-            });
-            self.weight.accumulate_grad(&dw);
+            // dW += xᵀ · dy, block by block of W
+            let xt = windows(x.as_slice(), Layout::Transposed, x_act);
+            let dy = windows(dy.as_slice(), Layout::Normal, dy_act);
+            let dw = self.weight.grad_mut().as_mut_slice();
+            let mkn = (xs.block(), rows, ys.block());
+            launch(split, mkn, xt, dy, dw, (d_out, step), 1.0, None);
         }
         if let Some(bias) = &mut self.bias {
             if bias.trainable {
-                bias_grad(dy.as_slice(), split.y, bias.grad_mut().as_mut_slice());
+                let heads = ys.set.n_blocks_total;
+                bias_grad(dy.as_slice(), heads, bias.grad_mut().as_mut_slice());
             }
         }
         if let Some(lora) = &mut self.lora {
-            lora.backward_split(x, dy, dx, split);
+            lora.backward(x, dy, dx, xs, ys);
         }
     }
 
@@ -759,13 +533,31 @@ impl Linear {
     }
 }
 
+/// Add the bias gradient, the column sums of `dy`, to `dbias`; `dy` is
+/// stored as `heads` panels of `dbias.len() / heads` columns.
+fn bias_grad(dy: &[f32], heads: usize, dbias: &mut [f32]) {
+    let panel = dy.len() / heads;
+    if panel == 0 {
+        return;
+    }
+    for (dy, dbias) in dy
+        .chunks_exact(panel)
+        .zip(dbias.chunks_exact_mut(dbias.len() / heads))
+    {
+        bias_grad_rows(dy, dbias);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lx_sparse::neuron::{
+        active_cols, fc1_backward_input, fc1_grad_weights, fc2_forward, fc2_grad_weights,
+    };
     use lx_tensor::gemm::{matmul, matmul_tn};
 
     fn finite_diff_loss(lin: &mut Linear, x: &Tensor, dy: &Tensor) -> f32 {
-        let y = lin.forward(x);
+        let y = lin.project(x);
         y.as_slice()
             .iter()
             .zip(dy.as_slice())
@@ -778,7 +570,7 @@ mod tests {
         let mut lin = Linear::new("l", 4, 3, true, 1);
         lin.bias.as_mut().unwrap().value.as_mut_slice()[2] = 7.0;
         let x = Tensor::zeros(&[2, 4]);
-        let y = lin.forward(&x);
+        let y = lin.forward(x);
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(y.as_slice()[2], 7.0);
     }
@@ -787,7 +579,7 @@ mod tests {
     fn frozen_weight_gets_no_grad() {
         let mut lin = Linear::new("l", 4, 3, true, 2);
         let x = Tensor::randn(&[5, 4], 1.0, 3);
-        let y = lin.forward(&x);
+        let y = lin.forward(x);
         let dy = Tensor::randn(y.shape(), 1.0, 4);
         let _ = lin.backward(&dy);
         assert!(
@@ -802,7 +594,7 @@ mod tests {
         lin.weight.trainable = true;
         let x = Tensor::randn(&[4, 3], 1.0, 6);
         let dy = Tensor::randn(&[4, 2], 1.0, 7);
-        let _ = lin.forward(&x);
+        let _ = lin.forward(x.clone());
         let _ = lin.backward(&dy);
         let analytic = lin.weight.grad.as_ref().unwrap().clone();
         let h = 1e-3;
@@ -826,9 +618,9 @@ mod tests {
     fn lora_starts_as_identity_delta() {
         let mut plain = Linear::new("l", 6, 6, true, 8);
         let x = Tensor::randn(&[3, 6], 1.0, 9);
-        let y0 = plain.forward(&x);
+        let y0 = plain.project(&x);
         plain.attach_lora(2, 4.0, 10);
-        let y1 = plain.forward(&x);
+        let y1 = plain.project(&x);
         assert_eq!(y0, y1, "B=0 means LoRA is a no-op at init");
     }
 
@@ -844,7 +636,7 @@ mod tests {
         }
         let x = Tensor::randn(&[5, 4], 1.0, 14);
         let dy = Tensor::randn(&[5, 4], 1.0, 15);
-        let _ = lin.forward(&x);
+        let _ = lin.forward(x.clone());
         let _ = lin.backward(&dy);
         let da = lin.lora.as_ref().unwrap().a.grad.as_ref().unwrap().clone();
         let db = lin.lora.as_ref().unwrap().b.grad.as_ref().unwrap().clone();
@@ -882,7 +674,7 @@ mod tests {
         }
         let x = Tensor::randn(&[2, 4], 1.0, 19);
         let dy = Tensor::randn(&[2, 4], 1.0, 20);
-        let _ = lin.forward(&x);
+        let _ = lin.forward(x.clone());
         let dx = lin.backward(&dy);
         // Finite difference on x itself.
         let h = 1e-3;
@@ -898,11 +690,32 @@ mod tests {
         }
     }
 
+    /// A `shape` tensor written in full by `kernel`.
+    fn filled(shape: &[usize], kernel: impl FnOnce(&mut [f32])) -> Tensor {
+        let mut t = Tensor::zeros(shape);
+        kernel(t.as_mut_slice());
+        t
+    }
+
+    /// The neuron-major factor `set` restricts: `A` when stored `[d_in, r]`
+    /// (FC2, compact input `x`), else `B` (FC1, compact output `y`). Returns
+    /// `(set for A, set for B)`.
+    fn split<'s>(
+        l: &Lora,
+        set: Option<&'s NeuronBlockSet>,
+    ) -> (Option<&'s NeuronBlockSet>, Option<&'s NeuronBlockSet>) {
+        match l.a_layout {
+            Layout::Normal => (set, None),
+            Layout::Transposed => (None, set),
+        }
+    }
+
     /// The composition the fused operator replaced, kept as its oracle:
     /// `y += s·((x·Ã)·Bᵀ)` through a `rows × d_out` scratch and an axpy,
-    /// `dx += d(ax)·Ãᵀ` through a `rows × d_in` scratch and an add.
+    /// `dx += d(ax)·Ãᵀ` through a `rows × d_in` scratch and an add, over
+    /// token-major or compact neuron activations.
     fn composed_forward(l: &Lora, x: &Tensor, y: &mut Tensor, set: Option<&NeuronBlockSet>) {
-        let (a_set, b_set) = l.split(set);
+        let (a_set, b_set) = split(l, set);
         let (rows, r) = (x.rows(), l.rank());
         let (a, b) = (l.a.value.as_slice(), l.b.value.as_slice());
         let ax = match a_set {
@@ -921,7 +734,7 @@ mod tests {
     }
 
     /// The composed backward: `(dA, dB)` and the adapter's share of `dx`
-    /// added to `dx`.
+    /// added to `dx`. `dB` is `dyᵀ·(s·ax)`, `ax` scaled first.
     fn composed_backward(
         l: &Lora,
         x: &Tensor,
@@ -929,7 +742,7 @@ mod tests {
         dx: &mut Tensor,
         set: Option<&NeuronBlockSet>,
     ) -> (Tensor, Tensor) {
-        let (a_set, b_set) = l.split(set);
+        let (a_set, b_set) = split(l, set);
         let (rows, r) = (dy.rows(), l.rank());
         let (a, b) = (l.a.value.as_slice(), l.b.value.as_slice());
         let mut ax = match a_set {
@@ -945,21 +758,15 @@ mod tests {
             None => matmul(dy, &l.b.value, Layout::Normal),
         };
         dax.scale(l.scale);
-        let mut db = Tensor::zeros(l.b.value.shape());
-        match b_set {
-            Some(set) => {
-                ax.scale(l.scale);
-                let db = db.as_mut_slice();
-                fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db);
-            }
-            None => {
-                db = matmul_tn(dy, &ax);
-                db.scale(l.scale);
-            }
-        }
+        ax.scale(l.scale);
+        let db = match b_set {
+            Some(set) => filled(l.b.value.shape(), |db| {
+                fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db)
+            }),
+            None => matmul_tn(dy, &ax),
+        };
         let da = match (a_set, l.a_layout) {
             (Some(set), _) => filled(l.a.value.shape(), |da| {
-                da.fill(0.0);
                 fc2_grad_weights(x.as_slice(), dax.as_slice(), rows, r, set, da)
             }),
             (None, Layout::Transposed) => matmul_tn(&dax, x),
@@ -967,7 +774,7 @@ mod tests {
         };
         let dx_lora = match a_set {
             Some(set) => filled(dx.shape(), |d| {
-                active_cols(dax.as_slice(), rows, a, r, set, 0.0, d)
+                active_cols(dax.as_slice(), rows, a, r, set, d)
             }),
             None => matmul(&dax, &l.a.value, transposed(l.a_layout)),
         };
@@ -998,45 +805,64 @@ mod tests {
     }
 
     /// The fused rank-r operator against the composition it replaced, on
-    /// both `A` orientations, the dense and the neuron-sparse paths: `y`,
-    /// `dx`, `dA` and `dB` are bit-identical at `s = 2` (power-of-two scaling
-    /// is exact), and at `s = 1.7` only `y` moves, by ≤ 1e-6 relative. Every
-    /// product runs on the packed backend, whose beta-1 write-back adds each
-    /// chain once, so `dx` is bit-identical at both scales.
+    /// both `A` orientations and every kind of side: token-major, the
+    /// neuron-sparse MLP's compact columns (FC1's output, FC2's input), and
+    /// head panels on the input (as attention's `wo` reads them) or on the
+    /// output (as q/v write them), the oracle running over the token-major
+    /// matrices. `y`, `dx`, `dA` and `dB` are bit-identical at `s = 2`
+    /// (power-of-two scaling is exact), and at `s = 1.7` only `y` moves, by
+    /// ≤ 1e-6 relative. Every product runs on the packed backend, whose
+    /// beta-1 write-back adds each chain once, so `dx` is bit-identical at
+    /// both scales; `dB` is `dyᵀ·(s·ax)` on both sides. The head panels'
+    /// K-merged reads keep the token-major chain because `d ≤ KC`.
     #[test]
     fn fused_lora_matches_the_composition() {
-        let (rows, d, blk) = (128, 256, 16);
+        let (rows, d, blk, heads) = (128, 256, 16, 4);
+        assert!(d <= lx_kernels::current_policy().tiles.kc, "d ≤ KC");
         let set = NeuronBlockSet::from_indices(vec![0, 3, 4, 5, 9, 15], d / blk, blk);
         let width = set.active_neurons();
+        let tokens = NeuronBlockSet::all(1, d);
+        let panels = NeuronBlockSet::all(heads, d / heads);
+        let side = |kind: &str| match kind {
+            "tokens" => Side::panels(&tokens),
+            "neurons" => Side::columns(&set),
+            _ => Side::panels(&panels),
+        };
+        // A token-major matrix as the fused operator stores it.
+        let stored = |t: &Tensor, kind: &str| match kind {
+            "panels" => to_panels(t, heads),
+            _ => t.clone(),
+        };
         for (alpha, exact_y) in [(16.0, true), (13.6, false)] {
-            for (a_layout, sparse) in [
-                (Layout::Transposed, false),
-                (Layout::Normal, false),
-                (Layout::Transposed, true),
-                (Layout::Normal, true),
+            for (a_layout, xk, yk) in [
+                (Layout::Transposed, "tokens", "tokens"),
+                (Layout::Normal, "tokens", "tokens"),
+                (Layout::Transposed, "tokens", "neurons"),
+                (Layout::Normal, "neurons", "tokens"),
+                (Layout::Transposed, "panels", "tokens"),
+                (Layout::Transposed, "tokens", "panels"),
             ] {
-                let what = format!("s={} {a_layout:?} sparse={sparse}", alpha / 8.0);
-                let set = sparse.then_some(&set);
-                // FC1 (`A` transposed) is compact on its output, FC2 on its
-                // input.
-                let compact_in = sparse && a_layout == Layout::Normal;
-                let compact_out = sparse && a_layout == Layout::Transposed;
-                let x_cols = if compact_in { width } else { d };
-                let y_cols = if compact_out { width } else { d };
+                let what = format!("s={} {a_layout:?} x={xk} y={yk}", alpha / 8.0);
+                let set = (xk == "neurons" || yk == "neurons").then_some(&set);
+                let x_cols = if xk == "neurons" { width } else { d };
+                let y_cols = if yk == "neurons" { width } else { d };
                 let x = Tensor::randn(&[rows, x_cols], 1.0, 40);
                 let y0 = Tensor::randn(&[rows, y_cols], 1.0, 41);
                 let dy = Tensor::randn(&[rows, y_cols], 1.0, 42);
                 let dx0 = Tensor::randn(&[rows, x_cols], 1.0, 43);
 
                 let mut fused = lora(a_layout, d, d, alpha);
-                let (mut y, mut dx) = (y0.clone(), dx0.clone());
-                fused.forward_over(&x, &mut y, set);
-                fused.backward_over(&x, &dy, &mut dx, set);
+                let (xs, ys) = (side(xk), side(yk));
+                let (x_in, dy_in) = (stored(&x, xk), stored(&dy, yk));
+                let (mut y, mut dx) = (stored(&y0, yk), stored(&dx0, xk));
+                fused.forward(&x_in, &mut y, xs, ys);
+                fused.backward(&x_in, &dy_in, &mut dx, xs, ys);
 
                 let oracle = lora(a_layout, d, d, alpha);
                 let (mut y_want, mut dx_want) = (y0, dx0);
                 composed_forward(&oracle, &x, &mut y_want, set);
                 let (da, db) = composed_backward(&oracle, &x, &dy, &mut dx_want, set);
+                let (y_want, dx_want) = (stored(&y_want, yk), stored(&dx_want, xk));
 
                 if exact_y {
                     assert_bits(&format!("{what} y"), &y, &y_want);
@@ -1063,7 +889,7 @@ mod tests {
             lin.lora = Some(lora(Layout::Transposed, d, d, 16.0));
             let x = Tensor::randn(&[rows, d], 1.0, 51);
             let dy = Tensor::randn(&[rows, d], 1.0, 52);
-            let y = lin.forward(&x);
+            let y = lin.forward(x.clone());
             let dx = lin.backward(&dy);
 
             let oracle = lora(Layout::Transposed, d, d, 16.0);
@@ -1154,13 +980,14 @@ mod tests {
                 };
                 // Head-major output, as q/k/v write it.
                 let (mut token, mut split) = (build(dtype), build(dtype));
+                split.set_heads(1, heads);
                 run(&mut || {
                     let y = token.project(&x);
-                    let yh = split.project_heads(&x, heads);
+                    let yh = split.project(&x);
                     assert_bits(&what("q/k/v y"), &yh, &to_panels(&y, heads));
                     let (mut dx, mut dxh) = (dx0.clone(), dx0.clone());
                     token.backward_into(&x, &dy, &mut dx, 1.0);
-                    split.backward_heads_into(&x, &to_panels(&dy, heads), heads, &mut dxh, 1.0);
+                    split.backward_into(&x, &to_panels(&dy, heads), &mut dxh, 1.0);
                     assert_bits(&what("q/k/v dx"), &dxh, &dx);
                 });
                 for (i, (g, gh)) in grads(&mut token).iter().zip(grads(&mut split)).enumerate() {
@@ -1172,9 +999,10 @@ mod tests {
                 }
                 // Head-major input, as `wo` reads it.
                 let (mut token, mut split) = (build(dtype), build(dtype));
+                split.set_heads(heads, 1);
                 run(&mut || {
-                    let y = token.forward(&x);
-                    let yh = split.forward_heads(to_panels(&x, heads), heads);
+                    let y = token.forward(x.clone());
+                    let yh = split.forward(to_panels(&x, heads));
                     assert_bits(&what("wo y"), &yh, &y);
                     let dx = token.backward(&dy);
                     let dxh = split.backward(&dy);

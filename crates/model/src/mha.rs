@@ -79,11 +79,18 @@ struct AttnCache {
 impl MultiHeadAttention {
     pub fn new(name: &str, d_model: usize, n_heads: usize, seed: u64) -> Self {
         assert_eq!(d_model % n_heads, 0);
+        // q, k and v write head panels; `wo` reads them.
+        let linear = |which: &str, seed: u64, (x, y): (usize, usize)| {
+            let mut l = Linear::new(&format!("{name}.{which}"), d_model, d_model, true, seed);
+            l.set_heads(x, y);
+            l
+        };
+        let (out, inp) = ((1, n_heads), (n_heads, 1));
         MultiHeadAttention {
-            wq: Linear::new(&format!("{name}.wq"), d_model, d_model, true, seed),
-            wk: Linear::new(&format!("{name}.wk"), d_model, d_model, true, seed + 1),
-            wv: Linear::new(&format!("{name}.wv"), d_model, d_model, true, seed + 2),
-            wo: Linear::new(&format!("{name}.wo"), d_model, d_model, true, seed + 3),
+            wq: linear("wq", seed, out),
+            wk: linear("wk", seed + 1, out),
+            wv: linear("wv", seed + 2, out),
+            wo: linear("wo", seed + 3, inp),
             n_heads,
             head_dim: d_model / n_heads,
             alibi_slopes: None,
@@ -136,9 +143,9 @@ impl MultiHeadAttention {
         assert_eq!(layout.n_heads(), heads, "layout heads");
         // One input, three projections, each writing head-major panels: the
         // cache keeps `x` once for all three backward passes.
-        let q = self.wq.project_heads(&x, heads);
-        let k = self.wk.project_heads(&x, heads);
-        let v = self.wv.project_heads(&x, heads);
+        let q = self.wq.project(&x);
+        let k = self.wk.project(&x);
+        let v = self.wv.project(&x);
         let scale = 1.0 / (dh as f32).sqrt();
         // Every active block is overwritten by the score products, every
         // context row by the context products or zeroed.
@@ -157,7 +164,7 @@ impl MultiHeadAttention {
                 ctx.as_mut_slice(),
             );
         }
-        let y = self.wo.forward_heads(ctx, heads);
+        let y = self.wo.forward(ctx);
         self.cache = Some(AttnCache {
             batch,
             seq,
@@ -177,7 +184,7 @@ impl MultiHeadAttention {
             .cache
             .take()
             .expect("attention backward without forward");
-        let (seq, heads, dh) = (cache.seq, self.n_heads, self.head_dim);
+        let (seq, dh) = (cache.seq, self.head_dim);
         let scale = 1.0 / (dh as f32).sqrt();
         // Head-major, as `wo` read ctx.
         let dctx = self.wo.backward(dy);
@@ -205,9 +212,9 @@ impl MultiHeadAttention {
         // One `dx`: the q projection writes it, k and v accumulate into it.
         let x = &cache.x;
         let mut dx = Tensor::scratch(x.shape());
-        self.wq.backward_heads_into(x, &dq, heads, &mut dx, 0.0);
-        self.wk.backward_heads_into(x, &dk, heads, &mut dx, 1.0);
-        self.wv.backward_heads_into(x, &dv, heads, &mut dx, 1.0);
+        self.wq.backward_into(x, &dq, &mut dx, 0.0);
+        self.wk.backward_into(x, &dk, &mut dx, 1.0);
+        self.wv.backward_into(x, &dv, &mut dx, 1.0);
         dx
     }
 
@@ -358,15 +365,24 @@ mod tests {
         probs: Tensor,
     }
 
+    /// Make `attn`'s projections token-major, parameters unchanged: the
+    /// oracles below split and merge heads themselves.
+    fn token_major(attn: &mut MultiHeadAttention) {
+        for lin in [&mut attn.wq, &mut attn.wk, &mut attn.wv, &mut attn.wo] {
+            lin.set_heads(1, 1);
+        }
+    }
+
     /// The reference attention: per (batch, head), the full S×S scores GEMM,
     /// the fused causal softmax and the context GEMM, through `attn`'s own
-    /// projections and parameters.
+    /// projections and parameters, made token-major.
     fn reference_forward(
         attn: &mut MultiHeadAttention,
         x: &Tensor,
         batch: usize,
         seq: usize,
     ) -> (Tensor, DenseOracle) {
+        token_major(attn);
         let (heads, dh) = (attn.n_heads, attn.head_dim);
         let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
         let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
@@ -387,7 +403,7 @@ mod tests {
                 gemm(seq, seq, dh, p, vs, rows_mut(&mut ctx, off, seq, dh), 0.0);
             }
         }
-        let y = attn.wo.forward(&merge_heads(&ctx, batch, seq, heads, dh));
+        let y = attn.wo.forward(merge_heads(&ctx, batch, seq, heads, dh));
         let r = DenseOracle {
             batch,
             seq,
@@ -594,8 +610,9 @@ mod tests {
 
         let mut attn = sharpened();
         let (heads, dh) = (attn.n_heads, attn.head_dim);
-        let q = split_heads(&attn.wq.project(&x), batch, seq, heads, dh);
-        let k = split_heads(&attn.wk.project(&x), batch, seq, heads, dh);
+        // One batch item: the head panels are `[h·S, dh]`.
+        let q = attn.wq.project(&x);
+        let k = attn.wk.project(&x);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut wide = 0;
         for row in 0..heads * seq {
@@ -662,11 +679,12 @@ mod tests {
     }
 
     /// The attention path before heads were stored head-major, kept as an
-    /// oracle: token-major projections, head-major copies of Q, K, V and dO,
-    /// the composed block operators over the stacked layout (which the fused
-    /// core over heads in place equalled bit for bit), the copies merged
-    /// back, and token-major `wo` / input-gradient products. Returns `y` and
-    /// `dx`; the gradients accumulate into `attn`'s parameters.
+    /// oracle: token-major projections (`attn`'s, made token-major),
+    /// head-major copies of Q, K, V and dO, the composed block operators over
+    /// the stacked layout (which the fused core over heads in place equalled
+    /// bit for bit), the copies merged back, and token-major `wo` /
+    /// input-gradient products. Returns `y` and `dx`; the gradients
+    /// accumulate into `attn`'s parameters.
     fn column_window_path(
         attn: &mut MultiHeadAttention,
         x: &Tensor,
@@ -676,6 +694,7 @@ mod tests {
     ) -> (Tensor, Tensor) {
         use lx_sparse::attention::CausalFill;
         use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt};
+        token_major(attn);
         let (heads, dh) = (attn.n_heads, attn.head_dim);
         let st = layout.stacked().expect("heads stack");
         let (span, total) = (heads * seq, layout.total_data_len);
@@ -696,7 +715,7 @@ mod tests {
             scores_to_probs(p, st, scale, attn.alibi_slopes.as_deref());
             dsd(p, vb, span, dh, st, rows_mut(&mut ctx, b * span, span, dh));
         }
-        let y = attn.wo.forward(&merge_heads(&ctx, batch, seq, heads, dh));
+        let y = attn.wo.forward(merge_heads(&ctx, batch, seq, heads, dh));
         let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);
         let [mut dq, mut dk, mut dv] = [0; 3].map(|_| Tensor::zeros(q.shape()));
         let mut ds = vec![0.0; total];

@@ -16,13 +16,15 @@
 //!
 //! LoRA can attach to both linears, as the same [`Lora`] pair `Linear` uses:
 //! FC1's `A` is `[r, d]` and its `B` neuron-major `[d_ff, r]`; FC2's `A` is
-//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. The neuron-major factor
-//! runs on the same grouped neuron kernels as the backbone slabs (with
-//! `d = r`), so only active-block rows participate — the paper's §II-D
-//! result that forward-inactive parameters receive no gradient.
+//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. Every rank-r product is one
+//! launch over the tables of the set of the side it touches — the plan's set
+//! on the compact neuron side, the `d_model` block built at construction on
+//! the token-major one — the launch the backbone slabs run (with `d = r`),
+//! so only active-block rows participate: the paper's §II-D result that
+//! forward-inactive parameters receive no gradient.
 
 use crate::config::Activation;
-use crate::linear::Lora;
+use crate::linear::{Lora, Side};
 use crate::param::Param;
 use lx_sparse::neuron::{
     active_cols, fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_forward,
@@ -51,6 +53,9 @@ pub struct MlpBlock {
     d_ff: usize,
     /// The dense plan: one block of all `d_ff` neurons.
     full: Arc<NeuronBlockSet>,
+    /// One block of `d_model`: the token-major side of the LoRA products,
+    /// FC1's input and FC2's output.
+    tokens: NeuronBlockSet,
     cache: Option<MlpCache>,
 }
 
@@ -85,6 +90,7 @@ impl MlpBlock {
             d_model,
             d_ff,
             full: Arc::new(NeuronBlockSet::all(1, d_ff)),
+            tokens: NeuronBlockSet::all(1, d_model),
             cache: None,
         }
     }
@@ -177,8 +183,9 @@ impl MlpBlock {
             &set,
             z.as_mut_slice(),
         );
+        let (tokens, neurons) = (Side::panels(&self.tokens), Side::columns(&set));
         if let Some(l) = &mut self.lora1 {
-            l.forward_over(&x, &mut z, Some(&set));
+            l.forward(&x, &mut z, tokens, neurons);
         }
         // The activation stays unfused: the backward reads `z`.
         let a = self.activate(&z);
@@ -193,7 +200,7 @@ impl MlpBlock {
             y.as_mut_slice(),
         );
         if let Some(l) = &mut self.lora2 {
-            l.forward_over(&a, &mut y, Some(&set));
+            l.forward(&a, &mut y, neurons, tokens);
         }
         self.cache = Some(MlpCache { x, z, a, set });
         y
@@ -211,11 +218,11 @@ impl MlpBlock {
             self.w2.b_ref().operand(),
             self.d_model,
             &set,
-            0.0,
             da.as_mut_slice(),
         );
+        let (tokens, neurons) = (Side::panels(&self.tokens), Side::columns(&set));
         if let Some(l) = &mut self.lora2 {
-            l.backward_over(&a, dy, &mut da, Some(&set));
+            l.backward(&a, dy, &mut da, neurons, tokens);
         }
         if self.b2.trainable {
             bias_grad_rows(dy.as_slice(), self.b2.grad_mut().as_mut_slice());
@@ -257,7 +264,7 @@ impl MlpBlock {
             );
         }
         if let Some(l) = &mut self.lora1 {
-            l.backward_over(&x, &dz, &mut dx, Some(&set));
+            l.backward(&x, &dz, &mut dx, tokens, neurons);
         }
         dx
     }
@@ -303,6 +310,14 @@ mod tests {
         Arc::new(NeuronBlockSet::all(FF / BLK, BLK))
     }
 
+    /// `d_model` and `d_ff` as one token-major block each.
+    fn token_major(m: &MlpBlock) -> (NeuronBlockSet, NeuronBlockSet) {
+        (
+            NeuronBlockSet::all(1, m.d_model),
+            NeuronBlockSet::all(1, m.d_ff),
+        )
+    }
+
     /// What the reference forward keeps for its backward.
     struct DenseOracle {
         x: Tensor,
@@ -313,18 +328,19 @@ mod tests {
     impl DenseOracle {
         /// The reference MLP through `m`'s own parameters: plain products
         /// over the stored weights, bias passes after them, the activation,
-        /// and LoRA's own dense path.
+        /// and LoRA over token-major activations.
         fn forward(m: &mut MlpBlock, x: &Tensor) -> (Tensor, Self) {
+            let (d, ff) = token_major(m);
             let mut z = m.w1.matmul(x, Layout::Transposed);
             add_bias_rows(&mut z, m.b1.value.as_slice());
             if let Some(l) = &mut m.lora1 {
-                l.forward(x, &mut z);
+                l.forward(x, &mut z, Side::panels(&d), Side::panels(&ff));
             }
             let a = m.activate(&z);
             let mut y = m.w2.matmul(&a, Layout::Normal);
             add_bias_rows(&mut y, m.b2.value.as_slice());
             if let Some(l) = &mut m.lora2 {
-                l.forward(&a, &mut y);
+                l.forward(&a, &mut y, Side::panels(&ff), Side::panels(&d));
             }
             let oracle = DenseOracle { x: x.clone(), z, a };
             (y, oracle)
@@ -333,9 +349,10 @@ mod tests {
         /// The reference backward: accumulates into `m`'s gradients and
         /// returns `dx`.
         fn backward(self, m: &mut MlpBlock, dy: &Tensor) -> Tensor {
+            let (d, ff) = token_major(m);
             let mut da = m.w2.matmul(dy, Layout::Transposed);
             if let Some(l) = &mut m.lora2 {
-                l.backward(&self.a, dy, &mut da);
+                l.backward(&self.a, dy, &mut da, Side::panels(&ff), Side::panels(&d));
             }
             if m.b2.trainable {
                 bias_grad_rows(dy.as_slice(), m.b2.grad_mut().as_mut_slice());
@@ -352,7 +369,7 @@ mod tests {
             }
             let mut dx = m.w1.matmul(&dz, Layout::Normal);
             if let Some(l) = &mut m.lora1 {
-                l.backward(&self.x, &dz, &mut dx);
+                l.backward(&self.x, &dz, &mut dx, Side::panels(&d), Side::panels(&ff));
             }
             dx
         }
@@ -433,10 +450,8 @@ mod tests {
     #[test]
     fn dense_plan_lora_matches_the_oracle() {
         // LoRA on both FCs rides the same full-width block, at a scale
-        // (3 / 2) that is not a power of two. `y` and `dx` stay bitwise; the
-        // gradients may differ from LoRA's own dense path in the last bits,
-        // because the neuron path scales `ax` before FC1's `dB` product
-        // rather than after it.
+        // (3 / 2) that is not a power of two: `y`, `dx` and every LoRA
+        // gradient equal LoRA over token-major activations bit for bit.
         let x = Tensor::randn(&[ROWS, D], 1.0, 54);
         let dy = Tensor::randn(&[ROWS, D], 1.0, 55);
         let build = || {
@@ -455,7 +470,7 @@ mod tests {
         assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()), "dx");
         let grads = lora_grads(&plan).into_iter().zip(lora_grads(&reference));
         for (which, (g, g_ref)) in grads.enumerate() {
-            assert_close(g, g_ref, 1e-5, &format!("grad {which}"));
+            assert_eq!(bits(g), bits(g_ref), "grad {which}");
         }
     }
 

@@ -83,7 +83,8 @@ impl ThreadPool {
     /// names the sub-slice of `data` the items of `range` write; covers of
     /// successive ranges must be ascending and disjoint. Each task receives
     /// its item range and exactly that sub-slice. A total weight of at most
-    /// `min_weight` runs inline on the calling thread.
+    /// `min_weight` runs inline on the calling thread. This is
+    /// [`par_weighted_parts`](Self::par_weighted_parts) over one part.
     pub fn par_weighted<T, C, F>(
         &self,
         data: &mut [T],
@@ -96,22 +97,13 @@ impl ThreadPool {
         C: Fn(Range<usize>) -> Range<usize>,
         F: Fn(Range<usize>, &mut [T]) + Sync,
     {
-        let n = prefix.len().saturating_sub(1);
-        if n == 0 {
-            return;
-        }
-        let Some(ranges) = self.weighted_ranges(prefix, min_weight) else {
-            return body(0..n, &mut data[cover(0..n)]);
-        };
-        let body_ref = &body;
-        let mut rest = data;
-        let mut carved = 0usize;
-        let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
-        for items in ranges {
-            let head = carve(&mut rest, &mut carved, cover(items.clone()), &items);
-            tasks.push(Box::new(move || body_ref(items, head)));
-        }
-        self.run_scoped(tasks);
+        self.par_weighted_parts(
+            vec![data],
+            prefix,
+            min_weight,
+            |_, items| cover(items),
+            |items, parts| body(items, &mut *parts[0]),
+        )
     }
 
     /// [`par_weighted`](Self::par_weighted) over several output buffers at

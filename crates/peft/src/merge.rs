@@ -62,10 +62,10 @@ mod tests {
             l.b.value.as_mut_slice().copy_from_slice(&bv);
         }
         let x = Tensor::randn(&[4, 6], 1.0, 5);
-        let y_adapter = lin.forward(&x);
+        let y_adapter = lin.project(&x);
         merge_linear(&mut lin);
         assert!(lin.lora.is_none());
-        let y_merged = lin.forward(&x);
+        let y_merged = lin.project(&x);
         for (a, b) in y_adapter.as_slice().iter().zip(y_merged.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }

@@ -19,10 +19,11 @@
 //! read where it lies, each active slab decoded as the grouped launch packs
 //! it, so the products equal those over the decoded f32 weight bit for bit.
 //! Because each active slab is contiguous, each of the kernels below is
-//! **one** grouped GEMM
+//! **one** [`launch`]: one grouped GEMM
 //! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
 //! over an offset table the [`NeuronBlockSet`] built when it was
-//! constructed. With `ai` the position of active block `blk` in the set:
+//! constructed, picked by which operand the blocks do not span. With `ai`
+//! the position of active block `blk` in the set:
 //!
 //! ```text
 //!   table   (A, B, C) window    used by                                 shape
@@ -30,6 +31,12 @@
 //!   sum     (ai, blk, 0 )       fc2_forward, fc1_backward_input         C += A[:, ai] · W_blk
 //!   slabs   (ai, 0,   blk)      fc1_grad_weights, fc2_grad_weights      dW_blk += A[:, ai]ᵀ · B
 //! ```
+//!
+//! The same launch runs every product of `lx_model::linear`, over the same
+//! tables: attention's heads are [`NeuronBlockSet::all`]`(heads, d/heads)`,
+//! whose `cols` / `sum` / `slabs` tables are the per-head write, the
+//! K-merged read and the per-head weight gradient, and a LoRA pair's
+//! rank-r products run over the set of the side they touch.
 //!
 //! The compact activation matrix is addressed with `ld = active_width` and
 //! window stride `block`, a weight slab with its natural leading dimension
@@ -174,6 +181,61 @@ impl NeuronBlockSet {
     }
 }
 
+/// One grouped launch over the blocks of `set`, through the table it picks:
+/// `C = beta·C + op(A)·op(B)` on `m×k×n` windows, then the [`Bias`], where
+/// window `i` of an operand starts `i·stride` on. The operand that does not
+/// span the blocks — the one with stride 0 — names the table:
+///
+/// * a shared C: `sum`, one run K-merged across the blocks in order (bit for
+///   bit the uncut product while its depth fits one k-block);
+/// * else a shared A: `cols`, one run per block, each writing its C window;
+/// * else (a shared B): `slabs`, likewise one run per block.
+///
+/// The tables index the compact operand by `ai` and the full one by `blk`
+/// (module table); over [`NeuronBlockSet::all`] the two are one index, so any
+/// operand may take either role, and one block has one table whatever the
+/// strides. An empty set still writes its K-merged output: a `k = 0`
+/// product, which scales C by `beta` and adds the bias.
+#[allow(clippy::too_many_arguments)]
+pub fn launch(
+    set: &NeuronBlockSet,
+    (m, k, n): (usize, usize, usize),
+    a: Windows<&[f32]>,
+    b: Windows<BOperand<'_>>,
+    c: &mut [f32],
+    (ldc, c_stride): (usize, usize),
+    beta: f32,
+    bias: Option<Bias<'_>>,
+) {
+    let table = if c_stride == 0 {
+        if set.active.is_empty() {
+            let op = GemmOp {
+                bias: bias.map(|b| b.data),
+                ..GemmOp::nn(m, 0, n, &[], 0, BOperand::F32(&[]), n.max(1))
+            };
+            return lx_kernels::backend().gemm(&op, c, ldc.max(1), beta);
+        }
+        &set.sum
+    } else if a.stride == 0 {
+        &set.cols
+    } else {
+        &set.slabs
+    };
+    let g = GemmGroup {
+        m,
+        k,
+        n,
+        a,
+        b,
+        ldc,
+        c_stride,
+        beta,
+        table,
+        bias,
+    };
+    lx_kernels::backend().gemm_grouped(&g, c);
+}
+
 /// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1t[active[a]·b+t]⟩ (+ bias)`.
 ///
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
@@ -196,7 +258,7 @@ pub fn fc1_forward<'w>(
         data,
         stride: set.block_size,
     });
-    cols(x, rows, w1t.into(), d_in, set, 0.0, bias, z);
+    cols(x, rows, w1t.into(), d_in, set, bias, z);
 }
 
 /// FC2 forward: `y[r,:] = Σ_active a[r, blk]·w2_row(neuron) (+ bias)`.
@@ -230,8 +292,7 @@ pub fn fc2_forward<'w>(
 /// `out = Σ_active A[:, ai] · W_blk (+ bias)` over the compact `rows ×
 /// active` `a` and a `total_neurons × d` row-major `w`: one run of the `sum`
 /// table, its first task writing `out` (beta 0), the `d`-long bias added
-/// after its last. An empty set has no task to launch: it is a `k = 0`
-/// product, which zeroes `out` and adds the bias.
+/// after its last.
 fn active_sum(
     a: &[f32],
     rows: usize,
@@ -242,58 +303,42 @@ fn active_sum(
     out: &mut [f32],
 ) {
     let b = set.block_size;
-    if set.active.is_empty() {
-        let op = GemmOp {
-            bias,
-            ..GemmOp::nn(rows, 0, d, &[], 0, w, d)
-        };
-        return lx_kernels::backend().gemm(&op, out, d.max(1), 0.0);
-    }
-    lx_kernels::backend().gemm_grouped(
-        &GemmGroup {
-            m: rows,
-            k: b,
-            n: d,
-            a: Windows::normal(a, set.active_neurons(), b),
-            b: Windows::normal(w, d, b * d),
-            ldc: d,
-            c_stride: 0,
-            beta: 0.0,
-            table: &set.sum,
-            bias: bias.map(|data| Bias { data, stride: 0 }),
-        },
+    launch(
+        set,
+        (rows, b, d),
+        Windows::normal(a, set.active_neurons(), b),
+        Windows::normal(w, d, b * d),
         out,
+        (d, 0),
+        0.0,
+        bias.map(|data| Bias { data, stride: 0 }),
     );
 }
 
 /// The active columns of `X · Wᵀ` for a neuron-major `W` (`total_neurons ×
-/// d`, row `n` belonging to neuron `n`): `out[r, a·b+t] = beta·out +
-/// ⟨x_r, w[active[a]·b+t]⟩` over a compact `rows × active_neurons` output,
-/// one shared `X` window against each active slab. This is FC1's forward
-/// product (`W = W1ᵀ`), FC2's input gradient (`dA = dY · W2_activeᵀ`) and,
-/// with `beta = 1`, the rank-r LoRA updates into those compact buffers.
+/// d`, row `n` belonging to neuron `n`): `out[r, a·b+t] = ⟨x_r,
+/// w[active[a]·b+t]⟩` over a compact `rows × active_neurons` output, one
+/// shared `X` window against each active slab. This is FC1's forward
+/// product (`W = W1ᵀ`) and FC2's input gradient (`dA = dY · W2_activeᵀ`).
 pub fn active_cols<'w>(
     x: &[f32],
     rows: usize,
     w: impl Into<BOperand<'w>>,
     d: usize,
     set: &NeuronBlockSet,
-    beta: f32,
     out: &mut [f32],
 ) {
-    cols(x, rows, w.into(), d, set, beta, None, out)
+    cols(x, rows, w.into(), d, set, None, out)
 }
 
 /// [`active_cols`] with each block's [`Bias`] window added after its
 /// complete product.
-#[allow(clippy::too_many_arguments)]
 fn cols(
     x: &[f32],
     rows: usize,
     w: BOperand<'_>,
     d: usize,
     set: &NeuronBlockSet,
-    beta: f32,
     bias: Option<Bias<'_>>,
     out: &mut [f32],
 ) {
@@ -305,20 +350,15 @@ fn cols(
         "active cols: w is neurons×d"
     );
     assert_eq!(out.len(), rows * width, "active cols: out is rows×active");
-    lx_kernels::backend().gemm_grouped(
-        &GemmGroup {
-            m: rows,
-            k: d,
-            n: b,
-            a: Windows::normal(x, d, 0),
-            b: Windows::transposed(w, d, b * d),
-            ldc: width,
-            c_stride: b,
-            beta,
-            table: &set.cols,
-            bias,
-        },
+    launch(
+        set,
+        (rows, d, b),
+        Windows::normal(x, d, 0),
+        Windows::transposed(w, d, b * d),
         out,
+        (width, b),
+        0.0,
+        bias,
     );
 }
 
@@ -344,20 +384,15 @@ pub fn fc1_backward_input<'w>(
 /// `blk` owns the contiguous `b × d` slab of `dw`.
 fn grad_slabs(g: &[f32], x: &[f32], rows: usize, d: usize, set: &NeuronBlockSet, dw: &mut [f32]) {
     let b = set.block_size;
-    lx_kernels::backend().gemm_grouped(
-        &GemmGroup {
-            m: b,
-            k: rows,
-            n: d,
-            a: Windows::transposed(g, set.active_neurons(), b),
-            b: Windows::normal(x, d, 0),
-            ldc: d,
-            c_stride: b * d,
-            beta: 1.0,
-            table: &set.slabs,
-            bias: None,
-        },
+    launch(
+        set,
+        (b, rows, d),
+        Windows::transposed(g, set.active_neurons(), b),
+        Windows::normal(x, d, 0),
         dw,
+        (d, b * d),
+        1.0,
+        None,
     );
 }
 
@@ -625,7 +660,7 @@ mod tests {
         let dz = randn_vec(ROWS * width, 1.0, 15);
 
         let mut da = vec![0.0; ROWS * width];
-        active_cols(&dy, ROWS, &w2, D_OUT, &set, 0.0, &mut da);
+        active_cols(&dy, ROWS, &w2, D_OUT, &set, &mut da);
         // Oracle: dY · W2ᵀ then gather active columns.
         let mut da_full = vec![0.0; ROWS * H];
         for r in 0..ROWS {
