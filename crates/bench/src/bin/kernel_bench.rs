@@ -763,33 +763,29 @@ fn main() {
     // against the token-major product it replaced, single-threaded and on
     // the pool: report-only timing, bits asserted.
     {
-        use lx_model::linear::Linear;
-        use lx_model::mha::MultiHeadAttention;
+        use lx_model::linear::{Linear, NeuronBlockSet, Side};
         let (rows, d, heads) = (512usize, 256usize, 8usize);
         let x = Tensor::randn(&[rows, d], 1.0, 34);
-        // An attention layer's q projection and its token-major twin: the
-        // same seed gives the same weight.
-        let mut split = MultiHeadAttention::new("bench", d, heads, 35).wq;
+        // One projection with a nonzero bias, run over both output sides.
         let mut lin = Linear::new("bench.wq", d, d, true, 35);
         let bias = randn_vec(d, 0.5, 36);
-        for l in [&mut split, &mut lin] {
-            l.bias
-                .as_mut()
-                .expect("bias")
-                .value
-                .as_mut_slice()
-                .copy_from_slice(&bias);
-        }
-        let token = lin.project(&x);
+        let b = &mut lin.bias.as_mut().expect("bias").value;
+        b.as_mut_slice().copy_from_slice(&bias);
+        let (token_set, head_set) = (
+            NeuronBlockSet::all(1, d),
+            NeuronBlockSet::all(heads, d / heads),
+        );
+        let (t, h) = (Side::panels(&token_set), Side::panels(&head_set));
+        let token = lin.project(&x, t, t);
         let mut panels = vec![0.0f32; rows * d];
         let w = d / heads;
-        for (t, src) in token.as_slice().chunks_exact(d).enumerate() {
-            for h in 0..heads {
-                panels[(h * rows + t) * w..][..w].copy_from_slice(&src[h * w..][..w]);
+        for (r, src) in token.as_slice().chunks_exact(d).enumerate() {
+            for hd in 0..heads {
+                panels[(hd * rows + r) * w..][..w].copy_from_slice(&src[hd * w..][..w]);
             }
         }
-        let identical = split
-            .project(&x)
+        let identical = lin
+            .project(&x, t, h)
             .as_slice()
             .iter()
             .zip(&panels)
@@ -803,11 +799,8 @@ fn main() {
                     let mut best = f64::INFINITY;
                     for _ in 0..gate_reps {
                         let t0 = Instant::now();
-                        if heads_major {
-                            std::hint::black_box(split.project(&x));
-                        } else {
-                            std::hint::black_box(lin.project(&x));
-                        }
+                        let ys = if heads_major { h } else { t };
+                        std::hint::black_box(lin.project(&x, t, ys));
                         best = best.min(t0.elapsed().as_secs_f64());
                     }
                     best

@@ -15,8 +15,11 @@
 //! each, seq 32) and turns the run into a CI gate: every tenant must
 //! complete with finite losses and a per-step progress event stream that
 //! mirrors its final report, fusion must engage when enough eval tenants
-//! co-queue, and — only when the host exposes enough cores — replica-scaling
-//! floors must hold, else the exit code is non-zero.
+//! co-queue, and — only when the host exposes enough cores and a measured
+//! probe shows a second worker buys ≥ 1.3x on one fixed GEMM — replica-scaling
+//! floors must hold, else the exit code is non-zero. A floor it does not
+//! enforce is printed as a SKIP line with the core count and the probe's
+//! reading.
 //!
 //! `--precision f32|f16|nf4` picks the backbone storage plan
 //! (default f16, the production configuration).
@@ -32,9 +35,11 @@
 use long_exposure::engine::{EngineConfig, StepMode};
 use lx_bench::{fmt_ms, header, load_bench_json, row, sim_model, BenchCli, SIM_BLOCK};
 use lx_cluster::{ClusterConfig, ClusterScheduler, QosClass, QosQuotas};
+use lx_kernels::GemmOp;
 use lx_model::{ModelConfig, Precision};
 use lx_obs::TraceSession;
 use lx_serve::{AdapterRegistry, DatasetSpec, JobSpec, StepEvent};
+use lx_tensor::rng::randn_vec;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -121,6 +126,33 @@ fn scaling_floor(replicas: usize) -> Option<f64> {
     }
 }
 
+/// The probe reading below which no scaling floor is enforced.
+const PROBE_FLOOR: f64 = 1.3;
+
+/// What the pool's workers buy over one thread on a fixed 256³ GEMM (best of
+/// 15 each, after a warm-up), as `kernel_bench`'s `parallel scaling` row
+/// times it. `available_parallelism` counts vCPUs, and two vCPUs sharing
+/// one core read ~1x here.
+fn parallel_probe() -> f64 {
+    let n = 256;
+    let (a, b) = (randn_vec(n * n, 1.0, 11), randn_vec(n * n, 1.0, 12));
+    let op = GemmOp::nn(n, n, n, &a, n, &b[..], n);
+    let mut c = vec![0.0f32; n * n];
+    let mut time = || {
+        let be = lx_kernels::backend();
+        be.gemm(&op, &mut c, n, 0.0);
+        let mut best = f64::INFINITY;
+        for _ in 0..15 {
+            let t0 = Instant::now();
+            be.gemm(&op, &mut c, n, 0.0);
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        best
+    };
+    let t_seq = lx_kernels::with_sequential(&mut time);
+    t_seq / time()
+}
+
 /// The replica sweep. Emits exactly one collected table (the
 /// baseline/compare unit) and returns gate violations (enforced on --smoke).
 fn cluster_sweep(
@@ -135,6 +167,16 @@ fn cluster_sweep(
     // mean anything when that arm is the 1-replica baseline (a single-count
     // CI matrix arm gates completion and fusion, not scaling).
     let scaled_vs_one = replica_list.first() == Some(&1);
+    let probe = if scaled_vs_one && replica_list.iter().any(|&r| scaling_floor(r).is_some()) {
+        let p = parallel_probe();
+        println!(
+            "serve_throughput: parallel probe (256³ GEMM, pool ÷ 1 thread) reads {p:.2}x; \
+             scaling floors need ≥ {PROBE_FLOOR:.2}x"
+        );
+        p
+    } else {
+        0.0
+    };
     println!(
         "\n== cluster scaling sweep: {} tenants ({} Batch train + {} Interactive eval, fusable) \
          × {} steps, replicas {:?}, {} host core(s) ==",
@@ -270,7 +312,7 @@ fn cluster_sweep(
         } else {
             None
         };
-        let enforced = floor.is_some() && cores >= replicas;
+        let enforced = floor.is_some() && cores >= replicas && probe >= PROBE_FLOOR;
         if let Some(f) = floor {
             if enforced {
                 if speedup < f {
@@ -281,7 +323,8 @@ fn cluster_sweep(
             } else {
                 println!(
                     "serve_throughput: SKIP {replicas}-replica {f:.2}x scaling floor — host exposes \
-                     {cores} core(s)"
+                     {cores} core(s) and the parallel probe reads {probe:.2}x (floors need \
+                     {replicas} core(s) and ≥ {PROBE_FLOOR:.2}x)"
                 );
             }
         }

@@ -156,7 +156,7 @@ impl<'a> From<&'a [f32]> for BOperand<'a> {
 }
 
 /// Lets a `&Vec<f32>` weight pass where an `impl Into<BOperand>` is taken
-/// (the neuron operators' weight argument).
+/// (`fc1_forward` / `fc2_forward`'s weight argument).
 impl<'a> From<&'a Vec<f32>> for BOperand<'a> {
     fn from(b: &'a Vec<f32>) -> Self {
         BOperand::F32(b)

@@ -3,12 +3,13 @@
 
 use crate::config::{Activation, ModelConfig};
 use crate::layernorm::LayerNorm;
-use crate::linear::Linear;
+use crate::linear::{Linear, Side};
 use crate::mha::MultiHeadAttention;
 use crate::mlp::MlpBlock;
 use crate::model::LayerCapture;
 use crate::param::Param;
 use crate::plan::LayerPlan;
+use lx_sparse::NeuronBlockSet;
 use lx_tensor::ops::{relu, relu_backward};
 use lx_tensor::Tensor;
 
@@ -18,6 +19,10 @@ use lx_tensor::Tensor;
 pub struct Adapter {
     pub down: Linear,
     pub up: Linear,
+    /// `d_model` and the bottleneck as one token-major block each: the
+    /// sides of `down` and `up`.
+    model: NeuronBlockSet,
+    hidden: NeuronBlockSet,
     cache_h: Option<Tensor>, // pre-activation of the bottleneck
 }
 
@@ -32,15 +37,18 @@ impl Adapter {
         Adapter {
             down,
             up,
+            model: NeuronBlockSet::all(1, d_model),
+            hidden: NeuronBlockSet::all(1, bottleneck),
             cache_h: None,
         }
     }
 
     pub fn forward(&mut self, y: &Tensor) -> Tensor {
-        let h = self.down.forward(y.clone());
+        let (model, hidden) = (Side::panels(&self.model), Side::panels(&self.hidden));
+        let h = self.down.forward(y.clone(), model, hidden);
         let mut hr = Tensor::scratch(h.shape());
         relu(h.as_slice(), hr.as_mut_slice());
-        let mut out = self.up.forward(hr);
+        let mut out = self.up.forward(hr, hidden, model);
         out.add_assign(y);
         self.cache_h = Some(h);
         out
@@ -51,10 +59,11 @@ impl Adapter {
             .cache_h
             .take()
             .expect("Adapter backward without forward");
-        let dhr = self.up.backward(dout);
+        let (model, hidden) = (Side::panels(&self.model), Side::panels(&self.hidden));
+        let dhr = self.up.backward(dout, hidden, model);
         let mut dh = Tensor::scratch(h.shape());
         relu_backward(dhr.as_slice(), h.as_slice(), dh.as_mut_slice());
-        let mut dy = self.down.backward(&dh);
+        let mut dy = self.down.backward(&dh, model, hidden);
         dy.add_assign(dout); // residual path
         dy
     }
@@ -115,6 +124,14 @@ impl TransformerBlock {
     /// Retrieve (and clear) the capture recorded by the last armed forward.
     pub(crate) fn take_capture(&mut self) -> Option<LayerCapture> {
         self.captured.take()
+    }
+
+    /// The block's six projections, in LoRA target order: q, k, v, o, FC1,
+    /// FC2.
+    pub fn linears(&mut self) -> [&mut Linear; 6] {
+        let (attn, mlp) = (&mut self.attn, &mut self.mlp);
+        let (q, k, v, o) = (&mut attn.wq, &mut attn.wk, &mut attn.wv, &mut attn.wo);
+        [q, k, v, o, &mut mlp.fc1, &mut mlp.fc2]
     }
 
     pub fn attach_adapters(&mut self, d_model: usize, bottleneck: usize, seed: u64, layer: usize) {

@@ -1,6 +1,6 @@
-//! Dense linear layer with optional LoRA adapter, and [`Lora`] — the one
-//! rank-r pair every LoRA site in the model (`Linear`, MLP FC1 and FC2) and
-//! the merge path use.
+//! [`Linear`] — every projection of the model: attention's q, k, v and o,
+//! the adapters' down / up, and MLP FC1 and FC2 — and [`Lora`], the one
+//! rank-r pair every LoRA site and the merge path use.
 //!
 //! The backbone weight is typically frozen under PEFT; gradients then flow
 //! only into the low-rank pair `(A, B)` exactly as derived in the paper's
@@ -8,27 +8,30 @@
 //! gradient that the frozen path propagates to earlier layers.
 //!
 //! Every product here is one [`launch`] over the blocks of a
-//! [`NeuronBlockSet`] — the launch the MLP's neuron operators run, over the
-//! tables the set built once. Each activation is a [`Side`] of its product:
-//! token-major (one block), `heads` head panels (`NeuronBlockSet::all(heads,
-//! width/heads)`, head `h` one contiguous `[rows, width/heads]` panel: what
-//! the attention core reads and writes), or the compact columns of the
-//! sparse MLP's active neuron blocks. A `Linear` holds the sets of both its
-//! sides from construction — attention's q/k/v write head panels and its
-//! output projection reads them — and the MLP hands its plan's set to its
-//! [`Lora`]s. A split output is one run per head, writing its panel (with
-//! its bias slice); a split input is K-merged, one accumulation chain across
-//! the heads in head order. Every element keeps the chain of the token-major
+//! [`NeuronBlockSet`], through the tables the set built once. Each product
+//! takes the [`Side`] of its input and of its output: token-major (one
+//! block), `heads` head panels (`NeuronBlockSet::all(heads, width/heads)`,
+//! head `h` one contiguous `[rows, width/heads]` panel: what the attention
+//! core reads and writes), or the compact columns of the step's active
+//! neuron blocks (the MLP's plan, which no construction can fix). The
+//! caller owns the sets: attention's q/k/v write head panels and `wo` reads
+//! them; FC1 writes the plan's columns and FC2 reads them. A split output is
+//! one run per block, writing its window (with its bias window); a split
+//! input is K-merged, one accumulation chain across the blocks in order.
+//! Over head panels every element keeps the chain of the token-major
 //! product, so results are bit for bit the same while the merged depth fits
-//! one k-block (`d_in ≤ KC`, 256). Every weight gradient (`dW`, LoRA's `dA`
-//! and `dB`) accumulates straight into its `Param::grad` with beta 1.
+//! one k-block (`d_in ≤ KC`, 256). A neuron dimension is the row dimension
+//! of every matrix it indexes ([`Neurons`]), so an active neuron block is
+//! one contiguous slab of the weight (§VI-B). Every weight gradient (`dW`,
+//! LoRA's `dA` and `dB`) accumulates straight into its `Param::grad` with
+//! beta 1, and a trainable bias takes its gradient over the active blocks
+//! only.
 
 use crate::param::Param;
 use lx_kernels::{BOperand, Bias, GemmOp, Windows};
 use lx_sparse::neuron::launch;
-use lx_sparse::NeuronBlockSet;
+pub use lx_sparse::NeuronBlockSet;
 use lx_tensor::gemm::Layout;
-use lx_tensor::ops::bias_grad_rows;
 use lx_tensor::Tensor;
 
 /// How one activation of a [`Linear`] or [`Lora`] product — its input or
@@ -70,13 +73,27 @@ impl<'s> Side<'s> {
         }
     }
 
+    /// Shape of an activation of `rows` token rows stored this way.
+    fn shape(self, rows: usize) -> [usize; 2] {
+        if self.panels {
+            [rows * self.set.n_blocks_total, self.block()]
+        } else {
+            [rows, self.width()]
+        }
+    }
+
+    /// Whether the side's blocks lie apart: all but one token-major panel.
+    fn spans(self) -> bool {
+        !self.panels || self.set.n_blocks_total > 1
+    }
+
     /// Offset of block 1 in a buffer whose blocks lie `block · ld` apart;
     /// 0 for the one window of a token-major side.
     fn step(self, ld: usize) -> usize {
-        if self.panels && self.set.n_blocks_total == 1 {
-            0
-        } else {
+        if self.spans() {
             self.block() * ld
+        } else {
+            0
         }
     }
 
@@ -105,10 +122,10 @@ fn windows<D>(data: impl Into<D>, layout: Layout, (ld, stride): (usize, usize)) 
 /// down-projection and `B ∈ d_out×r`. `B` starts at zero so fine-tuning
 /// begins from the pre-trained function.
 ///
-/// `A` is stored `[r, d_in]` (`Layout::Transposed`: `Linear` and MLP FC1) or
-/// `[d_in, r]` (`Layout::Normal`: MLP FC2, whose row `n` then belongs to
-/// input neuron `n`). The attach site fixes the orientation; it is part of
-/// the parameter's shape.
+/// `A` is stored `[r, d_in]` (`Layout::Transposed`: attention, adapters,
+/// FC1) or `[d_in, r]` (`Layout::Normal`: FC2, whose row `n` then belongs to
+/// input neuron `n`). The linear's [`Neurons`] fix the orientation; it is
+/// part of the parameter's shape.
 ///
 /// Each of the six products is one launch over the blocks of its side: the
 /// input's for `x·Ã`, `dA` and `dx`, the output's for `y`, `d(ax)` and `dB`.
@@ -302,9 +319,9 @@ impl Lora {
     }
 
     /// Fold `ΔW = s·Ã·Bᵀ` into the f32 weight `w` of the adapted linear,
-    /// stored `[d_in, d_out]` (`Layout::Normal`: `Linear`, FC2) or
-    /// `[d_out, d_in]` (`Layout::Transposed`: neuron-major FC1) — one GEMM
-    /// accumulating into `w`.
+    /// stored `[d_in, d_out]` (`Layout::Normal`) or `[d_out, d_in]`
+    /// (`Layout::Transposed`: neuron-major FC1) — one GEMM accumulating into
+    /// `w`.
     pub fn fold_into(&self, w: &mut Tensor, w_layout: Layout) {
         let (a, r, d_out) = (self.a.value.as_slice(), self.rank(), self.b.value.rows());
         let d_in = a.len() / r;
@@ -334,94 +351,113 @@ impl Lora {
     }
 }
 
-/// The block sets of a [`Linear`]'s input and output: token-major (one
-/// block) or head panels, at most one side split.
-#[derive(Debug)]
-struct Heads {
-    x: NeuronBlockSet,
-    y: NeuronBlockSet,
+/// Which dimension of a [`Linear`] indexes MLP neurons, if either does. A
+/// neuron dimension is the row dimension of every matrix it indexes (§VI-B):
+/// an active neuron block is then one contiguous slab of the weight and of
+/// the LoRA factor on that side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Neurons {
+    /// Neither (attention, adapters): `W` is `[d_in, d_out]`, LoRA `A`
+    /// `[r, d_in]`.
+    None,
+    /// The input (FC2): `W` is `[d_in, d_out]`, LoRA `A` `[d_in, r]`.
+    Input,
+    /// The output (FC1): `W` is `[d_out, d_in]`; LoRA `B` is `[d_out, r]`,
+    /// as on every linear.
+    Output,
 }
 
-impl Heads {
-    /// `x` heads on the `d_in` wide input, `y` on the `d_out` wide output.
-    fn new(d_in: usize, d_out: usize, x: usize, y: usize) -> Self {
-        assert!(x == 1 || y == 1, "one side of a linear is split");
-        assert!(
-            d_in.is_multiple_of(x) && d_out.is_multiple_of(y),
-            "heads divide the width"
-        );
-        Heads {
-            x: NeuronBlockSet::all(x, d_in / x),
-            y: NeuronBlockSet::all(y, d_out / y),
+impl Neurons {
+    /// Storage of `W` relative to `x·W`.
+    fn weight_layout(self) -> Layout {
+        match self {
+            Neurons::Output => Layout::Transposed,
+            _ => Layout::Normal,
         }
     }
 
-    fn sides(&self) -> (Side<'_>, Side<'_>) {
-        (Side::panels(&self.x), Side::panels(&self.y))
-    }
-
-    /// The set every product launches over: the split side's.
-    fn split(&self) -> &NeuronBlockSet {
-        if self.x.n_blocks_total > 1 {
-            &self.x
-        } else {
-            &self.y
+    /// Storage of LoRA's `A` relative to `x·Ã`.
+    fn a_layout(self) -> Layout {
+        match self {
+            Neurons::Input => Layout::Normal,
+            _ => Layout::Transposed,
         }
-    }
-
-    /// Offset of block 1 of `W` and `dW` (`[d_in, d_out]`): a row block of a
-    /// split input or a column block of a split output — the token-major
-    /// side steps 0.
-    fn w_step(&self, d_out: usize) -> usize {
-        let (xs, ys) = self.sides();
-        xs.step(d_out) + ys.step(1)
     }
 }
 
-/// `y = x·W (+ bias) (+ (α/r)·(x·Aᵀ)·Bᵀ)` with weight stored `d_in × d_out`.
+/// `y = x·W (+ bias) (+ (α/r)·(x·Ã)·Bᵀ)`, `W` stored as its [`Neurons`]
+/// say. Each product takes the [`Side`]s of its input and output, and runs
+/// over the set of the side that spans blocks: head panels, the MLP's
+/// compact neuron columns, or — both token-major — either one-block set.
 #[derive(Debug)]
 pub struct Linear {
     pub weight: Param,
     pub bias: Option<Param>,
     pub lora: Option<Lora>,
-    heads: Heads,
+    neurons: Neurons,
     /// The input of the last [`forward`](Self::forward), consumed by the
     /// backward.
     cache_x: Option<Tensor>,
 }
 
 impl Linear {
-    /// Xavier-ish init, bias zero, no LoRA, token-major on both sides.
+    /// Xavier-ish init, bias zero, no LoRA: `{name}.weight` `[d_in, d_out]`
+    /// and `{name}.bias`.
     pub fn new(name: &str, d_in: usize, d_out: usize, with_bias: bool, seed: u64) -> Self {
+        let bias = with_bias.then(|| format!("{name}.bias"));
+        Self::named(
+            format!("{name}.weight"),
+            bias,
+            (d_in, d_out),
+            Neurons::None,
+            seed,
+        )
+    }
+
+    /// [`new`](Self::new) with the parameter names given and `W` stored as
+    /// `neurons` says (the MLP's `w1` / `b1` and `w2` / `b2`).
+    pub fn named(
+        weight: String,
+        bias: Option<String>,
+        (d_in, d_out): (usize, usize),
+        neurons: Neurons,
+        seed: u64,
+    ) -> Self {
         let std = (2.0 / (d_in + d_out) as f32).sqrt();
+        let shape = match neurons.weight_layout() {
+            Layout::Normal => [d_in, d_out],
+            Layout::Transposed => [d_out, d_in],
+        };
         Linear {
-            weight: Param::frozen(
-                format!("{name}.weight"),
-                Tensor::randn(&[d_in, d_out], std, seed),
-            ),
-            bias: with_bias.then(|| Param::frozen(format!("{name}.bias"), Tensor::zeros(&[d_out]))),
+            weight: Param::frozen(weight, Tensor::randn(&shape, std, seed)),
+            bias: bias.map(|name| Param::frozen(name, Tensor::zeros(&[d_out]))),
             lora: None,
-            heads: Heads::new(d_in, d_out, 1, 1),
+            neurons,
             cache_x: None,
         }
     }
 
-    /// Store the input as `x` head panels (`[x·rows, d_in/x]`) and the
-    /// output as `y` (`[y·rows, d_out/y]`); one is token-major, and at most
-    /// one side is split.
-    pub(crate) fn set_heads(&mut self, x: usize, y: usize) {
-        self.heads = Heads::new(self.d_in(), self.d_out(), x, y);
+    /// Storage of the weight relative to `x·W`: `Normal` is `[d_in, d_out]`.
+    pub fn weight_layout(&self) -> Layout {
+        self.neurons.weight_layout()
     }
 
     pub fn d_in(&self) -> usize {
-        self.weight.shape()[0]
+        match self.weight_layout() {
+            Layout::Normal => self.weight.shape()[0],
+            Layout::Transposed => self.weight.shape()[1],
+        }
     }
 
     pub fn d_out(&self) -> usize {
-        self.weight.shape()[1]
+        match self.weight_layout() {
+            Layout::Normal => self.weight.shape()[1],
+            Layout::Transposed => self.weight.shape()[0],
+        }
     }
 
-    /// Attach a LoRA adapter (marks it trainable; backbone stays as-is).
+    /// Attach a LoRA adapter (marks it trainable; backbone stays as-is),
+    /// named after the weight less its `.weight` suffix.
     pub fn attach_lora(&mut self, rank: usize, alpha: f32, seed: u64) {
         let name = self.weight.name.trim_end_matches(".weight").to_string();
         self.lora = Some(Lora::new(
@@ -431,40 +467,49 @@ impl Linear {
             rank,
             alpha,
             seed,
-            Layout::Transposed,
+            self.neurons.a_layout(),
         ));
+    }
+
+    /// `(ld, offset of block 1)` of `W` and `dW` over the blocks of `xs`
+    /// and `ys`: a block of the row dimension steps `ld`, one of the column
+    /// dimension 1, and a token-major side 0.
+    fn w_act(&self, xs: Side<'_>, ys: Side<'_>) -> (usize, usize) {
+        let ld = self.weight.shape()[1];
+        let (row, col) = match self.weight_layout() {
+            Layout::Normal => (xs, ys),
+            Layout::Transposed => (ys, xs),
+        };
+        (ld, row.step(ld) + col.step(1))
     }
 
     /// [`project`](Self::project), caching `x` — taken by value, so without
     /// a copy — for [`backward`](Self::backward).
-    pub fn forward(&mut self, x: Tensor) -> Tensor {
-        let y = self.project(&x);
+    pub fn forward(&mut self, x: Tensor, xs: Side<'_>, ys: Side<'_>) -> Tensor {
+        let y = self.project(&x, xs, ys);
         self.cache_x = Some(x);
         y
     }
 
-    /// `x · W + bias (+ LoRA)` without caching `x`, for a caller that keeps
-    /// `x` itself and hands it back to [`backward_into`](Self::backward_into)
-    /// (attention's q/k/v projections of one input). The weight is read in
-    /// whatever storage it lives in (decoded as it is packed), and each run
-    /// adds its slice of the bias in the launch's write-back.
-    pub fn project(&mut self, x: &Tensor) -> Tensor {
-        let (d_in, d_out) = (self.d_in(), self.d_out());
-        assert_eq!(x.len() % d_in.max(1), 0, "Linear::project: x");
-        let rows = x.len() / d_in.max(1);
-        let heads = &self.heads;
-        let (xs, ys) = heads.sides();
-        let mut y = Tensor::scratch(&[rows * ys.set.n_blocks_total, ys.block()]);
+    /// `x · W + bias (+ LoRA)` without caching `x`, `x` stored as `xs` says
+    /// and `y` as `ys`, for a caller that keeps `x` itself and hands it back
+    /// to [`backward_into`](Self::backward_into) (attention's q/k/v
+    /// projections of one input, the MLP). The weight is read in whatever
+    /// storage it lives in (decoded as it is packed), and each run adds its
+    /// window of the bias in the launch's write-back.
+    pub fn project(&mut self, x: &Tensor, xs: Side<'_>, ys: Side<'_>) -> Tensor {
+        let rows = xs.rows(x);
+        assert_eq!(x.len(), rows * xs.width(), "Linear::project: x");
+        let mut y = Tensor::scratch(&ys.shape(rows));
         let xw = windows(x.as_slice(), Layout::Normal, xs.act(rows));
         let w = self.weight.b_ref();
-        let w = windows(w.operand(), Layout::Normal, (d_out, heads.w_step(d_out)));
+        let w = windows(w.operand(), self.weight_layout(), self.w_act(xs, ys));
         let bias = self.bias.as_ref().map(|b| Bias {
             data: b.value.as_slice(),
             stride: ys.step(1),
         });
-        let mkn = (rows, xs.block(), ys.block());
-        let c = ys.act(rows);
-        launch(heads.split(), mkn, xw, w, y.as_mut_slice(), c, 0.0, bias);
+        let (mkn, c) = ((rows, xs.block(), ys.block()), ys.act(rows));
+        launch(spanned(xs, ys), mkn, xw, w, y.as_mut_slice(), c, 0.0, bias);
         if let Some(lora) = &mut self.lora {
             lora.forward(x, &mut y, xs, ys);
         }
@@ -473,46 +518,61 @@ impl Linear {
 
     /// Backward: returns `dx`, stored as the cached input was;
     /// accumulates grads into trainable params.
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    pub fn backward(&mut self, dy: &Tensor, xs: Side<'_>, ys: Side<'_>) -> Tensor {
         let x = self
             .cache_x
             .take()
             .expect("Linear::backward without forward");
         let mut dx = Tensor::scratch(x.shape());
-        self.backward_into(&x, dy, &mut dx, 0.0);
+        self.backward_into(&x, dy, &mut dx, 0.0, xs, ys);
         dx
     }
 
-    /// Backward of [`project`](Self::project)`(x)`: accumulates grads into
-    /// trainable params and writes `dx = beta·dx + dy·Wᵀ` plus the adapter's
-    /// share — `beta = 1` sums the input gradients of several projections of
-    /// one input in one buffer.
-    pub fn backward_into(&mut self, x: &Tensor, dy: &Tensor, dx: &mut Tensor, beta: f32) {
-        let (d_in, d_out) = (self.d_in(), self.d_out());
-        let rows = dy.len() / d_out.max(1);
-        assert_eq!(dx.len(), rows * d_in, "Linear::backward: dx");
-        let heads = &self.heads;
-        let (xs, ys) = heads.sides();
-        let (x_act, dy_act) = (xs.act(rows), ys.act(rows));
-        let step = heads.w_step(d_out);
+    /// Backward of [`project`](Self::project)`(x, xs, ys)`: accumulates
+    /// grads into trainable params and writes `dx = beta·dx + dy·Wᵀ` plus
+    /// the adapter's share — `beta = 1` sums the input gradients of several
+    /// projections of one input in one buffer.
+    pub fn backward_into(
+        &mut self,
+        x: &Tensor,
+        dy: &Tensor,
+        dx: &mut Tensor,
+        beta: f32,
+        xs: Side<'_>,
+        ys: Side<'_>,
+    ) {
+        let rows = ys.rows(dy);
+        assert_eq!(dx.len(), rows * xs.width(), "Linear::backward: dx");
+        let (set, x_act, dy_act) = (spanned(xs, ys), xs.act(rows), ys.act(rows));
         // dx = beta·dx + dy · Wᵀ
-        let w = self.weight.b_ref();
-        let wt = windows(w.operand(), Layout::Transposed, (d_out, step));
+        let (w, w_act) = (self.weight.b_ref(), self.w_act(xs, ys));
+        let wt = windows(w.operand(), transposed(self.weight_layout()), w_act);
         let dyw = windows(dy.as_slice(), Layout::Normal, dy_act);
-        let (mkn, split) = ((rows, ys.block(), xs.block()), heads.split());
-        launch(split, mkn, dyw, wt, dx.as_mut_slice(), x_act, beta, None);
+        let mkn = (rows, ys.block(), xs.block());
+        launch(set, mkn, dyw, wt, dx.as_mut_slice(), x_act, beta, None);
         if self.weight.trainable {
-            // dW += xᵀ · dy, block by block of W
-            let xt = windows(x.as_slice(), Layout::Transposed, x_act);
-            let dy = windows(dy.as_slice(), Layout::Normal, dy_act);
+            // dW += (row side)ᵀ · (column side), block by block of W
+            let ((ra, rs), (ca, cs)) = match self.weight_layout() {
+                Layout::Normal => ((x, xs), (dy, ys)),
+                Layout::Transposed => ((dy, ys), (x, xs)),
+            };
+            let at = windows(ra.as_slice(), Layout::Transposed, rs.act(rows));
+            let b = windows(ca.as_slice(), Layout::Normal, cs.act(rows));
             let dw = self.weight.grad_mut().as_mut_slice();
-            let mkn = (xs.block(), rows, ys.block());
-            launch(split, mkn, xt, dy, dw, (d_out, step), 1.0, None);
+            launch(
+                set,
+                (rs.block(), rows, cs.block()),
+                at,
+                b,
+                dw,
+                w_act,
+                1.0,
+                None,
+            );
         }
         if let Some(bias) = &mut self.bias {
             if bias.trainable {
-                let heads = ys.set.n_blocks_total;
-                bias_grad(dy.as_slice(), heads, bias.grad_mut().as_mut_slice());
+                bias_grad(dy.as_slice(), ys, rows, bias.grad_mut().as_mut_slice());
             }
         }
         if let Some(lora) = &mut self.lora {
@@ -533,31 +593,119 @@ impl Linear {
     }
 }
 
-/// Add the bias gradient, the column sums of `dy`, to `dbias`; `dy` is
-/// stored as `heads` panels of `dbias.len() / heads` columns.
-fn bias_grad(dy: &[f32], heads: usize, dbias: &mut [f32]) {
-    let panel = dy.len() / heads;
-    if panel == 0 {
-        return;
+/// The set a product of `xs` and `ys` launches over: the input's if it spans
+/// blocks (head panels or neuron columns), else the output's. At most one
+/// side spans blocks.
+fn spanned<'s>(xs: Side<'s>, ys: Side<'s>) -> &'s NeuronBlockSet {
+    assert!(!(xs.spans() && ys.spans()), "one side of a linear is split");
+    if xs.spans() {
+        xs.set
+    } else {
+        ys.set
     }
-    for (dy, dbias) in dy
-        .chunks_exact(panel)
-        .zip(dbias.chunks_exact_mut(dbias.len() / heads))
-    {
-        bias_grad_rows(dy, dbias);
+}
+
+/// Add the bias gradient — the column sums of `dy`, `rows` token rows stored
+/// as `ys` says — to the active blocks of `dbias`, row by row.
+fn bias_grad(dy: &[f32], ys: Side<'_>, rows: usize, dbias: &mut [f32]) {
+    let ((ld, stride), b) = (ys.act(rows), ys.block());
+    for r in 0..rows {
+        for (ai, &blk) in ys.set.active.iter().enumerate() {
+            let g = &mut dbias[blk as usize * b..][..b];
+            for (g, &v) in g.iter_mut().zip(&dy[r * ld + ai * stride..][..b]) {
+                *g += v;
+            }
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use lx_sparse::neuron::{
-        active_cols, fc1_backward_input, fc1_grad_weights, fc2_forward, fc2_grad_weights,
-    };
+    use lx_sparse::neuron::{fc1_forward, fc2_forward};
     use lx_tensor::gemm::{matmul, matmul_tn};
 
+    /// The neuron operators the MLP ran before it was two `Linear`s, one
+    /// launch each, kept as oracles. `cols`: the active columns of `x·wᵀ`
+    /// for a neuron-major `w` (`total_neurons × d`) over a compact output.
+    pub(crate) fn cols<'w>(
+        x: &[f32],
+        rows: usize,
+        w: impl Into<BOperand<'w>>,
+        d: usize,
+        set: &NeuronBlockSet,
+        out: &mut [f32],
+    ) {
+        let (b, width) = (set.block_size, set.active_neurons());
+        let (x, w) = (Windows::normal(x, d, 0), Windows::transposed(w, d, b * d));
+        launch(set, (rows, d, b), x, w, out, (width, b), 0.0, None);
+    }
+
+    /// `out = Σ_active g[:, ai] · w_blk` over a compact `g` and a row-major
+    /// `w` (`total_neurons × d`).
+    pub(crate) fn sum<'w>(
+        g: &[f32],
+        rows: usize,
+        w: impl Into<BOperand<'w>>,
+        d: usize,
+        set: &NeuronBlockSet,
+        out: &mut [f32],
+    ) {
+        let b = set.block_size;
+        let g = Windows::normal(g, set.active_neurons(), b);
+        launch(
+            set,
+            (rows, b, d),
+            g,
+            Windows::normal(w, d, b * d),
+            out,
+            (d, 0),
+            0.0,
+            None,
+        );
+    }
+
+    /// `dw_blk += g_blkᵀ · x` for every active block of a compact `g`, each
+    /// block owning the contiguous `b × d` slab of `dw`.
+    pub(crate) fn slabs(
+        g: &[f32],
+        x: &[f32],
+        rows: usize,
+        d: usize,
+        set: &NeuronBlockSet,
+        dw: &mut [f32],
+    ) {
+        let b = set.block_size;
+        let g = Windows::transposed(g, set.active_neurons(), b);
+        let x = Windows::normal(x, d, 0);
+        launch(set, (b, rows, d), g, x, dw, (d, b * d), 1.0, None);
+    }
+
+    /// `d` as one token-major block.
+    pub(crate) fn tokens(d: usize) -> NeuronBlockSet {
+        NeuronBlockSet::all(1, d)
+    }
+
+    /// [`Linear::project`] with both sides token-major.
+    fn project(lin: &mut Linear, x: &Tensor) -> Tensor {
+        let (i, o) = (tokens(lin.d_in()), tokens(lin.d_out()));
+        lin.project(x, Side::panels(&i), Side::panels(&o))
+    }
+
+    /// [`Linear::forward`] with both sides token-major.
+    fn forward(lin: &mut Linear, x: Tensor) -> Tensor {
+        let (i, o) = (tokens(lin.d_in()), tokens(lin.d_out()));
+        lin.forward(x, Side::panels(&i), Side::panels(&o))
+    }
+
+    /// [`Linear::backward`] with both sides token-major.
+    fn backward(lin: &mut Linear, dy: &Tensor) -> Tensor {
+        let (i, o) = (tokens(lin.d_in()), tokens(lin.d_out()));
+        lin.backward(dy, Side::panels(&i), Side::panels(&o))
+    }
+
     fn finite_diff_loss(lin: &mut Linear, x: &Tensor, dy: &Tensor) -> f32 {
-        let y = lin.project(x);
+        let y = project(lin, x);
         y.as_slice()
             .iter()
             .zip(dy.as_slice())
@@ -570,7 +718,7 @@ mod tests {
         let mut lin = Linear::new("l", 4, 3, true, 1);
         lin.bias.as_mut().unwrap().value.as_mut_slice()[2] = 7.0;
         let x = Tensor::zeros(&[2, 4]);
-        let y = lin.forward(x);
+        let y = forward(&mut lin, x);
         assert_eq!(y.shape(), &[2, 3]);
         assert_eq!(y.as_slice()[2], 7.0);
     }
@@ -579,9 +727,9 @@ mod tests {
     fn frozen_weight_gets_no_grad() {
         let mut lin = Linear::new("l", 4, 3, true, 2);
         let x = Tensor::randn(&[5, 4], 1.0, 3);
-        let y = lin.forward(x);
+        let y = forward(&mut lin, x);
         let dy = Tensor::randn(y.shape(), 1.0, 4);
-        let _ = lin.backward(&dy);
+        let _ = backward(&mut lin, &dy);
         assert!(
             lin.weight.grad.is_none(),
             "frozen weight must not allocate grads"
@@ -594,8 +742,8 @@ mod tests {
         lin.weight.trainable = true;
         let x = Tensor::randn(&[4, 3], 1.0, 6);
         let dy = Tensor::randn(&[4, 2], 1.0, 7);
-        let _ = lin.forward(x.clone());
-        let _ = lin.backward(&dy);
+        let _ = forward(&mut lin, x.clone());
+        let _ = backward(&mut lin, &dy);
         let analytic = lin.weight.grad.as_ref().unwrap().clone();
         let h = 1e-3;
         for idx in [0usize, 3, 5] {
@@ -618,9 +766,9 @@ mod tests {
     fn lora_starts_as_identity_delta() {
         let mut plain = Linear::new("l", 6, 6, true, 8);
         let x = Tensor::randn(&[3, 6], 1.0, 9);
-        let y0 = plain.project(&x);
+        let y0 = project(&mut plain, &x);
         plain.attach_lora(2, 4.0, 10);
-        let y1 = plain.project(&x);
+        let y1 = project(&mut plain, &x);
         assert_eq!(y0, y1, "B=0 means LoRA is a no-op at init");
     }
 
@@ -636,8 +784,8 @@ mod tests {
         }
         let x = Tensor::randn(&[5, 4], 1.0, 14);
         let dy = Tensor::randn(&[5, 4], 1.0, 15);
-        let _ = lin.forward(x.clone());
-        let _ = lin.backward(&dy);
+        let _ = forward(&mut lin, x.clone());
+        let _ = backward(&mut lin, &dy);
         let da = lin.lora.as_ref().unwrap().a.grad.as_ref().unwrap().clone();
         let db = lin.lora.as_ref().unwrap().b.grad.as_ref().unwrap().clone();
         let h = 1e-3;
@@ -674,8 +822,8 @@ mod tests {
         }
         let x = Tensor::randn(&[2, 4], 1.0, 19);
         let dy = Tensor::randn(&[2, 4], 1.0, 20);
-        let _ = lin.forward(x.clone());
-        let dx = lin.backward(&dy);
+        let _ = forward(&mut lin, x.clone());
+        let dx = backward(&mut lin, &dy);
         // Finite difference on x itself.
         let h = 1e-3;
         for idx in [0usize, 5] {
@@ -726,7 +874,7 @@ mod tests {
         };
         let delta = match b_set {
             Some(set) => filled(y.shape(), |d| {
-                lx_sparse::neuron::fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
+                fc1_forward(ax.as_slice(), rows, b, r, None, set, d)
             }),
             None => matmul(&ax, &l.b.value, Layout::Transposed),
         };
@@ -752,30 +900,26 @@ mod tests {
             None => matmul(x, &l.a.value, l.a_layout),
         };
         let mut dax = match b_set {
-            Some(set) => filled(&[rows, r], |dax| {
-                fc1_backward_input(dy.as_slice(), rows, b, r, set, dax)
-            }),
+            Some(set) => filled(&[rows, r], |dax| sum(dy.as_slice(), rows, b, r, set, dax)),
             None => matmul(dy, &l.b.value, Layout::Normal),
         };
         dax.scale(l.scale);
         ax.scale(l.scale);
         let db = match b_set {
             Some(set) => filled(l.b.value.shape(), |db| {
-                fc1_grad_weights(ax.as_slice(), dy.as_slice(), rows, r, set, db)
+                slabs(dy.as_slice(), ax.as_slice(), rows, r, set, db)
             }),
             None => matmul_tn(dy, &ax),
         };
         let da = match (a_set, l.a_layout) {
             (Some(set), _) => filled(l.a.value.shape(), |da| {
-                fc2_grad_weights(x.as_slice(), dax.as_slice(), rows, r, set, da)
+                slabs(x.as_slice(), dax.as_slice(), rows, r, set, da)
             }),
             (None, Layout::Transposed) => matmul_tn(&dax, x),
             (None, Layout::Normal) => matmul_tn(x, &dax),
         };
         let dx_lora = match a_set {
-            Some(set) => filled(dx.shape(), |d| {
-                active_cols(dax.as_slice(), rows, a, r, set, d)
-            }),
+            Some(set) => filled(dx.shape(), |d| cols(dax.as_slice(), rows, a, r, set, d)),
             None => matmul(&dax, &l.a.value, transposed(l.a_layout)),
         };
         dx.add_assign(&dx_lora);
@@ -821,10 +965,10 @@ mod tests {
         assert!(d <= lx_kernels::current_policy().tiles.kc, "d ≤ KC");
         let set = NeuronBlockSet::from_indices(vec![0, 3, 4, 5, 9, 15], d / blk, blk);
         let width = set.active_neurons();
-        let tokens = NeuronBlockSet::all(1, d);
+        let token_set = tokens(d);
         let panels = NeuronBlockSet::all(heads, d / heads);
         let side = |kind: &str| match kind {
-            "tokens" => Side::panels(&tokens),
+            "tokens" => Side::panels(&token_set),
             "neurons" => Side::columns(&set),
             _ => Side::panels(&panels),
         };
@@ -889,8 +1033,8 @@ mod tests {
             lin.lora = Some(lora(Layout::Transposed, d, d, 16.0));
             let x = Tensor::randn(&[rows, d], 1.0, 51);
             let dy = Tensor::randn(&[rows, d], 1.0, 52);
-            let y = lin.forward(x.clone());
-            let dx = lin.backward(&dy);
+            let y = forward(&mut lin, x.clone());
+            let dx = backward(&mut lin, &dy);
 
             let oracle = lora(Layout::Transposed, d, d, 16.0);
             let bias = lin.bias.as_ref().unwrap().value.as_slice();
@@ -968,6 +1112,8 @@ mod tests {
             lin.lora = Some(lora(Layout::Transposed, d, d, 16.0));
             lin
         };
+        let (token_set, head_set) = (tokens(d), NeuronBlockSet::all(heads, d / heads));
+        let (t, h) = (Side::panels(&token_set), Side::panels(&head_set));
         for dtype in [Dtype::F32, Dtype::F16, Dtype::Nf4Block] {
             for sequential in [true, false] {
                 let what = |part: &str| format!("{dtype:?} sequential={sequential}: {part}");
@@ -980,14 +1126,13 @@ mod tests {
                 };
                 // Head-major output, as q/k/v write it.
                 let (mut token, mut split) = (build(dtype), build(dtype));
-                split.set_heads(1, heads);
                 run(&mut || {
-                    let y = token.project(&x);
-                    let yh = split.project(&x);
+                    let y = token.project(&x, t, t);
+                    let yh = split.project(&x, t, h);
                     assert_bits(&what("q/k/v y"), &yh, &to_panels(&y, heads));
                     let (mut dx, mut dxh) = (dx0.clone(), dx0.clone());
-                    token.backward_into(&x, &dy, &mut dx, 1.0);
-                    split.backward_into(&x, &to_panels(&dy, heads), &mut dxh, 1.0);
+                    token.backward_into(&x, &dy, &mut dx, 1.0, t, t);
+                    split.backward_into(&x, &to_panels(&dy, heads), &mut dxh, 1.0, t, h);
                     assert_bits(&what("q/k/v dx"), &dxh, &dx);
                 });
                 for (i, (g, gh)) in grads(&mut token).iter().zip(grads(&mut split)).enumerate() {
@@ -999,13 +1144,12 @@ mod tests {
                 }
                 // Head-major input, as `wo` reads it.
                 let (mut token, mut split) = (build(dtype), build(dtype));
-                split.set_heads(heads, 1);
                 run(&mut || {
-                    let y = token.forward(x.clone());
-                    let yh = split.forward(to_panels(&x, heads));
+                    let y = token.forward(x.clone(), t, t);
+                    let yh = split.forward(to_panels(&x, heads), h, t);
                     assert_bits(&what("wo y"), &yh, &y);
-                    let dx = token.backward(&dy);
-                    let dxh = split.backward(&dy);
+                    let dx = token.backward(&dy, t, t);
+                    let dxh = split.backward(&dy, h, t);
                     assert_bits(&what("wo dx"), &dxh, &to_panels(&dx, heads));
                 });
                 for (i, (g, gh)) in grads(&mut token).iter().zip(grads(&mut split)).enumerate() {
@@ -1017,6 +1161,166 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The neuron-side grid of the ported operator tests: 4 blocks of 4.
+    const ROWS: usize = 6;
+    const D_IN: usize = 10;
+    const H: usize = 16;
+    const D_OUT: usize = 12;
+    const B: usize = 4;
+
+    fn assert_close(a: &[f32], b: &[f32], tol: f32) {
+        assert_eq!(a.len(), b.len());
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                (x - y).abs() <= tol * (1.0 + y.abs()),
+                "idx {i}: {x} vs {y}"
+            );
+        }
+    }
+
+    /// FC1 (`D_IN → H`, neuron-major `[H, D_IN]`) and FC2 (`H → D_OUT`,
+    /// `[H, D_OUT]`), as the MLP builds them.
+    fn fc_pair(seed: u64) -> (Linear, Linear) {
+        let fc = |w: &str, b: &str, dims, neurons, seed| {
+            Linear::named(w.into(), Some(b.into()), dims, neurons, seed)
+        };
+        (
+            fc("w1", "b1", (D_IN, H), Neurons::Output, seed),
+            fc("w2", "b2", (H, D_OUT), Neurons::Input, seed + 1),
+        )
+    }
+
+    #[test]
+    fn backward_input_paths_match_dense() {
+        let set = NeuronBlockSet::from_indices(vec![0, 3], H / B, B);
+        let (width, cols) = (set.active_neurons(), Side::columns(&set));
+        let (t_in, t_out) = (tokens(D_IN), tokens(D_OUT));
+        let (mut fc1, mut fc2) = fc_pair(12);
+        let dy = Tensor::randn(&[ROWS, D_OUT], 1.0, 14);
+        let dz = Tensor::randn(&[ROWS, width], 1.0, 15);
+
+        // FC2's input gradient: compact dA = dY · W2_activeᵀ.
+        let a = Tensor::zeros(&[ROWS, width]);
+        let mut da = Tensor::zeros(&[ROWS, width]);
+        fc2.backward_into(&a, &dy, &mut da, 0.0, cols, Side::panels(&t_out));
+        let (w2, dy_s, da) = (fc2.weight.value.as_slice(), dy.as_slice(), da.as_slice());
+        // Oracle: dY · W2ᵀ then gather active columns.
+        let mut da_full = vec![0.0; ROWS * H];
+        for r in 0..ROWS {
+            for n in 0..H {
+                let mut acc = 0.0;
+                for c in 0..D_OUT {
+                    acc += dy_s[r * D_OUT + c] * w2[n * D_OUT + c];
+                }
+                da_full[r * H + n] = acc;
+            }
+        }
+        for r in 0..ROWS {
+            for (ai, &blk) in set.active.iter().enumerate() {
+                for t in 0..B {
+                    assert!(
+                        (da[r * width + ai * B + t] - da_full[r * H + blk as usize * B + t]).abs()
+                            < 1e-4
+                    );
+                }
+            }
+        }
+
+        // FC1's input gradient: dX = Σ_active dZ_blk · W1_blk.
+        let x = Tensor::zeros(&[ROWS, D_IN]);
+        let mut dx = Tensor::zeros(&[ROWS, D_IN]);
+        fc1.backward_into(&x, &dz, &mut dx, 0.0, Side::panels(&t_in), cols);
+        let (w1t, dz_s) = (fc1.weight.value.as_slice(), dz.as_slice());
+        // Oracle: scatter dz to full width then dZ · W1ᵀ.
+        let mut dz_full = vec![0.0; ROWS * H];
+        for r in 0..ROWS {
+            for (ai, &blk) in set.active.iter().enumerate() {
+                for t in 0..B {
+                    dz_full[r * H + blk as usize * B + t] = dz_s[r * width + ai * B + t];
+                }
+            }
+        }
+        let mut expect = vec![0.0; ROWS * D_IN];
+        for r in 0..ROWS {
+            for n in 0..H {
+                let g = dz_full[r * H + n];
+                for i in 0..D_IN {
+                    expect[r * D_IN + i] += g * w1t[n * D_IN + i];
+                }
+            }
+        }
+        assert_close(dx.as_slice(), &expect, 1e-4);
+    }
+
+    #[test]
+    fn weight_gradients_touch_only_active_blocks() {
+        let set = NeuronBlockSet::from_indices(vec![2], H / B, B);
+        let (width, cols) = (set.active_neurons(), Side::columns(&set));
+        let (t_in, t_out) = (tokens(D_IN), tokens(D_OUT));
+        let (mut fc1, mut fc2) = fc_pair(16);
+        fc1.for_each_param(&mut |p| p.trainable = true);
+        fc2.weight.trainable = true;
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 16);
+        let dz = Tensor::randn(&[ROWS, width], 1.0, 17);
+        let mut dx = Tensor::zeros(&[ROWS, D_IN]);
+        fc1.backward_into(&x, &dz, &mut dx, 0.0, Side::panels(&t_in), cols);
+        let dw1t = fc1.weight.grad.as_ref().unwrap().as_slice();
+        let dbias = fc1.bias.as_ref().unwrap().grad.as_ref().unwrap().as_slice();
+        let slab = |n: usize| &dw1t[n * D_IN..(n + 1) * D_IN];
+        #[allow(clippy::needless_range_loop)]
+        for n in 0..H {
+            let in_active = (8..12).contains(&n);
+            let col_nonzero = slab(n).iter().any(|&v| v != 0.0);
+            assert_eq!(col_nonzero, in_active, "neuron {n}");
+            assert_eq!(dbias[n] != 0.0, in_active, "bias {n}");
+        }
+        // Check one value against the naive sum.
+        let (n, x, dz) = (9, x.as_slice(), dz.as_slice());
+        let t = n - 8;
+        let mut expect = vec![0.0; D_IN];
+        for r in 0..ROWS {
+            let g = dz[r * width + t];
+            for i in 0..D_IN {
+                expect[i] += g * x[r * D_IN + i];
+            }
+        }
+        assert_close(slab(n), &expect, 1e-4);
+
+        let dy = Tensor::randn(&[ROWS, D_OUT], 1.0, 18);
+        let a = Tensor::randn(&[ROWS, width], 1.0, 19);
+        let mut da = Tensor::zeros(&[ROWS, width]);
+        fc2.backward_into(&a, &dy, &mut da, 0.0, cols, Side::panels(&t_out));
+        let dw2 = fc2.weight.grad.as_ref().unwrap().as_slice();
+        for n in 0..H {
+            let in_active = (8..12).contains(&n);
+            let row_nonzero = dw2[n * D_OUT..(n + 1) * D_OUT].iter().any(|&v| v != 0.0);
+            assert_eq!(row_nonzero, in_active, "w2 row {n}");
+        }
+    }
+
+    #[test]
+    fn empty_active_set_is_harmless() {
+        let set = NeuronBlockSet::from_indices(vec![], H / B, B);
+        let cols = Side::columns(&set);
+        let (t_in, t_out) = (tokens(D_IN), tokens(D_OUT));
+        let (mut fc1, mut fc2) = fc_pair(22);
+        fc1.weight.trainable = true;
+        let x = Tensor::randn(&[ROWS, D_IN], 1.0, 22);
+        let z = fc1.forward(x, Side::panels(&t_in), cols);
+        assert_eq!(z.shape(), &[ROWS, 0]);
+        let bias = lx_tensor::rng::randn_vec(D_OUT, 1.0, 23);
+        let b2 = &mut fc2.bias.as_mut().unwrap().value;
+        b2.as_mut_slice().copy_from_slice(&bias);
+        let y = fc2.project(&z, cols, Side::panels(&t_out));
+        for r in 0..ROWS {
+            assert_close(y.row(r), &bias, 1e-6);
+        }
+        let dx = fc1.backward(&z, Side::panels(&t_in), cols);
+        assert!(dx.as_slice().iter().all(|&v| v == 0.0));
+        let dw1 = fc1.weight.grad.as_ref().unwrap();
+        assert!(dw1.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -22,10 +22,10 @@
 //! probabilities together with their full-causal layout; they are never
 //! expanded to a dense `[B·h·S, S]` tensor.
 
-use crate::linear::Linear;
+use crate::linear::{Linear, Side};
 use crate::param::Param;
 use lx_sparse::attention::AttentionCore;
-use lx_sparse::{BlockCsr, MultiHeadLayout, PatternSpec};
+use lx_sparse::{BlockCsr, MultiHeadLayout, NeuronBlockSet, PatternSpec};
 use lx_tensor::Tensor;
 use std::sync::Arc;
 
@@ -40,6 +40,10 @@ pub struct MultiHeadAttention {
     /// Optional ALiBi slopes (one per head): `score[i,j] -= slope·(i−j)`.
     /// An additive positional bias, so the backward pass is unchanged.
     pub alibi_slopes: Option<Vec<f32>>,
+    /// `d_model` as one token-major block (`x`, the output) and as `n_heads`
+    /// head panels (q, k, v and ctx): the sides of the projections.
+    tokens: NeuronBlockSet,
+    heads: NeuronBlockSet,
     /// The full-causal layout dense forwards run over, with the `seq` it was
     /// built for; rebuilt only when `seq` changes.
     causal: Option<(usize, Arc<MultiHeadLayout>)>,
@@ -79,21 +83,19 @@ struct AttnCache {
 impl MultiHeadAttention {
     pub fn new(name: &str, d_model: usize, n_heads: usize, seed: u64) -> Self {
         assert_eq!(d_model % n_heads, 0);
-        // q, k and v write head panels; `wo` reads them.
-        let linear = |which: &str, seed: u64, (x, y): (usize, usize)| {
-            let mut l = Linear::new(&format!("{name}.{which}"), d_model, d_model, true, seed);
-            l.set_heads(x, y);
-            l
+        let linear = |which: &str, seed: u64| {
+            Linear::new(&format!("{name}.{which}"), d_model, d_model, true, seed)
         };
-        let (out, inp) = ((1, n_heads), (n_heads, 1));
         MultiHeadAttention {
-            wq: linear("wq", seed, out),
-            wk: linear("wk", seed + 1, out),
-            wv: linear("wv", seed + 2, out),
-            wo: linear("wo", seed + 3, inp),
+            wq: linear("wq", seed),
+            wk: linear("wk", seed + 1),
+            wv: linear("wv", seed + 2),
+            wo: linear("wo", seed + 3),
             n_heads,
             head_dim: d_model / n_heads,
             alibi_slopes: None,
+            tokens: NeuronBlockSet::all(1, d_model),
+            heads: NeuronBlockSet::all(n_heads, d_model / n_heads),
             causal: None,
             cache: None,
         }
@@ -143,9 +145,10 @@ impl MultiHeadAttention {
         assert_eq!(layout.n_heads(), heads, "layout heads");
         // One input, three projections, each writing head-major panels: the
         // cache keeps `x` once for all three backward passes.
-        let q = self.wq.project(&x);
-        let k = self.wk.project(&x);
-        let v = self.wv.project(&x);
+        let (t, h) = (Side::panels(&self.tokens), Side::panels(&self.heads));
+        let q = self.wq.project(&x, t, h);
+        let k = self.wk.project(&x, t, h);
+        let v = self.wv.project(&x, t, h);
         let scale = 1.0 / (dh as f32).sqrt();
         // Every active block is overwritten by the score products, every
         // context row by the context products or zeroed.
@@ -164,7 +167,7 @@ impl MultiHeadAttention {
                 ctx.as_mut_slice(),
             );
         }
-        let y = self.wo.forward(ctx);
+        let y = self.wo.forward(ctx, h, t);
         self.cache = Some(AttnCache {
             batch,
             seq,
@@ -187,7 +190,8 @@ impl MultiHeadAttention {
         let (seq, dh) = (cache.seq, self.head_dim);
         let scale = 1.0 / (dh as f32).sqrt();
         // Head-major, as `wo` read ctx.
-        let dctx = self.wo.backward(dy);
+        let (t, h) = (Side::panels(&self.tokens), Side::panels(&self.heads));
+        let dctx = self.wo.backward(dy, h, t);
         // Fully overwritten by the context products, which zero the rows no
         // block reaches.
         let mut dq = Tensor::scratch(dctx.shape());
@@ -212,9 +216,9 @@ impl MultiHeadAttention {
         // One `dx`: the q projection writes it, k and v accumulate into it.
         let x = &cache.x;
         let mut dx = Tensor::scratch(x.shape());
-        self.wq.backward_into(x, &dq, &mut dx, 0.0);
-        self.wk.backward_into(x, &dk, &mut dx, 1.0);
-        self.wv.backward_into(x, &dv, &mut dx, 1.0);
+        self.wq.backward_into(x, &dq, &mut dx, 0.0, t, h);
+        self.wk.backward_into(x, &dk, &mut dx, 1.0, t, h);
+        self.wv.backward_into(x, &dv, &mut dx, 1.0, t, h);
         dx
     }
 
@@ -365,28 +369,21 @@ mod tests {
         probs: Tensor,
     }
 
-    /// Make `attn`'s projections token-major, parameters unchanged: the
-    /// oracles below split and merge heads themselves.
-    fn token_major(attn: &mut MultiHeadAttention) {
-        for lin in [&mut attn.wq, &mut attn.wk, &mut attn.wv, &mut attn.wo] {
-            lin.set_heads(1, 1);
-        }
-    }
-
     /// The reference attention: per (batch, head), the full S×S scores GEMM,
     /// the fused causal softmax and the context GEMM, through `attn`'s own
-    /// projections and parameters, made token-major.
+    /// projections and parameters, run token-major (the oracle splits and
+    /// merges heads itself).
     fn reference_forward(
         attn: &mut MultiHeadAttention,
         x: &Tensor,
         batch: usize,
         seq: usize,
     ) -> (Tensor, DenseOracle) {
-        token_major(attn);
         let (heads, dh) = (attn.n_heads, attn.head_dim);
-        let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
-        let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
-        let v = split_heads(&attn.wv.project(x), batch, seq, heads, dh);
+        let t = Side::panels(&attn.tokens);
+        let q = split_heads(&attn.wq.project(x, t, t), batch, seq, heads, dh);
+        let k = split_heads(&attn.wk.project(x, t, t), batch, seq, heads, dh);
+        let v = split_heads(&attn.wv.project(x, t, t), batch, seq, heads, dh);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut probs = Tensor::zeros(&[batch * heads * seq, seq]);
         let mut ctx = Tensor::zeros(&[batch * heads * seq, dh]);
@@ -403,7 +400,9 @@ mod tests {
                 gemm(seq, seq, dh, p, vs, rows_mut(&mut ctx, off, seq, dh), 0.0);
             }
         }
-        let y = attn.wo.forward(merge_heads(&ctx, batch, seq, heads, dh));
+        let y = attn
+            .wo
+            .forward(merge_heads(&ctx, batch, seq, heads, dh), t, t);
         let r = DenseOracle {
             batch,
             seq,
@@ -420,7 +419,8 @@ mod tests {
     fn reference_backward(attn: &mut MultiHeadAttention, r: &DenseOracle, dy: &Tensor) -> Tensor {
         let (batch, seq, heads, dh) = (r.batch, r.seq, attn.n_heads, attn.head_dim);
         let scale = 1.0 / (dh as f32).sqrt();
-        let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);
+        let t = Side::panels(&attn.tokens);
+        let dctx = split_heads(&attn.wo.backward(dy, t, t), batch, seq, heads, dh);
         let mut dq = Tensor::zeros(&[batch * heads * seq, dh]);
         let mut dk = Tensor::zeros(&[batch * heads * seq, dh]);
         let mut dv = Tensor::zeros(&[batch * heads * seq, dh]);
@@ -443,12 +443,10 @@ mod tests {
             }
         }
         let mut dx = Tensor::zeros(r.x.shape());
-        attn.wq
-            .backward_into(&r.x, &merge_heads(&dq, batch, seq, heads, dh), &mut dx, 0.0);
-        attn.wk
-            .backward_into(&r.x, &merge_heads(&dk, batch, seq, heads, dh), &mut dx, 1.0);
-        attn.wv
-            .backward_into(&r.x, &merge_heads(&dv, batch, seq, heads, dh), &mut dx, 1.0);
+        let merge = |t: &Tensor| merge_heads(t, batch, seq, heads, dh);
+        attn.wq.backward_into(&r.x, &merge(&dq), &mut dx, 0.0, t, t);
+        attn.wk.backward_into(&r.x, &merge(&dk), &mut dx, 1.0, t, t);
+        attn.wv.backward_into(&r.x, &merge(&dv), &mut dx, 1.0, t, t);
         dx
     }
 
@@ -611,8 +609,9 @@ mod tests {
         let mut attn = sharpened();
         let (heads, dh) = (attn.n_heads, attn.head_dim);
         // One batch item: the head panels are `[h·S, dh]`.
-        let q = attn.wq.project(&x);
-        let k = attn.wk.project(&x);
+        let (t, h) = (Side::panels(&attn.tokens), Side::panels(&attn.heads));
+        let q = attn.wq.project(&x, t, h);
+        let k = attn.wk.project(&x, t, h);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut wide = 0;
         for row in 0..heads * seq {
@@ -679,7 +678,7 @@ mod tests {
     }
 
     /// The attention path before heads were stored head-major, kept as an
-    /// oracle: token-major projections (`attn`'s, made token-major),
+    /// oracle: token-major projections (`attn`'s, run token-major),
     /// head-major copies of Q, K, V and dO, the composed block operators over
     /// the stacked layout (which the fused core over heads in place equalled
     /// bit for bit), the copies merged back, and token-major `wo` /
@@ -694,14 +693,14 @@ mod tests {
     ) -> (Tensor, Tensor) {
         use lx_sparse::attention::CausalFill;
         use lx_sparse::attention::{dsd, dsd_tn, probs_backward, scores_to_probs, sdd_nt};
-        token_major(attn);
         let (heads, dh) = (attn.n_heads, attn.head_dim);
         let st = layout.stacked().expect("heads stack");
         let (span, total) = (heads * seq, layout.total_data_len);
         let scale = 1.0 / (dh as f32).sqrt();
-        let q = split_heads(&attn.wq.project(x), batch, seq, heads, dh);
-        let k = split_heads(&attn.wk.project(x), batch, seq, heads, dh);
-        let v = split_heads(&attn.wv.project(x), batch, seq, heads, dh);
+        let t = Side::panels(&attn.tokens);
+        let q = split_heads(&attn.wq.project(x, t, t), batch, seq, heads, dh);
+        let k = split_heads(&attn.wk.project(x, t, t), batch, seq, heads, dh);
+        let v = split_heads(&attn.wv.project(x, t, t), batch, seq, heads, dh);
         let mut probs = vec![0.0; batch * total];
         let mut ctx = Tensor::zeros(q.shape());
         for b in 0..batch {
@@ -715,8 +714,10 @@ mod tests {
             scores_to_probs(p, st, scale, attn.alibi_slopes.as_deref());
             dsd(p, vb, span, dh, st, rows_mut(&mut ctx, b * span, span, dh));
         }
-        let y = attn.wo.forward(merge_heads(&ctx, batch, seq, heads, dh));
-        let dctx = split_heads(&attn.wo.backward(dy), batch, seq, heads, dh);
+        let y = attn
+            .wo
+            .forward(merge_heads(&ctx, batch, seq, heads, dh), t, t);
+        let dctx = split_heads(&attn.wo.backward(dy, t, t), batch, seq, heads, dh);
         let [mut dq, mut dk, mut dv] = [0; 3].map(|_| Tensor::zeros(q.shape()));
         let mut ds = vec![0.0; total];
         for b in 0..batch {
@@ -737,9 +738,9 @@ mod tests {
         }
         let mut dx = Tensor::zeros(x.shape());
         let merge = |t: &Tensor| merge_heads(t, batch, seq, heads, dh);
-        attn.wq.backward_into(x, &merge(&dq), &mut dx, 0.0);
-        attn.wk.backward_into(x, &merge(&dk), &mut dx, 1.0);
-        attn.wv.backward_into(x, &merge(&dv), &mut dx, 1.0);
+        attn.wq.backward_into(x, &merge(&dq), &mut dx, 0.0, t, t);
+        attn.wk.backward_into(x, &merge(&dk), &mut dx, 1.0, t, t);
+        attn.wv.backward_into(x, &merge(&dv), &mut dx, 1.0, t, t);
         (y, dx)
     }
 

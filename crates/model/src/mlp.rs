@@ -1,60 +1,49 @@
-//! MLP block: one neuron-block path, whatever the plan.
+//! MLP block: two [`Linear`]s over the plan's neuron columns, whatever the
+//! plan.
 //!
-//! Weight storage follows the paper's memory-coalescing layout (§VI-B):
-//! FC1 is kept *neuron-major* (`w1[d_ff, d]`, i.e. column-major relative to
-//! the conventional `d × d_ff` matrix) and FC2 row-major (`w2[d_ff, d]`), so
-//! an active neuron block is a contiguous slab in **both** matrices and no
-//! format conversion ever happens at runtime. An f16 or NF4 weight is read
-//! where it is stored too: the grouped neuron kernels decode each active
-//! slab as they pack it, so one path serves every storage.
+//! Weight storage follows the paper's memory-coalescing layout (§VI-B): a
+//! neuron dimension is the row dimension ([`Neurons`]), so FC1 keeps `w1`
+//! *neuron-major* `[d_ff, d]` (the transpose of `x·W`) and FC2 keeps `w2`
+//! row-major `[d_ff, d]`, and an active neuron block is a contiguous slab in
+//! **both** matrices; no format conversion ever happens at runtime. An f16
+//! or NF4 weight is read where it is stored too: the grouped launches decode
+//! each active slab as they pack it, so one path serves every storage.
 //!
+//! The neuron side of both products is [`Side::columns`] of the step's
+//! [`NeuronBlockSet`] — the compact `rows × active_neurons` buffers — and
+//! the model side is the token-major `d_model` block built at construction.
 //! Dense is the plan in which every neuron is active: a forward without a
-//! [`NeuronBlockSet`] runs the same kernels over one full-width block, which
-//! the block builds once at construction, as `mha.rs` caches its causal
-//! layout. Biases are added after the complete products, so the dense plan
-//! equals plain GEMMs followed by bias passes bit for bit.
+//! set runs the same launches over one full-width block, which the block
+//! builds once at construction, as `mha.rs` caches its causal layout. Biases
+//! ride the launches' write-back after the complete products, so the dense
+//! plan equals plain GEMMs followed by bias passes bit for bit.
 //!
-//! LoRA can attach to both linears, as the same [`Lora`] pair `Linear` uses:
-//! FC1's `A` is `[r, d]` and its `B` neuron-major `[d_ff, r]`; FC2's `A` is
-//! neuron-major `[d_ff, r]` and its `B` `[d, r]`. Every rank-r product is one
-//! launch over the tables of the set of the side it touches — the plan's set
-//! on the compact neuron side, the `d_model` block built at construction on
-//! the token-major one — the launch the backbone slabs run (with `d = r`),
-//! so only active-block rows participate: the paper's §II-D result that
+//! LoRA attaches to either linear as the same [`Lora`](crate::linear::Lora)
+//! pair every `Linear` uses: FC1's `A` is `[r, d]` and its `B` neuron-major
+//! `[d_ff, r]`; FC2's `A` is neuron-major `[d_ff, r]` and its `B` `[d, r]`.
+//! Every product runs over the plan's active blocks only, so inactive
+//! neurons' rows of `w1`, `w2`, `b1`, FC1's `B` and FC2's `A` are neither
+//! read nor given a gradient: the paper's §II-D result that
 //! forward-inactive parameters receive no gradient.
 
 use crate::config::Activation;
-use crate::linear::{Lora, Side};
+use crate::linear::{Linear, Neurons, Side};
 use crate::param::Param;
-use lx_sparse::neuron::{
-    active_cols, fc1_backward_input, fc1_forward, fc1_grad_bias, fc1_grad_weights, fc2_forward,
-    fc2_grad_weights,
-};
 use lx_sparse::NeuronBlockSet;
-use lx_tensor::gemm::Layout;
-use lx_tensor::ops::{bias_grad_rows, gelu_backward, gelu_inplace, relu, relu_backward};
+use lx_tensor::ops::{gelu_backward, gelu_inplace, relu, relu_backward};
 use lx_tensor::Tensor;
 use std::sync::Arc;
 
 #[derive(Debug)]
 pub struct MlpBlock {
-    /// FC1, neuron-major `[d_ff, d]`: row `n` = input weights of neuron `n`.
-    pub w1: Param,
-    pub b1: Param,
-    /// FC2, row-major `[d_ff, d]`: row `n` = output weights of neuron `n`.
-    pub w2: Param,
-    pub b2: Param,
-    /// LoRA on FC1: `a ∈ [r, d]`, `b ∈ [d_ff, r]` (row per neuron).
-    pub lora1: Option<Lora>,
-    /// LoRA on FC2: `a ∈ [d_ff, r]` (row per neuron), `b ∈ [d, r]`.
-    pub lora2: Option<Lora>,
+    /// FC1, `d → d_ff`: `w1` neuron-major `[d_ff, d]`, `b1` `[d_ff]`.
+    pub fc1: Linear,
+    /// FC2, `d_ff → d`: `w2` row-major `[d_ff, d]`, `b2` `[d]`.
+    pub fc2: Linear,
     pub activation: Activation,
-    d_model: usize,
-    d_ff: usize,
     /// The dense plan: one block of all `d_ff` neurons.
     full: Arc<NeuronBlockSet>,
-    /// One block of `d_model`: the token-major side of the LoRA products,
-    /// FC1's input and FC2's output.
+    /// One block of `d_model`: FC1's input side and FC2's output side.
     tokens: NeuronBlockSet,
     cache: Option<MlpCache>,
 }
@@ -72,23 +61,14 @@ struct MlpCache {
 
 impl MlpBlock {
     pub fn new(name: &str, d_model: usize, d_ff: usize, activation: Activation, seed: u64) -> Self {
-        let std1 = (2.0 / (d_model + d_ff) as f32).sqrt();
+        let fc = |i: usize, dims, neurons, seed| {
+            let (w, b) = (format!("{name}.w{i}"), format!("{name}.b{i}"));
+            Linear::named(w, Some(b), dims, neurons, seed)
+        };
         MlpBlock {
-            w1: Param::frozen(
-                format!("{name}.w1"),
-                Tensor::randn(&[d_ff, d_model], std1, seed),
-            ),
-            b1: Param::frozen(format!("{name}.b1"), Tensor::zeros(&[d_ff])),
-            w2: Param::frozen(
-                format!("{name}.w2"),
-                Tensor::randn(&[d_ff, d_model], std1, seed + 1),
-            ),
-            b2: Param::frozen(format!("{name}.b2"), Tensor::zeros(&[d_model])),
-            lora1: None,
-            lora2: None,
+            fc1: fc(1, (d_model, d_ff), Neurons::Output, seed),
+            fc2: fc(2, (d_ff, d_model), Neurons::Input, seed + 1),
             activation,
-            d_model,
-            d_ff,
             full: Arc::new(NeuronBlockSet::all(1, d_ff)),
             tokens: NeuronBlockSet::all(1, d_model),
             cache: None,
@@ -96,31 +76,7 @@ impl MlpBlock {
     }
 
     pub fn d_ff(&self) -> usize {
-        self.d_ff
-    }
-
-    pub fn attach_lora_fc1(&mut self, rank: usize, alpha: f32, seed: u64) {
-        self.lora1 = Some(Lora::new(
-            &self.w1.name,
-            self.d_model,
-            self.d_ff,
-            rank,
-            alpha,
-            seed,
-            Layout::Transposed,
-        ));
-    }
-
-    pub fn attach_lora_fc2(&mut self, rank: usize, alpha: f32, seed: u64) {
-        self.lora2 = Some(Lora::new(
-            &self.w2.name,
-            self.d_ff,
-            self.d_model,
-            rank,
-            alpha,
-            seed,
-            Layout::Normal,
-        ));
+        self.full.total_neurons()
     }
 
     fn activate(&self, z: &Tensor) -> Tensor {
@@ -155,7 +111,7 @@ impl MlpBlock {
             Some(set) => {
                 assert_eq!(
                     set.total_neurons(),
-                    self.d_ff,
+                    self.d_ff(),
                     "neuron block grid must cover d_ff"
                 );
                 assert_eq!(
@@ -167,105 +123,27 @@ impl MlpBlock {
             }
             None => self.full.clone(),
         };
-        let rows = x.rows();
-        let width = set.active_neurons();
-        // One path whatever the storage: the neuron kernels read f32, f16 or
-        // NF4 weights where they lie, decoding each active slab as the
-        // grouped launch packs it. `z`, `y`, and `da` / `dx` in the
-        // backward: each grouped launch writes its whole output.
-        let mut z = Tensor::scratch(&[rows, width]);
-        fc1_forward(
-            x.as_slice(),
-            rows,
-            self.w1.b_ref().operand(),
-            self.d_model,
-            Some(self.b1.value.as_slice()),
-            &set,
-            z.as_mut_slice(),
-        );
         let (tokens, neurons) = (Side::panels(&self.tokens), Side::columns(&set));
-        if let Some(l) = &mut self.lora1 {
-            l.forward(&x, &mut z, tokens, neurons);
-        }
+        let z = self.fc1.project(&x, tokens, neurons);
         // The activation stays unfused: the backward reads `z`.
         let a = self.activate(&z);
-        let mut y = Tensor::scratch(&[rows, self.d_model]);
-        fc2_forward(
-            a.as_slice(),
-            rows,
-            self.w2.b_ref().operand(),
-            self.d_model,
-            Some(self.b2.value.as_slice()),
-            &set,
-            y.as_mut_slice(),
-        );
-        if let Some(l) = &mut self.lora2 {
-            l.forward(&a, &mut y, neurons, tokens);
-        }
+        let y = self.fc2.project(&a, neurons, tokens);
         self.cache = Some(MlpCache { x, z, a, set });
         y
     }
 
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
         let MlpCache { x, z, a, set } = self.cache.take().expect("MLP backward without forward");
-        let rows = dy.rows();
-        let width = set.active_neurons();
-        // FC2 backward to compact dA.
-        let mut da = Tensor::scratch(&[rows, width]);
-        active_cols(
-            dy.as_slice(),
-            rows,
-            self.w2.b_ref().operand(),
-            self.d_model,
-            &set,
-            da.as_mut_slice(),
-        );
         let (tokens, neurons) = (Side::panels(&self.tokens), Side::columns(&set));
-        if let Some(l) = &mut self.lora2 {
-            l.backward(&a, dy, &mut da, neurons, tokens);
-        }
-        if self.b2.trainable {
-            bias_grad_rows(dy.as_slice(), self.b2.grad_mut().as_mut_slice());
-        }
-        if self.w2.trainable {
-            fc2_grad_weights(
-                a.as_slice(),
-                dy.as_slice(),
-                rows,
-                self.d_model,
-                &set,
-                self.w2.grad_mut().as_mut_slice(),
-            );
-        }
+        // `da` and `dx`: each launch writes its whole output.
+        let mut da = Tensor::scratch(a.shape());
+        self.fc2
+            .backward_into(&a, dy, &mut da, 0.0, neurons, tokens);
         // Activation backward on the compact buffers.
         let dz = self.activate_backward(&da, &z);
-        let mut dx = Tensor::scratch(&[rows, self.d_model]);
-        fc1_backward_input(
-            dz.as_slice(),
-            rows,
-            self.w1.b_ref().operand(),
-            self.d_model,
-            &set,
-            dx.as_mut_slice(),
-        );
-        // FC1 grads — active blocks only (§II-D); frozen reduced-stored
-        // weights never take this path (trainability implies f32).
-        if self.b1.trainable {
-            fc1_grad_bias(dz.as_slice(), &set, self.b1.grad_mut().as_mut_slice());
-        }
-        if self.w1.trainable {
-            fc1_grad_weights(
-                x.as_slice(),
-                dz.as_slice(),
-                rows,
-                self.d_model,
-                &set,
-                self.w1.grad_mut().as_mut_slice(),
-            );
-        }
-        if let Some(l) = &mut self.lora1 {
-            l.backward(&x, &dz, &mut dx, tokens, neurons);
-        }
+        let mut dx = Tensor::scratch(x.shape());
+        self.fc1
+            .backward_into(&x, &dz, &mut dx, 0.0, tokens, neurons);
         dx
     }
 
@@ -276,26 +154,18 @@ impl MlpBlock {
     }
 
     pub fn for_each_param(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w1);
-        f(&mut self.b1);
-        f(&mut self.w2);
-        f(&mut self.b2);
-        if let Some(l) = &mut self.lora1 {
-            f(&mut l.a);
-            f(&mut l.b);
-        }
-        if let Some(l) = &mut self.lora2 {
-            f(&mut l.a);
-            f(&mut l.b);
-        }
+        self.fc1.for_each_param(f);
+        self.fc2.for_each_param(f);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lx_tensor::gemm::matmul_tn;
-    use lx_tensor::ops::add_bias_rows;
+    use crate::linear::tests::{cols, slabs, sum, tokens};
+    use lx_sparse::neuron::{fc1_forward, fc2_forward};
+    use lx_tensor::gemm::{matmul_tn, Layout};
+    use lx_tensor::ops::{add_bias_rows, bias_grad_rows};
 
     const D: usize = 8;
     const FF: usize = 16;
@@ -306,6 +176,11 @@ mod tests {
         MlpBlock::new("mlp", D, FF, Activation::Relu, 7)
     }
 
+    /// The bias of an MLP linear (both have one).
+    fn bias(fc: &mut Linear) -> &mut Param {
+        fc.bias.as_mut().expect("MLP bias")
+    }
+
     fn all_set() -> Arc<NeuronBlockSet> {
         Arc::new(NeuronBlockSet::all(FF / BLK, BLK))
     }
@@ -313,8 +188,8 @@ mod tests {
     /// `d_model` and `d_ff` as one token-major block each.
     fn token_major(m: &MlpBlock) -> (NeuronBlockSet, NeuronBlockSet) {
         (
-            NeuronBlockSet::all(1, m.d_model),
-            NeuronBlockSet::all(1, m.d_ff),
+            NeuronBlockSet::all(1, m.tokens.block_size),
+            NeuronBlockSet::all(1, m.d_ff()),
         )
     }
 
@@ -331,15 +206,15 @@ mod tests {
         /// and LoRA over token-major activations.
         fn forward(m: &mut MlpBlock, x: &Tensor) -> (Tensor, Self) {
             let (d, ff) = token_major(m);
-            let mut z = m.w1.matmul(x, Layout::Transposed);
-            add_bias_rows(&mut z, m.b1.value.as_slice());
-            if let Some(l) = &mut m.lora1 {
+            let mut z = m.fc1.weight.matmul(x, Layout::Transposed);
+            add_bias_rows(&mut z, bias(&mut m.fc1).value.as_slice());
+            if let Some(l) = &mut m.fc1.lora {
                 l.forward(x, &mut z, Side::panels(&d), Side::panels(&ff));
             }
             let a = m.activate(&z);
-            let mut y = m.w2.matmul(&a, Layout::Normal);
-            add_bias_rows(&mut y, m.b2.value.as_slice());
-            if let Some(l) = &mut m.lora2 {
+            let mut y = m.fc2.weight.matmul(&a, Layout::Normal);
+            add_bias_rows(&mut y, bias(&mut m.fc2).value.as_slice());
+            if let Some(l) = &mut m.fc2.lora {
                 l.forward(&a, &mut y, Side::panels(&ff), Side::panels(&d));
             }
             let oracle = DenseOracle { x: x.clone(), z, a };
@@ -350,25 +225,27 @@ mod tests {
         /// returns `dx`.
         fn backward(self, m: &mut MlpBlock, dy: &Tensor) -> Tensor {
             let (d, ff) = token_major(m);
-            let mut da = m.w2.matmul(dy, Layout::Transposed);
-            if let Some(l) = &mut m.lora2 {
+            let mut da = m.fc2.weight.matmul(dy, Layout::Transposed);
+            if let Some(l) = &mut m.fc2.lora {
                 l.backward(&self.a, dy, &mut da, Side::panels(&ff), Side::panels(&d));
             }
-            if m.b2.trainable {
-                bias_grad_rows(dy.as_slice(), m.b2.grad_mut().as_mut_slice());
+            let b2 = bias(&mut m.fc2);
+            if b2.trainable {
+                bias_grad_rows(dy.as_slice(), b2.grad_mut().as_mut_slice());
             }
-            if m.w2.trainable {
-                m.w2.accumulate_grad(&matmul_tn(&self.a, dy));
+            if m.fc2.weight.trainable {
+                m.fc2.weight.accumulate_grad(&matmul_tn(&self.a, dy));
             }
             let dz = m.activate_backward(&da, &self.z);
-            if m.b1.trainable {
-                bias_grad_rows(dz.as_slice(), m.b1.grad_mut().as_mut_slice());
+            let b1 = bias(&mut m.fc1);
+            if b1.trainable {
+                bias_grad_rows(dz.as_slice(), b1.grad_mut().as_mut_slice());
             }
-            if m.w1.trainable {
-                m.w1.accumulate_grad(&matmul_tn(&dz, &self.x));
+            if m.fc1.weight.trainable {
+                m.fc1.weight.accumulate_grad(&matmul_tn(&dz, &self.x));
             }
-            let mut dx = m.w1.matmul(&dz, Layout::Normal);
-            if let Some(l) = &mut m.lora1 {
+            let mut dx = m.fc1.weight.matmul(&dz, Layout::Normal);
+            if let Some(l) = &mut m.fc1.lora {
                 l.backward(&self.x, &dz, &mut dx, Side::panels(&d), Side::panels(&ff));
             }
             dx
@@ -381,9 +258,13 @@ mod tests {
 
     /// Randomise every bias and LoRA `B` of `m` (both are zero at init).
     fn perturb(m: &mut MlpBlock, seed: u64) {
-        let mut params = vec![&mut m.b1.value, &mut m.b2.value];
+        let (fc1, fc2) = (&mut m.fc1, &mut m.fc2);
+        let mut params = vec![
+            &mut fc1.bias.as_mut().unwrap().value,
+            &mut fc2.bias.as_mut().unwrap().value,
+        ];
         params.extend(
-            [&mut m.lora1, &mut m.lora2]
+            [&mut fc1.lora, &mut fc2.lora]
                 .into_iter()
                 .flatten()
                 .map(|l| &mut l.b.value),
@@ -411,10 +292,10 @@ mod tests {
                 let build = || {
                     let mut m = MlpBlock::new("mlp", d, ff, activation, 52);
                     perturb(&mut m, 53);
-                    for p in [&mut m.b1, &mut m.b2] {
+                    for p in [bias(&mut m.fc1), bias(&mut m.fc2)] {
                         p.trainable = true;
                     }
-                    for w in [&mut m.w1, &mut m.w2] {
+                    for w in [&mut m.fc1.weight, &mut m.fc2.weight] {
                         w.demote(dtype);
                         // Trainable weights stay f32.
                         w.trainable = dtype == F32;
@@ -430,8 +311,13 @@ mod tests {
                 let dx_ref = oracle.backward(&mut reference, &dy);
                 assert_eq!(bits(dx.as_slice()), bits(dx_ref.as_slice()), "{cell} dx");
                 let grads = |m: &MlpBlock| {
-                    [&m.w1, &m.w2, &m.b1, &m.b2]
-                        .map(|p| p.grad.as_ref().map(|g| bits(g.as_slice())))
+                    [
+                        &m.fc1.weight,
+                        &m.fc2.weight,
+                        m.fc1.bias.as_ref().unwrap(),
+                        m.fc2.bias.as_ref().unwrap(),
+                    ]
+                    .map(|p| p.grad.as_ref().map(|g| bits(g.as_slice())))
                 };
                 for (which, (g, g_ref)) in
                     grads(&plan).into_iter().zip(grads(&reference)).enumerate()
@@ -456,8 +342,8 @@ mod tests {
         let dy = Tensor::randn(&[ROWS, D], 1.0, 55);
         let build = || {
             let mut m = mlp();
-            m.attach_lora_fc1(2, 3.0, 56);
-            m.attach_lora_fc2(2, 3.0, 57);
+            m.fc1.attach_lora(2, 3.0, 56);
+            m.fc2.attach_lora(2, 3.0, 57);
             perturb(&mut m, 58);
             m
         };
@@ -471,6 +357,185 @@ mod tests {
         let grads = lora_grads(&plan).into_iter().zip(lora_grads(&reference));
         for (which, (g, g_ref)) in grads.enumerate() {
             assert_eq!(bits(g), bits(g_ref), "grad {which}");
+        }
+    }
+
+    /// The MLP as it ran before it was two `Linear`s, kept as the oracle:
+    /// the neuron operators over `m`'s own parameters, one launch each (FC1
+    /// forward, FC2 forward, FC2's input gradient, FC1's input gradient and
+    /// the two weight gradients), the bias gradients row by row, and LoRA
+    /// over the plan's compact columns. Returns `y`, `z` and `a`.
+    fn composed_forward(m: &mut MlpBlock, x: &Tensor, set: &NeuronBlockSet) -> [Tensor; 3] {
+        let (rows, d, width) = (x.rows(), x.cols(), set.active_neurons());
+        let token_set = tokens(d);
+        let (t, n) = (Side::panels(&token_set), Side::columns(set));
+        let mut z = Tensor::scratch(&[rows, width]);
+        let (w1, b1) = (m.fc1.weight.b_ref(), bias_of(&m.fc1));
+        fc1_forward(
+            x.as_slice(),
+            rows,
+            w1.operand(),
+            d,
+            b1,
+            set,
+            z.as_mut_slice(),
+        );
+        if let Some(l) = &mut m.fc1.lora {
+            l.forward(x, &mut z, t, n);
+        }
+        let a = m.activate(&z);
+        let mut y = Tensor::scratch(&[rows, d]);
+        let (w2, b2) = (m.fc2.weight.b_ref(), bias_of(&m.fc2));
+        fc2_forward(
+            a.as_slice(),
+            rows,
+            w2.operand(),
+            d,
+            b2,
+            set,
+            y.as_mut_slice(),
+        );
+        if let Some(l) = &mut m.fc2.lora {
+            l.forward(&a, &mut y, n, t);
+        }
+        [y, z, a]
+    }
+
+    fn bias_of(fc: &Linear) -> Option<&[f32]> {
+        fc.bias.as_ref().map(|b| b.value.as_slice())
+    }
+
+    /// The backward of [`composed_forward`]: accumulates into `m`'s
+    /// gradients and returns `dx`.
+    fn composed_backward(
+        m: &mut MlpBlock,
+        [x, z, a, dy]: [&Tensor; 4],
+        set: &NeuronBlockSet,
+    ) -> Tensor {
+        let (rows, d, width, blk) = (x.rows(), x.cols(), set.active_neurons(), set.block_size);
+        let token_set = tokens(d);
+        let (t, n) = (Side::panels(&token_set), Side::columns(set));
+        let mut da = Tensor::scratch(&[rows, width]);
+        let w2 = m.fc2.weight.b_ref();
+        cols(dy.as_slice(), rows, w2.operand(), d, set, da.as_mut_slice());
+        if let Some(l) = &mut m.fc2.lora {
+            l.backward(a, dy, &mut da, n, t);
+        }
+        let b2 = bias(&mut m.fc2);
+        if b2.trainable {
+            bias_grad_rows(dy.as_slice(), b2.grad_mut().as_mut_slice());
+        }
+        if m.fc2.weight.trainable {
+            let dw2 = m.fc2.weight.grad_mut().as_mut_slice();
+            slabs(a.as_slice(), dy.as_slice(), rows, d, set, dw2);
+        }
+        let dz = m.activate_backward(&da, z);
+        let mut dx = Tensor::scratch(&[rows, d]);
+        let w1 = m.fc1.weight.b_ref();
+        sum(dz.as_slice(), rows, w1.operand(), d, set, dx.as_mut_slice());
+        let b1 = bias(&mut m.fc1);
+        if b1.trainable {
+            let db1 = b1.grad_mut().as_mut_slice();
+            for dz_row in dz.as_slice().chunks_exact(width.max(1)) {
+                for (dz_blk, &i) in dz_row.chunks_exact(blk).zip(&set.active) {
+                    let db = &mut db1[i as usize * blk..][..blk];
+                    db.iter_mut().zip(dz_blk).for_each(|(g, &v)| *g += v);
+                }
+            }
+        }
+        if m.fc1.weight.trainable {
+            let dw1 = m.fc1.weight.grad_mut().as_mut_slice();
+            slabs(dz.as_slice(), x.as_slice(), rows, d, set, dw1);
+        }
+        if let Some(l) = &mut m.fc1.lora {
+            l.backward(x, &dz, &mut dx, t, n);
+        }
+        dx
+    }
+
+    /// The two-`Linear` block against [`composed_forward`] /
+    /// [`composed_backward`], bitwise: `y`, `z`, `a`, `dx` and every
+    /// gradient, over the dense plan, a partial set and an empty one, on
+    /// f32, f16 and NF4 weights, under LoRA on both FCs (nonzero `B`,
+    /// scale 3/2) and BitFit; full fine-tuning (trainable weights stay f32)
+    /// on f32. FC2's k = 512 spans two kc blocks on the dense plan.
+    #[test]
+    fn linears_equal_the_composed_neuron_operators_bitwise() {
+        use lx_tensor::Dtype::{Nf4Block, F16, F32};
+        let (d, ff, blk, rows) = (64, 512, 16, 24);
+        let x = Tensor::randn(&[rows, d], 1.0, 90);
+        let dy = Tensor::randn(&[rows, d], 1.0, 91);
+        let partial = Arc::new(NeuronBlockSet::from_indices(
+            vec![0, 3, 4, 5, 9, 17, 31],
+            ff / blk,
+            blk,
+        ));
+        let empty = Arc::new(NeuronBlockSet::from_indices(vec![], ff / blk, blk));
+        let full = NeuronBlockSet::all(1, ff);
+        let cells = [("lora", F32), ("lora", F16), ("lora", Nf4Block)]
+            .into_iter()
+            .chain([("bitfit", F32), ("bitfit", F16), ("bitfit", Nf4Block)])
+            .chain([("full", F32)]);
+        for (method, dtype) in cells {
+            let build = || {
+                let mut m = MlpBlock::new("mlp", d, ff, Activation::Relu, 92);
+                match method {
+                    "lora" => {
+                        m.fc1.attach_lora(2, 3.0, 93);
+                        m.fc2.attach_lora(2, 3.0, 94);
+                    }
+                    "bitfit" => {
+                        for fc in [&mut m.fc1, &mut m.fc2] {
+                            bias(fc).trainable = true;
+                        }
+                    }
+                    _ => m.for_each_param(&mut |p| p.trainable = true),
+                }
+                perturb(&mut m, 95);
+                for fc in [&mut m.fc1, &mut m.fc2] {
+                    fc.weight.demote(dtype);
+                }
+                m
+            };
+            for (plan, set) in [
+                ("dense", None),
+                ("partial", Some(&partial)),
+                ("empty", Some(&empty)),
+            ] {
+                let cell = format!("{method} {dtype} {plan}");
+                let (mut m, mut oracle) = (build(), build());
+                let y = m.forward(x.clone(), set);
+                let cache = m.cache.as_ref().expect("cache");
+                let (z, a) = (cache.z.clone(), cache.a.clone());
+                let oracle_set = set.map_or(&full, |s| &**s);
+                let [y_want, z_want, a_want] = composed_forward(&mut oracle, &x, oracle_set);
+                let dx = m.backward(&dy);
+                let dx_want =
+                    composed_backward(&mut oracle, [&x, &z_want, &a_want, &dy], oracle_set);
+                for (what, got, want) in [
+                    ("y", &y, &y_want),
+                    ("z", &z, &z_want),
+                    ("a", &a, &a_want),
+                    ("dx", &dx, &dx_want),
+                ] {
+                    assert_eq!(got.shape(), want.shape(), "{cell} {what}");
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{cell} {what}");
+                }
+                let grads = |m: &mut MlpBlock| {
+                    let mut out = Vec::new();
+                    m.for_each_param(&mut |p| {
+                        let g = p.grad.as_ref().map(|g| bits(g.as_slice()));
+                        out.push((p.name.clone(), p.trainable, g))
+                    });
+                    out
+                };
+                for ((name, trainable, g), (_, _, g_want)) in
+                    grads(&mut m).into_iter().zip(grads(&mut oracle))
+                {
+                    assert_eq!(g.is_some(), trainable, "{cell} {name} grad present");
+                    assert_eq!(g, g_want, "{cell} {name}");
+                }
+            }
         }
     }
 
@@ -494,8 +559,8 @@ mod tests {
             let mut m = mlp();
             perturb(&mut m, 3);
             // Trainable biases (BitFit-style).
-            m.b1.trainable = true;
-            m.b2.trainable = true;
+            bias(&mut m.fc1).trainable = true;
+            bias(&mut m.fc2).trainable = true;
             m
         };
         let (mut sparse, mut dense) = (build(), build());
@@ -505,7 +570,16 @@ mod tests {
         let dxs = sparse.backward(&dy);
         let dxd = oracle.backward(&mut dense, &dy);
         assert_close(dxs.as_slice(), dxd.as_slice(), 1e-3, "dx");
-        for (s, d) in [(&sparse.b1, &dense.b1), (&sparse.b2, &dense.b2)] {
+        for (s, d) in [
+            (
+                sparse.fc1.bias.as_ref().unwrap(),
+                dense.fc1.bias.as_ref().unwrap(),
+            ),
+            (
+                sparse.fc2.bias.as_ref().unwrap(),
+                dense.fc2.bias.as_ref().unwrap(),
+            ),
+        ] {
             let (gs, gd) = (s.grad.as_ref().unwrap(), d.grad.as_ref().unwrap());
             assert_close(gs.as_slice(), gd.as_slice(), 1e-3, &s.name);
         }
@@ -513,7 +587,7 @@ mod tests {
 
     /// `[dA1, dB1, dA2, dB2]` of a block with LoRA on both FCs.
     fn lora_grads(m: &MlpBlock) -> [&[f32]; 4] {
-        let (l1, l2) = (m.lora1.as_ref().unwrap(), m.lora2.as_ref().unwrap());
+        let (l1, l2) = (m.fc1.lora.as_ref().unwrap(), m.fc2.lora.as_ref().unwrap());
         [&l1.a, &l1.b, &l2.a, &l2.b].map(|p| p.grad.as_ref().unwrap().as_slice())
     }
 
@@ -529,9 +603,9 @@ mod tests {
         let active = |n: usize| set.active.contains(&((n / BLK) as u32));
         let with_lora = || {
             let mut m = mlp();
-            m.attach_lora_fc1(R, 4.0, 21);
-            m.attach_lora_fc2(R, 4.0, 22);
-            for (l, seed) in [(&mut m.lora1, 23), (&mut m.lora2, 24)] {
+            m.fc1.attach_lora(R, 4.0, 21);
+            m.fc2.attach_lora(R, 4.0, 22);
+            for (l, seed) in [(&mut m.fc1.lora, 23), (&mut m.fc2.lora, 24)] {
                 let b = &mut l.as_mut().unwrap().b.value;
                 let vals = lx_tensor::rng::randn_vec(b.len(), 0.3, seed);
                 b.as_mut_slice().copy_from_slice(&vals);
@@ -543,8 +617,8 @@ mod tests {
         let dxs = sparse.backward(&dy);
         let mut dense = with_lora();
         for n in (0..FF).filter(|&n| !active(n)) {
-            dense.w2.value.as_mut_slice()[n * D..(n + 1) * D].fill(0.0);
-            let a2 = &mut dense.lora2.as_mut().unwrap().a.value;
+            dense.fc2.weight.value.as_mut_slice()[n * D..(n + 1) * D].fill(0.0);
+            let a2 = &mut dense.fc2.lora.as_mut().unwrap().a.value;
             a2.as_mut_slice()[n * R..(n + 1) * R].fill(0.0);
         }
         let (yd, oracle) = DenseOracle::forward(&mut dense, &x);
@@ -582,10 +656,10 @@ mod tests {
         let dy = Tensor::randn(&[ROWS, D], 1.0, 5);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![1], FF / BLK, BLK));
         let mut m = mlp();
-        m.attach_lora_fc1(2, 4.0, 6);
+        m.fc1.attach_lora(2, 4.0, 6);
         let _ = m.forward(x.clone(), Some(&set));
         let _ = m.backward(&dy);
-        let db = m.lora1.as_ref().unwrap().b.grad.as_ref().unwrap();
+        let db = m.fc1.lora.as_ref().unwrap().b.grad.as_ref().unwrap();
         let r = 2;
         for n in 0..FF {
             let active = (4..8).contains(&n);
@@ -603,10 +677,10 @@ mod tests {
     #[test]
     fn dense_lora_grads_match_finite_difference() {
         let mut m = mlp();
-        m.attach_lora_fc1(2, 2.0, 8);
-        m.attach_lora_fc2(2, 2.0, 9);
+        m.fc1.attach_lora(2, 2.0, 8);
+        m.fc2.attach_lora(2, 2.0, 9);
         // Non-zero B so the A-grads are informative.
-        for l in [m.lora1.as_mut().unwrap(), m.lora2.as_mut().unwrap()] {
+        for l in [m.fc1.lora.as_mut().unwrap(), m.fc2.lora.as_mut().unwrap()] {
             let vals = lx_tensor::rng::randn_vec(l.b.value.len(), 0.2, 10);
             l.b.value.as_mut_slice().copy_from_slice(&vals);
         }
@@ -627,23 +701,59 @@ mod tests {
         // Check a few entries of each LoRA param.
         for which in 0..4 {
             let grad = match which {
-                0 => m.lora1.as_ref().unwrap().a.grad.as_ref().unwrap().clone(),
-                1 => m.lora1.as_ref().unwrap().b.grad.as_ref().unwrap().clone(),
-                2 => m.lora2.as_ref().unwrap().a.grad.as_ref().unwrap().clone(),
-                _ => m.lora2.as_ref().unwrap().b.grad.as_ref().unwrap().clone(),
+                0 => m
+                    .fc1
+                    .lora
+                    .as_ref()
+                    .unwrap()
+                    .a
+                    .grad
+                    .as_ref()
+                    .unwrap()
+                    .clone(),
+                1 => m
+                    .fc1
+                    .lora
+                    .as_ref()
+                    .unwrap()
+                    .b
+                    .grad
+                    .as_ref()
+                    .unwrap()
+                    .clone(),
+                2 => m
+                    .fc2
+                    .lora
+                    .as_ref()
+                    .unwrap()
+                    .a
+                    .grad
+                    .as_ref()
+                    .unwrap()
+                    .clone(),
+                _ => m
+                    .fc2
+                    .lora
+                    .as_ref()
+                    .unwrap()
+                    .b
+                    .grad
+                    .as_ref()
+                    .unwrap()
+                    .clone(),
             };
             for idx in [0usize, 3] {
                 let read = |m: &MlpBlock| match which {
-                    0 => m.lora1.as_ref().unwrap().a.value.as_slice()[idx],
-                    1 => m.lora1.as_ref().unwrap().b.value.as_slice()[idx],
-                    2 => m.lora2.as_ref().unwrap().a.value.as_slice()[idx],
-                    _ => m.lora2.as_ref().unwrap().b.value.as_slice()[idx],
+                    0 => m.fc1.lora.as_ref().unwrap().a.value.as_slice()[idx],
+                    1 => m.fc1.lora.as_ref().unwrap().b.value.as_slice()[idx],
+                    2 => m.fc2.lora.as_ref().unwrap().a.value.as_slice()[idx],
+                    _ => m.fc2.lora.as_ref().unwrap().b.value.as_slice()[idx],
                 };
                 let write = |m: &mut MlpBlock, v: f32| match which {
-                    0 => m.lora1.as_mut().unwrap().a.value.as_mut_slice()[idx] = v,
-                    1 => m.lora1.as_mut().unwrap().b.value.as_mut_slice()[idx] = v,
-                    2 => m.lora2.as_mut().unwrap().a.value.as_mut_slice()[idx] = v,
-                    _ => m.lora2.as_mut().unwrap().b.value.as_mut_slice()[idx] = v,
+                    0 => m.fc1.lora.as_mut().unwrap().a.value.as_mut_slice()[idx] = v,
+                    1 => m.fc1.lora.as_mut().unwrap().b.value.as_mut_slice()[idx] = v,
+                    2 => m.fc2.lora.as_mut().unwrap().a.value.as_mut_slice()[idx] = v,
+                    _ => m.fc2.lora.as_mut().unwrap().b.value.as_mut_slice()[idx] = v,
                 };
                 let orig = read(&m);
                 write(&mut m, orig + h);
@@ -667,24 +777,37 @@ mod tests {
     /// `[dA1, dB1, dA2, dB2, db1]`: [`lora_grads`] plus the BitFit bias.
     fn lora_and_bias_grads(m: &MlpBlock) -> [&[f32]; 5] {
         let [a1, b1, a2, b2] = lora_grads(m);
-        [a1, b1, a2, b2, m.b1.grad.as_ref().unwrap().as_slice()]
+        [
+            a1,
+            b1,
+            a2,
+            b2,
+            m.fc1
+                .bias
+                .as_ref()
+                .unwrap()
+                .grad
+                .as_ref()
+                .unwrap()
+                .as_slice(),
+        ]
     }
 
     /// A block whose FC weights are re-stored through `stores` in order,
     /// with LoRA (nonzero B) on both FCs and a trainable `b1` (BitFit).
     fn stored(stores: &[lx_tensor::Dtype]) -> MlpBlock {
         let mut m = mlp();
-        m.attach_lora_fc1(2, 4.0, 36);
-        m.attach_lora_fc2(2, 4.0, 37);
-        for (l, seed) in [(&mut m.lora1, 38), (&mut m.lora2, 39)] {
+        m.fc1.attach_lora(2, 4.0, 36);
+        m.fc2.attach_lora(2, 4.0, 37);
+        for (l, seed) in [(&mut m.fc1.lora, 38), (&mut m.fc2.lora, 39)] {
             let b = &mut l.as_mut().unwrap().b.value;
             let vals = lx_tensor::rng::randn_vec(b.len(), 0.3, seed);
             b.as_mut_slice().copy_from_slice(&vals);
         }
-        m.b1.trainable = true;
+        bias(&mut m.fc1).trainable = true;
         for &dtype in stores {
-            m.w1.demote(dtype);
-            m.w2.demote(dtype);
+            m.fc1.weight.demote(dtype);
+            m.fc2.weight.demote(dtype);
         }
         m
     }
@@ -727,7 +850,7 @@ mod tests {
         let mut m = stored(&nf4);
         let _ = m.forward(x.clone(), Some(&set));
         let moved = |m: &mut MlpBlock| {
-            for v in m.b1.value.as_mut_slice() {
+            for v in bias(&mut m.fc1).value.as_mut_slice() {
                 *v += 0.5; // an optimizer step moved the bias
             }
         };
@@ -755,21 +878,21 @@ mod tests {
         // f16 → NF4 directly, without `set_precision`.
         let mut m = stored(&[F16]);
         let _ = m.forward(x.clone(), Some(&set));
-        m.w1.demote(Nf4Block);
-        m.w2.demote(Nf4Block);
+        m.fc1.weight.demote(Nf4Block);
+        m.fc2.weight.demote(Nf4Block);
         let y = m.forward(x.clone(), Some(&set));
         let y_fresh = stored(&[F16, Nf4Block]).forward(x.clone(), Some(&set));
         assert_eq!(y.as_slice(), y_fresh.as_slice(), "f16 → nf4");
         // Promote, edit an active slab in place, re-demote.
         let edit = |m: &mut MlpBlock| {
-            for w in [&mut m.w1, &mut m.w2] {
+            for w in [&mut m.fc1.weight, &mut m.fc2.weight] {
                 w.value.as_mut_slice()[0] += 1.0; // neuron 0: block 0, active
                 w.demote(F16);
             }
         };
         let mut m = stored(&[F16]);
         let _ = m.forward(x.clone(), Some(&set));
-        for w in [&mut m.w1, &mut m.w2] {
+        for w in [&mut m.fc1.weight, &mut m.fc2.weight] {
             w.demote(F32);
         }
         edit(&mut m);
@@ -796,12 +919,12 @@ mod tests {
         let dy = Tensor::randn(&[ROWS, D], 1.0, 16);
         let set = Arc::new(NeuronBlockSet::from_indices(vec![3], FF / BLK, BLK));
         let mut m = mlp();
-        m.w1.trainable = true;
-        m.w2.trainable = true;
+        m.fc1.weight.trainable = true;
+        m.fc2.weight.trainable = true;
         let _ = m.forward(x.clone(), Some(&set));
         let _ = m.backward(&dy);
-        let dw1 = m.w1.grad.as_ref().unwrap();
-        let dw2 = m.w2.grad.as_ref().unwrap();
+        let dw1 = m.fc1.weight.grad.as_ref().unwrap();
+        let dw2 = m.fc2.weight.grad.as_ref().unwrap();
         for n in 0..FF {
             let active = (12..16).contains(&n);
             let w1_nz = dw1.as_slice()[n * D..(n + 1) * D].iter().any(|&v| v != 0.0);

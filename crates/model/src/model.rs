@@ -290,21 +290,24 @@ impl TransformerModel {
                 let q = probit(target);
                 for i in g * group..((g + 1) * group).min(d_ff) {
                     if hot {
-                        for v in mlp.w1.value.as_mut_slice()[i * d..(i + 1) * d].iter_mut() {
+                        for v in mlp.fc1.weight.value.as_mut_slice()[i * d..(i + 1) * d].iter_mut()
+                        {
                             *v *= hot_gain;
                         }
-                        for v in mlp.w2.value.as_mut_slice()[i * d..(i + 1) * d].iter_mut() {
+                        for v in mlp.fc2.weight.value.as_mut_slice()[i * d..(i + 1) * d].iter_mut()
+                        {
                             *v /= hot_gain;
                         }
                     }
-                    let norm: f32 = mlp.w1.value.as_slice()[i * d..(i + 1) * d]
+                    let norm: f32 = mlp.fc1.weight.value.as_slice()[i * d..(i + 1) * d]
                         .iter()
                         .map(|v| v * v)
                         .sum::<f32>()
                         .sqrt();
                     // Small jitter so thresholds differ within a group.
                     let jitter = 1.0 + 0.1 * (rng.gen::<f32>() - 0.5);
-                    mlp.b1.value.as_mut_slice()[i] -= q * norm * jitter;
+                    let b1 = mlp.fc1.bias.as_mut().expect("FC1 bias");
+                    b1.value.as_mut_slice()[i] -= q * norm * jitter;
                 }
                 g += 1;
             }
@@ -629,8 +632,8 @@ mod tests {
         for block in &mut m.blocks {
             block.attn.wq.attach_lora(4, 8.0, 31);
             block.attn.wv.attach_lora(4, 8.0, 32);
-            block.mlp.attach_lora_fc1(4, 8.0, 33);
-            block.mlp.attach_lora_fc2(4, 8.0, 34);
+            block.mlp.fc1.attach_lora(4, 8.0, 33);
+            block.mlp.fc2.attach_lora(4, 8.0, 34);
         }
         let mut opt = crate::optim::Adam::new(0.02);
         let mut scaler = crate::optim::LossScaler::default();
@@ -718,8 +721,8 @@ mod tests {
         for block in &mut m.blocks {
             block.attn.wq.attach_lora(4, 8.0, 41);
             block.attn.wv.attach_lora(4, 8.0, 42);
-            block.mlp.attach_lora_fc1(4, 8.0, 43);
-            block.mlp.attach_lora_fc2(4, 8.0, 44);
+            block.mlp.fc1.attach_lora(4, 8.0, 43);
+            block.mlp.fc2.attach_lora(4, 8.0, 44);
         }
         let mut opt = crate::optim::Adam::new(0.02);
         let mut scaler = crate::optim::LossScaler::default();

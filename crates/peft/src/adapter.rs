@@ -63,12 +63,9 @@ impl PeftMethod {
 /// shared-backbone state. Safe to call on a model with nothing attached.
 pub fn detach(model: &mut TransformerModel) {
     for block in &mut model.blocks {
-        block.attn.wq.lora = None;
-        block.attn.wk.lora = None;
-        block.attn.wv.lora = None;
-        block.attn.wo.lora = None;
-        block.mlp.lora1 = None;
-        block.mlp.lora2 = None;
+        for linear in block.linears() {
+            linear.lora = None;
+        }
         block.adapter1 = None;
         block.adapter2 = None;
     }

@@ -114,25 +114,14 @@ impl PeftMethod {
                 targets,
             } => {
                 model.freeze_all();
+                let t = targets;
+                let on = [t.q, t.k, t.v, t.o, t.mlp_fc1, t.mlp_fc2];
                 for (i, block) in model.blocks.iter_mut().enumerate() {
                     let s = seed + 37 * i as u64;
-                    if targets.q {
-                        block.attn.wq.attach_lora(rank, alpha, s);
-                    }
-                    if targets.k {
-                        block.attn.wk.attach_lora(rank, alpha, s + 1);
-                    }
-                    if targets.v {
-                        block.attn.wv.attach_lora(rank, alpha, s + 2);
-                    }
-                    if targets.o {
-                        block.attn.wo.attach_lora(rank, alpha, s + 3);
-                    }
-                    if targets.mlp_fc1 {
-                        block.mlp.attach_lora_fc1(rank, alpha, s + 4);
-                    }
-                    if targets.mlp_fc2 {
-                        block.mlp.attach_lora_fc2(rank, alpha, s + 5);
+                    for ((j, linear), on) in (0..).zip(block.linears()).zip(on) {
+                        if on {
+                            linear.attach_lora(rank, alpha, s + j);
+                        }
                     }
                 }
             }

@@ -1,44 +1,32 @@
 //! LoRA weight merging: fold `ΔW = (α/r)·ÃBᵀ` into the backbone weight so
-//! inference after fine-tuning pays zero adapter overhead. Every site —
-//! `Linear`, MLP FC1 and FC2 — folds through the same
-//! [`Lora::fold_into`]: one GEMM accumulating into the weight in its stored
-//! orientation.
+//! inference after fine-tuning pays zero adapter overhead. Every site — the
+//! attention projections, MLP FC1 and FC2 — is a [`Linear`] and folds
+//! through [`Lora::fold_into`](lx_model::linear::Lora::fold_into): one GEMM
+//! accumulating into the weight in the orientation the linear stores it.
 
-use lx_model::linear::{Linear, Lora};
-use lx_model::{Param, TransformerModel};
-use lx_tensor::gemm::Layout;
+use lx_model::linear::Linear;
+use lx_model::TransformerModel;
 
-/// Fold `lora` into `weight` (stored `w_layout` relative to `x·W`) with the
-/// pair's one GEMM-based [`Lora::fold_into`].
+/// Fold a Linear's LoRA pair into its weight and detach it.
 ///
 /// A reduced-stored weight (f16 or block-quantized) is promoted to f32
 /// first: merging writes into the weight buffer, and folding a delta into
 /// rounded storage would lose exactly the adaptation being merged. Re-apply
 /// a precision plan afterwards if the merged model should ship reduced.
-fn merge_into(weight: &mut Param, lora: Option<Lora>, w_layout: Layout) {
-    let Some(lora) = lora else {
+pub fn merge_linear(linear: &mut Linear) {
+    let Some(lora) = linear.lora.take() else {
         return;
     };
-    weight.to_f32();
-    lora.fold_into(&mut weight.value, w_layout);
+    let layout = linear.weight_layout();
+    linear.weight.to_f32();
+    lora.fold_into(&mut linear.weight.value, layout);
 }
 
-/// Fold a Linear's LoRA pair into its weight (`[d_in, d_out]`) and detach it.
-pub fn merge_linear(linear: &mut Linear) {
-    merge_into(&mut linear.weight, linear.lora.take(), Layout::Normal);
-}
-
-/// Merge every LoRA in the model: the attention linears, neuron-major FC1
-/// (`[d_ff, d]`, the transpose of `x·W`) and row-major FC2 (`[d_ff, d]`).
+/// Merge every LoRA in the model: the four attention projections, FC1 and
+/// FC2 of every block.
 pub fn merge_all(model: &mut TransformerModel) {
     for block in &mut model.blocks {
-        merge_linear(&mut block.attn.wq);
-        merge_linear(&mut block.attn.wk);
-        merge_linear(&mut block.attn.wv);
-        merge_linear(&mut block.attn.wo);
-        let mlp = &mut block.mlp;
-        merge_into(&mut mlp.w1, mlp.lora1.take(), Layout::Transposed);
-        merge_into(&mut mlp.w2, mlp.lora2.take(), Layout::Normal);
+        block.linears().into_iter().for_each(merge_linear);
     }
 }
 
@@ -46,6 +34,7 @@ pub fn merge_all(model: &mut TransformerModel) {
 mod tests {
     use super::*;
     use crate::{LoraTargets, PeftMethod};
+    use lx_model::linear::{NeuronBlockSet, Side};
     use lx_model::{ModelConfig, StepRequest};
     use lx_tensor::Tensor;
 
@@ -62,10 +51,12 @@ mod tests {
             l.b.value.as_mut_slice().copy_from_slice(&bv);
         }
         let x = Tensor::randn(&[4, 6], 1.0, 5);
-        let y_adapter = lin.project(&x);
+        let tokens = NeuronBlockSet::all(1, 6);
+        let t = Side::panels(&tokens);
+        let y_adapter = lin.project(&x, t, t);
         merge_linear(&mut lin);
         assert!(lin.lora.is_none());
-        let y_merged = lin.project(&x);
+        let y_merged = lin.project(&x, t, t);
         for (a, b) in y_adapter.as_slice().iter().zip(y_merged.as_slice()) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
@@ -134,7 +125,7 @@ mod tests {
         // their quantized storage.
         for block in &m.blocks {
             assert!(!block.attn.wq.weight.is_reduced());
-            assert!(!block.mlp.w1.is_reduced());
+            assert!(!block.mlp.fc1.weight.is_reduced());
         }
     }
 

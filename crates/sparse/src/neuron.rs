@@ -1,9 +1,10 @@
-//! Neuron-centric block-sparse MLP kernels (paper §VI-B).
+//! Neuron-centric block sets and the one block launch (paper §VI-B).
 //!
 //! When a ReLU MLP neuron is inactive for a whole batch, the corresponding
 //! *column* of FC1 and *row* of FC2 drop out of both the forward and the
-//! backward pass. Long Exposure filters neurons at block granularity, so the
-//! kernels here operate on a sorted list of active neuron *blocks*:
+//! backward pass. Long Exposure filters neurons at block granularity, so a
+//! [`NeuronBlockSet`] is a sorted list of active neuron *blocks*, and the
+//! MLP stores a neuron dimension as the row dimension of each matrix:
 //!
 //! * FC1 weights are stored **neuron-major** (`w1t[d_out, d_in]`, i.e.
 //!   column-major relative to the conventional `d_in × d_out` matrix) so an
@@ -13,30 +14,31 @@
 //!
 //! This mirrors the paper's memory-coalescing layout choice and means the
 //! kernels never convert data formats at runtime — the property that makes
-//! them "dynamic-aware". The weight of the four operators that read one
-//! ([`active_cols`], [`fc1_forward`], [`fc2_forward`],
-//! [`fc1_backward_input`]) is any [`BOperand`]: an f16 or NF4 backbone is
-//! read where it lies, each active slab decoded as the grouped launch packs
-//! it, so the products equal those over the decoded f32 weight bit for bit.
-//! Because each active slab is contiguous, each of the kernels below is
-//! **one** [`launch`]: one grouped GEMM
+//! them "dynamic-aware". A weight read by a launch is any [`BOperand`]: an
+//! f16 or NF4 backbone is read where it lies, each active slab decoded as
+//! the grouped launch packs it, so the products equal those over the
+//! decoded f32 weight bit for bit. Because each active slab is contiguous,
+//! every product is **one** [`launch`]: one grouped GEMM
 //! ([`KernelBackend::gemm_grouped`](lx_kernels::KernelBackend::gemm_grouped))
 //! over an offset table the [`NeuronBlockSet`] built when it was
 //! constructed, picked by which operand the blocks do not span. With `ai`
-//! the position of active block `blk` in the set:
+//! the position of active block `blk` in the set, and the MLP's products
+//! (`lx_model::linear::Linear` over the plan's compact columns):
 //!
 //! ```text
-//!   table   (A, B, C) window    used by                                 shape
-//!   cols    (0,  blk, ai)       active_cols (fc1_forward, FC2's dA)     C[:, ai] = A · W_blkᵀ
-//!   sum     (ai, blk, 0 )       fc2_forward, fc1_backward_input         C += A[:, ai] · W_blk
-//!   slabs   (ai, 0,   blk)      fc1_grad_weights, fc2_grad_weights      dW_blk += A[:, ai]ᵀ · B
+//!   table   (A, B, C) window    MLP products                         shape
+//!   cols    (0,  blk, ai)       FC1 forward, FC2's dA                C[:, ai] = A · W_blkᵀ
+//!   sum     (ai, blk, 0 )       FC2 forward, FC1's dX                C += A[:, ai] · W_blk
+//!   slabs   (ai, 0,   blk)      dW1, dW2, FC1's LoRA dB, FC2's dA    dW_blk += A[:, ai]ᵀ · B
 //! ```
 //!
 //! The same launch runs every product of `lx_model::linear`, over the same
 //! tables: attention's heads are [`NeuronBlockSet::all`]`(heads, d/heads)`,
 //! whose `cols` / `sum` / `slabs` tables are the per-head write, the
 //! K-merged read and the per-head weight gradient, and a LoRA pair's
-//! rank-r products run over the set of the side they touch.
+//! rank-r products run over the set of the side they touch. [`fc1_forward`]
+//! and [`fc2_forward`] are the two forward launches over raw slices, for
+//! operator benchmarks.
 //!
 //! The compact activation matrix is addressed with `ld = active_width` and
 //! window stride `block`, a weight slab with its natural leading dimension
@@ -48,7 +50,7 @@
 //! forward biases ride the same launch ([`Bias`]): each `cols` run takes
 //! its neuron block's window of FC1's bias (stride `block`), and the one
 //! `sum` run takes all of FC2's (stride 0), added by the worker that
-//! finishes the run's rows. The dense MLP is the same operators over
+//! finishes the run's rows. The dense MLP is the same launches over
 //! [`NeuronBlockSet::all`]`(1, d_ff)`: one block of every neuron, whose
 //! one-task launches are the plain products.
 
@@ -239,9 +241,10 @@ pub fn launch(
 /// FC1 forward: `z[r, a·b+t] = ⟨x_r, w1t[active[a]·b+t]⟩ (+ bias)`.
 ///
 /// `z` is *compact*: `rows × active_neurons`, holding only active columns.
-/// Each active block is `Z_a = X · W_aᵀ` against the contiguous column slab
-/// `W_a`; `X` is one shared window. `bias` has one value per neuron; block
-/// `a` takes its window after its complete product.
+/// Each active block is `Z_a = X · W_aᵀ` against the contiguous neuron-major
+/// slab `W_a` (`w1t` is `total_neurons × d_in`); `X` is one shared window.
+/// `bias` has one value per neuron; block `a` takes its window after its
+/// complete product.
 pub fn fc1_forward<'w>(
     x: &[f32],
     rows: usize,
@@ -251,21 +254,31 @@ pub fn fc1_forward<'w>(
     set: &NeuronBlockSet,
     z: &mut [f32],
 ) {
+    let (w1t, b, width) = (w1t.into(), set.block_size, set.active_neurons());
+    assert_eq!(x.len(), rows * d_in, "fc1: x is rows×d_in");
+    debug_assert_eq!(w1t.len(), set.total_neurons() * d_in, "fc1: w1t is h×d_in");
+    assert_eq!(z.len(), rows * width, "fc1: z is rows×active");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), set.total_neurons(), "fc1: one bias per neuron");
     }
-    let bias = bias.map(|data| Bias {
-        data,
-        stride: set.block_size,
-    });
-    cols(x, rows, w1t.into(), d_in, set, bias, z);
+    launch(
+        set,
+        (rows, d_in, b),
+        Windows::normal(x, d_in, 0),
+        Windows::transposed(w1t, d_in, b * d_in),
+        z,
+        (width, b),
+        0.0,
+        bias.map(|data| Bias { data, stride: b }),
+    );
 }
 
 /// FC2 forward: `y[r,:] = Σ_active a[r, blk]·w2_row(neuron) (+ bias)`.
 ///
 /// `w2` is row-major `h × d_out`; `a` is compact `rows × active_neurons`.
-/// Every active block accumulates `Y += A_blk · W2_blk` into the one output,
-/// which takes `bias` (`d_out` long) after its last block.
+/// Every active block accumulates `Y += A_blk · W2_blk` into the one output
+/// (one run of the `sum` table, its first task writing `y`), which takes
+/// `bias` (`d_out` long) after its last block.
 pub fn fc2_forward<'w>(
     a: &[f32],
     rows: usize,
@@ -275,180 +288,23 @@ pub fn fc2_forward<'w>(
     set: &NeuronBlockSet,
     y: &mut [f32],
 ) {
-    let w2 = w2.into();
-    assert_eq!(
-        a.len(),
-        rows * set.active_neurons(),
-        "fc2: a is rows×active"
-    );
+    let (w2, b, width) = (w2.into(), set.block_size, set.active_neurons());
+    assert_eq!(a.len(), rows * width, "fc2: a is rows×active");
     assert_eq!(w2.len(), set.total_neurons() * d_out, "fc2: w2 is h×d_out");
     assert_eq!(y.len(), rows * d_out, "fc2: y is rows×d_out");
     if let Some(bias) = bias {
         assert_eq!(bias.len(), d_out, "fc2: bias is d_out long");
     }
-    active_sum(a, rows, w2, d_out, set, bias, y);
-}
-
-/// `out = Σ_active A[:, ai] · W_blk (+ bias)` over the compact `rows ×
-/// active` `a` and a `total_neurons × d` row-major `w`: one run of the `sum`
-/// table, its first task writing `out` (beta 0), the `d`-long bias added
-/// after its last.
-fn active_sum(
-    a: &[f32],
-    rows: usize,
-    w: BOperand<'_>,
-    d: usize,
-    set: &NeuronBlockSet,
-    bias: Option<&[f32]>,
-    out: &mut [f32],
-) {
-    let b = set.block_size;
     launch(
         set,
-        (rows, b, d),
-        Windows::normal(a, set.active_neurons(), b),
-        Windows::normal(w, d, b * d),
-        out,
-        (d, 0),
+        (rows, b, d_out),
+        Windows::normal(a, width, b),
+        Windows::normal(w2, d_out, b * d_out),
+        y,
+        (d_out, 0),
         0.0,
         bias.map(|data| Bias { data, stride: 0 }),
     );
-}
-
-/// The active columns of `X · Wᵀ` for a neuron-major `W` (`total_neurons ×
-/// d`, row `n` belonging to neuron `n`): `out[r, a·b+t] = ⟨x_r,
-/// w[active[a]·b+t]⟩` over a compact `rows × active_neurons` output, one
-/// shared `X` window against each active slab. This is FC1's forward
-/// product (`W = W1ᵀ`) and FC2's input gradient (`dA = dY · W2_activeᵀ`).
-pub fn active_cols<'w>(
-    x: &[f32],
-    rows: usize,
-    w: impl Into<BOperand<'w>>,
-    d: usize,
-    set: &NeuronBlockSet,
-    out: &mut [f32],
-) {
-    cols(x, rows, w.into(), d, set, None, out)
-}
-
-/// [`active_cols`] with each block's [`Bias`] window added after its
-/// complete product.
-fn cols(
-    x: &[f32],
-    rows: usize,
-    w: BOperand<'_>,
-    d: usize,
-    set: &NeuronBlockSet,
-    bias: Option<Bias<'_>>,
-    out: &mut [f32],
-) {
-    let (b, width) = (set.block_size, set.active_neurons());
-    assert_eq!(x.len(), rows * d, "active cols: x is rows×d");
-    debug_assert_eq!(
-        w.len(),
-        set.total_neurons() * d,
-        "active cols: w is neurons×d"
-    );
-    assert_eq!(out.len(), rows * width, "active cols: out is rows×active");
-    launch(
-        set,
-        (rows, d, b),
-        Windows::normal(x, d, 0),
-        Windows::transposed(w, d, b * d),
-        out,
-        (width, b),
-        0.0,
-        bias,
-    );
-}
-
-/// FC1 backward w.r.t. its input: `dx[r,:] = Σ_active dz[r, blk]·w1t[neuron]`.
-/// Every active block accumulates `dX += dZ_blk · W_blk` into the one output.
-pub fn fc1_backward_input<'w>(
-    dz: &[f32],
-    rows: usize,
-    w1t: impl Into<BOperand<'w>>,
-    d_in: usize,
-    set: &NeuronBlockSet,
-    dx: &mut [f32],
-) {
-    let w1t = w1t.into();
-    debug_assert_eq!(w1t.len(), set.total_neurons() * d_in);
-    assert_eq!(dz.len(), rows * set.active_neurons());
-    assert_eq!(dx.len(), rows * d_in);
-    active_sum(dz, rows, w1t, d_in, set, None, dx);
-}
-
-/// `dW_blk += G_blkᵀ · X` for every active block: `g` is the compact
-/// `rows × active` gradient, `x` the shared `rows × d` operand, and block
-/// `blk` owns the contiguous `b × d` slab of `dw`.
-fn grad_slabs(g: &[f32], x: &[f32], rows: usize, d: usize, set: &NeuronBlockSet, dw: &mut [f32]) {
-    let b = set.block_size;
-    launch(
-        set,
-        (b, rows, d),
-        Windows::transposed(g, set.active_neurons(), b),
-        Windows::normal(x, d, 0),
-        dw,
-        (d, b * d),
-        1.0,
-        None,
-    );
-}
-
-/// Accumulate FC1 weight gradients for *active columns only*:
-/// `dw1t[neuron] += Σ_r x_r · dz[r, compact(neuron)]`.
-/// Per block: `dW_blk += dZ_blkᵀ · X` into the block's contiguous column
-/// slab; active slabs are disjoint, so blocks parallelise.
-pub fn fc1_grad_weights(
-    x: &[f32],
-    dz: &[f32],
-    rows: usize,
-    d_in: usize,
-    set: &NeuronBlockSet,
-    dw1t: &mut [f32],
-) {
-    debug_assert_eq!(dw1t.len(), set.total_neurons() * d_in);
-    assert_eq!(x.len(), rows * d_in);
-    assert_eq!(dz.len(), rows * set.active_neurons());
-    grad_slabs(dz, x, rows, d_in, set, dw1t);
-}
-
-/// Accumulate the FC1 bias gradient of the *active neurons only*:
-/// `dbias[neuron] += Σ_r dz[r, compact(neuron)]`, row by row. Separate from
-/// [`fc1_grad_weights`] because BitFit trains the bias of a frozen FC1.
-pub fn fc1_grad_bias(dz: &[f32], set: &NeuronBlockSet, dbias: &mut [f32]) {
-    let b = set.block_size;
-    let width = set.active_neurons();
-    assert_eq!(dbias.len(), set.total_neurons());
-    if width == 0 {
-        return;
-    }
-    for dz_row in dz.chunks_exact(width) {
-        for (dz_blk, &blk) in dz_row.chunks_exact(b).zip(&set.active) {
-            let dbias_blk = &mut dbias[blk as usize * b..(blk as usize + 1) * b];
-            for (g, &v) in dbias_blk.iter_mut().zip(dz_blk) {
-                *g += v;
-            }
-        }
-    }
-}
-
-/// Accumulate FC2 weight gradients for *active rows only*:
-/// `dw2_row(neuron) += Σ_r a[r, compact(neuron)] · dy_r`.
-/// Per block: `dW2_blk += A_blkᵀ · dY` into the block's contiguous row slab.
-pub fn fc2_grad_weights(
-    a: &[f32],
-    dy: &[f32],
-    rows: usize,
-    d_out: usize,
-    set: &NeuronBlockSet,
-    dw2: &mut [f32],
-) {
-    assert_eq!(a.len(), rows * set.active_neurons());
-    assert_eq!(dy.len(), rows * d_out);
-    assert_eq!(dw2.len(), set.total_neurons() * d_out);
-    grad_slabs(a, dy, rows, d_out, set, dw2);
 }
 
 #[cfg(test)]
@@ -651,103 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_input_paths_match_dense() {
-        let set = NeuronBlockSet::from_indices(vec![0, 3], H / B, B);
-        let width = set.active_neurons();
-        let w1t = w1t(12);
-        let w2 = randn_vec(H * D_OUT, 1.0, 13);
-        let dy = randn_vec(ROWS * D_OUT, 1.0, 14);
-        let dz = randn_vec(ROWS * width, 1.0, 15);
-
-        let mut da = vec![0.0; ROWS * width];
-        active_cols(&dy, ROWS, &w2, D_OUT, &set, &mut da);
-        // Oracle: dY · W2ᵀ then gather active columns.
-        let mut da_full = vec![0.0; ROWS * H];
-        for r in 0..ROWS {
-            for n in 0..H {
-                let mut acc = 0.0;
-                for c in 0..D_OUT {
-                    acc += dy[r * D_OUT + c] * w2[n * D_OUT + c];
-                }
-                da_full[r * H + n] = acc;
-            }
-        }
-        for r in 0..ROWS {
-            for (ai, &blk) in set.active.iter().enumerate() {
-                for t in 0..B {
-                    assert!(
-                        (da[r * width + ai * B + t] - da_full[r * H + blk as usize * B + t]).abs()
-                            < 1e-4
-                    );
-                }
-            }
-        }
-
-        let mut dx = vec![0.0; ROWS * D_IN];
-        fc1_backward_input(&dz, ROWS, &w1t, D_IN, &set, &mut dx);
-        // Oracle: scatter dz to full width then dZ · W1ᵀ.
-        let mut dz_full = vec![0.0; ROWS * H];
-        for r in 0..ROWS {
-            for (ai, &blk) in set.active.iter().enumerate() {
-                for t in 0..B {
-                    dz_full[r * H + blk as usize * B + t] = dz[r * width + ai * B + t];
-                }
-            }
-        }
-        let mut expect = vec![0.0; ROWS * D_IN];
-        for r in 0..ROWS {
-            for n in 0..H {
-                let g = dz_full[r * H + n];
-                for i in 0..D_IN {
-                    expect[r * D_IN + i] += g * w1t[n * D_IN + i];
-                }
-            }
-        }
-        assert_close(&dx, &expect, 1e-4);
-    }
-
-    #[test]
-    fn weight_gradients_touch_only_active_blocks() {
-        let set = NeuronBlockSet::from_indices(vec![2], H / B, B);
-        let width = set.active_neurons();
-        let x = randn_vec(ROWS * D_IN, 1.0, 16);
-        let dz = randn_vec(ROWS * width, 1.0, 17);
-        let mut dw1t = vec![0.0; H * D_IN];
-        let mut dbias = vec![0.0f32; H];
-        fc1_grad_weights(&x, &dz, ROWS, D_IN, &set, &mut dw1t);
-        fc1_grad_bias(&dz, &set, &mut dbias);
-        let slab = |n: usize| &dw1t[n * D_IN..(n + 1) * D_IN];
-        #[allow(clippy::needless_range_loop)]
-        for n in 0..H {
-            let in_active = (8..12).contains(&n);
-            let col_nonzero = slab(n).iter().any(|&v| v != 0.0);
-            assert_eq!(col_nonzero, in_active, "neuron {n}");
-            assert_eq!(dbias[n] != 0.0, in_active, "bias {n}");
-        }
-        // Check one value against the naive sum.
-        let n = 9;
-        let t = n - 8;
-        let mut expect = vec![0.0; D_IN];
-        for r in 0..ROWS {
-            let g = dz[r * width + t];
-            for i in 0..D_IN {
-                expect[i] += g * x[r * D_IN + i];
-            }
-        }
-        assert_close(slab(n), &expect, 1e-4);
-
-        let dy = randn_vec(ROWS * D_OUT, 1.0, 18);
-        let a = randn_vec(ROWS * width, 1.0, 19);
-        let mut dw2 = vec![0.0; H * D_OUT];
-        fc2_grad_weights(&a, &dy, ROWS, D_OUT, &set, &mut dw2);
-        for n in 0..H {
-            let in_active = (8..12).contains(&n);
-            let row_nonzero = dw2[n * D_OUT..(n + 1) * D_OUT].iter().any(|&v| v != 0.0);
-            assert_eq!(row_nonzero, in_active, "w2 row {n}");
-        }
-    }
-
-    #[test]
     fn overlap_tracks_drift() {
         let a = NeuronBlockSet::from_indices(vec![0, 1, 2], 8, B);
         let b = NeuronBlockSet::from_indices(vec![1, 2, 5], 8, B);
@@ -762,30 +521,5 @@ mod tests {
         let full = NeuronBlockSet::all(8, B);
         assert_eq!(empty.overlap(&empty), 1.0);
         assert_eq!(empty.overlap(&full), 0.0);
-    }
-
-    #[test]
-    fn empty_active_set_is_harmless() {
-        let set = NeuronBlockSet::from_indices(vec![], H / B, B);
-        let x = randn_vec(ROWS * D_IN, 1.0, 22);
-        let mut z: Vec<f32> = vec![];
-        fc1_forward(&x, ROWS, &vec![0.0; H * D_IN], D_IN, None, &set, &mut z);
-        let bias = randn_vec(D_OUT, 1.0, 23);
-        let mut y = vec![0.0; ROWS * D_OUT];
-        fc2_forward(
-            &[],
-            ROWS,
-            &vec![0.0; H * D_OUT],
-            D_OUT,
-            Some(&bias),
-            &set,
-            &mut y,
-        );
-        for r in 0..ROWS {
-            assert_close(&y[r * D_OUT..(r + 1) * D_OUT], &bias, 1e-6);
-        }
-        let mut dw1 = vec![0.0; H * D_IN];
-        fc1_grad_weights(&x, &[], ROWS, D_IN, &set, &mut dw1);
-        assert!(dw1.iter().all(|&v| v == 0.0));
     }
 }

@@ -90,8 +90,8 @@ fn train_run(scenario: Scenario, pooled: bool, steps: usize) -> (Vec<f32>, Vec<V
             model.freeze_all();
             for block in &mut model.blocks {
                 block.attn.wq.attach_lora(4, 8.0, 31);
-                block.mlp.attach_lora_fc1(4, 8.0, 33);
-                block.mlp.attach_lora_fc2(4, 8.0, 34);
+                block.mlp.fc1.attach_lora(4, 8.0, 33);
+                block.mlp.fc2.attach_lora(4, 8.0, 34);
             }
             model.set_precision(Precision::F16Frozen);
         }
@@ -159,8 +159,8 @@ fn allocs_after_warmup(scenario: Scenario, warmup: usize, steps: usize) -> usize
             model.freeze_all();
             for block in &mut model.blocks {
                 block.attn.wq.attach_lora(4, 8.0, 31);
-                block.mlp.attach_lora_fc1(4, 8.0, 33);
-                block.mlp.attach_lora_fc2(4, 8.0, 34);
+                block.mlp.fc1.attach_lora(4, 8.0, 33);
+                block.mlp.fc2.attach_lora(4, 8.0, 34);
             }
             model.set_precision(Precision::F16Frozen);
         }
